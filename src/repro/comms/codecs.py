@@ -259,18 +259,21 @@ class QSGDCodec(Codec):
         delta = np.asarray(delta, dtype=np.float64)
         d = delta.shape[0]
         levels = self.levels
+        wire = np.uint8 if self.bits <= 8 else np.uint16
         scale = float(np.max(np.abs(delta))) if d else 0.0
         if not np.isfinite(scale) or scale == 0.0:
             # Degenerate vectors carry no level information: an all-zero
             # stream under the (possibly non-finite) scale header decodes
             # to zeros or all-NaN respectively.
-            q = np.zeros(d, dtype=np.uint32)
+            q = np.zeros(d, dtype=wire)
         else:
-            u = (delta / scale + 1.0) * (0.5 * levels)
+            u = delta / scale
+            u += 1.0
+            u *= 0.5 * levels
             base = np.floor(u)
-            draw = codec_rng(entropy).random(d)
-            q = base.astype(np.int64) + (draw < (u - base))
-            q = np.clip(q, 0, levels).astype(np.uint32)
+            u -= base  # fractional position: the round-up probability
+            base += codec_rng(entropy).random(d) < u
+            q = np.clip(base, 0, levels, out=base).astype(wire)
         buffer = struct.pack("<d", scale) + _pack_levels(q, self.bits)
         return WirePayload(
             self.spec(), buffer, len(buffer),
@@ -278,26 +281,30 @@ class QSGDCodec(Codec):
         )
 
     def decode_delta(self, payload: WirePayload, n_params: int) -> np.ndarray:
-        levels = self.levels
         (scale,) = struct.unpack_from("<d", payload.buffer, 0)
         if not np.isfinite(scale):
             return np.full(n_params, np.nan)
         if scale == 0.0:
             return np.zeros(n_params)
-        q = _unpack_levels(payload.buffer[8:], n_params, self.bits)
-        return scale * (q.astype(np.float64) * (2.0 / levels) - 1.0)
+        packed = np.frombuffer(payload.buffer, dtype=np.uint8, offset=8)
+        out = _unpack_levels(packed, n_params, self.bits).astype(np.float64)
+        out *= 2.0 / self.levels
+        out -= 1.0
+        out *= scale
+        return out
 
 
 @dataclass(frozen=True)
 class TopKCodec(Codec):
     """Top-k magnitude sparsification with packed index+value encoding.
 
-    Keeps the ``k`` largest-magnitude delta coordinates (stable-sorted,
-    so ties break by coordinate index identically everywhere), shipping
-    them as sorted uint32 indices plus float32 values — 8 wire bytes per
-    kept coordinate after a 4-byte count header.  Dropped coordinates
-    decode to zero; with error feedback enabled they accumulate in the
-    sender's residual and ship in a later round.
+    Keeps the ``k`` largest-magnitude delta coordinates (coordinates
+    tied at the smallest kept magnitude are taken in index order, so the
+    kept set is identical everywhere), shipping them as sorted uint32
+    indices plus float32 values — 8 wire bytes per kept coordinate after
+    a 4-byte count header.  Dropped coordinates decode to zero; with
+    error feedback enabled they accumulate in the sender's residual and
+    ship in a later round.
 
     NaN coordinates sort as infinite magnitude, so a corruption fault's
     poisoned coordinates are always among the kept set — compression
@@ -321,12 +328,26 @@ class TopKCodec(Codec):
         self, delta: np.ndarray, entropy: Sequence[int]
     ) -> WirePayload:
         delta = np.asarray(delta, dtype=np.float64)
-        k = min(self.k, delta.shape[0])
-        magnitude = np.abs(delta)
-        magnitude = np.where(np.isnan(magnitude), np.inf, magnitude)
-        order = np.argsort(-magnitude, kind="stable")[:k]
-        idx = np.sort(order).astype("<u4")
-        vals = delta[idx].astype("<f4")
+        d = delta.shape[0]
+        k = min(self.k, d)
+        if k == d:
+            kept = np.arange(d)
+        else:
+            magnitude = np.abs(delta)
+            magnitude[np.isnan(magnitude)] = np.inf
+            # The k largest in O(d); which of several coordinates tied at
+            # the boundary magnitude the partition picked is arbitrary, so
+            # keep only the strictly larger ones and fill up with ties in
+            # index order — the set a stable descending sort would keep.
+            top = np.argpartition(magnitude, d - k)[d - k:]
+            top_magnitude = magnitude[top]
+            boundary = top_magnitude.min()
+            above = top[top_magnitude > boundary]
+            ties = np.flatnonzero(magnitude == boundary)[: k - above.shape[0]]
+            kept = np.concatenate((above, ties))
+            kept.sort()
+        idx = kept.astype("<u4")
+        vals = delta[kept].astype("<f4")
         buffer = struct.pack("<I", k) + idx.tobytes() + vals.tobytes()
         return WirePayload(
             self.spec(), buffer, len(buffer), meta={"k": int(k)}
@@ -339,24 +360,77 @@ class TopKCodec(Codec):
             payload.buffer, dtype="<f4", count=k, offset=4 + 4 * k
         )
         out = np.zeros(n_params)
-        out[idx] = vals.astype(np.float64)
+        out[idx] = vals
         return out
+
+
+# Level stream layout: level i occupies stream bits [i*bits, (i+1)*bits),
+# least-significant bit first, and stream bit n is bit (7 - n % 8) of byte
+# n // 8 — i.e. the LSB-first packing of the levels with every byte
+# bit-reversed.  _BIT_REVERSE maps a byte to its reversal.
+_BIT_REVERSE = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)[:, ::-1],
+    axis=1,
+).ravel()
+
+
+def _grouped(values: np.ndarray, per: int, dtype) -> np.ndarray:
+    """``values`` zero-padded to whole groups, as a ``(groups, per)`` array."""
+    groups = -(-values.shape[0] // per)
+    out = np.zeros((groups, per), dtype=dtype)
+    out.reshape(-1)[: values.shape[0]] = values
+    return out
 
 
 def _pack_levels(q: np.ndarray, bits: int) -> bytes:
     """Bit-pack unsigned levels (< 2^bits) into a contiguous byte stream."""
-    if q.size == 0:
-        return b""
-    shifts = np.arange(bits, dtype=np.uint32)
-    bit_matrix = ((q[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bit_matrix.ravel()).tobytes()
+    if bits == 8 or bits == 16:
+        # Whole bytes, low byte first: only the in-byte bit order differs
+        # from the levels' little-endian memory image.
+        return _BIT_REVERSE[q.astype(f"<u{bits // 8}").view(np.uint8)].tobytes()
+    if 8 % bits == 0:
+        # 1/2/4 bits: 8 // bits levels share one byte.
+        levels = _grouped(q, 8 // bits, np.uint8)
+        out = levels[:, 0].copy()
+        for i in range(1, levels.shape[1]):
+            out |= levels[:, i] << (i * bits)
+        return _BIT_REVERSE[out].tobytes()
+    # Any other width: 8 levels fill ``bits`` whole bytes; a level that
+    # straddles a byte boundary spills into the next one or two.
+    levels = _grouped(q, 8, np.uint32)
+    out = np.zeros((levels.shape[0], bits), dtype=np.uint8)
+    for i in range(8):
+        byte, shift = divmod(i * bits, 8)
+        window = levels[:, i] << shift
+        for spill in range((shift + bits + 7) // 8):
+            out[:, byte + spill] |= (window >> (8 * spill)).astype(np.uint8)
+    return _BIT_REVERSE[out].tobytes()[: (q.shape[0] * bits + 7) // 8]
 
 
-def _unpack_levels(packed: bytes, count: int, bits: int) -> np.ndarray:
-    """Inverse of :func:`_pack_levels` for ``count`` levels."""
-    if count == 0:
-        return np.zeros(0, dtype=np.uint32)
-    raw = np.frombuffer(packed, dtype=np.uint8)
-    stream = np.unpackbits(raw, count=count * bits)
-    weights = (1 << np.arange(bits, dtype=np.uint32)).astype(np.uint32)
-    return stream.reshape(count, bits).astype(np.uint32) @ weights
+def _unpack_levels(packed, count: int, bits: int) -> np.ndarray:
+    """Inverse of :func:`_pack_levels` for ``count`` levels.
+
+    ``packed`` is any buffer holding the stream's
+    ``ceil(count * bits / 8)`` bytes (``bytes``, or a uint8 view into a
+    payload); the table lookup is its only copy.
+    """
+    raw = _BIT_REVERSE[
+        np.frombuffer(packed, dtype=np.uint8, count=(count * bits + 7) // 8)
+    ]
+    if bits == 8 or bits == 16:
+        return raw.view(f"<u{bits // 8}")
+    mask = (1 << bits) - 1
+    if 8 % bits == 0:
+        levels = np.empty((raw.shape[0], 8 // bits), dtype=np.uint8)
+        for i in range(levels.shape[1]):
+            levels[:, i] = (raw >> (i * bits)) & mask
+        return levels.reshape(-1)[:count]
+    stream = _grouped(raw, bits, np.uint32)
+    levels = np.empty((stream.shape[0], 8), dtype=np.uint32)
+    for i in range(8):
+        byte, shift = divmod(i * bits, 8)
+        window = stream[:, byte].copy()
+        for spill in range(1, (shift + bits + 7) // 8):
+            window |= stream[:, byte + spill] << (8 * spill)
+        levels[:, i] = (window >> shift) & mask
+    return levels.reshape(-1)[:count]

@@ -53,7 +53,7 @@ uplink cost over its actual uplink bytes.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,17 +149,23 @@ class CommsManager:
     # Round-trip ----------------------------------------------------------- #
     def _roundtrip_server_side(
         self, update: "ClientUpdate", task: "LocalTask"
-    ) -> int:
-        """Encode+decode a dense update in place; returns payload bytes."""
+    ) -> Tuple[int, float]:
+        """Encode+decode a dense update in place.
+
+        Returns the payload bytes and the clock reading between the two
+        halves, so the caller can book encode and decode time separately.
+        """
         codec = self.codec
         if self.ef:
-            delta = update.w - task.w_global
+            # One scratch vector carries delta → transmitted → residual.
+            sent = update.w - task.w_global
             residual = self._residuals.get(update.client_id)
             if residual is not None:
-                delta = delta + residual
-            payload = codec.encode_delta(delta, task.rng_entropy)
-            decoded = codec.decode_delta(payload, delta.shape[0])
-            residual = delta - decoded
+                sent += residual
+            payload = codec.encode_delta(sent, task.rng_entropy)
+            t_encoded = time.perf_counter()
+            decoded = codec.decode_delta(payload, sent.shape[0])
+            residual = np.subtract(sent, decoded, out=sent)
             if np.all(np.isfinite(residual)):
                 self._residuals[update.client_id] = residual
             else:
@@ -167,13 +173,15 @@ class CommsManager:
                 # permanently-NaN accumulator behind; the device resets
                 # its memory and the quarantine guard handles the update.
                 self._residuals.pop(update.client_id, None)
-            update.w = task.w_global + decoded
+            decoded += task.w_global
+            update.w = decoded
         else:
             payload = codec.encode_update(
                 update.w, task.w_global, task.rng_entropy
             )
+            t_encoded = time.perf_counter()
             update.w = codec.decode_update(payload, task.w_global)
-        return payload.nbytes
+        return payload.nbytes, t_encoded
 
     def finalize_round(
         self,
@@ -224,11 +232,10 @@ class CommsManager:
                     encode_seconds += update.timings.get("comm_encode", 0.0)
             else:
                 t0 = time.perf_counter() if emit else 0.0
-                nbytes = self._roundtrip_server_side(update, task)
+                nbytes, t_encoded = self._roundtrip_server_side(update, task)
                 if emit:
-                    # The server-side round-trip is one fused pass; book
-                    # it as encode time (decode is the cheaper half).
-                    encode_seconds += time.perf_counter() - t0
+                    encode_seconds += t_encoded - t0
+                    decode_seconds += time.perf_counter() - t_encoded
                 if update.timings is not None:
                     update.timings["payload_bytes"] = float(nbytes)
             batch_up += nbytes

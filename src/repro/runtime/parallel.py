@@ -5,16 +5,24 @@ batch to a pool of persistent worker processes.  Workers are initialized
 *once* with the whole federation — each worker holds its own model replica
 (obtained from :meth:`~repro.models.base.FederatedModel.spawn_replica`),
 the local solver, and its own view of every device's data shard — so per
-round only the small task tuples (global model vector, coefficients, seed
+round only task descriptions (global model vector, coefficients, seed
 entropy) cross the process boundary.  Datasets are never re-pickled per
 round.
 
+One message per worker per round: a batch is split into at most
+``n_workers`` groups of near-equal predicted work, each group crosses as
+one pickled list and comes back as one list of updates.  Inside a message
+every array the tasks share — the round's ``w_global`` above all — is
+written once and referenced by the other tasks (pickle memoizes by object
+identity), so the dense model crosses the boundary once per worker, not
+once per task.
+
 Determinism: a task is a pure function of its description (the mini-batch
 generator is rebuilt in the worker from the task's entropy tuple), task
-results are returned in task order, and evaluation reduces per-client
-metrics in device order with the same reduction code as the serial path —
-so training histories are bit-identical to :class:`SerialExecutor`
-regardless of worker count.
+results are returned in task order whichever worker ran them, and
+evaluation reduces per-client metrics in device order with the same
+reduction code as the serial path — so training histories are
+bit-identical to :class:`SerialExecutor` regardless of worker count.
 
 Fault injection rides the same mechanism: an injected
 :class:`~repro.faults.models.FaultDecision` is part of the
@@ -35,7 +43,13 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .executor import LocalTask, RoundExecutor, solve_with_timings
+from ..optim.base import BatchSchedule
+from .executor import (
+    LocalTask,
+    RoundExecutor,
+    solve_with_timings,
+    task_effective_epochs,
+)
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
     from ..core.client import ClientUpdate
@@ -51,10 +65,10 @@ _OVERSUBSCRIPTION_WARNED = False
 def _warn_oversubscribed(requested: int, available: int) -> None:
     """Warn once when more workers are requested than cores exist.
 
-    Multiprocess execution is IPC-overhead-bound when oversubscribed — the
-    committed ``BENCH_runtime.json`` records parallel at 0.72x serial on a
-    1-core container — so flag the configuration instead of silently
-    running slower than serial.
+    A round is split into one message per worker, so workers beyond the
+    core count take turns on the same cores: the solves run no sooner and
+    every extra worker adds a hand-off.  Flag the configuration instead
+    of silently running slower than a pool that fits the host.
     """
     global _OVERSUBSCRIPTION_WARNED
     if _OVERSUBSCRIPTION_WARNED:
@@ -62,8 +76,8 @@ def _warn_oversubscribed(requested: int, available: int) -> None:
     _OVERSUBSCRIPTION_WARNED = True
     warnings.warn(
         f"ParallelExecutor: {requested} workers requested but only "
-        f"{available} CPU core(s) are available; oversubscribed "
-        "multiprocess execution is typically slower than SerialExecutor. "
+        f"{available} CPU core(s) are available; the extra workers of an "
+        "oversubscribed pool share cores and only add process hand-offs. "
         "Use n_workers='auto' to match the host core count.",
         RuntimeWarning,
         stacklevel=3,
@@ -107,6 +121,28 @@ def _solve_task(task: LocalTask) -> "ClientUpdate":
     return update
 
 
+def _solve_batch(tasks: List[LocalTask]) -> List["ClientUpdate"]:
+    """Run one worker's share of a round: one message in, one message out."""
+    return [_solve_task(task) for task in tasks]
+
+
+def _split_by_work(costs: Sequence[int], n_groups: int) -> List[List[int]]:
+    """Positions ``0..len(costs)-1`` in ``n_groups`` groups of near-equal cost.
+
+    Longest-processing-time-first: positions are taken in descending cost
+    (ties in position order) and each joins the group with the least cost
+    so far (ties to the lowest group).  Groups list positions ascending;
+    empty groups are dropped.
+    """
+    groups: List[List[int]] = [[] for _ in range(n_groups)]
+    loads = [0] * n_groups
+    for position in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        lightest = loads.index(min(loads))
+        groups[lightest].append(position)
+        loads[lightest] += costs[position]
+    return [sorted(group) for group in groups if group]
+
+
 def _eval_chunk(args: Tuple) -> Tuple[Optional[List[float]], int, int]:
     """Evaluate a contiguous slice of clients inside a worker process.
 
@@ -143,9 +179,13 @@ class ParallelExecutor(RoundExecutor):
         Multiprocessing start method (``"fork"`` where available, else
         ``"spawn"``).  Results are identical either way; ``"fork"`` starts
         faster and shares the federation's memory copy-on-write.
-    chunksize:
-        Tasks handed to a worker per dispatch; 1 (the default) gives the
-        best load balance for the paper's ``K = 10`` selections.
+
+    Each :meth:`run_local_solves` call sends every worker at most one
+    message: the tasks are split by longest-processing-time-first over
+    their predicted mini-batch step counts (known before any solve runs,
+    from the store's size metadata and the task's effective epochs), and
+    the updates are put back in task order.  Retry waves and batches that
+    mix several ``w_global`` arrays take the same path.
 
     The pool starts lazily on first use (or via :meth:`ensure_started`) and
     is shut down by :meth:`close`.  Binding a model without a
@@ -158,7 +198,6 @@ class ParallelExecutor(RoundExecutor):
         self,
         n_workers: Optional[Union[int, str]] = None,
         start_method: Optional[str] = None,
-        chunksize: int = 1,
     ) -> None:
         super().__init__()
         available = os.cpu_count() or 1
@@ -174,8 +213,6 @@ class ParallelExecutor(RoundExecutor):
                 _warn_oversubscribed(resolved, available)
         if resolved < 1:
             raise ValueError("n_workers must be at least 1")
-        if chunksize < 1:
-            raise ValueError("chunksize must be at least 1")
         if start_method is None:
             start_method = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -184,7 +221,6 @@ class ParallelExecutor(RoundExecutor):
             raise ValueError(f"unknown start method {start_method!r}")
         self._n_workers = resolved
         self.start_method = start_method
-        self.chunksize = int(chunksize)
         self._replica = None
         self._pool: Optional[_ProcessPool] = None
 
@@ -225,13 +261,26 @@ class ParallelExecutor(RoundExecutor):
             self._pool = None
 
     # Round work --------------------------------------------------------- #
+    def _predicted_steps(self, task: LocalTask) -> int:
+        """Mini-batch steps the task's solve will take (no data touched)."""
+        n_train = int(self.dataset.train_sizes[task.client_id])
+        batch_size = getattr(self.solver, "batch_size", n_train)
+        return BatchSchedule(
+            n_train, batch_size, task_effective_epochs(task)
+        ).total
+
     def run_local_solves(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
         if not tasks:
             return []
         self.ensure_started()
-        updates = list(
-            self._pool.map(_solve_task, list(tasks), chunksize=self.chunksize)
+        groups = _split_by_work(
+            [self._predicted_steps(task) for task in tasks], self._n_workers
         )
+        messages = [[tasks[i] for i in group] for group in groups]
+        updates: List[Optional["ClientUpdate"]] = [None] * len(tasks)
+        for group, solved in zip(groups, self._pool.map(_solve_batch, messages)):
+            for position, update in zip(group, solved):
+                updates[position] = update
         # Server-side comms finalize: decode device-side payloads (the
         # lean IPC path — only encoded bytes crossed the pool boundary)
         # or round-trip dense updates under error feedback.

@@ -16,8 +16,12 @@ The comms subsystem's contract has three load-bearing guarantees:
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comms import (
     COMMS_SALT,
@@ -31,6 +35,7 @@ from repro.comms import (
     codec_rng,
     parse_comms_spec,
 )
+from repro.comms.codecs import _pack_levels, _unpack_levels
 from repro.core import FederatedTrainer
 from repro.core.config import TrainerConfig
 from repro.models import MultinomialLogisticRegression
@@ -166,6 +171,146 @@ class TestCodecRoundTrips:
             TopKCodec(k=0)
         with pytest.raises(ValueError):
             CastCodec(dtype="fp64")
+
+
+# --------------------------------------------------------------------- #
+# Wire-format pins: the kernels against the definitions they replaced
+# --------------------------------------------------------------------- #
+def _pack_levels_oracle(q, bits):
+    """The level stream by definition: a (d, bits) bit matrix, LSB first
+    inside a level, handed to ``packbits`` (MSB first inside a byte)."""
+    if q.size == 0:
+        return b""
+    shifts = np.arange(bits, dtype=np.uint32)
+    bit_matrix = ((q[:, None] >> shifts) & 1).astype(np.uint8)
+    return np.packbits(bit_matrix.ravel()).tobytes()
+
+
+def _unpack_levels_oracle(packed, count, bits):
+    if count == 0:
+        return np.zeros(0, dtype=np.uint32)
+    raw = np.frombuffer(packed, dtype=np.uint8)
+    stream = np.unpackbits(raw, count=count * bits)
+    weights = (1 << np.arange(bits, dtype=np.uint32)).astype(np.uint32)
+    return stream.reshape(count, bits).astype(np.uint32) @ weights
+
+
+def _topk_encode_oracle(delta, k):
+    """Top-k by definition: a full stable sort on descending magnitude."""
+    delta = np.asarray(delta, dtype=np.float64)
+    k = min(k, delta.shape[0])
+    magnitude = np.abs(delta)
+    magnitude = np.where(np.isnan(magnitude), np.inf, magnitude)
+    order = np.argsort(-magnitude, kind="stable")[:k]
+    idx = np.sort(order).astype("<u4")
+    vals = delta[idx].astype("<f4")
+    return struct.pack("<I", k) + idx.tobytes() + vals.tobytes()
+
+
+#: Few distinct magnitudes, so ties at the kept/dropped boundary are the
+#: common case; NaN and both infinities ride along.
+_TIE_PRONE = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, np.nan, np.inf, -np.inf]
+)
+
+
+class TestWireFormatPins:
+    def test_bit_order_is_lsb_in_level_msb_in_byte(self):
+        """Hand-computed streams: a plain ``astype`` is not the format."""
+
+        def u32(*levels):
+            return np.array(levels, dtype=np.uint32)
+
+        assert _pack_levels(u32(0x01, 0x02, 0x03, 0x81), 8).hex() == "8040c081"
+        assert _pack_levels(u32(0x8001), 16).hex() == "8001"
+        assert _pack_levels(u32(1, 2, 3, 0), 2).hex() == "9c"
+        assert _pack_levels(u32(0x1, 0x8, 0xF), 4).hex() == "81f0"
+        assert _pack_levels(u32(1, 0, 0, 0, 0, 0, 0, 1, 1), 1).hex() == "8180"
+        assert _pack_levels(u32(0b001, 0b110, 0b100), 3).hex() == "8c80"
+
+    @pytest.mark.parametrize("d", [0, 1, 7, 8, 9, 1000, 7850])
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_level_stream_matches_bit_matrix_definition(self, bits, d):
+        rng = np.random.default_rng([bits, d])
+        q = rng.integers(0, 1 << bits, size=d).astype(np.uint32)
+        q[: min(d, 2)] = [0, (1 << bits) - 1][: min(d, 2)]
+        packed = _pack_levels(q, bits)
+        assert packed == _pack_levels_oracle(q, bits)
+        assert len(packed) == (d * bits + 7) // 8
+        assert np.array_equal(_unpack_levels(packed, d, bits), q)
+        assert np.array_equal(_unpack_levels_oracle(packed, d, bits), q)
+
+    @pytest.mark.parametrize("bits", [1, 3, 8, 11, 16])
+    def test_qsgd_payload_is_header_plus_defined_stream(self, bits):
+        """The whole payload, not just the helper: scale header + levels."""
+        codec = QSGDCodec(bits=bits)
+        delta = _delta(1000)
+        payload = codec.encode_delta(delta, ENTROPY)
+        (scale,) = struct.unpack_from("<d", payload.buffer, 0)
+        assert scale == np.max(np.abs(delta))
+        q = _unpack_levels_oracle(payload.buffer[8:], 1000, bits)
+        assert payload.buffer[8:] == _pack_levels_oracle(q, bits)
+        decoded = codec.decode_delta(payload, 1000)
+        expected = scale * (q.astype(np.float64) * (2.0 / codec.levels) - 1.0)
+        assert np.array_equal(decoded, expected)
+
+    @pytest.mark.parametrize(
+        "delta, k",
+        [
+            ([1.0, -1.0, 1.0, 1.0], 2),  # ties straddle the boundary
+            ([3.0, 1.0, -1.0, 1.0, -3.0], 3),  # one tie slot, three ties
+            ([0.0, 0.0, 0.0, 0.0], 2),  # all-zero
+            ([0.0, -0.0, 0.0], 1),
+            ([0.5, np.nan, 0.25, np.nan], 1),  # NaN ties with NaN
+            ([np.inf, np.nan, -np.inf, 7.0], 2),  # NaN ranks as +inf
+            ([np.inf, -np.inf, 1.0], 2),
+            ([1.0, 2.0, 3.0], 3),  # k == d
+            ([1.0, np.nan, 3.0], 64),  # k > d
+            ([], 4),
+        ],
+    )
+    def test_topk_matches_stable_sort_on_edge_cases(self, delta, k):
+        delta = np.array(delta, dtype=np.float64)
+        payload = TopKCodec(k=k).encode_delta(delta, ENTROPY)
+        assert payload.buffer == _topk_encode_oracle(delta, k)
+        assert payload.nbytes == TopKCodec(k=k).wire_nbytes(delta.shape[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(_TIE_PRONE, min_size=1, max_size=40),
+        k=st.integers(min_value=1, max_value=45),
+    )
+    def test_topk_matches_stable_sort_under_ties(self, values, k):
+        delta = np.array(values, dtype=np.float64)
+        payload = TopKCodec(k=k).encode_delta(delta, ENTROPY)
+        assert payload.buffer == _topk_encode_oracle(delta, k)
+
+    def test_topk_matches_stable_sort_at_model_size(self):
+        delta = _delta(7850)
+        delta[::97] = delta[3]  # a run of exact ties somewhere in the order
+        for k in (1, 785, 7849):
+            payload = TopKCodec(k=k).encode_delta(delta, ENTROPY)
+            assert payload.buffer == _topk_encode_oracle(delta, k)
+
+    @pytest.mark.parametrize("bits", [2, 8])
+    def test_qsgd_is_unbiased(self, bits):
+        """``E[decode(encode(x))] = x``: the mean over seeds closes in on x.
+
+        Each coordinate's error lies within one level width ``h``, so by
+        Hoeffding the mean of ``n`` independent draws strays from ``x`` by
+        more than ``3h / sqrt(n)`` with probability below ``2e-8`` per
+        coordinate; deterministic rounding would sit up to ``h / 2`` off.
+        """
+        codec = QSGDCodec(bits=bits)
+        x = _delta(64)
+        n = 400
+        mean = np.zeros_like(x)
+        for seed in range(n):
+            payload = codec.encode_delta(x, (seed, 0, 0, 0))
+            mean += codec.decode_delta(payload, x.shape[0])
+        mean /= n
+        h = 2.0 * np.max(np.abs(x)) / codec.levels
+        assert np.max(np.abs(mean - x)) <= 3.0 * h / np.sqrt(n)
 
 
 # --------------------------------------------------------------------- #
@@ -560,22 +705,27 @@ class TestLedgerReplay:
 
 
 class TestByteTelemetry:
-    def test_counters_and_spans_emitted(self, synthetic_small):
+    @staticmethod
+    def _traced_run(dataset, comms):
         from repro.telemetry import InMemorySink, Telemetry
 
         sink = InMemorySink()
         model = MultinomialLogisticRegression(dim=60, num_classes=10)
         trainer = FederatedTrainer(
-            dataset=synthetic_small, model=model,
+            dataset=dataset, model=model,
             solver=SGDSolver(0.01, batch_size=10),
             mu=1.0, clients_per_round=4, epochs=2, seed=1,
-            comms="comms:codec=qsgd,bits=8",
+            comms=comms,
             telemetry=Telemetry([sink]),
         )
         try:
             trainer.run(2)
         finally:
             trainer.close()
+        return sink
+
+    def test_counters_and_spans_emitted(self, synthetic_small):
+        sink = self._traced_run(synthetic_small, "comms:codec=qsgd,bits=8")
         up = sink.metrics("comms.bytes_up")
         down = sink.metrics("comms.bytes_down")
         ratios = sink.metrics("comms.compression_ratio")
@@ -583,6 +733,18 @@ class TestByteTelemetry:
         assert all(e["value"] > 0 for e in up + down)
         assert all(e["value"] >= 4.0 for e in ratios)
         assert sink.spans("comm:encode") and sink.spans("comm:decode")
+
+    @pytest.mark.parametrize("ef", ["false", "true"])
+    def test_encode_and_decode_are_timed_on_either_placement(
+        self, synthetic_small, ef
+    ):
+        """The server-side (error feedback) round-trip is not all encode."""
+        sink = self._traced_run(
+            synthetic_small, f"comms:codec=qsgd,bits=8,ef={ef}"
+        )
+        for name in ("comm:encode", "comm:decode"):
+            spans = sink.spans(name)
+            assert spans and all(e["duration"] > 0 for e in spans)
 
     def test_summarize_surfaces_comms_totals(self, tmp_path):
         from repro.telemetry import JSONLSink, Telemetry, load_run

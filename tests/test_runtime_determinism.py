@@ -16,15 +16,17 @@ from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.runtime import ParallelExecutor, SerialExecutor
 from repro.systems import FractionStragglers
+from repro.systems.stragglers import PowerLawStragglers
 
 pytestmark = pytest.mark.slow
 
 ROUNDS = 4
 
 
-def _run(dataset, *, mu, drop, executor=None, eval_mode="auto", seed=1):
+def _run(dataset, *, mu, drop, executor=None, eval_mode="auto", seed=1,
+         **overrides):
     model = MultinomialLogisticRegression(dim=60, num_classes=10)
-    trainer = FederatedTrainer(
+    kwargs = dict(
         dataset=dataset,
         model=model,
         solver=SGDSolver(0.01, batch_size=10),
@@ -38,6 +40,8 @@ def _run(dataset, *, mu, drop, executor=None, eval_mode="auto", seed=1):
         executor=executor,
         eval_mode=eval_mode,
     )
+    kwargs.update(overrides)
+    trainer = FederatedTrainer(**kwargs)
     try:
         return trainer.run(ROUNDS)
     finally:
@@ -100,3 +104,44 @@ class TestSerialParallelBitIdentical:
             synthetic_small, mu=0.5, drop=False, executor=SerialExecutor()
         )
         _assert_bit_identical(h_default, h_explicit)
+
+
+@pytest.mark.filterwarnings("ignore:ParallelExecutor:RuntimeWarning")
+class TestUnevenWorkerShares:
+    """K = 5 tasks never divide evenly over 2 or 3 workers, and power-law
+    budgets make the shares unequal in work as well as in count."""
+
+    SKEWED = dict(clients_per_round=5, systems=PowerLawStragglers(1.0, seed=3))
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_power_law_budgets(self, synthetic_small, n_workers):
+        h_serial = _run(synthetic_small, mu=0.5, drop=False, **self.SKEWED)
+        h_parallel = _run(
+            synthetic_small, mu=0.5, drop=False,
+            executor=ParallelExecutor(n_workers=n_workers), **self.SKEWED,
+        )
+        _assert_bit_identical(h_serial, h_parallel)
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_chaos_retry_waves(self, synthetic_small, n_workers):
+        from repro.faults import ChaosFaults, FaultPolicy
+
+        def chaos(engine):
+            model = MultinomialLogisticRegression(dim=60, num_classes=10)
+            trainer = FederatedTrainer(
+                dataset=synthetic_small, model=model,
+                solver=SGDSolver(0.01, batch_size=10), mu=1.0, seed=1,
+                faults=ChaosFaults(rate=0.5, seed=11),
+                fault_policy=FaultPolicy(
+                    on_crash="retry", max_retries=2, min_quorum=1
+                ),
+                engine=engine, **self.SKEWED,
+            )
+            with trainer:
+                return trainer.run(ROUNDS), trainer.fault_stats
+
+        (h_serial, serial_stats) = chaos(None)
+        (h_parallel, parallel_stats) = chaos(ParallelExecutor(n_workers))
+        assert serial_stats == parallel_stats
+        assert serial_stats["retries"] > 0, "no retry wave was exercised"
+        _assert_bit_identical(h_serial, h_parallel)

@@ -209,8 +209,6 @@ class TestParallelExecutorContracts:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             ParallelExecutor(n_workers=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(chunksize=0)
 
     def test_replica_survives_pickle(self):
         model = MultinomialLogisticRegression(dim=5, num_classes=3, l2=0.1)
@@ -247,6 +245,130 @@ class TestParallelExecutorEndToEnd:
             history = trainer.run(2)
             assert len(history) == 2
         trainer.close()  # second close is a no-op
+
+
+class _InProcessPool:
+    """Stands in for the process pool: every message still crosses a
+    pickle boundary both ways, but the worker function runs here."""
+
+    def __init__(self):
+        self.messages = []
+
+    def map(self, fn, messages):
+        self.messages = [pickle.dumps(message) for message in messages]
+        return [
+            pickle.loads(pickle.dumps(fn(pickle.loads(blob))))
+            for blob in self.messages
+        ]
+
+    def shutdown(self, wait=True):
+        pass
+
+
+@pytest.mark.filterwarnings("ignore:ParallelExecutor:RuntimeWarning")
+class TestPerWorkerMessages:
+    """One message per worker per round (DESIGN.md §8)."""
+
+    @pytest.fixture
+    def bound(self, synthetic_small, monkeypatch):
+        from repro.core.client import ClientPool
+        from repro.runtime import parallel
+
+        model = MultinomialLogisticRegression(dim=60, num_classes=10)
+        solver = SGDSolver(0.01, batch_size=10)
+
+        def make(n_workers):
+            executor = ParallelExecutor(n_workers=n_workers)
+            executor.bind(synthetic_small, model, solver)
+            executor._pool = _InProcessPool()
+            return executor
+
+        monkeypatch.setitem(
+            parallel._WORKER, "clients",
+            ClientPool(synthetic_small, model.spawn_replica(), solver),
+        )
+        serial = SerialExecutor()
+        serial.bind(synthetic_small, model, solver)
+        return make, serial, model.n_params
+
+    @staticmethod
+    def _tasks(w_global, client_ids, epochs):
+        return [
+            LocalTask(
+                client_id=cid, w_global=w_global, mu=0.5, epochs=e,
+                rng_entropy=(3, 0, cid, 0),
+            )
+            for cid, e in zip(client_ids, epochs)
+        ]
+
+    def test_lpt_split_balances_predicted_steps(self):
+        from repro.runtime.parallel import _split_by_work
+
+        assert _split_by_work([5, 1, 4, 3, 3], 2) == [[0, 4], [1, 2, 3]]
+        # Ties go to the earlier position and the lower group; a group
+        # that gets nothing sends no message.
+        assert _split_by_work([2, 2, 2], 2) == [[0, 2], [1]]
+        assert _split_by_work([7], 3) == [[0]]
+        assert _split_by_work([1, 1, 1, 1, 1], 1) == [[0, 1, 2, 3, 4]]
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_updates_return_in_task_order(self, bound, n_workers):
+        make, serial, d = bound
+        # Unequal budgets: LPT sends the heavy tasks to different workers,
+        # so position order and message order disagree.
+        tasks = self._tasks(
+            np.zeros(d), [5, 0, 7, 2, 6], [0.5, 4.0, 1.0, 3.0, 0.5]
+        )
+        executor = make(n_workers)
+        updates = executor.run_local_solves(tasks)
+        assert len(executor._pool.messages) == min(n_workers, len(tasks))
+        assert [u.client_id for u in updates] == [t.client_id for t in tasks]
+        for got, want in zip(updates, serial.run_local_solves(tasks)):
+            np.testing.assert_array_equal(got.w, want.w)
+
+    def test_model_crosses_once_per_message(self, bound):
+        make, _, d = bound
+        dense = 8 * d
+        executor = make(1)
+        executor.run_local_solves(
+            self._tasks(np.ones(d), range(5), [1.0] * 5)
+        )
+        (message,) = executor._pool.messages
+        assert dense < len(message) < 2 * dense
+
+    def test_mixed_batch_ships_each_model_once(self, bound):
+        """A batch holding two rounds' models (a retry wave next to fresh
+        tasks, an async drain) takes the same path: each distinct array
+        crosses once and every task solves against its own."""
+        make, serial, d = bound
+        old, new = np.zeros(d), np.full(d, 0.01)
+        tasks = self._tasks(old, [0, 1, 2], [1.0] * 3) + self._tasks(
+            new, [3, 4, 5], [1.0] * 3
+        )
+        executor = make(1)
+        updates = executor.run_local_solves(tasks)
+        (message,) = executor._pool.messages
+        assert 2 * 8 * d < len(message) < 3 * 8 * d
+        for got, want in zip(updates, serial.run_local_solves(tasks)):
+            np.testing.assert_array_equal(got.w, want.w)
+
+    def test_feddane_correction_survives_batching(self, bound):
+        make, serial, d = bound
+        rng = np.random.default_rng(0)
+        w = np.zeros(d)
+        tasks = [
+            LocalTask(
+                client_id=cid, w_global=w, mu=0.5, epochs=1.0,
+                rng_entropy=(3, 0, cid, 0),
+                correction=rng.normal(scale=0.1, size=d),
+            )
+            for cid in range(5)
+        ]
+        plain = serial.run_local_solves(self._tasks(w, range(5), [1.0] * 5))
+        corrected = serial.run_local_solves(tasks)
+        assert not np.array_equal(plain[0].w, corrected[0].w)
+        for got, want in zip(make(2).run_local_solves(tasks), corrected):
+            np.testing.assert_array_equal(got.w, want.w)
 
 
 class TestParallelWorkerHeuristics:
