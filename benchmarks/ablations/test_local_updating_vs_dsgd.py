@@ -19,7 +19,7 @@ the same number of communication rounds.
 
 import numpy as np
 
-from repro.core import make_distributed_sgd, make_fedprox
+from repro.core import EvalConfig, make_distributed_sgd, make_fedprox
 from repro.datasets import make_synthetic
 from repro.models import MultinomialLogisticRegression
 from repro.reporting import format_table
@@ -36,13 +36,13 @@ def _compare():
     runs = {
         "DistributedSGD": lambda tr: make_distributed_sgd(
             dataset, MultinomialLogisticRegression(dim=60, num_classes=10),
-            0.1, clients_per_round=10, seed=SEED, eval_every=ROUNDS,
-            cost_tracker=tr,
+            0.1, clients_per_round=10, seed=SEED,
+            evaluation=EvalConfig(every=ROUNDS), cost_tracker=tr,
         ),
         "FedProx (mu=1, E=20)": lambda tr: make_fedprox(
             dataset, MultinomialLogisticRegression(dim=60, num_classes=10),
             0.01, mu=1.0, clients_per_round=10, epochs=20, seed=SEED,
-            eval_every=ROUNDS, cost_tracker=tr,
+            evaluation=EvalConfig(every=ROUNDS), cost_tracker=tr,
         ),
     }
     for label, factory in runs.items():

@@ -7,7 +7,7 @@ checks that some mu > 0 beats mu = 0 (the reason the grid exists).
 
 import numpy as np
 
-from repro.core import MU_GRID, make_fedprox
+from repro.core import MU_GRID, EvalConfig, make_fedprox
 from repro.datasets import make_synthetic
 from repro.models import MultinomialLogisticRegression
 from repro.reporting import format_table
@@ -25,7 +25,7 @@ def _run_sweep():
         trainer = make_fedprox(
             dataset, model, 0.01, mu=mu,
             systems=FractionStragglers(0.9, seed=SEED), seed=SEED,
-            eval_every=ROUNDS,
+            evaluation=EvalConfig(every=ROUNDS),
         )
         results[mu] = trainer.run(ROUNDS)
     return results

@@ -8,7 +8,7 @@ initial value) — the server loop is genuinely solver-agnostic.
 
 import numpy as np
 
-from repro.core import FederatedTrainer
+from repro.core import EvalConfig, FederatedTrainer
 from repro.datasets import make_femnist_like
 from repro.models import MultinomialLogisticRegression
 from repro.optim import AdamSolver, GDSolver, MomentumSGDSolver, SGDSolver
@@ -44,7 +44,7 @@ def _sweep():
             clients_per_round=10,
             epochs=5,
             seed=SEED,
-            eval_every=5,
+            evaluation=EvalConfig(every=5),
         )
         history = trainer.run(ROUNDS)
         rows.append(

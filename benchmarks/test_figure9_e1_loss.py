@@ -31,7 +31,7 @@ def test_figure9_e1_loss(benchmark, scale):
             wins += 1
     assert wins >= 1, "partial work never helped on any convex dataset"
 
-    # Every run is finite (fractional-epoch budgets exercise work_batches).
+    # Every run is finite (fractional-epoch budgets exercise BatchSchedule).
     for panel in result.panels:
         for history in panel.histories.values():
             assert all(l == l and l < 1e6 for l in history.train_losses)

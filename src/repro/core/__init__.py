@@ -10,7 +10,6 @@ from .config import (
     DiagnosticsConfig,
     EngineConfig,
     EvalConfig,
-    EvaluationConfig,
     OptimizationConfig,
     TrainerConfig,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "CommsConfig",
     "EngineConfig",
     "EvalConfig",
-    "EvaluationConfig",
     "DiagnosticsConfig",
     "make_fedavg",
     "make_fedprox",

@@ -10,8 +10,7 @@ sub-sections matching the trainer's concerns:
   environment (K, sampling scheme, systems model, fault schedule + policy).
 * :class:`EvalConfig` — when and how the federation is evaluated.
 * :class:`EngineConfig` — the round execution engine (serial / parallel /
-  cohort / async) and its parameters, replacing the flat ``executor`` spec
-  string plus knob sprawl.
+  cohort / async) and its parameters.
 * :class:`~repro.comms.config.CommsConfig` — update compression: which
   codec (if any) compresses client uploads, and whether error feedback is
   enabled.
@@ -19,10 +18,9 @@ sub-sections matching the trainer's concerns:
   telemetry, cost accounting).
 
 Construct with ``FederatedTrainer.from_config(dataset, model, solver,
-config)``; the flat-kwargs path keeps working (the legacy ``eval_*`` /
-``executor`` names are routed through the new sub-configs behind one-shot
-``DeprecationWarning``s) and the two construct identical trainers
-(``from_kwargs``/``to_kwargs`` convert losslessly).  Scalar-valued configs
+config)``, which unpacks :meth:`TrainerConfig.trainer_kwargs` into the
+constructor — the config and the constructor share one set of names
+(:meth:`TrainerConfig.from_kwargs` is the inverse).  Scalar-valued configs
 additionally round-trip through JSON-friendly dicts
 (:meth:`TrainerConfig.to_dict` / :meth:`TrainerConfig.from_dict`), which is
 also what the telemetry manifest embeds — including the full async engine
@@ -31,8 +29,7 @@ parameterization, so ``repro.trace replay`` rebuilds async runs exactly.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields, replace as dc_replace
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from ..comms.config import CommsConfig
@@ -50,27 +47,6 @@ from .sampling import SamplingScheme
 
 if TYPE_CHECKING:  # avoid importing the runtime at module load
     from ..runtime.executor import RoundExecutor
-
-#: Sentinel distinguishing "not passed" from any real value for deprecated
-#: flat keyword arguments.
-_UNSET = object()
-
-#: Deprecated flat names already warned about this process — deprecation
-#: warnings are one-shot per name so sweeps don't drown in repeats.
-_DEPRECATION_WARNED: set = set()
-
-
-def warn_deprecated_kwarg(name: str, instead: str) -> None:
-    """One-shot ``DeprecationWarning`` for a legacy flat trainer kwarg."""
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"the flat {name!r} trainer option is deprecated; {instead} "
-        "(see the removal table in DESIGN.md §16)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -107,10 +83,6 @@ class EvalConfig:
     independent of ``every``, which gates the test/dissimilarity
     evaluation.  ``mode`` picks the evaluation kernel (``"auto"`` /
     ``"stacked"`` / ``"per_client"``, see :mod:`repro.runtime.evaluation`).
-
-    The legacy flat names (``eval_every``, ``eval_test``, ``eval_mode``,
-    ``eval``, ``eval_sample_size``, ``eval_strata``, ``eval_full_every``,
-    ``eval_train_every``) remain readable as properties.
     """
 
     every: int = 1
@@ -128,68 +100,21 @@ class EvalConfig:
                 f"eval strategy must be 'full' or 'sampled', got "
                 f"{self.strategy!r}"
             )
+        if self.every < 1:
+            raise ValueError("eval every must be at least 1")
         if self.train_every < 1:
             raise ValueError("eval train_every must be at least 1")
 
-    # Legacy flat-name views ------------------------------------------- #
-    @property
-    def eval_every(self) -> int:
-        return self.every
-
-    @property
-    def eval_test(self) -> bool:
-        return self.test
-
-    @property
-    def eval_mode(self) -> str:
-        return self.mode
-
-    @property
-    def eval(self) -> str:
-        return self.strategy
-
-    @property
-    def eval_sample_size(self) -> int:
-        return self.sample_size
-
-    @property
-    def eval_strata(self) -> int:
-        return self.strata
-
-    @property
-    def eval_full_every(self) -> int:
-        return self.full_every
-
-    @property
-    def eval_train_every(self) -> int:
-        return self.train_every
-
-
-#: Legacy ``eval_*`` flat names -> :class:`EvalConfig` field names.
-EVAL_FIELD_RENAMES = {
-    "eval_every": "every",
-    "eval_test": "test",
-    "eval_mode": "mode",
-    "eval": "strategy",
-    "eval_sample_size": "sample_size",
-    "eval_strata": "strata",
-    "eval_full_every": "full_every",
-    "eval_train_every": "train_every",
-}
-
-
-def EvaluationConfig(**kwargs: Any) -> EvalConfig:
-    """Deprecated alias of :class:`EvalConfig` taking the legacy names.
-
-    Accepts both the historical ``eval_*`` field names and the new ones,
-    returns an :class:`EvalConfig`, and warns once per process.
-    """
-    warn_deprecated_kwarg(
-        "EvaluationConfig", "construct an EvalConfig with the new field names"
-    )
-    return EvalConfig(
-        **{EVAL_FIELD_RENAMES.get(k, k): v for k, v in kwargs.items()}
-    )
+    @classmethod
+    def resolve(cls, value: Optional["EvalConfig"]) -> "EvalConfig":
+        """``None`` → the defaults; any other non-:class:`EvalConfig` is refused."""
+        if value is None:
+            return cls()
+        if not isinstance(value, cls):
+            raise TypeError(
+                f"evaluation must be an EvalConfig, got {type(value).__name__}"
+            )
+        return value
 
 
 @dataclass(frozen=True)
@@ -225,20 +150,6 @@ class EngineConfig:
         default=None, compare=False, repr=False
     )
 
-    #: (spec key, field name, default) for the async spec grammar, in
-    #: canonical emission order.
-    _ASYNC_SPEC_KEYS = (
-        ("window", "window", 0),
-        ("discount", "discount", "poly"),
-        ("power", "discount_power", 1.0),
-        ("factor", "discount_factor", 0.5),
-        ("capacity", "capacity", 0),
-        ("arrivals", "arrivals", "synchronized"),
-        ("latency", "latency", 1.0),
-        ("jitter", "jitter", 0.5),
-        ("seed", "clock_seed", None),
-    )
-
     def spec(self) -> str:
         """The canonical executor spec string describing this engine."""
         if self.mode == "parallel":
@@ -247,10 +158,13 @@ class EngineConfig:
                 else f"parallel:{self.workers}"
             )
         if self.mode == "async":
+            from ..runtime import ASYNC_SPEC_KEYS
+
+            defaults = EngineConfig()
             parts = []
-            for key, name, default in self._ASYNC_SPEC_KEYS:
+            for key, (name, _parse) in ASYNC_SPEC_KEYS.items():
                 value = getattr(self, name)
-                if value != default:
+                if value != getattr(defaults, name):
                     rendered = repr(value) if isinstance(value, float) else value
                     parts.append(f"{key}={rendered}")
             return "async:" + ",".join(parts) if parts else "async"
@@ -268,7 +182,7 @@ class EngineConfig:
 
     @classmethod
     def resolve(cls, value: Any) -> "EngineConfig":
-        """Coerce any accepted ``engine``/``executor`` value to a config.
+        """Coerce any accepted ``engine`` value to a config.
 
         ``None`` → the serial default; a spec string is parsed; an
         :class:`EngineConfig` passes through; a prebuilt
@@ -283,13 +197,7 @@ class EngineConfig:
         if isinstance(value, str):
             return cls.from_spec(value)
         if hasattr(value, "run_local_solves"):  # RoundExecutor duck type
-            spec = getattr(value, "spec", None)
-            if callable(spec):
-                return cls.from_spec(spec(), instance=value)
-            name = type(value).__name__
-            if name.endswith("Executor"):
-                name = name[: -len("Executor")]
-            return cls(mode=name.lower(), instance=value)
+            return cls.from_spec(value.spec(), instance=value)
         raise TypeError(
             "engine must be an EngineConfig, an executor spec string, or a "
             f"RoundExecutor instance; got {type(value).__name__}"
@@ -327,10 +235,10 @@ class DiagnosticsConfig:
     cost_tracker: Optional[CostTracker] = None
 
 
-#: kwargs name -> (section attribute, field name); the single source of
-#: truth for the flat-kwargs <-> config correspondence.  The ``eval_*``
-#: names are the *legacy* flat spellings — they route into the renamed
-#: :class:`EvalConfig` fields.
+#: Trainer keyword -> (section attribute, field name) for the options the
+#: constructor takes one by one; ``evaluation`` / ``engine`` / ``comms``
+#: travel as whole sub-config objects and ``seed`` / ``label`` sit at the
+#: top level.
 _KWARG_MAP = {
     "mu": ("optimization", "mu"),
     "epochs": ("optimization", "epochs"),
@@ -341,14 +249,6 @@ _KWARG_MAP = {
     "systems": ("cohorting", "systems"),
     "faults": ("cohorting", "faults"),
     "fault_policy": ("cohorting", "fault_policy"),
-    "eval_every": ("evaluation", "every"),
-    "eval_test": ("evaluation", "test"),
-    "eval_mode": ("evaluation", "mode"),
-    "eval": ("evaluation", "strategy"),
-    "eval_sample_size": ("evaluation", "sample_size"),
-    "eval_strata": ("evaluation", "strata"),
-    "eval_full_every": ("evaluation", "full_every"),
-    "eval_train_every": ("evaluation", "train_every"),
     "track_dissimilarity": ("diagnostics", "track_dissimilarity"),
     "track_gamma": ("diagnostics", "track_gamma"),
     "dissimilarity_max_clients": ("diagnostics", "dissimilarity_max_clients"),
@@ -432,40 +332,6 @@ def _restore_object(section: str, name: str, value: Any) -> Any:
     )
 
 
-def resolve_eval_config(
-    evaluation: Any, overrides: Dict[str, Any], warn: bool = True
-) -> EvalConfig:
-    """Merge an ``evaluation=`` object with legacy flat ``eval_*`` kwargs.
-
-    ``overrides`` maps *legacy* flat names to explicitly-passed values.
-    Passing both the new object and a flat knob is a ``TypeError`` (there
-    is no sensible precedence); flat knobs alone work behind one-shot
-    deprecation warnings when ``warn`` is set.
-    """
-    if evaluation is not None and overrides:
-        raise TypeError(
-            f"pass evaluation settings either via evaluation=EvalConfig(...) "
-            f"or the flat legacy kwargs, not both (got evaluation= plus "
-            f"{sorted(overrides)})"
-        )
-    if evaluation is not None:
-        if not isinstance(evaluation, EvalConfig):
-            raise TypeError(
-                f"evaluation must be an EvalConfig, got "
-                f"{type(evaluation).__name__}"
-            )
-        return evaluation
-    if warn:
-        for name in overrides:
-            new = EVAL_FIELD_RENAMES[name]
-            warn_deprecated_kwarg(
-                name, f"pass evaluation=EvalConfig({new}=...) instead"
-            )
-    return EvalConfig(
-        **{EVAL_FIELD_RENAMES[k]: v for k, v in overrides.items()}
-    )
-
-
 @dataclass(frozen=True)
 class TrainerConfig:
     """Grouped, immutable configuration for one federated training run.
@@ -479,11 +345,6 @@ class TrainerConfig:
         mini-batch orders.
     label:
         Display name for histories and telemetry manifests.
-
-    The historical flat ``executor`` spec strings (``"serial"``,
-    ``"parallel[:N|:auto]"``, ``"cohort"``, now also
-    ``"async[:key=value,...]"``) remain accepted by :meth:`from_kwargs`
-    and :meth:`replace` — they resolve into the ``engine`` section.
     """
 
     optimization: OptimizationConfig = field(default_factory=OptimizationConfig)
@@ -495,34 +356,26 @@ class TrainerConfig:
     seed: int = 0
     label: str = ""
 
-    # Flat-kwargs correspondence ----------------------------------------- #
+    # Constructor-kwargs correspondence ---------------------------------- #
     @classmethod
     def from_kwargs(cls, **kwargs: Any) -> "TrainerConfig":
-        """Group the trainer's flat kwargs into a config.
+        """Group the trainer's constructor kwargs into a config.
 
         Accepts exactly the keyword arguments of
         :meth:`FederatedTrainer.__init__ <repro.core.server.FederatedTrainer>`
-        (minus ``dataset``/``model``/``solver``/``callbacks``) — including
-        the new ``engine=``/``evaluation=`` sub-config objects and the
-        legacy flat spellings they replace; unknown names raise
-        ``TypeError`` so typos fail loudly.
+        (minus ``dataset``/``model``/``solver``/``callbacks``); unknown
+        names raise ``TypeError`` so typos fail loudly.  The inverse of
+        :meth:`trainer_kwargs`.
         """
         sections: Dict[str, Dict[str, Any]] = {
             "optimization": {},
             "cohorting": {},
-            "evaluation": {},
             "diagnostics": {},
         }
         top: Dict[str, Any] = {}
         engine = kwargs.pop("engine", None)
-        executor = kwargs.pop("executor", None)
         evaluation = kwargs.pop("evaluation", None)
         comms = kwargs.pop("comms", None)
-        if engine is not None and executor is not None:
-            raise TypeError(
-                "pass the execution engine either via engine= or the legacy "
-                "executor= spec, not both"
-            )
         for name, value in kwargs.items():
             if name in ("seed", "label"):
                 top[name] = value
@@ -531,58 +384,26 @@ class TrainerConfig:
                 sections[section][attr] = value
             else:
                 raise TypeError(f"unknown trainer option {name!r}")
-        if evaluation is not None and sections["evaluation"]:
-            raise TypeError(
-                "pass evaluation settings either via evaluation= or the "
-                "flat eval_* kwargs, not both"
-            )
-        eval_cfg = (
-            evaluation
-            if isinstance(evaluation, EvalConfig)
-            else EvalConfig(**sections["evaluation"])
-        )
         return cls(
             optimization=OptimizationConfig(**sections["optimization"]),
             cohorting=CohortConfig(**sections["cohorting"]),
-            evaluation=eval_cfg,
-            engine=EngineConfig.resolve(engine if engine is not None else executor),
+            evaluation=EvalConfig.resolve(evaluation),
+            engine=EngineConfig.resolve(engine),
             comms=CommsConfig.resolve(comms),
             diagnostics=DiagnosticsConfig(**sections["diagnostics"]),
             **top,
         )
 
-    def to_kwargs(self) -> Dict[str, Any]:
-        """The *legacy* flat kwargs reconstructing this config's trainer.
-
-        Kept for backward compatibility (sweep code indexes it by the flat
-        names); constructing a trainer from it fires the one-shot
-        deprecation warnings — internal callers use
-        :meth:`trainer_kwargs` instead.
-        """
-        kwargs: Dict[str, Any] = {}
-        for name, (section, attr) in _KWARG_MAP.items():
-            kwargs[name] = getattr(getattr(self, section), attr)
-        kwargs["seed"] = self.seed
-        kwargs["executor"] = (
-            self.engine.instance
-            if self.engine.instance is not None
-            else self.engine.spec()
-        )
-        kwargs["comms"] = self.comms.spec()
-        kwargs["label"] = self.label
-        return kwargs
-
     def trainer_kwargs(self) -> Dict[str, Any]:
-        """New-style constructor kwargs: sub-config objects, no deprecations.
+        """This config as the trainer's constructor kwargs.
 
         What :meth:`FederatedTrainer.from_config
         <repro.core.server.FederatedTrainer.from_config>` unpacks — the
-        evaluation and engine sections travel as their config objects.
+        evaluation, engine and comms sections travel as their config
+        objects, everything else under its own keyword.
         """
         kwargs: Dict[str, Any] = {}
         for name, (section, attr) in _KWARG_MAP.items():
-            if section == "evaluation":
-                continue
             kwargs[name] = getattr(getattr(self, section), attr)
         kwargs["evaluation"] = self.evaluation
         kwargs["engine"] = self.engine
@@ -622,9 +443,7 @@ class TrainerConfig:
         Lossless for configs whose object-valued fields are ``None`` or
         reconstructible specs (fault schedules/policies, built-in systems
         models); raises ``ValueError`` for descriptions of objects that
-        cannot be rebuilt from scalars.  Accepts pre-redesign dicts too:
-        a top-level ``"executor"`` spec string (instead of the ``engine``
-        section) and legacy ``eval_*`` field names inside ``evaluation``.
+        cannot be rebuilt from scalars.
         """
         section_classes = {
             "optimization": OptimizationConfig,
@@ -634,23 +453,11 @@ class TrainerConfig:
         }
         built: Dict[str, Any] = {}
         for section_name, section_cls in section_classes.items():
-            values = dict(spec.get(section_name, {}))
-            if section_name == "evaluation":
-                values = {
-                    EVAL_FIELD_RENAMES.get(k, k): v for k, v in values.items()
-                }
             restored = {
                 name: _restore_object(section_name, name, value)
-                for name, value in values.items()
+                for name, value in spec.get(section_name, {}).items()
             }
             built[section_name] = section_cls(**restored)
-        engine_spec = spec.get("engine")
-        if isinstance(engine_spec, dict):
-            engine = EngineConfig.from_dict(engine_spec)
-        else:
-            # Pre-redesign manifests carried a flat executor spec string
-            # (or an instance's class name, which resolve() rejects loudly).
-            engine = EngineConfig.resolve(spec.get("executor"))
         comms_spec = spec.get("comms")
         comms = (
             CommsConfig.from_dict(comms_spec)
@@ -661,7 +468,7 @@ class TrainerConfig:
         return cls(
             seed=spec.get("seed", 0),
             label=spec.get("label", ""),
-            engine=engine,
+            engine=EngineConfig.from_dict(spec.get("engine", {})),
             comms=comms,
             **built,
         )
@@ -670,42 +477,8 @@ class TrainerConfig:
     def replace(self, **kwargs: Any) -> "TrainerConfig":
         """A copy with trainer options replaced (config is frozen).
 
-        Accepts the same names as :meth:`from_kwargs` — flat legacy names
-        (``config.replace(mu=1.0, eval_every=5)``), executor spec strings
-        (``config.replace(executor="async:window=2")``), and whole
-        sub-config objects (``config.replace(engine=EngineConfig(...))``).
+        Accepts the same names as :meth:`from_kwargs`:
+        ``config.replace(mu=1.0, engine="async:window=2",
+        evaluation=EvalConfig(every=5))``.
         """
-        updated = self
-        if "engine" in kwargs and "executor" in kwargs:
-            raise TypeError(
-                "pass the execution engine either via engine= or the legacy "
-                "executor= spec, not both"
-            )
-        if "engine" in kwargs or "executor" in kwargs:
-            value = kwargs.pop("engine", None) or kwargs.pop("executor", None)
-            updated = dc_replace(updated, engine=EngineConfig.resolve(value))
-        if "comms" in kwargs:
-            updated = dc_replace(
-                updated, comms=CommsConfig.resolve(kwargs.pop("comms"))
-            )
-        if "evaluation" in kwargs:
-            evaluation = kwargs.pop("evaluation")
-            if not isinstance(evaluation, EvalConfig):
-                raise TypeError(
-                    f"evaluation must be an EvalConfig, got "
-                    f"{type(evaluation).__name__}"
-                )
-            updated = dc_replace(updated, evaluation=evaluation)
-        for name, value in kwargs.items():
-            if name in ("seed", "label"):
-                updated = dc_replace(updated, **{name: value})
-            elif name in _KWARG_MAP:
-                section_name, attr = _KWARG_MAP[name]
-                section = getattr(updated, section_name)
-                updated = dc_replace(
-                    updated,
-                    **{section_name: dc_replace(section, **{attr: value})},
-                )
-            else:
-                raise TypeError(f"unknown trainer option {name!r}")
-        return updated
+        return self.from_kwargs(**{**self.trainer_kwargs(), **kwargs})

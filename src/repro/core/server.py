@@ -54,14 +54,7 @@ from ..telemetry import (
 from .adaptive_mu import AdaptiveMuController
 from .callbacks import Callback
 from .client import Client, ClientPool, ClientUpdate
-from .config import (
-    _UNSET,
-    EngineConfig,
-    EvalConfig,
-    TrainerConfig,
-    resolve_eval_config,
-    warn_deprecated_kwarg,
-)
+from .config import EngineConfig, EvalConfig, TrainerConfig
 from .dissimilarity import DissimilarityReport, measure_dissimilarity
 from .history import RoundRecord, TrainingHistory
 from .sampling import SamplingScheme, UniformSamplingWeightedAverage
@@ -152,10 +145,7 @@ class FederatedTrainer:
         confidence intervals — see
         :class:`~repro.runtime.sampled.SampledEvaluator`), the sampled
         strategy's ``sample_size`` / ``strata`` / ``full_every``, and the
-        evaluation kernel ``mode``.  The flat ``eval_*`` / ``eval_mode``
-        keyword arguments below remain accepted behind one-shot
-        ``DeprecationWarning``s (passing both forms is a ``TypeError``);
-        see DESIGN.md §16 for the migration table.
+        evaluation kernel ``mode``.
     track_dissimilarity:
         Record the gradient-variance dissimilarity each evaluation round.
     track_gamma:
@@ -183,10 +173,8 @@ class FederatedTrainer:
         async engine (:mod:`repro.runtime.async_engine`) aggregates under
         a bounded-staleness window with staleness-discounted weights and
         matches serial bit-for-bit only in its degenerate ``window=0``
-        synchronized mode.  The legacy flat ``executor=`` keyword remains
-        accepted behind a one-shot ``DeprecationWarning``.  Call
-        :meth:`close` (or use the trainer as a context manager) to release
-        executor resources.
+        synchronized mode.  Call :meth:`close` (or use the trainer as a
+        context manager) to release executor resources.
     telemetry:
         Instrumentation for this run (see :mod:`repro.telemetry`): a
         :class:`~repro.telemetry.Telemetry` emits a run manifest, spans
@@ -220,20 +208,11 @@ class FederatedTrainer:
         engine: Optional[Union[EngineConfig, RoundExecutor, str]] = None,
         comms: Optional[Union[CommsConfig, str]] = None,
         evaluation: Optional[EvalConfig] = None,
-        eval_every=_UNSET,
-        eval_test=_UNSET,
-        eval=_UNSET,
-        eval_sample_size=_UNSET,
-        eval_strata=_UNSET,
-        eval_full_every=_UNSET,
-        eval_train_every=_UNSET,
         track_dissimilarity: bool = False,
         track_gamma: bool = False,
         dissimilarity_max_clients: Optional[int] = None,
         cost_tracker: Optional[CostTracker] = None,
         callbacks: Optional[List[Callback]] = None,
-        executor=_UNSET,
-        eval_mode=_UNSET,
         telemetry=None,
         label: str = "",
     ) -> None:
@@ -241,35 +220,7 @@ class FederatedTrainer:
             raise ValueError("mu must be non-negative")
         if epochs <= 0:
             raise ValueError("epochs must be positive")
-        # Deprecation shims: the flat eval_*/executor keywords route into
-        # the grouped sub-configs; passing both forms is ambiguous and
-        # rejected outright.
-        eval_overrides = {
-            name: value
-            for name, value in (
-                ("eval_every", eval_every),
-                ("eval_test", eval_test),
-                ("eval_mode", eval_mode),
-                ("eval", eval),
-                ("eval_sample_size", eval_sample_size),
-                ("eval_strata", eval_strata),
-                ("eval_full_every", eval_full_every),
-                ("eval_train_every", eval_train_every),
-            )
-            if value is not _UNSET
-        }
-        eval_config = resolve_eval_config(evaluation, eval_overrides)
-        if executor is not _UNSET and engine is not None:
-            raise TypeError(
-                "pass the execution engine either via engine= or the legacy "
-                "executor= keyword, not both"
-            )
-        if executor is not _UNSET:
-            warn_deprecated_kwarg(
-                "executor", "pass engine= (an EngineConfig, spec string, or "
-                "RoundExecutor) instead"
-            )
-            engine = executor
+        eval_config = EvalConfig.resolve(evaluation)
         self.dataset = dataset
         self.model = model
         self.solver = solver
@@ -405,7 +356,7 @@ class FederatedTrainer:
     ) -> "FederatedTrainer":
         """Build a trainer from a :class:`~repro.core.config.TrainerConfig`.
 
-        Equivalent to passing the config's options as flat keyword
+        Equivalent to passing ``config.trainer_kwargs()`` as keyword
         arguments — both paths construct identical trainers — but the
         grouped config travels better: it is frozen, serializes via
         ``config.to_dict()``, and sweeps derive variants with
@@ -431,10 +382,7 @@ class FederatedTrainer:
     @property
     def executor_mode(self) -> str:
         """Short engine mode name (``serial``/``parallel``/``cohort``/``async``)."""
-        name = type(self.executor).__name__
-        if name.endswith("Executor"):
-            name = name[: -len("Executor")]
-        return name.lower()
+        return self.executor.spec().partition(":")[0]
 
     def _ledger_engine(self) -> EngineConfig:
         """The live executor's full parameterization for the run ledger.
@@ -444,13 +392,10 @@ class FederatedTrainer:
         string; executors outside the spec grammar degrade to a bare mode
         name.
         """
-        spec = getattr(self.executor, "spec", None)
-        if callable(spec):
-            try:
-                return EngineConfig.from_spec(spec())
-            except (TypeError, ValueError):
-                pass
-        return EngineConfig(mode=self.executor_mode)
+        try:
+            return EngineConfig.from_spec(self.executor.spec())
+        except (TypeError, ValueError):
+            return EngineConfig(mode=self.executor_mode)
 
     def _emit_manifest_once(self) -> None:
         """Emit the run-header manifest before the first round's events."""
@@ -501,7 +446,7 @@ class FederatedTrainer:
         """This trainer's live configuration as a serialized TrainerConfig.
 
         Built from the trainer's *current* attributes rather than any
-        config object it may have been constructed from, so the flat-kwargs
+        config object it may have been constructed from, so every
         construction path serializes identically.  Emitted before round 0,
         while ``self.mu`` (and any adaptive-µ controller) still hold their
         initial values — the reconstructed trainer starts from the same
@@ -517,14 +462,16 @@ class FederatedTrainer:
             systems=self.systems,
             faults=self.faults if self.faults.enabled else None,
             fault_policy=self.fault_policy if self.faults.enabled else None,
-            eval_every=self.eval_every,
-            eval_test=self.eval_test,
-            eval_mode=self.eval_mode,
-            eval=self.eval_strategy,
-            eval_sample_size=self.eval_sample_size,
-            eval_strata=self.eval_strata,
-            eval_full_every=self.eval_full_every,
-            eval_train_every=self.eval_train_every,
+            evaluation=EvalConfig(
+                every=self.eval_every,
+                test=self.eval_test,
+                mode=self.eval_mode,
+                strategy=self.eval_strategy,
+                sample_size=self.eval_sample_size,
+                strata=self.eval_strata,
+                full_every=self.eval_full_every,
+                train_every=self.eval_train_every,
+            ),
             track_dissimilarity=self.track_dissimilarity,
             track_gamma=self.track_gamma,
             dissimilarity_max_clients=self.dissimilarity_max_clients,

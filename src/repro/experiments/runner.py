@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.adaptive_mu import AdaptiveMuController
-from ..core.config import TrainerConfig
+from ..core.config import EvalConfig, TrainerConfig
 from ..core.feddane import FedDaneTrainer
 from ..core.sampling import SamplingScheme, UniformSamplingWeightedAverage
 from ..core.server import FederatedTrainer
@@ -122,7 +122,7 @@ def build_trainer(
         faults=faults,
         fault_policy=spec.fault_policy,
         seed=seed,
-        eval_every=scale.eval_every,
+        evaluation=EvalConfig(every=scale.eval_every),
         track_dissimilarity=track_dissimilarity,
         dissimilarity_max_clients=scale.dissimilarity_max_clients,
         mu_controller=controller,

@@ -110,9 +110,8 @@ class FederatedModel(abc.ABC):
         """Which runtime fast paths this model unlocks, as one flat dict.
 
         The runtime gates each fast path on the individual properties; this
-        summary exists for benchmarks and diagnostics (it is recorded in
-        ``BENCH_models.json`` so a perf regression can be correlated with a
-        capability change).
+        summary exists for benchmarks and diagnostics, so a perf
+        regression can be correlated with a capability change.
         """
         return {
             "stacked_eval": bool(self.supports_stacked_eval),
@@ -139,10 +138,10 @@ class FederatedModel(abc.ABC):
         """Why :attr:`supports_stacked_local_solve` is off (``None`` if on).
 
         Surfaced by :class:`~repro.runtime.cohort.CohortExecutor`'s
-        bind-time error and recorded in ``BENCH_models.json`` capability
-        rows, so "LSTM rows say stacked_local_solve: false" is always
-        accompanied by the *why* (e.g. the graph backend being the
-        gradcheck oracle rather than a missing kernel).
+        bind-time error and by :meth:`fast_path_capabilities`, so
+        "stacked_local_solve: false" is always accompanied by the *why*
+        (e.g. the graph backend being the gradcheck oracle rather than a
+        missing kernel).
         """
         if self.supports_stacked_local_solve:
             return None

@@ -10,11 +10,6 @@ Mini-batch schedules
 --------------------
 All batching logic lives in :class:`BatchSchedule`, the single source of
 truth for how a device's work budget turns into shuffled mini-batches.
-The historical helpers ``epoch_batches`` / ``batches_per_epoch`` /
-``work_batches`` are **deprecated** thin wrappers: they emit
-``DeprecationWarning`` and will be removed two PRs after this deprecation
-lands (see DESIGN.md §10.5).  Construct a :class:`BatchSchedule` directly
-instead.
 
 Determinism: a schedule consumes the supplied ``rng`` exactly one
 ``permutation(n_samples)`` draw per *started* epoch, in order.  The cohort
@@ -54,7 +49,6 @@ implement three hooks used by :class:`repro.runtime.cohort.CohortExecutor`:
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import Iterator, List, Optional
 
 import numpy as np
@@ -131,37 +125,6 @@ class BatchSchedule:
     def materialize(self, rng: np.random.Generator) -> List[np.ndarray]:
         """The full batch sequence as a list (for the cohort planner)."""
         return list(self.batches(rng))
-
-
-def _warn_deprecated_helper(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"{name}() is deprecated and will be removed two PRs after the "
-        f"repro.faults release; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def epoch_batches(
-    n_samples: int, batch_size: int, rng: np.random.Generator
-) -> list:
-    """Deprecated: use ``BatchSchedule(n, b).one_epoch(rng)``."""
-    _warn_deprecated_helper("epoch_batches", "BatchSchedule(...).one_epoch(rng)")
-    return BatchSchedule(n_samples, batch_size).one_epoch(rng)
-
-
-def batches_per_epoch(n_samples: int, batch_size: int) -> int:
-    """Deprecated: use ``BatchSchedule(n, b).per_epoch``."""
-    _warn_deprecated_helper("batches_per_epoch", "BatchSchedule(...).per_epoch")
-    return BatchSchedule(n_samples, batch_size).per_epoch
-
-
-def work_batches(
-    n_samples: int, batch_size: int, epochs: float, rng: np.random.Generator
-):
-    """Deprecated: use ``BatchSchedule(n, b, epochs).batches(rng)``."""
-    _warn_deprecated_helper("work_batches", "BatchSchedule(...).batches(rng)")
-    return BatchSchedule(n_samples, batch_size, epochs).batches(rng)
 
 
 class LocalSolver(abc.ABC):

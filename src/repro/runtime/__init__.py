@@ -45,8 +45,8 @@ from .sampled import EvalEstimate, SampledEvaluator, StratifiedClientSampler
 #: The executor spec grammar: mode name -> accepted spec strings.  A spec
 #: is ``mode`` or ``mode:argument``; ``parallel`` takes a worker count and
 #: ``async`` a comma-separated ``key=value`` list.  ``make_executor`` and
-#: the trainer's ``engine=``/``executor=`` options accept exactly these
-#: strings, and :meth:`repro.core.config.EngineConfig.spec` emits them.
+#: the trainer's ``engine=`` option accept exactly these strings, and
+#: :meth:`repro.core.config.EngineConfig.spec` emits them.
 EXECUTOR_MODES = {
     "serial": 'spec "serial" — in-process sequential execution (default)',
     "parallel": (
@@ -67,8 +67,11 @@ EXECUTOR_MODES = {
     ),
 }
 
-#: async spec keys -> (AsyncExecutor kwarg, value parser).
-_ASYNC_SPEC_KEYS = {
+#: async spec keys -> (AsyncExecutor kwarg / EngineConfig field, value
+#: parser), in canonical emission order.  The one table behind both
+#: directions of the grammar: :func:`parse_executor_spec` reads specs with
+#: it and :meth:`repro.core.config.EngineConfig.spec` renders them.
+ASYNC_SPEC_KEYS = {
     "window": ("window", int),
     "discount": ("discount", str),
     "power": ("discount_power", float),
@@ -98,12 +101,12 @@ def _parse_async_argument(spec: str, argument: str) -> dict:
                 'expected comma-separated key=value pairs, e.g. '
                 '"async:window=2,discount=poly"'
             )
-        if key not in _ASYNC_SPEC_KEYS:
+        if key not in ASYNC_SPEC_KEYS:
             raise ValueError(
                 f"unknown async option {key!r} in executor spec {spec!r}; "
-                f"valid keys: {tuple(_ASYNC_SPEC_KEYS)}"
+                f"valid keys: {tuple(ASYNC_SPEC_KEYS)}"
             )
-        name, parse = _ASYNC_SPEC_KEYS[key]
+        name, parse = ASYNC_SPEC_KEYS[key]
         if name in kwargs:
             raise ValueError(
                 f"duplicate async option {key!r} in executor spec {spec!r}"
@@ -168,7 +171,7 @@ def make_executor(spec: str, **kwargs) -> RoundExecutor:
     Extra ``kwargs`` are forwarded to the executor constructor (e.g.
     ``start_method`` for ``"parallel"``); a worker count may come from the
     spec *or* ``n_workers=``, not both.  The trainer accepts these spec
-    strings directly in its ``executor`` argument.
+    strings directly in its ``engine`` argument.
     """
     mode, spec_kwargs = parse_executor_spec(spec)
     overlap = set(spec_kwargs) & set(kwargs)

@@ -4,9 +4,9 @@ Exhaustive evaluation is the scaling wall of the server loop: the local
 solve phase touches only the K selected devices, but
 :class:`~repro.runtime.evaluation.FederationEvaluator` walks *every*
 device each round, so at 10^4+ devices the round is evaluation-dominated
-(the committed ``BENCH_runtime.json`` notes this at every 1000-device
-row).  :class:`SampledEvaluator` replaces the exhaustive oracle with a
-survey estimate:
+(the ``runtime.eval_full_1k_ms`` vs ``runtime.eval_sampled_ms`` probes in
+``bench/results/`` put numbers on it).  :class:`SampledEvaluator` replaces
+the exhaustive oracle with a survey estimate:
 
 * Devices are stratified **by local training size** into equal-count
   strata (size is the aggregation weight ``p_k = n_k / n``, so it is the

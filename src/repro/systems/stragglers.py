@@ -151,7 +151,7 @@ class PowerLawStragglers(SystemsModel):
     epoch and an occasional near-full-budget device dominates —
     ``sum_k T_k / max_k T_k -> 1``, the regime that starves the stacked
     cohort kernel of width and that the skew-aware packing planner exists
-    for (``scripts/bench_runtime.py --skew``).
+    for (the ``synth_cohort_skew`` workload of ``bench/run.py``).
 
     Each draw derives from ``(seed, round, client)`` entropy alone, so
     budgets are a pure per-device function — identical across executors,

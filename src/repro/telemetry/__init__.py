@@ -21,9 +21,9 @@ solvers — one shared way to report what happened and how long it took:
 
 The default everywhere is :data:`NULL_TELEMETRY` — a shared
 :class:`NullTelemetry` whose operations are no-ops, keeping the
-instrumented hot paths at their uninstrumented cost (asserted by
-``scripts/bench_runtime.py --smoke``) and training histories bit-identical
-to pre-telemetry behavior.
+instrumented hot paths at their uninstrumented cost (measured by the
+``telemetry.null_span_ns`` probe of ``bench/run.py``) and training
+histories bit-identical to pre-telemetry behavior.
 
 Quickstart::
 
@@ -44,7 +44,7 @@ recipes, every round appends a canonical ``round_record``, and the file
 ends with a digest-bearing ``run_footer`` (:mod:`repro.telemetry.ledger`).
 :mod:`repro.telemetry.replay` re-executes a run from its artifact and
 asserts bit-identical history; :mod:`repro.telemetry.analysis` and the
-``python -m repro.trace`` CLI summarize, diff, and gate artifacts.
+``python -m repro.trace`` CLI summarize, diff, and verify artifacts.
 """
 
 from .core import (
@@ -57,7 +57,6 @@ from .core import (
 from .events import (
     CLOCK_SIMULATED,
     CLOCK_WALL,
-    SCHEMA_COMPAT,
     SCHEMA_VERSION,
     UNIT_CYCLES,
     UNIT_SECONDS,
@@ -110,7 +109,6 @@ __all__ = [
     "run_footer_event",
     "summarize",
     "SCHEMA_VERSION",
-    "SCHEMA_COMPAT",
     "DIGEST_ALGORITHM",
     "HistoryDigest",
     "history_digest",

@@ -1,4 +1,4 @@
-"""Run-artifact analysis: phase breakdowns, timelines, diffs, and gates.
+"""Run-artifact analysis: phase breakdowns, timelines, diffs, and checks.
 
 Pure post-hoc consumers of :class:`~repro.telemetry.ledger.RunArtifact` —
 nothing here re-executes a run (that is :mod:`repro.telemetry.replay`).
@@ -9,10 +9,10 @@ The :mod:`repro.trace` CLI is a thin argparse shell over these functions:
   duration percentiles, span-tiling validation).
 * :func:`timeline` — per-round ASCII bars segmented by phase.
 * :func:`diff_runs` — field-level history comparison between two runs
-  with a float tolerance; falls back to per-round metric gauges for
-  schema-1 artifacts that predate round records.
-* :func:`check_runs` — structural + performance gate for benchmark
-  artifacts against a ``BENCH_runtime.json`` baseline.
+  with a float tolerance.
+* :func:`check_runs` — structural ledger verification of every run in a
+  (possibly multi-run) artifact.  Throughput is gated elsewhere, by
+  ``python bench/run.py compare``.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def summarize_run(artifact: RunArtifact) -> Dict[str, Any]:
         "label": artifact.label,
         "executor": artifact.executor,
         "schema": artifact.schema,
-        "rounds": len(records) or len(artifact.rounds),
+        "rounds": len(records),
         "wall_seconds": footer.get("wall_seconds"),
         "final_train_loss": footer.get("final_train_loss", last.get("train_loss")),
         "final_test_accuracy": footer.get(
@@ -306,7 +306,6 @@ class RunDiff:
     rounds_b: int
     compared: int
     divergences: List[Tuple[int, str, Any, Any]] = field(default_factory=list)
-    source: str = "records"
     tol: float = 0.0
 
     @property
@@ -316,7 +315,7 @@ class RunDiff:
     def describe(self) -> str:
         head = (
             f"diff {self.label_a or 'A'} vs {self.label_b or 'B'} "
-            f"({self.source}, tol={self.tol:g})"
+            f"(tol={self.tol:g})"
         )
         lines = [head]
         if self.rounds_a != self.rounds_b:
@@ -339,21 +338,6 @@ class RunDiff:
         return "\n".join(lines)
 
 
-def _gauge_records(artifact: RunArtifact) -> List[Dict[str, Any]]:
-    """Pseudo-records from per-round metric gauges (schema-1 fallback)."""
-    rounds: Dict[int, Dict[str, Any]] = {}
-    for event in artifact.metrics:
-        round_idx = event.get("round")
-        if round_idx is None or event.get("kind") != "gauge":
-            continue
-        name = event.get("name")
-        if name in ("train_loss", "test_accuracy", "mu", "dissimilarity"):
-            rec = rounds.setdefault(int(round_idx), {})
-            rec["round_idx"] = int(round_idx)
-            rec[name] = event.get("value")
-    return [rounds[r] for r in sorted(rounds)]
-
-
 def diff_runs(
     a: RunArtifact, b: RunArtifact, tol: float = 0.0
 ) -> RunDiff:
@@ -361,23 +345,26 @@ def diff_runs(
 
     Float-valued record fields admit an absolute tolerance ``tol``
     (``0.0`` demands bit-identity); integer, boolean, and id-list fields
-    always compare exactly.  When either artifact predates round records
-    (schema 1), both sides fall back to the per-round metric gauges they
-    do share.
+    always compare exactly.  A side without round records has no history
+    to compare: that is a ``ValueError`` carrying the artifact's
+    :func:`~repro.telemetry.ledger.verify_artifact` issues (an unsupported
+    schema version, a truncation), never an empty "identical" diff.
     """
+    for artifact in (a, b):
+        if not artifact.round_records:
+            raise ValueError(
+                "; ".join(
+                    [f"{artifact.path}: no round records to diff"]
+                    + verify_artifact(artifact)
+                )
+            )
     recs_a, recs_b = a.history_records(), b.history_records()
-    source = "records"
-    fields: Sequence[str] = RECORD_FIELDS
-    if not recs_a or not recs_b:
-        recs_a, recs_b = _gauge_records(a), _gauge_records(b)
-        source = "gauges"
-        fields = ("train_loss", "test_accuracy", "mu", "dissimilarity")
     compared = min(len(recs_a), len(recs_b))
     divergences: List[Tuple[int, str, Any, Any]] = []
     for idx in range(compared):
         ra, rb = recs_a[idx], recs_b[idx]
         round_idx = ra.get("round_idx", idx)
-        for name in fields:
+        for name in RECORD_FIELDS:
             va, vb = ra.get(name), rb.get(name)
             if va == vb:
                 continue
@@ -396,100 +383,43 @@ def diff_runs(
         rounds_b=len(recs_b),
         compared=compared,
         divergences=divergences,
-        source=source,
         tol=tol,
     )
 
 
 # --------------------------------------------------------------------- #
-# Baseline gating
+# Structural check
 # --------------------------------------------------------------------- #
 @dataclass
 class CheckReport:
-    """Outcome of gating bench artifacts against a runtime baseline."""
+    """Outcome of verifying every run of an artifact."""
 
     issues: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.issues
 
     def describe(self) -> str:
-        lines = []
-        for note in self.notes:
-            lines.append(f"  {note}")
-        if self.issues:
-            lines.append(f"CHECK FAILED ({len(self.issues)} issues):")
-            lines.extend(f"  - {issue}" for issue in self.issues)
-        else:
-            lines.append("CHECK OK")
+        if not self.issues:
+            return "CHECK OK"
+        lines = [f"CHECK FAILED ({len(self.issues)} issues):"]
+        lines.extend(f"  - {issue}" for issue in self.issues)
         return "\n".join(lines)
 
 
-def check_runs(
-    artifacts: Sequence[RunArtifact],
-    baseline: Optional[Dict[str, Any]] = None,
-    factor: float = 4.0,
-) -> CheckReport:
-    """Structurally verify bench artifacts and gate throughput regressions.
+def check_runs(artifacts: Sequence[RunArtifact]) -> CheckReport:
+    """Run :func:`~repro.telemetry.ledger.verify_artifact` over every run.
 
-    Every artifact goes through
-    :func:`~repro.telemetry.ledger.verify_artifact` (digest, truncation,
-    record holes).  With a ``BENCH_runtime.json`` ``baseline`` dict, each
-    run whose manifest matches a baseline ``results`` row — same mode
-    (``label == "bench-<mode>"`` or executor name) and device count — must
-    achieve at least ``rounds_per_sec / factor``; the generous default
-    factor absorbs machine variance while still catching order-of-magnitude
-    regressions.  Unmatched runs are noted, not failed.
+    Each issue (schema, digest, truncation, record holes) is reported
+    under the run's label; an artifact holding no run at all is an issue
+    too.
     """
     report = CheckReport()
     if not artifacts:
         report.issues.append("no runs found in artifact")
-        return report
-    rows = list((baseline or {}).get("results", []))
     for idx, artifact in enumerate(artifacts):
         who = artifact.label or artifact.run_id or f"run[{idx}]"
         for issue in verify_artifact(artifact):
             report.issues.append(f"{who}: {issue}")
-        footer = artifact.footer
-        if footer is None:
-            continue  # already reported as truncated by verify_artifact
-        wall = footer.get("wall_seconds") or 0.0
-        rounds = footer.get("rounds") or 0
-        if not rows or wall <= 0 or rounds <= 0:
-            continue
-        manifest = artifact.manifest or {}
-        devices = (manifest.get("config") or {}).get("num_devices")
-        row = next(
-            (
-                r
-                for r in rows
-                if r.get("devices") == devices
-                and (
-                    artifact.label == f"bench-{r.get('mode')}"
-                    or r.get("mode") == artifact.executor
-                )
-            ),
-            None,
-        )
-        if row is None:
-            report.notes.append(
-                f"{who}: no baseline row for devices={devices} (skipped gate)"
-            )
-            continue
-        achieved = rounds / wall
-        floor = row["rounds_per_sec"] / factor
-        if achieved < floor:
-            report.issues.append(
-                f"{who}: {achieved:.3f} rounds/s is below the baseline "
-                f"floor {floor:.3f} (baseline {row['rounds_per_sec']:.3f} "
-                f"/ factor {factor:g}) for devices={devices} "
-                f"mode={row['mode']}"
-            )
-        else:
-            report.notes.append(
-                f"{who}: {achieved:.3f} rounds/s vs baseline "
-                f"{row['rounds_per_sec']:.3f} (floor {floor:.3f}) — ok"
-            )
     return report

@@ -14,10 +14,10 @@ emission primitives:
 
 :class:`NullTelemetry` is the default everywhere.  Every method is a
 no-op returning shared singletons, so instrumented code pays a few
-attribute lookups per round and nothing else — ``scripts/bench_runtime.py
---smoke`` asserts the per-round cost stays under 2% of round wall time,
-and the integration tests assert histories are bit-identical with
-telemetry on, off, or absent.
+attribute lookups per round and nothing else — the
+``telemetry.null_span_ns`` probe of ``bench/run.py`` measures the cost of
+one disabled span, and the integration tests assert histories are
+bit-identical with telemetry on, off, or absent.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ dataset/model/solver descriptors), and ``environment`` (package version,
 git SHA, platform/CPU info); every round additionally emits a
 ``round_record`` event, and the run ends with a ``run_footer`` carrying a
 streaming SHA-256 digest over the canonicalized round history (see
-:mod:`repro.telemetry.ledger`).  Version-1 artifacts stay readable: the
-readers in :mod:`repro.telemetry.ledger` and
-:mod:`repro.telemetry.analysis` treat every v2 addition as optional.
+:mod:`repro.telemetry.ledger`).  It is the only version the readers
+accept: :func:`repro.telemetry.ledger.verify_artifact` reports any other
+as an "unsupported schema version" issue.
 
 Field reference
 ---------------
@@ -104,10 +104,6 @@ import numpy as np
 
 #: Version stamp written into every manifest; bump on breaking changes.
 SCHEMA_VERSION = 2
-
-#: Manifest schema versions the readers accept (v1 artifacts predate the
-#: run ledger: no round_record/run_footer events, no p95/p99 stats).
-SCHEMA_COMPAT = (1, 2)
 
 #: Clock domains events may come from.
 CLOCK_WALL = "wall"

@@ -43,6 +43,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from .events import SCHEMA_VERSION
 from .sinks import read_jsonl
 
 #: Tag stamped into every run footer next to the digest, so a future
@@ -198,9 +199,9 @@ def environment_info() -> Dict[str, Any]:
 class RunArtifact:
     """One run's events, split by type, as loaded from a JSONL artifact.
 
-    ``round_records`` maps round index -> canonical record dict (schema 2;
-    empty for v1 artifacts).  ``footer`` is ``None`` when the artifact was
-    truncated before the run footer (or predates schema 2).
+    ``round_records`` maps round index -> canonical record dict.
+    ``footer`` is ``None`` when the artifact was truncated before the run
+    footer.
     """
 
     path: str
@@ -229,19 +230,11 @@ class RunArtifact:
 
     @property
     def rounds(self) -> List[int]:
-        """Round indices, from round records (v2) or round spans (v1)."""
-        if self.round_records:
-            return sorted(self.round_records)
-        return sorted(
-            {
-                e["round"]
-                for e in self.spans
-                if e.get("name") == "round" and e.get("round") is not None
-            }
-        )
+        """Round indices holding a round record, in order."""
+        return sorted(self.round_records)
 
     def history_records(self) -> List[Dict[str, Any]]:
-        """Canonical round records in round order (empty for v1)."""
+        """Canonical round records in round order."""
         return [self.round_records[r] for r in sorted(self.round_records)]
 
     def recorded_digest(self) -> Optional[str]:
@@ -314,9 +307,10 @@ def load_run(path: str, run: int = 0, strict: bool = False) -> RunArtifact:
 def verify_artifact(artifact: RunArtifact) -> List[str]:
     """Structural audit of one run artifact; returns human-readable issues.
 
-    Checks (schema-aware — v1 artifacts only get the schema check):
+    Checks:
 
-    * the manifest schema version is one the readers support;
+    * the manifest schema version is the one the readers support (any
+      other version is reported and nothing further is audited);
     * round records are contiguous from round 0 (no holes);
     * the run footer is present (its absence is truncation evidence);
     * the footer's round count matches the records;
@@ -324,17 +318,12 @@ def verify_artifact(artifact: RunArtifact) -> List[str]:
 
     An empty list means the artifact is internally consistent.
     """
-    from .events import SCHEMA_COMPAT
-
-    issues: List[str] = []
-    if artifact.schema not in SCHEMA_COMPAT:
-        issues.append(
+    if artifact.schema != SCHEMA_VERSION:
+        return [
             f"unsupported schema version {artifact.schema} "
-            f"(supported: {SCHEMA_COMPAT})"
-        )
-        return issues
-    if artifact.schema < 2:
-        return issues  # v1: no ledger events to audit
+            f"(supported: {SCHEMA_VERSION})"
+        ]
+    issues: List[str] = []
     rounds = sorted(artifact.round_records)
     if rounds and rounds != list(range(rounds[0], rounds[-1] + 1)):
         missing = sorted(

@@ -49,8 +49,9 @@ MAX_MISMATCHES = 50
 class ReplayError(RuntimeError):
     """A run artifact that cannot be replayed, and why.
 
-    Raised for structural problems discovered *before* re-execution: v1
-    artifacts (no ``trainer_config`` in the manifest), datasets without a
+    Raised for structural problems discovered *before* re-execution:
+    artifacts without round records or a ``trainer_config`` (an
+    unsupported schema version among them), datasets without a
     reconstruction recipe, unknown model/solver/builder names.  Divergence
     between the recorded and replayed histories is NOT an error — it is
     the finding, reported via :class:`ReplayReport`.
@@ -274,17 +275,13 @@ def rebuild_trainer(
     manifest's dataset recipe is null); ``telemetry`` defaults to disabled
     so a replay does not itself emit a ledger.
 
-    Raises :class:`ReplayError` when the manifest predates schema 2 or
-    describes components this build cannot reconstruct.
+    Raises :class:`ReplayError` when the manifest carries no
+    ``trainer_config`` or describes components this build cannot
+    reconstruct.
     """
     manifest = artifact.manifest
     if manifest is None:
         raise ReplayError("artifact has no manifest event")
-    if int(manifest.get("schema", 1)) < 2:
-        raise ReplayError(
-            f"manifest schema {manifest.get('schema', 1)} predates the run "
-            "ledger (schema 2); re-record the run to enable replay"
-        )
     config_spec = manifest.get("trainer_config")
     recipe = manifest.get("recipe") or {}
     if not isinstance(config_spec, dict):
@@ -361,20 +358,14 @@ def replay_run(
     artifact = (
         source if isinstance(source, RunArtifact) else load_run(source, run=run)
     )
-    manifest = artifact.manifest
-    if manifest is None:
-        raise ReplayError("artifact has no manifest event")
-    if int(manifest.get("schema", 1)) < 2:
-        raise ReplayError(
-            f"manifest schema {manifest.get('schema', 1)} predates the run "
-            "ledger (schema 2); re-record the run to enable replay"
-        )
     issues = verify_artifact(artifact)
     recorded = artifact.history_records()
     if not recorded and num_rounds is None:
         raise ReplayError(
-            "artifact holds no round records (empty or pre-ledger run); "
-            "nothing to replay against"
+            "; ".join(
+                ["artifact holds no round records; nothing to replay against"]
+                + issues
+            )
         )
     rounds = num_rounds if num_rounds is not None else len(recorded)
 

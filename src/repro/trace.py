@@ -1,4 +1,4 @@
-"""``python -m repro.trace`` — inspect, replay, and gate run artifacts.
+"""``python -m repro.trace`` — inspect, replay, and verify run artifacts.
 
 Subcommands over the JSONL run ledgers written by
 :class:`~repro.telemetry.sinks.JSONLSink`:
@@ -10,8 +10,8 @@ Subcommands over the JSONL run ledgers written by
   (e.g. a serial vs cohort pair; ``--tol 0`` demands bit-identity).
 * ``replay RUN.jsonl`` — rebuild the trainer from the manifest,
   re-execute, and assert the recorded history reproduces bit-for-bit.
-* ``check BENCH.jsonl --baseline BENCH_runtime.json`` — structural
-  verification plus a throughput-regression gate for bench artifacts.
+* ``check RUN.jsonl`` — structural ledger verification of every run in
+  the artifact (throughput is gated by ``python bench/run.py compare``).
 
 Exit status is 0 on success and 1 when the inspected artifact fails
 (ledger issues, replay divergence, diff divergence, check failures), so
@@ -64,7 +64,11 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     a = load_run(args.artifact_a, run=args.run_a)
     b = load_run(args.artifact_b, run=args.run_b)
-    result = diff_runs(a, b, tol=args.tol)
+    try:
+        result = diff_runs(a, b, tol=args.tol)
+    except ValueError as exc:
+        print(f"diff impossible: {exc}", file=sys.stderr)
+        return 1
     print(result.describe())
     return 0 if result.matches else 1
 
@@ -82,15 +86,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    baseline = None
-    if args.baseline:
-        import json
-
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    report = check_runs(
-        load_runs(args.artifact), baseline=baseline, factor=args.factor
-    )
+    report = check_runs(load_runs(args.artifact))
     print(report.describe())
     return 0 if report.ok else 1
 
@@ -147,17 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser(
-        "check", help="verify bench artifacts and gate against a baseline"
+        "check", help="verify the ledger of every run in an artifact"
     )
-    p.add_argument("artifact", help="bench telemetry JSONL (multi-run)")
-    p.add_argument(
-        "--baseline", default=None,
-        help="BENCH_runtime.json to gate throughput against",
-    )
-    p.add_argument(
-        "--factor", type=float, default=4.0,
-        help="allowed slowdown vs baseline rounds/sec (default 4x)",
-    )
+    p.add_argument("artifact", help="JSONL run artifact (possibly multi-run)")
     p.set_defaults(func=_cmd_check)
     return parser
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import make_distributed_sgd, make_fedprox
+from repro.core import EvalConfig, make_distributed_sgd, make_fedprox
 from repro.models import MultinomialLogisticRegression
 from repro.optim import GDSolver
 
@@ -57,12 +57,12 @@ class TestDistributedSGD:
         dsgd = make_distributed_sgd(
             synthetic_small,
             MultinomialLogisticRegression(dim=60, num_classes=10),
-            0.1, clients_per_round=5, seed=1, eval_every=rounds,
+            0.1, clients_per_round=5, seed=1, evaluation=EvalConfig(every=rounds),
         ).run(rounds)
         fedprox = make_fedprox(
             synthetic_small,
             MultinomialLogisticRegression(dim=60, num_classes=10),
             0.01, mu=0.0, clients_per_round=5, epochs=10, seed=1,
-            eval_every=rounds,
+            evaluation=EvalConfig(every=rounds),
         ).run(rounds)
         assert fedprox.final_train_loss() < dsgd.final_train_loss()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    EvalConfig,
     FederatedTrainer,
     global_test_accuracy,
     global_train_loss,
@@ -48,14 +49,14 @@ class TestBasicLoop:
         assert all(r.test_accuracy is not None for r in history.records)
 
     def test_eval_every_skips_rounds(self, toy_dataset):
-        trainer = _trainer(toy_dataset, eval_every=2)
+        trainer = _trainer(toy_dataset, evaluation=EvalConfig(every=2))
         history = trainer.run(4)
         assert history.records[0].test_accuracy is not None
         assert history.records[1].test_accuracy is None
         assert history.records[2].test_accuracy is not None
 
     def test_eval_test_disabled(self, toy_dataset):
-        history = _trainer(toy_dataset, eval_test=False).run(2)
+        history = _trainer(toy_dataset, evaluation=EvalConfig(test=False)).run(2)
         assert all(r.test_accuracy is None for r in history.records)
 
     def test_selected_devices_recorded(self, toy_dataset):
@@ -212,17 +213,20 @@ class TestGlobalMetrics:
 class TestFinalEvaluation:
     def test_final_round_always_evaluated(self, toy_dataset):
         """eval_every may skip the last round; run() must fill it in."""
-        trainer = _trainer(toy_dataset, eval_every=10)
+        trainer = _trainer(toy_dataset, evaluation=EvalConfig(every=10))
         history = trainer.run(7)  # rounds 0..6; 6 % 10 != 0
         assert history.records[-1].test_accuracy is not None
         assert history.records[3].test_accuracy is None
 
     def test_final_dissimilarity_filled(self, toy_dataset):
-        trainer = _trainer(toy_dataset, eval_every=10, track_dissimilarity=True)
+        trainer = _trainer(
+            toy_dataset, evaluation=EvalConfig(every=10),
+            track_dissimilarity=True,
+        )
         history = trainer.run(5)
         assert history.records[-1].dissimilarity is not None
 
     def test_no_fill_when_eval_disabled(self, toy_dataset):
-        trainer = _trainer(toy_dataset, eval_every=10, eval_test=False)
+        trainer = _trainer(toy_dataset, evaluation=EvalConfig(every=10, test=False))
         history = trainer.run(5)
         assert history.records[-1].test_accuracy is None

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import FederatedTrainer
+from repro.core import EvalConfig, FederatedTrainer
 from repro.datasets import (
     DEFAULT_CACHE_CLIENTS,
     EagerClientStore,
@@ -184,7 +184,10 @@ class TestMmapShardStore:
         )
         histories = []
         for dataset in (source, lazy_dataset):
-            trainer = make_trainer(dataset, seed=2, eval_mode="per_client")
+            trainer = make_trainer(
+                dataset, seed=2,
+                evaluation=EvalConfig(mode="per_client"),
+            )
             history = trainer.run(3)
             trainer.close()
             histories.append(history_series(history))

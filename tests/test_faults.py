@@ -8,10 +8,12 @@ the trainer-level integration (events, manifest, record.degraded).
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.core import FederatedTrainer, TrainerConfig
+from repro.core import EvalConfig, FederatedTrainer, TrainerConfig
 from repro.core.feddane import FedDaneTrainer
 from repro.faults import (
     FAULT_KINDS,
@@ -261,14 +263,15 @@ class TestTrainerIntegration:
 
     def test_fault_events_reach_telemetry(self, synthetic_small):
         sink = InMemorySink()
+        policy = FaultPolicy(on_crash="retry", max_retries=1, min_quorum=3)
         trainer = _trainer(
             synthetic_small,
             faults=ChaosFaults(rate=0.8, seed=3),
-            fault_policy=FaultPolicy(on_crash="retry", max_retries=1, min_quorum=3),
+            fault_policy=policy,
             telemetry=Telemetry([sink]),
         )
         try:
-            trainer.run(4)
+            history = trainer.run(4)
         finally:
             trainer.close()
         names = {
@@ -281,6 +284,16 @@ class TestTrainerIntegration:
         manifest = next(e for e in sink.events if e["type"] == "manifest")
         assert manifest["config"]["faults"]["type"] == "ChaosFaults"
         assert manifest["config"]["fault_policy"]["on_crash"] == "retry"
+        # The quorum guard never lets a round aggregate below threshold
+        # silently: the rounds carrying a round:degraded event are exactly
+        # the rounds whose record is degraded, each short of the quorum.
+        degraded = [e for e in sink.events if e.get("name") == "round:degraded"]
+        assert degraded
+        assert {e["round"] for e in degraded} == {
+            r.round_idx for r in history.records if r.degraded
+        }
+        assert all(e["survivors"] < policy.quorum_for(4) for e in degraded)
+        assert trainer.fault_stats["quorum_misses"] == len(degraded)
 
     def test_default_trainer_has_no_fault_manager(self, synthetic_small):
         trainer = _trainer(synthetic_small)
@@ -306,7 +319,8 @@ class TestTrainerIntegration:
 class TestTrainerConfig:
     def test_from_config_matches_kwargs(self, synthetic_small):
         config = TrainerConfig.from_kwargs(
-            mu=0.5, clients_per_round=4, epochs=2, seed=3, eval_every=2
+            mu=0.5, clients_per_round=4, epochs=2, seed=3,
+            evaluation=EvalConfig(every=2),
         )
         model_a = MultinomialLogisticRegression(dim=60, num_classes=10)
         model_b = MultinomialLogisticRegression(dim=60, num_classes=10)
@@ -316,7 +330,8 @@ class TestTrainerConfig:
         )
         t_kw = FederatedTrainer(
             synthetic_small, model_b, solver,
-            mu=0.5, clients_per_round=4, epochs=2, seed=3, eval_every=2,
+            mu=0.5, clients_per_round=4, epochs=2, seed=3,
+            evaluation=EvalConfig(every=2),
         )
         try:
             h_cfg = t_cfg.run(3)
@@ -326,6 +341,21 @@ class TestTrainerConfig:
             t_kw.close()
         assert h_cfg.train_losses == h_kw.train_losses
         assert h_cfg.test_accuracies == h_kw.test_accuracies
+
+    def test_constructor_and_config_share_one_keyword_set(self, synthetic_small):
+        params = inspect.signature(FederatedTrainer.__init__).parameters
+        assert set(params) - {"self"} == set(TrainerConfig().trainer_kwargs()) | {
+            "dataset", "model", "solver", "callbacks"
+        }
+        model = MultinomialLogisticRegression(dim=60, num_classes=10)
+        for removed in ({"eval_every": 2}, {"executor": "serial"}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                FederatedTrainer(
+                    synthetic_small, model, SGDSolver(0.05, batch_size=10),
+                    **removed,
+                )
+            with pytest.raises(TypeError, match="unknown trainer option"):
+                TrainerConfig.from_kwargs(**removed)
 
     def test_unknown_option_rejected(self):
         with pytest.raises(TypeError, match="unknown trainer option"):
@@ -340,16 +370,18 @@ class TestTrainerConfig:
             faults=ChaosFaults(rate=0.2, seed=4),
             fault_policy=FaultPolicy.fedavg(min_quorum=0.5),
             seed=9,
-            executor="parallel:2",
+            engine="parallel:2",
             label="demo",
         )
         assert TrainerConfig.from_dict(config.to_dict()) == config
 
     def test_replace_routes_flat_options(self):
         base = TrainerConfig()
-        derived = base.replace(mu=2.0, eval_every=5, label="sweep")
+        derived = base.replace(
+            mu=2.0, evaluation=EvalConfig(every=5), label="sweep"
+        )
         assert derived.optimization.mu == 2.0
-        assert derived.evaluation.eval_every == 5
+        assert derived.evaluation.every == 5
         assert derived.label == "sweep"
         assert base.optimization.mu == 0.0  # frozen original untouched
 

@@ -10,7 +10,7 @@ or better.
 import numpy as np
 import pytest
 
-from repro.core import FederatedTrainer
+from repro.core import EvalConfig, FederatedTrainer
 from repro.core.client import Client
 from repro.datasets import make_sent140_like, make_shakespeare_like, make_synthetic
 from repro.models import (
@@ -158,8 +158,8 @@ def _train(dataset, model, rounds=3, executor=None, eval_mode="auto", seed=1):
         clients_per_round=4,
         epochs=2,
         seed=seed,
-        executor=executor,
-        eval_mode=eval_mode,
+        engine=executor,
+        evaluation=EvalConfig(mode=eval_mode),
     )
     try:
         return trainer.run(rounds)

@@ -15,7 +15,6 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.core.config as config_module
 from repro.core.config import EngineConfig, EvalConfig, TrainerConfig
 from repro.core.sampling import (
     UniformSamplingWeightedAverage,
@@ -360,23 +359,16 @@ class TestEngineConfig:
     def test_trainer_config_round_trips_async_spec(self):
         config = TrainerConfig.from_kwargs(
             mu=0.5,
-            executor="async:window=2,discount=poly,power=1.5",
+            engine="async:window=2,discount=poly,power=1.5",
         )
         assert config.engine.mode == "async"
         assert config.engine.discount_power == 1.5
         rebuilt = TrainerConfig.from_dict(config.to_dict())
         assert rebuilt == config
         assert (
-            config.to_kwargs()["executor"]
+            config.trainer_kwargs()["engine"].spec()
             == "async:window=2,power=1.5"  # poly is the default discount
         )
-
-    def test_legacy_flat_executor_dict_still_loads(self):
-        config = TrainerConfig.from_kwargs(executor="parallel:2")
-        spec = config.to_dict()
-        legacy = {k: v for k, v in spec.items() if k != "engine"}
-        legacy["executor"] = "parallel:2"
-        assert TrainerConfig.from_dict(legacy).engine == config.engine
 
     @pytest.mark.parametrize(
         "spec, fragment",
@@ -419,34 +411,9 @@ class TestEvalConfigAndDeprecations:
             EvalConfig(strategy="banana")
         with pytest.raises(ValueError, match="train_every"):
             EvalConfig(train_every=0)
-
-    def test_legacy_properties_mirror_new_fields(self):
-        config = EvalConfig(every=3, strategy="sampled", sample_size=7)
-        assert config.eval_every == 3
-        assert config.eval == "sampled"
-        assert config.eval_sample_size == 7
-        assert config.eval_train_every == config.train_every
-
-    def test_flat_kwargs_warn_once(self, dataset, monkeypatch):
-        monkeypatch.setattr(config_module, "_DEPRECATION_WARNED", set())
-        with pytest.warns(DeprecationWarning, match="eval_every"):
-            make_trainer(dataset, eval_every=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            make_trainer(dataset, eval_every=3)  # second use: silent
-
-    def test_executor_kwarg_warns(self, dataset, monkeypatch):
-        monkeypatch.setattr(config_module, "_DEPRECATION_WARNED", set())
-        with pytest.warns(DeprecationWarning, match="executor"):
-            make_trainer(dataset, executor="serial")
-
-    def test_both_forms_rejected(self, dataset):
-        with pytest.raises(TypeError, match="not both"):
-            make_trainer(
-                dataset, evaluation=EvalConfig(every=2), eval_every=2
-            )
-        with pytest.raises(TypeError, match="not both"):
-            make_trainer(dataset, engine="serial", executor="serial")
+        for every in (0, -1):
+            with pytest.raises(ValueError, match="eval every"):
+                EvalConfig(every=every)
 
     def test_from_config_path_is_warning_free(self, dataset):
         config = TrainerConfig.from_kwargs(mu=0.1, clients_per_round=4)

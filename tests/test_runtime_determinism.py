@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FederatedTrainer
+from repro.core import EvalConfig, FederatedTrainer
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.runtime import ParallelExecutor, SerialExecutor
@@ -37,8 +37,8 @@ def _run(dataset, *, mu, drop, executor=None, eval_mode="auto", seed=1,
         systems=FractionStragglers(0.5, seed=3),
         track_gamma=True,
         seed=seed,
-        executor=executor,
-        eval_mode=eval_mode,
+        engine=executor,
+        evaluation=EvalConfig(mode=eval_mode),
     )
     kwargs.update(overrides)
     trainer = FederatedTrainer(**kwargs)

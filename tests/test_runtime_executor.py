@@ -190,7 +190,7 @@ class TestParallelExecutorContracts:
                 model=_NoReplicaModel(dim=6, num_classes=3),
                 solver=SGDSolver(0.1, batch_size=8),
                 clients_per_round=3,
-                executor=ParallelExecutor(n_workers=2),
+                engine=ParallelExecutor(n_workers=2),
             )
 
     def test_base_default_raises_not_implemented(self):
@@ -239,7 +239,7 @@ class TestParallelExecutorEndToEnd:
         trainer = FederatedTrainer(
             dataset=toy_dataset, model=model,
             solver=SGDSolver(0.1, batch_size=8), clients_per_round=3,
-            executor=ParallelExecutor(n_workers=2),
+            engine=ParallelExecutor(n_workers=2),
         )
         with trainer:
             history = trainer.run(2)

@@ -321,16 +321,3 @@ class TestRunArtifacts:
         with pytest.raises(IndexError):
             load_run(str(path), run=2)
 
-    def test_v1_artifact_loads_without_ledger_checks(self, tmp_path):
-        path = tmp_path / "v1.jsonl"
-        events = [
-            {"type": "manifest", "schema": 1, "run_id": "old", "label": "x"},
-            {"type": "span", "name": "round", "round": 0, "duration": 0.1},
-            {"type": "span", "name": "round", "round": 1, "duration": 0.1},
-        ]
-        path.write_text("".join(json.dumps(e) + "\n" for e in events))
-        artifact = load_run(str(path))
-        assert artifact.schema == 1
-        assert artifact.rounds == [0, 1]
-        assert artifact.history_records() == []
-        assert verify_artifact(artifact) == []

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.core.adaptive_mu import AdaptiveMuController
+from repro.core.config import EvalConfig
 from repro.core.server import FederatedTrainer
 from repro.datasets import make_synthetic
 from repro.faults.models import ChaosFaults
@@ -91,7 +92,7 @@ class TestReplayParity:
     @pytest.mark.parametrize("executor", ["serial", "parallel:2", "cohort"])
     def test_executors_replay_bit_identically(self, tmp_path, executor):
         path = tmp_path / "run.jsonl"
-        record_run(path, executor=executor)
+        record_run(path, engine=executor)
         report = replay_run(str(path))
         assert report.issues == []
         assert report.matches, report.describe()
@@ -102,7 +103,7 @@ class TestReplayParity:
         path = tmp_path / "run.jsonl"
         record_run(
             path,
-            executor="cohort",
+            engine="cohort",
             systems=FractionStragglers(0.5, seed=3),
             faults=ChaosFaults(0.3, seed=11),
         )
@@ -120,10 +121,9 @@ class TestReplayParity:
             dataset=dataset,
             rounds=4,
             clients_per_round=5,
-            eval="sampled",
-            eval_sample_size=8,
-            eval_strata=4,
-            eval_full_every=3,
+            evaluation=EvalConfig(
+                strategy="sampled", sample_size=8, strata=4, full_every=3
+            ),
         )
         report = replay_run(str(path))
         assert report.matches, report.describe()
@@ -168,16 +168,6 @@ class TestReplayDivergence:
         assert any("digest mismatch" in issue for issue in report.issues)
         assert "round 1" in report.describe()
 
-    def test_v1_manifest_refused(self, tmp_path):
-        path = tmp_path / "v1.jsonl"
-        events = [
-            {"type": "manifest", "schema": 1, "run_id": "old", "label": "x"},
-            {"type": "span", "name": "round", "round": 0, "duration": 0.1},
-        ]
-        path.write_text("".join(json.dumps(e) + "\n" for e in events))
-        with pytest.raises(ReplayError, match="schema"):
-            replay_run(str(path))
-
     def test_dataset_without_recipe_needs_override(self, tmp_path):
         path = tmp_path / "run.jsonl"
         import numpy as np
@@ -198,7 +188,7 @@ class TestRebuildTrainer:
         path = tmp_path / "run.jsonl"
         record_run(
             path,
-            executor="cohort",
+            engine="cohort",
             systems=FractionStragglers(0.4, seed=8),
             mu=0.7,
             clients_per_round=4,
