@@ -153,9 +153,9 @@ class Client:
         """
         objective = self.make_objective(w_global, mu, correction=correction)
         w_local = self.solver.solve(objective, w_global, epochs, rng)
+        # A solver without a batch size (GD, custom) takes full-batch steps.
         batch_size = getattr(self.solver, "batch_size", self.data.num_train)
-        per_epoch = BatchSchedule(self.data.num_train, batch_size).per_epoch
-        evaluations = max(1, int(round(epochs * per_epoch)))
+        evaluations = BatchSchedule(self.data.num_train, batch_size, epochs).total
         gamma = (
             gamma_inexactness(objective, w_local, w_global)
             if measure_gamma

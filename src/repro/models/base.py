@@ -15,7 +15,7 @@ implement it:
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -192,6 +192,62 @@ class FederatedModel(abc.ABC):
             f"{type(self).__name__} does not implement stacked_gradient(); "
             "cohort round execution needs batched per-client gradients"
         )
+
+    def minibatch_gradients(
+        self,
+        w: np.ndarray,
+        X: np.ndarray,
+        y: np.ndarray,
+        orders: Iterable[np.ndarray],
+        batch_size: int,
+    ) -> Iterator[np.ndarray]:
+        """Stream one device's mini-batch gradients along a local solve.
+
+        The scalar counterpart of :meth:`stacked_gradient`, and the only
+        method a model may override to speed up the per-device solve loop
+        (every mini-batch solver steps through it, via
+        :meth:`LocalObjective.minibatch_gradients
+        <repro.optim.proximal.LocalObjective.minibatch_gradients>`).  The
+        default below needs nothing beyond :meth:`set_params` and
+        :meth:`gradient`, so a model that does not override it trains
+        exactly as if the solver called those two itself.
+
+        Parameters
+        ----------
+        w:
+            ``(n_params,)`` float64 — the solver's iterate, **read in
+            place**: the solver updates it between steps, and each
+            gradient must be evaluated at its value when that step is
+            requested.  Never written here.
+        X, y:
+            The device's full training arrays (never written).
+        orders:
+            One index array per started epoch (from
+            :meth:`BatchSchedule.epoch_orders
+            <repro.optim.base.BatchSchedule.epoch_orders>`, drawn lazily —
+            consume it in order and to the end).  Consecutive
+            ``batch_size`` runs of an array, the last possibly shorter,
+            are that epoch's mini-batches.
+        batch_size:
+            Mini-batch size.
+
+        Yields
+        ------
+        np.ndarray
+            ``(n_params,)`` float64 gradient of the mean loss on each
+            mini-batch in turn, equal to ``set_params(w)`` followed by
+            ``gradient(X[batch], y[batch])``.  One buffer owned by this
+            stream is yielded every time: the caller may add to it in
+            place, and it is valid only until the stream is advanced.
+            Overrides must not keep it (or views of ``w``) past the solve.
+        """
+        out = np.empty(self.n_params, dtype=np.float64)
+        for order in orders:
+            for start in range(0, len(order), batch_size):
+                batch = order[start : start + batch_size]
+                self.set_params(w)
+                out[:] = self.gradient(X[batch], y[batch])
+                yield out
 
     def clone(self) -> "FederatedModel":
         """A structurally identical model with independently-owned parameters.

@@ -9,11 +9,19 @@ runtime.  Correctness is cross-checked against the autograd engine in
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .base import FederatedModel
+
+
+#: Bytes of float64 rows one gather of the solve loop may hold.  Large
+#: enough that a Synthetic-sized device's epoch is one gather; small enough
+#: that the buffer stays in cache and under malloc's mmap threshold (a
+#: per-epoch copy of an MNIST-sized device is not: it cost ~150 page faults
+#: per solve, more than the per-step gathers it replaced).
+_GATHER_BYTES = 1 << 16
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -93,41 +101,128 @@ class MultinomialLogisticRegression(FederatedModel):
     def _scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.W + self.b
 
-    def _forward_nll(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> Tuple[float, np.ndarray, np.ndarray]:
-        """One softmax forward pass: ``(nll, log_probs, label_indices)``.
+    def _log_probs(self, X: np.ndarray) -> np.ndarray:
+        """The softmax forward pass, up to the log-probabilities."""
+        return _log_softmax(self._scores(np.asarray(X, dtype=np.float64)))
 
-        Shared by :meth:`loss` and :meth:`loss_and_gradient` so the fused
-        path never runs the forward twice.
-        """
-        log_probs = _log_softmax(self._scores(np.asarray(X, dtype=np.float64)))
-        idx = np.arange(len(y))
-        nll = -log_probs[idx, np.asarray(y)].mean()
+    def _nll(self, log_probs: np.ndarray, y: np.ndarray) -> float:
+        """Mean negative log-likelihood (plus the L2 penalty) of a forward."""
+        nll = -log_probs[np.arange(len(y)), np.asarray(y)].mean()
         if self.l2 > 0:
             nll += 0.5 * self.l2 * float(np.sum(self.W**2) + np.sum(self.b**2))
-        return float(nll), log_probs, idx
+        return float(nll)
 
-    def loss(self, X: np.ndarray, y: np.ndarray) -> float:
-        return self._forward_nll(X, y)[0]
-
-    def loss_and_gradient(self, X: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        nll, log_probs, idx = self._forward_nll(X, y)
-
+    def _backward(
+        self, X: np.ndarray, y: np.ndarray, log_probs: np.ndarray
+    ) -> np.ndarray:
+        """Flat gradient of the mean loss given the forward's ``log_probs``."""
         delta = np.exp(log_probs)
-        delta[idx, y] -= 1.0
+        delta[np.arange(len(y)), y] -= 1.0
         delta /= len(y)
         grad_w = X.T @ delta
         grad_b = delta.sum(axis=0)
         if self.l2 > 0:
             grad_w = grad_w + self.l2 * self.W
             grad_b = grad_b + self.l2 * self.b
-        return nll, np.concatenate([grad_w.reshape(-1), grad_b])
+        return np.concatenate([grad_w.reshape(-1), grad_b])
+
+    def loss(self, X: np.ndarray, y: np.ndarray) -> float:
+        return self._nll(self._log_probs(X), y)
+
+    def loss_and_gradient(self, X: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+        """One forward pass shared by the loss and the gradient."""
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y)
+        log_probs = self._log_probs(X)
+        return self._nll(log_probs, y), self._backward(X, y, log_probs)
 
     def gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.loss_and_gradient(X, y)[1]
+        """Gradient only: the forward stops at ``log_probs``, no NLL."""
+        X = np.asarray(X, dtype=np.float64)
+        return self._backward(X, np.asarray(y), self._log_probs(X))
+
+    def minibatch_gradients(
+        self,
+        w: np.ndarray,
+        X: np.ndarray,
+        y: np.ndarray,
+        orders: Iterable[np.ndarray],
+        batch_size: int,
+    ) -> Iterator[np.ndarray]:
+        """The solve loop's gradient stream without per-step allocations.
+
+        Same operations, in the same order, as the default (``set_params``
+        then :meth:`gradient` on ``X[batch], y[batch]``) — bit-identical
+        output — rearranged so that nothing is allocated after the first
+        step: ``W``/``b`` and the two gradient blocks are views of the flat
+        ``w`` and of the yielded buffer (no parameter copy, no
+        ``concatenate``); rows are gathered, and converted to float64, a
+        run of whole batches at a time into a reused buffer so a batch is
+        a contiguous slice of it; every ufunc writes ``out=``; and the
+        label scatter is ``delta -= onehot`` (``x - 0.0 == x`` off the
+        label).  The model's own ``W``/``b`` are not touched.
+        """
+        X, y = np.asarray(X), np.asarray(y)
+        dim, classes, l2 = self.dim, self.num_classes, self.l2
+        split = dim * classes
+        W = w[:split].reshape(dim, classes)
+        b = w[split:]
+        out = np.empty(self.n_params)
+        grad_w = out[:split].reshape(dim, classes)
+        grad_b = out[split:]
+        if l2 > 0:
+            l2_w, l2_b = np.empty_like(W), np.empty_like(b)
+
+        # One gather serves as many whole batches as fit _GATHER_BYTES
+        # (a small device's whole epoch; one batch when rows are wide).
+        per_gather = max(1, _GATHER_BYTES // (batch_size * dim * 8))
+        gather_rows = min(per_gather * batch_size, len(y))
+        rows_buf = np.empty((gather_rows, dim))
+        raw_buf = rows_buf  # float64 features need no conversion pass
+        if X.dtype != np.float64:
+            raw_buf = np.empty((gather_rows, dim), X.dtype)
+        labels_buf = np.empty(gather_rows, y.dtype)
+        onehot_buf = np.empty((gather_rows, classes))
+        arange = np.arange(gather_rows)
+
+        batch_rows = min(batch_size, gather_rows)
+        scores_buf = np.empty((batch_rows, classes))
+        exp_buf = np.empty((batch_rows, classes))
+        red_buf = np.empty((batch_rows, 1))
+
+        for order in orders:
+            for first in range(0, len(order), gather_rows):
+                idx = order[first : first + gather_rows]
+                k = len(idx)
+                X.take(idx, axis=0, out=raw_buf[:k], mode="clip")
+                if raw_buf is not rows_buf:
+                    np.copyto(rows_buf[:k], raw_buf[:k], casting="unsafe")
+                y.take(idx, out=labels_buf[:k], mode="clip")
+                onehot_buf[:k] = 0.0
+                onehot_buf[arange[:k], labels_buf[:k]] = 1.0
+
+                for start in range(0, k, batch_size):
+                    stop = min(start + batch_size, k)
+                    Xb = rows_buf[start:stop]
+                    m = stop - start  # < batch_size on a short final batch
+                    scores, expd, red = scores_buf[:m], exp_buf[:m], red_buf[:m]
+                    np.matmul(Xb, W, out=scores)
+                    scores += b
+                    np.maximum.reduce(scores, axis=1, keepdims=True, out=red)
+                    scores -= red  # shifted
+                    np.exp(scores, out=expd)
+                    np.add.reduce(expd, axis=1, keepdims=True, out=red)
+                    np.log(red, out=red)
+                    scores -= red  # log_probs
+                    delta = np.exp(scores, out=scores)
+                    delta -= onehot_buf[start:stop]
+                    delta /= m
+                    np.matmul(Xb.T, delta, out=grad_w)
+                    np.add.reduce(delta, axis=0, out=grad_b)
+                    if l2 > 0:
+                        grad_w += np.multiply(W, l2, out=l2_w)
+                        grad_b += np.multiply(b, l2, out=l2_b)
+                    yield out
 
     @property
     def supports_stacked_local_solve(self) -> bool:
@@ -227,7 +322,7 @@ class MultinomialLogisticRegression(FederatedModel):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class probabilities for each row of ``X``."""
-        return np.exp(_log_softmax(self._scores(np.asarray(X, dtype=np.float64))))
+        return np.exp(self._log_probs(X))
 
     def spawn_replica(self) -> "MultinomialLogisticRegression":
         """Everything is plain NumPy state, so a clone pickles cheaply."""

@@ -7,15 +7,12 @@ SGD inside the same FedProx server loop.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from .base import BatchSchedule, LocalSolver
-from .proximal import LocalObjective
+from .base import MiniBatchSolver
 
 
-class AdamSolver(LocalSolver):
+class AdamSolver(MiniBatchSolver):
     """Mini-batch Adam with bias correction.
 
     Moment state is reset at every local solve, matching the federated
@@ -51,48 +48,17 @@ class AdamSolver(LocalSolver):
         self.eps = float(eps)
         self.batch_size = int(batch_size)
 
-    def solve(
-        self,
-        objective: LocalObjective,
-        w_start: np.ndarray,
-        epochs: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        w = np.array(w_start, dtype=np.float64, copy=True)
-        m = np.zeros_like(w)
-        v = np.zeros_like(w)
-        step = 0
-        schedule = BatchSchedule(objective.n_samples, self.batch_size, epochs)
-        for batch in schedule.batches(rng):
-            step += 1
-            grad = objective.gradient(w, batch)
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad**2
-            m_hat = m / (1 - self.beta1**step)
-            v_hat = v / (1 - self.beta2**step)
-            w -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-        return w
-
     def describe(self) -> str:
         return (
             f"Adam(lr={self.learning_rate}, B={self.batch_size}, "
             "stacked=yes, stateless=per-solve)"
         )
 
-    # Stacked cohort protocol -------------------------------------------- #
-    @property
-    def supports_stacked_solve(self) -> bool:
-        return True
-
-    def stacked_plan(
-        self, n_samples: int, epochs: float, rng: np.random.Generator
-    ) -> List[np.ndarray]:
-        return BatchSchedule(n_samples, self.batch_size, epochs).materialize(rng)
-
+    # The update rule ---------------------------------------------------- #
     def stacked_state(self, shape: tuple) -> dict:
-        # Fresh zeroed moments per cohort solve: the stateless-device
-        # contract (moment state never leaks across rounds) holds exactly
-        # as in the scalar path, where solve() re-zeros m and v.
+        # Fresh zeroed moments per solve, scalar or cohort: the
+        # stateless-device contract (moment state never leaks across
+        # rounds).
         return {
             "m": np.zeros(shape, dtype=np.float64),
             "v": np.zeros(shape, dtype=np.float64),
@@ -115,13 +81,13 @@ class AdamSolver(LocalSolver):
         v = state["v"][:a]
         scratch = state["scratch"][:a]
         scratch2 = state["scratch2"][:a]
-        # m = beta1 * m + (1 - beta1) * grad, same association as scalar.
+        # m = beta1 * m + (1 - beta1) * grad
         np.multiply(m, self.beta1, out=m)
         np.multiply(G, 1 - self.beta1, out=scratch)
         m += scratch
         # v = beta2 * v + (1 - beta2) * grad**2
         np.multiply(v, self.beta2, out=v)
-        np.power(G, 2, out=scratch)
+        np.square(G, out=scratch)  # what ``grad**2`` evaluates
         np.multiply(scratch, 1 - self.beta2, out=scratch)
         v += scratch
         if isinstance(step, np.ndarray):
@@ -142,6 +108,6 @@ class AdamSolver(LocalSolver):
 
     def stacked_reset(self, state: dict, rows) -> None:
         # A lane recycled for a new client chain starts from zeroed
-        # moments, exactly as the scalar solve() re-zeros m and v.
+        # moments, as a scalar solve's fresh state does.
         state["m"][rows] = 0.0
         state["v"][rows] = 0.0

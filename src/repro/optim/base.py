@@ -16,6 +16,17 @@ Determinism: a schedule consumes the supplied ``rng`` exactly one
 fast path (:mod:`repro.runtime.cohort`) relies on this to replay the same
 batch sequence the scalar solvers draw, making both paths bit-comparable.
 
+The scalar solve loop
+---------------------
+There is one: :meth:`MiniBatchSolver.solve`.  It streams the subproblem's
+mini-batch gradients from
+:meth:`LocalObjective.minibatch_gradients
+<repro.optim.proximal.LocalObjective.minibatch_gradients>` — which reads
+the iterate in place and yields one reused buffer — and applies the
+solver's update rule to each.  The rule is the solver's ``stacked_step``
+below, run on the ``(1, d)`` view of the iterate, so a mini-batch solver
+is its update rule and nothing else.
+
 Stacked (cohort) solve protocol
 -------------------------------
 Solvers that can run many clients' local solves simultaneously over a
@@ -35,10 +46,11 @@ implement three hooks used by :class:`repro.runtime.cohort.CohortExecutor`:
     common case when each lane runs a single client chain — or an ``(A,)``
     ``int64`` array of per-row 1-based local steps, which the skew-aware
     packing planner passes when lanes at different chain offsets share a
-    kernel segment.  Must perform the same floating-point operations, in
-    the same order, as one scalar ``solve`` iteration so the two paths
-    agree bitwise (step-dependent solvers like Adam must make the array
-    branch numerically identical to the scalar exponentiation).
+    kernel segment.  Every row must get the floating-point operations,
+    in the same order, that it would get as a cohort of one — the scalar
+    solve is exactly that call — so the two paths agree bitwise
+    (step-dependent solvers like Adam must make the array branch
+    numerically identical to the scalar exponentiation).
 ``stacked_reset(state, rows)``
     Re-zero any per-row solver state (momentum velocity, Adam moments)
     when a lane is recycled for a *new* client chain mid-solve.  ``rows``
@@ -103,24 +115,40 @@ class BatchSchedule:
         The final partial batch is kept, matching common SGD practice and
         the reference implementation's behaviour.
         """
-        order = rng.permutation(self.n_samples)
-        if self.batch_size >= self.n_samples:
-            return [order]
+        return self._split(rng.permutation(self.n_samples))
+
+    def _split(self, order: np.ndarray) -> List[np.ndarray]:
+        """Consecutive ``batch_size`` runs of ``order`` (last may be short)."""
         return [
             order[start : start + self.batch_size]
-            for start in range(0, self.n_samples, self.batch_size)
+            for start in range(0, len(order), self.batch_size)
         ]
+
+    def epoch_orders(self, rng: np.random.Generator) -> Iterator[np.ndarray]:
+        """Yield each started epoch's visiting order, cut to the budget.
+
+        One ``permutation`` draw per started epoch; consecutive
+        ``batch_size`` runs of a yielded array (the last may be shorter)
+        are that epoch's mini-batches, so the final epoch of a fractional
+        budget yields only the prefix it gets to visit.  This is the form
+        :meth:`FederatedModel.minibatch_gradients
+        <repro.models.base.FederatedModel.minibatch_gradients>` consumes —
+        a model may gather an epoch's rows once and slice batches from the
+        copy.
+        """
+        left = self.total
+        per_epoch = self.per_epoch
+        while left > 0:
+            order = rng.permutation(self.n_samples)
+            if left < per_epoch:
+                order = order[: left * self.batch_size]
+            yield order
+            left -= per_epoch
 
     def batches(self, rng: np.random.Generator) -> Iterator[np.ndarray]:
         """Yield :attr:`total` mini-batches, reshuffling at epoch starts."""
-        done = 0
-        total = self.total
-        while done < total:
-            for batch in self.one_epoch(rng):
-                yield batch
-                done += 1
-                if done >= total:
-                    return
+        for order in self.epoch_orders(rng):
+            yield from self._split(order)
 
     def materialize(self, rng: np.random.Generator) -> List[np.ndarray]:
         """The full batch sequence as a list (for the cohort planner)."""
@@ -251,3 +279,47 @@ class LocalSolver(abc.ABC):
         lane back-to-back.  The default is a no-op, correct for stateless
         solvers whose workspace holds only scratch buffers.
         """
+
+
+class MiniBatchSolver(LocalSolver):
+    """A solver that applies one update rule per scheduled mini-batch.
+
+    Subclasses set ``batch_size`` and write their rule once, as
+    :meth:`stacked_step` (with :meth:`stacked_state` / :meth:`stacked_reset`
+    for per-row state); both execution paths run it.  The cohort executor
+    applies it to the ``(A, d)`` active rows; :meth:`solve` below applies
+    it to the one-row view of a single iterate, fed by the objective's
+    streamed mini-batch gradients — so the scalar and stacked paths share
+    every floating-point operation of the update by construction, and no
+    solver owns a batching loop.
+    """
+
+    batch_size: int
+
+    def solve(
+        self,
+        objective: LocalObjective,
+        w_start: np.ndarray,
+        epochs: float,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        w = np.array(w_start, dtype=np.float64, copy=True)
+        schedule = BatchSchedule(objective.n_samples, self.batch_size, epochs)
+        W = w[None, :]
+        state = self.stacked_state(W.shape)
+        # The stream reads ``w`` in place at every step and yields one
+        # reused buffer (see LocalObjective.minibatch_gradients).
+        for step, grad in enumerate(
+            objective.minibatch_gradients(w, schedule, rng), start=1
+        ):
+            self.stacked_step(W, grad[None, :], state, step)
+        return w
+
+    @property
+    def supports_stacked_solve(self) -> bool:
+        return True
+
+    def stacked_plan(
+        self, n_samples: int, epochs: float, rng: np.random.Generator
+    ) -> List[np.ndarray]:
+        return BatchSchedule(n_samples, self.batch_size, epochs).materialize(rng)

@@ -15,11 +15,14 @@ with the DANE gradient correction ``<grad_f_estimate - grad_F_k(w_t), w>``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..models.base import FederatedModel
+
+if TYPE_CHECKING:  # base.py imports this module
+    from .base import BatchSchedule
 
 
 class LocalObjective:
@@ -32,8 +35,10 @@ class LocalObjective:
         The objective owns the model for the duration of the solve; callers
         should not mutate it concurrently.
     X, y:
-        The device's local training data (full arrays; mini-batching is
-        done via the ``indices`` argument of :meth:`gradient`).
+        The device's local training data, one row per sample (full
+        arrays; solvers mini-batch through :meth:`minibatch_gradients`,
+        the ``indices`` argument of :meth:`gradient` serves one-off
+        queries).
     w_ref:
         The anchor point ``w_t`` (the global model at round start).  May be
         ``None`` when ``mu == 0``.
@@ -58,6 +63,10 @@ class LocalObjective:
             raise ValueError(f"mu must be non-negative, got {mu}")
         if mu > 0 and w_ref is None:
             raise ValueError("w_ref is required when mu > 0")
+        if len(X) != len(y):
+            raise ValueError(
+                f"LocalObjective: X has {len(X)} rows but y has {len(y)} labels"
+            )
         self.model = model
         self.X = X
         self.y = y
@@ -93,6 +102,39 @@ class LocalObjective:
         if self.correction is not None:
             grad = grad + self.correction
         return grad
+
+    def minibatch_gradients(
+        self,
+        w: np.ndarray,
+        schedule: "BatchSchedule",
+        rng: np.random.Generator,
+    ) -> Iterator[np.ndarray]:
+        """Stream ``∇h_k`` over ``schedule``'s mini-batches, in order.
+
+        The one path every mini-batch solver steps through.  ``w`` is the
+        solver's float64 iterate and is *read in place*: the solver
+        updates it between steps and each gradient is evaluated at its
+        value at that moment.  Every yielded array is the same reused
+        buffer (proximal term and correction already added), valid until
+        the stream is advanced — copy it to keep it.  Draws from ``rng``
+        exactly as ``schedule.batches(rng)`` does, and yields
+        ``schedule.total`` gradients equal, bit for bit, to
+        ``self.gradient(w, batch)`` on those batches.
+        """
+        stream = self.model.minibatch_gradients(
+            w, self.X, self.y, schedule.epoch_orders(rng), schedule.batch_size
+        )
+        mu, w_ref, correction = self.mu, self.w_ref, self.correction
+        if mu > 0:
+            prox = np.empty_like(w)
+        for grad in stream:
+            if mu > 0:
+                np.subtract(w, w_ref, out=prox)
+                np.multiply(prox, mu, out=prox)
+                grad += prox
+            if correction is not None:
+                grad += correction
+            yield grad
 
     def loss_and_gradient(self, w: np.ndarray) -> Tuple[float, np.ndarray]:
         """Full-data value and gradient of ``h_k`` at ``w``."""

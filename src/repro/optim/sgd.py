@@ -7,23 +7,25 @@ with FedAvg").  :class:`GDSolver` performs full-batch gradient descent and
 framework's solver-agnosticism in the ablation benchmarks.
 
 All three implement the stacked cohort protocol (see
-:mod:`repro.optim.base`): their ``stacked_step`` performs the same
-floating-point operations as one scalar iteration, applied row-wise to a
-``(K, d)`` cohort matrix with preallocated workspace buffers, so the
-cohort fast path reproduces the scalar path bit for bit.
+:mod:`repro.optim.base`).  The two mini-batch solvers write their update
+rule once, as ``stacked_step`` over preallocated workspace buffers:
+:class:`~repro.optim.base.MiniBatchSolver` runs it on a one-row view for a
+scalar solve and the cohort executor on a ``(K, d)`` matrix, so both paths
+perform the same floating-point operations.  :class:`GDSolver` keeps its
+own full-batch loop, whose ``stacked_step`` mirrors it row-wise.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from .base import BatchSchedule, LocalSolver
+from .base import LocalSolver, MiniBatchSolver
 from .proximal import LocalObjective
 
 
-class SGDSolver(LocalSolver):
+class SGDSolver(MiniBatchSolver):
     """Mini-batch SGD with a constant step size.
 
     Parameters
@@ -43,33 +45,10 @@ class SGDSolver(LocalSolver):
         self.learning_rate = float(learning_rate)
         self.batch_size = int(batch_size)
 
-    def solve(
-        self,
-        objective: LocalObjective,
-        w_start: np.ndarray,
-        epochs: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        w = np.array(w_start, dtype=np.float64, copy=True)
-        schedule = BatchSchedule(objective.n_samples, self.batch_size, epochs)
-        for batch in schedule.batches(rng):
-            grad = objective.gradient(w, batch)
-            w -= self.learning_rate * grad
-        return w
-
     def describe(self) -> str:
         return f"SGD(lr={self.learning_rate}, B={self.batch_size})"
 
-    # Stacked cohort protocol -------------------------------------------- #
-    @property
-    def supports_stacked_solve(self) -> bool:
-        return True
-
-    def stacked_plan(
-        self, n_samples: int, epochs: float, rng: np.random.Generator
-    ) -> List[np.ndarray]:
-        return BatchSchedule(n_samples, self.batch_size, epochs).materialize(rng)
-
+    # The update rule: w <- w - lr * g ---------------------------------- #
     def stacked_state(self, shape: tuple) -> dict:
         return {"scratch": np.empty(shape, dtype=np.float64)}
 
@@ -81,7 +60,7 @@ class SGDSolver(LocalSolver):
         np.subtract(W, scratch, out=W)
 
 
-class MomentumSGDSolver(LocalSolver):
+class MomentumSGDSolver(MiniBatchSolver):
     """Heavy-ball SGD: ``v <- beta v + g``, ``w <- w - lr v``."""
 
     def __init__(
@@ -93,38 +72,13 @@ class MomentumSGDSolver(LocalSolver):
         self.momentum = float(momentum)
         self.batch_size = int(batch_size)
 
-    def solve(
-        self,
-        objective: LocalObjective,
-        w_start: np.ndarray,
-        epochs: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        w = np.array(w_start, dtype=np.float64, copy=True)
-        velocity = np.zeros_like(w)
-        schedule = BatchSchedule(objective.n_samples, self.batch_size, epochs)
-        for batch in schedule.batches(rng):
-            grad = objective.gradient(w, batch)
-            velocity = self.momentum * velocity + grad
-            w -= self.learning_rate * velocity
-        return w
-
     def describe(self) -> str:
         return (
             f"MomentumSGD(lr={self.learning_rate}, beta={self.momentum}, "
             f"B={self.batch_size})"
         )
 
-    # Stacked cohort protocol -------------------------------------------- #
-    @property
-    def supports_stacked_solve(self) -> bool:
-        return True
-
-    def stacked_plan(
-        self, n_samples: int, epochs: float, rng: np.random.Generator
-    ) -> List[np.ndarray]:
-        return BatchSchedule(n_samples, self.batch_size, epochs).materialize(rng)
-
+    # The update rule: v <- beta v + g, w <- w - lr v -------------------- #
     def stacked_state(self, shape: tuple) -> dict:
         return {
             "velocity": np.zeros(shape, dtype=np.float64),
@@ -145,7 +99,8 @@ class MomentumSGDSolver(LocalSolver):
         np.subtract(W, scratch, out=W)
 
     def stacked_reset(self, state: dict, rows) -> None:
-        # A fresh chain starts from zero velocity, as scalar solve() does.
+        # A fresh chain starts from zero velocity, as every scalar solve
+        # does (it builds a new state).
         state["velocity"][rows] = 0.0
 
 
