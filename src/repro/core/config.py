@@ -81,8 +81,10 @@ class EvalConfig:
     sampled strategy.  ``train_every`` skips the per-round training-loss
     evaluation on intermediate rounds (records hold ``None`` there) —
     independent of ``every``, which gates the test/dissimilarity
-    evaluation.  ``mode`` picks the evaluation kernel (``"auto"`` /
-    ``"stacked"`` / ``"per_client"``, see :mod:`repro.runtime.evaluation`).
+    evaluation.  ``mode`` picks the full-census evaluation kernel
+    (``"auto"`` / ``"stacked"`` / ``"per_client"``, see
+    :mod:`repro.runtime.evaluation`); a sampled accuracy estimate stacks
+    only its own sample's rows whatever the mode, with identical values.
     """
 
     every: int = 1

@@ -183,6 +183,8 @@ class EagerClientStore(ClientStore):
         return len(self.clients)
 
     def get(self, client_id: int) -> ClientData:
+        if client_id < 0:  # the list would wrap; too-large ids raise below
+            raise IndexError(f"client {client_id} out of range")
         return self.clients[client_id]
 
     @property
@@ -277,7 +279,10 @@ class OnDemandSyntheticStore(ClientStore):
         self.size_cap = size_cap
         self.min_samples = int(min_samples)
         self.cache_clients = int(cache_clients)
-        self._cov_diag = _input_covariance_diag()
+        self._input_scale = np.sqrt(_input_covariance_diag())
+        # Input-draw workspace, grown to the largest client materialized so
+        # far (never ``_sizes.max()``: ~10^5 rows under ``size_cap=None``).
+        self._scratch: Optional[np.ndarray] = None
 
         sizes_rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, _SIZES_SALT])
@@ -318,24 +323,24 @@ class OnDemandSyntheticStore(ClientStore):
         )
         n = int(self._sizes[client_id])
         if self.iid:
-            W, b = self._shared_W, self._shared_b
-            X = rng.normal(
-                loc=0.0,
-                scale=np.sqrt(self._cov_diag),
-                size=(n, NUM_FEATURES),
-            )
+            W, b, v_k = self._shared_W, self._shared_b, 0.0
         else:
             u_k = rng.normal(0.0, np.sqrt(self.alpha)) if self.alpha > 0 else 0.0
             B_k = rng.normal(0.0, np.sqrt(self.beta)) if self.beta > 0 else 0.0
             W = rng.normal(u_k, 1.0, size=(NUM_FEATURES, NUM_CLASSES))
             b = rng.normal(u_k, 1.0, size=NUM_CLASSES)
             v_k = rng.normal(B_k, 1.0, size=NUM_FEATURES)
-            X = rng.normal(
-                loc=v_k,
-                scale=np.sqrt(self._cov_diag),
-                size=(n, NUM_FEATURES),
-            )
+        # ``rng.normal(v_k, scale, size=(n, d))`` bit for bit (same stream,
+        # row-major fill, ``v + s*z`` per element) without NumPy's
+        # per-element broadcast loop or a fresh block per get (DESIGN §13).
+        if self._scratch is None or len(self._scratch) < n:
+            self._scratch = np.empty((n, NUM_FEATURES))
+        X = self._scratch[:n]
+        rng.standard_normal(out=X)
+        X *= self._input_scale
+        X += v_k
         y = _softmax_labels(X, W, b)
+        # The split gathers (copies) rows, so nothing returned aliases X.
         return train_test_split_client(
             client_id, X, y, rng, test_fraction=self.test_fraction
         )
@@ -357,6 +362,7 @@ class OnDemandSyntheticStore(ClientStore):
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_cache"] = None
+        state["_scratch"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -33,9 +33,10 @@ the exhaustive oracle with a survey estimate:
   — ground truth anchoring the sampled series, bit-identical to what an
   unsampled run would have recorded on those rounds.
 
-The sampled path streams per-device forwards through the trainer's client
-pool, so on a lazily-materializing store each evaluation materializes
-O(sample size) devices, not the federation.
+The sampled path reads devices through the trainer's client pool, so on a
+lazily-materializing store each evaluation materializes O(sample size)
+devices, not the federation; test accuracy runs one stacked forward per
+block of the sample's held-out rows, train loss one forward per device.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from ..telemetry import resolve_telemetry
+from .evaluation import STACKED_EVAL_BLOCK
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
     from ..core.client import Client
@@ -302,14 +304,10 @@ class SampledEvaluator:
     ) -> EvalEstimate:
         t0 = time.perf_counter() if self.telemetry.enabled else 0.0
         picks = self.sampler.sample(round_idx, self.sample_size)
-        values = {}
-        for pick in picks:
-            for cid in pick:
-                cid = int(cid)
-                if weights[cid] > 0:
-                    values[cid] = measure(self.clients[cid], w)
-                else:  # zero weight: never evaluated, contributes nothing
-                    values[cid] = 0.0
+        sampled = [int(cid) for pick in picks for cid in pick]
+        # Zero weight: never evaluated (nor fetched), contributes nothing.
+        values = dict.fromkeys(sampled, 0.0)
+        values.update(measure(w, [cid for cid in sampled if weights[cid] > 0]))
         value, halfwidth = _stratified_estimate(
             self.sampler.strata, picks, values, weights
         )
@@ -343,7 +341,9 @@ class SampledEvaluator:
             w,
             round_idx,
             self._train_weights,
-            lambda client, w_: client.train_loss(w_),
+            lambda w_, cids: {
+                cid: self.clients[cid].train_loss(w_) for cid in cids
+            },
             "eval:sampled_train_loss",
         )
 
@@ -356,15 +356,48 @@ class SampledEvaluator:
                 sample_size=self._num_clients,
                 full=True,
             )
-
-        def accuracy(client: "Client", w_: np.ndarray) -> float:
-            correct, total = client.test_metrics(w_)
-            return correct / total if total else 0.0
-
         return self._estimate(
             w,
             round_idx,
             self._test_weights,
-            accuracy,
+            self._accuracies,
             "eval:sampled_test_accuracy",
         )
+
+    def _accuracies(self, w: np.ndarray, cids: Sequence[int]) -> dict:
+        """Held-out accuracy of each device in ``cids`` under ``w``.
+
+        A client pool whose model advertises ``supports_stacked_eval`` has
+        the devices' test rows stacked and predicted a block at a time;
+        ``np.add.reduceat`` recovers each device's integer correct-count,
+        so the values equal the per-device loop every other case takes.
+        ``EvalConfig.mode`` is not consulted: it picks the full-census
+        kernel, whose stacked form caches the whole federation, while this
+        stack is the sample's rows only and is dropped on return.
+        """
+        model = getattr(self.clients, "model", None)
+        if not getattr(model, "supports_stacked_eval", False):
+            out = {}
+            for cid in cids:
+                correct, total = self.clients[cid].test_metrics(w)
+                out[cid] = correct / total if total else 0.0
+            return out
+        out = dict.fromkeys(cids, 0.0)
+        # reduceat cannot express an empty segment: skip rowless devices.
+        held_out = [
+            (cid, d) for cid in cids if (d := self.clients[cid].data).num_test
+        ]
+        if not held_out:
+            return out
+        X = np.concatenate([d.test_x for _, d in held_out])
+        y = np.concatenate([d.test_y for _, d in held_out])
+        block = model.stacked_eval_block_rows or STACKED_EVAL_BLOCK
+        model.set_params(w)
+        predicted = np.concatenate(
+            [model.predict(X[lo : lo + block]) for lo in range(0, len(y), block)]
+        )
+        starts = np.cumsum([0] + [d.num_test for _, d in held_out[:-1]])
+        correct = np.add.reduceat(predicted == y, starts, dtype=np.intp)
+        for (cid, d), hits in zip(held_out, correct.tolist()):
+            out[cid] = hits / d.num_test
+        return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,14 @@ from repro.datasets import (
     make_synthetic,
     make_synthetic_ondemand,
     resolve_store,
+)
+from repro.datasets.federated import ClientData, train_test_split_client
+from repro.datasets.store import _CLIENT_SALT
+from repro.datasets.synthetic import (
+    NUM_CLASSES,
+    NUM_FEATURES,
+    _input_covariance_diag,
+    _softmax_labels,
 )
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
@@ -43,6 +52,50 @@ def history_series(history):
     return (
         [r.train_loss for r in history.records],
         [r.test_accuracy for r in history.records],
+    )
+
+
+PARTS = ("train_x", "train_y", "test_x", "test_y")
+
+
+def assert_same_client(a: ClientData, b: ClientData) -> None:
+    """Bit-equality of two materializations: values, dtypes and shapes."""
+    assert a.client_id == b.client_id
+    for part in PARTS:
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.dtype == y.dtype and x.shape == y.shape, part
+        assert np.array_equal(x, y), part
+
+
+def reference_materialize(store: OnDemandSyntheticStore, client_id: int) -> ClientData:
+    """``OnDemandSyntheticStore._materialize`` as it stood before the block
+    draw, frozen here as the oracle: the inputs come from one broadcasting
+    ``rng.normal(loc, scale, size=(n, d))`` into a fresh array."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([store.seed, _CLIENT_SALT, client_id])
+    )
+    n = int(store._sizes[client_id])
+    if store.iid:
+        W, b = store._shared_W, store._shared_b
+        X = rng.normal(
+            loc=0.0,
+            scale=np.sqrt(_input_covariance_diag()),
+            size=(n, NUM_FEATURES),
+        )
+    else:
+        u_k = rng.normal(0.0, np.sqrt(store.alpha)) if store.alpha > 0 else 0.0
+        B_k = rng.normal(0.0, np.sqrt(store.beta)) if store.beta > 0 else 0.0
+        W = rng.normal(u_k, 1.0, size=(NUM_FEATURES, NUM_CLASSES))
+        b = rng.normal(u_k, 1.0, size=NUM_CLASSES)
+        v_k = rng.normal(B_k, 1.0, size=NUM_FEATURES)
+        X = rng.normal(
+            loc=v_k,
+            scale=np.sqrt(_input_covariance_diag()),
+            size=(n, NUM_FEATURES),
+        )
+    y = _softmax_labels(X, W, b)
+    return train_test_split_client(
+        client_id, X, y, rng, test_fraction=store.test_fraction
     )
 
 
@@ -113,6 +166,99 @@ class TestOnDemandStore:
         after = clone.get(3)
         np.testing.assert_array_equal(before.train_x, after.train_x)
 
+    @pytest.mark.parametrize("size_cap", [60, 1000])
+    @pytest.mark.parametrize("test_fraction", [0.0, 0.2, 0.9])
+    @pytest.mark.parametrize(
+        "alpha, beta, iid",
+        [(0.0, 0.0, False), (0.5, 0.5, False), (1.0, 1.0, False), (0.0, 0.0, True)],
+    )
+    def test_block_draw_is_bit_identical_to_broadcast_normal(
+        self, alpha, beta, iid, test_fraction, size_cap
+    ):
+        """The scratch-block materialization equals the frozen reference.
+
+        One assumption is guarded here: NumPy computes ``normal(loc, scale)``
+        as ``loc + scale * z`` from the same ziggurat stream, filled in
+        row-major order, with no fused multiply-add — so
+        ``standard_normal(out=X); X *= scale; X += loc`` yields the same
+        bytes (``iid=True`` is the ``loc=0.0`` case, ``0.0 + z*s``).  A
+        platform or NumPy build where that stops holding must fail here,
+        loudly, rather than drift a training history.
+        """
+        store = OnDemandSyntheticStore(
+            alpha, beta, num_devices=400, seed=11, iid=iid,
+            test_fraction=test_fraction, size_cap=size_cap, cache_clients=8,
+        )
+        ids = np.random.default_rng(5).choice(400, size=200, replace=False)
+        for cid in ids.tolist():
+            got = store.get(cid)
+            assert_same_client(got, reference_materialize(store, cid))
+            assert got.num_train >= 1
+            assert got.num_train == store.train_sizes[cid]
+            assert got.num_test == store.test_sizes[cid]
+
+    def test_small_client_after_large_one_sees_no_stale_rows(self):
+        store = OnDemandSyntheticStore(1.0, 1.0, num_devices=400, seed=2)
+        large, small = int(np.argmax(store._sizes)), int(np.argmin(store._sizes))
+        assert store._sizes[large] > 4 * store._sizes[small]
+        for cid in (large, small, large):
+            assert_same_client(
+                store._materialize(cid), reference_materialize(store, cid)
+            )
+
+    def test_returned_arrays_never_alias_the_scratch(self):
+        store = OnDemandSyntheticStore(
+            1.0, 1.0, num_devices=60, seed=7, cache_clients=2
+        )
+        first = store.get(0)
+        snapshot = {part: getattr(first, part).copy() for part in PARTS}
+        for cid in range(1, 60):
+            later = store.get(cid)
+            for part in PARTS:
+                assert not np.shares_memory(getattr(later, part), store._scratch)
+        for part in PARTS:
+            assert np.array_equal(getattr(first, part), snapshot[part])
+        # Evicted long ago (cache of 2): the re-get regenerates equal bytes.
+        assert store.cache_info()["evictions"] >= 57
+        again = store.get(0)
+        assert again is not first
+        assert_same_client(again, first)
+
+    def test_scratch_does_not_travel_in_a_pickle(self):
+        store = OnDemandSyntheticStore(1.0, 1.0, num_devices=200, seed=4)
+        cold = len(pickle.dumps(store))
+        large = int(np.argmax(store._sizes))
+        before = store.get(large)
+        assert store._scratch.nbytes >= 8 * NUM_FEATURES * store._sizes[large]
+        # O(metadata): neither the LRU nor the input block is serialized.
+        assert len(pickle.dumps(store)) == cold
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone._scratch is None
+        assert_same_client(clone.get(large), before)
+        assert_same_client(store.get(large), before)
+
+    def test_scratch_is_sized_by_clients_seen_not_by_the_largest_device(self):
+        store = OnDemandSyntheticStore(
+            1.0, 1.0, num_devices=20_000, seed=0, size_cap=None
+        )
+        sizes = store._sizes
+        assert sizes.max() > 50_000  # sizing by it would be > 24 MB per get
+        small = int(np.argmin(sizes))
+        assert sizes[small] <= 60
+        tracemalloc.start()
+        try:
+            store.get(small)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+        # Grow-only, to the largest client materialized so far.
+        assert len(store._scratch) == sizes[small]
+        medium = int(np.argmin(np.abs(sizes - 500)))
+        store.get(medium)
+        store._materialize(small)
+        assert len(store._scratch) == sizes[medium] > sizes[small]
+
     def test_factory_builds_lazy_dataset(self):
         dataset = make_synthetic_ondemand(1.0, 1.0, num_devices=40, seed=2)
         assert dataset.is_lazy
@@ -161,6 +307,16 @@ class TestMmapShardStore:
             np.testing.assert_array_equal(eager.test_x, lazy.test_x)
             np.testing.assert_array_equal(eager.test_y, lazy.test_y)
 
+    def test_reopened_shard_equals_eager_arrays(self, packed):
+        """A shard evicted from the handle LRU and opened again reads the
+        same bytes."""
+        source, _ = packed
+        store = MmapShardStore(packed[1].directory, max_open_shards=1)
+        for _ in range(2):
+            for cid in (0, 8, 15, 24, 3, 20):
+                assert_same_client(store.get(cid), source[cid])
+        assert store.cache_info()["evictions"] >= 8
+
     def test_sizes_come_from_index_not_materialization(self, packed):
         source, store = packed
         np.testing.assert_array_equal(store.train_sizes, source.train_sizes)
@@ -195,6 +351,22 @@ class TestMmapShardStore:
 
 
 class TestDatasetStoreIntegration:
+    def test_get_rejects_ids_outside_the_federation(self, tmp_path):
+        """``get`` takes ids ``0 <= k < len`` on every store; negative
+        indexing is ``__getitem__``'s job."""
+        source = make_synthetic(1.0, 1.0, num_devices=6, seed=0, size_cap=80)
+        stores = [
+            source.store,
+            OnDemandSyntheticStore(1.0, 1.0, num_devices=6, seed=0),
+            MmapShardStore.pack(source, tmp_path / "s", clients_per_shard=4),
+        ]
+        for store in stores:
+            for bad in (-1, 6):
+                with pytest.raises(IndexError):
+                    store.get(bad)
+            assert store[-1].client_id == 5
+            assert store.get(5).client_id == 5
+
     def test_eager_dataset_requires_clients_or_store(self):
         with pytest.raises(ValueError):
             FederatedDataset("x", clients=None, num_classes=2)

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.core import EvalConfig, FederatedTrainer, TrainerConfig
-from repro.datasets import make_synthetic, make_synthetic_ondemand
+from repro.core.client import ClientPool
+from repro.datasets import (
+    FederatedDataset,
+    MmapShardStore,
+    make_synthetic,
+    make_synthetic_ondemand,
+)
+from repro.datasets.federated import ClientData
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
-from repro.runtime import StratifiedClientSampler
+from repro.runtime import SampledEvaluator, StratifiedClientSampler
+from repro.runtime.sampled import EvalEstimate, _stratified_estimate
 from repro.telemetry import InMemorySink, Telemetry
 
 
@@ -254,3 +263,253 @@ class TestEvalTrainEvery:
         evaluation = config.trainer_kwargs()["evaluation"]
         assert evaluation.sample_size == 42
         assert evaluation.train_every == 2
+
+
+class CountingLogReg(MultinomialLogisticRegression):
+    """Logistic regression that counts ``predict`` calls and their rows."""
+
+    block_rows = None
+    stacked = True
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.predict_rows = []
+
+    @property
+    def supports_stacked_eval(self):
+        return self.stacked
+
+    @property
+    def stacked_eval_block_rows(self):
+        return self.block_rows
+
+    def predict(self, X):
+        self.predict_rows.append(len(X))
+        return super().predict(X)
+
+
+def loop_test_accuracy(evaluator, w, round_idx):
+    """``SampledEvaluator.test_accuracy`` as it stood before the stacked
+    forward, frozen as the oracle: one transient ``Client``, one
+    ``set_params`` and one forward per sampled device."""
+    weights = evaluator._test_weights
+    t0 = time.perf_counter()
+    picks = evaluator.sampler.sample(round_idx, evaluator.sample_size)
+    values = {}
+    for pick in picks:
+        for cid in pick:
+            cid = int(cid)
+            if weights[cid] > 0:
+                correct, total = evaluator.clients[cid].test_metrics(w)
+                values[cid] = correct / total if total else 0.0
+            else:
+                values[cid] = 0.0
+    value, halfwidth = _stratified_estimate(
+        evaluator.sampler.strata, picks, values, weights
+    )
+    n_sampled = int(sum(len(p) for p in picks))
+    if evaluator.telemetry.enabled:
+        evaluator.telemetry.record_span(
+            "eval:sampled_test_accuracy",
+            time.perf_counter() - t0,
+            mode="sampled",
+            round_idx=round_idx,
+            sample_size=n_sampled,
+            ci_halfwidth=halfwidth,
+        )
+    return EvalEstimate(
+        value=value,
+        ci_halfwidth=halfwidth,
+        sample_size=n_sampled,
+        full=n_sampled >= evaluator._num_clients,
+    )
+
+
+def without_test_rows(dataset, client_ids):
+    """A copy of ``dataset`` in which ``client_ids`` hold no held-out data."""
+    clients = []
+    for data in dataset:
+        if data.client_id in client_ids:
+            data = ClientData(
+                data.client_id, data.train_x, data.train_y,
+                data.test_x[:0], data.test_y[:0],
+            )
+        clients.append(data)
+    return FederatedDataset(
+        dataset.name, clients, dataset.num_classes, dataset.input_dim
+    )
+
+
+def make_evaluator(dataset, **kwargs):
+    model = CountingLogReg(
+        dim=dataset.input_dim, num_classes=dataset.num_classes
+    )
+    pool = ClientPool(dataset, model, SGDSolver(0.05, batch_size=10))
+    return SampledEvaluator(
+        pool, dataset.train_sizes, dataset.test_sizes, **kwargs
+    )
+
+
+def random_weights(model, seed):
+    return 0.1 * np.random.default_rng(seed).standard_normal(
+        len(model.get_params())
+    )
+
+
+class TestStackedSampledAccuracy:
+    """One stacked forward per block ≡ the per-client loop, exactly."""
+
+    N = 120
+
+    @pytest.fixture(scope="class")
+    def eager(self):
+        return make_synthetic(1.0, 1.0, num_devices=self.N, seed=3, size_cap=200)
+
+    @pytest.fixture(scope="class", params=["eager", "ondemand", "mmap"])
+    def dataset(self, request, eager, tmp_path_factory):
+        if request.param == "eager":
+            return eager
+        if request.param == "ondemand":
+            return make_synthetic_ondemand(
+                1.0, 1.0, num_devices=self.N, seed=3, size_cap=200,
+                cache_clients=16,
+            )
+        directory = tmp_path_factory.mktemp("shards")
+        MmapShardStore.pack(eager, directory, clients_per_shard=16)
+        return FederatedDataset.from_store(
+            eager.name,
+            MmapShardStore(directory, max_open_shards=1),
+            eager.num_classes,
+            eager.input_dim,
+        )
+
+    @pytest.fixture(scope="class")
+    def trained(self, dataset):
+        """A few FedProx rounds, so accuracies are neither 0 nor 1."""
+        with make_trainer(dataset, seed=0) as trainer:
+            trainer.run(4)
+            return trainer.w.copy()
+
+    @pytest.mark.parametrize("strata", [1, 10])
+    @pytest.mark.parametrize("sample_size", [10, 100, 500])
+    def test_estimates_equal_the_loop(self, dataset, trained, strata, sample_size):
+        for seed in range(3):
+            evaluator = make_evaluator(
+                dataset, sample_size=sample_size, num_strata=strata, seed=seed
+            )
+            w = trained + random_weights(evaluator.clients.model, seed)
+            for round_idx in (0, 1, 17):
+                stacked = evaluator.test_accuracy(w, round_idx)
+                assert stacked == loop_test_accuracy(evaluator, w, round_idx)
+                assert stacked.full == (sample_size >= self.N)
+                if sample_size >= 100:
+                    assert 0.05 < stacked.value < 0.95
+
+    def test_one_forward_per_block_not_per_device(self, eager):
+        evaluator = make_evaluator(eager, sample_size=100, num_strata=10)
+        model = evaluator.clients.model
+        w = random_weights(model, 0)
+        evaluator.test_accuracy(w, 4)
+        picks = np.concatenate(evaluator.sampler.sample(4, 100))
+        rows = int(eager.test_sizes[picks].sum())
+        assert model.predict_rows == [2048] * (rows // 2048) + [rows % 2048]
+        model.predict_rows.clear()
+        loop_test_accuracy(evaluator, w, 4)
+        assert len(model.predict_rows) == 100
+
+    def test_block_smaller_than_one_device(self, eager):
+        evaluator = make_evaluator(eager, sample_size=40, num_strata=4, seed=2)
+        model = evaluator.clients.model
+        model.block_rows = 7
+        assert min(eager.test_sizes) > 7
+        w = random_weights(model, 1)
+        stacked = evaluator.test_accuracy(w, 3)
+        assert set(model.predict_rows[:-1]) == {7}
+        assert stacked == loop_test_accuracy(evaluator, w, 3)
+
+    def test_model_without_stacked_eval_takes_the_loop(self, eager):
+        evaluator = make_evaluator(eager, sample_size=30, num_strata=3)
+        model = evaluator.clients.model
+        model.stacked = False
+        w = random_weights(model, 2)
+        estimate = evaluator.test_accuracy(w, 1)
+        assert len(model.predict_rows) == 30
+        assert estimate == loop_test_accuracy(evaluator, w, 1)
+
+    def test_plain_client_list_takes_the_loop(self, eager):
+        pooled = make_evaluator(eager, sample_size=30, num_strata=3)
+        listed = SampledEvaluator(
+            list(pooled.clients), eager.train_sizes, eager.test_sizes,
+            sample_size=30, num_strata=3,
+        )
+        w = random_weights(pooled.clients.model, 3)
+        assert listed.test_accuracy(w, 2) == pooled.test_accuracy(w, 2)
+
+    def test_devices_without_test_rows(self, eager):
+        empty = set(range(0, self.N, 3))
+        dataset = without_test_rows(eager, empty)
+        for strata, sample_size in ((1, 10), (10, 60), (10, 500)):
+            evaluator = make_evaluator(
+                dataset, sample_size=sample_size, num_strata=strata, seed=1
+            )
+            w = random_weights(evaluator.clients.model, 4)
+            for round_idx in range(4):
+                assert evaluator.test_accuracy(w, round_idx) == loop_test_accuracy(
+                    evaluator, w, round_idx
+                )
+
+    def test_stratum_whose_sample_carries_no_weight(self, eager):
+        # The whole smallest-by-train-size stratum has no held-out data.
+        order = np.argsort(eager.train_sizes, kind="stable")
+        dataset = without_test_rows(eager, set(order[: self.N // 4].tolist()))
+        evaluator = make_evaluator(dataset, sample_size=12, num_strata=4, seed=5)
+        picks = evaluator.sampler.sample(0, 12)
+        assert dataset.test_sizes[picks[0]].sum() == 0
+        w = random_weights(evaluator.clients.model, 5)
+        assert evaluator.test_accuracy(w, 0) == loop_test_accuracy(evaluator, w, 0)
+
+    def test_client_ids_that_are_not_positions(self, eager):
+        """A re-ordered client list: results are keyed by position sampled,
+        not by the id the ``ClientData`` happens to carry."""
+        clients = list(eager)[::-1]
+        assert clients[0].client_id == self.N - 1
+        dataset = FederatedDataset(
+            eager.name, clients, eager.num_classes, eager.input_dim
+        )
+        evaluator = make_evaluator(dataset, sample_size=30, num_strata=3, seed=4)
+        w = random_weights(evaluator.clients.model, 8)
+        for round_idx in range(3):
+            estimate = evaluator.test_accuracy(w, round_idx)
+            assert estimate.value > 0
+            assert estimate == loop_test_accuracy(evaluator, w, round_idx)
+
+    def test_lazy_store_sees_one_get_per_weighted_device(self):
+        dataset = make_synthetic_ondemand(
+            1.0, 1.0, num_devices=300, seed=1, size_cap=120, cache_clients=8
+        )
+        evaluator = make_evaluator(dataset, sample_size=50, num_strata=5)
+        w = random_weights(evaluator.clients.model, 6)
+        evaluator.test_accuracy(w, 2)
+        stacked = dataset.store.cache_info()
+        dataset.store._cache.clear()
+        loop_test_accuracy(evaluator, w, 2)
+        looped = dataset.store.cache_info()
+        assert stacked["misses"] == 50
+        assert looped["misses"] - stacked["misses"] == 50
+        assert looped["hits"] == stacked["hits"] == 0
+
+    def test_span_carries_the_same_fields(self, eager):
+        spans = []
+        for measure in (SampledEvaluator.test_accuracy, loop_test_accuracy):
+            sink = InMemorySink()
+            evaluator = make_evaluator(
+                eager, sample_size=20, num_strata=5, telemetry=Telemetry([sink])
+            )
+            w = random_weights(evaluator.clients.model, 7)
+            measure(evaluator, w, 9)
+            (span,) = sink.spans("eval:sampled_test_accuracy")
+            spans.append(
+                {k: v for k, v in span.items() if k not in ("duration", "ts")}
+            )
+        assert spans[0] == spans[1]
+        assert spans[0]["sample_size"] == 20 and spans[0]["mode"] == "sampled"
