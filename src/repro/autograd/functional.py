@@ -9,9 +9,11 @@ multi-layer LSTM — the hot path of the paper's Shakespeare and Sent140
 workloads.  It participates in the autograd graph like any other op (one
 node for the whole unroll), but internally runs pure NumPy kernels over
 preallocated workspaces instead of building ~10 graph nodes per timestep.
-The graph-mode cell in :mod:`repro.nn.recurrent` remains the correctness
-oracle: the test suite checks the fused gradients against it and against
-finite differences.
+Its layer and step loops (``_lstm_forward`` / ``_lstm_backward``) are also
+the cohort path's multi-client kernels (:mod:`repro.autograd.stacked_lstm`),
+run over a tape with a leading client axis.  The graph-mode cell in
+:mod:`repro.nn.recurrent` remains the correctness oracle: the test suite
+checks the fused gradients against it and against finite differences.
 """
 
 from __future__ import annotations
@@ -166,34 +168,172 @@ def l2_norm_squared(t: Tensor) -> Tensor:
     return ops.sum_(ops.mul(t, t))
 
 
+def _steps(block: np.ndarray, lead: tuple) -> list:
+    """Per-timestep views of a ``lead + (T, ...)`` block."""
+    return list(np.moveaxis(block, len(lead), 0))
+
+
 class _LayerTape:
-    """Saved activations and gradient scratch for one LSTM layer."""
+    """Saved activations, permuted parameters and step views of one layer."""
 
-    def __init__(self, T: int, B: int, in_size: int, hidden: int) -> None:
-        H = hidden
-        # Rows 0 of ``h``/``c`` hold the zero initial state, so ``h[t]`` is
-        # the state *entering* step ``t`` and ``h[1:]`` the output sequence.
-        self.h = np.zeros((T + 1, B, H))
-        self.c = np.zeros((T + 1, B, H))
-        self.tanh_c = np.empty((T, B, H))
-        # Post-nonlinearity gate values in the kernel's internal column
-        # order [i, f, o, g] (see ``fused_lstm``), one buffer per step.
-        self.gates = np.empty((T, B, 4 * H))
-        # Internally-permuted parameter copies and gradient scratch: ``*_p``
-        # buffers hold the [i, f, o, g] layout, the others the external
-        # [i, f, g, o] layout accumulated into the parameter tensors.
-        self.w_x_p = np.empty((in_size, 4 * H))
-        self.w_h_p = np.empty((H, 4 * H))
-        self.b_p = np.empty(4 * H)
-        self.d_wx_p = np.empty((in_size, 4 * H))
-        self.d_wh_p = np.empty((H, 4 * H))
-        self.d_b_p = np.empty(4 * H)
-        self.d_wx = np.empty((in_size, 4 * H))
-        self.d_wh = np.empty((H, 4 * H))
-        self.d_b = np.empty(4 * H)
+    def __init__(self, lead: tuple, T: int, B: int, in_size: int, H: int) -> None:
+        # Row 0 of ``h``/``c`` along the time axis is the zero initial state
+        # (allocated zero, never written): step ``t`` enters at row ``t`` and
+        # leaves at row ``t + 1``.
+        self.h = np.zeros(lead + (T + 1, B, H))
+        self.c = np.zeros(lead + (T + 1, B, H))
+        self.tanh_c = np.empty(lead + (T, B, H))
+        # Post-nonlinearity gate values, and the parameters as last taken by a
+        # forward, in the kernel's internal column order [i, f, o, g].
+        self.gates = np.empty(lead + (T, B, 4 * H))
+        self.w_x_p = np.empty(lead + (in_size, 4 * H))
+        self.w_h_p = np.empty(lead + (H, 4 * H))
+        self.b_p = np.empty(lead + (4 * H,))
+        # The (T*B, ·) stacks the per-layer GEMMs read.  Of the (T+1)*B rows
+        # of ``h``, the last T*B are the output sequence and the first T*B
+        # the states entering each step: contiguous per client in either
+        # layout, so neither needs a copy.
+        rows = self.h.reshape(lead + ((T + 1) * B, H))
+        self.h_in_flat = rows[..., : T * B, :]
+        self.h_out_flat = rows[..., B:, :]
+        self.gates_flat = self.gates.reshape(lead + (T * B, 4 * H))
+        self.b_rows = self.b_p[..., None, :]  # broadcasts over gates_flat
+        h, c, tc, g = (
+            _steps(a, lead) for a in (self.h, self.c, self.tanh_c, self.gates)
+        )
+        # Per step: state in, the gate block with its [i, f, o] / i / f / o /
+        # g columns, cell in and out, tanh(cell out), state out.
+        self.steps = [
+            (
+                h[t], g[t], g[t][..., : 3 * H], g[t][..., :H], g[t][..., H : 2 * H],
+                g[t][..., 2 * H : 3 * H], g[t][..., 3 * H :],
+                c[t], c[t + 1], tc[t], h[t + 1],
+            )
+            for t in range(T)
+        ]
 
 
-class FusedLSTMWorkspace:
+class _BackwardScratch:
+    """Buffers and step views only a backward pass touches.
+
+    Built by a shape's first backward, not its first forward: the 256-row
+    evaluation shapes never run one.  One set serves every layer, since the
+    layers' sweeps run in turn.
+    """
+
+    def __init__(self, tape: "_LSTMTape") -> None:
+        lead, T, B, H = tape.lead, tape.T, tape.B, tape.H
+
+        def block(width: int) -> np.ndarray:
+            return np.empty(lead + (T, B, width))
+
+        def flat(a: np.ndarray) -> np.ndarray:
+            return a.reshape(lead + (T * B, -1))
+
+        self.dh = np.empty(lead + (B, H))
+        self.dc = np.empty(lead + (B, H))
+        self.tmp3h = np.empty(lead + (B, 3 * H))
+        self.dgates = block(4 * H)
+        self.dgates_flat = flat(self.dgates)
+        # Gradient w.r.t. a layer's output sequence.  The top layer reads
+        # dseq[0]; each layer writes the other buffer for the layer below,
+        # but only once its own sweep has ended — until then that buffer is
+        # free, and holds the sweep's ``fc`` factor (see _lstm_backward).
+        self.dseq = [block(H), block(H)]
+        self.dx = block(tape.in_size)
+        self.dx_flat = flat(self.dx)
+        # Per layer: parameter gradients in the internal column order
+        # (``grads_p``) and the external [i, f, g, o] one (``grads``), the
+        # dseq buffer the layer writes with its flat view (``below``), and
+        # the sweep's step views.
+        self.grads_p, self.grads, self.below, self.steps = [], [], [], []
+        dg = _steps(self.dgates, lead)
+        top = len(tape.layers) - 1
+        for l, lt in enumerate(tape.layers):
+            shapes = (lt.w_x_p.shape, lt.w_h_p.shape, lt.b_p.shape)
+            self.grads_p.append(tuple(np.empty(s) for s in shapes))
+            self.grads.append(tuple(np.empty(s) for s in shapes))
+            dseq_in, dseq_out = self.dseq[(top - l) % 2], self.dseq[(top - l + 1) % 2]
+            self.below.append((dseq_out, flat(dseq_out)))
+            dseq, fc = _steps(dseq_in, lead), _steps(dseq_out, lead)
+            g, c, tc = (_steps(a, lead) for a in (lt.gates, lt.c, lt.tanh_c))
+            # Per step, last step first: output gradient, ``fc``, the gate
+            # gradient block with its [i, f, o] / g columns, the i / f / g
+            # gate values, the cell entering the step, tanh(cell leaving it).
+            self.steps.append([
+                (
+                    dseq[t], fc[t], dg[t], dg[t][..., : 3 * H], dg[t][..., 3 * H :],
+                    g[t][..., :H], g[t][..., H : 2 * H], g[t][..., 3 * H :],
+                    c[t], tc[t],
+                )
+                for t in range(T - 1, -1, -1)
+            ])
+
+
+class _LSTMTape:
+    """Every buffer and per-step view of one call shape.
+
+    ``lead`` is ``()`` for :func:`fused_lstm`, whose blocks are time-major
+    ``(T, B, ·)``, and ``(K,)`` for the stacked kernels
+    (:mod:`repro.autograd.stacked_lstm`), whose blocks are ``(K, T, B, ·)``.
+    The layer loops below slice nothing themselves: they run over views
+    built here once per shape, which is all that tells the layouts apart.
+    """
+
+    def __init__(
+        self, lead: tuple, T: int, B: int, in_size: int, H: int, layers: int
+    ) -> None:
+        self.lead, self.T, self.B, self.in_size, self.H = lead, T, B, in_size, H
+        self.x = np.empty(lead + (T, B, in_size))  # the input, kernel layout
+        self.x_flat = self.x.reshape(lead + (T * B, in_size))
+        self.layers = [
+            _LayerTape(lead, T, B, in_size if l == 0 else H, H)
+            for l in range(layers)
+        ]
+        self.tmp4h = np.empty(lead + (B, 4 * H))
+        self.tmph = np.empty(lead + (B, H))
+        # Column permutation [i, f, g, o] -> [i, f, o, g]: swapping the last
+        # two blocks is an involution, so the same index array maps
+        # external->internal and back.
+        self.perm = np.concatenate(
+            [np.arange(2 * H), np.arange(3 * H, 4 * H), np.arange(2 * H, 3 * H)]
+        )
+        # sigmoid(x) = (tanh(x/2) + 1) / 2, finite for any x: halving the
+        # [i, f, o] columns and multiplying g by 1.0 (both exact) lets one
+        # tanh run over the whole contiguous gate block.
+        self.prescale = np.repeat([0.5, 1.0], [3 * H, H])
+        # The recurrent product is one dgemm per client either way; for a
+        # single client np.dot reaches it with less dispatch than matmul.
+        self.gemm = np.matmul if lead else np.dot
+        self.bwd: Optional[_BackwardScratch] = None
+
+    def backward_scratch(self) -> _BackwardScratch:
+        if self.bwd is None:
+            self.bwd = _BackwardScratch(self)
+        return self.bwd
+
+
+class _TapeCache:
+    """Tapes keyed by call shape, allocated on first use.
+
+    Tapes are scratch, and their cached views would stop aliasing their
+    buffers across a copy: a pickled or deep-copied cache starts empty.
+    """
+
+    def __init__(self) -> None:
+        self._tapes: dict = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_tapes": {}}
+
+    def _tape(self, *key) -> _LSTMTape:
+        tape = self._tapes.get(key)
+        if tape is None:
+            tape = self._tapes[key] = _LSTMTape(*key)
+        return tape
+
+
+class FusedLSTMWorkspace(_TapeCache):
     """Reusable activation tape for :func:`fused_lstm`.
 
     One workspace amortizes all per-call allocation across the minibatches
@@ -210,56 +350,113 @@ class FusedLSTMWorkspace:
     """
 
     def __init__(self) -> None:
-        self._tapes: dict = {}
+        super().__init__()
         self.generation = 0
 
-    def acquire(self, T: int, B: int, in_size: int, hidden: int, layers: int):
+    def acquire(
+        self, T: int, B: int, in_size: int, hidden: int, layers: int
+    ) -> _LSTMTape:
         """Buffers for one call shape, allocating on first use."""
-        key = (T, B, in_size, hidden, layers)
-        state = self._tapes.get(key)
-        if state is None:
-            H = hidden
-            state = {
-                "layers": [
-                    _LayerTape(T, B, in_size if l == 0 else H, H)
-                    for l in range(layers)
-                ],
-                "x_tm": np.empty((T, B, in_size)),  # time-major input copy
-                "tmp4h": np.empty((B, 4 * H)),
-                "tmp3h": np.empty((B, 3 * H)),
-                "tmph": np.empty((B, H)),
-                # Column permutation [i, f, g, o] -> [i, f, o, g]: swapping
-                # the last two blocks is an involution, so the same index
-                # array maps external->internal and back.
-                "perm": np.concatenate(
-                    [
-                        np.arange(2 * H),
-                        np.arange(3 * H, 4 * H),
-                        np.arange(2 * H, 3 * H),
-                    ]
-                ),
-                "dh": np.empty((B, H)),
-                "dc": np.empty((B, H)),
-                "dgates": np.empty((T, B, 4 * H)),
-                "dseq_a": np.empty((T, B, H)),
-                "dseq_b": np.empty((T, B, H)),
-                "dx0": np.empty((T, B, in_size)),
-            }
-            self._tapes[key] = state
         self.generation += 1
-        return state
+        return self._tape((), T, B, in_size, hidden, layers)
 
 
-def _sigmoid_inplace(a: np.ndarray) -> None:
-    """Numerically stable in-place logistic sigmoid via tanh.
+def _lstm_forward(tape: _LSTMTape, params) -> None:
+    """Every layer's forward over ``tape.x``, activations left in the tape.
 
-    ``sigmoid(x) = (tanh(x/2) + 1) / 2`` is finite for any ``x`` and needs
-    no temporaries, unlike the exp-based split form.
+    ``params`` is one ``(w_x, w_h, b)`` ndarray triple per layer in the
+    external [i, f, g, o] layout, each with the tape's leading axes.
     """
-    a *= 0.5
-    np.tanh(a, out=a)
-    a += 1.0
-    a *= 0.5
+    perm, prescale, gemm = tape.perm, tape.prescale, tape.gemm
+    tmp4h, tmph = tape.tmp4h, tape.tmph
+    inp_flat = tape.x_flat
+    for lt, (w_x, w_h, b) in zip(tape.layers, params):
+        np.take(w_x, perm, axis=-1, out=lt.w_x_p)
+        np.take(w_h, perm, axis=-1, out=lt.w_h_p)
+        np.take(b, perm, axis=-1, out=lt.b_p)
+        # Input contribution and bias of all T steps: one GEMM, one add.
+        np.matmul(inp_flat, lt.w_x_p, out=lt.gates_flat)
+        lt.gates_flat += lt.b_rows
+        w_h_p = lt.w_h_p
+        for (h_prev, g_t, ifo, i_g, f_g, o_g, g_g,
+             c_prev, c_next, tc, h_next) in lt.steps:
+            gemm(h_prev, w_h_p, out=tmp4h)
+            g_t += tmp4h
+            g_t *= prescale  # x/2 under the sigmoids, x under the tanh
+            np.tanh(g_t, out=g_t)
+            ifo += 1.0  # sigmoid(x) = (tanh(x/2) + 1) / 2
+            ifo *= 0.5
+            np.multiply(f_g, c_prev, out=c_next)
+            np.multiply(i_g, g_g, out=tmph)
+            c_next += tmph
+            np.tanh(c_next, out=tc)
+            np.multiply(o_g, tc, out=h_next)
+        inp_flat = lt.h_out_flat
+
+
+def _lstm_backward(tape: _LSTMTape, need_dx: bool) -> list:
+    """Reverse sweep of the forward last run through ``tape``.
+
+    Reads the gradient w.r.t. the top layer's output sequence from
+    ``tape.bwd.dseq[0]``; returns ``tape.bwd.grads``, one ``(d_wx, d_wh,
+    d_b)`` triple per layer in the external layout (valid until the next
+    call), and leaves the input gradient in ``tape.bwd.dx`` when ``need_dx``.
+    """
+    bw = tape.bwd
+    H, perm, gemm, tmp = tape.H, tape.perm, tape.gemm, tape.tmph
+    dh, dc, dgates_flat, tmp3h = bw.dh, bw.dc, bw.dgates_flat, bw.tmp3h
+    t_i, t_f, t_o = tmp3h[..., :H], tmp3h[..., H : 2 * H], tmp3h[..., 2 * H :]
+    dg_ifo_all, dg_g_all = bw.dgates[..., : 3 * H], bw.dgates[..., 3 * H :]
+    for l in range(len(tape.layers) - 1, -1, -1):
+        lt = tape.layers[l]
+        fc, dseq_below_flat = bw.below[l]
+        # The factors of a step's chain rule that do not depend on the
+        # recurrent state, for all T steps at once — per element the same
+        # operations in the same order as computing them inside the sweep.
+        # None needs memory of its own: o * (1 - tanh(c)^2) goes to the dseq
+        # buffer this layer writes only after its sweep, and the derivatives
+        # s * (1 - s) of [i, f, o] and 1 - g^2 go where the sweep multiplies
+        # each step's gate gradients in.
+        ifo_all, g_all = lt.gates[..., : 3 * H], lt.gates[..., 3 * H :]
+        np.multiply(lt.tanh_c, lt.tanh_c, out=fc)
+        np.subtract(1.0, fc, out=fc)
+        fc *= lt.gates[..., 2 * H : 3 * H]
+        np.subtract(1.0, ifo_all, out=dg_ifo_all)
+        dg_ifo_all *= ifo_all
+        np.multiply(g_all, g_all, out=dg_g_all)
+        np.subtract(1.0, dg_g_all, out=dg_g_all)
+        dh.fill(0.0)
+        dc.fill(0.0)
+        w_h_pT = np.swapaxes(lt.w_h_p, -1, -2)
+        for (dseq_t, fc_t, dg_t, dg_ifo, dg_g,
+             i_g, f_g, g_g, c_prev, tc) in bw.steps[l]:
+            dh += dseq_t
+            np.multiply(fc_t, dh, out=tmp)  # dc += dh * o * (1 - tanh(c)^2)
+            dc += tmp
+            # Loss gradients w.r.t. the three sigmoid gate *values*, times
+            # the sigmoid derivative over the contiguous [i, f, o] block.
+            np.multiply(dc, g_g, out=t_i)
+            np.multiply(dc, c_prev, out=t_f)
+            np.multiply(dh, tc, out=t_o)
+            dg_ifo *= tmp3h
+            dg_g *= dc  # cell candidate: dc * (1 - g^2) * i
+            dg_g *= i_g
+            dc *= f_g  # carry to step t-1
+            gemm(dg_t, w_h_pT, out=dh)
+        # Parameter gradients: one GEMM per matrix over the whole (T*B, ·)
+        # stack instead of T rank-B updates, un-permuted to [i, f, g, o].
+        d_wx_p, d_wh_p, d_b_p = bw.grads_p[l]
+        inp_flat = tape.x_flat if l == 0 else tape.layers[l - 1].h_out_flat
+        np.matmul(np.swapaxes(inp_flat, -1, -2), dgates_flat, out=d_wx_p)
+        np.matmul(np.swapaxes(lt.h_in_flat, -1, -2), dgates_flat, out=d_wh_p)
+        dgates_flat.sum(axis=-2, out=d_b_p)
+        for src, dst in zip(bw.grads_p[l], bw.grads[l]):
+            np.take(src, perm, axis=-1, out=dst)
+        if l > 0:
+            np.matmul(dgates_flat, np.swapaxes(lt.w_x_p, -1, -2), out=dseq_below_flat)
+        elif need_dx:
+            np.matmul(dgates_flat, np.swapaxes(lt.w_x_p, -1, -2), out=bw.dx_flat)
+    return bw.grads
 
 
 def fused_lstm(
@@ -275,18 +472,21 @@ def fused_lstm(
     same association order of the pre-activation sums), but executed as
     fused NumPy kernels: the input contribution ``X @ W_x`` of all ``T``
     steps is one GEMM per layer, each step touches a single
-    ``(batch, 4*hidden)`` gate buffer, and the backward sweep stores
-    per-step gate gradients so ``dW_x`` / ``dW_h`` / ``db`` reduce to one
-    fused GEMM each over the ``(T*batch, ·)`` stack.
+    ``(batch, 4*hidden)`` gate buffer through views built once per call
+    shape, and the backward sweep stores per-step gate gradients so
+    ``dW_x`` / ``dW_h`` / ``db`` reduce to one fused GEMM each over the
+    ``(T*batch, ·)`` stack.  Each step does only the work that depends on
+    the recurrent state: the backward's other factors are computed for
+    all ``T`` steps at once before the sweep.
 
     Internally the kernel permutes the gate columns to ``[i, f, o, g]`` (a
     per-column relabeling, so every value is bit-identical to the external
     ``[i, f, g, o]`` layout): the three sigmoid gates then form one
-    contiguous block, letting each step apply the sigmoid — and its
-    derivative factor in backward — with a single fused slice operation
-    instead of one per gate.  Parameters and their gradients cross the
-    boundary through ``np.take`` with preallocated buffers; the swap is its
-    own inverse.
+    contiguous block, so a step's sigmoids and its ``tanh`` are one
+    ``tanh`` over the whole gate buffer, and the sigmoid derivative in
+    backward is one slice operation instead of one per gate.  Parameters
+    and their gradients cross the boundary through ``np.take`` with
+    preallocated buffers; the swap is its own inverse.
 
     Parameters
     ----------
@@ -329,47 +529,16 @@ def fused_lstm(
             )
 
     ws = workspace if workspace is not None else FusedLSTMWorkspace()
-    st = ws.acquire(T, B, in_size, H, len(layers))
+    tape = ws.acquire(T, B, in_size, H, len(layers))
     generation = ws.generation
 
-    # Forward --------------------------------------------------------------- #
-    x_tm = st["x_tm"]
-    np.copyto(x_tm, xd.transpose(1, 0, 2))
-    tmp4h = st["tmp4h"]
-    tmph = st["tmph"]
-    perm = st["perm"]
-    inp = x_tm
-    for l, (w_x, w_h, b) in enumerate(layers):
-        tape = st["layers"][l]
-        gates, h, c = tape.gates, tape.h, tape.c
-        # Parameters in the internal [i, f, o, g] column order.
-        np.take(w_x.data, perm, axis=1, out=tape.w_x_p)
-        np.take(w_h.data, perm, axis=1, out=tape.w_h_p)
-        np.take(b.data, perm, out=tape.b_p)
-        np.matmul(inp.reshape(T * B, -1), tape.w_x_p, out=gates.reshape(T * B, 4 * H))
-        gates += tape.b_p  # one broadcast add for all T steps
-        h[0].fill(0.0)
-        c[0].fill(0.0)
-        w_h_p = tape.w_h_p
-        for t in range(T):
-            g_t = gates[t]
-            np.matmul(h[t], w_h_p, out=tmp4h)
-            g_t += tmp4h
-            _sigmoid_inplace(g_t[:, : 3 * H])       # input, forget, output
-            np.tanh(g_t[:, 3 * H :], out=g_t[:, 3 * H :])  # cell candidate
-            c_next = c[t + 1]
-            np.multiply(g_t[:, H : 2 * H], c[t], out=c_next)   # f * c_prev
-            np.multiply(g_t[:, :H], g_t[:, 3 * H :], out=tmph)  # i * g
-            c_next += tmph
-            np.tanh(c_next, out=tape.tanh_c[t])
-            np.multiply(g_t[:, 2 * H : 3 * H], tape.tanh_c[t], out=h[t + 1])
-        inp = h[1:]
-
-    top = st["layers"][-1]
+    np.copyto(tape.x, xd.transpose(1, 0, 2))  # time-major
+    _lstm_forward(tape, [(w_x.data, w_h.data, b.data) for w_x, w_h, b in layers])
+    top_h = tape.layers[-1].h
     if return_sequence:
-        out_data = np.ascontiguousarray(top.h[1:].transpose(1, 0, 2))
+        out_data = np.ascontiguousarray(top_h[1:].transpose(1, 0, 2))
     else:
-        out_data = top.h[T].copy()
+        out_data = top_h[T].copy()
 
     x_in_graph = x_t.requires_grad or bool(x_t._parents)
     parents = [p for triple in layers for p in triple]
@@ -378,7 +547,6 @@ def fused_lstm(
     if not any(p.requires_grad or p._parents for p in parents):
         return Tensor(out_data)
 
-    # Backward -------------------------------------------------------------- #
     def backward(grad: np.ndarray) -> None:
         if ws.generation != generation:
             raise RuntimeError(
@@ -387,79 +555,18 @@ def fused_lstm(
                 "node's backward pass (run backward before the next forward, "
                 "or give each concurrent graph its own workspace)"
             )
-        dgates = st["dgates"]
-        dh, dc = st["dh"], st["dc"]
-        tmp = st["tmph"]
-        tmp3h = st["tmp3h"]
-        perm = st["perm"]
-        dseq = st["dseq_a"]
+        bw = tape.backward_scratch()
+        dseq = bw.dseq[0]
         if return_sequence:
             np.copyto(dseq, np.asarray(grad).transpose(1, 0, 2))
         else:
             dseq.fill(0.0)
             dseq[T - 1] = grad
-        for l in range(len(layers) - 1, -1, -1):
-            w_x, w_h, b = layers[l]
-            tape = st["layers"][l]
-            gates, h, c, tanh_c = tape.gates, tape.h, tape.c, tape.tanh_c
-            dh.fill(0.0)
-            dc.fill(0.0)
-            w_h_p = tape.w_h_p
-            for t in range(T - 1, -1, -1):
-                dh += dseq[t]
-                g_t = gates[t]
-                i_g = g_t[:, :H]
-                f_g = g_t[:, H : 2 * H]
-                o_g = g_t[:, 2 * H : 3 * H]
-                g_g = g_t[:, 3 * H :]
-                dg_t = dgates[t]
-                # dc += dh * o * (1 - tanh(c)^2)
-                np.multiply(tanh_c[t], tanh_c[t], out=tmp)
-                np.subtract(1.0, tmp, out=tmp)
-                tmp *= o_g
-                tmp *= dh
-                dc += tmp
-                # Loss gradients w.r.t. the three sigmoid gate *values*...
-                np.multiply(dc, g_g, out=dg_t[:, :H])              # input
-                np.multiply(dc, c[t], out=dg_t[:, H : 2 * H])      # forget
-                np.multiply(dh, tanh_c[t], out=dg_t[:, 2 * H : 3 * H])  # out
-                # ...through one fused sigmoid derivative s*(1-s) over the
-                # contiguous [i, f, o] block.
-                np.subtract(1.0, g_t[:, : 3 * H], out=tmp3h)
-                tmp3h *= g_t[:, : 3 * H]
-                dg_t[:, : 3 * H] *= tmp3h
-                # cell gate: dc * i * (1 - g^2)
-                da_g = dg_t[:, 3 * H :]
-                np.multiply(g_g, g_g, out=tmp)
-                np.subtract(1.0, tmp, out=tmp)
-                np.multiply(dc, tmp, out=da_g)
-                da_g *= i_g
-                # carry to step t-1
-                dc *= f_g
-                np.matmul(dg_t, w_h_p.T, out=dh)
-            # Fused parameter accumulation: one GEMM per matrix over the
-            # whole (T*B, .) stack instead of T rank-B updates, un-permuted
-            # back to the external [i, f, g, o] column order.
-            inp_l = x_tm if l == 0 else st["layers"][l - 1].h[1:]
-            flat_dg = dgates.reshape(T * B, 4 * H)
-            np.matmul(
-                inp_l.reshape(T * B, -1).T, flat_dg, out=tape.d_wx_p
-            )
-            np.matmul(h[:T].reshape(T * B, H).T, flat_dg, out=tape.d_wh_p)
-            flat_dg.sum(axis=0, out=tape.d_b_p)
-            np.take(tape.d_wx_p, perm, axis=1, out=tape.d_wx)
-            np.take(tape.d_wh_p, perm, axis=1, out=tape.d_wh)
-            np.take(tape.d_b_p, perm, out=tape.d_b)
-            w_x._accumulate(tape.d_wx)
-            w_h._accumulate(tape.d_wh)
-            b._accumulate(tape.d_b)
-            if l > 0:
-                nxt = st["dseq_b"] if dseq is st["dseq_a"] else st["dseq_a"]
-                np.matmul(flat_dg, tape.w_x_p.T, out=nxt.reshape(T * B, H))
-                dseq = nxt
-            elif x_in_graph:
-                dx0 = st["dx0"]
-                np.matmul(flat_dg, tape.w_x_p.T, out=dx0.reshape(T * B, in_size))
-                x_t._accumulate(dx0.transpose(1, 0, 2))
+        grads = _lstm_backward(tape, need_dx=x_in_graph)
+        for triple, layer_grads in zip(reversed(layers), reversed(grads)):
+            for param, g in zip(triple, layer_grads):
+                param._accumulate(g)
+        if x_in_graph:
+            x_t._accumulate(bw.dx.transpose(1, 0, 2))
 
     return Tensor(out_data, _parents=tuple(parents), _backward_fn=backward)

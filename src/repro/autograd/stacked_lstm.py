@@ -3,20 +3,22 @@
 :func:`~repro.autograd.functional.fused_lstm` runs *one* client's unrolled
 LSTM as hand-derived NumPy kernels.  The cohort local solver
 (:mod:`repro.runtime.cohort`) instead advances K clients' FedProx solves
-simultaneously, each at its *own* parameter vector — so these kernels add a
-leading client axis to every buffer and batch each GEMM over it:
+simultaneously, each at its *own* parameter vector — so here every buffer
+has a leading client axis and each GEMM is batched over it:
 ``(K, T*B, in) @ (K, in, 4H)`` for the input contribution,
 ``(K, B, H) @ (K, H, 4H)`` per step for the recurrence, and so on.
 
-Bit-compatibility contract: for every client row ``k``, the operations
-executed on slice ``k`` are the *same* floating-point operations, in the
-same order, as one :func:`fused_lstm` forward/backward at that client's
-parameters — NumPy's batched ``matmul`` dispatches the identical per-slice
-GEMM, and all elementwise kernels are position-independent.  The models'
-``stacked_gradient`` implementations (CharLSTM / SentimentLSTM) build on
-this to satisfy the cohort determinism contract (row ``k`` equals the
-scalar ``gradient()`` at ``W[k]`` to ulp-level rounding), with the graph
-backend kept as the gradcheck oracle.
+These are not a second kernel: the layer and step loops are
+:mod:`repro.autograd.functional`'s own, run over a tape whose views carry
+the client axis.  Hence the bit-compatibility contract: for every client
+row ``k``, the operations executed on slice ``k`` are the *same*
+floating-point operations, in the same order, as one :func:`fused_lstm`
+forward/backward at that client's parameters — NumPy's batched ``matmul``
+dispatches the identical per-slice GEMM, and all elementwise kernels are
+position-independent.  The models' ``stacked_gradient`` implementations
+(CharLSTM / SentimentLSTM) build on this to satisfy the cohort determinism
+contract (row ``k`` equals the scalar ``gradient()`` at ``W[k]`` to
+ulp-level rounding), with the graph backend kept as the gradcheck oracle.
 
 No autograd here: the cohort path needs raw gradients against caller-owned
 flat parameter rows, not a graph.  Buffers live in a
@@ -30,37 +32,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .functional import _sigmoid_inplace
+from .functional import _LSTMTape, _lstm_backward, _lstm_forward, _TapeCache
 
 
-class _StackedLayerTape:
-    """Per-layer activations and gradient scratch, leading client axis."""
-
-    def __init__(self, K: int, T: int, B: int, in_size: int, hidden: int) -> None:
-        H = hidden
-        # ``h[:, 0]`` / ``c[:, 0]`` hold the zero initial state, so
-        # ``h[:, t]`` is the state *entering* step ``t``.
-        self.h = np.zeros((K, T + 1, B, H))
-        self.c = np.zeros((K, T + 1, B, H))
-        self.tanh_c = np.empty((K, T, B, H))
-        # Post-nonlinearity gates in the internal [i, f, o, g] order.
-        self.gates = np.empty((K, T, B, 4 * H))
-        self.w_x_p = np.empty((K, in_size, 4 * H))
-        self.w_h_p = np.empty((K, H, 4 * H))
-        self.b_p = np.empty((K, 4 * H))
-        self.d_wx_p = np.empty((K, in_size, 4 * H))
-        self.d_wh_p = np.empty((K, H, 4 * H))
-        self.d_b_p = np.empty((K, 4 * H))
-        self.d_wx = np.empty((K, in_size, 4 * H))
-        self.d_wh = np.empty((K, H, 4 * H))
-        self.d_b = np.empty((K, 4 * H))
-        # Contiguous copy of h[:, 1:] — the next layer's input must be flat
-        # (K, T*B, H) for the one-GEMM-per-layer input contribution to use
-        # the same BLAS accumulation order as the scalar kernel.
-        self.h_km = np.empty((K, T, B, H))
-
-
-class StackedLSTMWorkspace:
+class StackedLSTMWorkspace(_TapeCache):
     """Reusable buffers for stacked LSTM calls, keyed by call shape.
 
     One workspace per model instance amortizes allocation across every
@@ -68,176 +43,38 @@ class StackedLSTMWorkspace:
     segment boundaries, so only a handful of shapes ever materialize.
     """
 
-    def __init__(self) -> None:
-        self._tapes: dict = {}
-
     def acquire(
         self, K: int, T: int, B: int, in_size: int, hidden: int, layers: int
-    ) -> dict:
-        key = (K, T, B, in_size, hidden, layers)
-        st = self._tapes.get(key)
-        if st is None:
-            H = hidden
-            st = {
-                "K": K, "T": T, "B": B, "in_size": in_size, "H": H,
-                "layers": [
-                    _StackedLayerTape(K, T, B, in_size if l == 0 else H, H)
-                    for l in range(layers)
-                ],
-                "x_km": np.empty((K, T, B, in_size)),
-                "tmp4h": np.empty((K, B, 4 * H)),
-                "tmp3h": np.empty((K, B, 3 * H)),
-                "tmph": np.empty((K, B, H)),
-                "perm": np.concatenate(
-                    [
-                        np.arange(2 * H),
-                        np.arange(3 * H, 4 * H),
-                        np.arange(2 * H, 3 * H),
-                    ]
-                ),
-                "dh": np.empty((K, B, H)),
-                "dc": np.empty((K, B, H)),
-                "dgates": np.empty((K, T, B, 4 * H)),
-                "dseq_a": np.empty((K, T, B, H)),
-                "dseq_b": np.empty((K, T, B, H)),
-                "hp_km": np.empty((K, T, B, H)),
-                "dx": np.empty((K, T, B, in_size)),
-            }
-            self._tapes[key] = st
-        return st
+    ) -> _LSTMTape:
+        """The tape for one call shape; its ``x`` is the ``(K, T, B, in)`` input."""
+        return self._tape((K,), T, B, in_size, hidden, layers)
 
 
 def stacked_lstm_forward(
-    st: dict, params: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    st: _LSTMTape, params: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 ) -> np.ndarray:
-    """Multi-client forward; input read from ``st["x_km"]`` (K, T, B, in).
+    """Multi-client forward; input read from ``st.x`` (K, T, B, in).
 
     ``params`` is one ``(w_x, w_h, b)`` triple per layer with leading
     client axis: ``(K, in, 4H)`` / ``(K, H, 4H)`` / ``(K, 4H)``, in the
     external [i, f, g, o] gate layout.  Returns the top layer's final
     hidden state as a ``(K, B, H)`` view into the tape.
     """
-    K, T, B, H = st["K"], st["T"], st["B"], st["H"]
-    tmp4h, tmph, perm = st["tmp4h"], st["tmph"], st["perm"]
-    inp_flat = st["x_km"].reshape(K, T * B, st["in_size"])
-    for l, (w_x, w_h, b) in enumerate(params):
-        tape = st["layers"][l]
-        gates, h, c = tape.gates, tape.h, tape.c
-        np.take(w_x, perm, axis=2, out=tape.w_x_p)
-        np.take(w_h, perm, axis=2, out=tape.w_h_p)
-        np.take(b, perm, axis=1, out=tape.b_p)
-        np.matmul(inp_flat, tape.w_x_p, out=gates.reshape(K, T * B, 4 * H))
-        gates += tape.b_p[:, None, None, :]
-        h[:, 0].fill(0.0)
-        c[:, 0].fill(0.0)
-        w_h_p = tape.w_h_p
-        tanh_c = tape.tanh_c
-        for t in range(T):
-            g_t = gates[:, t]
-            np.matmul(h[:, t], w_h_p, out=tmp4h)
-            g_t += tmp4h
-            _sigmoid_inplace(g_t[:, :, : 3 * H])        # input, forget, output
-            np.tanh(g_t[:, :, 3 * H :], out=g_t[:, :, 3 * H :])  # candidate
-            c_next = c[:, t + 1]
-            np.multiply(g_t[:, :, H : 2 * H], c[:, t], out=c_next)  # f * c_prev
-            np.multiply(g_t[:, :, :H], g_t[:, :, 3 * H :], out=tmph)  # i * g
-            c_next += tmph
-            np.tanh(c_next, out=tanh_c[:, t])
-            np.multiply(g_t[:, :, 2 * H : 3 * H], tanh_c[:, t], out=h[:, t + 1])
-        if l < len(params) - 1:
-            np.copyto(tape.h_km, h[:, 1:])
-            inp_flat = tape.h_km.reshape(K, T * B, H)
-    return st["layers"][-1].h[:, T]
+    _lstm_forward(st, params)
+    return st.layers[-1].h[:, st.T]
 
 
 def stacked_lstm_backward(
-    st: dict,
-    params: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    dh_final: np.ndarray,
-    need_dx: bool = False,
+    st: _LSTMTape, dh_final: np.ndarray, need_dx: bool = False
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Multi-client backward from a final-hidden-state gradient.
 
-    ``dh_final`` is ``(K, B, H)``.  Per-layer gradients land in the tape
-    buffers and are returned as ``(d_wx, d_wh, d_b)`` triples in the
-    external gate layout (valid until the next call); when ``need_dx`` the
-    input gradient is left in ``st["dx"]`` as ``(K, T, B, in)``.
+    ``dh_final`` is ``(K, B, H)``.  Per-layer gradients are returned as
+    ``(d_wx, d_wh, d_b)`` triples in the external gate layout (tape
+    buffers, valid until the next call); when ``need_dx`` the input
+    gradient is left in ``st.bwd.dx`` as ``(K, T, B, in)``.
     """
-    K, T, B, H = st["K"], st["T"], st["B"], st["H"]
-    dh, dc, tmp = st["dh"], st["dc"], st["tmph"]
-    tmp3h, perm = st["tmp3h"], st["perm"]
-    dgates = st["dgates"]
-    dseq = st["dseq_a"]
+    dseq = st.backward_scratch().dseq[0]
     dseq.fill(0.0)
-    dseq[:, T - 1] = dh_final
-    grads: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * len(params)  # type: ignore[list-item]
-    for l in range(len(params) - 1, -1, -1):
-        tape = st["layers"][l]
-        gates, h, c, tanh_c = tape.gates, tape.h, tape.c, tape.tanh_c
-        dh.fill(0.0)
-        dc.fill(0.0)
-        w_h_pT = tape.w_h_p.transpose(0, 2, 1)
-        for t in range(T - 1, -1, -1):
-            dh += dseq[:, t]
-            g_t = gates[:, t]
-            i_g = g_t[:, :, :H]
-            f_g = g_t[:, :, H : 2 * H]
-            o_g = g_t[:, :, 2 * H : 3 * H]
-            g_g = g_t[:, :, 3 * H :]
-            dg_t = dgates[:, t]
-            # dc += dh * o * (1 - tanh(c)^2)
-            np.multiply(tanh_c[:, t], tanh_c[:, t], out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            tmp *= o_g
-            tmp *= dh
-            dc += tmp
-            # Gradients w.r.t. the three sigmoid gate *values*...
-            np.multiply(dc, g_g, out=dg_t[:, :, :H])                 # input
-            np.multiply(dc, c[:, t], out=dg_t[:, :, H : 2 * H])      # forget
-            np.multiply(dh, tanh_c[:, t], out=dg_t[:, :, 2 * H : 3 * H])  # out
-            # ...through one fused sigmoid derivative over [i, f, o].
-            np.subtract(1.0, g_t[:, :, : 3 * H], out=tmp3h)
-            tmp3h *= g_t[:, :, : 3 * H]
-            dg_t[:, :, : 3 * H] *= tmp3h
-            # cell gate: dc * i * (1 - g^2)
-            da_g = dg_t[:, :, 3 * H :]
-            np.multiply(g_g, g_g, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            np.multiply(dc, tmp, out=da_g)
-            da_g *= i_g
-            # carry to step t-1
-            dc *= f_g
-            np.matmul(dg_t, w_h_pT, out=dh)
-        # Fused parameter accumulation — one GEMM per matrix over the
-        # (T*B, .) stack per client, same accumulation order as scalar.
-        flat_dg = dgates.reshape(K, T * B, 4 * H)
-        if l == 0:
-            inp_flat = st["x_km"].reshape(K, T * B, st["in_size"])
-        else:
-            prev = st["layers"][l - 1]
-            inp_flat = prev.h_km.reshape(K, T * B, H)
-        np.matmul(inp_flat.transpose(0, 2, 1), flat_dg, out=tape.d_wx_p)
-        hp = st["hp_km"]
-        np.copyto(hp, h[:, :T])
-        np.matmul(
-            hp.reshape(K, T * B, H).transpose(0, 2, 1), flat_dg,
-            out=tape.d_wh_p,
-        )
-        flat_dg.sum(axis=1, out=tape.d_b_p)
-        np.take(tape.d_wx_p, perm, axis=2, out=tape.d_wx)
-        np.take(tape.d_wh_p, perm, axis=2, out=tape.d_wh)
-        np.take(tape.d_b_p, perm, axis=1, out=tape.d_b)
-        grads[l] = (tape.d_wx, tape.d_wh, tape.d_b)
-        if l > 0:
-            nxt = st["dseq_b"] if dseq is st["dseq_a"] else st["dseq_a"]
-            np.matmul(
-                flat_dg, tape.w_x_p.transpose(0, 2, 1),
-                out=nxt.reshape(K, T * B, H),
-            )
-            dseq = nxt
-        elif need_dx:
-            np.matmul(
-                flat_dg, tape.w_x_p.transpose(0, 2, 1),
-                out=st["dx"].reshape(K, T * B, st["in_size"]),
-            )
-    return grads
+    dseq[:, st.T - 1] = dh_final
+    return _lstm_backward(st, need_dx)

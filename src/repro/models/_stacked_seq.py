@@ -80,6 +80,14 @@ class StackedSeqSolveMixin:
             self._stacked_solve_store = store
         return store
 
+    def __getstate__(self) -> dict:
+        # The store is scratch tied to this object's buffers (tapes whose
+        # views alias them, a weight matrix remembered by identity): a
+        # pickled or deep-copied model builds its own on first use.
+        state = self.__dict__.copy()
+        state.pop("_stacked_solve_store", None)
+        return state
+
     def _stacked_flat_views(self, M: np.ndarray) -> dict:
         """Parameter-shaped views into the rows of a ``(K, n_params)`` matrix.
 
@@ -189,10 +197,10 @@ class StackedSeqSolveMixin:
         # Embedding gather straight into the kernel's time-major input.
         tok = X.transpose(0, 2, 1)  # (K, T, B)
         if pv["emb"] is not None:
-            st["x_km"][...] = pv["emb"][ws["k3"], tok]
+            st.x[...] = pv["emb"][ws["k3"], tok]
         else:
             # Frozen table: shared across clients, read from the module.
-            np.take(self.module.embedding.weight.data, tok, axis=0, out=st["x_km"])
+            np.take(self.module.embedding.weight.data, tok, axis=0, out=st.x)
 
         h_final = stacked_lstm_forward(st, pv["layers"])
 
@@ -212,7 +220,7 @@ class StackedSeqSolveMixin:
         np.matmul(delta, pv["head_w"].transpose(0, 2, 1), out=ws["dh"])
 
         lstm_grads = stacked_lstm_backward(
-            st, pv["layers"], ws["dh"], need_dx=pv["emb"] is not None
+            st, ws["dh"], need_dx=pv["emb"] is not None
         )
         for (d_wx, d_wh, d_b), (g_wx, g_wh, g_b) in zip(lstm_grads, gv["layers"]):
             np.copyto(g_wx, d_wx)
@@ -224,5 +232,5 @@ class StackedSeqSolveMixin:
             g_emb.fill(0.0)
             # Same scatter-add, in the same (batch, time) iteration order,
             # as the scalar embedding backward (repro.autograd.ops).
-            np.add.at(g_emb, (ws["k3"], X), st["dx"].transpose(0, 2, 1, 3))
+            np.add.at(g_emb, (ws["k3"], X), st.bwd.dx.transpose(0, 2, 1, 3))
         return gv["G"]

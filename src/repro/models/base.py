@@ -343,6 +343,26 @@ class NeuralModel(FederatedModel):
         loss.backward()
         return float(loss.data), self.module.flat_grad()
 
+    def minibatch_gradients(
+        self,
+        w: np.ndarray,
+        X: np.ndarray,
+        y: np.ndarray,
+        orders: Iterable[np.ndarray],
+        batch_size: int,
+    ) -> Iterator[np.ndarray]:
+        """The default stream, with each flat gradient packed straight into
+        the yielded buffer instead of concatenated and then copied there."""
+        module = self.module
+        out = np.empty(self.n_params, dtype=np.float64)
+        for order in orders:
+            for start in range(0, len(order), batch_size):
+                batch = order[start : start + batch_size]
+                self.set_params(w)
+                module.zero_grad()
+                self.forward_loss(X[batch], y[batch]).backward()
+                yield module.flat_grad(out=out)
+
     def spawn_replica(self) -> "NeuralModel":
         """Replica for a worker process.
 

@@ -8,7 +8,7 @@ parameter-registry behaviour familiar from mainstream frameworks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,13 @@ class Module:
     order, for iteration and flat packing.
     """
 
+    #: Bumped by every registration on *any* module.  A module's cached
+    #: parameter list is valid while this still reads what it read when the
+    #: list was built, so a parameter added to a grandchild invalidates the
+    #: root's list without the tree needing parent links.
+    _registrations = 0
+    _param_cache = None  # (``_registrations`` when built, parameter list)
+
     def __init__(self) -> None:
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_children", {})
@@ -31,18 +38,31 @@ class Module:
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Tensor) and value.requires_grad:
             self._params[name] = value
+            Module._registrations += 1
         elif isinstance(value, Module):
             self._children[name] = value
-        elif isinstance(value, ModuleList):
-            self._children[name] = value
+            Module._registrations += 1
         object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        # The counter the cache is stamped with means nothing in another
+        # process: a pickled module rebuilds its list on first use.
+        return {**self.__dict__, "_param_cache": None}
 
     # ------------------------------------------------------------------ #
     # Parameter iteration
     # ------------------------------------------------------------------ #
     def parameters(self) -> List[Tensor]:
-        """All trainable tensors of this module and its children."""
-        return [p for _, p in self.named_parameters()]
+        """All trainable tensors of this module and its children.
+
+        The tree is walked once per registration, not once per call (a
+        training step asks four times); callers must not mutate the list.
+        """
+        cache = self._param_cache
+        if cache is None or cache[0] != Module._registrations:
+            cache = (Module._registrations, [p for _, p in self.named_parameters()])
+            object.__setattr__(self, "_param_cache", cache)
+        return cache[1]
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
         """Yield ``(dotted_name, tensor)`` pairs in registration order."""
@@ -73,6 +93,10 @@ class Module:
     def set_flat(self, flat: np.ndarray) -> None:
         """Load parameters from a flat vector (inverse of :meth:`get_flat`).
 
+        A parameter whose ``data`` is a float64 array owning its memory is
+        overwritten in place — the training loop calls this once per step —
+        and any other (a view, another dtype) is replaced by a fresh copy.
+
         Raises
         ------
         ValueError
@@ -86,24 +110,35 @@ class Module:
             )
         offset = 0
         for p in self.parameters():
-            block = flat[offset : offset + p.size]
-            p.data = block.reshape(p.shape).copy()
+            block = flat[offset : offset + p.size].reshape(p.shape)
+            data = p.data
+            if data.flags.owndata and data.dtype == flat.dtype:
+                np.copyto(data, block)
+            else:
+                p.data = block.copy()
             offset += p.size
 
-    def flat_grad(self) -> np.ndarray:
+    def flat_grad(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Concatenate parameter gradients into a flat vector.
 
         Parameters never touched by the last backward pass contribute zeros.
+        Written into ``out`` (``(num_parameters(),)`` float64) when given.
         """
-        parts = []
+        if out is None:
+            out = np.empty(self.num_parameters(), dtype=np.float64)
+        offset = 0
         for p in self.parameters():
+            segment = out[offset : offset + p.size]
             if p.grad is None:
-                parts.append(np.zeros(p.size, dtype=np.float64))
+                segment.fill(0.0)
             else:
-                parts.append(p.grad.reshape(-1))
-        if not parts:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(parts)
+                segment[:] = p.grad.reshape(-1)
+            offset += p.size
+        if out.shape != (offset,):
+            raise ValueError(
+                f"out has shape {out.shape}, the flat gradient needs ({offset},)"
+            )
+        return out
 
     # ------------------------------------------------------------------ #
     # Call protocol
@@ -130,6 +165,7 @@ class ModuleList(Module):
         index = len(self._items)
         self._items.append(module)
         self._children[str(index)] = module
+        Module._registrations += 1
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._items)

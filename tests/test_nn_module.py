@@ -55,6 +55,35 @@ class TestParameterRegistry:
     def test_num_parameters(self):
         assert TwoParam().num_parameters() == 9
 
+    def test_registrations_after_the_first_walk_are_seen(self):
+        """``parameters()`` is cached per registration, wherever it happens."""
+        root = Nested()
+        assert len(root.parameters()) == 3
+        assert root.parameters() is root.parameters()  # no walk per call
+        root.extra = Tensor(np.zeros(2), requires_grad=True)
+        assert any(p is root.extra for p in root.parameters())
+        assert root.num_parameters() == 12
+        # On a grandchild the root has no link to, and through a container.
+        root.inner.late = Tensor(np.zeros(4), requires_grad=True)
+        assert any(p is root.inner.late for p in root.parameters())
+        root.blocks = ModuleList([TwoParam()])
+        root.blocks.append(TwoParam())
+        assert root.num_parameters() == 12 + 4 + 9 + 9
+        assert root.get_flat().shape == (34,)
+        replacement = Tensor(np.full((2, 3), 7.0), requires_grad=True)
+        root.inner.a = replacement
+        assert any(p is replacement for p in root.parameters())
+
+    def test_parameter_cache_does_not_cross_a_pickle(self):
+        import pickle
+
+        root = Nested()
+        root.parameters()
+        clone = pickle.loads(pickle.dumps(root))
+        assert clone._param_cache is None
+        assert [p.shape for p in clone.parameters()] == [p.shape for p in root.parameters()]
+        assert all(a is not b for a, b in zip(clone.parameters(), root.parameters()))
+
     def test_zero_grad(self):
         m = TwoParam()
         out = ops.sum_(m(Tensor(np.ones((1, 2)))))
@@ -82,6 +111,25 @@ class TestFlatInterface:
         with pytest.raises(ValueError, match="flat vector"):
             TwoParam().set_flat(np.zeros(5))
 
+    def test_set_flat_reuses_owned_storage_and_never_writes_a_callers_array(self):
+        m = TwoParam()
+        mine = np.arange(6.0).reshape(2, 3)
+        m.a.data = mine[:]  # a view of the caller's array: must not be written
+        m.set_flat(np.full(9, 5.0))
+        np.testing.assert_array_equal(mine, np.arange(6.0).reshape(2, 3))
+        storage = m.a.data
+        assert storage.flags.owndata
+        flat = np.arange(9.0)
+        m.set_flat(flat)
+        assert m.a.data is storage  # overwritten in place, not reallocated
+        flat[:] = -1.0
+        np.testing.assert_array_equal(m.get_flat(), np.arange(9.0))
+        # A parameter whose dtype differs from the flat vector's is replaced.
+        m.b.data = np.zeros(3, dtype=np.float32)
+        m.set_flat(np.arange(9.0))
+        assert m.b.data.dtype == np.float64
+        np.testing.assert_array_equal(m.b.data, [6.0, 7.0, 8.0])
+
     def test_get_flat_returns_copy(self):
         m = TwoParam()
         flat = m.get_flat()
@@ -101,6 +149,19 @@ class TestFlatInterface:
         assert g.shape == (9,)
         # d/db of sum over 4 rows is 4 per bias entry.
         np.testing.assert_array_equal(g[6:], [4.0, 4.0, 4.0])
+
+    def test_flat_grad_into_a_buffer_equals_the_concatenation(self):
+        m = Nested()
+        ops.sum_(m(Tensor(np.arange(8.0).reshape(4, 2)))).backward()
+        m.inner.b.zero_grad()  # an untouched parameter contributes zeros
+        want = m.flat_grad()
+        out = np.full(m.num_parameters(), np.nan)
+        assert m.flat_grad(out=out) is out
+        np.testing.assert_array_equal(out, want)
+        assert want[:-3].all() and not want[-3:].any()
+        for size in (m.num_parameters() - 1, m.num_parameters() + 1):
+            with pytest.raises(ValueError):
+                m.flat_grad(out=np.empty(size))
 
     def test_nested_flat_roundtrip(self):
         m = Nested()

@@ -22,7 +22,7 @@ import pytest
 from repro.core.client import Client
 from repro.datasets import ClientData
 from repro.models import MLPClassifier, MultinomialLogisticRegression
-from repro.models.base import FederatedModel
+from repro.models.base import FederatedModel, NeuralModel
 from repro.optim import (
     AdamSolver,
     BatchSchedule,
@@ -140,7 +140,7 @@ def _data(n, dtype, seed=0):
 
 
 def _models():
-    """``(label, model)``: the fused stream, with and without L2, and the default."""
+    """``(label, model)``: the fused stream, with and without L2, and the autograd one."""
     return [
         ("logistic", MultinomialLogisticRegression(DIM, CLASSES)),
         ("logistic-l2", MultinomialLogisticRegression(DIM, CLASSES, l2=0.3)),
@@ -149,10 +149,12 @@ def _models():
 
 
 class TestWhichStream:
-    def test_logistic_overrides_and_mlp_inherits_the_default(self):
+    def test_logistic_and_autograd_models_override_the_default(self):
+        """The default itself is what ``Plain`` (below) trains through."""
         default = FederatedModel.minibatch_gradients
         assert MultinomialLogisticRegression.minibatch_gradients is not default
-        assert MLPClassifier.minibatch_gradients is default
+        assert MLPClassifier.minibatch_gradients is NeuralModel.minibatch_gradients
+        assert NeuralModel.minibatch_gradients is not default
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_solvers_own_no_loop(self, name):
