@@ -193,6 +193,58 @@ class FederatedModel(abc.ABC):
             "cohort round execution needs batched per-client gradients"
         )
 
+    def stacked_minibatch_gradients(
+        self,
+        W: np.ndarray,
+        X: np.ndarray,
+        y: np.ndarray,
+        mask: np.ndarray,
+        counts: np.ndarray,
+    ) -> Iterator[np.ndarray]:
+        """Stream a cohort's stacked gradients over a run of gathered steps.
+
+        The stacked counterpart of :meth:`minibatch_gradients`, and the
+        only method a model may override to speed up the cohort step loop
+        (:func:`repro.runtime.cohort.solve_cohort` steps through it).  The
+        default below is one :meth:`stacked_gradient` call per step, so a
+        model that implements only that kernel solves exactly as if the
+        loop called it itself.
+
+        Parameters
+        ----------
+        W:
+            ``(A, n_params)`` float64 — the active rows of the cohort's
+            weight stack, **read in place**: the solver updates them
+            between steps, and each gradient must be evaluated at their
+            value when that step is requested.  Never written here.
+        X, y:
+            ``(S, A, B, ...)`` and ``(S, A, B)`` — ``S`` consecutive steps
+            of gathered mini-batches, one :meth:`stacked_gradient` ``X`` /
+            ``y`` per leading index (never written).
+        mask:
+            ``(S, A, B)`` float mask, 1.0 on real samples and 0.0 on
+            padding.  A step whose mask is all ones reaches the kernel as
+            ``mask=None``.
+        counts:
+            ``(S, A, 1, 1)`` float — each step's kernel-shaped batch sizes.
+
+        Yields
+        ------
+        np.ndarray
+            ``(A, n_params)`` float64: step ``s``'s
+            ``stacked_gradient(W, X[s], y[s], mask[s], counts[s])``.  The
+            caller may add to it in place; it may be one buffer yielded
+            every time, so it is valid only until the stream is advanced.
+            Overrides must not keep it (or views of ``W``) past the chunk.
+        """
+        # Multiplying by an all-ones mask is bitwise neutral, so a step with
+        # no ragged batch in any row may skip it: the kernel gets mask=None.
+        dense = mask.all(axis=(1, 2)).tolist()
+        for s, step_dense in enumerate(dense):
+            yield self.stacked_gradient(
+                W, X[s], y[s], None if step_dense else mask[s], counts[s]
+            )
+
     def minibatch_gradients(
         self,
         w: np.ndarray,

@@ -67,7 +67,6 @@ class MultinomialLogisticRegression(FederatedModel):
         self.l2 = float(l2)
         self.seed = seed
         self.init_scale = float(init_scale)
-        self._stacked_ws: Optional[dict] = None
         rng = np.random.default_rng(seed)
         if init_scale > 0:
             self.W = rng.normal(0.0, init_scale, size=(dim, num_classes))
@@ -229,34 +228,75 @@ class MultinomialLogisticRegression(FederatedModel):
         """Closed-form gradients batch exactly over a leading client axis."""
         return True
 
-    def _stacked_workspace(self, K: int, B: int) -> dict:
-        """Preallocated scratch for :meth:`stacked_gradient`.
+    def stacked_minibatch_gradients(
+        self,
+        W: np.ndarray,
+        X: np.ndarray,
+        y: np.ndarray,
+        mask: np.ndarray,
+        counts: np.ndarray,
+    ) -> Iterator[np.ndarray]:
+        """The cohort step loop's gradient stream, hoisted out of the step.
 
-        The cohort loop calls the kernel thousands of times per round on a
-        handful of distinct ``(K, B)`` shapes (the active width only shrinks
-        at budget boundaries), so caching one workspace per current shape
-        removes every per-step allocation from the hot path.
+        Replays :meth:`gradient`'s exact operation sequence (stable
+        log-softmax, subtract-one-at-label, divide by the batch size) over
+        a leading client axis; padding rows are zeroed by the mask before
+        the backward GEMMs, so they contribute exact zeros.  Everything
+        that does not depend on the step is built once per chunk: the
+        parameter views of ``W``, the gradient views of the yielded buffer
+        (each client's ``(dim, classes)`` block is contiguous, so the
+        backward GEMM writes straight into it), the scratch, and the
+        one-hot labels — the scatter is ``delta -= onehot``
+        (``x - 0.0 == x`` off the label), as in :meth:`minibatch_gradients`.
+        A step is then thirteen array calls (fourteen on a ragged one),
+        every one writing ``out=``.  Nothing outlives the stream, so the
+        model holds no solve state.
         """
-        ws = self._stacked_ws
-        if ws is None or ws["KB"] != (K, B):
-            C = self.num_classes
-            ws = {
-                "KB": (K, B),
-                "scores": np.empty((K, B, C)),
-                "expbuf": np.empty((K, B, C)),
-                "red": np.empty((K, B, 1)),
-                # Flat positions of (row, col, label) triples in ``scores``:
-                # label_base[k, j] + y[k, j] indexes scores.reshape(-1).
-                "label_base": (
-                    (np.arange(K)[:, None] * B + np.arange(B)[None, :]) * C
-                ),
-                "grad_w": np.empty((K, self.dim, C)),
-                "grad_b": np.empty((K, C)),
-                "out": np.empty((K, self.n_params)),
-                "W_views": None,  # (id(W), Wk, bk) cache, see stacked_gradient
-            }
-            self._stacked_ws = ws
-        return ws
+        S, K, B = y.shape
+        dim, C, l2 = self.dim, self.num_classes, self.l2
+        split = dim * C
+        Wk = W[:, :split].reshape(K, dim, C)
+        bk = W[:, split:]
+        bk_b = bk[:, None, :]
+        out = np.empty((K, self.n_params))
+        grad_w = out[:, :split].reshape(K, dim, C)
+        grad_b = out[:, split:]
+        if l2 > 0:
+            l2_w, l2_b = np.empty((K, dim, C)), np.empty((K, C))
+
+        scores = np.empty((K, B, C))
+        expd = np.empty((K, B, C))
+        red = np.empty((K, B, 1))
+        onehot = np.zeros((S * K * B, C))
+        onehot[np.arange(S * K * B), y.reshape(-1)] = 1.0
+        steps = zip(
+            X,
+            X.swapaxes(2, 3),
+            onehot.reshape(S, K, B, C),
+            counts,
+            mask[:, :, :, None],
+            mask.all(axis=(1, 2)).tolist(),
+        )
+        for Xs, Xs_t, hot, count, mask_s, dense in steps:
+            np.matmul(Xs, Wk, out=scores)
+            scores += bk_b
+            np.maximum.reduce(scores, axis=2, keepdims=True, out=red)
+            scores -= red  # shifted
+            np.exp(scores, out=expd)
+            np.add.reduce(expd, axis=2, keepdims=True, out=red)
+            np.log(red, out=red)
+            scores -= red  # log_probs
+            delta = np.exp(scores, out=scores)
+            delta -= hot
+            delta /= count
+            if not dense:
+                delta *= mask_s
+            np.matmul(Xs_t, delta, out=grad_w)
+            np.add.reduce(delta, axis=1, out=grad_b)
+            if l2 > 0:
+                grad_w += np.multiply(Wk, l2, out=l2_w)
+                grad_b += np.multiply(bk, l2, out=l2_b)
+            yield out
 
     def stacked_gradient(
         self,
@@ -268,54 +308,21 @@ class MultinomialLogisticRegression(FederatedModel):
     ) -> np.ndarray:
         """Batched softmax-NLL gradients, one parameter row per client.
 
-        Replays :meth:`loss_and_gradient`'s exact operation sequence
-        (stable log-softmax, subtract-one-at-label, divide by the batch
-        size) over a leading client axis; padding rows are zeroed by the
-        mask before the backward GEMMs, so they contribute exact zeros.
-        All intermediates live in a cached workspace (every op writes
-        ``out=`` into preallocated buffers), so the returned array is only
-        valid until the next call — copy it to persist.
+        One step of :meth:`stacked_minibatch_gradients` — the only stacked
+        kernel body — so a direct call and the cohort loop cannot drift
+        apart.  The result is a fresh array.
         """
-        K, B = X.shape[0], X.shape[1]
-        split = self.dim * self.num_classes
-        ws = self._stacked_workspace(K, B)
-        # The cohort loop passes the *same* W buffer for every step of a
-        # constant-width segment, so the reshape/slice views are cached by
-        # identity.  Holding the views keeps W alive, which guarantees its
-        # id cannot be recycled while the cache entry exists.
-        views = ws["W_views"]
-        if views is None or views[0] is not W:
-            Wk = W[:, :split].reshape(K, self.dim, self.num_classes)
-            bk = W[:, split:]
-            views = (W, Wk, bk, bk[:, None, :])
-            ws["W_views"] = views
-        _, Wk, bk, bk_b = views
-
-        scores = ws["scores"]
-        np.matmul(X, Wk, out=scores)
-        scores += bk_b
-        red = ws["red"]
-        scores.max(axis=2, keepdims=True, out=red)
-        np.subtract(scores, red, out=scores)  # shifted
-        np.exp(scores, out=ws["expbuf"])
-        ws["expbuf"].sum(axis=2, keepdims=True, out=red)
-        np.log(red, out=red)
-        np.subtract(scores, red, out=scores)  # log_probs
-        delta = np.exp(scores, out=scores)
-
-        delta.reshape(-1)[(ws["label_base"] + y).ravel()] -= 1.0
-        delta /= counts if counts.ndim == 3 else counts[:, None, None]
-        if mask is not None:
-            delta *= mask[:, :, None]
-        grad_w = np.matmul(X.transpose(0, 2, 1), delta, out=ws["grad_w"])
-        grad_b = delta.sum(axis=1, out=ws["grad_b"])
-        if self.l2 > 0:
-            grad_w += self.l2 * Wk
-            grad_b += self.l2 * bk
-        out = ws["out"]
-        out[:, :split] = grad_w.reshape(K, split)
-        out[:, split:] = grad_b
-        return out
+        y = np.asarray(y)
+        if mask is None:
+            mask = np.ones(y.shape)
+        stream = self.stacked_minibatch_gradients(
+            W,
+            np.asarray(X)[None],
+            y[None],
+            mask[None],
+            np.asarray(counts).reshape(1, len(y), 1, 1),
+        )
+        return next(stream)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._scores(np.asarray(X, dtype=np.float64)).argmax(axis=1)

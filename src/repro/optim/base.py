@@ -34,8 +34,10 @@ Solvers that can run many clients' local solves simultaneously over a
 implement three hooks used by :class:`repro.runtime.cohort.CohortExecutor`:
 
 ``stacked_plan(n_samples, epochs, rng)``
-    The per-client mini-batch index schedule (list of index arrays), drawn
-    from ``rng`` exactly as the scalar ``solve`` would draw it.
+    The per-client mini-batch schedule as ``(indices, lengths)`` — the
+    budget's sample indices in visiting order and each step's batch
+    length (``len(lengths)`` is the step count) — drawn from ``rng``
+    exactly as the scalar ``solve`` would draw it.
 ``stacked_state(shape)``
     Preallocated workspace buffers for a cohort of ``shape = (L, d)``
     (one row per scheduler *lane*; see :mod:`repro.runtime.packing`).
@@ -61,7 +63,7 @@ implement three hooks used by :class:`repro.runtime.cohort.CohortExecutor`:
 from __future__ import annotations
 
 import abc
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -151,8 +153,25 @@ class BatchSchedule:
             yield from self._split(order)
 
     def materialize(self, rng: np.random.Generator) -> List[np.ndarray]:
-        """The full batch sequence as a list (for the cohort planner)."""
+        """The full batch sequence as a list of index arrays."""
         return list(self.batches(rng))
+
+    def flat(self, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        """The budget as one index array plus each step's batch length.
+
+        ``np.concatenate(materialize(rng))`` and ``[len(b) for b in
+        materialize(rng)]`` from the same draws, without building the
+        batches: the lengths follow from the sizes alone (every batch is
+        full except the last of a whole epoch).  This is the form the
+        cohort planner scatters into its gather plan.
+        """
+        indices = np.concatenate(list(self.epoch_orders(rng)))
+        per_epoch = self.per_epoch
+        lengths = np.full(self.total, min(self.batch_size, self.n_samples))
+        lengths[per_epoch - 1 :: per_epoch] = (
+            self.n_samples - (per_epoch - 1) * self.batch_size
+        )
+        return indices, lengths
 
 
 class LocalSolver(abc.ABC):
@@ -240,11 +259,14 @@ class LocalSolver(abc.ABC):
 
     def stacked_plan(
         self, n_samples: int, epochs: float, rng: np.random.Generator
-    ) -> List[np.ndarray]:
-        """One client's mini-batch index schedule for a cohort solve.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One client's mini-batch schedule for a cohort solve.
 
-        Must consume ``rng`` exactly as :meth:`solve` does, so the cohort
-        path replays the scalar path's batch order.
+        Returns ``(indices, lengths)``: step ``t`` trains on the
+        ``lengths[t]`` entries of ``indices`` that follow the earlier
+        steps' (``indices`` has ``lengths.sum()`` entries, and the caller
+        owns both arrays).  Must consume ``rng`` exactly as :meth:`solve`
+        does, so the cohort path replays the scalar path's batch order.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support stacked cohort solves"
@@ -321,5 +343,5 @@ class MiniBatchSolver(LocalSolver):
 
     def stacked_plan(
         self, n_samples: int, epochs: float, rng: np.random.Generator
-    ) -> List[np.ndarray]:
-        return BatchSchedule(n_samples, self.batch_size, epochs).materialize(rng)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        return BatchSchedule(n_samples, self.batch_size, epochs).flat(rng)

@@ -17,7 +17,7 @@ own full-batch loop, whose ``stacked_step`` mirrors it row-wise.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Tuple
 
 import numpy as np
 
@@ -139,13 +139,13 @@ class GDSolver(LocalSolver):
 
     def stacked_plan(
         self, n_samples: int, epochs: float, rng: np.random.Generator
-    ) -> List[np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
         # Full-batch steps; rng is deliberately untouched (the scalar
         # solve never draws from it either).
         steps = max(1, int(round(epochs)))
-        return [np.arange(n_samples)] * steps
+        return np.tile(np.arange(n_samples), steps), np.full(steps, n_samples)
 
     def stacked_state(self, shape: tuple) -> dict:
         return {"scratch": np.empty(shape, dtype=np.float64)}

@@ -15,7 +15,8 @@ Mechanics
 * **Scheduling.**  Each task's mini-batch schedule is drawn from the same
   ``(seed, round, client, occurrence)`` entropy tuple as the scalar path
   (:func:`~repro.runtime.executor.task_rng` + the solver's
-  ``stacked_plan``), so batch orders are identical by construction.  The
+  ``stacked_plan``, a flat index array plus per-step batch lengths), so
+  batch orders are identical by construction.  The
   skew-aware packing planner (:mod:`repro.runtime.packing`) then bin-packs
   the K client chains into ``L <= K`` *lanes* of capacity
   ``t_max = max_k T_k`` (first-fit decreasing), running short chains
@@ -26,10 +27,11 @@ Mechanics
   width ratio is emitted as the ``cohort.pack_efficiency`` gauge.
 * **Ragged data.**  The cohort's selected training shards are concatenated
   once per round (plus one zero pad row, integer dtypes preserved so token
-  sequences survive); each step gathers an ``(A, B, ...)`` block through a
-  precomputed ``(t_max, L, b_max)`` index tensor whose padding entries
-  point at the pad row.  A float mask zeroes padding contributions before
-  the backward GEMMs, so padded rows add exact ``±0.0`` terms.
+  sequences survive); a run of steps gathers an ``(S, A, B, ...)`` chunk
+  through a precomputed ``(t_max, L, b_max)`` index tensor whose padding
+  entries point at the pad row.  A float mask zeroes padding
+  contributions before the backward GEMMs, so padded rows add exact
+  ``±0.0`` terms.
 * **Stragglers.**  Lanes are ordered by descending total load, making the
   busy set at any step a *prefix* of the stack: when a lane's last chain
   ends it simply drops out of the stacked loop.  Time decomposes into
@@ -37,16 +39,21 @@ Mechanics
   copy their lane row out and starting chains load their task's ``w_t``,
   µ, and correction (and reset per-row solver state via
   ``stacked_reset``).  Results are restored to task order at the end.
-* **Determinism.**  Model kernels (``stacked_gradient``) and solver steps
-  (``stacked_step``, fed per-row local step indices when packed lanes sit
-  at different chain offsets) replicate the scalar path's floating-point
-  operation order; the proximal term ``µ(w_k − w_t)`` and optional FedDane
-  correction are applied row-wise exactly as
+* **Determinism.**  Model kernels (``stacked_gradient``, stepped through
+  ``stacked_minibatch_gradients``) and solver steps (``stacked_step``,
+  fed per-row local step indices when packed lanes sit at different chain
+  offsets) replicate the scalar path's floating-point operation order;
+  the proximal term ``µ(w_k − w_t)`` and optional FedDane correction are
+  applied row-wise exactly as
   :class:`~repro.optim.proximal.LocalObjective` applies them.  Each
   client's chain still runs its own steps in order against only its own
-  row, so histories match :class:`~repro.runtime.executor.SerialExecutor`
-  bitwise on the GEMM-accumulation-stable kernels and within 1e-12
-  otherwise (enforced by ``tests/test_runtime_cohort.py``).
+  row.  The batched GEMM does not promise the scalar GEMM's accumulation
+  order, so parity with :class:`~repro.runtime.executor.SerialExecutor`
+  is a tolerance, not bitwise: histories of the logistic model match
+  within 1e-12 (observed 2e-16; enforced by
+  ``tests/test_runtime_cohort.py``), the LSTMs within 1e-9.  What *is*
+  bitwise is the cohort path against itself: the stream equals the
+  per-step kernel loop it replaced (``tests/test_models_stacked_oracle.py``).
   γ-inexactness is measured with the *same* :class:`LocalObjective` code
   the scalar path uses, so γ statistics agree to the same precision.
 
@@ -127,10 +134,11 @@ def solve_cohort(
         for task in tasks
     ]
 
-    plan = plan_cohort([len(p) for p in plans])
+    budgets = [len(lens) for _, lens in plans]  # steps per task
+    plan = plan_cohort(budgets)
     L = plan.n_lanes
     t_max = plan.t_max
-    b_max = max(len(batch) for p in plans for batch in p)
+    b_max = max(int(lens.max()) for _, lens in plans)
 
     if telemetry.enabled:
         now = time.perf_counter()
@@ -175,12 +183,9 @@ def solve_cohort(
     mask = np.zeros((t_max, L, b_max), dtype=np.float64)
     counts = np.ones((t_max, L), dtype=np.float64)
     for p in plan.placements:
-        batches = plans[p.task]
-        T = len(batches)
-        flat = np.concatenate(batches)
-        flat += offsets[p.task]
-        lens = np.fromiter((len(b) for b in batches), dtype=np.int64, count=T)
-        step_of = np.repeat(np.arange(T), lens) + p.start
+        flat, lens = plans[p.task]
+        flat = flat + offsets[p.task]
+        step_of = np.repeat(np.arange(p.start, p.stop), lens)
         col_of = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
         idx[step_of, p.lane, col_of] = flat
         mask[step_of, p.lane, col_of] = 1.0
@@ -211,9 +216,9 @@ def solve_cohort(
     # The step loop decomposes into the planner's segments of constant
     # busy width ``a``; within a segment each active lane advances one
     # fixed chain, so batches for many steps are gathered in one fancy
-    # index (chunked to bound the staging buffer) and the per-step Python
-    # cost is one kernel call plus slice views.
-    stacked_gradient = model.stacked_gradient
+    # index (chunked to bound the staging buffer) and handed to the
+    # model's gradient stream, which reads ``W[:a]`` in place and yields
+    # one reused buffer per step.
     stacked_step = solver.stacked_step
     for seg in plan.segments:
         for p in seg.starts:
@@ -227,40 +232,33 @@ def solve_cohort(
         a = seg.width
         Wa = W[:a]
         Wr = W_ref[:a]
-        mua = mus[:a, None]
         diff = prox[:a]
         any_mu = bool(np.any(mus[:a] > 0))
-        any_corr = any(c is not None for c in corrections[:a])
-        base_steps = seg.base_steps
+        # One µ across the active lanes (every FedProx round) scales by the
+        # Python float — the same product per element as the column.
+        mua = float(mus[0]) if np.all(mus[:a] == mus[0]) else mus[:a, None]
+        corr_rows = [
+            (row, c) for row, c in enumerate(corrections[:a]) if c is not None
+        ]
+        # The 1-based local step of the segment's first kernel call: an int
+        # when every active lane sits at the same chain offset.
+        first_step = int(seg.base_steps[0]) if seg.uniform else seg.base_steps
         chunk = max(1, _GATHER_CHUNK_BYTES // max(1, a * b_max * feat_size * 8))
         for lo in range(seg.lo, seg.hi, chunk):
             hi = min(lo + chunk, seg.hi)
-            Xc = x_cat[idx[lo:hi, :a]]
-            yc = y_cat[idx[lo:hi, :a]]
-            mc = mask[lo:hi, :a]
-            cc = counts3[lo:hi, :a]
-            # Fully-dense steps (no ragged batch in any active row) skip the
-            # identity mask multiply — multiplying by all-ones is bitwise
-            # neutral, so skipping it cannot perturb the histories.
-            dense = mc.all(axis=(1, 2))
-            for s in range(hi - lo):
-                G = stacked_gradient(
-                    Wa, Xc[s], yc[s], None if dense[s] else mc[s], cc[s]
-                )
+            rows = idx[lo:hi, :a]
+            stream = model.stacked_minibatch_gradients(
+                Wa, x_cat[rows], y_cat[rows], mask[lo:hi, :a], counts3[lo:hi, :a]
+            )
+            for step, G in enumerate(stream, lo - seg.lo):
                 if any_mu:
                     # grad + mu * (w - w_ref), as in LocalObjective.
                     np.subtract(Wa, Wr, out=diff)
                     diff *= mua
                     G += diff
-                if any_corr:
-                    for row in range(a):
-                        if corrections[row] is not None:
-                            G[row] += corrections[row]
-                off = lo - seg.lo + s
-                if seg.uniform:
-                    stacked_step(Wa, G, state, int(base_steps[0]) + off)
-                else:
-                    stacked_step(Wa, G, state, base_steps + off)
+                for row, correction in corr_rows:
+                    G[row] += correction
+                stacked_step(Wa, G, state, first_step + step)
         for p in seg.ends:
             results[p.task] = W[p.lane].copy()
 
@@ -288,7 +286,7 @@ def solve_cohort(
             w=w_local,
             num_train=client.data.num_train,
             epochs=task_effective_epochs(task),
-            gradient_evaluations=len(plans[i]),
+            gradient_evaluations=budgets[i],
             gamma=gamma,
         )
         apply_update_fault(updates[i], task)

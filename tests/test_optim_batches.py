@@ -88,21 +88,59 @@ class TestStackedPlansMatchScalarDraws:
         ids=["sgd", "momentum", "adam"],
     )
     def test_minibatch_solvers(self, solver):
-        plan = solver.stacked_plan(10, 1.5, _rng())
+        indices, lengths = solver.stacked_plan(10, 1.5, _rng())
         reference = BatchSchedule(10, 4, 1.5).materialize(_rng())
-        assert len(plan) == len(reference) == BatchSchedule(10, 4, 1.5).total
-        for a, b in zip(plan, reference):
-            np.testing.assert_array_equal(a, b)
+        assert len(lengths) == len(reference) == BatchSchedule(10, 4, 1.5).total
+        np.testing.assert_array_equal(indices, np.concatenate(reference))
+        assert lengths.tolist() == [len(b) for b in reference]
+
+    @pytest.mark.parametrize(
+        "n, batch_size, epochs",
+        [
+            (23, 10, 2.5),  # ends mid-epoch, after a short batch
+            (23, 10, 0.4),  # one partial epoch
+            (23, 10, 20),  # the paper's E
+            (7, 10, 3),  # batch_size >= n: one full-data batch per epoch
+            (10, 10, 2),  # batch_size == n
+            (20, 5, 1.5),  # n % batch_size == 0, fractional
+            (20, 5, 3),  # n % batch_size == 0, whole
+            (100, 10, 0.01),  # epochs < 1/per_epoch: one batch minimum
+            (100, 10, 0),
+            (1, 1, 2),
+        ],
+    )
+    def test_flat_plan_is_the_materialized_schedule(self, n, batch_size, epochs):
+        """Same indices, same lengths, same draws — without building batches."""
+        schedule = BatchSchedule(n, batch_size, epochs)
+        rng_plan, rng_ref = _rng(), _rng()
+        indices, lengths = SGDSolver(0.1, batch_size=batch_size).stacked_plan(
+            n, epochs, rng_plan
+        )
+        reference = schedule.materialize(rng_ref)
+        np.testing.assert_array_equal(indices, np.concatenate(reference))
+        assert lengths.tolist() == [len(b) for b in reference]
+        assert len(lengths) == schedule.total >= 1
+        assert indices.dtype == np.concatenate(reference).dtype
+        assert lengths.dtype.kind == "i" and lengths.sum() == len(indices)
+        assert rng_plan.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_the_plan_arrays_belong_to_the_caller(self):
+        """The cohort planner offsets the indices; a second plan is unmoved."""
+        solver = SGDSolver(0.1, batch_size=4)
+        indices, lengths = solver.stacked_plan(10, 1.0, _rng())
+        assert indices.flags.writeable and lengths.flags.writeable
+        indices += 1000
+        again, _ = solver.stacked_plan(10, 1.0, _rng())
+        assert again.max() < 10
 
     def test_gd_plan_is_full_batches_without_rng_draws(self):
         solver = GDSolver(0.1)
         rng = _rng()
         state_before = rng.bit_generator.state
-        plan = solver.stacked_plan(7, 3.0, rng)
+        indices, lengths = solver.stacked_plan(7, 3.0, rng)
         assert rng.bit_generator.state == state_before  # GD never shuffles
-        assert len(plan) == 3
-        for batch in plan:
-            np.testing.assert_array_equal(batch, np.arange(7))
+        assert lengths.tolist() == [7, 7, 7]
+        np.testing.assert_array_equal(indices, np.tile(np.arange(7), 3))
 
     def test_gd_negative_epochs_rejected(self):
         with pytest.raises(ValueError):
