@@ -2,8 +2,11 @@
 
 from .federated import (
     ClientData,
+    ClientStore,
     DatasetStats,
+    EagerClientStore,
     FederatedDataset,
+    PackedClientStore,
     train_test_split_client,
 )
 from .from_arrays import federate_arrays
@@ -21,8 +24,6 @@ from .partition import (
 )
 from .store import (
     DEFAULT_CACHE_CLIENTS,
-    ClientStore,
-    EagerClientStore,
     MmapShardStore,
     OnDemandSyntheticStore,
     make_synthetic_ondemand,
@@ -45,6 +46,7 @@ __all__ = [
     "iid_partition",
     "ClientStore",
     "EagerClientStore",
+    "PackedClientStore",
     "MmapShardStore",
     "OnDemandSyntheticStore",
     "make_synthetic_ondemand",

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .federated import ClientData, FederatedDataset, train_test_split_client
+from .federated import FederatedDataset, PackedClientStore
 from .partition import assign_classes_per_device, iid_partition, power_law_sizes
 
 
@@ -95,20 +95,19 @@ def federate_arrays(
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    clients: List[ClientData] = []
     for device_id, indices in enumerate(parts):
         if len(indices) == 0:
             raise ValueError(
                 f"device {device_id} received no samples; reduce num_devices"
             )
-        clients.append(
-            train_test_split_client(
-                device_id, X[indices], y[indices], rng,
-                test_fraction=test_fraction,
-            )
-        )
+    store = PackedClientStore.allocate(
+        [len(indices) for indices in parts],
+        test_fraction, X.shape[1:], X.dtype, y.dtype,
+    )
+    for device_id, indices in enumerate(parts):
+        store.place(device_id, X[indices], y[indices], rng)
     return FederatedDataset(
-        name=name, clients=clients, num_classes=num_classes,
+        name=name, store=store, num_classes=num_classes,
         input_dim=X.shape[1] if X.ndim > 1 else None,
     )
 

@@ -8,18 +8,28 @@ it.  What the paper's MNIST/FEMNIST experiments actually exercise is
 holds only 2 (MNIST) or 5 (FEMNIST) classes with power-law sizes — and that
 partition scheme is copied exactly (see DESIGN.md §4).
 
-Samples are stored as ``float32`` to keep the 1000-device configuration
-within laptop memory.
+Samples are stored as ``float32``: the 1000-device MNIST-like federation
+(69 035 x 784) is 207 MB, held once — the builder writes every device
+straight into the packed stacks its clients are views of (DESIGN.md §13,
+"Who owns the bytes").  Its largest power-law device is a third of that
+(23 951 rows, 150 MB as float64), so devices are generated
+``GENERATION_BLOCK_ROWS`` rows at a time: building peaks at the data
+bytes plus two float64 blocks (about 7 MB), where generating that device
+whole held 3-4 x 150 MB of temporaries on top of the federation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .federated import ClientData, FederatedDataset, train_test_split_client
+from .federated import FederatedDataset, PackedClientStore
 from .partition import assign_classes_per_device, power_law_sizes
+
+#: Rows of a device generated at a time: bounds the float64 temporaries of
+#: the largest power-law device (tens of thousands of rows) to megabytes.
+GENERATION_BLOCK_ROWS = 512
 
 
 def _smooth_prototype(
@@ -116,19 +126,30 @@ def make_prototype_image_dataset(
         rng, num_devices, num_classes, classes_per_device
     )
 
-    clients: List[ClientData] = []
+    store = PackedClientStore.allocate(
+        sizes, test_fraction, (dim,), np.float32, class_sets[0].dtype
+    )
     for k in range(num_devices):
-        allowed = class_sets[k]
-        y = rng.choice(allowed, size=sizes[k])
-        styles = rng.integers(prototypes_per_class, size=sizes[k])
-        X = prototypes[y, styles] + rng.normal(0.0, noise, size=(sizes[k], dim))
-        X = np.clip(X, 0.0, 1.0).astype(np.float32)
-        clients.append(
-            train_test_split_client(k, X, y, rng, test_fraction=test_fraction)
-        )
+        n = sizes[k]
+        y = rng.choice(class_sets[k], size=n)
+        styles = rng.integers(prototypes_per_class, size=n)
+        # ``clip(prototypes[y, styles] + normal(0, noise, (n, dim)))`` a
+        # block of rows at a time, straight into the device's own rows:
+        # ``normal`` fills row-major from one stream, so the blocks are
+        # the same numbers as the one draw.
+        done = 0
+        for rows in store.staging(k):
+            for lo in range(0, len(rows), GENERATION_BLOCK_ROWS):
+                out = rows[lo : lo + GENERATION_BLOCK_ROWS]
+                upto = done + len(out)
+                block = rng.normal(0.0, noise, size=out.shape)
+                block += prototypes[y[done:upto], styles[done:upto]]
+                np.clip(block, 0.0, 1.0, out=out, casting="same_kind")
+                done = upto
+        store.place(k, None, y, rng)
 
     return FederatedDataset(
-        name=name, clients=clients, num_classes=num_classes, input_dim=dim
+        name=name, store=store, num_classes=num_classes, input_dim=dim
     )
 
 

@@ -7,11 +7,12 @@ at production scale.  A :class:`ClientStore` is the pluggable replacement:
 a sequence-like object that answers two questions cheaply for *every*
 client (``train_sizes`` / ``test_sizes`` — the aggregation-mass metadata
 the server and evaluators need each round) and materializes any single
-client's arrays *on access*.  Three implementations:
-
-:class:`EagerClientStore`
-    Wraps the historical in-memory list — the default, and bit-identical
-    to the pre-store behavior.
+client's arrays *on access*.  The contract and the two in-memory stores
+(:class:`~repro.datasets.federated.EagerClientStore` around a caller's
+client list, :class:`~repro.datasets.federated.PackedClientStore` that
+owns the bytes the seeded builders write) are defined beside the dataset
+container in :mod:`repro.datasets.federated`; this module holds the two
+that materialize on access:
 
 :class:`MmapShardStore`
     Clients packed into ``.npy`` shard files with an on-disk index; a
@@ -30,21 +31,26 @@ client's arrays *on access*.  Three implementations:
 All stores implement the read-only sequence protocol (``len``, ``[]``,
 iteration), so everything that walks a ``FederatedDataset`` works
 unchanged; lazy stores additionally advertise ``lazy = True`` so the
-runtime avoids whole-federation materialization (e.g. the stacked
-evaluation cache) unless explicitly asked for it.
+runtime avoids whole-federation materialization (``stacked``, which the
+stacked census reads) unless explicitly asked for it.
 """
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .federated import ClientData, train_test_split_client
+from .federated import (
+    ClientData,
+    ClientStore,
+    EagerClientStore,
+    _split_sizes,
+    train_test_split_client,
+)
 from .partition import lognormal_sizes
 from .synthetic import (
     NUM_CLASSES,
@@ -107,113 +113,6 @@ class _LRUCache:
             "misses": self.misses,
             "evictions": self.evictions,
         }
-
-
-class ClientStore(abc.ABC):
-    """Per-client data access with O(1)-per-client metadata.
-
-    The contract (relied on by the trainer, the executors, and both
-    evaluators — see DESIGN.md §13):
-
-    * ``len(store)`` is the device count; ``store.get(k)`` returns client
-      ``k``'s :class:`~repro.datasets.federated.ClientData` with
-      ``client_id == k``.
-    * ``get`` is **deterministic**: any two calls (in any process, before
-      or after cache evictions) return arrays with identical contents.
-    * ``train_sizes`` / ``test_sizes`` return per-client sample counts for
-      the *whole* federation without materializing any client.
-    * ``lazy`` is ``True`` when ``get`` may do real work (regeneration,
-      I/O) — consumers then avoid whole-federation materialization on hot
-      paths and should touch clients through a bounded working set.
-    """
-
-    #: Whether accessing a client may materialize data on demand.
-    lazy: bool = False
-
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Number of devices in the store."""
-
-    @abc.abstractmethod
-    def get(self, client_id: int) -> ClientData:
-        """Materialize (or fetch) one client's data."""
-
-    @property
-    @abc.abstractmethod
-    def train_sizes(self) -> np.ndarray:
-        """Per-client training sample counts ``n_k`` (no materialization)."""
-
-    @property
-    @abc.abstractmethod
-    def test_sizes(self) -> np.ndarray:
-        """Per-client held-out sample counts (no materialization)."""
-
-    # Sequence protocol ------------------------------------------------- #
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[ClientData, List[ClientData]]:
-        if isinstance(index, slice):
-            return [self.get(i) for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        return self.get(index)
-
-    def __iter__(self) -> Iterator[ClientData]:
-        for i in range(len(self)):
-            yield self.get(i)
-
-    def cache_info(self) -> Dict[str, int]:
-        """Cache statistics for lazily-materializing stores (else empty)."""
-        return {}
-
-
-class EagerClientStore(ClientStore):
-    """The historical behavior: every client held in memory up front."""
-
-    lazy = False
-
-    def __init__(self, clients: Sequence[ClientData]) -> None:
-        if not clients:
-            raise ValueError("an eager client store needs at least one client")
-        self.clients: List[ClientData] = list(clients)
-        self._train_sizes: Optional[np.ndarray] = None
-        self._test_sizes: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return len(self.clients)
-
-    def get(self, client_id: int) -> ClientData:
-        if client_id < 0:  # the list would wrap; too-large ids raise below
-            raise IndexError(f"client {client_id} out of range")
-        return self.clients[client_id]
-
-    @property
-    def train_sizes(self) -> np.ndarray:
-        if self._train_sizes is None:
-            self._train_sizes = np.array(
-                [c.num_train for c in self.clients]
-            )
-        return self._train_sizes
-
-    @property
-    def test_sizes(self) -> np.ndarray:
-        if self._test_sizes is None:
-            self._test_sizes = np.array([c.num_test for c in self.clients])
-        return self._test_sizes
-
-
-def _split_sizes(
-    sizes: np.ndarray, test_fraction: float
-) -> tuple:
-    """Vectorized train/test counts matching ``train_test_split_client``.
-
-    Mirrors the scalar logic exactly: ``n_test = int(n * test_fraction)``,
-    clamped so at least one training sample survives.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    n_test = (sizes * test_fraction).astype(np.int64)
-    n_test = np.where(sizes - n_test < 1, sizes - 1, n_test)
-    return sizes - n_test, n_test
 
 
 class OnDemandSyntheticStore(ClientStore):

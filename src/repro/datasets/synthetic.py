@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .federated import ClientData, FederatedDataset, train_test_split_client
+from .federated import FederatedDataset, PackedClientStore
 from .partition import lognormal_sizes
 
 NUM_FEATURES = 60
@@ -39,6 +39,13 @@ def _input_covariance_diag(dim: int = NUM_FEATURES) -> np.ndarray:
 def _softmax_labels(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Labels ``argmax softmax(W x + b)`` (argmax of scores suffices)."""
     return (X @ W + b).argmax(axis=1)
+
+
+def _allocate(sizes: np.ndarray, test_fraction: float) -> PackedClientStore:
+    """The packed stacks the two generators write their devices into."""
+    return PackedClientStore.allocate(
+        sizes, test_fraction, (NUM_FEATURES,), np.float64, np.intp
+    )
 
 
 def make_synthetic(
@@ -91,7 +98,7 @@ def make_synthetic(
     )
     cov_diag = _input_covariance_diag()
 
-    clients = []
+    store = _allocate(sizes, test_fraction)
     for k in range(num_devices):
         u_k = rng.normal(0.0, np.sqrt(alpha)) if alpha > 0 else 0.0
         B_k = rng.normal(0.0, np.sqrt(beta)) if beta > 0 else 0.0
@@ -101,10 +108,7 @@ def make_synthetic(
         X = rng.normal(
             loc=v_k, scale=np.sqrt(cov_diag), size=(sizes[k], NUM_FEATURES)
         )
-        y = _softmax_labels(X, W_k, b_k)
-        clients.append(
-            train_test_split_client(k, X, y, rng, test_fraction=test_fraction)
-        )
+        store.place(k, X, _softmax_labels(X, W_k, b_k), rng)
 
     recipe = None
     if seeded:
@@ -121,7 +125,7 @@ def make_synthetic(
         }
     return FederatedDataset(
         name=name or f"Synthetic({alpha:g},{beta:g})",
-        clients=clients,
+        store=store,
         num_classes=NUM_CLASSES,
         input_dim=NUM_FEATURES,
         recipe=recipe,
@@ -144,15 +148,12 @@ def make_synthetic_iid(
     W = rng.normal(0.0, 1.0, size=(NUM_FEATURES, NUM_CLASSES))
     b = rng.normal(0.0, 1.0, size=NUM_CLASSES)
 
-    clients = []
+    store = _allocate(sizes, test_fraction)
     for k in range(num_devices):
         X = rng.normal(
             loc=0.0, scale=np.sqrt(cov_diag), size=(sizes[k], NUM_FEATURES)
         )
-        y = _softmax_labels(X, W, b)
-        clients.append(
-            train_test_split_client(k, X, y, rng, test_fraction=test_fraction)
-        )
+        store.place(k, X, _softmax_labels(X, W, b), rng)
 
     recipe = None
     if seeded:
@@ -166,7 +167,7 @@ def make_synthetic_iid(
         }
     return FederatedDataset(
         name="Synthetic-IID",
-        clients=clients,
+        store=store,
         num_classes=NUM_CLASSES,
         input_dim=NUM_FEATURES,
         recipe=recipe,

@@ -17,11 +17,11 @@ shift over sequences (see DESIGN.md §4).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .federated import ClientData, FederatedDataset, train_test_split_client
+from .federated import FederatedDataset, PackedClientStore
 
 
 def _random_stochastic_matrix(
@@ -95,17 +95,16 @@ def make_shakespeare_like(
     raw = rng.lognormal(0.0, 0.8, size=num_devices)
     sizes = np.maximum((raw / raw.mean() * samples_per_device_mean).astype(int), 10)
 
-    clients: List[ClientData] = []
+    store = PackedClientStore.allocate(
+        sizes, test_fraction, (seq_len,), np.int64, np.int64
+    )
     for k in range(num_devices):
         dialect = _random_stochastic_matrix(rng, vocab_size)
         transitions = (1.0 - dialect_weight) * shared + dialect_weight * dialect
         stream = _sample_markov_stream(rng, transitions, sizes[k] + seq_len)
-        windows = np.lib.stride_tricks.sliding_window_view(stream, seq_len)[
-            : sizes[k]
-        ].copy()
-        labels = stream[seq_len : seq_len + sizes[k]].copy()
-        clients.append(
-            train_test_split_client(k, windows, labels, rng, test_fraction=test_fraction)
+        windows = np.lib.stride_tricks.sliding_window_view(stream, seq_len)
+        store.place(
+            k, windows[: sizes[k]], stream[seq_len : seq_len + sizes[k]], rng
         )
 
     recipe = None
@@ -122,7 +121,7 @@ def make_shakespeare_like(
             "name": name,
         }
     return FederatedDataset(
-        name=name, clients=clients, num_classes=vocab_size, input_dim=seq_len,
+        name=name, store=store, num_classes=vocab_size, input_dim=seq_len,
         recipe=recipe,
     )
 
@@ -179,7 +178,9 @@ def make_sent140_like(
         10,
     )
 
-    clients: List[ClientData] = []
+    store = PackedClientStore.allocate(
+        sizes, test_fraction, (seq_len,), neutral.dtype, np.int64
+    )
     for k in range(num_devices):
         positive_rate = rng.beta(label_prior_concentration, label_prior_concentration)
         neutral_pref = rng.dirichlet(np.full(len(neutral), 0.3))
@@ -192,9 +193,7 @@ def make_sent140_like(
         neutral_tokens = rng.choice(neutral, size=(sizes[k], seq_len), p=neutral_pref)
         X = np.where(use_lexicon, lexicon_tokens, neutral_tokens)
 
-        clients.append(
-            train_test_split_client(k, X, y, rng, test_fraction=test_fraction)
-        )
+        store.place(k, X, y, rng)
 
     recipe = None
     if seeded:
@@ -212,6 +211,6 @@ def make_sent140_like(
             "name": name,
         }
     return FederatedDataset(
-        name=name, clients=clients, num_classes=2, input_dim=seq_len,
+        name=name, store=store, num_classes=2, input_dim=seq_len,
         recipe=recipe,
     )

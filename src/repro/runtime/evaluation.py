@@ -13,17 +13,20 @@ federations.  :class:`FederationEvaluator` provides two strategies:
     :func:`~repro.core.server.global_test_accuracy` results.
 
 ``stacked``
-    Per-client batches are concatenated once (and cached) and the whole
-    federation is evaluated in fused forward passes over large fixed-size
-    blocks of the stack — big enough to amortize Python/NumPy dispatch,
-    small enough that the softmax temporaries stay cache-resident (a
-    single 178k-row forward is memory-bandwidth-bound and measurably
-    slower).  Because every :class:`~repro.models.base.FederatedModel`
-    defines ``loss`` as the *mean* per-sample loss, the sample-weighted
-    block mean equals the ``n_k``-weighted mean of per-client losses up
-    to floating-point association (the L2 constant enters exactly once
-    since the block weights sum to 1), and the stacked accuracy count is
-    exactly the per-client sum.  Only enabled for models advertising
+    The whole federation is evaluated in fused forward passes over large
+    fixed-size blocks of its stacked split, which the client store hands
+    over (:meth:`~repro.datasets.federated.ClientStore.stacked`): a packed
+    store's own arrays, of which every client is a view, or one kept
+    concatenation of any other store's clients.  The blocks are big
+    enough to amortize Python/NumPy dispatch, small enough that the
+    softmax temporaries stay cache-resident (a single 178k-row forward is
+    memory-bandwidth-bound and measurably slower).  Because every
+    :class:`~repro.models.base.FederatedModel` defines ``loss`` as the
+    *mean* per-sample loss, the sample-weighted block mean equals the
+    ``n_k``-weighted mean of per-client losses up to floating-point
+    association (the L2 constant enters exactly once since the block
+    weights sum to 1), and the stacked accuracy count is exactly the
+    per-client sum.  Only enabled for models advertising
     ``supports_stacked_eval``.
 
 Both round executors share one evaluator instance (or, for worker-side
@@ -34,10 +37,11 @@ what keeps serial and parallel training histories bit-identical.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from ..datasets.federated import EagerClientStore
 from ..telemetry import resolve_telemetry
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
@@ -63,8 +67,8 @@ def resolve_eval_mode(
 
     ``lazy=True`` (a lazily-materializing client store backs the
     federation) steers ``"auto"`` to ``"per_client"``: the stacked path
-    caches a concatenation of *every* client's arrays, which defeats the
-    store's O(active cohort) memory bound.  Explicitly requesting
+    has the store concatenate *every* client's arrays, which defeats its
+    O(active cohort) memory bound.  Explicitly requesting
     ``"stacked"`` on a lazy store is still honored — small mmap-backed
     federations may legitimately want it — it simply materializes the
     federation once.
@@ -96,9 +100,16 @@ class FederationEvaluator:
     Parameters
     ----------
     clients:
-        The federation's clients, in device-id order.  The client list (and
-        each client's data) must not change after construction — the
-        stacked fast path caches concatenated arrays.
+        The federation's clients, in device-id order.  A dataset's own
+        :class:`~repro.core.client.ClientPool` is evaluated on its store's
+        stacked split; any other sequence (a slice, a re-ordering, a
+        hand-built list) on a concatenation of exactly those clients'
+        arrays.  On a packed store the stacked census therefore reads
+        the bytes the solves read, in-place edits included.  What must
+        still not change after construction: the client list itself
+        (replacing a ``ClientData`` object leaves the store's stack
+        behind), and, wherever the split had to be concatenated, the
+        clients' arrays — that copy is made once.
     model:
         Model used for the evaluation forward passes (typically the
         trainer's shared model).
@@ -165,8 +176,16 @@ class FederationEvaluator:
         self._masses = masses / masses.sum()
         self._train_rows = int(masses.sum())
         self._test_rows = test_rows
-        self._train_stack: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._test_stack: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # Where a stacked split comes from: the store behind the
+        # dataset's own pool, or a store over exactly the clients given.
+        self._store = None
+        if eval_mode == "stacked":
+            dataset = getattr(clients, "dataset", None)
+            self._store = (
+                dataset.store
+                if dataset is not None
+                else EagerClientStore([c.data for c in self.clients])
+            )
 
     # Reductions (shared with worker-side per-client evaluation) --------- #
     def reduce_train_losses(self, losses: np.ndarray) -> float:
@@ -178,24 +197,6 @@ class FederationEvaluator:
         if total == 0:
             raise no_test_samples_error(self.label)
         return correct / total
-
-    # Stacked caches ----------------------------------------------------- #
-    def _train_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._train_stack is None:
-            self._train_stack = (
-                np.concatenate([c.data.train_x for c in self.clients]),
-                np.concatenate([c.data.train_y for c in self.clients]),
-            )
-        return self._train_stack
-
-    def _test_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        if self._test_stack is None:
-            xs = [c.data.test_x for c in self.clients if c.data.num_test > 0]
-            ys = [c.data.test_y for c in self.clients if c.data.num_test > 0]
-            if not xs:
-                raise no_test_samples_error(self.label)
-            self._test_stack = (np.concatenate(xs), np.concatenate(ys))
-        return self._test_stack
 
     def _blocks(self, n: int):
         for lo in range(0, n, self.block_size):
@@ -216,7 +217,7 @@ class FederationEvaluator:
 
     def _train_loss(self, w: np.ndarray) -> float:
         if self.eval_mode == "stacked":
-            X, y = self._train_arrays()
+            X, y = self._store.stacked("train")
             self.model.set_params(w)
             total = 0.0
             for lo, hi in self._blocks(len(y)):
@@ -239,7 +240,9 @@ class FederationEvaluator:
 
     def _test_accuracy(self, w: np.ndarray) -> float:
         if self.eval_mode == "stacked":
-            X, y = self._test_arrays()
+            if self._test_rows == 0:
+                raise no_test_samples_error(self.label)
+            X, y = self._store.stacked("test")
             self.model.set_params(w)
             correct = 0
             for lo, hi in self._blocks(len(y)):

@@ -98,7 +98,7 @@ cumulative ``faults.*`` gauges summarize the run's counters each round.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -244,6 +244,29 @@ def metric_event(
     return event
 
 
+def _percentiles(ordered: List[float], qs: Sequence[float]) -> List[float]:
+    """``np.percentile(ordered, qs)`` (method ``"linear"``) of a sorted list.
+
+    NumPy's definition, operation for operation — virtual index
+    ``(n - 1) * q / 100``, the neighbours ``a <= b`` around it, and
+    ``a + (b - a) * g`` switched to ``b - (b - a) * (1 - g)`` from
+    ``g = 0.5`` on — so a summary is bit-equal to the ``np.percentile``
+    call it replaces (62 µs for the few values of a round's histogram,
+    against 8 µs here); ``tests/test_telemetry.py`` holds it to that.
+    """
+    top = len(ordered) - 1
+    out = []
+    for q in qs:
+        virtual = top * (q / 100)
+        below = int(virtual)
+        if below >= top:
+            out.append(ordered[top])
+            continue
+        a, b, g = ordered[below], ordered[below + 1], virtual - below
+        out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return out
+
+
 def summarize(values: Sequence[float]) -> Dict[str, float]:
     """Histogram summary statistics (count/min/max/mean/p50/p90/p95/p99).
 
@@ -257,14 +280,14 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
     arr = arr[np.isfinite(arr)]
     if arr.size == 0:
         return {"count": 0}
-    p50, p90, p95, p99 = np.percentile(arr, [50, 90, 95, 99])
+    p50, p90, p95, p99 = _percentiles(sorted(arr.tolist()), (50, 90, 95, 99))
     return {
         "count": int(arr.size),
         "min": float(arr.min()),
         "max": float(arr.max()),
         "mean": float(arr.mean()),
-        "p50": float(p50),
-        "p90": float(p90),
-        "p95": float(p95),
-        "p99": float(p99),
+        "p50": p50,
+        "p90": p90,
+        "p95": p95,
+        "p99": p99,
     }

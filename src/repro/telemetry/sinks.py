@@ -96,6 +96,11 @@ def _json_default(obj: Any) -> Any:
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+#: What ``json.dumps(event, default=_json_default)`` builds anew on every
+#: call; one encoder writes the same bytes for every event of every sink.
+_ENCODER = json.JSONEncoder(default=_json_default)
+
+
 class JSONLSink(Sink):
     """Write one JSON object per line — the run-artifact backend.
 
@@ -161,7 +166,7 @@ class JSONLSink(Sink):
 
     def emit(self, event: Dict[str, Any]) -> None:
         self._ensure_open()
-        self._fh.write(json.dumps(event, default=_json_default))
+        self._fh.write(_ENCODER.encode(event))
         self._fh.write("\n")
         self.lines_written += 1
         if self.flush_per_round and (

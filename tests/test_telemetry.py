@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.systems import ClockDrivenSystems, DeviceProfile, trace_round
 from repro.telemetry import (
@@ -71,6 +73,32 @@ class TestEvents:
         assert summarize([]) == {"count": 0}
         assert summarize([float("nan")]) == {"count": 0}
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-1e150, 1e150),
+                st.integers(-3, 3).map(float),  # ties between neighbours
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_summarize_percentiles_are_numpys(self, values):
+        """The list interpolation stays bit-equal to ``np.percentile``.
+
+        ``+ 0.0`` folds ``-0.0`` into ``0.0``: which of two equal zeros
+        a selection puts first — hence the sign of a zero percentile —
+        is the one thing NumPy's partition does not define either.
+        """
+        values = [v + 0.0 for v in values]
+        s = summarize(values)
+        reference = np.percentile(values, [50, 90, 95, 99])
+        for key, ref in zip(("p50", "p90", "p95", "p99"), reference):
+            assert isinstance(s[key], float)
+            assert s[key].hex() == float(ref).hex(), (key, values)
+        assert s["mean"].hex() == float(np.mean(values)).hex()
+
 
 class TestInMemorySink:
     def test_collects_and_queries(self):
@@ -124,6 +152,28 @@ class TestJSONLSink:
         sink.close()
         [e] = read_jsonl(str(path))
         assert e["duration"] == 0.5 and e["clients"] == 3
+
+    def test_lines_are_json_dumps_bytes(self, tmp_path):
+        """The shared encoder writes what ``json.dumps(default=...)`` wrote."""
+        from repro.telemetry.sinks import _json_default
+
+        events = [
+            span_event("round", np.float64(0.125), round_idx=2, clients=np.int64(3)),
+            metric_event("drift", "histogram", round_idx=2,
+                         **summarize([0.1, 0.25, 1e-9, 3.0])),
+            {"type": "manifest", "label": "é\u2713", "config": {"mu": 1.0, "k": None},
+             "sizes": np.float32(0.5), "nested": [{"a": (1, 2.5e-7)}, True]},
+            {"type": "round_record", "loss": float("nan"), "w": float("inf")},
+        ]
+        path = tmp_path / "bytes.jsonl"
+        sink = JSONLSink(str(path))
+        for event in events:
+            sink.emit(event)
+        sink.close()
+        expected = "".join(
+            json.dumps(e, default=_json_default) + "\n" for e in events
+        )
+        assert path.read_text() == expected
 
     def test_emit_after_close_raises(self, tmp_path):
         sink = JSONLSink(str(tmp_path / "c.jsonl"))
