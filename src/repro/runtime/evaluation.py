@@ -18,9 +18,10 @@ federations.  :class:`FederationEvaluator` provides two strategies:
     over (:meth:`~repro.datasets.federated.ClientStore.stacked`): a packed
     store's own arrays, of which every client is a view, or one kept
     concatenation of any other store's clients.  The blocks are big
-    enough to amortize Python/NumPy dispatch, small enough that the
-    softmax temporaries stay cache-resident (a single 178k-row forward is
-    memory-bandwidth-bound and measurably slower).  Because every
+    enough to amortize Python/NumPy dispatch and small enough that a
+    block's temporaries are a fixed few MB whatever the federation's size
+    (a single 178k-row forward is memory-bandwidth-bound and measurably
+    slower).  Because every
     :class:`~repro.models.base.FederatedModel` defines ``loss`` as the
     *mean* per-sample loss, the sample-weighted block mean equals the
     ``n_k``-weighted mean of per-client losses up to floating-point
@@ -29,9 +30,17 @@ federations.  :class:`FederationEvaluator` provides two strategies:
     per-client sum.  Only enabled for models advertising
     ``supports_stacked_eval``.
 
-Both round executors share one evaluator instance (or, for worker-side
-``per_client`` evaluation, share this module's reduction helpers), which is
-what keeps serial and parallel training histories bit-identical.
+Either way a census is two things, and this module holds the one
+implementation of each: *per-unit values* — one mean loss or one correct
+count per block (stacked) or per client (``per_client``), each a pure
+function of ``w`` and that unit's rows
+(:meth:`FederationEvaluator.values`) — and *their reduction in unit order*
+(:meth:`FederationEvaluator.reduce`).  Every engine reduces on the server;
+the serial, cohort and async engines compute the values there too, the
+parallel engine computes them on its workers, over the workers' own view
+of the same bytes (:meth:`FederationEvaluator.census` takes the stand-in).
+Same units, same bytes, same per-unit code, the same additions in the
+same order: histories are bit-identical across engines by construction.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from ..datasets.federated import EagerClientStore
+from ..datasets.federated import EagerClientStore, PackedClientStore
 from ..telemetry import resolve_telemetry
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
@@ -50,10 +59,20 @@ if TYPE_CHECKING:  # avoid a circular import with repro.core
 
 EVAL_MODES = ("auto", "per_client", "stacked")
 
-# Rows per fused forward pass in stacked mode.  2048 rows * 60 features of
-# float64 keeps the design matrix slice plus the N x classes softmax
-# temporaries inside L2 cache; larger blocks go memory-bandwidth-bound.
+# Rows per fused forward pass in stacked mode.  At 60 float64 features a
+# block is 1 MB of rows plus 160 KB of softmax temporaries, inside a 4 MB
+# L2.  On MNIST-like rows it is not: the float32 block converts to 12.8 MB
+# of float64.  Measured there (train split, 28 blocks, 87-118 ms a census):
+# conversion 31-45 ms, GEMM 48-64, softmax tail 6-10.  Scores of 192-, 512-
+# and 1024-row sub-blocks are array_equal to the 2048-row block's and no
+# faster (+-5 %); 256 and 128 rows differ by 4.0e-15; <= 96 rows take
+# OpenBLAS's small-matrix kernel (GEMM 35-43 ms) and differ by 7.5e-15.
+# Every faster shape moves the bits of every evaluated loss, so this one
+# stays until bench/golden.json is regenerated.
 STACKED_EVAL_BLOCK = 2048
+
+# The telemetry span a census of each split is recorded under.
+_SPANS = {"train": "eval:train_loss", "test": "eval:test_accuracy"}
 
 
 def resolve_eval_mode(
@@ -187,75 +206,102 @@ class FederationEvaluator:
                 else EagerClientStore([c.data for c in self.clients])
             )
 
-    # Reductions (shared with worker-side per-client evaluation) --------- #
-    def reduce_train_losses(self, losses: np.ndarray) -> float:
-        """Combine per-client losses into the global objective ``f(w)``."""
-        return float(self._masses @ np.asarray(losses, dtype=np.float64))
+    # The census, in two halves ------------------------------------------ #
+    # A census is a list of per-unit values — one per block of the stacked
+    # split, or one per client — reduced in unit order.  The values are the
+    # only part that reads rows or the model, and each is a pure function
+    # of ``(w, its rows)``: whichever process computes them, over whichever
+    # copy of the same bytes, the reduction sees the same floats in the
+    # same order.  That is what lets :class:`ParallelExecutor` compute
+    # them on its workers and still equal the serial engine with ``==``.
+    def _rows(self, split: str) -> int:
+        return self._train_rows if split == "train" else self._test_rows
 
-    def reduce_test_counts(self, correct: int, total: int) -> float:
-        """Combine correct/total counts into the global test accuracy."""
-        if total == 0:
+    def stack_in_place(self, split: str):
+        """The stacked ``split`` if the store owns it as arrays, else ``None``.
+
+        Owned means :meth:`values` copies nothing to read it, in any
+        process that holds the store; otherwise the first stacked census
+        concatenates the whole split, once per process that runs one.
+        """
+        if isinstance(self._store, PackedClientStore):
+            return self._store.stacked(split)
+        return None
+
+    def units(self, split: str) -> Sequence:
+        """What a census of ``split`` reduces over, in reduction order.
+
+        Stacked: the ``(lo, hi)`` row bounds of each evaluation block.
+        Per-client: the client ids.  Any contiguous slice of the result is
+        a valid argument to :meth:`values`.
+        """
+        if self.eval_mode != "stacked":
+            return range(len(self.clients))
+        n = self._rows(split)
+        return [
+            (lo, min(lo + self.block_size, n))
+            for lo in range(0, n, self.block_size)
+        ]
+
+    def values(self, w: np.ndarray, split: str, units: Sequence) -> list:
+        """One Python number per unit: a mean loss, or a correct count.
+
+        Plain ``float`` / ``int`` so a value computed in a worker crosses
+        the pickle boundary exactly.  Clients are indexed one at a time —
+        a lazily-backed pool then holds no more than its store's cache.
+        """
+        model = self.model
+        if self.eval_mode == "stacked":
+            X, y = self._store.stacked(split)
+            model.set_params(w)
+            if split == "train":
+                return [float(model.loss(X[lo:hi], y[lo:hi])) for lo, hi in units]
+            return [
+                int(np.sum(model.predict(X[lo:hi]) == y[lo:hi]))
+                for lo, hi in units
+            ]
+        if split == "train":
+            return [float(self.clients[i].train_loss(w)) for i in units]
+        return [self.clients[i].test_metrics(w)[0] for i in units]
+
+    def reduce(self, split: str, units: Sequence, values: Sequence) -> float:
+        """Fold :meth:`values` of all of :meth:`units`, in unit order."""
+        if split == "test":
+            # Counts are integers: their sum has no order to keep.
+            return sum(values) / self._test_rows
+        if self.eval_mode == "stacked":
+            total = 0.0
+            for (lo, hi), value in zip(units, values):
+                total += value * (hi - lo)
+            return total / self._train_rows
+        return float(self._masses @ np.asarray(values, dtype=np.float64))
+
+    def census(self, w: np.ndarray, split: str, compute=None) -> float:
+        """The ``"train"`` loss or ``"test"`` accuracy of ``w`` over everyone.
+
+        ``compute`` stands in for :meth:`values` (same arguments, same
+        result) when the caller has somewhere better to run it; the units,
+        the reduction, the no-test-rows error and the span stay here.
+        """
+        if split == "test" and self._test_rows == 0:
             raise no_test_samples_error(self.label)
-        return correct / total
-
-    def _blocks(self, n: int):
-        for lo in range(0, n, self.block_size):
-            yield lo, min(lo + self.block_size, n)
+        t0 = time.perf_counter() if self.telemetry.enabled else 0.0
+        units = self.units(split)
+        result = self.reduce(
+            split, units, (compute or self.values)(w, split, units)
+        )
+        if self.telemetry.enabled:
+            self.telemetry.record_span(
+                _SPANS[split], time.perf_counter() - t0,
+                mode=self.eval_mode, rows=self._rows(split),
+            )
+        return result
 
     # Public oracle ------------------------------------------------------ #
     def train_loss(self, w: np.ndarray) -> float:
         """Global objective ``f(w) = sum_k p_k F_k(w)`` of Equation 1."""
-        if not self.telemetry.enabled:
-            return self._train_loss(w)
-        t0 = time.perf_counter()
-        result = self._train_loss(w)
-        self.telemetry.record_span(
-            "eval:train_loss", time.perf_counter() - t0,
-            mode=self.eval_mode, rows=self._train_rows,
-        )
-        return result
-
-    def _train_loss(self, w: np.ndarray) -> float:
-        if self.eval_mode == "stacked":
-            X, y = self._store.stacked("train")
-            self.model.set_params(w)
-            total = 0.0
-            for lo, hi in self._blocks(len(y)):
-                total += float(self.model.loss(X[lo:hi], y[lo:hi])) * (hi - lo)
-            return total / len(y)
-        losses = np.array([c.train_loss(w) for c in self.clients])
-        return self.reduce_train_losses(losses)
+        return self.census(w, "train")
 
     def test_accuracy(self, w: np.ndarray) -> float:
         """Sample-weighted test accuracy across all devices with test data."""
-        if not self.telemetry.enabled:
-            return self._test_accuracy(w)
-        t0 = time.perf_counter()
-        result = self._test_accuracy(w)
-        self.telemetry.record_span(
-            "eval:test_accuracy", time.perf_counter() - t0,
-            mode=self.eval_mode, rows=self._test_rows,
-        )
-        return result
-
-    def _test_accuracy(self, w: np.ndarray) -> float:
-        if self.eval_mode == "stacked":
-            if self._test_rows == 0:
-                raise no_test_samples_error(self.label)
-            X, y = self._store.stacked("test")
-            self.model.set_params(w)
-            correct = 0
-            for lo, hi in self._blocks(len(y)):
-                correct += int(
-                    np.sum(self.model.predict(X[lo:hi]) == y[lo:hi])
-                )
-            return self.reduce_test_counts(correct, len(y))
-        correct = 0
-        total = 0
-        for client in self.clients:
-            if client.data.num_test == 0:
-                continue
-            c, n = client.test_metrics(w)
-            correct += c
-            total += n
-        return self.reduce_test_counts(correct, total)
+        return self.census(w, "test")

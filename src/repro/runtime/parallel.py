@@ -17,12 +17,30 @@ written once and referenced by the other tasks (pickle memoizes by object
 identity), so the dense model crosses the boundary once per worker, not
 once per task.
 
+The census runs there too.  A ``train_loss`` / ``test_accuracy`` call is
+per-unit values reduced in unit order
+(:mod:`repro.runtime.evaluation`); the workers hold the rows, so they
+compute the values — each a contiguous share of the blocks of the stacked
+split, or of the clients, with its own replica through a worker-side
+:class:`~repro.runtime.evaluation.FederationEvaluator` — and the server
+joins the returned floats/ints in unit order and runs the one reduction.
+One message per worker per call: ``w``, the split name and the share's
+bounds go down, plain Python numbers come back, no row ever crosses.  A
+stacked census is sharded only where that cannot cost memory or time: the
+store must own its stacked splits as arrays (a packed store — the workers
+read them in place; any other store would concatenate a copy of the
+federation in every worker) and the cut must take at least
+:data:`MIN_ELEMENTS_SAVED` feature values off what the server would
+otherwise wait for.  Everything else is evaluated on the server, exactly
+as the serial engine does it.
+
 Determinism: a task is a pure function of its description (the mini-batch
 generator is rebuilt in the worker from the task's entropy tuple), task
-results are returned in task order whichever worker ran them, and
-evaluation reduces per-client metrics in device order with the same
-reduction code as the serial path — so training histories are
-bit-identical to :class:`SerialExecutor` regardless of worker count.
+results are returned in task order whichever worker ran them, and a
+census value is a pure function of ``w`` and its rows, computed by the
+same code over the same bytes and reduced on the server in the same order
+as the serial path — so training histories are bit-identical to
+:class:`SerialExecutor` regardless of worker count.
 
 Fault injection rides the same mechanism: an injected
 :class:`~repro.faults.models.FaultDecision` is part of the
@@ -44,6 +62,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..optim.base import BatchSchedule
+from .evaluation import FederationEvaluator
 from .executor import (
     LocalTask,
     RoundExecutor,
@@ -57,6 +76,12 @@ if TYPE_CHECKING:  # avoid a circular import with repro.core
 
 # Per-worker-process state, populated once by _init_worker.
 _WORKER: dict = {}
+
+# A stacked census goes to the pool only when that takes at least this many
+# feature values (rows x row width) off what the server would otherwise wait
+# for: below it the hand-offs cost more than the second core gives back
+# (measured crossovers in DESIGN.md §8).
+MIN_ELEMENTS_SAVED = 1 << 21
 
 # One-time oversubscription warning (per process); see _warn_oversubscribed.
 _OVERSUBSCRIPTION_WARNED = False
@@ -84,7 +109,7 @@ def _warn_oversubscribed(requested: int, available: int) -> None:
     )
 
 
-def _init_worker(dataset, model, solver) -> None:
+def _init_worker(dataset, model, solver, eval_mode) -> None:
     """Build this worker's client pool (runs once per worker process).
 
     The pool resolves client access through the dataset's store: eager
@@ -93,10 +118,15 @@ def _init_worker(dataset, model, solver) -> None:
     on-demand synthetic stores rebuild only their metadata) materialize
     clients per access — so workers inherit the store's O(active cohort)
     memory bound instead of each holding a full federation copy.
+
+    The worker's evaluator answers census shares over that same pool with
+    the worker's replica; it only ever computes values, never reduces.
     """
     from ..core.client import ClientPool
 
-    _WORKER["clients"] = ClientPool(dataset, model, solver)
+    clients = ClientPool(dataset, model, solver)
+    _WORKER["clients"] = clients
+    _WORKER["evaluator"] = FederationEvaluator(clients, model, eval_mode)
 
 
 def _solve_task(task: LocalTask) -> "ClientUpdate":
@@ -143,25 +173,10 @@ def _split_by_work(costs: Sequence[int], n_groups: int) -> List[List[int]]:
     return [sorted(group) for group in groups if group]
 
 
-def _eval_chunk(args: Tuple) -> Tuple[Optional[List[float]], int, int]:
-    """Evaluate a contiguous slice of clients inside a worker process.
-
-    Returns ``(per_client_losses or None, correct, total)`` for clients
-    ``[lo, hi)``; zero-test clients are skipped in the counts.
-    """
-    w, lo, hi, need_train, need_test = args
-    clients = _WORKER["clients"][lo:hi]
-    losses = [c.train_loss(w) for c in clients] if need_train else None
-    correct = 0
-    total = 0
-    if need_test:
-        for client in clients:
-            if client.data.num_test == 0:
-                continue
-            c, n = client.test_metrics(w)
-            correct += c
-            total += n
-    return losses, correct, total
+def _census_share(message: Tuple[np.ndarray, str, Sequence]) -> list:
+    """One worker's share of a census: the values of a contiguous unit range."""
+    w, split, units = message
+    return _WORKER["evaluator"].values(w, split, units)
 
 
 class ParallelExecutor(RoundExecutor):
@@ -186,6 +201,12 @@ class ParallelExecutor(RoundExecutor):
     from the store's size metadata and the task's effective epochs), and
     the updates are put back in task order.  Retry waves and batches that
     mix several ``w_global`` arrays take the same path.
+
+    :meth:`train_loss` and :meth:`test_accuracy` send every worker at most
+    one message as well (module docstring): the workers compute the
+    census's per-unit values, the server reduces them.  A census computed
+    on the pool leaves the server's shared model untouched — nothing reads
+    it between rounds, and the trainer sets it after every aggregation.
 
     The pool starts lazily on first use (or via :meth:`ensure_started`) and
     is shut down by :meth:`close`.  Binding a model without a
@@ -252,7 +273,9 @@ class ParallelExecutor(RoundExecutor):
                 max_workers=self._n_workers,
                 mp_context=mp.get_context(self.start_method),
                 initializer=_init_worker,
-                initargs=(self.dataset, self._replica, self.solver),
+                initargs=(
+                    self.dataset, self._replica, self.solver, self.eval_mode
+                ),
             )
 
     def close(self) -> None:
@@ -287,33 +310,47 @@ class ParallelExecutor(RoundExecutor):
         return self._finalize_comms(updates, tasks)
 
     # Evaluation --------------------------------------------------------- #
-    def _eval_bounds(self) -> List[Tuple[int, int]]:
-        n = len(self.clients)
-        per_chunk = -(-n // self._n_workers)  # ceil division
-        return [(lo, min(lo + per_chunk, n)) for lo in range(0, n, per_chunk)]
+    def _sharding_pays(self, split: str, units: Sequence, cuts: List[int]) -> bool:
+        """Whether a stacked census of ``units`` is cheaper cut at ``cuts``.
 
-    def _dispatch_eval(self, w: np.ndarray, need_train: bool, need_test: bool):
+        Only where the workers read the split in place — anything else
+        would concatenate a copy of the federation in every worker — and
+        only when the cut takes enough work off the server, the longest
+        share being what the server then waits for.
+        """
+        stack = self.evaluator.stack_in_place(split)
+        if stack is None:
+            return False
+        longest = max(
+            units[hi - 1][1] - units[lo][0] for lo, hi in zip(cuts, cuts[1:])
+        )
+        saved_rows = units[-1][1] - units[0][0] - longest
+        return saved_rows * stack[0][0].size >= MIN_ELEMENTS_SAVED
+
+    def _census_values(self, w: np.ndarray, split: str, units: Sequence) -> list:
+        """:meth:`FederationEvaluator.values`, on the workers where that pays.
+
+        Contiguous near-equal shares of ``units``, one message per worker
+        (``w`` crosses once each, no rows do), the returned lists joined
+        in unit order.  Per-client units always go to the pool.
+        """
+        shares = min(self._n_workers, len(units))
+        cuts = [len(units) * i // shares for i in range(shares + 1)]
+        if self.eval_mode == "stacked" and not self._sharding_pays(
+            split, units, cuts
+        ):
+            return self.evaluator.values(w, split, units)
         self.ensure_started()
-        chunks = [
-            (w, lo, hi, need_train, need_test) for lo, hi in self._eval_bounds()
-        ]
-        return list(self._pool.map(_eval_chunk, chunks))
+        messages = [(w, split, units[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        values: list = []
+        for share in self._pool.map(_census_share, messages):
+            values.extend(share)
+        return values
 
     def train_loss(self, w: np.ndarray) -> float:
         self._require_bound()
-        if self.eval_mode == "stacked":
-            # One fused forward on the server beats shipping the model to
-            # every worker; both executors share this exact code path.
-            return self.evaluator.train_loss(w)
-        results = self._dispatch_eval(w, need_train=True, need_test=False)
-        losses = np.concatenate([np.asarray(r[0]) for r in results])
-        return self.evaluator.reduce_train_losses(losses)
+        return self.evaluator.census(w, "train", self._census_values)
 
     def test_accuracy(self, w: np.ndarray) -> float:
         self._require_bound()
-        if self.eval_mode == "stacked":
-            return self.evaluator.test_accuracy(w)
-        results = self._dispatch_eval(w, need_train=False, need_test=True)
-        correct = sum(r[1] for r in results)
-        total = sum(r[2] for r in results)
-        return self.evaluator.reduce_test_counts(correct, total)
+        return self.evaluator.census(w, "test", self._census_values)

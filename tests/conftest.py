@@ -2,11 +2,31 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.datasets import ClientData, FederatedDataset, make_synthetic
 from repro.models import MultinomialLogisticRegression
+
+
+class InProcessPool:
+    """Stands in for the process pool: every message still crosses a
+    pickle boundary both ways, but the worker function runs here."""
+
+    def __init__(self):
+        self.messages = []
+
+    def map(self, fn, messages):
+        self.messages = [pickle.dumps(message) for message in messages]
+        return [
+            pickle.loads(pickle.dumps(fn(pickle.loads(blob))))
+            for blob in self.messages
+        ]
+
+    def shutdown(self, wait=True):
+        pass
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from repro.runtime import (
     resolve_eval_mode,
     task_rng,
 )
+from tests.conftest import InProcessPool
 
 
 def _bound_serial(dataset, eval_mode="auto"):
@@ -247,24 +248,6 @@ class TestParallelExecutorEndToEnd:
         trainer.close()  # second close is a no-op
 
 
-class _InProcessPool:
-    """Stands in for the process pool: every message still crosses a
-    pickle boundary both ways, but the worker function runs here."""
-
-    def __init__(self):
-        self.messages = []
-
-    def map(self, fn, messages):
-        self.messages = [pickle.dumps(message) for message in messages]
-        return [
-            pickle.loads(pickle.dumps(fn(pickle.loads(blob))))
-            for blob in self.messages
-        ]
-
-    def shutdown(self, wait=True):
-        pass
-
-
 @pytest.mark.filterwarnings("ignore:ParallelExecutor:RuntimeWarning")
 class TestPerWorkerMessages:
     """One message per worker per round (DESIGN.md §8)."""
@@ -280,7 +263,7 @@ class TestPerWorkerMessages:
         def make(n_workers):
             executor = ParallelExecutor(n_workers=n_workers)
             executor.bind(synthetic_small, model, solver)
-            executor._pool = _InProcessPool()
+            executor._pool = InProcessPool()
             return executor
 
         monkeypatch.setitem(
