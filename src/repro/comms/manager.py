@@ -3,11 +3,11 @@ and wire-byte accounting.
 
 One :class:`CommsManager` lives on the trainer and is shared with its
 round executor (:meth:`~repro.runtime.executor.RoundExecutor.configure_comms`).
-Every executor funnels each batch of finished updates through
-:meth:`CommsManager.finalize_round` *before* returning them from
-``run_local_solves`` — so the fault manager's finiteness quarantine, the
-aggregation step, and every downstream consumer only ever see decoded
-updates, on every engine.
+:meth:`RoundExecutor.run_local_solves <repro.runtime.executor.RoundExecutor.run_local_solves>`
+— the one entry point of every engine — passes each delivered batch through
+:meth:`CommsManager.finalize_round` *before* returning it, so the fault
+manager's finiteness quarantine, the aggregation step, and every
+downstream consumer only ever see decoded updates.
 
 Two encode placements
 ---------------------

@@ -27,7 +27,7 @@ from .sampling import (
     UniformSamplingWeightedAverage,
     WeightedSamplingSimpleAverage,
 )
-from .server import FederatedTrainer, global_test_accuracy, global_train_loss
+from .server import FederatedTrainer
 
 __all__ = [
     "FederatedTrainer",
@@ -60,6 +60,4 @@ __all__ = [
     "DissimilarityReport",
     "measure_dissimilarity",
     "bounded_variance_b_upper_bound",
-    "global_train_loss",
-    "global_test_accuracy",
 ]

@@ -16,7 +16,7 @@ but is unstable and tends to diverge on non-IID data, even as ``c`` grows.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from ..datasets.federated import FederatedDataset
 from ..models.base import FederatedModel
 from ..optim.base import LocalSolver
 from ..optim.sgd import SGDSolver
-from .client import ClientUpdate
 from .sampling import SamplingScheme
 from .server import FederatedTrainer
 from ..systems.stragglers import SystemsModel
@@ -32,6 +31,11 @@ from ..systems.stragglers import SystemsModel
 
 class FedDaneTrainer(FederatedTrainer):
     """FedDane: FedProx plus a subsampled DANE gradient correction.
+
+    The server loop is :class:`~repro.core.server.FederatedTrainer`'s; this
+    class supplies only the per-task correction ``g_t − ∇F_k(w_t)``, so
+    FedDane runs on every engine, codec and fault schedule, and γ tracking
+    measures its corrected subproblem.
 
     Parameters
     ----------
@@ -44,12 +48,6 @@ class FedDaneTrainer(FederatedTrainer):
 
     def __init__(self, *args, gradient_clients: Optional[int] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if self.faults.enabled:
-            raise NotImplementedError(
-                "FedDaneTrainer overrides _local_updates without executor "
-                "dispatch and does not support fault injection; use "
-                "FederatedTrainer with faults=... instead"
-            )
         self.gradient_clients = (
             int(gradient_clients)
             if gradient_clients is not None
@@ -61,11 +59,6 @@ class FedDaneTrainer(FederatedTrainer):
     def describe(self) -> str:
         return f"FedDane (mu={self.mu:g})"
 
-    def _gradient_rng(self, round_idx: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence([self.seed, 0x0DA7E, round_idx])
-        )
-
     def _estimate_global_gradient(self, round_idx: int) -> np.ndarray:
         """Estimate ``∇f(w_t)`` from ``c`` uniformly sampled devices.
 
@@ -73,7 +66,9 @@ class FedDaneTrainer(FederatedTrainer):
         count, mirroring the global objective's masses ``p_k`` restricted
         to the subsample.
         """
-        rng = self._gradient_rng(round_idx)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed, 0x0DA7E, round_idx])
+        )
         chosen = rng.choice(
             self.dataset.num_devices, size=self.gradient_clients, replace=False
         )
@@ -84,43 +79,11 @@ class FedDaneTrainer(FederatedTrainer):
         gradients = np.stack([self.clients[c].train_gradient(self.w) for c in chosen])
         return weights @ gradients
 
-    def _local_updates(
-        self, round_idx: int, selected: List[int]
-    ) -> Tuple[List[ClientUpdate], List[int], List[int]]:
+    def _corrections(self, round_idx: int) -> Callable[[int], np.ndarray]:
+        """Device ``k``'s linear term ``g_t − ∇F_k(w_t)``, with ``g_t`` drawn once."""
         g_estimate = self._estimate_global_gradient(round_idx)
-        assignments = self.systems.assign(round_idx, selected, self.epochs)
-        cost = None
-        if self.cost_tracker is not None:
-            cost = self.cost_tracker.start_round(round_idx, len(selected))
-
-        updates: List[ClientUpdate] = []
-        stragglers: List[int] = []
-        dropped: List[int] = []
-        occurrence_count: dict = {}
-        for assignment in assignments:
-            cid = assignment.client_id
-            occurrence = occurrence_count.get(cid, 0)
-            occurrence_count[cid] = occurrence + 1
-            if assignment.is_straggler:
-                stragglers.append(cid)
-                if self.drop_stragglers:
-                    dropped.append(cid)
-                    continue
-            local_grad = self.clients[cid].train_gradient(self.w)
-            correction = g_estimate - local_grad
-            update = self.clients[cid].local_solve(
-                w_global=self.w,
-                mu=self.mu,
-                epochs=assignment.epochs,
-                rng=self._batch_rng(round_idx, cid, occurrence),
-                correction=correction,
-            )
-            updates.append(update)
-            if cost is not None:
-                self.cost_tracker.record_upload(
-                    cost, update.epochs, update.gradient_evaluations
-                )
-        return updates, stragglers, dropped
+        w = self.w
+        return lambda cid: g_estimate - self.clients[cid].train_gradient(w)
 
 
 def make_feddane(

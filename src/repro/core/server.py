@@ -22,71 +22,42 @@ actual solves (and federation evaluation) to a pluggable
 default, or multiprocess via
 :class:`~repro.runtime.parallel.ParallelExecutor` with bit-identical
 results.
+
+This module is that loop and nothing else: a method with a different local
+subproblem overrides :meth:`FederatedTrainer._corrections` (FedDane does),
+and what a run writes about itself lives beside its readers
+(:func:`repro.telemetry.replay.describe_trainer`,
+:class:`repro.telemetry.ledger.RunLedger`, :mod:`repro.core.diagnostics`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..comms import CommsConfig, CommsManager
 from ..datasets.federated import FederatedDataset
-from ..faults.manager import FaultManager, RoundFaultReport
+from ..faults.manager import FaultManager, FaultStats, RoundFaultReport
 from ..faults.models import FaultSchedule, resolve_faults
 from ..faults.policy import FaultPolicy
 from ..models.base import FederatedModel
 from ..optim.base import LocalSolver
-from ..runtime.evaluation import no_test_samples_error
 from ..runtime.executor import LocalTask, RoundExecutor
 from ..runtime.sampled import SampledEvaluator
 from ..systems.costs import CostTracker
 from ..systems.stragglers import NoHeterogeneity, SystemsModel
-from ..telemetry import (
-    DIGEST_ALGORITHM,
-    HistoryDigest,
-    MetricsRegistry,
-    environment_info,
-    peak_rss_bytes,
-    resolve_telemetry,
-)
+from ..telemetry import MetricsRegistry, RunLedger, resolve_telemetry
+from ..telemetry.replay import describe_trainer
 from .adaptive_mu import AdaptiveMuController
 from .callbacks import Callback
-from .client import Client, ClientPool, ClientUpdate
+from .client import ClientPool, ClientUpdate
 from .config import EngineConfig, EvalConfig, TrainerConfig
+from .diagnostics import emit_round_diagnostics
 from .dissimilarity import DissimilarityReport, measure_dissimilarity
 from .history import RoundRecord, TrainingHistory
 from .sampling import SamplingScheme, UniformSamplingWeightedAverage
-
-
-def global_train_loss(clients: Sequence[Client], w: np.ndarray) -> float:
-    """The global objective ``f(w) = sum_k p_k F_k(w)`` of Equation 1."""
-    masses = np.array([c.data.num_train for c in clients], dtype=np.float64)
-    masses /= masses.sum()
-    losses = np.array([c.train_loss(w) for c in clients])
-    return float(masses @ losses)
-
-
-def global_test_accuracy(
-    clients: Sequence[Client], w: np.ndarray, label: str = ""
-) -> float:
-    """Sample-weighted test accuracy across all devices with test data.
-
-    Devices holding no test samples are skipped outright; if *no* device
-    holds any, the error names the federation via ``label``.
-    """
-    correct = 0
-    total = 0
-    for client in clients:
-        if client.data.num_test == 0:
-            continue
-        c, n = client.test_metrics(w)
-        correct += c
-        total += n
-    if total == 0:
-        raise no_test_samples_error(label)
-    return correct / total
 
 
 class FederatedTrainer:
@@ -220,7 +191,7 @@ class FederatedTrainer:
             raise ValueError("mu must be non-negative")
         if epochs <= 0:
             raise ValueError("epochs must be positive")
-        eval_config = EvalConfig.resolve(evaluation)
+        self.eval_config = EvalConfig.resolve(evaluation)
         self.dataset = dataset
         self.model = model
         self.solver = solver
@@ -242,16 +213,6 @@ class FederatedTrainer:
         if mu_controller is not None:
             self.mu = mu_controller.mu
         self.seed = int(seed)
-        self.eval_config = eval_config
-        self.eval_every = int(eval_config.every)
-        self.eval_test = bool(eval_config.test)
-        self.eval_strategy = eval_config.strategy
-        # Stored even under the full strategy so the run-ledger manifest
-        # always carries the complete evaluation configuration.
-        self.eval_sample_size = int(eval_config.sample_size)
-        self.eval_strata = int(eval_config.strata)
-        self.eval_full_every = int(eval_config.full_every)
-        self.eval_train_every = int(eval_config.train_every)
         self.track_dissimilarity = bool(track_dissimilarity)
         self.track_gamma = bool(track_gamma)
         self.dissimilarity_max_clients = dissimilarity_max_clients
@@ -285,7 +246,7 @@ class FederatedTrainer:
             model,
             solver,
             clients=self.clients,
-            eval_mode=eval_config.mode,
+            eval_mode=self.eval_config.mode,
             label=dataset.name,
             telemetry=self.telemetry,
         )
@@ -314,16 +275,16 @@ class FederatedTrainer:
         # executor sees identical samples); full-evaluation checkpoints
         # delegate to the executor's exhaustive oracle, preserving its
         # evaluation parity guarantees on those rounds.
-        self._sampled_evaluator: Optional[SampledEvaluator] = None
-        if self.eval_strategy == "sampled":
-            self._sampled_evaluator = SampledEvaluator(
+        self.sampled_evaluator: Optional[SampledEvaluator] = None
+        if self.eval_config.strategy == "sampled":
+            self.sampled_evaluator = SampledEvaluator(
                 self.clients,
                 dataset.train_sizes,
                 dataset.test_sizes,
-                sample_size=self.eval_sample_size,
-                num_strata=self.eval_strata,
+                sample_size=self.eval_config.sample_size,
+                num_strata=self.eval_config.strata,
                 seed=self.seed,
-                full_every=self.eval_full_every,
+                full_every=self.eval_config.full_every,
                 full_oracle=self.executor,
                 label=dataset.name,
                 telemetry=self.telemetry,
@@ -331,18 +292,7 @@ class FederatedTrainer:
         self.w = model.get_params()
         self._round = 0
         self._closed = False
-        self._manifest_emitted = False
-        self._last_dissimilarity: Optional[DissimilarityReport] = None
-        # Run-ledger state (telemetry-enabled runs only).  Round records
-        # are *deferred*: run() may still mutate the last record via
-        # _ensure_final_evaluation, so records queue in _ledger_pending and
-        # are canonicalized + digested + emitted only at end-of-run (or at
-        # close, whichever comes first).
-        self._ledger_digest = HistoryDigest()
-        self._ledger_pending: List[RoundRecord] = []
-        self._ledger_wall = 0.0
-        self._ledger_last: Optional[dict] = None
-        self._footer_emitted = False
+        self._ledger = RunLedger(self.telemetry)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -384,135 +334,18 @@ class FederatedTrainer:
         """Short engine mode name (``serial``/``parallel``/``cohort``/``async``)."""
         return self.executor.spec().partition(":")[0]
 
-    def _ledger_engine(self) -> EngineConfig:
-        """The live executor's full parameterization for the run ledger.
+    def _corrections(
+        self, round_idx: int
+    ) -> Optional[Callable[[int], np.ndarray]]:
+        """Hook: this round's linear term of the local subproblem, per device.
 
-        Recovered from the executor itself (not the construction-time
-        config) so a prebuilt instance serializes identically to its spec
-        string; executors outside the spec grammar degrade to a bare mode
-        name.
+        ``None`` (FedAvg, FedProx) leaves ``F_k(w) + (mu/2)||w - w_t||²``
+        as it is; a method with a corrected subproblem returns
+        ``client_id -> vector`` and each task carries its device's vector
+        (:attr:`LocalTask.correction <repro.runtime.executor.LocalTask>`),
+        honoured by every engine.
         """
-        try:
-            return EngineConfig.from_spec(self.executor.spec())
-        except (TypeError, ValueError):
-            return EngineConfig(mode=self.executor_mode)
-
-    def _emit_manifest_once(self) -> None:
-        """Emit the run-header manifest before the first round's events."""
-        if self._manifest_emitted or not self.telemetry.enabled:
-            return
-        self._manifest_emitted = True
-        config = {
-            "mu": self.mu,
-            "epochs": self.epochs,
-            "drop_stragglers": self.drop_stragglers,
-            "clients_per_round": getattr(
-                self.sampling, "clients_per_round", None
-            ),
-            "num_devices": self.dataset.num_devices,
-            "dataset": self.dataset.name,
-            "model": type(self.model).__name__,
-            "n_params": self.model.n_params,
-            "systems": type(self.systems).__name__,
-            "eval": self.eval_strategy,
-            "eval_every": self.eval_every,
-            "eval_train_every": self.eval_train_every,
-            "track_gamma": self.track_gamma,
-            "track_dissimilarity": self.track_dissimilarity,
-            "adaptive_mu": self.mu_controller is not None,
-        }
-        if self._sampled_evaluator is not None:
-            config["eval_sample_size"] = self._sampled_evaluator.sample_size
-            config["eval_strata"] = self._sampled_evaluator.sampler.num_strata
-            config["eval_full_every"] = self._sampled_evaluator.full_every
-        if self.faults.enabled:
-            config["faults"] = self.faults.to_dict()
-            config["fault_policy"] = self.fault_policy.to_dict()
-        if self.comms_config.enabled:
-            config["comms"] = self.comms_config.to_dict()
-        config.update(self.solver.telemetry_tags())
-        self.telemetry.manifest(
-            label=self.label,
-            seed=self.seed,
-            executor=self.executor_mode,
-            eval_mode=self.eval_mode,
-            config=config,
-            trainer_config=self._ledger_trainer_config(),
-            recipe=self._ledger_recipe(),
-            environment=environment_info(),
-        )
-
-    def _ledger_trainer_config(self) -> dict:
-        """This trainer's live configuration as a serialized TrainerConfig.
-
-        Built from the trainer's *current* attributes rather than any
-        config object it may have been constructed from, so every
-        construction path serializes identically.  Emitted before round 0,
-        while ``self.mu`` (and any adaptive-µ controller) still hold their
-        initial values — the reconstructed trainer starts from the same
-        state.
-        """
-        config = TrainerConfig.from_kwargs(
-            mu=self.mu,
-            epochs=self.epochs,
-            drop_stragglers=self.drop_stragglers,
-            mu_controller=self.mu_controller,
-            clients_per_round=self.sampling.clients_per_round,
-            sampling=self.sampling,
-            systems=self.systems,
-            faults=self.faults if self.faults.enabled else None,
-            fault_policy=self.fault_policy if self.faults.enabled else None,
-            evaluation=EvalConfig(
-                every=self.eval_every,
-                test=self.eval_test,
-                mode=self.eval_mode,
-                strategy=self.eval_strategy,
-                sample_size=self.eval_sample_size,
-                strata=self.eval_strata,
-                full_every=self.eval_full_every,
-                train_every=self.eval_train_every,
-            ),
-            track_dissimilarity=self.track_dissimilarity,
-            track_gamma=self.track_gamma,
-            dissimilarity_max_clients=self.dissimilarity_max_clients,
-            telemetry=None,
-            cost_tracker=None,
-            seed=self.seed,
-            engine=self._ledger_engine(),
-            comms=self.comms_config,
-            label=self.label,
-        )
-        return config.to_dict()
-
-    def _ledger_recipe(self) -> dict:
-        """Dataset/model/solver reconstruction descriptors for the ledger.
-
-        The dataset recipe is ``None`` for federations not built from a
-        seeded builder — replay then requires the caller to supply the
-        dataset, which ``repro.trace replay`` reports explicitly.
-        """
-        return {
-            "trainer": type(self).__name__,
-            "dataset": getattr(self.dataset, "recipe", None),
-            "dataset_name": self.dataset.name,
-            "num_devices": self.dataset.num_devices,
-            "model": self.model.spec(),
-            "solver": self.solver.spec(),
-        }
-
-    def _batch_entropy(
-        self, round_idx: int, client_id: int, occurrence: int
-    ) -> Tuple[int, int, int, int]:
-        """Entropy tuple deriving this solve's mini-batch randomness."""
-        return (self.seed, round_idx, client_id, occurrence)
-
-    def _batch_rng(self, round_idx: int, client_id: int, occurrence: int) -> np.random.Generator:
-        """Mini-batch shuffling randomness, fixed across compared runs."""
-        return np.random.default_rng(
-            np.random.SeedSequence(
-                list(self._batch_entropy(round_idx, client_id, occurrence))
-            )
-        )
+        return None
 
     def _local_updates(
         self, round_idx: int, selected: List[int]
@@ -558,6 +391,7 @@ class FederatedTrainer:
             if self._comms_manager is not None
             else None
         )
+        correction = self._corrections(round_idx)
 
         def build_task(cid, epochs, occurrence, extra_entropy, fault):
             return LocalTask(
@@ -565,9 +399,11 @@ class FederatedTrainer:
                 w_global=self.w,
                 mu=self.mu,
                 epochs=epochs,
-                rng_entropy=self._batch_entropy(round_idx, cid, occurrence)
+                # Derives this solve's mini-batch randomness.
+                rng_entropy=(self.seed, round_idx, cid, occurrence)
                 + tuple(extra_entropy),
                 measure_gamma=self.track_gamma,
+                correction=None if correction is None else correction(cid),
                 collect_timings=self.telemetry.enabled,
                 fault=fault,
                 codec=task_codec,
@@ -598,62 +434,56 @@ class FederatedTrainer:
                 )
         return updates, stragglers, dropped
 
-    def _eval_train_loss(self, record: RoundRecord, round_idx: int) -> None:
-        """Fill the record's training loss via the configured strategy."""
-        if self._sampled_evaluator is not None:
-            estimate = self._sampled_evaluator.train_loss(self.w, round_idx)
-            record.train_loss = estimate.value
-            record.train_loss_ci = estimate.ci_halfwidth
-            record.eval_sample_size = estimate.sample_size
-            record.eval_full = estimate.full
-        else:
-            record.train_loss = self.executor.train_loss(self.w)
+    def _due(self, record: RoundRecord, final: bool = False) -> List[str]:
+        """The evaluations this record is owed and does not hold yet.
 
-    def _eval_test_accuracy(self, record: RoundRecord, round_idx: int) -> None:
-        """Fill the record's test accuracy via the configured strategy."""
-        if self._sampled_evaluator is not None:
-            estimate = self._sampled_evaluator.test_accuracy(self.w, round_idx)
-            record.test_accuracy = estimate.value
-            record.accuracy_ci = estimate.ci_halfwidth
-            record.eval_sample_size = estimate.sample_size
-            record.eval_full = estimate.full
-        else:
-            record.test_accuracy = self.executor.test_accuracy(self.w)
-
-    def _evaluate(self, round_idx: int) -> RoundRecord:
-        """Post-aggregation metrics for the current global model.
-
-        The training loss is evaluated on ``eval_train_every`` rounds (and
-        always on round 0, the final round via
-        :meth:`_ensure_final_evaluation`, and every round while the
-        adaptive-µ controller is active, since it consumes the loss);
-        skipped rounds record ``train_loss=None`` explicitly.
+        The training loss is evaluated on ``train_every`` rounds, the test
+        accuracy and dissimilarity on ``every`` rounds — and always on
+        round 0, on the run's ``final`` record, and (the loss) every round
+        while the adaptive-µ controller is active, since it consumes it.
+        Skipped rounds keep ``None`` explicitly.
         """
-        self._last_dissimilarity = None
-        record = RoundRecord(round_idx=round_idx, train_loss=None, mu=self.mu)
-        need_train = (
-            (round_idx % self.eval_train_every) == 0
-            or round_idx == 0
-            or self.mu_controller is not None
-        )
-        if need_train:
-            self._eval_train_loss(record, round_idx)
-        if (round_idx % self.eval_every) == 0 or round_idx == 0:
-            if self.eval_test:
-                self._eval_test_accuracy(record, round_idx)
-            if self.track_dissimilarity:
+        cadence, r = self.eval_config, record.round_idx
+        on_cadence = final or r % cadence.every == 0
+        wanted = {
+            "train_loss": final
+            or r % cadence.train_every == 0
+            or self.mu_controller is not None,
+            "test_accuracy": on_cadence and cadence.test,
+            "dissimilarity": on_cadence and self.track_dissimilarity,
+        }
+        return [k for k, on in wanted.items() if on and getattr(record, k) is None]
+
+    def _evaluate(
+        self, record: RoundRecord, due: List[str]
+    ) -> Optional[DissimilarityReport]:
+        """Fill ``due`` fields of the record from the current global model.
+
+        Returns the dissimilarity measurement when one was due (the record
+        keeps only its gradient variance).
+        """
+        cis = {"train_loss": "train_loss_ci", "test_accuracy": "accuracy_ci"}
+        report = None
+        for name in due:
+            if name == "dissimilarity":
                 report = measure_dissimilarity(
-                    self.clients,
-                    self.w,
-                    max_clients=self.dissimilarity_max_clients,
+                    self.clients, self.w, max_clients=self.dissimilarity_max_clients
                 )
                 record.dissimilarity = report.gradient_variance
-                self._last_dissimilarity = report
-        return record
+            elif self.sampled_evaluator is None:
+                setattr(record, name, getattr(self.executor, name)(self.w))
+            else:
+                measure = getattr(self.sampled_evaluator, name)
+                estimate = measure(self.w, record.round_idx)
+                setattr(record, name, estimate.value)
+                setattr(record, cis[name], estimate.ci_halfwidth)
+                record.eval_sample_size = estimate.sample_size
+                record.eval_full = estimate.full
+        return report
 
     def run_round(self) -> RoundRecord:
         """Execute one communication round and return its metrics."""
-        self._emit_manifest_once()
+        self._ledger.open(describe_trainer, self)
         telemetry = self.telemetry
         round_idx = self._round
         # The round span is timed explicitly (not as an enclosing context
@@ -688,11 +518,16 @@ class FederatedTrainer:
                 self.w = self.sampling.aggregate(accepted, self.w)
             self.model.set_params(self.w)
 
+        record = RoundRecord(
+            round_idx=round_idx,
+            train_loss=None,
+            mu=self.mu,
+            selected=list(selected),
+            stragglers=stragglers,
+            dropped=dropped,
+        )
         with telemetry.span("phase:evaluate", round_idx=round_idx):
-            record = self._evaluate(round_idx)
-        record.selected = list(selected)
-        record.stragglers = stragglers
-        record.dropped = dropped
+            dissimilarity = self._evaluate(record, self._due(record))
         if self._last_fault_report is not None:
             record.degraded = self._last_fault_report.degraded
         if self.track_gamma:
@@ -707,7 +542,6 @@ class FederatedTrainer:
 
         if telemetry.enabled:
             round_wall = time.perf_counter() - t_round
-            self._ledger_wall += round_wall
             telemetry.record_span(
                 "round",
                 round_wall,
@@ -716,96 +550,15 @@ class FederatedTrainer:
                 stragglers=len(stragglers),
                 dropped=len(dropped),
             )
-            self._emit_round_diagnostics(round_idx, w_start, updates, record)
-            self._ledger_pending.append(record)
+            emit_round_diagnostics(
+                telemetry, self.metrics, record, w_start, updates, self.epochs,
+                fault_stats=self.fault_stats if self._fault_manager else None,
+                dissimilarity=dissimilarity,
+            )
+            self._ledger.add_round(record, round_wall)
 
         self._round += 1
         return record
-
-    def _emit_round_diagnostics(
-        self,
-        round_idx: int,
-        w_start: np.ndarray,
-        updates: List[ClientUpdate],
-        record: RoundRecord,
-    ) -> None:
-        """Emit the round's FedProx diagnostics and per-client solve spans.
-
-        Purely observational — reads the round's updates and record,
-        computes drift/proximal statistics, and flushes the metrics
-        registry.  Only called when telemetry is enabled, so the disabled
-        path never pays for the norm computations.
-        """
-        for update in updates:
-            if update.timings is not None:
-                attrs = {
-                    k: v for k, v in update.timings.items() if k != "solve"
-                }
-                self.telemetry.record_span(
-                    "solve:client",
-                    update.timings.get("solve", 0.0),
-                    round_idx=round_idx,
-                    client_id=update.client_id,
-                    epochs=update.epochs,
-                    **attrs,
-                )
-
-        registry = self.metrics
-        registry.counter("rounds_total").inc()
-        registry.counter("solves_total").inc(len(updates))
-        registry.counter("stragglers_total").inc(len(record.stragglers))
-        registry.counter("dropped_total").inc(len(record.dropped))
-        if self._fault_manager is not None:
-            # Cumulative fault counters ride the registry as gauges: the
-            # manager already emitted the per-event counters
-            # (fault:injected / fault:retry / fault:quarantine /
-            # round:degraded) at decision time.
-            for name, value in self._fault_manager.stats.as_dict().items():
-                registry.gauge(f"faults.{name}").set(value)
-
-        if updates:
-            # Client drift ||w_k - w_t|| and the proximal-term magnitude
-            # (mu/2)||w_k - w_t||^2 actually paid by each local subproblem.
-            drifts = [
-                float(np.linalg.norm(u.w - w_start)) for u in updates
-            ]
-            registry.histogram("fedprox.client_drift").observe_many(drifts)
-            registry.histogram("fedprox.prox_term").observe_many(
-                0.5 * record.mu * d * d for d in drifts
-            )
-            # Straggler budget utilization: fraction of the global epoch
-            # target E actually completed by the accepted updates.
-            registry.gauge("fedprox.budget_utilization").set(
-                sum(u.epochs for u in updates) / (len(updates) * self.epochs)
-            )
-            gammas = [
-                u.gamma
-                for u in updates
-                if u.gamma is not None and np.isfinite(u.gamma)
-            ]
-            if gammas:
-                registry.histogram("fedprox.gamma").observe_many(gammas)
-
-        if record.train_loss is not None:
-            registry.gauge("train_loss").set(record.train_loss)
-        if record.test_accuracy is not None:
-            registry.gauge("test_accuracy").set(record.test_accuracy)
-        registry.gauge("mu").set(record.mu)
-        if record.eval_sample_size is not None:
-            registry.gauge("eval.sample_size").set(record.eval_sample_size)
-        if record.train_loss_ci is not None:
-            registry.gauge("eval.ci_halfwidth").set(record.train_loss_ci)
-        peak_rss = peak_rss_bytes()
-        if peak_rss is not None:
-            registry.gauge("process.peak_rss_bytes").set(peak_rss)
-        report = self._last_dissimilarity
-        if report is not None:
-            registry.gauge("fedprox.gradient_variance").set(
-                report.gradient_variance
-            )
-            if np.isfinite(report.b_value):
-                registry.gauge("fedprox.b_value").set(report.b_value)
-        registry.emit_round(round_idx)
 
     def run(self, num_rounds: int) -> TrainingHistory:
         """Run up to ``num_rounds`` communication rounds.
@@ -824,12 +577,12 @@ class FederatedTrainer:
         self._ensure_final_evaluation(history)
         for cb in self.callbacks:
             cb.on_train_end(history)
-        self._flush_ledger_events()
+        self._ledger.flush()
         self.telemetry.flush()
         return history
 
     def _ensure_final_evaluation(self, history: TrainingHistory) -> None:
-        """Fill in test accuracy (and dissimilarity) for the last round.
+        """Fill in whatever evaluation the last round's record still lacks.
 
         When this fill-in evaluation actually runs (an early stop or an
         ``eval_every`` skip left the last record unevaluated), it is traced
@@ -840,27 +593,14 @@ class FederatedTrainer:
         if not history.records:
             return
         last = history.records[-1]
-        needs_train = last.train_loss is None
-        needs_test = self.eval_test and last.test_accuracy is None
-        needs_dissimilarity = (
-            self.track_dissimilarity and last.dissimilarity is None
-        )
-        if not needs_train and not needs_test and not needs_dissimilarity:
+        due = self._due(last, final=True)
+        if not due:
             return
         with self.telemetry.span(
             "phase:final_evaluate", round_idx=last.round_idx
         ):
-            if needs_train:
-                self._eval_train_loss(last, last.round_idx)
-            if needs_test:
-                self._eval_test_accuracy(last, last.round_idx)
-            if needs_dissimilarity:
-                report = measure_dissimilarity(
-                    self.clients, self.w,
-                    max_clients=self.dissimilarity_max_clients,
-                )
-                last.dissimilarity = report.gradient_variance
-        if needs_test and self.telemetry.enabled:
+            self._evaluate(last, due)
+        if "test_accuracy" in due and self.telemetry.enabled:
             self.telemetry.metric(
                 "test_accuracy",
                 last.test_accuracy,
@@ -875,11 +615,8 @@ class FederatedTrainer:
 
         See :class:`~repro.faults.manager.FaultStats` for the keys.
         """
-        if self._fault_manager is None:
-            from ..faults.manager import FaultStats
-
-            return FaultStats().as_dict()
-        return self._fault_manager.stats.as_dict()
+        manager = self._fault_manager
+        return (manager.stats if manager is not None else FaultStats()).as_dict()
 
     @property
     def comms_stats(self) -> dict:
@@ -887,50 +624,8 @@ class FederatedTrainer:
 
         See :meth:`~repro.comms.manager.CommsManager.stats` for the keys.
         """
-        if self._comms_manager is None:
-            return {
-                "bytes_up": 0.0,
-                "bytes_down": 0.0,
-                "dense_bytes_up": 0.0,
-                "compression_ratio": 1.0,
-                "residual_clients": 0.0,
-            }
-        return self._comms_manager.stats()
-
-    def _flush_ledger_events(self) -> None:
-        """Canonicalize, digest, and emit the queued round records."""
-        if not self.telemetry.enabled:
-            return
-        for record in self._ledger_pending:
-            canonical = self._ledger_digest.update(record)
-            self.telemetry.round_record(record.round_idx, canonical)
-            self._ledger_last = canonical
-        self._ledger_pending = []
-
-    def _emit_run_footer_once(self) -> None:
-        """Seal the run artifact: emit the digest-bearing run footer.
-
-        Emitted at most once, at :meth:`close`, and only for runs whose
-        manifest actually went out — an artifact's footer is its
-        end-of-file marker, so readers treat its absence as truncation.
-        """
-        if (
-            self._footer_emitted
-            or not self._manifest_emitted
-            or not self.telemetry.enabled
-        ):
-            return
-        self._footer_emitted = True
-        self._flush_ledger_events()
-        last = self._ledger_last or {}
-        self.telemetry.run_footer(
-            rounds=self._ledger_digest.rounds,
-            wall_seconds=self._ledger_wall,
-            digest=self._ledger_digest.hexdigest(),
-            algorithm=DIGEST_ALGORITHM,
-            final_train_loss=last.get("train_loss"),
-            final_test_accuracy=last.get("test_accuracy"),
-        )
+        manager = self._comms_manager or CommsManager(self.comms_config)
+        return manager.stats()
 
     def close(self) -> None:
         """Release executor resources and flush telemetry; idempotent.
@@ -943,7 +638,7 @@ class FederatedTrainer:
         self.executor.close()
         if not self._closed:
             self._closed = True
-            self._emit_run_footer_once()
+            self._ledger.seal()
             self.telemetry.close()
 
     def __enter__(self) -> "FederatedTrainer":

@@ -98,9 +98,8 @@ def build_trainer(
 
     Builds through the config-first path: the spec/workload/scale options
     are grouped into a :class:`~repro.core.config.TrainerConfig` and handed
-    to :meth:`FederatedTrainer.from_config` (FedDane, which needs its extra
-    ``gradient_clients`` argument and supports no fault injection, still
-    constructs directly).
+    to :meth:`FederatedTrainer.from_config` (FedDane takes its extra
+    ``gradient_clients`` argument beside the same keywords).
     """
     model = workload.model_factory()
     solver = SGDSolver(workload.learning_rate, batch_size=scale.batch_size)
@@ -130,14 +129,9 @@ def build_trainer(
         label=spec.label,
     )
     if spec.feddane:
-        kwargs = config.trainer_kwargs()
-        kwargs.pop("mu_controller")
         return FedDaneTrainer(
-            dataset=workload.dataset,
-            model=model,
-            solver=solver,
-            gradient_clients=spec.gradient_clients,
-            **kwargs,
+            workload.dataset, model, solver,
+            gradient_clients=spec.gradient_clients, **config.trainer_kwargs(),
         )
     return FederatedTrainer.from_config(workload.dataset, model, solver, config)
 

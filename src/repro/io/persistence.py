@@ -16,6 +16,7 @@ import numpy as np
 
 from ..core.history import RoundRecord, TrainingHistory
 from ..models.base import FederatedModel
+from ..telemetry.ledger import canonical_record
 
 PathLike = Union[str, Path]
 
@@ -49,66 +50,30 @@ def load_model_params(path: PathLike, model: FederatedModel) -> None:
 def history_to_dict(history: TrainingHistory) -> dict:
     """JSON-serializable representation of a training history.
 
-    Serializes every :class:`RoundRecord` field — including the
-    sampled-evaluation estimates (``*_ci``, ``eval_sample_size``,
-    ``eval_full``) and the fault-policy ``degraded`` flag — so a saved
+    Each record is the ledger's canonical round record
+    (:func:`~repro.telemetry.ledger.canonical_record`): every
+    :class:`RoundRecord` field as a plain Python value, so a history file
+    and a ledger's ``round_record`` events hold the same dicts and a saved
     history round-trips losslessly.
     """
     return {
         "label": history.label,
-        "records": [
-            {
-                "round_idx": r.round_idx,
-                "train_loss": r.train_loss,
-                "test_accuracy": r.test_accuracy,
-                "train_loss_ci": r.train_loss_ci,
-                "accuracy_ci": r.accuracy_ci,
-                "eval_sample_size": r.eval_sample_size,
-                "eval_full": r.eval_full,
-                "dissimilarity": r.dissimilarity,
-                "mu": r.mu,
-                "gamma_mean": r.gamma_mean,
-                "gamma_max": r.gamma_max,
-                "selected": list(r.selected),
-                "stragglers": list(r.stragglers),
-                "dropped": list(r.dropped),
-                "degraded": r.degraded,
-            }
-            for r in history.records
-        ],
+        "records": [canonical_record(r) for r in history.records],
     }
 
 
 def history_from_dict(payload: dict) -> TrainingHistory:
     """Inverse of :func:`history_to_dict`.
 
-    Histories saved by older versions lack the sampled-evaluation and
-    fault fields; those default exactly as a fresh record would
-    (``None``/``False``).  ``train_loss`` may be ``None`` on rounds whose
+    Fields a file does not hold (histories saved before the
+    sampled-evaluation and fault fields existed) default exactly as a
+    fresh record would.  ``train_loss`` may be ``None`` on rounds whose
     training-loss evaluation was skipped (``eval_train_every`` > 1).
     """
     history = TrainingHistory(label=payload.get("label", ""))
     for r in payload["records"]:
-        train_loss = r["train_loss"]
-        history.append(
-            RoundRecord(
-                round_idx=int(r["round_idx"]),
-                train_loss=None if train_loss is None else float(train_loss),
-                test_accuracy=r.get("test_accuracy"),
-                train_loss_ci=r.get("train_loss_ci"),
-                accuracy_ci=r.get("accuracy_ci"),
-                eval_sample_size=r.get("eval_sample_size"),
-                eval_full=bool(r.get("eval_full", False)),
-                dissimilarity=r.get("dissimilarity"),
-                mu=float(r.get("mu", 0.0)),
-                gamma_mean=r.get("gamma_mean"),
-                gamma_max=r.get("gamma_max"),
-                selected=list(r.get("selected", [])),
-                stragglers=list(r.get("stragglers", [])),
-                dropped=list(r.get("dropped", [])),
-                degraded=bool(r.get("degraded", False)),
-            )
-        )
+        held = {k: v for k, v in canonical_record(r).items() if k in r}
+        history.append(RoundRecord(**held))
     return history
 
 

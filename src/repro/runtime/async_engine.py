@@ -57,12 +57,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..systems.clock import Clock, SynchronizedClock, resolve_clock
-from .executor import (
-    LocalTask,
-    RoundExecutor,
-    solve_with_timings,
-    task_round,
-)
+from .executor import LocalTask, RoundExecutor, task_round
 
 #: Accepted staleness-discount families.
 DISCOUNTS = ("poly", "const")
@@ -229,8 +224,7 @@ class AsyncExecutor(RoundExecutor):
                 return encoded
         return self._round if self._round is not None else 0
 
-    def run_local_solves(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
-        self._require_bound()
+    def _solve(self, tasks):
         round_idx = self._current_round(tasks)
         telemetry = self.telemetry
 
@@ -301,20 +295,15 @@ class AsyncExecutor(RoundExecutor):
         )
         due_set = {e.seq for e in due}
         self._queue = [e for e in self._queue if e.seq not in due_set]
-        updates: List["ClientUpdate"] = []
-        staleness_values: List[float] = []
+        delivered = [entry.task for entry in due]
         with telemetry.span(
             "async:deliver", round_idx=round_idx,
             submitted=len(tasks), due=len(due), rejected=rejected,
         ):
-            for entry in due:
-                staleness = round_idx - entry.submit_round
-                update = solve_with_timings(
-                    self.clients[entry.task.client_id], entry.task
-                )
-                update.staleness = staleness
-                update.discount = self.discount_weight(staleness)
-                staleness_values.append(float(staleness))
+            updates = self._solve_in_process(delivered)
+            for entry, update in zip(due, updates):
+                update.staleness = round_idx - entry.submit_round
+                update.discount = self.discount_weight(update.staleness)
                 telemetry.record_span(
                     "async:checkin",
                     entry.arrival - entry.submit_round,
@@ -322,17 +311,17 @@ class AsyncExecutor(RoundExecutor):
                     clock="simulated",
                     unit="rounds",
                     client_id=entry.task.client_id,
-                    staleness=staleness,
+                    staleness=update.staleness,
                 )
-                updates.append(update)
-        # Comms finalize per delivered batch: decode device-side payloads
-        # or round-trip dense updates (error feedback) against each
-        # entry's *own* submit-round model — downlink was accounted at
-        # admission, so finalize only counts the delivered uplinks.
-        self._finalize_comms(
-            updates, [entry.task for entry in due], count_dispatch=False
-        )
+        # The comms stage decodes (or, under error feedback, round-trips)
+        # each delivered update against its entry's *own* submit-round
+        # model, which the paired task carries.
+        return updates, delivered
 
+    def _after_delivery(self, tasks, updates) -> None:
+        """Expire what the next round could no longer accept; report the queue."""
+        round_idx = self._current_round(tasks)
+        telemetry = self.telemetry
         # Backpressure bookkeeping: discard entries that would exceed the
         # staleness window by the time the next round could deliver them.
         keep: List[_QueuedCheckin] = []
@@ -350,8 +339,9 @@ class AsyncExecutor(RoundExecutor):
         telemetry.metric(
             "async.queue_depth", len(self._queue), round_idx=round_idx
         )
-        if staleness_values:
+        if updates:
             telemetry.histogram(
-                "async.staleness", staleness_values, round_idx=round_idx
+                "async.staleness",
+                [float(update.staleness) for update in updates],
+                round_idx=round_idx,
             )
-        return updates

@@ -329,17 +329,16 @@ class CohortExecutor(RoundExecutor):
                 "stacked_state/stacked_step or use SerialExecutor."
             )
 
-    def run_local_solves(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
-        self._require_bound()
+    def _solve(self, tasks):
         if not tasks:
-            return []
+            return [], tasks
+        # The stacked kernels emit dense iterates (they ignore any
+        # device-side codec on the tasks); the comms stage round-trips
+        # them server-side, so lossy-codec histories agree with the
+        # serial/parallel engines — encoding is a pure function of
+        # (update, w_global, task entropy) either way.
         updates = solve_cohort(
             tasks, self.clients, self.model, self.solver,
             telemetry=self.telemetry,
         )
-        # The stacked kernels emit dense iterates (they ignore any
-        # device-side codec on the tasks); the comms finalize round-trips
-        # them server-side, so lossy-codec histories agree with the
-        # serial/parallel engines — encoding is a pure function of
-        # (update, w_global, task entropy) either way.
-        return self._finalize_comms(updates, tasks)
+        return updates, tasks

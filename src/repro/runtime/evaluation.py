@@ -8,9 +8,9 @@ federations.  :class:`FederationEvaluator` provides two strategies:
 
 ``per_client``
     The legacy semantics — one forward per device, reduced with the
-    aggregation masses ``p_k = n_k / n``.  Bit-identical to the historical
-    :func:`repro.core.server.global_train_loss` /
-    :func:`~repro.core.server.global_test_accuracy` results.
+    aggregation masses ``p_k = n_k / n``.  Bit-identical to the reference
+    loops :func:`repro.metrics.federated_train_loss` /
+    :func:`~repro.metrics.federated_test_accuracy`.
 
 ``stacked``
     The whole federation is evaluated in fused forward passes over large

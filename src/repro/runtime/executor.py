@@ -324,25 +324,11 @@ class RoundExecutor(abc.ABC):
         """Receive the trainer's update-compression manager (or ``None``).
 
         Called by the trainer once after :meth:`configure_environment`.
-        Executors funnel every finished batch through the manager's
-        payload round-trip (:meth:`_finalize_comms`) before returning
-        from :meth:`run_local_solves`, so downstream consumers — the
-        fault manager's finiteness quarantine first among them — only
-        ever see decoded dense updates.
+        :meth:`run_local_solves` round-trips every delivered batch through
+        it, so downstream consumers — the fault manager's finiteness
+        quarantine first among them — only ever see decoded dense updates.
         """
         self._comms = comms
-
-    def _finalize_comms(
-        self, updates: List["ClientUpdate"], tasks: Sequence[LocalTask],
-        count_dispatch: bool = True,
-    ) -> List["ClientUpdate"]:
-        """Round-trip a finished batch through the comms manager, if any."""
-        if self._comms is not None:
-            self._comms.finalize_round(
-                updates, tasks, telemetry=self.telemetry,
-                count_dispatch=count_dispatch,
-            )
-        return updates
 
     def spec(self) -> str:
         """The executor spec string reconstructing this executor.
@@ -382,9 +368,49 @@ class RoundExecutor(abc.ABC):
             )
 
     # Round work --------------------------------------------------------- #
-    @abc.abstractmethod
     def run_local_solves(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
-        """Execute every task and return the updates in task order."""
+        """The round's delivered updates: engine solve, then the comms stage.
+
+        The one entry point of every engine.  :meth:`_solve` is what
+        differs between them; the codec round-trip, error feedback and
+        wire-byte accounting of the delivered batch happen here, once.
+        A continuous engine accounts its downlink at admission (discarded
+        check-ins downloaded the model too), so finalize counts only its
+        delivered uplinks.
+        """
+        self._require_bound()
+        updates, delivered = self._solve(tasks)
+        if self._comms is not None:
+            self._comms.finalize_round(
+                updates, delivered, telemetry=self.telemetry,
+                count_dispatch=not self.continuous,
+            )
+        self._after_delivery(tasks, updates)
+        return updates
+
+    @abc.abstractmethod
+    def _solve(
+        self, tasks: Sequence[LocalTask]
+    ) -> Tuple[List["ClientUpdate"], Sequence[LocalTask]]:
+        """Run this dispatch; the delivered updates and their own tasks.
+
+        Synchronous engines deliver every task, in task order.  A
+        continuous engine may deliver fewer (check-ins in flight) or more
+        (earlier rounds' check-ins arriving now), each paired with the
+        task it was submitted as.
+        """
+
+    def _after_delivery(
+        self, tasks: Sequence[LocalTask], updates: List["ClientUpdate"]
+    ) -> None:
+        """Hook: engine bookkeeping once the batch is decoded (no-op here)."""
+
+    def _solve_in_process(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
+        """Each task solved here, one after another, against the bound pool."""
+        return [
+            solve_with_timings(self.clients[task.client_id], task)
+            for task in tasks
+        ]
 
     def train_loss(self, w: np.ndarray) -> float:
         """Global objective ``f(w)`` over the bound federation."""
@@ -405,10 +431,5 @@ class SerialExecutor(RoundExecutor):
     still benefits from the stacked fast path when the model supports it).
     """
 
-    def run_local_solves(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
-        self._require_bound()
-        updates = [
-            solve_with_timings(self.clients[task.client_id], task)
-            for task in tasks
-        ]
-        return self._finalize_comms(updates, tasks)
+    def _solve(self, tasks):
+        return self._solve_in_process(tasks), tasks

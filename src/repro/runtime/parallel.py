@@ -292,9 +292,9 @@ class ParallelExecutor(RoundExecutor):
             n_train, batch_size, task_effective_epochs(task)
         ).total
 
-    def run_local_solves(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
+    def _solve(self, tasks):
         if not tasks:
-            return []
+            return [], tasks
         self.ensure_started()
         groups = _split_by_work(
             [self._predicted_steps(task) for task in tasks], self._n_workers
@@ -304,10 +304,9 @@ class ParallelExecutor(RoundExecutor):
         for group, solved in zip(groups, self._pool.map(_solve_batch, messages)):
             for position, update in zip(group, solved):
                 updates[position] = update
-        # Server-side comms finalize: decode device-side payloads (the
-        # lean IPC path — only encoded bytes crossed the pool boundary)
-        # or round-trip dense updates under error feedback.
-        return self._finalize_comms(updates, tasks)
+        # Under a device-side codec only encoded bytes crossed the pool
+        # boundary (the lean IPC path); the comms stage decodes them.
+        return updates, tasks
 
     # Evaluation --------------------------------------------------------- #
     def _sharding_pays(self, split: str, units: Sequence, cuts: List[int]) -> bool:

@@ -71,6 +71,7 @@ from .ledger import (
     DIGEST_ALGORITHM,
     HistoryDigest,
     RunArtifact,
+    RunLedger,
     canonical_json,
     canonical_record,
     environment_info,
@@ -116,6 +117,7 @@ __all__ = [
     "canonical_json",
     "environment_info",
     "RunArtifact",
+    "RunLedger",
     "load_run",
     "load_runs",
     "split_runs",

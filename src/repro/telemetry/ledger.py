@@ -41,7 +41,7 @@ import platform
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .events import SCHEMA_VERSION
 from .sinks import read_jsonl
@@ -131,13 +131,9 @@ class HistoryDigest:
     def update(self, record: Any) -> Dict[str, Any]:
         """Fold one record in; returns its canonical form for reuse."""
         canonical = canonical_record(record)
-        self.update_canonical(canonical)
-        return canonical
-
-    def update_canonical(self, canonical: Dict[str, Any]) -> None:
-        """Fold an already-canonicalized record in."""
         self._sha.update((canonical_json(canonical) + "\n").encode("utf-8"))
         self.rounds += 1
+        return canonical
 
     def hexdigest(self) -> str:
         """Hex digest over every record folded in so far."""
@@ -190,6 +186,66 @@ def environment_info() -> Dict[str, Any]:
         "cpu_count": os.cpu_count(),
         "argv0": os.path.basename(sys.argv[0]) if sys.argv else None,
     }
+
+
+class RunLedger:
+    """The write side of one run's ledger, in the order an artifact needs.
+
+    Manifest once, before the first round's events; round records
+    *deferred* — the trainer may still fill in the last record's
+    evaluation at end-of-run, so records queue in :meth:`add_round` and are
+    canonicalized, digested and emitted by :meth:`flush` (end of ``run``
+    or close, whichever comes first); footer once, at close.  Nothing is
+    emitted through a disabled telemetry.
+    """
+
+    def __init__(self, telemetry) -> None:
+        self.telemetry = telemetry
+        self._digest = HistoryDigest()
+        self._pending: List[Any] = []
+        self._wall = 0.0
+        self._last: Dict[str, Any] = {}
+        self._opened = False
+        self._sealed = False
+
+    def open(self, describe: Callable[..., Dict[str, Any]], *args: Any) -> None:
+        """Emit the manifest ``describe(*args)`` plus the environment, once."""
+        if self._opened or not self.telemetry.enabled:
+            return
+        self._opened = True
+        self.telemetry.manifest(**describe(*args), environment=environment_info())
+
+    def add_round(self, record: Any, wall_seconds: float) -> None:
+        """Queue a finished round's record and book its in-round wall time."""
+        self._wall += wall_seconds
+        self._pending.append(record)
+
+    def flush(self) -> None:
+        """Canonicalize, digest, and emit the queued round records."""
+        for record in self._pending:
+            self._last = self._digest.update(record)
+            self.telemetry.round_record(record.round_idx, self._last)
+        self._pending = []
+
+    def seal(self) -> None:
+        """Emit the digest-bearing run footer, at most once.
+
+        Only for runs whose manifest actually went out — an artifact's
+        footer is its end-of-file marker, so readers treat its absence as
+        truncation.
+        """
+        if self._sealed or not self._opened:
+            return
+        self._sealed = True
+        self.flush()
+        self.telemetry.run_footer(
+            rounds=self._digest.rounds,
+            wall_seconds=self._wall,
+            digest=self._digest.hexdigest(),
+            algorithm=DIGEST_ALGORITHM,
+            final_train_loss=self._last.get("train_loss"),
+            final_test_accuracy=self._last.get("test_accuracy"),
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -245,12 +301,9 @@ class RunArtifact:
 
     def computed_digest(self) -> str:
         """Digest recomputed from the artifact's own round records."""
-        digest = HistoryDigest()
-        for record in self.history_records():
-            # Re-canonicalize: JSON round-trips floats exactly, so this
-            # equals the producer's digest iff the records are untouched.
-            digest.update(record)
-        return digest.hexdigest()
+        # Re-canonicalized: JSON round-trips floats exactly, so this equals
+        # the producer's digest iff the records are untouched.
+        return history_digest(self.history_records())
 
 
 def split_runs(

@@ -19,7 +19,7 @@ load, and replay lives downstream of both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .ledger import (
@@ -28,6 +28,7 @@ from .ledger import (
     canonical_record,
     history_digest,
     load_run,
+    verify_artifact,
 )
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "build_dataset",
     "build_model",
     "build_solver",
+    "describe_trainer",
     "rebuild_trainer",
     "replay_run",
 ]
@@ -261,8 +263,116 @@ def _build_sampling(spec: Optional[Dict[str, Any]], dataset):
 
 
 # --------------------------------------------------------------------- #
-# Trainer reconstruction
+# Trainer description (the manifest writer) and reconstruction (its reader)
 # --------------------------------------------------------------------- #
+#: Trainer class name -> the constructor keywords it takes beyond
+#: :class:`~repro.core.config.TrainerConfig`.  The recipe records them for
+#: that class only and :func:`rebuild_trainer` passes them back.
+TRAINER_EXTRAS = {
+    "FederatedTrainer": (),
+    "FedDaneTrainer": ("gradient_clients",),
+}
+
+
+def describe_trainer(trainer) -> Dict[str, Any]:
+    """The manifest sections of a live trainer — what replay reads back.
+
+    Built from the trainer's *current* attributes rather than any config
+    object it may have been constructed from, so every construction path
+    serializes identically; called before round 0, while ``trainer.mu``
+    (and any adaptive-µ controller) still hold their initial values — the
+    reconstructed trainer starts from the same state.  ``config`` is the
+    flat summary for people and reports, ``trainer_config`` the serialized
+    :class:`~repro.core.config.TrainerConfig`, ``recipe`` the
+    dataset/model/solver descriptors (a ``None`` dataset recipe means the
+    federation was not built by a seeded builder and replay needs it
+    supplied, which ``repro.trace replay`` reports explicitly).
+    """
+    from ..core.config import EngineConfig, TrainerConfig
+
+    dataset, model, evaluation = trainer.dataset, trainer.model, trainer.eval_config
+    faults = trainer.faults if trainer.faults.enabled else None
+    # The engine is recovered from the live executor (not the
+    # construction-time config) so a prebuilt instance serializes
+    # identically to its spec string; executors outside the spec grammar
+    # degrade to a bare mode name.
+    try:
+        engine = EngineConfig.from_spec(trainer.executor.spec())
+    except (TypeError, ValueError):
+        engine = EngineConfig(mode=trainer.executor_mode)
+
+    config = {
+        "mu": trainer.mu,
+        "epochs": trainer.epochs,
+        "drop_stragglers": trainer.drop_stragglers,
+        "clients_per_round": getattr(trainer.sampling, "clients_per_round", None),
+        "num_devices": dataset.num_devices,
+        "dataset": dataset.name,
+        "model": type(model).__name__,
+        "n_params": model.n_params,
+        "systems": type(trainer.systems).__name__,
+        "eval": evaluation.strategy,
+        "eval_every": evaluation.every,
+        "eval_train_every": evaluation.train_every,
+        "track_gamma": trainer.track_gamma,
+        "track_dissimilarity": trainer.track_dissimilarity,
+        "adaptive_mu": trainer.mu_controller is not None,
+    }
+    sampled = trainer.sampled_evaluator
+    if sampled is not None:
+        config["eval_sample_size"] = sampled.sample_size
+        config["eval_strata"] = sampled.sampler.num_strata
+        config["eval_full_every"] = sampled.full_every
+    if faults is not None:
+        config["faults"] = faults.to_dict()
+        config["fault_policy"] = trainer.fault_policy.to_dict()
+    if trainer.comms_config.enabled:
+        config["comms"] = trainer.comms_config.to_dict()
+    config.update(trainer.solver.telemetry_tags())
+
+    trainer_config = TrainerConfig.from_kwargs(
+        mu=trainer.mu,
+        epochs=trainer.epochs,
+        drop_stragglers=trainer.drop_stragglers,
+        mu_controller=trainer.mu_controller,
+        clients_per_round=trainer.sampling.clients_per_round,
+        sampling=trainer.sampling,
+        systems=trainer.systems,
+        faults=faults,
+        fault_policy=trainer.fault_policy if faults is not None else None,
+        # The *resolved* kernel mode, so replay never re-resolves "auto".
+        evaluation=replace(evaluation, mode=trainer.eval_mode),
+        track_dissimilarity=trainer.track_dissimilarity,
+        track_gamma=trainer.track_gamma,
+        dissimilarity_max_clients=trainer.dissimilarity_max_clients,
+        telemetry=None,
+        cost_tracker=None,
+        seed=trainer.seed,
+        engine=engine,
+        comms=trainer.comms_config,
+        label=trainer.label,
+    )
+    recipe = {
+        "trainer": type(trainer).__name__,
+        "dataset": getattr(dataset, "recipe", None),
+        "dataset_name": dataset.name,
+        "num_devices": dataset.num_devices,
+        "model": model.spec(),
+        "solver": trainer.solver.spec(),
+    }
+    for name in TRAINER_EXTRAS.get(type(trainer).__name__, ()):
+        recipe[name] = getattr(trainer, name)
+    return {
+        "label": trainer.label,
+        "seed": trainer.seed,
+        "executor": trainer.executor_mode,
+        "eval_mode": trainer.eval_mode,
+        "config": config,
+        "trainer_config": trainer_config.to_dict(),
+        "recipe": recipe,
+    }
+
+
 def rebuild_trainer(
     artifact: RunArtifact,
     dataset=None,
@@ -326,7 +436,12 @@ def rebuild_trainer(
         config = config.replace(sampling=sampling)
     if telemetry is not None:
         config = config.replace(telemetry=telemetry)
-    return trainer_cls.from_config(dataset, model, solver, config)
+    extras = {
+        name: recipe[name]
+        for name in TRAINER_EXTRAS[trainer_name]
+        if name in recipe  # ledgers older than the key keep the default
+    }
+    return trainer_cls(dataset, model, solver, **config.trainer_kwargs(), **extras)
 
 
 def replay_run(
@@ -353,8 +468,6 @@ def replay_run(
     Returns a :class:`ReplayReport`; raises :class:`ReplayError` only for
     artifacts that cannot be re-executed at all.
     """
-    from .ledger import verify_artifact
-
     artifact = (
         source if isinstance(source, RunArtifact) else load_run(source, run=run)
     )

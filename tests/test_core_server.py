@@ -6,13 +6,11 @@ import pytest
 from repro.core import (
     EvalConfig,
     FederatedTrainer,
-    global_test_accuracy,
-    global_train_loss,
     make_fedavg,
     make_fedprox,
 )
 from repro.core.adaptive_mu import AdaptiveMuController
-from repro.core.client import Client
+from repro.metrics import federated_test_accuracy, federated_train_loss
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.systems import CostTracker, FractionStragglers
@@ -197,16 +195,14 @@ class TestFactories:
 
 class TestGlobalMetrics:
     def test_global_train_loss_is_weighted_mean(self, toy_dataset, toy_model):
-        solver = SGDSolver(0.1)
-        clients = [Client(c, toy_model, solver) for c in toy_dataset]
         w = np.zeros(toy_model.n_params)
         # At w=0 every client's loss is log(3), so the weighted mean is too.
-        assert global_train_loss(clients, w) == pytest.approx(np.log(3))
+        loss = federated_train_loss(toy_model, toy_dataset, w)
+        assert loss == pytest.approx(np.log(3))
 
     def test_global_test_accuracy_range(self, toy_dataset, toy_model):
-        solver = SGDSolver(0.1)
-        clients = [Client(c, toy_model, solver) for c in toy_dataset]
-        acc = global_test_accuracy(clients, np.zeros(toy_model.n_params))
+        w = np.zeros(toy_model.n_params)
+        acc = federated_test_accuracy(toy_model, toy_dataset, w)
         assert 0.0 <= acc <= 1.0
 
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core import EvalConfig, FederatedTrainer, TrainerConfig
-from repro.core.feddane import FedDaneTrainer
 from repro.faults import (
     FAULT_KINDS,
     NO_FAULTS,
@@ -303,17 +302,6 @@ class TestTrainerIntegration:
             assert all(v == 0 for v in trainer.fault_stats.values())
         finally:
             trainer.close()
-
-    def test_feddane_rejects_faults(self, synthetic_small):
-        model = MultinomialLogisticRegression(dim=60, num_classes=10)
-        with pytest.raises(NotImplementedError, match="fault"):
-            FedDaneTrainer(
-                synthetic_small,
-                model,
-                SGDSolver(0.05, batch_size=10),
-                clients_per_round=4,
-                faults=CrashFaults(rate=0.5, seed=1),
-            )
 
 
 class TestTrainerConfig:

@@ -96,6 +96,33 @@ class TestHistory:
         assert restored.records[0].dissimilarity is None
 
 
+    def test_every_field_roundtrips_as_the_ledger_record(self, tmp_path):
+        """A history file holds the ledger's canonical dicts, losslessly."""
+        from repro.telemetry.ledger import canonical_record
+
+        h = _history(2)
+        h.records[1] = RoundRecord(
+            round_idx=1, train_loss=0.123456789012345678, test_accuracy=0.5,
+            dissimilarity=2.5, mu=0.3, train_loss_ci=0.01, accuracy_ci=0.02,
+            eval_sample_size=7, eval_full=True, gamma_mean=0.4, gamma_max=0.9,
+            selected=[np.int64(3), 1], stragglers=[1], dropped=[3], degraded=True,
+        )
+        payload = history_to_dict(h)
+        assert payload["records"] == [canonical_record(r) for r in h.records]
+        restored = load_history(save_history(tmp_path / "h.json", h))
+        assert restored.records == [
+            RoundRecord(**canonical_record(r)) for r in h.records
+        ]
+        assert history_to_dict(restored) == payload
+
+    def test_fields_a_file_lacks_take_the_record_defaults(self):
+        restored = history_from_dict(
+            {"records": [{"round_idx": 0, "train_loss": None}]}
+        )
+        assert restored.records == [RoundRecord(round_idx=0, train_loss=None)]
+        assert restored.records[0].mu == 0.0
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = MultinomialLogisticRegression(dim=3, num_classes=2)

@@ -402,9 +402,9 @@ class TestEvalConfigAndDeprecations:
             dataset,
             evaluation=EvalConfig(every=2, strategy="sampled", sample_size=5),
         )
-        assert trainer.eval_every == 2
-        assert trainer.eval_strategy == "sampled"
-        assert trainer.eval_sample_size == 5
+        assert trainer.eval_config.every == 2
+        assert trainer.eval_config.strategy == "sampled"
+        assert trainer.sampled_evaluator.sample_size == 5
 
     def test_eval_config_validates(self):
         with pytest.raises(ValueError, match="strategy"):

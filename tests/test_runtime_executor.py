@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import FederatedTrainer, global_test_accuracy
+from repro.core import FederatedTrainer
 from repro.core.client import Client
 from repro.datasets import ClientData, FederatedDataset
 from repro.models import MultinomialLogisticRegression
@@ -119,7 +119,7 @@ class TestGlobalTestAccuracy:
         solver = SGDSolver(0.1)
         clients = [Client(c, model, solver) for c in toy_dataset]
         w = np.zeros(model.n_params)
-        baseline = global_test_accuracy(clients, w)
+        baseline = FederationEvaluator(clients, model, "per_client").test_accuracy(w)
 
         empty = ClientData(
             client_id=99,
@@ -129,7 +129,8 @@ class TestGlobalTestAccuracy:
             test_y=np.zeros(0, dtype=int),
         )
         clients.append(Client(empty, model, solver))
-        assert global_test_accuracy(clients, w) == baseline
+        grown = FederationEvaluator(clients, model, "per_client")
+        assert grown.test_accuracy(w) == baseline
 
     def test_error_message_includes_label(self):
         model = MultinomialLogisticRegression(dim=2, num_classes=2)
@@ -141,8 +142,11 @@ class TestGlobalTestAccuracy:
             test_y=np.zeros(0, dtype=int),
         )
         clients = [Client(data, model, SGDSolver(0.1))]
+        evaluator = FederationEvaluator(
+            clients, model, "per_client", label="mnist-like"
+        )
         with pytest.raises(ValueError, match="'mnist-like'"):
-            global_test_accuracy(clients, np.zeros(model.n_params), label="mnist-like")
+            evaluator.test_accuracy(np.zeros(model.n_params))
 
 
 class TestSerialExecutor:

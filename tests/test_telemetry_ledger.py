@@ -82,6 +82,16 @@ class TestCanonicalRecords:
         assert isinstance(canon["mu"], float)
         assert set(canon) == set(RECORD_FIELDS)
 
+    def test_record_fields_are_the_round_record_fields(self):
+        """A field added to RoundRecord can never silently escape the digest."""
+        import dataclasses
+
+        from repro.core.history import RoundRecord
+
+        names = [f.name for f in dataclasses.fields(RoundRecord)]
+        assert sorted(RECORD_FIELDS) == sorted(names)
+        assert len(set(RECORD_FIELDS)) == len(RECORD_FIELDS)
+
     def test_canonical_json_is_key_sorted_and_compact(self):
         blob = canonical_json({"b": 1, "a": [1.5, None]})
         assert blob == '{"a":[1.5,null],"b":1}'
