@@ -7,30 +7,42 @@ framework here is model-agnostic too.  This example:
    full-batch GD local solvers on a label-skewed image federation;
 2. swaps the convex logistic model for a small MLP (autograd-backed);
 3. implements a custom one-line local solver — a single proximal-gradient
-   step — to show the minimal LocalSolver contract.
+   step — to show the minimal LocalSolver contract;
+4. registers that solver (``@repro.spec.register``), records a run ledger
+   with it and replays the ledger from the file alone.
 
 Run:  python examples/custom_solver_and_model.py
 """
 
-import numpy as np
+import os
+import tempfile
 
 from repro.core import FederatedTrainer
 from repro.datasets import make_femnist_like
 from repro.models import MLPClassifier, MultinomialLogisticRegression
 from repro.optim import AdamSolver, GDSolver, LocalSolver, MomentumSGDSolver, SGDSolver
 from repro.reporting import format_table, sparkline
+from repro.spec import register
+from repro.telemetry import JSONLSink, Telemetry
+from repro.telemetry.replay import replay_run
 
 ROUNDS = 20
 SEED = 3
 DIM = 64  # 8x8 images
 
 
+@register
 class OneShotProxStep(LocalSolver):
     """A deliberately minimal local solver: one full-batch proximal step.
 
     Anything that maps (objective, start point, budget) to an approximate
     minimizer is a valid FedProx local solver — this one ignores the budget
     entirely and still trains (slowly).
+
+    Registered, and keeping its constructor argument under the argument's
+    own name, it is written into a run ledger as ``{"type":
+    "OneShotProxStep", "learning_rate": 0.5}`` and rebuilt from that on
+    replay — the same protocol the built-in solvers and models use.
     """
 
     def __init__(self, learning_rate: float) -> None:
@@ -40,8 +52,8 @@ class OneShotProxStep(LocalSolver):
         return w_start - self.learning_rate * objective.gradient(w_start)
 
 
-def train(dataset, model, solver):
-    trainer = FederatedTrainer(
+def train(dataset, model, solver, rounds=ROUNDS, telemetry=None):
+    with FederatedTrainer(
         dataset=dataset,
         model=model,
         solver=solver,
@@ -49,8 +61,9 @@ def train(dataset, model, solver):
         clients_per_round=10,
         epochs=5,
         seed=SEED,
-    )
-    return trainer.run(ROUNDS)
+        telemetry=telemetry,
+    ) as trainer:
+        return trainer.run(rounds)
 
 
 def main() -> None:
@@ -98,6 +111,19 @@ def main() -> None:
             title="FedProx with a non-convex model",
         )
     )
+
+    # The custom solver's run, recorded and replayed from the file alone.
+    print()
+    with tempfile.TemporaryDirectory() as scratch:
+        ledger = os.path.join(scratch, "one_shot.jsonl")
+        train(
+            dataset,
+            MultinomialLogisticRegression(dim=DIM, num_classes=10),
+            OneShotProxStep(0.5),
+            rounds=5,
+            telemetry=Telemetry([JSONLSink(ledger)]),
+        )
+        print(replay_run(ledger).describe())
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
+from ..spec import SpecGrammar, boolean
 from .codecs import CastCodec, Codec, IdentityCodec, QSGDCodec, TopKCodec
 
 #: Accepted codec names.  ``"dense"`` means compression is disabled — the
@@ -21,22 +22,20 @@ from .codecs import CastCodec, Codec, IdentityCodec, QSGDCodec, TopKCodec
 CODEC_NAMES = ("dense", "identity", "fp16", "fp32", "qsgd", "topk")
 
 
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-#: comms spec keys -> (CommsConfig field, value parser, default), in
-#: canonical emission order.
-_COMMS_SPEC_KEYS = (
-    ("codec", "codec", str, "dense"),
-    ("bits", "bits", int, 8),
-    ("k", "k", int, 64),
-    ("ef", "ef", _parse_bool, False),
+#: The ``comms:key=value,...`` grammar: spec key -> (:class:`CommsConfig`
+#: field, value parser, default), in canonical emission order; a bare
+#: leading token names the codec.
+COMMS_GRAMMAR = SpecGrammar(
+    prefix="comms",
+    keys=(
+        ("codec", "codec", str, "dense"),
+        ("bits", "bits", int, 8),
+        ("k", "k", int, 64),
+        ("ef", "ef", boolean, False),
+    ),
+    where="spec",
+    example="comms:codec=qsgd,bits=8,ef=true",
+    bare="codec",
 )
 
 
@@ -58,38 +57,7 @@ def parse_comms_spec(spec: str) -> Dict[str, Any]:
         body = ""
     elif body.startswith("comms:"):
         body = body[len("comms:"):]
-    parsers = {key: (name, parse) for key, name, parse, _ in _COMMS_SPEC_KEYS}
-    kwargs: Dict[str, Any] = {}
-    for position, item in enumerate(p for p in body.split(",") if p.strip()):
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep:
-            if position == 0:
-                # Bare codec shorthand: "qsgd" == "codec=qsgd".
-                key, value = "codec", key
-            else:
-                raise ValueError(
-                    f"malformed comms option {item!r} in spec {spec!r}; "
-                    "expected comma-separated key=value pairs, e.g. "
-                    '"comms:codec=qsgd,bits=8,ef=true"'
-                )
-        if key not in parsers:
-            raise ValueError(
-                f"unknown comms option {key!r} in spec {spec!r}; valid "
-                f"keys: {tuple(parsers)}"
-            )
-        name, parse = parsers[key]
-        if name in kwargs:
-            raise ValueError(
-                f"duplicate comms option {key!r} in spec {spec!r}"
-            )
-        try:
-            kwargs[name] = parse(value.strip())
-        except ValueError:
-            raise ValueError(
-                f"bad value {value.strip()!r} for comms option {key!r} in "
-                f"spec {spec!r}"
-            ) from None
+    kwargs = COMMS_GRAMMAR.parse(spec, body)
     codec = kwargs.get("codec")
     if codec is not None and codec not in CODEC_NAMES:
         raise ValueError(
@@ -147,13 +115,7 @@ class CommsConfig:
 
     def spec(self) -> str:
         """The canonical ``comms:`` spec string describing this config."""
-        parts = []
-        for key, name, _, default in _COMMS_SPEC_KEYS:
-            value = getattr(self, name)
-            if value != default:
-                rendered = str(value).lower() if isinstance(value, bool) else value
-                parts.append(f"{key}={rendered}")
-        return "comms:" + ",".join(parts) if parts else "comms"
+        return COMMS_GRAMMAR.render(self)
 
     @classmethod
     def from_spec(cls, spec: str) -> "CommsConfig":

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..spec import register
 
+
+@register
 class AdaptiveMuController:
     """Stateful µ controller implementing the paper's heuristic.
 
@@ -44,7 +47,10 @@ class AdaptiveMuController:
             raise ValueError("patience must be at least 1")
         if not mu_min <= initial_mu <= mu_max:
             raise ValueError("initial_mu must lie inside [mu_min, mu_max]")
-        self.mu = float(initial_mu)
+        # Kept beside the moving ``mu`` so the controller describes its
+        # construction (a run ledger rebuilds it fresh), not its state.
+        self.initial_mu = float(initial_mu)
+        self.mu = self.initial_mu
         self.step = float(step)
         self.patience = int(patience)
         self.mu_min = float(mu_min)

@@ -33,15 +33,11 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from ..comms.config import CommsConfig
-from ..faults.models import FaultSchedule, fault_schedule_from_dict
+from ..faults.models import FaultSchedule
 from ..faults.policy import FaultPolicy
+from ..spec import build, describe
 from ..systems.costs import CostTracker
-from ..systems.stragglers import (
-    FractionStragglers,
-    NoHeterogeneity,
-    PowerLawStragglers,
-    SystemsModel,
-)
+from ..systems.stragglers import SystemsModel
 from .adaptive_mu import AdaptiveMuController
 from .sampling import SamplingScheme
 
@@ -108,15 +104,15 @@ class EvalConfig:
             raise ValueError("eval train_every must be at least 1")
 
     @classmethod
-    def resolve(cls, value: Optional["EvalConfig"]) -> "EvalConfig":
+    def resolve(cls, evaluation: Optional["EvalConfig"]) -> "EvalConfig":
         """``None`` → the defaults; any other non-:class:`EvalConfig` is refused."""
-        if value is None:
+        if evaluation is None:
             return cls()
-        if not isinstance(value, cls):
+        if not isinstance(evaluation, cls):
             raise TypeError(
-                f"evaluation must be an EvalConfig, got {type(value).__name__}"
+                f"evaluation must be an EvalConfig, got {type(evaluation).__name__}"
             )
-        return value
+        return evaluation
 
 
 @dataclass(frozen=True)
@@ -160,16 +156,9 @@ class EngineConfig:
                 else f"parallel:{self.workers}"
             )
         if self.mode == "async":
-            from ..runtime import ASYNC_SPEC_KEYS
+            from ..runtime import ASYNC_GRAMMAR
 
-            defaults = EngineConfig()
-            parts = []
-            for key, (name, _parse) in ASYNC_SPEC_KEYS.items():
-                value = getattr(self, name)
-                if value != getattr(defaults, name):
-                    rendered = repr(value) if isinstance(value, float) else value
-                    parts.append(f"{key}={rendered}")
-            return "async:" + ",".join(parts) if parts else "async"
+            return ASYNC_GRAMMAR.render(self)
         return self.mode
 
     @classmethod
@@ -183,7 +172,7 @@ class EngineConfig:
         return cls(mode=mode, instance=instance, **kwargs)
 
     @classmethod
-    def resolve(cls, value: Any) -> "EngineConfig":
+    def resolve(cls, engine: Any) -> "EngineConfig":
         """Coerce any accepted ``engine`` value to a config.
 
         ``None`` → the serial default; a spec string is parsed; an
@@ -192,17 +181,17 @@ class EngineConfig:
         :meth:`~repro.runtime.executor.RoundExecutor.spec` recovers the
         parameterization so the ledger still serializes it fully).
         """
-        if value is None:
+        if engine is None:
             return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            return cls.from_spec(value)
-        if hasattr(value, "run_local_solves"):  # RoundExecutor duck type
-            return cls.from_spec(value.spec(), instance=value)
+        if isinstance(engine, cls):
+            return engine
+        if isinstance(engine, str):
+            return cls.from_spec(engine)
+        if hasattr(engine, "run_local_solves"):  # RoundExecutor duck type
+            return cls.from_spec(engine.spec(), instance=engine)
         raise TypeError(
             "engine must be an EngineConfig, an executor spec string, or a "
-            f"RoundExecutor instance; got {type(value).__name__}"
+            f"RoundExecutor instance; got {type(engine).__name__}"
         )
 
     def build(self) -> "RoundExecutor":
@@ -259,79 +248,14 @@ _KWARG_MAP = {
 }
 
 
-def _describe_object(value: Any) -> Any:
-    """JSON-friendly description of one config field value."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, FaultSchedule):
-        return value.to_dict()
-    if isinstance(value, FaultPolicy):
-        return dict(value.to_dict(), type="FaultPolicy")
-    if isinstance(value, NoHeterogeneity):
-        return {"type": "NoHeterogeneity"}
-    if isinstance(value, FractionStragglers):
-        return {
-            "type": "FractionStragglers",
-            "fraction": value.fraction,
-            "seed": value.seed,
-        }
-    if isinstance(value, PowerLawStragglers):
-        return {
-            "type": "PowerLawStragglers",
-            "alpha": value.alpha,
-            "seed": value.seed,
-        }
-    if isinstance(value, AdaptiveMuController):
-        # Describes the controller's *construction*: at manifest-emission
-        # time (before round 0) ``value.mu`` still equals initial_mu, so
-        # the description rebuilds an identical fresh controller.
-        return {
-            "type": "AdaptiveMuController",
-            "initial_mu": value.mu,
-            "step": value.step,
-            "patience": value.patience,
-            "mu_min": value.mu_min,
-            "mu_max": value.mu_max,
-        }
-    if isinstance(value, SamplingScheme):
-        # Reconstruction needs the live dataset; the replay layer rebuilds
-        # the scheme from this spec after reconstructing the federation.
-        return {
-            "type": type(value).__name__,
-            "clients_per_round": value.clients_per_round,
-            "seed": value.seed,
-        }
-    return {"type": type(value).__name__}
-
-
-def _restore_object(section: str, name: str, value: Any) -> Any:
-    """Inverse of :func:`_describe_object` for reconstructible values."""
-    if not isinstance(value, dict):
-        return value
-    kind = value.get("type")
-    spec = {k: v for k, v in value.items() if k != "type"}
-    if name == "faults":
-        return fault_schedule_from_dict(value)
-    if kind == "FaultPolicy":
-        return FaultPolicy.from_dict(spec)
-    if kind == "NoHeterogeneity":
-        return NoHeterogeneity()
-    if kind == "FractionStragglers":
-        return FractionStragglers(**spec)
-    if kind == "PowerLawStragglers":
-        return PowerLawStragglers(**spec)
-    if kind == "AdaptiveMuController":
-        return AdaptiveMuController(**spec)
-    if name == "sampling":
-        raise ValueError(
-            f"cannot reconstruct {section}.{name} from {value!r}: sampling "
-            "schemes bind to a live dataset — rebuild the federation first "
-            "and pass the scheme object (repro.telemetry.replay does this)"
-        )
-    raise ValueError(
-        f"cannot reconstruct {section}.{name} from {value!r}; pass the "
-        "object directly instead of a dict description"
-    )
+#: The sections whose fields :func:`repro.spec.describe` serializes one by
+#: one (the engine and comms sections are dicts of their own scalar fields).
+_DESCRIBED_SECTIONS = {
+    "optimization": OptimizationConfig,
+    "cohorting": CohortConfig,
+    "evaluation": EvalConfig,
+    "diagnostics": DiagnosticsConfig,
+}
 
 
 @dataclass(frozen=True)
@@ -418,20 +342,21 @@ class TrainerConfig:
     def to_dict(self) -> Dict[str, Any]:
         """Nested, JSON-friendly description of this configuration.
 
-        Scalar fields serialize verbatim; fault schedules, fault policies,
-        and the built-in systems models serialize to reconstructible dict
-        specs; the engine section serializes its full parameterization
-        (minus any prebuilt instance).  Other objects (custom sampling
-        schemes, live telemetry) are described by class name only —
-        :meth:`from_dict` refuses those, keeping the round-trip honest.
+        Every field goes through :func:`repro.spec.describe`: scalars
+        verbatim, registered components (fault schedules and policies,
+        systems models, sampling schemes, the adaptive-µ controller) as
+        ``{"type": name, **constructor kwargs}``, anything else (live
+        telemetry, an unregistered custom object) by class name only —
+        which :meth:`from_dict` refuses, keeping the round-trip honest.
+        The engine and comms sections are their own scalar fields.
         """
-        out: Dict[str, Any] = {}
-        for section_name in ("optimization", "cohorting", "evaluation", "diagnostics"):
-            section = getattr(self, section_name)
-            out[section_name] = {
-                f.name: _describe_object(getattr(section, f.name))
-                for f in fields(section)
+        out: Dict[str, Any] = {
+            name: {
+                f.name: describe(getattr(getattr(self, name), f.name))
+                for f in fields(section_cls)
             }
+            for name, section_cls in _DESCRIBED_SECTIONS.items()
+        }
         out["engine"] = self.engine.to_dict()
         out["comms"] = self.comms.to_dict()
         out["seed"] = self.seed
@@ -439,39 +364,28 @@ class TrainerConfig:
         return out
 
     @classmethod
-    def from_dict(cls, spec: Dict[str, Any]) -> "TrainerConfig":
+    def from_dict(cls, spec: Dict[str, Any], **live: Any) -> "TrainerConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
-        Lossless for configs whose object-valued fields are ``None`` or
-        reconstructible specs (fault schedules/policies, built-in systems
-        models); raises ``ValueError`` for descriptions of objects that
-        cannot be rebuilt from scalars.
+        Every field goes through :func:`repro.spec.build`, which raises
+        :class:`~repro.spec.ReplayError` naming the section and type of a
+        description it cannot build.  ``live`` are the process-local
+        objects some components bind to — a sampling scheme needs the
+        rebuilt federation as ``dataset=``.
         """
-        section_classes = {
-            "optimization": OptimizationConfig,
-            "cohorting": CohortConfig,
-            "evaluation": EvalConfig,
-            "diagnostics": DiagnosticsConfig,
+        built = {
+            section: section_cls(**{
+                name: build(value, f"{section}.{name}", **live)
+                for name, value in spec.get(section, {}).items()
+            })
+            for section, section_cls in _DESCRIBED_SECTIONS.items()
         }
-        built: Dict[str, Any] = {}
-        for section_name, section_cls in section_classes.items():
-            restored = {
-                name: _restore_object(section_name, name, value)
-                for name, value in spec.get(section_name, {}).items()
-            }
-            built[section_name] = section_cls(**restored)
-        comms_spec = spec.get("comms")
-        comms = (
-            CommsConfig.from_dict(comms_spec)
-            if isinstance(comms_spec, dict)
-            # Pre-comms manifests have no comms section: compression off.
-            else CommsConfig.resolve(comms_spec)
-        )
         return cls(
             seed=spec.get("seed", 0),
             label=spec.get("label", ""),
             engine=EngineConfig.from_dict(spec.get("engine", {})),
-            comms=comms,
+            # Pre-comms manifests have no comms section: compression off.
+            comms=CommsConfig.from_dict(spec.get("comms", {})),
             **built,
         )
 

@@ -24,11 +24,13 @@ from ..datasets.federated import FederatedDataset
 from ..models.base import FederatedModel
 from ..optim.base import LocalSolver
 from ..optim.sgd import SGDSolver
+from ..spec import register
 from .sampling import SamplingScheme
 from .server import FederatedTrainer
 from ..systems.stragglers import SystemsModel
 
 
+@register(tag="trainer")
 class FedDaneTrainer(FederatedTrainer):
     """FedDane: FedProx plus a subsampled DANE gradient correction.
 

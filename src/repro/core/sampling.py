@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..datasets.federated import FederatedDataset
+from ..spec import register
 
 
 class SamplingScheme(abc.ABC):
@@ -74,6 +75,7 @@ class SamplingScheme(abc.ABC):
         """
 
 
+@register(live=("dataset",))
 class UniformSamplingWeightedAverage(SamplingScheme):
     """Uniform selection without replacement; ``n_k``-weighted averaging."""
 
@@ -113,6 +115,7 @@ class UniformSamplingWeightedAverage(SamplingScheme):
         return weights @ stacked
 
 
+@register(live=("dataset",))
 class WeightedSamplingSimpleAverage(SamplingScheme):
     """Selection with probability ``p_k`` (with replacement); simple average.
 

@@ -46,6 +46,7 @@ from ..models.base import FederatedModel
 from ..optim.base import LocalSolver
 from ..runtime.executor import LocalTask, RoundExecutor
 from ..runtime.sampled import SampledEvaluator
+from ..spec import register
 from ..systems.costs import CostTracker
 from ..systems.stragglers import NoHeterogeneity, SystemsModel
 from ..telemetry import MetricsRegistry, RunLedger, resolve_telemetry
@@ -647,3 +648,13 @@ class FederatedTrainer:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
+
+
+# On replay every argument above arrives live — federation, model and solver
+# rebuilt from their own specs, the options from the manifest's
+# ``trainer_config`` — so a trainer class describes only what a subclass adds.
+register(
+    FederatedTrainer,
+    tag="trainer",
+    live=("dataset", "model", "solver", "callbacks", *TrainerConfig().trainer_kwargs()),
+)

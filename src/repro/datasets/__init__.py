@@ -32,7 +32,16 @@ from .store import (
 from .synthetic import make_synthetic, make_synthetic_iid, synthetic_suite
 from .text import make_sent140_like, make_shakespeare_like
 
+#: The builders a run ledger cannot rebuild by name, and why; every other
+#: exported builder is registered (:func:`repro.spec.register`).  Their
+#: federations carry ``recipe = None`` and replay needs them handed back.
+NOT_RECONSTRUCTIBLE = {
+    "federate_arrays": "caller-owned arrays",
+    "load_leaf": "caller-owned arrays (read from files the ledger does not hold)",
+}
+
 __all__ = [
+    "NOT_RECONSTRUCTIBLE",
     "ClientData",
     "DatasetStats",
     "FederatedDataset",

@@ -455,14 +455,14 @@ class FederatedDataset:
         token inputs (informational).
     store:
         A prebuilt client store (lazy path; keyword-only).
+
+    Attributes
+    ----------
     recipe:
-        Optional JSON-friendly reconstruction descriptor, set by the
-        dataset builders when the federation is a pure function of its
-        generation parameters (``{"builder": ..., **kwargs}``).  Embedded
-        in run-ledger manifests so :mod:`repro.telemetry.replay` can
-        regenerate the exact federation; ``None`` means the dataset is not
-        reconstructible from scalars (externally loaded data, or a builder
-        fed a caller-owned ``rng``).
+        ``{"builder": name, **arguments}``, set by a registered builder
+        (:func:`repro.spec.register`) that made this federation from
+        scalars alone; ``None`` when a run ledger cannot rebuild it by name
+        (caller-owned arrays or files, a builder fed a caller-owned ``rng``).
     """
 
     def __init__(
@@ -473,7 +473,6 @@ class FederatedDataset:
         input_dim: Optional[int] = None,
         *,
         store=None,
-        recipe: Optional[Dict[str, object]] = None,
     ) -> None:
         if (clients is None) == (store is None):
             raise ValueError(
@@ -491,7 +490,7 @@ class FederatedDataset:
         self.store = store
         self.num_classes = num_classes
         self.input_dim = input_dim
-        self.recipe = recipe
+        self.recipe: Optional[Dict[str, object]] = None
 
     @classmethod
     def from_store(

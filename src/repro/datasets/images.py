@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..spec import register
 from .federated import FederatedDataset, PackedClientStore
 from .partition import assign_classes_per_device, power_law_sizes
 
@@ -47,6 +48,7 @@ def _smooth_prototype(
     return np.clip(big, 0.0, 1.0).reshape(-1)
 
 
+@register(tag="builder", live=("rng",))
 def make_prototype_image_dataset(
     name: str,
     num_devices: int,
@@ -153,6 +155,7 @@ def make_prototype_image_dataset(
     )
 
 
+@register(tag="builder", live=("rng",))
 def make_mnist_like(
     num_devices: int = 1000,
     total_samples: int = 69_035,
@@ -178,6 +181,7 @@ def make_mnist_like(
     )
 
 
+@register(tag="builder", live=("rng",))
 def make_femnist_like(
     num_devices: int = 200,
     total_samples: int = 18_345,

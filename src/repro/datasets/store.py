@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..spec import register
 from .federated import (
     ClientData,
     ClientStore,
@@ -501,6 +502,7 @@ def resolve_store(
     return EagerClientStore(clients_or_store)
 
 
+@register(tag="builder")
 def make_synthetic_ondemand(
     alpha: float,
     beta: float,
@@ -536,25 +538,9 @@ def make_synthetic_ondemand(
     label = name or (
         "Synthetic-OD-IID" if iid else f"Synthetic-OD({alpha:g},{beta:g})"
     )
-    dataset = FederatedDataset.from_store(
+    return FederatedDataset.from_store(
         name=label,
         store=store,
         num_classes=NUM_CLASSES,
         input_dim=NUM_FEATURES,
     )
-    # Every client is a pure function of (seed, client_id), so the whole
-    # federation reconstructs from these scalars (run-ledger recipe).
-    dataset.recipe = {
-        "builder": "make_synthetic_ondemand",
-        "alpha": float(alpha),
-        "beta": float(beta),
-        "num_devices": int(num_devices),
-        "seed": int(seed),
-        "iid": bool(iid),
-        "test_fraction": float(test_fraction),
-        "size_cap": size_cap,
-        "min_samples": int(min_samples),
-        "cache_clients": int(cache_clients),
-        "name": name,
-    }
-    return dataset

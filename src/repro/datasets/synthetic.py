@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..spec import register
 from .federated import FederatedDataset, PackedClientStore
 from .partition import lognormal_sizes
 
@@ -48,6 +49,7 @@ def _allocate(sizes: np.ndarray, test_fraction: float) -> PackedClientStore:
     )
 
 
+@register(tag="builder", live=("rng",))
 def make_synthetic(
     alpha: float,
     beta: float,
@@ -89,9 +91,6 @@ def make_synthetic(
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be non-negative")
-    # A caller-owned rng makes the output depend on that rng's prior
-    # consumption — only the pure-seed path gets a reconstruction recipe.
-    seeded = rng is None
     rng = rng if rng is not None else np.random.default_rng(seed)
     sizes = lognormal_sizes(
         rng, num_devices, minimum=min_samples, cap=size_cap
@@ -110,28 +109,15 @@ def make_synthetic(
         )
         store.place(k, X, _softmax_labels(X, W_k, b_k), rng)
 
-    recipe = None
-    if seeded:
-        recipe = {
-            "builder": "make_synthetic",
-            "alpha": float(alpha),
-            "beta": float(beta),
-            "num_devices": int(num_devices),
-            "seed": int(seed),
-            "test_fraction": float(test_fraction),
-            "size_cap": size_cap,
-            "min_samples": int(min_samples),
-            "name": name,
-        }
     return FederatedDataset(
         name=name or f"Synthetic({alpha:g},{beta:g})",
         store=store,
         num_classes=NUM_CLASSES,
         input_dim=NUM_FEATURES,
-        recipe=recipe,
     )
 
 
+@register(tag="builder", live=("rng",))
 def make_synthetic_iid(
     num_devices: int = 30,
     rng: Optional[np.random.Generator] = None,
@@ -141,7 +127,6 @@ def make_synthetic_iid(
     min_samples: int = 50,
 ) -> FederatedDataset:
     """Generate ``Synthetic-IID``: one shared model, one shared input law."""
-    seeded = rng is None
     rng = rng if rng is not None else np.random.default_rng(seed)
     sizes = lognormal_sizes(rng, num_devices, minimum=min_samples, cap=size_cap)
     cov_diag = _input_covariance_diag()
@@ -155,22 +140,11 @@ def make_synthetic_iid(
         )
         store.place(k, X, _softmax_labels(X, W, b), rng)
 
-    recipe = None
-    if seeded:
-        recipe = {
-            "builder": "make_synthetic_iid",
-            "num_devices": int(num_devices),
-            "seed": int(seed),
-            "test_fraction": float(test_fraction),
-            "size_cap": size_cap,
-            "min_samples": int(min_samples),
-        }
     return FederatedDataset(
         name="Synthetic-IID",
         store=store,
         num_classes=NUM_CLASSES,
         input_dim=NUM_FEATURES,
-        recipe=recipe,
     )
 
 

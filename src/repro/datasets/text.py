@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..spec import register
 from .federated import FederatedDataset, PackedClientStore
 
 
@@ -52,6 +53,7 @@ def _sample_markov_stream(
     return stream
 
 
+@register(tag="builder", live=("rng",))
 def make_shakespeare_like(
     num_devices: int = 24,
     vocab_size: int = 80,
@@ -87,7 +89,6 @@ def make_shakespeare_like(
     """
     if not 0.0 <= dialect_weight <= 1.0:
         raise ValueError("dialect_weight must be in [0, 1]")
-    seeded = rng is None
     rng = rng if rng is not None else np.random.default_rng(seed)
     shared = _random_stochastic_matrix(rng, vocab_size)
 
@@ -107,25 +108,12 @@ def make_shakespeare_like(
             k, windows[: sizes[k]], stream[seq_len : seq_len + sizes[k]], rng
         )
 
-    recipe = None
-    if seeded:
-        recipe = {
-            "builder": "make_shakespeare_like",
-            "num_devices": int(num_devices),
-            "vocab_size": int(vocab_size),
-            "seq_len": int(seq_len),
-            "samples_per_device_mean": float(samples_per_device_mean),
-            "dialect_weight": float(dialect_weight),
-            "seed": int(seed),
-            "test_fraction": float(test_fraction),
-            "name": name,
-        }
     return FederatedDataset(
         name=name, store=store, num_classes=vocab_size, input_dim=seq_len,
-        recipe=recipe,
     )
 
 
+@register(tag="builder", live=("rng",))
 def make_sent140_like(
     num_devices: int = 30,
     vocab_size: int = 400,
@@ -163,7 +151,6 @@ def make_sent140_like(
     """
     if vocab_size < 16:
         raise ValueError("vocab_size too small to carve out sentiment lexicons")
-    seeded = rng is None
     rng = rng if rng is not None else np.random.default_rng(seed)
 
     eighth = vocab_size // 8
@@ -195,22 +182,6 @@ def make_sent140_like(
 
         store.place(k, X, y, rng)
 
-    recipe = None
-    if seeded:
-        recipe = {
-            "builder": "make_sent140_like",
-            "num_devices": int(num_devices),
-            "vocab_size": int(vocab_size),
-            "seq_len": int(seq_len),
-            "samples_per_device_mean": float(samples_per_device_mean),
-            "samples_per_device_stdev": float(samples_per_device_stdev),
-            "sentiment_strength": float(sentiment_strength),
-            "label_prior_concentration": float(label_prior_concentration),
-            "seed": int(seed),
-            "test_fraction": float(test_fraction),
-            "name": name,
-        }
     return FederatedDataset(
         name=name, store=store, num_classes=2, input_dim=seq_len,
-        recipe=recipe,
     )

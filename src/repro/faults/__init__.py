@@ -49,7 +49,6 @@ from .models import (
     FaultSchedule,
     NoFaults,
     StaleFaults,
-    fault_schedule_from_dict,
     resolve_faults,
 )
 from .policy import CRASH_ACTIONS, RETRY_FALLBACKS, FaultPolicy
@@ -65,7 +64,6 @@ __all__ = [
     "StaleFaults",
     "ChaosFaults",
     "ComposeFaults",
-    "fault_schedule_from_dict",
     "resolve_faults",
     "FaultPolicy",
     "FaultManager",

@@ -40,11 +40,13 @@ environment.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..spec import describe, register
 from ..systems.stragglers import SystemsModel, WorkAssignment, entropy_rng
 
 # Salt separating fault draws from straggler/batch draws in the shared
@@ -125,11 +127,11 @@ class FaultSchedule(SystemsModel):
             for c in client_ids
         ]
 
+    @abc.abstractmethod
     def draw(
         self, round_idx: int, client_id: int, attempt: int = 0
     ) -> Optional[FaultDecision]:
         """The fault (if any) striking this solve; ``None`` means healthy."""
-        raise NotImplementedError
 
     def _rng(
         self, round_idx: int, client_id: int, attempt: int
@@ -139,28 +141,19 @@ class FaultSchedule(SystemsModel):
             getattr(self, "seed", 0), FAULT_SALT, round_idx, client_id, attempt
         )
 
-    def to_dict(self) -> dict:
-        """JSON-scalar description; see :func:`fault_schedule_from_dict`."""
-        spec: Dict[str, object] = {"type": type(self).__name__}
-        for name in ("rate", "seed", "min_fraction", "max_fraction",
-                     "mode", "scale", "max_delay", "kinds"):
-            if hasattr(self, name):
-                value = getattr(self, name)
-                spec[name] = list(value) if isinstance(value, tuple) else value
-        return spec
-
-    # Schedules are pure functions of their scalar parameters, so value
-    # equality is description equality — this is what makes
+    # Schedules are pure functions of their constructor arguments, so
+    # value equality is description equality — this is what makes
     # TrainerConfig.to_dict()/from_dict() a true round-trip.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaultSchedule):
             return NotImplemented
-        return type(other) is type(self) and other.to_dict() == self.to_dict()
+        return type(other) is type(self) and describe(other) == describe(self)
 
     def __hash__(self) -> int:
-        return hash(repr(self.to_dict()))
+        return hash(repr(describe(self)))
 
 
+@register
 class NoFaults(FaultSchedule):
     """The default: no device ever faults.
 
@@ -175,9 +168,6 @@ class NoFaults(FaultSchedule):
         self, round_idx: int, client_id: int, attempt: int = 0
     ) -> Optional[FaultDecision]:
         return None
-
-    def to_dict(self) -> dict:
-        return {"type": "NoFaults"}
 
 
 #: Shared no-fault instance; use instead of constructing.
@@ -201,10 +191,12 @@ class _RateFaults(FaultSchedule):
             return None
         return self._decision(rng)
 
+    @abc.abstractmethod
     def _decision(self, rng: np.random.Generator) -> FaultDecision:
-        raise NotImplementedError
+        """The fault a strike inflicts."""
 
 
+@register
 class CrashFaults(_RateFaults):
     """Devices crash mid-solve with probability ``rate``.
 
@@ -233,6 +225,7 @@ class CrashFaults(_RateFaults):
         )
 
 
+@register
 class DropoutFaults(_RateFaults):
     """Devices go offline for whole rounds with probability ``rate``."""
 
@@ -240,6 +233,7 @@ class DropoutFaults(_RateFaults):
         return FaultDecision(kind="dropout")
 
 
+@register
 class CorruptionFaults(_RateFaults):
     """Delivered updates are corrupted with probability ``rate``.
 
@@ -263,6 +257,7 @@ class CorruptionFaults(_RateFaults):
         return FaultDecision(kind="corrupt", mode=self.mode, scale=self.scale)
 
 
+@register
 class StaleFaults(_RateFaults):
     """Updates are delivered late with probability ``rate``.
 
@@ -281,6 +276,7 @@ class StaleFaults(_RateFaults):
         )
 
 
+@register
 class ChaosFaults(_RateFaults):
     """Chaos mode: faults strike at ``rate``, sampling uniformly over kinds.
 
@@ -345,6 +341,7 @@ class ChaosFaults(_RateFaults):
         )
 
 
+@register
 class ComposeFaults(FaultSchedule):
     """First-match composition of independent fault schedules.
 
@@ -376,41 +373,6 @@ class ComposeFaults(FaultSchedule):
             if decision is not None:
                 return decision
         return None
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "ComposeFaults",
-            "schedules": [s.to_dict() for s in self.schedules],
-        }
-
-
-_SCHEDULE_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        NoFaults,
-        CrashFaults,
-        DropoutFaults,
-        CorruptionFaults,
-        StaleFaults,
-        ChaosFaults,
-    )
-}
-
-
-def fault_schedule_from_dict(spec: dict) -> FaultSchedule:
-    """Rebuild a schedule from its :meth:`FaultSchedule.to_dict` form."""
-    spec = dict(spec)
-    name = spec.pop("type", None)
-    if name == "ComposeFaults":
-        return ComposeFaults(
-            [fault_schedule_from_dict(s) for s in spec.get("schedules", [])]
-        )
-    cls = _SCHEDULE_TYPES.get(name)
-    if cls is None:
-        raise ValueError(f"unknown fault schedule type {name!r}")
-    if "kinds" in spec:
-        spec["kinds"] = tuple(spec["kinds"])
-    return cls(**spec)
 
 
 def resolve_faults(faults: Optional[FaultSchedule]) -> FaultSchedule:

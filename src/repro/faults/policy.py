@@ -29,8 +29,10 @@ Independent of crash handling, the policy guards aggregation itself:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List
+
+from ..spec import register
 
 #: Crash-handling strategies.
 CRASH_ACTIONS = ("accept_partial", "drop", "retry")
@@ -39,6 +41,7 @@ CRASH_ACTIONS = ("accept_partial", "drop", "retry")
 RETRY_FALLBACKS = ("accept_partial", "drop")
 
 
+@register
 @dataclass(frozen=True)
 class FaultPolicy:
     """Robustness configuration applied by the trainer every round.
@@ -125,12 +128,3 @@ class FaultPolicy:
         """Drop semantics (discard failed devices, Algorithm 1)."""
         overrides.setdefault("on_crash", "drop")
         return cls(**overrides)
-
-    # Serialization -------------------------------------------------------- #
-    def to_dict(self) -> dict:
-        """Flat JSON-scalar description (round-trips via :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "FaultPolicy":
-        return cls(**spec)

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..nn.module import Module
+from ..spec import build, describe
 
 #: Execution backends offered by the LSTM models: ``"fused"`` runs the
 #: hand-derived kernels (:func:`repro.autograd.fused_lstm`), ``"graph"``
@@ -328,23 +329,15 @@ class FederatedModel(abc.ABC):
             "parallel round execution needs a cheap, picklable model replica"
         )
 
-    @abc.abstractmethod
     def fresh(self) -> "FederatedModel":
-        """A new instance with the same architecture (parameters unspecified)."""
+        """A new instance with the same architecture, as first constructed.
 
-    def spec(self) -> dict:
-        """Reconstruction descriptor for run-ledger manifests.
-
-        A JSON-friendly dict whose ``type`` names the class and whose
-        remaining keys are constructor kwargs; the replay layer
-        (:mod:`repro.telemetry.replay`) rebuilds the model as
-        ``ModelClass(**spec_minus_type)``.  The base fallback carries only
-        the type — enough to *identify* the model in an artifact but not
-        to replay it; models meant to be replayable override (or, for
-        :class:`NeuralModel` subclasses, inherit the ``_init_kwargs``-based
-        spec).
+        A registered model (``@repro.spec.register``, every constructor
+        argument stored under its own name) is rebuilt from its own
+        description — the same pair that replays it from a run ledger;
+        any other model overrides this.
         """
-        return {"type": type(self).__name__}
+        return build(describe(self), "model")
 
 
 class NeuralModel(FederatedModel):
@@ -356,8 +349,9 @@ class NeuralModel(FederatedModel):
     Parameters
     ----------
     seed:
-        Seed for weight initialization; stored so :meth:`fresh` can rebuild
-        an identically-initialized architecture.
+        Seed for weight initialization; subclasses store it with their other
+        constructor arguments, so :meth:`fresh` and ledger replay rebuild an
+        identically-initialized architecture.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -422,22 +416,6 @@ class NeuralModel(FederatedModel):
         cloned module pickles cleanly.
         """
         return self.clone()
-
-    def fresh(self) -> "NeuralModel":
-        return type(self)(**self._init_kwargs())
-
-    def _init_kwargs(self) -> dict:
-        """Constructor kwargs used by :meth:`fresh`; subclasses extend."""
-        return {"seed": self.seed}
-
-    def spec(self) -> dict:
-        """Reconstruction descriptor: ``fresh()``'s kwargs plus the type.
-
-        ``_init_kwargs`` already captures everything needed to rebuild an
-        identically-initialized architecture (that is :meth:`fresh`'s
-        contract), so the ledger spec rides it for free.
-        """
-        return {"type": type(self).__name__, **self._init_kwargs()}
 
 
 ModelFactory = Callable[[], FederatedModel]

@@ -15,6 +15,7 @@ import numpy as np
 from ..autograd import Tensor, softmax_cross_entropy
 from ..nn import LSTM, Dense, Embedding, FusedLSTM
 from ..nn.module import Module
+from ..spec import register
 from ._stacked_seq import StackedSeqSolveMixin, _buf
 from .base import LSTM_BACKENDS, SEQ_EVAL_BLOCK_ROWS, NeuralModel
 
@@ -43,6 +44,7 @@ class _CharLSTMModule(Module):
         return self.head(final_hidden)  # (batch, vocab)
 
 
+@register
 class CharLSTM(StackedSeqSolveMixin, NeuralModel):
     """Next-character predictor over integer token sequences.
 
@@ -145,13 +147,3 @@ class CharLSTM(StackedSeqSolveMixin, NeuralModel):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.module(np.asarray(X)).data.argmax(axis=1)
-
-    def _init_kwargs(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "hidden": self.hidden,
-            "num_layers": self.num_layers,
-            "seed": self.seed,
-            "backend": self.backend,
-        }

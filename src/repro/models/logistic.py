@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from ..spec import register
 from .base import FederatedModel
 
 
@@ -30,6 +31,7 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+@register
 class MultinomialLogisticRegression(FederatedModel):
     """Softmax classifier ``argmax softmax(W x + b)``.
 
@@ -334,22 +336,3 @@ class MultinomialLogisticRegression(FederatedModel):
     def spawn_replica(self) -> "MultinomialLogisticRegression":
         """Everything is plain NumPy state, so a clone pickles cheaply."""
         return self.clone()
-
-    def fresh(self) -> "MultinomialLogisticRegression":
-        return MultinomialLogisticRegression(
-            dim=self.dim,
-            num_classes=self.num_classes,
-            l2=self.l2,
-            seed=self.seed,
-            init_scale=self.init_scale,
-        )
-
-    def spec(self) -> dict:
-        return {
-            "type": "MultinomialLogisticRegression",
-            "dim": self.dim,
-            "num_classes": self.num_classes,
-            "l2": self.l2,
-            "seed": self.seed,
-            "init_scale": self.init_scale,
-        }

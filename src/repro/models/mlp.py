@@ -12,9 +12,11 @@ import numpy as np
 from ..autograd import Tensor, softmax_cross_entropy
 from ..nn import Dense, Sequential
 from ..nn.module import Module
+from ..spec import register
 from .base import NeuralModel
 
 
+@register
 class MLPClassifier(NeuralModel):
     """``dense(hidden, relu) -> dense(classes)`` softmax classifier.
 
@@ -127,11 +129,3 @@ class MLPClassifier(NeuralModel):
         out[:, s2:s3] = grad_w2.reshape(K, s3 - s2)
         out[:, s3:] = grad_b2
         return out
-
-    def _init_kwargs(self) -> dict:
-        return {
-            "dim": self.dim,
-            "num_classes": self.num_classes,
-            "hidden": self.hidden,
-            "seed": self.seed,
-        }

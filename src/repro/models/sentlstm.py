@@ -14,6 +14,7 @@ import numpy as np
 from ..autograd import Tensor, binary_cross_entropy_with_logits
 from ..nn import LSTM, Dense, Embedding, FusedLSTM
 from ..nn.module import Module
+from ..spec import register
 from ._stacked_seq import StackedSeqSolveMixin, _buf
 from .base import LSTM_BACKENDS, SEQ_EVAL_BLOCK_ROWS, NeuralModel
 
@@ -43,6 +44,7 @@ class _SentLSTMModule(Module):
         return self.head(final_hidden)  # (batch, 1) raw logit
 
 
+@register
 class SentimentLSTM(StackedSeqSolveMixin, NeuralModel):
     """Binary sequence classifier over integer token sequences.
 
@@ -151,14 +153,3 @@ class SentimentLSTM(StackedSeqSolveMixin, NeuralModel):
     def predict(self, X: np.ndarray) -> np.ndarray:
         logits = self.module(np.asarray(X)).data.reshape(-1)
         return (logits > 0).astype(np.int64)
-
-    def _init_kwargs(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "hidden": self.hidden,
-            "num_layers": self.num_layers,
-            "trainable_embedding": self.trainable_embedding,
-            "seed": self.seed,
-            "backend": self.backend,
-        }

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..spec import register
 from .base import MiniBatchSolver
 
 
+@register
 class AdamSolver(MiniBatchSolver):
     """Mini-batch Adam with bias correction.
 
@@ -42,6 +44,8 @@ class AdamSolver(MiniBatchSolver):
             raise ValueError("learning_rate must be positive")
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValueError("betas must be in [0, 1)")
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.learning_rate = float(learning_rate)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)

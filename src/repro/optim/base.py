@@ -180,6 +180,10 @@ class LocalSolver(abc.ABC):
     Implementations must be deterministic given the supplied ``rng``; the
     federated server uses this to fix mini-batch orders across compared
     runs, as the paper's experimental protocol requires.
+
+    A solver is replayable from a run ledger when it stores each
+    constructor argument under the argument's own name and is registered
+    (``@repro.spec.register`` above the class), as the built-in ones are.
     """
 
     @abc.abstractmethod
@@ -207,49 +211,6 @@ class LocalSolver(abc.ABC):
     def describe(self) -> str:
         """Short human-readable description, used in experiment logs."""
         return type(self).__name__
-
-    def telemetry_tags(self) -> dict:
-        """Flat description of this solver for telemetry run manifests.
-
-        The default collects the common hyperparameter attributes when
-        present; solvers with richer configuration can override to add
-        their own fields (keep values JSON-scalar).
-        """
-        tags = {"solver": self.describe()}
-        for attr in ("learning_rate", "batch_size", "momentum"):
-            value = getattr(self, attr, None)
-            if isinstance(value, (int, float)):
-                tags[attr] = value
-        return tags
-
-    #: Attributes the default :meth:`spec` captures; every built-in solver
-    #: stores its constructor args under these names, so the spec doubles
-    #: as constructor kwargs for replay.
-    _SPEC_ATTRS = (
-        "learning_rate",
-        "batch_size",
-        "momentum",
-        "beta1",
-        "beta2",
-        "eps",
-    )
-
-    def spec(self) -> dict:
-        """Reconstruction descriptor for run-ledger manifests.
-
-        ``type`` names the class; the remaining keys are constructor
-        kwargs (the built-in solvers store each constructor argument under
-        its own name, which this default harvests).  The replay layer
-        rebuilds the solver as ``SolverClass(**spec_minus_type)``; solvers
-        with constructor arguments outside :data:`_SPEC_ATTRS` must
-        override.
-        """
-        spec: dict = {"type": type(self).__name__}
-        for attr in self._SPEC_ATTRS:
-            value = getattr(self, attr, None)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                spec[attr] = value
-        return spec
 
     # Stacked (cohort) solve protocol ------------------------------------ #
     @property
@@ -317,6 +278,12 @@ class MiniBatchSolver(LocalSolver):
     """
 
     batch_size: int
+
+    @abc.abstractmethod
+    def stacked_step(
+        self, W: np.ndarray, G: np.ndarray, state: Optional[dict], step
+    ) -> None:
+        """The solver's update rule (contract on :class:`LocalSolver`)."""
 
     def solve(
         self,

@@ -21,10 +21,12 @@ from typing import Tuple
 
 import numpy as np
 
+from ..spec import register
 from .base import LocalSolver, MiniBatchSolver
 from .proximal import LocalObjective
 
 
+@register
 class SGDSolver(MiniBatchSolver):
     """Mini-batch SGD with a constant step size.
 
@@ -60,14 +62,19 @@ class SGDSolver(MiniBatchSolver):
         np.subtract(W, scratch, out=W)
 
 
+@register
 class MomentumSGDSolver(MiniBatchSolver):
     """Heavy-ball SGD: ``v <- beta v + g``, ``w <- w - lr v``."""
 
     def __init__(
         self, learning_rate: float, momentum: float = 0.9, batch_size: int = 10
     ) -> None:
+        if learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
         self.batch_size = int(batch_size)
@@ -104,6 +111,7 @@ class MomentumSGDSolver(MiniBatchSolver):
         state["velocity"][rows] = 0.0
 
 
+@register
 class GDSolver(LocalSolver):
     """Full-batch gradient descent (one step per 'epoch').
 

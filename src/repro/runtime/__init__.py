@@ -29,7 +29,7 @@ spans survive the process boundary), and the cohort executor adds stacked
 kernel phase-split spans.
 """
 
-from .async_engine import AsyncExecutor
+from .async_engine import ASYNC_GRAMMAR, AsyncExecutor
 from .cohort import CohortExecutor, solve_cohort
 from .evaluation import (
     EVAL_MODES,
@@ -46,7 +46,8 @@ from .sampled import EvalEstimate, SampledEvaluator, StratifiedClientSampler
 #: is ``mode`` or ``mode:argument``; ``parallel`` takes a worker count and
 #: ``async`` a comma-separated ``key=value`` list.  ``make_executor`` and
 #: the trainer's ``engine=`` option accept exactly these strings, and
-#: :meth:`repro.core.config.EngineConfig.spec` emits them.
+#: :meth:`repro.core.config.EngineConfig.spec` emits them; the async keys
+#: are :data:`~repro.runtime.async_engine.ASYNC_GRAMMAR`.
 EXECUTOR_MODES = {
     "serial": 'spec "serial" — in-process sequential execution (default)',
     "parallel": (
@@ -67,58 +68,10 @@ EXECUTOR_MODES = {
     ),
 }
 
-#: async spec keys -> (AsyncExecutor kwarg / EngineConfig field, value
-#: parser), in canonical emission order.  The one table behind both
-#: directions of the grammar: :func:`parse_executor_spec` reads specs with
-#: it and :meth:`repro.core.config.EngineConfig.spec` renders them.
-ASYNC_SPEC_KEYS = {
-    "window": ("window", int),
-    "discount": ("discount", str),
-    "power": ("discount_power", float),
-    "factor": ("discount_factor", float),
-    "capacity": ("capacity", int),
-    "arrivals": ("arrivals", str),
-    "latency": ("latency", float),
-    "jitter": ("jitter", float),
-    "seed": ("clock_seed", int),
-}
-
 _SPEC_EXAMPLES = (
     '"serial", "parallel:4", "parallel:auto", "cohort", '
     '"async:window=2,discount=poly"'
 )
-
-
-def _parse_async_argument(spec: str, argument: str) -> dict:
-    """Parse the ``key=value,...`` argument of an ``async:`` spec."""
-    kwargs = {}
-    for item in argument.split(","):
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ValueError(
-                f"malformed async option {item!r} in executor spec {spec!r}; "
-                'expected comma-separated key=value pairs, e.g. '
-                '"async:window=2,discount=poly"'
-            )
-        if key not in ASYNC_SPEC_KEYS:
-            raise ValueError(
-                f"unknown async option {key!r} in executor spec {spec!r}; "
-                f"valid keys: {tuple(ASYNC_SPEC_KEYS)}"
-            )
-        name, parse = ASYNC_SPEC_KEYS[key]
-        if name in kwargs:
-            raise ValueError(
-                f"duplicate async option {key!r} in executor spec {spec!r}"
-            )
-        try:
-            kwargs[name] = parse(value.strip())
-        except ValueError:
-            raise ValueError(
-                f"bad value {value.strip()!r} for async option {key!r} in "
-                f"executor spec {spec!r}; expected {parse.__name__}"
-            ) from None
-    return kwargs
 
 
 def parse_executor_spec(spec: str):
@@ -144,7 +97,7 @@ def parse_executor_spec(spec: str):
     if not sep:
         return mode, {}
     if mode == "async":
-        return mode, _parse_async_argument(spec, argument)
+        return mode, ASYNC_GRAMMAR.parse(spec, argument)
     if mode != "parallel":
         raise ValueError(
             f"executor mode {mode!r} takes no argument (got {spec!r}); "
@@ -199,6 +152,7 @@ __all__ = [
     "solve_cohort",
     "make_executor",
     "parse_executor_spec",
+    "ASYNC_GRAMMAR",
     "EXECUTOR_MODES",
     "LocalTask",
     "task_rng",

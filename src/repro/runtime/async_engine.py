@@ -56,11 +56,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..spec import SpecGrammar
 from ..systems.clock import Clock, SynchronizedClock, resolve_clock
 from .executor import LocalTask, RoundExecutor, task_round
 
 #: Accepted staleness-discount families.
 DISCOUNTS = ("poly", "const")
+
+#: The ``async:key=value,...`` grammar: spec key -> (:class:`AsyncExecutor`
+#: argument and :class:`~repro.core.config.EngineConfig` field, value
+#: parser, default), in canonical emission order.  The one table behind
+#: both directions: :func:`repro.runtime.parse_executor_spec` reads specs
+#: with it; :meth:`AsyncExecutor.spec` and ``EngineConfig.spec`` render them.
+ASYNC_GRAMMAR = SpecGrammar(
+    prefix="async",
+    keys=(
+        ("window", "window", int, 0),
+        ("discount", "discount", str, "poly"),
+        ("power", "discount_power", float, 1.0),
+        ("factor", "discount_factor", float, 0.5),
+        ("capacity", "capacity", int, 0),
+        ("arrivals", "arrivals", str, "synchronized"),
+        ("latency", "latency", float, 1.0),
+        ("jitter", "jitter", float, 0.5),
+        ("seed", "clock_seed", int, None),
+    ),
+    where="executor spec",
+    example="async:window=2,discount=poly",
+)
 
 
 @dataclass(frozen=True)
@@ -160,20 +183,7 @@ class AsyncExecutor(RoundExecutor):
 
     # Engine identity ---------------------------------------------------- #
     def spec(self) -> str:
-        from ..core.config import EngineConfig  # deferred: core imports runtime
-
-        return EngineConfig(
-            mode="async",
-            window=self.window,
-            discount=self.discount,
-            discount_power=self.discount_power,
-            discount_factor=self.discount_factor,
-            capacity=self.capacity,
-            arrivals=self.arrivals,
-            latency=self.latency,
-            jitter=self.jitter,
-            clock_seed=self.clock_seed,
-        ).spec()
+        return ASYNC_GRAMMAR.render(self)
 
     # Environment --------------------------------------------------------- #
     def configure_environment(

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..spec import register
 from .profiles import DeviceProfile
 from .stragglers import SystemsModel, WorkAssignment, entropy_rng
 
@@ -37,6 +38,7 @@ from .stragglers import SystemsModel, WorkAssignment, entropy_rng
 _CLOCK_SALT = 0xC10C
 
 
+@register
 class ClockDrivenSystems(SystemsModel):
     """Derive per-round epoch budgets from device profiles and a deadline.
 
@@ -70,8 +72,9 @@ class ClockDrivenSystems(SystemsModel):
     ) -> None:
         if deadline <= 0:
             raise ValueError("deadline must be positive")
-        self.profiles: Dict[int, DeviceProfile] = {
-            p.device_id: p for p in profiles
+        self.profiles: List[DeviceProfile] = list(profiles)
+        self._by_device: Dict[int, DeviceProfile] = {
+            p.device_id: p for p in self.profiles
         }
         self.deadline = float(deadline)
         self.model_megabits = float(model_megabits)
@@ -94,7 +97,7 @@ class ClockDrivenSystems(SystemsModel):
 
     def epochs_within_deadline(self, round_idx: int, device_id: int) -> float:
         """Epochs device ``device_id`` completes inside one clock cycle."""
-        profile = self.profiles[device_id]
+        profile = self._by_device[device_id]
         compute_budget = self.deadline - self._communication_cycles(profile)
         if compute_budget <= 0:
             return 0.0
@@ -236,7 +239,7 @@ class SystemsClock(Clock):
         self, round_idx: int, device_id: int, epochs: float
     ) -> DeviceTiming:
         systems = self.systems
-        profile = systems.profiles[device_id]
+        profile = systems._by_device[device_id]
         comm = systems._communication_cycles(profile)
         speed = profile.effective_speed() * systems._jitter(round_idx, device_id)
         compute = epochs / speed if speed > 0 else systems.deadline

@@ -16,6 +16,8 @@ from typing import List
 
 import numpy as np
 
+from ..spec import register
+
 #: Representative downlink/uplink throughputs in megabits per second.
 NETWORK_TIERS = {
     "3g": 2.0,
@@ -25,6 +27,7 @@ NETWORK_TIERS = {
 }
 
 
+@register
 @dataclass(frozen=True)
 class DeviceProfile:
     """Static systems characteristics of one device.

@@ -25,6 +25,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ..spec import register
+
 
 def entropy_rng(*components: int) -> np.random.Generator:
     """Generator derived from an integer entropy tuple.
@@ -71,6 +73,7 @@ class SystemsModel(abc.ABC):
         """Work budgets for the selected devices at round ``round_idx``."""
 
 
+@register
 class NoHeterogeneity(SystemsModel):
     """Every device always completes the full ``E`` epochs."""
 
@@ -83,6 +86,7 @@ class NoHeterogeneity(SystemsModel):
         ]
 
 
+@register
 class FractionStragglers(SystemsModel):
     """Make a fixed fraction of each round's devices stragglers.
 
@@ -141,6 +145,7 @@ class FractionStragglers(SystemsModel):
         return assignments
 
 
+@register
 class PowerLawStragglers(SystemsModel):
     """Power-law work budgets: the dominant-straggler skew regime.
 

@@ -92,7 +92,7 @@ interleave with the spans above in the same artifact:
     ``quorum``.
 
 When injection is enabled the manifest ``config`` additionally carries
-``faults`` (the schedule's ``to_dict()``) and ``fault_policy``;
+``faults`` (the schedule's description) and ``fault_policy``;
 cumulative ``faults.*`` gauges summarize the run's counters each round.
 """
 

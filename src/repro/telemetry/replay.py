@@ -19,9 +19,10 @@ load, and replay lives downstream of both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Dict, List, Optional, Union
 
+from ..spec import TAGS, ReplayError, build, describe
 from .ledger import (
     RECORD_FIELDS,
     RunArtifact,
@@ -35,9 +36,6 @@ __all__ = [
     "FieldMismatch",
     "ReplayError",
     "ReplayReport",
-    "build_dataset",
-    "build_model",
-    "build_solver",
     "describe_trainer",
     "rebuild_trainer",
     "replay_run",
@@ -46,18 +44,6 @@ __all__ = [
 #: Maximum mismatches retained in a report (the first divergence is what
 #: matters; the cap keeps hopeless diffs bounded).
 MAX_MISMATCHES = 50
-
-
-class ReplayError(RuntimeError):
-    """A run artifact that cannot be replayed, and why.
-
-    Raised for structural problems discovered *before* re-execution:
-    artifacts without round records or a ``trainer_config`` (an
-    unsupported schema version among them), datasets without a
-    reconstruction recipe, unknown model/solver/builder names.  Divergence
-    between the recorded and replayed histories is NOT an error — it is
-    the finding, reported via :class:`ReplayReport`.
-    """
 
 
 @dataclass(frozen=True)
@@ -151,127 +137,11 @@ class ReplayReport:
 
 
 # --------------------------------------------------------------------- #
-# Component registries
-# --------------------------------------------------------------------- #
-def build_dataset(recipe: Optional[Dict[str, Any]]):
-    """Reconstruct a federated dataset from a manifest recipe dict.
-
-    ``recipe`` is the ``{"builder": name, **kwargs}`` descriptor attached
-    by the seeded dataset builders (see
-    :class:`~repro.datasets.federated.FederatedDataset`).  ``None`` means
-    the original federation was not a pure function of scalars — the
-    caller must supply the dataset to :func:`replay_run` directly.
-    """
-    if recipe is None:
-        raise ReplayError(
-            "dataset recipe is null: the original federation was not built "
-            "from a seeded builder; pass the dataset to replay_run(...) "
-            "via dataset="
-        )
-    if not isinstance(recipe, dict) or "builder" not in recipe:
-        raise ReplayError(f"malformed dataset recipe: {recipe!r}")
-    from .. import datasets
-
-    builders = {
-        "make_synthetic": datasets.make_synthetic,
-        "make_synthetic_iid": datasets.make_synthetic_iid,
-        "make_synthetic_ondemand": datasets.make_synthetic_ondemand,
-        "make_shakespeare_like": datasets.make_shakespeare_like,
-        "make_sent140_like": datasets.make_sent140_like,
-    }
-    name = recipe["builder"]
-    builder = builders.get(name)
-    if builder is None:
-        raise ReplayError(
-            f"unknown dataset builder {name!r}; known: {sorted(builders)}"
-        )
-    kwargs = {k: v for k, v in recipe.items() if k != "builder"}
-    try:
-        return builder(**kwargs)
-    except TypeError as exc:
-        raise ReplayError(f"dataset recipe {name!r} rejected: {exc}") from exc
-
-
-def build_model(spec: Optional[Dict[str, Any]]):
-    """Reconstruct a model from its ``spec()`` dict (``{"type": ..., **kwargs}``)."""
-    from .. import models
-
-    classes = {
-        "MultinomialLogisticRegression": models.MultinomialLogisticRegression,
-        "MLPClassifier": models.MLPClassifier,
-        "CharLSTM": models.CharLSTM,
-        "SentimentLSTM": models.SentimentLSTM,
-    }
-    return _build_from_spec(spec, classes, "model")
-
-
-def build_solver(spec: Optional[Dict[str, Any]]):
-    """Reconstruct a local solver from its ``spec()`` dict."""
-    from .. import optim
-
-    classes = {
-        "SGDSolver": optim.SGDSolver,
-        "MomentumSGDSolver": optim.MomentumSGDSolver,
-        "GDSolver": optim.GDSolver,
-        "AdamSolver": optim.AdamSolver,
-    }
-    return _build_from_spec(spec, classes, "solver")
-
-
-def _build_from_spec(
-    spec: Optional[Dict[str, Any]], classes: Dict[str, type], what: str
-):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ReplayError(f"malformed {what} spec: {spec!r}")
-    kind = spec["type"]
-    cls = classes.get(kind)
-    if cls is None:
-        raise ReplayError(
-            f"unknown {what} type {kind!r}; known: {sorted(classes)}"
-        )
-    kwargs = {k: v for k, v in spec.items() if k != "type"}
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ReplayError(f"{what} spec {kind!r} rejected: {exc}") from exc
-
-
-def _build_sampling(spec: Optional[Dict[str, Any]], dataset):
-    """Rebuild a sampling scheme against a reconstructed federation."""
-    if spec is None:
-        return None
-    from ..core.sampling import (
-        UniformSamplingWeightedAverage,
-        WeightedSamplingSimpleAverage,
-    )
-
-    classes = {
-        "UniformSamplingWeightedAverage": UniformSamplingWeightedAverage,
-        "WeightedSamplingSimpleAverage": WeightedSamplingSimpleAverage,
-    }
-    kind = spec.get("type") if isinstance(spec, dict) else None
-    cls = classes.get(kind)
-    if cls is None:
-        raise ReplayError(
-            f"unknown sampling scheme {kind!r}; known: {sorted(classes)}"
-        )
-    return cls(
-        dataset,
-        clients_per_round=spec["clients_per_round"],
-        seed=spec.get("seed", 0),
-    )
-
-
-# --------------------------------------------------------------------- #
 # Trainer description (the manifest writer) and reconstruction (its reader)
 # --------------------------------------------------------------------- #
-#: Trainer class name -> the constructor keywords it takes beyond
-#: :class:`~repro.core.config.TrainerConfig`.  The recipe records them for
-#: that class only and :func:`rebuild_trainer` passes them back.
-TRAINER_EXTRAS = {
-    "FederatedTrainer": (),
-    "FedDaneTrainer": ("gradient_clients",),
-}
+#: The recipe keys that are not the trainer's own description; whatever
+#: else a recipe holds is ``{"trainer": name, **what that class adds}``.
+RECIPE_KEYS = ("dataset", "dataset_name", "num_devices", "model", "solver")
 
 
 def describe_trainer(trainer) -> Dict[str, Any]:
@@ -284,8 +154,9 @@ def describe_trainer(trainer) -> Dict[str, Any]:
     reconstructed trainer starts from the same state.  ``config`` is the
     flat summary for people and reports, ``trainer_config`` the serialized
     :class:`~repro.core.config.TrainerConfig`, ``recipe`` the
-    dataset/model/solver descriptors (a ``None`` dataset recipe means the
-    federation was not built by a seeded builder and replay needs it
+    :func:`repro.spec.describe` output of the trainer class, dataset, model
+    and solver (a ``None`` dataset recipe means the federation was not
+    built by a registered builder from scalars and replay needs it
     supplied, which ``repro.trace replay`` reports explicitly).
     """
     from ..core.config import EngineConfig, TrainerConfig
@@ -324,11 +195,17 @@ def describe_trainer(trainer) -> Dict[str, Any]:
         config["eval_strata"] = sampled.sampler.num_strata
         config["eval_full_every"] = sampled.full_every
     if faults is not None:
-        config["faults"] = faults.to_dict()
-        config["fault_policy"] = trainer.fault_policy.to_dict()
+        config["faults"] = describe(faults)
+        config["fault_policy"] = asdict(trainer.fault_policy)
     if trainer.comms_config.enabled:
         config["comms"] = trainer.comms_config.to_dict()
-    config.update(trainer.solver.telemetry_tags())
+    solver_spec = describe(trainer.solver)
+    config["solver"] = trainer.solver.describe()
+    config.update(
+        (name, solver_spec[name])
+        for name in ("learning_rate", "batch_size", "momentum")
+        if name in solver_spec
+    )
 
     trainer_config = TrainerConfig.from_kwargs(
         mu=trainer.mu,
@@ -354,14 +231,13 @@ def describe_trainer(trainer) -> Dict[str, Any]:
     )
     recipe = {
         "trainer": type(trainer).__name__,
-        "dataset": getattr(dataset, "recipe", None),
+        **{k: v for k, v in describe(trainer).items() if k not in TAGS},
+        "dataset": describe(dataset),
         "dataset_name": dataset.name,
         "num_devices": dataset.num_devices,
-        "model": model.spec(),
-        "solver": trainer.solver.spec(),
+        "model": describe(model),
+        "solver": solver_spec,
     }
-    for name in TRAINER_EXTRAS.get(type(trainer).__name__, ()):
-        recipe[name] = getattr(trainer, name)
     return {
         "label": trainer.label,
         "seed": trainer.seed,
@@ -371,6 +247,14 @@ def describe_trainer(trainer) -> Dict[str, Any]:
         "trainer_config": trainer_config.to_dict(),
         "recipe": recipe,
     }
+
+
+def _component(recipe: Dict[str, Any], key: str):
+    """Build the recipe's ``key`` section, which must be a description."""
+    spec = recipe.get(key)
+    if not isinstance(spec, dict):
+        raise ReplayError(f"malformed {key} spec: {spec!r}")
+    return build(spec, key)
 
 
 def rebuild_trainer(
@@ -397,51 +281,38 @@ def rebuild_trainer(
     if not isinstance(config_spec, dict):
         raise ReplayError("manifest has no trainer_config section")
 
-    trainer_name = recipe.get("trainer", "FederatedTrainer")
-    from ..core.config import TrainerConfig
-    from ..core.feddane import FedDaneTrainer
-    from ..core.server import FederatedTrainer
-
-    trainer_classes = {
-        "FederatedTrainer": FederatedTrainer,
-        "FedDaneTrainer": FedDaneTrainer,
-    }
-    trainer_cls = trainer_classes.get(trainer_name)
-    if trainer_cls is None:
-        raise ReplayError(
-            f"unknown trainer class {trainer_name!r}; known: "
-            f"{sorted(trainer_classes)}"
-        )
-
     if dataset is None:
-        dataset = build_dataset(recipe.get("dataset"))
+        if recipe.get("dataset") is None:
+            from ..datasets import NOT_RECONSTRUCTIBLE
+
+            raise ReplayError(
+                "dataset recipe is null: the federation was not built from "
+                "scalars by a registered builder ("
+                + "; ".join(f"{k}: {v}" for k, v in NOT_RECONSTRUCTIBLE.items())
+                + "; or a builder handed a caller-owned rng) — pass it to "
+                "replay_run(..., dataset=)"
+            )
+        dataset = _component(recipe, "dataset")
     want_devices = recipe.get("num_devices")
     if want_devices is not None and dataset.num_devices != want_devices:
         raise ReplayError(
             f"reconstructed dataset has {dataset.num_devices} devices, "
             f"manifest recorded {want_devices}"
         )
-    model = build_model(recipe.get("model"))
-    solver = build_solver(recipe.get("solver"))
+    from ..core.config import TrainerConfig
 
-    # The sampling scheme binds to a live dataset, so its spec cannot go
-    # through TrainerConfig.from_dict — rebuild it here and re-inject.
-    config_spec = dict(config_spec)
-    cohorting = dict(config_spec.get("cohorting", {}))
-    sampling_spec = cohorting.pop("sampling", None)
-    config_spec["cohorting"] = cohorting
-    config = TrainerConfig.from_dict(config_spec)
-    sampling = _build_sampling(sampling_spec, dataset)
-    if sampling is not None:
-        config = config.replace(sampling=sampling)
+    config = TrainerConfig.from_dict(config_spec, dataset=dataset)
     if telemetry is not None:
         config = config.replace(telemetry=telemetry)
-    extras = {
-        name: recipe[name]
-        for name in TRAINER_EXTRAS[trainer_name]
-        if name in recipe  # ledgers older than the key keep the default
-    }
-    return trainer_cls(dataset, model, solver, **config.trainer_kwargs(), **extras)
+    return build(
+        # Keys a ledger predates take the trainer's constructor defaults.
+        {k: v for k, v in recipe.items() if k not in RECIPE_KEYS},
+        "recipe",
+        dataset=dataset,
+        model=_component(recipe, "model"),
+        solver=_component(recipe, "solver"),
+        **config.trainer_kwargs(),
+    )
 
 
 def replay_run(

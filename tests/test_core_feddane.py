@@ -208,6 +208,9 @@ class TestRunsOnTheOneLoop:
             assert rebuilt.gradient_clients == 20
         report = replay_run(str(path))
         assert report.matches, report.describe()
+        from repro.trace import main
+
+        assert main(["replay", str(path)]) == 0
 
     def test_chaos_faults_run_and_replay(self, tmp_path):
         from repro.faults.models import ChaosFaults

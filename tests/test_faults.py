@@ -9,6 +9,7 @@ the trainer-level integration (events, manifest, record.degraded).
 from __future__ import annotations
 
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -28,11 +29,11 @@ from repro.faults import (
     FaultSchedule,
     NoFaults,
     StaleFaults,
-    fault_schedule_from_dict,
     resolve_faults,
 )
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
+from repro.spec import ReplayError, build, describe
 from repro.telemetry import InMemorySink, Telemetry
 
 
@@ -119,7 +120,10 @@ class TestFaultModels:
             ChaosFaults(0.3, seed=1, kinds=("crash", "stale")),
             ComposeFaults([DropoutFaults(0.1, seed=2), StaleFaults(0.2, seed=3)]),
         ):
-            assert fault_schedule_from_dict(sched.to_dict()) == sched
+            spec = json.loads(json.dumps(describe(sched)))
+            assert build(spec, "faults") == sched
+        assert CrashFaults(0.4, seed=7) != CrashFaults(0.4, seed=8)
+        assert CrashFaults(0.4) != DropoutFaults(0.4)
 
     def test_resolve_faults(self):
         assert resolve_faults(None) is NO_FAULTS
@@ -158,7 +162,9 @@ class TestFaultPolicy:
 
     def test_dict_round_trip(self):
         policy = FaultPolicy(on_crash="retry", max_retries=5, min_quorum=0.4)
-        assert FaultPolicy.from_dict(policy.to_dict()) == policy
+        spec = describe(policy)
+        assert spec["type"] == "FaultPolicy" and spec["min_quorum"] == 0.4
+        assert build(spec, "fault_policy") == policy
 
 
 class TestTrainerIntegration:
@@ -377,5 +383,7 @@ class TestTrainerConfig:
         config = TrainerConfig.from_kwargs(sampling=object())
         spec = config.to_dict()
         assert spec["cohorting"]["sampling"] == {"type": "object"}
-        with pytest.raises(ValueError, match="cannot reconstruct"):
+        with pytest.raises(
+            ReplayError, match="unknown cohorting.sampling type 'object'"
+        ):
             TrainerConfig.from_dict(spec)

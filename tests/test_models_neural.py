@@ -5,6 +5,7 @@ import pytest
 
 from repro.autograd import numeric_gradient
 from repro.models import CharLSTM, MLPClassifier, SentimentLSTM
+from repro.spec import build, describe
 
 
 class TestMLP:
@@ -106,10 +107,13 @@ class TestCharLSTM:
         m = CharLSTM()  # defaults are the paper's architecture
         assert m.vocab_size == 80 and m.hidden == 100 and m.num_layers == 2
 
-    def test_fresh_matches_init_kwargs(self, model):
-        f = model.fresh()
-        assert f.n_params == model.n_params
-        np.testing.assert_array_equal(f.get_params(), model.get_params())
+    def test_fresh_is_build_of_describe(self, model):
+        spec = describe(model)
+        assert spec["type"] == "CharLSTM" and spec["hidden"] == model.hidden
+        for f in (model.fresh(), build(spec, "model")):
+            assert describe(f) == spec
+            assert f.n_params == model.n_params
+            np.testing.assert_array_equal(f.get_params(), model.get_params())
 
 
 class TestSentimentLSTM:

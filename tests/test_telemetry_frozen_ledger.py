@@ -26,6 +26,8 @@ from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.systems.stragglers import FractionStragglers
 from repro.telemetry import InMemorySink, Telemetry
+from repro.telemetry.ledger import RunArtifact
+from repro.telemetry.replay import describe_trainer, rebuild_trainer
 
 FIXTURE = Path(__file__).parent / "fixtures" / "frozen_ledger.json"
 ROUNDS = 4
@@ -103,6 +105,19 @@ def test_ledger_equals_the_frozen_one(name):
     assert len(current["events"]) == len(frozen["events"])
     for index, (got, want) in enumerate(zip(current["events"], frozen["events"])):
         assert got == want, f"event {index} differs"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_the_frozen_manifest_builds_back_the_trainer_that_wrote_it(name):
+    """``rebuild_trainer`` reads a manifest written before the one registry
+    existed; the trainer it builds describes itself as that manifest."""
+    frozen = json.loads(FIXTURE.read_text())[name]["manifest"]
+    with rebuild_trainer(RunArtifact(path="<fixture>", manifest=frozen)) as trainer:
+        described = describe_trainer(trainer)
+    current = json.loads(json.dumps(_stable(
+        {k: described[k] for k in ("config", "trainer_config", "recipe")}
+    )))
+    assert current == frozen
 
 
 if __name__ == "__main__":

@@ -11,25 +11,27 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.adaptive_mu import AdaptiveMuController
 from repro.core.config import EvalConfig
 from repro.core.server import FederatedTrainer
-from repro.datasets import make_synthetic
-from repro.faults.models import ChaosFaults
-from repro.models import MultinomialLogisticRegression
-from repro.optim import AdamSolver, SGDSolver
-from repro.systems.stragglers import FractionStragglers
-from repro.telemetry import JSONLSink, Telemetry, read_jsonl
-from repro.telemetry.replay import (
-    ReplayError,
-    build_dataset,
-    build_model,
-    build_solver,
-    rebuild_trainer,
-    replay_run,
+from repro.datasets import (
+    make_femnist_like,
+    make_mnist_like,
+    make_shakespeare_like,
+    make_synthetic,
 )
+from repro.faults.models import ChaosFaults
+from repro.models import CharLSTM, MultinomialLogisticRegression
+from repro.optim import AdamSolver, SGDSolver
+from repro.systems import ClockDrivenSystems, sample_fleet
+from repro.systems.stragglers import FractionStragglers, NoHeterogeneity
+from repro.trace import main as trace_main
+from repro.telemetry import JSONLSink, Telemetry, read_jsonl
+from repro.spec import build
+from repro.telemetry.replay import ReplayError, rebuild_trainer, replay_run
 from repro.telemetry.ledger import load_run
 
 
@@ -41,6 +43,7 @@ def record_run(path, rounds=3, solver=None, dataset=None, **kwargs):
     model = MultinomialLogisticRegression(
         dim=dataset.input_dim, num_classes=dataset.num_classes, seed=1
     )
+    model = kwargs.pop("model", model)
     solver = solver or SGDSolver(learning_rate=0.05, batch_size=8)
     telemetry = Telemetry([JSONLSink(str(path))], run_id="recorded")
     options = dict(
@@ -54,38 +57,32 @@ def record_run(path, rounds=3, solver=None, dataset=None, **kwargs):
         trainer.close()
 
 
-class TestComponentRegistries:
-    def test_build_dataset_from_recipe(self):
-        original = make_synthetic(0.5, 0.5, num_devices=6, seed=4, size_cap=60)
-        rebuilt = build_dataset(original.recipe)
-        assert rebuilt.num_devices == original.num_devices
-        assert (rebuilt[0].train_x == original[0].train_x).all()
-        assert (rebuilt[3].train_y == original[3].train_y).all()
-
-    def test_null_recipe_refused(self):
-        with pytest.raises(ReplayError, match="recipe is null"):
-            build_dataset(None)
+class TestComponentRegistry:
+    """What ``build`` refuses in a recipe (the round trip of every registered
+    component and builder is enumerated in ``tests/test_spec.py``)."""
 
     def test_unknown_builder_refused(self):
         with pytest.raises(ReplayError, match="unknown dataset builder"):
-            build_dataset({"builder": "make_mystery"})
-
-    def test_build_model_round_trip(self):
-        model = MultinomialLogisticRegression(dim=4, num_classes=3, seed=7)
-        clone = build_model(model.spec())
-        assert (clone.get_params() == model.get_params()).all()
-
-    def test_build_solver_round_trip(self):
-        solver = AdamSolver(learning_rate=0.02, batch_size=16, beta1=0.8)
-        clone = build_solver(solver.spec())
-        assert type(clone) is AdamSolver
-        assert clone.learning_rate == 0.02
-        assert clone.batch_size == 16
-        assert clone.beta1 == 0.8
+            build({"builder": "make_mystery"}, "dataset")
 
     def test_unknown_model_refused(self):
-        with pytest.raises(ReplayError, match="unknown model"):
-            build_model({"type": "Transformer"})
+        with pytest.raises(ReplayError, match="unknown model type 'Transformer'"):
+            build({"type": "Transformer"}, "model")
+
+    @pytest.mark.parametrize(
+        "spec, fragment",
+        [
+            ({"type": "SGDSolver", "learning_rate": -1.0}, "learning_rate"),
+            ({"type": "MomentumSGDSolver", "learning_rate": -1.0}, "learning_rate"),
+            ({"type": "MomentumSGDSolver", "learning_rate": 0.1, "batch_size": 0},
+             "batch_size"),
+            ({"type": "AdamSolver", "batch_size": 0}, "batch_size"),
+            ({"type": "SGDSolver", "learning_rate": 0.1, "step": 3}, "step"),
+        ],
+    )
+    def test_tampered_solver_spec_fails_in_build(self, spec, fragment):
+        with pytest.raises(ReplayError, match=f"solver type .* rejected: .*{fragment}"):
+            build(spec, "solver")
 
 
 class TestReplayParity:
@@ -151,6 +148,88 @@ class TestReplayParity:
         assert report.matches, report.describe()
 
 
+def _mnist_async_qsgd_chaos():
+    """The ``async_qsgd_ledger`` benchmark shape at 20 devices."""
+    from repro.faults.policy import FaultPolicy
+
+    return dict(
+        dataset=make_mnist_like(num_devices=20, total_samples=1200, dim=64, seed=5),
+        engine="async:window=2,arrivals=seeded",
+        comms="comms:codec=qsgd,bits=8,ef=true",
+        faults=ChaosFaults(0.3, seed=4),
+        fault_policy=FaultPolicy(on_crash="retry"),
+    )
+
+
+def _femnist_parallel_topk():
+    return dict(
+        dataset=make_femnist_like(num_devices=12, total_samples=900, dim=64, seed=6),
+        engine="parallel:2",
+        comms="comms:codec=topk,k=64",
+    )
+
+
+def _synthetic_clock_driven_async():
+    fleet = sample_fleet(12, np.random.default_rng(12))
+    return dict(
+        dataset=make_synthetic(1.0, 1.0, num_devices=12, seed=3, size_cap=60),
+        systems=ClockDrivenSystems(fleet, deadline=10.0),
+        engine="async:window=1,arrivals=systems",
+    )
+
+
+def _shakespeare_like():
+    return dict(
+        dataset=make_shakespeare_like(
+            num_devices=4, vocab_size=12, seq_len=6, samples_per_device_mean=30, seed=2
+        ),
+        model=CharLSTM(vocab_size=12, embed_dim=4, hidden=6, num_layers=1, seed=1),
+        clients_per_round=2,
+    )
+
+
+class TestReplayFromTheFileAlone:
+    """No ``dataset=``: the JSONL file is all that ``replay_run`` and
+    ``python -m repro.trace replay`` get (FedDane with c != K is
+    ``test_core_feddane.py::test_replays_when_gradient_clients_differs_from_k``)."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            _mnist_async_qsgd_chaos,
+            _femnist_parallel_topk,
+            _synthetic_clock_driven_async,
+            _shakespeare_like,
+        ],
+        ids=lambda f: f.__name__.strip("_"),
+    )
+    def test_match(self, tmp_path, capsys, scenario):
+        path = tmp_path / "run.jsonl"
+        record_run(path, **scenario())
+        report = replay_run(str(path))
+        assert report.issues == []
+        assert report.matches, report.describe()
+        assert trace_main(["replay", str(path)]) == 0
+        assert "MATCH" in capsys.readouterr().out
+
+    def test_what_the_registry_cannot_build_is_one_line_and_exit_1(
+        self, tmp_path, capsys
+    ):
+        class HomeGrownStragglers(NoHeterogeneity):
+            """Not registered, so the manifest can only name it."""
+
+        path = tmp_path / "run.jsonl"
+        record_run(path, systems=HomeGrownStragglers())
+        with pytest.raises(
+            ReplayError, match="unknown cohorting.systems type 'HomeGrownStragglers'"
+        ):
+            replay_run(str(path))
+        assert trace_main(["replay", str(path)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("replay impossible: unknown cohorting.systems type")
+        assert len(err.splitlines()) == 1
+
+
 class TestReplayDivergence:
     def test_tampered_record_pinpointed(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -170,8 +249,6 @@ class TestReplayDivergence:
 
     def test_dataset_without_recipe_needs_override(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        import numpy as np
-
         rng = np.random.default_rng(3)
         dataset = make_synthetic(0.5, 0.5, num_devices=8, rng=rng, size_cap=60)
         assert dataset.recipe is None
