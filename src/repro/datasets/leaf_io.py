@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .federated import ClientData, FederatedDataset
+from .federated import FederatedDataset, PackedClientStore
 
 PathLike = Union[str, Path]
 
@@ -55,7 +55,10 @@ def load_leaf(
 
     Users present only in the train file get empty test sets.  Labels are
     coerced to integers; the class count is inferred from the maximum
-    label across both splits.
+    label across both splits.  The federation is packed
+    (:class:`~repro.datasets.federated.PackedClientStore`): one copy of the
+    samples, every client four views of it, which the stacked census reads
+    in place.
 
     Parameters
     ----------
@@ -76,35 +79,28 @@ def load_leaf(
         test_payload = json.loads(test_path.read_text())
         _validate_leaf_payload(test_payload, test_path)
 
-    clients: List[ClientData] = []
-    num_classes = 0
-    for client_id, user in enumerate(train_payload["users"]):
-        train_entry = train_payload["user_data"][user]
-        train_x = np.asarray(train_entry["x"], dtype=x_dtype)
-        train_y = np.asarray(train_entry["y"], dtype=np.int64)
-        if user in test_payload["user_data"]:
-            test_entry = test_payload["user_data"][user]
-            test_x = np.asarray(test_entry["x"], dtype=x_dtype)
-            test_y = np.asarray(test_entry["y"], dtype=np.int64)
-        else:
-            test_x = train_x[:0]
-            test_y = train_y[:0]
-        if train_y.size:
-            num_classes = max(num_classes, int(train_y.max()) + 1)
-        if test_y.size:
-            num_classes = max(num_classes, int(test_y.max()) + 1)
-        clients.append(
-            ClientData(
-                client_id=client_id,
-                train_x=train_x,
-                train_y=train_y,
-                test_x=test_x,
-                test_y=test_y,
-            )
-        )
-    input_dim = clients[0].train_x.shape[1] if clients[0].train_x.ndim > 1 else None
+    # A packed store's layout: every user's train rows, then every user's
+    # test rows, in user order; offsets say whose rows are whose.
+    xs, ys, offsets = [], [], []
+    for payload in (train_payload, test_payload):
+        sizes = [0]
+        for user in train_payload["users"]:
+            entry = payload["user_data"].get(user, {"x": [], "y": []})
+            xs.append(np.asarray(entry["x"], dtype=x_dtype))
+            ys.append(np.asarray(entry["y"], dtype=np.int64))
+            sizes.append(len(ys[-1]))
+        offsets.append(np.cumsum(sizes))
+    # A user without samples parses as shape (0,), whatever the rows are.
+    row_shape = next((x.shape[1:] for x in xs if x.size), ())
+    y = np.concatenate(ys)
+    store = PackedClientStore(
+        np.concatenate([x.reshape((-1,) + row_shape) for x in xs]), y, *offsets
+    )
     return FederatedDataset(
-        name=name, clients=clients, num_classes=num_classes, input_dim=input_dim
+        name=name,
+        store=store,
+        num_classes=int(y.max()) + 1 if y.size else 0,
+        input_dim=row_shape[0] if row_shape else None,
     )
 
 

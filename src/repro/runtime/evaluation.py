@@ -59,16 +59,15 @@ if TYPE_CHECKING:  # avoid a circular import with repro.core
 
 EVAL_MODES = ("auto", "per_client", "stacked")
 
-# Rows per fused forward pass in stacked mode.  At 60 float64 features a
-# block is 1 MB of rows plus 160 KB of softmax temporaries, inside a 4 MB
-# L2.  On MNIST-like rows it is not: the float32 block converts to 12.8 MB
-# of float64.  Measured there (train split, 28 blocks, 87-118 ms a census):
-# conversion 31-45 ms, GEMM 48-64, softmax tail 6-10.  Scores of 192-, 512-
-# and 1024-row sub-blocks are array_equal to the 2048-row block's and no
-# faster (+-5 %); 256 and 128 rows differ by 4.0e-15; <= 96 rows take
-# OpenBLAS's small-matrix kernel (GEMM 35-43 ms) and differ by 7.5e-15.
-# Every faster shape moves the bits of every evaluated loss, so this one
-# stays until bench/golden.json is regenerated.
+# Rows per fused forward pass in stacked mode: what one census value
+# covers and what a census holds at a time (the block's scores, 160 KB),
+# not the shape of the products inside it.  The logistic forward walks a
+# block in cache-sized sub-blocks through one reused float64 buffer
+# (models/logistic.py, _SCORE_BYTES), so a float32 MNIST-like block is
+# never converted whole.  Measured there (train split, 28 blocks, ms per
+# census, whole-block forward -> sub-blocked): conversion 36 -> 26, GEMM
+# 61 -> 21, softmax tail 6.5 -> 6.0.  That moved evaluated losses by <= 8
+# ulp: numerics epoch 1 (DESIGN section 15).
 STACKED_EVAL_BLOCK = 2048
 
 # The telemetry span a census of each split is recorded under.

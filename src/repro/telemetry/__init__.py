@@ -69,6 +69,7 @@ from .events import (
 )
 from .ledger import (
     DIGEST_ALGORITHM,
+    NUMERICS_EPOCH,
     HistoryDigest,
     RunArtifact,
     RunLedger,
@@ -111,6 +112,7 @@ __all__ = [
     "summarize",
     "SCHEMA_VERSION",
     "DIGEST_ALGORITHM",
+    "NUMERICS_EPOCH",
     "HistoryDigest",
     "history_digest",
     "canonical_record",

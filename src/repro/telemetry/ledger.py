@@ -51,6 +51,14 @@ from .sinks import read_jsonl
 #: definitions.
 DIGEST_ALGORITHM = "sha256/canonical-round-records/v1"
 
+#: Which arithmetic this tree evaluates with.  Digest equality *across
+#: commits* is a convention, spent only by bumping this integer together
+#: with a CHANGES.md line saying what moved and by how much (DESIGN §15
+#: lists every epoch); it is written into each manifest's environment
+#: block, and a ledger without the key is epoch 0.  Replaying a ledger of
+#: another epoch compares floats to a bound instead of bit-for-bit.
+NUMERICS_EPOCH = 1
+
 #: The canonical field order of one round record.  Field names match
 #: :class:`repro.core.history.RoundRecord` attributes; the digest and the
 #: replay comparison both iterate this tuple, so it is the single source
@@ -167,10 +175,11 @@ def _git_sha() -> Optional[str]:
 def environment_info() -> Dict[str, Any]:
     """Provenance of the producing process, for the run manifest.
 
-    Everything here is informational — replay compares histories, not
-    environments — but a digest mismatch report is far more actionable
-    when the artifact says which package version, platform, and commit
-    produced it.
+    Everything here but ``numerics_epoch`` is informational — replay
+    compares histories, not environments — but a digest mismatch report is
+    far more actionable when the artifact says which package version,
+    platform, and commit produced it.  The epoch decides *how* replay
+    compares: bit-for-bit within one, to a bound across two.
     """
     import numpy
 
@@ -181,6 +190,7 @@ def environment_info() -> Dict[str, Any]:
         "git_sha": _git_sha(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
+        "numerics_epoch": NUMERICS_EPOCH,
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
@@ -283,6 +293,11 @@ class RunArtifact:
     @property
     def executor(self) -> str:
         return str(self.manifest.get("executor", ""))
+
+    @property
+    def numerics_epoch(self) -> int:
+        """The :data:`NUMERICS_EPOCH` of the recording tree (0 if unrecorded)."""
+        return int((self.manifest.get("environment") or {}).get("numerics_epoch", 0))
 
     @property
     def rounds(self) -> List[int]:

@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..spec import TAGS, ReplayError, build, describe
 from .ledger import (
+    NUMERICS_EPOCH,
     RECORD_FIELDS,
     RunArtifact,
     canonical_record,
@@ -45,6 +46,12 @@ __all__ = [
 #: matters; the cap keeps hopeless diffs bounded).
 MAX_MISMATCHES = 50
 
+#: Relative deviation a float field may show when the ledger was recorded
+#: under another numerics epoch than this tree's (DESIGN §15): the bound
+#: the engines are already held to against each other.  Epoch 1 moved
+#: evaluated losses by at most 1.7e-15 over the six bench workloads.
+EPOCH_DRIFT_BOUND = 1e-12
+
 
 @dataclass(frozen=True)
 class FieldMismatch:
@@ -61,6 +68,14 @@ class FieldMismatch:
             f"recorded={self.recorded!r} replayed={self.replayed!r}"
         )
 
+    @property
+    def deviation(self) -> float:
+        """Relative distance of two float values (``inf`` for anything else)."""
+        a, b = self.recorded, self.replayed
+        if not (isinstance(a, float) and isinstance(b, float)):
+            return float("inf")
+        return abs(a - b) / max(abs(a), abs(b))
+
 
 @dataclass
 class ReplayReport:
@@ -69,12 +84,15 @@ class ReplayReport:
     Attributes
     ----------
     matches:
-        True iff every recorded round record is reproduced bit-identically
-        and the digests agree.
+        True iff every compared round record is reproduced bit-identically
+        and the digests agree — or, for a ledger of another numerics
+        epoch, iff every field agrees exactly except floats, which agree
+        within :data:`EPOCH_DRIFT_BOUND`.
     rounds_compared:
         Number of rounds diffed (min of recorded and replayed counts).
     rounds_recorded, rounds_replayed:
-        History lengths on each side (unequal lengths are a mismatch).
+        History lengths on each side.  Replaying fewer rounds than were
+        recorded is a prefix replay; replaying more is a mismatch.
     mismatches:
         Field-level disagreements in round order, capped at
         ``MAX_MISMATCHES``; empty when ``matches``.
@@ -89,6 +107,11 @@ class ReplayReport:
         from replay divergence.
     label, executor:
         Identification of the replayed run, for report headers.
+    recorded_epoch:
+        The ledger's :data:`~repro.telemetry.ledger.NUMERICS_EPOCH`.
+    drift:
+        Across epochs, the float field that deviated most while staying
+        inside the bound (``None`` when every float was equal).
     """
 
     matches: bool
@@ -101,6 +124,8 @@ class ReplayReport:
     issues: List[str] = field(default_factory=list)
     label: str = ""
     executor: str = ""
+    recorded_epoch: int = NUMERICS_EPOCH
+    drift: Optional[FieldMismatch] = None
 
     @property
     def first_divergence(self) -> Optional[FieldMismatch]:
@@ -114,12 +139,36 @@ class ReplayReport:
         if self.issues:
             lines.append(f"  artifact issues ({len(self.issues)}):")
             lines.extend(f"    - {issue}" for issue in self.issues)
+        rounds = f"{self.rounds_compared} rounds"
+        if self.rounds_compared < self.rounds_recorded:
+            rounds = f"{self.rounds_compared} of {self.rounds_recorded} rounds"
+        cross_epoch = self.recorded_epoch != NUMERICS_EPOCH
+        epochs = (
+            f"recorded under numerics epoch {self.recorded_epoch}, "
+            f"this tree is epoch {NUMERICS_EPOCH}"
+        )
+        if self.matches and cross_epoch:
+            deviation = "0"
+            if self.drift is not None:
+                deviation = (
+                    f"{self.drift.deviation:.1e} (`{self.drift.field}`, "
+                    f"round {self.drift.round_idx})"
+                )
+            lines.append(
+                f"  {epochs}: {rounds}, exact fields equal, "
+                f"max relative deviation {deviation}"
+            )
+            return "\n".join(lines)
         if self.matches:
             lines.append(
-                f"  MATCH: {self.rounds_compared} rounds bit-identical, "
+                f"  MATCH: {rounds} bit-identical, "
                 f"digest {self.recorded_digest[:16]}"
             )
             return "\n".join(lines)
+        if cross_epoch:
+            lines.append(
+                f"  {epochs}: floats compared to {EPOCH_DRIFT_BOUND:g} relative"
+            )
         lines.append(
             f"  MISMATCH: recorded {self.rounds_recorded} rounds "
             f"(digest {self.recorded_digest[:16]}), replayed "
@@ -334,7 +383,17 @@ def replay_run(
         is null and otherwise overriding it (at your own risk — a
         different federation will simply fail to match).
     num_rounds:
-        Rounds to re-execute; defaults to the recorded round count.
+        Rounds to re-execute; defaults to the recorded round count.  Fewer
+        is a prefix replay: the first ``num_rounds`` records and their
+        digest are compared, and the rounds are driven one by one so the
+        last of them gets no end-of-run evaluation the recording, which
+        went on, never made there.
+
+    A ledger recorded under another numerics epoch
+    (:data:`~repro.telemetry.ledger.NUMERICS_EPOCH`) is not owed
+    bit-identity: its float fields are compared to
+    :data:`EPOCH_DRIFT_BOUND` relative, everything else exactly, and the
+    digests not at all.
 
     Returns a :class:`ReplayReport`; raises :class:`ReplayError` only for
     artifacts that cannot be re-executed at all.
@@ -355,34 +414,43 @@ def replay_run(
 
     trainer = rebuild_trainer(artifact, dataset=dataset)
     try:
-        history = trainer.run(rounds)
+        if rounds < len(recorded):
+            records = [trainer.run_round() for _ in range(rounds)]
+        else:
+            records = trainer.run(rounds).records
     finally:
         trainer.close()
-    replayed = [canonical_record(r) for r in history.records]
+    replayed = [canonical_record(r) for r in records]
+    same_epoch = artifact.numerics_epoch == NUMERICS_EPOCH
 
     mismatches: List[FieldMismatch] = []
+    drift: Optional[FieldMismatch] = None
     compared = min(len(recorded), len(replayed))
     for idx in range(compared):
-        if len(mismatches) >= MAX_MISMATCHES:
-            break
         rec, rep = recorded[idx], replayed[idx]
         round_idx = rec.get("round_idx", idx)
         for name in RECORD_FIELDS:
-            if rec.get(name) != rep.get(name):
-                mismatches.append(
-                    FieldMismatch(round_idx, name, rec.get(name), rep.get(name))
-                )
-                if len(mismatches) >= MAX_MISMATCHES:
-                    break
-    if len(recorded) != len(replayed):
-        tail = min(len(recorded), len(replayed))
+            if rec.get(name) == rep.get(name):
+                continue
+            found = FieldMismatch(round_idx, name, rec.get(name), rep.get(name))
+            # ``not <=``: a NaN deviation is a mismatch, not drift.
+            if same_epoch or not found.deviation <= EPOCH_DRIFT_BOUND:
+                mismatches.append(found)
+            elif drift is None or found.deviation > drift.deviation:
+                drift = found
+        if len(mismatches) >= MAX_MISMATCHES:
+            del mismatches[MAX_MISMATCHES:]
+            break
+    if len(replayed) > len(recorded):
         mismatches.append(
-            FieldMismatch(tail, "rounds", len(recorded), len(replayed))
+            FieldMismatch(compared, "rounds", len(recorded), len(replayed))
         )
 
-    recorded_digest = artifact.computed_digest() or ""
+    recorded_digest = history_digest(recorded[:compared])
     replayed_digest = history_digest(replayed)
-    matches = not mismatches and recorded_digest == replayed_digest
+    matches = not mismatches and (
+        not same_epoch or recorded_digest == replayed_digest
+    )
     return ReplayReport(
         matches=matches,
         rounds_compared=compared,
@@ -394,4 +462,6 @@ def replay_run(
         issues=issues,
         label=artifact.label,
         executor=artifact.executor,
+        recorded_epoch=artifact.numerics_epoch,
+        drift=drift,
     )

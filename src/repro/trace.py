@@ -8,8 +8,11 @@ Subcommands over the JSONL run ledgers written by
 * ``timeline RUN.jsonl`` — per-round ASCII bars segmented by phase.
 * ``diff A.jsonl B.jsonl [--tol X]`` — field-level history comparison
   (e.g. a serial vs cohort pair; ``--tol 0`` demands bit-identity).
-* ``replay RUN.jsonl`` — rebuild the trainer from the manifest,
-  re-execute, and assert the recorded history reproduces bit-for-bit.
+* ``replay RUN.jsonl [--rounds N]`` — rebuild the trainer from the
+  manifest, re-execute (or only the first ``N`` rounds), and assert the
+  recorded history reproduces bit-for-bit; a ledger recorded under another
+  numerics epoch is held to exact non-float fields and a relative bound
+  on floats instead, and says so.
 * ``check RUN.jsonl`` — structural ledger verification of every run in
   the artifact (throughput is gated by ``python bench/run.py compare``).
 
@@ -138,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", default="0", help="run index (default 0)")
     p.add_argument(
         "--rounds", type=int, default=None,
-        help="rounds to re-execute (default: all recorded)",
+        help="rounds to re-execute (default: all recorded; fewer checks a prefix)",
     )
     p.set_defaults(func=_cmd_replay)
 

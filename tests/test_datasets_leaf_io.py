@@ -132,3 +132,68 @@ class TestSaveLeaf:
             loaded, model, 0.01, mu=1.0, clients_per_round=3, epochs=3, seed=0,
         ).run(5)
         assert history.final_train_loss() < history.train_losses[0]
+
+
+class TestLoadLeafIsPacked:
+    """``load_leaf`` builds the one copy of the federation, like every builder."""
+
+    def _pair(self, tmp_path):
+        train = _write_leaf(
+            tmp_path / "train.json",
+            {
+                "u0": {"x": [[0.5, 1.0], [2.0, 3.0]], "y": [0, 1]},
+                "u1": {"x": [[4.0, 5.0]], "y": [2]},
+                "u2": {"x": [[6.0, 7.0], [8.0, 9.0], [1.0, 1.0]], "y": [1, 1, 0]},
+            },
+        )
+        test = _write_leaf(
+            tmp_path / "test.json",
+            {
+                "u0": {"x": [[3.0, 3.0]], "y": [1]},
+                "u2": {"x": [[2.0, 2.0], [4.0, 4.0]], "y": [0, 2]},
+            },
+        )
+        return train, test
+
+    def test_clients_are_views_of_the_stacks(self, tmp_path):
+        from repro.datasets.federated import PackedClientStore
+
+        ds = load_leaf(*self._pair(tmp_path), x_dtype=np.float32)
+        store = ds.store
+        assert isinstance(store, PackedClientStore)
+        assert store.x.dtype == np.float32
+        assert store.train_offsets.tolist() == [0, 2, 3, 6]
+        assert store.test_offsets.tolist() == [0, 1, 1, 3]
+        assert (ds.num_classes, ds.input_dim) == (3, 2)
+        for client in ds:
+            assert np.shares_memory(client.train_x, store.stacked("train")[0])
+            assert np.shares_memory(client.train_y, store.stacked("train")[1])
+        # The train-only user keeps empty test views of the right width.
+        assert ds[1].test_x.shape == (0, 2) and ds[1].test_y.shape == (0,)
+        np.testing.assert_array_equal(ds[2].test_x, [[2.0, 2.0], [4.0, 4.0]])
+        np.testing.assert_array_equal(ds[2].test_y, [0, 2])
+
+    def test_stacked_census_reads_the_store_in_place(self, tmp_path):
+        from repro.core.client import ClientPool
+        from repro.models import MultinomialLogisticRegression
+        from repro.optim import SGDSolver
+        from repro.runtime.evaluation import FederationEvaluator
+
+        ds = load_leaf(*self._pair(tmp_path))
+        model = MultinomialLogisticRegression(dim=2, num_classes=3, init_scale=0.5)
+        pool = ClientPool(ds, model, SGDSolver(0.1, batch_size=2))
+        stacked = FederationEvaluator(pool, model, "stacked")
+        per_client = FederationEvaluator(pool, model, "per_client")
+        assert stacked.stack_in_place("train")[0] is ds.store.train_x
+        w = model.get_params()
+        assert stacked.train_loss(w) == pytest.approx(per_client.train_loss(w), rel=1e-12)
+        assert stacked.test_accuracy(w) == per_client.test_accuracy(w)
+
+    def test_save_of_a_load_round_trips_byte_equal(self, tmp_path):
+        original = make_synthetic(1.0, 1.0, num_devices=4, seed=3, size_cap=40)
+        first = (tmp_path / "a_train.json", tmp_path / "a_test.json")
+        second = (tmp_path / "b_train.json", tmp_path / "b_test.json")
+        save_leaf(original, *first)
+        save_leaf(load_leaf(*first), *second)
+        for a, b in zip(first, second):
+            assert a.read_bytes() == b.read_bytes()

@@ -10,6 +10,7 @@ artifact was tampered with.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +32,20 @@ from repro.systems.stragglers import FractionStragglers, NoHeterogeneity
 from repro.trace import main as trace_main
 from repro.telemetry import JSONLSink, Telemetry, read_jsonl
 from repro.spec import build
-from repro.telemetry.replay import ReplayError, rebuild_trainer, replay_run
-from repro.telemetry.ledger import load_run
+from repro.telemetry.replay import (
+    EPOCH_DRIFT_BOUND,
+    ReplayError,
+    rebuild_trainer,
+    replay_run,
+)
+from repro.telemetry.ledger import NUMERICS_EPOCH, history_digest, load_run
+
+#: Six rounds of a 12-device MNIST-like federation (2404 float32 train
+#: rows: two census blocks, 30 sub-blocks; devices of up to 1141 rows),
+#: loss evaluated every round, recorded at the last epoch-0 commit
+#: (ed75d65, in its manifest).  It cannot be regenerated from this tree —
+#: any ledger written here is epoch 1 — and need not be: its recipe is in it.
+EPOCH0_FIXTURE = Path(__file__).parent / "fixtures" / "epoch0_mnist_like.jsonl"
 
 
 def record_run(path, rounds=3, solver=None, dataset=None, **kwargs):
@@ -280,3 +293,129 @@ class TestRebuildTrainer:
             assert trainer.systems.fraction == 0.4
         finally:
             trainer.close()
+
+
+def _edit_ledger(source, target, edit):
+    """Copy a ledger with ``edit(events)`` applied and its footer re-sealed,
+    so the only thing wrong with the copy is what replay has to find."""
+    events = read_jsonl(str(source))
+    edit(events)
+    records = [e["record"] for e in events if e["type"] == "round_record"]
+    events[-1]["digest"] = history_digest(records)
+    target.write_text("".join(json.dumps(e) + "\n" for e in events))
+    return str(target)
+
+
+def _record(events, round_idx):
+    return next(
+        e["record"] for e in events
+        if e["type"] == "round_record" and e["round"] == round_idx
+    )
+
+
+class TestPrefixReplay:
+    """``num_rounds`` below the recorded count checks the first rounds only."""
+
+    def test_prefix_of_an_untampered_ledger_matches(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        record_run(path, rounds=4, evaluation=EvalConfig(every=3))
+        report = replay_run(str(path), num_rounds=2)
+        # Round 1 is unevaluated in the recording, which went on; the
+        # replay must not count its own end-of-run evaluation against it.
+        assert load_run(str(path)).round_records[1]["test_accuracy"] is None
+        assert report.matches, report.describe()
+        assert (report.rounds_compared, report.rounds_recorded) == (2, 4)
+        assert report.recorded_digest == report.replayed_digest
+        assert trace_main(["replay", str(path), "--rounds", "2"]) == 0
+        assert "MATCH: 2 of 4 rounds" in capsys.readouterr().out
+
+    def test_prefix_still_finds_a_divergence_inside_it(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        record_run(path, rounds=4)
+        edited = _edit_ledger(
+            path, tmp_path / "edited.jsonl",
+            lambda events: _record(events, 1)["selected"].reverse(),
+        )
+        assert replay_run(edited, num_rounds=1).matches
+        report = replay_run(edited, num_rounds=3)
+        assert not report.matches
+        assert (report.first_divergence.round_idx, report.first_divergence.field) == (
+            1, "selected",
+        )
+
+    def test_more_rounds_than_recorded_is_a_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        record_run(path, rounds=2)
+        report = replay_run(str(path), num_rounds=3)
+        assert not report.matches
+        assert report.mismatches[-1].field == "rounds"
+        assert trace_main(["replay", str(path), "--rounds", "3"]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
+
+class TestNumericsEpoch:
+    """Bit-identity is owed within an epoch, a bound across two (DESIGN §15)."""
+
+    def test_this_tree_stamps_its_epoch(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        record_run(path, rounds=1)
+        artifact = load_run(str(path))
+        assert artifact.manifest["environment"]["numerics_epoch"] == NUMERICS_EPOCH == 1
+        assert artifact.numerics_epoch == 1
+
+    def test_epoch0_fixture_replays_with_the_epoch_line(self, capsys):
+        """Recorded at the parent commit: losses moved by ulps, nothing else."""
+        artifact = load_run(str(EPOCH0_FIXTURE))
+        assert "numerics_epoch" not in artifact.manifest["environment"]
+        assert artifact.numerics_epoch == 0
+        report = replay_run(artifact)
+        assert report.issues == []
+        assert report.matches, report.describe()
+        # On the BLAS that recorded it four of the six losses differ, by
+        # up to 3.6e-16; another build may differ elsewhere, or nowhere.
+        if report.drift is not None:
+            assert report.drift.field == "train_loss"
+            assert report.drift.deviation <= EPOCH_DRIFT_BOUND
+        assert trace_main(["replay", str(EPOCH0_FIXTURE)]) == 0
+        assert (
+            "recorded under numerics epoch 0, this tree is epoch 1: 6 rounds, "
+            "exact fields equal, max relative deviation" in capsys.readouterr().out
+        )
+
+    def test_cross_epoch_exact_fields_stay_exact(self, tmp_path):
+        def flip(events):
+            selected = _record(events, 2)["selected"]
+            selected[0] = (selected[0] + 1) % 12
+
+        report = replay_run(_edit_ledger(EPOCH0_FIXTURE, tmp_path / "e.jsonl", flip))
+        assert report.issues == []
+        assert not report.matches
+        assert (report.first_divergence.round_idx, report.first_divergence.field) == (
+            2, "selected",
+        )
+        assert "epoch 0" in report.describe() and "MISMATCH" in report.describe()
+
+    def test_cross_epoch_floats_are_held_to_the_bound(self, tmp_path):
+        def nudge(events):
+            _record(events, 3)["train_loss"] *= 1 + 1e-9
+
+        report = replay_run(_edit_ledger(EPOCH0_FIXTURE, tmp_path / "e.jsonl", nudge))
+        assert not report.matches
+        assert report.first_divergence.field == "train_loss"
+
+    def test_same_epoch_is_still_bit_exact(self, tmp_path):
+        """One ulp on one recorded loss of a ledger this tree wrote."""
+        path = tmp_path / "run.jsonl"
+        record_run(path, rounds=3)
+
+        def one_ulp(events):
+            record = _record(events, 1)
+            record["train_loss"] = float(np.nextafter(record["train_loss"], np.inf))
+
+        report = replay_run(_edit_ledger(path, tmp_path / "e.jsonl", one_ulp))
+        assert report.issues == []
+        assert not report.matches
+        assert (report.first_divergence.round_idx, report.first_divergence.field) == (
+            1, "train_loss",
+        )
+        assert "MISMATCH" in report.describe()
