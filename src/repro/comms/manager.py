@@ -62,7 +62,6 @@ from .config import CommsConfig
 
 if TYPE_CHECKING:  # avoid circular imports with repro.core / repro.runtime
     from ..core.client import ClientUpdate
-    from ..runtime.executor import LocalTask
 
 
 class CommsManager:
@@ -147,15 +146,14 @@ class CommsManager:
         }
 
     # Round-trip ----------------------------------------------------------- #
-    def _roundtrip_server_side(
-        self, update: "ClientUpdate", task: "LocalTask"
-    ) -> Tuple[int, float]:
+    def _roundtrip_server_side(self, update: "ClientUpdate") -> Tuple[int, float]:
         """Encode+decode a dense update in place.
 
         Returns the payload bytes and the clock reading between the two
         halves, so the caller can book encode and decode time separately.
         """
         codec = self.codec
+        task = update.task
         if self.ef:
             # One scratch vector carries delta → transmitted → residual.
             sent = update.w - task.w_global
@@ -186,44 +184,45 @@ class CommsManager:
     def finalize_round(
         self,
         updates: Sequence["ClientUpdate"],
-        tasks: Sequence["LocalTask"],
         telemetry=None,
         count_dispatch: bool = True,
+        round_idx: Optional[int] = None,
     ) -> None:
         """Decode every update in the batch and account its wire bytes.
 
-        ``updates`` and ``tasks`` are aligned pairs (the async engine
-        passes the delivered entries' own tasks, which may be a subset of
-        what it admitted this round).  Device-side-encoded updates
-        (``update.payload`` set) are decoded; dense updates are
-        round-tripped server-side (applying error feedback when enabled).
-        ``count_dispatch=False`` skips downlink accounting for engines
-        that account it at admission instead.
+        Each update is decoded against the task it carries — its own
+        submit-round model and entropy, whichever round delivers it.
+        Device-side-encoded updates (``update.payload`` set) are decoded;
+        dense updates are round-tripped server-side (applying error
+        feedback when enabled).  ``count_dispatch=False`` skips downlink
+        accounting for engines that account it at admission instead.
+        Spans and byte counters are booked to ``round_idx``, the round the
+        engine is delivering in; a standalone caller that names none gets
+        the round of the first update's task.
         """
-        if self.codec is None:
+        if self.codec is None or not updates:
             return
         from ..runtime.executor import task_round
 
         emit = telemetry is not None and getattr(telemetry, "enabled", False)
-        round_idx = task_round(tasks[0]) if tasks else None
-        if count_dispatch and tasks:
+        if round_idx is None:
+            round_idx = task_round(updates[0].task)
+        n_params = updates[0].task.w_global.shape[0]
+        if count_dispatch:
+            # A barrier engine delivers exactly what it dispatched.
             self.record_dispatch(
-                len(tasks), tasks[0].w_global.shape[0],
-                telemetry=telemetry, round_idx=round_idx,
+                len(updates), n_params, telemetry=telemetry, round_idx=round_idx
             )
-        if not updates:
-            return
-        n_params = tasks[0].w_global.shape[0]
 
         encode_seconds = 0.0
         decode_seconds = 0.0
         batch_up = 0
-        for update, task in zip(updates, tasks):
+        for update in updates:
             payload = getattr(update, "payload", None)
             if payload is not None:
                 # Device-side encoded: the wire buffer is the update.
                 t0 = time.perf_counter() if emit else 0.0
-                update.w = self.codec.decode_update(payload, task.w_global)
+                update.w = self.codec.decode_update(payload, update.task.w_global)
                 if emit:
                     decode_seconds += time.perf_counter() - t0
                 update.payload = None
@@ -232,7 +231,7 @@ class CommsManager:
                     encode_seconds += update.timings.get("comm_encode", 0.0)
             else:
                 t0 = time.perf_counter() if emit else 0.0
-                nbytes, t_encoded = self._roundtrip_server_side(update, task)
+                nbytes, t_encoded = self._roundtrip_server_side(update)
                 if emit:
                     encode_seconds += t_encoded - t0
                     decode_seconds += time.perf_counter() - t_encoded

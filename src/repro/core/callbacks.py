@@ -27,6 +27,7 @@ from ..metrics.convergence import (
     CONVERGENCE_TOL,
     DIVERGENCE_JUMP,
     DIVERGENCE_WINDOW,
+    classify_run,
 )
 from .history import RoundRecord, TrainingHistory
 
@@ -52,8 +53,10 @@ class Callback(abc.ABC):
 class EarlyStopping(Callback):
     """Stop when the paper's convergence or divergence criterion fires.
 
-    Convergence: ``|f_t − f_{t−1}| < tol`` (default 1e-4).
-    Divergence: ``f_t − f_{t−window} > jump`` (default: +1 over 10 rounds).
+    The verdict is :func:`repro.metrics.convergence.classify_run`'s over the
+    evaluated losses so far — rounds ``EvalConfig(train_every > 1)`` leaves
+    unevaluated are not part of the series, exactly as in
+    ``history.train_losses``.
 
     Attributes
     ----------
@@ -79,19 +82,19 @@ class EarlyStopping(Callback):
         self.stopped_reason: Optional[str] = None
 
     def on_round_end(self, record: RoundRecord) -> bool:
+        if record.train_loss is None:
+            return False
         self._losses.append(record.train_loss)
-        t = len(self._losses) - 1
-        if (
-            t >= self.divergence_window
-            and self._losses[t] - self._losses[t - self.divergence_window]
-            > self.divergence_jump
-        ):
-            self.stopped_reason = "diverged"
-            return True
-        if t >= 1 and abs(self._losses[t] - self._losses[t - 1]) < self.tol:
-            self.stopped_reason = "converged"
-            return True
-        return False
+        # Earlier rounds were judged when they ended; the newest loss needs
+        # only the window behind it.
+        outcome = classify_run(
+            self._losses[-(self.divergence_window + 1):],
+            self.tol, self.divergence_window, self.divergence_jump,
+        )
+        if outcome.status == "exhausted":
+            return False
+        self.stopped_reason = outcome.status
+        return True
 
 
 class LambdaCallback(Callback):

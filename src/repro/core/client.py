@@ -4,16 +4,18 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
 from ..datasets.federated import ClientData
-from ..faults.models import FaultDecision
 from ..models.base import FederatedModel
 from ..optim.base import BatchSchedule, LocalSolver
 from ..optim.inexactness import gamma_inexactness
 from ..optim.proximal import LocalObjective
+
+if TYPE_CHECKING:  # runtime imports core
+    from ..runtime.executor import LocalTask
 
 
 @dataclass
@@ -41,11 +43,14 @@ class ClientUpdate:
         worker process boundary — when the task requested timing
         collection; ``None`` otherwise.  Purely observational: timings
         never influence aggregation or histories.
-    fault:
-        The injected fault that struck this solve (see
-        :mod:`repro.faults`), stamped where the solve ran; ``None`` for a
-        healthy solve.  The server's fault policy reads it to decide
-        retry/accept/drop and stale buffering.
+    task:
+        The :class:`~repro.runtime.executor.LocalTask` this update answers,
+        set by whichever engine ran it — the one pairing of the two.  What
+        the task holds is read off it, not copied here: the model the solve
+        started from (``task.w_global``, which a late delivery's codec
+        decode, drift and retry need), µ, the entropy tuple whose second
+        entry is the submit round, and the injected ``task.fault`` the
+        server's policy resolves.  ``None`` only on an update built by hand.
     staleness:
         Model-version lag at delivery, stamped by the async engine
         (:mod:`repro.runtime.async_engine`): the update solved against the
@@ -72,7 +77,7 @@ class ClientUpdate:
     gradient_evaluations: int
     gamma: Optional[float] = None
     timings: Optional[Dict[str, float]] = None
-    fault: Optional[FaultDecision] = None
+    task: Optional["LocalTask"] = None
     staleness: int = 0
     discount: float = 1.0
     payload: Optional[object] = None

@@ -22,7 +22,6 @@ def emit_round_diagnostics(
     telemetry,
     registry: MetricsRegistry,
     record: RoundRecord,
-    w_start: np.ndarray,
     updates: List[ClientUpdate],
     epochs: float,
     fault_stats: Optional[Dict[str, int]] = None,
@@ -61,11 +60,13 @@ def emit_round_diagnostics(
 
     if updates:
         # Client drift ||w_k - w_t|| and the proximal-term magnitude
-        # (mu/2)||w_k - w_t||^2 actually paid by each local subproblem.
-        drifts = [float(np.linalg.norm(u.w - w_start)) for u in updates]
+        # (mu/2)||w_k - w_t||^2 actually paid by each local subproblem —
+        # against the model and µ of the task it answers, which for a late
+        # delivery are an earlier round's.
+        drifts = [float(np.linalg.norm(u.w - u.task.w_global)) for u in updates]
         registry.histogram("fedprox.client_drift").observe_many(drifts)
         registry.histogram("fedprox.prox_term").observe_many(
-            0.5 * record.mu * d * d for d in drifts
+            0.5 * u.task.mu * d * d for u, d in zip(updates, drifts)
         )
         # Straggler budget utilization: fraction of the global epoch
         # target E actually completed by the accepted updates.

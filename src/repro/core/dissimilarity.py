@@ -22,7 +22,7 @@ Two quantities from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -71,16 +71,23 @@ def measure_dissimilarity(
         Randomness for the subsample (defaults to a fixed generator so
         repeated measurements are comparable).
     """
+    indices = np.arange(len(clients))
     if max_clients is not None and max_clients < len(clients):
         rng = rng if rng is not None else np.random.default_rng(0)
-        indices = rng.choice(len(clients), size=max_clients, replace=False)
-        clients = [clients[i] for i in sorted(indices)]
+        indices = np.sort(rng.choice(len(clients), size=max_clients, replace=False))
 
-    masses = np.array([c.data.num_train for c in clients], dtype=np.float64)
+    # Masses come from the sequence's size metadata where it has any (a
+    # ClientPool does): a lazy store then materializes only the measured
+    # devices, once each, for their gradients.
+    sizes = getattr(clients, "train_sizes", None)
+    if sizes is None:
+        sizes = [clients[i].data.num_train for i in indices]
+    else:
+        sizes = np.asarray(sizes)[indices]
+    masses = np.array(sizes, dtype=np.float64)
     masses /= masses.sum()
 
-    gradients: List[np.ndarray] = [c.train_gradient(w) for c in clients]
-    stacked = np.stack(gradients)
+    stacked = np.stack([clients[i].train_gradient(w) for i in indices])
     global_grad = masses @ stacked
 
     sq_norms = np.einsum("ij,ij->i", stacked, stacked)

@@ -74,9 +74,7 @@ class FedDaneTrainer(FederatedTrainer):
         chosen = rng.choice(
             self.dataset.num_devices, size=self.gradient_clients, replace=False
         )
-        weights = np.array(
-            [self.clients[c].data.num_train for c in chosen], dtype=np.float64
-        )
+        weights = self.dataset.train_sizes[chosen].astype(np.float64)
         weights /= weights.sum()
         gradients = np.stack([self.clients[c].train_gradient(self.w) for c in chosen])
         return weights @ gradients

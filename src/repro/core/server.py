@@ -354,23 +354,27 @@ class FederatedTrainer:
         """Run local solves; returns (accepted updates, stragglers, dropped).
 
         Builds one :class:`~repro.runtime.executor.LocalTask` per accepted
-        assignment and hands the batch to the round executor; results come
-        back in task order, so aggregation is independent of how (or where)
-        the solves actually ran.
-
-        When a fault schedule is enabled, the pending solves route through
-        the :class:`~repro.faults.manager.FaultManager` instead — it draws
-        faults, dispatches (and possibly re-dispatches) through the same
-        executor, and applies the robustness policy.  With faults disabled
-        the task list below is exactly the historical one, so fault-free
-        histories are bit-identical to earlier versions.
+        assignment and hands the batch to the round executor — through the
+        :class:`~repro.faults.manager.FaultManager` when a fault schedule
+        is enabled, which draws faults, dispatches (and possibly
+        re-dispatches) through the same executor and applies the
+        robustness policy.  Every update names the task it answers, so
+        aggregation is independent of how (or where, or when) it ran.
         """
         assignments = self.systems.assign(round_idx, selected, self.epochs)
         cost = None
         if self.cost_tracker is not None:
             cost = self.cost_tracker.start_round(round_idx, len(selected))
 
-        pending: List[Tuple[int, float, int]] = []
+        # Device-side codec rides on the task when error feedback is off
+        # (the lean IPC path); under EF the manager encodes server-side.
+        task_codec = (
+            self._comms_manager.task_codec
+            if self._comms_manager is not None
+            else None
+        )
+        correction = self._corrections(round_idx)
+        tasks: List[LocalTask] = []
         stragglers: List[int] = []
         dropped: List[int] = []
         occurrence_count: dict = {}
@@ -383,51 +387,30 @@ class FederatedTrainer:
                 if self.drop_stragglers:
                     dropped.append(cid)
                     continue
-            pending.append((cid, assignment.epochs, occurrence))
-
-        # Device-side codec rides on the task when error feedback is off
-        # (the lean IPC path); under EF the manager encodes server-side.
-        task_codec = (
-            self._comms_manager.task_codec
-            if self._comms_manager is not None
-            else None
-        )
-        correction = self._corrections(round_idx)
-
-        def build_task(cid, epochs, occurrence, extra_entropy, fault):
-            return LocalTask(
-                client_id=cid,
-                w_global=self.w,
-                mu=self.mu,
-                epochs=epochs,
-                # Derives this solve's mini-batch randomness.
-                rng_entropy=(self.seed, round_idx, cid, occurrence)
-                + tuple(extra_entropy),
-                measure_gamma=self.track_gamma,
-                correction=None if correction is None else correction(cid),
-                collect_timings=self.telemetry.enabled,
-                fault=fault,
-                codec=task_codec,
+            tasks.append(
+                LocalTask(
+                    client_id=cid,
+                    w_global=self.w,
+                    mu=self.mu,
+                    epochs=assignment.epochs,
+                    # Derives this solve's mini-batch randomness.
+                    rng_entropy=(self.seed, round_idx, cid, occurrence),
+                    measure_gamma=self.track_gamma,
+                    correction=None if correction is None else correction(cid),
+                    collect_timings=self.telemetry.enabled,
+                    codec=task_codec,
+                )
             )
 
+        self._last_fault_report = None
         if self._fault_manager is None:
-            tasks = [
-                build_task(cid, epochs, occurrence, (), None)
-                for cid, epochs, occurrence in pending
-            ]
             updates = self.executor.run_local_solves(tasks)
-            self._last_fault_report = None
         else:
-            updates, report = self._fault_manager.execute_round(
-                round_idx,
-                pending,
-                build_task,
-                self.executor.run_local_solves,
+            updates, self._last_fault_report = self._fault_manager.execute_round(
+                round_idx, tasks, self.executor.run_local_solves,
                 num_selected=len(selected),
-                always_dispatch=getattr(self.executor, "continuous", False),
             )
-            dropped.extend(report.dropped)
-            self._last_fault_report = report
+            dropped.extend(self._last_fault_report.dropped)
         if cost is not None:
             for update in updates:
                 self.cost_tracker.record_upload(
@@ -497,7 +480,6 @@ class FederatedTrainer:
         self.executor.begin_round(round_idx)
         with telemetry.span("phase:select", round_idx=round_idx):
             selected = self.sampling.select(round_idx)
-        w_start = self.w
         with telemetry.span(
             "phase:local_solve", round_idx=round_idx, clients=len(selected)
         ):
@@ -552,7 +534,7 @@ class FederatedTrainer:
                 dropped=len(dropped),
             )
             emit_round_diagnostics(
-                telemetry, self.metrics, record, w_start, updates, self.epochs,
+                telemetry, self.metrics, record, updates, self.epochs,
                 fault_stats=self.fault_stats if self._fault_manager else None,
                 dissimilarity=dissimilarity,
             )

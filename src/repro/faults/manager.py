@@ -5,10 +5,11 @@
 :class:`~repro.faults.policy.FaultPolicy` pair.  The trainer owns one
 manager per run; each round the manager
 
-1. draws every pending solve's fault from the schedule (skipping
-   quarantined clients outright),
+1. draws every task's fault from the schedule (skipping quarantined
+   clients outright) and stamps it onto a copy of the task,
 2. dispatches the surviving tasks through the trainer's executor (the
-   manager never cares *which* executor — tasks are pure descriptions, so
+   manager never cares *which* executor — tasks are pure descriptions,
+   every delivered update names the task it answers, so
    serial/parallel/cohort all yield identical outcomes),
 3. resolves crashes per policy — retry waves with fresh sub-seeds and
    simulated backoff, accept-partial, or drop,
@@ -24,13 +25,13 @@ Every decision is emitted through the PR 3 telemetry schema as it happens
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..telemetry import NULL_TELEMETRY, resolve_telemetry
-from .models import FaultDecision, FaultSchedule
+from .models import FaultSchedule
 from .policy import FaultPolicy
 
 #: Entropy-tuple salt separating retry dispatches from first attempts.
@@ -75,20 +76,11 @@ class RoundFaultReport:
     stale_delivered: List[int] = field(default_factory=list)
     degraded: bool = False
 
-    @property
-    def any_fault(self) -> bool:
-        return bool(
-            self.offline
-            or self.crashed
-            or self.quarantined
-            or self.stale_held
-            or self.stale_delivered
-            or self.degraded
-        )
 
-
-#: One pending solve: ``(client_id, epochs_budget, occurrence)``.
-PendingSolve = Tuple[int, float, int]
+def _fault_kind(update) -> Optional[str]:
+    """Kind of the injected fault the update's task carried, if any."""
+    fault = update.task.fault
+    return None if fault is None else fault.kind
 
 
 class FaultManager:
@@ -125,15 +117,26 @@ class FaultManager:
     def _event(self, name: str, round_idx: int, **attrs) -> None:
         self.telemetry.metric(name, 1, round_idx=round_idx, kind="counter", **attrs)
 
+    def _draw(self, round_idx: int, client_id: int, attempt: int):
+        """One schedule draw, booked; ``None`` for a healthy attempt."""
+        decision = self.schedule.draw(round_idx, client_id, attempt=attempt)
+        if decision is not None:
+            self.stats.injected += 1
+            self._event(
+                "fault:injected", round_idx,
+                client_id=client_id, fault=decision.kind, attempt=attempt,
+            )
+            if decision.kind == "dropout":
+                self.stats.offline += 1
+        return decision
+
     # Round orchestration -------------------------------------------------- #
     def execute_round(
         self,
         round_idx: int,
-        pending: Sequence[PendingSolve],
-        build_task: Callable[[int, float, int, Tuple[int, ...], Optional[FaultDecision]], object],
+        tasks: Sequence[object],
         dispatch: Callable[[Sequence[object]], List[object]],
         num_selected: int,
-        always_dispatch: bool = False,
     ) -> Tuple[List[object], RoundFaultReport]:
         """Run one round's solves under the fault schedule and policy.
 
@@ -141,20 +144,14 @@ class FaultManager:
         ----------
         round_idx:
             Current communication round.
-        pending:
-            The non-dropped assignments: ``(client_id, epochs, occurrence)``.
-        build_task:
-            ``(client_id, epochs, occurrence, extra_entropy, fault) ->
-            LocalTask`` — the trainer's task factory; ``extra_entropy``
-            appends retry sub-seed components to the batch entropy tuple.
+        tasks:
+            The round's :class:`~repro.runtime.executor.LocalTask` list as
+            the trainer built it (``fault=None``); a drawn decision is
+            stamped onto a copy.
         dispatch:
             The bound executor's ``run_local_solves``.
         num_selected:
             Size of the round's selection (the quorum denominator).
-        always_dispatch:
-            Dispatch even when every pending solve was skipped (set for
-            continuous engines: the async executor may still deliver
-            queued check-ins from earlier rounds).
 
         Returns
         -------
@@ -163,74 +160,54 @@ class FaultManager:
             deliveries appended last), and the round's fault report.
             ``updates`` is empty when the quorum guard degraded the round.
 
-        Asynchronous dispatch
-        ---------------------
-        A continuous engine may return *fewer* updates than tasks (some
-        check-ins still in flight) or *more* (earlier rounds' check-ins
-        delivering now).  Fault decisions ride on the tasks themselves, so
-        they apply per check-in regardless of delivery round; the manager
-        re-pairs delivered updates with their pending entries by client id
-        and books late deliveries under synthetic entries.  Synchronous
-        executors always return exactly one update per task, keeping the
-        historical 1:1 pairing (and its arithmetic) untouched.
+        Every delivered update names the task it answers (``update.task``),
+        so the decision that struck it, the client to report and the task a
+        retry re-runs are read off the update — also when a continuous
+        engine delivers fewer updates than tasks (check-ins in flight) or
+        an earlier round's check-in now.
         """
         policy = self.policy
         report = RoundFaultReport()
 
         # 1. Draw faults and plan the first dispatch wave.
-        tasks: List[object] = []
-        entries: List[PendingSolve] = []
-        for cid, epochs, occurrence in pending:
+        wave: List[object] = []
+        for task in tasks:
+            cid = task.client_id
             if cid in self.quarantined_clients:
                 self.stats.quarantine_skips += 1
                 report.dropped.append(cid)
                 continue
-            decision = self.schedule.draw(round_idx, cid, attempt=0)
-            if decision is not None:
-                self.stats.injected += 1
-                self._event(
-                    "fault:injected", round_idx,
-                    client_id=cid, fault=decision.kind, attempt=0,
-                )
-            if decision is not None and decision.kind == "dropout":
-                self.stats.offline += 1
+            decision = self._draw(round_idx, cid, attempt=0)
+            if decision is None:
+                wave.append(task)
+            elif decision.kind == "dropout":
                 report.offline.append(cid)
                 report.dropped.append(cid)
-                continue
-            tasks.append(build_task(cid, epochs, occurrence, (), decision))
-            entries.append((cid, epochs, occurrence))
-        updates = list(dispatch(tasks)) if tasks or always_dispatch else []
-        if len(updates) != len(entries):
-            entries = self._repair_entries(updates, entries)
+            else:
+                wave.append(replace(task, fault=decision))
+        # Dispatched even when empty: a continuous engine may still deliver
+        # queued check-ins; a barrier engine with no tasks does nothing.
+        updates = list(dispatch(wave))
+        booked = self._booking(wave, updates)
 
         # 2. Resolve crashes per policy.
-        crashed_idx = [
-            i for i, u in enumerate(updates)
-            if u.fault is not None and u.fault.kind == "crash"
-        ]
-        for i in crashed_idx:
-            self.stats.crashes += 1
-            report.crashed.append(entries[i][0])
-        if crashed_idx and policy.on_crash == "drop":
-            for i in crashed_idx:
-                self.stats.crash_dropped += 1
-                report.dropped.append(entries[i][0])
-            updates = [u for i, u in enumerate(updates) if i not in set(crashed_idx)]
-            entries = [e for i, e in enumerate(entries) if i not in set(crashed_idx)]
-        elif crashed_idx and policy.on_crash == "retry":
-            updates, entries, report = self._retry_crashed(
-                round_idx, updates, entries, crashed_idx,
-                build_task, dispatch, report,
-            )
+        crashed = [u for u in updates if _fault_kind(u) == "crash"]
+        self.stats.crashes += len(crashed)
+        report.crashed.extend(booked(u) for u in crashed)
+        if crashed and policy.on_crash == "drop":
+            self.stats.crash_dropped += len(crashed)
+            report.dropped.extend(booked(u) for u in crashed)
+            updates = [u for u in updates if _fault_kind(u) != "crash"]
+        elif crashed and policy.on_crash == "retry":
+            updates = self._retry_crashed(round_idx, updates, dispatch, report)
         # "accept_partial": crashed updates stay as they are — their
         # truncated-budget iterates are FedProx partial solutions.
 
         # 3. Quarantine non-finite updates, book suspicion.
         survivors: List[object] = []
-        surviving_entries: List[PendingSolve] = []
-        for update, entry in zip(updates, entries):
+        for update in updates:
             if not np.all(np.isfinite(update.w)):
-                cid = entry[0]
+                cid = booked(update)
                 self.stats.quarantined_updates += 1
                 report.quarantined.append(cid)
                 report.dropped.append(cid)
@@ -248,17 +225,15 @@ class FaultManager:
                     self.stats.quarantined_clients += 1
                 continue
             survivors.append(update)
-            surviving_entries.append(entry)
-        updates, entries = survivors, surviving_entries
 
         # 4. Hold back stale deliveries; release matured ones.
         timely: List[object] = []
-        for update, entry in zip(updates, entries):
-            if update.fault is not None and update.fault.kind == "stale":
+        for update in survivors:
+            if _fault_kind(update) == "stale":
                 self.stats.stale_held += 1
-                report.stale_held.append(entry[0])
+                report.stale_held.append(booked(update))
                 self._stale_buffer.append(
-                    (round_idx + update.fault.delay, self._stale_counter, update)
+                    (round_idx + update.task.fault.delay, self._stale_counter, update)
                 )
                 self._stale_counter += 1
                 continue
@@ -288,64 +263,60 @@ class FaultManager:
             updates = []
         return updates, report
 
-    # Asynchronous delivery ------------------------------------------------ #
     @staticmethod
-    def _repair_entries(
-        updates: List[object], entries: List[PendingSolve]
-    ) -> List[PendingSolve]:
-        """Re-pair delivered updates with pending entries by client id.
+    def _booking(wave: Sequence[object], updates: Sequence[object]):
+        """``update -> client id`` the report and suspicion counters use.
 
-        Only reached under asynchronous dispatch (synchronous executors
-        return one update per task).  Updates matching a pending entry
-        inherit it; deliveries from earlier rounds get a synthetic entry
-        carrying the update's own executed budget (what a retry of that
-        client would reasonably re-run).  Entries whose check-in is still
-        in flight simply drop out — their updates surface, and are
-        policy-resolved, in a later round.
+        The update's own — except that a first dispatch returning exactly
+        as many updates as it sent is still booked by position.  On a
+        barrier engine the two agree.  On a continuous one they need not (a
+        late check-in standing where one still in flight was sent), and
+        that is a defect carried over on purpose: ``bench/golden.json``
+        pins a seed-0 ``async_qsgd_ledger`` trajectory whose quarantine was
+        reached through such a booking.  Goes with the next golden refresh;
+        nothing else reads a position.
         """
-        by_cid: Dict[int, List[PendingSolve]] = {}
-        for entry in entries:
-            by_cid.setdefault(entry[0], []).append(entry)
-        repaired: List[PendingSolve] = []
-        for update in updates:
-            candidates = by_cid.get(update.client_id)
-            if candidates:
-                repaired.append(candidates.pop(0))
-            else:
-                repaired.append((update.client_id, update.epochs, 0))
-        return repaired
+        by_position = (
+            {id(u): t.client_id for u, t in zip(updates, wave)}
+            if len(updates) == len(wave)
+            else {}
+        )
+        return lambda update: by_position.get(id(update), update.client_id)
 
     # Crash retries -------------------------------------------------------- #
     def _retry_crashed(
         self,
         round_idx: int,
         updates: List[object],
-        entries: List[PendingSolve],
-        crashed_idx: List[int],
-        build_task,
         dispatch,
         report: RoundFaultReport,
-    ) -> Tuple[List[object], List[PendingSolve], RoundFaultReport]:
+    ) -> List[object]:
         """Retry crashed solves in waves; resolve stragglers per fallback.
 
-        Each retry attempt re-draws the fault schedule (a retry may crash
-        or drop out again) and re-derives the mini-batch sub-seed from
-        ``(RETRY_SALT, attempt)``, so retry outcomes are as deterministic
-        and executor-independent as first attempts.  All solves failing at
-        the same attempt level are dispatched as one wave, preserving
-        batch-level parallelism.
+        A retry re-runs the task that crashed — its own model, µ,
+        correction, budget and occurrence, whichever round submitted it —
+        with a fresh schedule draw (a retry may crash or drop out again)
+        and the mini-batch sub-seed ``(RETRY_SALT, attempt)``, so retry
+        outcomes are as deterministic and executor-independent as first
+        attempts.  All solves failing at the same attempt level are
+        dispatched as one wave, preserving batch-level parallelism.  A
+        retry a continuous engine has not delivered by the end of the wave
+        is retried again; when it does land, in a later round, it is that
+        round's delivery.
         """
         policy = self.policy
-        # index -> last recovered partial update (None after a dropout-only
-        # chain would be impossible: the first attempt always yields one).
-        failed: Dict[int, object] = {i: updates[i] for i in crashed_idx}
+        # slot in ``updates`` -> the freshest partial iterate recovered for it.
+        failed: Dict[int, object] = {
+            i: u for i, u in enumerate(updates) if _fault_kind(u) == "crash"
+        }
         for attempt in range(1, policy.max_retries + 1):
             if not failed:
                 break
-            wave_tasks = []
-            wave_idx = []
+            slot_of: Dict[int, int] = {}  # id(retry task) -> slot
+            wave: List[object] = []
             for i in sorted(failed):
-                cid, epochs, occurrence = entries[i]
+                task = failed[i].task
+                cid = task.client_id
                 self.stats.retries += 1
                 report.retried[cid] = attempt
                 self._event(
@@ -353,60 +324,29 @@ class FaultManager:
                     client_id=cid, attempt=attempt,
                     backoff=policy.backoff(attempt),
                 )
-                decision = self.schedule.draw(round_idx, cid, attempt=attempt)
-                if decision is not None:
-                    self.stats.injected += 1
-                    self._event(
-                        "fault:injected", round_idx,
-                        client_id=cid, fault=decision.kind, attempt=attempt,
-                    )
+                decision = self._draw(round_idx, cid, attempt=attempt)
                 if decision is not None and decision.kind == "dropout":
-                    # Device unreachable this attempt; nothing to dispatch.
-                    self.stats.offline += 1
-                    continue
-                wave_tasks.append(
-                    build_task(
-                        cid, epochs, occurrence, (RETRY_SALT, attempt), decision
-                    )
+                    continue  # unreachable this attempt; nothing to dispatch
+                retry = replace(
+                    task,
+                    rng_entropy=task.rng_entropy[:4] + (RETRY_SALT, attempt),
+                    fault=decision,
                 )
-                wave_idx.append(i)
-            wave_updates = list(dispatch(wave_tasks)) if wave_tasks else []
-            if len(wave_updates) == len(wave_idx):
-                pairs = list(zip(wave_idx, wave_updates))
-                extras: List[object] = []
-            else:
-                # Asynchronous dispatch: pair retry deliveries with their
-                # wave slots by client id; anything else is an earlier
-                # check-in surfacing mid-retry — accepted as a fresh row.
-                slots: Dict[int, List[int]] = {}
-                for i in wave_idx:
-                    slots.setdefault(entries[i][0], []).append(i)
-                pairs, extras = [], []
-                for update in wave_updates:
-                    candidates = slots.get(update.client_id)
-                    if candidates:
-                        pairs.append((candidates.pop(0), update))
-                    else:
-                        extras.append(update)
-            for i, update in pairs:
-                if update.fault is not None and update.fault.kind == "crash":
+                slot_of[id(retry)] = i
+                wave.append(retry)
+            delivered = dispatch(wave) if wave else []
+            for update in delivered:
+                i = slot_of[id(update.task)]
+                if _fault_kind(update) == "crash":
                     self.stats.crashes += 1
                     failed[i] = update  # fresher partial iterate
                 else:
                     updates[i] = update
                     del failed[i]
-            for update in extras:
-                updates.append(update)
-                entries.append((update.client_id, update.epochs, 0))
-        if failed:
-            if policy.after_retries == "drop":
-                for i in sorted(failed):
-                    self.stats.crash_dropped += 1
-                    report.dropped.append(entries[i][0])
-                keep = set(range(len(updates))) - set(failed)
-                entries = [e for i, e in enumerate(entries) if i in keep]
-                updates = [u for i, u in enumerate(updates) if i in keep]
-            else:  # accept the last recovered partial iterate
-                for i, update in failed.items():
-                    updates[i] = update
-        return updates, entries, report
+        if failed and policy.after_retries == "drop":
+            self.stats.crash_dropped += len(failed)
+            report.dropped.extend(failed[i].client_id for i in sorted(failed))
+            return [u for i, u in enumerate(updates) if i not in failed]
+        for i, update in failed.items():  # accept the last partial iterate
+            updates[i] = update
+        return updates

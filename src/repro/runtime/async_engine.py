@@ -92,8 +92,11 @@ class _QueuedCheckin:
 
     arrival: float  #: simulated check-in time, in round units
     seq: int  #: admission order, tie-breaks equal arrivals
-    submit_round: int  #: round whose model version the task solves against
-    task: LocalTask
+    task: LocalTask  #: names the round whose model version it solves against
+
+    @property
+    def submit_round(self) -> int:
+        return task_round(self.task)
 
 
 class AsyncExecutor(RoundExecutor):
@@ -179,7 +182,6 @@ class AsyncExecutor(RoundExecutor):
         self._environment_set = False
         self._queue: List[_QueuedCheckin] = []
         self._seq = 0
-        self._round: Optional[int] = None
 
     # Engine identity ---------------------------------------------------- #
     def spec(self) -> str:
@@ -206,9 +208,6 @@ class AsyncExecutor(RoundExecutor):
         )
         self._environment_set = True
 
-    def begin_round(self, round_idx: int) -> None:
-        self._round = int(round_idx)
-
     @property
     def queue_depth(self) -> int:
         """Check-ins currently in flight (admitted, not yet delivered)."""
@@ -225,14 +224,13 @@ class AsyncExecutor(RoundExecutor):
 
     # Round work ---------------------------------------------------------- #
     def _current_round(self, tasks: Sequence[LocalTask]) -> int:
-        # Tasks are authoritative (their entropy tuple encodes the round,
-        # and standalone callers may never call begin_round); the trainer's
-        # begin_round covers continuous dispatches with no tasks.
-        if tasks:
-            encoded = task_round(tasks[0])
-            if encoded is not None:
-                return encoded
-        return self._round if self._round is not None else 0
+        # The round being delivered in is the one the trainer announced
+        # (begin_round) — a retry of a late check-in keeps its submit-round
+        # entropy, so a dispatch's tasks need not name it.  Only a
+        # standalone caller that never announces one is read off its tasks.
+        if self._round is not None:
+            return self._round
+        return task_round(tasks[0]) if tasks else 0
 
     def _solve(self, tasks):
         round_idx = self._current_round(tasks)
@@ -274,7 +272,6 @@ class AsyncExecutor(RoundExecutor):
                 _QueuedCheckin(
                     arrival=round_idx + duration / period,
                     seq=self._seq,
-                    submit_round=round_idx,
                     task=task,
                 )
             )
@@ -305,12 +302,11 @@ class AsyncExecutor(RoundExecutor):
         )
         due_set = {e.seq for e in due}
         self._queue = [e for e in self._queue if e.seq not in due_set]
-        delivered = [entry.task for entry in due]
         with telemetry.span(
             "async:deliver", round_idx=round_idx,
             submitted=len(tasks), due=len(due), rejected=rejected,
         ):
-            updates = self._solve_in_process(delivered)
+            updates = self._solve_in_process([entry.task for entry in due])
             for entry, update in zip(due, updates):
                 update.staleness = round_idx - entry.submit_round
                 update.discount = self.discount_weight(update.staleness)
@@ -324,9 +320,9 @@ class AsyncExecutor(RoundExecutor):
                     staleness=update.staleness,
                 )
         # The comms stage decodes (or, under error feedback, round-trips)
-        # each delivered update against its entry's *own* submit-round
-        # model, which the paired task carries.
-        return updates, delivered
+        # each delivered update against its *own* submit-round model, which
+        # the task it carries holds.
+        return updates
 
     def _after_delivery(self, tasks, updates) -> None:
         """Expire what the next round could no longer accept; report the queue."""

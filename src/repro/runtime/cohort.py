@@ -288,8 +288,9 @@ def solve_cohort(
             epochs=task_effective_epochs(task),
             gradient_evaluations=budgets[i],
             gamma=gamma,
+            task=task,
         )
-        apply_update_fault(updates[i], task)
+        apply_update_fault(updates[i])
 
     if telemetry.enabled:
         telemetry.record_span(
@@ -331,14 +332,13 @@ class CohortExecutor(RoundExecutor):
 
     def _solve(self, tasks):
         if not tasks:
-            return [], tasks
+            return []
         # The stacked kernels emit dense iterates (they ignore any
         # device-side codec on the tasks); the comms stage round-trips
         # them server-side, so lossy-codec histories agree with the
         # serial/parallel engines — encoding is a pure function of
         # (update, w_global, task entropy) either way.
-        updates = solve_cohort(
+        return solve_cohort(
             tasks, self.clients, self.model, self.solver,
             telemetry=self.telemetry,
         )
-        return updates, tasks

@@ -15,8 +15,11 @@ model, the proximal coefficient, the work budget, and the *entropy tuple*
 is derived.  Executors must run each task as a pure function of its task
 description, so any two executors produce bit-identical
 :class:`~repro.core.client.ClientUpdate` lists for the same task list,
-regardless of worker count or scheduling order.  Results are always
-returned in task order.
+regardless of worker count or scheduling order.  Every update carries the
+task it answers as ``update.task`` from the moment an engine's ``_solve``
+returns; the comms stage, the fault manager and the round diagnostics read
+the pairing off the update and nothing else keeps one.  A barrier engine
+returns one update per task, in task order.
 
 Evaluation is dispatched through the executor as well (``train_loss`` /
 ``test_accuracy``); both built-in executors reduce per-client metrics in
@@ -142,19 +145,17 @@ def task_effective_epochs(task: LocalTask) -> float:
     return task.epochs
 
 
-def apply_update_fault(update: "ClientUpdate", task: LocalTask) -> "ClientUpdate":
-    """Stamp the task's fault onto its update and apply corruption.
+def apply_update_fault(update: "ClientUpdate") -> None:
+    """Apply the corruption fault of the update's task, if it carries one.
 
     Runs where the solve ran (serial in-process, inside a parallel worker,
     or in the cohort finalize loop).  Corruption noise derives from the
     task's entropy tuple plus a dedicated salt, so the damage is
     bit-identical on every executor and across process boundaries.
     """
+    task = update.task
     fault = task.fault
-    if fault is None:
-        return update
-    update.fault = fault
-    if fault.kind == "corrupt":
+    if fault is not None and fault.kind == "corrupt":
         rng = np.random.default_rng(
             np.random.SeedSequence(list(task.rng_entropy) + [_CORRUPTION_SALT])
         )
@@ -167,7 +168,6 @@ def apply_update_fault(update: "ClientUpdate", task: LocalTask) -> "ClientUpdate
         else:  # "noise": silent damage at `scale` times the update's RMS
             rms = float(np.sqrt(np.mean(w * w)))
             w += fault.scale * (rms or 1.0) * rng.standard_normal(w.size)
-    return update
 
 
 def solve_with_timings(client: "Client", task: LocalTask) -> "ClientUpdate":
@@ -190,13 +190,14 @@ def solve_with_timings(client: "Client", task: LocalTask) -> "ClientUpdate":
         correction=task.correction,
         measure_gamma=task.measure_gamma,
     )
-    apply_update_fault(update, task)
+    update.task = task
+    apply_update_fault(update)
     if task.collect_timings:
         update.timings = {"solve": time.perf_counter() - t0}
     if task.codec is not None:
         # Device-side encode: the iterate ships back as one contiguous
-        # wire buffer.  Runs after the fault stamp so corruption damage is
-        # part of what gets encoded, exactly as on a real device.
+        # wire buffer.  Runs after the fault is applied so corruption damage
+        # is part of what gets encoded, exactly as on a real device.
         t1 = time.perf_counter() if task.collect_timings else 0.0
         update.payload = task.codec.encode_update(
             update.w, task.w_global, task.rng_entropy
@@ -220,14 +221,15 @@ class RoundExecutor(abc.ABC):
     """
 
     #: Continuous engines (``AsyncExecutor``) carry undelivered work across
-    #: rounds, so the trainer dispatches to them even on rounds where every
-    #: selected device was dropped or crashed — a synchronous executor with
-    #: no tasks has nothing to do.
+    #: rounds and account their downlink at admission; a barrier engine
+    #: with no tasks has nothing to do.
     continuous: bool = False
 
-    #: Update-compression manager shared by the trainer (class default so
-    #: subclasses that skip ``super().__init__()`` still read ``None``).
+    #: Update-compression manager shared by the trainer, and the round the
+    #: trainer last announced (class defaults so subclasses that skip
+    #: ``super().__init__()`` still read ``None``).
     _comms = None
+    _round: Optional[int] = None
 
     def __init__(self) -> None:
         self.dataset: Optional["FederatedDataset"] = None
@@ -314,11 +316,13 @@ class RoundExecutor(abc.ABC):
         """
 
     def begin_round(self, round_idx: int) -> None:
-        """Note that round ``round_idx`` is starting (hook; no-op here).
+        """Note that round ``round_idx`` is starting.
 
-        Lets continuous engines advance their simulated clock even on
-        rounds that contribute no new tasks (mass churn, total crash).
+        The round this engine delivers in: what a late check-in's staleness
+        is measured against and what the comms stage books its events to —
+        also on rounds that contribute no new tasks (mass churn, total crash).
         """
+        self._round = int(round_idx)
 
     def configure_comms(self, comms) -> None:
         """Receive the trainer's update-compression manager (or ``None``).
@@ -379,25 +383,23 @@ class RoundExecutor(abc.ABC):
         delivered uplinks.
         """
         self._require_bound()
-        updates, delivered = self._solve(tasks)
+        updates = self._solve(tasks)
         if self._comms is not None:
             self._comms.finalize_round(
-                updates, delivered, telemetry=self.telemetry,
-                count_dispatch=not self.continuous,
+                updates, telemetry=self.telemetry,
+                count_dispatch=not self.continuous, round_idx=self._round,
             )
         self._after_delivery(tasks, updates)
         return updates
 
     @abc.abstractmethod
-    def _solve(
-        self, tasks: Sequence[LocalTask]
-    ) -> Tuple[List["ClientUpdate"], Sequence[LocalTask]]:
-        """Run this dispatch; the delivered updates and their own tasks.
+    def _solve(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
+        """Run this dispatch; the delivered updates, each naming its task.
 
         Synchronous engines deliver every task, in task order.  A
         continuous engine may deliver fewer (check-ins in flight) or more
-        (earlier rounds' check-ins arriving now), each paired with the
-        task it was submitted as.
+        (earlier rounds' check-ins arriving now); ``update.task`` is the
+        task each was submitted as.
         """
 
     def _after_delivery(
@@ -432,4 +434,4 @@ class SerialExecutor(RoundExecutor):
     """
 
     def _solve(self, tasks):
-        return self._solve_in_process(tasks), tasks
+        return self._solve_in_process(tasks)

@@ -148,6 +148,9 @@ def _solve_task(task: LocalTask) -> "ClientUpdate":
         update.w = np.ascontiguousarray(update.w)
     if update.timings is not None:
         update.timings["worker_pid"] = float(os.getpid())
+    # The reply ships no task: the server still holds the one it sent and
+    # re-attaches it by position.
+    update.task = None
     return update
 
 
@@ -294,7 +297,7 @@ class ParallelExecutor(RoundExecutor):
 
     def _solve(self, tasks):
         if not tasks:
-            return [], tasks
+            return []
         self.ensure_started()
         groups = _split_by_work(
             [self._predicted_steps(task) for task in tasks], self._n_workers
@@ -303,10 +306,11 @@ class ParallelExecutor(RoundExecutor):
         updates: List[Optional["ClientUpdate"]] = [None] * len(tasks)
         for group, solved in zip(groups, self._pool.map(_solve_batch, messages)):
             for position, update in zip(group, solved):
+                update.task = tasks[position]
                 updates[position] = update
         # Under a device-side codec only encoded bytes crossed the pool
         # boundary (the lean IPC path); the comms stage decodes them.
-        return updates, tasks
+        return updates
 
     # Evaluation --------------------------------------------------------- #
     def _sharding_pays(self, split: str, units: Sequence, cuts: List[int]) -> bool:

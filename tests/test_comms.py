@@ -389,12 +389,12 @@ class TestErrorFeedback:
         )
 
     @staticmethod
-    def _update(client_id, w):
+    def _update(task, w):
         from repro.core.client import ClientUpdate
 
         return ClientUpdate(
-            client_id=client_id, w=w, num_train=10, epochs=1.0,
-            gradient_evaluations=5,
+            client_id=task.client_id, w=w, num_train=10, epochs=1.0,
+            gradient_evaluations=5, task=task,
         )
 
     def test_residual_is_dropped_error(self):
@@ -404,8 +404,8 @@ class TestErrorFeedback:
         w_global = np.zeros(6)
         task = self._task(4, w_global)
         delta = np.array([1.0, 0.9, 0.1, 0.2, 0.0, 0.0])
-        update = self._update(4, w_global + delta)
-        manager.finalize_round([update], [task])
+        update = self._update(task, w_global + delta)
+        manager.finalize_round([update])
         residual = manager.residual(4)
         decoded = codec.decode_delta(
             codec.encode_delta(delta, ENTROPY), 6
@@ -418,12 +418,12 @@ class TestErrorFeedback:
         manager = CommsManager(CommsConfig(codec="topk", k=1, ef=True))
         w_global = np.zeros(3)
         task = self._task(0, w_global)
-        u1 = self._update(0, np.array([1.0, 0.4, 0.0]))
-        manager.finalize_round([u1], [task])
+        u1 = self._update(task, np.array([1.0, 0.4, 0.0]))
+        manager.finalize_round([u1])
         # Round 1 ships only coord 0; coord 1 waits in the residual.
         assert np.allclose(u1.w, [1.0, 0.0, 0.0], atol=1e-6)
-        u2 = self._update(0, np.array([0.0, 0.1, 0.0]))
-        manager.finalize_round([u2], [task])
+        u2 = self._update(task, np.array([0.0, 0.1, 0.0]))
+        manager.finalize_round([u2])
         # delta+residual = [0, 0.5, 0] -> coord 1 finally transmits.
         assert np.allclose(u2.w, [0.0, 0.5, 0.0], atol=1e-6)
 
@@ -431,13 +431,29 @@ class TestErrorFeedback:
         manager = CommsManager(CommsConfig(codec="qsgd", bits=4, ef=True))
         w_global = np.zeros(4)
         task = self._task(1, w_global)
-        good = self._update(1, np.array([0.5, -0.5, 0.25, 0.0]))
-        manager.finalize_round([good], [task])
+        good = self._update(task, np.array([0.5, -0.5, 0.25, 0.0]))
+        manager.finalize_round([good])
         assert manager.residual(1) is not None
-        bad = self._update(1, np.array([np.nan, 0.0, 0.0, 0.0]))
-        manager.finalize_round([bad], [task])
+        bad = self._update(task, np.array([np.nan, 0.0, 0.0, 0.0]))
+        manager.finalize_round([bad])
         assert manager.residual(1) is None
         assert np.isnan(bad.w).any()  # still loud for the quarantine
+
+    def test_events_go_to_the_round_named_else_the_tasks_own(self):
+        from repro.telemetry import InMemorySink, Telemetry
+
+        manager = CommsManager(CommsConfig(codec="topk", k=2))
+        sink = InMemorySink()
+        telemetry = Telemetry([sink], run_id="comms")
+        task = self._task(0, np.zeros(4))
+        for round_idx in (9, None):  # an engine names its round; a bare call cannot
+            manager.finalize_round(
+                [self._update(task, np.ones(4))],
+                telemetry=telemetry, round_idx=round_idx,
+            )
+        booked = [(e["name"], e["round"]) for e in sink.events if "round" in e]
+        assert {r for _, r in booked[: len(booked) // 2]} == {9}
+        assert {r for _, r in booked[len(booked) // 2 :]} == {ENTROPY[1]}
 
     def test_lossless_codec_skips_error_feedback(self):
         manager = CommsManager(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import EarlyStopping, FederatedTrainer, LambdaCallback
+from repro.core.config import EvalConfig
 from repro.core.history import RoundRecord
+from repro.metrics.convergence import classify_run
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 
@@ -33,6 +35,27 @@ class TestEarlyStopping:
             assert not cb.on_round_end(_record(i, loss))
         assert cb.stopped_reason is None
 
+    def test_unevaluated_rounds_are_not_part_of_the_series(self):
+        cb = EarlyStopping(tol=0.05)
+        losses = [1.0, None, 0.9, None, None, 0.88]
+        fired = [cb.on_round_end(_record(i, l)) for i, l in enumerate(losses)]
+        assert fired == [False] * 5 + [True]
+        assert cb.stopped_reason == "converged"
+
+    @pytest.mark.parametrize(
+        "losses, status",
+        [
+            ([2.0, 1.5, 1.2, 1.1, 1.09995, 1.0999, 0.5], "converged"),
+            ([2.0, 1.9, 1.8] + [1.7 + 0.2 * i for i in range(12)], "diverged"),
+        ],
+    )
+    def test_stops_where_classify_run_does(self, losses, status):
+        cb = EarlyStopping()
+        fired = [cb.on_round_end(_record(i, l)) for i, l in enumerate(losses)]
+        outcome = classify_run(losses)
+        assert outcome.status == cb.stopped_reason == status
+        assert fired.index(True) == outcome.stop_round
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EarlyStopping(tol=0.0)
@@ -54,7 +77,7 @@ class TestLambdaCallback:
 
 
 class TestTrainerIntegration:
-    def _trainer(self, dataset, callbacks):
+    def _trainer(self, dataset, callbacks, **kwargs):
         model = MultinomialLogisticRegression(dim=6, num_classes=3)
         return FederatedTrainer(
             dataset=dataset,
@@ -64,6 +87,7 @@ class TestTrainerIntegration:
             epochs=4,
             seed=0,
             callbacks=callbacks,
+            **kwargs,
         )
 
     def test_callback_sees_every_round(self, toy_dataset):
@@ -87,6 +111,18 @@ class TestTrainerIntegration:
         history = trainer.run(30)
         assert len(history) < 30
         assert stopper.stopped_reason == "converged"
+
+    def test_early_stopping_under_a_sparse_loss_cadence(self, toy_dataset):
+        stopper = EarlyStopping(tol=0.5)
+        trainer = self._trainer(
+            toy_dataset, [stopper], evaluation=EvalConfig(train_every=3)
+        )
+        history = trainer.run(30)
+        assert stopper.stopped_reason == "converged"
+        # Stopped on an evaluated round, the one classify_run names.
+        outcome = classify_run(history.train_losses, tol=0.5)
+        assert outcome.status == "converged"
+        assert history.records[-1].round_idx == 3 * outcome.stop_round
 
     def test_no_callbacks_runs_full_budget(self, toy_dataset):
         trainer = self._trainer(toy_dataset, [])

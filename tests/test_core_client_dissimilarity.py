@@ -101,6 +101,38 @@ class TestDissimilarity:
         )
         assert np.isfinite(report.gradient_variance)
 
+    @pytest.mark.parametrize("max_clients", [None, 7])
+    def test_a_lazy_store_materializes_each_measured_device_once(
+        self, monkeypatch, max_clients
+    ):
+        from repro.core.client import ClientPool
+        from repro.datasets.store import make_synthetic_ondemand
+
+        dataset = make_synthetic_ondemand(1.0, 1.0, num_devices=20, seed=4, size_cap=60)
+        model = MultinomialLogisticRegression(dim=60, num_classes=10)
+        pool = ClientPool(dataset, model, SGDSolver(0.1, batch_size=8))
+        gets = []
+        store_get = dataset.store.get
+        monkeypatch.setattr(
+            dataset.store, "get", lambda cid: gets.append(cid) or store_get(cid)
+        )
+        measure_dissimilarity(pool, np.zeros(model.n_params), max_clients=max_clients)
+        assert len(gets) == len(set(gets)) == (max_clients or 20)
+
+    @pytest.mark.parametrize("max_clients", [None, 5])
+    def test_report_equals_the_one_weighted_from_client_data(self, max_clients):
+        """Masses read off ``train_sizes`` are the integers the clients hold."""
+        from repro.core.client import ClientPool
+        from repro.datasets import make_synthetic
+
+        dataset = make_synthetic(1.0, 1.0, num_devices=9, seed=2, size_cap=60)
+        model = MultinomialLogisticRegression(dim=60, num_classes=10)
+        pool = ClientPool(dataset, model, SGDSolver(0.1, batch_size=8))
+        w = np.full(model.n_params, 0.01)
+        assert measure_dissimilarity(pool, w, max_clients=max_clients) == (
+            measure_dissimilarity(list(pool), w, max_clients=max_clients)
+        )
+
     def test_global_gradient_norm_reported(self):
         clients, model = _clients()
         report = measure_dissimilarity(clients, np.zeros(model.n_params))

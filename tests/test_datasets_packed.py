@@ -60,6 +60,8 @@ from repro.runtime.evaluation import (
 )
 from repro.telemetry import history_digest
 
+pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
+
 PARTS = ("train_x", "train_y", "test_x", "test_y")
 SEEDS = (0, 1, 2)
 TEST_FRACTIONS = (0.0, 0.2, 0.5)

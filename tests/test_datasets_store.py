@@ -32,6 +32,8 @@ from repro.optim import SGDSolver
 
 from .conftest import make_toy_client
 
+pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
+
 
 def make_trainer(dataset, seed=0, **kwargs):
     return FederatedTrainer(

@@ -14,13 +14,16 @@ are marked slow (process pool startup dominates), the serial/cohort legs
 run in the default suite.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import FederatedTrainer
 from repro.faults import ChaosFaults, CrashFaults, FaultPolicy
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
+from repro.runtime.executor import task_round
 from repro.systems.stragglers import FractionStragglers
+from repro.telemetry import InMemorySink, Telemetry
 
 ROUNDS = 4
 
@@ -147,3 +150,91 @@ class TestNoFaultsBitIdentical:
             _run(synthetic_small, executor="cohort", faults=None),
             tol=COHORT_TOL,
         )
+
+
+# --------------------------------------------------------------------- #
+# The pairing as an invariant: an update names the task it answers
+# --------------------------------------------------------------------- #
+ENGINES = [
+    "serial",
+    "cohort",
+    pytest.param("parallel:2", marks=pytest.mark.slow),
+    "async:window=0",
+    "async:window=2,arrivals=seeded,latency=1.2,jitter=0.6",
+]
+CODECS = [None, "comms:codec=topk,k=60", "comms:codec=qsgd,bits=8,ef=true"]
+FAULTS = {
+    "healthy": {},
+    "chaos": dict(faults=ChaosFaults(0.4, seed=11)),
+    "chaos+retry": dict(
+        faults=ChaosFaults(0.4, seed=11),
+        fault_policy=FaultPolicy(on_crash="retry", max_retries=2),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:ParallelExecutor:RuntimeWarning")
+@pytest.mark.parametrize("faults", sorted(FAULTS))
+@pytest.mark.parametrize("codec", CODECS, ids=["dense", "topk", "qsgd+ef"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_update_names_its_task(synthetic_small, engine, codec, faults):
+    """Whatever the engine delivers, in whichever round, comms, faults and
+    aggregation read one pairing: ``update.task``."""
+    sink = InMemorySink()
+    trainer = FederatedTrainer(
+        synthetic_small,
+        MultinomialLogisticRegression(dim=60, num_classes=10),
+        SGDSolver(0.01, batch_size=10),
+        mu=1.0, clients_per_round=4, epochs=2, seed=1,
+        systems=FractionStragglers(0.5, seed=3),
+        engine=engine, comms=codec,
+        telemetry=Telemetry([sink], run_id="pairing"),
+        **FAULTS[faults],
+    )
+    barrier = not engine.startswith("async")
+    dispatched = set()  # ids of every task handed to the engine so far
+    delivered = {}  # round -> how many updates the engine delivered in it
+    dispatch = trainer.executor.run_local_solves
+
+    def checked_dispatch(tasks):
+        round_idx, first_event = trainer._round, len(sink.events)
+        dispatched.update(id(task) for task in tasks)
+        updates = dispatch(tasks)
+        if barrier:
+            assert [id(u.task) for u in updates] == [id(t) for t in tasks]
+        for update in updates:
+            assert id(update.task) in dispatched
+            assert update.task.client_id == update.client_id
+            assert update.staleness == round_idx - task_round(update.task)
+        if updates:
+            delivered[round_idx] = delivered.get(round_idx, 0) + len(updates)
+        for event in sink.events[first_event:]:
+            if event.get("name", "").startswith(("comm:", "comms.")):
+                assert event["round"] == round_idx, event
+        return updates
+
+    trainer.executor.run_local_solves = checked_dispatch
+    aggregate = trainer.sampling.aggregate
+
+    def convex_aggregate(updates, w_previous, **kwargs):
+        if updates:
+            ones = [(cid, np.ones(3)) for cid, _ in updates]
+            np.testing.assert_allclose(
+                aggregate(ones, np.zeros(3), **kwargs), 1.0, rtol=0, atol=1e-12
+            )
+        return aggregate(updates, w_previous, **kwargs)
+
+    trainer.sampling.aggregate = convex_aggregate
+    with trainer:
+        history = trainer.run(6)
+    assert all(np.isfinite(r.train_loss) for r in history.records)
+    bytes_up = {}
+    for event in sink.events:
+        if event.get("name") == "comms.bytes_up":
+            bytes_up[event["round"]] = bytes_up.get(event["round"], 0) + event["value"]
+    if codec is None:
+        assert not bytes_up
+    else:
+        # Both codecs' wire size is a function of the model size alone.
+        wire = trainer._comms_manager.codec.wire_nbytes(trainer.model.n_params)
+        assert bytes_up == {r: n * wire for r, n in delivered.items()}

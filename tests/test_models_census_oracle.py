@@ -25,6 +25,8 @@ import pytest
 from repro.models import MultinomialLogisticRegression
 from repro.models.logistic import _SCORE_BYTES
 
+pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
+
 CLASSES = 10
 
 #: The stated bound on an evaluated loss, relative.  Nothing here needs

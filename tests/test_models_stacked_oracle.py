@@ -39,6 +39,8 @@ from repro.runtime.executor import task_effective_epochs, task_rng
 from repro.runtime.packing import plan_cohort
 from repro.systems import FractionStragglers, PowerLawStragglers
 
+pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
+
 DIM, CLASSES = 6, 4
 
 
@@ -436,7 +438,7 @@ class TestSolveMatchesFrozenStepLoop:
         updates = _assert_solves_match(federation, tasks)
         healthy = _assert_solves_match(federation, _tasks(budgets, mus=[1.0]))
         assert updates[1].gradient_evaluations < healthy[1].gradient_evaluations
-        assert updates[1].fault is faults[1]
+        assert updates[1].task is tasks[1] and tasks[1].fault is faults[1]
 
     def test_small_gather_chunks_do_not_move_the_values(self, federation, monkeypatch):
         """A segment split into many chunks restarts the stream mid-chain."""

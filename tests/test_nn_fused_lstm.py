@@ -27,6 +27,8 @@ from repro.autograd import (
 from repro.models import CharLSTM, SentimentLSTM
 from repro.nn import LSTM, FusedLSTM
 
+pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
+
 GRAD_TOL = 1e-10
 
 

@@ -23,6 +23,8 @@ import pytest
 from repro.autograd import FusedLSTMWorkspace, Tensor, fused_lstm, ops
 from repro.autograd.tensor import as_tensor
 
+pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
+
 # --------------------------------------------------------------------- #
 # The oracle: the pre-change kernel, frozen.  Do not "simplify" it towards
 # the library — its whole value is that it does not share code with it.

@@ -22,7 +22,8 @@ from repro.core.sampling import (
 )
 from repro.core.server import FederatedTrainer
 from repro.datasets import make_synthetic
-from repro.faults.models import ChaosFaults, DropoutFaults
+from repro.faults.manager import RETRY_SALT, FaultManager
+from repro.faults.models import ChaosFaults, DropoutFaults, FaultDecision, FaultSchedule
 from repro.faults.policy import FaultPolicy
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
@@ -35,7 +36,8 @@ from repro.systems.clock import (
     SynchronizedClock,
 )
 from repro.systems.stragglers import FractionStragglers
-from repro.telemetry import JSONLSink, Telemetry
+from repro.telemetry import InMemorySink, JSONLSink, Telemetry
+from repro.telemetry.events import summarize
 from repro.telemetry.replay import replay_run
 
 
@@ -213,6 +215,117 @@ class TestStalenessMechanics:
             [toy_task(executor, 0), toy_task(executor, 1), toy_task(executor, 2)]
         )
         assert [u.client_id for u in delivered] == [1, 2, 0]
+
+
+# --------------------------------------------------------------------- #
+# A late delivery answers its own task
+# --------------------------------------------------------------------- #
+class ScriptedCrashes(FaultSchedule):
+    """Crashes exactly the listed ``(round, client, attempt)`` draws."""
+
+    def __init__(self, crashes):
+        self.crashes = set(crashes)
+
+    def draw(self, round_idx, client_id, attempt=0):
+        if (round_idx, client_id, attempt) in self.crashes:
+            return FaultDecision("crash", fraction=0.5)
+        return None
+
+
+class TestLateDeliveriesAnswerTheirOwnTask:
+    def test_a_late_crash_is_retried_as_the_task_that_crashed(self, dataset):
+        class SlowOnce(Clock):
+            """Client 1's round-0 check-in lands in round 1; everything
+            else, its retry included, is instant."""
+
+            def timing(self, round_idx, device_id, epochs):
+                slow = (round_idx, device_id) == (0, 1)
+                return DeviceTiming(0.0, 1.5 if slow else 0.0, 0.0)
+
+        executor = bound_async(dataset, window=3)
+        executor.clock = SlowOnce()
+        manager = FaultManager(
+            ScriptedCrashes({(0, 1, 0)}), FaultPolicy(on_crash="retry")
+        )
+        waves = []
+
+        def dispatch(tasks):
+            waves.append(list(tasks))
+            return executor.run_local_solves(tasks)
+
+        w0 = executor.model.get_params()
+        w1 = w0 + 0.01
+        executor.begin_round(0)
+        first = [
+            LocalTask(client_id=c, w_global=w0, mu=0.1, epochs=2.0,
+                      rng_entropy=(7, 0, c, 0))
+            for c in (0, 1)
+        ]
+        updates, report = manager.execute_round(0, first, dispatch, num_selected=2)
+        assert [u.client_id for u in updates] == [0] and not report.crashed
+        crashed_task = waves[0][1]
+        assert crashed_task.fault.kind == "crash"
+
+        executor.begin_round(1)
+        second = [LocalTask(client_id=2, w_global=w1, mu=0.3, epochs=1.0,
+                            rng_entropy=(7, 1, 2, 0))]
+        updates, report = manager.execute_round(1, second, dispatch, num_selected=1)
+        assert report.crashed == [1] and report.retried == {1: 1}
+        (retry,) = waves[2]
+        assert retry.w_global is w0
+        assert (retry.mu, retry.epochs) == (crashed_task.mu, crashed_task.epochs)
+        assert retry.rng_entropy == (7, 0, 1, 0, RETRY_SALT, 1)
+        assert retry.fault is None
+        # The healthy retry replaced the partial iterate, in its slot, and
+        # is as stale as the model it started from.
+        assert {u.client_id: u.staleness for u in updates} == {1: 1, 2: 0}
+        assert [u.task for u in updates if u.client_id == 1] == [retry]
+
+    def test_comm_events_and_drift_follow_the_delivering_round_and_the_submit_model(
+        self, dataset
+    ):
+        sink = InMemorySink()
+        trainer = make_trainer(
+            dataset,
+            engine="async:window=2,arrivals=seeded,latency=1.2,jitter=0.6",
+            comms="comms:codec=qsgd,bits=8,ef=true",
+            telemetry=Telemetry([sink], run_id="late"),
+        )
+        models, drifts = {}, {}
+        dispatch = trainer.executor.run_local_solves
+
+        def recording_dispatch(tasks):
+            round_idx = trainer._round
+            models[round_idx] = trainer.w
+            updates = dispatch(tasks)
+            drifts[round_idx] = [
+                float(np.linalg.norm(u.w - models[round_idx - u.staleness]))
+                for u in updates
+            ]
+            return updates
+
+        trainer.executor.run_local_solves = recording_dispatch
+        with trainer:
+            trainer.run(8)
+        staleness = [e for e in sink.events if e.get("name") == "async.staleness"]
+        assert max(e["max"] for e in staleness) > 0, "nothing was delivered late"
+
+        enclosing, payloads, bytes_up = None, {}, {}
+        for event in sink.events:
+            name = event.get("name", "")
+            if name == "phase:select":
+                enclosing = event["round"]
+            elif name.startswith(("comm:", "comms.")):
+                assert event["round"] == enclosing, event
+                if name == "comms.bytes_up":
+                    bytes_up[enclosing] = event["value"]
+            elif name == "solve:client":
+                payloads.setdefault(event["round"], []).append(event["payload_bytes"])
+            elif name == "fedprox.client_drift":
+                want = summarize(drifts[event["round"]])
+                for stat in ("count", "min", "max", "mean"):
+                    assert event[stat] == pytest.approx(want[stat], rel=0, abs=1e-12)
+        assert bytes_up == {r: sum(sizes) for r, sizes in payloads.items()}
 
 
 # --------------------------------------------------------------------- #

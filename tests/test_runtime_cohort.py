@@ -26,6 +26,8 @@ from repro.runtime import CohortExecutor, SerialExecutor, make_executor
 from repro.runtime.packing import plan_cohort
 from repro.systems import FractionStragglers, PowerLawStragglers
 
+pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
+
 TOL = 1e-12
 ROUNDS = 3
 

@@ -19,6 +19,8 @@ from repro.optim import AdamSolver, MomentumSGDSolver, SGDSolver
 from repro.runtime import CohortExecutor, SerialExecutor
 from repro.systems import PowerLawStragglers
 
+pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
+
 # The ISSUE's acceptance tolerance for LSTM history parity; padded batch
 # slots shift BLAS k-blocking by a few ulp per step, so bitwise equality
 # is not guaranteed the way it is for the dense-step logistic path.

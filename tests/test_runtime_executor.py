@@ -339,6 +339,26 @@ class TestPerWorkerMessages:
         for got, want in zip(updates, serial.run_local_solves(tasks)):
             np.testing.assert_array_equal(got.w, want.w)
 
+    def test_a_reply_ships_no_task_and_the_server_reattaches_it(self, bound):
+        """A worker's reply is the updates alone — no larger for a fault
+        the task carried (it used to ride back on the update)."""
+        from dataclasses import replace
+
+        from repro.faults.models import FaultDecision
+        from repro.runtime import parallel
+
+        make, _, d = bound
+        healthy = self._tasks(np.zeros(d), range(5), [1.0] * 5)
+        crash = FaultDecision("crash", fraction=0.5)
+        crashed = [replace(task, fault=crash) for task in healthy]
+        replies = [
+            pickle.dumps(parallel._solve_batch(tasks)) for tasks in (healthy, crashed)
+        ]
+        assert all(update.task is None for update in pickle.loads(replies[1]))
+        assert len(replies[1]) == len(replies[0]) < 5 * (8 * d + 200)
+        updates = make(2).run_local_solves(crashed)
+        assert [id(u.task) for u in updates] == [id(t) for t in crashed]
+
     def test_feddane_correction_survives_batching(self, bound):
         make, serial, d = bound
         rng = np.random.default_rng(0)

@@ -37,7 +37,10 @@ from repro.runtime import ParallelExecutor, SerialExecutor, parallel
 from repro.telemetry import history_digest
 from tests.conftest import InProcessPool
 
-pytestmark = pytest.mark.filterwarnings("ignore:ParallelExecutor:RuntimeWarning")
+pytestmark = [
+    pytest.mark.oracle,  # runs on the oldest supported NumPy too (ci.yml)
+    pytest.mark.filterwarnings("ignore:ParallelExecutor:RuntimeWarning"),
+]
 
 SOLVER = SGDSolver(0.1, batch_size=10)
 

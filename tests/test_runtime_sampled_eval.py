@@ -23,6 +23,8 @@ from repro.runtime import SampledEvaluator, StratifiedClientSampler
 from repro.runtime.sampled import EvalEstimate, _stratified_estimate
 from repro.telemetry import InMemorySink, Telemetry
 
+pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
+
 
 def make_trainer(dataset, seed=0, **kwargs):
     return FederatedTrainer(

@@ -8,6 +8,12 @@ one with every subsystem on, one plain serial — must keep writing the same
 manifest ``config`` / ``trainer_config`` / ``recipe`` sections and the same
 event sequence (type, name, round, every attribute that is not a clock
 reading), so code that emits the ledger can move without a schema bump.
+
+``everything_on`` (async window 2 x retry x chaos) was regenerated once, when
+updates began to name the task they answer: a late crashed check-in is
+retried as itself and ``comm:*`` / ``comms.*`` events are booked to the
+delivering round (CHANGES.md, PR 24).  ``plain_serial`` is the original,
+byte for byte.
 """
 
 from __future__ import annotations

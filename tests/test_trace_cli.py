@@ -1,15 +1,21 @@
 """CLI tests for ``python -m repro.trace`` and the analysis toolkit.
 
 Each subcommand is exercised in-process through :func:`repro.trace.main`
-against freshly recorded ledgers; exit codes are the contract CI relies
-on (0 = verified/identical, 1 = divergence or ledger issues).
+against freshly recorded ledgers (and the module entry point once, as a
+subprocess); exit codes are the contract CI relies on (0 =
+verified/identical, 1 = divergence or ledger issues).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.core.server import FederatedTrainer
 from repro.datasets import make_synthetic
@@ -122,6 +128,16 @@ class TestReplayCommand:
     def test_replay_matches(self, run_path, capsys):
         assert main(["replay", str(run_path)]) == 0
         assert "MATCH" in capsys.readouterr().out
+
+    def test_module_entry_point_replays_from_the_file_alone(self, run_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.trace", "replay", str(run_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "MATCH" in done.stdout
 
     def test_replay_flags_tamper(self, run_path, capsys):
         events = read_jsonl(str(run_path))
