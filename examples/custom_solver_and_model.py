@@ -9,12 +9,14 @@ framework here is model-agnostic too.  This example:
 3. implements a custom one-line local solver — a single proximal-gradient
    step — to show the minimal LocalSolver contract;
 4. registers that solver (``@repro.spec.register``), records a run ledger
-   with it and replays the ledger from the file alone.
+   with it and replays the ledger from the file alone — exiting non-zero
+   when the replay does not match.
 
 Run:  python examples/custom_solver_and_model.py
 """
 
 import os
+import sys
 import tempfile
 
 from repro.core import FederatedTrainer
@@ -66,7 +68,7 @@ def train(dataset, model, solver, rounds=ROUNDS, telemetry=None):
         return trainer.run(rounds)
 
 
-def main() -> None:
+def main() -> int:
     dataset = make_femnist_like(
         num_devices=40, total_samples=2000, dim=DIM, seed=SEED
     )
@@ -123,8 +125,10 @@ def main() -> None:
             rounds=5,
             telemetry=Telemetry([JSONLSink(ledger)]),
         )
-        print(replay_run(ledger).describe())
+        report = replay_run(ledger)
+    print(report.describe())
+    return 0 if report.matches else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -49,7 +49,7 @@ from ..runtime.sampled import SampledEvaluator
 from ..spec import register
 from ..systems.costs import CostTracker
 from ..systems.stragglers import NoHeterogeneity, SystemsModel
-from ..telemetry import MetricsRegistry, RunLedger, resolve_telemetry
+from ..telemetry import RunLedger, resolve_telemetry
 from ..telemetry.replay import describe_trainer
 from .adaptive_mu import AdaptiveMuController
 from .callbacks import Callback
@@ -224,7 +224,6 @@ class FederatedTrainer:
         self.label = label or self.describe()
 
         self.telemetry = resolve_telemetry(telemetry)
-        self.metrics = MetricsRegistry(self.telemetry)
         # The manager only exists when faults are enabled: the NoFaults
         # default keeps _local_updates on its original code path, so
         # fault-free histories stay bit-identical to earlier versions.
@@ -255,9 +254,7 @@ class FederatedTrainer:
         # resolves its arrival clock here (systems device profiles can
         # drive check-in times; the trainer seed keeps seeded latency
         # reproducible and replayable).  Synchronous engines ignore it.
-        self.executor.configure_environment(
-            systems=self.systems, seed=self.seed, epochs=self.epochs
-        )
+        self.executor.configure_environment(systems=self.systems, seed=self.seed)
         # Update compression: the dense default builds no manager at all,
         # so uncompressed runs keep their historical code path (and
         # histories) untouched.  The executor shares the manager — every
@@ -534,8 +531,7 @@ class FederatedTrainer:
                 dropped=len(dropped),
             )
             emit_round_diagnostics(
-                telemetry, self.metrics, record, updates, self.epochs,
-                fault_stats=self.fault_stats if self._fault_manager else None,
+                telemetry, round_idx, updates, self.epochs,
                 dissimilarity=dissimilarity,
             )
             self._ledger.add_round(record, round_wall)
@@ -569,9 +565,8 @@ class FederatedTrainer:
 
         When this fill-in evaluation actually runs (an early stop or an
         ``eval_every`` skip left the last record unevaluated), it is traced
-        as a ``phase:final_evaluate`` span and the final test accuracy is
-        re-emitted as a gauge, so the telemetry stream always ends with
-        the final model's evaluation.
+        as a ``phase:final_evaluate`` span; the ledger still holds that
+        record back, so it is written once, evaluated.
         """
         if not history.records:
             return
@@ -583,13 +578,6 @@ class FederatedTrainer:
             "phase:final_evaluate", round_idx=last.round_idx
         ):
             self._evaluate(last, due)
-        if "test_accuracy" in due and self.telemetry.enabled:
-            self.telemetry.metric(
-                "test_accuracy",
-                last.test_accuracy,
-                round_idx=last.round_idx,
-                kind="gauge",
-            )
 
     # ------------------------------------------------------------------ #
     @property

@@ -17,10 +17,11 @@ manager per run; each round the manager
 5. buffers/delivers stale updates, and
 6. enforces the minimum aggregation quorum.
 
-Every decision is emitted through the PR 3 telemetry schema as it happens
-(``fault:injected`` / ``fault:retry`` / ``fault:quarantine`` /
-``round:degraded`` counter events) and accumulated in cumulative
-:class:`FaultStats` counters that feed the trainer's metrics registry.
+Every decision is emitted as it happens, as the one ``counter`` event that
+states it (:data:`~repro.telemetry.events.FAULT_EVENTS`), and counted in
+the cumulative :class:`FaultStats` — so the counters are sums of the
+events, and a ledger reproduces them
+(:func:`repro.telemetry.analysis.fault_totals`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..telemetry import NULL_TELEMETRY, resolve_telemetry
+from ..telemetry import resolve_telemetry
+from ..telemetry.events import FAULT_EVENTS
 from .models import FaultSchedule
 from .policy import FaultPolicy
 
@@ -60,20 +62,16 @@ class FaultStats:
 
 @dataclass
 class RoundFaultReport:
-    """What the fault layer did during one round.
+    """What the round record needs from the fault layer.
 
     ``dropped`` collects every client whose update was discarded for a
-    fault-related reason (offline, crash-drop, quarantine) — the trainer
-    merges it into the round record's ``dropped`` list.
+    fault-related reason (offline, quarantine skip, crash-drop,
+    quarantine) — the trainer merges it into the record's ``dropped``
+    list; ``degraded`` is set when the quorum guard skipped aggregation.
+    Everything else the layer decided is in its events.
     """
 
-    offline: List[int] = field(default_factory=list)
-    crashed: List[int] = field(default_factory=list)
-    retried: Dict[int, int] = field(default_factory=dict)
     dropped: List[int] = field(default_factory=list)
-    quarantined: List[int] = field(default_factory=list)
-    stale_held: List[int] = field(default_factory=list)
-    stale_delivered: List[int] = field(default_factory=list)
     degraded: bool = False
 
 
@@ -93,8 +91,9 @@ class FaultManager:
     policy:
         The robustness policy (crash handling, quarantine, quorum).
     telemetry:
-        Event sink façade; fault events are emitted as ``counter`` metrics
-        so they land in the same JSONL artifacts as spans and diagnostics.
+        Event sink façade; each decision is one ``counter`` metric of value
+        1 (:data:`~repro.telemetry.events.FAULT_EVENTS`), in the same
+        artifact as spans and diagnostics.
     """
 
     def __init__(
@@ -114,16 +113,19 @@ class FaultManager:
         self._stale_counter = 0
 
     # Event helpers -------------------------------------------------------- #
-    def _event(self, name: str, round_idx: int, **attrs) -> None:
-        self.telemetry.metric(name, 1, round_idx=round_idx, kind="counter", **attrs)
+    def _count(self, key: str, round_idx: int, **attrs) -> None:
+        """Count one decision in ``stats.<key>`` and emit the event stating it."""
+        setattr(self.stats, key, getattr(self.stats, key) + 1)
+        self.telemetry.metric(
+            FAULT_EVENTS[key], 1, round_idx=round_idx, kind="counter", **attrs
+        )
 
     def _draw(self, round_idx: int, client_id: int, attempt: int):
         """One schedule draw, booked; ``None`` for a healthy attempt."""
         decision = self.schedule.draw(round_idx, client_id, attempt=attempt)
         if decision is not None:
-            self.stats.injected += 1
-            self._event(
-                "fault:injected", round_idx,
+            self._count(
+                "injected", round_idx,
                 client_id=client_id, fault=decision.kind, attempt=attempt,
             )
             if decision.kind == "dropout":
@@ -174,14 +176,13 @@ class FaultManager:
         for task in tasks:
             cid = task.client_id
             if cid in self.quarantined_clients:
-                self.stats.quarantine_skips += 1
+                self._count("quarantine_skips", round_idx, client_id=cid)
                 report.dropped.append(cid)
                 continue
             decision = self._draw(round_idx, cid, attempt=0)
             if decision is None:
                 wave.append(task)
             elif decision.kind == "dropout":
-                report.offline.append(cid)
                 report.dropped.append(cid)
             else:
                 wave.append(replace(task, fault=decision))
@@ -192,11 +193,13 @@ class FaultManager:
 
         # 2. Resolve crashes per policy.
         crashed = [u for u in updates if _fault_kind(u) == "crash"]
-        self.stats.crashes += len(crashed)
-        report.crashed.extend(booked(u) for u in crashed)
+        for update in crashed:
+            self._count("crashes", round_idx, client_id=booked(update))
         if crashed and policy.on_crash == "drop":
-            self.stats.crash_dropped += len(crashed)
-            report.dropped.extend(booked(u) for u in crashed)
+            for update in crashed:
+                cid = booked(update)
+                self._count("crash_dropped", round_idx, client_id=cid)
+                report.dropped.append(cid)
             updates = [u for u in updates if _fault_kind(u) != "crash"]
         elif crashed and policy.on_crash == "retry":
             updates = self._retry_crashed(round_idx, updates, dispatch, report)
@@ -208,19 +211,18 @@ class FaultManager:
         for update in updates:
             if not np.all(np.isfinite(update.w)):
                 cid = booked(update)
-                self.stats.quarantined_updates += 1
-                report.quarantined.append(cid)
                 report.dropped.append(cid)
                 count = self.suspicion.get(cid, 0) + 1
                 self.suspicion[cid] = count
-                self._event(
-                    "fault:quarantine", round_idx,
-                    client_id=cid, suspicion=count,
-                )
-                if (
+                quarantined = (
                     count >= policy.quarantine_threshold
                     and cid not in self.quarantined_clients
-                ):
+                )
+                self._count(
+                    "quarantined_updates", round_idx,
+                    client_id=cid, suspicion=count, quarantined=quarantined,
+                )
+                if quarantined:
                     self.quarantined_clients.add(cid)
                     self.stats.quarantined_clients += 1
                 continue
@@ -230,8 +232,10 @@ class FaultManager:
         timely: List[object] = []
         for update in survivors:
             if _fault_kind(update) == "stale":
-                self.stats.stale_held += 1
-                report.stale_held.append(booked(update))
+                self._count(
+                    "stale_held", round_idx,
+                    client_id=booked(update), delay=update.task.fault.delay,
+                )
                 self._stale_buffer.append(
                     (round_idx + update.task.fault.delay, self._stale_counter, update)
                 )
@@ -246,18 +250,18 @@ class FaultManager:
                 item for item in self._stale_buffer if item[0] > round_idx
             ]
             for _, _, update in sorted(matured, key=lambda item: item[:2]):
-                self.stats.stale_delivered += 1
-                report.stale_delivered.append(update.client_id)
+                self._count(
+                    "stale_delivered", round_idx, client_id=update.client_id
+                )
                 timely.append(update)
         updates = timely
 
         # 5. Minimum-quorum guard.
         quorum = policy.quorum_for(num_selected)
         if quorum and len(updates) < quorum:
-            self.stats.quorum_misses += 1
             report.degraded = True
-            self._event(
-                "round:degraded", round_idx,
+            self._count(
+                "quorum_misses", round_idx,
                 survivors=len(updates), quorum=quorum,
             )
             updates = []
@@ -265,7 +269,7 @@ class FaultManager:
 
     @staticmethod
     def _booking(wave: Sequence[object], updates: Sequence[object]):
-        """``update -> client id`` the report and suspicion counters use.
+        """``update -> client id`` the report, events and suspicion counters use.
 
         The update's own — except that a first dispatch returning exactly
         as many updates as it sent is still booked by position.  On a
@@ -317,10 +321,8 @@ class FaultManager:
             for i in sorted(failed):
                 task = failed[i].task
                 cid = task.client_id
-                self.stats.retries += 1
-                report.retried[cid] = attempt
-                self._event(
-                    "fault:retry", round_idx,
+                self._count(
+                    "retries", round_idx,
                     client_id=cid, attempt=attempt,
                     backoff=policy.backoff(attempt),
                 )
@@ -338,14 +340,16 @@ class FaultManager:
             for update in delivered:
                 i = slot_of[id(update.task)]
                 if _fault_kind(update) == "crash":
-                    self.stats.crashes += 1
+                    self._count("crashes", round_idx, client_id=update.client_id)
                     failed[i] = update  # fresher partial iterate
                 else:
                     updates[i] = update
                     del failed[i]
         if failed and policy.after_retries == "drop":
-            self.stats.crash_dropped += len(failed)
-            report.dropped.extend(failed[i].client_id for i in sorted(failed))
+            for i in sorted(failed):
+                cid = failed[i].client_id
+                self._count("crash_dropped", round_idx, client_id=cid)
+                report.dropped.append(cid)
             return [u for i, u in enumerate(updates) if i not in failed]
         for i, update in failed.items():  # accept the last partial iterate
             updates[i] = update

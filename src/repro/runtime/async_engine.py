@@ -188,9 +188,7 @@ class AsyncExecutor(RoundExecutor):
         return ASYNC_GRAMMAR.render(self)
 
     # Environment --------------------------------------------------------- #
-    def configure_environment(
-        self, systems=None, seed: int = 0, epochs: float = 0.0
-    ) -> None:
+    def configure_environment(self, systems=None, seed: int = 0) -> None:
         """Resolve the arrival clock against the run's environment.
 
         ``arrivals="systems"`` binds to the trainer's
@@ -243,8 +241,9 @@ class AsyncExecutor(RoundExecutor):
         # predicted wire ratio (the downlink stays dense — the server
         # broadcasts the uncompressed model), so smaller payloads arrive
         # earlier and shift the staleness distribution.  A ratio of
-        # exactly 1.0 (identity codec, or comms disabled) leaves the
-        # historical total untouched bit-for-bit.
+        # exactly 1.0 (identity codec, or comms disabled) gives
+        # ``DeviceTiming.total`` bit-for-bit: ``u * 1.0 == u`` and the sum
+        # runs in the same order.
         upload_ratio = 1.0
         if self._comms is not None and tasks:
             upload_ratio = self._comms.upload_ratio(tasks[0].w_global.shape[0])
@@ -254,19 +253,10 @@ class AsyncExecutor(RoundExecutor):
             if self.capacity > 0 and len(self._queue) >= self.capacity:
                 rejected += 1
                 continue
-            if upload_ratio != 1.0:
-                timing = self.clock.timing(
-                    round_idx, task.client_id, task.epochs
-                )
-                duration = (
-                    timing.download
-                    + timing.compute
-                    + timing.upload * upload_ratio
-                )
-            else:
-                duration = self.clock.duration(
-                    round_idx, task.client_id, task.epochs
-                )
+            timing = self.clock.timing(round_idx, task.client_id, task.epochs)
+            duration = (
+                timing.download + timing.compute + timing.upload * upload_ratio
+            )
             period = self.clock.period or 1.0
             self._queue.append(
                 _QueuedCheckin(

@@ -304,9 +304,7 @@ class RoundExecutor(abc.ABC):
     def _on_bind(self) -> None:
         """Hook for subclasses needing extra setup after :meth:`bind`."""
 
-    def configure_environment(
-        self, systems=None, seed: int = 0, epochs: float = 0.0
-    ) -> None:
+    def configure_environment(self, systems=None, seed: int = 0) -> None:
         """Receive the run's simulated environment (systems model, seed).
 
         Called by the trainer once after :meth:`bind`.  Synchronous

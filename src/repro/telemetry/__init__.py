@@ -11,10 +11,13 @@ solvers — one shared way to report what happened and how long it took:
   calls).  Worker-side timings cross the process boundary as plain
   floats piggybacked on :class:`~repro.core.client.ClientUpdate` and are
   re-emitted server-side, so the span stream is executor-agnostic.
-* **Metrics** (:class:`MetricsRegistry`): per-round FedProx diagnostics —
-  achieved γ-inexactness distribution, proximal-term magnitude, client
-  drift ``‖w_k − w_t‖``, straggler budget utilization, and the
-  B-dissimilarity estimates of Definition 3.
+* **Metrics** (:meth:`Telemetry.metric` / :meth:`Telemetry.histogram`):
+  what a round's record does not already say — per-round FedProx
+  diagnostics (achieved γ-inexactness distribution, proximal-term
+  magnitude, client drift ``‖w_k − w_t‖``, straggler budget utilization,
+  the B-dissimilarity of Definition 3), wire bytes, queue state, and one
+  event per fault decision.  No metric repeats a record field or restates
+  a running total; each fact is written once.
 * **Sinks** (:mod:`repro.telemetry.sinks`): :class:`InMemorySink` for
   tests/reporting, :class:`JSONLSink` for run artifacts (manifest header
   + one event per line), and a throttled :class:`ConsoleSink`.
@@ -42,6 +45,8 @@ Schema-2 artifacts are full run *ledgers*: the manifest carries the
 serialized :class:`~repro.core.config.TrainerConfig` plus reconstruction
 recipes, every round appends a canonical ``round_record``, and the file
 ends with a digest-bearing ``run_footer`` (:mod:`repro.telemetry.ledger`).
+Records are written one round behind, so a ledger cut off mid-run holds
+every round but the newest.
 :mod:`repro.telemetry.replay` re-executes a run from its artifact and
 asserts bit-identical history; :mod:`repro.telemetry.analysis` and the
 ``python -m repro.trace`` CLI summarize, diff, and verify artifacts.
@@ -83,7 +88,6 @@ from .ledger import (
     verify_artifact,
 )
 from .analysis import check_runs, diff_runs, summarize_run, timeline
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .replay import ReplayError, ReplayReport, rebuild_trainer, replay_run
 from .resources import current_rss_bytes, peak_rss_bytes
 from .simtime import device_trace_events, emit_timeline, timeline_events
@@ -95,10 +99,6 @@ __all__ = [
     "NULL_TELEMETRY",
     "resolve_telemetry",
     "Span",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "Sink",
     "InMemorySink",
     "JSONLSink",

@@ -5,8 +5,8 @@ nothing here re-executes a run (that is :mod:`repro.telemetry.replay`).
 The :mod:`repro.trace` CLI is a thin argparse shell over these functions:
 
 * :func:`summarize_run` / :func:`format_summary` — one-screen run digest
-  (identity, wall-clock, final metrics, ledger verification, per-phase
-  duration percentiles, span-tiling validation).
+  (identity, wall-clock, final metrics, wire bytes, fault totals, ledger
+  verification, per-phase duration percentiles, span-tiling validation).
 * :func:`timeline` — per-round ASCII bars segmented by phase.
 * :func:`diff_runs` — field-level history comparison between two runs
   with a float tolerance.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .events import summarize
+from .events import FAULT_EVENTS, summarize
 from .ledger import RECORD_FIELDS, RunArtifact, verify_artifact
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "check_runs",
     "comms_totals",
     "diff_runs",
+    "fault_totals",
     "format_summary",
     "phase_breakdown",
     "summarize_run",
@@ -154,6 +155,31 @@ def comms_totals(artifact: RunArtifact) -> Optional[Dict[str, float]]:
     }
 
 
+def fault_totals(artifact: RunArtifact) -> Dict[str, int]:
+    """The run's fault counters, recounted from its events.
+
+    Keyed like :class:`~repro.faults.manager.FaultStats` and equal to the
+    trainer's ``fault_stats`` at the point the ledger was cut: each counter
+    is the number of its :data:`~repro.telemetry.events.FAULT_EVENTS`
+    events, ``offline`` the ``fault:injected`` events with
+    ``fault="dropout"`` and ``quarantined_clients`` the
+    ``fault:quarantine`` events with ``quarantined=True``.  All zero for a
+    run without fault injection.
+    """
+    key_of = {name: key for key, name in FAULT_EVENTS.items()}
+    totals = dict.fromkeys((*FAULT_EVENTS, "offline", "quarantined_clients"), 0)
+    for event in artifact.metrics:
+        key = key_of.get(event.get("name"))
+        if key is None:
+            continue
+        totals[key] += 1
+        if event.get("fault") == "dropout":
+            totals["offline"] += 1
+        if event.get("quarantined"):
+            totals["quarantined_clients"] += 1
+    return totals
+
+
 def summarize_run(artifact: RunArtifact) -> Dict[str, Any]:
     """Structured one-run digest (see :func:`format_summary` to render)."""
     records = artifact.history_records()
@@ -176,6 +202,7 @@ def summarize_run(artifact: RunArtifact) -> Dict[str, Any]:
         "seed": manifest.get("seed"),
         "events": len(artifact.events),
         "comms": comms_totals(artifact),
+        "faults": fault_totals(artifact),
         "issues": verify_artifact(artifact),
         "tiling_issues": tiling_issues(artifact),
         "phases": phase_breakdown(artifact),
@@ -212,6 +239,11 @@ def format_summary(summary: Dict[str, Any]) -> str:
             f"  comms: up={comms['bytes_up']:,.0f}B "
             f"down={comms['bytes_down']:,.0f}B "
             f"ratio={comms['compression_ratio']:.2f}x"
+        )
+    faults = {k: v for k, v in (summary.get("faults") or {}).items() if v}
+    if faults:
+        lines.append(
+            "  faults: " + " ".join(f"{k}={v}" for k, v in faults.items())
         )
     if summary["issues"]:
         lines.append(f"  LEDGER ISSUES ({len(summary['issues'])}):")

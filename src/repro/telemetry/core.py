@@ -131,10 +131,9 @@ class Telemetry:
         seed: int,
         executor: str,
         eval_mode: str,
-        config: Dict[str, Any],
         **extra: Any,
     ) -> None:
-        """Emit the run-header event (config + seed + executor mode).
+        """Emit the run-header event (identity + seed + executor mode).
 
         ``extra`` carries the schema-2 ledger sections when the emitter
         provides them (``trainer_config``, ``recipe``, ``environment``).
@@ -146,7 +145,6 @@ class Telemetry:
                 seed=seed,
                 executor=executor,
                 eval_mode=eval_mode,
-                config=config,
                 ts=self._now(),
                 **extra,
             )

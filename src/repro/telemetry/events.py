@@ -24,12 +24,16 @@ as an "unsupported schema version" issue.
 
 Field reference
 ---------------
+Every fact is stated once: what a ``round_record`` holds (losses,
+accuracy, µ, sampled-evaluation size and CI, dissimilarity, γ, who was
+selected, straggled or dropped) is not repeated as a metric, and no event
+restates a running total — a total is the sum of the events it counts.
+
 ``manifest`` (exactly one per run, always the first event)
     ``schema`` (int), ``run_id`` (str), ``label``, ``seed``, ``executor``,
-    ``eval_mode``, ``clock``, ``unit``, ``config`` (nested dict of the
-    run's configuration: µ, E, K, solver tags, model, dataset).  Schema 2
-    ledger manifests additionally carry ``trainer_config``, ``recipe``,
-    and ``environment``.
+    ``eval_mode``, ``clock``, ``unit``; a trainer's manifest carries
+    ``trainer_config``, ``recipe`` and ``environment`` as well (see
+    :func:`repro.telemetry.replay.describe_trainer`).
 ``span`` (one timed region)
     ``name`` (taxonomy below), ``round`` (int or ``None``), ``duration``
     (float), ``unit`` (``"s"`` wall / ``"cycles"`` simulated), ``clock``
@@ -44,6 +48,9 @@ Field reference
     ``round`` (int), ``record`` (the round's canonicalized
     :class:`~repro.core.history.RoundRecord` — selections, stragglers,
     losses; see :func:`repro.telemetry.ledger.canonical_record`), ``ts``.
+    Written one round behind — round ``r``'s record follows round
+    ``r + 1``'s events, the last one precedes the footer — because the
+    trainer may fill in the final round's evaluation at the end of a run.
 ``run_footer`` (schema 2; the run's final event)
     ``run_id``, ``rounds`` (int), ``wall_seconds`` (total in-round wall
     time), ``final_train_loss``, ``final_test_accuracy``, ``digest``
@@ -73,27 +80,42 @@ Span taxonomy
 
 Fault event taxonomy
 --------------------
-The fault layer (:mod:`repro.faults`) emits its decisions as ``counter``
-metrics with value 1 the moment they happen, so fault timelines
-interleave with the spans above in the same artifact:
+The fault layer (:mod:`repro.faults`) emits each decision as one
+``counter`` metric with value 1 the moment it is taken, so fault timelines
+interleave with the spans above in the same artifact, and every
+:class:`~repro.faults.manager.FaultStats` counter is a count of these
+events (:data:`FAULT_EVENTS`;
+:func:`repro.telemetry.analysis.fault_totals` recounts them):
 
 ``fault:injected``
     The schedule struck one solve; attrs ``client_id``, ``fault``
     (``crash``/``dropout``/``corrupt``/``stale``), ``attempt`` (0 =
-    first dispatch, ``n`` = n-th retry).
+    first dispatch, ``n`` = n-th retry).  A ``dropout`` is also the
+    ``offline`` count.
+``fault:quarantine_skip``
+    A quarantined client was selected and not dispatched; attr
+    ``client_id``.
+``fault:crash``
+    A crashed solve was delivered (its truncated iterate); attr
+    ``client_id``.
 ``fault:retry``
     The policy re-dispatched a crashed solve; attrs ``client_id``,
     ``attempt`` (1-based), ``backoff`` (simulated seconds, never slept).
+``fault:crash_dropped``
+    The policy discarded a crashed solve; attr ``client_id``.
 ``fault:quarantine``
     A non-finite update was rejected; attrs ``client_id``, ``suspicion``
-    (the client's cumulative offense count).
+    (the client's cumulative offense count), ``quarantined`` (this
+    offense quarantined the client — the ``quarantined_clients`` count).
+``fault:stale_held`` / ``fault:stale_delivered``
+    A stale update was held back (attrs ``client_id``, ``delay`` in
+    rounds) / released into this round's aggregate (attr ``client_id``).
 ``round:degraded``
     The minimum-quorum guard skipped aggregation; attrs ``survivors``,
     ``quorum``.
 
-When injection is enabled the manifest ``config`` additionally carries
-``faults`` (the schedule's description) and ``fault_policy``;
-cumulative ``faults.*`` gauges summarize the run's counters each round.
+The schedule and policy themselves are in the manifest's
+``trainer_config``.
 """
 
 from __future__ import annotations
@@ -116,6 +138,22 @@ UNIT_CYCLES = "cycles"
 EVENT_TYPES = ("manifest", "span", "metric", "round_record", "run_footer")
 METRIC_KINDS = ("counter", "gauge", "histogram")
 
+#: The event each :class:`~repro.faults.manager.FaultStats` counter counts.
+#: ``offline`` and ``quarantined_clients`` have no event of their own: they
+#: count the ``fault:injected`` events with ``fault="dropout"`` and the
+#: ``fault:quarantine`` events with ``quarantined=True``.
+FAULT_EVENTS = {
+    "injected": "fault:injected",
+    "crashes": "fault:crash",
+    "retries": "fault:retry",
+    "crash_dropped": "fault:crash_dropped",
+    "quarantined_updates": "fault:quarantine",
+    "quarantine_skips": "fault:quarantine_skip",
+    "stale_held": "fault:stale_held",
+    "stale_delivered": "fault:stale_delivered",
+    "quorum_misses": "round:degraded",
+}
+
 
 def manifest_event(
     run_id: str,
@@ -123,11 +161,10 @@ def manifest_event(
     seed: int,
     executor: str,
     eval_mode: str,
-    config: Dict[str, Any],
     ts: float = 0.0,
     **extra: Any,
 ) -> Dict[str, Any]:
-    """The run-header event (config + seed + executor mode).
+    """The run-header event (identity + seed + executor mode).
 
     ``extra`` carries the schema-2 ledger fields when the emitter provides
     them — ``trainer_config`` (serialized frozen TrainerConfig), ``recipe``
@@ -145,7 +182,6 @@ def manifest_event(
         "clock": CLOCK_WALL,
         "unit": UNIT_SECONDS,
         "ts": float(ts),
-        "config": config,
     }
     event.update(extra)
     return event
@@ -271,7 +307,7 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
     """Histogram summary statistics (count/min/max/mean/p50/p90/p95/p99).
 
     The single percentile computation shared by every histogram consumer —
-    :meth:`~repro.telemetry.metrics.MetricsRegistry` round flushes,
+    :meth:`~repro.telemetry.core.Telemetry.histogram`,
     ``repro.trace summarize``, and the bench scripts — so tail percentiles
     are defined one way everywhere.  Empty inputs summarize to a zero
     count with no other stats, so sinks never receive NaNs.

@@ -10,7 +10,8 @@ to reconstruct, verify, and audit it from the JSONL file alone:
   platform/CPU info).
 * Every completed round appends a **round_record** event — the round's
   :class:`~repro.core.history.RoundRecord` in the canonical form defined
-  by :func:`canonical_record`.
+  by :func:`canonical_record` — once the next round is queued (or the run
+  ends), so an unclosed ledger holds every round but the newest.
 * The final line is the **run_footer**: wall-clock totals, final metrics,
   and a streaming SHA-256 digest over the canonical round history
   (:data:`DIGEST_ALGORITHM`), making artifacts tamper- and
@@ -201,18 +202,20 @@ def environment_info() -> Dict[str, Any]:
 class RunLedger:
     """The write side of one run's ledger, in the order an artifact needs.
 
-    Manifest once, before the first round's events; round records
-    *deferred* — the trainer may still fill in the last record's
-    evaluation at end-of-run, so records queue in :meth:`add_round` and are
-    canonicalized, digested and emitted by :meth:`flush` (end of ``run``
-    or close, whichever comes first); footer once, at close.  Nothing is
-    emitted through a disabled telemetry.
+    Manifest once, before the first round's events; round records *one
+    round behind* — the trainer may still fill in the last record's
+    evaluation at end-of-run, so :meth:`add_round` holds the newest record
+    back and canonicalizes, digests and emits the one before it, which no
+    longer changes; :meth:`flush` (end of ``run``, or close) emits the held
+    one.  A ledger cut off mid-run therefore holds every round but the
+    last one queued.  Footer once, at close.  Nothing is emitted through a
+    disabled telemetry.
     """
 
     def __init__(self, telemetry) -> None:
         self.telemetry = telemetry
         self._digest = HistoryDigest()
-        self._pending: List[Any] = []
+        self._pending: Optional[Any] = None
         self._wall = 0.0
         self._last: Dict[str, Any] = {}
         self._opened = False
@@ -226,16 +229,17 @@ class RunLedger:
         self.telemetry.manifest(**describe(*args), environment=environment_info())
 
     def add_round(self, record: Any, wall_seconds: float) -> None:
-        """Queue a finished round's record and book its in-round wall time."""
+        """Hold a finished round's record back; emit the one before it."""
         self._wall += wall_seconds
-        self._pending.append(record)
+        self.flush()
+        self._pending = record
 
     def flush(self) -> None:
-        """Canonicalize, digest, and emit the queued round records."""
-        for record in self._pending:
-            self._last = self._digest.update(record)
-            self.telemetry.round_record(record.round_idx, self._last)
-        self._pending = []
+        """Canonicalize, digest, and emit the held-back record, if any."""
+        if self._pending is not None:
+            self._last = self._digest.update(self._pending)
+            self.telemetry.round_record(self._pending.round_idx, self._last)
+            self._pending = None
 
     def seal(self) -> None:
         """Emit the digest-bearing run footer, at most once.

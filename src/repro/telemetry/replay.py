@@ -19,7 +19,7 @@ load, and replay lives downstream of both.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Union
 
 from ..spec import TAGS, ReplayError, build, describe
@@ -200,17 +200,18 @@ def describe_trainer(trainer) -> Dict[str, Any]:
     object it may have been constructed from, so every construction path
     serializes identically; called before round 0, while ``trainer.mu``
     (and any adaptive-µ controller) still hold their initial values — the
-    reconstructed trainer starts from the same state.  ``config`` is the
-    flat summary for people and reports, ``trainer_config`` the serialized
-    :class:`~repro.core.config.TrainerConfig`, ``recipe`` the
-    :func:`repro.spec.describe` output of the trainer class, dataset, model
-    and solver (a ``None`` dataset recipe means the federation was not
-    built by a registered builder from scalars and replay needs it
-    supplied, which ``repro.trace replay`` reports explicitly).
+    reconstructed trainer starts from the same state.  ``trainer_config``
+    is the serialized :class:`~repro.core.config.TrainerConfig`,
+    ``recipe`` the :func:`repro.spec.describe` output of the trainer
+    class, dataset, model and solver (a ``None`` dataset recipe means the
+    federation was not built by a registered builder from scalars and
+    replay needs it supplied, which ``repro.trace replay`` reports
+    explicitly).  Between them they state every option once; nothing else
+    restates them.
     """
     from ..core.config import EngineConfig, TrainerConfig
 
-    dataset, model, evaluation = trainer.dataset, trainer.model, trainer.eval_config
+    dataset, evaluation = trainer.dataset, trainer.eval_config
     faults = trainer.faults if trainer.faults.enabled else None
     # The engine is recovered from the live executor (not the
     # construction-time config) so a prebuilt instance serializes
@@ -220,41 +221,6 @@ def describe_trainer(trainer) -> Dict[str, Any]:
         engine = EngineConfig.from_spec(trainer.executor.spec())
     except (TypeError, ValueError):
         engine = EngineConfig(mode=trainer.executor_mode)
-
-    config = {
-        "mu": trainer.mu,
-        "epochs": trainer.epochs,
-        "drop_stragglers": trainer.drop_stragglers,
-        "clients_per_round": getattr(trainer.sampling, "clients_per_round", None),
-        "num_devices": dataset.num_devices,
-        "dataset": dataset.name,
-        "model": type(model).__name__,
-        "n_params": model.n_params,
-        "systems": type(trainer.systems).__name__,
-        "eval": evaluation.strategy,
-        "eval_every": evaluation.every,
-        "eval_train_every": evaluation.train_every,
-        "track_gamma": trainer.track_gamma,
-        "track_dissimilarity": trainer.track_dissimilarity,
-        "adaptive_mu": trainer.mu_controller is not None,
-    }
-    sampled = trainer.sampled_evaluator
-    if sampled is not None:
-        config["eval_sample_size"] = sampled.sample_size
-        config["eval_strata"] = sampled.sampler.num_strata
-        config["eval_full_every"] = sampled.full_every
-    if faults is not None:
-        config["faults"] = describe(faults)
-        config["fault_policy"] = asdict(trainer.fault_policy)
-    if trainer.comms_config.enabled:
-        config["comms"] = trainer.comms_config.to_dict()
-    solver_spec = describe(trainer.solver)
-    config["solver"] = trainer.solver.describe()
-    config.update(
-        (name, solver_spec[name])
-        for name in ("learning_rate", "batch_size", "momentum")
-        if name in solver_spec
-    )
 
     trainer_config = TrainerConfig.from_kwargs(
         mu=trainer.mu,
@@ -284,15 +250,14 @@ def describe_trainer(trainer) -> Dict[str, Any]:
         "dataset": describe(dataset),
         "dataset_name": dataset.name,
         "num_devices": dataset.num_devices,
-        "model": describe(model),
-        "solver": solver_spec,
+        "model": describe(trainer.model),
+        "solver": describe(trainer.solver),
     }
     return {
         "label": trainer.label,
         "seed": trainer.seed,
         "executor": trainer.executor_mode,
         "eval_mode": trainer.eval_mode,
-        "config": config,
         "trainer_config": trainer_config.to_dict(),
         "recipe": recipe,
     }

@@ -106,9 +106,11 @@ class JSONLSink(Sink):
 
     Crash safety: every round-boundary event (``round_record``,
     ``run_footer``, and the ``round`` span) forces an OS-level flush, so a
-    crashed run's artifact is complete up to its last finished round with
-    at most one partial trailing line (which :func:`read_jsonl` tolerates
-    and reports).  In atomic mode (the default for fresh files) the sink
+    crashed run's artifact holds every event up to its last finished round
+    — and the record of every round before that one, since records are
+    written one round behind (:class:`~repro.telemetry.ledger.RunLedger`)
+    — with at most one partial trailing line (which :func:`read_jsonl`
+    tolerates and reports).  In atomic mode (the default for fresh files) the sink
     writes to ``<path>.part`` and renames into place on close, so ``path``
     either holds a fully finalized artifact or does not exist.
 

@@ -716,7 +716,7 @@ class TestLedgerReplay:
         finally:
             trainer.close()
         run = load_run(path)
-        section = run.manifest["config"]["comms"]
+        section = run.manifest["trainer_config"]["comms"]
         assert section["codec"] == "topk" and section["k"] == 16
 
 

@@ -287,8 +287,9 @@ class TestTrainerIntegration:
         assert "fault:quarantine" in names
         # manifest records the fault configuration
         manifest = next(e for e in sink.events if e["type"] == "manifest")
-        assert manifest["config"]["faults"]["type"] == "ChaosFaults"
-        assert manifest["config"]["fault_policy"]["on_crash"] == "retry"
+        cohorting = manifest["trainer_config"]["cohorting"]
+        assert cohorting["faults"]["type"] == "ChaosFaults"
+        assert cohorting["fault_policy"]["on_crash"] == "retry"
         # The quorum guard never lets a round aggregate below threshold
         # silently: the rounds carrying a round:degraded event are exactly
         # the rounds whose record is degraded, each short of the quorum.

@@ -17,13 +17,15 @@ run in the default suite.
 import numpy as np
 import pytest
 
-from repro.core import FederatedTrainer
+from repro.core import EvalConfig, FederatedTrainer
 from repro.faults import ChaosFaults, CrashFaults, FaultPolicy
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.runtime.executor import task_round
 from repro.systems.stragglers import FractionStragglers
-from repro.telemetry import InMemorySink, Telemetry
+from repro.telemetry import InMemorySink, Telemetry, split_runs
+from repro.telemetry.analysis import fault_totals
+from repro.telemetry.ledger import RECORD_FIELDS
 
 ROUNDS = 4
 
@@ -238,3 +240,64 @@ def test_every_update_names_its_task(synthetic_small, engine, codec, faults):
         # Both codecs' wire size is a function of the model size alone.
         wire = trainer._comms_manager.codec.wire_nbytes(trainer.model.n_params)
         assert bytes_up == {r: n * wire for r, n in delivered.items()}
+
+
+# --------------------------------------------------------------------- #
+# The ledger states each fault decision once, and that is enough
+# --------------------------------------------------------------------- #
+def assert_states_each_fact_once(events):
+    """No metric restates a round record or a running total.
+
+    A metric named after a record field (``eval.sample_size`` is
+    ``eval_sample_size``), carrying a non-integral value equal to a field
+    of its round's record, or counting a cumulative ``*_total`` /
+    ``faults.*`` total says again what the ledger already says.
+    """
+    records = {e["round"]: e["record"] for e in events if e["type"] == "round_record"}
+    for event in events:
+        if event["type"] != "metric":
+            continue
+        name = event["name"]
+        assert not name.endswith("_total") and not name.startswith("faults."), name
+        assert name.replace(".", "_") not in RECORD_FIELDS, name
+        assert name.rpartition(".")[2] not in RECORD_FIELDS, name
+        value = event.get("value")
+        if isinstance(value, float) and not value.is_integer():
+            record = records[event["round"]]
+            assert value not in [record[f] for f in RECORD_FIELDS], (name, value)
+
+
+@pytest.mark.parametrize("on_crash", ["retry", "drop", "accept_partial"])
+@pytest.mark.parametrize(
+    "engine", ["serial", "async:window=2,arrivals=seeded,latency=1.2,jitter=0.6"]
+)
+def test_the_ledger_reproduces_the_fault_counters(synthetic_small, engine, on_crash):
+    """``fault_totals`` recounts ``trainer.fault_stats`` from the events."""
+    sink = InMemorySink()
+    trainer = FederatedTrainer(
+        synthetic_small,
+        MultinomialLogisticRegression(dim=60, num_classes=10),
+        SGDSolver(0.01, batch_size=10),
+        mu=0.5, clients_per_round=4, epochs=2, seed=1,
+        systems=FractionStragglers(0.5, seed=3),
+        faults=ChaosFaults(0.5, seed=11),
+        fault_policy=FaultPolicy(
+            on_crash=on_crash, max_retries=1, after_retries="drop",
+            quarantine_threshold=1, min_quorum=2,
+        ),
+        engine=engine,
+        comms="comms:codec=qsgd,bits=8,ef=true",
+        evaluation=EvalConfig(
+            every=2, strategy="sampled", sample_size=6, strata=2, full_every=2
+        ),
+        track_gamma=True,
+        track_dissimilarity=True,
+        telemetry=Telemetry([sink], run_id="fault-totals"),
+    )
+    with trainer:
+        trainer.run(8)
+    [artifact] = split_runs(sink.events)
+    stats = trainer.fault_stats
+    assert fault_totals(artifact) == stats
+    assert stats["injected"] and stats["crashes"] and stats["quarantined_updates"]
+    assert_states_each_fact_once(sink.events)

@@ -244,10 +244,15 @@ class TestLateDeliveriesAnswerTheirOwnTask:
 
         executor = bound_async(dataset, window=3)
         executor.clock = SlowOnce()
+        sink = InMemorySink()
         manager = FaultManager(
-            ScriptedCrashes({(0, 1, 0)}), FaultPolicy(on_crash="retry")
+            ScriptedCrashes({(0, 1, 0)}), FaultPolicy(on_crash="retry"),
+            telemetry=Telemetry([sink]),
         )
         waves = []
+
+        def decided(name):
+            return [(e["round"], e["client_id"]) for e in sink.metrics(name)]
 
         def dispatch(tasks):
             waves.append(list(tasks))
@@ -261,16 +266,17 @@ class TestLateDeliveriesAnswerTheirOwnTask:
                       rng_entropy=(7, 0, c, 0))
             for c in (0, 1)
         ]
-        updates, report = manager.execute_round(0, first, dispatch, num_selected=2)
-        assert [u.client_id for u in updates] == [0] and not report.crashed
+        updates, _ = manager.execute_round(0, first, dispatch, num_selected=2)
+        assert [u.client_id for u in updates] == [0] and not decided("fault:crash")
         crashed_task = waves[0][1]
         assert crashed_task.fault.kind == "crash"
 
         executor.begin_round(1)
         second = [LocalTask(client_id=2, w_global=w1, mu=0.3, epochs=1.0,
                             rng_entropy=(7, 1, 2, 0))]
-        updates, report = manager.execute_round(1, second, dispatch, num_selected=1)
-        assert report.crashed == [1] and report.retried == {1: 1}
+        updates, _ = manager.execute_round(1, second, dispatch, num_selected=1)
+        assert decided("fault:crash") == decided("fault:retry") == [(1, 1)]
+        assert [e["attempt"] for e in sink.metrics("fault:retry")] == [1]
         (retry,) = waves[2]
         assert retry.w_global is w0
         assert (retry.mu, retry.epochs) == (crashed_task.mu, crashed_task.epochs)

@@ -187,7 +187,7 @@ class TestSampledTrainerHistories:
             assert a.test_accuracy == b.test_accuracy
             assert a.eval_sample_size == b.eval_sample_size
 
-    def test_sampled_eval_emits_spans_and_gauges(self, dataset):
+    def test_sampled_eval_emits_spans_and_records(self, dataset):
         sink = InMemorySink()
         trainer = make_trainer(
             dataset,
@@ -198,14 +198,18 @@ class TestSampledTrainerHistories:
         trainer.close()
         spans = sink.spans("eval:sampled_train_loss")
         assert spans and all(e["sample_size"] == 20 for e in spans)
+        # The sample size and CI are the record's, stated there once.
+        records = [e["record"] for e in sink.of_type("round_record")]
+        assert len(records) == 2
+        assert all(r["eval_sample_size"] == 20 for r in records)
+        assert all(r["train_loss_ci"] is not None for r in records)
         gauges = {
             e["name"]
             for e in sink.events
             if e["type"] == "metric" and e.get("kind") == "gauge"
         }
-        assert "eval.sample_size" in gauges
-        assert "eval.ci_halfwidth" in gauges
         assert "process.peak_rss_bytes" in gauges
+        assert not gauges & {"eval.sample_size", "eval.ci_halfwidth"}
 
     def test_invalid_eval_strategy_rejected(self, dataset):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry subsystem (events, sinks, façade, metrics).
+"""Unit tests for the telemetry subsystem (events, sinks, façade).
 
 The integration surface — trainer round spans, executor parity, JSONL
 artifacts of full runs — lives in ``tests/test_telemetry_integration.py``;
@@ -26,7 +26,6 @@ from repro.telemetry import (
     ConsoleSink,
     InMemorySink,
     JSONLSink,
-    MetricsRegistry,
     NullTelemetry,
     Telemetry,
     emit_timeline,
@@ -128,13 +127,13 @@ class TestJSONLSink:
         path = tmp_path / "run.jsonl"
         with Telemetry([JSONLSink(str(path))]) as t:
             t.manifest("unit", seed=7, executor="serial",
-                       eval_mode="auto", config={"mu": 1.0})
+                       eval_mode="auto", trainer_config={"mu": 1.0})
             t.record_span("round", 0.5, round_idx=0, clients=3)
             t.histogram("drift", [1.0, 2.0], round_idx=0)
         events = read_jsonl(str(path))
         assert [e["type"] for e in events] == ["manifest", "span", "metric"]
         assert events[0]["schema"] == SCHEMA_VERSION
-        assert events[0]["config"]["mu"] == 1.0
+        assert events[0]["trainer_config"]["mu"] == 1.0
         assert events[1]["clients"] == 3
         assert events[2]["count"] == 2
 
@@ -300,65 +299,12 @@ class TestNullTelemetry:
         n.record_span("x", 1.0)
         n.metric("m", 1.0)
         n.histogram("h", [1.0])
-        n.manifest("l", 0, "serial", "auto", {})
+        n.manifest("l", 0, "serial", "auto")
         n.emit({"type": "span"})
         n.flush()
         n.close()
         with n:
             pass  # context manager protocol
-
-
-class TestMetricsRegistry:
-    def test_counter_accumulates_across_rounds(self):
-        sink = InMemorySink()
-        reg = MetricsRegistry(Telemetry([sink]))
-        reg.counter("solves_total").inc(4)
-        reg.emit_round(0)
-        reg.counter("solves_total").inc(4)
-        reg.emit_round(1)
-        values = [e["value"] for e in sink.metrics("solves_total")]
-        assert values == [4.0, 8.0]
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry(NULL_TELEMETRY).counter("c").inc(-1)
-
-    def test_gauge_emits_only_when_dirty(self):
-        sink = InMemorySink()
-        reg = MetricsRegistry(Telemetry([sink]))
-        reg.gauge("test_accuracy").set(0.5)
-        reg.emit_round(0)
-        reg.emit_round(1)  # not set again: no stale repeat
-        reg.gauge("test_accuracy").set(0.6)
-        reg.emit_round(2)
-        events = sink.metrics("test_accuracy")
-        assert [(e["round"], e["value"]) for e in events] == [
-            (0, 0.5), (2, 0.6)
-        ]
-
-    def test_histogram_resets_each_round(self):
-        sink = InMemorySink()
-        reg = MetricsRegistry(Telemetry([sink]))
-        reg.histogram("drift").observe_many([1.0, 3.0])
-        reg.emit_round(0)
-        reg.emit_round(1)  # empty: nothing emitted
-        reg.histogram("drift").observe(5.0)
-        reg.emit_round(2)
-        events = sink.metrics("drift")
-        assert [(e["round"], e["count"]) for e in events] == [(0, 2), (2, 1)]
-        assert events[0]["mean"] == pytest.approx(2.0)
-
-    def test_instruments_keep_identity(self):
-        reg = MetricsRegistry(NULL_TELEMETRY)
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("b") is reg.gauge("b")
-        assert reg.histogram("c") is reg.histogram("c")
-
-    def test_null_registry_emits_nothing_but_accumulates(self):
-        reg = MetricsRegistry(NULL_TELEMETRY)
-        reg.counter("x").inc()
-        reg.emit_round(0)
-        assert reg.counter("x").value == 1.0
 
 
 def _clock_systems():

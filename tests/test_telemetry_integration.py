@@ -35,6 +35,7 @@ from repro.telemetry import (
     InMemorySink,
     JSONLSink,
     Telemetry,
+    canonical_record,
     read_jsonl,
 )
 
@@ -87,19 +88,20 @@ def run_instrumented(dataset, executor=None, rounds=ROUNDS, **overrides):
 
 
 class TestRoundEventStream:
-    def test_manifest_emitted_once_with_config(self, dataset):
+    def test_manifest_emitted_once_with_trainer_config(self, dataset):
         _, sink = run_instrumented(dataset)
         [manifest] = sink.of_type("manifest")
         assert sink.events[0] is manifest  # header precedes all events
         assert manifest["label"] == "telemetry-test"
         assert manifest["seed"] == 1
         assert manifest["executor"] == "serial"
-        config = manifest["config"]
-        assert config["mu"] == 1.0
-        assert config["epochs"] == 2
-        assert config["num_devices"] == 10
-        assert config["clients_per_round"] == 10
-        assert "solver" in config
+        config = manifest["trainer_config"]
+        assert config["optimization"]["mu"] == 1.0
+        assert config["optimization"]["epochs"] == 2
+        assert config["cohorting"]["clients_per_round"] == 10
+        assert manifest["recipe"]["num_devices"] == 10
+        assert manifest["recipe"]["solver"]["type"] == "SGDSolver"
+        assert "config" not in manifest  # no second, lossy summary
 
     def test_every_round_has_span_and_phases(self, dataset):
         history, sink = run_instrumented(dataset)
@@ -154,32 +156,37 @@ class TestRoundEventStream:
             assert [e["round"] for e in events] == list(range(ROUNDS)), name
             assert all(e["kind"] == "histogram" for e in events)
             assert all(e["count"] > 0 for e in events)
-        for name in ("train_loss", "test_accuracy", "mu",
-                     "fedprox.budget_utilization"):
-            events = sink.metrics(name)
-            assert [e["round"] for e in events] == list(range(ROUNDS)), name
-            assert all(e["kind"] == "gauge" for e in events)
+        events = sink.metrics("fedprox.budget_utilization")
+        assert [e["round"] for e in events] == list(range(ROUNDS))
+        assert all(e["kind"] == "gauge" for e in events)
         # FractionStragglers(0.5): utilization strictly below full budget
-        assert all(
-            0 < e["value"] <= 1.0
-            for e in sink.metrics("fedprox.budget_utilization")
-        )
-        rounds_total = sink.metrics("rounds_total")
-        assert [e["value"] for e in rounds_total] == [
-            float(i + 1) for i in range(ROUNDS)
-        ]
+        assert all(0 < e["value"] <= 1.0 for e in events)
+        # What the record states is not restated as a metric.
+        for name in ("train_loss", "test_accuracy", "mu", "rounds_total"):
+            assert not sink.metrics(name), name
 
-    def test_gauges_track_history(self, dataset):
+    def test_records_stream_one_round_behind(self, dataset):
         history, sink = run_instrumented(dataset)
-        losses = {e["round"]: e["value"] for e in sink.metrics("train_loss")}
-        for record in history.records:
-            assert losses[record.round_idx] == record.train_loss
+        records = sink.of_type("round_record")
+        assert [e["record"] for e in records] == [
+            canonical_record(r) for r in history.records
+        ]
+        # Round r's record is written once round r + 1 is queued: after
+        # that round's span, before the next one's.
+        position = {id(e): i for i, e in enumerate(sink.events)}
+        round_spans = sink.spans("round")
+        for r, event in enumerate(records[:-1]):
+            assert position[id(round_spans[r + 1])] < position[id(event)]
+            if r + 2 < ROUNDS:
+                assert position[id(event)] < position[id(round_spans[r + 2])]
 
     def test_dissimilarity_metrics_when_tracked(self, dataset):
-        _, sink = run_instrumented(dataset, track_dissimilarity=True)
-        events = sink.metrics("fedprox.gradient_variance")
+        history, sink = run_instrumented(dataset, track_dissimilarity=True)
+        assert all(r.dissimilarity >= 0 for r in history.records)
+        events = sink.metrics("fedprox.b_value")
         assert [e["round"] for e in events] == list(range(ROUNDS))
-        assert all(e["value"] >= 0 for e in events)
+        assert all(e["value"] >= 1.0 for e in events)
+        assert not sink.metrics("fedprox.gradient_variance")  # the record's
 
 
 class TestJSONLArtifact:
@@ -355,10 +362,12 @@ class TestCallbacksInterleaving:
         assert history.records[-1].test_accuracy is not None
         [fill_in] = sink.spans("phase:final_evaluate")
         assert fill_in["round"] == stop_at
-        # the re-emitted accuracy gauge is the stream's final word
-        final_acc = sink.metrics("test_accuracy")[-1]
-        assert final_acc["round"] == stop_at
-        assert final_acc["value"] == history.records[-1].test_accuracy
+        # the last record is written once, after the fill-in, evaluated
+        last = sink.of_type("round_record")[-1]
+        assert sink.events.index(fill_in) < sink.events.index(last)
+        assert last["round"] == stop_at
+        assert last["record"]["test_accuracy"] == history.records[-1].test_accuracy
+        assert not sink.metrics("test_accuracy")
 
     def test_on_train_end_fires_before_flush(self, dataset):
         sink = InMemorySink()

@@ -293,6 +293,44 @@ class TestRunArtifacts:
         issues = verify_artifact(load_run(str(path)))
         assert any("truncated" in issue for issue in issues)
 
+    def test_in_flight_ledger_holds_every_round_but_the_newest(
+        self, tmp_path, synthetic_small
+    ):
+        """Records stream one round behind: a ledger read mid-run — sink
+        flushed, never closed — is short only of its footer and replays."""
+        from repro.models import MultinomialLogisticRegression
+        from repro.telemetry.replay import replay_run
+
+        rounds = 4
+        sink = JSONLSink(str(tmp_path / "run.jsonl"))
+        trainer = FederatedTrainer(
+            synthetic_small,
+            MultinomialLogisticRegression(
+                dim=synthetic_small.input_dim,
+                num_classes=synthetic_small.num_classes,
+                seed=1,
+            ),
+            SGDSolver(learning_rate=0.05, batch_size=8),
+            clients_per_round=3, mu=0.1, epochs=1, seed=5,
+            telemetry=Telemetry([sink], run_id="in-flight"),
+        )
+        try:
+            live = [trainer.run_round() for _ in range(rounds)]
+            sink.flush()
+            artifact = load_run(sink.write_path)
+            assert artifact.rounds == list(range(rounds - 1))
+            assert artifact.history_records() == [
+                canonical_record(r) for r in live[:-1]
+            ]
+            [issue] = verify_artifact(artifact)
+            assert "no run_footer" in issue
+            report = replay_run(sink.write_path, num_rounds=rounds - 1)
+            assert report.matches, report.describe()
+            assert report.rounds_compared == rounds - 1
+        finally:
+            trainer.close()
+        assert load_run(str(tmp_path / "run.jsonl")).rounds == list(range(rounds))
+
     def test_multi_run_split(self, tmp_path, synthetic_small):
         path = tmp_path / "runs.jsonl"
         from repro.models import MultinomialLogisticRegression

@@ -19,6 +19,7 @@ import repro
 
 from repro.core.server import FederatedTrainer
 from repro.datasets import make_synthetic
+from repro.faults import ChaosFaults
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.systems.stragglers import FractionStragglers
@@ -93,6 +94,19 @@ class TestSummarize:
         assert phases["round"]["count"] == 3
         assert {"p50", "p95", "p99"} <= set(phases["round"])
         assert tiling_issues(artifact) == []
+
+    def test_fault_totals_come_from_the_events(self, tmp_path, capsys):
+        path = tmp_path / "faults.jsonl"
+        record(path, rounds=4, faults=ChaosFaults(0.5, seed=3))
+        totals = summarize_run(load_run(str(path)))["faults"]
+        assert totals["injected"] > 0
+        assert main(["summarize", str(path)]) == 0
+        assert f"faults: injected={totals['injected']}" in capsys.readouterr().out
+
+    def test_fault_free_run_prints_no_fault_line(self, run_path, capsys):
+        assert not any(summarize_run(load_run(str(run_path)))["faults"].values())
+        assert main(["summarize", str(run_path)]) == 0
+        assert "faults:" not in capsys.readouterr().out
 
 
 class TestTimeline:
