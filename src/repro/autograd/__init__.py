@@ -2,11 +2,12 @@
 
 This subpackage stands in for the TensorFlow substrate used by the original
 FedProx implementation.  It provides a :class:`Tensor` type, a library of
-differentiable operations, fused loss functions, and finite-difference
-gradient checking.
+differentiable operations, fused loss functions, finite-difference
+gradient checking, and :func:`no_grad`, under which evaluation builds no
+graph.
 """
 
-from .tensor import Tensor, as_tensor, unbroadcast
+from .tensor import Tensor, as_tensor, no_grad, unbroadcast
 from . import ops
 from .ops import (
     add,
@@ -52,6 +53,7 @@ from .stacked_lstm import (
 __all__ = [
     "Tensor",
     "as_tensor",
+    "no_grad",
     "unbroadcast",
     "ops",
     "add",

@@ -67,8 +67,6 @@ def softmax_cross_entropy(
     if sample_weight is not None:
         per_sample = per_sample * sample_weight
 
-    softmax_vals = np.exp(log_probs)
-
     if reduction == "mean":
         out_data = per_sample.mean()
     elif reduction == "sum":
@@ -79,7 +77,7 @@ def softmax_cross_entropy(
         raise ValueError(f"unknown reduction {reduction!r}")
 
     def backward(grad: np.ndarray) -> None:
-        base = softmax_vals.copy()
+        base = np.exp(log_probs)  # the softmax
         base[np.arange(batch), labels] -= 1.0
         if sample_weight is not None:
             base *= np.asarray(sample_weight)[:, None]
@@ -91,7 +89,7 @@ def softmax_cross_entropy(
             g = base * np.asarray(grad)[:, None]
         logits._accumulate(g)
 
-    if logits.requires_grad or logits._parents:
+    if ops._needs_grad(logits):
         return Tensor(out_data, _parents=(logits,), _backward_fn=backward)
     return Tensor(out_data)
 
@@ -118,12 +116,6 @@ def binary_cross_entropy_with_logits(
     x = logits.data
     per_elem = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
 
-    sigma = np.where(
-        x >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(x))),
-        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
-    )
-
     if reduction == "mean":
         out_data = per_elem.mean()
     elif reduction == "sum":
@@ -134,6 +126,11 @@ def binary_cross_entropy_with_logits(
         raise ValueError(f"unknown reduction {reduction!r}")
 
     def backward(grad: np.ndarray) -> None:
+        sigma = np.where(
+            x >= 0,
+            1.0 / (1.0 + np.exp(-np.abs(x))),
+            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
+        )
         base = sigma - y
         if reduction == "mean":
             g = base * (grad / per_elem.size)
@@ -143,7 +140,7 @@ def binary_cross_entropy_with_logits(
             g = base * np.asarray(grad)
         logits._accumulate(g)
 
-    if logits.requires_grad or logits._parents:
+    if ops._needs_grad(logits):
         return Tensor(out_data, _parents=(logits,), _backward_fn=backward)
     return Tensor(out_data)
 
@@ -168,9 +165,45 @@ def l2_norm_squared(t: Tensor) -> Tensor:
     return ops.sum_(ops.mul(t, t))
 
 
+#: Bytes of tapes a :class:`FusedLSTMWorkspace` keeps.  Mini-batch solves
+#: cycle through at most ``batch_size`` shapes (the batch, and each device's
+#: shorter last batch): 3 MB for the benchmark's batch of 10, 68 MB for all
+#: ten shapes of the paper's Shakespeare model.  A full-batch gradient (γ
+#: measurement, dissimilarity, FedDane's corrections) takes one
+#: ``T x n_k x 4H`` tape per device size, 4.3 GB for a mean-sized
+#: Shakespeare device, which only the calls right after it reuse.
+TAPE_BYTES = 256 * 2**20
+
+
 def _steps(block: np.ndarray, lead: tuple) -> list:
     """Per-timestep views of a ``lead + (T, ...)`` block."""
     return list(np.moveaxis(block, len(lead), 0))
+
+
+def _step_views(h_prev, g, c_prev, c_next, tc, h_next) -> tuple:
+    """One forward step's views: state in, the gate block with its
+    [i, f, o] / i / f / o / g columns, cell in and out, tanh(cell out),
+    state out."""
+    H = h_prev.shape[-1]
+    return (
+        h_prev, g, g[..., : 3 * H], g[..., :H], g[..., H : 2 * H],
+        g[..., 2 * H : 3 * H], g[..., 3 * H :], c_prev, c_next, tc, h_next,
+    )
+
+
+def _gate_order(H: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The kernel's gate column permutation and sigmoid prescale.
+
+    The permutation [i, f, g, o] -> [i, f, o, g] swaps the last two blocks,
+    an involution, so the same index array maps external->internal and
+    back.  ``sigmoid(x) = (tanh(x/2) + 1) / 2``, finite for any x: halving
+    the [i, f, o] columns and multiplying g by 1.0 (both exact) lets one
+    tanh run over the whole contiguous gate block.
+    """
+    perm = np.concatenate(
+        [np.arange(2 * H), np.arange(3 * H, 4 * H), np.arange(2 * H, 3 * H)]
+    )
+    return perm, np.repeat([0.5, 1.0], [3 * H, H])
 
 
 class _LayerTape:
@@ -201,14 +234,8 @@ class _LayerTape:
         h, c, tc, g = (
             _steps(a, lead) for a in (self.h, self.c, self.tanh_c, self.gates)
         )
-        # Per step: state in, the gate block with its [i, f, o] / i / f / o /
-        # g columns, cell in and out, tanh(cell out), state out.
         self.steps = [
-            (
-                h[t], g[t], g[t][..., : 3 * H], g[t][..., :H], g[t][..., H : 2 * H],
-                g[t][..., 2 * H : 3 * H], g[t][..., 3 * H :],
-                c[t], c[t + 1], tc[t], h[t + 1],
-            )
+            _step_views(h[t], g[t], c[t], c[t + 1], tc[t], h[t + 1])
             for t in range(T)
         ]
 
@@ -216,9 +243,9 @@ class _LayerTape:
 class _BackwardScratch:
     """Buffers and step views only a backward pass touches.
 
-    Built by a shape's first backward, not its first forward: the 256-row
-    evaluation shapes never run one.  One set serves every layer, since the
-    layers' sweeps run in turn.
+    Built with the tape: a call with no gradient to compute takes no tape
+    (see :func:`_lstm_rolling_forward`), so every tape runs a backward.
+    One set serves every layer, since the layers' sweeps run in turn.
     """
 
     def __init__(self, tape: "_LSTMTape") -> None:
@@ -292,25 +319,17 @@ class _LSTMTape:
         ]
         self.tmp4h = np.empty(lead + (B, 4 * H))
         self.tmph = np.empty(lead + (B, H))
-        # Column permutation [i, f, g, o] -> [i, f, o, g]: swapping the last
-        # two blocks is an involution, so the same index array maps
-        # external->internal and back.
-        self.perm = np.concatenate(
-            [np.arange(2 * H), np.arange(3 * H, 4 * H), np.arange(2 * H, 3 * H)]
-        )
-        # sigmoid(x) = (tanh(x/2) + 1) / 2, finite for any x: halving the
-        # [i, f, o] columns and multiplying g by 1.0 (both exact) lets one
-        # tanh run over the whole contiguous gate block.
-        self.prescale = np.repeat([0.5, 1.0], [3 * H, H])
+        self.perm, self.prescale = _gate_order(H)
         # The recurrent product is one dgemm per client either way; for a
         # single client np.dot reaches it with less dispatch than matmul.
         self.gemm = np.matmul if lead else np.dot
-        self.bwd: Optional[_BackwardScratch] = None
-
-    def backward_scratch(self) -> _BackwardScratch:
-        if self.bwd is None:
-            self.bwd = _BackwardScratch(self)
-        return self.bwd
+        self.bwd = _BackwardScratch(self)
+        # The blocks that scale with T x B, which is nearly all of a tape.
+        self.nbytes = sum(
+            a.nbytes
+            for a in (self.x, self.bwd.dgates, self.bwd.dx, *self.bwd.dseq)
+            + tuple(a for lt in self.layers for a in (lt.h, lt.c, lt.tanh_c, lt.gates))
+        )
 
 
 class _TapeCache:
@@ -326,12 +345,6 @@ class _TapeCache:
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_tapes": {}}
 
-    def _tape(self, *key) -> _LSTMTape:
-        tape = self._tapes.get(key)
-        if tape is None:
-            tape = self._tapes[key] = _LSTMTape(*key)
-        return tape
-
 
 class FusedLSTMWorkspace(_TapeCache):
     """Reusable activation tape for :func:`fused_lstm`.
@@ -339,7 +352,10 @@ class FusedLSTMWorkspace(_TapeCache):
     One workspace amortizes all per-call allocation across the minibatches
     and local epochs of a solve: buffers are keyed by the call shape
     ``(T, B, in, hidden, layers)`` and reused whenever it recurs (mini-batch
-    shapes repeat within an epoch; evaluation blocks repeat across rounds).
+    shapes repeat within an epoch and across solves).  Only a call with a
+    gradient to compute takes a tape, and the workspace keeps the most
+    recently used tapes up to :data:`TAPE_BYTES` (or just the one in use,
+    if that alone is larger).
 
     A workspace's buffers are *live* between a forward call and its
     backward: running another forward through the same workspace overwrites
@@ -356,9 +372,46 @@ class FusedLSTMWorkspace(_TapeCache):
     def acquire(
         self, T: int, B: int, in_size: int, hidden: int, layers: int
     ) -> _LSTMTape:
-        """Buffers for one call shape, allocating on first use."""
+        """Buffers for one call shape, allocating on first use and evicting
+        least recently used shapes beyond :data:`TAPE_BYTES`."""
         self.generation += 1
-        return self._tape((), T, B, in_size, hidden, layers)
+        key = ((), T, B, in_size, hidden, layers)
+        tape = self._tapes.pop(key, None) or _LSTMTape(*key)
+        self._tapes[key] = tape  # most recently used last
+        held = sum(t.nbytes for t in self._tapes.values())
+        for old in list(self._tapes):
+            if held <= TAPE_BYTES or old == key:
+                break
+            held -= self._tapes.pop(old).nbytes
+        return tape
+
+
+def _lstm_layer(
+    inp_flat, gates_flat, steps, w_x_p, w_h_p, b_rows, prescale, gemm, tmp4h, tmph
+) -> None:
+    """One layer over a run of steps: the forward arithmetic, in one copy.
+
+    The input contribution and bias of every step in ``steps`` are one GEMM
+    and one add into ``gates_flat``; then the recurrence runs over the step
+    views in time order, with ``gemm`` as the recurrent product and
+    ``tmp4h`` / ``tmph`` as scratch.  Parameters are in the internal
+    [i, f, o, g] layout.
+    """
+    np.matmul(inp_flat, w_x_p, out=gates_flat)
+    gates_flat += b_rows
+    for (h_prev, g_t, ifo, i_g, f_g, o_g, g_g,
+         c_prev, c_next, tc, h_next) in steps:
+        gemm(h_prev, w_h_p, out=tmp4h)
+        g_t += tmp4h
+        g_t *= prescale  # x/2 under the sigmoids, x under the tanh
+        np.tanh(g_t, out=g_t)
+        ifo += 1.0  # sigmoid(x) = (tanh(x/2) + 1) / 2
+        ifo *= 0.5
+        np.multiply(f_g, c_prev, out=c_next)
+        np.multiply(i_g, g_g, out=tmph)
+        c_next += tmph
+        np.tanh(c_next, out=tc)
+        np.multiply(o_g, tc, out=h_next)
 
 
 def _lstm_forward(tape: _LSTMTape, params) -> None:
@@ -367,31 +420,62 @@ def _lstm_forward(tape: _LSTMTape, params) -> None:
     ``params`` is one ``(w_x, w_h, b)`` ndarray triple per layer in the
     external [i, f, g, o] layout, each with the tape's leading axes.
     """
-    perm, prescale, gemm = tape.perm, tape.prescale, tape.gemm
-    tmp4h, tmph = tape.tmp4h, tape.tmph
-    inp_flat = tape.x_flat
+    perm, inp_flat = tape.perm, tape.x_flat
+    scratch = (tape.prescale, tape.gemm, tape.tmp4h, tape.tmph)
     for lt, (w_x, w_h, b) in zip(tape.layers, params):
         np.take(w_x, perm, axis=-1, out=lt.w_x_p)
         np.take(w_h, perm, axis=-1, out=lt.w_h_p)
         np.take(b, perm, axis=-1, out=lt.b_p)
-        # Input contribution and bias of all T steps: one GEMM, one add.
-        np.matmul(inp_flat, lt.w_x_p, out=lt.gates_flat)
-        lt.gates_flat += lt.b_rows
-        w_h_p = lt.w_h_p
-        for (h_prev, g_t, ifo, i_g, f_g, o_g, g_g,
-             c_prev, c_next, tc, h_next) in lt.steps:
-            gemm(h_prev, w_h_p, out=tmp4h)
-            g_t += tmp4h
-            g_t *= prescale  # x/2 under the sigmoids, x under the tanh
-            np.tanh(g_t, out=g_t)
-            ifo += 1.0  # sigmoid(x) = (tanh(x/2) + 1) / 2
-            ifo *= 0.5
-            np.multiply(f_g, c_prev, out=c_next)
-            np.multiply(i_g, g_g, out=tmph)
-            c_next += tmph
-            np.tanh(c_next, out=tc)
-            np.multiply(o_g, tc, out=h_next)
+        _lstm_layer(
+            inp_flat, lt.gates_flat, lt.steps, lt.w_x_p, lt.w_h_p, lt.b_rows, *scratch
+        )
         inp_flat = lt.h_out_flat
+
+
+def _lstm_rolling_forward(x: np.ndarray, params, return_sequence: bool) -> np.ndarray:
+    """:func:`fused_lstm`'s output with no tape, for calls with no gradient.
+
+    Runs time chunks of ``C`` steps through every layer in turn, each layer
+    by :func:`_lstm_layer`.  It holds, per layer, a ``(C, B, H)`` block of
+    states and one ``(B, H)`` cell (updated in place), and one ``(C, B, 4H)``
+    gate block, input chunk and step scratch that the layers share.  The
+    values are the tape forward's bits: elementwise ops do not depend on
+    which rows they run on, and the rows of a GEMM over any block of two or
+    more rows equal the same rows of the tape's whole-sequence GEMM
+    (``tests/test_nn_fused_lstm_oracle.py`` pins this).  A one-row product
+    goes through gemv and does not, so a chunk is one step when ``B >= 2``
+    and the whole sequence when ``B = 1`` (chunks of several steps measured
+    no faster at widths 8–256).
+    """
+    B, T, in_size = x.shape
+    H = params[0][1].shape[0]
+    C = T if B == 1 else 1
+    perm, prescale = _gate_order(H)
+    permuted = [tuple(np.take(p, perm, axis=-1) for p in triple) for triple in params]
+    x_chunk = np.empty((C, B, in_size))
+    gates = np.empty((C, B, 4 * H))
+    scratch = (prescale, np.dot, np.empty((B, 4 * H)), np.empty((B, H)))
+    tc = np.empty((B, H))
+    hs, steps = [], []
+    for _ in params:
+        h, c = np.zeros((C, B, H)), np.zeros((B, H))
+        # Step j enters with state h[j - 1]: for j = 0 that is h[C - 1], the
+        # previous chunk's last state (zero before the first).
+        hs.append(h)
+        steps.append([_step_views(h[j - 1], gates[j], c, c, tc, h[j]) for j in range(C)])
+    out = np.empty((B, T, H)) if return_sequence else hs[-1][-1]
+    for t0 in range(0, T, C):
+        np.copyto(x_chunk, x[:, t0 : t0 + C].transpose(1, 0, 2))
+        inp_flat = x_chunk.reshape(C * B, in_size)
+        for (w_x_p, w_h_p, b_p), h, layer_steps in zip(permuted, hs, steps):
+            _lstm_layer(
+                inp_flat, gates.reshape(C * B, 4 * H), layer_steps,
+                w_x_p, w_h_p, b_p, *scratch,
+            )
+            inp_flat = h.reshape(C * B, H)
+        if return_sequence:
+            out[:, t0 : t0 + C] = hs[-1].transpose(1, 0, 2)
+    return out
 
 
 def _lstm_backward(tape: _LSTMTape, need_dx: bool) -> list:
@@ -477,7 +561,10 @@ def fused_lstm(
     ``dW_x`` / ``dW_h`` / ``db`` reduce to one fused GEMM each over the
     ``(T*batch, ·)`` stack.  Each step does only the work that depends on
     the recurrent state: the backward's other factors are computed for
-    all ``T`` steps at once before the sweep.
+    all ``T`` steps at once before the sweep.  A call with no gradient to
+    compute (constant parameters and input, or inside
+    :func:`~repro.autograd.no_grad`) takes no tape: it steps a rolling
+    forward with the same arithmetic and returns the same bits.
 
     Internally the kernel permutes the gate columns to ``[i, f, o, g]`` (a
     per-column relabeling, so every value is bit-identical to the external
@@ -528,24 +615,25 @@ def fused_lstm(
                 f"({H}, {4*H}) / ({4*H},), got {w_x.shape} / {w_h.shape} / {b.shape}"
             )
 
+    params = [(w_x.data, w_h.data, b.data) for w_x, w_h, b in layers]
+    x_in_graph = ops._needs_grad(x_t)
+    parents = [p for triple in layers for p in triple]
+    if x_in_graph:
+        parents.append(x_t)
+    if not ops._needs_grad(*parents):
+        return Tensor(_lstm_rolling_forward(xd, params, return_sequence))
+
     ws = workspace if workspace is not None else FusedLSTMWorkspace()
     tape = ws.acquire(T, B, in_size, H, len(layers))
     generation = ws.generation
 
     np.copyto(tape.x, xd.transpose(1, 0, 2))  # time-major
-    _lstm_forward(tape, [(w_x.data, w_h.data, b.data) for w_x, w_h, b in layers])
+    _lstm_forward(tape, params)
     top_h = tape.layers[-1].h
     if return_sequence:
         out_data = np.ascontiguousarray(top_h[1:].transpose(1, 0, 2))
     else:
         out_data = top_h[T].copy()
-
-    x_in_graph = x_t.requires_grad or bool(x_t._parents)
-    parents = [p for triple in layers for p in triple]
-    if x_in_graph:
-        parents.append(x_t)
-    if not any(p.requires_grad or p._parents for p in parents):
-        return Tensor(out_data)
 
     def backward(grad: np.ndarray) -> None:
         if ws.generation != generation:
@@ -555,7 +643,7 @@ def fused_lstm(
                 "node's backward pass (run backward before the next forward, "
                 "or give each concurrent graph its own workspace)"
             )
-        bw = tape.backward_scratch()
+        bw = tape.bwd
         dseq = bw.dseq[0]
         if return_sequence:
             np.copyto(dseq, np.asarray(grad).transpose(1, 0, 2))

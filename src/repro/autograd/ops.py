@@ -7,7 +7,7 @@ Gradient formulas follow the standard calculus; broadcasting is handled by
 
 Only tensors with ``requires_grad=True`` somewhere in their ancestry
 propagate gradients; constant operands are folded into the closure without
-creating graph edges.
+creating graph edges, and inside ``no_grad()`` every result is a constant.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .tensor import ArrayLike, Tensor, as_tensor, unbroadcast
+from .tensor import ArrayLike, Tensor, _grad_mode, as_tensor, unbroadcast
 
 
 def _needs_grad(*tensors: Tensor) -> bool:
-    """True if any operand participates in gradient computation."""
-    return any(t.requires_grad or t._parents for t in tensors)
+    """True if any operand participates in gradient computation, outside
+    :func:`~repro.autograd.tensor.no_grad`."""
+    return _grad_mode.enabled and any(t.requires_grad or t._parents for t in tensors)
 
 
 def _make(

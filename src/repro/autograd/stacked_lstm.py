@@ -47,7 +47,11 @@ class StackedLSTMWorkspace(_TapeCache):
         self, K: int, T: int, B: int, in_size: int, hidden: int, layers: int
     ) -> _LSTMTape:
         """The tape for one call shape; its ``x`` is the ``(K, T, B, in)`` input."""
-        return self._tape((K,), T, B, in_size, hidden, layers)
+        key = ((K,), T, B, in_size, hidden, layers)
+        tape = self._tapes.get(key)
+        if tape is None:
+            tape = self._tapes[key] = _LSTMTape(*key)
+        return tape
 
 
 def stacked_lstm_forward(
@@ -74,7 +78,7 @@ def stacked_lstm_backward(
     buffers, valid until the next call); when ``need_dx`` the input
     gradient is left in ``st.bwd.dx`` as ``(K, T, B, in)``.
     """
-    dseq = st.backward_scratch().dseq[0]
+    dseq = st.bwd.dseq[0]
     dseq.fill(0.0)
     dseq[:, st.T - 1] = dh_final
     return _lstm_backward(st, need_dx)

@@ -19,15 +19,42 @@ Design notes
   differentiation is out of scope for this reproduction.
 * Broadcasting follows NumPy semantics; gradients are un-broadcast by
   summing over the broadcast axes (see :func:`unbroadcast`).
+* Inside :func:`no_grad` no graph is built at all: evaluation is inference.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Compute values only: inside the block every op returns a constant.
+
+    No backward closure is attached and nothing is saved for one, so
+    :func:`~repro.autograd.fused_lstm` runs its tape-free forward.  The
+    values are bit-identical to the same ops outside the block.  The switch
+    is per thread and nests.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, no_grad
 from ..nn.module import Module
 from ..spec import build, describe
 
@@ -28,12 +28,15 @@ from ..spec import build, describe
 #: the per-timestep autograd graph kept as the correctness oracle.
 LSTM_BACKENDS = ("fused", "graph")
 
-#: Rows per stacked-evaluation block for sequence models.  Each row of a
-#: sequence batch carries ``time x 4*hidden`` of activation tape through
-#: the fused forward, so the flat-model default
-#: (:data:`repro.runtime.evaluation.STACKED_EVAL_BLOCK`) would allocate
-#: hundreds of MB at paper scale; 256 rows keeps the tape tens of MB while
-#: still amortizing dispatch.
+#: Rows per stacked-evaluation block for sequence models.  An evaluation
+#: forward keeps no tape (it runs under :func:`repro.autograd.no_grad`); it
+#: steps ``time x layers`` times, each step a dozen NumPy calls over a
+#: ``(rows, 4*hidden)`` gate block.  256 rows amortize that dispatch while
+#: a step's working set stays cache-sized (0.5 MB of gates at hidden 64),
+#: which the flat-model default
+#: (:data:`repro.runtime.evaluation.STACKED_EVAL_BLOCK`) would not.  The
+#: block bounds are also the census's reduction units, so changing the
+#: value moves evaluated losses by ulps (a numerics-epoch change).
 SEQ_EVAL_BLOCK_ROWS = 256
 
 
@@ -101,9 +104,9 @@ class FederatedModel(abc.ABC):
         ``None`` defers to the evaluator's global default
         (:data:`repro.runtime.evaluation.STACKED_EVAL_BLOCK`, tuned for
         flat feature rows).  Sequence models override with a smaller
-        number: their forward temporaries scale with ``time x hidden``
-        per row, so the flat-model block size would blow past cache (and,
-        for the fused LSTM, balloon the activation tape).
+        number: their forward temporaries scale with ``hidden`` per row and
+        are touched ``time`` times, so the flat-model block size would blow
+        past cache.
         """
         return None
 
@@ -344,7 +347,9 @@ class NeuralModel(FederatedModel):
     """Adapter exposing a :class:`repro.nn.Module` through the flat interface.
 
     Subclasses must implement :meth:`build` (construct the module),
-    :meth:`forward_loss` (batch -> scalar loss Tensor) and :meth:`predict`.
+    :meth:`forward_loss` (batch -> scalar loss Tensor) and :meth:`predict`,
+    which runs its forward under :func:`repro.autograd.no_grad` as
+    :meth:`loss` does: evaluation builds no graph.
 
     Parameters
     ----------
@@ -378,7 +383,8 @@ class NeuralModel(FederatedModel):
         self.module.set_flat(w)
 
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
-        return float(self.forward_loss(X, y).data)
+        with no_grad():
+            return float(self.forward_loss(X, y).data)
 
     def gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.loss_and_gradient(X, y)[1]

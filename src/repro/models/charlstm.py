@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, softmax_cross_entropy
+from ..autograd import Tensor, no_grad, softmax_cross_entropy
 from ..nn import LSTM, Dense, Embedding, FusedLSTM
 from ..nn.module import Module
 from ..spec import register
@@ -146,4 +146,5 @@ class CharLSTM(StackedSeqSolveMixin, NeuralModel):
         return softmax_cross_entropy(logits, np.asarray(y))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.module(np.asarray(X)).data.argmax(axis=1)
+        with no_grad():
+            return self.module(np.asarray(X)).data.argmax(axis=1)

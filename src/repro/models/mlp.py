@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, softmax_cross_entropy
+from ..autograd import Tensor, no_grad, softmax_cross_entropy
 from ..nn import Dense, Sequential
 from ..nn.module import Module
 from ..spec import register
@@ -52,7 +52,8 @@ class MLPClassifier(NeuralModel):
         return softmax_cross_entropy(self.forward_logits(X), np.asarray(y))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.forward_logits(X).data.argmax(axis=1)
+        with no_grad():
+            return self.forward_logits(X).data.argmax(axis=1)
 
     @property
     def supports_stacked_eval(self) -> bool:

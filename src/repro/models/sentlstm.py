@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, binary_cross_entropy_with_logits
+from ..autograd import Tensor, binary_cross_entropy_with_logits, no_grad
 from ..nn import LSTM, Dense, Embedding, FusedLSTM
 from ..nn.module import Module
 from ..spec import register
@@ -151,5 +151,6 @@ class SentimentLSTM(StackedSeqSolveMixin, NeuralModel):
         return binary_cross_entropy_with_logits(logits, targets)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        logits = self.module(np.asarray(X)).data.reshape(-1)
+        with no_grad():
+            logits = self.module(np.asarray(X)).data.reshape(-1)
         return (logits > 0).astype(np.int64)

@@ -164,12 +164,14 @@ class FusedLSTM(LSTM):
     :meth:`forward` differs: the whole unroll executes as one
     :func:`repro.autograd.fused_lstm` graph node over this module's
     persistent :class:`~repro.autograd.FusedLSTMWorkspace`, which reuses
-    its activation tape across minibatches and local epochs.
+    its activation tape across minibatches and local epochs.  A forward
+    under :func:`repro.autograd.no_grad` (every evaluation) takes no tape
+    and leaves the workspace as it was.
 
     The workspace makes the usual tape assumption: a forward's backward
-    pass must run before the next forward through this module (the
-    train-step pattern everywhere in this codebase).  Violations raise
-    instead of corrupting gradients.
+    pass must run before the next gradient-taking forward through this
+    module (the train-step pattern everywhere in this codebase).
+    Violations raise instead of corrupting gradients.
     """
 
     def __init__(

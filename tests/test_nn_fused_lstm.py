@@ -20,10 +20,10 @@ from repro.autograd import (
     Tensor,
     check_gradients,
     fused_lstm,
+    no_grad,
     ops,
-    stacked_lstm_backward,
-    stacked_lstm_forward,
 )
+from repro.autograd import functional
 from repro.models import CharLSTM, SentimentLSTM
 from repro.nn import LSTM, FusedLSTM
 
@@ -167,75 +167,99 @@ class TestFusedMatchesGraph:
         )
 
 
-def _owned_arrays(obj, found=None):
-    """Every ndarray that owns its memory, reachable from ``obj``'s attributes."""
-    found = {} if found is None else found
-    if isinstance(obj, np.ndarray):
-        if obj.base is None:
-            found[id(obj)] = obj
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            _owned_arrays(item, found)
-    elif hasattr(obj, "__dict__"):
-        for value in vars(obj).values():
-            _owned_arrays(value, found)
-    return found
+class TestEvaluationBuildsNoTape:
+    """A forward with no gradient to compute takes no tape; every tape that
+    is built runs a backward, so it is built with its backward scratch."""
 
+    T, B, IN, H, LAYERS = 6, 5, 3, 4, 2
 
-def _nbytes(obj):
-    return sum(a.nbytes for a in _owned_arrays(obj).values())
+    def _triples(self, rng):
+        lstm = LSTM(self.IN, self.H, self.LAYERS, rng)
+        return [(c.w_x, c.w_h, c.bias) for c in lstm.cells]
 
-
-class TestBackwardBuffersAreLazy:
-    """Shapes that only ever run forward (evaluation blocks) hold no backward scratch."""
-
-    def test_scalar_tape_grows_on_its_first_backward_only(self, rng):
-        T, B, in_size, H, layers = 6, 5, 3, 4, 2
-        lstm = LSTM(in_size, H, layers, rng)
-        triples = [(c.w_x, c.w_h, c.bias) for c in lstm.cells]
+    def test_constant_parameters_take_no_tape(self, rng):
+        triples = self._triples(rng)
         frozen = [tuple(p.detach() for p in triple) for triple in triples]
-        x = rng.normal(size=(B, T, in_size))
+        x = rng.normal(size=(self.B, self.T, self.IN))
         ws = FusedLSTMWorkspace()
+        out = fused_lstm(x, frozen, workspace=ws)
+        assert ws._tapes == {} and ws.generation == 0
+        assert np.array_equal(out.data, fused_lstm(x, triples, workspace=ws).data)
 
-        fused_lstm(x, frozen, workspace=ws)  # an evaluation forward
+    def test_no_grad_takes_no_tape_and_leaves_a_pending_backward_intact(self, rng):
+        triples = self._triples(rng)
+        x = rng.normal(size=(self.B, self.T, self.IN))
+        ws = FusedLSTMWorkspace()
+        pending = ops.sum_(fused_lstm(x, triples, workspace=ws))
         (tape,) = ws._tapes.values()
-        assert tape.bwd is None
-        forward_bytes = _nbytes(tape)
-        gate_blocks = [a for a in _owned_arrays(tape).values() if a.shape == (T, B, 4 * H)]
-        assert len(gate_blocks) == layers  # the saved gates, no gradient block
+        with no_grad():
+            for batch in (1, 2, 9):
+                out = fused_lstm(x[:1].repeat(batch, axis=0), triples, workspace=ws)
+                assert out._parents == () and out._backward_fn is None
+        assert list(ws._tapes.values()) == [tape] and ws.generation == 1
+        pending.backward()  # the tape was not recycled
+        assert all(p.grad is not None for triple in triples for p in triple)
 
-        out = fused_lstm(Tensor(x, requires_grad=True), triples, workspace=ws)
-        assert tape.bwd is None and _nbytes(tape) == forward_bytes
-        ops.sum_(out).backward()
-        bw = tape.bwd
-        assert bw is not None
-        assert bw.dgates.shape == (T, B, 4 * H) and bw.dx.shape == (T, B, in_size)
-        scratch = bw.dgates.nbytes + sum(d.nbytes for d in bw.dseq) + bw.dx.nbytes
-        assert _nbytes(tape) >= forward_bytes + scratch
-        grown = _nbytes(tape)
+    def test_every_tape_carries_its_backward_scratch(self):
+        T, B, H = self.T, self.B, self.H
+        tape = FusedLSTMWorkspace().acquire(T, B, self.IN, H, self.LAYERS)
+        assert tape.bwd.dgates.shape == (T, B, 4 * H)
+        assert tape.bwd.dx.shape == (T, B, self.IN)
+        st = StackedLSTMWorkspace().acquire(3, T, B, self.IN, H, 1)
+        assert st.bwd.dx.shape == (3, T, B, self.IN)
 
-        for _ in range(3):  # and never again
-            fused_lstm(x, frozen, workspace=ws)
-            ops.sum_(fused_lstm(x, triples, workspace=ws)).backward()
-        assert tape.bwd is bw and _nbytes(tape) == grown
+    @pytest.mark.parametrize("name", ["charlstm", "sentlstm"])
+    def test_model_evaluation_adds_no_tape(self, rng, name):
+        model = MODELS[name]()
+        X, y = rng.integers(12, size=(6, 9)), rng.integers(2, size=6)
+        model.loss_and_gradient(X, y)  # a solve step: one tape
+        tapes = dict(model.module.lstm._workspace._tapes)
+        for rows in (1, 6, 40):
+            Xe = rng.integers(12, size=(rows, 9))
+            model.loss(Xe, rng.integers(2, size=rows))
+            model.predict(Xe)
+            model.accuracy(Xe, rng.integers(2, size=rows))
+        assert model.module.lstm._workspace._tapes == tapes
 
-    def test_stacked_tape_likewise(self, rng):
-        K, T, B, in_size, H = 3, 4, 2, 3, 5
-        st = StackedLSTMWorkspace().acquire(K, T, B, in_size, H, 1)
-        st.x[...] = rng.normal(size=st.x.shape)
-        params = [
-            (
-                rng.normal(size=(K, in_size, 4 * H)),
-                rng.normal(size=(K, H, 4 * H)),
-                rng.normal(size=(K, 4 * H)),
-            )
-        ]
-        stacked_lstm_forward(st, params)
-        assert st.bwd is None
-        forward_bytes = _nbytes(st)
-        stacked_lstm_backward(st, rng.normal(size=(K, B, H)), need_dx=True)
-        assert st.bwd.dx.shape == (K, T, B, in_size)
-        assert _nbytes(st) > forward_bytes + st.bwd.dgates.nbytes
+
+class TestFullBatchGradientsDoNotPinTapes:
+    """γ measurement, dissimilarity and FedDane take a full-device gradient:
+    one new call shape per device size, which the workspace must not keep."""
+
+    def test_every_mini_batch_shape_is_kept(self, rng):
+        """A batch of 10 and every shorter last batch: cycled, never rebuilt."""
+        model = MODELS["charlstm"]()
+        ws = model.module.lstm._workspace
+        X, y = rng.integers(12, size=(10, 9)), rng.integers(12, size=10)
+        for n in range(1, 11):
+            model.gradient(X[:n], y[:n])
+        tapes = {key: id(tape) for key, tape in ws._tapes.items()}
+        for n in (10, 3, 10, 7, 10, 1, 10, 9):
+            model.gradient(X[:n], y[:n])
+        assert len(tapes) == 10
+        assert {key: id(tape) for key, tape in ws._tapes.items()} == tapes
+
+    def test_least_recently_used_tapes_beyond_the_budget_are_evicted(
+        self, rng, monkeypatch
+    ):
+        model = MODELS["charlstm"]()
+        fresh = MODELS["charlstm"]()  # built before the budget shrinks
+        ws = model.module.lstm._workspace
+        X, y = rng.integers(12, size=(60, 9)), rng.integers(12, size=60)
+        model.gradient(X[:10], y[:10])
+        batch_bytes = ws._tapes[((), 9, 10, 3, 8, 2)].nbytes
+        monkeypatch.setattr(functional, "TAPE_BYTES", 5 * batch_bytes)
+        for n in range(11, 60, 4):  # one full device per size, growing
+            got = model.gradient(X[:n], y[:n])
+            assert np.array_equal(got, fresh.gradient(X[:n], y[:n]))
+            current = ws._tapes[((), 9, n, 3, 8, 2)]
+            held = sum(t.nbytes for t in ws._tapes.values())
+            assert held <= max(functional.TAPE_BYTES, current.nbytes)
+            model.gradient(X[:10], y[:10])  # the solve's next step
+            assert ((), 9, 10, 3, 8, 2) in ws._tapes
+        assert len(ws._tapes) < 5
+        # An evicted shape is rebuilt on demand, to the same bits.
+        assert np.array_equal(model.gradient(X[:11], y[:11]), fresh.gradient(X[:11], y[:11]))
 
 
 def _used(model, vocab, rng, stacked):
