@@ -38,8 +38,15 @@ Residuals update at transmission time — a later policy drop or
 quarantine does not roll them back (the device did transmit) — and a
 non-finite residual (a corruption fault poisoning the delta) resets to
 empty rather than poisoning every subsequent round of that client.
-Storage is one float64 vector per client that has actually transmitted,
-O(participating clients), not O(federation).
+Storage is one fixed-size slot per client that has transmitted, in an
+unlinked temporary file (it honours ``TMPDIR``) opened at the first
+error-feedback write.  What stays resident is one reused read buffer and
+a ``client_id -> offset`` map, so the server's memory stays O(active
+cohort) with error feedback on; the O(devices that transmitted) bytes
+live in a file the kernel can write back.  A reset returns its slot to
+a free list that the next new client reuses.  The file is closed when
+the manager is collected, not by ``trainer.close()``: a closed trainer
+may still run rounds.
 
 Byte-accounting model
 ---------------------
@@ -52,8 +59,10 @@ uplink cost over its actual uplink bytes.
 
 from __future__ import annotations
 
+import tempfile
 import time
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+import weakref
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +71,65 @@ from .config import CommsConfig
 
 if TYPE_CHECKING:  # avoid circular imports with repro.core / repro.runtime
     from ..core.client import ClientUpdate
+
+
+class _ResidualSpill:
+    """Error-feedback residuals, one fixed-size slot per client in a file.
+
+    The file is unlinked at creation, so nothing outlives the process; a
+    mapped file would not do, because its resident pages count toward the
+    process's RSS.  Every slot is as wide as the first residual written.
+    """
+
+    def __init__(self) -> None:
+        self._offsets: Dict[int, int] = {}
+        self._free: List[int] = []
+        self._file = None
+        self._buffer: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def read(self, client_id: int) -> Optional[np.ndarray]:
+        """The client's residual, in a buffer the next read overwrites."""
+        offset = self._offsets.get(client_id)
+        if offset is None:
+            return None
+        buffer = self._buffer
+        self._file.seek(offset)
+        if self._file.readinto(buffer) != buffer.nbytes:
+            raise OSError(f"short read of client {client_id}'s residual")
+        return buffer
+
+    def write(self, client_id: int, residual: np.ndarray) -> None:
+        """Store ``residual`` as the client's, in its slot or a new one."""
+        if self._file is None:
+            self._file = tempfile.TemporaryFile(buffering=0)
+            weakref.finalize(self, self._file.close)
+            self._buffer = np.empty_like(residual)
+        elif residual.nbytes != self._buffer.nbytes:
+            raise ValueError(
+                f"residual of {residual.nbytes} bytes does not fit a "
+                f"{self._buffer.nbytes}-byte slot"
+            )
+        offset = self._offsets.get(client_id)
+        if offset is None:
+            # With no free slot, every slot written so far is live.
+            offset = (
+                self._free.pop()
+                if self._free
+                else len(self._offsets) * residual.nbytes
+            )
+            self._offsets[client_id] = offset
+        self._file.seek(offset)
+        if self._file.write(residual) != residual.nbytes:
+            raise OSError(f"short write of client {client_id}'s residual")
+
+    def free(self, client_id: int) -> None:
+        """Drop the client's residual; its slot goes to the next new client."""
+        offset = self._offsets.pop(client_id, None)
+        if offset is not None:
+            self._free.append(offset)
 
 
 class CommsManager:
@@ -78,7 +146,7 @@ class CommsManager:
             and self.codec is not None
             and not self.codec.lossless
         )
-        self._residuals: Dict[int, np.ndarray] = {}
+        self._residuals = _ResidualSpill()
         self.bytes_up_total = 0
         self.bytes_down_total = 0
         self.dense_up_total = 0
@@ -127,8 +195,9 @@ class CommsManager:
         return len(self._residuals)
 
     def residual(self, client_id: int) -> Optional[np.ndarray]:
-        """The client's pending error-feedback residual, if any."""
-        return self._residuals.get(client_id)
+        """A copy of the client's pending error-feedback residual, if any."""
+        residual = self._residuals.read(client_id)
+        return None if residual is None else residual.copy()
 
     def stats(self) -> Dict[str, float]:
         """Cumulative wire accounting for this run."""
@@ -155,9 +224,10 @@ class CommsManager:
         codec = self.codec
         task = update.task
         if self.ef:
-            # One scratch vector carries delta → transmitted → residual.
+            # One scratch vector carries delta → transmitted → residual;
+            # the stored residual is read into the spill's buffer.
             sent = update.w - task.w_global
-            residual = self._residuals.get(update.client_id)
+            residual = self._residuals.read(update.client_id)
             if residual is not None:
                 sent += residual
             payload = codec.encode_delta(sent, task.rng_entropy)
@@ -165,12 +235,12 @@ class CommsManager:
             decoded = codec.decode_delta(payload, sent.shape[0])
             residual = np.subtract(sent, decoded, out=sent)
             if np.all(np.isfinite(residual)):
-                self._residuals[update.client_id] = residual
+                self._residuals.write(update.client_id, residual)
             else:
                 # A poisoned delta (corruption fault) must not leave a
                 # permanently-NaN accumulator behind; the device resets
                 # its memory and the quarantine guard handles the update.
-                self._residuals.pop(update.client_id, None)
+                self._residuals.free(update.client_id)
             decoded += task.w_global
             update.w = decoded
         else:

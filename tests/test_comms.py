@@ -16,6 +16,7 @@ The comms subsystem's contract has three load-bearing guarantees:
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -438,6 +439,95 @@ class TestErrorFeedback:
         manager.finalize_round([bad])
         assert manager.residual(1) is None
         assert np.isnan(bad.w).any()  # still loud for the quarantine
+
+    def test_residual_is_a_copy(self):
+        manager = CommsManager(CommsConfig(codec="topk", k=1, ef=True))
+        task = self._task(0, np.zeros(3))
+        manager.finalize_round([self._update(task, np.array([1.0, 0.4, 0.0]))])
+        manager.residual(0)[:] = 100.0  # must not reach the next transmission
+        u2 = self._update(task, np.array([0.0, 0.1, 0.0]))
+        manager.finalize_round([u2])
+        assert np.allclose(u2.w, [0.0, 0.5, 0.0], atol=1e-6)
+
+    def test_reset_frees_the_slot_the_next_new_client_reuses(self):
+        manager = CommsManager(CommsConfig(codec="qsgd", bits=4, ef=True))
+        d, w_global = 4, np.zeros(4)
+
+        def send(client_id, w):
+            task = self._task(client_id, w_global)
+            manager.finalize_round([self._update(task, np.array(w))])
+
+        def spill_bytes():
+            return os.fstat(manager._residuals._file.fileno()).st_size
+
+        send(1, [0.5, -0.5, 0.25, 0.0])
+        send(2, [0.1, 0.2, 0.3, 0.4])
+        kept = manager.residual(2)
+        assert manager.residual_clients == 2 and spill_bytes() == 2 * d * 8
+        send(1, [np.nan, 0.0, 0.0, 0.0])
+        assert manager.residual(1) is None and manager.residual_clients == 1
+        send(3, [0.3, 0.1, -0.2, 0.0])
+        assert manager.residual_clients == 2 and spill_bytes() == 2 * d * 8
+        assert np.array_equal(manager.residual(2), kept)
+        assert np.any(manager.residual(3) != 0.0)
+
+    @staticmethod
+    def _reference_roundtrip(codec, residuals, update):
+        """Error feedback over a dict of per-client arrays: the oracle."""
+        task = update.task
+        sent = update.w - task.w_global
+        if update.client_id in residuals:
+            sent = sent + residuals[update.client_id]
+        decoded = codec.decode_delta(
+            codec.encode_delta(sent, task.rng_entropy), sent.shape[0]
+        )
+        residual = sent - decoded
+        if np.all(np.isfinite(residual)):
+            residuals[update.client_id] = residual
+        else:
+            residuals.pop(update.client_id, None)
+        return decoded + task.w_global
+
+    @pytest.mark.parametrize(
+        "spec", ["comms:codec=qsgd,bits=4,ef=true", "comms:codec=topk,k=3,ef=true"]
+    )
+    def test_spill_equals_a_dict_of_residuals(self, spec):
+        from repro.runtime.executor import LocalTask
+
+        manager = CommsManager(CommsConfig.from_spec(spec))
+        oracle = {}
+        rng = np.random.default_rng(0)
+        w_global = np.zeros(9)
+        for round_idx in range(8):
+            clients = [int(c) for c in rng.choice(6, size=4, replace=False)]
+            tasks = [
+                LocalTask(
+                    client_id=cid, w_global=w_global, mu=0.0, epochs=1.0,
+                    rng_entropy=(0, round_idx, cid, 0),
+                )
+                for cid in clients
+            ]
+            ws = [w_global + rng.normal(size=9) for _ in tasks]
+            if round_idx == 4:
+                ws[0][2] = np.nan  # a corruption fault resets its residual
+            expected = [
+                self._reference_roundtrip(
+                    manager.codec, oracle, self._update(task, w.copy())
+                )
+                for task, w in zip(tasks, ws)
+            ]
+            updates = [self._update(task, w) for task, w in zip(tasks, ws)]
+            manager.finalize_round(updates)
+            for update, want in zip(updates, expected):
+                np.testing.assert_array_equal(update.w, want)
+            assert manager.residual_clients == len(oracle)
+            for cid in range(6):
+                residual = manager.residual(cid)
+                if cid in oracle:
+                    assert np.array_equal(residual, oracle[cid])
+                else:
+                    assert residual is None
+            w_global = w_global + 0.1 * rng.normal(size=9)
 
     def test_events_go_to_the_round_named_else_the_tasks_own(self):
         from repro.telemetry import InMemorySink, Telemetry

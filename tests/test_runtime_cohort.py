@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import FederatedTrainer
 from repro.datasets import make_synthetic
@@ -30,6 +32,17 @@ pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.ym
 
 TOL = 1e-12
 ROUNDS = 3
+
+#: Cohorts of 1-300 chains whose budgets (1-60 steps) are heavy-tailed:
+#: each budget's ceiling is a power of two drawn uniformly, so most chains
+#: are short and a few run long, as under power-law stragglers.
+HEAVY_TAILED_BUDGETS = st.integers(1, 300).flatmap(
+    lambda k: st.lists(
+        st.integers(0, 6).flatmap(lambda e: st.integers(1, min(60, 2**e))),
+        min_size=k,
+        max_size=k,
+    )
+)
 
 
 def _run(
@@ -133,15 +146,24 @@ class TestPackingPlanner:
         assert seg.base_steps.tolist() == [1, 1, 1]
         assert plan.pack_efficiency == pytest.approx(1.0)
 
-    def test_every_chain_starts_and_ends_exactly_once(self):
-        budgets = [13, 1, 7, 2, 13, 5, 1, 4, 9, 3]
+    @settings(max_examples=60, deadline=None)
+    @given(budgets=HEAVY_TAILED_BUDGETS)
+    @example(budgets=[13, 1, 7, 2, 13, 5, 1, 4, 9, 3])
+    def test_every_chain_starts_and_ends_exactly_once(self, budgets):
         plan = plan_cohort(budgets)
         started = sorted(p.task for s in plan.segments for p in s.starts)
         ended = sorted(p.task for s in plan.segments for p in s.ends)
         assert started == ended == list(range(len(budgets)))
-        # Work is schedule-invariant and lanes never exceed capacity.
-        assert sum(p.stop - p.start for p in plan.placements) == sum(budgets)
-        assert all(load <= plan.t_max for load in plan.lane_loads)
+        # Every task is placed once, for exactly its budget.
+        assert sorted(p.task for p in plan.placements) == list(range(len(budgets)))
+        assert all(p.stop - p.start == budgets[p.task] for p in plan.placements)
+        # No lane exceeds capacity, and a lane's placements never overlap.
+        lanes = [[] for _ in range(plan.n_lanes)]
+        for p in sorted(plan.placements, key=lambda p: p.start):
+            lanes[p.lane].append(p)
+        for chain, load in zip(lanes, plan.lane_loads):
+            assert all(a.stop <= b.start for a, b in zip(chain, chain[1:]))
+            assert chain[-1].stop == load <= plan.t_max
         # Segments tile [0, t_max) and base_steps advance chains correctly.
         assert plan.segments[0].lo == 0
         assert plan.segments[-1].hi == plan.t_max
@@ -149,14 +171,14 @@ class TestPackingPlanner:
             assert s1.hi == s2.lo
         for seg in plan.segments:
             for lane in range(seg.width):
-                p = next(
-                    p for p in plan.placements
-                    if p.lane == lane and p.start <= seg.lo < p.stop
-                )
+                p = next(p for p in lanes[lane] if p.start <= seg.lo < p.stop)
                 assert seg.base_steps[lane] == seg.lo - p.start + 1
 
-    def test_busy_width_is_a_prefix_at_every_step(self):
-        plan = plan_cohort([6, 6, 3, 2, 1, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(budgets=HEAVY_TAILED_BUDGETS)
+    @example(budgets=[6, 6, 3, 2, 1, 1])
+    def test_busy_width_is_a_prefix_at_every_step(self, budgets):
+        plan = plan_cohort(budgets)
         for seg in plan.segments:
             for t in range(seg.lo, seg.hi):
                 busy = {p.lane for p in plan.placements if p.start <= t < p.stop}

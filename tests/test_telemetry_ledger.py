@@ -142,6 +142,8 @@ class TestJSONLSinkHardening:
         # A crashed writer never finalizes: the target never appears.
         assert not path.exists()
         assert os.path.exists(str(path) + ".part")
+        sink._fh.close()  # the handle, not the sink: nothing finalizes
+        assert not path.exists()
 
     def test_append_mode_is_not_atomic(self, tmp_path):
         path = tmp_path / "runs.jsonl"
