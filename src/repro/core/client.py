@@ -204,8 +204,9 @@ class ClientPool(Sequence):
     behavior (and histories) are unchanged.  For a lazily-materializing
     dataset (``dataset.is_lazy``) the pool builds a transient
     :class:`Client` per access instead: the client's data comes from the
-    store's bounded cache, so a 10^6-device federation never holds more
-    than the active working set in memory.  Clients are stateless wrappers
+    store on each access and lives as long as the caller holds it, so a
+    10^6-device federation never holds more than the active working set
+    in memory.  Clients are stateless wrappers
     (model and solver are shared), so transient construction cannot affect
     training results.
 

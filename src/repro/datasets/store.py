@@ -23,10 +23,11 @@ that materialize on access:
 :class:`OnDemandSyntheticStore`
     Regenerates any client's ``Synthetic(alpha, beta)`` data
     deterministically from per-client seed entropy
-    (``SeedSequence([seed, salt, client_id])``), holding only a bounded
-    LRU of live clients — a 10^6-device federation costs O(active cohort)
-    memory.  Re-materializing an evicted client reproduces its arrays
-    bit-for-bit, so LRU evictions can never change a training history.
+    (``SeedSequence([seed, salt, client_id])``) on every access and, by
+    default, keeps nothing between accesses — a 10^6-device federation
+    costs O(active cohort) memory, held by whoever uses the clients.
+    Regenerating a client reproduces its arrays bit-for-bit, so an
+    opt-in LRU (``cache_clients``) can never change a training history.
 
 All stores implement the read-only sequence protocol (``len``, ``[]``,
 iteration), so everything that walks a ``FederatedDataset`` works
@@ -67,18 +68,24 @@ _SIZES_SALT = 0x512E  # per-federation size draw
 _CLIENT_SALT = 0xC11E  # per-client data regeneration
 _GLOBAL_SALT = 0x610B  # shared (IID) model draw
 
-#: Default bound on live clients kept by lazily-materializing stores.
-DEFAULT_CACHE_CLIENTS = 256
+#: Default bound on clients an :class:`OnDemandSyntheticStore` keeps between
+#: gets: none.  Sampled evaluation draws fresh devices every round, so a
+#: cache of regenerated clients almost never hits and only holds memory.
+DEFAULT_CACHE_CLIENTS = 0
 
 _SHARD_STORE_FORMAT = "repro-shard-store-v1"
 
 
 class _LRUCache:
-    """A tiny bounded LRU mapping with hit/miss counters."""
+    """A tiny bounded LRU mapping with hit/miss counters.
+
+    ``maxsize=0`` holds nothing: every ``get`` is a miss and ``put`` keeps
+    no reference.
+    """
 
     def __init__(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError("cache maxsize must be at least 1")
+        if maxsize < 0:
+            raise ValueError("cache maxsize must be non-negative")
         self.maxsize = int(maxsize)
         self._data: "OrderedDict" = OrderedDict()
         self.hits = 0
@@ -94,6 +101,8 @@ class _LRUCache:
         return None
 
     def put(self, key, value) -> None:
+        if not self.maxsize:
+            return
         self._data[key] = value
         self._data.move_to_end(key)
         while len(self._data) > self.maxsize:
@@ -130,6 +139,12 @@ class OnDemandSyntheticStore(ClientStore):
     different federations; this store is its own dataset family, not a
     lazy view of ``make_synthetic``.)
 
+    By default a ``get`` regenerates the client and the store keeps no
+    reference to it, so the clients alive at any moment are the ones a
+    caller still holds — the round's cohort and the evaluator's sample.
+    Traffic that re-reads the same devices soon after (a fixed evaluation
+    panel) can opt into an LRU with ``cache_clients``.
+
     Per-device sample counts come from a single vectorized heavy-tailed
     draw (``lognormal(4, 2) + 50``, capped) seeded independently of the
     per-client data entropy, so ``train_sizes`` costs one array draw for
@@ -147,7 +162,8 @@ class OnDemandSyntheticStore(ClientStore):
         Root entropy for sizes, shared IID parameters, and every
         per-client stream.
     cache_clients:
-        Bound on live materialized clients (LRU).
+        Materialized clients kept between gets (LRU); ``0``, the
+        default, keeps none.
     """
 
     lazy = True
@@ -170,6 +186,8 @@ class OnDemandSyntheticStore(ClientStore):
             raise ValueError("num_devices must be at least 1")
         if not 0.0 <= test_fraction < 1.0:
             raise ValueError("test_fraction must be in [0, 1)")
+        if cache_clients < 0:
+            raise ValueError("cache_clients must be non-negative")
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.num_devices = int(num_devices)
@@ -296,6 +314,8 @@ class MmapShardStore(ClientStore):
     lazy = True
 
     def __init__(self, directory: str, max_open_shards: int = 8) -> None:
+        if max_open_shards < 1:
+            raise ValueError("max_open_shards must be at least 1")
         self.directory = str(directory)
         index_path = os.path.join(self.directory, "index.json")
         if not os.path.exists(index_path):

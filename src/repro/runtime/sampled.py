@@ -373,7 +373,9 @@ class SampledEvaluator:
         so the values equal the per-device loop every other case takes.
         ``EvalConfig.mode`` is not consulted: it picks the full-census
         kernel, whose stacked form caches the whole federation, while this
-        stack is the sample's rows only and is dropped on return.
+        stack is the sample's rows only and is dropped on return.  Only
+        the held-out arrays of each device are kept until the forward: on
+        a lazy store its training rows are freed as soon as it is read.
         """
         model = getattr(self.clients, "model", None)
         if not getattr(model, "supports_stacked_eval", False):
@@ -385,19 +387,22 @@ class SampledEvaluator:
         out = dict.fromkeys(cids, 0.0)
         # reduceat cannot express an empty segment: skip rowless devices.
         held_out = [
-            (cid, d) for cid in cids if (d := self.clients[cid].data).num_test
+            (cid, data.test_x, data.test_y)
+            for cid in cids
+            for data in (self.clients[cid].data,)
+            if data.num_test
         ]
         if not held_out:
             return out
-        X = np.concatenate([d.test_x for _, d in held_out])
-        y = np.concatenate([d.test_y for _, d in held_out])
+        X = np.concatenate([x for _, x, _ in held_out])
+        y = np.concatenate([y_k for _, _, y_k in held_out])
         block = model.stacked_eval_block_rows or STACKED_EVAL_BLOCK
         model.set_params(w)
         predicted = np.concatenate(
             [model.predict(X[lo : lo + block]) for lo in range(0, len(y), block)]
         )
-        starts = np.cumsum([0] + [d.num_test for _, d in held_out[:-1]])
+        starts = np.cumsum([0] + [len(y_k) for _, _, y_k in held_out[:-1]])
         correct = np.add.reduceat(predicted == y, starts, dtype=np.intp)
-        for (cid, d), hits in zip(held_out, correct.tolist()):
-            out[cid] = hits / d.num_test
+        for (cid, _, y_k), hits in zip(held_out, correct.tolist()):
+            out[cid] = hits / len(y_k)
         return out

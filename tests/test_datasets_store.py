@@ -20,7 +20,7 @@ from repro.datasets import (
     resolve_store,
 )
 from repro.datasets.federated import ClientData, train_test_split_client
-from repro.datasets.store import _CLIENT_SALT
+from repro.datasets.store import _CLIENT_SALT, _LRUCache
 from repro.datasets.synthetic import (
     NUM_CLASSES,
     NUM_FEATURES,
@@ -29,6 +29,8 @@ from repro.datasets.synthetic import (
 )
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
+from repro.spec import build, describe
+from repro.telemetry import history_digest
 
 from .conftest import make_toy_client
 
@@ -157,8 +159,38 @@ class TestOnDemandStore:
         assert store.cache_info()["hits"] == 1
 
     def test_default_cache_budget(self):
+        """By default a get regenerates the client and keeps nothing."""
         store = OnDemandSyntheticStore(1.0, 1.0, num_devices=5, seed=0)
-        assert store.cache_info()["maxsize"] == DEFAULT_CACHE_CLIENTS
+        assert store.cache_info()["maxsize"] == DEFAULT_CACHE_CLIENTS == 0
+        first = store.get(2)
+        assert store.cache_info()["size"] == 0
+        again = store.get(2)
+        assert again is not first
+        assert_same_client(again, first)
+        assert store.cache_info() == {
+            "size": 0, "maxsize": 0, "hits": 0, "misses": 2, "evictions": 0
+        }
+
+    def test_empty_lru_counts_misses_and_holds_nothing(self):
+        cache = _LRUCache(0)
+        value = object()
+        for _ in range(3):
+            assert cache.get("k") is None
+            cache.put("k", value)
+        assert len(cache) == 0
+        assert cache.info() == {
+            "size": 0, "maxsize": 0, "hits": 0, "misses": 3, "evictions": 0
+        }
+
+    def test_negative_cache_budgets_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="cache_clients"):
+            OnDemandSyntheticStore(1.0, 1.0, num_devices=5, cache_clients=-1)
+        with pytest.raises(ValueError):
+            _LRUCache(-1)
+        source = make_synthetic(1.0, 1.0, num_devices=4, seed=0, size_cap=80)
+        MmapShardStore.pack(source, tmp_path / "s", clients_per_shard=2)
+        with pytest.raises(ValueError, match="max_open_shards"):
+            MmapShardStore(tmp_path / "s", max_open_shards=0)
 
     def test_pickle_roundtrip_drops_cache(self):
         store = OnDemandSyntheticStore(1.0, 1.0, num_devices=12, seed=4)
@@ -270,9 +302,10 @@ class TestOnDemandStore:
         assert stats.devices == 40
 
     def test_eviction_never_changes_training_history(self):
-        """An LRU too small to hold the cohort must not perturb training."""
+        """No cache, one too small to hold the cohort, or one holding the
+        whole federation: training is the same."""
         series = []
-        for cache in (2, 64):
+        for cache in (0, 2, 64, 256):
             dataset = make_synthetic_ondemand(
                 1.0, 1.0, num_devices=30, seed=6, cache_clients=cache
             )
@@ -280,7 +313,28 @@ class TestOnDemandStore:
             history = trainer.run(3)
             trainer.close()
             series.append(history_series(history))
-        assert series[0] == series[1]
+        assert all(s == series[0] for s in series[1:])
+
+    def test_recipe_with_the_old_cache_default_replays(self):
+        """Ledgers recorded while the default was an LRU of 256 clients
+        carry ``cache_clients=256``; such a recipe still builds and trains
+        to the same history as the default."""
+        dataset = make_synthetic_ondemand(
+            1.0, 1.0, num_devices=300, seed=4, size_cap=120
+        )
+        recipe = describe(dataset)
+        assert recipe["cache_clients"] == 0
+        old = build({**recipe, "cache_clients": 256}, "dataset")
+        assert old.store.cache_info()["maxsize"] == 256
+        digests = []
+        for data in (dataset, old):
+            with make_trainer(
+                data, seed=2,
+                evaluation=EvalConfig(strategy="sampled", sample_size=30),
+            ) as trainer:
+                digests.append(history_digest(trainer.run(4).records))
+        assert old.store.cache_info()["hits"] > 0
+        assert digests[0] == digests[1]
 
 
 class TestMmapShardStore:

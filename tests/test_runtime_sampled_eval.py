@@ -216,6 +216,74 @@ class TestSampledTrainerHistories:
             make_trainer(dataset, evaluation=EvalConfig(strategy="approximate"))
 
 
+class _MeasuredClient:
+    """A device whose loss and held-out counts at the one model under test
+    were measured once: lets 400 sampled estimates reuse them instead of
+    regenerating ~100 on-demand devices per estimate."""
+
+    def __init__(self, client, w):
+        self._loss = client.train_loss(w)
+        self._metrics = client.test_metrics(w)
+
+    def train_loss(self, w):
+        return self._loss
+
+    def test_metrics(self, w):
+        return self._metrics
+
+
+class TestConfidenceIntervalCoverage:
+    """How often the sampled 95 % interval covers the per-client census.
+
+    The interval is a normal approximation, so at m = 100 devices it covers
+    somewhat less than 95 % (DESIGN §13 states the measured coverage).  The
+    floor allows that undercoverage plus three binomial standard deviations
+    of the coverage measured over ``SEEDS x ROUNDS`` independent draws; the
+    ceiling catches an interval wider than its variance warrants.
+    """
+
+    SEEDS, ROUNDS = 2, 200
+    UNDERCOVERAGE = 0.03
+
+    def test_m100_ten_strata_covers_near_nominal(self):
+        dataset = make_synthetic_ondemand(
+            1.0, 1.0, num_devices=2000, seed=0, size_cap=200
+        )
+        with make_trainer(
+            dataset,
+            evaluation=EvalConfig(every=100, train_every=100, mode="per_client"),
+        ) as trainer:
+            for _ in range(20):
+                trainer.run_round()
+            w = trainer.w
+            truth = {
+                "loss": trainer.executor.train_loss(w),
+                "accuracy": trainer.executor.test_accuracy(w),
+            }
+            measured = [_MeasuredClient(client, w) for client in trainer.clients]
+        covered = {"loss": 0, "accuracy": 0}
+        for seed in range(self.SEEDS):
+            evaluator = SampledEvaluator(
+                measured, dataset.train_sizes, dataset.test_sizes,
+                sample_size=100, num_strata=10, seed=seed,
+            )
+            for round_idx in range(self.ROUNDS):
+                for name, estimate in (
+                    ("loss", evaluator.train_loss(w, round_idx)),
+                    ("accuracy", evaluator.test_accuracy(w, round_idx)),
+                ):
+                    assert estimate.sample_size == 100 and not estimate.full
+                    covered[name] += (
+                        abs(estimate.value - truth[name]) <= estimate.ci_halfwidth
+                    )
+        draws = self.SEEDS * self.ROUNDS
+        slack = 3 * np.sqrt(0.95 * 0.05 / draws)
+        for name, hits in covered.items():
+            coverage = hits / draws
+            assert 0.95 - self.UNDERCOVERAGE - slack <= coverage, (name, coverage)
+            assert coverage <= 0.95 + slack, (name, coverage)
+
+
 class TestEvalTrainEvery:
     @pytest.fixture
     def dataset(self):
