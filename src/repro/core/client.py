@@ -88,8 +88,10 @@ class Client:
 
     The model instance is *shared* across clients of a federation (the
     trainer owns a single model whose parameters are overwritten for each
-    loss/gradient query); this mirrors simulation practice and keeps the
-    1000-device configurations within memory.
+    solve and each measurement); this mirrors simulation practice and keeps
+    the 1000-device configurations within memory.  Measuring devices at a
+    point ``w`` — ``F_k(w)``, ``∇F_k(w)``, held-out correct counts — is
+    :func:`repro.runtime.evaluation.device_values`'s, not the client's.
 
     Parameters
     ----------
@@ -174,25 +176,6 @@ class Client:
             gradient_evaluations=evaluations,
             gamma=gamma,
         )
-
-    def train_loss(self, w: np.ndarray) -> float:
-        """Local training loss ``F_k(w)``."""
-        self.model.set_params(w)
-        return self.model.loss(self.data.train_x, self.data.train_y)
-
-    def train_gradient(self, w: np.ndarray) -> np.ndarray:
-        """Local full-batch gradient ``∇F_k(w)``."""
-        self.model.set_params(w)
-        return self.model.gradient(self.data.train_x, self.data.train_y)
-
-    def test_metrics(self, w: np.ndarray) -> tuple:
-        """``(num_correct, num_test)`` on the device's held-out data."""
-        if self.data.num_test == 0:
-            return 0, 0
-        self.model.set_params(w)
-        predictions = self.model.predict(self.data.test_x)
-        correct = int(np.sum(predictions == self.data.test_y))
-        return correct, self.data.num_test
 
 
 class ClientPool(Sequence):

@@ -17,15 +17,17 @@ Two quantities from the paper:
   ``B <= sqrt(1 + σ²/ε)``).
 
 ``E_k`` is the expectation over devices with masses ``p_k = n_k / n``.
+Each ``∇F_k(w)`` is one :func:`repro.runtime.evaluation.device_values` read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..runtime.evaluation import device_values
 from .client import Client
 
 
@@ -42,11 +44,14 @@ class DissimilarityReport:
         gradients do not all vanish).
     global_gradient_norm:
         ``||∇f(w)||``.
+    devices:
+        The device ids measured, ascending.
     """
 
     gradient_variance: float
     b_value: float
     global_gradient_norm: float
+    devices: Tuple[int, ...]
 
 
 def measure_dissimilarity(
@@ -76,28 +81,21 @@ def measure_dissimilarity(
         rng = rng if rng is not None else np.random.default_rng(0)
         indices = np.sort(rng.choice(len(clients), size=max_clients, replace=False))
 
-    # Masses come from the sequence's size metadata where it has any (a
-    # ClientPool does): a lazy store then materializes only the measured
-    # devices, once each, for their gradients.
+    # A ClientPool's size metadata: a lazy store materializes no device here.
     sizes = getattr(clients, "train_sizes", None)
     if sizes is None:
-        sizes = [clients[i].data.num_train for i in indices]
-    else:
-        sizes = np.asarray(sizes)[indices]
-    masses = np.array(sizes, dtype=np.float64)
+        sizes = [client.data.num_train for client in clients]
+    masses = np.asarray(sizes, dtype=np.float64)[indices]
     masses /= masses.sum()
 
-    stacked = np.stack([clients[i].train_gradient(w) for i in indices])
+    stacked = np.stack(device_values(clients, w, "gradient", indices))
     global_grad = masses @ stacked
-
-    sq_norms = np.einsum("ij,ij->i", stacked, stacked)
-    expected_sq_norm = float(masses @ sq_norms)
+    expected_sq_norm = float(masses @ np.einsum("ij,ij->i", stacked, stacked))
     global_sq_norm = float(global_grad @ global_grad)
-    variance = expected_sq_norm - global_sq_norm
-    # Guard against tiny negative values from floating-point cancellation.
-    variance = max(variance, 0.0)
-
-    if np.isclose(expected_sq_norm, global_sq_norm):
+    # Cancellation can leave a tiny negative variance; B, a ratio of squared
+    # norms, is compared with a relative tolerance only so it is scale-free.
+    variance = max(expected_sq_norm - global_sq_norm, 0.0)
+    if np.isclose(expected_sq_norm, global_sq_norm, atol=0.0):
         b_value = 1.0
     elif global_sq_norm == 0.0:
         b_value = float("inf")
@@ -108,6 +106,7 @@ def measure_dissimilarity(
         gradient_variance=variance,
         b_value=b_value,
         global_gradient_norm=float(np.sqrt(global_sq_norm)),
+        devices=tuple(indices.tolist()),
     )
 
 

@@ -24,6 +24,7 @@ from ..datasets.federated import FederatedDataset
 from ..models.base import FederatedModel
 from ..optim.base import LocalSolver
 from ..optim.sgd import SGDSolver
+from ..runtime.evaluation import device_values
 from ..spec import register
 from .sampling import SamplingScheme
 from .server import FederatedTrainer
@@ -76,14 +77,16 @@ class FedDaneTrainer(FederatedTrainer):
         )
         weights = self.dataset.train_sizes[chosen].astype(np.float64)
         weights /= weights.sum()
-        gradients = np.stack([self.clients[c].train_gradient(self.w) for c in chosen])
+        gradients = np.stack(device_values(self.clients, self.w, "gradient", chosen))
         return weights @ gradients
 
     def _corrections(self, round_idx: int) -> Callable[[int], np.ndarray]:
         """Device ``k``'s linear term ``g_t − ∇F_k(w_t)``, with ``g_t`` drawn once."""
         g_estimate = self._estimate_global_gradient(round_idx)
         w = self.w
-        return lambda cid: g_estimate - self.clients[cid].train_gradient(w)
+        return lambda cid: (
+            g_estimate - device_values(self.clients, w, "gradient", [cid])[0]
+        )
 
 
 def make_feddane(

@@ -1,6 +1,6 @@
 """Persistence for training artifacts.
 
-Long experiments should be resumable and auditable: these helpers save and
+Long experiments should be auditable: these helpers save and
 load model parameters (``.npz``), training histories (``.json``), and
 whole figure results (a directory of both).  Formats are plain NumPy/JSON
 so saved runs remain readable without this package.
@@ -93,7 +93,7 @@ def load_history(path: PathLike) -> TrainingHistory:
 def save_checkpoint(
     directory: PathLike, model: FederatedModel, history: TrainingHistory
 ) -> Path:
-    """Save a resumable checkpoint: parameters + history in one directory."""
+    """Save a checkpoint: parameters + history in one directory (no resume state)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(directory / "params.npz", w=model.get_params())

@@ -8,11 +8,7 @@ from .convergence import (
     accuracy_at_outcome,
     classify_run,
 )
-from .evaluation import (
-    federated_test_accuracy,
-    federated_train_loss,
-    per_device_accuracy,
-)
+from .evaluation import federated_test_accuracy, federated_train_loss
 
 __all__ = [
     "classify_run",
@@ -23,5 +19,4 @@ __all__ = [
     "DIVERGENCE_JUMP",
     "federated_train_loss",
     "federated_test_accuracy",
-    "per_device_accuracy",
 ]

@@ -7,8 +7,6 @@ and the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from ..datasets.federated import FederatedDataset
@@ -44,16 +42,3 @@ def federated_test_accuracy(
         raise ValueError("no test samples anywhere in the federation")
     return correct / total
 
-
-def per_device_accuracy(
-    model: FederatedModel, dataset: FederatedDataset, w: np.ndarray
-) -> Dict[int, float]:
-    """Test accuracy of each device with held-out data (macro view)."""
-    model.set_params(w)
-    result: Dict[int, float] = {}
-    for client in dataset:
-        if client.num_test == 0:
-            continue
-        predictions = model.predict(client.test_x)
-        result[client.client_id] = float(np.mean(predictions == client.test_y))
-    return result

@@ -7,10 +7,10 @@ device, which dominates wall-clock time on the paper's 1000-device
 federations.  :class:`FederationEvaluator` provides two strategies:
 
 ``per_client``
-    The legacy semantics — one forward per device, reduced with the
-    aggregation masses ``p_k = n_k / n``.  Bit-identical to the reference
-    loops :func:`repro.metrics.federated_train_loss` /
-    :func:`~repro.metrics.federated_test_accuracy`.
+    :func:`device_values` per device — the one per-device measurement,
+    which the sampled estimates, B-dissimilarity and FedDane also take —
+    reduced with the aggregation masses ``p_k = n_k / n``.  Bit-identical
+    to the reference loops of :mod:`repro.metrics`.
 
 ``stacked``
     The whole federation is evaluated in fused forward passes over large
@@ -45,6 +45,8 @@ same order: histories are bit-identical across engines by construction.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import time
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -110,6 +112,69 @@ def no_test_samples_error(label: str = "") -> ValueError:
     """The federation-wide 'nothing to test on' error, naming the federation."""
     where = f"federation {label!r}" if label else "the federation"
     return ValueError(f"no test samples anywhere in {where}")
+
+
+def device_values(clients, w: np.ndarray, quantity: str, devices: Sequence) -> list:
+    """``F_k(w)`` (``"loss"``, a float), ``∇F_k(w)`` (``"gradient"``, a
+    fresh array) or the held-out correct count (``"correct"``, an int) of
+    each of ``devices``, in order.
+
+    Each device is read once (one ``clients[cid]``) and the model, the
+    first device's, is set to ``w`` once.  Correct counts are one
+    ``predict`` per device, or, for a model with ``supports_stacked_eval``,
+    per block of ``stacked_eval_block_rows`` (or :data:`STACKED_EVAL_BLOCK`)
+    held-out rows across devices; a change of row shape or dtype starts a
+    new block, and one block plus the current device are held at a time.
+    """
+    if quantity not in ("loss", "gradient", "correct"):
+        raise ValueError(f"unknown quantity {quantity!r}")
+    # ``map`` keeps no device it has handed on (a lazy store's rows go).
+    reads = map(clients.__getitem__, devices)
+    first = next(reads, None)
+    if first is None:
+        return []
+    model = first.model
+    model.set_params(w)
+    datas = map(operator.attrgetter("data"), itertools.chain((first,), reads))
+    del first
+    if quantity == "loss":
+        return [float(model.loss(d.train_x, d.train_y)) for d in datas]
+    if quantity == "gradient":
+        return [model.gradient(d.train_x, d.train_y) for d in datas]
+    if not getattr(model, "supports_stacked_eval", False):
+        return [
+            int(np.sum(model.predict(d.test_x) == d.test_y)) if d.num_test else 0
+            for d in datas
+        ]
+    block = getattr(model, "stacked_eval_block_rows", None) or STACKED_EVAL_BLOCK
+    counts = [0] * len(devices)
+    held_out = map(operator.attrgetter("test_x", "test_y"), datas)
+    for positions, xs, ys in _held_out_blocks(held_out, block):
+        hits = model.predict(np.concatenate(xs)) == np.concatenate(ys)
+        lo = 0
+        for position, y in zip(positions, ys):
+            counts[position] += int(np.count_nonzero(hits[lo : lo + len(y)]))
+            lo += len(y)
+    return counts
+
+
+def _held_out_blocks(held_out, block: int):
+    """``(positions, xs, ys)`` per block of ``held_out``'s ``(x, y)`` rows."""
+    pieces, rows, kind = [], 0, None
+    for position, (x, y) in enumerate(held_out):
+        if len(y) and (x.shape[1:], x.dtype) != kind:
+            if pieces:
+                yield tuple(zip(*pieces))
+            pieces, rows, kind = [], 0, (x.shape[1:], x.dtype)
+        while len(y):
+            n = min(len(y), block - rows)
+            pieces.append((position, x[:n], y[:n]))
+            x, y, rows = x[n:], y[n:], rows + n
+            if rows == block:
+                yield tuple(zip(*pieces))
+                pieces, rows = [], 0
+    if pieces:
+        yield tuple(zip(*pieces))
 
 
 class FederationEvaluator:
@@ -246,22 +311,20 @@ class FederationEvaluator:
         """One Python number per unit: a mean loss, or a correct count.
 
         Plain ``float`` / ``int`` so a value computed in a worker crosses
-        the pickle boundary exactly.  Clients are indexed one at a time —
-        a lazily-backed pool then holds no more than its store's cache.
+        the pickle boundary exactly.  Per-client values are
+        :func:`device_values`.
         """
+        if self.eval_mode != "stacked":
+            quantity = "loss" if split == "train" else "correct"
+            return device_values(self.clients, w, quantity, units)
         model = self.model
-        if self.eval_mode == "stacked":
-            X, y = self._store.stacked(split)
-            model.set_params(w)
-            if split == "train":
-                return [float(model.loss(X[lo:hi], y[lo:hi])) for lo, hi in units]
-            return [
-                int(np.sum(model.predict(X[lo:hi]) == y[lo:hi]))
-                for lo, hi in units
-            ]
+        X, y = self._store.stacked(split)
+        model.set_params(w)
         if split == "train":
-            return [float(self.clients[i].train_loss(w)) for i in units]
-        return [self.clients[i].test_metrics(w)[0] for i in units]
+            return [float(model.loss(X[lo:hi], y[lo:hi])) for lo, hi in units]
+        return [
+            int(np.sum(model.predict(X[lo:hi]) == y[lo:hi])) for lo, hi in units
+        ]
 
     def reduce(self, split: str, units: Sequence, values: Sequence) -> float:
         """Fold :meth:`values` of all of :meth:`units`, in unit order."""

@@ -33,10 +33,13 @@ the exhaustive oracle with a survey estimate:
   — ground truth anchoring the sampled series, bit-identical to what an
   unsampled run would have recorded on those rounds.
 
-The sampled path reads devices through the trainer's client pool, so on a
-lazily-materializing store each evaluation materializes O(sample size)
-devices, not the federation; test accuracy runs one stacked forward per
-block of the sample's held-out rows, train loss one forward per device.
+Both estimates read the sampled devices through
+:func:`~repro.runtime.evaluation.device_values`, so on a
+lazily-materializing store each evaluation materializes each sampled
+device once, not the federation: train loss is one forward per device
+(a stack would change the association of its per-device float means),
+test accuracy the held-out correct counts, stacked in blocks where the
+model allows, over the device's test size.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from ..telemetry import resolve_telemetry
-from .evaluation import STACKED_EVAL_BLOCK
+from .evaluation import device_values
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
     from ..core.client import Client
@@ -341,9 +344,9 @@ class SampledEvaluator:
             w,
             round_idx,
             self._train_weights,
-            lambda w_, cids: {
-                cid: self.clients[cid].train_loss(w_) for cid in cids
-            },
+            lambda w_, cids: dict(
+                zip(cids, device_values(self.clients, w_, "loss", cids))
+            ),
             "eval:sampled_train_loss",
         )
 
@@ -356,53 +359,16 @@ class SampledEvaluator:
                 sample_size=self._num_clients,
                 full=True,
             )
+        sizes = self._test_weights
         return self._estimate(
             w,
             round_idx,
-            self._test_weights,
-            self._accuracies,
+            sizes,
+            lambda w_, cids: {
+                cid: hits / sizes[cid]
+                for cid, hits in zip(
+                    cids, device_values(self.clients, w_, "correct", cids)
+                )
+            },
             "eval:sampled_test_accuracy",
         )
-
-    def _accuracies(self, w: np.ndarray, cids: Sequence[int]) -> dict:
-        """Held-out accuracy of each device in ``cids`` under ``w``.
-
-        A client pool whose model advertises ``supports_stacked_eval`` has
-        the devices' test rows stacked and predicted a block at a time;
-        ``np.add.reduceat`` recovers each device's integer correct-count,
-        so the values equal the per-device loop every other case takes.
-        ``EvalConfig.mode`` is not consulted: it picks the full-census
-        kernel, whose stacked form caches the whole federation, while this
-        stack is the sample's rows only and is dropped on return.  Only
-        the held-out arrays of each device are kept until the forward: on
-        a lazy store its training rows are freed as soon as it is read.
-        """
-        model = getattr(self.clients, "model", None)
-        if not getattr(model, "supports_stacked_eval", False):
-            out = {}
-            for cid in cids:
-                correct, total = self.clients[cid].test_metrics(w)
-                out[cid] = correct / total if total else 0.0
-            return out
-        out = dict.fromkeys(cids, 0.0)
-        # reduceat cannot express an empty segment: skip rowless devices.
-        held_out = [
-            (cid, data.test_x, data.test_y)
-            for cid in cids
-            for data in (self.clients[cid].data,)
-            if data.num_test
-        ]
-        if not held_out:
-            return out
-        X = np.concatenate([x for _, x, _ in held_out])
-        y = np.concatenate([y_k for _, _, y_k in held_out])
-        block = model.stacked_eval_block_rows or STACKED_EVAL_BLOCK
-        model.set_params(w)
-        predicted = np.concatenate(
-            [model.predict(X[lo : lo + block]) for lo in range(0, len(y), block)]
-        )
-        starts = np.cumsum([0] + [len(y_k) for _, _, y_k in held_out[:-1]])
-        correct = np.add.reduceat(predicted == y, starts, dtype=np.intp)
-        for (cid, _, y_k), hits in zip(held_out, correct.tolist()):
-            out[cid] = hits / len(y_k)
-        return out

@@ -128,13 +128,14 @@ def estimate_constants(
 ) -> ConstantEstimates:
     """Measure ``B``, ``sigma^2`` and ``L`` for a federation at ``w``.
 
-    ``L`` is estimated as the maximum per-client Lipschitz estimate over a
-    subsample of clients (the theory assumes every ``F_k`` is L-smooth).
+    ``L`` is estimated as the maximum per-client Lipschitz estimate over
+    the devices ``B`` and ``sigma^2`` were measured on — all of them, or
+    ``max_clients`` drawn at random (the theory assumes every ``F_k`` is
+    L-smooth).
     """
     report = measure_dissimilarity(clients, w, max_clients=max_clients)
-    probe_clients = clients if max_clients is None else clients[:max_clients]
     L = 0.0
-    for client in probe_clients:
+    for client in (clients[cid] for cid in report.devices):
         L = max(
             L,
             estimate_lipschitz(

@@ -64,6 +64,31 @@ def make_toy_client(
     )
 
 
+# The per-device oracles ``Client`` used to carry, frozen as they stood:
+# one ``set_params`` and one forward per call.  ``device_values`` is held
+# to them with ``==``.
+def frozen_train_loss(client, w):
+    """``Client.train_loss``: the local training loss ``F_k(w)``."""
+    client.model.set_params(w)
+    return client.model.loss(client.data.train_x, client.data.train_y)
+
+
+def frozen_train_gradient(client, w):
+    """``Client.train_gradient``: the local full-batch gradient ``∇F_k(w)``."""
+    client.model.set_params(w)
+    return client.model.gradient(client.data.train_x, client.data.train_y)
+
+
+def frozen_test_metrics(client, w):
+    """``Client.test_metrics``: ``(num_correct, num_test)`` on held-out data."""
+    if client.data.num_test == 0:
+        return 0, 0
+    client.model.set_params(w)
+    predictions = client.model.predict(client.data.test_x)
+    correct = int(np.sum(predictions == client.data.test_y))
+    return correct, client.data.num_test
+
+
 @pytest.fixture
 def toy_dataset() -> FederatedDataset:
     """Six-device federation over a 6-d 3-class linear problem."""

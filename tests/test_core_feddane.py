@@ -7,6 +7,8 @@ from repro.core import FedDaneTrainer, make_feddane
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 
+from tests.conftest import frozen_train_gradient
+
 
 def _trainer(dataset, mu=0.0, gradient_clients=None, seed=0, **kwargs):
     model = MultinomialLogisticRegression(dim=6, num_classes=3)
@@ -52,7 +54,7 @@ class TestFedDane:
         estimate = trainer._estimate_global_gradient(0)
         masses = toy_dataset.sample_fractions()
         exact = sum(
-            m * trainer.clients[i].train_gradient(trainer.w)
+            m * frozen_train_gradient(trainer.clients[i], trainer.w)
             for i, m in enumerate(masses)
         )
         np.testing.assert_allclose(estimate, exact)
@@ -61,7 +63,7 @@ class TestFedDane:
         """If the estimate were the client's own gradient, the correction
         is zero and FedDane reduces to FedProx on that client."""
         trainer = _trainer(toy_dataset)
-        g = trainer.clients[0].train_gradient(trainer.w)
+        g = frozen_train_gradient(trainer.clients[0], trainer.w)
         correction = g - g
         np.testing.assert_array_equal(correction, np.zeros_like(g))
 
@@ -133,8 +135,22 @@ def _forked_feddane_losses(rounds=3):
         mu=1.0, clients_per_round=5, gradient_clients=20, epochs=2, seed=0,
     )
 
+    def estimate(round_idx):
+        """``_estimate_global_gradient`` as it stood: one read per device."""
+        rng = np.random.default_rng(
+            np.random.SeedSequence([reference.seed, 0x0DA7E, round_idx])
+        )
+        chosen = rng.choice(
+            dataset.num_devices, size=reference.gradient_clients, replace=False
+        )
+        weights = dataset.train_sizes[chosen].astype(np.float64)
+        weights /= weights.sum()
+        return weights @ np.stack(
+            [frozen_train_gradient(reference.clients[c], reference.w) for c in chosen]
+        )
+
     def forked(round_idx, selected):
-        g_estimate = reference._estimate_global_gradient(round_idx)
+        g_estimate = estimate(round_idx)
         updates = []
         for cid in selected:
             client = reference.clients[cid]
@@ -146,7 +162,8 @@ def _forked_feddane_losses(rounds=3):
                     rng=np.random.default_rng(
                         np.random.SeedSequence([reference.seed, round_idx, cid, 0])
                     ),
-                    correction=g_estimate - client.train_gradient(reference.w),
+                    correction=g_estimate
+                    - frozen_train_gradient(client, reference.w),
                 )
             )
         return updates, [], []

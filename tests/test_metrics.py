@@ -9,7 +9,6 @@ from repro.metrics import (
     classify_run,
     federated_test_accuracy,
     federated_train_loss,
-    per_device_accuracy,
 )
 
 
@@ -89,11 +88,6 @@ class TestEvaluationHelpers:
     def test_test_accuracy_in_range(self, toy_dataset, toy_model):
         acc = federated_test_accuracy(toy_model, toy_dataset, np.zeros(toy_model.n_params))
         assert 0.0 <= acc <= 1.0
-
-    def test_per_device_accuracy_keys(self, toy_dataset, toy_model):
-        accs = per_device_accuracy(toy_model, toy_dataset, np.zeros(toy_model.n_params))
-        assert set(accs) == {c.client_id for c in toy_dataset if c.num_test > 0}
-        assert all(0.0 <= v <= 1.0 for v in accs.values())
 
     def test_weighted_loss_uses_masses(self, toy_model):
         """A big client's loss dominates the weighted mean."""

@@ -19,9 +19,16 @@ from repro.datasets import (
 from repro.datasets.federated import ClientData
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
-from repro.runtime import SampledEvaluator, StratifiedClientSampler
+from repro.runtime import (
+    STACKED_EVAL_BLOCK,
+    SampledEvaluator,
+    StratifiedClientSampler,
+)
+from repro.runtime import sampled as sampled_module
 from repro.runtime.sampled import EvalEstimate, _stratified_estimate
 from repro.telemetry import InMemorySink, Telemetry
+
+from tests.conftest import frozen_test_metrics, frozen_train_loss
 
 pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
 
@@ -216,20 +223,21 @@ class TestSampledTrainerHistories:
             make_trainer(dataset, evaluation=EvalConfig(strategy="approximate"))
 
 
-class _MeasuredClient:
-    """A device whose loss and held-out counts at the one model under test
-    were measured once: lets 400 sampled estimates reuse them instead of
+def measured_once(clients, w):
+    """Every device's loss and held-out count at the one model under test,
+    measured once by the frozen oracles and served in place of
+    ``device_values``: 400 sampled estimates reuse them instead of
     regenerating ~100 on-demand devices per estimate."""
+    table = {"loss": [], "correct": []}
+    for client in clients:
+        table["loss"].append(frozen_train_loss(client, w))
+        table["correct"].append(frozen_test_metrics(client, w)[0])
 
-    def __init__(self, client, w):
-        self._loss = client.train_loss(w)
-        self._metrics = client.test_metrics(w)
+    def device_values(clients_, w_, quantity, devices):
+        assert w_ is w
+        return [table[quantity][cid] for cid in devices]
 
-    def train_loss(self, w):
-        return self._loss
-
-    def test_metrics(self, w):
-        return self._metrics
+    return device_values
 
 
 class TestConfidenceIntervalCoverage:
@@ -245,7 +253,7 @@ class TestConfidenceIntervalCoverage:
     SEEDS, ROUNDS = 2, 200
     UNDERCOVERAGE = 0.03
 
-    def test_m100_ten_strata_covers_near_nominal(self):
+    def test_m100_ten_strata_covers_near_nominal(self, monkeypatch):
         dataset = make_synthetic_ondemand(
             1.0, 1.0, num_devices=2000, seed=0, size_cap=200
         )
@@ -260,11 +268,13 @@ class TestConfidenceIntervalCoverage:
                 "loss": trainer.executor.train_loss(w),
                 "accuracy": trainer.executor.test_accuracy(w),
             }
-            measured = [_MeasuredClient(client, w) for client in trainer.clients]
+            monkeypatch.setattr(
+                sampled_module, "device_values", measured_once(trainer.clients, w)
+            )
         covered = {"loss": 0, "accuracy": 0}
         for seed in range(self.SEEDS):
             evaluator = SampledEvaluator(
-                measured, dataset.train_sizes, dataset.test_sizes,
+                trainer.clients, dataset.train_sizes, dataset.test_sizes,
                 sample_size=100, num_strata=10, seed=seed,
             )
             for round_idx in range(self.ROUNDS):
@@ -374,7 +384,7 @@ def loop_test_accuracy(evaluator, w, round_idx):
         for cid in pick:
             cid = int(cid)
             if weights[cid] > 0:
-                correct, total = evaluator.clients[cid].test_metrics(w)
+                correct, total = frozen_test_metrics(evaluator.clients[cid], w)
                 values[cid] = correct / total if total else 0.0
             else:
                 values[cid] = 0.0
@@ -510,14 +520,20 @@ class TestStackedSampledAccuracy:
         assert len(model.predict_rows) == 30
         assert estimate == loop_test_accuracy(evaluator, w, 1)
 
-    def test_plain_client_list_takes_the_loop(self, eager):
+    def test_plain_client_list_counts_as_the_pool_does(self, eager):
+        """A hand-built list measures through its clients' shared model."""
         pooled = make_evaluator(eager, sample_size=30, num_strata=3)
         listed = SampledEvaluator(
             list(pooled.clients), eager.train_sizes, eager.test_sizes,
             sample_size=30, num_strata=3,
         )
-        w = random_weights(pooled.clients.model, 3)
+        model = pooled.clients.model
+        w = random_weights(model, 3)
+        picks = np.concatenate(listed.sampler.sample(2, 30))
+        blocks = -(-int(eager.test_sizes[picks].sum()) // STACKED_EVAL_BLOCK)
         assert listed.test_accuracy(w, 2) == pooled.test_accuracy(w, 2)
+        assert len(model.predict_rows) == 2 * blocks
+        assert listed.test_accuracy(w, 2) == loop_test_accuracy(listed, w, 2)
 
     def test_devices_without_test_rows(self, eager):
         empty = set(range(0, self.N, 3))

@@ -201,6 +201,43 @@ class TestEstimators:
         assert constants.gradient_variance >= 0
         assert constants.global_gradient_norm > 0
 
+    def test_l_is_probed_on_the_devices_b_is_measured_on(self, rng, monkeypatch):
+        """With ``max_clients`` B and sigma^2 come from a random subsample;
+        L must be probed on exactly those devices, each once."""
+        from repro.theory import estimation
+
+        class Recording(list):
+            def __getitem__(self, index):
+                if isinstance(index, slice):
+                    self.reads.extend(range(*index.indices(len(self))))
+                else:
+                    self.reads.append(int(index))
+                return super().__getitem__(index)
+
+        model = MultinomialLogisticRegression(dim=6, num_classes=3)
+        solver = SGDSolver(0.1)
+        clients = Recording(
+            Client(make_toy_client(i, seed=80 + i, shift=0.1 * i), model, solver)
+            for i in range(20)
+        )
+        clients.reads = []
+        measured = []
+
+        def measure(*args, **kwargs):
+            report = real_measure(*args, **kwargs)
+            measured.append(clients.reads[:])
+            clients.reads.clear()
+            return report
+
+        real_measure = estimation.measure_dissimilarity
+        monkeypatch.setattr(estimation, "measure_dissimilarity", measure)
+        w = np.full(model.n_params, 0.1)
+        estimate_constants(clients, w, rng, num_pairs=1, max_clients=5)
+        (gradient_reads,) = measured
+        assert set(gradient_reads) != set(range(5))  # a random subsample
+        assert sorted(clients.reads) == sorted(set(gradient_reads))
+        assert len(clients.reads) == 5
+
     def test_theory_pipeline_end_to_end(self, rng):
         """Measured constants feed the Theorem 4 calculators sensibly."""
         model = MultinomialLogisticRegression(dim=6, num_classes=3)
