@@ -1,4 +1,4 @@
-"""Systems heterogeneity deep-dive (Figure 1 style) with cost accounting.
+"""Systems heterogeneity deep-dive (Figure 1 style) with participation counts.
 
 Sweeps straggler levels on a label-skewed MNIST-like federation and shows
 how FedAvg's effective participation collapses while FedProx keeps every
@@ -17,7 +17,6 @@ from repro.models import MultinomialLogisticRegression
 from repro.reporting import format_table, sparkline
 from repro.systems import (
     ClockDrivenSystems,
-    CostTracker,
     FractionStragglers,
     sample_fleet,
 )
@@ -37,24 +36,23 @@ def straggler_sweep(dataset) -> None:
             ("FedProx mu=1", False, 1.0),
         ]:
             model = MultinomialLogisticRegression(dim=DIM, num_classes=10)
-            costs = CostTracker()
             maker = make_fedavg if drop else make_fedprox
             kwargs = dict(
                 systems=FractionStragglers(level, seed=SEED),
                 seed=SEED,
-                cost_tracker=costs,
             )
             if not drop:
                 kwargs["mu"] = mu
             trainer = maker(dataset, model, learning_rate=0.03, **kwargs)
             history = trainer.run(ROUNDS)
+            uploads = [len(r.selected) - len(r.dropped) for r in history.records]
             rows.append(
                 {
                     "stragglers": f"{int(level * 100)}%",
                     "method": label,
                     "loss": sparkline(history.train_losses, width=24),
                     "final acc": history.final_test_accuracy(),
-                    "uploads/round": costs.summary()["mean_uploads_per_round"],
+                    "uploads/round": float(np.mean(uploads)),
                 }
             )
     print(format_table(rows, title="Straggler sweep on MNIST-like (E=20, K=10)"))

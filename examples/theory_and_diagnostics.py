@@ -4,12 +4,14 @@ Shows the parts of the reproduction beyond the training loop:
 
 1. measure the Section-4 constants (B, sigma^2, L) on a live federation
    and let Theorem 4 suggest a proximal coefficient mu;
-2. trace one clock-driven round to see *why* each device straggled
-   (compute-bound vs network-bound);
+2. read one clock-driven FedProx round's ledger to see *why* each device
+   straggled (compute-bound vs network-bound);
 3. checkpoint a run's model and history and read them back exactly.
 
 Run:  python examples/theory_and_diagnostics.py
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -19,7 +21,8 @@ from repro.io import load_checkpoint, save_checkpoint
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.reporting import format_table
-from repro.systems import ClockDrivenSystems, sample_fleet, trace_round
+from repro.systems import ClockDrivenSystems, sample_fleet
+from repro.telemetry import InMemorySink, Telemetry
 from repro.theory import (
     estimate_constants,
     minimum_mu_for_positive_rho,
@@ -66,22 +69,33 @@ def round_diagnostics(dataset) -> None:
     rng = np.random.default_rng(SEED)
     fleet = sample_fleet(dataset.num_devices, rng)
     systems = ClockDrivenSystems(fleet, deadline=8.0, seed=SEED)
-    timeline = trace_round(systems, round_idx=0, client_ids=list(range(10)), max_epochs=20)
-    rows = [
-        {
-            "device": t.device_id,
-            "download": t.download_cycles,
-            "compute": t.compute_cycles,
-            "upload": t.upload_cycles,
-            "epochs done": t.epochs_completed,
-            "straggled": t.hit_deadline,
-            "bottleneck": t.bottleneck if t.hit_deadline else "",
-        }
-        for t in timeline.traces
-    ]
+    # Under a clock-driven systems model every solve:client span states that
+    # device's download / compute / upload cycles and its bottleneck.
+    sink = InMemorySink()
+    model = MultinomialLogisticRegression(dim=60, num_classes=10)
+    with make_fedprox(
+        dataset, model, 0.01, mu=1.0, systems=systems, seed=SEED,
+        evaluation=EvalConfig(every=100), telemetry=Telemetry([sink]),
+    ) as trainer:
+        record = trainer.run_round()
+    rows = []
+    for span in sink.spans("solve:client"):
+        straggled = span["client_id"] in record.stragglers
+        rows.append(
+            {
+                "device": span["client_id"],
+                "download": span["download_cycles"],
+                "compute": span["compute_cycles"],
+                "upload": span["upload_cycles"],
+                "epochs done": span["epochs"],
+                "straggled": straggled,
+                "bottleneck": span["bottleneck"] if straggled else "",
+            }
+        )
     print()
-    print(format_table(rows, title=f"Round timeline (deadline={timeline.deadline} cycles)"))
-    print(f"straggler bottlenecks: {timeline.bottleneck_counts()}")
+    print(format_table(rows, title=f"Round timeline (deadline={systems.deadline} cycles)"))
+    counts = Counter(row["bottleneck"] for row in rows if row["straggled"])
+    print(f"straggler bottlenecks: {dict(counts)}")
 
 
 def checkpoint_roundtrip(dataset, tmp_dir="results/example_checkpoint") -> None:

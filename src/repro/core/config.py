@@ -1,7 +1,7 @@
 """Config-first trainer construction: :class:`TrainerConfig`.
 
 :class:`~repro.core.server.FederatedTrainer` historically took ~25 flat
-keyword arguments.  :class:`TrainerConfig` groups them into five frozen
+keyword arguments.  :class:`TrainerConfig` groups them into six frozen
 sub-sections matching the trainer's concerns:
 
 * :class:`OptimizationConfig` — the algorithm itself (µ, E, straggler
@@ -15,7 +15,7 @@ sub-sections matching the trainer's concerns:
   codec (if any) compresses client uploads, and whether error feedback is
   enabled.
 * :class:`DiagnosticsConfig` — observability (γ/dissimilarity tracking,
-  telemetry, cost accounting).
+  telemetry).
 
 Construct with ``FederatedTrainer.from_config(dataset, model, solver,
 config)``, which unpacks :meth:`TrainerConfig.trainer_kwargs` into the
@@ -35,8 +35,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 from ..comms.config import CommsConfig
 from ..faults.models import FaultSchedule
 from ..faults.policy import FaultPolicy
-from ..spec import build, describe
-from ..systems.costs import CostTracker
+from ..spec import ReplayError, build, describe
 from ..systems.stragglers import SystemsModel
 from .adaptive_mu import AdaptiveMuController
 from .sampling import SamplingScheme
@@ -217,13 +216,12 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
-    """Observability: paper diagnostics, telemetry, cost accounting."""
+    """Observability: paper diagnostics and telemetry."""
 
     track_dissimilarity: bool = False
     track_gamma: bool = False
     dissimilarity_max_clients: Optional[int] = None
     telemetry: Any = None
-    cost_tracker: Optional[CostTracker] = None
 
 
 #: Trainer keyword -> (section attribute, field name) for the options the
@@ -244,7 +242,6 @@ _KWARG_MAP = {
     "track_gamma": ("diagnostics", "track_gamma"),
     "dissimilarity_max_clients": ("diagnostics", "dissimilarity_max_clients"),
     "telemetry": ("diagnostics", "telemetry"),
-    "cost_tracker": ("diagnostics", "cost_tracker"),
 }
 
 
@@ -256,6 +253,10 @@ _DESCRIBED_SECTIONS = {
     "evaluation": EvalConfig,
     "diagnostics": DiagnosticsConfig,
 }
+
+#: The key of a removed option that every manifest written while it existed
+#: holds, always null: :meth:`TrainerConfig.from_dict` drops it.
+_RETIRED_KEY = ("diagnostics", "cost_tracker")
 
 
 @dataclass(frozen=True)
@@ -373,10 +374,17 @@ class TrainerConfig:
         objects some components bind to — a sampling scheme needs the
         rebuilt federation as ``dataset=``.
         """
+        retired_section, retired_name = _RETIRED_KEY
+        if spec.get(retired_section, {}).get(retired_name) is not None:
+            raise ReplayError(
+                f"{retired_section}.{retired_name} is no longer an option; "
+                "only a null value rebuilds"
+            )
         built = {
             section: section_cls(**{
                 name: build(value, f"{section}.{name}", **live)
                 for name, value in spec.get(section, {}).items()
+                if (section, name) != _RETIRED_KEY
             })
             for section, section_cls in _DESCRIBED_SECTIONS.items()
         }

@@ -6,7 +6,8 @@ enabled, so the disabled path never pays for the norm computations.  What
 the round record already states (losses, accuracy, µ, the sample size and
 CI of a sampled evaluation, the dissimilarity, who straggled or was
 dropped) is not restated here: the ledger's ``round_record`` is its one
-home.
+home.  Under a :class:`~repro.systems.clock.ClockDrivenSystems` model each
+``solve:client`` span also states what that solve cost in simulated cycles.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..runtime.executor import task_round
+from ..systems.clock import ClockDrivenSystems, SystemsClock
+from ..systems.stragglers import SystemsModel
 from ..telemetry import peak_rss_bytes
 from .client import ClientUpdate
 from .dissimilarity import DissimilarityReport
@@ -26,15 +30,30 @@ def emit_round_diagnostics(
     updates: List[ClientUpdate],
     epochs: float,
     dissimilarity: Optional[DissimilarityReport] = None,
+    systems: Optional[SystemsModel] = None,
 ) -> None:
     """Emit the round's per-client solve spans and diagnostic metrics.
 
     ``epochs`` is the global target ``E``; ``dissimilarity`` this round's
-    measurement, when one was taken.
+    measurement, when one was taken.  When ``systems`` is clock-driven,
+    each ``solve:client`` span carries ``download_cycles``,
+    ``compute_cycles``, ``upload_cycles`` and ``bottleneck`` from the
+    clock's timing of that solve, at its task's round and the epochs it ran.
     """
+    clock = SystemsClock(systems) if isinstance(systems, ClockDrivenSystems) else None
     for update in updates:
         if update.timings is not None:
             attrs = {k: v for k, v in update.timings.items() if k != "solve"}
+            if clock is not None:
+                timing = clock.timing(
+                    task_round(update.task), update.client_id, update.epochs
+                )
+                attrs.update(
+                    download_cycles=timing.download,
+                    compute_cycles=timing.compute,
+                    upload_cycles=timing.upload,
+                    bottleneck=clock.bottleneck(timing),
+                )
             telemetry.record_span(
                 "solve:client",
                 update.timings.get("solve", 0.0),

@@ -47,7 +47,6 @@ from ..optim.base import LocalSolver
 from ..runtime.executor import LocalTask, RoundExecutor
 from ..runtime.sampled import SampledEvaluator
 from ..spec import register
-from ..systems.costs import CostTracker
 from ..systems.stragglers import NoHeterogeneity, SystemsModel
 from ..telemetry import RunLedger, resolve_telemetry
 from ..telemetry.replay import describe_trainer
@@ -127,8 +126,6 @@ class FederatedTrainer:
         per device per round.
     dissimilarity_max_clients:
         Subsample size for dissimilarity measurement on large federations.
-    cost_tracker:
-        Optional communication/computation cost accounting.
     callbacks:
         Per-round observers; any callback returning ``True`` from
         ``on_round_end`` stops :meth:`run` early (e.g.
@@ -183,7 +180,6 @@ class FederatedTrainer:
         track_dissimilarity: bool = False,
         track_gamma: bool = False,
         dissimilarity_max_clients: Optional[int] = None,
-        cost_tracker: Optional[CostTracker] = None,
         callbacks: Optional[List[Callback]] = None,
         telemetry=None,
         label: str = "",
@@ -217,10 +213,7 @@ class FederatedTrainer:
         self.track_dissimilarity = bool(track_dissimilarity)
         self.track_gamma = bool(track_gamma)
         self.dissimilarity_max_clients = dissimilarity_max_clients
-        self.cost_tracker = cost_tracker
         self.callbacks: List[Callback] = list(callbacks or [])
-        if cost_tracker is not None and cost_tracker.model_bytes == 0:
-            cost_tracker.model_bytes = model.n_params * 8
         self.label = label or self.describe()
 
         self.telemetry = resolve_telemetry(telemetry)
@@ -359,9 +352,6 @@ class FederatedTrainer:
         aggregation is independent of how (or where, or when) it ran.
         """
         assignments = self.systems.assign(round_idx, selected, self.epochs)
-        cost = None
-        if self.cost_tracker is not None:
-            cost = self.cost_tracker.start_round(round_idx, len(selected))
 
         # Device-side codec rides on the task when error feedback is off
         # (the lean IPC path); under EF the manager encodes server-side.
@@ -408,11 +398,6 @@ class FederatedTrainer:
                 num_selected=len(selected),
             )
             dropped.extend(self._last_fault_report.dropped)
-        if cost is not None:
-            for update in updates:
-                self.cost_tracker.record_upload(
-                    cost, update.epochs, update.gradient_evaluations
-                )
         return updates, stragglers, dropped
 
     def _due(self, record: RoundRecord, final: bool = False) -> List[str]:
@@ -532,7 +517,7 @@ class FederatedTrainer:
             )
             emit_round_diagnostics(
                 telemetry, round_idx, updates, self.epochs,
-                dissimilarity=dissimilarity,
+                dissimilarity=dissimilarity, systems=self.systems,
             )
             self._ledger.add_round(record, round_wall)
 

@@ -58,6 +58,7 @@ from typing import List, Optional, Sequence
 
 from ..spec import SpecGrammar
 from ..systems.clock import Clock, SynchronizedClock, resolve_clock
+from ..telemetry import CLOCK_SIMULATED, UNIT_ROUNDS
 from .executor import LocalTask, RoundExecutor, task_round
 
 #: Accepted staleness-discount families.
@@ -304,8 +305,8 @@ class AsyncExecutor(RoundExecutor):
                     "async:checkin",
                     entry.arrival - entry.submit_round,
                     round_idx=round_idx,
-                    clock="simulated",
-                    unit="rounds",
+                    clock=CLOCK_SIMULATED,
+                    unit=UNIT_ROUNDS,
                     client_id=entry.task.client_id,
                     staleness=update.staleness,
                 )

@@ -9,9 +9,7 @@ from .clock import (
     SystemsClock,
     resolve_clock,
 )
-from .costs import CostTracker, RoundCost
 from .profiles import NETWORK_TIERS, DeviceProfile, sample_fleet
-from .trace import DeviceRoundTrace, RoundTimeline, trace_round
 from .stragglers import (
     FractionStragglers,
     NoHeterogeneity,
@@ -38,9 +36,4 @@ __all__ = [
     "DeviceProfile",
     "sample_fleet",
     "NETWORK_TIERS",
-    "CostTracker",
-    "DeviceRoundTrace",
-    "RoundTimeline",
-    "trace_round",
-    "RoundCost",
 ]

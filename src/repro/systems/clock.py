@@ -12,8 +12,9 @@ first).  Devices that finish fewer than ``E`` epochs are stragglers —
 dropped by FedAvg, merged by FedProx.
 
 The :class:`Clock` protocol is the single simulated-time abstraction shared
-by the synchronous timeline converter (:func:`repro.systems.trace.trace_round`)
-and the asynchronous round engine
+by the per-solve cycle stamp of a clock-driven round
+(:func:`repro.core.diagnostics.emit_round_diagnostics`) and the asynchronous
+round engine
 (:class:`~repro.runtime.async_engine.AsyncExecutor`): a clock answers "how
 long does device *d*'s round-trip take at round *r* for *e* epochs of
 work", as a :class:`DeviceTiming` split into download/compute/upload.  All
@@ -143,7 +144,7 @@ class DeviceTiming:
 
 
 class Clock(abc.ABC):
-    """Simulated-time source shared by sync tracing and the async engine.
+    """Simulated-time source shared by the solve stamp and the async engine.
 
     Implementations answer :meth:`timing` as a pure function of
     ``(round, device, epochs)`` — no hidden state — so any schedule built
@@ -219,10 +220,8 @@ class SystemsClock(Clock):
 
     Communication splits evenly into download/upload halves and compute
     time is ``epochs / effective_speed`` with the same deterministic jitter
-    as :meth:`ClockDrivenSystems.assign` — exactly the arithmetic the
-    synchronous timeline converter (:func:`repro.systems.trace.trace_round`)
-    has always used, now shared: a device that cannot compute at all
-    (``speed <= 0``) is charged the full deadline.  ``period`` is the
+    as :meth:`ClockDrivenSystems.assign`; a device that cannot compute at
+    all (``speed <= 0``) is charged the full deadline.  ``period`` is the
     systems model's aggregation deadline.
     """
 
@@ -244,6 +243,11 @@ class SystemsClock(Clock):
         speed = profile.effective_speed() * systems._jitter(round_idx, device_id)
         compute = epochs / speed if speed > 0 else systems.deadline
         return DeviceTiming(comm / 2.0, compute, comm / 2.0)
+
+    def bottleneck(self, timing: DeviceTiming) -> str:
+        """``"network"`` when download + upload take over half the deadline."""
+        comm = timing.download + timing.upload
+        return "network" if comm > 0.5 * self.period else "compute"
 
 
 def resolve_clock(

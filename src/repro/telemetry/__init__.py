@@ -37,10 +37,6 @@ Quickstart::
         history = trainer.run(num_rounds=5)
     # run.jsonl now holds the manifest + every span/metric event.
 
-Simulated global-clock timelines (:mod:`repro.systems.trace`) convert to
-the same event schema via :func:`emit_timeline` (``clock="simulated"``,
-``unit="cycles"``).
-
 Schema-2 artifacts are full run *ledgers*: the manifest carries the
 serialized :class:`~repro.core.config.TrainerConfig` plus reconstruction
 recipes, every round appends a canonical ``round_record``, and the file
@@ -63,7 +59,7 @@ from .events import (
     CLOCK_SIMULATED,
     CLOCK_WALL,
     SCHEMA_VERSION,
-    UNIT_CYCLES,
+    UNIT_ROUNDS,
     UNIT_SECONDS,
     manifest_event,
     metric_event,
@@ -90,7 +86,6 @@ from .ledger import (
 from .analysis import check_runs, diff_runs, summarize_run, timeline
 from .replay import ReplayError, ReplayReport, rebuild_trainer, replay_run
 from .resources import current_rss_bytes, peak_rss_bytes
-from .simtime import device_trace_events, emit_timeline, timeline_events
 from .sinks import ConsoleSink, InMemorySink, JSONLSink, Sink, read_jsonl
 
 __all__ = [
@@ -135,10 +130,7 @@ __all__ = [
     "CLOCK_WALL",
     "CLOCK_SIMULATED",
     "UNIT_SECONDS",
-    "UNIT_CYCLES",
-    "emit_timeline",
-    "timeline_events",
-    "device_trace_events",
+    "UNIT_ROUNDS",
     "current_rss_bytes",
     "peak_rss_bytes",
 ]

@@ -5,8 +5,9 @@ nothing here re-executes a run (that is :mod:`repro.telemetry.replay`).
 The :mod:`repro.trace` CLI is a thin argparse shell over these functions:
 
 * :func:`summarize_run` / :func:`format_summary` — one-screen run digest
-  (identity, wall-clock, final metrics, wire bytes, fault totals, ledger
-  verification, per-phase duration percentiles, span-tiling validation).
+  (identity, wall-clock, final metrics, wire bytes, local work and
+  simulated time, fault totals, ledger verification, per-phase duration
+  percentiles by clock, span-tiling validation).
 * :func:`timeline` — per-round ASCII bars segmented by phase.
 * :func:`diff_runs` — field-level history comparison between two runs
   with a float tolerance.
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .events import FAULT_EVENTS, summarize
+from .events import FAULT_EVENTS, UNIT_SECONDS, summarize
 from .ledger import RECORD_FIELDS, RunArtifact, verify_artifact
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "fault_totals",
     "format_summary",
     "phase_breakdown",
+    "solve_totals",
     "summarize_run",
     "tiling_issues",
     "timeline",
@@ -70,11 +72,15 @@ FLOAT_FIELDS = (
 # --------------------------------------------------------------------- #
 # Phase breakdown + tiling
 # --------------------------------------------------------------------- #
-def phase_breakdown(artifact: RunArtifact) -> Dict[str, Dict[str, Any]]:
-    """Duration percentiles per span name (``summarize`` stats)."""
+def phase_breakdown(
+    artifact: RunArtifact, unit: str = UNIT_SECONDS
+) -> Dict[str, Dict[str, Any]]:
+    """Duration percentiles per span name (``summarize`` stats) over the
+    spans timed in ``unit`` — wall seconds unless told otherwise."""
     durations: Dict[str, List[float]] = {}
     for span in artifact.spans:
-        durations.setdefault(span["name"], []).append(span["duration"])
+        if span.get("unit", UNIT_SECONDS) == unit:
+            durations.setdefault(span["name"], []).append(span["duration"])
     return {name: summarize(vals) for name, vals in sorted(durations.items())}
 
 
@@ -180,6 +186,38 @@ def fault_totals(artifact: RunArtifact) -> Dict[str, int]:
     return totals
 
 
+def solve_totals(artifact: RunArtifact) -> Optional[Dict[str, Any]]:
+    """Local work and simulated time, read off the ``solve:client`` spans.
+
+    ``solves`` counts them and ``epochs`` sums their local epochs.  When
+    they carry the clock stamp of a clock-driven run, ``simulated`` holds
+    the mean and max over rounds of the round's critical path in cycles
+    (its slowest download + compute + upload) and the counts of network-
+    and compute-bound solves.  ``None`` for a run without solve spans.
+    """
+    solves = [s for s in artifact.spans if s["name"] == "solve:client"]
+    if not solves:
+        return None
+    totals: Dict[str, Any] = {
+        "solves": len(solves),
+        "epochs": sum(s.get("epochs", 0.0) for s in solves),
+    }
+    stamped = [s for s in solves if "compute_cycles" in s]
+    if stamped:
+        paths: Dict[int, float] = {}
+        for s in stamped:
+            path = s["download_cycles"] + s["compute_cycles"] + s["upload_cycles"]
+            paths[s["round"]] = max(paths.get(s["round"], 0.0), path)
+        bottlenecks = [s["bottleneck"] for s in stamped]
+        totals["simulated"] = {
+            "critical_path_mean": sum(paths.values()) / len(paths),
+            "critical_path_max": max(paths.values()),
+            "network_bound": bottlenecks.count("network"),
+            "compute_bound": bottlenecks.count("compute"),
+        }
+    return totals
+
+
 def summarize_run(artifact: RunArtifact) -> Dict[str, Any]:
     """Structured one-run digest (see :func:`format_summary` to render)."""
     records = artifact.history_records()
@@ -202,10 +240,16 @@ def summarize_run(artifact: RunArtifact) -> Dict[str, Any]:
         "seed": manifest.get("seed"),
         "events": len(artifact.events),
         "comms": comms_totals(artifact),
+        "work": solve_totals(artifact),
         "faults": fault_totals(artifact),
         "issues": verify_artifact(artifact),
         "tiling_issues": tiling_issues(artifact),
         "phases": phase_breakdown(artifact),
+        "simulated_phases": {
+            unit: phase_breakdown(artifact, unit)
+            for unit in sorted({s.get("unit", UNIT_SECONDS) for s in artifact.spans})
+            if unit != UNIT_SECONDS
+        },
     }
 
 
@@ -240,6 +284,18 @@ def format_summary(summary: Dict[str, Any]) -> str:
             f"down={comms['bytes_down']:,.0f}B "
             f"ratio={comms['compression_ratio']:.2f}x"
         )
+    work = summary.get("work")
+    if work is not None:
+        lines.append(f"  work: solves={work['solves']} epochs={work['epochs']:.4f}")
+        simulated = work.get("simulated")
+        if simulated is not None:
+            lines.append(
+                f"  simulated: critical path "
+                f"mean={simulated['critical_path_mean']:.4f} "
+                f"max={simulated['critical_path_max']:.4f} cycles/round; "
+                f"network-bound={simulated['network_bound']} "
+                f"compute-bound={simulated['compute_bound']}"
+            )
     faults = {k: v for k, v in (summary.get("faults") or {}).items() if v}
     if faults:
         lines.append(
@@ -253,9 +309,14 @@ def format_summary(summary: Dict[str, Any]) -> str:
     if summary["tiling_issues"]:
         lines.append(f"  SPAN TILING ISSUES ({len(summary['tiling_issues'])}):")
         lines.extend(f"    - {issue}" for issue in summary["tiling_issues"])
-    phases = summary["phases"]
-    if phases:
-        lines.append("  spans (seconds):")
+    blocks = [("spans (seconds)", summary["phases"])] + [
+        (f"simulated spans ({unit})", phases)
+        for unit, phases in summary["simulated_phases"].items()
+    ]
+    for title, phases in blocks:
+        if not phases:
+            continue
+        lines.append(f"  {title}:")
         width = max(len(name) for name in phases)
         for name, stats in phases.items():
             if not stats.get("count"):

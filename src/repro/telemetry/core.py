@@ -194,8 +194,9 @@ class Telemetry:
 
         Used for worker-side timing payloads piggybacked on
         :class:`~repro.core.client.ClientUpdate` (so parallel-executor
-        spans survive the process boundary) and for simulated-clock
-        timeline conversions (``clock="simulated"``, ``unit="cycles"``).
+        spans survive the process boundary) and for the async engine's
+        simulated check-in latencies (``clock="simulated"``,
+        ``unit="rounds"``).
         """
         self.emit(
             span_event(

@@ -5,9 +5,9 @@ Every event is a flat JSON-serializable ``dict`` with a ``type`` field
 ``"run_footer"``) plus the type's fields below.  The schema is shared by
 *all* emitters — the trainer's wall-clock spans, worker-side timing
 payloads reconstructed after the process boundary, the cohort executor's
-stacked-kernel phase splits, and simulated-time conversions of
-:class:`repro.systems.trace.RoundTimeline` — so one sink (or one JSONL
-file) can hold a whole run regardless of which executor produced it.
+stacked-kernel phase splits, and the async engine's simulated check-ins —
+so one sink (or one JSONL file) can hold a whole run regardless of which
+executor produced it.
 
 Schema versions
 ---------------
@@ -36,7 +36,7 @@ restates a running total — a total is the sum of the events it counts.
     :func:`repro.telemetry.replay.describe_trainer`).
 ``span`` (one timed region)
     ``name`` (taxonomy below), ``round`` (int or ``None``), ``duration``
-    (float), ``unit`` (``"s"`` wall / ``"cycles"`` simulated), ``clock``
+    (float), ``unit`` (``"s"`` wall / ``"rounds"`` simulated), ``clock``
     (``"wall"`` / ``"simulated"``), ``ts`` (emission offset from run
     start, wall seconds), plus free-form scalar attributes.
 ``metric`` (one measurement)
@@ -69,14 +69,14 @@ Span taxonomy
     The trainer's fill-in evaluation after early stopping.
 ``solve:client``
     One device's local solve (serial in-process, or reconstructed from a
-    worker's piggybacked timing payload; carries ``client_id``).
+    worker's piggybacked timing payload; carries ``client_id`` and
+    ``epochs``).  Under a clock-driven systems model it also carries
+    ``download_cycles`` / ``compute_cycles`` / ``upload_cycles``
+    (simulated cycles) and ``bottleneck`` (``"network"`` / ``"compute"``).
 ``cohort:plan`` / ``cohort:pack`` / ``cohort:kernel`` / ``cohort:finalize``
     The stacked cohort solve's internal phase splits.
 ``eval:train_loss`` / ``eval:test_accuracy``
     Individual evaluator oracle calls.
-``sim:round`` / ``sim:download`` / ``sim:compute`` / ``sim:upload``
-    Simulated global-clock timeline spans (``clock="simulated"``,
-    ``unit="cycles"``), converted via :mod:`repro.telemetry.simtime`.
 
 Fault event taxonomy
 --------------------
@@ -133,7 +133,7 @@ CLOCK_SIMULATED = "simulated"
 
 #: Duration units matching the clock domains.
 UNIT_SECONDS = "s"
-UNIT_CYCLES = "cycles"
+UNIT_ROUNDS = "rounds"
 
 EVENT_TYPES = ("manifest", "span", "metric", "round_record", "run_footer")
 METRIC_KINDS = ("counter", "gauge", "histogram")

@@ -238,7 +238,6 @@ def describe_trainer(trainer) -> Dict[str, Any]:
         track_gamma=trainer.track_gamma,
         dissimilarity_max_clients=trainer.dissimilarity_max_clients,
         telemetry=None,
-        cost_tracker=None,
         seed=trainer.seed,
         engine=engine,
         comms=trainer.comms_config,

@@ -3,8 +3,9 @@
 Subcommands over the JSONL run ledgers written by
 :class:`~repro.telemetry.sinks.JSONLSink`:
 
-* ``summarize RUN.jsonl`` — identity, wall-clock, final metrics, ledger
-  verification (digest/truncation/tampering), per-phase percentiles.
+* ``summarize RUN.jsonl`` — identity, wall-clock, final metrics, wire
+  bytes, local work and simulated time, ledger verification
+  (digest/truncation/tampering), per-phase percentiles by clock.
 * ``timeline RUN.jsonl`` — per-round ASCII bars segmented by phase.
 * ``diff A.jsonl B.jsonl [--tol X]`` — field-level history comparison
   (e.g. a serial vs cohort pair; ``--tol 0`` demands bit-identity).

@@ -13,7 +13,7 @@ from repro.core.adaptive_mu import AdaptiveMuController
 from repro.metrics import federated_test_accuracy, federated_train_loss
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
-from repro.systems import CostTracker, FractionStragglers
+from repro.systems import FractionStragglers
 
 
 def _trainer(dataset, mu=0.0, drop=False, systems=None, seed=0, **kwargs):
@@ -151,25 +151,6 @@ class TestAdaptiveMuIntegration:
         controller = AdaptiveMuController(initial_mu=1.0, patience=1)
         history = _trainer(toy_dataset, mu_controller=controller).run(10)
         assert len(set(history.mus)) > 1  # mu moved at least once
-
-
-class TestCostTracking:
-    def test_cost_tracker_wired(self, toy_dataset):
-        tracker = CostTracker()
-        trainer = _trainer(toy_dataset, cost_tracker=tracker)
-        trainer.run(3)
-        assert len(tracker.rounds) == 3
-        assert tracker.model_bytes == trainer.model.n_params * 8
-        assert tracker.rounds[0].uploads == 3
-
-    def test_dropped_stragglers_do_not_upload(self, toy_dataset):
-        tracker = CostTracker()
-        systems = FractionStragglers(1.0, seed=1)
-        trainer = _trainer(
-            toy_dataset, drop=True, systems=systems, cost_tracker=tracker
-        )
-        trainer.run(2)
-        assert all(r.uploads == 0 for r in tracker.rounds)
 
 
 class TestFactories:

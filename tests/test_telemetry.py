@@ -15,26 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.systems import ClockDrivenSystems, DeviceProfile, trace_round
 from repro.telemetry import (
-    CLOCK_SIMULATED,
     CLOCK_WALL,
     NULL_TELEMETRY,
     SCHEMA_VERSION,
-    UNIT_CYCLES,
     UNIT_SECONDS,
     ConsoleSink,
     InMemorySink,
     JSONLSink,
     NullTelemetry,
     Telemetry,
-    emit_timeline,
     metric_event,
     read_jsonl,
     resolve_telemetry,
     span_event,
     summarize,
-    timeline_events,
 )
 
 
@@ -305,70 +300,3 @@ class TestNullTelemetry:
         n.close()
         with n:
             pass  # context manager protocol
-
-
-def _clock_systems():
-    profiles = [
-        DeviceProfile(device_id=0, compute_speed=5.0, network="wifi",
-                      battery_level=1.0),
-        DeviceProfile(device_id=1, compute_speed=0.05, network="wifi",
-                      battery_level=1.0),
-    ]
-    return ClockDrivenSystems(profiles, deadline=2.0, jitter_sigma=0.0,
-                              seed=0)
-
-
-class TestSimulatedTime:
-    def test_timeline_events_schema(self):
-        timeline = trace_round(_clock_systems(), 3, [0, 1], max_epochs=5)
-        events = timeline_events(timeline)
-        # sim:round header + 3 phase spans per device
-        assert len(events) == 1 + 3 * 2
-        head = events[0]
-        assert head["name"] == "sim:round"
-        assert head["round"] == 3
-        assert head["duration"] == timeline.deadline
-        assert head["devices"] == 2
-        for e in events:
-            assert e["type"] == "span"
-            assert e["clock"] == CLOCK_SIMULATED
-            assert e["unit"] == UNIT_CYCLES
-            json.dumps(e)  # JSONL-serializable as-is
-        names = {e["name"] for e in events[1:]}
-        assert names == {"sim:download", "sim:compute", "sim:upload"}
-        compute = [e for e in events if e["name"] == "sim:compute"]
-        assert {e["device_id"] for e in compute} == {0, 1}
-
-    def test_straggler_attributes(self):
-        timeline = trace_round(_clock_systems(), 0, [0, 1], max_epochs=5)
-        events = timeline_events(timeline)
-        by_device = {
-            e["device_id"]: e for e in events if e["name"] == "sim:compute"
-        }
-        assert not by_device[0]["hit_deadline"]
-        assert by_device[1]["hit_deadline"]
-        assert events[0]["stragglers"] == 1
-
-    def test_round_timeline_to_events_delegates(self):
-        timeline = trace_round(_clock_systems(), 1, [0], max_epochs=2)
-        assert timeline.to_events() == timeline_events(timeline)
-
-    def test_emit_timeline_through_sink(self):
-        timeline = trace_round(_clock_systems(), 0, [0, 1], max_epochs=5)
-        sink = InMemorySink()
-        n = emit_timeline(Telemetry([sink]), timeline)
-        assert n == len(sink.events) == 7
-
-    def test_emit_timeline_null_is_free(self):
-        timeline = trace_round(_clock_systems(), 0, [0], max_epochs=5)
-        assert emit_timeline(NULL_TELEMETRY, timeline) == 0
-
-    def test_wall_and_simulated_share_one_sink(self, tmp_path):
-        path = tmp_path / "mixed.jsonl"
-        timeline = trace_round(_clock_systems(), 0, [0], max_epochs=5)
-        with Telemetry([JSONLSink(str(path))]) as t:
-            t.record_span("round", 0.25, round_idx=0)
-            emit_timeline(t, timeline)
-        events = read_jsonl(str(path))
-        clocks = {e["clock"] for e in events}
-        assert clocks == {CLOCK_WALL, CLOCK_SIMULATED}

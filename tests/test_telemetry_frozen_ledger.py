@@ -9,7 +9,8 @@ manifest ``trainer_config`` / ``recipe`` sections and the same event
 sequence (type, name, round, every attribute that is not a clock reading),
 so code that emits the ledger can move without a schema bump.
 
-The manifest sections are the original, byte for byte.  The event
+The manifest sections are the original, byte for byte, less the
+always-null key of the removed cost-tracker option.  The event
 sequences were regenerated on purpose twice, each time with the per-name
 count changes in CHANGES.md: ``everything_on`` (async window 2 x retry x
 chaos) when updates began to name the task they answer (a late crashed

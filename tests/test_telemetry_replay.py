@@ -294,6 +294,25 @@ class TestRebuildTrainer:
         finally:
             trainer.close()
 
+    @pytest.mark.parametrize(
+        "value", [None, {"type": "CostTracker"}], ids=["null", "object"]
+    )
+    def test_manifest_of_the_retired_cost_tracker(self, tmp_path, value):
+        """Older ledgers all hold the removed option's key, null: it is
+        dropped; any other value is refused by name."""
+        path = tmp_path / "run.jsonl"
+        record_run(path)
+
+        def add_key(events):
+            events[0]["trainer_config"]["diagnostics"]["cost_tracker"] = value
+
+        edited = _edit_ledger(path, tmp_path / "old.jsonl", add_key)
+        if value is None:
+            assert replay_run(edited).matches
+        else:
+            with pytest.raises(ReplayError, match=r"^diagnostics\.cost_tracker "):
+                replay_run(edited)
+
 
 def _edit_ledger(source, target, edit):
     """Copy a ledger with ``edit(events)`` applied and its footer re-sealed,

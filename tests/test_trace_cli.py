@@ -95,6 +95,26 @@ class TestSummarize:
         assert {"p50", "p95", "p99"} <= set(phases["round"])
         assert tiling_issues(artifact) == []
 
+    def test_simulated_spans_are_not_summed_as_seconds(self, tmp_path, capsys):
+        path = tmp_path / "async.jsonl"
+        record(path, rounds=4, engine="async:window=2,arrivals=seeded")
+        summary = summarize_run(load_run(str(path)))
+        assert "async:checkin" not in summary["phases"]
+        assert summary["simulated_phases"]["rounds"]["async:checkin"]["count"] > 0
+        assert main(["summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        seconds, _, simulated = out.partition("  simulated spans (rounds):")
+        assert "async:checkin" in simulated and "async:checkin" not in seconds
+        assert "phase:local_solve" in seconds.partition("  spans (seconds):")[2]
+
+    def test_work_line_without_a_clock(self, run_path, capsys):
+        work = summarize_run(load_run(str(run_path)))["work"]
+        assert work["solves"] == 12 and "simulated" not in work
+        assert main(["summarize", str(run_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"work: solves=12 epochs={work['epochs']:.4f}" in out
+        assert "simulated:" not in out
+
     def test_fault_totals_come_from_the_events(self, tmp_path, capsys):
         path = tmp_path / "faults.jsonl"
         record(path, rounds=4, faults=ChaosFaults(0.5, seed=3))
