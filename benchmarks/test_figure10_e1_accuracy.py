@@ -7,15 +7,14 @@ the convex datasets (within small-scale noise).
 
 from conftest import run_once, show
 
-from repro.experiments import run_figure9
+from repro.experiments import figure_cells, run_cells
 
 CONVEX = ("Synthetic(1,1)", "MNIST-like", "FEMNIST-like")
 
 
 def test_figure10_e1_accuracy(benchmark, scale):
-    result = run_once(
-        benchmark, lambda: run_figure9(scale=scale, seed=1, datasets=CONVEX)
-    )
+    cells = [c for c in figure_cells("figure9", scale, seed=1) if c["panel"] in CONVEX]
+    result = run_once(benchmark, lambda: run_cells(cells))
     show(result.render(metric="accuracy", charts=False))
 
     # With E=1 and few smoke rounds the final-round snapshot is noisy, so

@@ -9,11 +9,11 @@ appears, and the dynamic run ends no worse than a fixed-mu factor band.
 import numpy as np
 from conftest import run_once, show
 
-from repro.experiments import run_figure11
+from repro.experiments import figure_cells, run_cells
 
 
 def test_figure11_adaptive_mu_full(benchmark, scale):
-    result = run_once(benchmark, lambda: run_figure11(scale=scale, seed=0))
+    result = run_once(benchmark, lambda: run_cells(figure_cells("figure11", scale, seed=0)))
     show(result.render(metric="loss", charts=False))
 
     assert len(result.panels) == 4

@@ -9,11 +9,11 @@ band (neither catastrophically worse).
 import numpy as np
 from conftest import run_once, show
 
-from repro.experiments import run_figure12
+from repro.experiments import figure_cells, run_cells
 
 
 def test_figure12_sampling_schemes(benchmark, scale):
-    result = run_once(benchmark, lambda: run_figure12(scale=scale, seed=0))
+    result = run_once(benchmark, lambda: run_cells(figure_cells("figure12", scale, seed=0)))
     show(result.render(metric="loss", charts=False))
 
     for panel in result.panels:

@@ -13,14 +13,14 @@ assertions).
 
 from conftest import run_once, show
 
-from repro.experiments import run_figure1
+from repro.experiments import figure_cells, run_cells
 
 CONVEX = ("Synthetic(1,1)", "MNIST-like", "FEMNIST-like")
 SEQUENCE = ("Shakespeare-like", "Sent140-like")
 
 
 def test_figure1_systems_heterogeneity(benchmark, scale):
-    result = run_once(benchmark, lambda: run_figure1(scale=scale, seed=0))
+    result = run_once(benchmark, lambda: run_cells(figure_cells("figure1", scale, seed=0)))
     show(result.render(metric="loss", charts=False))
 
     assert len(result.panels) == 5 * 3

@@ -13,13 +13,13 @@ Shape checks (paper):
 import numpy as np
 from conftest import run_once, show
 
-from repro.experiments import run_figure2
+from repro.experiments import figure_cells, run_cells
 
 ORDER = ["Synthetic-IID", "Synthetic(0,0)", "Synthetic(0.5,0.5)", "Synthetic(1,1)"]
 
 
 def test_figure2_statistical_heterogeneity(benchmark, scale):
-    result = run_once(benchmark, lambda: run_figure2(scale=scale, seed=0))
+    result = run_once(benchmark, lambda: run_cells(figure_cells("figure2", scale, seed=0)))
     show(result.render(metric="loss", charts=False))
     show(result.render(metric="dissimilarity", charts=False))
 

@@ -9,11 +9,11 @@ loss fluctuates).
 
 from conftest import run_once, show
 
-from repro.experiments import run_figure3
+from repro.experiments import figure_cells, run_cells
 
 
 def test_figure3_adaptive_mu(benchmark, scale):
-    result = run_once(benchmark, lambda: run_figure3(scale=scale, seed=0))
+    result = run_once(benchmark, lambda: run_cells(figure_cells("figure3", scale, seed=0)))
     show(result.render(metric="loss", charts=False))
 
     assert [p.dataset for p in result.panels] == [

@@ -9,11 +9,11 @@ Shape checks (paper):
 
 from conftest import run_once, show
 
-from repro.experiments import run_figure4_bottom, run_figure4_top
+from repro.experiments import figure_cells, run_cells
 
 
 def test_figure4_top_feddane_vs_fedprox(benchmark, scale):
-    result = run_once(benchmark, lambda: run_figure4_top(scale=scale, seed=0))
+    result = run_once(benchmark, lambda: run_cells(figure_cells("figure4-top", scale, seed=0)))
     show(result.render(metric="loss", charts=False))
 
     iid = result.panel("Synthetic-IID")
@@ -34,7 +34,7 @@ def test_figure4_top_feddane_vs_fedprox(benchmark, scale):
 
 
 def test_figure4_bottom_gradient_subsampling(benchmark, scale):
-    result = run_once(benchmark, lambda: run_figure4_bottom(scale=scale, seed=0))
+    result = run_once(benchmark, lambda: run_cells(figure_cells("figure4-bottom", scale, seed=0)))
     show(result.render(metric="loss", charts=False))
 
     het = result.panel("Synthetic(1,1)")

@@ -9,11 +9,11 @@ both methods stay within a modest band.
 import numpy as np
 from conftest import run_once, show
 
-from repro.experiments import run_figure5
+from repro.experiments import figure_cells, run_cells
 
 
 def test_figure5_iid_robustness(benchmark, scale):
-    result = run_once(benchmark, lambda: run_figure5(scale=scale, seed=0))
+    result = run_once(benchmark, lambda: run_cells(figure_cells("figure5", scale, seed=0)))
     show(result.render(metric="loss", charts=False))
     show(result.render(metric="accuracy", charts=False))
 

@@ -9,11 +9,11 @@ least the easier datasets), and accuracy broadly tracks training loss
 
 from conftest import run_once, show
 
-from repro.experiments import run_figure2
+from repro.experiments import figure_cells, run_cells
 
 
 def test_figure6_synthetic_accuracy(benchmark, scale):
-    result = run_once(benchmark, lambda: run_figure2(scale=scale, seed=1))
+    result = run_once(benchmark, lambda: run_cells(figure_cells("figure2", scale, seed=1)))
     show(result.render(metric="accuracy", charts=False))
 
     for panel in result.panels:

@@ -13,7 +13,8 @@ from conftest import run_once, show
 from repro.experiments import (
     figure7_accuracy_rows,
     figure7_improvement,
-    run_figure1,
+    figure_cells,
+    run_cells,
 )
 from repro.reporting import format_table
 
@@ -21,10 +22,8 @@ CONVEX = ("Synthetic(1,1)", "MNIST-like", "FEMNIST-like")
 
 
 def test_figure7_accuracy_improvement(benchmark, scale):
-    result = run_once(
-        benchmark,
-        lambda: run_figure1(scale=scale, seed=0, datasets=CONVEX),
-    )
+    cells = [c for c in figure_cells("figure1", scale, seed=0) if c["panel"] in CONVEX]
+    result = run_once(benchmark, lambda: run_cells(cells))
     rows = figure7_accuracy_rows(result)
     show(format_table(rows, title="Figure 7: accuracy at stopping point"))
 

@@ -9,16 +9,15 @@ it at or below the FedAvg level on the heterogeneous synthetic dataset.
 import numpy as np
 from conftest import run_once, show
 
-from repro.experiments import run_figure8
+from repro.experiments import figure_cells, run_cells
 
 # The convex subset is checked strictly; LSTM smoke runs are too short.
 CONVEX = ("Synthetic(1,1)", "MNIST-like", "FEMNIST-like")
 
 
 def test_figure8_dissimilarity(benchmark, scale):
-    result = run_once(
-        benchmark, lambda: run_figure8(scale=scale, seed=0, datasets=CONVEX)
-    )
+    cells = [c for c in figure_cells("figure8", scale, seed=0) if c["panel"] in CONVEX]
+    result = run_once(benchmark, lambda: run_cells(cells))
     show(result.render(metric="dissimilarity", charts=False))
 
     for panel in result.panels:

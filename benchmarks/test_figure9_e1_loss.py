@@ -8,15 +8,14 @@ heterogeneity bites less than in Figure 1 — but tolerating partial work
 
 from conftest import run_once, show
 
-from repro.experiments import run_figure9
+from repro.experiments import figure_cells, run_cells
 
 CONVEX = ("Synthetic(1,1)", "MNIST-like", "FEMNIST-like")
 
 
 def test_figure9_e1_loss(benchmark, scale):
-    result = run_once(
-        benchmark, lambda: run_figure9(scale=scale, seed=0, datasets=CONVEX)
-    )
+    cells = [c for c in figure_cells("figure9", scale, seed=0) if c["panel"] in CONVEX]
+    result = run_once(benchmark, lambda: run_cells(cells))
     show(result.render(metric="loss", charts=False))
 
     wins = 0

@@ -14,77 +14,81 @@ extended to failures) and reruns reproduce exactly — on any executor.
 
 Also demonstrated: chaos mode (all fault kinds at once) with NaN
 quarantine and the minimum-quorum guard, plus the per-run fault counters.
+Every run is a figure cell (``repro.experiments.figure_cells``) whose
+``cohorting.faults`` / ``fault_policy`` fields describe the schedule and
+the server's handling.
 
 Run:  python examples/robustness_faults.py
 """
 
-from repro.experiments.configs import SMOKE, ExperimentScale, Workload, make_synthetic_workload
-from repro.experiments.runner import MethodSpec, run_methods
-from repro.faults import ChaosFaults, CrashFaults, FaultPolicy
+import copy
+
+from repro.experiments import figure_cells, run_cells
 from repro.reporting import format_table, sparkline
 
 ROUNDS = 40
 SEED = 1
 BEST_MU = 1.0  # the paper's best µ for synthetic(1,1)
 
+#: Figure 1's Synthetic(1,1) cell without stragglers, at smoke scale: the
+#: federation, model and solver every run below shares.
+BASE = next(
+    cell for cell in figure_cells("figure1", "smoke", seed=SEED)
+    if cell["panel"] == "Synthetic(1,1)" and cell["environment"] == "0% stragglers"
+)
 
-def crash_rate_sweep(workload: Workload, scale: ExperimentScale) -> None:
+
+def cell(label, environment, faults, policy, mu=BEST_MU, drop_stragglers=False):
+    """``BASE`` with its method, fault schedule and fault policy replaced."""
+    variant = copy.deepcopy(BASE)
+    variant.update(figure="robustness", environment=environment, label=label, rounds=ROUNDS)
+    config = variant["trainer_config"]
+    config["optimization"].update(mu=mu, drop_stragglers=drop_stragglers)
+    config["cohorting"].update(faults=faults, fault_policy=policy)
+    return variant
+
+
+def crash_rate_sweep() -> None:
     """Part 1: accept-partial vs drop under rising crash rates."""
     methods = [
-        MethodSpec(
-            label="FedAvg (drop)",
-            mu=0.0,
-            drop_stragglers=True,
-            fault_policy=FaultPolicy.fedavg(),
-        ),
-        MethodSpec(
-            label="FedProx (accept partial)",
-            mu=BEST_MU,
-            fault_policy=FaultPolicy.fedprox(),
-        ),
-        MethodSpec(
-            label="FedProx (retry x2)",
-            mu=BEST_MU,
-            fault_policy=FaultPolicy(on_crash="retry", max_retries=2),
-        ),
+        ("FedAvg (drop)", {"on_crash": "drop"}, dict(mu=0.0, drop_stragglers=True)),
+        ("FedProx (accept partial)", {"on_crash": "accept_partial"}, {}),
+        ("FedProx (retry x2)", {"on_crash": "retry", "max_retries": 2}, {}),
     ]
-    rows = []
+    cells = []
     for rate in (0.0, 0.5, 0.9):
-        faults = CrashFaults(rate=rate, seed=SEED) if rate else None
-        results = run_methods(
-            workload, scale, methods, seed=SEED, rounds=ROUNDS, faults=faults
-        )
-        for label, history in results.items():
-            rows.append(
-                {
-                    "crash rate": f"{int(rate * 100)}%",
-                    "method": label,
-                    "loss": sparkline(history.train_losses, width=20),
-                    "final acc": round(history.final_test_accuracy(), 4),
-                }
-            )
+        faults = {"type": "CrashFaults", "rate": rate, "seed": SEED} if rate else None
+        for label, policy, method in methods:
+            policy = {"type": "FaultPolicy", **policy}
+            cells.append(cell(label, f"{int(rate * 100)}%", faults, policy, **method))
+    rows = [
+        {
+            "crash rate": panel.environment,
+            "method": label,
+            "loss": sparkline(history.train_losses, width=20),
+            "final acc": round(history.final_test_accuracy(), 4),
+        }
+        for panel in run_cells(cells).panels
+        for label, history in panel.histories.items()
+    ]
     print(format_table(rows, title="Crash-rate sweep (identical fault draws)"))
 
 
-def chaos_quarantine_demo(workload: Workload, scale: ExperimentScale) -> None:
+def chaos_quarantine_demo() -> None:
     """Part 2: chaos mode — every fault kind, quarantine, quorum guard."""
-    methods = [
-        MethodSpec(
-            label="FedProx (hardened)",
-            mu=BEST_MU,
-            fault_policy=FaultPolicy(
-                on_crash="retry",
-                max_retries=1,
-                quarantine_threshold=2,
-                min_quorum=0.3,
-            ),
-        ),
-    ]
-    faults = ChaosFaults(rate=0.4, seed=SEED)
-    results = run_methods(
-        workload, scale, methods, seed=SEED, rounds=ROUNDS, faults=faults
+    hardened = cell(
+        "FedProx (hardened)",
+        "chaos",
+        {"type": "ChaosFaults", "rate": 0.4, "seed": SEED},
+        {
+            "type": "FaultPolicy",
+            "on_crash": "retry",
+            "max_retries": 1,
+            "quarantine_threshold": 2,
+            "min_quorum": 0.3,
+        },
     )
-    history = results["FedProx (hardened)"]
+    history = run_cells([hardened]).panels[0].histories["FedProx (hardened)"]
     degraded = [r.round_idx for r in history.records if r.degraded]
     print(f"\nChaos mode (rate=40%, all fault kinds), {ROUNDS} rounds:")
     print(f"  loss      {sparkline(history.train_losses, width=32)}")
@@ -93,9 +97,8 @@ def chaos_quarantine_demo(workload: Workload, scale: ExperimentScale) -> None:
 
 
 def main() -> None:
-    workload = make_synthetic_workload(SMOKE, 1.0, 1.0, seed=SEED)
-    crash_rate_sweep(workload, SMOKE)
-    chaos_quarantine_demo(workload, SMOKE)
+    crash_rate_sweep()
+    chaos_quarantine_demo()
     print(
         "\nDeterminism: rerun this script — every number above is "
         "reproduced exactly, and every executor faces the same fault "

@@ -8,7 +8,7 @@ their series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 @dataclass
@@ -164,17 +164,3 @@ class TrainingHistory:
         """Highest recorded test accuracy."""
         accs = self.test_accuracies
         return max(accs) if accs else None
-
-    def to_dict(self) -> Dict[str, list]:
-        """Column-oriented dump for CSV emission."""
-        return {
-            "round": self.rounds,
-            "train_loss": [r.train_loss for r in self.records],
-            "test_accuracy": [r.test_accuracy for r in self.records],
-            "dissimilarity": [r.dissimilarity for r in self.records],
-            "mu": self.mus,
-            "gamma_mean": [r.gamma_mean for r in self.records],
-            "train_loss_ci": [r.train_loss_ci for r in self.records],
-            "accuracy_ci": [r.accuracy_ci for r in self.records],
-            "eval_sample_size": [r.eval_sample_size for r in self.records],
-        }

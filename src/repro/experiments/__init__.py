@@ -1,7 +1,7 @@
-"""Experiment harness: one runner per paper table/figure.
+"""Experiment harness: the paper's figures as cells, plus Table 1.
 
-See DESIGN.md §5 for the experiment index and :data:`EXPERIMENTS` for the
-programmatic registry.
+See DESIGN.md §5 for the experiment index and :data:`FIGURES` for the
+figure ids :func:`figure_cells` knows.
 """
 
 from .configs import (
@@ -16,20 +16,15 @@ from .configs import (
     get_scale,
     synthetic_suite_workloads,
 )
-from .figure1 import (
+from .figures import (
+    FIGURES,
     figure7_accuracy_rows,
     figure7_improvement,
-    run_figure1,
-    run_figure9,
+    figure_cells,
+    ledger_name,
+    run_cells,
 )
-from .figure2 import run_figure2, run_figure8
-from .figure3 import run_figure3, run_figure11
-from .figure4 import run_figure4_bottom, run_figure4_top
-from .figure5 import run_figure5
-from .figure12 import run_figure12
-from .registry import EXPERIMENTS, ExperimentEntry, get_experiment
 from .results import FigureResult, PanelResult
-from .runner import MethodSpec, build_trainer, figure1_methods, run_methods
 from .sweeps import LR_GRID, SweepResult, tune_learning_rate, tune_mu
 from .table1 import PAPER_TABLE1, render_table1, run_table1
 
@@ -44,10 +39,10 @@ __all__ = [
     "figure1_workloads",
     "synthetic_suite_workloads",
     "FIGURE1_BEST_MU",
-    "MethodSpec",
-    "run_methods",
-    "build_trainer",
-    "figure1_methods",
+    "FIGURES",
+    "figure_cells",
+    "run_cells",
+    "ledger_name",
     "tune_learning_rate",
     "tune_mu",
     "SweepResult",
@@ -57,19 +52,6 @@ __all__ = [
     "run_table1",
     "render_table1",
     "PAPER_TABLE1",
-    "run_figure1",
-    "run_figure9",
     "figure7_accuracy_rows",
     "figure7_improvement",
-    "run_figure2",
-    "run_figure8",
-    "run_figure3",
-    "run_figure11",
-    "run_figure4_top",
-    "run_figure4_bottom",
-    "run_figure5",
-    "run_figure12",
-    "EXPERIMENTS",
-    "ExperimentEntry",
-    "get_experiment",
 ]

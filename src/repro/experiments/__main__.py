@@ -3,13 +3,14 @@
 Usage::
 
     python -m repro.experiments --list
-    python -m repro.experiments figure1 --scale default --out results/
+    python -m repro.experiments figure1 --scale default --out ledgers/
     python -m repro.experiments table1 figure2 --scale smoke
-    python -m repro.experiments all --scale default --out results/
+    python -m repro.experiments all --scale default
 
-Each figure experiment prints its loss summary (and accuracy /
-dissimilarity where the paper's figure reports them) and, with ``--out``,
-writes per-panel round-series CSVs plus a summary CSV.
+Each figure prints its loss summary (and accuracy / dissimilarity where the
+paper's figure reports them); with ``--out`` every cell also writes one
+JSONL ledger under ``<out>/<figure>/`` that ``python -m repro.trace replay``
+re-executes.  ``table1`` only prints.
 """
 
 from __future__ import annotations
@@ -20,26 +21,29 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from ..reporting.tables import format_table, write_csv
-from .figure1 import figure7_accuracy_rows, figure7_improvement
-from .registry import EXPERIMENTS, get_experiment
-from .results import FigureResult
+from ..reporting.tables import format_table
+from .figures import FIGURES, figure7_accuracy_rows, figure7_improvement, figure_cells, run_cells
 from .table1 import render_table1
+
+#: Every experiment id with its ``--list`` line, in paper order.
+EXPERIMENTS = {
+    "table1": "Statistics of the four real federated datasets",
+    **{figure_id: figure.summary for figure_id, figure in FIGURES.items()},
+}
 
 
 def _run_one(experiment_id: str, scale: str, seed: int, out: Optional[Path]) -> None:
-    entry = get_experiment(experiment_id)
-    print(f"== {experiment_id}: {entry.description} (scale={scale}) ==")
+    if experiment_id not in EXPERIMENTS:
+        raise KeyError(
+            f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
+        )
+    print(f"== {experiment_id}: {EXPERIMENTS[experiment_id]} (scale={scale}) ==")
     start = time.time()
 
     if experiment_id == "table1":
         print(render_table1(scale=scale, seed=seed))
-        if out is not None:
-            from .table1 import run_table1
-
-            write_csv(out / "table1.csv", run_table1(scale=scale, seed=seed))
     else:
-        result: FigureResult = entry.runner(scale=scale, seed=seed)
+        result = run_cells(figure_cells(experiment_id, scale, seed), out=out)
         print(result.render(metric="loss", charts=False))
         if experiment_id in ("figure2", "figure8"):
             print(result.render(metric="dissimilarity", charts=False))
@@ -56,9 +60,6 @@ def _run_one(experiment_id: str, scale: str, seed: int, out: Optional[Path]) -> 
                 )
             except ValueError:
                 pass
-        if out is not None:
-            result.write_series_csv(out / experiment_id)
-            write_csv(out / f"{experiment_id}_summary.csv", result.summary_rows())
 
     elapsed = time.time() - start
     print(f"-- {experiment_id} done in {elapsed:.1f}s --\n")
@@ -82,7 +83,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument(
-        "--out", type=Path, default=None, help="directory for CSV output"
+        "--out", type=Path, default=None,
+        help="directory for one JSONL ledger per figure cell",
     )
     parser.add_argument(
         "--list", action="store_true", help="list available experiment ids"
@@ -91,8 +93,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.list or not args.experiments:
         rows = [
-            {"id": e.experiment_id, "description": e.description}
-            for e in EXPERIMENTS.values()
+            {"id": experiment_id, "description": description}
+            for experiment_id, description in EXPERIMENTS.items()
         ]
         print(format_table(rows, title="Available experiments"))
         return 0

@@ -18,24 +18,13 @@ epochs, batch size 10) follow Appendix C.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Dict, Optional
 
-from ..datasets import (
-    FederatedDataset,
-    make_femnist_like,
-    make_mnist_like,
-    make_sent140_like,
-    make_shakespeare_like,
-    make_synthetic,
-    make_synthetic_iid,
-)
-from ..models import (
-    CharLSTM,
-    FederatedModel,
-    MultinomialLogisticRegression,
-    SentimentLSTM,
-)
+from ..datasets import FederatedDataset
+from ..models import FederatedModel
+from ..spec import build
 
 
 @dataclass(frozen=True)
@@ -162,163 +151,164 @@ def get_scale(scale: str) -> ExperimentScale:
 
 @dataclass
 class Workload:
-    """A dataset paired with its model factory and tuned hyperparameters.
+    """A dataset recipe paired with its model recipe and tuned hyperparameters.
 
     The paper tunes the learning rate per dataset on FedAvg and reuses it
     everywhere (Appendix C.2): synthetic 0.01, MNIST 0.03, FEMNIST 0.003,
     Shakespeare 0.8, Sent140 0.3.
+
+    A workload is described, not built: ``dataset_spec`` and ``model_spec``
+    are :func:`repro.spec.describe` dicts, which is what a figure cell's
+    recipe carries.  :attr:`dataset` builds the federation on first access
+    and :meth:`model_factory` a fresh model per call.
     """
 
     name: str
-    dataset: FederatedDataset
-    model_factory: Callable[[], FederatedModel]
+    dataset_spec: Dict[str, Any]
+    model_spec: Dict[str, Any]
     learning_rate: float
     rounds: int
     is_sequence: bool = False
+
+    @cached_property
+    def dataset(self) -> FederatedDataset:
+        return build(self.dataset_spec, "dataset")
+
+    def model_factory(self) -> FederatedModel:
+        return build(self.model_spec, "model")
 
 
 def _cap(value: int) -> Optional[int]:
     return None if value == 0 else value
 
 
+def _logistic(dim: int) -> Dict[str, Any]:
+    return {"type": "MultinomialLogisticRegression", "dim": dim, "num_classes": 10}
+
+
 def make_synthetic_workload(
     scale: ExperimentScale, alpha: float, beta: float, seed: int = 0
 ) -> Workload:
     """``Synthetic(alpha, beta)`` with the paper's logistic model & lr."""
-    dataset = make_synthetic(
-        alpha,
-        beta,
-        num_devices=scale.synthetic_devices,
-        seed=seed,
-        size_cap=_cap(scale.synthetic_size_cap),
-    )
+    dataset = {
+        "builder": "make_synthetic",
+        "alpha": alpha,
+        "beta": beta,
+        "num_devices": scale.synthetic_devices,
+        "seed": seed,
+        "size_cap": _cap(scale.synthetic_size_cap),
+    }
     return Workload(
-        name=dataset.name,
-        dataset=dataset,
-        model_factory=lambda: MultinomialLogisticRegression(dim=60, num_classes=10),
-        learning_rate=0.01,
-        rounds=scale.rounds,
+        f"Synthetic({alpha:g},{beta:g})", dataset, _logistic(60), 0.01, scale.rounds
     )
 
 
 def make_synthetic_iid_workload(scale: ExperimentScale, seed: int = 0) -> Workload:
     """``Synthetic-IID`` with the paper's logistic model & lr."""
-    dataset = make_synthetic_iid(
-        num_devices=scale.synthetic_devices,
-        seed=seed,
-        size_cap=_cap(scale.synthetic_size_cap),
-    )
-    return Workload(
-        name=dataset.name,
-        dataset=dataset,
-        model_factory=lambda: MultinomialLogisticRegression(dim=60, num_classes=10),
-        learning_rate=0.01,
-        rounds=scale.rounds,
-    )
+    dataset = {
+        "builder": "make_synthetic_iid",
+        "num_devices": scale.synthetic_devices,
+        "seed": seed,
+        "size_cap": _cap(scale.synthetic_size_cap),
+    }
+    return Workload("Synthetic-IID", dataset, _logistic(60), 0.01, scale.rounds)
 
 
 def make_mnist_workload(scale: ExperimentScale, seed: int = 0) -> Workload:
     """MNIST-like: 2 classes/device, power-law sizes, logistic model."""
-    dataset = make_mnist_like(
-        num_devices=scale.image_devices,
-        total_samples=scale.image_samples,
-        dim=scale.image_dim,
-        seed=seed,
-    )
-    dim = scale.image_dim
+    dataset = {
+        "builder": "make_mnist_like",
+        "num_devices": scale.image_devices,
+        "total_samples": scale.image_samples,
+        "dim": scale.image_dim,
+        "seed": seed,
+    }
     return Workload(
-        name=dataset.name,
-        dataset=dataset,
-        model_factory=lambda: MultinomialLogisticRegression(dim=dim, num_classes=10),
-        learning_rate=0.03,
-        rounds=scale.rounds,
+        "MNIST-like", dataset, _logistic(scale.image_dim), 0.03, scale.rounds
     )
 
 
 def make_femnist_workload(scale: ExperimentScale, seed: int = 0) -> Workload:
     """FEMNIST-like: 5 classes/device, power-law sizes, logistic model."""
-    dataset = make_femnist_like(
-        num_devices=scale.femnist_devices,
-        total_samples=scale.femnist_samples,
-        dim=scale.image_dim,
-        seed=seed,
-    )
-    dim = scale.image_dim
+    dataset = {
+        "builder": "make_femnist_like",
+        "num_devices": scale.femnist_devices,
+        "total_samples": scale.femnist_samples,
+        "dim": scale.image_dim,
+        "seed": seed,
+    }
     return Workload(
-        name=dataset.name,
-        dataset=dataset,
-        model_factory=lambda: MultinomialLogisticRegression(dim=dim, num_classes=10),
-        learning_rate=0.003,
-        rounds=scale.rounds,
+        "FEMNIST-like", dataset, _logistic(scale.image_dim), 0.003, scale.rounds
     )
 
 
 def make_shakespeare_workload(scale: ExperimentScale, seed: int = 0) -> Workload:
     """Shakespeare-like next-character prediction with a 2-layer LSTM."""
     vocab = 80
-    dataset = make_shakespeare_like(
-        num_devices=scale.shakespeare_devices,
-        vocab_size=vocab,
-        seq_len=scale.shakespeare_seq_len,
-        samples_per_device_mean=scale.shakespeare_samples_mean,
-        seed=seed,
-    )
-    hidden = scale.charlstm_hidden
+    dataset = {
+        "builder": "make_shakespeare_like",
+        "num_devices": scale.shakespeare_devices,
+        "vocab_size": vocab,
+        "seq_len": scale.shakespeare_seq_len,
+        "samples_per_device_mean": scale.shakespeare_samples_mean,
+        "seed": seed,
+    }
+    model = {
+        "type": "CharLSTM",
+        "vocab_size": vocab,
+        "embed_dim": 8,
+        "hidden": scale.charlstm_hidden,
+        "num_layers": 2,
+    }
     return Workload(
-        name=dataset.name,
-        dataset=dataset,
-        model_factory=lambda: CharLSTM(
-            vocab_size=vocab, embed_dim=8, hidden=hidden, num_layers=2
-        ),
-        learning_rate=0.8,
-        rounds=scale.lstm_rounds,
-        is_sequence=True,
+        "Shakespeare-like", dataset, model, 0.8, scale.lstm_rounds, is_sequence=True
     )
 
 
 def make_sent140_workload(scale: ExperimentScale, seed: int = 0) -> Workload:
     """Sent140-like binary sentiment with a 2-layer LSTM."""
-    dataset = make_sent140_like(
-        num_devices=scale.sent140_devices,
-        vocab_size=scale.sent140_vocab,
-        seq_len=scale.sent140_seq_len,
-        seed=seed,
-    )
-    vocab = scale.sent140_vocab
-    hidden = scale.sentlstm_hidden
+    dataset = {
+        "builder": "make_sent140_like",
+        "num_devices": scale.sent140_devices,
+        "vocab_size": scale.sent140_vocab,
+        "seq_len": scale.sent140_seq_len,
+        "seed": seed,
+    }
+    model = {
+        "type": "SentimentLSTM",
+        "vocab_size": scale.sent140_vocab,
+        "embed_dim": 16,
+        "hidden": scale.sentlstm_hidden,
+        "num_layers": 2,
+    }
     return Workload(
-        name=dataset.name,
-        dataset=dataset,
-        model_factory=lambda: SentimentLSTM(
-            vocab_size=vocab, embed_dim=16, hidden=hidden, num_layers=2
-        ),
-        learning_rate=0.3,
-        rounds=scale.lstm_rounds,
-        is_sequence=True,
+        "Sent140-like", dataset, model, 0.3, scale.lstm_rounds, is_sequence=True
     )
 
 
 def figure1_workloads(scale: ExperimentScale, seed: int = 0) -> Dict[str, Workload]:
     """The five datasets of Figures 1/7/8/9/10 in paper order."""
-    return {
-        "Synthetic(1,1)": make_synthetic_workload(scale, 1.0, 1.0, seed=seed),
-        "MNIST-like": make_mnist_workload(scale, seed=seed),
-        "FEMNIST-like": make_femnist_workload(scale, seed=seed),
-        "Shakespeare-like": make_shakespeare_workload(scale, seed=seed),
-        "Sent140-like": make_sent140_workload(scale, seed=seed),
-    }
+    workloads = [
+        make_synthetic_workload(scale, 1.0, 1.0, seed=seed),
+        make_mnist_workload(scale, seed=seed),
+        make_femnist_workload(scale, seed=seed),
+        make_shakespeare_workload(scale, seed=seed),
+        make_sent140_workload(scale, seed=seed),
+    ]
+    return {w.name: w for w in workloads}
 
 
 def synthetic_suite_workloads(
     scale: ExperimentScale, seed: int = 0
 ) -> Dict[str, Workload]:
     """The four synthetic datasets of Figures 2/6/11/12 in paper order."""
-    return {
-        "Synthetic-IID": make_synthetic_iid_workload(scale, seed=seed),
-        "Synthetic(0,0)": make_synthetic_workload(scale, 0.0, 0.0, seed=seed + 1),
-        "Synthetic(0.5,0.5)": make_synthetic_workload(scale, 0.5, 0.5, seed=seed + 2),
-        "Synthetic(1,1)": make_synthetic_workload(scale, 1.0, 1.0, seed=seed + 3),
-    }
+    workloads = [
+        make_synthetic_iid_workload(scale, seed=seed),
+        make_synthetic_workload(scale, 0.0, 0.0, seed=seed + 1),
+        make_synthetic_workload(scale, 0.5, 0.5, seed=seed + 2),
+        make_synthetic_workload(scale, 1.0, 1.0, seed=seed + 3),
+    ]
+    return {w.name: w for w in workloads}
 
 
 #: Best µ per Figure 1 dataset as reported in Section 5.3.2.

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..core.history import TrainingHistory
 from ..reporting.ascii_plot import ascii_chart
-from ..reporting.tables import format_table, series_table, write_csv
+from ..reporting.tables import format_table
 
 
 @dataclass
@@ -18,7 +17,7 @@ class PanelResult:
     Attributes
     ----------
     dataset:
-        Workload name.
+        Panel name: the workload's dataset.
     environment:
         Environment descriptor, e.g. ``"90% stragglers"`` or ``"E=1"``.
     histories:
@@ -123,46 +122,3 @@ class FigureResult:
             ]
             blocks.append(format_table(summary_rows, title=panel.title()))
         return "\n\n".join(blocks)
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """Flat per-(panel, method) summary rows for tables and CSV."""
-        rows: List[Dict[str, object]] = []
-        for panel in self.panels:
-            for label, history in panel.histories.items():
-                rows.append(
-                    {
-                        "figure": self.figure_id,
-                        "dataset": panel.dataset,
-                        "environment": panel.environment,
-                        "method": label,
-                        "final_loss": history.final_train_loss(),
-                        "best_loss": min(history.train_losses),
-                        "final_accuracy": history.final_test_accuracy(),
-                        "best_accuracy": history.best_test_accuracy(),
-                    }
-                )
-        return rows
-
-    def write_series_csv(self, directory: Union[str, Path]) -> List[Path]:
-        """Write one CSV of round-series per panel; returns written paths."""
-        directory = Path(directory)
-        paths = []
-        for panel in self.panels:
-            series: Dict[str, List[Optional[float]]] = {}
-            for label, history in panel.histories.items():
-                series[f"{label} loss"] = list(history.train_losses)
-                series[f"{label} acc"] = [r.test_accuracy for r in history.records]
-            rows = series_table(series)
-            safe = (
-                f"{self.figure_id}_{panel.dataset}_{panel.environment}".replace(
-                    " ", ""
-                )
-                .replace("%", "pct")
-                .replace("(", "")
-                .replace(")", "")
-                .replace(",", "_")
-                .replace("=", "")
-                .rstrip("_")
-            )
-            paths.append(write_csv(directory / f"{safe}.csv", rows))
-        return paths

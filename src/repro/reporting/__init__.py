@@ -1,8 +1,8 @@
-"""Plain-text reporting: ASCII charts, tables, CSV emission."""
+"""Plain-text reporting: ASCII charts, tables, markdown."""
 
 from .ascii_plot import ascii_chart, sparkline
 from .markdown import figure_result_markdown, markdown_table
-from .tables import csv_string, format_table, series_table, write_csv
+from .tables import format_table
 
 __all__ = [
     "ascii_chart",
@@ -10,7 +10,4 @@ __all__ = [
     "markdown_table",
     "sparkline",
     "format_table",
-    "series_table",
-    "write_csv",
-    "csv_string",
 ]

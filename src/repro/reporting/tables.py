@@ -1,11 +1,8 @@
-"""Plain-text table formatting and CSV emission for experiment output."""
+"""Plain-text table formatting for experiment output."""
 
 from __future__ import annotations
 
-import csv
-import io
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Sequence
 
 
 def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
@@ -39,47 +36,3 @@ def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
     for r in rendered:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)))
     return "\n".join(lines)
-
-
-def series_table(
-    series: Dict[str, Sequence[Optional[float]]],
-    x_name: str = "round",
-    every: int = 1,
-) -> List[Dict[str, object]]:
-    """Turn named series into dict rows (one per x), subsampled by ``every``."""
-    length = max(len(v) for v in series.values())
-    rows: List[Dict[str, object]] = []
-    for x in range(0, length, every):
-        row: Dict[str, object] = {x_name: x}
-        for name, values in series.items():
-            row[name] = values[x] if x < len(values) else None
-        rows.append(row)
-    return rows
-
-
-def write_csv(
-    path: Union[str, Path], rows: Sequence[Dict[str, object]]
-) -> Path:
-    """Write dict rows to ``path`` as CSV, creating parent directories."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        path.write_text("")
-        return path
-    columns = list(rows[0].keys())
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
-    return path
-
-
-def csv_string(rows: Sequence[Dict[str, object]]) -> str:
-    """Render dict rows as a CSV string (for logging without a file)."""
-    if not rows:
-        return ""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()

@@ -314,7 +314,12 @@ def rebuild_trainer(
         )
     from ..core.config import TrainerConfig
 
-    config = TrainerConfig.from_dict(config_spec, dataset=dataset)
+    # A figure cell states its label and seed once, beside the config; a
+    # ledger states them in both places, equal.
+    config = TrainerConfig.from_dict(
+        {"label": manifest.get("label", ""), "seed": manifest.get("seed", 0), **config_spec},
+        dataset=dataset,
+    )
     if telemetry is not None:
         config = config.replace(telemetry=telemetry)
     return build(

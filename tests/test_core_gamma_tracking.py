@@ -60,7 +60,7 @@ class TestGammaTracking:
     def test_history_accessor(self, toy_dataset):
         history = _trainer(toy_dataset).run(4)
         assert len(history.gamma_means) == 4
-        assert "gamma_mean" in history.to_dict()
+        assert all(r.gamma_mean is not None for r in history.records)
 
     def test_gamma_persists_through_io(self, toy_dataset, tmp_path):
         from repro.io import load_history, save_history

@@ -183,16 +183,14 @@ class TestRenderingPaths:
     def test_figure_render_with_charts(self):
         """The chart-rendering path (used by `-s` bench output) works on
         real histories."""
-        from repro.experiments import SMOKE, MethodSpec, run_methods
-        from repro.experiments.configs import make_synthetic_workload
-        from repro.experiments.results import FigureResult, PanelResult
+        from repro.experiments import figure_cells, run_cells
 
-        workload = make_synthetic_workload(SMOKE, 0.0, 0.0, seed=0)
-        histories = run_methods(
-            workload, SMOKE, [MethodSpec(label="m")], rounds=3, seed=0
-        )
-        fig = FigureResult(figure_id="t", description="d")
-        fig.panels.append(PanelResult(workload.name, "", histories))
+        cells = [
+            dict(cell, rounds=3)
+            for cell in figure_cells("figure2", "smoke")
+            if cell["panel"] == "Synthetic(0,0)"
+        ]
+        fig = run_cells(cells)
         out = fig.render(metric="loss", charts=True)
         assert "|" in out  # chart frame present
-        assert "m" in out
+        assert "FedAvg (FedProx, mu=0)" in out and "FedProx, mu=1" in out

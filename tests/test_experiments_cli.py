@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.experiments import figure_cells, ledger_name
 from repro.experiments.__main__ import main
+from repro.telemetry import load_run, verify_artifact
+from repro.trace import main as trace_main
 
 
 class TestCLI:
@@ -22,21 +25,26 @@ class TestCLI:
         assert "Table 1 (reproduced" in out
         assert "MNIST-like" in out
 
-    def test_table1_csv_output(self, tmp_path, capsys):
+    def test_table1_only_prints(self, tmp_path, capsys):
         assert main(["table1", "--scale", "smoke", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "table1.csv").exists()
-        content = (tmp_path / "table1.csv").read_text()
-        assert "MNIST-like" in content
+        assert "MNIST-like" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
-    def test_figure5_smoke_with_csv(self, tmp_path, capsys):
+    def test_figure5_smoke_writes_one_verified_ledger_per_cell(self, tmp_path, capsys):
         assert main(
             ["figure5", "--scale", "smoke", "--out", str(tmp_path)]
         ) == 0
         out = capsys.readouterr().out
         assert "figure5" in out
-        assert (tmp_path / "figure5_summary.csv").exists()
-        series = list((tmp_path / "figure5").glob("*.csv"))
-        assert len(series) == 4  # one per straggler level
+        ledgers = sorted((tmp_path / "figure5").glob("*.jsonl"))
+        assert [p.stem for p in ledgers] == sorted(
+            ledger_name(cell) for cell in figure_cells("figure5", "smoke")
+        )
+        assert len(ledgers) == 8  # 4 straggler levels x 2 methods
+        for path in ledgers:
+            assert verify_artifact(load_run(str(path))) == []
+            assert trace_main(["replay", str(path)]) == 0
+        assert capsys.readouterr().out.count("MATCH") == 8
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):

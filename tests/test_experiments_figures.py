@@ -1,59 +1,97 @@
-"""Structure tests for every figure/table runner (tiny configurations).
+"""Structure tests for every figure's cells and for Table 1.
 
-These verify each experiment produces the right panels, methods and series —
-the *shape* checks of the actual results live in the benchmarks and
-EXPERIMENTS.md.
+These check that each figure lists the right panels, lines and options
+(generation only, nothing trains) — the *shape* checks of the actual
+results live in the benchmarks and EXPERIMENTS.md.
 """
+
+import json
 
 import pytest
 
 from repro.experiments import (
-    EXPERIMENTS,
+    FIGURES,
     PAPER_TABLE1,
+    SMOKE,
+    figure1_workloads,
     figure7_accuracy_rows,
     figure7_improvement,
-    get_experiment,
-    run_figure1,
-    run_figure2,
-    run_figure3,
-    run_figure4_bottom,
-    run_figure4_top,
-    run_figure5,
-    run_figure8,
-    run_figure9,
-    run_figure11,
-    run_figure12,
+    figure_cells,
+    ledger_name,
+    run_cells,
     run_table1,
+    synthetic_suite_workloads,
 )
 
-SYN = ["Synthetic(1,1)"]
-SYN2 = ["Synthetic-IID", "Synthetic(1,1)"]
+FIGURE_IDS = [
+    "figure1",
+    "figure2",
+    "figure3",
+    "figure4-top",
+    "figure4-bottom",
+    "figure5",
+    "figure8",
+    "figure9",
+    "figure11",
+    "figure12",
+]
+SYNTHETIC = ["Synthetic-IID", "Synthetic(0,0)", "Synthetic(0.5,0.5)", "Synthetic(1,1)"]
+FIVE = ["Synthetic(1,1)", "MNIST-like", "FEMNIST-like", "Shakespeare-like", "Sent140-like"]
 
 
-class TestRegistry:
-    def test_all_paper_artifacts_registered(self):
-        expected = {
-            "table1",
-            "figure1",
-            "figure2",
-            "figure3",
-            "figure4-top",
-            "figure4-bottom",
-            "figure5",
-            "figure8",
-            "figure9",
-            "figure11",
-            "figure12",
-        }
-        assert set(EXPERIMENTS) == expected
+def _grid(figure_id):
+    """``(panel, environment) -> [labels]`` in cell order."""
+    grid = {}
+    for cell in figure_cells(figure_id):
+        grid.setdefault((cell["panel"], cell["environment"]), []).append(cell["label"])
+    return grid
 
-    def test_get_experiment(self):
-        assert get_experiment("figure1").runner is run_figure1
-        with pytest.raises(KeyError):
-            get_experiment("figure99")
+
+def _panels(figure_id):
+    return list(dict.fromkeys(cell["panel"] for cell in figure_cells(figure_id)))
+
+
+class TestFigureIds:
+    def test_every_paper_figure_listed_in_order(self):
+        assert list(FIGURES) == FIGURE_IDS
+
+    def test_unknown_figure_rejected(self):
+        with pytest.raises(KeyError, match="figure99"):
+            figure_cells("figure99")
 
     def test_entries_have_descriptions(self):
-        assert all(e.description for e in EXPERIMENTS.values())
+        assert all(f.summary and f.title for f in FIGURES.values())
+
+    @pytest.mark.parametrize("scale", ["smoke", "default", "paper"])
+    def test_cells_are_json_with_unique_ledger_names(self, scale):
+        for figure_id in FIGURE_IDS:
+            cells = figure_cells(figure_id, scale, seed=0)
+            names = [ledger_name(cell) for cell in cells]
+            assert len(set(names)) == len(names), figure_id
+            for cell in cells:
+                assert json.loads(json.dumps(cell)) == cell
+                assert set(cell) == {
+                    "figure", "panel", "environment", "rounds",
+                    "label", "seed", "trainer_config", "recipe",
+                }
+
+    def test_smoke_cell_count(self):
+        assert sum(len(figure_cells(f)) for f in FIGURE_IDS) == 182
+
+    def test_seed_reaches_every_draw(self):
+        (cell,) = [
+            c for c in figure_cells("figure1", seed=7)
+            if c["panel"] == "MNIST-like" and c["environment"] == "90% stragglers"
+            and c["label"] == "FedAvg"
+        ]
+        assert cell["seed"] == 7
+        assert cell["recipe"]["dataset"]["seed"] == 7
+        assert cell["trainer_config"]["cohorting"]["systems"]["seed"] == 7
+
+    def test_workload_names_are_their_datasets_names(self):
+        workloads = {**figure1_workloads(SMOKE), **synthetic_suite_workloads(SMOKE)}
+        for name, workload in workloads.items():
+            assert workload.dataset.name == name
 
 
 class TestTable1:
@@ -78,27 +116,37 @@ class TestTable1:
 
 
 class TestFigure1Family:
+    def test_panel_grid(self):
+        grid = _grid("figure1")
+        assert list(grid) == [
+            (name, f"{level}% stragglers") for name in FIVE for level in (0, 50, 90)
+        ]
+
+    def test_three_methods_per_panel(self):
+        grid = _grid("figure1")
+        assert grid[("Shakespeare-like", "0% stragglers")] == [
+            "FedAvg", "FedProx (mu=0)", "FedProx (mu=0.001)",
+        ]
+        assert all(len(labels) == 3 and labels[0] == "FedAvg" for labels in grid.values())
+
+    def test_only_fedavg_drops_stragglers(self):
+        for cell in figure_cells("figure1"):
+            drops = cell["trainer_config"]["optimization"].get("drop_stragglers", False)
+            assert drops == (cell["label"] == "FedAvg")
+
+    def test_figure9_is_figure1_with_e1(self):
+        figure1, figure9 = figure_cells("figure1"), figure_cells("figure9")
+        assert [ledger_name(c)[7:] for c in figure1] == [ledger_name(c)[7:] for c in figure9]
+        assert {c["trainer_config"]["optimization"]["epochs"] for c in figure9} == {1.0}
+        assert {c["trainer_config"]["optimization"]["epochs"] for c in figure1} == {SMOKE.epochs}
+
     @pytest.fixture(scope="class")
     def result(self):
-        return run_figure1(
-            scale="smoke", datasets=SYN, straggler_levels=(0.0, 0.9), seed=0
-        )
-
-    def test_panel_grid(self, result):
-        assert len(result.panels) == 2
-        assert {p.environment for p in result.panels} == {
-            "0% stragglers",
-            "90% stragglers",
-        }
-
-    def test_three_methods_per_panel(self, result):
-        for panel in result.panels:
-            assert len(panel.histories) == 3
-            assert "FedAvg" in panel.histories
-
-    def test_unknown_dataset_rejected(self):
-        with pytest.raises(KeyError):
-            run_figure1(scale="smoke", datasets=["Bogus"])
+        cells = [
+            c for c in figure_cells("figure1")
+            if c["panel"] == "Synthetic(1,1)" and c["environment"] != "50% stragglers"
+        ]
+        return run_cells(cells)
 
     def test_figure7_rows(self, result):
         rows = figure7_accuracy_rows(result)
@@ -113,57 +161,48 @@ class TestFigure1Family:
         with pytest.raises(ValueError):
             figure7_improvement(result, level="33% stragglers")
 
-    def test_figure9_uses_e1(self):
-        result = run_figure9(scale="smoke", datasets=SYN)
-        assert result.figure_id == "figure9"
-        # With E=1, straggler budgets are fractional; the runs must be finite.
-        for panel in result.panels:
-            for h in panel.histories.values():
-                assert all(l == l for l in h.train_losses)  # no NaN
-
 
 class TestFigure2Family:
-    def test_figure2_panels_and_dissimilarity(self):
-        result = run_figure2(scale="smoke", datasets=SYN2, seed=0)
-        assert len(result.panels) == 2
-        for panel in result.panels:
-            assert len(panel.histories) == 2
-            for h in panel.histories.values():
-                assert any(d is not None for d in (r.dissimilarity for r in h.records))
+    def test_figure2_panels_track_dissimilarity(self):
+        assert _panels("figure2") == SYNTHETIC
+        for cell in figure_cells("figure2"):
+            assert cell["trainer_config"]["diagnostics"]["track_dissimilarity"]
+        assert _grid("figure2")[("Synthetic(1,1)", "")] == [
+            "FedAvg (FedProx, mu=0)", "FedProx, mu=1",
+        ]
 
-    def test_figure8_runs_on_synthetic_subset(self):
-        result = run_figure8(scale="smoke", datasets=["Synthetic(1,1)"])
-        assert len(result.panels) == 1
-        labels = list(result.panels[0].histories)
-        assert any("mu=0" in l for l in labels)
-        assert any("mu=1" in l for l in labels)
+    def test_figure8_uses_each_datasets_best_mu(self):
+        assert _panels("figure8") == FIVE
+        grid = _grid("figure8")
+        assert grid[("Synthetic(1,1)", "")] == ["FedAvg (FedProx, mu=0)", "FedProx (mu=1)"]
+        assert grid[("Sent140-like", "")] == ["FedAvg (FedProx, mu=0)", "FedProx (mu=0.01)"]
 
 
 class TestFigure3Family:
     def test_figure3_methods(self):
-        result = run_figure3(scale="smoke", datasets=("Synthetic(1,1)",))
-        labels = list(result.panels[0].histories)
-        assert any("dynamic" in l for l in labels)
-        assert len(labels) == 3
+        assert _panels("figure3") == ["Synthetic-IID", "Synthetic(1,1)"]
+        labels = _grid("figure3")[("Synthetic(1,1)", "")]
+        assert labels == ["FedAvg (FedProx, mu=0)", "FedProx, dynamic mu", "FedProx, mu=1"]
 
-    def test_adaptive_mu_actually_moves(self):
-        result = run_figure3(scale="smoke", datasets=("Synthetic(1,1)",))
-        dynamic = next(
-            h for l, h in result.panels[0].histories.items() if "dynamic" in l
-        )
-        assert len(set(dynamic.mus)) >= 1  # recorded at every round
+    def test_adversarial_start(self):
+        starts = {
+            c["panel"]: c["trainer_config"]["optimization"]["mu_controller"]["initial_mu"]
+            for c in figure_cells("figure11") if "dynamic" in c["label"]
+        }
+        assert starts == {
+            "Synthetic-IID": 1.0,
+            "Synthetic(0,0)": 0.0,
+            "Synthetic(0.5,0.5)": 0.0,
+            "Synthetic(1,1)": 0.0,
+        }
 
     def test_figure11_covers_all_synthetic(self):
-        result = run_figure11(scale="smoke")
-        assert result.figure_id == "figure11"
-        assert len(result.panels) == 4
+        assert _panels("figure11") == SYNTHETIC
 
 
 class TestFigure4Family:
     def test_top_methods(self):
-        result = run_figure4_top(scale="smoke", datasets=SYN)
-        labels = list(result.panels[0].histories)
-        assert labels == [
+        assert _grid("figure4-top")[("Synthetic(1,1)", "")] == [
             "mu=0, FedProx",
             "mu=1, FedProx",
             "mu=0, FedDane",
@@ -171,28 +210,28 @@ class TestFigure4Family:
         ]
 
     def test_bottom_gradient_client_sweep(self):
-        result = run_figure4_bottom(
-            scale="smoke", datasets=SYN, gradient_client_counts=[5, 12]
-        )
-        labels = list(result.panels[0].histories)
-        assert "mu=0, c=5, FedDane" in labels
-        assert "mu=0, c=12, FedDane" in labels
-        assert "mu=0, FedProx" in labels
+        cells = [c for c in figure_cells("figure4-bottom") if c["panel"] == "Synthetic(1,1)"]
+        assert [c["label"] for c in cells] == [
+            "mu=0, FedProx",
+            "mu=0, c=5, FedDane",
+            "mu=0, c=10, FedDane",
+            "mu=0, c=12, FedDane",
+        ]
+        assert [c["recipe"].get("gradient_clients") for c in cells] == [None, 5, 10, 12]
 
 
 class TestFigure5And12:
     def test_figure5_levels(self):
-        result = run_figure5(scale="smoke", straggler_levels=(0.0, 0.5))
-        assert [p.environment for p in result.panels] == [
-            "0% stragglers",
-            "50% stragglers",
+        grid = _grid("figure5")
+        assert list(grid) == [
+            ("Synthetic-IID", f"{level}% stragglers") for level in (0, 10, 50, 90)
         ]
-        for panel in result.panels:
-            assert set(panel.histories) == {"FedAvg", "FedProx (mu=0)"}
+        assert all(labels == ["FedAvg", "FedProx (mu=0)"] for labels in grid.values())
 
     def test_figure12_scheme_grid(self):
-        result = run_figure12(scale="smoke", datasets=SYN)
-        labels = list(result.panels[0].histories)
-        assert len(labels) == 4  # 2 schemes x 2 mus
-        assert any("uniform sampling" in l for l in labels)
-        assert any("weighted sampling" in l for l in labels)
+        cells = [c for c in figure_cells("figure12") if c["panel"] == "Synthetic(1,1)"]
+        assert len(cells) == 4  # 2 schemes x 2 mus
+        schemes = [c["trainer_config"]["cohorting"]["sampling"]["type"] for c in cells]
+        assert schemes == ["UniformSamplingWeightedAverage"] * 2 + [
+            "WeightedSamplingSimpleAverage"
+        ] * 2

@@ -1,161 +1,176 @@
-"""Tests for the generic comparison runner and result containers."""
+"""Tests for the cell runner and the result containers it fills."""
 
-import numpy as np
+import copy
+
 import pytest
 
 from repro.core import TrainingHistory
 from repro.core.feddane import FedDaneTrainer
 from repro.core.sampling import WeightedSamplingSimpleAverage
-from repro.experiments import (
-    SMOKE,
-    FigureResult,
-    MethodSpec,
-    PanelResult,
-    build_trainer,
-    figure1_methods,
-    run_methods,
-)
-from repro.experiments.configs import make_synthetic_workload
-from repro.systems.stragglers import NoHeterogeneity
+from repro.experiments import FigureResult, figure_cells, ledger_name, run_cells
+from repro.telemetry import RunArtifact, load_run, verify_artifact
+from repro.telemetry.replay import rebuild_trainer, replay_run
 
 
-@pytest.fixture(scope="module")
-def workload():
-    return make_synthetic_workload(SMOKE, 1.0, 1.0, seed=0)
+def _cells(figure_id, rounds=3, **keys):
+    """The smoke cells of ``figure_id`` matching ``keys``, cut to ``rounds``."""
+    cells = [
+        dict(cell, rounds=rounds)
+        for cell in figure_cells(figure_id, "smoke", seed=0)
+        if all(cell[k] == v for k, v in keys.items())
+    ]
+    assert cells, keys
+    return cells
 
 
-class TestMethodSpecs:
-    def test_figure1_methods(self):
-        methods = figure1_methods(0.01)
-        assert [m.label for m in methods] == [
-            "FedAvg",
-            "FedProx (mu=0)",
-            "FedProx (mu=0.01)",
+def _built(cell):
+    return rebuild_trainer(RunArtifact(path="<cell>", manifest=cell))
+
+
+class TestRunCells:
+    def test_one_history_per_cell_grouped_by_panel(self):
+        cells = _cells("figure5")
+        result = run_cells(cells)
+        assert result.figure_id == "figure5"
+        assert [p.environment for p in result.panels] == [
+            "0% stragglers", "10% stragglers", "50% stragglers", "90% stragglers",
         ]
-        assert methods[0].drop_stragglers
-        assert not methods[1].drop_stragglers
-        assert methods[2].mu == 0.01
+        for panel in result.panels:
+            assert list(panel.histories) == ["FedAvg", "FedProx (mu=0)"]
+            assert all(isinstance(h, TrainingHistory) for h in panel.histories.values())
+            assert all(len(h) == 3 for h in panel.histories.values())
+
+    def test_methods_in_a_panel_share_the_environment(self):
+        (panel,) = run_cells(_cells("figure1", panel="Synthetic(1,1)", environment="50% stragglers")).panels
+        first, *others = panel.histories.values()
+        for other in others:
+            for a, b in zip(first.records, other.records):
+                assert a.selected == b.selected
+                assert a.stragglers == b.stragglers
+
+    def test_a_90_percent_cell_has_stragglers(self):
+        cells = _cells("figure5", environment="90% stragglers", label="FedProx (mu=0)")
+        (panel,) = run_cells(cells).panels
+        assert any(r.stragglers for r in panel.histories["FedProx (mu=0)"].records)
+
+    def test_dissimilarity_recorded_where_tracked(self):
+        tracked = _cells("figure2", rounds=2, panel="Synthetic(1,1)")
+        untracked = _cells("figure3", rounds=2, panel="Synthetic(1,1)")
+        for history in run_cells(tracked).panels[0].histories.values():
+            assert history.records[0].dissimilarity is not None
+        for history in run_cells(untracked).panels[0].histories.values():
+            assert all(r.dissimilarity is None for r in history.records)
+
+    def test_two_cells_sharing_a_name_are_refused_before_running(self, tmp_path):
+        (cell,) = _cells("figure8", panel="Synthetic(1,1)", label="FedProx (mu=1)")
+        twin = dict(copy.deepcopy(cell), label="FedProx, mu=1")
+        assert ledger_name(twin) == ledger_name(cell)
+        with pytest.raises(ValueError) as raised:
+            run_cells([cell, twin], out=tmp_path)
+        assert "'FedProx (mu=1)'" in str(raised.value)
+        assert "'FedProx, mu=1'" in str(raised.value)
+        assert not (tmp_path / "figure8").exists()
+
+    def test_one_panel_line_per_label(self):
+        cell = _cells("figure5", environment="0% stragglers", label="FedAvg")[0]
+        with pytest.raises(ValueError, match="share"):
+            run_cells([cell, dict(cell, seed=1)])
+
+    def test_cells_of_one_figure_only(self):
+        with pytest.raises(ValueError, match="one figure"):
+            run_cells(_cells("figure5")[:1] + _cells("figure2")[:1])
 
 
-class TestBuildTrainer:
-    def test_plain_trainer(self, workload):
-        spec = MethodSpec(label="x", mu=0.5)
-        trainer = build_trainer(spec, workload, SMOKE, NoHeterogeneity(), seed=0)
-        assert trainer.mu == 0.5
-        assert trainer.label == "x"
-        assert trainer.epochs == SMOKE.epochs
-
-    def test_feddane_trainer(self, workload):
-        spec = MethodSpec(label="d", feddane=True, gradient_clients=6)
-        trainer = build_trainer(spec, workload, SMOKE, NoHeterogeneity(), seed=0)
+class TestCellOptionsReachTheTrainer:
+    def test_feddane_gradient_clients(self):
+        (cell,) = _cells("figure4-bottom", panel="Synthetic(1,1)", label="mu=0, c=10, FedDane")
+        trainer = _built(cell)
         assert isinstance(trainer, FedDaneTrainer)
-        assert trainer.gradient_clients == 6
+        assert trainer.gradient_clients == 10
 
-    def test_adaptive_mu_trainer(self, workload):
-        spec = MethodSpec(label="a", adaptive_mu_from=1.0)
-        trainer = build_trainer(spec, workload, SMOKE, NoHeterogeneity(), seed=0)
+    def test_adaptive_mu(self):
+        (cell,) = _cells("figure3", panel="Synthetic-IID", label="FedProx, dynamic mu")
+        trainer = _built(cell)
         assert trainer.mu_controller is not None
         assert trainer.mu == 1.0
 
-    def test_sampling_factory_override(self, workload):
-        spec = MethodSpec(label="x")
-        trainer = build_trainer(
-            spec, workload, SMOKE, NoHeterogeneity(), seed=0,
-            sampling_factory=WeightedSamplingSimpleAverage,
+    def test_weighted_sampling(self):
+        (cell,) = _cells(
+            "figure12", panel="Synthetic(1,1)", label="mu=1, weighted sampling+simple average"
         )
+        trainer = _built(cell)
         assert isinstance(trainer.sampling, WeightedSamplingSimpleAverage)
+        assert trainer.mu == 1.0
 
-    def test_epochs_override(self, workload):
-        spec = MethodSpec(label="x")
-        trainer = build_trainer(
-            spec, workload, SMOKE, NoHeterogeneity(), seed=0, epochs=1.0
-        )
-        assert trainer.epochs == 1.0
+    def test_e1(self):
+        for cell in _cells("figure9", panel="Synthetic(1,1)"):
+            assert _built(cell).epochs == 1.0
+
+    def test_label_and_seed_from_the_cell(self):
+        (cell,) = _cells("figure5", environment="90% stragglers", label="FedAvg")
+        trainer = _built(dict(cell, seed=4))
+        assert trainer.label == "FedAvg"
+        assert trainer.seed == 4
+        assert trainer.drop_stragglers
 
 
-class TestRunMethods:
-    def test_returns_history_per_method(self, workload):
-        methods = [MethodSpec(label="a", mu=0.0), MethodSpec(label="b", mu=1.0)]
-        results = run_methods(workload, SMOKE, methods, rounds=3, seed=0)
-        assert list(results) == ["a", "b"]
-        assert all(isinstance(h, TrainingHistory) for h in results.values())
-        assert all(len(h) == 3 for h in results.values())
+class TestLedgers:
+    def test_one_verified_replayable_ledger_per_cell(self, tmp_path):
+        cells = _cells("figure4-top", panel="Synthetic(1,1)")
+        result = run_cells(cells, out=tmp_path)
+        paths = sorted((tmp_path / "figure4-top").glob("*.jsonl"))
+        assert [p.stem for p in paths] == sorted(ledger_name(c) for c in cells)
+        for cell in cells:
+            artifact = load_run(str(tmp_path / "figure4-top" / f"{ledger_name(cell)}.jsonl"))
+            assert verify_artifact(artifact) == []
+            assert artifact.run_id == ledger_name(cell)
+            assert replay_run(artifact).matches
+            # The ledger's own manifest rebuilds the cell's history.
+            with rebuild_trainer(artifact) as trainer:
+                again = trainer.run(cell["rounds"])
+            recorded = result.panel("Synthetic(1,1)").histories[cell["label"]]
+            assert again.records == recorded.records
 
-    def test_straggler_fraction_produces_stragglers(self, workload):
-        methods = [MethodSpec(label="a", mu=0.0)]
-        results = run_methods(
-            workload, SMOKE, methods, straggler_fraction=0.9, rounds=2, seed=0
-        )
-        assert any(r.stragglers for r in results["a"].records)
-
-    def test_methods_share_environment(self, workload):
-        methods = [MethodSpec(label="a", mu=0.0), MethodSpec(label="b", mu=1.0)]
-        results = run_methods(
-            workload, SMOKE, methods, straggler_fraction=0.5, rounds=3, seed=0
-        )
-        for ra, rb in zip(results["a"].records, results["b"].records):
-            assert ra.selected == rb.selected
-            assert ra.stragglers == rb.stragglers
-
-    def test_track_dissimilarity(self, workload):
-        results = run_methods(
-            workload, SMOKE, [MethodSpec(label="a")], rounds=2, seed=0,
-            track_dissimilarity=True,
-        )
-        assert results["a"].records[0].dissimilarity is not None
+    def test_names_carry_every_grouping_key(self):
+        (cell,) = _cells("figure1", panel="Synthetic(1,1)", environment="90% stragglers",
+                         label="FedProx (mu=1)")
+        assert ledger_name(cell) == "figure1__Synthetic_1_1__90_stragglers__FedProx_mu=1__seed0"
 
 
 class TestResultContainers:
-    def _figure(self, workload):
-        histories = run_methods(
-            workload, SMOKE, [MethodSpec(label="m1"), MethodSpec(label="m2", mu=1.0)],
-            rounds=3, seed=0,
-        )
-        fig = FigureResult(figure_id="figX", description="test")
-        fig.panels.append(
-            PanelResult(dataset=workload.name, environment="0% stragglers", histories=histories)
-        )
-        return fig
+    @pytest.fixture(scope="class")
+    def fig(self):
+        cells = _cells("figure5", environment="0% stragglers")
+        return run_cells(cells)
 
-    def test_panel_lookup(self, workload):
-        fig = self._figure(workload)
-        panel = fig.panel(workload.name)
+    def test_panel_lookup(self, fig):
+        panel = fig.panel("Synthetic-IID")
         assert panel.environment == "0% stragglers"
         with pytest.raises(KeyError):
             fig.panel("nope")
 
-    def test_series_accessors(self, workload):
-        fig = self._figure(workload)
+    def test_series_accessors(self, fig):
         panel = fig.panels[0]
-        assert set(panel.loss_series()) == {"m1", "m2"}
-        assert len(panel.loss_series()["m1"]) == 3
-        assert len(panel.accuracy_series()["m2"]) == 3
+        assert set(panel.loss_series()) == {"FedAvg", "FedProx (mu=0)"}
+        assert len(panel.loss_series()["FedAvg"]) == 3
+        assert len(panel.accuracy_series()["FedProx (mu=0)"]) == 3
 
-    def test_render_contains_methods(self, workload):
-        fig = self._figure(workload)
+    def test_render_contains_methods(self, fig):
         text = fig.render(metric="loss", charts=False)
-        assert "m1" in text and "m2" in text
-        assert "figX" in text
+        assert "FedAvg" in text and "FedProx (mu=0)" in text
+        assert "figure5" in text
 
-    def test_render_accuracy_metric(self, workload):
-        fig = self._figure(workload)
-        assert "test accuracy" or "best" in fig.render(metric="accuracy")
+    def test_render_accuracy_metric(self, fig):
+        text = fig.render(metric="accuracy", charts=True)
+        assert "(test accuracy)" in text
+        assert "(training loss)" not in text
+        table = text.split("Synthetic-IID [0% stragglers]\nmethod")[1]
+        rows = [line.split("  ")[0] for line in table.splitlines()[2:]]
+        assert rows == ["FedAvg", "FedProx (mu=0)"]
 
-    def test_render_rejects_unknown_metric(self, workload):
-        fig = self._figure(workload)
+    def test_render_rejects_unknown_metric(self, fig):
         with pytest.raises(ValueError):
             fig.render(metric="wat")
 
-    def test_summary_rows(self, workload):
-        fig = self._figure(workload)
-        rows = fig.summary_rows()
-        assert len(rows) == 2
-        assert {r["method"] for r in rows} == {"m1", "m2"}
-        assert all(np.isfinite(r["final_loss"]) for r in rows)
-
-    def test_write_series_csv(self, workload, tmp_path):
-        fig = self._figure(workload)
-        paths = fig.write_series_csv(tmp_path)
-        assert len(paths) == 1
-        content = paths[0].read_text()
-        assert "m1 loss" in content
+    def test_empty_figure_renders_its_header(self):
+        assert FigureResult("figX", "d").render() == "== figX: d =="

@@ -1,16 +1,8 @@
-"""Tests for ASCII charts, tables and CSV emission."""
+"""Tests for ASCII charts and tables."""
 
-import numpy as np
 import pytest
 
-from repro.reporting import (
-    ascii_chart,
-    csv_string,
-    format_table,
-    series_table,
-    sparkline,
-    write_csv,
-)
+from repro.reporting import ascii_chart, format_table, sparkline
 
 
 class TestAsciiChart:
@@ -91,38 +83,3 @@ class TestFormatTable:
 
     def test_empty_rows(self):
         assert format_table([], title="t") == "t"
-
-
-class TestSeriesTableAndCsv:
-    def test_series_table_rows(self):
-        rows = series_table({"loss": [1.0, 0.5], "acc": [0.3, 0.6]})
-        assert rows == [
-            {"round": 0, "loss": 1.0, "acc": 0.3},
-            {"round": 1, "loss": 0.5, "acc": 0.6},
-        ]
-
-    def test_series_table_every(self):
-        rows = series_table({"x": list(range(10))}, every=3)
-        assert [r["round"] for r in rows] == [0, 3, 6, 9]
-
-    def test_series_table_ragged(self):
-        rows = series_table({"a": [1.0], "b": [1.0, 2.0]})
-        assert rows[1]["a"] is None
-
-    def test_write_csv_roundtrip(self, tmp_path):
-        rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        path = write_csv(tmp_path / "sub" / "out.csv", rows)
-        content = path.read_text().strip().split("\n")
-        assert content[0] == "a,b"
-        assert content[1] == "1,x"
-
-    def test_write_csv_empty(self, tmp_path):
-        path = write_csv(tmp_path / "empty.csv", [])
-        assert path.read_text() == ""
-
-    def test_csv_string(self):
-        out = csv_string([{"a": 1}])
-        assert out.splitlines() == ["a", "1"]
-
-    def test_csv_string_empty(self):
-        assert csv_string([]) == ""

@@ -313,7 +313,7 @@ class TestEvalTrainEvery:
         assert history.final_train_loss() is not None
         # Series accessor omits the skipped rounds (0, 3, 6 evaluated).
         assert len(history.train_losses) == 3
-        assert len(history.to_dict()["train_loss"]) == 7
+        assert len(history.records) == 7
 
     def test_adaptive_mu_forces_training_loss_every_round(self, dataset):
         from repro.core import AdaptiveMuController
