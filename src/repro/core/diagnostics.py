@@ -35,7 +35,8 @@ def emit_round_diagnostics(
     """Emit the round's per-client solve spans and diagnostic metrics.
 
     ``epochs`` is the global target ``E``; ``dissimilarity`` this round's
-    measurement, when one was taken.  When ``systems`` is clock-driven,
+    measurement, when one was taken.  Each ``solve:client`` span states
+    the solve's mini-batch ``steps``.  When ``systems`` is clock-driven,
     each ``solve:client`` span carries ``download_cycles``,
     ``compute_cycles``, ``upload_cycles`` and ``bottleneck`` from the
     clock's timing of that solve, at its task's round and the epochs it ran.
@@ -60,6 +61,7 @@ def emit_round_diagnostics(
                 round_idx=round_idx,
                 client_id=update.client_id,
                 epochs=update.epochs,
+                steps=update.gradient_evaluations,
                 **attrs,
             )
 

@@ -5,11 +5,18 @@ FEMNIST).  Gradients are computed directly — no autograd graph — because the
 convex experiments involve up to 1000 devices and dominate the harness
 runtime.  Correctness is cross-checked against the autograd engine in
 ``tests/test_models_logistic.py``.
+
+Two forwards: the evaluation one (:meth:`~MultinomialLogisticRegression._scores`,
+behind ``loss`` and ``predict``) adds the bias after the product; the
+gradient one — every solve step, scalar or stacked, and the full-batch
+``gradient`` — multiplies ``[x, 1]`` rows by the ``[W; b]`` view of the
+flat parameters, so the bias rides inside both products, and normalises
+the softmax with one division (numerics epoch 2, DESIGN §15).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -38,6 +45,37 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise numerically stable log-softmax."""
     shifted = scores - scores.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _with_ones_column(rows: int, dim: int) -> np.ndarray:
+    """A ``(rows, dim + 1)`` float64 buffer whose last column is 1.0.
+
+    Rows copied into its first ``dim`` columns read ``[x, 1]``, so their
+    product with the ``(dim + 1, classes)`` view ``[W; b]`` of the flat
+    parameters is ``x W + b``, and the backward product's last row is the
+    bias gradient.
+    """
+    buf = np.empty((rows, dim + 1))
+    buf[:, dim] = 1.0
+    return buf
+
+
+def _softmax_minus_onehot(scores, red, onehot, count):
+    """``scores`` becomes ``(softmax(scores) - onehot) / count``, in place.
+
+    Seven array calls over the last axis, each writing ``out=``: the
+    stable shift, one ``exp``, and one division by the row sums
+    normalises.  ``-= onehot`` is the label scatter (``x - 0.0 == x`` off
+    the label).  ``red`` is ``scores``' shape with a last axis of one.
+    """
+    np.maximum.reduce(scores, axis=-1, keepdims=True, out=red)
+    scores -= red
+    np.exp(scores, out=scores)
+    np.add.reduce(scores, axis=-1, keepdims=True, out=red)
+    scores /= red
+    scores -= onehot
+    scores /= count
+    return scores
 
 
 @register
@@ -111,10 +149,10 @@ class MultinomialLogisticRegression(FederatedModel):
     def _scores(self, X: np.ndarray) -> np.ndarray:
         """``X @ W + b`` as a fresh float64 ``(n, classes)`` array.
 
-        The one forward behind :meth:`loss`, :meth:`predict`,
-        :meth:`predict_proba` and both gradient entries.  Rows beyond one
-        sub-block of ``_SCORE_BYTES`` are walked a sub-block at a time:
-        converted (when not float64) into one reused buffer and multiplied
+        The evaluation forward, behind :meth:`loss`, :meth:`predict` and
+        :meth:`predict_proba`.  Rows beyond one sub-block of
+        ``_SCORE_BYTES`` are walked a sub-block at a time: converted
+        (when not float64) into one reused buffer and multiplied
         straight into their slice of the scores, so a census block costs no
         float64 copy of itself and every product stays in the fast,
         cache-resident shape.  Each row's scores depend on that row and the
@@ -137,30 +175,12 @@ class MultinomialLogisticRegression(FederatedModel):
         scores += self.b
         return scores
 
-    def _log_probs(self, X: np.ndarray) -> np.ndarray:
-        """The softmax forward pass, up to the log-probabilities."""
-        return _log_softmax(self._scores(X))
-
     def _nll(self, label_log_probs: np.ndarray) -> float:
         """Mean negative log-likelihood (plus the L2 penalty) of a forward."""
         nll = -label_log_probs.mean()
         if self.l2 > 0:
             nll += 0.5 * self.l2 * float(np.sum(self.W**2) + np.sum(self.b**2))
         return float(nll)
-
-    def _backward(
-        self, X: np.ndarray, y: np.ndarray, log_probs: np.ndarray
-    ) -> np.ndarray:
-        """Flat gradient of the mean loss given the forward's ``log_probs``."""
-        delta = np.exp(log_probs)
-        delta[np.arange(len(y)), y] -= 1.0
-        delta /= len(y)
-        grad_w = X.T @ delta
-        grad_b = delta.sum(axis=0)
-        if self.l2 > 0:
-            grad_w = grad_w + self.l2 * self.W
-            grad_b = grad_b + self.l2 * self.b
-        return np.concatenate([grad_w.reshape(-1), grad_b])
 
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
         """Mean softmax NLL; the scores are reduced where they lie.
@@ -176,18 +196,44 @@ class MultinomialLogisticRegression(FederatedModel):
         np.exp(shifted, out=shifted)
         return self._nll(picked - np.log(shifted.sum(axis=1)))
 
-    def loss_and_gradient(self, X: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
-        """One forward pass shared by the loss and the gradient."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        log_probs = self._log_probs(X)
-        loss = self._nll(log_probs[np.arange(len(y)), y])
-        return loss, self._backward(X, y, log_probs)
-
     def gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient only: the forward stops at ``log_probs``, no NLL."""
-        X = np.asarray(X, dtype=np.float64)
-        return self._backward(X, np.asarray(y), self._log_probs(X))
+        """Flat gradient of the mean loss: the solve step, a sub-block at a time.
+
+        Rows are walked in :meth:`_scores`' ``_SCORE_BYTES`` sub-blocks
+        through one reused ones-column buffer (never a float64 copy of the
+        whole of ``X``); each sub-block is one step of
+        :meth:`minibatch_gradients` with the divisor ``len(y)``, and the
+        sub-blocks' backward products are summed in order.  A batch inside
+        one sub-block is therefore exactly the stream's step on it.  The
+        loss and gradient together are the base class's ``loss`` then
+        ``gradient``: the loss stays on the evaluation forward.
+        """
+        X, y = np.asarray(X), np.asarray(y)
+        dim, classes, n = self.dim, self.num_classes, len(y)
+        Wb = np.vstack((self.W, self.b))
+        rows = max(1, min(n, _SCORE_BYTES // (dim * 8)))
+        block = _with_ones_column(rows, dim)
+        scores = np.empty((rows, classes))
+        red = np.empty((rows, 1))
+        onehot = np.empty((rows, classes))
+        out = np.zeros(self.n_params)
+        grad = out.reshape(dim + 1, classes)
+        part = np.empty_like(grad)
+        for lo in range(0, n, rows):
+            m = min(rows, n - lo)
+            xb, hot = block[:m], onehot[:m]
+            np.copyto(xb[:, :dim], X[lo : lo + m], casting="unsafe")
+            hot[:] = 0.0
+            hot[np.arange(m), y[lo : lo + m]] = 1.0
+            np.matmul(xb, Wb, out=scores[:m])
+            delta = _softmax_minus_onehot(scores[:m], red[:m], hot, n)
+            if lo == 0:
+                np.matmul(xb.T, delta, out=grad)
+            else:
+                grad += np.matmul(xb.T, delta, out=part)
+        if self.l2 > 0:
+            grad += np.multiply(Wb, self.l2, out=part)
+        return out
 
     def minibatch_gradients(
         self,
@@ -197,45 +243,43 @@ class MultinomialLogisticRegression(FederatedModel):
         orders: Iterable[np.ndarray],
         batch_size: int,
     ) -> Iterator[np.ndarray]:
-        """The solve loop's gradient stream without per-step allocations.
+        """The solve loop's gradient stream: nine array calls a step.
 
-        Same operations, in the same order, as the default (``set_params``
-        then :meth:`gradient` on ``X[batch], y[batch]``) — bit-identical
-        output — rearranged so that nothing is allocated after the first
-        step: ``W``/``b`` and the two gradient blocks are views of the flat
-        ``w`` and of the yielded buffer (no parameter copy, no
-        ``concatenate``); rows are gathered, and converted to float64, a
-        run of whole batches at a time into a reused buffer so a batch is
-        a contiguous slice of it; every ufunc writes ``out=``; and the
-        label scatter is ``delta -= onehot`` (``x - 0.0 == x`` off the
-        label).  The model's own ``W``/``b`` are not touched.
+        The bias rides inside both products.  The flat ``w`` is
+        ``[W.ravel(), b]``, so ``w.reshape(dim + 1, classes)`` is ``[W; b]``
+        as a view (read in place), and so is the yielded buffer's; rows are
+        gathered, a run of whole batches at a time, into the first ``dim``
+        columns of a reused buffer whose last column is 1.0.  A step is
+        then the forward product, :func:`_softmax_minus_onehot` (seven
+        calls, one division normalising) and the backward product straight
+        into the gradient view — every call writing ``out=``, nothing
+        allocated after the first step, the model's own ``W``/``b`` not
+        touched.  Each yield equals ``set_params(w)`` then
+        :meth:`gradient` on the batch, bit for bit, whenever the batch fits
+        one ``_SCORE_BYTES`` sub-block (83 rows at d = 784).
         """
         X, y = np.asarray(X), np.asarray(y)
         dim, classes, l2 = self.dim, self.num_classes, self.l2
-        split = dim * classes
-        W = w[:split].reshape(dim, classes)
-        b = w[split:]
+        Wb = w.reshape(dim + 1, classes)
         out = np.empty(self.n_params)
-        grad_w = out[:split].reshape(dim, classes)
-        grad_b = out[split:]
+        grad = out.reshape(dim + 1, classes)
         if l2 > 0:
-            l2_w, l2_b = np.empty_like(W), np.empty_like(b)
+            l2_buf = np.empty_like(grad)
 
         # One gather serves as many whole batches as fit _GATHER_BYTES
         # (a small device's whole epoch; one batch when rows are wide).
+        # take(out=) into the strided feature columns would stage through
+        # a temporary, so rows land in a contiguous buffer first.
         per_gather = max(1, _GATHER_BYTES // (batch_size * dim * 8))
         gather_rows = min(per_gather * batch_size, len(y))
-        rows_buf = np.empty((gather_rows, dim))
-        raw_buf = rows_buf  # float64 features need no conversion pass
-        if X.dtype != np.float64:
-            raw_buf = np.empty((gather_rows, dim), X.dtype)
+        rows_buf = _with_ones_column(gather_rows, dim)
+        raw_buf = np.empty((gather_rows, dim), X.dtype)
         labels_buf = np.empty(gather_rows, y.dtype)
         onehot_buf = np.empty((gather_rows, classes))
         arange = np.arange(gather_rows)
 
         batch_rows = min(batch_size, gather_rows)
         scores_buf = np.empty((batch_rows, classes))
-        exp_buf = np.empty((batch_rows, classes))
         red_buf = np.empty((batch_rows, 1))
 
         for order in orders:
@@ -243,8 +287,7 @@ class MultinomialLogisticRegression(FederatedModel):
                 idx = order[first : first + gather_rows]
                 k = len(idx)
                 X.take(idx, axis=0, out=raw_buf[:k], mode="clip")
-                if raw_buf is not rows_buf:
-                    np.copyto(rows_buf[:k], raw_buf[:k], casting="unsafe")
+                np.copyto(rows_buf[:k, :dim], raw_buf[:k], casting="unsafe")
                 y.take(idx, out=labels_buf[:k], mode="clip")
                 onehot_buf[:k] = 0.0
                 onehot_buf[arange[:k], labels_buf[:k]] = 1.0
@@ -253,23 +296,13 @@ class MultinomialLogisticRegression(FederatedModel):
                     stop = min(start + batch_size, k)
                     Xb = rows_buf[start:stop]
                     m = stop - start  # < batch_size on a short final batch
-                    scores, expd, red = scores_buf[:m], exp_buf[:m], red_buf[:m]
-                    np.matmul(Xb, W, out=scores)
-                    scores += b
-                    np.maximum.reduce(scores, axis=1, keepdims=True, out=red)
-                    scores -= red  # shifted
-                    np.exp(scores, out=expd)
-                    np.add.reduce(expd, axis=1, keepdims=True, out=red)
-                    np.log(red, out=red)
-                    scores -= red  # log_probs
-                    delta = np.exp(scores, out=scores)
-                    delta -= onehot_buf[start:stop]
-                    delta /= m
-                    np.matmul(Xb.T, delta, out=grad_w)
-                    np.add.reduce(delta, axis=0, out=grad_b)
+                    scores = np.matmul(Xb, Wb, out=scores_buf[:m])
+                    delta = _softmax_minus_onehot(
+                        scores, red_buf[:m], onehot_buf[start:stop], m
+                    )
+                    np.matmul(Xb.T, delta, out=grad)
                     if l2 > 0:
-                        grad_w += np.multiply(W, l2, out=l2_w)
-                        grad_b += np.multiply(b, l2, out=l2_b)
+                        grad += np.multiply(Wb, l2, out=l2_buf)
                     yield out
 
     @property
@@ -285,42 +318,36 @@ class MultinomialLogisticRegression(FederatedModel):
         mask: np.ndarray,
         counts: np.ndarray,
     ) -> Iterator[np.ndarray]:
-        """The cohort step loop's gradient stream, hoisted out of the step.
+        """The cohort step loop's gradient stream: the scalar step, stacked.
 
-        Replays :meth:`gradient`'s exact operation sequence (stable
-        log-softmax, subtract-one-at-label, divide by the batch size) over
-        a leading client axis; padding rows are zeroed by the mask before
-        the backward GEMMs, so they contribute exact zeros.  Everything
+        :meth:`minibatch_gradients`' formula over a leading client axis:
+        each row of ``W`` is viewed as its ``[W; b]`` and the chunk is
+        copied once, as float64, beside a ones column, so the bias rides in
+        both batched products.  Padding rows are zeroed by the mask before
+        the backward product, so they contribute exact zeros.  Everything
         that does not depend on the step is built once per chunk: the
-        parameter views of ``W``, the gradient views of the yielded buffer
-        (each client's ``(dim, classes)`` block is contiguous, so the
-        backward GEMM writes straight into it), the scratch, and the
-        one-hot labels — the scatter is ``delta -= onehot``
-        (``x - 0.0 == x`` off the label), as in :meth:`minibatch_gradients`.
-        A step is then thirteen array calls (fourteen on a ragged one),
-        every one writing ``out=``.  Nothing outlives the stream, so the
-        model holds no solve state.
+        parameter and gradient views, the scratch, and the one-hot labels.
+        A step is nine array calls (ten on a ragged one), every one
+        writing ``out=``.  Nothing outlives the stream, so the model holds
+        no solve state.
         """
         S, K, B = y.shape
         dim, C, l2 = self.dim, self.num_classes, self.l2
-        split = dim * C
-        Wk = W[:, :split].reshape(K, dim, C)
-        bk = W[:, split:]
-        bk_b = bk[:, None, :]
+        Wk = W.reshape(K, dim + 1, C)
         out = np.empty((K, self.n_params))
-        grad_w = out[:, :split].reshape(K, dim, C)
-        grad_b = out[:, split:]
+        grad = out.reshape(K, dim + 1, C)
         if l2 > 0:
-            l2_w, l2_b = np.empty((K, dim, C)), np.empty((K, C))
+            l2_buf = np.empty_like(grad)
 
+        X1 = _with_ones_column(S * K * B, dim).reshape(S, K, B, dim + 1)
+        np.copyto(X1[..., :dim], X, casting="unsafe")
         scores = np.empty((K, B, C))
-        expd = np.empty((K, B, C))
         red = np.empty((K, B, 1))
         onehot = np.zeros((S * K * B, C))
         onehot[np.arange(S * K * B), y.reshape(-1)] = 1.0
         steps = zip(
-            X,
-            X.swapaxes(2, 3),
+            X1,
+            X1.swapaxes(2, 3),
             onehot.reshape(S, K, B, C),
             counts,
             mask[:, :, :, None],
@@ -328,23 +355,12 @@ class MultinomialLogisticRegression(FederatedModel):
         )
         for Xs, Xs_t, hot, count, mask_s, dense in steps:
             np.matmul(Xs, Wk, out=scores)
-            scores += bk_b
-            np.maximum.reduce(scores, axis=2, keepdims=True, out=red)
-            scores -= red  # shifted
-            np.exp(scores, out=expd)
-            np.add.reduce(expd, axis=2, keepdims=True, out=red)
-            np.log(red, out=red)
-            scores -= red  # log_probs
-            delta = np.exp(scores, out=scores)
-            delta -= hot
-            delta /= count
+            delta = _softmax_minus_onehot(scores, red, hot, count)
             if not dense:
                 delta *= mask_s
-            np.matmul(Xs_t, delta, out=grad_w)
-            np.add.reduce(delta, axis=1, out=grad_b)
+            np.matmul(Xs_t, delta, out=grad)
             if l2 > 0:
-                grad_w += np.multiply(Wk, l2, out=l2_w)
-                grad_b += np.multiply(bk, l2, out=l2_b)
+                grad += np.multiply(Wk, l2, out=l2_buf)
             yield out
 
     def stacked_gradient(
@@ -378,7 +394,7 @@ class MultinomialLogisticRegression(FederatedModel):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class probabilities for each row of ``X``."""
-        return np.exp(self._log_probs(X))
+        return np.exp(_log_softmax(self._scores(X)))
 
     def spawn_replica(self) -> "MultinomialLogisticRegression":
         """Everything is plain NumPy state, so a clone pickles cheaply."""

@@ -1,9 +1,9 @@
 """Vectorized cohort local solver: one stacked kernel for a whole round.
 
-The scalar path runs each selected device's local epochs one mini-batch at
-a time through ``model.set_params()`` + ``loss_and_gradient()`` — a
-10-client round with ``E = 20`` epochs issues thousands of tiny GEMMs,
-each paying full Python/NumPy dispatch overhead.  The paper's headline
+The scalar path streams each selected device's local epochs one
+mini-batch at a time through ``model.minibatch_gradients`` — a 10-client
+round with ``E = 20`` epochs issues thousands of tiny GEMMs, each paying
+full Python/NumPy dispatch overhead.  The paper's headline
 experiments (1000-device synthetic and FEMNIST logistic models) are
 exactly the workload where stacking pays off:
 :class:`CohortExecutor` packs the selected clients' weight vectors into a
@@ -50,7 +50,7 @@ Mechanics
   row.  The batched GEMM does not promise the scalar GEMM's accumulation
   order, so parity with :class:`~repro.runtime.executor.SerialExecutor`
   is a tolerance, not bitwise: histories of the logistic model match
-  within 1e-12 (observed 2e-16; enforced by
+  within 1e-12 (observed 2.2e-16 on a loss; enforced by
   ``tests/test_runtime_cohort.py``), the LSTMs within 1e-9.  What *is*
   bitwise is the cohort path against itself: the stream equals the
   per-step kernel loop it replaced (``tests/test_models_stacked_oracle.py``).

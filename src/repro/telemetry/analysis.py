@@ -190,6 +190,8 @@ def solve_totals(artifact: RunArtifact) -> Optional[Dict[str, Any]]:
     """Local work and simulated time, read off the ``solve:client`` spans.
 
     ``solves`` counts them and ``epochs`` sums their local epochs.  When
+    they state their mini-batch ``steps``, ``steps`` sums them and
+    ``us_per_step`` is their wall ``solve`` seconds per step, in µs.  When
     they carry the clock stamp of a clock-driven run, ``simulated`` holds
     the mean and max over rounds of the round's critical path in cycles
     (its slowest download + compute + upload) and the counts of network-
@@ -202,6 +204,12 @@ def solve_totals(artifact: RunArtifact) -> Optional[Dict[str, Any]]:
         "solves": len(solves),
         "epochs": sum(s.get("epochs", 0.0) for s in solves),
     }
+    stepped = [s for s in solves if "steps" in s]
+    if stepped:
+        steps = sum(s["steps"] for s in stepped)
+        totals["steps"] = steps
+        seconds = sum(s["duration"] for s in stepped)
+        totals["us_per_step"] = 1e6 * seconds / max(steps, 1)
     stamped = [s for s in solves if "compute_cycles" in s]
     if stamped:
         paths: Dict[int, float] = {}
@@ -286,7 +294,10 @@ def format_summary(summary: Dict[str, Any]) -> str:
         )
     work = summary.get("work")
     if work is not None:
-        lines.append(f"  work: solves={work['solves']} epochs={work['epochs']:.4f}")
+        line = f"  work: solves={work['solves']} epochs={work['epochs']:.4f}"
+        if "steps" in work:
+            line += f" steps={work['steps']} ({work['us_per_step']:.1f} us/step)"
+        lines.append(line)
         simulated = work.get("simulated")
         if simulated is not None:
             lines.append(

@@ -69,8 +69,8 @@ Span taxonomy
     The trainer's fill-in evaluation after early stopping.
 ``solve:client``
     One device's local solve (serial in-process, or reconstructed from a
-    worker's piggybacked timing payload; carries ``client_id`` and
-    ``epochs``).  Under a clock-driven systems model it also carries
+    worker's piggybacked timing payload; carries ``client_id``,
+    ``epochs`` and its mini-batch ``steps``).  Under a clock-driven systems model it also carries
     ``download_cycles`` / ``compute_cycles`` / ``upload_cycles``
     (simulated cycles) and ``bottleneck`` (``"network"`` / ``"compute"``).
 ``cohort:plan`` / ``cohort:pack`` / ``cohort:kernel`` / ``cohort:finalize``

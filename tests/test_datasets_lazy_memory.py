@@ -11,7 +11,11 @@ forward, shows up as megabytes against bounds of a few hundred KB:
     within four of its largest client's bytes, on every engine;
 (b) the traced peak inside a round is at most the accuracy sample's
     held-out rows twice (the per-device arrays and their stack) plus a
-    few clients' bytes.
+    few clients' bytes;
+(c) the cohort engine's per-round pack holds the cohort's shards, their
+    concatenation ``x_cat``, the gather plan and one gathered chunk with
+    its ones-column copy — the logistic kernel's folded bias adds no
+    per-round copy of ``x_cat``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import pytest
 from repro.core import EvalConfig, FederatedTrainer
 from repro.datasets import make_synthetic_ondemand
 from repro.models import MultinomialLogisticRegression
-from repro.optim import SGDSolver
+from repro.optim import BatchSchedule, SGDSolver
+from repro.runtime import CohortExecutor, LocalTask, cohort
+from repro.runtime.packing import plan_cohort
 
 DEVICES, K, ROUNDS, SAMPLE = 5000, 10, 20, 100
 ASYNC = "async:window=2,arrivals=seeded,latency=1.2,jitter=0.6"
@@ -94,3 +100,47 @@ def test_a_round_peaks_at_its_sampled_held_out_rows(engine):
         held_out = row_bytes * int(dataset.test_sizes[sampled].sum())
         bound = 2 * held_out + 8 * _nbytes(client)
         assert peak <= bound, f"round {round_idx}: {peak} B > {bound} B"
+
+
+def test_a_cohort_pack_holds_its_shards_one_concatenation_and_one_chunk(monkeypatch):
+    """(c) on ``solve_cohort`` itself, with the gather cap below one step so
+    a chunk is one step's rows.  The bound is what the pack holds — the
+    shards, ``x_cat`` = ``(Σn_k + 1)·d·8`` and ``y_cat`` — plus the larger
+    of ``np.concatenate``'s temporary (before the plan exists) and the
+    kernel's working set: the gather plan ``idx`` / ``mask`` / ``counts``,
+    the weight stacks, the results, and one chunk with its ones-column
+    copy.  A ones-column copy of ``x_cat`` would exceed it by ~``x_cat``."""
+    monkeypatch.setattr(cohort, "_GATHER_CHUNK_BYTES", 32 << 10)
+    dataset = make_synthetic_ondemand(1.0, 1.0, num_devices=DEVICES, size_cap=200)
+    model = MultinomialLogisticRegression(dim=60, num_classes=10)
+    solver = SGDSolver(0.01, batch_size=10)
+    executor = CohortExecutor()
+    executor.bind(dataset, model, solver)
+    ids = list(range(0, DEVICES, DEVICES // K))
+    w = np.zeros(model.n_params)
+    tasks = [
+        LocalTask(client_id=c, w_global=w, mu=1.0, epochs=1, rng_entropy=(0, 0, c, 0))
+        for c in ids
+    ]
+    clients = [dataset.store.get(c) for c in ids]
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cohort.solve_cohort(tasks, executor.clients, model, solver)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+    d, B, P = 60, 10, model.n_params
+    rows = sum(c.num_train for c in clients)
+    x_cat, y_cat = (rows + 1) * d * 8, (rows + 1) * 8
+    steps = [BatchSchedule(c.num_train, B, 1).total for c in clients]
+    lanes, t_max = plan_cohort(steps).n_lanes, max(steps)
+    gather_plan = 2 * t_max * lanes * B * 8 + t_max * lanes * 8
+    stacks = 4 * lanes * P * 8 + K * P * 8  # W, W_ref, prox, gradient; results
+    step_rows = lanes * B * d * 8
+    chunk = step_rows + step_rows * (d + 1) // d
+    held = sum(_nbytes(c) for c in clients) + x_cat + y_cat
+    bound = held + max(x_cat, gather_plan + stacks + chunk) + (64 << 10)
+    assert peak <= bound, f"{peak} B > {bound} B"

@@ -1,21 +1,27 @@
-"""Bit parity of the stacked logistic stream with the kernel it replaced.
+"""Bit parity of the stacked logistic stream with the kernels it replaced.
 
 The cohort step loop used to call ``stacked_gradient`` once per step: a
 workspace dict cached on the model, parameter views cached by identity, a
 five-call label scatter and a copy of both gradient blocks into the
 result.  It now steps through ``stacked_minibatch_gradients``, which
-builds everything step-independent once per gathered chunk — "the same
-per-element operations in the same order", hence the same bits.  That
-claim is pinned here the way ``tests/test_optim_stream.py`` pins the
-scalar stream and ``tests/test_nn_fused_lstm_oracle.py`` the fused LSTM:
-the pre-change kernel and the pre-change ``solve_cohort`` step loop are
-frozen below as the oracle, and the library must be ``np.array_equal`` to
-them over the shapes the cohort path produces and over whole solves.
+builds everything step-independent once per gathered chunk.  That is
+pinned here the way ``tests/test_optim_stream.py`` pins the scalar stream
+and ``tests/test_nn_fused_lstm_oracle.py`` the fused LSTM: the pre-stream
+kernel (numerics epoch 1) and the pre-stream ``solve_cohort`` step loop
+are frozen below as the oracle, with the kernel's epoch-2 formula (the
+bias folded into both products, one division normalising; DESIGN §15)
+frozen beside it.  Over the shapes the cohort path produces and over
+whole solves the library must be ``np.array_equal`` to the epoch-2
+oracle, and within ``EPOCH1_BOUND`` of the epoch-1 one.
 
-The two things the rewrite *assumes* about NumPy — ``x - 0.0`` is bitwise
-``x``, and ``np.matmul(out=)`` into the strided per-client view of the
-gradient stack equals matmul-then-copy — have their own tests, so a change
-in a NumPy release fails with its cause named rather than as a parity diff.
+The things the kernel *assumes* about NumPy — ``x - 0.0`` is bitwise
+``x``; ``np.matmul(out=)`` into a strided view of the gradient stack, or
+into the ``(dim + 1, C)`` view of a flat gradient, equals
+matmul-then-copy; the flat parameters reshape to ``[W; b]`` as a view;
+and rows copied into the first ``dim`` columns of a ones-column buffer
+arrive exactly and leave the ones alone — have their own tests, so a
+change in a NumPy release fails with its cause named rather than as a
+parity diff.
 
 Also here: the shared model holds no solve-time state any more, and the
 default stream (MLP, fused CharLSTM) is the per-step loop it replaced.
@@ -43,13 +49,23 @@ pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.ym
 
 DIM, CLASSES = 6, 4
 
+#: The stated bound between the library (epoch 2) and the epoch-1 oracle:
+#: ``max|got - want| / max|want|`` over a gradient or a solved iterate.
+#: Observed maximum over this file: 2.3e-15, on a whole solve.
+EPOCH1_BOUND = 1e-13
+
+
+def _relative_gap(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
 
 # --------------------------------------------------------------------- #
 # The oracle: the pre-change code, frozen.  Do not "simplify" it towards
 # the library — its whole value is that it does not share code with it.
 # --------------------------------------------------------------------- #
 class OracleStackedLogistic:
-    """``MultinomialLogisticRegression``'s stacked kernel before the stream."""
+    """``MultinomialLogisticRegression``'s stacked kernel before the stream
+    (numerics epoch 1)."""
 
     def __init__(self, dim, num_classes, l2=0.0):
         self.dim = dim
@@ -115,6 +131,37 @@ class OracleStackedLogistic:
         out[:, :split] = grad_w.reshape(K, split)
         out[:, split:] = grad_b
         return out
+
+
+class OracleStackedLogisticEpoch2:
+    """The stacked kernel's epoch-2 formula: ``[x, 1] @ [W; b]`` both ways,
+    softmax normalised by one division."""
+
+    def __init__(self, dim, num_classes, l2=0.0):
+        self.dim = dim
+        self.num_classes = num_classes
+        self.l2 = float(l2)
+        self.n_params = dim * num_classes + num_classes
+
+    def stacked_gradient(self, W, X, y, mask, counts):
+        K, B = X.shape[0], X.shape[1]
+        X1 = np.concatenate(
+            [np.asarray(X, dtype=np.float64), np.ones((K, B, 1))], axis=2
+        )
+        Wb = W.reshape(K, self.dim + 1, self.num_classes)
+        scores = X1 @ Wb
+        shifted = scores - scores.max(axis=2, keepdims=True)
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=2, keepdims=True)
+        delta = probs
+        delta[np.arange(K)[:, None], np.arange(B)[None, :], y] -= 1.0
+        delta /= counts if counts.ndim == 3 else counts[:, None, None]
+        if mask is not None:
+            delta *= mask[:, :, None]
+        grad = X1.transpose(0, 2, 1) @ delta
+        if self.l2 > 0:
+            grad = grad + self.l2 * Wb
+        return grad.reshape(K, -1)
 
 
 def _oracle_plan(n, batch_size, epochs, rng):
@@ -287,23 +334,27 @@ class TestStreamMatchesFrozenKernel:
     @pytest.mark.parametrize("K", [1, 2, 3, 10])
     def test_every_step_of_a_chunk(self, K, B, S, l2, dtype):
         model = MultinomialLogisticRegression(DIM, CLASSES, l2=l2)
-        oracle = OracleStackedLogistic(DIM, CLASSES, l2=l2)
+        oracle = OracleStackedLogisticEpoch2(DIM, CLASSES, l2=l2)
+        epoch1 = OracleStackedLogistic(DIM, CLASSES, l2=l2)
         X, y, mask, counts = _chunk(S, K, B, dtype, seed=K * 100 + B * 10 + S)
         W0 = np.random.default_rng(S).normal(size=(K, model.n_params)) * 0.5
-        W_new, W_old = W0.copy(), W0.copy()
+        W_new, W_old, W_e1 = W0.copy(), W0.copy(), W0.copy()
         dense = mask.all(axis=(1, 2))
         assert B == 1 or not dense.all()
 
         stream = model.stacked_minibatch_gradients(W_new, X, y, mask, counts)
         for s, got in enumerate(stream):
-            want = oracle.stacked_gradient(
-                W_old, X[s], y[s], None if dense[s] else mask[s], counts[s]
-            )
+            step_mask = None if dense[s] else mask[s]
+            want = oracle.stacked_gradient(W_old, X[s], y[s], step_mask, counts[s])
             assert np.array_equal(got, want), (K, B, S, l2, s)
+            before = epoch1.stacked_gradient(W_e1, X[s], y[s], step_mask, counts[s])
+            assert _relative_gap(got, before) <= EPOCH1_BOUND, (K, B, S, l2, s)
             _descend(W_new, got)
             _descend(W_old, want)
+            _descend(W_e1, before)
         assert s == S - 1
         assert np.array_equal(W_new, W_old)
+        assert _relative_gap(W_new, W_e1) <= EPOCH1_BOUND
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("counts_ndim", [1, 3])
@@ -312,7 +363,7 @@ class TestStreamMatchesFrozenKernel:
     def test_the_one_step_entry(self, K, B, with_mask, counts_ndim, dtype):
         """``stacked_gradient`` is a chunk of one; ``counts`` in both shapes."""
         model = MultinomialLogisticRegression(DIM, CLASSES, l2=0.3)
-        oracle = OracleStackedLogistic(DIM, CLASSES, l2=0.3)
+        oracle = OracleStackedLogisticEpoch2(DIM, CLASSES, l2=0.3)
         X, y, mask, counts = _chunk(1, K, B, dtype, seed=K + B)
         W = np.random.default_rng(1).normal(size=(K, model.n_params))
         counts = counts[0] if counts_ndim == 3 else counts[0, :, 0, 0]
@@ -321,6 +372,10 @@ class TestStreamMatchesFrozenKernel:
         want = oracle.stacked_gradient(W, X[0], y[0], m, counts)
         assert np.array_equal(got, want)
         assert got.shape == (K, model.n_params)
+        before = OracleStackedLogistic(DIM, CLASSES, l2=0.3).stacked_gradient(
+            W, X[0], y[0], m, counts
+        )
+        assert _relative_gap(got, before) <= EPOCH1_BOUND
 
     def test_the_stream_yields_one_buffer_valid_until_the_next_step(self):
         model = MultinomialLogisticRegression(DIM, CLASSES)
@@ -371,13 +426,17 @@ def _assert_solves_match(federation, tasks, solver=None, l2=0.0):
     executor = _bound(federation, model, solver)
     got = solve_cohort(tasks, executor.clients, model, solver)
     want, steps = oracle_solve_cohort(
+        tasks, executor.clients, OracleStackedLogisticEpoch2(60, 10, l2=l2), solver
+    )
+    before, _ = oracle_solve_cohort(
         tasks, executor.clients, OracleStackedLogistic(60, 10, l2=l2), solver
     )
-    assert len(got) == len(want) == len(tasks)
-    for update, w, n_steps, task in zip(got, want, steps, tasks):
+    assert len(got) == len(want) == len(before) == len(tasks)
+    for update, w, w_e1, n_steps, task in zip(got, want, before, steps, tasks):
         assert isinstance(update, ClientUpdate)
         assert update.client_id == task.client_id
         assert np.array_equal(update.w, w), task.client_id
+        assert _relative_gap(update.w, w_e1) <= EPOCH1_BOUND, task.client_id
         assert update.gradient_evaluations == n_steps
     return got
 
@@ -457,7 +516,74 @@ class TestSolveMatchesFrozenStepLoop:
 # --------------------------------------------------------------------- #
 # What the rewrite assumes about NumPy, by name.
 # --------------------------------------------------------------------- #
+FOLD_SHAPES = [(10, 60, 10), (7, 6, 4), (1, 784, 10), (10, 784, 10)]
+
+
 class TestNumpyAssumptions:
+    @pytest.mark.parametrize("m,dim,C", FOLD_SHAPES)
+    def test_the_flat_parameters_reshape_to_w_over_b_as_a_view(self, m, dim, C):
+        """``[W.ravel(), b]`` read as ``(dim + 1, C)`` is ``[W; b]``, in place —
+        for the scalar iterate and for each row of a leading slice of a stack."""
+        split = dim * C
+        w = np.random.default_rng(m).normal(size=split + C)
+        Wb = w.reshape(dim + 1, C)
+        assert np.shares_memory(Wb, w)
+        assert np.array_equal(Wb[:dim], w[:split].reshape(dim, C))
+        assert np.array_equal(Wb[dim], w[split:])
+        stack = np.random.default_rng(dim).normal(size=(5, split + C))
+        Wk = stack[:3].reshape(3, dim + 1, C)
+        assert np.shares_memory(Wk, stack)
+        Wk[1, dim, 0] = 7.0  # a write through the view lands in the stack
+        assert stack[1, split] == 7.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("m,dim,C", FOLD_SHAPES)
+    def test_take_into_the_feature_columns_leaves_the_ones_column(
+        self, m, dim, C, dtype
+    ):
+        """Rows gathered into the first ``dim`` columns of a ``(k, dim + 1)``
+        buffer equal ``X[idx]`` as float64 and the last column stays 1.0:
+        ``take(out=)`` straight into the strided columns (float64), and
+        ``take`` into a contiguous buffer then ``copyto(casting="unsafe")``,
+        which is the stream's route for both dtypes."""
+        gen = np.random.default_rng(m + dim)
+        X = gen.normal(size=(3 * m + 5, dim)).astype(dtype)
+        idx = gen.permutation(len(X))[:m]
+        want = np.asarray(X[idx], dtype=np.float64)
+        buf = np.empty((m, dim + 1))
+        buf[:, dim] = 1.0
+        if dtype == np.float64:
+            X.take(idx, axis=0, out=buf[:, :dim], mode="clip")
+            assert np.array_equal(buf[:, :dim], want)
+            assert (buf[:, dim] == 1.0).all()
+            buf[:, :dim] = np.nan
+        raw = np.empty((m, dim), dtype)
+        X.take(idx, axis=0, out=raw, mode="clip")
+        np.copyto(buf[:, :dim], raw, casting="unsafe")
+        assert np.array_equal(buf[:, :dim], want)
+        assert (buf[:, dim] == 1.0).all()
+
+    @pytest.mark.parametrize("m,dim,C", FOLD_SHAPES)
+    def test_matmul_into_the_flat_gradient_view_equals_matmul_then_copy(
+        self, m, dim, C
+    ):
+        """The backward product of the ones-column rows lands in the
+        ``(dim + 1, C)`` view of the flat gradient exactly as a fresh
+        product would, bias row included."""
+        gen = np.random.default_rng(m * dim)
+        buf = np.empty((m + 3, dim + 1))
+        buf[:, dim] = 1.0
+        buf[:, :dim] = gen.normal(size=(m + 3, dim))
+        rows = buf[1 : m + 1]
+        delta = gen.normal(size=(m, C))
+        flat = np.full((dim + 1) * C, np.nan)
+        view = flat.reshape(dim + 1, C)
+        assert np.shares_memory(view, flat)
+        np.matmul(rows.T, delta, out=view)
+        want = np.matmul(rows.T, delta)
+        assert np.array_equal(flat, want.reshape(-1))
+        assert np.array_equal(flat[dim * C :], want[dim])
+
     def test_subtracting_positive_zero_is_the_identity_bitwise(self):
         """``delta -= onehot`` leaves every off-label entry's bits alone."""
         x = np.array(

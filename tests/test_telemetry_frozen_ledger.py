@@ -18,6 +18,9 @@ check-in is retried as itself; ``comm:*`` / ``comms.*`` events are booked
 to the delivering round), and both when every fact came to be stated once
 (round records one round behind; no metric restating a record field or a
 running total; one event per fault decision; no manifest ``config``).
+A third regeneration added each ``solve:client`` span's ``steps`` and took
+the ``everything_on`` footer digest of numerics epoch 2 (no float moved at
+ten significant digits).
 """
 
 from __future__ import annotations

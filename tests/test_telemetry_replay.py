@@ -46,6 +46,7 @@ from repro.telemetry.ledger import NUMERICS_EPOCH, history_digest, load_run
 #: (ed75d65, in its manifest).  It cannot be regenerated from this tree —
 #: any ledger written here is epoch 1 — and need not be: its recipe is in it.
 EPOCH0_FIXTURE = Path(__file__).parent / "fixtures" / "epoch0_mnist_like.jsonl"
+EPOCH1_FIXTURE = Path(__file__).parent / "fixtures" / "epoch1_mnist_like.jsonl"
 
 
 def record_run(path, rounds=3, solver=None, dataset=None, **kwargs):
@@ -379,8 +380,8 @@ class TestNumericsEpoch:
         path = tmp_path / "run.jsonl"
         record_run(path, rounds=1)
         artifact = load_run(str(path))
-        assert artifact.manifest["environment"]["numerics_epoch"] == NUMERICS_EPOCH == 1
-        assert artifact.numerics_epoch == 1
+        assert artifact.manifest["environment"]["numerics_epoch"] == NUMERICS_EPOCH == 2
+        assert artifact.numerics_epoch == 2
 
     def test_epoch0_fixture_replays_with_the_epoch_line(self, capsys):
         """Recorded at the parent commit: losses moved by ulps, nothing else."""
@@ -397,7 +398,27 @@ class TestNumericsEpoch:
             assert report.drift.deviation <= EPOCH_DRIFT_BOUND
         assert trace_main(["replay", str(EPOCH0_FIXTURE)]) == 0
         assert (
-            "recorded under numerics epoch 0, this tree is epoch 1: 6 rounds, "
+            "recorded under numerics epoch 0, this tree is epoch 2: 6 rounds, "
+            "exact fields equal, max relative deviation" in capsys.readouterr().out
+        )
+
+    def test_epoch1_fixture_replays_with_the_epoch_line(self, capsys):
+        """Recorded at the last epoch-1 commit by the epoch-0 fixture's recipe:
+        every trained weight moved (epoch 2's solve step), yet the selections,
+        the test accuracies and every other exact field are equal, and the
+        losses stay inside the bound."""
+        artifact = load_run(str(EPOCH1_FIXTURE))
+        assert artifact.numerics_epoch == 1
+        assert artifact.manifest["recipe"] == load_run(str(EPOCH0_FIXTURE)).manifest["recipe"]
+        report = replay_run(artifact)
+        assert report.issues == []
+        assert report.matches, report.describe()
+        # On the BLAS that recorded it the largest move is 2.2e-16 on a loss.
+        if report.drift is not None:
+            assert report.drift.deviation <= EPOCH_DRIFT_BOUND
+        assert trace_main(["replay", str(EPOCH1_FIXTURE)]) == 0
+        assert (
+            "recorded under numerics epoch 1, this tree is epoch 2: 6 rounds, "
             "exact fields equal, max relative deviation" in capsys.readouterr().out
         )
 

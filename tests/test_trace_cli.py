@@ -21,7 +21,7 @@ from repro.core.server import FederatedTrainer
 from repro.datasets import make_synthetic
 from repro.faults import ChaosFaults
 from repro.models import MultinomialLogisticRegression
-from repro.optim import SGDSolver
+from repro.optim import BatchSchedule, SGDSolver
 from repro.systems.stragglers import FractionStragglers
 from repro.telemetry import JSONLSink, Telemetry, read_jsonl
 from repro.telemetry.analysis import (
@@ -114,6 +114,29 @@ class TestSummarize:
         out = capsys.readouterr().out
         assert f"work: solves=12 epochs={work['epochs']:.4f}" in out
         assert "simulated:" not in out
+
+    @pytest.mark.parametrize("engine", ["serial", "async:window=2"])
+    def test_work_line_states_the_mini_batch_steps(self, tmp_path, capsys, engine):
+        """Each ``solve:client`` span states its steps: their sum is the sum
+        of the solves' batch schedules, and ``work:`` prints µs per step."""
+        path = tmp_path / "run.jsonl"
+        record(path, rounds=4, engine=engine)
+        artifact = load_run(str(path))
+        dataset = make_synthetic(1.0, 1.0, num_devices=10, seed=0, size_cap=100)
+        solves = [s for s in artifact.spans if s["name"] == "solve:client"]
+        want = sum(
+            BatchSchedule(dataset[s["client_id"]].num_train, 8, s["epochs"]).total
+            for s in solves
+        )
+        work = summarize_run(artifact)["work"]
+        assert work["steps"] == want == sum(s["steps"] for s in solves)
+        seconds = sum(s["duration"] for s in solves)
+        assert work["us_per_step"] == pytest.approx(1e6 * seconds / want)
+        assert main(["summarize", str(path)]) == 0
+        assert (
+            f"steps={want} ({work['us_per_step']:.1f} us/step)"
+            in capsys.readouterr().out
+        )
 
     def test_fault_totals_come_from_the_events(self, tmp_path, capsys):
         path = tmp_path / "faults.jsonl"
