@@ -5,14 +5,7 @@ from .baselines import make_distributed_sgd
 from .callbacks import Callback, EarlyStopping, LambdaCallback
 from ..comms import CommsConfig
 from .client import Client, ClientPool, ClientUpdate
-from .config import (
-    CohortConfig,
-    DiagnosticsConfig,
-    EngineConfig,
-    EvalConfig,
-    OptimizationConfig,
-    TrainerConfig,
-)
+from .config import EvalConfig
 from .dissimilarity import (
     DissimilarityReport,
     bounded_variance_b_upper_bound,
@@ -31,13 +24,8 @@ from .server import FederatedTrainer
 
 __all__ = [
     "FederatedTrainer",
-    "TrainerConfig",
-    "OptimizationConfig",
-    "CohortConfig",
     "CommsConfig",
-    "EngineConfig",
     "EvalConfig",
-    "DiagnosticsConfig",
     "make_fedavg",
     "make_fedprox",
     "make_feddane",

@@ -30,7 +30,7 @@ def make_distributed_sgd(
     sampling: Optional[SamplingScheme] = None,
     systems: Optional[SystemsModel] = None,
     seed: int = 0,
-    **trainer_kwargs,
+    **options,
 ) -> FederatedTrainer:
     """Distributed SGD baseline (no local updating, Remark 8).
 
@@ -46,7 +46,7 @@ def make_distributed_sgd(
         Federation data and the shared model.
     learning_rate:
         The single gradient step size.
-    clients_per_round, sampling, systems, seed, trainer_kwargs:
+    clients_per_round, sampling, systems, seed, options:
         As in :class:`~repro.core.server.FederatedTrainer`.
     """
     return FederatedTrainer(
@@ -60,6 +60,6 @@ def make_distributed_sgd(
         sampling=sampling,
         systems=systems,
         seed=seed,
-        label=trainer_kwargs.pop("label", "DistributedSGD"),
-        **trainer_kwargs,
+        label=options.pop("label", "DistributedSGD"),
+        **options,
     )

@@ -31,7 +31,7 @@ def make_fedavg(
     sampling: Optional[SamplingScheme] = None,
     systems: Optional[SystemsModel] = None,
     seed: int = 0,
-    **trainer_kwargs,
+    **options,
 ) -> FederatedTrainer:
     """Construct a FedAvg trainer.
 
@@ -47,7 +47,7 @@ def make_fedavg(
     solver, sampling, systems, seed:
         Overrides for the local solver, sampling scheme, systems model and
         randomness seed.
-    trainer_kwargs:
+    options:
         Forwarded to :class:`~repro.core.server.FederatedTrainer`
         (evaluation and tracking options).
     """
@@ -62,6 +62,6 @@ def make_fedavg(
         sampling=sampling,
         systems=systems,
         seed=seed,
-        label=trainer_kwargs.pop("label", "FedAvg"),
-        **trainer_kwargs,
+        label=options.pop("label", "FedAvg"),
+        **options,
     )

@@ -103,7 +103,7 @@ def make_feddane(
     sampling: Optional[SamplingScheme] = None,
     systems: Optional[SystemsModel] = None,
     seed: int = 0,
-    **trainer_kwargs,
+    **options,
 ) -> FedDaneTrainer:
     """Construct a FedDane trainer (see :class:`FedDaneTrainer`)."""
     return FedDaneTrainer(
@@ -118,5 +118,5 @@ def make_feddane(
         systems=systems,
         seed=seed,
         gradient_clients=gradient_clients,
-        **trainer_kwargs,
+        **options,
     )

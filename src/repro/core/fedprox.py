@@ -52,7 +52,7 @@ def make_fedprox(
     systems: Optional[SystemsModel] = None,
     mu_controller: Optional[AdaptiveMuController] = None,
     seed: int = 0,
-    **trainer_kwargs,
+    **options,
 ) -> FederatedTrainer:
     """Construct a FedProx trainer.
 
@@ -73,7 +73,7 @@ def make_fedprox(
         Component overrides.
     mu_controller:
         Optional adaptive-µ controller (Figures 3 and 11).
-    trainer_kwargs:
+    options:
         Forwarded to :class:`~repro.core.server.FederatedTrainer`.
     """
     return FederatedTrainer(
@@ -88,5 +88,5 @@ def make_fedprox(
         systems=systems,
         mu_controller=mu_controller,
         seed=seed,
-        **trainer_kwargs,
+        **options,
     )

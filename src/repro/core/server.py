@@ -32,6 +32,7 @@ and what a run writes about itself lives beside its readers
 
 from __future__ import annotations
 
+import inspect
 import time
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -44,6 +45,7 @@ from ..faults.models import FaultSchedule, resolve_faults
 from ..faults.policy import FaultPolicy
 from ..models.base import FederatedModel
 from ..optim.base import LocalSolver
+from ..runtime import make_executor, parse_executor_spec
 from ..runtime.executor import LocalTask, RoundExecutor
 from ..runtime.sampled import SampledEvaluator
 from ..spec import register
@@ -53,7 +55,7 @@ from ..telemetry.replay import describe_trainer
 from .adaptive_mu import AdaptiveMuController
 from .callbacks import Callback
 from .client import ClientPool, ClientUpdate
-from .config import EngineConfig, EvalConfig, TrainerConfig
+from .config import EvalConfig
 from .diagnostics import emit_round_diagnostics
 from .dissimilarity import DissimilarityReport, measure_dissimilarity
 from .history import RoundRecord, TrainingHistory
@@ -81,7 +83,8 @@ class FederatedTrainer:
         partial solutions (FedProx).
     clients_per_round:
         ``K`` — the number of devices selected each round (10 in all paper
-        experiments).
+        experiments).  A ``sampling`` scheme states K too; the two must
+        agree.
     epochs:
         ``E`` — the target local epochs per round (20 in most experiments).
     sampling:
@@ -131,8 +134,7 @@ class FederatedTrainer:
         ``on_round_end`` stops :meth:`run` early (e.g.
         :class:`~repro.core.callbacks.EarlyStopping`).
     engine:
-        The round execution engine: an
-        :class:`~repro.core.config.EngineConfig`, an executor spec string
+        The round execution engine: an executor spec string
         (``"serial"``, ``"parallel[:N|:auto]"``, ``"cohort"``, or
         ``"async:window=W,discount=poly,..."`` — see
         :data:`repro.runtime.EXECUTOR_MODES` for the grammar), or a
@@ -174,7 +176,7 @@ class FederatedTrainer:
         fault_policy: Optional[FaultPolicy] = None,
         mu_controller: Optional[AdaptiveMuController] = None,
         seed: int = 0,
-        engine: Optional[Union[EngineConfig, RoundExecutor, str]] = None,
+        engine: Optional[Union[RoundExecutor, str]] = None,
         comms: Optional[Union[CommsConfig, str]] = None,
         evaluation: Optional[EvalConfig] = None,
         track_dissimilarity: bool = False,
@@ -195,6 +197,12 @@ class FederatedTrainer:
         self.mu = float(mu)
         self.drop_stragglers = bool(drop_stragglers)
         self.epochs = float(epochs)
+        if sampling is not None and sampling.clients_per_round != clients_per_round:
+            raise ValueError(
+                f"clients_per_round={clients_per_round} but the sampling scheme "
+                f"selects {sampling.clients_per_round} devices per round; "
+                "state K equal in both"
+            )
         self.sampling = sampling or UniformSamplingWeightedAverage(
             dataset, clients_per_round, seed=seed
         )
@@ -232,8 +240,18 @@ class FederatedTrainer:
         # histories), lazy stores get transient per-access clients bounded
         # by the store's cache.
         self.clients: ClientPool = ClientPool(dataset, model, solver)
-        self.engine_config = EngineConfig.resolve(engine)
-        self.executor = self.engine_config.build()
+        if engine is None or isinstance(engine, str):
+            self.executor = make_executor(engine or "serial")
+        elif isinstance(engine, RoundExecutor):
+            # Refused here if its spec is outside the grammar: the manifest
+            # could not state it.
+            parse_executor_spec(engine.spec())
+            self.executor = engine
+        else:
+            raise TypeError(
+                "engine must be an executor spec string, a RoundExecutor "
+                f"instance or None; got {type(engine).__name__}"
+            )
         self.executor.bind(
             dataset,
             model,
@@ -286,32 +304,6 @@ class FederatedTrainer:
         self._ledger = RunLedger(self.telemetry)
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_config(
-        cls,
-        dataset: FederatedDataset,
-        model: FederatedModel,
-        solver: LocalSolver,
-        config: TrainerConfig,
-        callbacks: Optional[List[Callback]] = None,
-    ) -> "FederatedTrainer":
-        """Build a trainer from a :class:`~repro.core.config.TrainerConfig`.
-
-        Equivalent to passing ``config.trainer_kwargs()`` as keyword
-        arguments — both paths construct identical trainers — but the
-        grouped config travels better: it is frozen, serializes via
-        ``config.to_dict()``, and sweeps derive variants with
-        ``config.replace(mu=...)``.
-        """
-        if not isinstance(config, TrainerConfig):
-            raise TypeError(
-                f"config must be a TrainerConfig, got {type(config).__name__}"
-            )
-        return cls(
-            dataset, model, solver, callbacks=callbacks,
-            **config.trainer_kwargs(),
-        )
-
     def describe(self) -> str:
         """Canonical display name for this configuration."""
         if self.drop_stragglers and self.mu == 0 and self.mu_controller is None:
@@ -611,5 +603,5 @@ class FederatedTrainer:
 register(
     FederatedTrainer,
     tag="trainer",
-    live=("dataset", "model", "solver", "callbacks", *TrainerConfig().trainer_kwargs()),
+    live=tuple(inspect.signature(FederatedTrainer).parameters),
 )

@@ -142,8 +142,8 @@ class FaultSchedule(SystemsModel):
         )
 
     # Schedules are pure functions of their constructor arguments, so
-    # value equality is description equality — this is what makes
-    # TrainerConfig.to_dict()/from_dict() a true round-trip.
+    # value equality is description equality — this is what makes a
+    # manifest's cohorting section a true round-trip.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaultSchedule):
             return NotImplemented

@@ -29,6 +29,9 @@ spans survive the process boundary), and the cohort executor adds stacked
 kernel phase-split spans.
 """
 
+from types import SimpleNamespace
+from typing import Any, Dict
+
 from .async_engine import ASYNC_GRAMMAR, AsyncExecutor
 from .cohort import CohortExecutor, solve_cohort
 from .evaluation import (
@@ -46,8 +49,8 @@ from .sampled import EvalEstimate, SampledEvaluator, StratifiedClientSampler
 #: is ``mode`` or ``mode:argument``; ``parallel`` takes a worker count and
 #: ``async`` a comma-separated ``key=value`` list.  ``make_executor`` and
 #: the trainer's ``engine=`` option accept exactly these strings, and
-#: :meth:`repro.core.config.EngineConfig.spec` emits them; the async keys
-#: are :data:`~repro.runtime.async_engine.ASYNC_GRAMMAR`.
+#: :func:`engine_spec` emits them; the async keys are
+#: :data:`~repro.runtime.async_engine.ASYNC_GRAMMAR`.
 EXECUTOR_MODES = {
     "serial": 'spec "serial" — in-process sequential execution (default)',
     "parallel": (
@@ -118,6 +121,39 @@ def parse_executor_spec(spec: str):
     return mode, {"n_workers": n_workers}
 
 
+def engine_section(spec: str) -> Dict[str, Any]:
+    """The run manifest's ``engine`` section for an executor spec string.
+
+    ``mode``, ``workers`` (the parallel worker count, else ``None``), then
+    every :data:`ASYNC_GRAMMAR` field at its value or default, in the
+    grammar's order; :func:`engine_spec` is the inverse.
+    """
+    mode, kwargs = parse_executor_spec(spec)
+    return {
+        "mode": mode,
+        "workers": kwargs.get("n_workers"),
+        **{name: kwargs.get(name, default) for _, name, _, default in ASYNC_GRAMMAR.keys},
+    }
+
+
+def engine_spec(section: Dict[str, Any]) -> str:
+    """The executor spec string an ``engine`` section describes.
+
+    A key the section lacks takes its default; the async fields render
+    through :data:`ASYNC_GRAMMAR`, which states only those that differ
+    from their defaults.
+    """
+    mode = section.get("mode", "serial")
+    if mode == "async":
+        return ASYNC_GRAMMAR.render(SimpleNamespace(**{
+            name: section.get(name, default) for _, name, _, default in ASYNC_GRAMMAR.keys
+        }))
+    workers = section.get("workers")
+    if mode == "parallel" and workers is not None:
+        return f"parallel:{workers}"
+    return mode
+
+
 def make_executor(spec: str, **kwargs) -> RoundExecutor:
     """Build a round executor from a spec string (see :data:`EXECUTOR_MODES`).
 
@@ -152,6 +188,8 @@ __all__ = [
     "solve_cohort",
     "make_executor",
     "parse_executor_spec",
+    "engine_section",
+    "engine_spec",
     "ASYNC_GRAMMAR",
     "EXECUTOR_MODES",
     "LocalTask",

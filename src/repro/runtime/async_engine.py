@@ -65,10 +65,11 @@ from .executor import LocalTask, RoundExecutor, task_round
 DISCOUNTS = ("poly", "const")
 
 #: The ``async:key=value,...`` grammar: spec key -> (:class:`AsyncExecutor`
-#: argument and :class:`~repro.core.config.EngineConfig` field, value
-#: parser, default), in canonical emission order.  The one table behind
-#: both directions: :func:`repro.runtime.parse_executor_spec` reads specs
-#: with it; :meth:`AsyncExecutor.spec` and ``EngineConfig.spec`` render them.
+#: argument and manifest ``engine`` field, value parser, default), in
+#: canonical emission order.  The one table behind both directions:
+#: :func:`repro.runtime.parse_executor_spec` reads specs with it;
+#: :meth:`AsyncExecutor.spec` and :func:`repro.runtime.engine_spec` render
+#: them.
 ASYNC_GRAMMAR = SpecGrammar(
     prefix="async",
     keys=(

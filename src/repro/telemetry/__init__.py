@@ -38,8 +38,7 @@ Quickstart::
     # run.jsonl now holds the manifest + every span/metric event.
 
 Schema-2 artifacts are full run *ledgers*: the manifest carries the
-serialized :class:`~repro.core.config.TrainerConfig` plus reconstruction
-recipes, every round appends a canonical ``round_record``, and the file
+trainer's options (``trainer_config``) plus reconstruction recipes, every round appends a canonical ``round_record``, and the file
 ends with a digest-bearing ``run_footer`` (:mod:`repro.telemetry.ledger`).
 Records are written one round behind, so a ledger cut off mid-run holds
 every round but the newest.

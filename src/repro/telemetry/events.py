@@ -12,8 +12,8 @@ executor produced it.
 Schema versions
 ---------------
 Version 2 (current) adds the run-ledger events: the manifest gains
-``trainer_config`` (the serialized frozen
-:class:`~repro.core.config.TrainerConfig`), ``recipe`` (reconstructible
+``trainer_config`` (the trainer's options, see
+:func:`repro.telemetry.replay.describe_trainer`), ``recipe`` (reconstructible
 dataset/model/solver descriptors), and ``environment`` (package version,
 git SHA, platform/CPU info); every round additionally emits a
 ``round_record`` event, and the run ends with a ``run_footer`` carrying a
@@ -167,7 +167,7 @@ def manifest_event(
     """The run-header event (identity + seed + executor mode).
 
     ``extra`` carries the schema-2 ledger fields when the emitter provides
-    them — ``trainer_config`` (serialized frozen TrainerConfig), ``recipe``
+    them — ``trainer_config`` (the trainer's options), ``recipe``
     (dataset/model/solver reconstruction descriptors), ``environment``
     (package/platform provenance).
     """

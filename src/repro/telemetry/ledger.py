@@ -3,8 +3,8 @@
 A schema-2 telemetry artifact is a *ledger* of one training run — enough
 to reconstruct, verify, and audit it from the JSONL file alone:
 
-* The **manifest** (first line) carries the serialized frozen
-  :class:`~repro.core.config.TrainerConfig` (``trainer_config``), the
+* The **manifest** (first line) carries the trainer's options
+  (``trainer_config``, :func:`repro.telemetry.replay.describe_trainer`), the
   dataset/model/solver reconstruction descriptors (``recipe``), and the
   producing environment (``environment``: package version, git SHA,
   platform/CPU info).

@@ -1,16 +1,16 @@
 """Bit-identical run replay from ledger manifests.
 
 A schema-2 run artifact (see :mod:`repro.telemetry.ledger`) carries enough
-information to re-execute the run from scratch: the serialized
-:class:`~repro.core.config.TrainerConfig`, a dataset reconstruction recipe,
-and model/solver construction specs.  Because every source of randomness in
-the trainer is a pure function of ``(seed, round, client, ...)``, the
-replayed run must reproduce the recorded history *bit-for-bit* — down to
-device selections, straggler draws, fault injections, and float-exact
-losses.  :func:`replay_run` performs that re-execution and diffs the
-replayed canonical round records against the recorded ones, producing a
-:class:`ReplayReport` that either certifies the match (digest equality) or
-pinpoints the first divergent round and field.
+information to re-execute the run from scratch: the trainer's options
+(``trainer_config``, laid out by :data:`TRAINER_SECTIONS`), a dataset
+reconstruction recipe, and model/solver construction specs.  Because every
+source of randomness in the trainer is a pure function of ``(seed, round,
+client, ...)``, the replayed run must reproduce the recorded history
+*bit-for-bit* — down to device selections, straggler draws, fault
+injections, and float-exact losses.  :func:`replay_run` performs that
+re-execution and diffs the replayed canonical round records against the
+recorded ones, producing a :class:`ReplayReport` that either certifies the
+match (digest equality) or pinpoints the first divergent round and field.
 
 The module deliberately imports :mod:`repro.core` and friends only inside
 functions: ``repro.core.server`` imports the telemetry package at module
@@ -19,7 +19,7 @@ load, and replay lives downstream of both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Union
 
 from ..spec import TAGS, ReplayError, build, describe
@@ -38,6 +38,7 @@ __all__ = [
     "ReplayError",
     "ReplayReport",
     "describe_trainer",
+    "TRAINER_SECTIONS",
     "rebuild_trainer",
     "replay_run",
 ]
@@ -192,57 +193,76 @@ class ReplayReport:
 #: else a recipe holds is ``{"trainer": name, **what that class adds}``.
 RECIPE_KEYS = ("dataset", "dataset_name", "num_devices", "model", "solver")
 
+#: The manifest's ``trainer_config`` sections in order, each with the
+#: trainer constructor keywords it holds.  A section of several keywords is
+#: a dict of their :func:`repro.spec.describe` output; a section named
+#: after its one keyword states that option whole — ``evaluation`` and
+#: ``comms`` as their config's fields, ``engine`` as
+#: :func:`repro.runtime.engine_section`, ``seed`` and ``label`` verbatim.
+TRAINER_SECTIONS = {
+    "optimization": ("mu", "epochs", "drop_stragglers", "mu_controller"),
+    "cohorting": ("clients_per_round", "sampling", "systems", "faults", "fault_policy"),
+    "evaluation": ("evaluation",),
+    "diagnostics": (
+        "track_dissimilarity", "track_gamma", "dissimilarity_max_clients", "telemetry",
+    ),
+    "engine": ("engine",),
+    "comms": ("comms",),
+    "seed": ("seed",),
+    "label": ("label",),
+}
+
+#: The key of a removed option that every manifest written while it existed
+#: holds, always null: the reader drops it.
+_RETIRED_KEY = ("diagnostics", "cost_tracker")
+
 
 def describe_trainer(trainer) -> Dict[str, Any]:
     """The manifest sections of a live trainer — what replay reads back.
 
-    Built from the trainer's *current* attributes rather than any config
-    object it may have been constructed from, so every construction path
-    serializes identically; called before round 0, while ``trainer.mu``
-    (and any adaptive-µ controller) still hold their initial values — the
+    Built from the trainer's *current* attributes, so every way of passing
+    an option (a spec string, a prebuilt executor or config) serializes
+    identically; called before round 0, while ``trainer.mu`` (and any
+    adaptive-µ controller) still hold their initial values — the
     reconstructed trainer starts from the same state.  ``trainer_config``
-    is the serialized :class:`~repro.core.config.TrainerConfig`,
-    ``recipe`` the :func:`repro.spec.describe` output of the trainer
-    class, dataset, model and solver (a ``None`` dataset recipe means the
-    federation was not built by a registered builder from scalars and
-    replay needs it supplied, which ``repro.trace replay`` reports
-    explicitly).  Between them they state every option once; nothing else
-    restates them.
+    holds the options, laid out by :data:`TRAINER_SECTIONS`; ``recipe``
+    the :func:`repro.spec.describe` output of the trainer class, dataset,
+    model and solver (a ``None`` dataset recipe means the federation was
+    not built by a registered builder from scalars and replay needs it
+    supplied, which ``repro.trace replay`` reports explicitly).  Between
+    them they state every option once; nothing else restates them.
     """
-    from ..core.config import EngineConfig, TrainerConfig
+    from ..runtime import engine_section
 
-    dataset, evaluation = trainer.dataset, trainer.eval_config
+    dataset = trainer.dataset
     faults = trainer.faults if trainer.faults.enabled else None
-    # The engine is recovered from the live executor (not the
-    # construction-time config) so a prebuilt instance serializes
-    # identically to its spec string; executors outside the spec grammar
-    # degrade to a bare mode name.
-    try:
-        engine = EngineConfig.from_spec(trainer.executor.spec())
-    except (TypeError, ValueError):
-        engine = EngineConfig(mode=trainer.executor_mode)
-
-    trainer_config = TrainerConfig.from_kwargs(
-        mu=trainer.mu,
-        epochs=trainer.epochs,
-        drop_stragglers=trainer.drop_stragglers,
-        mu_controller=trainer.mu_controller,
-        clients_per_round=trainer.sampling.clients_per_round,
-        sampling=trainer.sampling,
-        systems=trainer.systems,
-        faults=faults,
-        fault_policy=trainer.fault_policy if faults is not None else None,
+    options = {
+        "mu": trainer.mu,
+        "epochs": trainer.epochs,
+        "drop_stragglers": trainer.drop_stragglers,
+        "mu_controller": trainer.mu_controller,
+        "clients_per_round": trainer.sampling.clients_per_round,
+        "sampling": trainer.sampling,
+        "systems": trainer.systems,
+        "faults": faults,
+        "fault_policy": trainer.fault_policy if faults is not None else None,
         # The *resolved* kernel mode, so replay never re-resolves "auto".
-        evaluation=replace(evaluation, mode=trainer.eval_mode),
-        track_dissimilarity=trainer.track_dissimilarity,
-        track_gamma=trainer.track_gamma,
-        dissimilarity_max_clients=trainer.dissimilarity_max_clients,
-        telemetry=None,
-        seed=trainer.seed,
-        engine=engine,
-        comms=trainer.comms_config,
-        label=trainer.label,
-    )
+        "evaluation": asdict(replace(trainer.eval_config, mode=trainer.eval_mode)),
+        "track_dissimilarity": trainer.track_dissimilarity,
+        "track_gamma": trainer.track_gamma,
+        "dissimilarity_max_clients": trainer.dissimilarity_max_clients,
+        "telemetry": None,
+        # From the live executor, so a prebuilt one states its spec.
+        "engine": engine_section(trainer.executor.spec()),
+        "comms": trainer.comms_config.to_dict(),
+        "seed": trainer.seed,
+        "label": trainer.label,
+    }
+    trainer_config = {
+        section: options[section] if keys == (section,)
+        else {key: describe(options[key]) for key in keys}
+        for section, keys in TRAINER_SECTIONS.items()
+    }
     recipe = {
         "trainer": type(trainer).__name__,
         **{k: v for k, v in describe(trainer).items() if k not in TAGS},
@@ -257,9 +277,64 @@ def describe_trainer(trainer) -> Dict[str, Any]:
         "seed": trainer.seed,
         "executor": trainer.executor_mode,
         "eval_mode": trainer.eval_mode,
-        "trainer_config": trainer_config.to_dict(),
+        "trainer_config": trainer_config,
         "recipe": recipe,
     }
+
+
+def _trainer_options(config: Dict[str, Any], **live: Any) -> Dict[str, Any]:
+    """The constructor keywords a ``trainer_config`` section states.
+
+    The inverse of :func:`describe_trainer`'s layout: every described
+    value goes through :func:`repro.spec.build` with ``live`` (a sampling
+    scheme needs the rebuilt federation as ``dataset=``).  A section or
+    key an older manifest lacks is left to the constructor's default; one
+    :data:`TRAINER_SECTIONS` does not name raises :class:`ReplayError`
+    naming it, as does a non-null value of a retired key.
+    """
+    from ..comms import CommsConfig
+    from ..core.config import EvalConfig
+    from ..runtime import engine_section, engine_spec
+
+    whole = {
+        "evaluation": (asdict(EvalConfig()), lambda value: EvalConfig(**value)),
+        "engine": (engine_section("serial"), engine_spec),
+        "comms": (CommsConfig().to_dict(), CommsConfig.from_dict),
+    }
+    options: Dict[str, Any] = {}
+    for section, value in config.items():
+        keys = TRAINER_SECTIONS.get(section)
+        if keys is None:
+            raise ReplayError(
+                f"unknown trainer_config section {section!r}; sections: "
+                f"{tuple(TRAINER_SECTIONS)}"
+            )
+        if section in ("seed", "label"):
+            options[section] = value
+            continue
+        if not isinstance(value, dict):
+            raise ReplayError(f"malformed trainer_config section {section}: {value!r}")
+        known, read = whole.get(section, (keys, None))
+        for key, spec in value.items():
+            if (section, key) == _RETIRED_KEY:
+                if spec is not None:
+                    raise ReplayError(
+                        f"{section}.{key} is no longer an option; only a null "
+                        "value rebuilds"
+                    )
+            elif key not in known:
+                raise ReplayError(
+                    f"unknown trainer_config key {section}.{key}; {section} "
+                    f"keys: {tuple(known)}"
+                )
+            elif read is None:
+                options[key] = build(spec, f"{section}.{key}", **live)
+        if read is not None:
+            try:
+                options[section] = read(value)
+            except (TypeError, ValueError) as exc:
+                raise ReplayError(f"{section} section rejected: {exc}") from exc
+    return options
 
 
 def _component(recipe: Dict[str, Any], key: str):
@@ -312,16 +387,14 @@ def rebuild_trainer(
             f"reconstructed dataset has {dataset.num_devices} devices, "
             f"manifest recorded {want_devices}"
         )
-    from ..core.config import TrainerConfig
-
     # A figure cell states its label and seed once, beside the config; a
     # ledger states them in both places, equal.
-    config = TrainerConfig.from_dict(
+    options = _trainer_options(
         {"label": manifest.get("label", ""), "seed": manifest.get("seed", 0), **config_spec},
         dataset=dataset,
     )
     if telemetry is not None:
-        config = config.replace(telemetry=telemetry)
+        options["telemetry"] = telemetry
     return build(
         # Keys a ledger predates take the trainer's constructor defaults.
         {k: v for k, v in recipe.items() if k not in RECIPE_KEYS},
@@ -329,7 +402,7 @@ def rebuild_trainer(
         dataset=dataset,
         model=_component(recipe, "model"),
         solver=_component(recipe, "solver"),
-        **config.trainer_kwargs(),
+        **options,
     )
 
 

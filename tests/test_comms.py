@@ -38,7 +38,6 @@ from repro.comms import (
 )
 from repro.comms.codecs import _pack_levels, _unpack_levels
 from repro.core import FederatedTrainer
-from repro.core.config import TrainerConfig
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 
@@ -361,19 +360,6 @@ class TestCommsConfig:
         assert not CommsConfig().enabled
         assert CommsConfig().build_codec() is None
         assert CommsConfig(codec="qsgd").enabled
-
-    def test_trainer_config_carries_comms(self):
-        tc = TrainerConfig.from_kwargs(comms="comms:codec=qsgd,bits=6")
-        assert tc.comms.codec == "qsgd" and tc.comms.bits == 6
-        rebuilt = TrainerConfig.from_dict(tc.to_dict())
-        assert rebuilt.comms == tc.comms
-
-    def test_trainer_config_from_dict_defaults_dense(self):
-        # Pre-comms manifests (earlier schema-v2 ledgers) have no comms
-        # section and must rebuild as dense transport.
-        spec = TrainerConfig.from_kwargs().to_dict()
-        spec.pop("comms")
-        assert TrainerConfig.from_dict(spec).comms == CommsConfig()
 
 
 # --------------------------------------------------------------------- #

@@ -4,7 +4,9 @@ Before figures were lists of cells, every figure run went through one
 hand-wired builder: a method (label, µ, straggler dropping, adaptive-µ
 start, FedDane and its ``c``) on a workload at a harness scale, under a
 shared systems model and sampling scheme.  ``frozen_trainer`` is that body
-verbatim; each case below names one cell of one figure id by its grouping
+with its options passed straight to the constructor, plus
+``clients_per_round`` equal to the sampling scheme's K (the body left it at
+the default, which the trainer then ignored); each case below names one cell of one figure id by its grouping
 keys, states the frozen builder's arguments for it independently of the
 cell generator, and asserts the two histories' records are ``==``.
 """
@@ -15,7 +17,7 @@ from typing import Optional
 import pytest
 
 from repro.core.adaptive_mu import AdaptiveMuController
-from repro.core.config import EvalConfig, TrainerConfig
+from repro.core.config import EvalConfig
 from repro.core.feddane import FedDaneTrainer
 from repro.core.sampling import (
     UniformSamplingWeightedAverage,
@@ -68,10 +70,11 @@ def frozen_trainer(
         if spec.adaptive_mu_from is not None
         else None
     )
-    config = TrainerConfig.from_kwargs(
+    options = dict(
         mu=spec.mu,
         drop_stragglers=spec.drop_stragglers,
         epochs=epochs if epochs is not None else scale.epochs,
+        clients_per_round=scale.clients_per_round,
         sampling=sampling,
         systems=systems,
         faults=faults,
@@ -87,9 +90,9 @@ def frozen_trainer(
     if spec.feddane:
         return FedDaneTrainer(
             workload.dataset, model, solver,
-            gradient_clients=spec.gradient_clients, **config.trainer_kwargs(),
+            gradient_clients=spec.gradient_clients, **options,
         )
-    return FederatedTrainer.from_config(workload.dataset, model, solver, config)
+    return FederatedTrainer(workload.dataset, model, solver, **options)
 
 
 SEED = 0

@@ -8,13 +8,12 @@ the trainer-level integration (events, manifest, record.degraded).
 
 from __future__ import annotations
 
-import inspect
 import json
 
 import numpy as np
 import pytest
 
-from repro.core import EvalConfig, FederatedTrainer, TrainerConfig
+from repro.core import EvalConfig, FederatedTrainer
 from repro.faults import (
     FAULT_KINDS,
     NO_FAULTS,
@@ -33,7 +32,7 @@ from repro.faults import (
 )
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
-from repro.spec import ReplayError, build, describe
+from repro.spec import build, describe
 from repro.telemetry import InMemorySink, Telemetry
 
 
@@ -309,82 +308,3 @@ class TestTrainerIntegration:
             assert all(v == 0 for v in trainer.fault_stats.values())
         finally:
             trainer.close()
-
-
-class TestTrainerConfig:
-    def test_from_config_matches_kwargs(self, synthetic_small):
-        config = TrainerConfig.from_kwargs(
-            mu=0.5, clients_per_round=4, epochs=2, seed=3,
-            evaluation=EvalConfig(every=2),
-        )
-        model_a = MultinomialLogisticRegression(dim=60, num_classes=10)
-        model_b = MultinomialLogisticRegression(dim=60, num_classes=10)
-        solver = SGDSolver(0.05, batch_size=10)
-        t_cfg = FederatedTrainer.from_config(
-            synthetic_small, model_a, solver, config
-        )
-        t_kw = FederatedTrainer(
-            synthetic_small, model_b, solver,
-            mu=0.5, clients_per_round=4, epochs=2, seed=3,
-            evaluation=EvalConfig(every=2),
-        )
-        try:
-            h_cfg = t_cfg.run(3)
-            h_kw = t_kw.run(3)
-        finally:
-            t_cfg.close()
-            t_kw.close()
-        assert h_cfg.train_losses == h_kw.train_losses
-        assert h_cfg.test_accuracies == h_kw.test_accuracies
-
-    def test_constructor_and_config_share_one_keyword_set(self, synthetic_small):
-        params = inspect.signature(FederatedTrainer.__init__).parameters
-        assert set(params) - {"self"} == set(TrainerConfig().trainer_kwargs()) | {
-            "dataset", "model", "solver", "callbacks"
-        }
-        model = MultinomialLogisticRegression(dim=60, num_classes=10)
-        for removed in ({"eval_every": 2}, {"executor": "serial"}):
-            with pytest.raises(TypeError, match="unexpected keyword"):
-                FederatedTrainer(
-                    synthetic_small, model, SGDSolver(0.05, batch_size=10),
-                    **removed,
-                )
-            with pytest.raises(TypeError, match="unknown trainer option"):
-                TrainerConfig.from_kwargs(**removed)
-
-    def test_unknown_option_rejected(self):
-        with pytest.raises(TypeError, match="unknown trainer option"):
-            TrainerConfig.from_kwargs(mu=1.0, typo_option=3)
-        with pytest.raises(TypeError, match="unknown trainer option"):
-            TrainerConfig().replace(typo_option=3)
-
-    def test_dict_round_trip_with_objects(self):
-        config = TrainerConfig.from_kwargs(
-            mu=1.0,
-            epochs=5,
-            faults=ChaosFaults(rate=0.2, seed=4),
-            fault_policy=FaultPolicy.fedavg(min_quorum=0.5),
-            seed=9,
-            engine="parallel:2",
-            label="demo",
-        )
-        assert TrainerConfig.from_dict(config.to_dict()) == config
-
-    def test_replace_routes_flat_options(self):
-        base = TrainerConfig()
-        derived = base.replace(
-            mu=2.0, evaluation=EvalConfig(every=5), label="sweep"
-        )
-        assert derived.optimization.mu == 2.0
-        assert derived.evaluation.every == 5
-        assert derived.label == "sweep"
-        assert base.optimization.mu == 0.0  # frozen original untouched
-
-    def test_unreconstructible_description_refused(self):
-        config = TrainerConfig.from_kwargs(sampling=object())
-        spec = config.to_dict()
-        assert spec["cohorting"]["sampling"] == {"type": "object"}
-        with pytest.raises(
-            ReplayError, match="unknown cohorting.sampling type 'object'"
-        ):
-            TrainerConfig.from_dict(spec)

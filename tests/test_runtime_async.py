@@ -10,12 +10,11 @@ quorum behavior under mass churn, and bit-identical ledger replay.
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.config import EngineConfig, EvalConfig, TrainerConfig
+from repro.core.config import EvalConfig
 from repro.core.sampling import (
     UniformSamplingWeightedAverage,
     WeightedSamplingSimpleAverage,
@@ -27,7 +26,7 @@ from repro.faults.models import ChaosFaults, DropoutFaults, FaultDecision, Fault
 from repro.faults.policy import FaultPolicy
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
-from repro.runtime import AsyncExecutor, make_executor, parse_executor_spec
+from repro.runtime import AsyncExecutor, engine_spec, parse_executor_spec
 from repro.runtime.executor import LocalTask
 from repro.systems.clock import (
     Clock,
@@ -38,7 +37,7 @@ from repro.systems.clock import (
 from repro.systems.stragglers import FractionStragglers
 from repro.telemetry import InMemorySink, JSONLSink, Telemetry
 from repro.telemetry.events import summarize
-from repro.telemetry.replay import replay_run
+from repro.telemetry.replay import describe_trainer, replay_run
 
 
 def make_trainer(dataset, seed=9, **kwargs):
@@ -117,7 +116,7 @@ class TestWindowZeroSerialParity:
         via_async = make_trainer(
             dataset,
             systems=FractionStragglers(0.5, seed=3),
-            engine=EngineConfig(mode="async"),
+            engine="async",
         )
         h_async = via_async.run(4)
         assert_identical_histories(h_serial, h_async, serial.w, via_async.w)
@@ -450,44 +449,16 @@ class TestAsyncReplay:
 # --------------------------------------------------------------------- #
 # Config API
 # --------------------------------------------------------------------- #
-class TestEngineConfig:
-    def test_async_spec_round_trip(self):
-        spec = "async:window=2,discount=const,factor=0.25,arrivals=seeded"
-        config = EngineConfig.from_spec(spec)
-        assert config.mode == "async"
-        assert config.window == 2
-        assert config.discount == "const"
-        assert config.discount_factor == 0.25
-        assert config.arrivals == "seeded"
-        assert config.spec() == spec
-        assert EngineConfig.from_spec(config.spec()) == config
-
-    def test_default_async_spec_is_bare(self):
-        assert EngineConfig(mode="async").spec() == "async"
-        assert EngineConfig().spec() == "serial"
-        assert EngineConfig(mode="parallel", workers=3).spec() == "parallel:3"
-
-    def test_resolve_wraps_prebuilt_executor(self):
-        executor = make_executor("async:window=4,seed=7")
-        config = EngineConfig.resolve(executor)
-        assert config.window == 4
-        assert config.clock_seed == 7
-        assert config.instance is executor
-        assert config.build() is executor
-
-    def test_trainer_config_round_trips_async_spec(self):
-        config = TrainerConfig.from_kwargs(
-            mu=0.5,
-            engine="async:window=2,discount=poly,power=1.5",
-        )
-        assert config.engine.mode == "async"
-        assert config.engine.discount_power == 1.5
-        rebuilt = TrainerConfig.from_dict(config.to_dict())
-        assert rebuilt == config
-        assert (
-            config.trainer_kwargs()["engine"].spec()
-            == "async:window=2,power=1.5"  # poly is the default discount
-        )
+class TestEngineSpecs:
+    def test_the_manifest_states_the_canonical_async_spec(self, dataset):
+        trainer = make_trainer(dataset, engine="async:window=2,discount=poly,power=1.5")
+        try:
+            engine = describe_trainer(trainer)["trainer_config"]["engine"]
+        finally:
+            trainer.close()
+        assert engine["discount_power"] == 1.5
+        # poly is the default discount
+        assert engine_spec(engine) == "async:window=2,power=1.5"
 
     @pytest.mark.parametrize(
         "spec, fragment",
@@ -533,15 +504,3 @@ class TestEvalConfigAndDeprecations:
         for every in (0, -1):
             with pytest.raises(ValueError, match="eval every"):
                 EvalConfig(every=every)
-
-    def test_from_config_path_is_warning_free(self, dataset):
-        config = TrainerConfig.from_kwargs(mu=0.1, clients_per_round=4)
-        model = MultinomialLogisticRegression(
-            dim=dataset.input_dim, num_classes=dataset.num_classes, seed=1
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            trainer = FederatedTrainer.from_config(
-                dataset, model, SGDSolver(0.05, batch_size=8), config
-            )
-        assert trainer.mu == 0.1

@@ -10,6 +10,8 @@ stacked-capable solver, across µ and straggler settings.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -452,8 +454,10 @@ class TestExecutorModeDispatch:
     def test_make_executor_spec_grammar(self):
         from repro.runtime import parse_executor_spec
 
-        executor = make_executor("parallel:3")
-        assert executor.n_workers == 3
+        # Within the host's cores: an oversubscribed count warns.
+        cores = os.cpu_count() or 1
+        executor = make_executor(f"parallel:{cores}")
+        assert executor.n_workers == cores
         assert parse_executor_spec("parallel:auto") == (
             "parallel",
             {"n_workers": "auto"},

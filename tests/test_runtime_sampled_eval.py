@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import EvalConfig, FederatedTrainer, TrainerConfig
+from repro.core import EvalConfig, FederatedTrainer
 from repro.core.client import ClientPool
 from repro.datasets import (
     FederatedDataset,
@@ -330,23 +330,6 @@ class TestEvalTrainEvery:
     def test_rejects_nonpositive_interval(self, dataset):
         with pytest.raises(ValueError):
             make_trainer(dataset, evaluation=EvalConfig(train_every=0))
-
-    def test_config_roundtrip_carries_eval_fields(self):
-        config = TrainerConfig.from_kwargs(
-            evaluation=EvalConfig(
-                strategy="sampled",
-                sample_size=42,
-                strata=7,
-                full_every=5,
-                train_every=2,
-            )
-        )
-        assert config.evaluation.strategy == "sampled"
-        rebuilt = TrainerConfig.from_dict(config.to_dict())
-        assert rebuilt == config
-        evaluation = config.trainer_kwargs()["evaluation"]
-        assert evaluation.sample_size == 42
-        assert evaluation.train_every == 2
 
 
 class CountingLogReg(MultinomialLogisticRegression):

@@ -22,7 +22,6 @@ import repro.datasets as datasets
 from repro.comms.config import COMMS_GRAMMAR, CODEC_NAMES, CommsConfig
 from repro.core import FedDaneTrainer, FederatedTrainer
 from repro.core.adaptive_mu import AdaptiveMuController
-from repro.core.config import EngineConfig
 from repro.core.sampling import (
     SamplingScheme,
     UniformSamplingWeightedAverage,
@@ -47,7 +46,7 @@ from repro.models import (
 from repro.models.base import FederatedModel
 from repro.optim import AdamSolver, GDSolver, MomentumSGDSolver, SGDSolver
 from repro.optim.base import LocalSolver
-from repro.runtime import ASYNC_GRAMMAR, AsyncExecutor
+from repro.runtime import ASYNC_GRAMMAR, AsyncExecutor, engine_section, engine_spec
 from repro.runtime.async_engine import DISCOUNTS
 from repro.spec import ReplayError, build, describe, register, registered
 from repro.systems import (
@@ -293,9 +292,8 @@ class TestRefusals:
 # --------------------------------------------------------------------- #
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
-async_configs = st.builds(
-    EngineConfig,
-    mode=st.just("async"),
+#: Every async field at a value its parser reads back.
+async_fields = st.fixed_dictionaries(dict(
     window=st.integers(0, 50),
     discount=st.sampled_from(DISCOUNTS),
     discount_power=finite,
@@ -305,7 +303,7 @@ async_configs = st.builds(
     latency=finite,
     jitter=finite,
     clock_seed=st.none() | st.integers(0, 2**31),
-)
+))
 
 comms_configs = st.builds(
     CommsConfig,
@@ -318,11 +316,12 @@ comms_configs = st.builds(
 
 class TestSpecGrammar:
     @settings(max_examples=200, deadline=None)
-    @given(async_configs)
-    def test_async_parse_inverts_render(self, config):
-        spec = config.spec()
-        assert spec == ASYNC_GRAMMAR.render(config)
-        assert EngineConfig.from_spec(spec) == config
+    @given(async_fields)
+    def test_async_engine_section_inverts_the_spec(self, fields):
+        spec = engine_spec({"mode": "async", **fields})
+        section = engine_section(spec)
+        assert section == {"mode": "async", "workers": None, **fields}
+        assert engine_spec(section) == spec
 
     @settings(max_examples=200, deadline=None)
     @given(comms_configs)
@@ -332,7 +331,7 @@ class TestSpecGrammar:
         assert CommsConfig.from_spec(spec) == config
 
     def test_render_emits_only_what_differs_from_the_defaults(self):
-        assert EngineConfig(mode="async").spec() == "async"
+        assert engine_spec({"mode": "async"}) == "async"
         assert CommsConfig().spec() == "comms"
         assert (
             CommsConfig(codec="qsgd", ef=True).spec() == "comms:codec=qsgd,ef=true"
@@ -343,7 +342,7 @@ class TestSpecGrammar:
         """One table per grammar; the dataclass and constructor defaults agree."""
         executor = inspect.signature(AsyncExecutor).parameters
         for _key, name, _parse, default in ASYNC_GRAMMAR.keys:
-            assert getattr(EngineConfig(), name) == default
+            assert engine_section("serial")[name] == default
             assert executor[name].default == default
         assert {name for _, name, _, _ in ASYNC_GRAMMAR.keys} == set(executor)
         for _key, name, _parse, default in COMMS_GRAMMAR.keys:

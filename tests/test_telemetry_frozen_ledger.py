@@ -42,6 +42,8 @@ from repro.telemetry import InMemorySink, Telemetry
 from repro.telemetry.ledger import RunArtifact
 from repro.telemetry.replay import describe_trainer, rebuild_trainer
 
+pytestmark = pytest.mark.oracle
+
 FIXTURE = Path(__file__).parent / "fixtures" / "frozen_ledger.json"
 ROUNDS = 4
 

@@ -314,6 +314,39 @@ class TestRebuildTrainer:
             with pytest.raises(ReplayError, match=r"^diagnostics\.cost_tracker "):
                 replay_run(edited)
 
+    @pytest.mark.parametrize(
+        "section, key, named",
+        [
+            ("optimisation", None, "section 'optimisation'"),
+            ("optimization", "muu", "key optimization.muu"),
+            ("evaluation", "evry", "key evaluation.evry"),
+            ("engine", "windw", "key engine.windw"),
+            ("comms", "codecs", "key comms.codecs"),
+        ],
+    )
+    def test_a_misspelt_name_is_refused_in_one_line(
+        self, tmp_path, capsys, section, key, named
+    ):
+        """A misspelt section would otherwise leave its options at their
+        defaults (a cell stating ``optimisation.mu`` would run with µ = 0)."""
+        path = tmp_path / "run.jsonl"
+        record_run(path)
+
+        def misspell(events):
+            config = events[0]["trainer_config"]
+            if key is None:
+                config[section] = {"mu": 1.0}
+            else:
+                config[section][key] = 1
+
+        edited = _edit_ledger(path, tmp_path / "misspelt.jsonl", misspell)
+        with pytest.raises(ReplayError, match=f"unknown trainer_config {named}"):
+            replay_run(edited)
+        assert trace_main(["replay", edited]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"replay impossible: unknown trainer_config {named}")
+        assert len(err.splitlines()) == 1
+
 
 def _edit_ledger(source, target, edit):
     """Copy a ledger with ``edit(events)`` applied and its footer re-sealed,
