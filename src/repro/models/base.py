@@ -15,7 +15,7 @@ implement it:
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,6 +197,24 @@ class FederatedModel(abc.ABC):
             "cohort round execution needs batched per-client gradients"
         )
 
+    def stacked_rows(self, shards: Sequence[np.ndarray]) -> np.ndarray:
+        """A cohort's training rows, laid out once for its solve.
+
+        ``shards`` are the cohort's feature arrays in task order; the
+        result is their concatenation followed by one zero pad row, in the
+        layout :meth:`stacked_minibatch_gradients` reads, so the cohort
+        loop gathers each chunk of steps from it with one ``take``.  The
+        default keeps integer features (token sequences) and stores any
+        other dtype as float64.
+        """
+        n = sum(len(x) for x in shards)
+        dtype = shards[0].dtype
+        if not np.issubdtype(dtype, np.integer):
+            dtype = np.float64
+        rows = np.zeros((n + 1,) + shards[0].shape[1:], dtype=dtype)
+        np.concatenate(shards, out=rows[:n])
+        return rows
+
     def stacked_minibatch_gradients(
         self,
         W: np.ndarray,
@@ -204,15 +222,16 @@ class FederatedModel(abc.ABC):
         y: np.ndarray,
         mask: np.ndarray,
         counts: np.ndarray,
+        scale: float = 1.0,
     ) -> Iterator[np.ndarray]:
         """Stream a cohort's stacked gradients over a run of gathered steps.
 
         The stacked counterpart of :meth:`minibatch_gradients`, and the
         only method a model may override to speed up the cohort step loop
         (:func:`repro.runtime.cohort.solve_cohort` steps through it).  The
-        default below is one :meth:`stacked_gradient` call per step, so a
-        model that implements only that kernel solves exactly as if the
-        loop called it itself.
+        default below is one :meth:`stacked_gradient` call per step times
+        ``scale``, so a model that implements only that kernel solves
+        exactly as if the loop called it itself.
 
         Parameters
         ----------
@@ -223,21 +242,24 @@ class FederatedModel(abc.ABC):
             value when that step is requested.  Never written here.
         X, y:
             ``(S, A, B, ...)`` and ``(S, A, B)`` — ``S`` consecutive steps
-            of gathered mini-batches, one :meth:`stacked_gradient` ``X`` /
-            ``y`` per leading index (never written).
+            of mini-batches gathered from :meth:`stacked_rows`' layout,
+            one :meth:`stacked_gradient` ``X`` / ``y`` per leading index
+            (never written).
         mask:
             ``(S, A, B)`` float mask, 1.0 on real samples and 0.0 on
             padding.  A step whose mask is all ones reaches the kernel as
             ``mask=None``.
         counts:
             ``(S, A, 1, 1)`` float — each step's kernel-shaped batch sizes.
+        scale:
+            The solver's :attr:`~repro.optim.base.LocalSolver.gradient_scale`.
 
         Yields
         ------
         np.ndarray
-            ``(A, n_params)`` float64: step ``s``'s
-            ``stacked_gradient(W, X[s], y[s], mask[s], counts[s])``.  The
-            caller may add to it in place; it may be one buffer yielded
+            ``(A, n_params)`` float64: step ``s``'s ``scale *
+            stacked_gradient(W, X[s], y[s], mask[s], counts[s])``.  The
+            caller may write to it in place; it may be one buffer yielded
             every time, so it is valid only until the stream is advanced.
             Overrides must not keep it (or views of ``W``) past the chunk.
         """
@@ -245,9 +267,12 @@ class FederatedModel(abc.ABC):
         # no ragged batch in any row may skip it: the kernel gets mask=None.
         dense = mask.all(axis=(1, 2)).tolist()
         for s, step_dense in enumerate(dense):
-            yield self.stacked_gradient(
+            G = self.stacked_gradient(
                 W, X[s], y[s], None if step_dense else mask[s], counts[s]
             )
+            if scale != 1.0:
+                G *= scale
+            yield G
 
     def minibatch_gradients(
         self,
@@ -256,6 +281,7 @@ class FederatedModel(abc.ABC):
         y: np.ndarray,
         orders: Iterable[np.ndarray],
         batch_size: int,
+        scale: float = 1.0,
     ) -> Iterator[np.ndarray]:
         """Stream one device's mini-batch gradients along a local solve.
 
@@ -286,15 +312,18 @@ class FederatedModel(abc.ABC):
             are that epoch's mini-batches.
         batch_size:
             Mini-batch size.
+        scale:
+            The solver's :attr:`~repro.optim.base.LocalSolver.gradient_scale`
+            (its step size, for SGD).
 
         Yields
         ------
         np.ndarray
-            ``(n_params,)`` float64 gradient of the mean loss on each
-            mini-batch in turn, equal to ``set_params(w)`` followed by
-            ``gradient(X[batch], y[batch])``.  One buffer owned by this
-            stream is yielded every time: the caller may add to it in
-            place, and it is valid only until the stream is advanced.
+            ``(n_params,)`` float64: ``scale`` times the gradient of the
+            mean loss on each mini-batch in turn, ``set_params(w)``
+            followed by ``gradient(X[batch], y[batch])``.  One buffer owned
+            by this stream is yielded every time: the caller may write to
+            it in place, and it is valid only until the stream is advanced.
             Overrides must not keep it (or views of ``w``) past the solve.
         """
         out = np.empty(self.n_params, dtype=np.float64)
@@ -302,8 +331,8 @@ class FederatedModel(abc.ABC):
             for start in range(0, len(order), batch_size):
                 batch = order[start : start + batch_size]
                 self.set_params(w)
-                out[:] = self.gradient(X[batch], y[batch])
-                yield out
+                grad = self.gradient(X[batch], y[batch])
+                yield np.multiply(grad, scale, out=out)
 
     def clone(self) -> "FederatedModel":
         """A structurally identical model with independently-owned parameters.
@@ -402,9 +431,11 @@ class NeuralModel(FederatedModel):
         y: np.ndarray,
         orders: Iterable[np.ndarray],
         batch_size: int,
+        scale: float = 1.0,
     ) -> Iterator[np.ndarray]:
         """The default stream, with each flat gradient packed straight into
-        the yielded buffer instead of concatenated and then copied there."""
+        the yielded buffer instead of concatenated and then copied there,
+        and multiplied by ``scale`` once."""
         module = self.module
         out = np.empty(self.n_params, dtype=np.float64)
         for order in orders:
@@ -413,7 +444,10 @@ class NeuralModel(FederatedModel):
                 self.set_params(w)
                 module.zero_grad()
                 self.forward_loss(X[batch], y[batch]).backward()
-                yield module.flat_grad(out=out)
+                module.flat_grad(out=out)
+                if scale != 1.0:
+                    out *= scale
+                yield out
 
     def spawn_replica(self) -> "NeuralModel":
         """Replica for a worker process.

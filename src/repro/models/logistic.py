@@ -11,12 +11,16 @@ behind ``loss`` and ``predict``) adds the bias after the product; the
 gradient one — every solve step, scalar or stacked, and the full-batch
 ``gradient`` — multiplies ``[x, 1]`` rows by the ``[W; b]`` view of the
 flat parameters, so the bias rides inside both products, and normalises
-the softmax with one division (numerics epoch 2, DESIGN §15).
+the softmax with one division (numerics epoch 2, DESIGN §15).  A solve
+step then scales the softmax residual by ``scale / m`` — the solver's
+step size over the batch size — where ``gradient`` divides it by ``m``,
+so the stream yields the step-scaled gradient at no extra call (numerics
+epoch 3).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -60,13 +64,14 @@ def _with_ones_column(rows: int, dim: int) -> np.ndarray:
     return buf
 
 
-def _softmax_minus_onehot(scores, red, onehot, count):
-    """``scores`` becomes ``(softmax(scores) - onehot) / count``, in place.
+def _softmax_minus_onehot(scores, red, onehot):
+    """``scores`` becomes ``softmax(scores) - onehot``, in place.
 
-    Seven array calls over the last axis, each writing ``out=``: the
+    Six array calls over the last axis, each writing ``out=``: the
     stable shift, one ``exp``, and one division by the row sums
     normalises.  ``-= onehot`` is the label scatter (``x - 0.0 == x`` off
     the label).  ``red`` is ``scores``' shape with a last axis of one.
+    The caller scales the residual by its batch size.
     """
     np.maximum.reduce(scores, axis=-1, keepdims=True, out=red)
     scores -= red
@@ -74,7 +79,6 @@ def _softmax_minus_onehot(scores, red, onehot, count):
     np.add.reduce(scores, axis=-1, keepdims=True, out=red)
     scores /= red
     scores -= onehot
-    scores /= count
     return scores
 
 
@@ -202,11 +206,11 @@ class MultinomialLogisticRegression(FederatedModel):
         Rows are walked in :meth:`_scores`' ``_SCORE_BYTES`` sub-blocks
         through one reused ones-column buffer (never a float64 copy of the
         whole of ``X``); each sub-block is one step of
-        :meth:`minibatch_gradients` with the divisor ``len(y)``, and the
-        sub-blocks' backward products are summed in order.  A batch inside
-        one sub-block is therefore exactly the stream's step on it.  The
-        loss and gradient together are the base class's ``loss`` then
-        ``gradient``: the loss stays on the evaluation forward.
+        :meth:`minibatch_gradients`' forward, its residual divided by
+        ``len(y)``, and the sub-blocks' backward products are summed in
+        order.  The loss and gradient together are the base class's
+        ``loss`` then ``gradient``: the loss stays on the evaluation
+        forward.
         """
         X, y = np.asarray(X), np.asarray(y)
         dim, classes, n = self.dim, self.num_classes, len(y)
@@ -226,7 +230,8 @@ class MultinomialLogisticRegression(FederatedModel):
             hot[:] = 0.0
             hot[np.arange(m), y[lo : lo + m]] = 1.0
             np.matmul(xb, Wb, out=scores[:m])
-            delta = _softmax_minus_onehot(scores[:m], red[:m], hot, n)
+            delta = _softmax_minus_onehot(scores[:m], red[:m], hot)
+            delta /= n
             if lo == 0:
                 np.matmul(xb.T, delta, out=grad)
             else:
@@ -242,6 +247,7 @@ class MultinomialLogisticRegression(FederatedModel):
         y: np.ndarray,
         orders: Iterable[np.ndarray],
         batch_size: int,
+        scale: float = 1.0,
     ) -> Iterator[np.ndarray]:
         """The solve loop's gradient stream: nine array calls a step.
 
@@ -250,16 +256,17 @@ class MultinomialLogisticRegression(FederatedModel):
         as a view (read in place), and so is the yielded buffer's; rows are
         gathered, a run of whole batches at a time, into the first ``dim``
         columns of a reused buffer whose last column is 1.0.  A step is
-        then the forward product, :func:`_softmax_minus_onehot` (seven
-        calls, one division normalising) and the backward product straight
-        into the gradient view — every call writing ``out=``, nothing
+        then the forward product, :func:`_softmax_minus_onehot` (six
+        calls, one division normalising), one product by ``scale / m``
+        and the backward product straight into the gradient view — every
+        call writing ``out=`` into views built once per solve, nothing
         allocated after the first step, the model's own ``W``/``b`` not
-        touched.  Each yield equals ``set_params(w)`` then
-        :meth:`gradient` on the batch, bit for bit, whenever the batch fits
-        one ``_SCORE_BYTES`` sub-block (83 rows at d = 784).
+        touched.  Each yield is ``scale`` times the mean-loss gradient on
+        its batch at ``w``.
         """
         X, y = np.asarray(X), np.asarray(y)
-        dim, classes, l2 = self.dim, self.num_classes, self.l2
+        dim, classes = self.dim, self.num_classes
+        l2 = scale * self.l2
         Wb = w.reshape(dim + 1, classes)
         out = np.empty(self.n_params)
         grad = out.reshape(dim + 1, classes)
@@ -272,16 +279,36 @@ class MultinomialLogisticRegression(FederatedModel):
         # a temporary, so rows land in a contiguous buffer first.
         per_gather = max(1, _GATHER_BYTES // (batch_size * dim * 8))
         gather_rows = min(per_gather * batch_size, len(y))
-        rows_buf = _with_ones_column(gather_rows, dim)
+        batch_rows = min(batch_size, gather_rows)
+        # A short final batch still runs its forward on ``batch_rows`` rows
+        # (the rows past it hold zeros or finite leftovers), as the stacked
+        # path runs it on its padded batch: BLAS takes the same kernel for
+        # the same height.  The heights match unless the device holds less
+        # than one batch and the cohort pads to a larger device's batch.
+        padded = -(-gather_rows // batch_rows) * batch_rows
+        rows_buf = _with_ones_column(padded, dim)
+        rows_buf[:, :dim] = 0.0
         raw_buf = np.empty((gather_rows, dim), X.dtype)
         labels_buf = np.empty(gather_rows, y.dtype)
-        onehot_buf = np.empty((gather_rows, classes))
+        onehot_buf = np.zeros((padded, classes))
         arange = np.arange(gather_rows)
-
-        batch_rows = min(batch_size, gather_rows)
         scores_buf = np.empty((batch_rows, classes))
         red_buf = np.empty((batch_rows, 1))
 
+        def operands(k):
+            """Each step's views over a gather of ``k`` rows."""
+            steps = []
+            for start in range(0, k, batch_size):
+                m = min(batch_size, k - start)  # < batch_size on a short batch
+                stop = start + batch_rows
+                steps.append((
+                    rows_buf[start:stop], rows_buf[start : start + m].T,
+                    onehot_buf[start:stop], scores_buf[:m], scale / m,
+                ))
+            return steps
+
+        # Every gather but an epoch's (or a budget's) last has one length.
+        layouts = {}
         for order in orders:
             for first in range(0, len(order), gather_rows):
                 idx = order[first : first + gather_rows]
@@ -291,16 +318,14 @@ class MultinomialLogisticRegression(FederatedModel):
                 y.take(idx, out=labels_buf[:k], mode="clip")
                 onehot_buf[:k] = 0.0
                 onehot_buf[arange[:k], labels_buf[:k]] = 1.0
-
-                for start in range(0, k, batch_size):
-                    stop = min(start + batch_size, k)
-                    Xb = rows_buf[start:stop]
-                    m = stop - start  # < batch_size on a short final batch
-                    scores = np.matmul(Xb, Wb, out=scores_buf[:m])
-                    delta = _softmax_minus_onehot(
-                        scores, red_buf[:m], onehot_buf[start:stop], m
-                    )
-                    np.matmul(Xb.T, delta, out=grad)
+                steps = layouts.get(k)
+                if steps is None:
+                    steps = layouts[k] = operands(k)
+                for xb, xb_t, hot, delta, factor in steps:
+                    np.matmul(xb, Wb, out=scores_buf)
+                    _softmax_minus_onehot(scores_buf, red_buf, hot)
+                    delta *= factor
+                    np.matmul(xb_t, delta, out=grad)
                     if l2 > 0:
                         grad += np.multiply(Wb, l2, out=l2_buf)
                     yield out
@@ -310,6 +335,19 @@ class MultinomialLogisticRegression(FederatedModel):
         """Closed-form gradients batch exactly over a leading client axis."""
         return True
 
+    def stacked_rows(self, shards: Sequence[np.ndarray]) -> np.ndarray:
+        """The cohort's rows as ``[x, 1]`` float64, the pad row ``[0, 1]``.
+
+        Laid out once per cohort solve, so each gathered chunk is the one
+        copy the stacked stream multiplies (never a second one beside a
+        ones column).
+        """
+        n = sum(len(x) for x in shards)
+        rows = _with_ones_column(n + 1, self.dim)
+        rows[n, : self.dim] = 0.0
+        np.concatenate(shards, out=rows[:n, : self.dim], casting="unsafe")
+        return rows
+
     def stacked_minibatch_gradients(
         self,
         W: np.ndarray,
@@ -317,45 +355,46 @@ class MultinomialLogisticRegression(FederatedModel):
         y: np.ndarray,
         mask: np.ndarray,
         counts: np.ndarray,
+        scale: float = 1.0,
     ) -> Iterator[np.ndarray]:
         """The cohort step loop's gradient stream: the scalar step, stacked.
 
         :meth:`minibatch_gradients`' formula over a leading client axis:
-        each row of ``W`` is viewed as its ``[W; b]`` and the chunk is
-        copied once, as float64, beside a ones column, so the bias rides in
-        both batched products.  Padding rows are zeroed by the mask before
+        each row of ``W`` is viewed as its ``[W; b]``, and ``X`` holds
+        :meth:`stacked_rows`' ``[x, 1]`` rows, so the bias rides in both
+        batched products.  Padding rows are zeroed by the mask before
         the backward product, so they contribute exact zeros.  Everything
         that does not depend on the step is built once per chunk: the
-        parameter and gradient views, the scratch, and the one-hot labels.
-        A step is nine array calls (ten on a ragged one), every one
-        writing ``out=``.  Nothing outlives the stream, so the model holds
-        no solve state.
+        parameter and gradient views, the scratch, the one-hot labels and
+        each row's ``scale / m``.  A step is nine array calls (ten on a
+        ragged one), every one writing ``out=``.  Nothing outlives the
+        stream, so the model holds no solve state.
         """
         S, K, B = y.shape
-        dim, C, l2 = self.dim, self.num_classes, self.l2
+        dim, C = self.dim, self.num_classes
+        l2 = scale * self.l2
         Wk = W.reshape(K, dim + 1, C)
         out = np.empty((K, self.n_params))
         grad = out.reshape(K, dim + 1, C)
         if l2 > 0:
             l2_buf = np.empty_like(grad)
 
-        X1 = _with_ones_column(S * K * B, dim).reshape(S, K, B, dim + 1)
-        np.copyto(X1[..., :dim], X, casting="unsafe")
         scores = np.empty((K, B, C))
         red = np.empty((K, B, 1))
         onehot = np.zeros((S * K * B, C))
         onehot[np.arange(S * K * B), y.reshape(-1)] = 1.0
         steps = zip(
-            X1,
-            X1.swapaxes(2, 3),
+            X,
+            X.swapaxes(2, 3),
             onehot.reshape(S, K, B, C),
-            counts,
+            scale / counts,
             mask[:, :, :, None],
             mask.all(axis=(1, 2)).tolist(),
         )
-        for Xs, Xs_t, hot, count, mask_s, dense in steps:
+        for Xs, Xs_t, hot, factor, mask_s, dense in steps:
             np.matmul(Xs, Wk, out=scores)
-            delta = _softmax_minus_onehot(scores, red, hot, count)
+            delta = _softmax_minus_onehot(scores, red, hot)
+            delta *= factor
             if not dense:
                 delta *= mask_s
             np.matmul(Xs_t, delta, out=grad)
@@ -373,19 +412,21 @@ class MultinomialLogisticRegression(FederatedModel):
     ) -> np.ndarray:
         """Batched softmax-NLL gradients, one parameter row per client.
 
-        One step of :meth:`stacked_minibatch_gradients` — the only stacked
-        kernel body — so a direct call and the cohort loop cannot drift
-        apart.  The result is a fresh array.
+        One step of :meth:`stacked_minibatch_gradients` at ``scale`` 1 —
+        the only stacked kernel body — so a direct call and the cohort
+        loop cannot drift apart.  The result is a fresh array.
         """
         y = np.asarray(y)
+        K, B = y.shape
         if mask is None:
             mask = np.ones(y.shape)
+        rows = self.stacked_rows([np.asarray(X).reshape(K * B, self.dim)])
         stream = self.stacked_minibatch_gradients(
             W,
-            np.asarray(X)[None],
+            rows[:-1].reshape(1, K, B, self.dim + 1),
             y[None],
             mask[None],
-            np.asarray(counts).reshape(1, len(y), 1, 1),
+            np.asarray(counts).reshape(1, K, 1, 1),
         )
         return next(stream)
 

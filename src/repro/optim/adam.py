@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..spec import register
-from .base import MiniBatchSolver
+from .base import MiniBatchSolver, common_mu
 
 
 @register
@@ -68,7 +68,12 @@ class AdamSolver(MiniBatchSolver):
             "v": np.zeros(shape, dtype=np.float64),
             "scratch": np.empty(shape, dtype=np.float64),
             "scratch2": np.empty(shape, dtype=np.float64),
+            "anchor": (None, None),
         }
+
+    def stacked_anchor(self, state: dict, mu, b) -> None:
+        # gradient_scale is 1: the moments see the whole of grad h_k.
+        state["anchor"] = (common_mu(mu), b)
 
     def stacked_step(
         self, W: np.ndarray, G: np.ndarray, state: dict, step
@@ -76,15 +81,21 @@ class AdamSolver(MiniBatchSolver):
         # ``step`` is a plain int when every active lane sits at the same
         # local step (one chain per lane); the packing planner passes an
         # (A,) array of per-row 1-based steps when lanes at different chain
-        # offsets share a segment.  Both branches evaluate beta**step
-        # through libm ``pow`` (Python float ** int and np.power on float64
-        # agree), so the bias correction is numerically identical either
+        # offsets share a segment.  Both branches evaluate beta**step as
+        # Python float ** int (``np.power`` may take a SIMD ``pow`` that
+        # differs by an ulp), so the bias correction is identical either
         # way.
         a = len(W)
         m = state["m"][:a]
         v = state["v"][:a]
         scratch = state["scratch"][:a]
         scratch2 = state["scratch2"][:a]
+        # grad = grad F + mu w - b, into the stream's buffer
+        mu, b = state["anchor"]
+        if mu is not None:
+            G += np.multiply(W, mu, out=scratch)
+        if b is not None:
+            G -= b
         # m = beta1 * m + (1 - beta1) * grad
         np.multiply(m, self.beta1, out=m)
         np.multiply(G, 1 - self.beta1, out=scratch)
@@ -95,9 +106,9 @@ class AdamSolver(MiniBatchSolver):
         np.multiply(scratch, 1 - self.beta2, out=scratch)
         v += scratch
         if isinstance(step, np.ndarray):
-            exp = step.astype(np.float64)[:, None]
-            corr1 = 1.0 - np.power(self.beta1, exp)
-            corr2 = 1.0 - np.power(self.beta2, exp)
+            steps = step.tolist()
+            corr1 = 1 - np.array([self.beta1**s for s in steps])[:, None]
+            corr2 = 1 - np.array([self.beta2**s for s in steps])[:, None]
         else:
             corr1 = 1 - self.beta1**step
             corr2 = 1 - self.beta2**step

@@ -18,12 +18,14 @@ batch sequence the scalar solvers draw, making both paths bit-comparable.
 
 The scalar solve loop
 ---------------------
-There is one: :meth:`MiniBatchSolver.solve`.  It streams the subproblem's
-mini-batch gradients from
+There is one: :meth:`MiniBatchSolver.solve`.  It streams the step-scaled
+model gradients ``scale * ∇F_k`` from
 :meth:`LocalObjective.minibatch_gradients
 <repro.optim.proximal.LocalObjective.minibatch_gradients>` — which reads
 the iterate in place and yields one reused buffer — and applies the
-solver's update rule to each.  The rule is the solver's ``stacked_step``
+solver's update rule to each, with the subproblem's µ and
+:func:`~repro.optim.proximal.proximal_offset` ``b`` loaded once
+(numerics epoch 3, DESIGN §15).  The rule is the solver's ``stacked_step``
 below, run on the ``(1, d)`` view of the iterate, so a mini-batch solver
 is its update rule and nothing else.
 
@@ -31,8 +33,12 @@ Stacked (cohort) solve protocol
 -------------------------------
 Solvers that can run many clients' local solves simultaneously over a
 ``(K, n_params)`` weight matrix advertise ``supports_stacked_solve`` and
-implement three hooks used by :class:`repro.runtime.cohort.CohortExecutor`:
+implement the hooks used by :class:`repro.runtime.cohort.CohortExecutor`:
 
+``gradient_scale``
+    The factor the model's gradient stream multiplies ``∇F_k`` by before
+    ``stacked_step`` sees it: the step size for SGD and momentum, 1 for
+    Adam.
 ``stacked_plan(n_samples, epochs, rng)``
     The per-client mini-batch schedule as ``(indices, lengths)`` — the
     budget's sample indices in visiting order and each step's batch
@@ -41,18 +47,24 @@ implement three hooks used by :class:`repro.runtime.cohort.CohortExecutor`:
 ``stacked_state(shape)``
     Preallocated workspace buffers for a cohort of ``shape = (L, d)``
     (one row per scheduler *lane*; see :mod:`repro.runtime.packing`).
+``stacked_anchor(state, mu, b)``
+    Load the active rows' subproblem terms for the steps that follow: the
+    ``(A,)`` µ of each row and the ``(A, d)`` rows of
+    ``gradient_scale * b`` (``None`` when every row's ``b`` is zero).
+    Called once per scalar solve and at each cohort segment start.
 ``stacked_step(W, G, state, step)``
     Apply one update in place to the *active* rows ``W`` (a ``(A, d)``
-    prefix view) given subproblem gradients ``G``.  ``step`` is either a
-    plain ``int`` — every active row is at the same 1-based local step, the
-    common case when each lane runs a single client chain — or an ``(A,)``
-    ``int64`` array of per-row 1-based local steps, which the skew-aware
-    packing planner passes when lanes at different chain offsets share a
-    kernel segment.  Every row must get the floating-point operations,
-    in the same order, that it would get as a cohort of one — the scalar
-    solve is exactly that call — so the two paths agree bitwise
-    (step-dependent solvers like Adam must make the array branch
-    numerically identical to the scalar exponentiation).
+    prefix view) given the rows' ``gradient_scale * ∇F_k`` in ``G``: the
+    rule adds ``µ W - b`` itself, as ``∇h_k = ∇F_k + µ w - b``.  ``step``
+    is either a plain ``int`` — every active row is at the same 1-based
+    local step, the common case when each lane runs a single client chain
+    — or an ``(A,)`` ``int64`` array of per-row 1-based local steps, which
+    the skew-aware packing planner passes when lanes at different chain
+    offsets share a kernel segment.  Every row must get the
+    floating-point operations, in the same order, that it would get as a
+    cohort of one — the scalar solve is exactly that call — so the two
+    paths agree bitwise (step-dependent solvers like Adam must make the
+    array branch numerically identical to the scalar exponentiation).
 ``stacked_reset(state, rows)``
     Re-zero any per-row solver state (momentum velocity, Adam moments)
     when a lane is recycled for a *new* client chain mid-solve.  ``rows``
@@ -67,7 +79,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .proximal import LocalObjective
+from .proximal import LocalObjective, proximal_offset
 
 
 class BatchSchedule:
@@ -174,6 +186,19 @@ class BatchSchedule:
         return indices, lengths
 
 
+def common_mu(mu: np.ndarray):
+    """The active rows' ``(A,)`` µ in the form an update rule multiplies by.
+
+    ``None`` when every row's µ is 0 (the rule skips the term), the one
+    Python float when the rows share it (the same product per element as
+    the column, and every FedProx round), else the ``(A, 1)`` column.
+    """
+    if not mu.any():
+        return None
+    first = float(mu[0])
+    return first if (mu == first).all() else mu[:, None]
+
+
 class LocalSolver(abc.ABC):
     """Produce an approximate minimizer of a local subproblem.
 
@@ -218,6 +243,11 @@ class LocalSolver(abc.ABC):
         """Whether the solver implements the stacked cohort hooks below."""
         return False
 
+    @property
+    def gradient_scale(self) -> float:
+        """What the gradient stream multiplies ``∇F_k`` by for this rule."""
+        return 1.0
+
     def stacked_plan(
         self, n_samples: int, epochs: float, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -236,6 +266,14 @@ class LocalSolver(abc.ABC):
     def stacked_state(self, shape: tuple) -> Optional[dict]:
         """Preallocated workspace for a cohort solve over ``shape=(L, d)``."""
         return None
+
+    def stacked_anchor(
+        self, state: Optional[dict], mu: np.ndarray, b: Optional[np.ndarray]
+    ) -> None:
+        """Load the active rows' µ and ``gradient_scale * b`` (see above)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support stacked cohort solves"
+        )
 
     def stacked_step(
         self,
@@ -263,17 +301,32 @@ class LocalSolver(abc.ABC):
         solvers whose workspace holds only scratch buffers.
         """
 
+    def _scalar_state(
+        self, objective: LocalObjective, W: np.ndarray
+    ) -> Optional[dict]:
+        """A scalar solve's workspace: the cohort of the one row ``W``,
+        with ``objective``'s µ and ``gradient_scale * b`` loaded."""
+        state = self.stacked_state(W.shape)
+        b = proximal_offset(
+            objective.mu, objective.w_ref, objective.correction, self.gradient_scale
+        )
+        self.stacked_anchor(
+            state, np.array([objective.mu]), None if b is None else b[None, :]
+        )
+        return state
+
 
 class MiniBatchSolver(LocalSolver):
     """A solver that applies one update rule per scheduled mini-batch.
 
     Subclasses set ``batch_size`` and write their rule once, as
     :meth:`stacked_step` (with :meth:`stacked_state` / :meth:`stacked_reset`
-    for per-row state); both execution paths run it.  The cohort executor
-    applies it to the ``(A, d)`` active rows; :meth:`solve` below applies
-    it to the one-row view of a single iterate, fed by the objective's
-    streamed mini-batch gradients — so the scalar and stacked paths share
-    every floating-point operation of the update by construction, and no
+    for per-row state, :meth:`stacked_anchor` for the subproblem's terms);
+    both execution paths run it.  The cohort executor applies it to the
+    ``(A, d)`` active rows; :meth:`solve` below applies it to the one-row
+    view of a single iterate, fed by the objective's streamed mini-batch
+    gradients — so the scalar and stacked paths share every
+    floating-point operation of the update by construction, and no
     solver owns a batching loop.
     """
 
@@ -295,11 +348,12 @@ class MiniBatchSolver(LocalSolver):
         w = np.array(w_start, dtype=np.float64, copy=True)
         schedule = BatchSchedule(objective.n_samples, self.batch_size, epochs)
         W = w[None, :]
-        state = self.stacked_state(W.shape)
+        state = self._scalar_state(objective, W)
         # The stream reads ``w`` in place at every step and yields one
         # reused buffer (see LocalObjective.minibatch_gradients).
         for step, grad in enumerate(
-            objective.minibatch_gradients(w, schedule, rng), start=1
+            objective.minibatch_gradients(w, schedule, rng, self.gradient_scale),
+            start=1,
         ):
             self.stacked_step(W, grad[None, :], state, step)
         return w

@@ -5,12 +5,12 @@ The paper's local subproblem (Equation 2) is::
     h_k(w; w_t) = F_k(w) + (mu/2) * ||w - w_t||^2
 
 :class:`LocalObjective` wraps a device's model and data into loss/gradient
-oracles over the flat parameter vector; setting ``mu=0`` recovers the plain
-FedAvg local objective ``F_k``.
-
-An optional *linear correction term* ``<correction, w>`` supports the
-FedDane baseline of Appendix B, whose local subproblem augments Equation 2
-with the DANE gradient correction ``<grad_f_estimate - grad_F_k(w_t), w>``.
+oracles over the flat parameter vector; ``mu=0`` recovers FedAvg's ``F_k``.
+An optional *linear correction term* ``<correction, w>`` is the DANE
+gradient correction of the FedDane baseline (Appendix B).  Mini-batch
+solvers split ``∇h_k(w) = ∇F_k(w) + mu * w - b`` (numerics epoch 3, DESIGN
+§15): the stream yields the step-scaled ``∇F_k`` and the rule folds in
+``mu`` and :func:`proximal_offset`'s ``b``, built once per solve.
 """
 
 from __future__ import annotations
@@ -31,23 +31,18 @@ class LocalObjective:
     Parameters
     ----------
     model:
-        Model whose parameters will be set to each query point ``w``.
-        The objective owns the model for the duration of the solve; callers
-        should not mutate it concurrently.
+        Model set to each query point ``w``; the objective owns it for the
+        duration of the solve, so callers must not mutate it concurrently.
     X, y:
-        The device's local training data, one row per sample (full
-        arrays; solvers mini-batch through :meth:`minibatch_gradients`,
-        the ``indices`` argument of :meth:`gradient` serves one-off
-        queries).
+        The device's full local training data, one row per sample.
     w_ref:
-        The anchor point ``w_t`` (the global model at round start).  May be
-        ``None`` when ``mu == 0``.
+        The anchor point ``w_t`` (the global model at round start), a
+        ``(model.n_params,)`` vector.  May be ``None`` when ``mu == 0``.
     mu:
         Proximal coefficient ``µ >= 0``.
     correction:
-        Optional linear term coefficient vector; when given, the objective
-        becomes ``F_k(w) + <correction, w> + (mu/2)||w - w_ref||^2`` (the
-        FedDane subproblem).
+        Optional ``(model.n_params,)`` linear term; the objective becomes
+        ``F_k(w) + <correction, w> + (mu/2)||w - w_ref||^2`` (FedDane).
     """
 
     def __init__(
@@ -71,10 +66,16 @@ class LocalObjective:
         self.X = X
         self.y = y
         self.mu = float(mu)
-        self.w_ref = None if w_ref is None else np.asarray(w_ref, dtype=np.float64)
-        self.correction = (
-            None if correction is None else np.asarray(correction, dtype=np.float64)
+        self.w_ref, self.correction = (
+            None if v is None else np.asarray(v, dtype=np.float64)
+            for v in (w_ref, correction)
         )
+        for name, v in (("w_ref", self.w_ref), ("correction", self.correction)):
+            if v is not None and v.shape != (model.n_params,):  # never broadcast
+                raise ValueError(
+                    f"LocalObjective: {name} must have shape "
+                    f"({model.n_params},), got {v.shape}"
+                )
         self.n_samples = len(y)
 
     def loss(self, w: np.ndarray) -> float:
@@ -108,33 +109,18 @@ class LocalObjective:
         w: np.ndarray,
         schedule: "BatchSchedule",
         rng: np.random.Generator,
+        scale: float = 1.0,
     ) -> Iterator[np.ndarray]:
-        """Stream ``∇h_k`` over ``schedule``'s mini-batches, in order.
+        """Stream ``scale * ∇F_k`` over ``schedule``'s mini-batches, in order.
 
-        The one path every mini-batch solver steps through.  ``w`` is the
-        solver's float64 iterate and is *read in place*: the solver
-        updates it between steps and each gradient is evaluated at its
-        value at that moment.  Every yielded array is the same reused
-        buffer (proximal term and correction already added), valid until
-        the stream is advanced — copy it to keep it.  Draws from ``rng``
-        exactly as ``schedule.batches(rng)`` does, and yields
-        ``schedule.total`` gradients equal, bit for bit, to
-        ``self.gradient(w, batch)`` on those batches.
+        The solver applies ``mu`` and :func:`proximal_offset` itself.  ``w``
+        is *read in place* at each step; each yield may be one reused
+        buffer, valid until the next.  Draws ``rng`` as ``schedule.batches`` does.
         """
-        stream = self.model.minibatch_gradients(
-            w, self.X, self.y, schedule.epoch_orders(rng), schedule.batch_size
+        return self.model.minibatch_gradients(
+            w, self.X, self.y, schedule.epoch_orders(rng), schedule.batch_size,
+            scale,
         )
-        mu, w_ref, correction = self.mu, self.w_ref, self.correction
-        if mu > 0:
-            prox = np.empty_like(w)
-        for grad in stream:
-            if mu > 0:
-                np.subtract(w, w_ref, out=prox)
-                np.multiply(prox, mu, out=prox)
-                grad += prox
-            if correction is not None:
-                grad += correction
-            yield grad
 
     def loss_and_gradient(self, w: np.ndarray) -> Tuple[float, np.ndarray]:
         """Full-data value and gradient of ``h_k`` at ``w``."""
@@ -148,3 +134,16 @@ class LocalObjective:
             value += float(self.correction @ w)
             grad = grad + self.correction
         return value, grad
+
+
+def proximal_offset(
+    mu: float, w_ref: Optional[np.ndarray], correction: Optional[np.ndarray], scale
+) -> Optional[np.ndarray]:
+    """``b = mu * w_ref - correction`` times the solver's ``gradient_scale``,
+    fresh; ``None`` when ``mu == 0`` and there is no correction."""
+    b = mu * w_ref if mu > 0 else None
+    if correction is not None:
+        b = -correction if b is None else b - correction
+    if b is not None and scale != 1.0:
+        b *= scale
+    return b

@@ -11,8 +11,10 @@ All three implement the stacked cohort protocol (see
 rule once, as ``stacked_step`` over preallocated workspace buffers:
 :class:`~repro.optim.base.MiniBatchSolver` runs it on a one-row view for a
 scalar solve and the cohort executor on a ``(K, d)`` matrix, so both paths
-perform the same floating-point operations.  :class:`GDSolver` keeps its
-own full-batch loop, whose ``stacked_step`` mirrors it row-wise.
+perform the same floating-point operations.  Both take their gradients
+already multiplied by the step size and fold the proximal term into the
+rule (numerics epoch 3).  :class:`GDSolver` keeps its own full-batch loop,
+and on both paths steps with SGD's rule.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from ..spec import register
-from .base import LocalSolver, MiniBatchSolver
+from .base import LocalSolver, MiniBatchSolver, common_mu
 from .proximal import LocalObjective
 
 
@@ -50,21 +52,39 @@ class SGDSolver(MiniBatchSolver):
     def describe(self) -> str:
         return f"SGD(lr={self.learning_rate}, B={self.batch_size})"
 
-    # The update rule: w <- w - lr * g ---------------------------------- #
+    # The update rule: w <- (1 - lr mu) w + lr b - lr grad F ------------ #
+    @property
+    def gradient_scale(self) -> float:
+        return self.learning_rate
+
     def stacked_state(self, shape: tuple) -> dict:
-        return {"scratch": np.empty(shape, dtype=np.float64)}
+        return {"anchor": (None, None)}
+
+    def stacked_anchor(self, state: dict, mu, b) -> None:
+        mu = common_mu(mu)
+        decay = None if mu is None else 1.0 - self.learning_rate * mu
+        state["anchor"] = (decay, b)
 
     def stacked_step(
         self, W: np.ndarray, G: np.ndarray, state: dict, step: int
     ) -> None:
-        scratch = state["scratch"][: len(W)]
-        np.multiply(G, self.learning_rate, out=scratch)
-        np.subtract(W, scratch, out=W)
+        # ``w - lr (grad F + mu (w - w_t) + c)`` as three in-place calls
+        # (one at mu = 0 with no correction); G is ``lr * grad F`` already.
+        decay, b = state["anchor"]
+        if decay is not None:
+            W *= decay
+        if b is not None:
+            W += b
+        W -= G
 
 
 @register
 class MomentumSGDSolver(MiniBatchSolver):
-    """Heavy-ball SGD: ``v <- beta v + g``, ``w <- w - lr v``."""
+    """Heavy-ball SGD: ``v <- beta v + g``, ``w <- w - lr v``.
+
+    The rule keeps ``u = lr v``, so it takes ``lr * grad F`` as SGD does:
+    ``u <- beta u + lr (grad F + mu w - b)``, ``w <- w - u``.
+    """
 
     def __init__(
         self, learning_rate: float, momentum: float = 0.9, batch_size: int = 10
@@ -85,12 +105,21 @@ class MomentumSGDSolver(MiniBatchSolver):
             f"B={self.batch_size})"
         )
 
-    # The update rule: v <- beta v + g, w <- w - lr v -------------------- #
+    # The update rule: u <- beta u + lr g, w <- w - u ------------------- #
+    @property
+    def gradient_scale(self) -> float:
+        return self.learning_rate
+
     def stacked_state(self, shape: tuple) -> dict:
         return {
             "velocity": np.zeros(shape, dtype=np.float64),
             "scratch": np.empty(shape, dtype=np.float64),
+            "anchor": (None, None),
         }
+
+    def stacked_anchor(self, state: dict, mu, b) -> None:
+        mu = common_mu(mu)
+        state["anchor"] = (None if mu is None else self.learning_rate * mu, b)
 
     def stacked_step(
         self, W: np.ndarray, G: np.ndarray, state: dict, step
@@ -98,12 +127,15 @@ class MomentumSGDSolver(MiniBatchSolver):
         # Rows of dropped-out clients freeze along with their velocity,
         # because only the active (A, d) prefix is ever touched; lanes
         # recycled for a new chain are re-zeroed via stacked_reset.
-        v = state["velocity"][: len(W)]
-        scratch = state["scratch"][: len(W)]
-        np.multiply(v, self.momentum, out=v)
-        v += G
-        np.multiply(v, self.learning_rate, out=scratch)
-        np.subtract(W, scratch, out=W)
+        u = state["velocity"][: len(W)]
+        lr_mu, b = state["anchor"]
+        np.multiply(u, self.momentum, out=u)
+        u += G
+        if lr_mu is not None:
+            u += np.multiply(W, lr_mu, out=state["scratch"][: len(W)])
+        if b is not None:
+            u -= b
+        W -= u
 
     def stacked_reset(self, state: dict, rows) -> None:
         # A fresh chain starts from zero velocity, as every scalar solve
@@ -132,9 +164,13 @@ class GDSolver(LocalSolver):
         rng: np.random.Generator,
     ) -> np.ndarray:
         w = np.array(w_start, dtype=np.float64, copy=True)
-        steps = max(1, int(round(epochs)))
-        for _ in range(steps):
-            w -= self.learning_rate * objective.gradient(w)
+        W = w[None, :]
+        state = self._scalar_state(objective, W)
+        model, X, y = objective.model, objective.X, objective.y
+        for step in range(1, max(1, int(round(epochs))) + 1):
+            model.set_params(w)
+            G = self.learning_rate * model.gradient(X, y)
+            self.stacked_step(W, G[None, :], state, step)
         return w
 
     def describe(self) -> str:
@@ -155,12 +191,8 @@ class GDSolver(LocalSolver):
         steps = max(1, int(round(epochs)))
         return np.tile(np.arange(n_samples), steps), np.full(steps, n_samples)
 
-    def stacked_state(self, shape: tuple) -> dict:
-        return {"scratch": np.empty(shape, dtype=np.float64)}
-
-    def stacked_step(
-        self, W: np.ndarray, G: np.ndarray, state: dict, step: int
-    ) -> None:
-        scratch = state["scratch"][: len(W)]
-        np.multiply(G, self.learning_rate, out=scratch)
-        np.subtract(W, scratch, out=W)
+    # A full-batch step is an SGD step on the whole shard, scalar or stacked.
+    gradient_scale = SGDSolver.gradient_scale
+    stacked_state = SGDSolver.stacked_state
+    stacked_anchor = SGDSolver.stacked_anchor
+    stacked_step = SGDSolver.stacked_step

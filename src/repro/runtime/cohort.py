@@ -25,30 +25,32 @@ Mechanics
   minimum ``ceil(sum T_k / t_max)``; balanced cohorts degenerate to the
   legacy one-client-per-row prefix schedule exactly.  The achieved/ideal
   width ratio is emitted as the ``cohort.pack_efficiency`` gauge.
-* **Ragged data.**  The cohort's selected training shards are concatenated
-  once per round (plus one zero pad row, integer dtypes preserved so token
-  sequences survive); a run of steps gathers an ``(S, A, B, ...)`` chunk
-  through a precomputed ``(t_max, L, b_max)`` index tensor whose padding
-  entries point at the pad row.  A float mask zeroes padding
-  contributions before the backward GEMMs, so padded rows add exact
-  ``±0.0`` terms.
+* **Ragged data.**  The model lays the cohort's training shards out once
+  per round (``stacked_rows``: concatenated, plus one zero pad row —
+  ``[x, 1]`` float64 rows for the logistic model, tokens kept for the
+  LSTMs); a run of steps is ``take``-n as an ``(S, A, B, ...)`` chunk into
+  one reused buffer through a precomputed ``(t_max, L, b_max)`` index
+  tensor whose padding entries point at the pad row.  A float mask zeroes
+  padding contributions before the backward GEMMs, so padded rows add
+  exact ``±0.0`` terms.
 * **Stragglers.**  Lanes are ordered by descending total load, making the
   busy set at any step a *prefix* of the stack: when a lane's last chain
   ends it simply drops out of the stacked loop.  Time decomposes into
   *segments* between chain boundaries; at each boundary finishing chains
   copy their lane row out and starting chains load their task's ``w_t``,
-  µ, and correction (and reset per-row solver state via
+  µ and ``gradient_scale * b`` (and reset per-row solver state via
   ``stacked_reset``).  Results are restored to task order at the end.
 * **Determinism.**  Model kernels (``stacked_gradient``, stepped through
   ``stacked_minibatch_gradients``) and solver steps (``stacked_step``,
   fed per-row local step indices when packed lanes sit at different chain
-  offsets) replicate the scalar path's floating-point operation order;
-  the proximal term ``µ(w_k − w_t)`` and optional FedDane correction are
-  applied row-wise exactly as
-  :class:`~repro.optim.proximal.LocalObjective` applies them.  Each
-  client's chain still runs its own steps in order against only its own
-  row.  The batched GEMM does not promise the scalar GEMM's accumulation
-  order, so parity with :class:`~repro.runtime.executor.SerialExecutor`
+  offsets) replicate the scalar path's floating-point operation order:
+  each row's µ and ``gradient_scale * (µ w_t − c)`` are built by the
+  scalar solve's :func:`~repro.optim.proximal.proximal_offset` and folded
+  into the solver's rule through ``stacked_anchor`` once per segment, as
+  a scalar solve folds them once (numerics epoch 3).  Each client's chain
+  still runs its own steps in order against only its own row.  The
+  batched GEMM does not promise the scalar GEMM's accumulation order, so
+  parity with :class:`~repro.runtime.executor.SerialExecutor`
   is a tolerance, not bitwise: histories of the logistic model match
   within 1e-12 (observed 2.2e-16 on a loss; enforced by
   ``tests/test_runtime_cohort.py``), the LSTMs within 1e-9.  What *is*
@@ -69,6 +71,7 @@ from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
+from ..optim.proximal import proximal_offset
 from ..telemetry import resolve_telemetry
 from .executor import (
     LocalTask,
@@ -154,32 +157,22 @@ def solve_cohort(
         )
         t_phase = now
 
-    # Concatenate the cohort's shards once (task order); the final row is
-    # a zero pad target for out-of-batch gather indices.  Integer feature
-    # dtypes (token sequences) are preserved — the pad row is token 0,
-    # whose gradient contribution the mask zeroes exactly.
-    xs, ys, offsets = [], [], []
-    base = 0
-    for task in tasks:
-        data = clients[task.client_id].data
-        xs.append(data.train_x)
-        ys.append(data.train_y)
-        offsets.append(base)
-        base += data.num_train
-    feat_shape = xs[0].shape[1:]
-    x_dtype = xs[0].dtype
-    if not np.issubdtype(x_dtype, np.integer):
-        x_dtype = np.float64
-    x_cat = np.zeros((base + 1,) + feat_shape, dtype=x_dtype)
-    x_cat[:base] = np.concatenate(xs)
+    # Lay the cohort's shards out once (task order) in the model's stacked
+    # layout; the final row is a zero pad target for out-of-batch gather
+    # indices (for token sequences token 0, whose gradient contribution
+    # the mask zeroes exactly).
+    shards = [clients[task.client_id].data for task in tasks]
+    offsets = np.cumsum([0] + [data.num_train for data in shards])
+    base = int(offsets[-1])  # the pad row's index
+    x_cat = model.stacked_rows([data.train_x for data in shards])
     y_cat = np.zeros(base + 1, dtype=np.int64)
-    y_cat[:base] = np.concatenate(ys)
-    pad = base  # index of the zero row
+    np.concatenate([data.train_y for data in shards], out=y_cat[:base])
+    del shards
 
     # Precomputed gather plan over (step, lane, batch-slot): indices,
     # masks and batch sizes, scattered once per chain placement — a Python
     # loop over every (step, sample) would cost more than the solve.
-    idx = np.full((t_max, L, b_max), pad, dtype=np.int64)
+    idx = np.full((t_max, L, b_max), base, dtype=np.int64)
     mask = np.zeros((t_max, L, b_max), dtype=np.float64)
     counts = np.ones((t_max, L), dtype=np.float64)
     for p in plan.placements:
@@ -192,18 +185,30 @@ def solve_cohort(
         counts[p.start : p.stop, p.lane] = lens
     counts3 = counts[:, :, None, None]  # kernel-shaped (t, L, 1, 1) view
 
-    # Stacked per-lane weights and subproblem parameters; rows are loaded
-    # lazily at each chain's start segment (float64 copies exactly as the
-    # scalar solvers take them) and copied out at its end segment.
+    # Stacked per-lane weights and subproblem terms, loaded at each chain's
+    # start segment (float64 copies exactly as the scalar solvers take
+    # them) and copied out at its end segment: each lane's µ and its
+    # ``gradient_scale * b`` row (zero when the chain has none).
     W = np.empty((L, d), dtype=np.float64)
-    W_ref = np.empty((L, d), dtype=np.float64)
+    offsets_b = np.zeros((L, d), dtype=np.float64)
     mus = np.zeros(L, dtype=np.float64)
-    corrections: List[object] = [None] * L
+    has_b = np.zeros(L, dtype=bool)
     results: List[np.ndarray] = [None] * K  # type: ignore[list-item]
-
     state = solver.stacked_state((L, d))
-    prox = np.empty((L, d), dtype=np.float64)
-    feat_size = int(np.prod(feat_shape)) if feat_shape else 1
+    scale = solver.gradient_scale
+
+    # Every chunk of steps is gathered into one reused buffer, sized for
+    # the largest chunk of any segment.
+    row_shape, row_bytes = x_cat.shape[1:], x_cat[0].nbytes
+    chunks = [
+        max(1, _GATHER_CHUNK_BYTES // (seg.width * b_max * row_bytes))
+        for seg in plan.segments
+    ]
+    most = b_max * max(
+        min(c, seg.hi - seg.lo) * seg.width for c, seg in zip(chunks, plan.segments)
+    )
+    x_buf = np.empty((most,) + row_shape, dtype=x_cat.dtype)
+    y_buf = np.empty(most, dtype=np.int64)
 
     if telemetry.enabled:
         now = time.perf_counter()
@@ -215,49 +220,40 @@ def solve_cohort(
 
     # The step loop decomposes into the planner's segments of constant
     # busy width ``a``; within a segment each active lane advances one
-    # fixed chain, so batches for many steps are gathered in one fancy
-    # index (chunked to bound the staging buffer) and handed to the
-    # model's gradient stream, which reads ``W[:a]`` in place and yields
-    # one reused buffer per step.
+    # fixed chain, so batches for many steps are gathered in one ``take``
+    # (chunked to bound the staging buffer) and handed to the model's
+    # gradient stream, which reads ``W[:a]`` in place and yields one reused
+    # buffer of ``gradient_scale * ∇F_k`` per step.
     stacked_step = solver.stacked_step
-    for seg in plan.segments:
+    for seg, chunk in zip(plan.segments, chunks):
         for p in seg.starts:
             lane = p.lane
             task = tasks[p.task]
             W[lane] = np.asarray(task.w_global, dtype=np.float64)
-            W_ref[lane] = W[lane]
             mus[lane] = task.mu
-            corrections[lane] = task.correction
+            b = proximal_offset(task.mu, W[lane], task.correction, scale)
+            has_b[lane] = b is not None
+            offsets_b[lane] = 0.0 if b is None else b
             solver.stacked_reset(state, lane)
         a = seg.width
         Wa = W[:a]
-        Wr = W_ref[:a]
-        diff = prox[:a]
-        any_mu = bool(np.any(mus[:a] > 0))
-        # One µ across the active lanes (every FedProx round) scales by the
-        # Python float — the same product per element as the column.
-        mua = float(mus[0]) if np.all(mus[:a] == mus[0]) else mus[:a, None]
-        corr_rows = [
-            (row, c) for row, c in enumerate(corrections[:a]) if c is not None
-        ]
+        solver.stacked_anchor(
+            state, mus[:a], offsets_b[:a] if has_b[:a].any() else None
+        )
         # The 1-based local step of the segment's first kernel call: an int
         # when every active lane sits at the same chain offset.
         first_step = int(seg.base_steps[0]) if seg.uniform else seg.base_steps
-        chunk = max(1, _GATHER_CHUNK_BYTES // max(1, a * b_max * feat_size * 8))
         for lo in range(seg.lo, seg.hi, chunk):
             hi = min(lo + chunk, seg.hi)
             rows = idx[lo:hi, :a]
+            Xc = x_buf[: rows.size].reshape(rows.shape + row_shape)
+            yc = y_buf[: rows.size].reshape(rows.shape)
+            np.take(x_cat, rows, axis=0, out=Xc, mode="clip")
+            np.take(y_cat, rows, out=yc, mode="clip")
             stream = model.stacked_minibatch_gradients(
-                Wa, x_cat[rows], y_cat[rows], mask[lo:hi, :a], counts3[lo:hi, :a]
+                Wa, Xc, yc, mask[lo:hi, :a], counts3[lo:hi, :a], scale
             )
             for step, G in enumerate(stream, lo - seg.lo):
-                if any_mu:
-                    # grad + mu * (w - w_ref), as in LocalObjective.
-                    np.subtract(Wa, Wr, out=diff)
-                    diff *= mua
-                    G += diff
-                for row, correction in corr_rows:
-                    G[row] += correction
                 stacked_step(Wa, G, state, first_step + step)
         for p in seg.ends:
             results[p.task] = W[p.lane].copy()

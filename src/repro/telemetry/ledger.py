@@ -58,7 +58,7 @@ DIGEST_ALGORITHM = "sha256/canonical-round-records/v1"
 #: lists every epoch); it is written into each manifest's environment
 #: block, and a ledger without the key is epoch 0.  Replaying a ledger of
 #: another epoch compares floats to a bound instead of bit-for-bit.
-NUMERICS_EPOCH = 2
+NUMERICS_EPOCH = 3
 
 #: The canonical field order of one round record.  Field names match
 #: :class:`repro.core.history.RoundRecord` attributes; the digest and the

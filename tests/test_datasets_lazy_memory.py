@@ -105,11 +105,11 @@ def test_a_round_peaks_at_its_sampled_held_out_rows(engine):
 def test_a_cohort_pack_holds_its_shards_one_concatenation_and_one_chunk(monkeypatch):
     """(c) on ``solve_cohort`` itself, with the gather cap below one step so
     a chunk is one step's rows.  The bound is what the pack holds — the
-    shards, ``x_cat`` = ``(Σn_k + 1)·d·8`` and ``y_cat`` — plus the larger
-    of ``np.concatenate``'s temporary (before the plan exists) and the
-    kernel's working set: the gather plan ``idx`` / ``mask`` / ``counts``,
-    the weight stacks, the results, and one chunk with its ones-column
-    copy.  A ones-column copy of ``x_cat`` would exceed it by ~``x_cat``."""
+    shards, the model's laid-out rows ``x_cat`` = ``(Σn_k + 1)·(d + 1)·8``
+    (``[x, 1]``) and ``y_cat`` — plus the kernel's working set: the gather
+    plan ``idx`` / ``mask`` / ``counts``, the weight stacks, the results,
+    and one gathered chunk of ``[x, 1]`` rows with its labels and one-hot
+    block.  A second copy of the chunk, or of ``x_cat``, would exceed it."""
     monkeypatch.setattr(cohort, "_GATHER_CHUNK_BYTES", 32 << 10)
     dataset = make_synthetic_ondemand(1.0, 1.0, num_devices=DEVICES, size_cap=200)
     model = MultinomialLogisticRegression(dim=60, num_classes=10)
@@ -132,15 +132,14 @@ def test_a_cohort_pack_holds_its_shards_one_concatenation_and_one_chunk(monkeypa
     finally:
         tracemalloc.stop()
 
-    d, B, P = 60, 10, model.n_params
+    d, B, C, P = 60, 10, 10, model.n_params
     rows = sum(c.num_train for c in clients)
-    x_cat, y_cat = (rows + 1) * d * 8, (rows + 1) * 8
+    x_cat, y_cat = (rows + 1) * (d + 1) * 8, (rows + 1) * 8
     steps = [BatchSchedule(c.num_train, B, 1).total for c in clients]
     lanes, t_max = plan_cohort(steps).n_lanes, max(steps)
     gather_plan = 2 * t_max * lanes * B * 8 + t_max * lanes * 8
-    stacks = 4 * lanes * P * 8 + K * P * 8  # W, W_ref, prox, gradient; results
-    step_rows = lanes * B * d * 8
-    chunk = step_rows + step_rows * (d + 1) // d
+    stacks = 3 * lanes * P * 8 + K * P * 8  # W, b rows, gradient; results
+    chunk = lanes * B * ((d + 1) + 1 + C) * 8  # [x, 1] rows, labels, one-hot
     held = sum(_nbytes(c) for c in clients) + x_cat + y_cat
-    bound = held + max(x_cat, gather_plan + stacks + chunk) + (64 << 10)
+    bound = held + gather_plan + stacks + chunk + (64 << 10)
     assert peak <= bound, f"{peak} B > {bound} B"

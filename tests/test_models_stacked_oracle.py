@@ -8,11 +8,14 @@ builds everything step-independent once per gathered chunk.  That is
 pinned here the way ``tests/test_optim_stream.py`` pins the scalar stream
 and ``tests/test_nn_fused_lstm_oracle.py`` the fused LSTM: the pre-stream
 kernel (numerics epoch 1) and the pre-stream ``solve_cohort`` step loop
-are frozen below as the oracle, with the kernel's epoch-2 formula (the
-bias folded into both products, one division normalising; DESIGN §15)
-frozen beside it.  Over the shapes the cohort path produces and over
-whole solves the library must be ``np.array_equal`` to the epoch-2
-oracle, and within ``EPOCH1_BOUND`` of the epoch-1 one.
+are frozen below as the oracle, with each later epoch's formula frozen
+beside it (DESIGN §15): epoch 2 folds the bias into both products and
+normalises with one division; epoch 3 scales the residual by the
+solver's ``scale / m`` and moves ``µ`` and ``b = µ w_t - c`` out of the
+gradient and into the update rule.  Over the shapes the cohort path
+produces and over whole solves the library must be ``np.array_equal`` to
+the epoch-3 oracle, within ``EPOCH2_BOUND`` of the epoch-2 one and
+within ``EPOCH1_BOUND`` of the epoch-1 one.
 
 The things the kernel *assumes* about NumPy — ``x - 0.0`` is bitwise
 ``x``; ``np.matmul(out=)`` into a strided view of the gradient stack, or
@@ -38,7 +41,7 @@ from repro.datasets import make_synthetic
 from repro.faults.models import FaultDecision
 from repro.models import CharLSTM, MLPClassifier, MultinomialLogisticRegression
 from repro.models.base import FederatedModel
-from repro.optim import AdamSolver, SGDSolver
+from repro.optim import AdamSolver, MomentumSGDSolver, SGDSolver
 from repro.runtime import CohortExecutor, LocalTask
 from repro.runtime.cohort import solve_cohort
 from repro.runtime.executor import task_effective_epochs, task_rng
@@ -49,10 +52,15 @@ pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.ym
 
 DIM, CLASSES = 6, 4
 
-#: The stated bound between the library (epoch 2) and the epoch-1 oracle:
+#: The stated bound between the library and the epoch-1 oracle:
 #: ``max|got - want| / max|want|`` over a gradient or a solved iterate.
-#: Observed maximum over this file: 2.3e-15, on a whole solve.
+#: Observed maximum over this file: 2.9e-15, on a whole solve.
 EPOCH1_BOUND = 1e-13
+
+#: The stated bound between the library (epoch 3) and the epoch-2 oracle,
+#: the same relative gap over a gradient or a solved iterate.  Observed
+#: maximum over this file: 2.9e-15, on a whole solve.
+EPOCH2_BOUND = 1e-13
 
 
 def _relative_gap(got, want):
@@ -164,6 +172,113 @@ class OracleStackedLogisticEpoch2:
         return grad.reshape(K, -1)
 
 
+class OracleStackedLogisticEpoch3:
+    """Epoch 3: epoch 2's formula with the residual times ``scale / m``
+    (the solver's step size over the batch size) and the L2 term times
+    ``scale * l2``."""
+
+    def __init__(self, dim, num_classes, l2=0.0):
+        self.dim = dim
+        self.num_classes = num_classes
+        self.l2 = float(l2)
+        self.n_params = dim * num_classes + num_classes
+
+    def stacked_gradient(self, W, X, y, mask, counts, scale=1.0):
+        K, B = X.shape[0], X.shape[1]
+        X1 = np.concatenate(
+            [np.asarray(X, dtype=np.float64), np.ones((K, B, 1))], axis=2
+        )
+        Wb = W.reshape(K, self.dim + 1, self.num_classes)
+        scores = X1 @ Wb
+        shifted = scores - scores.max(axis=2, keepdims=True)
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=2, keepdims=True)
+        delta = probs
+        delta[np.arange(K)[:, None], np.arange(B)[None, :], y] -= 1.0
+        delta *= scale / (counts if counts.ndim == 3 else counts[:, None, None])
+        if mask is not None:
+            delta *= mask[:, :, None]
+        grad = X1.transpose(0, 2, 1) @ delta
+        if self.l2 > 0:
+            grad = grad + (scale * self.l2) * Wb
+        return grad.reshape(K, -1)
+
+
+def _rows(model, X):
+    """Raw ``(..., B, dim)`` rows in the layout the library's stream reads."""
+    laid = model.stacked_rows([np.asarray(X).reshape(-1, X.shape[-1])])[:-1]
+    return laid.reshape(X.shape[:-1] + (laid.shape[-1],))
+
+
+# --------------------------------------------------------------------- #
+# Frozen update rules.  Epoch 2 takes the gradient of ``h_k`` (the loop
+# adds µ(w - w_t) + c); epoch 3 takes ``scale * grad F`` and each row's µ
+# and ``b = scale * (µ w_t - c)``, and applies them row by row.
+# --------------------------------------------------------------------- #
+def _scale(solver):
+    return 1.0 if isinstance(solver, AdamSolver) else solver.learning_rate
+
+
+def _pow(beta, step):
+    return beta ** int(step)
+
+
+class Epoch2Rule:
+    def __init__(self, solver, shape):
+        self.solver = solver
+        self.v = np.zeros(shape)
+        self.m = np.zeros(shape)
+
+    def reset(self, row):
+        self.v[row] = 0.0
+        self.m[row] = 0.0
+
+    def step(self, W, G, steps):
+        s, a = self.solver, len(W)
+        if isinstance(s, SGDSolver):
+            W -= s.learning_rate * G
+        elif isinstance(s, MomentumSGDSolver):
+            self.v[:a] = s.momentum * self.v[:a] + G
+            W -= s.learning_rate * self.v[:a]
+        else:
+            m, v = self.m[:a], self.v[:a]
+            m[:] = s.beta1 * m + (1 - s.beta1) * G
+            v[:] = s.beta2 * v + (1 - s.beta2) * G**2
+            c1 = np.array([1 - _pow(s.beta1, t) for t in steps])[:, None]
+            c2 = np.array([1 - _pow(s.beta2, t) for t in steps])[:, None]
+            W -= s.learning_rate * (m / c1) / (np.sqrt(v / c2) + s.eps)
+
+
+class Epoch3Rule(Epoch2Rule):
+    def step(self, W, G, steps, mus, bs):
+        s = self.solver
+        for r, (w, g, mu, b, t) in enumerate(zip(W, G, mus, bs, steps)):
+            if isinstance(s, SGDSolver):
+                if mu > 0:
+                    w *= 1.0 - s.learning_rate * mu
+                if b is not None:
+                    w += b
+                w -= g
+            elif isinstance(s, MomentumSGDSolver):
+                u = s.momentum * self.v[r] + g
+                if mu > 0:
+                    u = u + (s.learning_rate * mu) * w
+                if b is not None:
+                    u = u - b
+                self.v[r] = u
+                w -= u
+            else:
+                if mu > 0:
+                    g = g + mu * w
+                if b is not None:
+                    g = g - b
+                self.m[r] = s.beta1 * self.m[r] + (1 - s.beta1) * g
+                self.v[r] = s.beta2 * self.v[r] + (1 - s.beta2) * g**2
+                m_hat = self.m[r] / (1 - _pow(s.beta1, t))
+                v_hat = self.v[r] / (1 - _pow(s.beta2, t))
+                w -= s.learning_rate * m_hat / (np.sqrt(v_hat) + s.eps)
+
+
 def _oracle_plan(n, batch_size, epochs, rng):
     """The list of index arrays ``stacked_plan`` used to return."""
     per_epoch = 1 if batch_size >= n else -(-n // batch_size)
@@ -183,8 +298,9 @@ def _oracle_plan(n, batch_size, epochs, rng):
 _GATHER_CHUNK_BYTES = 8 << 20
 
 
-def oracle_solve_cohort(tasks, clients, kernel, solver):
-    """``solve_cohort`` before the stream (telemetry and γ left out)."""
+def oracle_solve_cohort(tasks, clients, kernel, solver, epoch=3):
+    """``solve_cohort`` before the stream (telemetry and γ left out), with
+    the update rule and the subproblem terms of ``epoch`` (2 or 3)."""
     K = len(tasks)
     d = kernel.n_params
 
@@ -241,14 +357,14 @@ def oracle_solve_cohort(tasks, clients, kernel, solver):
     W_ref = np.empty((L, d), dtype=np.float64)
     mus = np.zeros(L, dtype=np.float64)
     corrections = [None] * L
+    offsets_b = [None] * L
     results = [None] * K
 
-    state = solver.stacked_state((L, d))
+    scale = _scale(solver)
+    rule = (Epoch3Rule if epoch == 3 else Epoch2Rule)(solver, (L, d))
     prox = np.empty((L, d), dtype=np.float64)
     feat_size = int(np.prod(feat_shape)) if feat_shape else 1
 
-    stacked_gradient = kernel.stacked_gradient
-    stacked_step = solver.stacked_step
     for seg in plan.segments:
         for p in seg.starts:
             lane = p.lane
@@ -257,7 +373,13 @@ def oracle_solve_cohort(tasks, clients, kernel, solver):
             W_ref[lane] = W[lane]
             mus[lane] = task.mu
             corrections[lane] = task.correction
-            solver.stacked_reset(state, lane)
+            b = None
+            if task.mu > 0:
+                b = task.mu * W_ref[lane]
+            if task.correction is not None:
+                b = -task.correction if b is None else b - task.correction
+            offsets_b[lane] = None if b is None else b * scale
+            rule.reset(lane)
         a = seg.width
         Wa = W[:a]
         Wr = W_ref[:a]
@@ -275,9 +397,13 @@ def oracle_solve_cohort(tasks, clients, kernel, solver):
             cc = counts3[lo:hi, :a]
             dense = mc.all(axis=(1, 2))
             for s in range(hi - lo):
-                G = stacked_gradient(
-                    Wa, Xc[s], yc[s], None if dense[s] else mc[s], cc[s]
-                )
+                m_s = None if dense[s] else mc[s]
+                steps = base_steps + (lo - seg.lo + s)
+                if epoch == 3:
+                    G = kernel.stacked_gradient(Wa, Xc[s], yc[s], m_s, cc[s], scale)
+                    rule.step(Wa, G, steps, mus[:a], offsets_b[:a])
+                    continue
+                G = kernel.stacked_gradient(Wa, Xc[s], yc[s], m_s, cc[s])
                 if any_mu:
                     np.subtract(Wa, Wr, out=diff)
                     diff *= mua
@@ -286,11 +412,7 @@ def oracle_solve_cohort(tasks, clients, kernel, solver):
                     for row in range(a):
                         if corrections[row] is not None:
                             G[row] += corrections[row]
-                off = lo - seg.lo + s
-                if seg.uniform:
-                    stacked_step(Wa, G, state, int(base_steps[0]) + off)
-                else:
-                    stacked_step(Wa, G, state, base_steps + off)
+                rule.step(Wa, G, steps)
         for p in seg.ends:
             results[p.task] = W[p.lane].copy()
 
@@ -327,33 +449,48 @@ def _descend(W, G):
 
 
 class TestStreamMatchesFrozenKernel:
+    @pytest.mark.parametrize("scale", [1.0, 0.05])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("l2", [0.0, 0.3])
     @pytest.mark.parametrize("S", [1, 2, 33])
     @pytest.mark.parametrize("B", [1, 7, 10])
     @pytest.mark.parametrize("K", [1, 2, 3, 10])
-    def test_every_step_of_a_chunk(self, K, B, S, l2, dtype):
+    def test_every_step_of_a_chunk(self, K, B, S, l2, dtype, scale):
         model = MultinomialLogisticRegression(DIM, CLASSES, l2=l2)
-        oracle = OracleStackedLogisticEpoch2(DIM, CLASSES, l2=l2)
+        oracle = OracleStackedLogisticEpoch3(DIM, CLASSES, l2=l2)
+        epoch2 = OracleStackedLogisticEpoch2(DIM, CLASSES, l2=l2)
         epoch1 = OracleStackedLogistic(DIM, CLASSES, l2=l2)
         X, y, mask, counts = _chunk(S, K, B, dtype, seed=K * 100 + B * 10 + S)
         W0 = np.random.default_rng(S).normal(size=(K, model.n_params)) * 0.5
-        W_new, W_old, W_e1 = W0.copy(), W0.copy(), W0.copy()
+        W_new, W_old, W_e2, W_e1 = W0.copy(), W0.copy(), W0.copy(), W0.copy()
         dense = mask.all(axis=(1, 2))
         assert B == 1 or not dense.all()
+        case = (K, B, S, l2)
 
-        stream = model.stacked_minibatch_gradients(W_new, X, y, mask, counts)
+        stream = model.stacked_minibatch_gradients(
+            W_new, _rows(model, X), y, mask, counts, scale
+        )
         for s, got in enumerate(stream):
             step_mask = None if dense[s] else mask[s]
-            want = oracle.stacked_gradient(W_old, X[s], y[s], step_mask, counts[s])
-            assert np.array_equal(got, want), (K, B, S, l2, s)
-            before = epoch1.stacked_gradient(W_e1, X[s], y[s], step_mask, counts[s])
-            assert _relative_gap(got, before) <= EPOCH1_BOUND, (K, B, S, l2, s)
+            want = oracle.stacked_gradient(
+                W_old, X[s], y[s], step_mask, counts[s], scale
+            )
+            assert np.array_equal(got, want), case + (s,)
+            before = scale * epoch2.stacked_gradient(
+                W_e2, X[s], y[s], step_mask, counts[s]
+            )
+            assert _relative_gap(got, before) <= EPOCH2_BOUND, case + (s,)
+            first = scale * epoch1.stacked_gradient(
+                W_e1, X[s], y[s], step_mask, counts[s]
+            )
+            assert _relative_gap(got, first) <= EPOCH1_BOUND, case + (s,)
             _descend(W_new, got)
             _descend(W_old, want)
-            _descend(W_e1, before)
+            _descend(W_e2, before)
+            _descend(W_e1, first)
         assert s == S - 1
         assert np.array_equal(W_new, W_old)
+        assert _relative_gap(W_new, W_e2) <= EPOCH2_BOUND
         assert _relative_gap(W_new, W_e1) <= EPOCH1_BOUND
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -361,9 +498,10 @@ class TestStreamMatchesFrozenKernel:
     @pytest.mark.parametrize("with_mask", [False, True])
     @pytest.mark.parametrize("K,B", [(1, 1), (2, 7), (3, 10), (10, 10)])
     def test_the_one_step_entry(self, K, B, with_mask, counts_ndim, dtype):
-        """``stacked_gradient`` is a chunk of one; ``counts`` in both shapes."""
+        """``stacked_gradient`` is a chunk of one at scale 1, from raw rows;
+        ``counts`` in both shapes."""
         model = MultinomialLogisticRegression(DIM, CLASSES, l2=0.3)
-        oracle = OracleStackedLogisticEpoch2(DIM, CLASSES, l2=0.3)
+        oracle = OracleStackedLogisticEpoch3(DIM, CLASSES, l2=0.3)
         X, y, mask, counts = _chunk(1, K, B, dtype, seed=K + B)
         W = np.random.default_rng(1).normal(size=(K, model.n_params))
         counts = counts[0] if counts_ndim == 3 else counts[0, :, 0, 0]
@@ -372,16 +510,22 @@ class TestStreamMatchesFrozenKernel:
         want = oracle.stacked_gradient(W, X[0], y[0], m, counts)
         assert np.array_equal(got, want)
         assert got.shape == (K, model.n_params)
-        before = OracleStackedLogistic(DIM, CLASSES, l2=0.3).stacked_gradient(
-            W, X[0], y[0], m, counts
-        )
-        assert _relative_gap(got, before) <= EPOCH1_BOUND
+        for kernel, bound in (
+            (OracleStackedLogisticEpoch2, EPOCH2_BOUND),
+            (OracleStackedLogistic, EPOCH1_BOUND),
+        ):
+            before = kernel(DIM, CLASSES, l2=0.3).stacked_gradient(
+                W, X[0], y[0], m, counts
+            )
+            assert _relative_gap(got, before) <= bound
 
     def test_the_stream_yields_one_buffer_valid_until_the_next_step(self):
         model = MultinomialLogisticRegression(DIM, CLASSES)
         X, y, mask, counts = _chunk(3, 2, 7, np.float64, seed=0)
         W = np.random.default_rng(2).normal(size=(2, model.n_params))
-        stream = model.stacked_minibatch_gradients(W, X, y, mask, counts)
+        stream = model.stacked_minibatch_gradients(
+            W, _rows(model, X), y, mask, counts
+        )
         first = next(stream)
         kept = first.copy()
         second = next(stream)
@@ -426,16 +570,24 @@ def _assert_solves_match(federation, tasks, solver=None, l2=0.0):
     executor = _bound(federation, model, solver)
     got = solve_cohort(tasks, executor.clients, model, solver)
     want, steps = oracle_solve_cohort(
-        tasks, executor.clients, OracleStackedLogisticEpoch2(60, 10, l2=l2), solver
+        tasks, executor.clients, OracleStackedLogisticEpoch3(60, 10, l2=l2), solver
     )
     before, _ = oracle_solve_cohort(
-        tasks, executor.clients, OracleStackedLogistic(60, 10, l2=l2), solver
+        tasks, executor.clients, OracleStackedLogisticEpoch2(60, 10, l2=l2), solver,
+        epoch=2,
     )
-    assert len(got) == len(want) == len(before) == len(tasks)
-    for update, w, w_e1, n_steps, task in zip(got, want, before, steps, tasks):
+    first, _ = oracle_solve_cohort(
+        tasks, executor.clients, OracleStackedLogistic(60, 10, l2=l2), solver,
+        epoch=2,
+    )
+    assert len(got) == len(want) == len(before) == len(first) == len(tasks)
+    for update, w, w_e2, w_e1, n_steps, task in zip(
+        got, want, before, first, steps, tasks
+    ):
         assert isinstance(update, ClientUpdate)
         assert update.client_id == task.client_id
         assert np.array_equal(update.w, w), task.client_id
+        assert _relative_gap(update.w, w_e2) <= EPOCH2_BOUND, task.client_id
         assert _relative_gap(update.w, w_e1) <= EPOCH1_BOUND, task.client_id
         assert update.gradient_evaluations == n_steps
     return got
@@ -498,6 +650,29 @@ class TestSolveMatchesFrozenStepLoop:
         healthy = _assert_solves_match(federation, _tasks(budgets, mus=[1.0]))
         assert updates[1].gradient_evaluations < healthy[1].gradient_evaluations
         assert updates[1].task is tasks[1] and tasks[1].fault is faults[1]
+
+    @pytest.mark.parametrize("with_correction", [False, True], ids=["c0", "c"])
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            SGDSolver(0.01, batch_size=10),
+            MomentumSGDSolver(0.01, momentum=0.9, batch_size=10),
+            AdamSolver(0.005, batch_size=10),
+        ],
+        ids=["sgd", "momentum", "adam"],
+    )
+    def test_every_rule_folds_mu_and_the_correction(
+        self, federation, solver, mu, with_correction
+    ):
+        """Packed lanes (mixed chain offsets), each rule × µ × correction."""
+        budgets = PowerLawStragglers(2.0, seed=7).assign(1, list(range(8)), 4.0)
+        gen = np.random.default_rng(11)
+        corrections = (
+            [gen.normal(size=610) * 0.01 for _ in budgets] if with_correction else None
+        )
+        tasks = _tasks(budgets, mus=[mu], corrections=corrections)
+        _assert_solves_match(federation, tasks, solver=solver)
 
     def test_small_gather_chunks_do_not_move_the_values(self, federation, monkeypatch):
         """A segment split into many chunks restarts the stream mid-chain."""

@@ -262,6 +262,29 @@ class TestAdamStatelessness:
         solver.stacked_step(W, G.copy(), state, step=1)
         np.testing.assert_array_equal(W, np.array(expected))
 
+    def test_per_row_steps_take_the_scalar_bias_correction(self):
+        """Packed lanes at different chain offsets pass an array of steps;
+        each row must get the bias correction its scalar step computes
+        (``np.power`` on an array may differ from ``float ** int`` by an
+        ulp, e.g. at 0.9 ** 12 and 0.999 ** 7 on a SIMD ``pow``)."""
+        solver = AdamSolver(0.01)
+        steps = np.array([1, 7, 12, 23, 40, 86])
+        rng = np.random.default_rng(4)
+        W0 = rng.normal(size=(len(steps), 5))
+        G = rng.normal(size=(len(steps), 5))
+        state = solver.stacked_state(W0.shape)
+        state["m"][:] = rng.normal(size=W0.shape)
+        state["v"][:] = rng.random(size=W0.shape)
+        moments = state["m"].copy(), state["v"].copy()
+        W = W0.copy()
+        solver.stacked_step(W, G.copy(), state, steps)
+        for k, step in enumerate(steps.tolist()):
+            one = solver.stacked_state((1, 5))
+            one["m"][:], one["v"][:] = moments[0][k], moments[1][k]
+            w = W0[k : k + 1].copy()
+            solver.stacked_step(w, G[k : k + 1].copy(), one, step)
+            np.testing.assert_array_equal(W[k], w[0])
+
     def test_describe_reports_stacked_and_stateless(self):
         text = AdamSolver(0.001).describe()
         assert "stacked=yes" in text

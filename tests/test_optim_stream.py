@@ -4,19 +4,22 @@ Three things are pinned here:
 
 * **bit parity** — the loop every solver ran before the stream existed is
   frozen below as the oracle (its batching, its per-step
-  ``set_params`` + ``gradient`` + prox round trip and the three update
-  rules), with the logistic gradient of each numerics epoch (DESIGN §15)
-  frozen beside it; the iterate a solver returns must be
-  ``np.array_equal`` to the oracle's under this tree's epoch (2) and leave
-  ``rng`` in the same state, for the fused logistic stream and for the
-  generic default alike, and within ``EPOCH1_BOUND`` of the oracle under
-  epoch 1;
+  ``set_params`` + ``gradient`` round trip), with each numerics epoch's
+  step frozen beside it (DESIGN §15): epoch 2's gradient of ``h_k`` and
+  three update rules, and epoch 3's fold — the step size inside the
+  logistic normaliser, ``µ`` and ``b = µ w_t - c`` inside the rule.  The
+  iterate a solver returns must be ``np.array_equal`` to the epoch-3
+  oracle's and leave ``rng`` in the same state, for the fused logistic
+  stream and for the generic defaults alike, and lie within
+  ``EPOCH2_BOUND`` of the epoch-2 oracle's and, for the logistic model,
+  within ``EPOCH1_BOUND`` of the epoch-1 one;
 * **ownership** — nothing handed to a solve is written, and nothing a
   solve returns is touched by a later one;
 * **no per-step allocation** — the property the fused stream's speed rests
   on, guarded with ``tracemalloc``.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,14 +36,21 @@ from repro.optim import (
     MomentumSGDSolver,
     SGDSolver,
 )
+from repro.runtime import LocalTask
+from repro.runtime.cohort import solve_cohort
 
 BATCH = 10
 DIM, CLASSES = 6, 4
 
-#: The stated bound between a logistic solve under epoch 2 and under
-#: epoch 1: ``max|got - want| / max|want|`` over the iterate.  Observed
-#: maximum over this file's grid: 4.7e-16, about two ulp.
+#: The stated bound between a logistic solve (or gradient) under this
+#: tree's epoch and under epoch 1: ``max|got - want| / max|want|`` over
+#: the iterate.  Observed maximum over this file's grid: 2.8e-15.
 EPOCH1_BOUND = 1e-14
+
+#: The stated bound between a solve under epoch 3 and under epoch 2, the
+#: same relative gap over the iterate.  Observed maximum over this file's
+#: grid (every solver, model, µ and correction): 2.8e-15.
+EPOCH2_BOUND = 1e-14
 
 
 # --------------------------------------------------------------------- #
@@ -106,6 +116,38 @@ def _relative_gap(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
+def _epoch3_logistic_gradient(model, X, y, scale, height):
+    """Epoch 3: epoch 2's forward on a ``height``-row block (a short batch
+    padded with zero rows, as the stacked path pads it), the residual
+    times ``scale / m`` and the L2 term times ``scale * l2``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    m = len(y)
+    X1 = np.hstack([X, np.ones((m, 1))])
+    block = np.zeros((max(m, height), X1.shape[1]))
+    block[:, -1] = 1.0
+    block[:m] = X1
+    Wb = np.vstack([model.W, model.b])
+    scores = (block @ Wb)[:m]
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    delta = probs
+    delta[np.arange(m), y] -= 1.0
+    delta *= scale / m
+    grad = X1.T @ delta
+    if model.l2 > 0:
+        grad = grad + (scale * model.l2) * Wb
+    return grad.reshape(-1)
+
+
+def _scaled_gradient(model, X, y, scale, height):
+    """Epoch 3's stream step: ``scale`` times the model's gradient."""
+    if isinstance(model, MultinomialLogisticRegression):
+        return _epoch3_logistic_gradient(model, X, y, scale, height)
+    return model.gradient(X, y) * scale
+
+
 def _oracle_gradient(model, X, y, w, batch, mu, w_ref, correction, logistic):
     model.set_params(w)
     if isinstance(model, MultinomialLogisticRegression):
@@ -147,10 +189,48 @@ def _oracle_adam(solver, grads, w):
     return w
 
 
+# Epoch 3: the stream yields ``scale * grad F``; the rule folds µ and
+# ``b = scale * (µ w_t - c)`` in.
+def _epoch3_sgd(solver, grads, w, mu, b):
+    for grad in grads(w):
+        if mu > 0:
+            w *= 1.0 - solver.learning_rate * mu
+        if b is not None:
+            w += b
+        w -= grad
+    return w
+
+
+def _epoch3_momentum(solver, grads, w, mu, b):
+    u = np.zeros_like(w)  # learning_rate * velocity
+    for grad in grads(w):
+        u = solver.momentum * u + grad
+        if mu > 0:
+            u = u + (solver.learning_rate * mu) * w
+        if b is not None:
+            u = u - b
+        w -= u
+    return w
+
+
+def _epoch3_adam(solver, grads, w, mu, b):
+    def full(w):
+        for grad in grads(w):
+            if mu > 0:
+                grad = grad + mu * w
+            yield grad if b is None else grad - b
+
+    return _oracle_adam(solver, full, w)
+
+
 SOLVERS = {
-    "sgd": (SGDSolver(0.05, batch_size=BATCH), _oracle_sgd),
-    "momentum": (MomentumSGDSolver(0.02, momentum=0.9, batch_size=BATCH), _oracle_momentum),
-    "adam": (AdamSolver(0.01, batch_size=BATCH), _oracle_adam),
+    "sgd": (SGDSolver(0.05, batch_size=BATCH), _oracle_sgd, _epoch3_sgd),
+    "momentum": (
+        MomentumSGDSolver(0.02, momentum=0.9, batch_size=BATCH),
+        _oracle_momentum,
+        _epoch3_momentum,
+    ),
+    "adam": (AdamSolver(0.01, batch_size=BATCH), _oracle_adam, _epoch3_adam),
 }
 
 
@@ -158,7 +238,8 @@ def _oracle_solve(
     name, model, X, y, w_start, epochs, rng, mu, w_ref, correction,
     logistic=_epoch2_logistic_gradient,
 ):
-    solver, rule = SOLVERS[name]
+    """The epoch-2 solve: the gradient of ``h_k``, then the rule."""
+    solver, rule, _ = SOLVERS[name]
 
     def grads(w):
         for batch in _oracle_batches(len(y), solver.batch_size, epochs, rng):
@@ -167,6 +248,31 @@ def _oracle_solve(
             )
 
     return rule(solver, grads, np.array(w_start, dtype=np.float64, copy=True))
+
+
+def _epoch3_solve(
+    name, model, X, y, w_start, epochs, rng, mu, w_ref, correction,
+    gradient=_scaled_gradient,
+):
+    """The epoch-3 solve: ``scale * grad F`` per batch, µ and b in the rule."""
+    solver, _, rule = SOLVERS[name]
+    scale = 1.0 if name == "adam" else solver.learning_rate
+    b = None
+    if mu > 0:
+        b = mu * w_ref
+    if correction is not None:
+        b = -correction if b is None else b - correction
+    if b is not None:
+        b = b * scale
+    height = min(solver.batch_size, len(y))
+
+    def grads(w):
+        for batch in _oracle_batches(len(y), solver.batch_size, epochs, rng):
+            model.set_params(w)
+            yield gradient(model, X[batch], y[batch], scale, height)
+
+    w = np.array(w_start, dtype=np.float64, copy=True)
+    return rule(solver, grads, w, mu, b)
 
 
 def _data(n, dtype, seed=0):
@@ -204,47 +310,45 @@ class TestWhichStream:
 class TestBitParityWithFrozenLoop:
     @pytest.mark.parametrize("n", [1, 7, 10, 23, 100])
     @pytest.mark.parametrize("epochs", [0, 0.3, 1, 2.5, 20])
+    @pytest.mark.parametrize("with_correction", [False, True], ids=["c0", "c"])
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
     @pytest.mark.parametrize("name", sorted(SOLVERS))
-    def test_iterate_and_rng_match(self, name, epochs, n):
+    def test_iterate_and_rng_match(self, name, mu, with_correction, epochs, n):
         solver = SOLVERS[name][0]
         gen = np.random.default_rng(n * 1000 + int(epochs * 10))
         for label, model in _models():
             # The autograd model costs ~20x a logistic step: it gets the
             # corners of the option grid, the closed-form model all of it.
-            full_grid = label != "mlp"
-            for mu in (0.0, 1.0):
-                for with_correction in (False, True):
-                    if not full_grid and (mu > 0) != with_correction:
-                        continue
-                    for dtype in (np.float64, np.float32):
-                        X, y = _data(n, dtype, seed=n)
-                        w_start = gen.normal(size=model.n_params) * 0.3
-                        w_ref = gen.normal(size=model.n_params) * 0.3
-                        correction = (
-                            gen.normal(size=model.n_params) * 0.1
-                            if with_correction
-                            else None
-                        )
-                        rng_new = np.random.default_rng(77)
-                        rng_old = np.random.default_rng(77)
-                        objective = LocalObjective(
-                            model, X, y, w_ref=w_ref, mu=mu, correction=correction
-                        )
-                        got = solver.solve(objective, w_start, epochs, rng_new)
-                        want = _oracle_solve(
-                            name, model, X, y, w_start, epochs, rng_old,
-                            mu, w_ref, correction,
-                        )
-                        case = (label, mu, with_correction, np.dtype(dtype).name)
-                        assert np.array_equal(got, want), case
-                        assert rng_new.integers(2**62) == rng_old.integers(2**62), case
-                        if label != "mlp":
-                            epoch1 = _oracle_solve(
-                                name, model, X, y, w_start, epochs,
-                                np.random.default_rng(77), mu, w_ref, correction,
-                                logistic=_epoch1_logistic_gradient,
-                            )
-                            assert _relative_gap(got, epoch1) <= EPOCH1_BOUND, case
+            if label == "mlp" and (mu > 0) != with_correction:
+                continue
+            for dtype in (np.float64, np.float32):
+                X, y = _data(n, dtype, seed=n)
+                w_start = gen.normal(size=model.n_params) * 0.3
+                w_ref = gen.normal(size=model.n_params) * 0.3
+                correction = (
+                    gen.normal(size=model.n_params) * 0.1 if with_correction else None
+                )
+                rng_new = np.random.default_rng(77)
+                rng_old = np.random.default_rng(77)
+                objective = LocalObjective(
+                    model, X, y, w_ref=w_ref, mu=mu, correction=correction
+                )
+                got = solver.solve(objective, w_start, epochs, rng_new)
+                args = (model, X, y, w_start, epochs)
+                want = _epoch3_solve(name, *args, rng_old, mu, w_ref, correction)
+                case = (label, np.dtype(dtype).name)
+                assert np.array_equal(got, want), case
+                assert rng_new.integers(2**62) == rng_old.integers(2**62), case
+                epoch2 = _oracle_solve(
+                    name, *args, np.random.default_rng(77), mu, w_ref, correction
+                )
+                assert _relative_gap(got, epoch2) <= EPOCH2_BOUND, case
+                if label != "mlp":
+                    epoch1 = _oracle_solve(
+                        name, *args, np.random.default_rng(77), mu, w_ref,
+                        correction, logistic=_epoch1_logistic_gradient,
+                    )
+                    assert _relative_gap(got, epoch1) <= EPOCH1_BOUND, case
 
     @pytest.mark.parametrize("batches_per_gather", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -265,7 +369,7 @@ class TestBitParityWithFrozenLoop:
             got = SOLVERS["sgd"][0].solve(
                 LocalObjective(model, X, y, w_ref=w0, mu=1.0), w0, epochs, rng_new
             )
-            want = _oracle_solve(
+            want = _epoch3_solve(
                 "sgd", model, X, y, w0, epochs, rng_old, 1.0, w0, None
             )
             assert np.array_equal(got, want), (n, epochs)
@@ -273,7 +377,9 @@ class TestBitParityWithFrozenLoop:
 
     @pytest.mark.parametrize("label,model", _models())
     def test_stream_equals_gradient_oracle_step_by_step(self, label, model):
-        """Each yielded buffer is ``objective.gradient(w, batch)`` at the live ``w``."""
+        """Each yielded buffer is ``scale`` times the model's gradient on its
+        batch at the live ``w`` (epoch 3's step), never ``h_k``'s: µ, the
+        anchor and the correction are the solver's."""
         X, y = _data(23, np.float64)
         gen = np.random.default_rng(3)
         w_ref = gen.normal(size=model.n_params)
@@ -283,11 +389,15 @@ class TestBitParityWithFrozenLoop:
         schedule = BatchSchedule(23, BATCH, 2.5)
         w = gen.normal(size=model.n_params)
         batches = schedule.materialize(np.random.default_rng(9))
-        stream = objective.minibatch_gradients(w, schedule, np.random.default_rng(9))
+        stream = objective.minibatch_gradients(
+            w, schedule, np.random.default_rng(9), 0.1
+        )
         steps = 0
         for batch, grad in zip(batches, stream):
-            assert np.array_equal(grad, objective.gradient(w, batch))
-            w -= 0.1 * grad  # the stream must see this at the next step
+            model.set_params(w)
+            want = _scaled_gradient(model, X[batch], y[batch], 0.1, BATCH)
+            assert np.array_equal(grad, want)
+            w -= grad  # the stream must see this at the next step
             steps += 1
         assert steps == schedule.total == len(batches)
         assert next(stream, None) is None
@@ -325,9 +435,12 @@ class TestBitParityWithFrozenLoop:
             LocalObjective(Plain(), X, y, w_ref=w0, mu=1.0), w0, 2.5,
             np.random.default_rng(4),
         )
-        want = _oracle_solve(
+        want = _epoch3_solve(
             "sgd", MultinomialLogisticRegression(DIM, CLASSES), X, y, w0, 2.5,
             np.random.default_rng(4), 1.0, w0, None,
+            gradient=lambda model, X, y, scale, height: (
+                _epoch2_logistic_gradient(model, X, y) * scale
+            ),
         )
         assert np.array_equal(got, want)
 
@@ -363,6 +476,35 @@ class TestObjectiveValidation:
         model = MultinomialLogisticRegression(DIM, CLASSES)
         with pytest.raises(ValueError, match=rf"X has {rows} rows but y has 7 labels"):
             LocalObjective(model, np.resize(X, (rows, DIM)), y)
+
+    @pytest.mark.parametrize("name", ["w_ref", "correction"])
+    @pytest.mark.parametrize("shape", [(1,), (27,), (29,), (1, 28), (28, 1)])
+    def test_a_mis_shaped_anchor_is_refused_not_broadcast(self, name, shape):
+        """A length-one ``w_ref`` or correction used to spread over every
+        coordinate of every step and fail only in ``loss()``."""
+        X, y = _data(7, np.float64)
+        model = MultinomialLogisticRegression(DIM, CLASSES)
+        assert model.n_params == 28
+        kwargs = {"w_ref": np.zeros(28), "mu": 1.0, name: np.full(shape, 0.5)}
+        with pytest.raises(
+            ValueError, match=rf"{name} must have shape \(28,\), got {re.escape(str(shape))}"
+        ):
+            LocalObjective(model, X, y, **kwargs)
+
+    def test_a_length_one_anchor_raises_at_construction(self):
+        X, y = _data(7, np.float64)
+        model = MultinomialLogisticRegression(DIM, CLASSES)
+        with pytest.raises(ValueError, match=r"w_ref must have shape \(28,\), got \(1,\)"):
+            LocalObjective(
+                model, X, y, w_ref=np.array([0.5]), mu=1.0,
+                correction=np.array([0.1]),
+            )
+        # Exact shapes, of any dtype, are taken as float64 vectors.
+        objective = LocalObjective(
+            model, X, y, w_ref=np.zeros(28, np.float32), mu=1.0,
+            correction=[0.1] * 28,
+        )
+        assert objective.w_ref.dtype == objective.correction.dtype == np.float64
 
 
 def _client(client_id, n, seed):
@@ -447,14 +589,30 @@ class _Metered(LocalObjective):
     gradient and the solver consuming it.
     """
 
-    def minibatch_gradients(self, w, schedule, rng):
+    def minibatch_gradients(self, w, schedule, rng, scale=1.0):
         self.transients = []
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        for grad in super().minibatch_gradients(w, schedule, rng):
+        for grad in super().minibatch_gradients(w, schedule, rng, scale):
             yield grad
             now, peak = tracemalloc.get_traced_memory()
             self.transients.append(peak - base)
+            tracemalloc.reset_peak()
+            base = now
+
+
+class _MeteredStacked(MultinomialLogisticRegression):
+    """Records, per gathered chunk, each step's peak above its start."""
+
+    def stacked_minibatch_gradients(self, *args, **kwargs):
+        chunk = []
+        self.__dict__.setdefault("chunks", []).append(chunk)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for G in super().stacked_minibatch_gradients(*args, **kwargs):
+            yield G
+            now, peak = tracemalloc.get_traced_memory()
+            chunk.append(peak - base)
             tracemalloc.reset_peak()
             base = now
 
@@ -495,6 +653,57 @@ class TestNoPerStepAllocation:
             assert len(transients) == epochs * G_PER_EPOCH
             allocating = [i for i, t in enumerate(transients) if t > STEP_LIMIT]
             assert allocating == list(range(0, len(transients), G_PER_EPOCH))
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            SGDSolver(0.01, batch_size=G_BATCH),
+            MomentumSGDSolver(0.01, batch_size=G_BATCH),
+            AdamSolver(0.001, batch_size=G_BATCH),
+        ],
+        ids=["sgd", "momentum", "adam"],
+    )
+    def test_the_stacked_stream_allocates_per_chunk_never_per_step(
+        self, monkeypatch, solver
+    ):
+        """The cohort loop: a chunk's first step builds its one-hot labels
+        and scratch; no later step of the chunk allocates."""
+        from repro.runtime import cohort
+
+        # Two lanes of G_BATCH-row batches, five steps per gathered chunk.
+        monkeypatch.setattr(
+            cohort, "_GATHER_CHUNK_BYTES", 5 * 2 * G_BATCH * (G_DIM + 1) * 8
+        )
+        model = _MeteredStacked(G_DIM, G_CLASSES, l2=0.1)
+        gen = np.random.default_rng(0)
+        n = G_PER_EPOCH * G_BATCH
+        clients = []
+        for cid in range(2):
+            X = gen.normal(size=(n, G_DIM)).astype(np.float32)
+            y = gen.integers(G_CLASSES, size=n)
+            data = ClientData(
+                client_id=cid, train_x=X, train_y=y, test_x=X[:0], test_y=y[:0]
+            )
+            clients.append(Client(data, model, solver))
+        w0 = gen.normal(size=model.n_params)
+        tasks = [
+            LocalTask(
+                client_id=cid, w_global=w0, mu=1.0, epochs=1.0,
+                rng_entropy=(0, 0, cid, 0), correction=w0.copy(),
+            )
+            for cid in range(2)
+        ]
+        old = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            solve_cohort(tasks, clients, model, solver)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(old)
+        assert [len(chunk) for chunk in model.chunks] == [5] * (G_PER_EPOCH // 5)
+        for chunk in model.chunks:
+            assert chunk[0] > STEP_LIMIT  # the meter sees the chunk's buffers
+            assert max(chunk[1:]) <= STEP_LIMIT
 
     def test_the_guard_sees_the_generic_default_allocate(self):
         """Teeth: the unfused stream trips the same meter at every step."""

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FederatedTrainer
-from repro.datasets import make_synthetic
+from repro.datasets import ClientData, FederatedDataset, make_synthetic
 from repro.models import MLPClassifier, MultinomialLogisticRegression
 from repro.optim import (
     AdamSolver,
@@ -26,7 +26,7 @@ from repro.optim import (
     MomentumSGDSolver,
     SGDSolver,
 )
-from repro.runtime import CohortExecutor, SerialExecutor, make_executor
+from repro.runtime import CohortExecutor, LocalTask, SerialExecutor, make_executor
 from repro.runtime.packing import plan_cohort
 from repro.systems import FractionStragglers, PowerLawStragglers
 
@@ -265,6 +265,53 @@ class TestCohortMatchesSerial:
             model=MLPClassifier(dim=60, num_classes=10, hidden=16),
         )
         _assert_histories_match(h_serial, h_cohort)
+
+
+class TestShortDevices:
+    """A device with fewer rows than one batch, beside full-batch devices.
+
+    The scalar stream runs such a device's forward on its own height while
+    the cohort runs it on the cohort's padded batch height, so this is the
+    one case where the two forwards differ in height: parity is the
+    tolerance, as everywhere else on this path.
+    """
+
+    @pytest.mark.parametrize("rows", [1, 4, 9])
+    def test_a_device_smaller_than_one_batch_beside_a_full_one(
+        self, synthetic_10, rows
+    ):
+        full = synthetic_10[1]
+        assert full.num_train >= 2 * 10
+        short = synthetic_10[0]
+        short = ClientData(
+            client_id=0,
+            train_x=short.train_x[:rows],
+            train_y=short.train_y[:rows],
+            test_x=short.test_x,
+            test_y=short.test_y,
+        )
+        dataset = FederatedDataset("short", [short, full], num_classes=10, input_dim=60)
+        model = MultinomialLogisticRegression(dim=60, num_classes=10)
+        solver = SGDSolver(0.05, batch_size=10)
+        serial = SerialExecutor()
+        cohort = CohortExecutor()
+        serial.bind(dataset, model.clone(), solver)
+        cohort.bind(dataset, model.clone(), solver)
+        w0 = np.random.default_rng(rows).normal(size=model.n_params) * 0.1
+        tasks = [
+            LocalTask(
+                client_id=cid, w_global=w0, mu=1.0, epochs=3.0,
+                rng_entropy=(2, 0, cid, 0), measure_gamma=True,
+            )
+            for cid in (0, 1)
+        ]
+        for u1, u2 in zip(
+            serial.run_local_solves(tasks), cohort.run_local_solves(tasks)
+        ):
+            assert u1.client_id == u2.client_id
+            assert u1.gradient_evaluations == u2.gradient_evaluations
+            assert abs(u1.gamma - u2.gamma) <= TOL
+            np.testing.assert_allclose(u1.w, u2.w, rtol=0, atol=TOL)
 
 
 class TestGammaInexactnessAcrossSettings:

@@ -20,7 +20,8 @@ to the delivering round), and both when every fact came to be stated once
 running total; one event per fault decision; no manifest ``config``).
 A third regeneration added each ``solve:client`` span's ``steps`` and took
 the ``everything_on`` footer digest of numerics epoch 2 (no float moved at
-ten significant digits).
+ten significant digits); a fourth took both footer digests of numerics
+epoch 3, and nothing else moved.
 """
 
 from __future__ import annotations

@@ -44,9 +44,12 @@ from repro.telemetry.ledger import NUMERICS_EPOCH, history_digest, load_run
 #: rows: two census blocks, 30 sub-blocks; devices of up to 1141 rows),
 #: loss evaluated every round, recorded at the last epoch-0 commit
 #: (ed75d65, in its manifest).  It cannot be regenerated from this tree —
-#: any ledger written here is epoch 1 — and need not be: its recipe is in it.
+#: any ledger written here is of a later epoch — and need not be: its
+#: recipe is in it.  The epoch-1 and epoch-2 fixtures are the same recipe
+#: recorded at the last commit of their epoch (c3d5034, 8f2372e).
 EPOCH0_FIXTURE = Path(__file__).parent / "fixtures" / "epoch0_mnist_like.jsonl"
 EPOCH1_FIXTURE = Path(__file__).parent / "fixtures" / "epoch1_mnist_like.jsonl"
+EPOCH2_FIXTURE = Path(__file__).parent / "fixtures" / "epoch2_mnist_like.jsonl"
 
 
 def record_run(path, rounds=3, solver=None, dataset=None, **kwargs):
@@ -413,8 +416,8 @@ class TestNumericsEpoch:
         path = tmp_path / "run.jsonl"
         record_run(path, rounds=1)
         artifact = load_run(str(path))
-        assert artifact.manifest["environment"]["numerics_epoch"] == NUMERICS_EPOCH == 2
-        assert artifact.numerics_epoch == 2
+        assert artifact.manifest["environment"]["numerics_epoch"] == NUMERICS_EPOCH == 3
+        assert artifact.numerics_epoch == 3
 
     def test_epoch0_fixture_replays_with_the_epoch_line(self, capsys):
         """Recorded at the parent commit: losses moved by ulps, nothing else."""
@@ -431,7 +434,7 @@ class TestNumericsEpoch:
             assert report.drift.deviation <= EPOCH_DRIFT_BOUND
         assert trace_main(["replay", str(EPOCH0_FIXTURE)]) == 0
         assert (
-            "recorded under numerics epoch 0, this tree is epoch 2: 6 rounds, "
+            "recorded under numerics epoch 0, this tree is epoch 3: 6 rounds, "
             "exact fields equal, max relative deviation" in capsys.readouterr().out
         )
 
@@ -451,7 +454,28 @@ class TestNumericsEpoch:
             assert report.drift.deviation <= EPOCH_DRIFT_BOUND
         assert trace_main(["replay", str(EPOCH1_FIXTURE)]) == 0
         assert (
-            "recorded under numerics epoch 1, this tree is epoch 2: 6 rounds, "
+            "recorded under numerics epoch 1, this tree is epoch 3: 6 rounds, "
+            "exact fields equal, max relative deviation" in capsys.readouterr().out
+        )
+
+    def test_epoch2_fixture_replays_with_the_epoch_line(self, capsys):
+        """Recorded at the last epoch-2 commit by the same recipe: every
+        trained weight moved again (epoch 3 folds the step size and the
+        proximal term into the update), and still the selections, the test
+        accuracies and every other exact field are equal, and the losses
+        stay inside the bound."""
+        artifact = load_run(str(EPOCH2_FIXTURE))
+        assert artifact.numerics_epoch == 2
+        assert artifact.manifest["recipe"] == load_run(str(EPOCH0_FIXTURE)).manifest["recipe"]
+        report = replay_run(artifact)
+        assert report.issues == []
+        assert report.matches, report.describe()
+        # On the BLAS that recorded it the largest move is 2.2e-16 on a loss.
+        if report.drift is not None:
+            assert report.drift.deviation <= EPOCH_DRIFT_BOUND
+        assert trace_main(["replay", str(EPOCH2_FIXTURE)]) == 0
+        assert (
+            "recorded under numerics epoch 2, this tree is epoch 3: 6 rounds, "
             "exact fields equal, max relative deviation" in capsys.readouterr().out
         )
 
