@@ -1,12 +1,12 @@
 """Server-side comms orchestration: payload round-trips, error feedback,
 and wire-byte accounting.
 
-One :class:`CommsManager` lives on the trainer and is shared with its
-round executor (:meth:`~repro.runtime.executor.RoundExecutor.configure_comms`).
-:meth:`RoundExecutor.run_local_solves <repro.runtime.executor.RoundExecutor.run_local_solves>`
-— the one entry point of every engine — passes each delivered batch through
-:meth:`CommsManager.finalize_round` *before* returning it, so the fault
-manager's finiteness quarantine, the aggregation step, and every
+One :class:`CommsManager` lives on the trainer and is handed to its round
+executor at :meth:`~repro.runtime.executor.RoundExecutor.bind`.  The
+executor's scheduler books each admission's downlink through
+:meth:`CommsManager.record_dispatch` and passes each delivered batch
+through :meth:`CommsManager.finalize_round` *before* returning it, so the
+fault manager's finiteness quarantine, the aggregation step, and every
 downstream consumer only ever see decoded updates.
 
 Two encode placements
@@ -52,8 +52,9 @@ Byte-accounting model
 ---------------------
 ``bytes_up`` counts each delivered payload's exact wire size;
 ``bytes_down`` counts one dense model broadcast (``8 * n_params``) per
-*dispatched* task — the downlink ships the uncompressed global model
-regardless of codec.  ``comms.compression_ratio`` is the round's dense
+*admitted* task, booked at admission — the downlink ships the uncompressed
+global model regardless of codec, and a check-in later discarded as too
+stale downloaded it too.  ``comms.compression_ratio`` is the round's dense
 uplink cost over its actual uplink bytes.
 """
 
@@ -181,7 +182,7 @@ class CommsManager:
         telemetry=None,
         round_idx: Optional[int] = None,
     ) -> None:
-        """Account the downlink model broadcasts for dispatched tasks."""
+        """Account the downlink model broadcasts for admitted tasks."""
         down = n_tasks * DENSE_ITEMSIZE * n_params
         self.bytes_down_total += down
         if down and telemetry is not None and getattr(telemetry, "enabled", False):
@@ -255,7 +256,6 @@ class CommsManager:
         self,
         updates: Sequence["ClientUpdate"],
         telemetry=None,
-        count_dispatch: bool = True,
         round_idx: Optional[int] = None,
     ) -> None:
         """Decode every update in the batch and account its wire bytes.
@@ -264,8 +264,8 @@ class CommsManager:
         submit-round model and entropy, whichever round delivers it.
         Device-side-encoded updates (``update.payload`` set) are decoded;
         dense updates are round-tripped server-side (applying error
-        feedback when enabled).  ``count_dispatch=False`` skips downlink
-        accounting for engines that account it at admission instead.
+        feedback when enabled).  The downlink is not booked here: the
+        scheduler books it at admission (:meth:`record_dispatch`).
         Spans and byte counters are booked to ``round_idx``, the round the
         engine is delivering in; a standalone caller that names none gets
         the round of the first update's task.
@@ -278,11 +278,6 @@ class CommsManager:
         if round_idx is None:
             round_idx = task_round(updates[0].task)
         n_params = updates[0].task.w_global.shape[0]
-        if count_dispatch:
-            # A barrier engine delivers exactly what it dispatched.
-            self.record_dispatch(
-                len(updates), n_params, telemetry=telemetry, round_idx=round_idx
-            )
 
         encode_seconds = 0.0
         decode_seconds = 0.0

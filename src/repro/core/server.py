@@ -252,20 +252,6 @@ class FederatedTrainer:
                 "engine must be an executor spec string, a RoundExecutor "
                 f"instance or None; got {type(engine).__name__}"
             )
-        self.executor.bind(
-            dataset,
-            model,
-            solver,
-            clients=self.clients,
-            eval_mode=self.eval_config.mode,
-            label=dataset.name,
-            telemetry=self.telemetry,
-        )
-        # Hand the engine the simulated environment: the async engine
-        # resolves its arrival clock here (systems device profiles can
-        # drive check-in times; the trainer seed keeps seeded latency
-        # reproducible and replayable).  Synchronous engines ignore it.
-        self.executor.configure_environment(systems=self.systems, seed=self.seed)
         # Update compression: the dense default builds no manager at all,
         # so uncompressed runs keep their historical code path (and
         # histories) untouched.  The executor shares the manager — every
@@ -277,7 +263,21 @@ class FederatedTrainer:
             if self.comms_config.enabled
             else None
         )
-        self.executor.configure_comms(self._comms_manager)
+        # The simulated environment resolves the engine's arrival clock
+        # (systems device profiles can drive check-in times; the trainer
+        # seed keeps seeded latency reproducible and replayable).
+        self.executor.bind(
+            dataset,
+            model,
+            solver,
+            clients=self.clients,
+            eval_mode=self.eval_config.mode,
+            label=dataset.name,
+            telemetry=self.telemetry,
+            systems=self.systems,
+            seed=self.seed,
+            comms=self._comms_manager,
+        )
         self.eval_mode = self.executor.eval_mode
         # Sampled evaluation runs in-process through the client pool (the
         # per-round sample is a pure function of (seed, round), so every
@@ -449,8 +449,8 @@ class FederatedTrainer:
         # below — never inflates the reported round duration: the phase
         # spans tile the round span.
         t_round = time.perf_counter() if telemetry.enabled else 0.0
-        # Continuous engines advance their simulated clock per round even
-        # when the round contributes no new tasks (a no-op hook otherwise).
+        # The engine's clock advances per round even when the round
+        # contributes no new tasks (queued check-ins may still be due).
         self.executor.begin_round(round_idx)
         with telemetry.span("phase:select", round_idx=round_idx):
             selected = self.sampling.select(round_idx)
@@ -464,7 +464,7 @@ class FederatedTrainer:
             accepted = [(u.client_id, u.w) for u in updates]
             discounts = [getattr(u, "discount", 1.0) for u in updates]
             if any(d != 1.0 for d in discounts):
-                # Only the async engine stamps discounts != 1; keeping the
+                # Only a stale delivery carries a discount != 1; keeping the
                 # two-argument call on every synchronous round preserves
                 # historical aggregation arithmetic bit-for-bit (and custom
                 # schemes without the discounts kwarg keep working).

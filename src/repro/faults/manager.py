@@ -164,8 +164,8 @@ class FaultManager:
 
         Every delivered update names the task it answers (``update.task``),
         so the decision that struck it, the client to report and the task a
-        retry re-runs are read off the update — also when a continuous
-        engine delivers fewer updates than tasks (check-ins in flight) or
+        retry re-runs are read off the update — also when an async engine
+        delivers fewer updates than tasks (check-ins in flight) or
         an earlier round's check-in now.
         """
         policy = self.policy
@@ -186,8 +186,7 @@ class FaultManager:
                 report.dropped.append(cid)
             else:
                 wave.append(replace(task, fault=decision))
-        # Dispatched even when empty: a continuous engine may still deliver
-        # queued check-ins; a barrier engine with no tasks does nothing.
+        # Dispatched even when empty: queued check-ins may still be due.
         updates = list(dispatch(wave))
         booked = self._booking(wave, updates)
 
@@ -273,7 +272,7 @@ class FaultManager:
 
         The update's own — except that a first dispatch returning exactly
         as many updates as it sent is still booked by position.  On a
-        barrier engine the two agree.  On a continuous one they need not (a
+        barrier engine the two agree.  On an async one they need not (a
         late check-in standing where one still in flight was sent), and
         that is a defect carried over on purpose: ``bench/golden.json``
         pins a seed-0 ``async_qsgd_ledger`` trajectory whose quarantine was
@@ -304,7 +303,7 @@ class FaultManager:
         outcomes are as deterministic and executor-independent as first
         attempts.  All solves failing at the same attempt level are
         dispatched as one wave, preserving batch-level parallelism.  A
-        retry a continuous engine has not delivered by the end of the wave
+        retry an async engine has not delivered by the end of the wave
         is retried again; when it does land, in a later round, it is that
         round's delivery.
         """

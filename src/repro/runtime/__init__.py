@@ -1,32 +1,26 @@
-"""Round execution engine: pluggable serial/parallel/cohort executors.
+"""Round execution engine: one scheduler over serial/parallel/cohort backends.
 
 The server loop delegates each round's batch of independent local solves —
-and federation-level evaluation — to a :class:`RoundExecutor`:
+and federation-level evaluation — to a :class:`RoundExecutor`: the one
+round scheduler (:mod:`repro.runtime.executor`) over a solve backend:
 
-* :class:`SerialExecutor` — in-process sequential execution (default;
-  the historical trainer behavior).
+* :class:`SerialExecutor` — in-process sequential solves (default).
 * :class:`ParallelExecutor` — persistent multiprocess workers, each
-  holding its own model replica and data shard.
-* :class:`CohortExecutor` — in-process *stacked* execution: all selected
-  clients' proximal SGD epochs advance simultaneously through batched
-  ``(K, d)`` NumPy kernels (the local-solve hot path's fast path).
-* :class:`AsyncExecutor` — event-driven bounded-staleness engine: clients
-  check in continuously on a simulated clock, updates aggregate with
-  staleness-discounted weights (see :mod:`repro.runtime.async_engine`).
+  holding its own model replica and data shard; they compute census
+  values too.
+* :class:`CohortExecutor` — in-process *stacked* solves: all due clients'
+  proximal SGD epochs advance simultaneously through batched ``(K, d)``
+  NumPy kernels.
 
-All produce bit-comparable training histories for the same configuration
-(the async engine's ``window=0`` synchronized mode is bit-identical to
-serial; its stale modes are deterministic but intentionally different);
-see :mod:`repro.runtime.executor` for the determinism contract,
-:mod:`repro.runtime.cohort` for the stacked local-solve fast path, and
-:mod:`repro.runtime.evaluation` for the vectorized evaluation fast paths.
-
-All three executors emit the same telemetry event schema
-(:mod:`repro.telemetry`): the trainer's round/phase spans are
-executor-agnostic, per-client solve timings ride on
-:class:`~repro.core.client.ClientUpdate` payloads (so parallel workers'
-spans survive the process boundary), and the cohort executor adds stacked
-kernel phase-split spans.
+``serial``, ``parallel`` and ``cohort`` run the scheduler at window 0 with
+synchronized arrivals and no capacity — a barrier.  :class:`AsyncExecutor`
+is the in-process backend with the scheduler's fields set from an
+``async:`` spec (:mod:`repro.runtime.async_engine`); at window 0 with
+synchronized arrivals it is the serial engine bit for bit.  See
+:mod:`repro.runtime.executor` for the determinism contract and the
+telemetry every engine writes, :mod:`repro.runtime.cohort` for the
+stacked local-solve fast path, and :mod:`repro.runtime.evaluation` for the
+vectorized evaluation fast paths.
 """
 
 from types import SimpleNamespace

@@ -109,7 +109,9 @@ def solve_cohort(
     ``cohort:kernel`` (the stacked step loop), and ``cohort:finalize``
     (task-order restore + γ measurement) spans — plus the
     ``cohort.pack_efficiency`` gauge (achieved width / ideal width of the
-    packed lane schedule).
+    packed lane schedule).  A task asking for timings
+    (``collect_timings``) gets ``update.timings["solve"]``: the
+    ``cohort:kernel`` seconds apportioned by its share of the steps.
     """
     import time
 
@@ -225,6 +227,7 @@ def solve_cohort(
     # gradient stream, which reads ``W[:a]`` in place and yields one reused
     # buffer of ``gradient_scale * ∇F_k`` per step.
     stacked_step = solver.stacked_step
+    t_kernel = time.perf_counter()
     for seg, chunk in zip(plan.segments, chunks):
         for p in seg.starts:
             lane = p.lane
@@ -258,13 +261,16 @@ def solve_cohort(
         for p in seg.ends:
             results[p.task] = W[p.lane].copy()
 
+    t_phase = time.perf_counter()
+    kernel_seconds = t_phase - t_kernel
     if telemetry.enabled:
-        now = time.perf_counter()
         telemetry.record_span(
-            "cohort:kernel", now - t_phase, round_idx=round_idx,
+            "cohort:kernel", kernel_seconds, round_idx=round_idx,
             steps=t_max, clients=K, lanes=L,
         )
-        t_phase = now
+    # A task asking for timings gets the kernel's seconds apportioned by
+    # its share of the steps: the stacked loop times no solve on its own.
+    seconds_per_step = kernel_seconds / max(1, sum(budgets))
 
     # Emit updates in task order with the scalar path's metadata.
     updates: List["ClientUpdate"] = [None] * K  # type: ignore[list-item]
@@ -286,6 +292,8 @@ def solve_cohort(
             gamma=gamma,
             task=task,
         )
+        if task.collect_timings:
+            updates[i].timings = {"solve": seconds_per_step * budgets[i]}
         apply_update_fault(updates[i])
 
     if telemetry.enabled:
@@ -297,14 +305,14 @@ def solve_cohort(
 
 
 class CohortExecutor(RoundExecutor):
-    """In-process round execution through the stacked cohort fast path.
+    """The stacked backend: due tasks solved together by :func:`solve_cohort`.
 
     Requires a model advertising ``supports_stacked_local_solve`` and a
     solver advertising ``supports_stacked_solve``; anything else fails at
     bind time with ``TypeError`` (mirroring
     :class:`~repro.runtime.parallel.ParallelExecutor`'s replica gating).
-    Evaluation shares the bound :class:`FederationEvaluator`, so it is
-    identical to the serial path.
+    Scheduling and evaluation are the base class's, so both are the
+    serial engine's.
     """
 
     def _on_bind(self) -> None:
@@ -327,8 +335,6 @@ class CohortExecutor(RoundExecutor):
             )
 
     def _solve(self, tasks):
-        if not tasks:
-            return []
         # The stacked kernels emit dense iterates (they ignore any
         # device-side codec on the tasks); the comms stage round-trips
         # them server-side, so lossy-codec histories agree with the

@@ -1,56 +1,100 @@
-"""Pluggable round execution: how one round's local solves actually run.
+"""Round execution: one bounded-staleness scheduler over a solve backend.
 
 The server loop (:class:`repro.core.server.FederatedTrainer`) describes
 *what* happens each round — which devices are selected, which straggle, how
-updates aggregate.  A :class:`RoundExecutor` decides *how* the resulting
-batch of independent local solves is executed: in-process and sequential
-(:class:`SerialExecutor`, the default) or fanned out across persistent
-worker processes (:class:`~repro.runtime.parallel.ParallelExecutor`).
+updates aggregate.  A :class:`RoundExecutor` decides *how* the round's local
+solves run, in two layers:
+
+* the **scheduler** — this class, concrete: Algorithm 2's loop on a
+  simulated clock.  Each dispatch admits its tasks, delivers every check-in
+  due this round in arrival order, stamps staleness and discount, passes
+  the delivered batch through the comms stage once and expires what the
+  next round could no longer accept.
+* a **backend** — each subclass: how a batch of due tasks is solved
+  (``_solve(tasks) -> updates``) and where census values are computed
+  (``_census_values``).  In process, one after another
+  (:class:`SerialExecutor`); stacked (:class:`~repro.runtime.cohort.CohortExecutor`);
+  on a worker pool (:class:`~repro.runtime.parallel.ParallelExecutor`).
+
+The barrier engines (``serial``, ``cohort``, ``parallel``) are the
+scheduler at its defaults: window 0, synchronized arrivals, no capacity.
+Every task checks in the round it was sent and is delivered in task
+order; nothing stays queued.
+:class:`~repro.runtime.async_engine.AsyncExecutor` is the in-process
+backend with the scheduler's fields settable.
+
+Time model
+----------
+Simulated time is measured in aggregation rounds.  A task admitted at round
+``r`` checks in at ``r + duration / period``, where ``duration`` is the
+device's simulated round-trip from the shared
+:class:`~repro.systems.clock.Clock` protocol (synchronized / seeded
+log-normal / systems-model device profiles) and ``period`` is the clock's
+aggregation cadence.  At round ``r`` the scheduler delivers every queued
+check-in with arrival time ≤ ``r + 1``, in arrival order; an update
+submitted at round ``s`` and delivered at round ``r`` has staleness
+``r − s`` model versions.  Entries that would exceed the bounded-staleness
+``window`` at the next round are discarded (counted, never aggregated), and
+when a bounded in-flight ``capacity`` is set, check-ins beyond it are
+rejected at admission — backpressure under churn.  Delivered updates carry
+a multiplicative weight discount (``poly``: ``(1 + s)^(-power)``;
+``const``: ``factor`` for any ``s > 0``; fresh updates are never
+discounted), which the sampling scheme folds into its aggregation weights
+(:meth:`repro.core.sampling.SamplingScheme.aggregate`).
 
 Determinism contract
 --------------------
 A :class:`LocalTask` carries everything a solve depends on — the global
 model, the proximal coefficient, the work budget, and the *entropy tuple*
 ``(seed, round, client, occurrence)`` from which the mini-batch generator
-is derived.  Executors must run each task as a pure function of its task
-description, so any two executors produce bit-identical
+is derived.  Backends must run each task as a pure function of its task
+description, so any two backends produce bit-identical
 :class:`~repro.core.client.ClientUpdate` lists for the same task list,
 regardless of worker count or scheduling order.  Every update carries the
-task it answers as ``update.task`` from the moment an engine's ``_solve``
+task it answers as ``update.task`` from the moment a backend's ``_solve``
 returns; the comms stage, the fault manager and the round diagnostics read
-the pairing off the update and nothing else keeps one.  A barrier engine
-returns one update per task, in task order.
+the pairing off the update and nothing else keeps one.  A backend returns
+one update per task, in task order.  Every arrival time is a pure function
+of ``(clock seed, round, device)``, so the whole schedule — admissions,
+deliveries, discards, aggregation order — replays bit-identically from a
+run-ledger manifest.
 
 Evaluation is dispatched through the executor as well (``train_loss`` /
-``test_accuracy``); both built-in executors reduce per-client metrics in
-device order with shared reduction code, so evaluation is also bit-stable
-across executors.
+``test_accuracy``): one census, whose per-unit values the backend computes
+and the bound :class:`FederationEvaluator` reduces in unit order, so
+evaluation is also bit-stable across backends.
 
 Telemetry
 ---------
 :meth:`RoundExecutor.bind` accepts a telemetry object (default: the shared
-:data:`~repro.telemetry.NULL_TELEMETRY` no-op).  When a
-:class:`~repro.runtime.executor.LocalTask` asks for timing collection
-(``collect_timings=True``, set by the trainer whenever telemetry is
-enabled), executors attach wall-clock phase payloads to each
-:class:`~repro.core.client.ClientUpdate` (``update.timings``) — plain
-floats that survive pickling, so :class:`~repro.runtime.parallel.ParallelExecutor`
-worker spans cross the process boundary and are re-emitted server-side.
-Timings never influence the solve itself, so histories stay bit-identical
-whether telemetry is on or off.
+:data:`~repro.telemetry.NULL_TELEMETRY` no-op).  When a :class:`LocalTask`
+asks for timing collection (``collect_timings=True``, set by the trainer
+whenever telemetry is enabled), backends attach wall-clock phase payloads
+to each :class:`~repro.core.client.ClientUpdate` (``update.timings``) —
+plain floats that survive pickling, so
+:class:`~repro.runtime.parallel.ParallelExecutor` worker spans cross the
+process boundary and are re-emitted server-side.  The scheduler writes its
+own events (``async:deliver`` / ``async:checkin`` spans, the
+``async.queue_depth`` gauge, the ``async.staleness`` histogram) only when
+its clock is not synchronized: under a synchronized clock each would
+restate 0.  Counters of what did happen (``async.admission_reject``,
+``async.discard``) are written whenever nonzero.  None of it influences the
+schedule, so histories stay bit-identical whether telemetry is on or off.
 """
 
 from __future__ import annotations
 
 import abc
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..faults.models import FaultDecision
-from ..telemetry import NULL_TELEMETRY, resolve_telemetry
+from ..systems.clock import SynchronizedClock, resolve_clock
+from ..telemetry import CLOCK_SIMULATED, NULL_TELEMETRY, UNIT_ROUNDS, resolve_telemetry
 from .evaluation import FederationEvaluator, resolve_eval_mode
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
@@ -209,27 +253,42 @@ def solve_with_timings(client: "Client", task: LocalTask) -> "ClientUpdate":
     return update
 
 
+@dataclass(frozen=True)
+class _QueuedCheckin:
+    """One admitted local solve awaiting delivery."""
+
+    arrival: float  #: simulated check-in time, in round units
+    task: LocalTask  #: names the round whose model version it solves against
+
+    @property
+    def submit_round(self) -> int:
+        return task_round(self.task)
+
+
 class RoundExecutor(abc.ABC):
-    """Executes batches of local solves and federation-level evaluation.
+    """The round scheduler, over the solve backend a subclass provides.
 
     Lifecycle: the trainer calls :meth:`bind` once with the federation,
-    shared model, and solver, then :meth:`configure_environment` with the
-    run's systems model and seed; afterwards :meth:`begin_round`,
-    :meth:`run_local_solves`, :meth:`train_loss` and :meth:`test_accuracy`
-    may be called every round.  Executors owning external resources release
-    them in :meth:`close` (also invoked by the context-manager protocol).
+    shared model, solver and the run's environment; afterwards
+    :meth:`begin_round`, :meth:`run_local_solves`, :meth:`train_loss` and
+    :meth:`test_accuracy` may be called every round.  Executors owning
+    external resources release them in :meth:`close` (also invoked by the
+    context-manager protocol).
     """
 
-    #: Continuous engines (``AsyncExecutor``) carry undelivered work across
-    #: rounds and account their downlink at admission; a barrier engine
-    #: with no tasks has nothing to do.
-    continuous: bool = False
-
-    #: Update-compression manager shared by the trainer, and the round the
-    #: trainer last announced (class defaults so subclasses that skip
-    #: ``super().__init__()`` still read ``None``).
-    _comms = None
-    _round: Optional[int] = None
+    #: Scheduler fields (module docstring), at the barrier engines' values;
+    #: :class:`~repro.runtime.async_engine.AsyncExecutor` sets them from its
+    #: spec.  Names and defaults are
+    #: :data:`~repro.runtime.async_engine.ASYNC_GRAMMAR`'s.
+    window: int = 0
+    discount: str = "poly"
+    discount_power: float = 1.0
+    discount_factor: float = 0.5
+    capacity: int = 0
+    arrivals: str = "synchronized"
+    latency: float = 1.0
+    jitter: float = 0.5
+    clock_seed: Optional[int] = None
 
     def __init__(self) -> None:
         self.dataset: Optional["FederatedDataset"] = None
@@ -240,6 +299,9 @@ class RoundExecutor(abc.ABC):
         self.evaluator: Optional[FederationEvaluator] = None
         self.telemetry = NULL_TELEMETRY
         self._comms = None
+        # Admitted check-ins in admission order (every filter keeps it).
+        self._queue: List[_QueuedCheckin] = []
+        self._round: Optional[int] = None
 
     # Lifecycle ---------------------------------------------------------- #
     def bind(
@@ -251,8 +313,11 @@ class RoundExecutor(abc.ABC):
         eval_mode: str = "auto",
         label: str = "",
         telemetry=None,
+        systems=None,
+        seed: int = 0,
+        comms=None,
     ) -> None:
-        """Attach the executor to a federation.
+        """Attach the executor to a federation and start an empty schedule.
 
         Parameters
         ----------
@@ -268,15 +333,40 @@ class RoundExecutor(abc.ABC):
             Federation display name for error messages.
         telemetry:
             Instrumentation for executor-internal spans (cohort phase
-            splits, evaluator oracle calls); defaults to the shared
-            no-op :data:`~repro.telemetry.NULL_TELEMETRY`.
+            splits, evaluator oracle calls, the scheduler's events);
+            defaults to the shared no-op :data:`~repro.telemetry.NULL_TELEMETRY`.
+        systems, seed:
+            The run's simulated environment, which the arrival clock
+            resolves against: ``arrivals="systems"`` reads a
+            :class:`~repro.systems.clock.ClockDrivenSystems` model's device
+            profiles (a labeled error without one), and the seeded clock
+            draws from ``seed`` unless ``clock_seed`` pins it — which is
+            what makes ledger replay re-derive identical traffic.
+        comms:
+            The trainer's update-compression manager, or ``None``.  Every
+            delivered batch is round-tripped through it, so downstream
+            consumers — the fault manager's finiteness quarantine first
+            among them — only ever see decoded dense updates.
+
+        Check-ins a previous run left in flight are dropped: a bound
+        executor starts with an empty queue and no announced round.
         """
         from ..core.client import ClientPool  # deferred: core imports runtime
 
+        self.clock = resolve_clock(
+            self.arrivals,
+            systems,
+            seed=int(seed) if self.clock_seed is None else self.clock_seed,
+            latency=self.latency,
+            jitter=self.jitter,
+        )
         self.dataset = dataset
         self.model = model
         self.solver = solver
         self.telemetry = resolve_telemetry(telemetry)
+        self._comms = comms
+        self._queue = []
+        self._round = None
         # Client access always resolves through the dataset's store: a
         # ClientPool passes through untouched (it already routes through
         # the store's cache), a prebuilt plain sequence is copied as
@@ -302,35 +392,17 @@ class RoundExecutor(abc.ABC):
         self._on_bind()
 
     def _on_bind(self) -> None:
-        """Hook for subclasses needing extra setup after :meth:`bind`."""
-
-    def configure_environment(self, systems=None, seed: int = 0) -> None:
-        """Receive the run's simulated environment (systems model, seed).
-
-        Called by the trainer once after :meth:`bind`.  Synchronous
-        executors ignore it; the async engine resolves its arrival clock
-        here (the systems model's device profiles can drive check-in
-        times, and the trainer seed keeps simulated latency reproducible).
-        """
+        """Hook for backends needing extra setup after :meth:`bind`."""
 
     def begin_round(self, round_idx: int) -> None:
         """Note that round ``round_idx`` is starting.
 
-        The round this engine delivers in: what a late check-in's staleness
-        is measured against and what the comms stage books its events to —
-        also on rounds that contribute no new tasks (mass churn, total crash).
+        The round the scheduler delivers in: what a late check-in's
+        staleness is measured against and what the comms stage books its
+        events to — also on rounds that contribute no new tasks (mass
+        churn, total crash).
         """
         self._round = int(round_idx)
-
-    def configure_comms(self, comms) -> None:
-        """Receive the trainer's update-compression manager (or ``None``).
-
-        Called by the trainer once after :meth:`configure_environment`.
-        :meth:`run_local_solves` round-trips every delivered batch through
-        it, so downstream consumers — the fault manager's finiteness
-        quarantine first among them — only ever see decoded dense updates.
-        """
-        self._comms = comms
 
     def spec(self) -> str:
         """The executor spec string reconstructing this executor.
@@ -362,6 +434,11 @@ class RoundExecutor(abc.ABC):
         """Degree of parallelism (1 for in-process execution)."""
         return 1
 
+    @property
+    def queue_depth(self) -> int:
+        """Check-ins currently in flight (admitted, not yet delivered)."""
+        return len(self._queue)
+
     def _require_bound(self) -> None:
         if self.evaluator is None:
             raise RuntimeError(
@@ -369,67 +446,180 @@ class RoundExecutor(abc.ABC):
                 "(FederatedTrainer does this automatically)"
             )
 
+    def discount_weight(self, staleness: int) -> float:
+        """Multiplicative aggregation discount for a given staleness."""
+        if staleness <= 0:
+            return 1.0
+        if self.discount == "poly":
+            return float((1.0 + staleness) ** (-self.discount_power))
+        return self.discount_factor
+
     # Round work --------------------------------------------------------- #
     def run_local_solves(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
-        """The round's delivered updates: engine solve, then the comms stage.
+        """Admit ``tasks``; the updates delivered this round, decoded.
 
-        The one entry point of every engine.  :meth:`_solve` is what
-        differs between them; the codec round-trip, error feedback and
-        wire-byte accounting of the delivered batch happen here, once.
-        A continuous engine accounts its downlink at admission (discarded
-        check-ins downloaded the model too), so finalize counts only its
-        delivered uplinks.
+        The one entry point of every engine (the fault manager calls it
+        once per wave): admission, delivery through the backend's
+        :meth:`_solve`, the comms stage, expiry.  On a barrier engine the
+        delivered updates are every task's, in task order.
         """
         self._require_bound()
-        updates = self._solve(tasks)
+        # The round being delivered in is the one the trainer announced
+        # (begin_round) — a retry of a late check-in keeps its submit-round
+        # entropy, so a dispatch's tasks need not name it.  Only a
+        # standalone caller that never announces one is read off its tasks.
+        if self._round is not None:
+            round_idx = self._round
+        else:
+            round_idx = task_round(tasks[0]) if tasks else 0
+        rejected = self._admit(tasks, round_idx)
+        updates = self._deliver(round_idx, len(tasks), rejected)
         if self._comms is not None:
+            # Each update is decoded against its *own* submit-round model,
+            # which the task it carries holds.
             self._comms.finalize_round(
-                updates, telemetry=self.telemetry,
-                count_dispatch=not self.continuous, round_idx=self._round,
+                updates, telemetry=self.telemetry, round_idx=round_idx
             )
-        self._after_delivery(tasks, updates)
+        self._expire(round_idx, updates)
         return updates
+
+    def _admit(self, tasks: Sequence[LocalTask], round_idx: int) -> int:
+        """Queue each task's check-in at its arrival time; the count rejected.
+
+        A bounded queue rejects the overflow (the device's work is lost,
+        exactly as if the sampler had dropped it).  Compression shortens
+        the simulated *upload* leg by the codec's exact predicted wire
+        ratio (the downlink stays dense — the server broadcasts the
+        uncompressed model), so smaller payloads arrive earlier.  A ratio
+        of exactly 1.0 gives ``DeviceTiming.total`` bit-for-bit.
+        """
+        upload_ratio = 1.0
+        if self._comms is not None and tasks:
+            upload_ratio = self._comms.upload_ratio(tasks[0].w_global.shape[0])
+        period = self.clock.period or 1.0
+        admitted = rejected = 0
+        for task in tasks:
+            if self.capacity > 0 and len(self._queue) >= self.capacity:
+                rejected += 1
+                continue
+            timing = self.clock.timing(round_idx, task.client_id, task.epochs)
+            duration = timing.download + timing.compute + timing.upload * upload_ratio
+            self._queue.append(_QueuedCheckin(round_idx + duration / period, task))
+            admitted += 1
+        if self._comms is not None and admitted:
+            # The downlink is booked here, once: every admitted device
+            # received the model broadcast, a later-discarded one too.
+            self._comms.record_dispatch(
+                admitted, tasks[0].w_global.shape[0],
+                telemetry=self.telemetry, round_idx=round_idx,
+            )
+        if rejected:
+            self.telemetry.metric(
+                "async.admission_reject", rejected, round_idx=round_idx,
+                kind="counter",
+            )
+        return rejected
+
+    def _deliver(
+        self, round_idx: int, submitted: int, rejected: int
+    ) -> List["ClientUpdate"]:
+        """Solve every check-in arriving within this round, in arrival order.
+
+        The sort is stable over the queue's admission order, so that breaks
+        ties and synchronized arrivals reduce to task order.  Solves run at
+        delivery; each update is a pure function of its task, so the
+        deferral cannot perturb results.
+        """
+        horizon = round_idx + 1
+        due = sorted(
+            (e for e in self._queue if e.arrival <= horizon),
+            key=lambda e: e.arrival,
+        )
+        if due:
+            self._queue = [e for e in self._queue if e.arrival > horizon]
+        telemetry = self.telemetry
+        observed = not isinstance(self.clock, SynchronizedClock)
+        span = (
+            telemetry.span(
+                "async:deliver", round_idx=round_idx,
+                submitted=submitted, due=len(due), rejected=rejected,
+            )
+            if observed
+            else nullcontext()
+        )
+        with span:
+            updates = self._solve([entry.task for entry in due]) if due else []
+            for entry, update in zip(due, updates):
+                update.staleness = round_idx - entry.submit_round
+                update.discount = self.discount_weight(update.staleness)
+                if observed:
+                    telemetry.record_span(
+                        "async:checkin",
+                        entry.arrival - entry.submit_round,
+                        round_idx=round_idx,
+                        clock=CLOCK_SIMULATED,
+                        unit=UNIT_ROUNDS,
+                        client_id=entry.task.client_id,
+                        staleness=update.staleness,
+                    )
+        return updates
+
+    def _expire(self, round_idx: int, updates: List["ClientUpdate"]) -> None:
+        """Discard what the next round could no longer accept; report the queue."""
+        telemetry = self.telemetry
+        keep = [
+            e for e in self._queue if (round_idx + 1) - e.submit_round <= self.window
+        ]
+        discarded = len(self._queue) - len(keep)
+        self._queue = keep
+        if discarded:
+            telemetry.metric(
+                "async.discard", discarded, round_idx=round_idx, kind="counter"
+            )
+        if isinstance(self.clock, SynchronizedClock):
+            return
+        telemetry.metric("async.queue_depth", len(self._queue), round_idx=round_idx)
+        if updates:
+            telemetry.histogram(
+                "async.staleness",
+                [float(update.staleness) for update in updates],
+                round_idx=round_idx,
+            )
 
     @abc.abstractmethod
     def _solve(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
-        """Run this dispatch; the delivered updates, each naming its task.
+        """The backend: one update per due task, in task order.
 
-        Synchronous engines deliver every task, in task order.  A
-        continuous engine may deliver fewer (check-ins in flight) or more
-        (earlier rounds' check-ins arriving now); ``update.task`` is the
-        task each was submitted as.
+        ``tasks`` is never empty; each update names the task it answers
+        (``update.task``).
         """
 
-    def _after_delivery(
-        self, tasks: Sequence[LocalTask], updates: List["ClientUpdate"]
-    ) -> None:
-        """Hook: engine bookkeeping once the batch is decoded (no-op here)."""
-
-    def _solve_in_process(self, tasks: Sequence[LocalTask]) -> List["ClientUpdate"]:
-        """Each task solved here, one after another, against the bound pool."""
-        return [
-            solve_with_timings(self.clients[task.client_id], task)
-            for task in tasks
-        ]
+    # Evaluation --------------------------------------------------------- #
+    def _census_values(self, w: np.ndarray, split: str, units: Sequence) -> list:
+        """The backend's census values: :meth:`FederationEvaluator.values` here."""
+        return self.evaluator.values(w, split, units)
 
     def train_loss(self, w: np.ndarray) -> float:
         """Global objective ``f(w)`` over the bound federation."""
         self._require_bound()
-        return self.evaluator.train_loss(w)
+        return self.evaluator.census(w, "train", self._census_values)
 
     def test_accuracy(self, w: np.ndarray) -> float:
         """Sample-weighted global test accuracy over the bound federation."""
         self._require_bound()
-        return self.evaluator.test_accuracy(w)
+        return self.evaluator.census(w, "test", self._census_values)
 
 
 class SerialExecutor(RoundExecutor):
-    """In-process sequential execution — the historical trainer behavior.
+    """The in-process backend: due tasks solved one after another.
 
-    Local solves run one after another against the trainer's shared model;
-    evaluation delegates to the bound :class:`FederationEvaluator` (which
-    still benefits from the stacked fast path when the model supports it).
+    Local solves run against the trainer's shared model; evaluation is the
+    bound :class:`FederationEvaluator`'s (which still takes the stacked
+    fast path when the model supports it).
     """
 
     def _solve(self, tasks):
-        return self._solve_in_process(tasks)
+        return [
+            solve_with_timings(self.clients[task.client_id], task)
+            for task in tasks
+        ]

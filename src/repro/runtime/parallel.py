@@ -183,7 +183,7 @@ def _census_share(message: Tuple[np.ndarray, str, Sequence]) -> list:
 
 
 class ParallelExecutor(RoundExecutor):
-    """Round execution over a pool of persistent worker processes.
+    """The pool backend: due tasks solved on persistent worker processes.
 
     Parameters
     ----------
@@ -198,18 +198,19 @@ class ParallelExecutor(RoundExecutor):
         ``"spawn"``).  Results are identical either way; ``"fork"`` starts
         faster and shares the federation's memory copy-on-write.
 
-    Each :meth:`run_local_solves` call sends every worker at most one
-    message: the tasks are split by longest-processing-time-first over
-    their predicted mini-batch step counts (known before any solve runs,
-    from the store's size metadata and the task's effective epochs), and
-    the updates are put back in task order.  Retry waves and batches that
-    mix several ``w_global`` arrays take the same path.
+    Each delivered batch sends every worker at most one message: the tasks
+    are split by longest-processing-time-first over their predicted
+    mini-batch step counts (known before any solve runs, from the store's
+    size metadata and the task's effective epochs), and the updates are put
+    back in task order.  Retry waves and batches that mix several
+    ``w_global`` arrays take the same path.
 
-    :meth:`train_loss` and :meth:`test_accuracy` send every worker at most
-    one message as well (module docstring): the workers compute the
-    census's per-unit values, the server reduces them.  A census computed
-    on the pool leaves the server's shared model untouched — nothing reads
-    it between rounds, and the trainer sets it after every aggregation.
+    A census (:meth:`train_loss`, :meth:`test_accuracy`) sends every worker
+    at most one message as well (module docstring): the workers compute
+    its per-unit values (:meth:`_census_values`), the server reduces them.
+    A census computed on the pool leaves the server's shared model
+    untouched — nothing reads it between rounds, and the trainer sets it
+    after every aggregation.
 
     The pool starts lazily on first use (or via :meth:`ensure_started`) and
     is shut down by :meth:`close`.  Binding a model without a
@@ -296,8 +297,6 @@ class ParallelExecutor(RoundExecutor):
         ).total
 
     def _solve(self, tasks):
-        if not tasks:
-            return []
         self.ensure_started()
         groups = _split_by_work(
             [self._predicted_steps(task) for task in tasks], self._n_workers
@@ -331,7 +330,7 @@ class ParallelExecutor(RoundExecutor):
         return saved_rows * stack[0][0].size >= MIN_ELEMENTS_SAVED
 
     def _census_values(self, w: np.ndarray, split: str, units: Sequence) -> list:
-        """:meth:`FederationEvaluator.values`, on the workers where that pays.
+        """The census values, on the workers where that pays.
 
         Contiguous near-equal shares of ``units``, one message per worker
         (``w`` crosses once each, no rows do), the returned lists joined
@@ -349,11 +348,3 @@ class ParallelExecutor(RoundExecutor):
         for share in self._pool.map(_census_share, messages):
             values.extend(share)
         return values
-
-    def train_loss(self, w: np.ndarray) -> float:
-        self._require_bound()
-        return self.evaluator.census(w, "train", self._census_values)
-
-    def test_accuracy(self, w: np.ndarray) -> float:
-        self._require_bound()
-        return self.evaluator.census(w, "test", self._census_values)

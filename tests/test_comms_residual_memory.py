@@ -80,7 +80,7 @@ def test_residuals_stay_out_of_memory(federation, engine, comms):
 def test_async_queue_and_stale_buffer_release_what_they_hold(federation):
     with _trainer(federation, ASYNC, CODECS[0]) as trainer:
         executor, faults = trainer.executor, trainer._fault_manager
-        solve = executor._solve_in_process
+        solve = executor._solve
         models_in_flight = []
 
         def audited(tasks):
@@ -89,7 +89,7 @@ def test_async_queue_and_stale_buffer_release_what_they_hold(federation):
             models_in_flight.append(len({id(t.w_global) for t in queued}))
             return solve(tasks)
 
-        executor._solve_in_process = audited
+        executor._solve = audited
         held = 0
         for round_idx in range(ROUNDS):
             trainer.run_round()

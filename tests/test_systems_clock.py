@@ -166,7 +166,7 @@ def _stamp_systems(jitter=0.0, seed=0):
     )
 
 
-@pytest.fixture(scope="module", params=["serial", "async:window=0"])
+@pytest.fixture(scope="module", params=["serial", "cohort", "async:window=0"])
 def stamped(request, tmp_path_factory):
     """Two FedProx rounds of the four devices, recorded to a JSONL ledger
     and read back: ``(solves, records)``."""
