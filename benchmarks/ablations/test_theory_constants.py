@@ -10,10 +10,9 @@ suggested mu is positive and finite.
 
 import numpy as np
 
-from repro.core import Client, EvalConfig, make_fedprox
+from repro.core import EvalConfig, make_fedprox
 from repro.datasets import make_synthetic, make_synthetic_iid
 from repro.models import MultinomialLogisticRegression
-from repro.optim import SGDSolver
 from repro.reporting import format_table
 from repro.theory import (
     estimate_constants,
@@ -39,9 +38,8 @@ def _measure():
             evaluation=EvalConfig(every=100),
         )
         trainer.run(10)  # measure at a non-trivial point
-        clients = [Client(c, model, SGDSolver(0.01)) for c in dataset]
         constants = estimate_constants(
-            clients, trainer.w, rng, num_pairs=5, max_clients=10
+            trainer.clients, trainer.w, rng, num_pairs=5, max_clients=10
         )
         row = {
             "dataset": name,

@@ -15,11 +15,10 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core import Client, EvalConfig, make_fedprox
+from repro.core import EvalConfig, make_fedprox
 from repro.datasets import make_synthetic
 from repro.io import load_checkpoint, save_checkpoint
 from repro.models import MultinomialLogisticRegression
-from repro.optim import SGDSolver
 from repro.reporting import format_table
 from repro.systems import ClockDrivenSystems, sample_fleet
 from repro.telemetry import InMemorySink, Telemetry
@@ -38,8 +37,7 @@ def theory_guided_mu(dataset) -> None:
     trainer = make_fedprox(dataset, model, 0.01, mu=0.0, seed=SEED, evaluation=EvalConfig(every=100))
     trainer.run(5)  # measure at a non-trivial point
 
-    clients = [Client(c, model, SGDSolver(0.01)) for c in dataset]
-    constants = estimate_constants(clients, trainer.w, rng, num_pairs=5)
+    constants = estimate_constants(trainer.clients, trainer.w, rng, num_pairs=5)
     gamma = 0.01
     k_needed = int(
         np.ceil(8 * constants.B**2 * (1 + gamma) ** 2 / (1 - gamma * constants.B) ** 2)

@@ -4,7 +4,7 @@ from .adaptive_mu import AdaptiveMuController
 from .baselines import make_distributed_sgd
 from .callbacks import Callback, EarlyStopping, LambdaCallback
 from ..comms import CommsConfig
-from .client import Client, ClientPool, ClientUpdate
+from .client import ClientPool, ClientUpdate
 from .config import EvalConfig
 from .dissimilarity import (
     DissimilarityReport,
@@ -13,7 +13,7 @@ from .dissimilarity import (
 )
 from .fedavg import make_fedavg
 from .feddane import FedDaneTrainer, make_feddane
-from .fedprox import BEST_MU, MU_GRID, make_fedprox
+from .fedprox import MU_GRID, make_fedprox
 from .history import RoundRecord, TrainingHistory
 from .sampling import (
     SamplingScheme,
@@ -32,12 +32,10 @@ __all__ = [
     "make_distributed_sgd",
     "FedDaneTrainer",
     "MU_GRID",
-    "BEST_MU",
     "AdaptiveMuController",
     "Callback",
     "EarlyStopping",
     "LambdaCallback",
-    "Client",
     "ClientPool",
     "ClientUpdate",
     "SamplingScheme",

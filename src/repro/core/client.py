@@ -1,10 +1,10 @@
-"""Client-side execution of one round's local work."""
+"""A federation's devices as the runtime reads them, and one device's local solve."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -83,49 +83,71 @@ class ClientUpdate:
     payload: Optional[object] = None
 
 
-class Client:
-    """One device: local data plus the ability to run a local solve.
+class ClientPool(Sequence):
+    """The one view of a federation: its devices' data and the local solve.
 
-    The model instance is *shared* across clients of a federation (the
-    trainer owns a single model whose parameters are overwritten for each
-    solve and each measurement); this mirrors simulation practice and keeps
-    the 1000-device configurations within memory.  Measuring devices at a
-    point ``w`` — ``F_k(w)``, ``∇F_k(w)``, held-out correct counts — is
-    :func:`repro.runtime.evaluation.device_values`'s, not the client's.
+    Device ``k`` is ``pool[k]`` — its :class:`ClientData`, read through the
+    dataset's client view on each access: an eager store's own list, so
+    the object it holds, or a lazily-materializing store
+    (``dataset.is_lazy``) itself, so the client it materializes, which
+    lives as long as the caller holds it: a 10^6-device federation never
+    holds more than the active working set in memory.
 
-    Parameters
-    ----------
-    data:
-        The device's local train/test data.
-    model:
-        Shared model used as the loss/gradient oracle.
-    solver:
-        Local solver (any :class:`~repro.optim.base.LocalSolver`).
+    The model and solver are *shared* by every device (the trainer owns a
+    single model whose parameters are overwritten for each solve and each
+    measurement); this mirrors simulation practice and keeps the
+    1000-device configurations within memory.  :meth:`local_solve` runs
+    one device's local subproblem; measuring devices at a point ``w`` —
+    ``F_k(w)``, ``∇F_k(w)``, held-out correct counts — is
+    :func:`repro.runtime.evaluation.device_values`'s.  A slice, a
+    re-ordering or a hand-built set of devices is a
+    :class:`~repro.datasets.federated.FederatedDataset` of those clients,
+    and then a pool over it.
+
+    ``train_sizes`` / ``test_sizes`` expose the store's per-client
+    metadata so evaluators can compute aggregation masses without
+    materializing anyone.
     """
 
-    def __init__(
-        self, data: ClientData, model: FederatedModel, solver: LocalSolver
-    ) -> None:
-        self.data = data
+    def __init__(self, dataset, model: FederatedModel, solver: LocalSolver) -> None:
+        self.dataset = dataset
         self.model = model
         self.solver = solver
+        # An eager store's own list (a read is a list index, not a
+        # ``store.get`` call), or a lazy store itself.
+        self._devices = dataset.clients
+
+    def __len__(self) -> int:
+        return len(self._devices)
+
+    def __getitem__(self, index: int) -> ClientData:
+        return self._devices[index]
+
+    def __iter__(self) -> Iterator[ClientData]:
+        return iter(self._devices)
 
     @property
-    def client_id(self) -> int:
-        """Device identifier within the federation."""
-        return self.data.client_id
+    def train_sizes(self) -> np.ndarray:
+        """Per-client training sample counts (store metadata; no I/O)."""
+        return self.dataset.train_sizes
+
+    @property
+    def test_sizes(self) -> np.ndarray:
+        """Per-client held-out sample counts (store metadata; no I/O)."""
+        return self.dataset.test_sizes
 
     def make_objective(
         self,
+        data: ClientData,
         w_global: np.ndarray,
         mu: float,
         correction: Optional[np.ndarray] = None,
     ) -> LocalObjective:
-        """The device's local subproblem anchored at the global model."""
+        """Device ``data``'s local subproblem anchored at the global model."""
         return LocalObjective(
             model=self.model,
-            X=self.data.train_x,
-            y=self.data.train_y,
+            X=data.train_x,
+            y=data.train_y,
             w_ref=w_global,
             mu=mu,
             correction=correction,
@@ -133,6 +155,7 @@ class Client:
 
     def local_solve(
         self,
+        client_id: int,
         w_global: np.ndarray,
         mu: float,
         epochs: float,
@@ -140,10 +163,12 @@ class Client:
         correction: Optional[np.ndarray] = None,
         measure_gamma: bool = False,
     ) -> ClientUpdate:
-        """Run the local solver from the global model and report the result.
+        """Run the local solver on one device from the global model.
 
         Parameters
         ----------
+        client_id:
+            The device, read once through the store.
         w_global:
             Round-start global model ``w_t``.
         mu:
@@ -158,80 +183,22 @@ class Client:
             Also measure the solve's γ-inexactness (Definition 2); costs
             two extra full-batch gradient evaluations.
         """
-        objective = self.make_objective(w_global, mu, correction=correction)
+        data = self[client_id]
+        objective = self.make_objective(data, w_global, mu, correction=correction)
         w_local = self.solver.solve(objective, w_global, epochs, rng)
         # A solver without a batch size (GD, custom) takes full-batch steps.
-        batch_size = getattr(self.solver, "batch_size", self.data.num_train)
-        evaluations = BatchSchedule(self.data.num_train, batch_size, epochs).total
+        batch_size = getattr(self.solver, "batch_size", data.num_train)
+        evaluations = BatchSchedule(data.num_train, batch_size, epochs).total
         gamma = (
             gamma_inexactness(objective, w_local, w_global)
             if measure_gamma
             else None
         )
         return ClientUpdate(
-            client_id=self.client_id,
+            client_id=data.client_id,
             w=w_local,
-            num_train=self.data.num_train,
+            num_train=data.num_train,
             epochs=epochs,
             gradient_evaluations=evaluations,
             gamma=gamma,
         )
-
-
-class ClientPool(Sequence):
-    """Sequence of :class:`Client` objects resolved through the dataset's store.
-
-    The single point where the runtime turns device ids into clients.  For
-    an eager dataset the pool prebuilds the full client list — exactly the
-    historical ``[Client(data, model, solver) for data in dataset]``, so
-    behavior (and histories) are unchanged.  For a lazily-materializing
-    dataset (``dataset.is_lazy``) the pool builds a transient
-    :class:`Client` per access instead: the client's data comes from the
-    store on each access and lives as long as the caller holds it, so a
-    10^6-device federation never holds more than the active working set
-    in memory.  Clients are stateless wrappers
-    (model and solver are shared), so transient construction cannot affect
-    training results.
-
-    ``train_sizes`` / ``test_sizes`` expose the store's per-client
-    metadata so evaluators can compute aggregation masses without
-    materializing anyone.
-    """
-
-    def __init__(self, dataset, model: FederatedModel, solver: LocalSolver) -> None:
-        self.dataset = dataset
-        self.model = model
-        self.solver = solver
-        self.lazy = bool(getattr(dataset, "is_lazy", False))
-        self._eager: Optional[List[Client]] = None
-        if not self.lazy:
-            self._eager = [Client(data, model, solver) for data in dataset]
-
-    def __len__(self) -> int:
-        return len(self.dataset)
-
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[Client, List[Client]]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if self._eager is not None:
-            return self._eager[index]
-        if index < 0:
-            index += len(self)
-        return Client(self.dataset[index], self.model, self.solver)
-
-    def __iter__(self) -> Iterator[Client]:
-        if self._eager is not None:
-            return iter(self._eager)
-        return (self[i] for i in range(len(self)))
-
-    @property
-    def train_sizes(self) -> np.ndarray:
-        """Per-client training sample counts (store metadata; no I/O)."""
-        return self.dataset.train_sizes
-
-    @property
-    def test_sizes(self) -> np.ndarray:
-        """Per-client held-out sample counts (store metadata; no I/O)."""
-        return self.dataset.test_sizes

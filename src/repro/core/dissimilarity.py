@@ -23,12 +23,12 @@ Each ``∇F_k(w)`` is one :func:`repro.runtime.evaluation.device_values` read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..runtime.evaluation import device_values
-from .client import Client
+from .client import ClientPool
 
 
 @dataclass
@@ -55,7 +55,7 @@ class DissimilarityReport:
 
 
 def measure_dissimilarity(
-    clients: Sequence[Client],
+    clients: ClientPool,
     w: np.ndarray,
     max_clients: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
@@ -65,27 +65,26 @@ def measure_dissimilarity(
     Parameters
     ----------
     clients:
-        The federation's clients.
+        The federation's :class:`~repro.core.client.ClientPool`.
     w:
         Point at which to measure.
     max_clients:
-        If given, a uniform subsample of devices is used (keeps the
-        1000-device configurations tractable); masses are renormalized over
-        the subsample.
+        If given (at least 1), a uniform subsample of devices is used
+        (keeps the 1000-device configurations tractable); masses are
+        renormalized over the subsample.
     rng:
         Randomness for the subsample (defaults to a fixed generator so
         repeated measurements are comparable).
     """
+    if max_clients is not None and max_clients < 1:
+        raise ValueError(f"max_clients must be at least 1, got {max_clients}")
     indices = np.arange(len(clients))
     if max_clients is not None and max_clients < len(clients):
         rng = rng if rng is not None else np.random.default_rng(0)
         indices = np.sort(rng.choice(len(clients), size=max_clients, replace=False))
 
-    # A ClientPool's size metadata: a lazy store materializes no device here.
-    sizes = getattr(clients, "train_sizes", None)
-    if sizes is None:
-        sizes = [client.data.num_train for client in clients]
-    masses = np.asarray(sizes, dtype=np.float64)[indices]
+    # Store metadata: a lazy store materializes no device here.
+    masses = np.asarray(clients.train_sizes, dtype=np.float64)[indices]
     masses /= masses.sum()
 
     stacked = np.stack(device_values(clients, w, "gradient", indices))

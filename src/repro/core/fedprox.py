@@ -8,8 +8,8 @@ FedProx differs from FedAvg in two ways (paper Section 3.2):
    ``F_k(w) + (mu/2)||w − w_t||²`` with any local solver of its choice.
 
 The paper's µ tuning grid is ``{0.001, 0.01, 0.1, 1}`` (:data:`MU_GRID`);
-the best values it reports for the Figure 1 datasets are recorded in
-:data:`BEST_MU` for use by the experiment harness.
+the best values it reports for the Figure 1 datasets are
+:data:`repro.experiments.configs.FIGURE1_BEST_MU`.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ from ..systems.stragglers import SystemsModel
 
 #: The paper's µ candidate set (Section 5.3.2).
 MU_GRID = (0.001, 0.01, 0.1, 1.0)
-
-#: Best µ per dataset reported for the Figure 1 experiments.
-BEST_MU = {
-    "synthetic": 1.0,
-    "mnist": 1.0,
-    "femnist": 1.0,
-    "shakespeare": 0.001,
-    "sent140": 0.01,
-}
 
 
 def make_fedprox(

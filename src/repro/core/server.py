@@ -128,7 +128,8 @@ class FederatedTrainer:
         Corollary 9's variable γ's.  Costs two extra full-batch gradients
         per device per round.
     dissimilarity_max_clients:
-        Subsample size for dissimilarity measurement on large federations.
+        Subsample size (at least 1) for dissimilarity measurement on large
+        federations.
     callbacks:
         Per-round observers; any callback returning ``True`` from
         ``on_round_end`` stops :meth:`run` early (e.g.
@@ -190,6 +191,8 @@ class FederatedTrainer:
             raise ValueError("mu must be non-negative")
         if epochs <= 0:
             raise ValueError("epochs must be positive")
+        if dissimilarity_max_clients is not None and dissimilarity_max_clients < 1:
+            raise ValueError("dissimilarity_max_clients must be at least 1")
         self.eval_config = EvalConfig.resolve(evaluation)
         self.dataset = dataset
         self.model = model
@@ -235,11 +238,6 @@ class FederatedTrainer:
         )
         self._last_fault_report: Optional[RoundFaultReport] = None
 
-        # Client access resolves through the dataset's store: eager
-        # datasets get the historical prebuilt list (bit-identical
-        # histories), lazy stores get transient per-access clients bounded
-        # by the store's cache.
-        self.clients: ClientPool = ClientPool(dataset, model, solver)
         if engine is None or isinstance(engine, str):
             self.executor = make_executor(engine or "serial")
         elif isinstance(engine, RoundExecutor):
@@ -270,15 +268,16 @@ class FederatedTrainer:
             dataset,
             model,
             solver,
-            clients=self.clients,
             eval_mode=self.eval_config.mode,
-            label=dataset.name,
             telemetry=self.telemetry,
             systems=self.systems,
             seed=self.seed,
             comms=self._comms_manager,
         )
         self.eval_mode = self.executor.eval_mode
+        # The run's one view of the federation: the executor's pool, which
+        # dissimilarity, FedDane and the sampled evaluator read as well.
+        self.clients: ClientPool = self.executor.clients
         # Sampled evaluation runs in-process through the client pool (the
         # per-round sample is a pure function of (seed, round), so every
         # executor sees identical samples); full-evaluation checkpoints
@@ -295,7 +294,6 @@ class FederatedTrainer:
                 seed=self.seed,
                 full_every=self.eval_config.full_every,
                 full_oracle=self.executor,
-                label=dataset.name,
                 telemetry=self.telemetry,
             )
         self.w = model.get_params()

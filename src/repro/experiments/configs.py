@@ -168,7 +168,6 @@ class Workload:
     model_spec: Dict[str, Any]
     learning_rate: float
     rounds: int
-    is_sequence: bool = False
 
     @cached_property
     def dataset(self) -> FederatedDataset:
@@ -260,9 +259,7 @@ def make_shakespeare_workload(scale: ExperimentScale, seed: int = 0) -> Workload
         "hidden": scale.charlstm_hidden,
         "num_layers": 2,
     }
-    return Workload(
-        "Shakespeare-like", dataset, model, 0.8, scale.lstm_rounds, is_sequence=True
-    )
+    return Workload("Shakespeare-like", dataset, model, 0.8, scale.lstm_rounds)
 
 
 def make_sent140_workload(scale: ExperimentScale, seed: int = 0) -> Workload:
@@ -281,9 +278,7 @@ def make_sent140_workload(scale: ExperimentScale, seed: int = 0) -> Workload:
         "hidden": scale.sentlstm_hidden,
         "num_layers": 2,
     }
-    return Workload(
-        "Sent140-like", dataset, model, 0.3, scale.lstm_rounds, is_sequence=True
-    )
+    return Workload("Sent140-like", dataset, model, 0.3, scale.lstm_rounds)
 
 
 def figure1_workloads(scale: ExperimentScale, seed: int = 0) -> Dict[str, Workload]:

@@ -84,7 +84,7 @@ from .executor import (
 from .packing import plan_cohort
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
-    from ..core.client import Client, ClientUpdate
+    from ..core.client import ClientPool, ClientUpdate
     from ..models.base import FederatedModel
     from ..optim.base import LocalSolver
 
@@ -96,7 +96,7 @@ _GATHER_CHUNK_BYTES = 8 << 20
 
 def solve_cohort(
     tasks: Sequence[LocalTask],
-    clients: Sequence["Client"],
+    clients: "ClientPool",
     model: "FederatedModel",
     solver: "LocalSolver",
     telemetry=None,
@@ -132,7 +132,7 @@ def solve_cohort(
     # straggler whose budget ends at the crash point.
     plans = [
         solver.stacked_plan(
-            clients[task.client_id].data.num_train,
+            clients[task.client_id].num_train,
             task_effective_epochs(task),
             task_rng(task),
         )
@@ -163,7 +163,7 @@ def solve_cohort(
     # layout; the final row is a zero pad target for out-of-batch gather
     # indices (for token sequences token 0, whose gradient contribution
     # the mask zeroes exactly).
-    shards = [clients[task.client_id].data for task in tasks]
+    shards = [clients[task.client_id] for task in tasks]
     offsets = np.cumsum([0] + [data.num_train for data in shards])
     base = int(offsets[-1])  # the pad row's index
     x_cat = model.stacked_rows([data.train_x for data in shards])
@@ -275,18 +275,18 @@ def solve_cohort(
     # Emit updates in task order with the scalar path's metadata.
     updates: List["ClientUpdate"] = [None] * K  # type: ignore[list-item]
     for i, task in enumerate(tasks):
-        client = clients[task.client_id]
+        data = clients[task.client_id]
         w_local = results[i]
         gamma = None
         if task.measure_gamma:
-            objective = client.make_objective(
-                task.w_global, task.mu, correction=task.correction
+            objective = clients.make_objective(
+                data, task.w_global, task.mu, correction=task.correction
             )
             gamma = gamma_inexactness(objective, w_local, task.w_global)
         updates[i] = ClientUpdate(
             client_id=task.client_id,
             w=w_local,
-            num_train=client.data.num_train,
+            num_train=data.num_train,
             epochs=task_effective_epochs(task),
             gradient_evaluations=budgets[i],
             gamma=gamma,

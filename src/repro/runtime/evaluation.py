@@ -41,22 +41,26 @@ parallel engine computes them on its workers, over the workers' own view
 of the same bytes (:meth:`FederationEvaluator.census` takes the stand-in).
 Same units, same bytes, same per-unit code, the same additions in the
 same order: histories are bit-identical across engines by construction.
+
+Every reader here takes the federation as its
+:class:`~repro.core.client.ClientPool`, the one view of it: masses come
+from the pool's size metadata, the stacked split from its dataset's store,
+and :func:`device_values` reads ``pool[k]`` with the pool's model.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import time
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from ..datasets.federated import EagerClientStore, PackedClientStore
+from ..datasets.federated import PackedClientStore
 from ..telemetry import resolve_telemetry
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
-    from ..core.client import Client
+    from ..core.client import ClientPool
     from ..models.base import FederatedModel
 
 EVAL_MODES = ("auto", "per_client", "stacked")
@@ -114,13 +118,15 @@ def no_test_samples_error(label: str = "") -> ValueError:
     return ValueError(f"no test samples anywhere in {where}")
 
 
-def device_values(clients, w: np.ndarray, quantity: str, devices: Sequence) -> list:
+def device_values(
+    clients: "ClientPool", w: np.ndarray, quantity: str, devices: Sequence
+) -> list:
     """``F_k(w)`` (``"loss"``, a float), ``∇F_k(w)`` (``"gradient"``, a
     fresh array) or the held-out correct count (``"correct"``, an int) of
     each of ``devices``, in order.
 
-    Each device is read once (one ``clients[cid]``) and the model, the
-    first device's, is set to ``w`` once.  Correct counts are one
+    Each device is read once (one ``clients[cid]``) and the pool's model
+    is set to ``w`` once.  Correct counts are one
     ``predict`` per device, or, for a model with ``supports_stacked_eval``,
     per block of ``stacked_eval_block_rows`` (or :data:`STACKED_EVAL_BLOCK`)
     held-out rows across devices; a change of row shape or dtype starts a
@@ -128,15 +134,12 @@ def device_values(clients, w: np.ndarray, quantity: str, devices: Sequence) -> l
     """
     if quantity not in ("loss", "gradient", "correct"):
         raise ValueError(f"unknown quantity {quantity!r}")
-    # ``map`` keeps no device it has handed on (a lazy store's rows go).
-    reads = map(clients.__getitem__, devices)
-    first = next(reads, None)
-    if first is None:
+    if not len(devices):
         return []
-    model = first.model
+    model = clients.model
     model.set_params(w)
-    datas = map(operator.attrgetter("data"), itertools.chain((first,), reads))
-    del first
+    # ``map`` keeps no device it has handed on (a lazy store's rows go).
+    datas = map(clients.__getitem__, devices)
     if quantity == "loss":
         return [float(model.loss(d.train_x, d.train_y)) for d in datas]
     if quantity == "gradient":
@@ -178,29 +181,24 @@ def _held_out_blocks(held_out, block: int):
 
 
 class FederationEvaluator:
-    """Global train-loss / test-accuracy oracle over a fixed client list.
+    """Global train-loss / test-accuracy oracle over one federation.
 
     Parameters
     ----------
     clients:
-        The federation's clients, in device-id order.  A dataset's own
-        :class:`~repro.core.client.ClientPool` is evaluated on its store's
-        stacked split; any other sequence (a slice, a re-ordering, a
-        hand-built list) on a concatenation of exactly those clients'
-        arrays.  On a packed store the stacked census therefore reads
-        the bytes the solves read, in-place edits included.  What must
-        still not change after construction: the client list itself
-        (replacing a ``ClientData`` object leaves the store's stack
-        behind), and, wherever the split had to be concatenated, the
-        clients' arrays — that copy is made once.
+        The federation's :class:`~repro.core.client.ClientPool`.  Its
+        dataset's name labels the no-test-samples error, its size metadata
+        gives the aggregation masses, and its store's stacked split is
+        what a stacked census reads.  On a packed store that is the bytes
+        the solves read, in-place edits included; any other store
+        concatenates its clients' arrays once, so later edits of them are
+        not seen.
     model:
-        Model used for the evaluation forward passes (typically the
-        trainer's shared model).
+        Model used for the evaluation forward passes (the pool's shared
+        model).
     eval_mode:
         ``"per_client"`` or ``"stacked"`` (resolve ``"auto"`` first via
         :func:`resolve_eval_mode`).
-    label:
-        Federation display name, used in the no-test-samples error.
     block_size:
         Rows per fused forward pass in stacked mode.  ``None`` (default)
         resolves to the model's ``stacked_eval_block_rows`` hint when it
@@ -215,10 +213,9 @@ class FederationEvaluator:
 
     def __init__(
         self,
-        clients: Sequence["Client"],
+        clients: "ClientPool",
         model: "FederatedModel",
         eval_mode: str = "per_client",
-        label: str = "",
         block_size: Optional[int] = None,
         telemetry=None,
     ) -> None:
@@ -232,43 +229,18 @@ class FederationEvaluator:
             )
         if block_size < 1:
             raise ValueError("block_size must be positive")
-        # A lazily-backed client pool is kept as-is (copying into a list
-        # would pin transient Client wrappers, and iterating it must stay
-        # streaming); plain client sequences are copied as before.
-        self.clients = (
-            clients if getattr(clients, "lazy", False) else list(clients)
-        )
+        self.clients = clients
         self.model = model
         self.eval_mode = eval_mode
-        self.label = label
         self.block_size = block_size
         self.telemetry = resolve_telemetry(telemetry)
-        # Aggregation masses come from store metadata when the client
-        # sequence exposes it (ClientPool) — same integers, same float64
-        # ops, so results are bit-identical to the per-client loop — and
-        # never materialize a lazily-stored client.
-        train_sizes = getattr(clients, "train_sizes", None)
-        if train_sizes is not None:
-            masses = np.asarray(train_sizes, dtype=np.float64)
-            test_rows = int(np.asarray(clients.test_sizes).sum())
-        else:
-            masses = np.array(
-                [c.data.num_train for c in self.clients], dtype=np.float64
-            )
-            test_rows = int(sum(c.data.num_test for c in self.clients))
+        # Aggregation masses come from store metadata, so no lazily-stored
+        # client is materialized to weigh it.
+        masses = np.asarray(clients.train_sizes, dtype=np.float64)
         self._masses = masses / masses.sum()
         self._train_rows = int(masses.sum())
-        self._test_rows = test_rows
-        # Where a stacked split comes from: the store behind the
-        # dataset's own pool, or a store over exactly the clients given.
-        self._store = None
-        if eval_mode == "stacked":
-            dataset = getattr(clients, "dataset", None)
-            self._store = (
-                dataset.store
-                if dataset is not None
-                else EagerClientStore([c.data for c in self.clients])
-            )
+        self._test_rows = int(np.asarray(clients.test_sizes).sum())
+        self._store = clients.dataset.store if eval_mode == "stacked" else None
 
     # The census, in two halves ------------------------------------------ #
     # A census is a list of per-unit values — one per block of the stacked
@@ -346,7 +318,7 @@ class FederationEvaluator:
         the reduction, the no-test-rows error and the span stay here.
         """
         if split == "test" and self._test_rows == 0:
-            raise no_test_samples_error(self.label)
+            raise no_test_samples_error(self.clients.dataset.name)
         t0 = time.perf_counter() if self.telemetry.enabled else 0.0
         units = self.units(split)
         result = self.reduce(

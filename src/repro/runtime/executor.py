@@ -59,6 +59,10 @@ of ``(clock seed, round, device)``, so the whole schedule — admissions,
 deliveries, discards, aggregation order — replays bit-identically from a
 run-ledger manifest.
 
+:meth:`RoundExecutor.bind` builds the run's one
+:class:`~repro.core.client.ClientPool` (``executor.clients``), which the
+backends solve on and the trainer reads as ``trainer.clients``.
+
 Evaluation is dispatched through the executor as well (``train_loss`` /
 ``test_accuracy``): one census, whose per-unit values the backend computes
 and the bound :class:`FederationEvaluator` reduces in unit order, so
@@ -98,7 +102,7 @@ from ..telemetry import CLOCK_SIMULATED, NULL_TELEMETRY, UNIT_ROUNDS, resolve_te
 from .evaluation import FederationEvaluator, resolve_eval_mode
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
-    from ..core.client import Client, ClientUpdate
+    from ..core.client import ClientPool, ClientUpdate
     from ..datasets.federated import FederatedDataset
     from ..models.base import FederatedModel
     from ..optim.base import LocalSolver
@@ -214,8 +218,9 @@ def apply_update_fault(update: "ClientUpdate") -> None:
             w += fault.scale * (rms or 1.0) * rng.standard_normal(w.size)
 
 
-def solve_with_timings(client: "Client", task: LocalTask) -> "ClientUpdate":
-    """Run one task on a client, honoring its timing and fault fields.
+def solve_with_timings(clients: "ClientPool", task: LocalTask) -> "ClientUpdate":
+    """Run one task on its device of ``clients``, honoring its timing and
+    fault fields.
 
     The shared solve path for :class:`SerialExecutor` and the parallel
     workers: when ``task.collect_timings`` is set, the update's
@@ -226,7 +231,8 @@ def solve_with_timings(client: "Client", task: LocalTask) -> "ClientUpdate":
     reproduce fault effects without server-side post-processing.
     """
     t0 = time.perf_counter() if task.collect_timings else 0.0
-    update = client.local_solve(
+    update = clients.local_solve(
+        task.client_id,
         w_global=task.w_global,
         mu=task.mu,
         epochs=task_effective_epochs(task),
@@ -294,7 +300,7 @@ class RoundExecutor(abc.ABC):
         self.dataset: Optional["FederatedDataset"] = None
         self.model: Optional["FederatedModel"] = None
         self.solver: Optional["LocalSolver"] = None
-        self.clients: List["Client"] = []
+        self.clients: Optional["ClientPool"] = None
         self.eval_mode: str = "per_client"
         self.evaluator: Optional[FederationEvaluator] = None
         self.telemetry = NULL_TELEMETRY
@@ -309,9 +315,7 @@ class RoundExecutor(abc.ABC):
         dataset: "FederatedDataset",
         model: "FederatedModel",
         solver: "LocalSolver",
-        clients: Optional[Sequence["Client"]] = None,
         eval_mode: str = "auto",
-        label: str = "",
         telemetry=None,
         systems=None,
         seed: int = 0,
@@ -322,15 +326,12 @@ class RoundExecutor(abc.ABC):
         Parameters
         ----------
         dataset, model, solver:
-            The federation's data, shared model oracle, and local solver.
-        clients:
-            Prebuilt client list to share with the caller; built from the
-            dataset when omitted.
+            The federation's data, shared model oracle, and local solver;
+            the executor's :attr:`clients` is the run's one
+            :class:`~repro.core.client.ClientPool` over them.
         eval_mode:
             Evaluation strategy (see :mod:`repro.runtime.evaluation`);
             ``"auto"`` resolves against the model's capability.
-        label:
-            Federation display name for error messages.
         telemetry:
             Instrumentation for executor-internal spans (cohort phase
             splits, evaluator oracle calls, the scheduler's events);
@@ -367,18 +368,7 @@ class RoundExecutor(abc.ABC):
         self._comms = comms
         self._queue = []
         self._round = None
-        # Client access always resolves through the dataset's store: a
-        # ClientPool passes through untouched (it already routes through
-        # the store's cache), a prebuilt plain sequence is copied as
-        # before, and with nothing given we build the pool ourselves —
-        # eager datasets get the historical prebuilt list, lazy stores get
-        # transient per-access clients.
-        if clients is None:
-            self.clients = ClientPool(dataset, model, solver)
-        elif isinstance(clients, ClientPool):
-            self.clients = clients
-        else:
-            self.clients = list(clients)
+        self.clients = ClientPool(dataset, model, solver)
         self.eval_mode = resolve_eval_mode(
             model, eval_mode, lazy=bool(getattr(dataset, "is_lazy", False))
         )
@@ -386,7 +376,6 @@ class RoundExecutor(abc.ABC):
             self.clients,
             model,
             eval_mode=self.eval_mode,
-            label=label,
             telemetry=self.telemetry,
         )
         self._on_bind()
@@ -619,7 +608,4 @@ class SerialExecutor(RoundExecutor):
     """
 
     def _solve(self, tasks):
-        return [
-            solve_with_timings(self.clients[task.client_id], task)
-            for task in tasks
-        ]
+        return [solve_with_timings(self.clients, task) for task in tasks]

@@ -4,7 +4,8 @@
 batch to a pool of persistent worker processes.  Workers are initialized
 *once* with the whole federation — each worker holds its own model replica
 (obtained from :meth:`~repro.models.base.FederatedModel.spawn_replica`),
-the local solver, and its own view of every device's data shard — so per
+the local solver, and its own :class:`~repro.core.client.ClientPool` over
+the federation — so per
 round only task descriptions (global model vector, coefficients, seed
 entropy) cross the process boundary.  Datasets are never re-pickled per
 round.
@@ -112,12 +113,12 @@ def _warn_oversubscribed(requested: int, available: int) -> None:
 def _init_worker(dataset, model, solver, eval_mode) -> None:
     """Build this worker's client pool (runs once per worker process).
 
-    The pool resolves client access through the dataset's store: eager
-    datasets prebuild the full client list exactly as before, while
-    lazily-materializing stores (mmap shards reopen their files here,
-    on-demand synthetic stores rebuild only their metadata) materialize
-    clients per access — so workers inherit the store's O(active cohort)
-    memory bound instead of each holding a full federation copy.
+    The pool reads devices through the dataset's store: an eager store's
+    clients arrived with the dataset, while lazily-materializing stores
+    (mmap shards reopen their files here, on-demand synthetic stores
+    rebuild only their metadata) materialize clients per access — so
+    workers inherit the store's O(active cohort) memory bound instead of
+    each holding a full federation copy.
 
     The worker's evaluator answers census shares over that same pool with
     the worker's replica; it only ever computes values, never reduces.
@@ -137,8 +138,7 @@ def _solve_task(task: LocalTask) -> "ClientUpdate":
     the server re-emits them as ``solve:client`` spans, which is how
     parallel-executor spans survive the process boundary.
     """
-    client = _WORKER["clients"][task.client_id]
-    update = solve_with_timings(client, task)
+    update = solve_with_timings(_WORKER["clients"], task)
     if update.w is not None:
         # Payload audit: the iterate crosses the process boundary as one
         # contiguous float64 buffer (ndarray pickling copies exactly

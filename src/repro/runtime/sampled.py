@@ -33,7 +33,8 @@ the exhaustive oracle with a survey estimate:
   — ground truth anchoring the sampled series, bit-identical to what an
   unsampled run would have recorded on those rounds.
 
-Both estimates read the sampled devices through
+Both estimates read the sampled devices of the run's
+:class:`~repro.core.client.ClientPool` through
 :func:`~repro.runtime.evaluation.device_values`, so on a
 lazily-materializing store each evaluation materializes each sampled
 device once, not the federation: train loss is one forward per device
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from ..telemetry import resolve_telemetry
 from .evaluation import device_values
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
-    from ..core.client import Client
+    from ..core.client import ClientPool
 
 #: Entropy salt separating evaluation sampling from device selection,
 #: straggler draws, and mini-batch entropy (all derived from the same
@@ -231,9 +232,8 @@ class SampledEvaluator:
     Parameters
     ----------
     clients:
-        The federation's client sequence (typically the trainer's
-        :class:`~repro.core.client.ClientPool`); only sampled devices are
-        touched per evaluation.
+        The federation's :class:`~repro.core.client.ClientPool` (the
+        trainer's); only sampled devices are touched per evaluation.
     train_sizes, test_sizes:
         Per-client sample counts (store metadata) defining strata and
         combination weights.
@@ -259,7 +259,7 @@ class SampledEvaluator:
 
     def __init__(
         self,
-        clients: Sequence["Client"],
+        clients: "ClientPool",
         train_sizes: Sequence[int],
         test_sizes: Sequence[int],
         sample_size: int = 100,
@@ -267,7 +267,6 @@ class SampledEvaluator:
         seed: int = 0,
         full_every: int = 0,
         full_oracle=None,
-        label: str = "",
         telemetry=None,
     ) -> None:
         if sample_size < 1:
@@ -285,7 +284,6 @@ class SampledEvaluator:
         self.sample_size = int(sample_size)
         self.full_every = int(full_every)
         self.full_oracle = full_oracle
-        self.label = label
         self.telemetry = resolve_telemetry(telemetry)
         masses = np.asarray(train_sizes, dtype=np.float64)
         self._train_weights = masses / masses.sum()

@@ -12,11 +12,11 @@ federation so the Theorem 4 calculators in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..core.client import Client
+from ..core.client import ClientPool
 from ..core.dissimilarity import measure_dissimilarity
 from ..models.base import FederatedModel
 
@@ -119,7 +119,7 @@ class ConstantEstimates:
 
 
 def estimate_constants(
-    clients: Sequence[Client],
+    clients: ClientPool,
     w: np.ndarray,
     rng: np.random.Generator,
     num_pairs: int = 10,
@@ -135,13 +135,13 @@ def estimate_constants(
     """
     report = measure_dissimilarity(clients, w, max_clients=max_clients)
     L = 0.0
-    for client in (clients[cid] for cid in report.devices):
+    for data in (clients[cid] for cid in report.devices):
         L = max(
             L,
             estimate_lipschitz(
-                client.model,
-                client.data.train_x,
-                client.data.train_y,
+                clients.model,
+                data.train_x,
+                data.train_y,
                 rng,
                 center=np.asarray(w, dtype=np.float64),
                 num_pairs=num_pairs,

@@ -7,8 +7,10 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.client import ClientPool
 from repro.datasets import ClientData, FederatedDataset, make_synthetic
 from repro.models import MultinomialLogisticRegression
+from repro.optim import SGDSolver
 
 
 class InProcessPool:
@@ -64,29 +66,42 @@ def make_toy_client(
     )
 
 
-# The per-device oracles ``Client`` used to carry, frozen as they stood:
-# one ``set_params`` and one forward per call.  ``device_values`` is held
-# to them with ``==``.
-def frozen_train_loss(client, w):
-    """``Client.train_loss``: the local training loss ``F_k(w)``."""
-    client.model.set_params(w)
-    return client.model.loss(client.data.train_x, client.data.train_y)
+def make_pool(clients, model, solver=None, name="toy") -> ClientPool:
+    """A pool over a hand-built list of :class:`ClientData` (a slice, a
+    re-ordering, repeats): the federation of exactly those devices."""
+    return ClientPool(
+        FederatedDataset(name, clients=list(clients)),
+        model,
+        solver or SGDSolver(0.01),
+    )
 
 
-def frozen_train_gradient(client, w):
-    """``Client.train_gradient``: the local full-batch gradient ``∇F_k(w)``."""
-    client.model.set_params(w)
-    return client.model.gradient(client.data.train_x, client.data.train_y)
+# The per-device oracles the old per-device wrapper carried, frozen as
+# they stood: one ``set_params`` and one forward per call, on device
+# ``cid`` of a pool.  ``device_values`` is held to them with ``==``.
+def frozen_train_loss(pool, cid, w):
+    """The local training loss ``F_k(w)``."""
+    data = pool[cid]
+    pool.model.set_params(w)
+    return pool.model.loss(data.train_x, data.train_y)
 
 
-def frozen_test_metrics(client, w):
-    """``Client.test_metrics``: ``(num_correct, num_test)`` on held-out data."""
-    if client.data.num_test == 0:
+def frozen_train_gradient(pool, cid, w):
+    """The local full-batch gradient ``∇F_k(w)``."""
+    data = pool[cid]
+    pool.model.set_params(w)
+    return pool.model.gradient(data.train_x, data.train_y)
+
+
+def frozen_test_metrics(pool, cid, w):
+    """``(num_correct, num_test)`` on device ``cid``'s held-out data."""
+    data = pool[cid]
+    if data.num_test == 0:
         return 0, 0
-    client.model.set_params(w)
-    predictions = client.model.predict(client.data.test_x)
-    correct = int(np.sum(predictions == client.data.test_y))
-    return correct, client.data.num_test
+    pool.model.set_params(w)
+    predictions = pool.model.predict(data.test_x)
+    correct = int(np.sum(predictions == data.test_y))
+    return correct, data.num_test
 
 
 @pytest.fixture

@@ -650,11 +650,11 @@ class TestPayloadTransport:
     def test_device_side_payload_crosses_ipc_once(self, synthetic_small):
         """The parallel worker ships the encoded buffer, not a dense array."""
         from repro.runtime.executor import LocalTask, solve_with_timings
-        from repro.core.client import Client
+        from repro.core.client import ClientPool
 
         model = MultinomialLogisticRegression(dim=60, num_classes=10)
-        client = Client(
-            synthetic_small[0], model, SGDSolver(0.01, batch_size=10)
+        pool = ClientPool(
+            synthetic_small, model, SGDSolver(0.01, batch_size=10)
         )
         w0 = np.zeros(model.n_params)
         task = LocalTask(
@@ -662,7 +662,7 @@ class TestPayloadTransport:
             rng_entropy=(1, 0, 0, 0), collect_timings=True,
             codec=QSGDCodec(bits=8),
         )
-        update = solve_with_timings(client, task)
+        update = solve_with_timings(pool, task)
         assert update.w is None, "dense iterate must not ship"
         assert isinstance(update.payload, WirePayload)
         assert isinstance(update.payload.buffer, bytes)
@@ -675,12 +675,12 @@ class TestPayloadTransport:
     def test_device_and_server_side_payloads_are_equal(self, synthetic_small):
         """Both encode placements produce byte-identical wire payloads."""
         from repro.runtime.executor import LocalTask, solve_with_timings
-        from repro.core.client import Client
+        from repro.core.client import ClientPool
 
         codec = QSGDCodec(bits=8)
         model = MultinomialLogisticRegression(dim=60, num_classes=10)
-        client = Client(
-            synthetic_small[0], model, SGDSolver(0.01, batch_size=10)
+        pool = ClientPool(
+            synthetic_small, model, SGDSolver(0.01, batch_size=10)
         )
         w0 = np.zeros(model.n_params)
 
@@ -691,8 +691,8 @@ class TestPayloadTransport:
                 codec=codec if with_codec else None,
             )
 
-        device = solve_with_timings(client, task(True))
-        dense = solve_with_timings(client, task(False))
+        device = solve_with_timings(pool, task(True))
+        dense = solve_with_timings(pool, task(False))
         server = codec.encode_update(dense.w, w0, (1, 0, 0, 0))
         assert device.payload.buffer == server.buffer
 

@@ -1,58 +1,59 @@
-"""Tests for the Client wrapper and dissimilarity measurement."""
+"""Tests for the client pool's local solve and dissimilarity measurement."""
 
 import numpy as np
 import pytest
 
-from repro.core import Client, bounded_variance_b_upper_bound, measure_dissimilarity
+from repro.core import bounded_variance_b_upper_bound, measure_dissimilarity
 from repro.core.client import ClientUpdate
 from repro.datasets import ClientData
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.runtime.evaluation import device_values
 
-from tests.conftest import frozen_train_gradient, make_toy_client
+from tests.conftest import frozen_train_gradient, make_pool, make_toy_client
 
 
 def _clients(n=4, shift_step=0.5, model=None):
     model = model or MultinomialLogisticRegression(dim=6, num_classes=3)
     solver = SGDSolver(0.1, batch_size=8)
-    return [
-        Client(make_toy_client(i, seed=50 + i, shift=shift_step * i), model, solver)
-        for i in range(n)
-    ], model
+    return make_pool(
+        [make_toy_client(i, seed=50 + i, shift=shift_step * i) for i in range(n)],
+        model,
+        solver,
+    ), model
 
 
-class TestClient:
+class TestLocalSolve:
     def test_local_solve_returns_update(self):
         clients, model = _clients()
         w0 = np.zeros(model.n_params)
-        update = clients[0].local_solve(w0, mu=0.0, epochs=2, rng=np.random.default_rng(0))
+        update = clients.local_solve(0, w0, mu=0.0, epochs=2, rng=np.random.default_rng(0))
         assert isinstance(update, ClientUpdate)
         assert update.client_id == 0
-        assert update.num_train == clients[0].data.num_train
+        assert update.num_train == clients[0].num_train
         assert update.epochs == 2
         assert update.w.shape == w0.shape
 
     def test_local_solve_moves_parameters(self):
         clients, model = _clients()
         w0 = np.zeros(model.n_params)
-        update = clients[0].local_solve(w0, mu=0.0, epochs=3, rng=np.random.default_rng(0))
+        update = clients.local_solve(0, w0, mu=0.0, epochs=3, rng=np.random.default_rng(0))
         assert np.linalg.norm(update.w - w0) > 0
 
     def test_gradient_evaluation_count(self):
         clients, model = _clients()
         w0 = np.zeros(model.n_params)
         # 24 train samples, batch 8 -> 3 batches/epoch.
-        update = clients[0].local_solve(w0, 0.0, 2, np.random.default_rng(0))
+        update = clients.local_solve(0, w0, 0.0, 2, np.random.default_rng(0))
         assert update.gradient_evaluations == 6
-        update = clients[0].local_solve(w0, 0.0, 0.34, np.random.default_rng(0))
+        update = clients.local_solve(0, w0, 0.0, 0.34, np.random.default_rng(0))
         assert update.gradient_evaluations == 1
 
     def test_proximal_solve_stays_closer(self):
         clients, model = _clients()
         w0 = np.zeros(model.n_params)
-        free = clients[0].local_solve(w0, 0.0, 10, np.random.default_rng(0))
-        prox = clients[0].local_solve(w0, 10.0, 10, np.random.default_rng(0))
+        free = clients.local_solve(0, w0, 0.0, 10, np.random.default_rng(0))
+        prox = clients.local_solve(0, w0, 10.0, 10, np.random.default_rng(0))
         assert np.linalg.norm(prox.w - w0) < np.linalg.norm(free.w - w0)
 
     def test_device_loss_and_gradient(self):
@@ -67,7 +68,7 @@ class TestClient:
         clients, model = _clients()
         w = np.zeros(model.n_params)
         (correct,) = device_values(clients, w, "correct", [0])
-        assert 0 <= correct <= clients[0].data.num_test
+        assert 0 <= correct <= clients[0].num_test
 
 
 class TestDissimilarity:
@@ -75,7 +76,7 @@ class TestDissimilarity:
         model = MultinomialLogisticRegression(dim=6, num_classes=3)
         solver = SGDSolver(0.1)
         data = make_toy_client(0, seed=5)
-        clients = [Client(data, model, solver) for _ in range(4)]
+        clients = make_pool([data] * 4, model, solver)
         report = measure_dissimilarity(clients, np.ones(model.n_params) * 0.1)
         assert report.gradient_variance == pytest.approx(0.0, abs=1e-12)
         assert report.b_value == pytest.approx(1.0)
@@ -101,6 +102,14 @@ class TestDissimilarity:
             rng=np.random.default_rng(0),
         )
         assert np.isfinite(report.gradient_variance)
+
+    @pytest.mark.parametrize("max_clients", [0, -1])
+    def test_a_subsample_of_no_devices_is_refused(self, max_clients):
+        clients, model = _clients(n=4)
+        with pytest.raises(ValueError, match="max_clients must be at least 1"):
+            measure_dissimilarity(
+                clients, np.zeros(model.n_params), max_clients=max_clients
+            )
 
     @pytest.mark.parametrize("max_clients", [None, 7])
     def test_a_lazy_store_materializes_each_measured_device_once(
@@ -131,7 +140,9 @@ class TestDissimilarity:
         pool = ClientPool(dataset, model, SGDSolver(0.1, batch_size=8))
         w = np.full(model.n_params, 0.01)
         assert measure_dissimilarity(pool, w, max_clients=max_clients) == (
-            measure_dissimilarity(list(pool), w, max_clients=max_clients)
+            measure_dissimilarity(
+                make_pool(list(pool), model), w, max_clients=max_clients
+            )
         )
 
     def test_global_gradient_norm_reported(self):
@@ -177,17 +188,17 @@ class _ScaledGradients:
 def _stub_clients(gradients, scale, sizes=None):
     model = _ScaledGradients(np.asarray(gradients, dtype=np.float64), scale)
     sizes = sizes or [2 + k for k in range(len(gradients))]
-    return [
-        Client(
+    return make_pool(
+        [
             ClientData(
                 k, np.full((n, 1), float(k)), np.zeros(n, int),
                 np.zeros((0, 1)), np.zeros(0, int),
-            ),
-            model,
-            SGDSolver(0.1),
-        )
-        for k, n in enumerate(sizes)
-    ]
+            )
+            for k, n in enumerate(sizes)
+        ],
+        model,
+        SGDSolver(0.1),
+    )
 
 
 class TestBIsAStatisticOfDirectionsNotScale:
@@ -236,7 +247,7 @@ class TestEqualsTheFrozenLoop:
         assert len(indices) == (max_clients or 15)
         masses = dataset.train_sizes[indices].astype(np.float64)
         masses /= masses.sum()
-        stacked = np.stack([frozen_train_gradient(pool[i], w) for i in indices])
+        stacked = np.stack([frozen_train_gradient(pool, i, w) for i in indices])
         global_grad = masses @ stacked
         expected = float(masses @ np.einsum("ij,ij->i", stacked, stacked))
         global_sq = float(global_grad @ global_grad)

@@ -54,7 +54,7 @@ class TestFedDane:
         estimate = trainer._estimate_global_gradient(0)
         masses = toy_dataset.sample_fractions()
         exact = sum(
-            m * frozen_train_gradient(trainer.clients[i], trainer.w)
+            m * frozen_train_gradient(trainer.clients, i, trainer.w)
             for i, m in enumerate(masses)
         )
         np.testing.assert_allclose(estimate, exact)
@@ -63,7 +63,7 @@ class TestFedDane:
         """If the estimate were the client's own gradient, the correction
         is zero and FedDane reduces to FedProx on that client."""
         trainer = _trainer(toy_dataset)
-        g = frozen_train_gradient(trainer.clients[0], trainer.w)
+        g = frozen_train_gradient(trainer.clients, 0, trainer.w)
         correction = g - g
         np.testing.assert_array_equal(correction, np.zeros_like(g))
 
@@ -146,16 +146,16 @@ def _forked_feddane_losses(rounds=3):
         weights = dataset.train_sizes[chosen].astype(np.float64)
         weights /= weights.sum()
         return weights @ np.stack(
-            [frozen_train_gradient(reference.clients[c], reference.w) for c in chosen]
+            [frozen_train_gradient(reference.clients, c, reference.w) for c in chosen]
         )
 
     def forked(round_idx, selected):
         g_estimate = estimate(round_idx)
         updates = []
         for cid in selected:
-            client = reference.clients[cid]
             updates.append(
-                client.local_solve(
+                reference.clients.local_solve(
+                    cid,
                     w_global=reference.w,
                     mu=reference.mu,
                     epochs=reference.epochs,
@@ -163,7 +163,7 @@ def _forked_feddane_losses(rounds=3):
                         np.random.SeedSequence([reference.seed, round_idx, cid, 0])
                     ),
                     correction=g_estimate
-                    - frozen_train_gradient(client, reference.w),
+                    - frozen_train_gradient(reference.clients, cid, reference.w),
                 )
             )
         return updates, [], []

@@ -82,6 +82,18 @@ class TestBasicLoop:
                 epochs=0,
             )
 
+    @pytest.mark.parametrize("max_clients", [0, -1])
+    def test_dissimilarity_subsample_of_no_devices_is_refused(
+        self, toy_dataset, max_clients
+    ):
+        """Refused at construction, not at the first evaluated round."""
+        with pytest.raises(ValueError, match="dissimilarity_max_clients"):
+            _trainer(
+                toy_dataset,
+                track_dissimilarity=True,
+                dissimilarity_max_clients=max_clients,
+            )
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_trajectories(self, toy_dataset):

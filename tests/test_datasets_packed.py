@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core import FederatedTrainer
-from repro.core.client import Client, ClientPool
+from repro.core.client import ClientPool
 from repro.datasets import (
     ClientData,
     FederatedDataset,
@@ -59,6 +59,7 @@ from repro.runtime.evaluation import (
     no_test_samples_error,
 )
 from repro.telemetry import history_digest
+from tests.conftest import make_pool
 
 pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
 
@@ -273,8 +274,8 @@ def _frozen_federate_arrays(
 
 def _frozen_train_loss(clients, model, w, block_size):
     """The stacked train loss while the evaluator concatenated its own copy."""
-    X = np.concatenate([c.data.train_x for c in clients])
-    y = np.concatenate([c.data.train_y for c in clients])
+    X = np.concatenate([c.train_x for c in clients])
+    y = np.concatenate([c.train_y for c in clients])
     model.set_params(w)
     total = 0.0
     for lo in range(0, len(y), block_size):
@@ -285,8 +286,8 @@ def _frozen_train_loss(clients, model, w, block_size):
 
 def _frozen_test_accuracy(clients, model, w, block_size, label=""):
     """Its test-accuracy half, zero-test clients left out as it did."""
-    xs = [c.data.test_x for c in clients if c.data.num_test > 0]
-    ys = [c.data.test_y for c in clients if c.data.num_test > 0]
+    xs = [c.test_x for c in clients if c.num_test > 0]
+    ys = [c.test_y for c in clients if c.num_test > 0]
     if not xs:
         raise no_test_samples_error(label)
     X, y = np.concatenate(xs), np.concatenate(ys)
@@ -726,10 +727,10 @@ class TestCensusEquivalence:
                                  size_cap=60, name="trainonly")
         model = _logistic(dataset)
         evaluator = FederationEvaluator(
-            ClientPool(dataset, model, SOLVER), model, "stacked", label=dataset.name
+            ClientPool(dataset, model, SOLVER), model, "stacked"
         )
         w = model.get_params()
-        clients = [Client(data, model, SOLVER) for data in dataset]
+        clients = list(dataset)
         assert evaluator.train_loss(w) == _frozen_train_loss(
             clients, model, w, STACKED_EVAL_BLOCK
         )
@@ -744,10 +745,11 @@ class TestCensusEquivalence:
     )
     def test_other_client_lists_are_concatenated(self, pick):
         dataset, model = _census_cases()[0]
-        clients = pick([Client(data, model, SOLVER) for data in dataset])
-        evaluator = FederationEvaluator(clients, model, "stacked", block_size=64)
+        clients = pick(list(dataset))
+        pool = make_pool(clients, model, SOLVER)
+        evaluator = FederationEvaluator(pool, model, "stacked", block_size=64)
         assert evaluator._store is not dataset.store
-        per_client = FederationEvaluator(clients, model, "per_client")
+        per_client = FederationEvaluator(pool, model, "per_client")
         w = _weights(model)
         loss, accuracy = _frozen_census(clients, model, w, 64)
         assert evaluator.train_loss(w) == loss

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import measure_dissimilarity, Client
+from repro.core import ClientPool, measure_dissimilarity
 from repro.datasets import make_synthetic, make_synthetic_iid, synthetic_suite
 from repro.datasets.synthetic import NUM_CLASSES, NUM_FEATURES, _input_covariance_diag
 from repro.models import MultinomialLogisticRegression
@@ -64,7 +64,7 @@ class TestHeterogeneityKnob:
     @staticmethod
     def _dissimilarity(ds):
         model = MultinomialLogisticRegression(dim=NUM_FEATURES, num_classes=NUM_CLASSES)
-        clients = [Client(c, model, SGDSolver(0.01)) for c in ds]
+        clients = ClientPool(ds, model, SGDSolver(0.01))
         # Measure at a non-trivial point: a few global GD steps from zero.
         w = np.zeros(model.n_params)
         X, y = ds.global_train()

@@ -86,11 +86,6 @@ class TestWorkloads:
         X = w.dataset[0].train_x
         assert model.predict(X).shape == (len(X),)
 
-    def test_sequence_workloads_flagged(self):
-        assert make_shakespeare_workload(SMOKE).is_sequence
-        assert make_sent140_workload(SMOKE).is_sequence
-        assert not make_synthetic_workload(SMOKE, 0, 0).is_sequence
-
     def test_lstm_workloads_use_lstm_round_budget(self):
         assert make_shakespeare_workload(SMOKE).rounds == SMOKE.lstm_rounds
         assert make_synthetic_workload(SMOKE, 1, 1).rounds == SMOKE.rounds

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core import (
     AdaptiveMuController,
-    Client,
     EvalConfig,
     make_fedavg,
     make_fedprox,
@@ -17,7 +16,6 @@ from repro.core import (
 )
 from repro.datasets import make_mnist_like, make_synthetic, make_synthetic_iid
 from repro.models import CharLSTM, MultinomialLogisticRegression
-from repro.optim import SGDSolver
 from repro.systems import FractionStragglers
 
 
@@ -173,7 +171,6 @@ class TestConvergenceQuality:
             evaluation=EvalConfig(every=100),
         )
         trainer.run(10)
-        clients = [Client(c, model, SGDSolver(0.01)) for c in het_dataset]
-        report = measure_dissimilarity(clients, trainer.w)
+        report = measure_dissimilarity(trainer.clients, trainer.w)
         assert report.b_value >= 1.0
         assert np.isfinite(report.gradient_variance)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import EvalConfig, FederatedTrainer
-from repro.core.client import Client
+from repro.core.client import ClientPool
 from repro.datasets import make_sent140_like, make_shakespeare_like, make_synthetic
 from repro.models import (
     SEQ_EVAL_BLOCK_ROWS,
@@ -78,7 +78,7 @@ class TestCapabilityGating:
     def test_evaluator_honors_model_block_hint(self, char_dataset):
         model = _char_model()
         solver = SGDSolver(0.1, batch_size=10)
-        clients = [Client(data, model, solver) for data in char_dataset]
+        clients = ClientPool(char_dataset, model, solver)
         evaluator = FederationEvaluator(clients, model, eval_mode="stacked")
         assert evaluator.block_size == SEQ_EVAL_BLOCK_ROWS
         flat = MultinomialLogisticRegression(dim=4, num_classes=3)
@@ -117,7 +117,7 @@ class TestCapabilityGating:
 
 def _stacked_vs_per_client(dataset, model, w):
     solver = SGDSolver(0.1, batch_size=10)
-    clients = [Client(data, model, solver) for data in dataset]
+    clients = ClientPool(dataset, model, solver)
     stacked = FederationEvaluator(clients, model, eval_mode="stacked")
     legacy = FederationEvaluator(clients, model, eval_mode="per_client")
     assert stacked.train_loss(w) == pytest.approx(legacy.train_loss(w), abs=TOL)
@@ -141,7 +141,7 @@ class TestStackedEvalParity:
         """Blocking must not change results (mean is sample-weighted)."""
         model = _char_model()
         solver = SGDSolver(0.1, batch_size=10)
-        clients = [Client(data, model, solver) for data in char_dataset]
+        clients = ClientPool(char_dataset, model, solver)
         w = model.get_params()
         tiny = FederationEvaluator(clients, model, eval_mode="stacked", block_size=7)
         wide = FederationEvaluator(clients, model, eval_mode="stacked", block_size=10_000)

@@ -306,7 +306,7 @@ def oracle_solve_cohort(tasks, clients, kernel, solver, epoch=3):
 
     plans = [
         _oracle_plan(
-            clients[task.client_id].data.num_train,
+            clients[task.client_id].num_train,
             solver.batch_size,
             task_effective_epochs(task),
             task_rng(task),
@@ -322,7 +322,7 @@ def oracle_solve_cohort(tasks, clients, kernel, solver, epoch=3):
     xs, ys, offsets = [], [], []
     base = 0
     for task in tasks:
-        data = clients[task.client_id].data
+        data = clients[task.client_id]
         xs.append(data.train_x)
         ys.append(data.train_y)
         offsets.append(base)

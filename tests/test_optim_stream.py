@@ -25,7 +25,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.client import Client
 from repro.datasets import ClientData
 from repro.models import MLPClassifier, MultinomialLogisticRegression
 from repro.models.base import FederatedModel, NeuralModel
@@ -38,6 +37,7 @@ from repro.optim import (
 )
 from repro.runtime import LocalTask
 from repro.runtime.cohort import solve_cohort
+from tests.conftest import make_pool
 
 BATCH = 10
 DIM, CLASSES = 6, 4
@@ -532,9 +532,12 @@ class TestOwnership:
             a.flags.writeable = False
         kept = w_global.copy(), correction.copy()
 
+        pool = make_pool(
+            [_client(0, 23, seed=5), _client(1, 37, seed=6)], model, solver
+        )
         # Device A: 23 samples, final batch of 3.
-        a = Client(_client(0, 23, seed=5), model, solver).local_solve(
-            w_global, 1.0, 2.5, np.random.default_rng(1), correction=correction
+        a = pool.local_solve(
+            0, w_global, 1.0, 2.5, np.random.default_rng(1), correction=correction
         )
         a_value = a.w.copy()
         assert a.w.flags.owndata and a.w.flags.writeable
@@ -542,8 +545,8 @@ class TestOwnership:
         assert not np.array_equal(a.w, w_global)
 
         # Device B on the same model: 37 samples, final batch of 7.
-        b = Client(_client(1, 37, seed=6), model, solver).local_solve(
-            w_global, 1.0, 1.3, np.random.default_rng(2), correction=correction
+        b = pool.local_solve(
+            1, w_global, 1.0, 1.3, np.random.default_rng(2), correction=correction
         )
         assert not np.shares_memory(a.w, b.w)
         assert np.array_equal(a.w, a_value)
@@ -559,9 +562,10 @@ class TestOwnership:
     def test_gradient_evaluations_is_the_schedule_total(self):
         model = MultinomialLogisticRegression(DIM, CLASSES)
         w = np.zeros(model.n_params)
+        pool = make_pool([_client(0, 23, 5)], model, SOLVERS["sgd"][0])
         for epochs, want in [(0, 1), (0.3, 1), (1, 3), (2.5, 8), (20, 60)]:
-            update = Client(_client(0, 23, 5), model, SOLVERS["sgd"][0]).local_solve(
-                w, 0.0, epochs, np.random.default_rng(0)
+            update = pool.local_solve(
+                0, w, 0.0, epochs, np.random.default_rng(0)
             )
             assert update.gradient_evaluations == want
             assert want == BatchSchedule(23, BATCH, epochs).total
@@ -677,14 +681,14 @@ class TestNoPerStepAllocation:
         model = _MeteredStacked(G_DIM, G_CLASSES, l2=0.1)
         gen = np.random.default_rng(0)
         n = G_PER_EPOCH * G_BATCH
-        clients = []
+        shards = []
         for cid in range(2):
             X = gen.normal(size=(n, G_DIM)).astype(np.float32)
             y = gen.integers(G_CLASSES, size=n)
-            data = ClientData(
+            shards.append(ClientData(
                 client_id=cid, train_x=X, train_y=y, test_x=X[:0], test_y=y[:0]
-            )
-            clients.append(Client(data, model, solver))
+            ))
+        clients = make_pool(shards, model, solver)
         w0 = gen.normal(size=model.n_params)
         tasks = [
             LocalTask(

@@ -1,5 +1,5 @@
-"""The one per-device measurement: ``device_values`` against the oracles
-``Client`` used to carry.
+"""The one per-device measurement: ``device_values`` against the frozen
+per-device oracles.
 
 Every store a federation can sit on, every quantity, any list of devices
 (any order, any subset, devices with no held-out rows) and block sizes of
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Client
 from repro.core.client import ClientPool
 from repro.datasets import (
     FederatedDataset,
@@ -38,6 +37,7 @@ from tests.conftest import (
     frozen_test_metrics,
     frozen_train_gradient,
     frozen_train_loss,
+    make_pool,
 )
 
 pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
@@ -125,7 +125,7 @@ def _ragged():
 
 @pytest.fixture(scope="module")
 def federations(tmp_path_factory):
-    """name -> (client sequence, model, the store behind it or None)."""
+    """name -> (client pool, model, the store behind it or None)."""
     packed = make_synthetic(1.0, 1.0, num_devices=N, seed=5, size_cap=60)
     mmap_dir = tmp_path_factory.mktemp("shards")
     MmapShardStore.pack(packed, mmap_dir, clients_per_shard=4)
@@ -146,21 +146,18 @@ def federations(tmp_path_factory):
         model = CountingLogReg(dim=60, num_classes=10)
         out[name] = (ClientPool(dataset, model, SOLVER), model, dataset.store)
     model = CountingLogReg(dim=60, num_classes=10)
-    out["list"] = (
-        [Client(c, model, SOLVER) for c in _without_test_rows(packed, every=4)],
-        model,
-        None,
-    )
+    pool = make_pool(_without_test_rows(packed, every=4), model, SOLVER)
+    out["list"] = (pool, model, pool.dataset.store)
     model = CountingWidthBlind()
     out["ragged"] = (ClientPool(_ragged(), model, SOLVER), model, None)
     return out
 
 
 class Reads:
-    """A client sequence that logs every index it is asked for."""
+    """A client pool that logs every index it is asked for."""
 
     def __init__(self, clients):
-        self.clients, self.log = clients, []
+        self.clients, self.model, self.log = clients, clients.model, []
 
     def __getitem__(self, cid):
         self.log.append(cid)
@@ -171,7 +168,7 @@ def _expected_blocks(clients, devices, block):
     """``predict`` row counts: ``ceil(rows / block)`` per same-shape run."""
     runs = []  # [kind, rows]
     for cid in devices:
-        x = clients[cid].data.test_x
+        x = clients[cid].test_x
         if not len(x):
             continue
         kind = (x.shape[1:], x.dtype)
@@ -212,9 +209,9 @@ def test_device_values_equal_the_frozen_oracles(
     oracle = {
         "loss": frozen_train_loss,
         "gradient": frozen_train_gradient,
-        "correct": lambda client, w: frozen_test_metrics(client, w)[0],
+        "correct": lambda pool, cid, w: frozen_test_metrics(pool, cid, w)[0],
     }[quantity]
-    expected = [oracle(clients[cid], w) for cid in devices]
+    expected = [oracle(clients, cid, w) for cid in devices]
     blocks = _expected_blocks(clients, devices, block or STACKED_EVAL_BLOCK)
 
     model.predicted = []
@@ -240,7 +237,7 @@ def test_device_values_equal_the_frozen_oracles(
         assert model.predicted == blocks
     else:
         assert len(model.predicted) == sum(
-            1 for cid in devices if clients[cid].data.num_test
+            1 for cid in devices if clients[cid].num_test
         )
 
 
@@ -251,7 +248,7 @@ def test_a_change_of_row_shape_or_dtype_starts_a_block(federations, block):
     model.block_rows, model.stacked = block, True
     w = _weights(model, 0)
     devices = [0, 2, 3, 4, 1, 5, 6, 7]
-    expected = [frozen_test_metrics(clients[cid], w)[0] for cid in devices]
+    expected = [frozen_test_metrics(clients, cid, w)[0] for cid in devices]
     model.predicted = []
     assert device_values(clients, w, "correct", devices) == expected
     kinds = [((3,), np.float64)] * 9 + [((2,), np.float64)] * 4

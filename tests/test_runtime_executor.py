@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core import FederatedTrainer
-from repro.core.client import Client
 from repro.datasets import ClientData, FederatedDataset
 from repro.models import MultinomialLogisticRegression
 from repro.models.base import FederatedModel
@@ -21,7 +20,7 @@ from repro.runtime import (
     resolve_eval_mode,
     task_rng,
 )
-from tests.conftest import InProcessPool
+from tests.conftest import InProcessPool, make_pool
 
 
 def _bound_serial(dataset, eval_mode="auto"):
@@ -29,7 +28,7 @@ def _bound_serial(dataset, eval_mode="auto"):
     executor = SerialExecutor()
     executor.bind(
         dataset, model, SGDSolver(0.1, batch_size=8),
-        eval_mode=eval_mode, label=dataset.name,
+        eval_mode=eval_mode,
     )
     return executor, model
 
@@ -87,7 +86,7 @@ class TestFederationEvaluator:
         """The fast path agrees with the legacy loop to fp precision."""
         model = MultinomialLogisticRegression(dim=6, num_classes=3)
         solver = SGDSolver(0.1)
-        clients = [Client(c, model, solver) for c in toy_dataset]
+        clients = make_pool(toy_dataset, model, solver)
         fast = FederationEvaluator(clients, model, eval_mode="stacked")
         slow = FederationEvaluator(clients, model, eval_mode="per_client")
         rng = np.random.default_rng(0)
@@ -117,9 +116,10 @@ class TestGlobalTestAccuracy:
         """Zero-test devices contribute nothing (and are not iterated)."""
         model = MultinomialLogisticRegression(dim=6, num_classes=3)
         solver = SGDSolver(0.1)
-        clients = [Client(c, model, solver) for c in toy_dataset]
         w = np.zeros(model.n_params)
-        baseline = FederationEvaluator(clients, model, "per_client").test_accuracy(w)
+        baseline = FederationEvaluator(
+            make_pool(toy_dataset, model, solver), model, "per_client"
+        ).test_accuracy(w)
 
         empty = ClientData(
             client_id=99,
@@ -128,8 +128,9 @@ class TestGlobalTestAccuracy:
             test_x=np.zeros((0, 6)),
             test_y=np.zeros(0, dtype=int),
         )
-        clients.append(Client(empty, model, solver))
-        grown = FederationEvaluator(clients, model, "per_client")
+        grown = FederationEvaluator(
+            make_pool([*toy_dataset, empty], model, solver), model, "per_client"
+        )
         assert grown.test_accuracy(w) == baseline
 
     def test_error_message_includes_label(self):
@@ -141,9 +142,8 @@ class TestGlobalTestAccuracy:
             test_x=np.zeros((0, 2)),
             test_y=np.zeros(0, dtype=int),
         )
-        clients = [Client(data, model, SGDSolver(0.1))]
         evaluator = FederationEvaluator(
-            clients, model, "per_client", label="mnist-like"
+            make_pool([data], model, name="mnist-like"), model, "per_client"
         )
         with pytest.raises(ValueError, match="'mnist-like'"):
             evaluator.test_accuracy(np.zeros(model.n_params))
@@ -172,8 +172,8 @@ class TestSerialExecutor:
             rng_entropy=(0, 0, 1, 0),
         )
         [update] = executor.run_local_solves([task])
-        direct = executor.clients[1].local_solve(
-            w_global=w, mu=0.5, epochs=2.0, rng=task_rng(task)
+        direct = executor.clients.local_solve(
+            1, w_global=w, mu=0.5, epochs=2.0, rng=task_rng(task)
         )
         np.testing.assert_array_equal(update.w, direct.w)
         assert update.client_id == 1

@@ -67,7 +67,7 @@ def test_census_holds_no_tape(federation, mode):
     dataset, make_model = federation
     model = make_model()
     pool = ClientPool(dataset, model, SGDSolver(0.1, batch_size=10))
-    device = pool[0].data
+    device = pool[0]
     model.loss_and_gradient(device.train_x[:10], device.train_y[:10])  # a solve step
     workspace = model.module.lstm._workspace
     tapes = dict(workspace._tapes)

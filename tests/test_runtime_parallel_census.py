@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import EvalConfig, FederatedTrainer
-from repro.core.client import Client
 from repro.datasets import (
     FederatedDataset,
     make_mnist_like,
@@ -98,9 +97,9 @@ def _weights(model, seed):
     )
 
 
-def _serial(dataset, model, eval_mode="auto", **bind):
+def _serial(dataset, model, eval_mode="auto"):
     executor = SerialExecutor()
-    executor.bind(dataset, model, SOLVER, eval_mode=eval_mode, label=dataset.name, **bind)
+    executor.bind(dataset, model, SOLVER, eval_mode=eval_mode)
     return executor
 
 
@@ -116,11 +115,9 @@ def in_process(monkeypatch):
     monkeypatch.setattr(parallel, "_WORKER", {})
     monkeypatch.setattr(parallel, "MIN_ELEMENTS_SAVED", 0)
 
-    def make(dataset, model, n_workers, eval_mode="auto", **bind):
+    def make(dataset, model, n_workers, eval_mode="auto"):
         executor = ParallelExecutor(n_workers=n_workers)
-        executor.bind(
-            dataset, model, SOLVER, eval_mode=eval_mode, label=dataset.name, **bind
-        )
+        executor.bind(dataset, model, SOLVER, eval_mode=eval_mode)
         executor._pool = InProcessPool()
         parallel._init_worker(
             *pickle.loads(pickle.dumps(
@@ -249,7 +246,7 @@ class TestRealWorkers:
         want = [(serial.train_loss(w), serial.test_accuracy(w)) for w in weights]
         for start_method in ("fork", "spawn"):
             executor = ParallelExecutor(n_workers=2, start_method=start_method)
-            executor.bind(dataset, model, SOLVER, label=dataset.name)
+            executor.bind(dataset, model, SOLVER)
             executor.evaluator.block_size = 50
             with executor:
                 got = [
@@ -305,7 +302,7 @@ class TestMemoryAndFallbacks:
         for split in ("train", "test"):
             X, y = worker["evaluator"].stack_in_place(split)
             holder = next(
-                c.data for c in worker["clients"] if len(getattr(c.data, f"{split}_y"))
+                c for c in worker["clients"] if len(getattr(c, f"{split}_y"))
             )
             assert np.shares_memory(X, getattr(holder, f"{split}_x"))
             assert np.shares_memory(y, getattr(holder, f"{split}_y"))
@@ -343,12 +340,12 @@ class TestMemoryAndFallbacks:
             "hand-built", clients=list(packed.clients), num_classes=10, input_dim=60
         )
         lazy = make_synthetic_ondemand(1.0, 1.0, num_devices=12, seed=3, size_cap=80)
-        sliced = [Client(data, model, SOLVER) for data in packed][:9]
-        for dataset, bind in (
-            (unpacked, {}), (lazy, {}), (packed, {"clients": sliced}),
-        ):
-            serial = _serial(dataset, model, "stacked", **bind)
-            executor = in_process(dataset, model, n_workers, "stacked", **bind)
+        sliced = FederatedDataset(
+            "sliced", clients=list(packed)[:9], num_classes=10, input_dim=60
+        )
+        for dataset in (unpacked, lazy, sliced):
+            serial = _serial(dataset, model, "stacked")
+            executor = in_process(dataset, model, n_workers, "stacked")
             executor.evaluator.block_size = serial.evaluator.block_size = 64
             assert executor.evaluator.stack_in_place("train") is None
             w = _weights(model, 1)

@@ -28,7 +28,7 @@ from repro.runtime import sampled as sampled_module
 from repro.runtime.sampled import EvalEstimate, _stratified_estimate
 from repro.telemetry import InMemorySink, Telemetry
 
-from tests.conftest import frozen_test_metrics, frozen_train_loss
+from tests.conftest import frozen_test_metrics, frozen_train_loss, make_pool
 
 pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
 
@@ -229,9 +229,9 @@ def measured_once(clients, w):
     ``device_values``: 400 sampled estimates reuse them instead of
     regenerating ~100 on-demand devices per estimate."""
     table = {"loss": [], "correct": []}
-    for client in clients:
-        table["loss"].append(frozen_train_loss(client, w))
-        table["correct"].append(frozen_test_metrics(client, w)[0])
+    for cid in range(len(clients)):
+        table["loss"].append(frozen_train_loss(clients, cid, w))
+        table["correct"].append(frozen_test_metrics(clients, cid, w)[0])
 
     def device_values(clients_, w_, quantity, devices):
         assert w_ is w
@@ -357,8 +357,8 @@ class CountingLogReg(MultinomialLogisticRegression):
 
 def loop_test_accuracy(evaluator, w, round_idx):
     """``SampledEvaluator.test_accuracy`` as it stood before the stacked
-    forward, frozen as the oracle: one transient ``Client``, one
-    ``set_params`` and one forward per sampled device."""
+    forward, frozen as the oracle: one device read, one ``set_params``
+    and one forward per sampled device."""
     weights = evaluator._test_weights
     t0 = time.perf_counter()
     picks = evaluator.sampler.sample(round_idx, evaluator.sample_size)
@@ -367,7 +367,7 @@ def loop_test_accuracy(evaluator, w, round_idx):
         for cid in pick:
             cid = int(cid)
             if weights[cid] > 0:
-                correct, total = frozen_test_metrics(evaluator.clients[cid], w)
+                correct, total = frozen_test_metrics(evaluator.clients, cid, w)
                 values[cid] = correct / total if total else 0.0
             else:
                 values[cid] = 0.0
@@ -504,10 +504,12 @@ class TestStackedSampledAccuracy:
         assert estimate == loop_test_accuracy(evaluator, w, 1)
 
     def test_plain_client_list_counts_as_the_pool_does(self, eager):
-        """A hand-built list measures through its clients' shared model."""
+        """A pool over a hand-built list of the same devices measures
+        through the same shared model."""
         pooled = make_evaluator(eager, sample_size=30, num_strata=3)
         listed = SampledEvaluator(
-            list(pooled.clients), eager.train_sizes, eager.test_sizes,
+            make_pool(list(pooled.clients), pooled.clients.model),
+            eager.train_sizes, eager.test_sizes,
             sample_size=30, num_strata=3,
         )
         model = pooled.clients.model

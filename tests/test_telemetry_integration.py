@@ -286,17 +286,17 @@ class TestNullDefaultIsInert:
             assert r1.gamma_mean == r2.gamma_mean
 
     def test_updates_skip_timing_payloads_when_disabled(self, dataset):
-        from repro.core.client import Client
+        from repro.core.client import ClientPool
         from repro.runtime.executor import LocalTask, solve_with_timings
 
-        client = Client(dataset.clients[0],
-                        MultinomialLogisticRegression(dim=60, num_classes=10),
-                        SGDSolver(0.01, batch_size=10))
-        w = client.model.get_params()
+        pool = ClientPool(dataset,
+                          MultinomialLogisticRegression(dim=60, num_classes=10),
+                          SGDSolver(0.01, batch_size=10))
+        w = pool.model.get_params()
         task = LocalTask(client_id=0, w_global=w, mu=1.0, epochs=1,
                          rng_entropy=(1, 0, 0, 0))
         assert task.collect_timings is False  # the default costs nothing
-        update = solve_with_timings(client, task)
+        update = solve_with_timings(pool, task)
         assert update.timings is None
 
 

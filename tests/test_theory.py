@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import Client
+from repro.core import ClientPool
+from repro.datasets import FederatedDataset
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.theory import (
@@ -20,7 +21,7 @@ from repro.theory import (
     theorem6_iterations,
 )
 
-from tests.conftest import make_toy_client
+from tests.conftest import make_pool, make_toy_client
 
 
 class TestRho:
@@ -190,10 +191,11 @@ class TestEstimators:
     def test_estimate_constants(self, rng):
         model = MultinomialLogisticRegression(dim=6, num_classes=3)
         solver = SGDSolver(0.1)
-        clients = [
-            Client(make_toy_client(i, seed=60 + i, shift=0.4 * i), model, solver)
-            for i in range(4)
-        ]
+        clients = make_pool(
+            [make_toy_client(i, seed=60 + i, shift=0.4 * i) for i in range(4)],
+            model,
+            solver,
+        )
         w = np.ones(model.n_params) * 0.1
         constants = estimate_constants(clients, w, rng, num_pairs=5)
         assert constants.B >= 1.0
@@ -206,19 +208,20 @@ class TestEstimators:
         L must be probed on exactly those devices, each once."""
         from repro.theory import estimation
 
-        class Recording(list):
+        class Recording(ClientPool):
             def __getitem__(self, index):
-                if isinstance(index, slice):
-                    self.reads.extend(range(*index.indices(len(self))))
-                else:
-                    self.reads.append(int(index))
+                self.reads.append(int(index))
                 return super().__getitem__(index)
 
         model = MultinomialLogisticRegression(dim=6, num_classes=3)
         solver = SGDSolver(0.1)
         clients = Recording(
-            Client(make_toy_client(i, seed=80 + i, shift=0.1 * i), model, solver)
-            for i in range(20)
+            FederatedDataset(
+                "toy",
+                [make_toy_client(i, seed=80 + i, shift=0.1 * i) for i in range(20)],
+            ),
+            model,
+            solver,
         )
         clients.reads = []
         measured = []
@@ -242,10 +245,11 @@ class TestEstimators:
         """Measured constants feed the Theorem 4 calculators sensibly."""
         model = MultinomialLogisticRegression(dim=6, num_classes=3)
         solver = SGDSolver(0.1)
-        clients = [
-            Client(make_toy_client(i, seed=70 + i, shift=0.2 * i), model, solver)
-            for i in range(4)
-        ]
+        clients = make_pool(
+            [make_toy_client(i, seed=70 + i, shift=0.2 * i) for i in range(4)],
+            model,
+            solver,
+        )
         w = np.ones(model.n_params) * 0.05
         constants = estimate_constants(clients, w, rng, num_pairs=5)
         K = 64  # enough participation for the measured B
