@@ -6,22 +6,31 @@ Shows the parts of the reproduction beyond the training loop:
    and let Theorem 4 suggest a proximal coefficient mu;
 2. read one clock-driven FedProx round's ledger to see *why* each device
    straggled (compute-bound vs network-bound);
-3. checkpoint a run's model and history and read them back exactly.
+3. record a run's ledger, replay it from the file, and read its history
+   back exactly.
 
 Run:  python examples/theory_and_diagnostics.py
 """
 
+import os
+import tempfile
 from collections import Counter
 
 import numpy as np
 
 from repro.core import EvalConfig, make_fedprox
 from repro.datasets import make_synthetic
-from repro.io import load_checkpoint, save_checkpoint
 from repro.models import MultinomialLogisticRegression
 from repro.reporting import format_table
 from repro.systems import ClockDrivenSystems, sample_fleet
-from repro.telemetry import InMemorySink, Telemetry
+from repro.telemetry import (
+    InMemorySink,
+    JSONLSink,
+    Telemetry,
+    canonical_record,
+    load_run,
+    replay_run,
+)
 from repro.theory import (
     estimate_constants,
     minimum_mu_for_positive_rho,
@@ -96,30 +105,32 @@ def round_diagnostics(dataset) -> None:
     print(f"straggler bottlenecks: {dict(counts)}")
 
 
-def checkpoint_roundtrip(dataset, tmp_dir="results/example_checkpoint") -> None:
+def ledger_roundtrip(dataset) -> None:
     model = MultinomialLogisticRegression(dim=60, num_classes=10)
-    trainer = make_fedprox(dataset, model, 0.01, mu=1.0, seed=SEED, evaluation=EvalConfig(every=100))
-    history = trainer.run(5)
-    save_checkpoint(tmp_dir, model, history)
-
-    fresh = MultinomialLogisticRegression(dim=60, num_classes=10)
-    restored_history = load_checkpoint(tmp_dir, fresh)
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        path = os.path.join(tmp_dir, "run.jsonl")
+        with make_fedprox(
+            dataset, model, 0.01, mu=1.0, seed=SEED,
+            evaluation=EvalConfig(every=100),
+            telemetry=Telemetry([JSONLSink(path)]),
+        ) as trainer:
+            history = trainer.run(5)
+        report = replay_run(path)
+        restored = load_run(path).history_records()
     print()
     print(
         format_table(
             [
                 {
-                    "saved rounds": len(restored_history),
-                    "saved final loss": restored_history.final_train_loss(),
-                    "params restored exactly": bool(
-                        np.array_equal(trainer.w, fresh.get_params())
-                    ),
-                    "history restored exactly": (
-                        restored_history.records == history.records
+                    "ledger rounds": len(restored),
+                    "ledger final loss": restored[-1]["train_loss"],
+                    "replay": "MATCH" if report.matches else "MISMATCH",
+                    "history read back exactly": (
+                        restored == [canonical_record(r) for r in history.records]
                     ),
                 }
             ],
-            title=f"Checkpoint round-trip ({tmp_dir})",
+            title="Run ledger round-trip (record, replay, read back)",
         )
     )
 
@@ -128,7 +139,7 @@ def main() -> None:
     dataset = make_synthetic(1.0, 1.0, num_devices=15, seed=SEED, size_cap=200)
     theory_guided_mu(dataset)
     round_diagnostics(dataset)
-    checkpoint_roundtrip(dataset)
+    ledger_roundtrip(dataset)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from . import (
     core,
     datasets,
     faults,
-    io,
     metrics,
     models,
     nn,
@@ -50,6 +49,5 @@ __all__ = [
     "metrics",
     "telemetry",
     "theory",
-    "io",
     "__version__",
 ]

@@ -209,6 +209,11 @@ class FederatedTrainer:
         self.sampling = sampling or UniformSamplingWeightedAverage(
             dataset, clients_per_round, seed=seed
         )
+        if systems is not None and not isinstance(systems, SystemsModel):
+            raise TypeError(
+                f"systems must be a SystemsModel, got {type(systems).__name__}"
+                " (a fault schedule goes to faults=)"
+            )
         self.systems = systems or NoHeterogeneity()
         self.faults = resolve_faults(faults)
         if fault_policy is not None and not isinstance(fault_policy, FaultPolicy):

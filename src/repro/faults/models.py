@@ -29,25 +29,22 @@ Fault taxonomy
     The solve completes but delivery is delayed by a drawn number of
     rounds; the server receives the (stale) update later.
 
-:class:`FaultSchedule` extends the :class:`~repro.systems.stragglers.SystemsModel`
-protocol: a schedule *is* a systems model (its :meth:`assign` passes
-budgets through unchanged, so a schedule alone describes a federation with
-faults but no stragglers) that additionally answers per-device fault
-queries via :meth:`draw`.  The trainer composes it with an independent
-straggler model — budgets and faults are orthogonal axes of the simulated
-environment.
+:class:`FaultSchedule` answers per-device fault queries via :meth:`draw`;
+it is passed as the trainer's ``faults=`` and composed with an independent
+straggler model (``systems=``) — budgets and faults are orthogonal axes of
+the simulated environment, and a schedule assigns no budgets.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..spec import describe, register
-from ..systems.stragglers import SystemsModel, WorkAssignment, entropy_rng
+from ..systems.stragglers import entropy_rng
 
 # Salt separating fault draws from straggler/batch draws in the shared
 # seed-entropy pipeline (arbitrary constant, spells "FA17" for faults).
@@ -101,31 +98,21 @@ class FaultDecision:
             )
 
 
-class FaultSchedule(SystemsModel):
-    """Per-(round, device) fault draws; a :class:`SystemsModel` extension.
+class FaultSchedule(abc.ABC):
+    """Per-(round, device) fault draws.
 
     Subclasses implement :meth:`draw` as a pure function of
     ``(seed, round, client, attempt)``.  ``attempt`` distinguishes retry
     dispatches — a retried solve faces a *fresh* fault draw, so retries can
-    themselves fail deterministically.
-
-    As a systems model, a schedule assigns every device its full budget
-    (faults never shrink budgets — a crash truncates the *executed* work,
-    which is a different thing: the device intended the full budget).
+    themselves fail deterministically.  Faults never shrink budgets — a
+    crash truncates the *executed* work, not the budget the device
+    intended.
     """
 
     #: Whether this schedule can ever inject a fault.  ``False`` only for
     #: :class:`NoFaults`; the trainer uses it to keep the disabled path
     #: bit-identical to pre-fault behavior.
     enabled = True
-
-    def assign(
-        self, round_idx: int, client_ids: Sequence[int], max_epochs: float
-    ) -> List[WorkAssignment]:
-        return [
-            WorkAssignment(client_id=c, epochs=max_epochs, is_straggler=False)
-            for c in client_ids
-        ]
 
     @abc.abstractmethod
     def draw(

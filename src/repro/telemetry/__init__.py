@@ -19,8 +19,9 @@ solvers — one shared way to report what happened and how long it took:
   event per fault decision.  No metric repeats a record field or restates
   a running total; each fact is written once.
 * **Sinks** (:mod:`repro.telemetry.sinks`): :class:`InMemorySink` for
-  tests/reporting, :class:`JSONLSink` for run artifacts (manifest header
-  + one event per line), and a throttled :class:`ConsoleSink`.
+  tests/reporting, :class:`JSONLSink` for the run ledger (one run per
+  file: manifest header + one event per line), and a throttled
+  :class:`ConsoleSink`.
 
 The default everywhere is :data:`NULL_TELEMETRY` — a shared
 :class:`NullTelemetry` whose operations are no-ops, keeping the
@@ -37,14 +38,17 @@ Quickstart::
         history = trainer.run(num_rounds=5)
     # run.jsonl now holds the manifest + every span/metric event.
 
-Schema-2 artifacts are full run *ledgers*: the manifest carries the
-trainer's options (``trainer_config``) plus reconstruction recipes, every round appends a canonical ``round_record``, and the file
-ends with a digest-bearing ``run_footer`` (:mod:`repro.telemetry.ledger`).
-Records are written one round behind, so a ledger cut off mid-run holds
-every round but the newest.
-:mod:`repro.telemetry.replay` re-executes a run from its artifact and
-asserts bit-identical history; :mod:`repro.telemetry.analysis` and the
-``python -m repro.trace`` CLI summarize, diff, and verify artifacts.
+Schema-2 artifacts are full run *ledgers*, one run per file and the
+run's only on-disk record: the manifest carries the trainer's options
+(``trainer_config``) plus reconstruction recipes, every round appends a
+canonical ``round_record``, and the file ends with a digest-bearing
+``run_footer`` (:mod:`repro.telemetry.ledger`; :func:`load_run` reads it
+back).  Records are written one round behind, so a ledger cut off mid-run
+holds every round but the newest.  :mod:`repro.telemetry.replay`
+re-executes a run from its ledger and asserts bit-identical history;
+:func:`compare_histories` is the one comparison of two histories, for
+replay and ``python -m repro.trace diff`` alike, and
+:mod:`repro.telemetry.analysis` and the CLI summarize and verify ledgers.
 """
 
 from .core import (
@@ -78,12 +82,16 @@ from .ledger import (
     environment_info,
     history_digest,
     load_run,
-    load_runs,
-    split_runs,
     verify_artifact,
 )
-from .analysis import check_runs, diff_runs, summarize_run, timeline
-from .replay import ReplayError, ReplayReport, rebuild_trainer, replay_run
+from .analysis import summarize_run, timeline
+from .replay import (
+    ReplayError,
+    ReplayReport,
+    compare_histories,
+    rebuild_trainer,
+    replay_run,
+)
 from .resources import current_rss_bytes, peak_rss_bytes
 from .sinks import ConsoleSink, InMemorySink, JSONLSink, Sink, read_jsonl
 
@@ -115,15 +123,12 @@ __all__ = [
     "RunArtifact",
     "RunLedger",
     "load_run",
-    "load_runs",
-    "split_runs",
     "verify_artifact",
     "ReplayError",
     "ReplayReport",
     "rebuild_trainer",
     "replay_run",
-    "check_runs",
-    "diff_runs",
+    "compare_histories",
     "summarize_run",
     "timeline",
     "CLOCK_WALL",

@@ -1,4 +1,4 @@
-"""Run-artifact analysis: phase breakdowns, timelines, diffs, and checks.
+"""Run-artifact analysis: summaries, phase breakdowns, and timelines.
 
 Pure post-hoc consumers of :class:`~repro.telemetry.ledger.RunArtifact` —
 nothing here re-executes a run (that is :mod:`repro.telemetry.replay`).
@@ -9,27 +9,21 @@ The :mod:`repro.trace` CLI is a thin argparse shell over these functions:
   simulated time, fault totals, ledger verification, per-phase duration
   percentiles by clock, span-tiling validation).
 * :func:`timeline` — per-round ASCII bars segmented by phase.
-* :func:`diff_runs` — field-level history comparison between two runs
-  with a float tolerance.
-* :func:`check_runs` — structural ledger verification of every run in a
-  (possibly multi-run) artifact.  Throughput is gated elsewhere, by
-  ``python bench/run.py compare``.
+
+Comparing two histories is :func:`repro.telemetry.replay.compare_histories`'
+job, for ``trace diff`` and replay alike; throughput is gated elsewhere, by
+``python bench/run.py compare``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 from .events import FAULT_EVENTS, UNIT_SECONDS, summarize
-from .ledger import RECORD_FIELDS, RunArtifact, verify_artifact
+from .ledger import RunArtifact, verify_artifact
 
 __all__ = [
-    "CheckReport",
-    "RunDiff",
-    "check_runs",
     "comms_totals",
-    "diff_runs",
     "fault_totals",
     "format_summary",
     "phase_breakdown",
@@ -54,19 +48,6 @@ PHASE_GLYPHS = {
     "phase:aggregate": "a",
     "phase:evaluate": "e",
 }
-
-#: Record fields holding floats — diffed with a tolerance; everything else
-#: (ints, bools, id lists) must match exactly.
-FLOAT_FIELDS = (
-    "train_loss",
-    "test_accuracy",
-    "dissimilarity",
-    "mu",
-    "train_loss_ci",
-    "accuracy_ci",
-    "gamma_mean",
-    "gamma_max",
-)
 
 
 # --------------------------------------------------------------------- #
@@ -395,135 +376,3 @@ def timeline(artifact: RunArtifact, width: int = 48) -> str:
         "legend: s=select #=local_solve a=aggregate e=evaluate .=untracked"
     )
     return "\n".join(lines)
-
-
-# --------------------------------------------------------------------- #
-# Diffing
-# --------------------------------------------------------------------- #
-@dataclass
-class RunDiff:
-    """Field-level history comparison between two run artifacts."""
-
-    label_a: str
-    label_b: str
-    rounds_a: int
-    rounds_b: int
-    compared: int
-    divergences: List[Tuple[int, str, Any, Any]] = field(default_factory=list)
-    tol: float = 0.0
-
-    @property
-    def matches(self) -> bool:
-        return not self.divergences and self.rounds_a == self.rounds_b
-
-    def describe(self) -> str:
-        head = (
-            f"diff {self.label_a or 'A'} vs {self.label_b or 'B'} "
-            f"(tol={self.tol:g})"
-        )
-        lines = [head]
-        if self.rounds_a != self.rounds_b:
-            lines.append(
-                f"  round counts differ: {self.rounds_a} vs {self.rounds_b}"
-            )
-        if not self.divergences:
-            lines.append(
-                f"  IDENTICAL over {self.compared} rounds"
-                if self.matches
-                else f"  no field divergence over the {self.compared} shared rounds"
-            )
-            return "\n".join(lines)
-        lines.append(f"  DIVERGES ({len(self.divergences)} fields):")
-        for round_idx, name, va, vb in self.divergences[:20]:
-            lines.append(f"    round {round_idx} {name}: {va!r} vs {vb!r}")
-        extra = len(self.divergences) - 20
-        if extra > 0:
-            lines.append(f"    ... and {extra} more")
-        return "\n".join(lines)
-
-
-def diff_runs(
-    a: RunArtifact, b: RunArtifact, tol: float = 0.0
-) -> RunDiff:
-    """Compare two runs' histories field by field.
-
-    Float-valued record fields admit an absolute tolerance ``tol``
-    (``0.0`` demands bit-identity); integer, boolean, and id-list fields
-    always compare exactly.  A side without round records has no history
-    to compare: that is a ``ValueError`` carrying the artifact's
-    :func:`~repro.telemetry.ledger.verify_artifact` issues (an unsupported
-    schema version, a truncation), never an empty "identical" diff.
-    """
-    for artifact in (a, b):
-        if not artifact.round_records:
-            raise ValueError(
-                "; ".join(
-                    [f"{artifact.path}: no round records to diff"]
-                    + verify_artifact(artifact)
-                )
-            )
-    recs_a, recs_b = a.history_records(), b.history_records()
-    compared = min(len(recs_a), len(recs_b))
-    divergences: List[Tuple[int, str, Any, Any]] = []
-    for idx in range(compared):
-        ra, rb = recs_a[idx], recs_b[idx]
-        round_idx = ra.get("round_idx", idx)
-        for name in RECORD_FIELDS:
-            va, vb = ra.get(name), rb.get(name)
-            if va == vb:
-                continue
-            if (
-                name in FLOAT_FIELDS
-                and isinstance(va, (int, float))
-                and isinstance(vb, (int, float))
-                and abs(va - vb) <= tol
-            ):
-                continue
-            divergences.append((round_idx, name, va, vb))
-    return RunDiff(
-        label_a=a.label,
-        label_b=b.label,
-        rounds_a=len(recs_a),
-        rounds_b=len(recs_b),
-        compared=compared,
-        divergences=divergences,
-        tol=tol,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Structural check
-# --------------------------------------------------------------------- #
-@dataclass
-class CheckReport:
-    """Outcome of verifying every run of an artifact."""
-
-    issues: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def describe(self) -> str:
-        if not self.issues:
-            return "CHECK OK"
-        lines = [f"CHECK FAILED ({len(self.issues)} issues):"]
-        lines.extend(f"  - {issue}" for issue in self.issues)
-        return "\n".join(lines)
-
-
-def check_runs(artifacts: Sequence[RunArtifact]) -> CheckReport:
-    """Run :func:`~repro.telemetry.ledger.verify_artifact` over every run.
-
-    Each issue (schema, digest, truncation, record holes) is reported
-    under the run's label; an artifact holding no run at all is an issue
-    too.
-    """
-    report = CheckReport()
-    if not artifacts:
-        report.issues.append("no runs found in artifact")
-    for idx, artifact in enumerate(artifacts):
-        who = artifact.label or artifact.run_id or f"run[{idx}]"
-        for issue in verify_artifact(artifact):
-            report.issues.append(f"{who}: {issue}")
-    return report

@@ -18,6 +18,11 @@ to reconstruct, verify, and audit it from the JSONL file alone:
   truncation-evident — a file that ends without its footer was cut short,
   and a file whose recomputed digest disagrees with its footer was edited.
 
+One file holds one run, and it is the run's only on-disk record:
+:func:`load_run` reads it back (from the path, or from the events an
+:class:`~repro.telemetry.sinks.InMemorySink` collected) and refuses a
+stream holding a second manifest.
+
 Digest definition
 -----------------
 ``sha256`` over the UTF-8 bytes of ``canonical_json(record) + "\\n"`` for
@@ -42,7 +47,7 @@ import platform
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from .events import SCHEMA_VERSION
 from .sinks import read_jsonl
@@ -325,55 +330,49 @@ class RunArtifact:
         return history_digest(self.history_records())
 
 
-def split_runs(
-    events: Sequence[Dict[str, Any]], path: str = "<events>"
-) -> List[RunArtifact]:
-    """Partition an event stream into per-run artifacts at manifest lines.
+def load_run(
+    source: Union[str, os.PathLike, Sequence[Dict[str, Any]]],
+    strict: bool = False,
+) -> RunArtifact:
+    """The one run a ledger holds, read from its path or its events.
 
-    Multi-run artifacts are produced by appending sinks (the bench harness
-    chains one manifest per measured configuration into a single file).
+    ``source`` is a JSONL ledger path (read by :func:`read_jsonl`, which
+    ``strict`` is passed to) or an already-read event list, such as an
+    :class:`~repro.telemetry.sinks.InMemorySink`'s ``events``.  The stream
+    must open with its manifest and hold no second one: a ledger is one
+    run, and anything else is a ``ValueError`` naming the path.
     """
-    runs: List[RunArtifact] = []
-    current: Optional[RunArtifact] = None
-    for event in events:
+    if isinstance(source, (str, os.PathLike)):
+        path = str(source)
+        events: Sequence[Dict[str, Any]] = read_jsonl(path, strict=strict)
+    else:
+        path, events = "<events>", source
+    if not events:
+        raise ValueError(f"{path}: no manifest event found")
+    head, *rest = events
+    if head.get("type") != "manifest":
+        raise ValueError(
+            f"{path}: event stream does not start with a manifest "
+            f"(first event type: {head.get('type')!r})"
+        )
+    artifact = RunArtifact(path=path, manifest=head)
+    for number, event in enumerate(rest, start=2):
         etype = event.get("type")
         if etype == "manifest":
-            current = RunArtifact(path=path, manifest=event)
-            runs.append(current)
-            continue
-        if current is None:
             raise ValueError(
-                f"{path}: event stream does not start with a manifest "
-                f"(first event type: {etype!r})"
+                f"{path}: event {number} is a second manifest; a ledger "
+                "holds exactly one run"
             )
-        current.events.append(event)
+        artifact.events.append(event)
         if etype == "span":
-            current.spans.append(event)
+            artifact.spans.append(event)
         elif etype == "metric":
-            current.metrics.append(event)
+            artifact.metrics.append(event)
         elif etype == "round_record":
-            current.round_records[int(event["round"])] = event["record"]
+            artifact.round_records[int(event["round"])] = event["record"]
         elif etype == "run_footer":
-            current.footer = event
-    if not runs:
-        raise ValueError(f"{path}: no manifest event found")
-    return runs
-
-
-def load_runs(path: str, strict: bool = False) -> List[RunArtifact]:
-    """Load every run from a (possibly multi-run) JSONL artifact."""
-    return split_runs(read_jsonl(path, strict=strict), path=str(path))
-
-
-def load_run(path: str, run: int = 0, strict: bool = False) -> RunArtifact:
-    """Load one run from a JSONL artifact (``run`` selects within chains)."""
-    runs = load_runs(path, strict=strict)
-    if not 0 <= run < len(runs):
-        raise IndexError(
-            f"{path}: run index {run} out of range (artifact holds "
-            f"{len(runs)} run{'s' if len(runs) != 1 else ''})"
-        )
-    return runs[run]
+            artifact.footer = event
+    return artifact
 
 
 def verify_artifact(artifact: RunArtifact) -> List[str]:

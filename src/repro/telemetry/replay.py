@@ -20,7 +20,7 @@ load, and replay lives downstream of both.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..spec import TAGS, ReplayError, build, describe
 from .ledger import (
@@ -35,6 +35,7 @@ from .ledger import (
 
 __all__ = [
     "FieldMismatch",
+    "compare_histories",
     "ReplayError",
     "ReplayReport",
     "describe_trainer",
@@ -76,6 +77,40 @@ class FieldMismatch:
         if not (isinstance(a, float) and isinstance(b, float)):
             return float("inf")
         return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare_histories(
+    recorded: Sequence[Dict[str, Any]],
+    replayed: Sequence[Dict[str, Any]],
+    bound: float = 0.0,
+) -> Tuple[List[FieldMismatch], Optional[FieldMismatch]]:
+    """Compare two canonical record lists field by field over their shared rounds.
+
+    A field whose :attr:`FieldMismatch.deviation` exceeds ``bound`` is a
+    mismatch — only floats have a finite deviation, so every other field
+    compares exactly, and a ``bound`` of 0 demands bit-identity.  Returns
+    the mismatches in round order, capped at :data:`MAX_MISMATCHES`, and
+    the float field that deviated most while staying inside the bound
+    (``None`` when every compared float was equal).  Round counts are the
+    caller's to compare: a replay may be a prefix, a diff may not.
+    """
+    mismatches: List[FieldMismatch] = []
+    drift: Optional[FieldMismatch] = None
+    for idx, (rec, rep) in enumerate(zip(recorded, replayed)):
+        round_idx = rec.get("round_idx", idx)
+        for name in RECORD_FIELDS:
+            if rec.get(name) == rep.get(name):
+                continue
+            found = FieldMismatch(round_idx, name, rec.get(name), rep.get(name))
+            # ``not <=``: a NaN deviation is a mismatch, not drift.
+            if not found.deviation <= bound:
+                mismatches.append(found)
+            elif drift is None or found.deviation > drift.deviation:
+                drift = found
+        if len(mismatches) >= MAX_MISMATCHES:
+            del mismatches[MAX_MISMATCHES:]
+            break
+    return mismatches, drift
 
 
 @dataclass
@@ -408,7 +443,6 @@ def rebuild_trainer(
 
 def replay_run(
     source: Union[str, RunArtifact],
-    run: int = 0,
     dataset=None,
     num_rounds: Optional[int] = None,
 ) -> ReplayReport:
@@ -417,9 +451,7 @@ def replay_run(
     Parameters
     ----------
     source:
-        A run artifact or a path to a JSONL artifact file.
-    run:
-        Which run to replay when the file chains several (``append=True``).
+        A run artifact or the path of its JSONL ledger.
     dataset:
         Pre-built federation, required when the manifest's dataset recipe
         is null and otherwise overriding it (at your own risk — a
@@ -427,9 +459,15 @@ def replay_run(
     num_rounds:
         Rounds to re-execute; defaults to the recorded round count.  Fewer
         is a prefix replay: the first ``num_rounds`` records and their
-        digest are compared, and the rounds are driven one by one so the
-        last of them gets no end-of-run evaluation the recording, which
-        went on, never made there.
+        digest are compared.
+
+    The recording may have been driven by several ``run`` calls, each of
+    which filled in its last record's evaluation; the ledger marks each
+    fill-in that ran with a ``phase:final_evaluate`` span.  Replay drives
+    one ``run`` per such segment, so every fill-in lands on the round it
+    did.  A prefix replay drives the rounds after the last fill-in it
+    reaches one by one, so its last round gets no end-of-run evaluation
+    the recording, which went on, never made there.
 
     A ledger recorded under another numerics epoch
     (:data:`~repro.telemetry.ledger.NUMERICS_EPOCH`) is not owed
@@ -440,9 +478,7 @@ def replay_run(
     Returns a :class:`ReplayReport`; raises :class:`ReplayError` only for
     artifacts that cannot be re-executed at all.
     """
-    artifact = (
-        source if isinstance(source, RunArtifact) else load_run(source, run=run)
-    )
+    artifact = source if isinstance(source, RunArtifact) else load_run(source)
     issues = verify_artifact(artifact)
     recorded = artifact.history_records()
     if not recorded and num_rounds is None:
@@ -453,36 +489,31 @@ def replay_run(
             )
         )
     rounds = num_rounds if num_rounds is not None else len(recorded)
+    # Each segment ends where a ``run`` call filled in its last record; a
+    # full replay's last segment is a ``run`` of its own.
+    ends = {
+        span["round"] + 1
+        for span in artifact.spans
+        if span.get("name") == "phase:final_evaluate" and span["round"] < rounds
+    }
+    if rounds >= len(recorded):
+        ends.add(rounds)
 
     trainer = rebuild_trainer(artifact, dataset=dataset)
     try:
-        if rounds < len(recorded):
-            records = [trainer.run_round() for _ in range(rounds)]
-        else:
-            records = trainer.run(rounds).records
+        records: List[Any] = []
+        for end in sorted(ends):
+            records += trainer.run(end - len(records)).records
+        records += [trainer.run_round() for _ in range(rounds - len(records))]
     finally:
         trainer.close()
     replayed = [canonical_record(r) for r in records]
     same_epoch = artifact.numerics_epoch == NUMERICS_EPOCH
 
-    mismatches: List[FieldMismatch] = []
-    drift: Optional[FieldMismatch] = None
+    mismatches, drift = compare_histories(
+        recorded, replayed, 0.0 if same_epoch else EPOCH_DRIFT_BOUND
+    )
     compared = min(len(recorded), len(replayed))
-    for idx in range(compared):
-        rec, rep = recorded[idx], replayed[idx]
-        round_idx = rec.get("round_idx", idx)
-        for name in RECORD_FIELDS:
-            if rec.get(name) == rep.get(name):
-                continue
-            found = FieldMismatch(round_idx, name, rec.get(name), rep.get(name))
-            # ``not <=``: a NaN deviation is a mismatch, not drift.
-            if same_epoch or not found.deviation <= EPOCH_DRIFT_BOUND:
-                mismatches.append(found)
-            elif drift is None or found.deviation > drift.deviation:
-                drift = found
-        if len(mismatches) >= MAX_MISMATCHES:
-            del mismatches[MAX_MISMATCHES:]
-            break
     if len(replayed) > len(recorded):
         mismatches.append(
             FieldMismatch(compared, "rounds", len(recorded), len(replayed))

@@ -102,78 +102,40 @@ _ENCODER = json.JSONEncoder(default=_json_default)
 
 
 class JSONLSink(Sink):
-    """Write one JSON object per line — the run-artifact backend.
+    """Write one run's events, one JSON object per line — the run ledger.
 
-    Crash safety: every round-boundary event (``round_record``,
-    ``run_footer``, and the ``round`` span) forces an OS-level flush, so a
-    crashed run's artifact holds every event up to its last finished round
-    — and the record of every round before that one, since records are
-    written one round behind (:class:`~repro.telemetry.ledger.RunLedger`)
-    — with at most one partial trailing line (which :func:`read_jsonl`
-    tolerates and reports).  In atomic mode (the default for fresh files) the sink
-    writes to ``<path>.part`` and renames into place on close, so ``path``
-    either holds a fully finalized artifact or does not exist.
+    The sink writes to ``<path>.part`` and renames it onto ``path`` at
+    close, so ``path`` either holds a finished ledger or does not exist.
+    Every round-boundary event (``round_record``, ``run_footer``, and the
+    ``round`` span) forces an OS-level flush, so a crashed run's ``.part``
+    file holds every event up to its last finished round — and the record
+    of every round before that one, since records are written one round
+    behind (:class:`~repro.telemetry.ledger.RunLedger`) — with at most one
+    partial trailing line (which :func:`read_jsonl` tolerates and
+    reports).
 
     Parameters
     ----------
     path:
-        Output file path.  The file is opened lazily on the first emit, so
-        constructing a sink that never sees events leaves no empty file.
-    append:
-        Open in append mode (used by the bench harness to chain several
-        runs' manifests into one artifact); default truncates.  Append
-        mode writes to ``path`` directly (atomic finalize would clobber
-        the earlier runs it is appending to).
-    atomic:
-        Write to ``<path>.part`` and ``os.replace`` onto ``path`` at
-        close.  Defaults to ``not append``; explicitly combining
-        ``append=True`` with ``atomic=True`` is an error.
-    flush_per_round:
-        Flush OS buffers at every round boundary (default on; turn off
-        only for benchmarking sink overhead itself).
+        The ledger's path.  The ``.part`` file is opened lazily on the
+        first emit, so a sink that never sees events leaves no file.
     """
 
-    def __init__(
-        self,
-        path: str,
-        append: bool = False,
-        atomic: Optional[bool] = None,
-        flush_per_round: bool = True,
-    ) -> None:
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.append = bool(append)
-        if atomic is None:
-            atomic = not self.append
-        if atomic and self.append:
-            raise ValueError(
-                "JSONLSink: atomic=True is incompatible with append=True "
-                "(finalizing would clobber the runs being appended to)"
-            )
-        self.atomic = bool(atomic)
-        self.flush_per_round = bool(flush_per_round)
+        self.write_path = self.path + ".part"
         self._fh = None
         self._closed = False
-        self.lines_written = 0
 
-    @property
-    def write_path(self) -> str:
-        """Where bytes actually land before finalize."""
-        return self.path + ".part" if self.atomic else self.path
-
-    def _ensure_open(self) -> None:
+    def emit(self, event: Dict[str, Any]) -> None:
         if self._closed:
             raise ValueError(f"JSONLSink({self.path!r}) is closed")
         if self._fh is None:
-            self._fh = open(self.write_path, "a" if self.append else "w")
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        self._ensure_open()
+            self._fh = open(self.write_path, "w")
         self._fh.write(_ENCODER.encode(event))
         self._fh.write("\n")
-        self.lines_written += 1
-        if self.flush_per_round and (
-            event.get("type") in _ROUND_BOUNDARY_TYPES
-            or (event.get("type") == "span" and event.get("name") == "round")
+        if event.get("type") in _ROUND_BOUNDARY_TYPES or (
+            event.get("type") == "span" and event.get("name") == "round"
         ):
             self._fh.flush()
 
@@ -186,11 +148,9 @@ class JSONLSink(Sink):
             return
         self._closed = True
         if self._fh is not None:
-            self._fh.flush()
             self._fh.close()
             self._fh = None
-            if self.atomic:
-                os.replace(self.write_path, self.path)
+            os.replace(self.write_path, self.path)
 
 
 def read_jsonl(path: str, strict: bool = False) -> List[Dict[str, Any]]:

@@ -1,6 +1,6 @@
-"""``python -m repro.trace`` — inspect, replay, and verify run artifacts.
+"""``python -m repro.trace`` — inspect, replay, and verify run ledgers.
 
-Subcommands over the JSONL run ledgers written by
+Subcommands over the one-run JSONL ledgers written by
 :class:`~repro.telemetry.sinks.JSONLSink`:
 
 * ``summarize RUN.jsonl`` — identity, wall-clock, final metrics, wire
@@ -8,19 +8,20 @@ Subcommands over the JSONL run ledgers written by
   (digest/truncation/tampering), per-phase percentiles by clock.
 * ``timeline RUN.jsonl`` — per-round ASCII bars segmented by phase.
 * ``diff A.jsonl B.jsonl [--tol X]`` — field-level history comparison
-  (e.g. a serial vs cohort pair; ``--tol 0`` demands bit-identity).
+  (e.g. a serial vs cohort pair) by the comparator replay uses: float
+  fields may deviate by ``X`` relative, everything else compares exactly,
+  and ``--tol 0`` (the default) demands bit-identity.
 * ``replay RUN.jsonl [--rounds N]`` — rebuild the trainer from the
   manifest, re-execute (or only the first ``N`` rounds), and assert the
   recorded history reproduces bit-for-bit; a ledger recorded under another
   numerics epoch is held to exact non-float fields and a relative bound
   on floats instead, and says so.
-* ``check RUN.jsonl`` — structural ledger verification of every run in
-  the artifact (throughput is gated by ``python bench/run.py compare``).
+* ``check RUN.jsonl`` — structural verification of the ledger
+  (throughput is gated by ``python bench/run.py compare``).
 
-Exit status is 0 on success and 1 when the inspected artifact fails
+Exit status is 0 on success and 1 when the inspected ledger fails
 (ledger issues, replay divergence, diff divergence, check failures), so
-every subcommand works as a CI gate.  Multi-run artifacts (appended
-sinks) are addressed with ``--run N``; ``--run all`` where supported.
+every subcommand works as a CI gate.
 """
 
 from __future__ import annotations
@@ -29,59 +30,59 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .telemetry.analysis import (
-    check_runs,
-    diff_runs,
-    format_summary,
-    summarize_run,
-    timeline,
-)
-from .telemetry.ledger import RunArtifact, load_run, load_runs
-from .telemetry.replay import ReplayError, replay_run
+from .telemetry.analysis import format_summary, summarize_run, timeline
+from .telemetry.ledger import load_run, verify_artifact
+from .telemetry.replay import ReplayError, compare_histories, replay_run
 
 __all__ = ["main"]
 
-
-def _select_runs(path: str, which: str) -> List[RunArtifact]:
-    """Load the requested run(s): an index or ``all``."""
-    if which == "all":
-        return load_runs(path)
-    return [load_run(path, run=int(which))]
+#: Divergent fields ``diff`` prints before summarizing the rest.
+DIFF_SHOWN = 20
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    status = 0
-    for artifact in _select_runs(args.artifact, args.run):
-        summary = summarize_run(artifact)
-        print(format_summary(summary))
-        if summary["issues"] or (args.strict and summary["tiling_issues"]):
-            status = 1
-    return status
+    summary = summarize_run(load_run(args.artifact))
+    print(format_summary(summary))
+    return 1 if summary["issues"] or (args.strict and summary["tiling_issues"]) else 0
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    artifact = load_run(args.artifact, run=int(args.run))
-    print(timeline(artifact, width=args.width))
+    print(timeline(load_run(args.artifact), width=args.width))
     return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    a = load_run(args.artifact_a, run=args.run_a)
-    b = load_run(args.artifact_b, run=args.run_b)
-    try:
-        result = diff_runs(a, b, tol=args.tol)
-    except ValueError as exc:
-        print(f"diff impossible: {exc}", file=sys.stderr)
-        return 1
-    print(result.describe())
-    return 0 if result.matches else 1
+    a, b = load_run(args.artifact_a), load_run(args.artifact_b)
+    for artifact in (a, b):
+        if not artifact.round_records:
+            issues = [f"{artifact.path}: no round records to diff"]
+            issues += verify_artifact(artifact)
+            print(f"diff impossible: {'; '.join(issues)}", file=sys.stderr)
+            return 1
+    recs_a, recs_b = a.history_records(), b.history_records()
+    mismatches, drift = compare_histories(recs_a, recs_b, args.tol)
+    print(f"diff {a.label or 'A'} vs {b.label or 'B'} (relative tol={args.tol:g})")
+    same_length = len(recs_a) == len(recs_b)
+    if not same_length:
+        print(f"  round counts differ: {len(recs_a)} vs {len(recs_b)}")
+    if mismatches:
+        print(f"  DIVERGES ({len(mismatches)} fields):")
+        for m in mismatches[:DIFF_SHOWN]:
+            print(f"    round {m.round_idx} {m.field}: {m.recorded!r} vs {m.replayed!r}")
+        if len(mismatches) > DIFF_SHOWN:
+            print(f"    ... and {len(mismatches) - DIFF_SHOWN} more")
+    elif same_length:
+        drifted = "" if drift is None else (
+            f", max relative deviation {drift.deviation:.1e} "
+            f"(`{drift.field}`, round {drift.round_idx})"
+        )
+        print(f"  IDENTICAL over {len(recs_a)} rounds{drifted}")
+    return 0 if same_length and not mismatches else 1
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
-        report = replay_run(
-            args.artifact, run=int(args.run), num_rounds=args.rounds
-        )
+        report = replay_run(args.artifact, num_rounds=args.rounds)
     except ReplayError as exc:
         print(f"replay impossible: {exc}", file=sys.stderr)
         return 1
@@ -90,9 +91,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    report = check_runs(load_runs(args.artifact))
-    print(report.describe())
-    return 0 if report.ok else 1
+    try:
+        issues = verify_artifact(load_run(args.artifact))
+    except ValueError as exc:
+        issues = [str(exc)]
+    if not issues:
+        print("CHECK OK")
+        return 0
+    print(f"CHECK FAILED ({len(issues)} issues):")
+    for issue in issues:
+        print(f"  - {issue}")
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,11 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "summarize", help="one-screen run digest with ledger verification"
     )
-    p.add_argument("artifact", help="JSONL run artifact")
-    p.add_argument(
-        "--run", default="all",
-        help="run index in a multi-run artifact, or 'all' (default)",
-    )
+    p.add_argument("artifact", help="JSONL run ledger")
     p.add_argument(
         "--strict", action="store_true",
         help="also fail on span-tiling issues",
@@ -118,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timeline", help="per-round ASCII phase timeline")
     p.add_argument("artifact")
-    p.add_argument("--run", default="0", help="run index (default 0)")
     p.add_argument("--width", type=int, default=48, help="bar width in chars")
     p.set_defaults(func=_cmd_timeline)
 
@@ -127,11 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("artifact_a")
     p.add_argument("artifact_b")
-    p.add_argument("--run-a", type=int, default=0, help="run index in A")
-    p.add_argument("--run-b", type=int, default=0, help="run index in B")
     p.add_argument(
         "--tol", type=float, default=0.0,
-        help="absolute tolerance for float fields (default 0 = bit-identity)",
+        help="relative tolerance for float fields (default 0 = bit-identity)",
     )
     p.set_defaults(func=_cmd_diff)
 
@@ -139,17 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="re-execute a run and assert bit-identical history"
     )
     p.add_argument("artifact")
-    p.add_argument("--run", default="0", help="run index (default 0)")
     p.add_argument(
         "--rounds", type=int, default=None,
         help="rounds to re-execute (default: all recorded; fewer checks a prefix)",
     )
     p.set_defaults(func=_cmd_replay)
 
-    p = sub.add_parser(
-        "check", help="verify the ledger of every run in an artifact"
-    )
-    p.add_argument("artifact", help="JSONL run artifact (possibly multi-run)")
+    p = sub.add_parser("check", help="verify a run ledger's structure and digest")
+    p.add_argument("artifact", help="JSONL run ledger")
     p.set_defaults(func=_cmd_check)
     return parser
 

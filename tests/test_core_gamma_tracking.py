@@ -61,11 +61,3 @@ class TestGammaTracking:
         history = _trainer(toy_dataset).run(4)
         assert len(history.gamma_means) == 4
         assert all(r.gamma_mean is not None for r in history.records)
-
-    def test_gamma_persists_through_io(self, toy_dataset, tmp_path):
-        from repro.io import load_history, save_history
-
-        history = _trainer(toy_dataset).run(2)
-        path = save_history(tmp_path / "h.json", history)
-        restored = load_history(path)
-        assert restored.gamma_means == history.gamma_means

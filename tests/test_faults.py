@@ -82,11 +82,6 @@ class TestFaultModels:
         kinds = {sched.draw(r, c).kind for r in range(10) for c in range(10)}
         assert kinds == set(FAULT_KINDS)
 
-    def test_schedules_are_systems_models(self):
-        assignments = CrashFaults(0.5, seed=1).assign(0, [3, 5], 20.0)
-        assert [a.client_id for a in assignments] == [3, 5]
-        assert all(a.epochs == 20.0 and not a.is_straggler for a in assignments)
-
     def test_stale_delay_range(self):
         sched = StaleFaults(rate=1.0, seed=4, max_delay=3)
         delays = {sched.draw(r, c).delay for r in range(8) for c in range(8)}
@@ -167,6 +162,13 @@ class TestFaultPolicy:
 
 
 class TestTrainerIntegration:
+    def test_schedule_as_systems_is_refused(self, synthetic_small):
+        """A fault schedule is not a systems model: passed as ``systems=``
+        it would assign budgets and inject nothing, so the trainer says
+        where it belongs instead."""
+        with pytest.raises(TypeError, match="systems must be a SystemsModel.*faults="):
+            _trainer(synthetic_small, systems=CrashFaults(1.0, seed=0))
+
     def test_crash_accept_partial_truncates_epochs(self, synthetic_small):
         trainer = _trainer(
             synthetic_small,

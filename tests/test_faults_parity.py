@@ -23,7 +23,7 @@ from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.runtime.executor import task_round
 from repro.systems.stragglers import FractionStragglers
-from repro.telemetry import InMemorySink, Telemetry, split_runs
+from repro.telemetry import InMemorySink, Telemetry, load_run
 from repro.telemetry.analysis import fault_totals
 from repro.telemetry.ledger import RECORD_FIELDS
 
@@ -296,7 +296,7 @@ def test_the_ledger_reproduces_the_fault_counters(synthetic_small, engine, on_cr
     )
     with trainer:
         trainer.run(8)
-    [artifact] = split_runs(sink.events)
+    artifact = load_run(sink.events)
     stats = trainer.fault_stats
     assert fault_totals(artifact) == stats
     assert stats["injected"] and stats["crashes"] and stats["quarantined_updates"]

@@ -177,17 +177,6 @@ class TestJSONLSink:
         with pytest.raises(ValueError, match="closed"):
             sink.emit(span_event("y", 0.0))
 
-    def test_append_mode_chains_runs(self, tmp_path):
-        path = tmp_path / "chain.jsonl"
-        for label in ("a", "b"):
-            sink = JSONLSink(str(path), append=True)
-            sink.emit(
-                {"type": "manifest", "label": label}
-            )
-            sink.close()
-        labels = [e["label"] for e in read_jsonl(str(path))]
-        assert labels == ["a", "b"]
-
     def test_read_jsonl_skips_blank_lines(self, tmp_path):
         path = tmp_path / "blank.jsonl"
         path.write_text('{"type": "span"}\n\n{"type": "metric"}\n')

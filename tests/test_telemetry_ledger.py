@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -27,7 +28,6 @@ from repro.telemetry import (
     environment_info,
     history_digest,
     load_run,
-    load_runs,
     read_jsonl,
     run_footer_event,
     verify_artifact,
@@ -121,6 +121,42 @@ class TestCanonicalRecords:
             assert key in info
 
 
+class TestLosslessHistory:
+    def test_the_ledger_reads_back_every_record_field(self, tmp_path, synthetic_small):
+        """The ledger is the run's one history file: every field a record
+        can hold — sampled-evaluation CIs and sizes, skipped (``None``)
+        training losses, γ-inexactness, dissimilarity, stragglers, fault
+        drops and degraded rounds — reads back exactly as the trainer
+        returned it, and digests alike."""
+        from repro.core import EvalConfig
+        from repro.faults import ChaosFaults, FaultPolicy
+        from repro.systems.stragglers import FractionStragglers
+
+        path = tmp_path / "run.jsonl"
+        history = run_with_ledger(
+            synthetic_small, path, rounds=6,
+            evaluation=EvalConfig(
+                strategy="sampled", sample_size=4, strata=2, full_every=3,
+                train_every=2,
+            ),
+            track_gamma=True, track_dissimilarity=True,
+            systems=FractionStragglers(0.5, seed=3),
+            faults=ChaosFaults(0.6, seed=11),
+            fault_policy=FaultPolicy(on_crash="drop", min_quorum=2),
+        )
+        records = history.records
+        assert any(r.train_loss is None for r in records)
+        assert any(not r.eval_full and r.accuracy_ci for r in records)
+        assert any(r.gamma_mean is not None for r in records)
+        assert all(r.dissimilarity is not None for r in records)
+        assert any(r.stragglers for r in records)
+        assert any(r.dropped for r in records)
+        assert any(r.degraded for r in records)
+        artifact = load_run(str(path))
+        assert artifact.history_records() == [canonical_record(r) for r in records]
+        assert artifact.recorded_digest() == history_digest(records)
+
+
 class TestJSONLSinkHardening:
     def test_atomic_finalize(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -144,19 +180,6 @@ class TestJSONLSinkHardening:
         assert os.path.exists(str(path) + ".part")
         sink._fh.close()  # the handle, not the sink: nothing finalizes
         assert not path.exists()
-
-    def test_append_mode_is_not_atomic(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        for run_id in ("a", "b"):
-            sink = JSONLSink(str(path), append=True)
-            assert sink.write_path == str(path)
-            sink.emit({"type": "manifest", "run_id": run_id})
-            sink.close()
-        assert [e["run_id"] for e in read_jsonl(str(path))] == ["a", "b"]
-
-    def test_append_plus_atomic_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="atomic"):
-            JSONLSink(str(tmp_path / "x.jsonl"), append=True, atomic=True)
 
     def test_flush_per_round_boundary(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -333,41 +356,18 @@ class TestRunArtifacts:
             trainer.close()
         assert load_run(str(tmp_path / "run.jsonl")).rounds == list(range(rounds))
 
-    def test_multi_run_split(self, tmp_path, synthetic_small):
-        path = tmp_path / "runs.jsonl"
-        from repro.models import MultinomialLogisticRegression
-
+    def test_a_second_manifest_is_refused(self, tmp_path, synthetic_small):
+        """A ledger is one run: a stream carrying a second manifest — two
+        runs' events written one after the other — is refused by path."""
+        events = []
         for run_id in ("first", "second"):
-            model = MultinomialLogisticRegression(
-                dim=synthetic_small.input_dim,
-                num_classes=synthetic_small.num_classes,
-                seed=1,
-            )
-            telemetry = Telemetry(
-                [JSONLSink(str(path), append=True)], run_id=run_id
-            )
-            trainer = FederatedTrainer(
-                synthetic_small,
-                model,
-                SGDSolver(learning_rate=0.05, batch_size=8),
-                clients_per_round=3,
-                epochs=1,
-                seed=5,
-                telemetry=telemetry,
-                label=run_id,
-            )
-            try:
-                trainer.run(2)
-            finally:
-                trainer.close()
-        runs = load_runs(str(path))
-        assert [a.run_id for a in runs] == ["first", "second"]
-        for artifact in runs:
-            assert verify_artifact(artifact) == []
-        # Identical configs and seeds: both runs share one digest.
-        assert (
-            runs[0].recorded_digest() == runs[1].recorded_digest()
-        )
-        with pytest.raises(IndexError):
-            load_run(str(path), run=2)
-
+            path = tmp_path / f"{run_id}.jsonl"
+            run_with_ledger(synthetic_small, path, rounds=2, run_id=run_id)
+            events += read_jsonl(str(path))
+        chained = tmp_path / "chained.jsonl"
+        chained.write_text("".join(json.dumps(e) + "\n" for e in events))
+        with pytest.raises(ValueError, match=re.escape(f"{chained}: ") + ".*second manifest"):
+            load_run(str(chained))
+        with pytest.raises(ValueError, match="second manifest"):
+            load_run(events)
+        assert load_run(str(tmp_path / "first.jsonl")).run_id == "first"

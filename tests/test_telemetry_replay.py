@@ -35,6 +35,7 @@ from repro.spec import build
 from repro.telemetry.replay import (
     EPOCH_DRIFT_BOUND,
     ReplayError,
+    compare_histories,
     rebuild_trainer,
     replay_run,
 )
@@ -407,6 +408,68 @@ class TestPrefixReplay:
         assert report.mismatches[-1].field == "rounds"
         assert trace_main(["replay", str(path), "--rounds", "3"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+
+class TestRunSegments:
+    """A run driven by several ``run`` calls: each filled in its last
+    record's evaluation, and replay fills in at the same rounds."""
+
+    @pytest.fixture
+    def two_call_ledger(self, tmp_path):
+        path = tmp_path / "two.jsonl"
+        trainer = FederatedTrainer(
+            make_synthetic(1, 1, num_devices=8, seed=0, size_cap=50),
+            MultinomialLogisticRegression(dim=60, num_classes=10),
+            SGDSolver(0.01, batch_size=10),
+            clients_per_round=4, epochs=2, evaluation=EvalConfig(every=100),
+            telemetry=Telemetry([JSONLSink(str(path))]),
+        )
+        with trainer:
+            trainer.run(2)
+            trainer.run(2)
+        return str(path)
+
+    def test_two_calls_replay_to_a_match(self, two_call_ledger):
+        artifact = load_run(two_call_ledger)
+        fill_ins = [s["round"] for s in artifact.spans if s["name"] == "phase:final_evaluate"]
+        assert fill_ins == [1, 3]
+        assert artifact.round_records[1]["test_accuracy"] is not None
+        report = replay_run(two_call_ledger)
+        assert report.matches, report.describe()
+        assert report.rounds_compared == 4
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_prefixes_match(self, two_call_ledger, rounds):
+        """Through round 1 the first segment's fill-in is replayed; a
+        prefix stopping inside a segment stops it short."""
+        report = replay_run(two_call_ledger, num_rounds=rounds)
+        assert report.matches, report.describe()
+        assert report.rounds_compared == rounds
+
+
+class TestCompareHistories:
+    """The one comparison of two histories (replay and ``trace diff``)."""
+
+    def test_bound_is_relative(self):
+        big, small = {"train_loss": 1e6}, {"train_loss": 1e-6}
+        # 1e-3 apart on 1e6 is 1e-9 relative: inside a 1e-8 bound ...
+        mismatches, drift = compare_histories([big], [{"train_loss": 1e6 + 1e-3}], 1e-8)
+        assert mismatches == [] and drift.field == "train_loss"
+        assert drift.deviation == pytest.approx(1e-9)
+        # ... while 1e-9 apart on 1e-6 is 1e-3 relative: outside it.
+        [m], _ = compare_histories([small], [{"train_loss": 1e-6 + 1e-9}], 1e-8)
+        assert (m.round_idx, m.field) == (0, "train_loss")
+
+    def test_zero_bound_is_bit_identity_and_exact_fields_stay_exact(self):
+        a = {"round_idx": 3, "train_loss": 0.5, "selected": [1, 2]}
+        b = dict(a, train_loss=float(np.nextafter(0.5, 1.0)))
+        [m], drift = compare_histories([a], [b])
+        assert (m.round_idx, m.field, drift) == (3, "train_loss", None)
+        [m], _ = compare_histories([a], [dict(a, selected=[2, 1])], 1.0)
+        assert m.field == "selected"
+
+    def test_only_shared_rounds_are_compared(self):
+        assert compare_histories([{"mu": 1.0}], [{"mu": 1.0}, {"mu": 2.0}]) == ([], None)
 
 
 class TestNumericsEpoch:

@@ -25,13 +25,12 @@ from repro.optim import BatchSchedule, SGDSolver
 from repro.systems.stragglers import FractionStragglers
 from repro.telemetry import JSONLSink, Telemetry, read_jsonl
 from repro.telemetry.analysis import (
-    check_runs,
     phase_breakdown,
     summarize_run,
     tiling_issues,
     timeline,
 )
-from repro.telemetry.ledger import load_run, load_runs, verify_artifact
+from repro.telemetry.ledger import load_run, verify_artifact
 from repro.trace import main
 
 
@@ -173,6 +172,27 @@ class TestDiff:
         assert main(["diff", str(a), str(b), "--tol", "1e-9"]) == 0
         assert "IDENTICAL" in capsys.readouterr().out
 
+    def test_tol_is_relative(self, run_path, tmp_path, capsys):
+        """``--tol`` bounds a float's relative deviation, as replay's
+        cross-epoch bound does: losses of 1000 and 1000 + 1e-7 are 1e-10
+        apart relative (1e-7 absolute), inside ``--tol 1e-9``, and diverge
+        at the default bit-identity."""
+        events = read_jsonl(str(run_path))
+        paths = []
+        for name, loss in (("a", 1000.0), ("b", 1000.0 + 1e-7)):
+            for event in events:
+                if event["type"] == "round_record" and event["round"] == 1:
+                    event["record"]["train_loss"] = loss
+            paths.append(str(tmp_path / f"{name}.jsonl"))
+            with open(paths[-1], "w") as fh:
+                fh.write("".join(json.dumps(e) + "\n" for e in events))
+        assert main(["diff", *paths, "--tol", "1e-9"]) == 0
+        out = capsys.readouterr().out
+        assert "IDENTICAL over 3 rounds, max relative deviation 1.0e-10" in out
+        assert main(["diff", *paths]) == 1
+        out = capsys.readouterr().out
+        assert "DIVERGES (1 fields):" in out and "round 1 train_loss:" in out
+
     def test_different_seeds_diverge(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         record(a, seed=5, label="a")
@@ -217,9 +237,17 @@ class TestCheckCommand:
         run_path.write_text(
             "".join(json.dumps(e) + "\n" for e in events[:-1])
         )
-        report = check_runs(load_runs(str(run_path)))
-        assert not report.ok
-        assert any("truncated" in issue for issue in report.issues)
+        assert main(["check", str(run_path)]) == 1
+        out = capsys.readouterr().out
+        assert "CHECK FAILED (1 issues):" in out and "truncated" in out
+
+    def test_check_refuses_a_second_run(self, run_path, capsys):
+        """Two runs' events in one file are not a ledger."""
+        text = run_path.read_text()
+        run_path.write_text(text + text)
+        assert main(["check", str(run_path)]) == 1
+        out = capsys.readouterr().out
+        assert "CHECK FAILED" in out and "second manifest" in out
 
 
 class TestSchemaV1Refused:
