@@ -9,7 +9,7 @@ from repro.optim import SGDSolver
 from repro.systems import FractionStragglers
 
 
-def _trainer(dataset, track=True, epochs=5, systems=None, seed=0):
+def _trainer(dataset, track=True, epochs=5, systems=None, seed=0, telemetry=None):
     model = MultinomialLogisticRegression(dim=6, num_classes=3)
     return FederatedTrainer(
         dataset=dataset,
@@ -20,6 +20,7 @@ def _trainer(dataset, track=True, epochs=5, systems=None, seed=0):
         systems=systems,
         seed=seed,
         track_gamma=track,
+        telemetry=telemetry,
     )
 
 
@@ -61,3 +62,19 @@ class TestGammaTracking:
         history = _trainer(toy_dataset).run(4)
         assert len(history.gamma_means) == 4
         assert all(r.gamma_mean is not None for r in history.records)
+
+    def test_gamma_persists_through_io(self, toy_dataset, tmp_path):
+        """γ reaches the run's one on-disk record, the ledger, unrounded."""
+        from repro.telemetry import JSONLSink, Telemetry, load_run
+
+        path = tmp_path / "run.jsonl"
+        trainer = _trainer(toy_dataset, telemetry=Telemetry([JSONLSink(str(path))]))
+        try:
+            history = trainer.run(2)
+        finally:
+            trainer.close()
+        restored = load_run(str(path)).history_records()
+        assert [r["gamma_mean"] for r in restored] == history.gamma_means
+        assert [r["gamma_max"] for r in restored] == [
+            r.gamma_max for r in history.records
+        ]

@@ -156,6 +156,24 @@ class TestLosslessHistory:
         assert artifact.history_records() == [canonical_record(r) for r in records]
         assert artifact.recorded_digest() == history_digest(records)
 
+    def test_records_rebuild_the_trainer_history(self, tmp_path, synthetic_small):
+        """The ledger's records, read back into round records, are the
+        history the trainer returned, series accessors included."""
+        from repro.core.history import RoundRecord, TrainingHistory
+
+        path = tmp_path / "run.jsonl"
+        history = run_with_ledger(
+            synthetic_small, path, rounds=4, track_gamma=True,
+        )
+        artifact = load_run(str(path))
+        restored = TrainingHistory(label=artifact.label)
+        for record in artifact.history_records():
+            restored.append(RoundRecord(**record))
+        assert restored.records == history.records
+        assert restored.train_losses == history.train_losses
+        assert restored.gamma_means == history.gamma_means
+        assert restored.mus == history.mus
+
 
 class TestJSONLSinkHardening:
     def test_atomic_finalize(self, tmp_path):
@@ -190,6 +208,37 @@ class TestJSONLSinkHardening:
         with open(sink.write_path) as fh:
             assert len(fh.readlines()) == 2
         sink.close()
+
+    @pytest.mark.parametrize(
+        "boundary",
+        [
+            {"type": "run_footer", "rounds": 1},
+            {"type": "span", "name": "round", "round": 0, "duration": 0.1},
+        ],
+        ids=["run_footer", "round_span"],
+    )
+    def test_every_round_boundary_flushes(self, tmp_path, boundary):
+        sink = JSONLSink(str(tmp_path / "run.jsonl"))
+        sink.emit({"type": "metric", "name": "loss", "value": 1.0})
+        sink.emit(boundary)
+        with open(sink.write_path) as fh:
+            assert [json.loads(line) for line in fh] == [
+                {"type": "metric", "name": "loss", "value": 1.0}, boundary,
+            ]
+        sink.close()
+
+    def test_an_existing_ledger_is_replaced_at_close(self, tmp_path):
+        """A path that already holds a ledger keeps it until the new run
+        closes, then holds the new run alone: runs never chain."""
+        path = tmp_path / "run.jsonl"
+        for run_id in ("old", "new"):
+            sink = JSONLSink(str(path))
+            sink.emit({"type": "manifest", "run_id": run_id})
+            if run_id == "new":
+                assert [e["run_id"] for e in read_jsonl(str(path))] == ["old"]
+            sink.close()
+        assert [e["run_id"] for e in read_jsonl(str(path))] == ["new"]
+        assert not os.path.exists(str(path) + ".part")
 
     def test_read_jsonl_tolerates_truncated_tail(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -355,6 +404,46 @@ class TestRunArtifacts:
         finally:
             trainer.close()
         assert load_run(str(tmp_path / "run.jsonl")).rounds == list(range(rounds))
+
+    def test_in_memory_events_read_as_the_ledger_file_does(
+        self, tmp_path, synthetic_small
+    ):
+        """One reader: an :class:`InMemorySink` beside the file sink yields
+        the same run, record for record."""
+        from repro.models import MultinomialLogisticRegression
+        from repro.telemetry import InMemorySink
+
+        path = tmp_path / "run.jsonl"
+        memory = InMemorySink()
+        trainer = FederatedTrainer(
+            synthetic_small,
+            MultinomialLogisticRegression(
+                dim=synthetic_small.input_dim,
+                num_classes=synthetic_small.num_classes, seed=1,
+            ),
+            SGDSolver(learning_rate=0.05, batch_size=8),
+            clients_per_round=3, epochs=1, seed=5,
+            telemetry=Telemetry([JSONLSink(str(path)), memory], run_id="both"),
+        )
+        try:
+            trainer.run(3)
+        finally:
+            trainer.close()
+        from_file, from_memory = load_run(str(path)), load_run(memory.events)
+        assert from_memory.path == "<events>"
+        assert from_memory.run_id == from_file.run_id == "both"
+        assert from_memory.history_records() == from_file.history_records()
+        assert from_memory.recorded_digest() == from_file.recorded_digest()
+        assert verify_artifact(from_memory) == verify_artifact(from_file) == []
+
+    def test_a_stream_must_open_with_its_manifest(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{empty}: no manifest")):
+            load_run(str(empty))
+        span = {"type": "span", "name": "round", "round": 0, "duration": 0.1}
+        with pytest.raises(ValueError, match="first event type: 'span'"):
+            load_run([span, {"type": "manifest", "run_id": "late"}])
 
     def test_a_second_manifest_is_refused(self, tmp_path, synthetic_small):
         """A ledger is one run: a stream carrying a second manifest — two

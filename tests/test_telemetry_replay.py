@@ -34,6 +34,7 @@ from repro.telemetry import JSONLSink, Telemetry, read_jsonl
 from repro.spec import build
 from repro.telemetry.replay import (
     EPOCH_DRIFT_BOUND,
+    MAX_MISMATCHES,
     ReplayError,
     compare_histories,
     rebuild_trainer,
@@ -470,6 +471,17 @@ class TestCompareHistories:
 
     def test_only_shared_rounds_are_compared(self):
         assert compare_histories([{"mu": 1.0}], [{"mu": 1.0}, {"mu": 2.0}]) == ([], None)
+
+    def test_nan_is_a_mismatch_under_any_bound(self):
+        nan = {"train_loss": float("nan")}
+        [m], drift = compare_histories([{"train_loss": 0.5}], [nan], 1e300)
+        assert m.field == "train_loss" and drift is None
+
+    def test_mismatches_are_capped_in_round_order(self):
+        a = [{"round_idx": r, "mu": 0.0} for r in range(MAX_MISMATCHES + 5)]
+        b = [dict(rec, mu=1.0) for rec in a]
+        mismatches, _ = compare_histories(a, b, 1e-3)
+        assert [m.round_idx for m in mismatches] == list(range(MAX_MISMATCHES))
 
 
 class TestNumericsEpoch:

@@ -193,6 +193,26 @@ class TestDiff:
         out = capsys.readouterr().out
         assert "DIVERGES (1 fields):" in out and "round 1 train_loss:" in out
 
+    def test_unequal_round_counts_diverge(self, run_path, tmp_path, capsys):
+        """A shorter run that agrees on every shared round is still not
+        the same history."""
+        short = tmp_path / "short.jsonl"
+        record(short, rounds=2)
+        assert main(["diff", str(run_path), str(short)]) == 1
+        out = capsys.readouterr().out
+        assert "round counts differ: 3 vs 2" in out
+        assert "DIVERGES" not in out and "IDENTICAL" not in out
+
+    def test_a_run_without_round_records_cannot_be_diffed(
+        self, run_path, tmp_path, capsys
+    ):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(json.dumps(read_jsonl(str(run_path))[0]) + "\n")
+        assert main(["diff", str(run_path), str(empty)]) == 1
+        err = capsys.readouterr().err
+        assert f"diff impossible: {empty}: no round records to diff" in err
+        assert "truncated" in err
+
     def test_different_seeds_diverge(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         record(a, seed=5, label="a")
