@@ -36,7 +36,6 @@ from .ops import (
     transpose,
 )
 from .functional import (
-    FusedLSTMWorkspace,
     binary_cross_entropy_with_logits,
     fused_lstm,
     l2_norm_squared,
@@ -85,7 +84,6 @@ __all__ = [
     "mse_loss",
     "l2_norm_squared",
     "fused_lstm",
-    "FusedLSTMWorkspace",
     "StackedLSTMWorkspace",
     "stacked_lstm_forward",
     "stacked_lstm_backward",

@@ -1,29 +1,24 @@
-"""Stacked multi-client fused-LSTM kernels for the cohort solve path.
+"""The one LSTM training kernel: K clients' gradients, each at its own row.
 
-:func:`~repro.autograd.functional.fused_lstm` runs *one* client's unrolled
-LSTM as hand-derived NumPy kernels.  The cohort local solver
-(:mod:`repro.runtime.cohort`) instead advances K clients' FedProx solves
-simultaneously, each at its *own* parameter vector — so here every buffer
-has a leading client axis and each GEMM is batched over it:
-``(K, T*B, in) @ (K, in, 4H)`` for the input contribution,
-``(K, B, H) @ (K, H, 4H)`` per step for the recurrence, and so on.
+Every gradient of a ``backend="fused"`` model runs here — the cohort
+path's (:mod:`repro.runtime.cohort`) ``K`` lanes, a serial solve's one
+row, and the full-batch gradients of γ measurement, dissimilarity and
+FedDane — through the models' ``stacked_gradient``
+(:mod:`repro.models._stacked_seq`).  Every buffer has a leading client
+axis and each GEMM is batched over it: ``(K, T*B, in) @ (K, in, 4H)``
+for the input contribution, ``(K, B, H) @ (K, H, 4H)`` per step for the
+recurrence, and so on.  NumPy's batched ``matmul`` dispatches one GEMM
+per client slice and every elementwise kernel is position-independent,
+so row ``k`` of a cohort step and the same client's serial step (the
+kernel at ``K = 1``) compute the same bits whenever their batch heights
+match.
 
-These are not a second kernel: the layer and step loops are
-:mod:`repro.autograd.functional`'s own, run over a tape whose views carry
-the client axis.  Hence the bit-compatibility contract: for every client
-row ``k``, the operations executed on slice ``k`` are the *same*
-floating-point operations, in the same order, as one :func:`fused_lstm`
-forward/backward at that client's parameters — NumPy's batched ``matmul``
-dispatches the identical per-slice GEMM, and all elementwise kernels are
-position-independent.  The models' ``stacked_gradient`` implementations
-(CharLSTM / SentimentLSTM) build on this to satisfy the cohort determinism
-contract (row ``k`` equals the scalar ``gradient()`` at ``W[k]`` to
-ulp-level rounding), with the graph backend kept as the gradcheck oracle.
-
-No autograd here: the cohort path needs raw gradients against caller-owned
-flat parameter rows, not a graph.  Buffers live in a
-:class:`StackedLSTMWorkspace` keyed by call shape, reused across the
-thousands of steps of a cohort solve.
+The forward's layer loop is :func:`repro.autograd.functional._lstm_layer`,
+shared with :func:`~repro.autograd.fused_lstm`'s tape-free evaluation
+forward.  No autograd here: the kernel takes raw gradients against
+caller-owned flat parameter rows, not a graph.  Buffers live in a
+:class:`StackedLSTMWorkspace` keyed by call shape and bounded in bytes,
+reused across the thousands of steps of a solve.
 """
 
 from __future__ import annotations
@@ -32,26 +27,264 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .functional import _LSTMTape, _lstm_backward, _lstm_forward, _TapeCache
+from .functional import _gate_order, _lstm_layer, _step_views
+
+#: Bytes of tapes a :class:`StackedLSTMWorkspace` keeps.  Mini-batch solves
+#: cycle through at most ``batch_size`` shapes per cohort width (the batch,
+#: and each device's shorter last batch): 3 MB for the benchmark's batch of
+#: 10, 68 MB for all ten shapes of the paper's Shakespeare model.  A
+#: full-batch gradient (γ measurement, dissimilarity, FedDane's
+#: corrections) takes one ``T x n_k x 4H`` tape per device size, 4.3 GB for
+#: a mean-sized Shakespeare device, which only the calls right after it
+#: reuse.
+TAPE_BYTES = 256 * 2**20
 
 
-class StackedLSTMWorkspace(_TapeCache):
-    """Reusable buffers for stacked LSTM calls, keyed by call shape.
+def _steps(block: np.ndarray) -> list:
+    """Per-timestep views of a ``(K, T, ...)`` block."""
+    return list(np.moveaxis(block, 1, 0))
+
+
+class _LayerTape:
+    """Saved activations, permuted parameters and step views of one layer."""
+
+    def __init__(self, K: int, T: int, B: int, in_size: int, H: int) -> None:
+        # Row 0 of ``h``/``c`` along the time axis is the zero initial state
+        # (allocated zero, never written): step ``t`` enters at row ``t`` and
+        # leaves at row ``t + 1``.
+        self.h = np.zeros((K, T + 1, B, H))
+        self.c = np.zeros((K, T + 1, B, H))
+        self.tanh_c = np.empty((K, T, B, H))
+        # Post-nonlinearity gate values, and the parameters as last taken by a
+        # forward, in the kernel's internal column order [i, f, o, g].
+        self.gates = np.empty((K, T, B, 4 * H))
+        self.w_x_p = np.empty((K, in_size, 4 * H))
+        self.w_h_p = np.empty((K, H, 4 * H))
+        self.b_p = np.empty((K, 4 * H))
+        # The (T*B, ·) stacks the per-layer GEMMs read.  Of the (T+1)*B rows
+        # of ``h``, the last T*B are the output sequence and the first T*B
+        # the states entering each step: contiguous per client in either
+        # layout, so neither needs a copy.
+        rows = self.h.reshape((K, (T + 1) * B, H))
+        self.h_in_flat = rows[..., : T * B, :]
+        self.h_out_flat = rows[..., B:, :]
+        self.gates_flat = self.gates.reshape((K, T * B, 4 * H))
+        self.b_rows = self.b_p[..., None, :]  # broadcasts over gates_flat
+        h, c, tc, g = (
+            _steps(a) for a in (self.h, self.c, self.tanh_c, self.gates)
+        )
+        self.steps = [
+            _step_views(h[t], g[t], c[t], c[t + 1], tc[t], h[t + 1])
+            for t in range(T)
+        ]
+
+
+class _BackwardScratch:
+    """Buffers and step views only a backward pass touches.
+
+    Built with the tape: a call with no gradient to compute takes no tape
+    (see :func:`_lstm_rolling_forward`), so every tape runs a backward.
+    One set serves every layer, since the layers' sweeps run in turn.
+    """
+
+    def __init__(self, tape: "_LSTMTape") -> None:
+        K, T, B, H = tape.K, tape.T, tape.B, tape.H
+
+        def block(width: int) -> np.ndarray:
+            return np.empty((K, T, B, width))
+
+        def flat(a: np.ndarray) -> np.ndarray:
+            return a.reshape((K, T * B, -1))
+
+        self.dh = np.empty((K, B, H))
+        self.dc = np.empty((K, B, H))
+        self.tmp3h = np.empty((K, B, 3 * H))
+        self.dgates = block(4 * H)
+        self.dgates_flat = flat(self.dgates)
+        # Gradient w.r.t. a layer's output sequence.  The top layer reads
+        # dseq[0]; each layer writes the other buffer for the layer below,
+        # but only once its own sweep has ended — until then that buffer is
+        # free, and holds the sweep's ``fc`` factor (see _lstm_backward).
+        self.dseq = [block(H), block(H)]
+        self.dx = block(tape.in_size)
+        self.dx_flat = flat(self.dx)
+        # Per layer: parameter gradients in the internal column order
+        # (``grads_p``) and the external [i, f, g, o] one (``grads``), the
+        # dseq buffer the layer writes with its flat view (``below``), and
+        # the sweep's step views.
+        self.grads_p, self.grads, self.below, self.steps = [], [], [], []
+        dg = _steps(self.dgates)
+        top = len(tape.layers) - 1
+        for l, lt in enumerate(tape.layers):
+            shapes = (lt.w_x_p.shape, lt.w_h_p.shape, lt.b_p.shape)
+            self.grads_p.append(tuple(np.empty(s) for s in shapes))
+            self.grads.append(tuple(np.empty(s) for s in shapes))
+            dseq_in, dseq_out = self.dseq[(top - l) % 2], self.dseq[(top - l + 1) % 2]
+            self.below.append((dseq_out, flat(dseq_out)))
+            dseq, fc = _steps(dseq_in), _steps(dseq_out)
+            g, c, tc = (_steps(a) for a in (lt.gates, lt.c, lt.tanh_c))
+            # Per step, last step first: output gradient, ``fc``, the gate
+            # gradient block with its [i, f, o] / g columns, the i / f / g
+            # gate values, the cell entering the step, tanh(cell leaving it).
+            self.steps.append([
+                (
+                    dseq[t], fc[t], dg[t], dg[t][..., : 3 * H], dg[t][..., 3 * H :],
+                    g[t][..., :H], g[t][..., H : 2 * H], g[t][..., 3 * H :],
+                    c[t], tc[t],
+                )
+                for t in range(T - 1, -1, -1)
+            ])
+
+
+class _LSTMTape:
+    """Every buffer and per-step view of one call shape.
+
+    Every block is ``(K, T, B, ·)``: one client row per leading index.
+    The layer loops below slice nothing themselves: they run over views
+    built here once per shape.  ``scratch`` holds the model's own
+    per-shape buffers (head, loss delta), so they leave the cache with
+    the tape.
+    """
+
+    def __init__(
+        self, K: int, T: int, B: int, in_size: int, H: int, layers: int
+    ) -> None:
+        self.K, self.T, self.B, self.in_size, self.H = K, T, B, in_size, H
+        self.x = np.empty((K, T, B, in_size))  # the input, kernel layout
+        self.x_flat = self.x.reshape((K, T * B, in_size))
+        self.layers = [
+            _LayerTape(K, T, B, in_size if l == 0 else H, H)
+            for l in range(layers)
+        ]
+        self.tmp4h = np.empty((K, B, 4 * H))
+        self.tmph = np.empty((K, B, H))
+        self.perm, self.prescale = _gate_order(H)
+        self.bwd = _BackwardScratch(self)
+        self.scratch: dict = {}
+        # The blocks that scale with T x B, which is nearly all of a tape.
+        self.nbytes = sum(
+            a.nbytes
+            for a in (self.x, self.bwd.dgates, self.bwd.dx, *self.bwd.dseq)
+            + tuple(a for lt in self.layers for a in (lt.h, lt.c, lt.tanh_c, lt.gates))
+        )
+
+
+class StackedLSTMWorkspace:
+    """Tapes keyed by call shape, the least recently used evicted.
 
     One workspace per model instance amortizes allocation across every
-    step of a cohort solve; the active width K shrinks at scheduler
-    segment boundaries, so only a handful of shapes ever materialize.
+    step of a solve: buffers are keyed by ``(K, T, B, in, hidden,
+    layers)`` and reused whenever the shape recurs, and the workspace keeps
+    the most recently used tapes up to :data:`TAPE_BYTES` (or just the one
+    in use, if that alone is larger).  Tapes are scratch, and their cached
+    views would stop aliasing their buffers across a copy: a pickled or
+    deep-copied workspace starts empty.
     """
+
+    def __init__(self) -> None:
+        self._tapes: dict = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_tapes": {}}
 
     def acquire(
         self, K: int, T: int, B: int, in_size: int, hidden: int, layers: int
     ) -> _LSTMTape:
-        """The tape for one call shape; its ``x`` is the ``(K, T, B, in)`` input."""
-        key = ((K,), T, B, in_size, hidden, layers)
-        tape = self._tapes.get(key)
-        if tape is None:
-            tape = self._tapes[key] = _LSTMTape(*key)
+        """The tape for one call shape; its ``x`` is the ``(K, T, B, in)``
+        input.  Allocated on first use; least recently used shapes beyond
+        :data:`TAPE_BYTES` are evicted."""
+        key = (K, T, B, in_size, hidden, layers)
+        tape = self._tapes.pop(key, None) or _LSTMTape(*key)
+        self._tapes[key] = tape  # most recently used last
+        held = sum(t.nbytes for t in self._tapes.values())
+        for old in list(self._tapes):
+            if held <= TAPE_BYTES or old == key:
+                break
+            held -= self._tapes.pop(old).nbytes
         return tape
+
+
+def _lstm_forward(tape: _LSTMTape, params) -> None:
+    """Every layer's forward over ``tape.x``, activations left in the tape.
+
+    ``params`` is one ``(w_x, w_h, b)`` ndarray triple per layer in the
+    external [i, f, g, o] layout, each with the tape's leading axes.
+    """
+    perm, inp_flat = tape.perm, tape.x_flat
+    scratch = (tape.prescale, np.matmul, tape.tmp4h, tape.tmph)
+    for lt, (w_x, w_h, b) in zip(tape.layers, params):
+        np.take(w_x, perm, axis=-1, out=lt.w_x_p)
+        np.take(w_h, perm, axis=-1, out=lt.w_h_p)
+        np.take(b, perm, axis=-1, out=lt.b_p)
+        _lstm_layer(
+            inp_flat, lt.gates_flat, lt.steps, lt.w_x_p, lt.w_h_p, lt.b_rows, *scratch
+        )
+        inp_flat = lt.h_out_flat
+
+
+def _lstm_backward(tape: _LSTMTape, need_dx: bool) -> list:
+    """Reverse sweep of the forward last run through ``tape``.
+
+    Reads the gradient w.r.t. the top layer's output sequence from
+    ``tape.bwd.dseq[0]``; returns ``tape.bwd.grads``, one ``(d_wx, d_wh,
+    d_b)`` triple per layer in the external layout (valid until the next
+    call), and leaves the input gradient in ``tape.bwd.dx`` when ``need_dx``.
+    """
+    bw = tape.bwd
+    H, perm, tmp = tape.H, tape.perm, tape.tmph
+    dh, dc, dgates_flat, tmp3h = bw.dh, bw.dc, bw.dgates_flat, bw.tmp3h
+    t_i, t_f, t_o = tmp3h[..., :H], tmp3h[..., H : 2 * H], tmp3h[..., 2 * H :]
+    dg_ifo_all, dg_g_all = bw.dgates[..., : 3 * H], bw.dgates[..., 3 * H :]
+    for l in range(len(tape.layers) - 1, -1, -1):
+        lt = tape.layers[l]
+        fc, dseq_below_flat = bw.below[l]
+        # The factors of a step's chain rule that do not depend on the
+        # recurrent state, for all T steps at once — per element the same
+        # operations in the same order as computing them inside the sweep.
+        # None needs memory of its own: o * (1 - tanh(c)^2) goes to the dseq
+        # buffer this layer writes only after its sweep, and the derivatives
+        # s * (1 - s) of [i, f, o] and 1 - g^2 go where the sweep multiplies
+        # each step's gate gradients in.
+        ifo_all, g_all = lt.gates[..., : 3 * H], lt.gates[..., 3 * H :]
+        np.multiply(lt.tanh_c, lt.tanh_c, out=fc)
+        np.subtract(1.0, fc, out=fc)
+        fc *= lt.gates[..., 2 * H : 3 * H]
+        np.subtract(1.0, ifo_all, out=dg_ifo_all)
+        dg_ifo_all *= ifo_all
+        np.multiply(g_all, g_all, out=dg_g_all)
+        np.subtract(1.0, dg_g_all, out=dg_g_all)
+        dh.fill(0.0)
+        dc.fill(0.0)
+        w_h_pT = np.swapaxes(lt.w_h_p, -1, -2)
+        for (dseq_t, fc_t, dg_t, dg_ifo, dg_g,
+             i_g, f_g, g_g, c_prev, tc) in bw.steps[l]:
+            dh += dseq_t
+            np.multiply(fc_t, dh, out=tmp)  # dc += dh * o * (1 - tanh(c)^2)
+            dc += tmp
+            # Loss gradients w.r.t. the three sigmoid gate *values*, times
+            # the sigmoid derivative over the contiguous [i, f, o] block.
+            np.multiply(dc, g_g, out=t_i)
+            np.multiply(dc, c_prev, out=t_f)
+            np.multiply(dh, tc, out=t_o)
+            dg_ifo *= tmp3h
+            dg_g *= dc  # cell candidate: dc * (1 - g^2) * i
+            dg_g *= i_g
+            dc *= f_g  # carry to step t-1
+            np.matmul(dg_t, w_h_pT, out=dh)
+        # Parameter gradients: one GEMM per matrix over the whole (T*B, ·)
+        # stack instead of T rank-B updates, un-permuted to [i, f, g, o].
+        d_wx_p, d_wh_p, d_b_p = bw.grads_p[l]
+        inp_flat = tape.x_flat if l == 0 else tape.layers[l - 1].h_out_flat
+        np.matmul(np.swapaxes(inp_flat, -1, -2), dgates_flat, out=d_wx_p)
+        np.matmul(np.swapaxes(lt.h_in_flat, -1, -2), dgates_flat, out=d_wh_p)
+        dgates_flat.sum(axis=-2, out=d_b_p)
+        for src, dst in zip(bw.grads_p[l], bw.grads[l]):
+            np.take(src, perm, axis=-1, out=dst)
+        if l > 0:
+            np.matmul(dgates_flat, np.swapaxes(lt.w_x_p, -1, -2), out=dseq_below_flat)
+        elif need_dx:
+            np.matmul(dgates_flat, np.swapaxes(lt.w_x_p, -1, -2), out=bw.dx_flat)
+    return bw.grads
 
 
 def stacked_lstm_forward(

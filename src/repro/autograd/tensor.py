@@ -44,8 +44,8 @@ _grad_mode = _GradMode()
 def no_grad() -> Iterator[None]:
     """Compute values only: inside the block every op returns a constant.
 
-    No backward closure is attached and nothing is saved for one, so
-    :func:`~repro.autograd.fused_lstm` runs its tape-free forward.  The
+    No backward closure is attached and nothing is saved for one (the
+    forward-only :func:`~repro.autograd.fused_lstm` requires it).  The
     values are bit-identical to the same ops outside the block.  The switch
     is per thread and nests.
     """

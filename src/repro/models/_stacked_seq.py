@@ -1,23 +1,21 @@
-"""Stacked local-solve kernels shared by the sequence models.
+"""The LSTM models' one training kernel, and their module.
 
-:class:`StackedSeqSolveMixin` gives CharLSTM / SentimentLSTM the
-``stacked_gradient`` implementation the cohort executor needs: K clients'
-mini-batch gradients, each at its *own* flat parameter row, in one pass
-through the batched LSTM kernels (:mod:`repro.autograd.stacked_lstm`).
+:class:`StackedSeqSolveMixin` gives CharLSTM / SentimentLSTM their
+``stacked_gradient``: K clients' mini-batch gradients, each at its *own*
+flat parameter row, in one pass through the batched LSTM kernels
+(:mod:`repro.autograd.stacked_lstm`).  It is the only training path of a
+``backend="fused"`` model: the cohort runs it on its lanes, and
+``minibatch_gradients``, ``gradient`` and ``loss_and_gradient``
+(:class:`~repro.models.base.NeuralModel`) run it on the one-row view of
+the iterate.
 
 The mixin owns the glue around those kernels — flat-vector views in the
 module registration order (embedding -> per-layer ``(w_x, w_h, b)`` ->
 head), the embedding gather, the dense head and its backward, and the loss
-delta, which each model supplies via ``_stacked_loss_delta`` replicating
-its scalar loss's exact floating-point operations.  Every elementwise op
-and GEMM here matches the scalar path (``gradient()`` through the fused
-autograd backend) per client row, so row ``k`` of the result equals
-``gradient(X_k, y_k)`` at ``W[k]`` to ulp-level rounding — padded batch
-slots contribute exact ``±0.0`` terms through masked deltas.
-
-Only ``backend="fused"`` models can honor that contract: the graph backend
-exists as the per-timestep gradcheck oracle, and the mixin reports that as
-the capability *reason* rather than silently claiming support.
+delta, which each model supplies via ``_stacked_loss_delta``, written op
+for op as its autograd loss's backward.  The graph backend exists as the
+per-timestep gradcheck oracle, and the mixin reports that as the
+capability *reason* rather than silently claiming support.
 """
 
 from __future__ import annotations
@@ -28,9 +26,36 @@ import numpy as np
 
 from ..autograd import (
     StackedLSTMWorkspace,
+    Tensor,
+    fused_lstm,
     stacked_lstm_backward,
     stacked_lstm_forward,
 )
+from ..nn.module import Module
+
+
+class SeqModule(Module):
+    """Embedding -> stacked LSTM -> dense head, on either LSTM backend.
+
+    Subclasses assign ``embedding``, ``lstm`` (an :class:`repro.nn.LSTM`:
+    both backends share its initialization and flat layout) and ``head``.
+    The forward is the evaluation path: ``"fused"`` runs the LSTM's
+    parameters through the forward-only :func:`repro.autograd.fused_lstm`,
+    ``"graph"`` through the LSTM's own per-timestep graph.
+    """
+
+    def __init__(self, backend: str) -> None:
+        super().__init__()
+        self.fused = backend == "fused"
+
+    def forward(self, token_ids: np.ndarray) -> Tensor:
+        embedded = self.embedding(token_ids)  # (batch, time, embed_dim)
+        if self.fused:
+            triples = [(c.w_x, c.w_h, c.bias) for c in self.lstm.cells]
+            final_hidden = fused_lstm(embedded, triples)
+        else:
+            final_hidden = self.lstm(embedded)  # (batch, hidden)
+        return self.head(final_hidden)
 
 
 def _buf(ws: dict, name: str, shape: Tuple[int, ...]) -> np.ndarray:
@@ -47,9 +72,11 @@ class StackedSeqSolveMixin:
     Host classes provide ``vocab_size`` / ``embed_dim`` / ``hidden`` /
     ``num_layers`` / ``backend`` attributes, ``_stacked_head_width`` (dense
     head output width), ``_stacked_trainable_embedding`` (whether the
-    embedding table lives in the flat vector), and ``_stacked_loss_delta``
+    embedding table lives in the flat vector), ``_stacked_loss_delta``
     (loss gradient w.r.t. the head scores, *before* the ``1/batch``
-    scaling, replicating the scalar loss's op order).
+    scaling, replicating the autograd loss's op order) and
+    ``_stacked_loss`` (the mean loss from what the delta left in the
+    scores buffer).
     """
 
     @property
@@ -71,12 +98,7 @@ class StackedSeqSolveMixin:
     def _stacked_store(self) -> dict:
         store = getattr(self, "_stacked_solve_store", None)
         if store is None:
-            store = {
-                "lstm_ws": StackedLSTMWorkspace(),
-                "shapes": {},
-                "grads": {},
-                "views": None,
-            }
+            store = {"lstm_ws": StackedLSTMWorkspace(), "grads": {}, "views": None}
             self._stacked_solve_store = store
         return store
 
@@ -150,25 +172,39 @@ class StackedSeqSolveMixin:
         return gv
 
     def _stacked_scratch(self, K: int, B: int, T: int) -> dict:
-        store = self._stacked_store()
-        key = (K, B, T)
-        ws = store["shapes"].get(key)
-        if ws is None:
-            H, C = self.hidden, self._stacked_head_width
-            ws = {
-                "st": store["lstm_ws"].acquire(
-                    K, T, B, self.embed_dim, H, self.num_layers
-                ),
-                "scores": np.empty((K, B, C)),
-                "delta": np.empty((K, B, C)),
-                "dh": np.empty((K, B, H)),
-                "invc": np.empty(K),
-                "k3": np.arange(K)[:, None, None],
-                "k2": np.arange(K)[:, None],
-                "b2": np.arange(B)[None, :],
-            }
-            store["shapes"][key] = ws
+        """The call shape's tape and the model's buffers beside it.
+
+        Kept in the tape's ``scratch``, so the workspace's byte budget
+        bounds both: a full-batch gradient's shapes leave together.
+        """
+        H, C = self.hidden, self._stacked_head_width
+        st = self._stacked_store()["lstm_ws"].acquire(
+            K, T, B, self.embed_dim, H, self.num_layers
+        )
+        ws = st.scratch
+        if not ws:
+            ws.update(
+                st=st,
+                scores=np.empty((K, B, C)),
+                delta=np.empty((K, B, C)),
+                dh=np.empty((K, B, H)),
+                invc=np.empty(K),
+                k3=np.arange(K)[:, None, None],
+                k2=np.arange(K)[:, None],
+                b2=np.arange(B)[None, :],
+            )
         return ws
+
+    def loss_and_gradient(self, X: np.ndarray, y: np.ndarray):
+        """One kernel call on one row: the gradient, and the loss read off
+        the forward it ran (``_stacked_loss``, the autograd loss's
+        operations on the head's scores the kernel leaves behind)."""
+        if not self.supports_stacked_local_solve:
+            return super().loss_and_gradient(X, y)
+        X, y = np.asarray(X), np.asarray(y)
+        grad = self.gradient(X, y)
+        scores = self._stacked_scratch(1, len(y), X.shape[1])["scores"][0]
+        return self._stacked_loss(scores, y), grad
 
     # ------------------------------------------------------------------ #
     # The kernel
@@ -231,6 +267,6 @@ class StackedSeqSolveMixin:
             g_emb = gv["emb"]
             g_emb.fill(0.0)
             # Same scatter-add, in the same (batch, time) iteration order,
-            # as the scalar embedding backward (repro.autograd.ops).
+            # as the graph's embedding backward (repro.autograd.ops).
             np.add.at(g_emb, (ws["k3"], X), st.bwd.dx.transpose(0, 2, 1, 3))
         return gv["G"]

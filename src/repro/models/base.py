@@ -9,7 +9,13 @@ implement it:
 * :class:`~repro.models.logistic.MultinomialLogisticRegression` — closed-form
   NumPy gradients (fast path for the convex experiments with 1000 devices);
 * :class:`NeuralModel` — an adapter that wraps any :class:`repro.nn.Module`
-  and derives gradients through the autograd engine (LSTM workloads).
+  and derives gradients through the autograd engine, or, for a model with a
+  stacked kernel (MLP, the fused LSTMs), through that kernel on one row.
+
+A model with a stacked kernel has one training kernel: every gradient it
+takes — a serial solve's steps, the full-batch ``gradient`` behind γ,
+dissimilarity and FedDane, and the cohort's lanes — runs it, so serial
+and cohort solves agree by construction.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ from ..nn.module import Module
 from ..spec import build, describe
 
 #: Execution backends offered by the LSTM models: ``"fused"`` runs the
-#: hand-derived kernels (:func:`repro.autograd.fused_lstm`), ``"graph"``
-#: the per-timestep autograd graph kept as the correctness oracle.
+#: hand-derived kernels (:mod:`repro.autograd.stacked_lstm` to train,
+#: :func:`repro.autograd.fused_lstm` to evaluate), ``"graph"`` the
+#: per-timestep autograd graph kept as the correctness oracle.
 LSTM_BACKENDS = ("fused", "graph")
 
 #: Rows per stacked-evaluation block for sequence models.  An evaluation
@@ -185,9 +192,10 @@ class FederatedModel(abc.ABC):
         -------
         np.ndarray
             ``(K, n_params)`` gradients of each client's *mean* mini-batch
-            loss at its own parameter row.  Row ``k`` must equal (bitwise,
-            or to ulp-level rounding) ``self.gradient(X_k, y_k)`` evaluated
-            at ``W[k]`` — the cohort determinism contract rests on it.
+            loss at its own parameter row.  Row ``k`` must be bitwise the
+            same call on ``W[k:k + 1]`` alone — a serial solve runs this
+            kernel on one row, so the cohort determinism contract rests on
+            it.
             Implementations may return a reused internal buffer: the value
             is only guaranteed until the next ``stacked_gradient`` call, so
             callers that keep gradients must copy.
@@ -415,10 +423,24 @@ class NeuralModel(FederatedModel):
         with no_grad():
             return float(self.forward_loss(X, y).data)
 
+    def _one_row(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """:meth:`stacked_gradient` on the one row ``W`` and one batch at
+        its own height: the serial entry to the model's training kernel."""
+        X, y = np.asarray(X), np.asarray(y)
+        counts = np.full(1, float(len(y)))
+        return self.stacked_gradient(W, X[None], y[None], None, counts)[0]
+
     def gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if self.supports_stacked_local_solve:
+            return self._one_row(self.get_params()[None], X, y).copy()
         return self.loss_and_gradient(X, y)[1]
 
     def loss_and_gradient(self, X: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+        """The graph's forward and backward; a model with a stacked kernel
+        takes the loss from the evaluation forward and the gradient from
+        its kernel (the same bits, one training path)."""
+        if self.supports_stacked_local_solve:
+            return self.loss(X, y), self.gradient(X, y)
         self.module.zero_grad()
         loss = self.forward_loss(X, y)
         loss.backward()
@@ -433,21 +455,31 @@ class NeuralModel(FederatedModel):
         batch_size: int,
         scale: float = 1.0,
     ) -> Iterator[np.ndarray]:
-        """The default stream, with each flat gradient packed straight into
-        the yielded buffer instead of concatenated and then copied there,
-        and multiplied by ``scale`` once."""
-        module = self.module
+        """The default stream, each gradient multiplied by ``scale`` into
+        the yielded buffer.  A model with a stacked kernel runs it on the
+        one-row view of ``w`` (read in place), each batch at its own
+        height; any other packs the graph's flat gradient straight into
+        the buffer instead of concatenating and then copying it there."""
         out = np.empty(self.n_params, dtype=np.float64)
-        for order in orders:
-            for start in range(0, len(order), batch_size):
-                batch = order[start : start + batch_size]
-                self.set_params(w)
-                module.zero_grad()
-                self.forward_loss(X[batch], y[batch]).backward()
-                module.flat_grad(out=out)
-                if scale != 1.0:
-                    out *= scale
-                yield out
+        batches = (
+            order[start : start + batch_size]
+            for order in orders
+            for start in range(0, len(order), batch_size)
+        )
+        if self.supports_stacked_local_solve:
+            W = w[None, :]
+            for batch in batches:
+                yield np.multiply(self._one_row(W, X[batch], y[batch]), scale, out=out)
+            return
+        module = self.module
+        for batch in batches:
+            self.set_params(w)
+            module.zero_grad()
+            self.forward_loss(X[batch], y[batch]).backward()
+            module.flat_grad(out=out)
+            if scale != 1.0:
+                out *= scale
+            yield out
 
     def spawn_replica(self) -> "NeuralModel":
         """Replica for a worker process.

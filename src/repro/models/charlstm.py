@@ -13,14 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, no_grad, softmax_cross_entropy
-from ..nn import LSTM, Dense, Embedding, FusedLSTM
-from ..nn.module import Module
+from ..nn import LSTM, Dense, Embedding
 from ..spec import register
-from ._stacked_seq import StackedSeqSolveMixin, _buf
+from ._stacked_seq import SeqModule, StackedSeqSolveMixin, _buf
 from .base import LSTM_BACKENDS, SEQ_EVAL_BLOCK_ROWS, NeuralModel
 
 
-class _CharLSTMModule(Module):
+class _CharLSTMModule(SeqModule):
     """Embedding -> stacked LSTM -> dense head."""
 
     def __init__(
@@ -32,16 +31,10 @@ class _CharLSTMModule(Module):
         rng: np.random.Generator,
         backend: str = "fused",
     ) -> None:
-        super().__init__()
-        lstm_cls = FusedLSTM if backend == "fused" else LSTM
+        super().__init__(backend)
         self.embedding = Embedding(vocab_size, embed_dim, rng)
-        self.lstm = lstm_cls(embed_dim, hidden, num_layers, rng)
+        self.lstm = LSTM(embed_dim, hidden, num_layers, rng)
         self.head = Dense(hidden, vocab_size, rng)
-
-    def forward(self, token_ids: np.ndarray) -> Tensor:
-        embedded = self.embedding(token_ids)  # (batch, time, embed_dim)
-        final_hidden = self.lstm(embedded)  # (batch, hidden)
-        return self.head(final_hidden)  # (batch, vocab)
 
 
 @register
@@ -64,11 +57,12 @@ class CharLSTM(StackedSeqSolveMixin, NeuralModel):
     seed:
         Weight-initialization seed.
     backend:
-        ``"fused"`` (default) runs the unroll through the hand-derived
-        :func:`repro.autograd.fused_lstm` kernels; ``"graph"`` keeps the
-        per-timestep autograd graph (the gradcheck reference).  Both
-        backends share initialization and the flat parameter layout, and
-        agree to floating-point rounding.
+        ``"fused"`` (default) trains through the stacked kernel
+        (:mod:`repro.autograd.stacked_lstm`, one row for a serial solve)
+        and evaluates through :func:`repro.autograd.fused_lstm`;
+        ``"graph"`` keeps the per-timestep autograd graph (the gradcheck
+        reference).  Both backends share initialization and the flat
+        parameter layout, and agree to floating-point rounding.
     """
 
     def __init__(
@@ -89,7 +83,7 @@ class CharLSTM(StackedSeqSolveMixin, NeuralModel):
         self.backend = backend
         super().__init__(seed=seed)
 
-    def build(self, rng: np.random.Generator) -> Module:
+    def build(self, rng: np.random.Generator) -> SeqModule:
         return _CharLSTMModule(
             self.vocab_size,
             self.embed_dim,
@@ -121,11 +115,11 @@ class CharLSTM(StackedSeqSolveMixin, NeuralModel):
     def _stacked_loss_delta(
         self, ws: dict, scores: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
-        """Softmax-CE gradient per row, op-for-op as the scalar loss.
+        """Softmax-CE gradient per row, op-for-op as the autograd loss.
 
         Replicates :func:`repro.autograd.softmax_cross_entropy`: max-shift,
         ``log_z`` through exp/sum/log, softmax as ``exp(log_probs)``, then
-        the one-hot subtraction — so each client row is bitwise the scalar
+        the one-hot subtraction — so each client row is bitwise the graph
         backward's ``base``.
         """
         mx = _buf(ws, "mx", scores.shape[:2] + (1,))
@@ -140,6 +134,11 @@ class CharLSTM(StackedSeqSolveMixin, NeuralModel):
         np.exp(scores, out=delta)  # softmax
         delta[ws["k2"], ws["b2"], y] -= 1.0
         return delta
+
+    def _stacked_loss(self, log_probs: np.ndarray, y: np.ndarray) -> float:
+        """Mean NLL from the log-probabilities :meth:`_stacked_loss_delta`
+        leaves in the scores buffer, as ``softmax_cross_entropy`` takes it."""
+        return float((-log_probs[np.arange(len(y)), y]).mean())
 
     def forward_loss(self, X: np.ndarray, y: np.ndarray) -> Tensor:
         logits = self.module(np.asarray(X))

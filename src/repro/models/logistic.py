@@ -8,18 +8,19 @@ runtime.  Correctness is cross-checked against the autograd engine in
 
 Two forwards: the evaluation one (:meth:`~MultinomialLogisticRegression._scores`,
 behind ``loss`` and ``predict``) adds the bias after the product; the
-gradient one — every solve step, scalar or stacked, and the full-batch
-``gradient`` — multiplies ``[x, 1]`` rows by the ``[W; b]`` view of the
-flat parameters, so the bias rides inside both products, and normalises
-the softmax with one division (numerics epoch 2, DESIGN §15).  A solve
-step then scales the softmax residual by ``scale / m`` — the solver's
-step size over the batch size — where ``gradient`` divides it by ``m``,
-so the stream yields the step-scaled gradient at no extra call (numerics
-epoch 3).
+training one, :class:`_Kernel` — every solve step, serial or cohort, and
+the full-batch ``gradient`` — multiplies ``[x, 1]`` rows by the ``[W; b]``
+view of the flat parameters, so the bias rides inside both products, and
+normalises the softmax with one division (numerics epoch 2, DESIGN §15).
+A solve step then scales the softmax residual by ``scale / m`` — the
+solver's step size over the batch size — where ``gradient`` divides it by
+``m``, so the stream yields the step-scaled gradient at no extra call
+(numerics epoch 3).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -80,6 +81,71 @@ def _softmax_minus_onehot(scores, red, onehot):
     scores /= red
     scores -= onehot
     return scores
+
+
+def _one_hot(labels: np.ndarray, hot: np.ndarray, rows=None) -> np.ndarray:
+    """``hot``, ``(len(labels), classes)``, becomes the one-hot ``labels``;
+    ``rows`` is ``np.arange(len(labels))`` when the caller keeps one."""
+    hot[:] = 0.0
+    hot[np.arange(len(labels)) if rows is None else rows, labels] = 1.0
+    return hot
+
+
+class _Kernel:
+    """The model's one training kernel, at the rows of ``W``.
+
+    Every gradient the model takes runs here: the cohort's steps, at the
+    ``(K, n_params)`` stack of its lanes, and a serial solve's and the
+    full-batch :meth:`~MultinomialLogisticRegression.gradient`'s, at the
+    flat ``(n_params,)`` vector — the one-row case without its unit
+    client axis, which NumPy's batched calls would charge ≈ 4 % of a
+    Synthetic-sized step for.  A step is the forward product of
+    ``[x, 1]`` rows by each row's ``[W; b]`` view,
+    :func:`_softmax_minus_onehot`, the residual scaled by the step's
+    factor — multiplied by ``scale / m`` in a solve, divided by ``n``
+    (``divide``) in a full gradient — and masked when a batch is padded,
+    then the backward product straight into the gradient view: every call
+    writes ``out=`` into buffers built here, once per batch height ``B``,
+    and ``W`` is read in place at every step.
+    """
+
+    def __init__(self, model, W, B, l2, divide=False):
+        lead = W.shape[:-1]
+        dim, C = model.dim, model.num_classes
+        self.W = W.reshape(lead + (dim + 1, C))
+        self.out = np.empty(lead + (model.n_params,))
+        self.grad = self.out.reshape(lead + (dim + 1, C))
+        self.scores = np.empty(lead + (B, C))
+        self.red = np.empty(lead + (B, 1))
+        self.l2 = l2
+        self.l2_buf = np.empty_like(self.grad) if l2 > 0 else None
+        self.divide = divide
+
+    @staticmethod
+    def operands(X, hot, factors, masks) -> list:
+        """Each step's ``(rows, rows.T, one-hot, factor, mask)`` from
+        ``(S, ..., B, ·)`` chunks; ``masks`` holds ``None`` for a step
+        with no padding (multiplying by ones is bitwise neutral)."""
+        return list(zip(X, X.swapaxes(-1, -2), hot, factors, masks))
+
+    def run(self, steps) -> Iterator[np.ndarray]:
+        """Yield the gradient of each step in turn (one buffer, valid
+        until the next)."""
+        W, scores, red, grad, out = self.W, self.scores, self.red, self.grad, self.out
+        l2, l2_buf, divide = self.l2, self.l2_buf, self.divide
+        for X, X_t, hot, factor, mask in steps:
+            np.matmul(X, W, out=scores)
+            delta = _softmax_minus_onehot(scores, red, hot)
+            if divide:
+                delta /= factor
+            else:
+                delta *= factor
+            if mask is not None:
+                delta *= mask
+            np.matmul(X_t, delta, out=grad)
+            if l2 > 0:
+                grad += np.multiply(W, l2, out=l2_buf)
+            yield out
 
 
 @register
@@ -201,43 +267,39 @@ class MultinomialLogisticRegression(FederatedModel):
         return self._nll(picked - np.log(shifted.sum(axis=1)))
 
     def gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Flat gradient of the mean loss: the solve step, a sub-block at a time.
+        """Flat gradient of the mean loss: the kernel, a sub-block at a time.
 
         Rows are walked in :meth:`_scores`' ``_SCORE_BYTES`` sub-blocks
         through one reused ones-column buffer (never a float64 copy of the
-        whole of ``X``); each sub-block is one step of
-        :meth:`minibatch_gradients`' forward, its residual divided by
-        ``len(y)``, and the sub-blocks' backward products are summed in
-        order.  The loss and gradient together are the base class's
-        ``loss`` then ``gradient``: the loss stays on the evaluation
-        forward.
+        whole of ``X``); each sub-block is one :class:`_Kernel` step at the
+        flat parameters, its residual divided by ``len(y)`` (numerics
+        epoch 2), and the sub-blocks' gradients are summed in order, the
+        L2 term added once.  The loss and gradient together are the base
+        class's ``loss`` then ``gradient``: the loss stays on the
+        evaluation forward.
         """
         X, y = np.asarray(X), np.asarray(y)
-        dim, classes, n = self.dim, self.num_classes, len(y)
-        Wb = np.vstack((self.W, self.b))
+        dim, n = self.dim, len(y)
+        w = np.concatenate((self.W.reshape(-1), self.b))
         rows = max(1, min(n, _SCORE_BYTES // (dim * 8)))
         block = _with_ones_column(rows, dim)
-        scores = np.empty((rows, classes))
-        red = np.empty((rows, 1))
-        onehot = np.empty((rows, classes))
-        out = np.zeros(self.n_params)
-        grad = out.reshape(dim + 1, classes)
-        part = np.empty_like(grad)
+        hot = np.empty((rows, self.num_classes))
+        kernel = _Kernel(self, w, rows, 0.0, divide=True)
+        out = None
         for lo in range(0, n, rows):
             m = min(rows, n - lo)
-            xb, hot = block[:m], onehot[:m]
+            if m < rows:  # the last sub-block runs at its own height
+                kernel = _Kernel(self, w, m, 0.0, divide=True)
+            xb = block[:m]
             np.copyto(xb[:, :dim], X[lo : lo + m], casting="unsafe")
-            hot[:] = 0.0
-            hot[np.arange(m), y[lo : lo + m]] = 1.0
-            np.matmul(xb, Wb, out=scores[:m])
-            delta = _softmax_minus_onehot(scores[:m], red[:m], hot)
-            delta /= n
-            if lo == 0:
-                np.matmul(xb.T, delta, out=grad)
+            _one_hot(y[lo : lo + m], hot[:m])
+            (g,) = kernel.run([(xb, xb.T, hot[:m], n, None)])
+            if out is None:
+                out = g.copy()
             else:
-                grad += np.matmul(xb.T, delta, out=part)
+                out += g
         if self.l2 > 0:
-            grad += np.multiply(Wb, self.l2, out=part)
+            out += np.multiply(w, self.l2)
         return out
 
     def minibatch_gradients(
@@ -249,30 +311,22 @@ class MultinomialLogisticRegression(FederatedModel):
         batch_size: int,
         scale: float = 1.0,
     ) -> Iterator[np.ndarray]:
-        """The solve loop's gradient stream: nine array calls a step.
+        """A serial solve's gradient stream: the cohort's kernel on one row.
 
-        The bias rides inside both products.  The flat ``w`` is
-        ``[W.ravel(), b]``, so ``w.reshape(dim + 1, classes)`` is ``[W; b]``
-        as a view (read in place), and so is the yielded buffer's; rows are
-        gathered, a run of whole batches at a time, into the first ``dim``
-        columns of a reused buffer whose last column is 1.0.  A step is
-        then the forward product, :func:`_softmax_minus_onehot` (six
-        calls, one division normalising), one product by ``scale / m``
-        and the backward product straight into the gradient view — every
-        call writing ``out=`` into views built once per solve, nothing
-        allocated after the first step, the model's own ``W``/``b`` not
-        touched.  Each yield is ``scale`` times the mean-loss gradient on
-        its batch at ``w``.
+        The :class:`_Kernel` at ``w`` (read in place), fed a run of whole
+        batches at a time: rows are gathered into the first ``dim``
+        columns of a reused buffer whose last column is 1.0, laid out as
+        ``(steps, batch, dim + 1)`` chunks.  A short final batch runs at
+        the full batch height with its padding masked, as the cohort runs
+        it; the heights match unless the device holds less than one batch
+        and the cohort pads it to a larger device's batch.  Each gather
+        length's step operands are built once per solve, and the kernel
+        steps through every gather in turn, so nothing is allocated after
+        the first gather of each length.  Each yield is ``scale`` times
+        the mean-loss gradient on its batch at ``w``.
         """
         X, y = np.asarray(X), np.asarray(y)
         dim, classes = self.dim, self.num_classes
-        l2 = scale * self.l2
-        Wb = w.reshape(dim + 1, classes)
-        out = np.empty(self.n_params)
-        grad = out.reshape(dim + 1, classes)
-        if l2 > 0:
-            l2_buf = np.empty_like(grad)
-
         # One gather serves as many whole batches as fit _GATHER_BYTES
         # (a small device's whole epoch; one batch when rows are wide).
         # take(out=) into the strided feature columns would stage through
@@ -280,55 +334,46 @@ class MultinomialLogisticRegression(FederatedModel):
         per_gather = max(1, _GATHER_BYTES // (batch_size * dim * 8))
         gather_rows = min(per_gather * batch_size, len(y))
         batch_rows = min(batch_size, gather_rows)
-        # A short final batch still runs its forward on ``batch_rows`` rows
-        # (the rows past it hold zeros or finite leftovers), as the stacked
-        # path runs it on its padded batch: BLAS takes the same kernel for
-        # the same height.  The heights match unless the device holds less
-        # than one batch and the cohort pads to a larger device's batch.
         padded = -(-gather_rows // batch_rows) * batch_rows
         rows_buf = _with_ones_column(padded, dim)
         rows_buf[:, :dim] = 0.0
         raw_buf = np.empty((gather_rows, dim), X.dtype)
-        labels_buf = np.empty(gather_rows, y.dtype)
-        onehot_buf = np.zeros((padded, classes))
-        arange = np.arange(gather_rows)
-        scores_buf = np.empty((batch_rows, classes))
-        red_buf = np.empty((batch_rows, 1))
+        labels_buf = np.zeros(padded, y.dtype)
+        hot_buf = np.empty((padded, classes))
+        arange = np.arange(padded)
+        X3 = rows_buf.reshape(-1, batch_rows, dim + 1)
+        hot3 = hot_buf.reshape(-1, batch_rows, classes)
+        kernel = _Kernel(self, w, batch_rows, scale * self.l2)
 
         def operands(k):
-            """Each step's views over a gather of ``k`` rows."""
-            steps = []
-            for start in range(0, k, batch_size):
-                m = min(batch_size, k - start)  # < batch_size on a short batch
-                stop = start + batch_rows
-                steps.append((
-                    rows_buf[start:stop], rows_buf[start : start + m].T,
-                    onehot_buf[start:stop], scores_buf[:m], scale / m,
-                ))
-            return steps
+            """The step operands of a gather of ``k`` rows."""
+            sizes = [min(batch_size, k - lo) for lo in range(0, k, batch_size)]
+            masks = [None] * len(sizes)
+            if sizes[-1] < batch_rows:
+                masks[-1] = (arange[:batch_rows, None] < sizes[-1]).astype(np.float64)
+            factors = [scale / m for m in sizes]
+            steps = len(sizes)
+            return kernel.operands(X3[:steps], hot3[:steps], factors, masks)
 
-        # Every gather but an epoch's (or a budget's) last has one length.
-        layouts = {}
-        for order in orders:
-            for first in range(0, len(order), gather_rows):
-                idx = order[first : first + gather_rows]
-                k = len(idx)
-                X.take(idx, axis=0, out=raw_buf[:k], mode="clip")
-                np.copyto(rows_buf[:k, :dim], raw_buf[:k], casting="unsafe")
-                y.take(idx, out=labels_buf[:k], mode="clip")
-                onehot_buf[:k] = 0.0
-                onehot_buf[arange[:k], labels_buf[:k]] = 1.0
-                steps = layouts.get(k)
-                if steps is None:
-                    steps = layouts[k] = operands(k)
-                for xb, xb_t, hot, delta, factor in steps:
-                    np.matmul(xb, Wb, out=scores_buf)
-                    _softmax_minus_onehot(scores_buf, red_buf, hot)
-                    delta *= factor
-                    np.matmul(xb_t, delta, out=grad)
-                    if l2 > 0:
-                        grad += np.multiply(Wb, l2, out=l2_buf)
-                    yield out
+        def gathers():
+            """Each gather's step operands, its rows in the buffers.  The
+            kernel asks for the next gather only after the solver took
+            the last step of this one."""
+            layouts = {}  # every gather but an epoch's last has one length
+            for order in orders:
+                for first in range(0, len(order), gather_rows):
+                    idx = order[first : first + gather_rows]
+                    k = len(idx)
+                    X.take(idx, axis=0, out=raw_buf[:k], mode="clip")
+                    np.copyto(rows_buf[:k, :dim], raw_buf[:k], casting="unsafe")
+                    y.take(idx, out=labels_buf[:k], mode="clip")
+                    _one_hot(labels_buf, hot_buf, arange)
+                    steps = layouts.get(k)
+                    if steps is None:
+                        steps = layouts[k] = operands(k)
+                    yield steps
+
+        return kernel.run(itertools.chain.from_iterable(gathers()))
 
     @property
     def supports_stacked_local_solve(self) -> bool:
@@ -357,50 +402,21 @@ class MultinomialLogisticRegression(FederatedModel):
         counts: np.ndarray,
         scale: float = 1.0,
     ) -> Iterator[np.ndarray]:
-        """The cohort step loop's gradient stream: the scalar step, stacked.
+        """The cohort step loop's gradient stream: :class:`_Kernel` on a chunk.
 
-        :meth:`minibatch_gradients`' formula over a leading client axis:
-        each row of ``W`` is viewed as its ``[W; b]``, and ``X`` holds
-        :meth:`stacked_rows`' ``[x, 1]`` rows, so the bias rides in both
-        batched products.  Padding rows are zeroed by the mask before
-        the backward product, so they contribute exact zeros.  Everything
+        ``X`` holds :meth:`stacked_rows`' ``[x, 1]`` rows; everything
         that does not depend on the step is built once per chunk: the
-        parameter and gradient views, the scratch, the one-hot labels and
-        each row's ``scale / m``.  A step is nine array calls (ten on a
-        ragged one), every one writing ``out=``.  Nothing outlives the
-        stream, so the model holds no solve state.
+        kernel's buffers, the one-hot labels, each row's ``scale / m``
+        and the step views.  Nothing outlives the stream, so the model
+        holds no solve state.
         """
         S, K, B = y.shape
-        dim, C = self.dim, self.num_classes
-        l2 = scale * self.l2
-        Wk = W.reshape(K, dim + 1, C)
-        out = np.empty((K, self.n_params))
-        grad = out.reshape(K, dim + 1, C)
-        if l2 > 0:
-            l2_buf = np.empty_like(grad)
-
-        scores = np.empty((K, B, C))
-        red = np.empty((K, B, 1))
-        onehot = np.zeros((S * K * B, C))
-        onehot[np.arange(S * K * B), y.reshape(-1)] = 1.0
-        steps = zip(
-            X,
-            X.swapaxes(2, 3),
-            onehot.reshape(S, K, B, C),
-            scale / counts,
-            mask[:, :, :, None],
-            mask.all(axis=(1, 2)).tolist(),
-        )
-        for Xs, Xs_t, hot, factor, mask_s, dense in steps:
-            np.matmul(Xs, Wk, out=scores)
-            delta = _softmax_minus_onehot(scores, red, hot)
-            delta *= factor
-            if not dense:
-                delta *= mask_s
-            np.matmul(Xs_t, delta, out=grad)
-            if l2 > 0:
-                grad += np.multiply(Wk, l2, out=l2_buf)
-            yield out
+        kernel = _Kernel(self, W, B, scale * self.l2)
+        hot = _one_hot(y.reshape(-1), np.empty((S * K * B, self.num_classes)))
+        dense = mask.all(axis=(1, 2)).tolist()
+        masks = [None if d else m for d, m in zip(dense, mask[:, :, :, None])]
+        hot = hot.reshape(S, K, B, self.num_classes)
+        return kernel.run(kernel.operands(X, hot, scale / counts, masks))
 
     def stacked_gradient(
         self,

@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, binary_cross_entropy_with_logits, no_grad
-from ..nn import LSTM, Dense, Embedding, FusedLSTM
-from ..nn.module import Module
+from ..nn import LSTM, Dense, Embedding
 from ..spec import register
-from ._stacked_seq import StackedSeqSolveMixin, _buf
+from ._stacked_seq import SeqModule, StackedSeqSolveMixin, _buf
 from .base import LSTM_BACKENDS, SEQ_EVAL_BLOCK_ROWS, NeuralModel
 
 
-class _SentLSTMModule(Module):
+class _SentLSTMModule(SeqModule):
     """Embedding -> stacked LSTM -> single-logit dense head."""
 
     def __init__(
@@ -32,16 +31,10 @@ class _SentLSTMModule(Module):
         rng: np.random.Generator,
         backend: str = "fused",
     ) -> None:
-        super().__init__()
-        lstm_cls = FusedLSTM if backend == "fused" else LSTM
+        super().__init__(backend)
         self.embedding = Embedding(vocab_size, embed_dim, rng, trainable=trainable_embedding)
-        self.lstm = lstm_cls(embed_dim, hidden, num_layers, rng)
-        self.head = Dense(hidden, 1, rng)
-
-    def forward(self, token_ids: np.ndarray) -> Tensor:
-        embedded = self.embedding(token_ids)
-        final_hidden = self.lstm(embedded)
-        return self.head(final_hidden)  # (batch, 1) raw logit
+        self.lstm = LSTM(embed_dim, hidden, num_layers, rng)
+        self.head = Dense(hidden, 1, rng)  # (batch, 1) raw logit
 
 
 @register
@@ -92,7 +85,7 @@ class SentimentLSTM(StackedSeqSolveMixin, NeuralModel):
         self.backend = backend
         super().__init__(seed=seed)
 
-    def build(self, rng: np.random.Generator) -> Module:
+    def build(self, rng: np.random.Generator) -> SeqModule:
         return _SentLSTMModule(
             self.vocab_size,
             self.embed_dim,
@@ -125,7 +118,7 @@ class SentimentLSTM(StackedSeqSolveMixin, NeuralModel):
     def _stacked_loss_delta(
         self, ws: dict, scores: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
-        """BCE-with-logits gradient per row, op-for-op as the scalar loss.
+        """BCE-with-logits gradient per row, op-for-op as the autograd loss.
 
         Replicates :func:`repro.autograd.binary_cross_entropy_with_logits`:
         the two-branch stable sigmoid ``where(x >= 0, 1/(1+e), e/(1+e))``
@@ -144,6 +137,13 @@ class SentimentLSTM(StackedSeqSolveMixin, NeuralModel):
         np.copyto(delta, ex, where=x < 0)
         delta -= y[:, :, None]
         return delta
+
+    def _stacked_loss(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Mean BCE from the raw logits, as
+        ``binary_cross_entropy_with_logits`` takes it."""
+        t = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+        per_elem = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
+        return float(per_elem.mean())
 
     def forward_loss(self, X: np.ndarray, y: np.ndarray) -> Tensor:
         logits = self.module(np.asarray(X))

@@ -8,7 +8,7 @@ from .losses import (
     softmax_cross_entropy,
 )
 from .module import Module, ModuleList, Sequential
-from .recurrent import LSTM, FusedLSTM, LSTMCell, RNNCell
+from .recurrent import LSTM, LSTMCell, RNNCell
 
 __all__ = [
     "init",
@@ -20,7 +20,6 @@ __all__ = [
     "RNNCell",
     "LSTMCell",
     "LSTM",
-    "FusedLSTM",
     "softmax_cross_entropy",
     "binary_cross_entropy_with_logits",
     "mse_loss",

@@ -5,23 +5,22 @@ prediction, Sent140 sentiment).  These are implemented here on top of the
 autograd engine with standard formulations; the unrolled wrappers return the
 full hidden-state sequence or just the final state.
 
-Two executions of the same architecture exist:
-
-* :class:`LSTM` — graph mode, one autograd node per op per timestep.  Slow
-  but trivially auditable; this is the gradcheck reference.
-* :class:`FusedLSTM` — identical parameters and initialization, but the
-  unroll runs through :func:`repro.autograd.fused_lstm` (hand-derived
-  forward/backward over a reusable activation tape).  Drop-in replacement:
-  same flat parameter layout, same results to floating-point rounding.
+:class:`LSTM` runs in graph mode, one autograd node per op per timestep:
+slow but trivially auditable, it is the gradcheck reference and the
+``backend="graph"`` execution of the LSTM models.  Their ``"fused"``
+backend keeps an :class:`LSTM` for its parameters (same initialization,
+same flat layout) and runs them through
+:func:`repro.autograd.fused_lstm` (evaluation) and the stacked training
+kernel (:mod:`repro.autograd.stacked_lstm`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..autograd import FusedLSTMWorkspace, Tensor, fused_lstm, ops
+from ..autograd import Tensor, ops
 from . import init
 from .module import Module, ModuleList
 
@@ -152,44 +151,3 @@ class LSTM(Module):
         if return_sequence:
             return ops.stack(outputs, axis=1)
         return outputs[-1]
-
-
-class FusedLSTM(LSTM):
-    """Drop-in :class:`LSTM` running the fused forward/backward kernels.
-
-    Parameters, initialization, and the flat parameter layout are exactly
-    those of :class:`LSTM` (the cells are built by the parent constructor
-    from the same ``rng`` draws), so model state transfers between the two
-    backends through ``get_flat`` / ``set_flat`` without translation.  Only
-    :meth:`forward` differs: the whole unroll executes as one
-    :func:`repro.autograd.fused_lstm` graph node over this module's
-    persistent :class:`~repro.autograd.FusedLSTMWorkspace`, which reuses
-    its activation tape across minibatches and local epochs.  A forward
-    under :func:`repro.autograd.no_grad` (every evaluation) takes no tape
-    and leaves the workspace as it was.
-
-    The workspace makes the usual tape assumption: a forward's backward
-    pass must run before the next gradient-taking forward through this
-    module (the train-step pattern everywhere in this codebase).
-    Violations raise instead of corrupting gradients.
-    """
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        num_layers: int,
-        rng: np.random.Generator,
-    ) -> None:
-        super().__init__(input_size, hidden_size, num_layers, rng)
-        self._workspace = FusedLSTMWorkspace()
-
-    def forward(self, x: Tensor, return_sequence: bool = False) -> Tensor:
-        if x.ndim != 3:
-            raise ValueError(f"expected (batch, time, features), got {x.shape}")
-        return fused_lstm(
-            x,
-            [(cell.w_x, cell.w_h, cell.bias) for cell in self.cells],
-            workspace=self._workspace,
-            return_sequence=return_sequence,
-        )

@@ -1,19 +1,19 @@
 """Vectorized cohort local solver: one stacked kernel for a whole round.
 
-The scalar path streams each selected device's local epochs one
-mini-batch at a time through ``model.minibatch_gradients`` — a 10-client
-round with ``E = 20`` epochs issues thousands of tiny GEMMs, each paying
-full Python/NumPy dispatch overhead.  The paper's headline
+A serial solve streams each selected device's local epochs one
+mini-batch at a time through its model's training kernel on one row — a
+10-client round with ``E = 20`` epochs issues thousands of tiny GEMMs,
+each paying full Python/NumPy dispatch overhead.  The paper's headline
 experiments (1000-device synthetic and FEMNIST logistic models) are
-exactly the workload where stacking pays off:
-:class:`CohortExecutor` packs the selected clients' weight vectors into a
-stacked matrix and advances *all* clients' FedProx local solves
-simultaneously with batched kernels.
+exactly the workload where stacking pays off: :class:`CohortExecutor`
+packs the selected clients' weight vectors into a stacked matrix and
+advances *all* clients' FedProx local solves simultaneously through the
+same kernel, one row per lane.
 
 Mechanics
 ---------
 * **Scheduling.**  Each task's mini-batch schedule is drawn from the same
-  ``(seed, round, client, occurrence)`` entropy tuple as the scalar path
+  ``(seed, round, client, occurrence)`` entropy tuple as a serial solve
   (:func:`~repro.runtime.executor.task_rng` + the solver's
   ``stacked_plan``, a flat index array plus per-step batch lengths), so
   batch orders are identical by construction.  The
@@ -40,24 +40,22 @@ Mechanics
   copy their lane row out and starting chains load their task's ``w_t``,
   µ and ``gradient_scale * b`` (and reset per-row solver state via
   ``stacked_reset``).  Results are restored to task order at the end.
-* **Determinism.**  Model kernels (``stacked_gradient``, stepped through
-  ``stacked_minibatch_gradients``) and solver steps (``stacked_step``,
-  fed per-row local step indices when packed lanes sit at different chain
-  offsets) replicate the scalar path's floating-point operation order:
-  each row's µ and ``gradient_scale * (µ w_t − c)`` are built by the
-  scalar solve's :func:`~repro.optim.proximal.proximal_offset` and folded
-  into the solver's rule through ``stacked_anchor`` once per segment, as
-  a scalar solve folds them once (numerics epoch 3).  Each client's chain
-  still runs its own steps in order against only its own row.  The
-  batched GEMM does not promise the scalar GEMM's accumulation order, so
-  parity with :class:`~repro.runtime.executor.SerialExecutor`
-  is a tolerance, not bitwise: histories of the logistic model match
-  within 1e-12 (observed 2.2e-16 on a loss; enforced by
-  ``tests/test_runtime_cohort.py``), the LSTMs within 1e-9.  What *is*
-  bitwise is the cohort path against itself: the stream equals the
-  per-step kernel loop it replaced (``tests/test_models_stacked_oracle.py``).
-  γ-inexactness is measured with the *same* :class:`LocalObjective` code
-  the scalar path uses, so γ statistics agree to the same precision.
+* **Determinism.**  The model's kernel (``stacked_gradient``, stepped
+  through ``stacked_minibatch_gradients``) is the one a serial solve runs
+  on one row, and the solver's rule (``stacked_step``, fed per-row local
+  step indices when packed lanes sit at different chain offsets) is the
+  one a serial solve applies to its ``(1, d)`` view: each row's µ and
+  ``gradient_scale * (µ w_t − c)`` are built by the serial solve's
+  :func:`~repro.optim.proximal.proximal_offset` and folded into the rule
+  through ``stacked_anchor`` once per segment.  Each client's chain runs
+  its own steps in order against only its own row, so a lane's step is
+  bitwise the serial step whenever both run at the same batch height —
+  every dense step.  A short batch runs here at the cohort's padded
+  height; DESIGN.md §14 lists the models and heights where that rounds
+  differently, each named with its tolerance in
+  ``tests/test_runtime_cohort.py`` and ``tests/test_runtime_cohort_lstm.py``.
+  γ-inexactness is measured with the same :class:`LocalObjective` code
+  on both paths.
 
 Capability gating mirrors the evaluation fast path: the model must
 advertise ``supports_stacked_local_solve`` and the solver

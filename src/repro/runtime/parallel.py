@@ -333,10 +333,11 @@ class ParallelExecutor(RoundExecutor):
         """The census values, on the workers where that pays.
 
         Contiguous near-equal shares of ``units``, one message per worker
-        (``w`` crosses once each, no rows do), the returned lists joined
-        in unit order.  Per-client units always go to the pool.
+        that has a core to run on — more shares than cores would only
+        queue — (``w`` crosses once each, no rows do), the returned lists
+        joined in unit order.  Per-client units always go to the pool.
         """
-        shares = min(self._n_workers, len(units))
+        shares = min(self._n_workers, os.cpu_count() or 1, len(units))
         cuts = [len(units) * i // shares for i in range(shares + 1)]
         if self.eval_mode == "stacked" and not self._sharding_pays(
             split, units, cuts

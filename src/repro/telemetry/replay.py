@@ -79,6 +79,10 @@ class FieldMismatch:
         return abs(a - b) / max(abs(a), abs(b))
 
 
+def _both_nan(a: Any, b: Any) -> bool:
+    return isinstance(a, float) and isinstance(b, float) and a != a and b != b
+
+
 def compare_histories(
     recorded: Sequence[Dict[str, Any]],
     replayed: Sequence[Dict[str, Any]],
@@ -88,7 +92,10 @@ def compare_histories(
 
     A field whose :attr:`FieldMismatch.deviation` exceeds ``bound`` is a
     mismatch — only floats have a finite deviation, so every other field
-    compares exactly, and a ``bound`` of 0 demands bit-identity.  Returns
+    compares exactly, and a ``bound`` of 0 demands bit-identity.  Equal
+    non-finite values are equal: ``inf`` to ``inf``, and NaN to NaN (the
+    ledger's JSON keeps no NaN payload or sign), so a diverged run replays;
+    a number against NaN stays a mismatch under any bound.  Returns
     the mismatches in round order, capped at :data:`MAX_MISMATCHES`, and
     the float field that deviated most while staying inside the bound
     (``None`` when every compared float was equal).  Round counts are the
@@ -99,9 +106,10 @@ def compare_histories(
     for idx, (rec, rep) in enumerate(zip(recorded, replayed)):
         round_idx = rec.get("round_idx", idx)
         for name in RECORD_FIELDS:
-            if rec.get(name) == rep.get(name):
+            a, b = rec.get(name), rep.get(name)
+            if a == b or _both_nan(a, b):
                 continue
-            found = FieldMismatch(round_idx, name, rec.get(name), rep.get(name))
+            found = FieldMismatch(round_idx, name, a, b)
             # ``not <=``: a NaN deviation is a mismatch, not drift.
             if not found.deviation <= bound:
                 mismatches.append(found)

@@ -926,3 +926,121 @@ class TestDefaultStreamIsThePerStepLoop:
         kept = first.copy()
         assert next(stream) is first
         assert not np.array_equal(first, kept)
+
+
+# --------------------------------------------------------------------- #
+# A serial solve is the kernel on one row.  The scalar stream it replaced
+# is frozen below; do not "simplify" it towards the library.
+# --------------------------------------------------------------------- #
+def _ones_column(rows, dim):
+    buf = np.empty((rows, dim + 1))
+    buf[:, dim] = 1.0
+    return buf
+
+
+def _frozen_softmax_minus_onehot(scores, red, onehot):
+    np.maximum.reduce(scores, axis=-1, keepdims=True, out=red)
+    scores -= red
+    np.exp(scores, out=scores)
+    np.add.reduce(scores, axis=-1, keepdims=True, out=red)
+    scores /= red
+    scores -= onehot
+    return scores
+
+
+def frozen_scalar_minibatch_gradients(model, w, X, y, orders, batch_size, scale, gather_bytes):
+    """``MultinomialLogisticRegression.minibatch_gradients`` before the one
+    kernel (numerics epoch 3): its own step loop and operand layouts."""
+    X, y = np.asarray(X), np.asarray(y)
+    dim, classes = model.dim, model.num_classes
+    l2 = scale * model.l2
+    Wb = w.reshape(dim + 1, classes)
+    out = np.empty(model.n_params)
+    grad = out.reshape(dim + 1, classes)
+    if l2 > 0:
+        l2_buf = np.empty_like(grad)
+    per_gather = max(1, gather_bytes // (batch_size * dim * 8))
+    gather_rows = min(per_gather * batch_size, len(y))
+    batch_rows = min(batch_size, gather_rows)
+    padded = -(-gather_rows // batch_rows) * batch_rows
+    rows_buf = _ones_column(padded, dim)
+    rows_buf[:, :dim] = 0.0
+    raw_buf = np.empty((gather_rows, dim), X.dtype)
+    labels_buf = np.empty(gather_rows, y.dtype)
+    onehot_buf = np.zeros((padded, classes))
+    arange = np.arange(gather_rows)
+    scores_buf = np.empty((batch_rows, classes))
+    red_buf = np.empty((batch_rows, 1))
+
+    def operands(k):
+        steps = []
+        for start in range(0, k, batch_size):
+            m = min(batch_size, k - start)
+            stop = start + batch_rows
+            steps.append((
+                rows_buf[start:stop], rows_buf[start : start + m].T,
+                onehot_buf[start:stop], scores_buf[:m], scale / m,
+            ))
+        return steps
+
+    layouts = {}
+    for order in orders:
+        for first in range(0, len(order), gather_rows):
+            idx = order[first : first + gather_rows]
+            k = len(idx)
+            X.take(idx, axis=0, out=raw_buf[:k], mode="clip")
+            np.copyto(rows_buf[:k, :dim], raw_buf[:k], casting="unsafe")
+            y.take(idx, out=labels_buf[:k], mode="clip")
+            onehot_buf[:k] = 0.0
+            onehot_buf[arange[:k], labels_buf[:k]] = 1.0
+            steps = layouts.get(k)
+            if steps is None:
+                steps = layouts[k] = operands(k)
+            for xb, xb_t, hot, delta, factor in steps:
+                np.matmul(xb, Wb, out=scores_buf)
+                _frozen_softmax_minus_onehot(scores_buf, red_buf, hot)
+                delta *= factor
+                np.matmul(xb_t, delta, out=grad)
+                if l2 > 0:
+                    grad += np.multiply(Wb, l2, out=l2_buf)
+                yield out
+
+
+class TestSerialStreamIsTheKernelOnOneRow:
+    """Every yield of a serial solve's stream, the iterate moving between
+    steps, ``np.array_equal`` to the frozen scalar stream's."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "n,batch,gather_batches",
+        [(47, 10, 13), (47, 10, 1), (47, 10, 2), (7, 10, 13), (10, 10, 3), (40, 10, 4)],
+    )
+    def test_every_step(self, monkeypatch, n, batch, gather_batches, l2, dtype):
+        from repro.models import logistic
+
+        gather_bytes = gather_batches * batch * DIM * 8
+        monkeypatch.setattr(logistic, "_GATHER_BYTES", gather_bytes)
+        model = MultinomialLogisticRegression(DIM, CLASSES, l2=l2)
+        gen = np.random.default_rng(n + gather_batches)
+        X = gen.normal(size=(n, DIM)).astype(dtype)
+        y = gen.integers(CLASSES, size=n)
+        orders = [gen.permutation(n) for _ in range(3)] + [gen.permutation(n)[: batch + 3]]
+        w0 = gen.normal(size=model.n_params) * 0.3
+        streams = []
+        for stream_of in (
+            lambda w: model.minibatch_gradients(w, X, y, iter(orders), batch, 0.05),
+            lambda w: frozen_scalar_minibatch_gradients(
+                model, w, X, y, iter(orders), batch, 0.05, gather_bytes
+            ),
+        ):
+            w = w0.copy()
+            seen = []
+            for G in stream_of(w):
+                seen.append(G.copy())
+                w -= G
+            streams.append(seen)
+        got, want = streams
+        assert len(got) == len(want) > 0
+        for step, (g, e) in enumerate(zip(got, want)):
+            assert np.array_equal(g, e), step

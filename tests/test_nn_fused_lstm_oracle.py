@@ -1,18 +1,23 @@
-"""Bit parity of ``fused_lstm`` with the kernel it replaced.
+"""Bit parity of the one LSTM training kernel with the kernels it replaced.
 
-The fused LSTM's step loops were rewritten to run over views built once per
-tape shape, with one whole-block ``tanh`` per step and the backward's
-state-independent factors batched over time — "the same per-element
-operations in the same order", hence the same bits.  That claim is pinned
-here the way ``tests/test_optim_stream.py`` pins the streamed solve: the
-pre-change kernel is frozen below as the oracle, and the library's output,
-every parameter gradient and the input gradient must be ``np.array_equal``
-to it over the shape sweep the models and the cohort path produce.
+A ``backend="fused"`` model trains through one kernel, the stacked one
+(:mod:`repro.autograd.stacked_lstm`): a serial solve, ``gradient`` and
+``loss_and_gradient`` run it on one row, the cohort on its lanes.  It
+replaced a per-client autograd node, ``fused_lstm`` with a backward over
+its own time-major tape — whose step loops had in turn replaced the
+kernel frozen below ("the same per-element operations in the same
+order", hence the same bits).  That claim is pinned here the way
+``tests/test_optim_stream.py`` pins the streamed solve: the oracle's
+output, every parameter gradient and the input gradient must be
+``np.array_equal`` to row ``k`` of the stacked kernel at one row and at
+several, over the shape sweep the models and the cohort path produce;
+and a model's ``loss_and_gradient`` and serial gradient stream to the
+same graph built around the oracle node.
 
-Evaluation runs the forward with no tape (under ``no_grad``, stepping one
-gate block at a time); its output must be ``np.array_equal`` to the tape
-forward's and the oracle's, and the models' ``loss`` / ``predict`` to the
-graph-building forward they replaced.
+Evaluation runs the forward-only ``fused_lstm`` (no tape, stepping one
+gate block at a time); its output must be ``np.array_equal`` to the
+training tape's forward and the oracle's, and the models' ``loss`` /
+``predict`` to the graph-building forward they replaced.
 
 What the kernels *assume* about NumPy — that ``tanh`` of a strided column
 slice and of its contiguous copy agree bitwise, that ``x * 1.0`` and
@@ -27,7 +32,17 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from repro.autograd import FusedLSTMWorkspace, Tensor, fused_lstm, no_grad, ops
+from repro.autograd import (
+    StackedLSTMWorkspace,
+    Tensor,
+    binary_cross_entropy_with_logits,
+    fused_lstm,
+    no_grad,
+    ops,
+    softmax_cross_entropy,
+    stacked_lstm_backward,
+    stacked_lstm_forward,
+)
 from repro.autograd.tensor import as_tensor
 from repro.models import CharLSTM, SentimentLSTM
 
@@ -296,12 +311,6 @@ def oracle_fused_lstm(
 # --------------------------------------------------------------------- #
 # Harness
 # --------------------------------------------------------------------- #
-KERNELS = {
-    "library": (fused_lstm, FusedLSTMWorkspace),
-    "oracle": (oracle_fused_lstm, OracleWorkspace),
-}
-
-
 def _arrays(rng, in_size, hidden, layers):
     """Raw ``(w_x, w_h, b)`` arrays per layer, the forget-bias offset included."""
     out = []
@@ -319,23 +328,42 @@ def _arrays(rng, in_size, hidden, layers):
     return out
 
 
-def _call(kernel, ws, x, arrays, return_sequence, x_in_graph, seed_grad):
-    """Forward only; returns ``(loss node, output, parameter tensors, x tensor)``."""
+def _oracle(x, arrays, x_in_graph, seed_grad, ws=None):
+    """The frozen node's output, parameter gradients and input gradient."""
     triples = [
         tuple(Tensor(a.copy(), requires_grad=True) for a in triple)
         for triple in arrays
     ]
     xt = Tensor(x.copy(), requires_grad=True) if x_in_graph else x.copy()
-    out = kernel(xt, triples, workspace=ws, return_sequence=return_sequence)
-    loss = ops.sum_(ops.mul(out, Tensor(seed_grad)))
-    return loss, out.data.copy(), triples, xt
-
-
-def _results(loss, out, triples, xt):
-    loss.backward()
+    out = oracle_fused_lstm(xt, triples, workspace=ws)
+    ops.sum_(ops.mul(out, Tensor(seed_grad))).backward()
     grads = [p.grad.copy() for triple in triples for p in triple]
-    dx = xt.grad.copy() if isinstance(xt, Tensor) else None
-    return out, grads, dx
+    dx = xt.grad.copy() if x_in_graph else None
+    return out.data.copy(), grads, dx
+
+
+def _kernel(ws, xs, arrays_k, x_in_graph, seeds):
+    """The stacked kernel over ``K = len(xs)`` rows, each row's results
+    in the oracle's form."""
+    K = len(xs)
+    B, T, in_size = xs[0].shape
+    H = arrays_k[0][0][1].shape[0]
+    st = ws.acquire(K, T, B, in_size, H, len(arrays_k[0]))
+    st.x[...] = np.stack(xs).transpose(0, 2, 1, 3)
+    params = [
+        tuple(np.stack([arrays[l][i] for arrays in arrays_k]) for i in range(3))
+        for l in range(len(arrays_k[0]))
+    ]
+    out = stacked_lstm_forward(st, params).copy()
+    grads = stacked_lstm_backward(st, np.stack(seeds), need_dx=x_in_graph)
+    return [
+        (
+            out[k],
+            [g[k].copy() for triple in grads for g in triple],
+            st.bwd.dx[k].transpose(1, 0, 2).copy() if x_in_graph else None,
+        )
+        for k in range(K)
+    ]
 
 
 def _assert_same(got, want, case):
@@ -350,116 +378,63 @@ def _assert_same(got, want, case):
         assert np.array_equal(dx_g, dx_w), (case, "input gradient")
 
 
-def _seed_grad(rng, B, T, hidden, return_sequence):
-    return rng.normal(size=(B, T, hidden) if return_sequence else (B, hidden))
+def _case(rng, K, B, T, in_size, hidden, layers):
+    xs = [rng.normal(size=(B, T, in_size)) for _ in range(K)]
+    arrays_k = [_arrays(rng, in_size, hidden, layers) for _ in range(K)]
+    seeds = [rng.normal(size=(B, hidden)) for _ in range(K)]
+    return xs, arrays_k, seeds
 
 
 class TestBitParityWithFrozenKernel:
-    @pytest.mark.parametrize("return_sequence", [False, True])
+    @pytest.mark.parametrize("K", [1, 3])
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("T", [1, 2, 32])
     @pytest.mark.parametrize("B", [1, 2, 7, 10])
-    def test_output_and_every_gradient(self, B, T, layers, return_sequence):
+    def test_output_and_every_gradient(self, B, T, layers, K):
         rng = np.random.default_rng(1000 * B + 10 * T + layers)
-        in_size, hidden = 3, 5
-        arrays = _arrays(rng, in_size, hidden, layers)
-        x = rng.normal(size=(B, T, in_size))
-        seed = _seed_grad(rng, B, T, hidden, return_sequence)
+        xs, arrays_k, seeds = _case(rng, K, B, T, 3, 5, layers)
         for x_in_graph in (True, False):  # trainable vs frozen embedding
-            both = {}
-            for name, (kernel, make_ws) in KERNELS.items():
-                ws = make_ws()
-                # Twice through one workspace: the second call runs on
-                # reused buffers (and already-built views).
-                for _ in range(2):
-                    both[name] = _results(
-                        *_call(kernel, ws, x, arrays, return_sequence, x_in_graph, seed)
-                    )
-            _assert_same(
-                both["library"], both["oracle"],
-                (B, T, layers, return_sequence, x_in_graph),
-            )
+            ws = StackedLSTMWorkspace()
+            # Twice through one workspace: the second call runs on reused
+            # buffers (and already-built views).
+            for _ in range(2):
+                rows = _kernel(ws, xs, arrays_k, x_in_graph, seeds)
+            for k, got in enumerate(rows):
+                want = _oracle(xs[k], arrays_k[k], x_in_graph, seeds[k])
+                _assert_same(got, want, (B, T, layers, K, k, x_in_graph))
 
     @pytest.mark.parametrize("B", [3, 10])
     def test_benchmark_width(self, B):
         """The `charlstm_serial` model's widths: embed 8, hidden 64, 2 layers."""
         rng = np.random.default_rng(B)
-        arrays = _arrays(rng, 8, 64, 2)
-        x = rng.normal(size=(B, 32, 8))
-        seed = _seed_grad(rng, B, 32, 64, False)
-        both = {
-            name: _results(*_call(kernel, make_ws(), x, arrays, False, True, seed))
-            for name, (kernel, make_ws) in KERNELS.items()
-        }
-        _assert_same(both["library"], both["oracle"], B)
+        xs, arrays_k, seeds = _case(rng, 1, B, 32, 8, 64, 2)
+        (got,) = _kernel(StackedLSTMWorkspace(), xs, arrays_k, True, seeds)
+        _assert_same(got, _oracle(xs[0], arrays_k[0], True, seeds[0]), B)
 
-    def test_two_shapes_interleaved_through_one_workspace(self):
+    def test_shapes_interleaved_through_one_workspace(self):
         rng = np.random.default_rng(5)
         arrays = _arrays(rng, 4, 6, 2)
         shapes = [(10, 32), (7, 32), (10, 32), (10, 3), (7, 32), (10, 3)]
-        inputs = [
-            (rng.normal(size=(B, T, 4)), _seed_grad(rng, B, T, 6, False))
-            for B, T in shapes
-        ]
-        both = {}
-        for name, (kernel, make_ws) in KERNELS.items():
-            ws = make_ws()
-            both[name] = [
-                _results(*_call(kernel, ws, x, arrays, False, True, seed))
-                for x, seed in inputs
-            ]
-        for shape, got, want in zip(shapes, both["library"], both["oracle"]):
-            _assert_same(got, want, shape)
-
-    def test_forward_only_calls_between_solves_do_not_disturb_the_tape(self):
-        """Evaluation forwards (no backward) interleaved at another shape."""
-        rng = np.random.default_rng(6)
-        arrays = _arrays(rng, 4, 6, 2)
-        x, x_eval = rng.normal(size=(10, 8, 4)), rng.normal(size=(25, 8, 4))
-        seed = _seed_grad(rng, 10, 8, 6, False)
-        both = {}
-        for name, (kernel, make_ws) in KERNELS.items():
-            ws = make_ws()
-            outs = []
-            for _ in range(2):
-                outs.append(_results(*_call(kernel, ws, x, arrays, False, True, seed)))
-                frozen = [tuple(Tensor(a) for a in triple) for triple in arrays]
-                outs.append(kernel(x_eval, frozen, workspace=ws).data.copy())
-            both[name] = outs
-        for got, want in zip(both["library"], both["oracle"]):
-            if isinstance(want, tuple):
-                _assert_same(got, want, "solve step")
-            else:
-                assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("name", sorted(KERNELS))
-    def test_second_forward_before_the_first_backward_still_raises(self, name):
-        kernel, make_ws = KERNELS[name]
-        rng = np.random.default_rng(7)
-        arrays = _arrays(rng, 3, 4, 2)
-        x = rng.normal(size=(2, 5, 3))
-        seed = _seed_grad(rng, 2, 5, 4, False)
-        ws = make_ws()
-        first = _call(kernel, ws, x, arrays, False, True, seed)
-        second = _call(kernel, ws, x, arrays, False, True, seed)
-        with pytest.raises(RuntimeError, match="recycled workspace"):
-            first[0].backward()
-        # The tape belongs to the second forward, whose backward is intact.
-        fresh = _results(*_call(oracle_fused_lstm, OracleWorkspace(), x, arrays, False, True, seed))
-        _assert_same(_results(*second), fresh, name)
+        ws = StackedLSTMWorkspace()
+        for B, T in shapes:
+            x, seed = rng.normal(size=(B, T, 4)), rng.normal(size=(B, 6))
+            (got,) = _kernel(ws, [x], [arrays], True, [seed])
+            _assert_same(got, _oracle(x, arrays, True, seed), (B, T))
 
 
 def _tape_and_no_grad_outputs(x, arrays, return_sequence):
-    """The output of a tape-taking forward and of a no-grad one."""
+    """The training tape's forward output and the evaluation forward's."""
+    B, T, in_size = x.shape
+    H = arrays[0][1].shape[0]
+    st = StackedLSTMWorkspace().acquire(1, T, B, in_size, H, len(arrays))
+    st.x[0] = x.transpose(1, 0, 2)
+    final = stacked_lstm_forward(st, [tuple(a[None] for a in triple) for triple in arrays])
+    taped = st.layers[-1].h[0, 1:].transpose(1, 0, 2) if return_sequence else final[0]
     live = [tuple(Tensor(a, requires_grad=True) for a in triple) for triple in arrays]
-    ws = FusedLSTMWorkspace()
-    taped = fused_lstm(x, live, workspace=ws, return_sequence=return_sequence)
-    assert ws._tapes
     with no_grad():
-        rolled = fused_lstm(x, live, workspace=FusedLSTMWorkspace(),
-                            return_sequence=return_sequence)
+        rolled = fused_lstm(x, live, return_sequence=return_sequence)
     assert rolled._backward_fn is None
-    return taped.data, rolled.data
+    return taped, rolled.data
 
 
 class TestNoGradForwardIsTheTapeForward:
@@ -501,23 +476,83 @@ MODELS = {
 }
 
 
+def oracle_forward_loss(model, X, y):
+    """The models' graph before the switch, with the frozen node as its LSTM."""
+    m = model.module
+    embedded = m.embedding(np.asarray(X))
+    final = oracle_fused_lstm(embedded, [(c.w_x, c.w_h, c.bias) for c in m.lstm.cells])
+    logits = m.head(final)
+    if isinstance(model, CharLSTM):
+        return logits, softmax_cross_entropy(logits, np.asarray(y))
+    targets = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    return logits, binary_cross_entropy_with_logits(logits, targets)
+
+
+def oracle_loss_and_gradient(model, X, y):
+    """The replaced ``NeuralModel.loss_and_gradient``: forward, backward,
+    flat gradient."""
+    model.module.zero_grad()
+    _, loss = oracle_forward_loss(model, X, y)
+    loss.backward()
+    return float(loss.data), model.module.flat_grad()
+
+
+def _perturbed(name, seed):
+    model = MODELS[name]()
+    rng = np.random.default_rng(seed)
+    model.set_params(model.get_params() + 0.3 * rng.normal(size=model.n_params))
+    return model, rng
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_model_loss_and_predict_are_unchanged_by_the_switch(name):
-    """``loss`` / ``predict`` run under ``no_grad``; the graph-building
-    forward they replaced is the oracle, compared with ``==``."""
-    model = MODELS[name]()
-    rng = np.random.default_rng(len(name))
-    model.set_params(model.get_params() + 0.3 * rng.normal(size=model.n_params))
+    """``loss`` / ``predict`` run the evaluation forward; the
+    graph-building forward they replaced is the oracle, compared with ``==``."""
+    model, rng = _perturbed(name, len(name))
     for rows in (1, 2, 7, 40, 256):
         X, y = rng.integers(30, size=(rows, 12)), rng.integers(2, size=rows)
-        graph_loss = model.forward_loss(X, y)
-        assert graph_loss._backward_fn is not None  # the switch is off here
+        logits, graph_loss = oracle_forward_loss(model, X, y)
+        assert graph_loss._backward_fn is not None
         assert model.loss(X, y) == float(graph_loss.data)
-        logits = model.module(X).data
         with no_grad():
-            assert np.array_equal(model.module(X).data, logits)
+            assert np.array_equal(model.module(X).data, logits.data)
+        logits = logits.data
         want = logits.argmax(axis=1) if name == "charlstm" else (logits.reshape(-1) > 0)
         assert np.array_equal(model.predict(X), want)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_model_loss_and_gradient_is_the_replaced_graph(name):
+    """The full-batch entry (γ, dissimilarity, FedDane): the kernel on one
+    row at the batch's own height."""
+    model, rng = _perturbed(name, 7 + len(name))
+    for rows in (1, 2, 7, 10, 33):
+        X, y = rng.integers(30, size=(rows, 12)), rng.integers(2, size=rows)
+        loss, grad = model.loss_and_gradient(X, y)
+        want_loss, want_grad = oracle_loss_and_gradient(model, X, y)
+        assert loss == want_loss, rows
+        assert np.array_equal(grad, want_grad), rows
+        assert np.array_equal(model.gradient(X, y), want_grad), rows
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_serial_stream_is_the_replaced_per_step_loop(name):
+    """A serial solve's stream, the iterate moving between steps (short
+    last batches included), against ``set_params`` + the oracle gradient."""
+    model, rng = _perturbed(name, 11 + len(name))
+    X, y = rng.integers(30, size=(23, 12)), rng.integers(2, size=23)
+    orders = [rng.permutation(23), rng.permutation(23)[:14]]
+    w = model.get_params()
+    oracle = MODELS[name]()
+    scale = 0.05
+    stream = model.minibatch_gradients(w, X, y, iter(orders), 10, scale)
+    batches = [o[s : s + 10] for o in orders for s in range(0, len(o), 10)]
+    for step, (batch, got) in enumerate(zip(batches, stream)):
+        oracle.set_params(w)
+        _, want = oracle_loss_and_gradient(oracle, X[batch], y[batch])
+        assert np.array_equal(got, want * scale), step
+        w -= got  # the solver moves the iterate the stream reads in place
+    assert step == len(batches) - 1
 
 
 class TestNumpyAssumptions:

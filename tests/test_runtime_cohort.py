@@ -3,9 +3,23 @@
 The vectorized cohort solver (:mod:`repro.runtime.cohort`) advances all
 selected clients' FedProx local solves through one stacked kernel; its
 contract is that training histories match :class:`SerialExecutor` bitwise
-or within 1e-12 — losses, accuracies, selections, straggler sets, and
-γ-inexactness statistics — at small and large federation sizes, for every
-stacked-capable solver, across µ and straggler settings.
+— losses, accuracies, selections, straggler sets, and γ-inexactness
+statistics — at small and large federation sizes, for every
+stacked-capable solver, across µ and straggler settings.  A serial solve
+is the same kernel on one row, so they agree by construction wherever a
+step runs at the same batch height on both paths.
+
+Three named cases keep ``PADDED_TOL`` (1e-12), each for its reason:
+
+* the MLP (``test_mlp_model``): a short batch runs at its own height in a
+  serial solve and at the cohort's padded height in a lane, and the MLP's
+  batched products round differently at the two heights on some rows;
+* a device smaller than one batch beside a full one
+  (``TestShortDevices``, at one row): its serial batch is one row high,
+  a product OpenBLAS takes through gemv, the cohort's ten;
+* full-batch GD (``gd``): its serial step is ``lr * gradient()``, whose
+  residual is divided by ``n``, and its cohort step the stream's residual
+  times ``lr / n`` — both formulas are pinned by their numerics epoch.
 """
 
 from __future__ import annotations
@@ -32,7 +46,8 @@ from repro.systems import FractionStragglers, PowerLawStragglers
 
 pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
 
-TOL = 1e-12
+TOL = 0.0  # histories compare with ==
+PADDED_TOL = 1e-12  # the three cases the module docstring names
 ROUNDS = 3
 
 #: Cohorts of 1-300 chains whose budgets (1-60 steps) are heavy-tailed:
@@ -254,6 +269,9 @@ class TestCohortMatchesSerial:
 
     @pytest.mark.slow
     def test_mlp_model(self, synthetic_10):
+        """Held at ``PADDED_TOL``: padded rows round differently (see the
+        module docstring).  Bitwise parity would need the serial solve to
+        pad its short batches too, which moves its bits."""
         h_serial = _run(
             synthetic_10,
             SerialExecutor(),
@@ -264,16 +282,18 @@ class TestCohortMatchesSerial:
             CohortExecutor(),
             model=MLPClassifier(dim=60, num_classes=10, hidden=16),
         )
-        _assert_histories_match(h_serial, h_cohort)
+        _assert_histories_match(h_serial, h_cohort, tol=PADDED_TOL)
 
 
 class TestShortDevices:
     """A device with fewer rows than one batch, beside full-batch devices.
 
-    The scalar stream runs such a device's forward on its own height while
+    The serial stream runs such a device's forward on its own height while
     the cohort runs it on the cohort's padded batch height, so this is the
-    one case where the two forwards differ in height: parity is the
-    tolerance, as everywhere else on this path.
+    one case where the two logistic forwards differ in height.  The rows of
+    a multi-row product do not depend on its height, so from two rows on
+    the solves are bitwise equal; a one-row device's serial product goes
+    through gemv, and keeps ``PADDED_TOL``.
     """
 
     @pytest.mark.parametrize("rows", [1, 4, 9])
@@ -310,8 +330,9 @@ class TestShortDevices:
         ):
             assert u1.client_id == u2.client_id
             assert u1.gradient_evaluations == u2.gradient_evaluations
-            assert abs(u1.gamma - u2.gamma) <= TOL
-            np.testing.assert_allclose(u1.w, u2.w, rtol=0, atol=TOL)
+            tol = PADDED_TOL if rows == 1 else TOL
+            assert abs(u1.gamma - u2.gamma) <= tol
+            np.testing.assert_allclose(u1.w, u2.w, rtol=0, atol=tol)
 
 
 class TestGammaInexactnessAcrossSettings:
@@ -351,8 +372,8 @@ class TestGammaInexactnessAcrossSettings:
         for u1, u2 in zip(serial_updates, cohort_updates):
             assert u1.client_id == u2.client_id
             assert u1.gradient_evaluations == u2.gradient_evaluations
-            assert abs(u1.gamma - u2.gamma) <= TOL
-            np.testing.assert_allclose(u1.w, u2.w, rtol=0, atol=TOL)
+            assert u1.gamma == u2.gamma
+            np.testing.assert_array_equal(u1.w, u2.w)
 
 
 class TestSkewedBudgetGrids:
@@ -434,9 +455,12 @@ class TestOtherSolversOnCohortPath:
         ids=["momentum", "adam", "gd"],
     )
     def test_solver_matches_serial(self, synthetic_10, solver_factory):
-        h_serial = _run(synthetic_10, SerialExecutor(), solver=solver_factory())
+        solver = solver_factory()
+        h_serial = _run(synthetic_10, SerialExecutor(), solver=solver)
         h_cohort = _run(synthetic_10, CohortExecutor(), solver=solver_factory())
-        _assert_histories_match(h_serial, h_cohort)
+        # GD's two step formulas (module docstring) keep the named tolerance.
+        tol = PADDED_TOL if isinstance(solver, GDSolver) else TOL
+        _assert_histories_match(h_serial, h_cohort, tol=tol)
 
 
 class TestCapabilityGating:
@@ -524,7 +548,12 @@ class TestExecutorModeDispatch:
 
 
 class TestStackedGradientKernels:
-    """Row k of the stacked kernel equals the scalar gradient at W[k]."""
+    """Row k of the stacked kernel equals the full-batch gradient at W[k].
+
+    To rounding, not bitwise: the logistic ``gradient()`` divides the
+    residual by ``n`` (numerics epoch 2), the kernel's step multiplies it by
+    ``1 / n`` (epoch 3), and a ragged row runs at the padded height.
+    """
 
     @pytest.mark.parametrize(
         "model_factory",

@@ -1,8 +1,9 @@
 """Memory an LSTM census holds: evaluation is inference, and keeps no tape.
 
-An evaluation forward runs under ``repro.autograd.no_grad``, so
-``fused_lstm`` steps a rolling forward instead of taking a ``T x B x 4H``
-activation tape from the model's workspace.  Were it to take one, the
+An evaluation forward runs under ``repro.autograd.no_grad`` through the
+forward-only ``fused_lstm``, a rolling forward, and never takes a
+``T x B x 4H`` activation tape from the model's training workspace.  Were
+it to take one, the
 workspace would keep it: the stacked census one per block shape, and the
 per-client and sampled evaluators one per distinct device size.  Each
 census below is held to less than half of *one* 256-row block's forward
@@ -69,7 +70,7 @@ def test_census_holds_no_tape(federation, mode):
     pool = ClientPool(dataset, model, SGDSolver(0.1, batch_size=10))
     device = pool[0]
     model.loss_and_gradient(device.train_x[:10], device.train_y[:10])  # a solve step
-    workspace = model.module.lstm._workspace
+    workspace = model._stacked_store()["lstm_ws"]
     tapes = dict(workspace._tapes)
     census = _census(mode, dataset, pool, model)
     sizes = np.concatenate([dataset.train_sizes, dataset.test_sizes])

@@ -477,6 +477,16 @@ class TestCompareHistories:
         [m], drift = compare_histories([{"train_loss": 0.5}], [nan], 1e300)
         assert m.field == "train_loss" and drift is None
 
+    def test_equal_non_finite_values_match_at_bound_zero(self):
+        """A diverged run recorded and replayed: NaN on both sides (of
+        either sign, as JSON keeps neither) and equal infinities match."""
+        nan, inf = float("nan"), float("inf")
+        assert compare_histories([{"train_loss": nan}], [{"train_loss": nan}], 0) == ([], None)
+        assert compare_histories([{"train_loss": nan}], [{"train_loss": -nan}], 0) == ([], None)
+        assert compare_histories([{"train_loss": inf}], [{"train_loss": inf}], 0) == ([], None)
+        [m], _ = compare_histories([{"train_loss": inf}], [{"train_loss": -inf}], 1e300)
+        assert m.field == "train_loss"
+
     def test_mismatches_are_capped_in_round_order(self):
         a = [{"round_idx": r, "mu": 0.0} for r in range(MAX_MISMATCHES + 5)]
         b = [dict(rec, mu=1.0) for rec in a]
