@@ -72,11 +72,9 @@ class StackedSeqSolveMixin:
     Host classes provide ``vocab_size`` / ``embed_dim`` / ``hidden`` /
     ``num_layers`` / ``backend`` attributes, ``_stacked_head_width`` (dense
     head output width), ``_stacked_trainable_embedding`` (whether the
-    embedding table lives in the flat vector), ``_stacked_loss_delta``
+    embedding table lives in the flat vector) and ``_stacked_loss_delta``
     (loss gradient w.r.t. the head scores, *before* the ``1/batch``
-    scaling, replicating the autograd loss's op order) and
-    ``_stacked_loss`` (the mean loss from what the delta left in the
-    scores buffer).
+    scaling, replicating the autograd loss's op order).
     """
 
     @property
@@ -194,17 +192,6 @@ class StackedSeqSolveMixin:
                 b2=np.arange(B)[None, :],
             )
         return ws
-
-    def loss_and_gradient(self, X: np.ndarray, y: np.ndarray):
-        """One kernel call on one row: the gradient, and the loss read off
-        the forward it ran (``_stacked_loss``, the autograd loss's
-        operations on the head's scores the kernel leaves behind)."""
-        if not self.supports_stacked_local_solve:
-            return super().loss_and_gradient(X, y)
-        X, y = np.asarray(X), np.asarray(y)
-        grad = self.gradient(X, y)
-        scores = self._stacked_scratch(1, len(y), X.shape[1])["scores"][0]
-        return self._stacked_loss(scores, y), grad
 
     # ------------------------------------------------------------------ #
     # The kernel

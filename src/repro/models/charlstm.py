@@ -135,11 +135,6 @@ class CharLSTM(StackedSeqSolveMixin, NeuralModel):
         delta[ws["k2"], ws["b2"], y] -= 1.0
         return delta
 
-    def _stacked_loss(self, log_probs: np.ndarray, y: np.ndarray) -> float:
-        """Mean NLL from the log-probabilities :meth:`_stacked_loss_delta`
-        leaves in the scores buffer, as ``softmax_cross_entropy`` takes it."""
-        return float((-log_probs[np.arange(len(y)), y]).mean())
-
     def forward_loss(self, X: np.ndarray, y: np.ndarray) -> Tensor:
         logits = self.module(np.asarray(X))
         return softmax_cross_entropy(logits, np.asarray(y))

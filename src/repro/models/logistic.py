@@ -103,10 +103,10 @@ class _Kernel:
     ``[x, 1]`` rows by each row's ``[W; b]`` view,
     :func:`_softmax_minus_onehot`, the residual scaled by the step's
     factor — multiplied by ``scale / m`` in a solve, divided by ``n``
-    (``divide``) in a full gradient — and masked when a batch is padded,
-    then the backward product straight into the gradient view: every call
-    writes ``out=`` into buffers built here, once per batch height ``B``,
-    and ``W`` is read in place at every step.
+    (``divide``) in a full gradient — and masked when a cohort batch is
+    padded, then the backward product straight into the gradient view:
+    every call writes ``out=`` into buffers built here, once per batch
+    height ``B``, and ``W`` is read in place at every step.
     """
 
     def __init__(self, model, W, B, l2, divide=False):
@@ -317,13 +317,16 @@ class MultinomialLogisticRegression(FederatedModel):
         batches at a time: rows are gathered into the first ``dim``
         columns of a reused buffer whose last column is 1.0, laid out as
         ``(steps, batch, dim + 1)`` chunks.  A short final batch runs at
-        the full batch height with its padding masked, as the cohort runs
-        it; the heights match unless the device holds less than one batch
-        and the cohort pads it to a larger device's batch.  Each gather
-        length's step operands are built once per solve, and the kernel
-        steps through every gather in turn, so nothing is allocated after
-        the first gather of each length.  Each yield is ``scale`` times
-        the mean-loss gradient on its batch at ``w``.
+        the full batch height, as the cohort runs it; its padding rows are
+        all zero, ones column included, so they add exact zeros to the
+        backward product with no mask to multiply (the values of the
+        cohort's masked padding).  The heights match unless the device
+        holds less than one batch and the cohort pads it to a larger
+        device's batch.  Each gather length's step operands are built once
+        per solve, and the kernel steps through every gather in turn, so
+        nothing is allocated after the first gather of each length.  Each
+        yield is ``scale`` times the mean-loss gradient on its batch at
+        ``w``.
         """
         X, y = np.asarray(X), np.asarray(y)
         dim, classes = self.dim, self.num_classes
@@ -335,8 +338,7 @@ class MultinomialLogisticRegression(FederatedModel):
         gather_rows = min(per_gather * batch_size, len(y))
         batch_rows = min(batch_size, gather_rows)
         padded = -(-gather_rows // batch_rows) * batch_rows
-        rows_buf = _with_ones_column(padded, dim)
-        rows_buf[:, :dim] = 0.0
+        rows_buf = np.zeros((padded, dim + 1))
         raw_buf = np.empty((gather_rows, dim), X.dtype)
         labels_buf = np.zeros(padded, y.dtype)
         hot_buf = np.empty((padded, classes))
@@ -347,23 +349,26 @@ class MultinomialLogisticRegression(FederatedModel):
 
         def operands(k):
             """The step operands of a gather of ``k`` rows."""
-            sizes = [min(batch_size, k - lo) for lo in range(0, k, batch_size)]
-            masks = [None] * len(sizes)
-            if sizes[-1] < batch_rows:
-                masks[-1] = (arange[:batch_rows, None] < sizes[-1]).astype(np.float64)
-            factors = [scale / m for m in sizes]
-            steps = len(sizes)
-            return kernel.operands(X3[:steps], hot3[:steps], factors, masks)
+            factors = [
+                scale / min(batch_size, k - lo) for lo in range(0, k, batch_size)
+            ]
+            steps = len(factors)
+            return kernel.operands(X3[:steps], hot3[:steps], factors, [None] * steps)
 
         def gathers():
             """Each gather's step operands, its rows in the buffers.  The
             kernel asks for the next gather only after the solver took
             the last step of this one."""
             layouts = {}  # every gather but an epoch's last has one length
+            ones_to = 0  # rows_buf[:ones_to] has the ones column, the rest are zero
             for order in orders:
                 for first in range(0, len(order), gather_rows):
                     idx = order[first : first + gather_rows]
                     k = len(idx)
+                    if k != ones_to:  # rows past the gather become zero rows
+                        rows_buf[:k, dim] = 1.0
+                        rows_buf[k:] = 0.0
+                        ones_to = k
                     X.take(idx, axis=0, out=raw_buf[:k], mode="clip")
                     np.copyto(rows_buf[:k, :dim], raw_buf[:k], casting="unsafe")
                     y.take(idx, out=labels_buf[:k], mode="clip")

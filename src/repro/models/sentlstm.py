@@ -138,13 +138,6 @@ class SentimentLSTM(StackedSeqSolveMixin, NeuralModel):
         delta -= y[:, :, None]
         return delta
 
-    def _stacked_loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Mean BCE from the raw logits, as
-        ``binary_cross_entropy_with_logits`` takes it."""
-        t = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-        per_elem = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
-        return float(per_elem.mean())
-
     def forward_loss(self, X: np.ndarray, y: np.ndarray) -> Tensor:
         logits = self.module(np.asarray(X))
         targets = np.asarray(y, dtype=np.float64).reshape(-1, 1)

@@ -88,6 +88,14 @@ MIN_ELEMENTS_SAVED = 1 << 21
 _OVERSUBSCRIPTION_WARNED = False
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one (a container's cpuset), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _warn_oversubscribed(requested: int, available: int) -> None:
     """Warn once when more workers are requested than cores exist.
 
@@ -245,6 +253,10 @@ class ParallelExecutor(RoundExecutor):
         if start_method not in mp.get_all_start_methods():
             raise ValueError(f"unknown start method {start_method!r}")
         self._n_workers = resolved
+        # A census cuts no more shares than there are cores to run them,
+        # since more would queue behind each other.  The gain is unmeasured:
+        # no benchmark workload runs more workers than cores.
+        self._census_shares = min(resolved, _usable_cores())
         self.start_method = start_method
         self._replica = None
         self._pool: Optional[_ProcessPool] = None
@@ -333,11 +345,11 @@ class ParallelExecutor(RoundExecutor):
         """The census values, on the workers where that pays.
 
         Contiguous near-equal shares of ``units``, one message per worker
-        that has a core to run on — more shares than cores would only
-        queue — (``w`` crosses once each, no rows do), the returned lists
-        joined in unit order.  Per-client units always go to the pool.
+        that has a core to run on (``w`` crosses once each, no rows do),
+        the returned lists joined in unit order.  Per-client units always
+        go to the pool.
         """
-        shares = min(self._n_workers, os.cpu_count() or 1, len(units))
+        shares = min(self._census_shares, len(units))
         cuts = [len(units) * i // shares for i in range(shares + 1)]
         if self.eval_mode == "stacked" and not self._sharding_pays(
             split, units, cuts

@@ -141,11 +141,19 @@ def _epoch3_logistic_gradient(model, X, y, scale, height):
     return grad.reshape(-1)
 
 
+def _graph_gradient(model, X, y):
+    """An autograd model's gradient as the loop computed it, through the
+    graph: no code shared with the stacked kernel the model trains on."""
+    model.module.zero_grad()
+    model.forward_loss(X, y).backward()
+    return model.module.flat_grad()
+
+
 def _scaled_gradient(model, X, y, scale, height):
     """Epoch 3's stream step: ``scale`` times the model's gradient."""
     if isinstance(model, MultinomialLogisticRegression):
         return _epoch3_logistic_gradient(model, X, y, scale, height)
-    return model.gradient(X, y) * scale
+    return _graph_gradient(model, X, y) * scale
 
 
 def _oracle_gradient(model, X, y, w, batch, mu, w_ref, correction, logistic):
@@ -153,7 +161,7 @@ def _oracle_gradient(model, X, y, w, batch, mu, w_ref, correction, logistic):
     if isinstance(model, MultinomialLogisticRegression):
         grad = logistic(model, X[batch], y[batch])
     else:
-        grad = model.gradient(X[batch], y[batch])
+        grad = _graph_gradient(model, X[batch], y[batch])
     if mu > 0:
         grad = grad + mu * (w - w_ref)
     if correction is not None:

@@ -548,7 +548,9 @@ class TestExecutorModeDispatch:
 
 
 class TestStackedGradientKernels:
-    """Row k of the stacked kernel equals the full-batch gradient at W[k].
+    """Row k of the stacked kernel equals the full-batch gradient at W[k],
+    the MLP's as its autograd graph computes it (the path its one kernel
+    replaced, ``tests/test_models_mlp_oracle.py``).
 
     To rounding, not bitwise: the logistic ``gradient()`` divides the
     residual by ``n`` (numerics epoch 2), the kernel's step multiplies it by
@@ -582,7 +584,12 @@ class TestStackedGradientKernels:
         for k in range(K):
             n_k = int(counts[k])
             model.set_params(W[k])
-            scalar = model.gradient(X[k, :n_k], y[k, :n_k])
+            if isinstance(model, MLPClassifier):
+                model.module.zero_grad()
+                model.forward_loss(X[k, :n_k], y[k, :n_k]).backward()
+                scalar = model.module.flat_grad()
+            else:
+                scalar = model.gradient(X[k, :n_k], y[k, :n_k])
             np.testing.assert_allclose(stacked[k], scalar, rtol=0, atol=1e-14)
 
     def test_mask_none_means_dense(self, rng):

@@ -110,14 +110,14 @@ def in_process(monkeypatch):
     The worker side is built the way a spawned worker builds it: from a
     pickled copy of the federation (its own bytes) and the replica, by
     ``_init_worker`` itself.  The minimum-work constant is dropped to 0
-    so the small federations of this file reach the pool, and the machine
-    reports more cores than any test asks workers for, so a census cuts
+    so the small federations of this file reach the pool, and the process
+    may use more cores than any test asks workers for, so a census cuts
     one share per worker wherever it runs (shares are capped at the cores,
     ``test_shares_are_capped_at_the_cores``).
     """
     monkeypatch.setattr(parallel, "_WORKER", {})
     monkeypatch.setattr(parallel, "MIN_ELEMENTS_SAVED", 0)
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 64)
 
     def make(dataset, model, n_workers, eval_mode="auto"):
         executor = ParallelExecutor(n_workers=n_workers)
@@ -214,17 +214,25 @@ class TestWhatCrossesTheBoundary:
         """``parallel:2`` on one core cuts one share; the values stay ``==``."""
         dataset, model = _case("synthetic-logistic")
         serial = _serial(dataset, model, eval_mode)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
         executor = in_process(dataset, model, 2, eval_mode)
         serial.evaluator.block_size = executor.evaluator.block_size = 100
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
         for seed in range(2):
             w = _weights(model, seed)
             assert executor.train_loss(w) == serial.train_loss(w)
             assert len(executor._pool.messages) == 1
             assert executor.test_accuracy(w) == serial.test_accuracy(w)
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)  # unknown: one
-        assert executor.train_loss(w) == serial.train_loss(w)
-        assert len(executor._pool.messages) == 1
+
+    def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
+        """The cap reads the cores this process may run on, and
+        ``os.cpu_count()`` (unknown: one) where there is no affinity call."""
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert parallel._usable_cores() == 1
+        monkeypatch.delattr(parallel.os, "sched_getaffinity")
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+        assert parallel._usable_cores() == 1
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 5)
+        assert parallel._usable_cores() == 5
 
     def test_values_are_plain_python_numbers(self, monkeypatch):
         monkeypatch.setattr(parallel, "_WORKER", {})
