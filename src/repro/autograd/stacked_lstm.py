@@ -16,26 +16,26 @@ match.
 The forward's layer loop is :func:`repro.autograd.functional._lstm_layer`,
 shared with :func:`~repro.autograd.fused_lstm`'s tape-free evaluation
 forward.  No autograd here: the kernel takes raw gradients against
-caller-owned flat parameter rows, not a graph.  Buffers live in a
-:class:`StackedLSTMWorkspace` keyed by call shape and bounded in bytes,
-reused across the thousands of steps of a solve.
+caller-owned flat parameter rows, not a graph.  Buffers are views of
+one :class:`StackedLSTMWorkspace` arena, sized by the largest call shape
+in use and reused across the thousands of steps of a solve.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .functional import _gate_order, _lstm_layer, _step_views
 
-#: Bytes of tapes a :class:`StackedLSTMWorkspace` keeps.  Mini-batch solves
-#: cycle through at most ``batch_size`` shapes per cohort width (the batch,
-#: and each device's shorter last batch): 3 MB for the benchmark's batch of
-#: 10, 68 MB for all ten shapes of the paper's Shakespeare model.  A
-#: full-batch gradient (γ measurement, dissimilarity, FedDane's
-#: corrections) takes one ``T x n_k x 4H`` tape per device size, 4.3 GB for
-#: a mean-sized Shakespeare device, which only the calls right after it
+#: Bytes a :class:`StackedLSTMWorkspace` keeps.  Its arena holds one tape,
+#: the largest shape in use: a mini-batch solve's batch, whose shorter last
+#: batches view the same bytes.  A full-batch gradient (γ measurement,
+#: dissimilarity, FedDane's corrections) takes one ``T x n_k x 4H`` tape
+#: per device size, 4.3 GB for a mean-sized Shakespeare device; above this
+#: cap it gets a buffer of its own, which only the calls right after it
 #: reuse.
 TAPE_BYTES = 256 * 2**20
 
@@ -45,22 +45,56 @@ def _steps(block: np.ndarray) -> list:
     return list(np.moveaxis(block, 1, 0))
 
 
+def _padded(shape: Tuple[int, ...]) -> int:
+    """Floats a block of ``shape`` takes: whole 64-byte lines, so every
+    block keeps the alignment of the buffer it is carved from."""
+    return -(-math.prod(shape) // 8) * 8
+
+
+class _Carver:
+    """Consecutive blocks of one flat float64 buffer, from its start."""
+
+    def __init__(self, buf: np.ndarray) -> None:
+        self.buf, self.used = buf, 0
+
+    def __call__(self, *shape: int) -> np.ndarray:
+        block = self.buf[self.used : self.used + math.prod(shape)].reshape(shape)
+        self.used += _padded(shape)
+        return block
+
+
+def _tape_floats(K, T, B, in_size, H, layers, extra=()) -> int:
+    """Floats an :class:`_LSTMTape` of this shape carves, ``extra`` included."""
+    seq, step = (K, T, B), (K, B)
+    shapes = [seq + (in_size,), step + (4 * H,), step + (H,)]  # x, tmp4h, tmph
+    for l in range(layers):
+        params = [(K, in_size if l == 0 else H, 4 * H), (K, H, 4 * H), (K, 4 * H)]
+        # h, c, tanh_c, gates; the permuted parameters and both gradient sets
+        shapes += [(K, T + 1, B, H)] * 2 + [seq + (H,), seq + (4 * H,)] + params * 3
+    # _BackwardScratch: dh, dc, tmp3h, dgates, dseq, dx
+    shapes += [step + (H,)] * 2 + [step + (3 * H,), seq + (4 * H,)]
+    shapes += [seq + (H,)] * 2 + [seq + (in_size,)]
+    return sum(_padded(s) for s in shapes + list(extra))
+
+
 class _LayerTape:
     """Saved activations, permuted parameters and step views of one layer."""
 
-    def __init__(self, K: int, T: int, B: int, in_size: int, H: int) -> None:
-        # Row 0 of ``h``/``c`` along the time axis is the zero initial state
-        # (allocated zero, never written): step ``t`` enters at row ``t`` and
-        # leaves at row ``t + 1``.
-        self.h = np.zeros((K, T + 1, B, H))
-        self.c = np.zeros((K, T + 1, B, H))
-        self.tanh_c = np.empty((K, T, B, H))
+    def __init__(
+        self, take: _Carver, K: int, T: int, B: int, in_size: int, H: int
+    ) -> None:
+        # Row 0 of ``h``/``c`` along the time axis is the zero initial state,
+        # written by each forward (the arena's other tapes reuse its bytes):
+        # step ``t`` enters at row ``t`` and leaves at row ``t + 1``.
+        self.h = take(K, T + 1, B, H)
+        self.c = take(K, T + 1, B, H)
+        self.tanh_c = take(K, T, B, H)
         # Post-nonlinearity gate values, and the parameters as last taken by a
         # forward, in the kernel's internal column order [i, f, o, g].
-        self.gates = np.empty((K, T, B, 4 * H))
-        self.w_x_p = np.empty((K, in_size, 4 * H))
-        self.w_h_p = np.empty((K, H, 4 * H))
-        self.b_p = np.empty((K, 4 * H))
+        self.gates = take(K, T, B, 4 * H)
+        self.w_x_p = take(K, in_size, 4 * H)
+        self.w_h_p = take(K, H, 4 * H)
+        self.b_p = take(K, 4 * H)
         # The (T*B, ·) stacks the per-layer GEMMs read.  Of the (T+1)*B rows
         # of ``h``, the last T*B are the output sequence and the first T*B
         # the states entering each step: contiguous per client in either
@@ -87,18 +121,18 @@ class _BackwardScratch:
     One set serves every layer, since the layers' sweeps run in turn.
     """
 
-    def __init__(self, tape: "_LSTMTape") -> None:
+    def __init__(self, tape: "_LSTMTape", take: _Carver) -> None:
         K, T, B, H = tape.K, tape.T, tape.B, tape.H
 
         def block(width: int) -> np.ndarray:
-            return np.empty((K, T, B, width))
+            return take(K, T, B, width)
 
         def flat(a: np.ndarray) -> np.ndarray:
             return a.reshape((K, T * B, -1))
 
-        self.dh = np.empty((K, B, H))
-        self.dc = np.empty((K, B, H))
-        self.tmp3h = np.empty((K, B, 3 * H))
+        self.dh = take(K, B, H)
+        self.dc = take(K, B, H)
+        self.tmp3h = take(K, B, 3 * H)
         self.dgates = block(4 * H)
         self.dgates_flat = flat(self.dgates)
         # Gradient w.r.t. a layer's output sequence.  The top layer reads
@@ -117,8 +151,8 @@ class _BackwardScratch:
         top = len(tape.layers) - 1
         for l, lt in enumerate(tape.layers):
             shapes = (lt.w_x_p.shape, lt.w_h_p.shape, lt.b_p.shape)
-            self.grads_p.append(tuple(np.empty(s) for s in shapes))
-            self.grads.append(tuple(np.empty(s) for s in shapes))
+            self.grads_p.append(tuple(take(*s) for s in shapes))
+            self.grads.append(tuple(take(*s) for s in shapes))
             dseq_in, dseq_out = self.dseq[(top - l) % 2], self.dseq[(top - l + 1) % 2]
             self.below.append((dseq_out, flat(dseq_out)))
             dseq, fc = _steps(dseq_in), _steps(dseq_out)
@@ -139,68 +173,76 @@ class _BackwardScratch:
 class _LSTMTape:
     """Every buffer and per-step view of one call shape.
 
-    Every block is ``(K, T, B, ·)``: one client row per leading index.
-    The layer loops below slice nothing themselves: they run over views
-    built here once per shape.  ``scratch`` holds the model's own
-    per-shape buffers (head, loss delta), so they leave the cache with
-    the tape.
+    Every block is ``(K, T, B, ·)``: one client row per leading index,
+    carved from the start of the buffer the tape is built on.  The layer
+    loops below slice nothing themselves: they run over views built here
+    once per shape.  ``scratch`` holds the model's own per-shape buffers
+    (head, loss delta, gradient rows), carved after the tape's.
     """
 
-    def __init__(
-        self, K: int, T: int, B: int, in_size: int, H: int, layers: int
-    ) -> None:
+    def __init__(self, buf: np.ndarray, key: tuple, scratch: dict) -> None:
+        K, T, B, in_size, H, layers = self.key = key
         self.K, self.T, self.B, self.in_size, self.H = K, T, B, in_size, H
-        self.x = np.empty((K, T, B, in_size))  # the input, kernel layout
+        take = _Carver(buf)
+        self.x = take(K, T, B, in_size)  # the input, kernel layout
         self.x_flat = self.x.reshape((K, T * B, in_size))
         self.layers = [
-            _LayerTape(K, T, B, in_size if l == 0 else H, H)
+            _LayerTape(take, K, T, B, in_size if l == 0 else H, H)
             for l in range(layers)
         ]
-        self.tmp4h = np.empty((K, B, 4 * H))
-        self.tmph = np.empty((K, B, H))
+        self.tmp4h = take(K, B, 4 * H)
+        self.tmph = take(K, B, H)
         self.perm, self.prescale = _gate_order(H)
-        self.bwd = _BackwardScratch(self)
-        self.scratch: dict = {}
-        # The blocks that scale with T x B, which is nearly all of a tape.
-        self.nbytes = sum(
-            a.nbytes
-            for a in (self.x, self.bwd.dgates, self.bwd.dx, *self.bwd.dseq)
-            + tuple(a for lt in self.layers for a in (lt.h, lt.c, lt.tanh_c, lt.gates))
-        )
+        self.bwd = _BackwardScratch(self, take)
+        self.scratch = {name: take(*shape) for name, shape in scratch.items()}
 
 
 class StackedLSTMWorkspace:
-    """Tapes keyed by call shape, the least recently used evicted.
+    """One arena that the tapes of every call shape view.
 
     One workspace per model instance amortizes allocation across every
-    step of a solve: buffers are keyed by ``(K, T, B, in, hidden,
-    layers)`` and reused whenever the shape recurs, and the workspace keeps
-    the most recently used tapes up to :data:`TAPE_BYTES` (or just the one
-    in use, if that alone is larger).  Tapes are scratch, and their cached
-    views would stop aliasing their buffers across a copy: a pickled or
-    deep-copied workspace starts empty.
+    step of a solve.  A tape is scratch for exactly one kernel call
+    (forward, head, backward), so every shape's tape starts at the arena's
+    first byte: the workspace holds the largest shape in use, not the sum
+    of all.  Each shape keeps its step views, built on first use; the arena
+    grows to a larger shape, and the shapes built on the old one are built
+    again when next used.  A shape above :data:`TAPE_BYTES` runs on a
+    buffer of its own, dropped at the next acquire of another shape.  Tapes
+    are scratch, and their cached views would stop aliasing the arena
+    across a copy: a pickled or deep-copied workspace starts empty.
     """
 
     def __init__(self) -> None:
-        self._tapes: dict = {}
+        self._arena = np.empty(0)
+        self._tapes: dict = {}  # call shape -> tape on self._arena
+        self._oversized = None  # the tape above TAPE_BYTES last used
 
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_tapes": {}}
+    def __reduce__(self) -> tuple:
+        return (type(self), ())
 
     def acquire(
-        self, K: int, T: int, B: int, in_size: int, hidden: int, layers: int
+        self, K: int, T: int, B: int, in_size: int, hidden: int, layers: int,
+        scratch: Optional[dict] = None,
     ) -> _LSTMTape:
         """The tape for one call shape; its ``x`` is the ``(K, T, B, in)``
-        input.  Allocated on first use; least recently used shapes beyond
-        :data:`TAPE_BYTES` are evicted."""
-        key = (K, T, B, in_size, hidden, layers)
-        tape = self._tapes.pop(key, None) or _LSTMTape(*key)
-        self._tapes[key] = tape  # most recently used last
-        held = sum(t.nbytes for t in self._tapes.values())
-        for old in list(self._tapes):
-            if held <= TAPE_BYTES or old == key:
-                break
-            held -= self._tapes.pop(old).nbytes
+        input and its ``scratch`` one block per ``name: shape`` entry of
+        ``scratch`` (the same entries on every call of a shape).  Valid
+        until the next acquire."""
+        key, scratch = (K, T, B, in_size, hidden, layers), scratch or {}
+        if self._oversized is not None and self._oversized.key == key:
+            return self._oversized
+        self._oversized = None
+        tape = self._tapes.get(key)
+        if tape is not None:
+            return tape
+        n = _tape_floats(*key, scratch.values())
+        if 8 * n > TAPE_BYTES:
+            self._oversized = _LSTMTape(np.empty(n), key, scratch)
+            return self._oversized
+        if n > self._arena.size:
+            self._tapes.clear()  # their views would keep the old arena alive
+            self._arena = np.empty(n)
+        tape = self._tapes[key] = _LSTMTape(self._arena, key, scratch)
         return tape
 
 
@@ -213,6 +255,8 @@ def _lstm_forward(tape: _LSTMTape, params) -> None:
     perm, inp_flat = tape.perm, tape.x_flat
     scratch = (tape.prescale, np.matmul, tape.tmp4h, tape.tmph)
     for lt, (w_x, w_h, b) in zip(tape.layers, params):
+        lt.h[:, 0] = 0.0  # the zero initial state
+        lt.c[:, 0] = 0.0
         np.take(w_x, perm, axis=-1, out=lt.w_x_p)
         np.take(w_h, perm, axis=-1, out=lt.w_h_p)
         np.take(b, perm, axis=-1, out=lt.b_p)

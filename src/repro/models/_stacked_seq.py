@@ -58,14 +58,6 @@ class SeqModule(Module):
         return self.head(final_hidden)
 
 
-def _buf(ws: dict, name: str, shape: Tuple[int, ...]) -> np.ndarray:
-    """Named scratch buffer inside a per-shape workspace dict."""
-    arr = ws.get(name)
-    if arr is None:
-        arr = ws[name] = np.empty(shape)
-    return arr
-
-
 class StackedSeqSolveMixin:
     """Cohort stacked-solve support for embedding -> LSTM -> Dense models.
 
@@ -74,7 +66,9 @@ class StackedSeqSolveMixin:
     head output width), ``_stacked_trainable_embedding`` (whether the
     embedding table lives in the flat vector) and ``_stacked_loss_delta``
     (loss gradient w.r.t. the head scores, *before* the ``1/batch``
-    scaling, replicating the autograd loss's op order).
+    scaling, replicating the autograd loss's op order, into ``ws["delta"]``
+    with ``ws["col"]`` / ``ws["col2"]`` as two ``(K, B, 1)`` scratch
+    columns).
     """
 
     @property
@@ -96,7 +90,7 @@ class StackedSeqSolveMixin:
     def _stacked_store(self) -> dict:
         store = getattr(self, "_stacked_solve_store", None)
         if store is None:
-            store = {"lstm_ws": StackedLSTMWorkspace(), "grads": {}, "views": None}
+            store = {"lstm_ws": StackedLSTMWorkspace(), "views": None}
             self._stacked_solve_store = store
         return store
 
@@ -159,39 +153,32 @@ class StackedSeqSolveMixin:
             store["views"] = views
         return views
 
-    def _stacked_grad_views(self, K: int, d: int) -> dict:
-        store = self._stacked_store()
-        gv = store["grads"].get(K)
-        if gv is None:
-            G = np.empty((K, d))
-            gv = self._stacked_flat_views(G)
-            gv["G"] = G
-            store["grads"][K] = gv
-        return gv
-
-    def _stacked_scratch(self, K: int, B: int, T: int) -> dict:
+    def _stacked_scratch(self, K: int, B: int, T: int, d: int):
         """The call shape's tape and the model's buffers beside it.
 
-        Kept in the tape's ``scratch``, so the workspace's byte budget
-        bounds both: a full-batch gradient's shapes leave together.
+        The model's float buffers, the ``(K, d)`` gradient rows among them,
+        are carved from the workspace's arena with the tape (see
+        :meth:`stacked_gradient` for how long they hold).
         """
         H, C = self.hidden, self._stacked_head_width
         st = self._stacked_store()["lstm_ws"].acquire(
-            K, T, B, self.embed_dim, H, self.num_layers
+            K, T, B, self.embed_dim, H, self.num_layers,
+            scratch={
+                "G": (K, d), "scores": (K, B, C), "delta": (K, B, C),
+                "dh": (K, B, H), "invc": (K,), "col": (K, B, 1), "col2": (K, B, 1),
+            },
         )
         ws = st.scratch
-        if not ws:
+        if "gv" not in ws:
+            gv = self._stacked_flat_views(ws["G"])
+            gv["G"] = ws["G"]
             ws.update(
-                st=st,
-                scores=np.empty((K, B, C)),
-                delta=np.empty((K, B, C)),
-                dh=np.empty((K, B, H)),
-                invc=np.empty(K),
+                gv=gv,
                 k3=np.arange(K)[:, None, None],
                 k2=np.arange(K)[:, None],
                 b2=np.arange(B)[None, :],
             )
-        return ws
+        return st, ws
 
     # ------------------------------------------------------------------ #
     # The kernel
@@ -212,10 +199,9 @@ class StackedSeqSolveMixin:
         X = np.asarray(X)
         y = np.asarray(y)
         K, B, T = X.shape
-        ws = self._stacked_scratch(K, B, T)
-        st = ws["st"]
+        st, ws = self._stacked_scratch(K, B, T, W.shape[1])
+        gv = ws["gv"]
         pv = self._stacked_param_views(W)
-        gv = self._stacked_grad_views(K, W.shape[1])
 
         # Embedding gather straight into the kernel's time-major input.
         tok = X.transpose(0, 2, 1)  # (K, T, B)

@@ -15,7 +15,7 @@ import numpy as np
 from ..autograd import Tensor, no_grad, softmax_cross_entropy
 from ..nn import LSTM, Dense, Embedding
 from ..spec import register
-from ._stacked_seq import SeqModule, StackedSeqSolveMixin, _buf
+from ._stacked_seq import SeqModule, StackedSeqSolveMixin
 from .base import LSTM_BACKENDS, SEQ_EVAL_BLOCK_ROWS, NeuralModel
 
 
@@ -122,9 +122,7 @@ class CharLSTM(StackedSeqSolveMixin, NeuralModel):
         the one-hot subtraction — so each client row is bitwise the graph
         backward's ``base``.
         """
-        mx = _buf(ws, "mx", scores.shape[:2] + (1,))
-        red = _buf(ws, "red", scores.shape[:2] + (1,))
-        delta = ws["delta"]
+        mx, red, delta = ws["col"], ws["col2"], ws["delta"]
         np.amax(scores, axis=2, keepdims=True, out=mx)
         np.subtract(scores, mx, out=scores)  # shifted logits
         np.exp(scores, out=delta)

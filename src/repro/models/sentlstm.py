@@ -14,7 +14,7 @@ import numpy as np
 from ..autograd import Tensor, binary_cross_entropy_with_logits, no_grad
 from ..nn import LSTM, Dense, Embedding
 from ..spec import register
-from ._stacked_seq import SeqModule, StackedSeqSolveMixin, _buf
+from ._stacked_seq import SeqModule, StackedSeqSolveMixin
 from .base import LSTM_BACKENDS, SEQ_EVAL_BLOCK_ROWS, NeuralModel
 
 
@@ -125,9 +125,7 @@ class SentimentLSTM(StackedSeqSolveMixin, NeuralModel):
         with ``e = exp(-|x|)``, then ``sigma - y``.
         """
         x = scores  # (K, B, 1) raw logits
-        ex = _buf(ws, "ex", x.shape)
-        den = _buf(ws, "den", x.shape)
-        delta = ws["delta"]
+        ex, den, delta = ws["col"], ws["col2"], ws["delta"]
         np.abs(x, out=ex)
         np.negative(ex, out=ex)
         np.exp(ex, out=ex)  # exp(-|x|)

@@ -49,7 +49,7 @@ EXECUTOR_MODES = {
     "serial": 'spec "serial" — in-process sequential execution (default)',
     "parallel": (
         'specs "parallel", "parallel:N" (N worker processes), or '
-        '"parallel:auto" (match the host core count) — persistent '
+        '"parallel:auto" (one per usable core) — persistent '
         "multiprocess workers"
     ),
     "cohort": (

@@ -110,9 +110,9 @@ def _warn_oversubscribed(requested: int, available: int) -> None:
     _OVERSUBSCRIPTION_WARNED = True
     warnings.warn(
         f"ParallelExecutor: {requested} workers requested but only "
-        f"{available} CPU core(s) are available; the extra workers of an "
+        f"{available} CPU core(s) are usable; the extra workers of an "
         "oversubscribed pool share cores and only add process hand-offs. "
-        "Use n_workers='auto' to match the host core count.",
+        "Use n_workers='auto' to match the usable core count.",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -196,11 +196,12 @@ class ParallelExecutor(RoundExecutor):
     Parameters
     ----------
     n_workers:
-        Worker process count; defaults to ``os.cpu_count()``.  Pass
-        ``"auto"`` for the same heuristic made explicit — the worker count
-        is capped at ``os.cpu_count()`` so the pool never oversubscribes.
-        Requesting more workers than available cores emits a one-time
-        ``RuntimeWarning`` (oversubscribed pools are overhead-bound).
+        Worker process count; ``None`` or ``"auto"`` is one worker per
+        core this process may run on (its CPU affinity, e.g. a container's
+        cpuset, where the platform reports one; else ``os.cpu_count()``),
+        so the pool never oversubscribes.  Requesting more workers than
+        that emits a one-time ``RuntimeWarning`` (oversubscribed pools are
+        overhead-bound).
     start_method:
         Multiprocessing start method (``"fork"`` where available, else
         ``"spawn"``).  Results are identical either way; ``"fork"`` starts
@@ -233,7 +234,7 @@ class ParallelExecutor(RoundExecutor):
         start_method: Optional[str] = None,
     ) -> None:
         super().__init__()
-        available = os.cpu_count() or 1
+        available = _usable_cores()
         if n_workers is None or n_workers == "auto":
             resolved = available
         elif isinstance(n_workers, str):
@@ -256,7 +257,7 @@ class ParallelExecutor(RoundExecutor):
         # A census cuts no more shares than there are cores to run them,
         # since more would queue behind each other.  The gain is unmeasured:
         # no benchmark workload runs more workers than cores.
-        self._census_shares = min(resolved, _usable_cores())
+        self._census_shares = min(resolved, available)
         self.start_method = start_method
         self._replica = None
         self._pool: Optional[_ProcessPool] = None

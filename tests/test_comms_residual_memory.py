@@ -8,6 +8,11 @@ device would grow by about 1000 devices x d x 8 B from round 5 to round
 40.  Each engine x codec cell is held to less than two cohorts' worth of
 residuals, ``2 K d 8`` B, over those rounds.
 
+What does stay resident per device is the spill's ``client_id -> offset``
+map: about 116 B a device measured (a dict entry and its index slot, and
+the two int objects), held to 160 B over 10^5 devices that each transmit
+once, and the same again once their slots are freed and reused.
+
 The same file audits the other state a round carries forward: the async
 queue references at most ``window + 1`` round models, and the fault
 manager's stale buffer holds no update past the round it was due.
@@ -15,10 +20,13 @@ manager's stale buffer holds no update past the round it was due.
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from repro.comms.manager import _ResidualSpill
 from repro.core import EvalConfig, FederatedTrainer
 from repro.datasets import make_synthetic
 from repro.faults import ChaosFaults
@@ -33,6 +41,10 @@ CODECS = ["comms:codec=qsgd,bits=8,ef=true", "comms:codec=topk,k=60,ef=true"]
 
 #: Two cohorts' residuals; a resident residual per device seen grows ~10x past it.
 GROWTH_BOUND = 2 * K * D * 8
+
+#: Resident bytes per device that ever transmitted: its entry in the spill's
+#: ``client_id -> offset`` map (module docstring).
+MAP_BYTES_PER_DEVICE = 160
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +110,27 @@ def test_async_queue_and_stale_buffer_release_what_they_hold(federation):
             held += len(due)
     assert max(models_in_flight) == WINDOW + 1
     assert held > 0  # the stale path ran
+
+
+def test_the_offset_map_is_bounded_per_device():
+    devices, residual = 10**5, np.ones(4)
+    spill = _ResidualSpill()
+    spill.write(-1, residual)  # opens the file and the read buffer
+    spill.free(-1)
+    tracemalloc.start()
+    try:
+        for cid in range(devices):
+            spill.write(cid, residual)
+        written, _ = tracemalloc.get_traced_memory()
+        file_bytes = os.fstat(spill._file.fileno()).st_size
+        for cid in range(devices):
+            spill.free(cid)
+        for cid in range(devices, 2 * devices):  # new devices take the freed slots
+            spill.write(cid, residual)
+        reused, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spill) == devices
+    assert os.fstat(spill._file.fileno()).st_size == file_bytes == devices * residual.nbytes
+    assert written < devices * MAP_BYTES_PER_DEVICE, f"{written / devices:.1f} B a device"
+    assert reused < devices * MAP_BYTES_PER_DEVICE, f"{reused / devices:.1f} B a device"

@@ -19,6 +19,18 @@ training sizes ``(96, 73, 197, 94, 55, 130)`` it is
 (largest 0.0745, on the biggest device, which it under-weights) and
 ``(+0.0092, +0.0124, -0.0418, +0.0097, +0.0124, -0.0019)`` at ``K = 3``
 (largest 0.0418): small devices gain weight, large ones lose it.
+
+FedAvg drops its stragglers and renormalizes over the rest; FedProx keeps
+their partial work, so its weights are scheme 2's.  Under
+:class:`FractionStragglers` (``round(x K)`` of the selected devices, drawn
+uniformly) the survivors are a uniform ``(K - s)``-subset, so the drop's
+expectation is scheme 2's at ``K - s``: its extra bias is that bias minus
+scheme 2's at ``K``.  At the sizes above, with ``x`` = 1/3 and 2/3, that is
+``(+0.0026, +0.0287, -0.0642, +0.0046, +0.0548, -0.0264)`` at ``K = 2``
+(either ``x`` drops one device), ``(+0.0060, +0.0123, -0.0327, +0.0067,
++0.0142, -0.0065)`` at ``K = 3, x = 1/3`` and ``(+0.0086, +0.0411, -0.0969,
++0.0113, +0.0690, -0.0330)`` at ``K = 3, x = 2/3``: the drop takes a further
+0.03–0.10 of weight off the biggest device.
 """
 
 import itertools
@@ -29,6 +41,7 @@ import pytest
 
 from repro.core import UniformSamplingWeightedAverage, WeightedSamplingSimpleAverage
 from repro.datasets import ClientData, FederatedDataset, make_synthetic
+from repro.systems import FractionStragglers
 
 pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
 
@@ -84,6 +97,25 @@ def _scheme2_expectation(dataset, K, W):
     for chosen in subsets:
         total += scheme.aggregate([(k, W[k]) for k in chosen], None)
     return total / len(subsets)
+
+
+def _late(K, fraction):
+    """How many of ``K`` selected devices :class:`FractionStragglers` makes
+    stragglers (a count fixed by ``K`` and the fraction)."""
+    return sum(a.is_straggler for a in FractionStragglers(fraction).assign(0, list(range(K)), 2.0))
+
+
+def _drop_expectation(dataset, K, fraction, W):
+    """FedAvg's drop: every K-subset and, inside it, every straggler set the
+    model draws (each equally likely), aggregated over the survivors."""
+    scheme = UniformSamplingWeightedAverage(dataset, K)
+    total, outcomes = np.zeros(W.shape[1]), 0
+    for chosen in itertools.combinations(range(len(W)), K):
+        for late in itertools.combinations(chosen, _late(K, fraction)):
+            survivors = [k for k in chosen if k not in late]
+            total += scheme.aggregate([(k, W[k]) for k in survivors], None)
+            outcomes += 1
+    return total / outcomes
 
 
 SIZES = {
@@ -143,3 +175,45 @@ class TestUniformSamplingWeightedAverage:
         got = _scheme2_expectation(dataset, 1, W)
         np.testing.assert_allclose(got, W.mean(axis=0), rtol=0, atol=TOL)
         assert np.abs(got - _p(dataset) @ W).max() > 0.1
+
+
+class TestFedAvgStragglerDrop:
+    """Dropping stragglers and renormalizing is scheme 2 at ``K - s``."""
+
+    @pytest.mark.parametrize("fraction", [1 / 3, 2 / 3])
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("name", sorted(SIZES))
+    def test_expectation_is_scheme_2_over_the_survivors(self, name, K, fraction):
+        dataset = _federation(SIZES[name])
+        W = _iterates(len(SIZES[name]), seed=K)
+        survivors = K - _late(K, fraction)
+        assert 1 <= survivors < K
+        got = _drop_expectation(dataset, K, fraction, W)
+        want = _scheme2_expectation(dataset, survivors, W)
+        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+
+    @pytest.mark.parametrize("fraction", [1 / 3, 2 / 3])
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_unbiased_at_equal_sizes(self, K, fraction):
+        dataset = _federation((13,) * 6)
+        W = _iterates(6, seed=K)
+        got = _drop_expectation(dataset, K, fraction, W)
+        np.testing.assert_allclose(got, W.mean(axis=0), rtol=0, atol=TOL)
+
+    @pytest.mark.parametrize(
+        "K,fraction,extra",
+        [
+            (2, 1 / 3, [0.0026, 0.0287, -0.0642, 0.0046, 0.0548, -0.0264]),
+            (2, 2 / 3, [0.0026, 0.0287, -0.0642, 0.0046, 0.0548, -0.0264]),
+            (3, 1 / 3, [0.0060, 0.0123, -0.0327, 0.0067, 0.0142, -0.0065]),
+            (3, 2 / 3, [0.0086, 0.0411, -0.0969, 0.0113, 0.0690, -0.0330]),
+        ],
+    )
+    def test_extra_bias_against_partial_work_at_the_synthetic_sizes(self, K, fraction, extra):
+        """The module docstring's numbers: the drop's effective weights
+        minus scheme 2's, which keeping the stragglers' partial work gets."""
+        dataset = _federation(SIZES["synthetic"])
+        drop = _drop_expectation(dataset, K, fraction, np.eye(6))
+        got = drop - _scheme2_expectation(dataset, K, np.eye(6))
+        np.testing.assert_allclose(got, extra, rtol=0, atol=5e-5)
+        assert abs(drop.sum() - 1.0) <= TOL  # every outcome keeps a survivor

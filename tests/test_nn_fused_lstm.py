@@ -162,17 +162,30 @@ class TestEvaluationBuildsNoTape:
         assert st.bwd.dgates.shape == (3, 6, 5, 16)
         assert st.bwd.dx.shape == (3, 6, 5, 3)
 
+    @pytest.mark.parametrize("key", [(3, 6, 5, 3, 4, 1), (1, 9, 10, 3, 8, 2), (2, 1, 1, 5, 3, 3)])
+    def test_a_tape_fills_the_floats_it_asks_for(self, key):
+        """``_tape_floats`` is what the tape carves: the model's last
+        block ends in the last line of a buffer of that size."""
+        extra = {"scores": (2, 7)}
+        n = stacked_lstm._tape_floats(*key, extra.values())
+        buf = np.empty(n)
+        tape = stacked_lstm._LSTMTape(buf, key, extra)
+        assert np.shares_memory(tape.scratch["scores"], buf[-8:])
+        with pytest.raises(ValueError):
+            stacked_lstm._LSTMTape(buf[:-8], key, extra)
+
 
 class TestFullBatchGradientsDoNotPinTapes:
     """γ measurement, dissimilarity and FedDane take a full-device gradient:
-    one new call shape per device size, which the workspace must not keep."""
+    one new call shape per device size, which the workspace must not keep.
+    Every other shape's tape views one arena, sized by the largest in use."""
 
     def test_every_mini_batch_shape_is_kept(self, rng):
         """A batch of 10 and every shorter last batch: cycled, never rebuilt."""
         model = MODELS["charlstm"]()
         ws = _workspace(model)
         X, y = rng.integers(12, size=(10, 9)), rng.integers(12, size=10)
-        for n in range(1, 11):
+        for n in range(10, 0, -1):  # a solve's first step is its full batch
             model.gradient(X[:n], y[:n])
         tapes = {key: id(tape) for key, tape in ws._tapes.items()}
         for n in (10, 3, 10, 7, 10, 1, 10, 9):
@@ -180,39 +193,51 @@ class TestFullBatchGradientsDoNotPinTapes:
         assert len(tapes) == 10
         assert {key: id(tape) for key, tape in ws._tapes.items()} == tapes
 
-    def test_least_recently_used_tapes_beyond_the_budget_are_evicted(
-        self, rng, monkeypatch
-    ):
+    def test_every_shape_views_the_start_of_the_arena(self, rng):
+        """The arena grows to a larger shape and the smaller shapes are
+        built on it again when next used, to the same bits."""
+        model, fresh = MODELS["charlstm"](), MODELS["charlstm"]()
+        ws = _workspace(model)
+        X, y = rng.integers(12, size=(10, 9)), rng.integers(12, size=10)
+        for n in range(1, 11):
+            assert np.array_equal(model.gradient(X[:n], y[:n]), fresh.gradient(X[:n], y[:n]))
+        size = ws._arena.size
+        assert list(ws._tapes) == [(1, 9, 10, 3, 8, 2)]
+        for n in range(1, 11):
+            assert np.array_equal(model.gradient(X[:n], y[:n]), fresh.gradient(X[:n], y[:n]))
+        assert ws._arena.size == size and len(ws._tapes) == 10
+        for tape in ws._tapes.values():
+            assert tape.x.base is ws._arena and np.shares_memory(tape.x, ws._arena[:1])
+
+    def test_a_shape_above_the_cap_is_not_retained(self, rng, monkeypatch):
         model = MODELS["charlstm"]()
-        fresh = MODELS["charlstm"]()  # built before the budget shrinks
+        fresh = MODELS["charlstm"]()  # built before the cap shrinks
         ws = _workspace(model)
         X, y = rng.integers(12, size=(60, 9)), rng.integers(12, size=60)
         model.gradient(X[:10], y[:10])
-        batch_bytes = ws._tapes[(1, 9, 10, 3, 8, 2)].nbytes
-        monkeypatch.setattr(stacked_lstm, "TAPE_BYTES", 5 * batch_bytes)
+        arena = ws._arena
+        monkeypatch.setattr(stacked_lstm, "TAPE_BYTES", arena.nbytes)
         for n in range(11, 60, 4):  # one full device per size, growing
             got = model.gradient(X[:n], y[:n])
             assert np.array_equal(got, fresh.gradient(X[:n], y[:n]))
-            current = ws._tapes[(1, 9, n, 3, 8, 2)]
-            held = sum(t.nbytes for t in ws._tapes.values())
-            assert held <= max(stacked_lstm.TAPE_BYTES, current.nbytes)
+            assert ws._oversized.key == (1, 9, n, 3, 8, 2)
+            assert (1, 9, n, 3, 8, 2) not in ws._tapes
             model.gradient(X[:10], y[:10])  # the solve's next step
-            assert (1, 9, 10, 3, 8, 2) in ws._tapes
-        assert len(ws._tapes) < 5
-        # An evicted shape is rebuilt on demand, to the same bits.
-        assert np.array_equal(model.gradient(X[:11], y[:11]), fresh.gradient(X[:11], y[:11]))
+            assert ws._oversized is None and ws._arena is arena
+        assert list(ws._tapes) == [(1, 9, 10, 3, 8, 2)]
 
-    def test_the_cohort_shapes_share_the_budget(self, rng, monkeypatch):
-        """Stacked calls of every width go through the same bounded cache."""
+    def test_the_cohort_widths_share_the_arena(self, rng):
+        """Stacked calls of every width view the widest one's arena."""
         model = MODELS["charlstm"]()
         ws = _workspace(model)
         W = np.tile(model.get_params(), (4, 1))
         X, y = rng.integers(12, size=(4, 10, 9)), rng.integers(12, size=(4, 10))
         model.stacked_gradient(W, X, y, None, np.full(4, 10.0))
-        monkeypatch.setattr(stacked_lstm, "TAPE_BYTES", 0)
+        arena = ws._arena
         for K in (3, 2, 1):
             model.stacked_gradient(W[:K], X[:K], y[:K], None, np.full(K, 10.0))
-            assert list(ws._tapes) == [(K, 9, 10, 3, 8, 2)]
+        assert ws._arena is arena
+        assert sorted(ws._tapes) == [(K, 9, 10, 3, 8, 2) for K in (1, 2, 3, 4)]
 
 
 def _used(model, rng, stacked):

@@ -24,8 +24,6 @@ Three named cases keep ``PADDED_TOL`` (1e-12), each for its reason:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +40,7 @@ from repro.optim import (
 )
 from repro.runtime import CohortExecutor, LocalTask, SerialExecutor, make_executor
 from repro.runtime.packing import plan_cohort
+from repro.runtime.parallel import _usable_cores
 from repro.systems import FractionStragglers, PowerLawStragglers
 
 pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
@@ -526,7 +525,7 @@ class TestExecutorModeDispatch:
         from repro.runtime import parse_executor_spec
 
         # Within the host's cores: an oversubscribed count warns.
-        cores = os.cpu_count() or 1
+        cores = _usable_cores()
         executor = make_executor(f"parallel:{cores}")
         assert executor.n_workers == cores
         assert parse_executor_spec("parallel:auto") == (

@@ -389,11 +389,28 @@ class TestParallelWorkerHeuristics:
         yield
         parallel._OVERSUBSCRIPTION_WARNED = False
 
-    def test_auto_matches_cpu_count(self):
+    def test_auto_matches_the_usable_cores(self, monkeypatch):
+        """A 2-core cpuset on a 64-core host: "auto" starts 2 workers, and
+        the oversubscription warning compares against the same 2."""
         import os
+        import warnings
 
-        executor = ParallelExecutor(n_workers="auto")
-        assert executor.n_workers == (os.cpu_count() or 1)
+        from repro.runtime import make_executor, parallel
+
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for executor in (
+            ParallelExecutor(n_workers="auto"),
+            ParallelExecutor(n_workers=None),
+            make_executor("parallel:auto"),
+        ):
+            assert executor.n_workers == 2
+            assert executor._census_shares == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_executor("parallel:2").n_workers == 2
+        with pytest.warns(RuntimeWarning, match="only 2 CPU core"):
+            assert ParallelExecutor(n_workers=3).n_workers == 3
 
     def test_default_none_matches_auto(self):
         assert (
@@ -416,7 +433,9 @@ class TestParallelWorkerHeuristics:
         import os
         import warnings
 
-        requested = (os.cpu_count() or 1) + 7
+        from repro.runtime.parallel import _usable_cores
+
+        requested = _usable_cores() + 7
         with pytest.warns(RuntimeWarning, match="oversubscribed"):
             ParallelExecutor(n_workers=requested)
         with warnings.catch_warnings():
