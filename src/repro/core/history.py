@@ -1,8 +1,8 @@
 """Round-by-round training records.
 
 Every experiment in the harness reduces to one or more
-:class:`TrainingHistory` objects; the figure benchmarks print and compare
-their series.
+:class:`TrainingHistory` objects; the figures print their series and the
+claims compare them.
 """
 
 from __future__ import annotations

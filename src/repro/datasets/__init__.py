@@ -27,7 +27,6 @@ from .store import (
     MmapShardStore,
     OnDemandSyntheticStore,
     make_synthetic_ondemand,
-    resolve_store,
 )
 from .synthetic import make_synthetic, make_synthetic_iid, synthetic_suite
 from .text import make_sent140_like, make_shakespeare_like
@@ -59,7 +58,6 @@ __all__ = [
     "MmapShardStore",
     "OnDemandSyntheticStore",
     "make_synthetic_ondemand",
-    "resolve_store",
     "DEFAULT_CACHE_CLIENTS",
     "make_synthetic",
     "make_synthetic_iid",

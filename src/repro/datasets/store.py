@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from ..spec import register
 from .federated import (
     ClientData,
     ClientStore,
-    EagerClientStore,
     _split_sizes,
     train_test_split_client,
 )
@@ -511,15 +510,6 @@ class MmapShardStore(ClientStore):
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._shards = _LRUCache(self.max_open_shards)
-
-
-def resolve_store(
-    clients_or_store: Union[ClientStore, Sequence[ClientData]]
-) -> ClientStore:
-    """Coerce a raw client sequence to a store (stores pass through)."""
-    if isinstance(clients_or_store, ClientStore):
-        return clients_or_store
-    return EagerClientStore(clients_or_store)
 
 
 @register(tag="builder")

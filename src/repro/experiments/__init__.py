@@ -1,7 +1,9 @@
-"""Experiment harness: the paper's figures as cells, plus Table 1.
+"""Experiment harness: the paper's figures and ablations as cells, Table 1,
+and the paper's checks as claims over them.
 
-See DESIGN.md §5 for the experiment index and :data:`FIGURES` for the
-figure ids :func:`figure_cells` knows.
+See DESIGN.md §5 for the experiment index, :data:`FIGURES` for the ids
+:func:`figure_cells` knows and :data:`CLAIMS` for the claims
+:func:`run_claims` judges.
 """
 
 from .configs import (
@@ -16,6 +18,7 @@ from .configs import (
     get_scale,
     synthetic_suite_workloads,
 )
+from .claims import CLAIMS, Claim, claim_cells, render_claims, run_claims
 from .figures import (
     FIGURES,
     figure7_accuracy_rows,
@@ -23,9 +26,9 @@ from .figures import (
     figure_cells,
     ledger_name,
     run_cells,
+    sweep_cells,
 )
 from .results import FigureResult, PanelResult
-from .sweeps import LR_GRID, SweepResult, tune_learning_rate, tune_mu
 from .table1 import PAPER_TABLE1, render_table1, run_table1
 
 __all__ = [
@@ -43,10 +46,12 @@ __all__ = [
     "figure_cells",
     "run_cells",
     "ledger_name",
-    "tune_learning_rate",
-    "tune_mu",
-    "SweepResult",
-    "LR_GRID",
+    "sweep_cells",
+    "CLAIMS",
+    "Claim",
+    "claim_cells",
+    "run_claims",
+    "render_claims",
     "FigureResult",
     "PanelResult",
     "run_table1",

@@ -6,11 +6,15 @@ Usage::
     python -m repro.experiments figure1 --scale default --out ledgers/
     python -m repro.experiments table1 figure2 --scale smoke
     python -m repro.experiments all --scale default
+    python -m repro.experiments claims --scale smoke --seed 0 --out ledgers/
 
-Each figure prints its loss summary (and accuracy / dissimilarity where the
-paper's figure reports them); with ``--out`` every cell also writes one
-JSONL ledger under ``<out>/<figure>/`` that ``python -m repro.trace replay``
-re-executes.  ``table1`` only prints.
+Each figure or ablation prints its loss summary (and accuracy /
+dissimilarity where the paper's figure reports them); with ``--out`` every
+cell also writes one JSONL ledger under ``<out>/<figure>/`` that
+``python -m repro.trace replay`` re-executes.  ``table1`` only prints.
+``claims`` judges every claim of :mod:`repro.experiments.claims` (base seed
+``--seed``), prints one row per claim and exits 1 naming the claims that did
+not hold.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..reporting.tables import format_table
+from .claims import render_claims, run_claims
 from .figures import FIGURES, figure7_accuracy_rows, figure7_improvement, figure_cells, run_cells
 from .table1 import render_table1
 
@@ -65,6 +70,16 @@ def _run_one(experiment_id: str, scale: str, seed: int, out: Optional[Path]) -> 
     print(f"-- {experiment_id} done in {elapsed:.1f}s --\n")
 
 
+def _claims(scale: str, seed: int, out: Optional[Path]) -> int:
+    rows = run_claims(scale=scale, seed=seed, out=out)
+    print(render_claims(rows))
+    failed = [row["claim"] for row in rows if not row["held"]]
+    if failed:
+        print(f"claims that did not hold: {', '.join(failed)}")
+        return 1
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -73,7 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="*",
-        help="experiment ids (see --list), or 'all'",
+        help="experiment ids (see --list), 'all', or 'claims'",
     )
     parser.add_argument(
         "--scale",
@@ -97,6 +112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for experiment_id, description in EXPERIMENTS.items()
         ]
         print(format_table(rows, title="Available experiments"))
+        print("\nclaims: judge every figure and ablation claim (exit 1 if one fails)")
         return 0
 
     ids = (
@@ -104,9 +120,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.experiments == ["all"]
         else args.experiments
     )
+    status = 0
     for experiment_id in ids:
-        _run_one(experiment_id, args.scale, args.seed, args.out)
-    return 0
+        if experiment_id == "claims":
+            status |= _claims(args.scale, args.seed, args.out)
+        else:
+            _run_one(experiment_id, args.scale, args.seed, args.out)
+    return status
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ The paper's evaluation runs five federated workloads (Synthetic + four
 is CPU-only, so every experiment is parameterized by an
 :class:`ExperimentScale`:
 
-* ``smoke`` — seconds-scale configurations used by the benchmark suite and
-  CI; shapes are qualitative.
+* ``smoke`` — seconds-scale configurations the claims run at in CI;
+  shapes are qualitative.
 * ``default`` — minutes-scale configurations used to produce the numbers
   recorded in EXPERIMENTS.md.
 * ``paper`` — the paper's full sizes (1000-device MNIST, 200 rounds, ...);

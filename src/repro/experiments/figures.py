@@ -1,4 +1,5 @@
-"""The paper's figures as cells, one runner, and the Figure 7 reductions.
+"""The paper's figures and ablations as cells, one runner, and the Figure 7
+reductions.
 
 A figure is a list of *cells*, one per line × panel.  A cell is a JSON-able
 dict: the grouping keys ``figure``, ``panel``, ``environment`` and
@@ -36,14 +37,19 @@ figures and the shape the paper reports:
   robust to dropped devices.
 * ``figure12``: uniform sampling + weighted average vs weighted sampling +
   simple average at µ ∈ {0, 1}.
+
+The ``ablation-*`` ids (DESIGN.md §6) isolate one design choice each, at
+one fixed size whatever the scale.
 """
 
 from __future__ import annotations
 
+import copy
 import re
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
 
+from ..core.fedprox import MU_GRID
 from ..metrics.convergence import accuracy_at_outcome
 from ..telemetry import JSONLSink, RunArtifact, Telemetry
 from ..telemetry.replay import rebuild_trainer
@@ -51,6 +57,7 @@ from .configs import (
     FIGURE1_BEST_MU,
     ExperimentScale,
     Workload,
+    _logistic,
     figure1_workloads,
     get_scale,
     make_synthetic_iid_workload,
@@ -77,7 +84,7 @@ SCHEMES = {
 
 def _cell(
     workload: Workload,
-    scale: ExperimentScale,
+    scale: Union[ExperimentScale, "_Sizes"],
     seed: int,
     label: str,
     environment: str = "",
@@ -85,14 +92,18 @@ def _cell(
     optimization: Optional[Dict[str, Any]] = None,
     cohorting: Optional[Dict[str, Any]] = None,
     track_dissimilarity: bool = False,
+    solver: Optional[Dict[str, Any]] = None,
+    sections: Optional[Dict[str, Any]] = None,
     trainer: str = "FederatedTrainer",
     **trainer_extras: Any,
 ) -> Cell:
-    """One line of one panel: ``workload`` trained at ``scale``'s sizes."""
+    """One line of one panel: ``workload`` trained at ``scale``'s sizes (an
+    :class:`ExperimentScale`, or an ablation's :class:`_Sizes`)."""
     config: Dict[str, Any] = {
         "optimization": {"epochs": scale.epochs, **(optimization or {})},
         "cohorting": {"clients_per_round": scale.clients_per_round, **(cohorting or {})},
         "evaluation": {"every": scale.eval_every},
+        **(sections or {}),
     }
     if track_dissimilarity:
         config["diagnostics"] = {
@@ -111,7 +122,7 @@ def _cell(
             **trainer_extras,
             "dataset": dict(workload.dataset_spec),
             "model": dict(workload.model_spec),
-            "solver": {
+            "solver": solver or {
                 "type": "SGDSolver",
                 "learning_rate": workload.learning_rate,
                 "batch_size": scale.batch_size,
@@ -231,6 +242,113 @@ def _figure12(scale: ExperimentScale, seed: int) -> Iterator[Cell]:
                 )
 
 
+class _Sizes(NamedTuple):
+    """An ablation's sizes, the one set its thresholds were chosen at
+    whatever the harness scale: K = 10, E = 20, SGD batches of 10, and one
+    evaluation after the last round unless ``eval_every`` says otherwise."""
+
+    eval_every: int
+    epochs: int = 20
+    clients_per_round: int = 10
+    batch_size: int = 10
+
+
+def _synthetic11(num_devices: int, seed: int, size_cap: int, rounds: int) -> Workload:
+    dataset = {
+        "builder": "make_synthetic", "alpha": 1.0, "beta": 1.0,
+        "num_devices": num_devices, "seed": seed, "size_cap": size_cap,
+    }
+    return Workload("Synthetic(1,1)", dataset, _logistic(60), 0.01, rounds)
+
+
+def _mu_grid(scale: ExperimentScale, seed: int) -> List[Cell]:
+    """Section 5.3.2's µ grid, and µ = 0, under 90% stragglers."""
+    base = _cell(
+        _synthetic11(20, seed + 3, 300, 40), _Sizes(40), seed, "", "90% stragglers",
+        cohorting=_stragglers(0.9, seed),
+    )
+    return sweep_cells(base, "trainer_config.optimization.mu", (0.0,) + MU_GRID)
+
+
+def _local_epochs(scale: ExperimentScale, seed: int) -> Iterator[Cell]:
+    """E ∈ {1, 5, 20} × µ ∈ {0, 1}: the drift of large E, and µ against it."""
+    workload = _synthetic11(30, seed + 3, 400, 40)
+    for epochs in (1, 5, 20):
+        for mu in (0.0, 1.0):
+            yield _cell(
+                workload, _Sizes(40), seed, f"mu={mu:g}", f"E={epochs}",
+                optimization={"epochs": epochs, "mu": mu},
+            )
+
+
+def _gamma(scale: ExperimentScale, seed: int) -> Iterator[Cell]:
+    """Measured γ (Corollary 9) as E and the straggler share vary, at µ = 1."""
+    workload = _synthetic11(20, seed + 3, 300, 20)
+    for epochs, level in ((1, 0.0), (5, 0.0), (20, 0.0), (20, 0.9)):
+        yield _cell(
+            workload, _Sizes(20), seed, f"E={epochs}", f"{int(level * 100)}% stragglers",
+            optimization={"epochs": epochs, "mu": 1.0},
+            cohorting=_stragglers(level, seed),
+            sections={"diagnostics": {"track_gamma": True}},
+        )
+
+
+def _partial_work(scale: ExperimentScale, seed: int) -> Iterator[Cell]:
+    """Dropping vs keeping stragglers' partial work at a fixed µ."""
+    workload = _synthetic11(20, seed + 2, 300, 35)
+    for level in (0.5, 0.9):
+        for mu in (0.0, 1.0):
+            for drop in (True, False):
+                yield _cell(
+                    workload, _Sizes(35), seed, f"mu={mu:g}, {'drop' if drop else 'keep'}",
+                    f"{int(level * 100)}% stragglers",
+                    optimization={"mu": mu, "drop_stragglers": drop},
+                    cohorting=_stragglers(level, seed),
+                )
+
+
+#: The local solvers of the solver-agnosticism ablation (Section 3.2).
+SOLVERS = {
+    "SGD": {"type": "SGDSolver", "learning_rate": 0.05, "batch_size": 10},
+    "MomentumSGD": {
+        "type": "MomentumSGDSolver", "learning_rate": 0.01, "momentum": 0.9, "batch_size": 10,
+    },
+    "Adam": {"type": "AdamSolver", "learning_rate": 0.005, "batch_size": 10},
+    "GD": {"type": "GDSolver", "learning_rate": 0.1},
+}
+
+
+def _solvers(scale: ExperimentScale, seed: int) -> Iterator[Cell]:
+    """One FedProx server (µ = 1, E = 5) over four local solvers, on an
+    easy one-prototype FEMNIST-like federation."""
+    dataset = {
+        "builder": "make_femnist_like", "num_devices": 30, "total_samples": 1500,
+        "dim": 64, "seed": seed, "prototypes_per_class": 1, "style_mix": 0.0,
+    }
+    # Every line names its solver, so the workload's learning rate is unused.
+    workload = Workload("FEMNIST-like", dataset, _logistic(64), 0.0, 40)
+    for name, solver in SOLVERS.items():
+        yield _cell(
+            workload, _Sizes(5), seed, name, solver=solver, optimization={"epochs": 5, "mu": 1.0},
+        )
+
+
+def _remark8(scale: ExperimentScale, seed: int) -> Iterator[Cell]:
+    """Remark 8: one-step distributed SGD vs local updating, both on the
+    ``identity`` codec so the ledger counts their wire bytes."""
+    workload = _synthetic11(20, seed + 2, 300, 60)
+    comms = {"comms": {"codec": "identity"}}
+    yield _cell(
+        workload, _Sizes(60), seed, "DistributedSGD",
+        solver={"type": "GDSolver", "learning_rate": 0.1},
+        optimization={"epochs": 1}, sections=comms,
+    )
+    yield _cell(
+        workload, _Sizes(60), seed, "FedProx (mu=1, E=20)",
+        optimization={"mu": 1.0}, sections=comms,
+    )
+
+
 class Figure(NamedTuple):
     """One paper figure: its ``--list`` line, its chart title, its cells."""
 
@@ -291,6 +409,36 @@ FIGURES: Dict[str, Figure] = {
         "Two device sampling schemes at mu in {0,1} (no stragglers)",
         _figure12,
     ),
+    "ablation-mu-grid": Figure(
+        "Ablation: mu = 0 vs the tuning grid at 90% stragglers",
+        "Some mu > 0 on the grid beats mu = 0 (Section 5.3.2)",
+        _mu_grid,
+    ),
+    "ablation-local-epochs": Figure(
+        "Ablation: local epochs E x mu",
+        "Large E drifts on heterogeneous data, mu counteracts it (Section 5.3.2)",
+        _local_epochs,
+    ),
+    "ablation-gamma": Figure(
+        "Ablation: measured gamma-inexactness by E and stragglers",
+        "More local work gives smaller gamma, partial work larger (Corollary 9)",
+        _gamma,
+    ),
+    "ablation-partial-work": Figure(
+        "Ablation: dropping vs keeping stragglers' partial work",
+        "Keeping partial work beats dropping it (Section 5.2)",
+        _partial_work,
+    ),
+    "ablation-solvers": Figure(
+        "Ablation: FedProx over SGD, momentum SGD, Adam and GD",
+        "The server is solver-agnostic (Section 3.2)",
+        _solvers,
+    ),
+    "ablation-remark8": Figure(
+        "Ablation: local updating vs distributed SGD",
+        "Local updating vs distributed SGD: bytes and local epochs (Remark 8)",
+        _remark8,
+    ),
 }
 
 
@@ -303,6 +451,29 @@ def figure_cells(figure_id: str, scale: str = "smoke", seed: int = 0) -> List[Ce
             f"unknown figure {figure_id!r}; available: {sorted(FIGURES)}"
         ) from None
     return [{"figure": figure_id, **cell} for cell in figure.cells(get_scale(scale), seed)]
+
+
+def sweep_cells(cell: Cell, key: str, grid: Sequence[float]) -> List[Cell]:
+    """Appendix C.2's tuning protocol as cells: one copy of ``cell`` per
+    ``grid`` value with the dotted ``key`` (e.g.
+    ``"recipe.solver.learning_rate"``) set to it, labelled ``leaf=value``.
+
+    Run them with :func:`run_cells`; :meth:`PanelResult.best` picks the
+    winner (lowest final training loss).
+    """
+    if not grid:
+        raise ValueError(f"empty {key} grid")
+    *path, leaf = key.split(".")
+    cells = []
+    for value in grid:
+        swept = copy.deepcopy(cell)
+        node = swept
+        for part in path:
+            node = node[part]
+        node[leaf] = value
+        swept["label"] = f"{leaf}={value:g}"
+        cells.append(swept)
+    return cells
 
 
 def _slug(text: str) -> str:
@@ -329,7 +500,8 @@ def run_cells(
     and run for its ``rounds``; histories are grouped into one
     :class:`PanelResult` per ``(panel, environment)`` in cell order.  With
     ``out`` every cell writes the JSONL ledger
-    ``<out>/<figure>/<ledger_name(cell)>.jsonl``, whose run id is that name.
+    ``<out>/<figure>/<ledger_name(cell)>.jsonl``, whose run id is that name
+    and whose path the panel's ``ledgers`` holds under the cell's label.
     Two cells that would share a ledger or a panel line raise
     ``ValueError`` before anything runs.
     """
@@ -352,12 +524,13 @@ def run_cells(
     panels: Dict[Any, PanelResult] = {}
     for cell in cells:
         name, telemetry = ledger_name(cell), None
-        if out is not None:
-            telemetry = Telemetry([JSONLSink(str(out / f"{name}.jsonl"))], run_id=name)
-        with rebuild_trainer(RunArtifact(path=name, manifest=cell), telemetry=telemetry) as trainer:
-            history = trainer.run(cell["rounds"])
         key = (cell["panel"], cell["environment"])
-        panels.setdefault(key, PanelResult(*key, {})).histories[cell["label"]] = history
+        panel = panels.setdefault(key, PanelResult(*key, {}))
+        if out is not None:
+            path = panel.ledgers[cell["label"]] = str(out / f"{name}.jsonl")
+            telemetry = Telemetry([JSONLSink(path)], run_id=name)
+        with rebuild_trainer(RunArtifact(path=name, manifest=cell), telemetry=telemetry) as trainer:
+            panel.histories[cell["label"]] = trainer.run(cell["rounds"])
     figure = FIGURES.get(figure_id)
     return FigureResult(figure_id, figure.title if figure else "", list(panels.values()))
 
@@ -374,8 +547,12 @@ def figure7_accuracy_rows(result: FigureResult) -> List[Dict[str, object]]:
             "environment": panel.environment,
         }
         for label, history in panel.histories.items():
-            accuracies = [r.test_accuracy for r in history.records]
-            row[label] = accuracy_at_outcome(history.train_losses, accuracies)
+            # Rounds whose training loss was skipped (``train_every``) have
+            # no place in the loss series, so their accuracies go too.
+            evaluated = [r for r in history.records if r.train_loss is not None]
+            row[label] = accuracy_at_outcome(
+                [r.train_loss for r in evaluated], [r.test_accuracy for r in evaluated]
+            )
         rows.append(row)
     return rows
 

@@ -22,11 +22,19 @@ class PanelResult:
         Environment descriptor, e.g. ``"90% stragglers"`` or ``"E=1"``.
     histories:
         ``method label -> TrainingHistory``.
+    ledgers:
+        ``method label -> JSONL ledger path``, for the lines that wrote one.
     """
 
     dataset: str
     environment: str
     histories: Dict[str, TrainingHistory]
+    ledgers: Dict[str, str] = field(default_factory=dict)
+
+    def best(self) -> str:
+        """The label whose run ends at the lowest training loss (the tuning
+        rule of Appendix C.2)."""
+        return min(self.histories, key=lambda label: self.histories[label].final_train_loss())
 
     def loss_series(self) -> Dict[str, List[float]]:
         """Training-loss series per method."""
@@ -74,6 +82,12 @@ class FigureResult:
             if p.dataset == dataset and (not environment or p.environment == environment):
                 return p
         raise KeyError(f"no panel {dataset!r} / {environment!r} in {self.figure_id}")
+
+    def only(self, datasets) -> "FigureResult":
+        """The same figure restricted to the panels of ``datasets``."""
+        return FigureResult(
+            self.figure_id, self.description, [p for p in self.panels if p.dataset in datasets]
+        )
 
     def render(self, metric: str = "loss", charts: bool = True) -> str:
         """Render every panel as an ASCII chart plus a summary table.

@@ -1,8 +1,8 @@
 """Standalone evaluation helpers over federated datasets.
 
 These mirror the trainer-internal evaluation in :mod:`repro.core.server`
-but operate directly on a model + dataset pair, for use in examples, tests
-and the ablation benchmarks.
+but operate directly on a model + dataset pair, for use in examples and
+tests.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Two-layer perceptron classifier through the autograd adapter.
 
 Not used by a headline experiment, but exercises the :class:`NeuralModel`
-adapter on a simple feed-forward network and serves as the non-convex model
-for ablation benchmarks.
+adapter on a simple feed-forward network as a non-convex model.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Adam local solver — demonstrates FedProx's solver-agnosticism.
 
 The paper stresses that FedProx admits "any local (possibly non-iterative)
-solver"; the ablation benchmark ``benchmarks/ablations`` swaps Adam in for
-SGD inside the same FedProx server loop.
+solver"; the ``ablation-solvers`` experiment swaps Adam in for SGD inside
+the same FedProx server loop.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 ("we employ SGD as a local solver for FedProx, to draw a fair comparison
 with FedAvg").  :class:`GDSolver` performs full-batch gradient descent and
 :class:`MomentumSGDSolver` adds heavy-ball momentum; both demonstrate the
-framework's solver-agnosticism in the ablation benchmarks.
+framework's solver-agnosticism in the ``ablation-solvers`` experiment.
 
 All three implement the stacked cohort protocol (see
 :mod:`repro.optim.base`).  The two mini-batch solvers write their update

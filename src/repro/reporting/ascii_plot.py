@@ -1,6 +1,6 @@
 """ASCII line charts.
 
-The offline environment has no plotting library, so figure benchmarks
+The offline environment has no plotting library, so the figures
 render their series as compact ASCII charts (plus CSV-ready tables via
 :mod:`repro.reporting.tables`).  Charts are deliberately simple: one
 character per series, last-writer-wins on collisions, linear axes.

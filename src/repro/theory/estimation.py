@@ -6,7 +6,7 @@ objectives, the dissimilarity bound ``B`` (Assumption 1), and the local
 inexactness ``gamma``.  These estimators measure them on a concrete
 federation so the Theorem 4 calculators in
 :mod:`repro.theory.convergence` can be applied to real runs (as done in
-``benchmarks/ablations/test_theory_constants.py``).
+``tests/test_theory_constants.py``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from repro.datasets import (
     OnDemandSyntheticStore,
     make_synthetic,
     make_synthetic_ondemand,
-    resolve_store,
 )
 from repro.datasets.federated import ClientData, train_test_split_client
 from repro.datasets.store import _CLIENT_SALT, _LRUCache
@@ -113,14 +112,6 @@ class TestEagerStore:
             assert store.get(i) is dataset[i]
         np.testing.assert_array_equal(store.train_sizes, dataset.train_sizes)
         np.testing.assert_array_equal(store.test_sizes, dataset.test_sizes)
-
-    def test_resolve_store_passthrough(self):
-        clients = [make_toy_client(i, seed=i) for i in range(4)]
-        store = EagerClientStore(clients)
-        assert resolve_store(store) is store
-        wrapped = resolve_store(clients)
-        assert isinstance(wrapped, EagerClientStore)
-        assert wrapped.get(2) is clients[2]
 
 
 class TestOnDemandStore:

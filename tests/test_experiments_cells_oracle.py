@@ -8,7 +8,9 @@ with its options passed straight to the constructor, plus
 ``clients_per_round`` equal to the sampling scheme's K (the body left it at
 the default, which the trainer then ignored); each case below names one cell of one figure id by its grouping
 keys, states the frozen builder's arguments for it independently of the
-cell generator, and asserts the two histories' records are ``==``.
+cell generator, and asserts the two histories' records are ``==``.  The
+ablations' trainers were built by hand in their own tests; one line of each
+is held to a frozen copy of that construction the same way.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ from typing import Optional
 
 import pytest
 
+from repro.core import make_distributed_sgd, make_fedprox
 from repro.core.adaptive_mu import AdaptiveMuController
 from repro.core.config import EvalConfig
 from repro.core.feddane import FedDaneTrainer
@@ -30,7 +33,9 @@ from repro.experiments.configs import (
     make_synthetic_iid_workload,
     synthetic_suite_workloads,
 )
-from repro.optim.sgd import SGDSolver
+from repro.datasets import make_femnist_like, make_synthetic
+from repro.models import MultinomialLogisticRegression
+from repro.optim.sgd import GDSolver, SGDSolver
 from repro.systems.stragglers import FractionStragglers, NoHeterogeneity
 
 pytestmark = pytest.mark.oracle
@@ -157,3 +162,62 @@ def test_cell_equals_frozen_builder(
     (panel_result,) = run_cells([cell]).panels
     assert panel_result.histories[method.label].records == frozen.records
     assert len(frozen) == cell["rounds"]
+
+
+# The ablations' hand-built trainers, frozen as their tests built them
+# before they became cells: (experiment id, seed, panel environment, label)
+# -> the trainer.  Each names one line; its cell must give ``==`` records.
+def _synthetic11(num_devices, seed, size_cap):
+    return make_synthetic(1.0, 1.0, num_devices=num_devices, seed=seed, size_cap=size_cap)
+
+
+def _logistic(dim=60):
+    return MultinomialLogisticRegression(dim=dim, num_classes=10)
+
+
+ABLATIONS = {
+    ("ablation-mu-grid", 0, "90% stragglers", "mu=0.1"): lambda: make_fedprox(
+        _synthetic11(20, 3, 300), _logistic(), 0.01, mu=0.1,
+        systems=FractionStragglers(0.9, seed=0), seed=0, evaluation=EvalConfig(every=40),
+    ),
+    ("ablation-local-epochs", 0, "E=5", "mu=1"): lambda: make_fedprox(
+        _synthetic11(30, 3, 400), _logistic(), 0.01, mu=1.0, epochs=5, seed=0,
+        evaluation=EvalConfig(every=40),
+    ),
+    ("ablation-gamma", 0, "90% stragglers", "E=20"): lambda: make_fedprox(
+        _synthetic11(20, 3, 300), _logistic(), 0.01, mu=1.0, epochs=20,
+        systems=FractionStragglers(0.9, seed=0), seed=0, evaluation=EvalConfig(every=20),
+        track_gamma=True,
+    ),
+    ("ablation-partial-work", 1, "90% stragglers", "mu=1, drop"): lambda: FederatedTrainer(
+        dataset=_synthetic11(20, 3, 300), model=_logistic(),
+        solver=SGDSolver(0.01, batch_size=10), mu=1.0, drop_stragglers=True,
+        clients_per_round=10, epochs=20, systems=FractionStragglers(0.9, seed=1), seed=1,
+        evaluation=EvalConfig(every=35),
+    ),
+    ("ablation-solvers", 2, "", "GD"): lambda: FederatedTrainer(
+        dataset=make_femnist_like(
+            num_devices=30, total_samples=1500, dim=64, seed=2,
+            prototypes_per_class=1, style_mix=0.0,
+        ),
+        model=_logistic(64), solver=GDSolver(0.1), mu=1.0, clients_per_round=10,
+        epochs=5, seed=2, evaluation=EvalConfig(every=5),
+    ),
+    ("ablation-remark8", 0, "", "DistributedSGD"): lambda: make_distributed_sgd(
+        _synthetic11(20, 2, 300), _logistic(), 0.1, clients_per_round=10, seed=0,
+        evaluation=EvalConfig(every=60), comms="identity",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(ABLATIONS), ids=[key[0] for key in ABLATIONS])
+def test_ablation_cell_equals_frozen_trainer(key):
+    figure, seed, environment, label = key
+    (cell,) = [
+        c for c in figure_cells(figure, "smoke", seed=seed)
+        if (c["environment"], c["label"]) == (environment, label)
+    ]
+    with ABLATIONS[key]() as trainer:
+        frozen = trainer.run(cell["rounds"])
+    (panel,) = run_cells([cell]).panels
+    assert panel.histories[label].records == frozen.records

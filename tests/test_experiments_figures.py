@@ -2,7 +2,7 @@
 
 These check that each figure lists the right panels, lines and options
 (generation only, nothing trains) — the *shape* checks of the actual
-results live in the benchmarks and EXPERIMENTS.md.
+results are the claims of ``repro.experiments.claims``.
 """
 
 import json
@@ -22,6 +22,7 @@ from repro.experiments import (
     run_table1,
     synthetic_suite_workloads,
 )
+from repro.metrics.convergence import accuracy_at_outcome
 
 FIGURE_IDS = [
     "figure1",
@@ -34,6 +35,14 @@ FIGURE_IDS = [
     "figure9",
     "figure11",
     "figure12",
+]
+ABLATION_IDS = [
+    "ablation-mu-grid",
+    "ablation-local-epochs",
+    "ablation-gamma",
+    "ablation-partial-work",
+    "ablation-solvers",
+    "ablation-remark8",
 ]
 SYNTHETIC = ["Synthetic-IID", "Synthetic(0,0)", "Synthetic(0.5,0.5)", "Synthetic(1,1)"]
 FIVE = ["Synthetic(1,1)", "MNIST-like", "FEMNIST-like", "Shakespeare-like", "Sent140-like"]
@@ -53,7 +62,7 @@ def _panels(figure_id):
 
 class TestFigureIds:
     def test_every_paper_figure_listed_in_order(self):
-        assert list(FIGURES) == FIGURE_IDS
+        assert list(FIGURES) == FIGURE_IDS + ABLATION_IDS
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError, match="figure99"):
@@ -64,7 +73,7 @@ class TestFigureIds:
 
     @pytest.mark.parametrize("scale", ["smoke", "default", "paper"])
     def test_cells_are_json_with_unique_ledger_names(self, scale):
-        for figure_id in FIGURE_IDS:
+        for figure_id in FIGURE_IDS + ABLATION_IDS:
             cells = figure_cells(figure_id, scale, seed=0)
             names = [ledger_name(cell) for cell in cells]
             assert len(set(names)) == len(names), figure_id
@@ -160,6 +169,23 @@ class TestFigure1Family:
     def test_figure7_improvement_missing_level(self, result):
         with pytest.raises(ValueError):
             figure7_improvement(result, level="33% stragglers")
+
+    def test_figure7_pairs_each_evaluated_loss_with_its_own_accuracy(self):
+        cells = [
+            {**c, "rounds": 5} for c in figure_cells("figure1")
+            if c["panel"] == "Synthetic(1,1)" and c["environment"] == "90% stragglers"
+        ]
+        for cell in cells:
+            cell["trainer_config"]["evaluation"]["train_every"] = 2
+        result = run_cells(cells)
+        history = result.panels[0].histories["FedAvg"]
+        assert [r.train_loss is None for r in history.records] == [False, True, False, True, False]
+        (row,) = figure7_accuracy_rows(result)
+        evaluated = [r for r in history.records if r.train_loss is not None]
+        assert row["FedAvg"] == accuracy_at_outcome(
+            [r.train_loss for r in evaluated], [r.test_accuracy for r in evaluated]
+        )
+        assert -1.0 <= figure7_improvement(result) <= 1.0
 
 
 class TestFigure2Family:

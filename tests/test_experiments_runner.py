@@ -128,8 +128,9 @@ class TestLedgers:
             # The ledger's own manifest rebuilds the cell's history.
             with rebuild_trainer(artifact) as trainer:
                 again = trainer.run(cell["rounds"])
-            recorded = result.panel("Synthetic(1,1)").histories[cell["label"]]
-            assert again.records == recorded.records
+            panel = result.panel("Synthetic(1,1)")
+            assert again.records == panel.histories[cell["label"]].records
+            assert panel.ledgers[cell["label"]] == artifact.path
 
     def test_names_carry_every_grouping_key(self):
         (cell,) = _cells("figure1", panel="Synthetic(1,1)", environment="90% stragglers",

@@ -1,91 +1,77 @@
-"""Tests for the hyperparameter sweep protocols."""
+"""Appendix C.2's tuning protocols as cells: one key varied, the best by
+final training loss."""
 
 import numpy as np
 import pytest
 
 from repro.core.fedprox import MU_GRID
-from repro.datasets import make_synthetic
-from repro.experiments import SweepResult, tune_learning_rate, tune_mu
-from repro.models import MultinomialLogisticRegression
+from repro.experiments import figure_cells, run_cells, sweep_cells
+
+LR = "recipe.solver.learning_rate"
+MU = "trainer_config.optimization.mu"
 
 
-@pytest.fixture(scope="module")
-def dataset():
-    return make_synthetic(1.0, 1.0, num_devices=10, seed=0, size_cap=100)
+def _fedavg(rounds, environment="0% stragglers", label="FedAvg"):
+    """A smoke Synthetic-IID line of Figure 5, at E = 1 (the lr protocol)."""
+    (cell,) = [
+        c for c in figure_cells("figure5", "smoke")
+        if (c["environment"], c["label"]) == (environment, label)
+    ]
+    cell = {**cell, "rounds": rounds}
+    cell["trainer_config"]["optimization"]["epochs"] = 1
+    return cell
 
 
-def model_factory():
-    return MultinomialLogisticRegression(dim=60, num_classes=10)
+def _sweep(cell, key, grid):
+    (panel,) = run_cells(sweep_cells(cell, key, grid)).panels
+    return panel
+
+
+class TestSweepCells:
+    def test_one_cell_per_value_differing_only_in_key_and_label(self):
+        base = _fedavg(5)
+        cells = sweep_cells(base, LR, (0.001, 0.1))
+        assert [c["label"] for c in cells] == ["learning_rate=0.001", "learning_rate=0.1"]
+        assert [c["recipe"]["solver"]["learning_rate"] for c in cells] == [0.001, 0.1]
+        for cell in cells:
+            assert {**cell, "label": base["label"], "recipe": base["recipe"]} == base
+        assert base["recipe"]["solver"]["learning_rate"] == 0.01  # the base is not touched
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            sweep_cells(_fedavg(5), LR, ())
 
 
 class TestLearningRateSweep:
-    def test_sweep_covers_grid(self, dataset):
-        result = tune_learning_rate(
-            dataset, model_factory, grid=(0.001, 0.1), rounds=5,
-            clients_per_round=5, seed=0,
-        )
-        assert set(result.histories) == {0.001, 0.1}
-        assert result.best in (0.001, 0.1)
+    def test_sweep_covers_grid(self):
+        panel = _sweep(_fedavg(5), LR, (0.001, 0.1))
+        assert set(panel.histories) == {"learning_rate=0.001", "learning_rate=0.1"}
+        assert panel.best() in panel.histories
 
-    def test_best_has_lowest_final_loss(self, dataset):
-        result = tune_learning_rate(
-            dataset, model_factory, grid=(0.0001, 0.01, 0.1), rounds=8,
-            clients_per_round=5, seed=0,
-        )
-        losses = result.final_losses()
-        assert losses[result.best] == min(losses.values())
+    def test_best_has_lowest_final_loss(self):
+        panel = _sweep(_fedavg(8), LR, (0.0001, 0.01, 0.1))
+        losses = {label: h.final_train_loss() for label, h in panel.histories.items()}
+        assert losses[panel.best()] == min(losses.values())
 
-    def test_reasonable_rate_beats_tiny_rate(self, dataset):
-        result = tune_learning_rate(
-            dataset, model_factory, grid=(1e-6, 0.05), rounds=10,
-            clients_per_round=5, seed=0,
-        )
-        assert result.best == 0.05
+    def test_reasonable_rate_beats_tiny_rate(self):
+        assert _sweep(_fedavg(10), LR, (1e-6, 0.05)).best() == "learning_rate=0.05"
 
-    def test_empty_grid_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            tune_learning_rate(dataset, model_factory, grid=())
-
-    def test_deterministic(self, dataset):
-        a = tune_learning_rate(
-            dataset, model_factory, grid=(0.01, 0.1), rounds=4,
-            clients_per_round=5, seed=7,
-        )
-        b = tune_learning_rate(
-            dataset, model_factory, grid=(0.01, 0.1), rounds=4,
-            clients_per_round=5, seed=7,
-        )
-        assert a.final_losses() == b.final_losses()
-        assert a.best == b.best
+    def test_deterministic(self):
+        a, b = (_sweep(_fedavg(4), LR, (0.01, 0.1)) for _ in range(2))
+        assert [h.records for h in a.histories.values()] == [
+            h.records for h in b.histories.values()
+        ]
+        assert a.best() == b.best()
 
 
 class TestMuSweep:
-    def test_default_grid_is_papers(self, dataset):
-        result = tune_mu(
-            dataset, model_factory, learning_rate=0.01, rounds=4,
-            epochs=5, clients_per_round=5, seed=0,
-        )
-        assert set(result.histories) == set(MU_GRID)
+    def test_the_papers_grid(self):
+        cells = sweep_cells(_fedavg(4, label="FedProx (mu=0)"), MU, MU_GRID)
+        assert [c["trainer_config"]["optimization"]["mu"] for c in cells] == list(MU_GRID)
+        assert [c["label"] for c in cells] == ["mu=0.001", "mu=0.01", "mu=0.1", "mu=1"]
 
-    def test_runs_under_stragglers(self, dataset):
-        result = tune_mu(
-            dataset, model_factory, learning_rate=0.01, grid=(0.001, 1.0),
-            rounds=5, epochs=5, straggler_fraction=0.9,
-            clients_per_round=5, seed=0,
-        )
-        assert result.best in (0.001, 1.0)
-        assert all(
-            np.isfinite(h.final_train_loss()) for h in result.histories.values()
-        )
-
-    def test_empty_grid_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            tune_mu(dataset, model_factory, learning_rate=0.01, grid=())
-
-    def test_sweep_result_api(self, dataset):
-        result = tune_mu(
-            dataset, model_factory, learning_rate=0.01, grid=(0.1,),
-            rounds=3, epochs=3, clients_per_round=5, seed=0,
-        )
-        assert isinstance(result, SweepResult)
-        assert list(result.final_losses()) == [0.1]
+    def test_runs_under_stragglers(self):
+        cell = _fedavg(5, "90% stragglers", "FedProx (mu=0)")
+        panel = _sweep(cell, MU, (0.001, 1.0))
+        assert panel.best() in ("mu=0.001", "mu=1")
+        assert all(np.isfinite(h.final_train_loss()) for h in panel.histories.values())

@@ -1,8 +1,8 @@
 """The code outside ``tests/`` still imports what it names from ``repro``.
 
-``examples/``, ``benchmarks/`` and ``bench/`` run outside tier-1 (CI's
-examples step, ``pytest benchmarks``, ``pytest bench``, ``bench/run.py``),
-so a name removed from the package would otherwise fail only there.  Every
+``examples/`` and ``bench/`` run outside tier-1 (CI's examples step,
+``pytest bench``, ``bench/run.py``), so a name removed from the package
+would otherwise fail only there.  Every
 ``from repro… import name`` and ``import repro…`` in those trees — at top
 level or inside a function — is resolved here without running the script:
 the module with :func:`importlib.import_module`, each name with
@@ -20,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(
     path.relative_to(ROOT).as_posix()
-    for tree in ("examples", "benchmarks", "bench")
+    for tree in ("examples", "bench")
     for path in (ROOT / tree).rglob("*.py")
 )
 
@@ -53,7 +53,7 @@ def _unresolved(module: str, name):
 
 
 def test_the_scan_sees_every_tree():
-    for tree in ("examples/", "benchmarks/", "bench/"):
+    for tree in ("examples/", "bench/"):
         assert any(script.startswith(tree) for script in SCRIPTS), tree
 
 

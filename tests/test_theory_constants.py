@@ -1,4 +1,4 @@
-"""Ablation — measuring the theory's constants on a real federation.
+"""Measuring the theory's constants on a real federation.
 
 Estimates B, sigma^2 and L (repro.theory.estimation) along a FedProx
 training trajectory on Synthetic(1,1) and feeds them into the Theorem 4
@@ -75,8 +75,8 @@ def _measure():
     return rows
 
 
-def test_theory_constants(benchmark):
-    rows = benchmark.pedantic(_measure, rounds=1, iterations=1)
+def test_theory_constants():
+    rows = _measure()
     print()
     print(format_table(rows, title="Measured Section-4 constants"))
 
