@@ -41,6 +41,8 @@ from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
+from ..systems.stragglers import entropy_rng
+
 # Entropy salt deriving a codec's randomness stream from a task's entropy
 # tuple — disjoint from the mini-batch (no salt) and corruption
 # (_CORRUPTION_SALT) streams, so enabling a stochastic codec never
@@ -54,9 +56,7 @@ DENSE_ITEMSIZE = 8
 
 def codec_rng(entropy: Sequence[int]) -> np.random.Generator:
     """The codec randomness for one task, identical in any process."""
-    return np.random.default_rng(
-        np.random.SeedSequence([int(x) for x in entropy] + [COMMS_SALT])
-    )
+    return entropy_rng(*entropy, COMMS_SALT)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from ..runtime.evaluation import device_values
 from ..spec import register
 from .sampling import SamplingScheme
 from .server import FederatedTrainer
-from ..systems.stragglers import SystemsModel
+from ..systems.stragglers import SystemsModel, entropy_rng
 
 
 @register(tag="trainer")
@@ -69,9 +69,7 @@ class FedDaneTrainer(FederatedTrainer):
         count, mirroring the global objective's masses ``p_k`` restricted
         to the subsample.
         """
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, 0x0DA7E, round_idx])
-        )
+        rng = entropy_rng(self.seed, 0x0DA7E, round_idx)
         chosen = rng.choice(
             self.dataset.num_devices, size=self.gradient_clients, replace=False
         )

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..datasets.federated import FederatedDataset
 from ..spec import register
+from ..systems.stragglers import entropy_rng
 
 
 class SamplingScheme(abc.ABC):
@@ -42,7 +43,7 @@ class SamplingScheme(abc.ABC):
         self.seed = int(seed)
 
     def _round_rng(self, round_idx: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence([self.seed, round_idx]))
+        return entropy_rng(self.seed, round_idx)
 
     @abc.abstractmethod
     def select(self, round_idx: int) -> List[int]:

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..spec import register
+from ..systems.stragglers import entropy_rng
 from .federated import (
     ClientData,
     ClientStore,
@@ -201,9 +202,7 @@ class OnDemandSyntheticStore(ClientStore):
         # far (never ``_sizes.max()``: ~10^5 rows under ``size_cap=None``).
         self._scratch: Optional[np.ndarray] = None
 
-        sizes_rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, _SIZES_SALT])
-        )
+        sizes_rng = entropy_rng(self.seed, _SIZES_SALT)
         self._sizes = lognormal_sizes(
             sizes_rng, self.num_devices, minimum=min_samples, cap=size_cap
         ).astype(np.int64)
@@ -211,9 +210,7 @@ class OnDemandSyntheticStore(ClientStore):
             self._sizes, self.test_fraction
         )
         if self.iid:
-            shared_rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, _GLOBAL_SALT])
-            )
+            shared_rng = entropy_rng(self.seed, _GLOBAL_SALT)
             self._shared_W = shared_rng.normal(
                 0.0, 1.0, size=(NUM_FEATURES, NUM_CLASSES)
             )
@@ -235,9 +232,7 @@ class OnDemandSyntheticStore(ClientStore):
         return self._test_sizes
 
     def _materialize(self, client_id: int) -> ClientData:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, _CLIENT_SALT, client_id])
-        )
+        rng = entropy_rng(self.seed, _CLIENT_SALT, client_id)
         n = int(self._sizes[client_id])
         if self.iid:
             W, b, v_k = self._shared_W, self._shared_b, 0.0

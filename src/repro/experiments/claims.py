@@ -34,6 +34,11 @@ CONVEX = ("Synthetic(1,1)", "MNIST-like", "FEMNIST-like")
 SYNTHETIC = ("Synthetic-IID", "Synthetic(0,0)", "Synthetic(0.5,0.5)", "Synthetic(1,1)")
 MU0 = "FedAvg (FedProx, mu=0)"
 
+#: A claim held over panels whose train loss all fell by less than this
+#: fraction (or rose), first evaluated round to last, compared runs that
+#: did not learn; its row says so.  Report only: the verdict is unchanged.
+NO_LEARNING = 0.01
+
 
 class Claim(NamedTuple):
     """``judge(result, scale)`` over one experiment's ``panels`` (all if
@@ -64,6 +69,19 @@ def _finite(result: FigureResult, bound: float = np.inf) -> bool:
 def _accuracies_valid(result: FigureResult) -> bool:
     finals = [h.final_test_accuracy() for h in _histories(result)]
     return all(a is not None and 0.0 <= a <= 1.0 for a in finals)
+
+
+def loss_drops(result: FigureResult) -> Dict[str, float]:
+    """Each panel's train-loss drop from its first evaluated round: the
+    largest relative drop among its lines."""
+    return {
+        f"{panel.dataset} {panel.environment}".strip(): max(
+            1.0 - h.final_train_loss() / h.train_losses[0]
+            for h in panel.histories.values()
+        )
+        for panel in result.panels
+        if panel.histories
+    }
 
 
 def _rises(losses: List[float]) -> int:
@@ -405,8 +423,9 @@ def run_claims(
     out: Optional[Union[str, Path]] = None,
 ) -> List[Dict[str, object]]:
     """Judge the named claims (default: all), one row per claim in
-    :data:`CLAIMS` order: ``claim``, ``figure``, ``seed``, ``held`` and the
-    compared ``quantities``.
+    :data:`CLAIMS` order: ``claim``, ``figure``, ``seed``, ``held``, the
+    compared ``quantities`` and the compared panels' ``loss_drops``
+    (:func:`loss_drops`; none for Table 1).
 
     The cells of each ``(experiment, seed)`` run once, for the union of
     the panels its claims read; each claim sees only its own panels.
@@ -426,20 +445,30 @@ def run_claims(
                 evidence = run_cells(_cells(figure, panels, scale, claim_seed), out=out or scratch)
             for name in members:
                 own = claims[name].panels
-                held, quantities = claims[name].judge(
-                    evidence if own is None else evidence.only(own), get_scale(scale)
-                )
+                compared = evidence if own is None else evidence.only(own)
+                held, quantities = claims[name].judge(compared, get_scale(scale))
                 verdicts[name] = {"claim": name, "figure": figure, "seed": claim_seed,
-                                  "held": bool(held), "quantities": quantities}
+                                  "held": bool(held), "quantities": quantities,
+                                  "loss_drops": {} if figure == "table1" else loss_drops(compared)}
     return [verdicts[name] for name in claims]
 
 
+def _held(row: Dict[str, object]) -> str:
+    if not row["held"]:
+        return "NO"
+    drops = row["loss_drops"].values()
+    return "yes (no learning)" if drops and max(drops) < NO_LEARNING else "yes"
+
+
 def render_claims(rows: List[Dict[str, object]]) -> str:
-    """One line per claim: its figure, seed, whether it held, and what it
-    compared."""
+    """One line per claim: its figure, seed, whether it held (marked ``no
+    learning`` when every compared panel's loss moved under
+    :data:`NO_LEARNING`), what it compared, and each compared panel's
+    train-loss drop."""
     return format_table([
         {**{k: row[k] for k in ("claim", "figure", "seed")},
-         "held": "yes" if row["held"] else "NO",
-         "quantities": ", ".join(f"{k}={v:.4g}" for k, v in row["quantities"].items())}
+         "held": _held(row),
+         "quantities": ", ".join(f"{k}={v:.4g}" for k, v in row["quantities"].items()),
+         "loss drop": ", ".join(f"{k}={v:.1%}" for k, v in row["loss_drops"].items())}
         for row in rows
     ], title="Claims")

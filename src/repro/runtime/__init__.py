@@ -48,9 +48,9 @@ from .sampled import EvalEstimate, SampledEvaluator, StratifiedClientSampler
 EXECUTOR_MODES = {
     "serial": 'spec "serial" — in-process sequential execution (default)',
     "parallel": (
-        'specs "parallel", "parallel:N" (N worker processes), or '
-        '"parallel:auto" (one per usable core) — persistent '
-        "multiprocess workers"
+        'specs "parallel", "parallel:N" (N lanes: the server and N-1 '
+        'worker processes), or "parallel:auto" (one lane per usable '
+        "core) — persistent multiprocess workers"
     ),
     "cohort": (
         'spec "cohort" — stacked (K, d) NumPy kernels advancing all '

@@ -98,6 +98,7 @@ import numpy as np
 
 from ..faults.models import FaultDecision
 from ..systems.clock import SynchronizedClock, resolve_clock
+from ..systems.stragglers import entropy_rng
 from ..telemetry import CLOCK_SIMULATED, NULL_TELEMETRY, UNIT_ROUNDS, resolve_telemetry
 from .evaluation import FederationEvaluator, resolve_eval_mode
 
@@ -171,7 +172,7 @@ class LocalTask:
 
 def task_rng(task: LocalTask) -> np.random.Generator:
     """The task's mini-batch generator, identical in any process."""
-    return np.random.default_rng(np.random.SeedSequence(list(task.rng_entropy)))
+    return entropy_rng(*task.rng_entropy)
 
 
 def task_round(task: LocalTask) -> Optional[int]:
@@ -204,9 +205,7 @@ def apply_update_fault(update: "ClientUpdate") -> None:
     task = update.task
     fault = task.fault
     if fault is not None and fault.kind == "corrupt":
-        rng = np.random.default_rng(
-            np.random.SeedSequence(list(task.rng_entropy) + [_CORRUPTION_SALT])
-        )
+        rng = entropy_rng(*task.rng_entropy, _CORRUPTION_SALT)
         w = update.w
         if fault.mode == "nan":
             # Poison ~10% of coordinates (at least one) with NaNs: loud,

@@ -1,30 +1,32 @@
-"""Multiprocess round execution over persistent workers.
+"""Multiprocess round execution: the server and its workers as lanes.
 
-:class:`ParallelExecutor` ships each round's :class:`~repro.runtime.executor.LocalTask`
-batch to a pool of persistent worker processes.  Workers are initialized
-*once* with the whole federation — each worker holds its own model replica
-(obtained from :meth:`~repro.models.base.FederatedModel.spawn_replica`),
-the local solver, and its own :class:`~repro.core.client.ClientPool` over
-the federation — so per
-round only task descriptions (global model vector, coefficients, seed
+:class:`ParallelExecutor` runs each round's :class:`~repro.runtime.executor.LocalTask`
+batch on ``n_workers`` *lanes*.  Lane 0 is the server itself; lanes
+``1..n_workers-1`` are persistent worker processes, each reached over one
+duplex pipe.  Workers are initialized *once* with the whole federation —
+each holds its own model replica (obtained from
+:meth:`~repro.models.base.FederatedModel.spawn_replica`), the local solver,
+and its own :class:`~repro.core.client.ClientPool` over the federation — so
+per round only task descriptions (global model vector, coefficients, seed
 entropy) cross the process boundary.  Datasets are never re-pickled per
 round.
 
 One message per worker per round: a batch is split into at most
-``n_workers`` groups of near-equal predicted work, each group crosses as
-one pickled list and comes back as one list of updates.  Inside a message
-every array the tasks share — the round's ``w_global`` above all — is
-written once and referenced by the other tasks (pickle memoizes by object
+``n_workers`` groups of near-equal predicted work; the server sends every
+worker its group as one pickled list, solves its own group in process,
+then reads the replies — one list of updates each.  Inside a message every
+array the tasks share — the round's ``w_global`` above all — is written
+once and referenced by the other tasks (pickle memoizes by object
 identity), so the dense model crosses the boundary once per worker, not
 once per task.
 
-The census runs there too.  A ``train_loss`` / ``test_accuracy`` call is
-per-unit values reduced in unit order
-(:mod:`repro.runtime.evaluation`); the workers hold the rows, so they
-compute the values — each a contiguous share of the blocks of the stacked
-split, or of the clients, with its own replica through a worker-side
-:class:`~repro.runtime.evaluation.FederationEvaluator` — and the server
-joins the returned floats/ints in unit order and runs the one reduction.
+The census runs on the lanes too.  A ``train_loss`` / ``test_accuracy``
+call is per-unit values reduced in unit order
+(:mod:`repro.runtime.evaluation`); every lane holds the rows, so each
+computes the values of a contiguous share of the blocks of the stacked
+split, or of the clients — a worker with its own replica through a
+worker-side :class:`~repro.runtime.evaluation.FederationEvaluator` — and
+the server joins the values in unit order and runs the one reduction.
 One message per worker per call: ``w``, the split name and the share's
 bounds go down, plain Python numbers come back, no row ever crosses.  A
 stacked census is sharded only where that cannot cost memory or time: the
@@ -36,19 +38,18 @@ otherwise wait for.  Everything else is evaluated on the server, exactly
 as the serial engine does it.
 
 Determinism: a task is a pure function of its description (the mini-batch
-generator is rebuilt in the worker from the task's entropy tuple), task
-results are returned in task order whichever worker ran them, and a
-census value is a pure function of ``w`` and its rows, computed by the
-same code over the same bytes and reduced on the server in the same order
-as the serial path — so training histories are bit-identical to
-:class:`SerialExecutor` regardless of worker count.
+generator is rebuilt from the task's entropy tuple wherever it runs), task
+results are returned in task order whichever lane ran them, and a census
+value is a pure function of ``w`` and its rows, computed by the same code
+over the same bytes and reduced on the server in the same order as the
+serial path — so training histories are bit-identical to
+:class:`SerialExecutor` at every lane count.
 
 Fault injection rides the same mechanism: an injected
 :class:`~repro.faults.models.FaultDecision` is part of the
-:class:`~repro.runtime.executor.LocalTask` that crosses the process
-boundary, and the worker applies its effects (crash budget truncation,
-corruption noise) through the shared
-:func:`~repro.runtime.executor.solve_with_timings` path — so fault
+:class:`~repro.runtime.executor.LocalTask` a lane receives, and the lane
+applies its effects (crash budget truncation, corruption noise) through the
+shared :func:`~repro.runtime.executor.solve_with_timings` path — so fault
 outcomes are bit-identical to in-process execution.
 """
 
@@ -56,9 +57,11 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor as _ProcessPool
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+import weakref
+from multiprocessing.util import register_after_fork
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,16 +75,16 @@ from .executor import (
 )
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core
-    from ..core.client import ClientUpdate
+    from ..core.client import ClientPool, ClientUpdate
 
 
 # Per-worker-process state, populated once by _init_worker.
 _WORKER: dict = {}
 
-# A stacked census goes to the pool only when that takes at least this many
-# feature values (rows x row width) off what the server would otherwise wait
-# for: below it the hand-offs cost more than the second core gives back
-# (measured crossovers in DESIGN.md §8).
+# A stacked census is sharded only when that takes at least this many
+# feature values (rows x row width) off what the server would otherwise
+# wait for: below it the hand-offs cost more than the second core gives
+# back (measured crossovers in DESIGN.md §8).
 MIN_ELEMENTS_SAVED = 1 << 21
 
 # One-time oversubscription warning (per process); see _warn_oversubscribed.
@@ -97,21 +100,21 @@ def _usable_cores() -> int:
 
 
 def _warn_oversubscribed(requested: int, available: int) -> None:
-    """Warn once when more workers are requested than cores exist.
+    """Warn once when more lanes are requested than cores exist.
 
-    A round is split into one message per worker, so workers beyond the
-    core count take turns on the same cores: the solves run no sooner and
-    every extra worker adds a hand-off.  Flag the configuration instead
-    of silently running slower than a pool that fits the host.
+    A round is split into one share per lane, so lanes beyond the core
+    count take turns on the same cores: the solves run no sooner and
+    every extra lane adds a hand-off.  Flag the configuration instead of
+    silently running slower than one that fits the host.
     """
     global _OVERSUBSCRIPTION_WARNED
     if _OVERSUBSCRIPTION_WARNED:
         return
     _OVERSUBSCRIPTION_WARNED = True
     warnings.warn(
-        f"ParallelExecutor: {requested} workers requested but only "
-        f"{available} CPU core(s) are usable; the extra workers of an "
-        "oversubscribed pool share cores and only add process hand-offs. "
+        f"ParallelExecutor: {requested} lanes requested but only "
+        f"{available} CPU core(s) are usable; the extra lanes of an "
+        "oversubscribed executor share cores and only add process hand-offs. "
         "Use n_workers='auto' to match the usable core count.",
         RuntimeWarning,
         stacklevel=3,
@@ -138,15 +141,15 @@ def _init_worker(dataset, model, solver, eval_mode) -> None:
     _WORKER["evaluator"] = FederationEvaluator(clients, model, eval_mode)
 
 
-def _solve_task(task: LocalTask) -> "ClientUpdate":
-    """Run one local solve inside a worker process.
+def _solve_task(clients: "ClientPool", task: LocalTask) -> "ClientUpdate":
+    """Run one local solve on a lane, as the reply will carry it.
 
-    Timing payloads (when the task asks for them) are measured *here*, on
-    the worker's own clock, and ride back on the update as plain floats —
-    the server re-emits them as ``solve:client`` spans, which is how
-    parallel-executor spans survive the process boundary.
+    Timing payloads (when the task asks for them) are measured on the
+    lane's own clock and ride back on the update as plain floats, stamped
+    with the lane's pid — the server re-emits them as ``solve:client``
+    spans, which is how worker spans survive the process boundary.
     """
-    update = solve_with_timings(_WORKER["clients"], task)
+    update = solve_with_timings(clients, task)
     if update.w is not None:
         # Payload audit: the iterate crosses the process boundary as one
         # contiguous float64 buffer (ndarray pickling copies exactly
@@ -162,9 +165,49 @@ def _solve_task(task: LocalTask) -> "ClientUpdate":
     return update
 
 
-def _solve_batch(tasks: List[LocalTask]) -> List["ClientUpdate"]:
-    """Run one worker's share of a round: one message in, one message out."""
-    return [_solve_task(task) for task in tasks]
+def _solve_batch(clients: "ClientPool", tasks: List[LocalTask]) -> List["ClientUpdate"]:
+    """Run one lane's share of a round: one message in, one message out."""
+    return [_solve_task(clients, task) for task in tasks]
+
+
+def _reply(message: tuple) -> tuple:
+    """A worker's answer to one ``(kind, payload)`` message.
+
+    ``(True, result)``, or ``(False, (exception, traceback text))`` when
+    the solve or census block raised — the worker lives on.
+    """
+    kind, payload = message
+    try:
+        if kind == "solve":
+            return True, _solve_batch(_WORKER["clients"], payload)
+        return True, _WORKER["evaluator"].values(*payload)
+    except Exception as exc:
+        return False, (exc, traceback.format_exc())
+
+
+def _serve(conn, dataset, model, solver, eval_mode) -> None:
+    """A worker process: build its state once, then answer each message
+    until the server closes its end of the pipe."""
+    _init_worker(dataset, model, solver, eval_mode)
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        reply = _reply(message)
+        try:
+            conn.send(reply)
+        except OSError:  # the server has gone
+            return
+        except Exception as exc:  # the reply does not pickle
+            conn.send((False, (RuntimeError(repr(exc)), traceback.format_exc())))
+
+
+class _RemoteTraceback(Exception):
+    """A worker's traceback, chained to the exception it raised."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
 def _split_by_work(costs: Sequence[int], n_groups: int) -> List[List[int]]:
@@ -184,24 +227,67 @@ def _split_by_work(costs: Sequence[int], n_groups: int) -> List[List[int]]:
     return [sorted(group) for group in groups if group]
 
 
-def _census_share(message: Tuple[np.ndarray, str, Sequence]) -> list:
-    """One worker's share of a census: the values of a contiguous unit range."""
-    w, split, units = message
-    return _WORKER["evaluator"].values(w, split, units)
+class _Worker:
+    """One worker lane: its process and the server's end of its pipe."""
+
+    def __init__(self, context, init_args: tuple) -> None:
+        self.conn, child = context.Pipe(duplex=True)
+        self.process = context.Process(
+            target=_serve, args=(child, *init_args), daemon=True
+        )
+        # A forked process closes its inherited copy of the server's end, so
+        # the worker reads EOF once the server closes it ...
+        register_after_fork(self.conn, lambda conn: conn.close())
+        self.process.start()
+        # ... and only the worker holds its end, so its death reads as EOF.
+        child.close()
+
+    def _lost(self) -> RuntimeError:
+        self.process.terminate()
+        self.process.join()
+        return RuntimeError(
+            f"ParallelExecutor: worker process {self.process.pid} exited "
+            f"(code {self.process.exitcode}) without replying"
+        )
+
+    def send(self, message: tuple) -> None:
+        try:
+            self.conn.send(message)
+        except OSError as exc:
+            raise self._lost() from exc
+
+    def recv(self) -> tuple:
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._lost() from exc
+
+    def stop(self, kill: bool) -> None:
+        self.conn.close()
+        if kill:
+            self.process.terminate()
+        self.process.join()
+
+
+def _stop(workers: List[_Worker], kill: bool = False) -> None:
+    """Stop worker processes; stopping a stopped one does nothing."""
+    for worker in workers:
+        worker.stop(kill)
 
 
 class ParallelExecutor(RoundExecutor):
-    """The pool backend: due tasks solved on persistent worker processes.
+    """The multiprocess backend: due tasks solved on ``n_workers`` lanes.
 
     Parameters
     ----------
     n_workers:
-        Worker process count; ``None`` or ``"auto"`` is one worker per
-        core this process may run on (its CPU affinity, e.g. a container's
-        cpuset, where the platform reports one; else ``os.cpu_count()``),
-        so the pool never oversubscribes.  Requesting more workers than
-        that emits a one-time ``RuntimeWarning`` (oversubscribed pools are
-        overhead-bound).
+        Lane count: the server plus ``n_workers - 1`` worker processes, so
+        ``1`` starts no process and runs everything on the server.
+        ``None`` or ``"auto"`` is one lane per core this process may run
+        on (its CPU affinity, e.g. a container's cpuset, where the
+        platform reports one; else ``os.cpu_count()``) — one busy process
+        per usable core.  Requesting more lanes than that emits a one-time
+        ``RuntimeWarning`` (oversubscribed lanes are overhead-bound).
     start_method:
         Multiprocessing start method (``"fork"`` where available, else
         ``"spawn"``).  Results are identical either way; ``"fork"`` starts
@@ -210,22 +296,22 @@ class ParallelExecutor(RoundExecutor):
     Each delivered batch sends every worker at most one message: the tasks
     are split by longest-processing-time-first over their predicted
     mini-batch step counts (known before any solve runs, from the store's
-    size metadata and the task's effective epochs), and the updates are put
-    back in task order.  Retry waves and batches that mix several
-    ``w_global`` arrays take the same path.
+    size metadata and the task's effective epochs), the server keeps the
+    heaviest group (a worker pays a wake-up before it starts), and the
+    updates are put back in task order.  Retry waves and batches that mix
+    several ``w_global`` arrays take the same path.
 
-    A census (:meth:`train_loss`, :meth:`test_accuracy`) sends every worker
-    at most one message as well (module docstring): the workers compute
-    its per-unit values (:meth:`_census_values`), the server reduces them.
-    A census computed on the pool leaves the server's shared model
-    untouched — nothing reads it between rounds, and the trainer sets it
-    after every aggregation.
+    A census (:meth:`train_loss`, :meth:`test_accuracy`) sends every
+    worker at most one message as well (module docstring): the lanes
+    compute its per-unit values (:meth:`_census_values`), the server
+    reduces them.
 
-    The pool starts lazily on first use (or via :meth:`ensure_started`) and
-    is shut down by :meth:`close`.  Binding a model without a
-    :meth:`~repro.models.base.FederatedModel.spawn_replica` implementation
-    raises ``TypeError`` immediately — parallel execution never silently
-    degrades to serial.
+    Workers start lazily on first use (or via :meth:`ensure_started`) and
+    are stopped by :meth:`close`; a worker that dies mid-call raises and
+    stops them all, and the next call starts fresh ones.  Binding a model
+    without a :meth:`~repro.models.base.FederatedModel.spawn_replica`
+    implementation raises ``TypeError`` immediately — parallel execution
+    never silently degrades to serial.
     """
 
     def __init__(
@@ -256,11 +342,11 @@ class ParallelExecutor(RoundExecutor):
         self._n_workers = resolved
         # A census cuts no more shares than there are cores to run them,
         # since more would queue behind each other.  The gain is unmeasured:
-        # no benchmark workload runs more workers than cores.
+        # no benchmark workload runs more lanes than cores.
         self._census_shares = min(resolved, available)
         self.start_method = start_method
         self._replica = None
-        self._pool: Optional[_ProcessPool] = None
+        self._workers: Optional[List[_Worker]] = None
 
     @property
     def n_workers(self) -> int:
@@ -280,25 +366,60 @@ class ParallelExecutor(RoundExecutor):
                 "Implement the replica protocol or use SerialExecutor — "
                 "parallel execution will not silently fall back to serial."
             ) from exc
-        if self._pool is not None:  # re-bound to a new federation
-            self.close()
+        self.close()  # re-bound to a new federation
 
     def ensure_started(self) -> None:
         self._require_bound()
-        if self._pool is None:
-            self._pool = _ProcessPool(
-                max_workers=self._n_workers,
-                mp_context=mp.get_context(self.start_method),
-                initializer=_init_worker,
-                initargs=(
-                    self.dataset, self._replica, self.solver, self.eval_mode
-                ),
-            )
+        if self._workers is None:
+            context = mp.get_context(self.start_method)
+            init_args = (self.dataset, self._replica, self.solver, self.eval_mode)
+            self._workers = [
+                _Worker(context, init_args) for _ in range(self._n_workers - 1)
+            ]
+            # Workers of an executor dropped without close() stop with it.
+            weakref.finalize(self, _stop, self._workers)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self._release()
+
+    def _release(self, kill: bool = False) -> None:
+        workers, self._workers = self._workers, None
+        if workers is not None:
+            _stop(workers, kill)
+
+    def _exchange(self, kind: str, payloads: list, own: Callable) -> list:
+        """Every lane's result, in lane order: ``own(payloads[0])`` on the
+        server, ``payloads[i]`` answered by worker ``i``.
+
+        Every message goes out before the server starts its own share, and
+        every reply is read before an exception a lane raised is re-raised,
+        so the pipes stay in step and the workers outlive it.  A worker
+        that dies instead of replying stops all of them and raises.
+        """
+        workers: list = []
+        if len(payloads) > 1:
+            self.ensure_started()
+            workers = self._workers[: len(payloads) - 1]
+        failure = None
+        try:
+            for worker, payload in zip(workers, payloads[1:]):
+                worker.send((kind, payload))
+            try:
+                results = [own(payloads[0])]
+            except Exception as exc:
+                results, failure = [None], exc
+            for worker in workers:
+                ok, value = worker.recv()
+                results.append(value if ok else None)
+                if not ok and failure is None:
+                    failure, remote = value
+                    failure.__cause__ = _RemoteTraceback(remote)
+        except BaseException:
+            self._release(kill=True)
+            raise
+        if failure is not None:
+            raise failure
+        return results
 
     # Round work --------------------------------------------------------- #
     def _predicted_steps(self, task: LocalTask) -> int:
@@ -310,17 +431,20 @@ class ParallelExecutor(RoundExecutor):
         ).total
 
     def _solve(self, tasks):
-        self.ensure_started()
-        groups = _split_by_work(
-            [self._predicted_steps(task) for task in tasks], self._n_workers
+        costs = [self._predicted_steps(task) for task in tasks]
+        groups = _split_by_work(costs, self._n_workers)
+        groups.sort(key=lambda group: -sum(costs[i] for i in group))
+        solved = self._exchange(
+            "solve",
+            [[tasks[i] for i in group] for group in groups],
+            lambda mine: _solve_batch(self.clients, mine),
         )
-        messages = [[tasks[i] for i in group] for group in groups]
         updates: List[Optional["ClientUpdate"]] = [None] * len(tasks)
-        for group, solved in zip(groups, self._pool.map(_solve_batch, messages)):
-            for position, update in zip(group, solved):
+        for group, share in zip(groups, solved):
+            for position, update in zip(group, share):
                 update.task = tasks[position]
                 updates[position] = update
-        # Under a device-side codec only encoded bytes crossed the pool
+        # Under a device-side codec only encoded bytes crossed the process
         # boundary (the lean IPC path); the comms stage decodes them.
         return updates
 
@@ -343,12 +467,12 @@ class ParallelExecutor(RoundExecutor):
         return saved_rows * stack[0][0].size >= MIN_ELEMENTS_SAVED
 
     def _census_values(self, w: np.ndarray, split: str, units: Sequence) -> list:
-        """The census values, on the workers where that pays.
+        """The census values, across the lanes where that pays.
 
-        Contiguous near-equal shares of ``units``, one message per worker
-        that has a core to run on (``w`` crosses once each, no rows do),
-        the returned lists joined in unit order.  Per-client units always
-        go to the pool.
+        Contiguous near-equal shares of ``units``, one per lane that has a
+        core to run on — the first on the server, one message per worker
+        for the rest (``w`` crosses once each, no rows do) — joined in unit
+        order.  Per-client units are always cut.
         """
         shares = min(self._census_shares, len(units))
         cuts = [len(units) * i // shares for i in range(shares + 1)]
@@ -356,9 +480,11 @@ class ParallelExecutor(RoundExecutor):
             split, units, cuts
         ):
             return self.evaluator.values(w, split, units)
-        self.ensure_started()
-        messages = [(w, split, units[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         values: list = []
-        for share in self._pool.map(_census_share, messages):
+        for share in self._exchange(
+            "census",
+            [(w, split, units[lo:hi]) for lo, hi in zip(cuts, cuts[1:])],
+            lambda mine: self.evaluator.values(*mine),
+        ):
             values.extend(share)
         return values

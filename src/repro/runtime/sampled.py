@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
+from ..systems.stragglers import entropy_rng
 from ..telemetry import resolve_telemetry
 from .evaluation import device_values
 
@@ -163,11 +164,7 @@ class StratifiedClientSampler:
     def sample(self, round_idx: int, sample_size: int) -> List[np.ndarray]:
         """Draw the round's per-stratum client-id samples (sorted ids)."""
         counts = self.allocate(sample_size)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                [self.seed, int(round_idx), _EVAL_SAMPLE_SALT]
-            )
-        )
+        rng = entropy_rng(self.seed, round_idx, _EVAL_SAMPLE_SALT)
         picks: List[np.ndarray] = []
         for stratum, m in zip(self.strata, counts):
             if m >= len(stratum):

@@ -28,8 +28,6 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..spec import register
 from .profiles import DeviceProfile
 from .stragglers import SystemsModel, WorkAssignment, entropy_rng
@@ -85,9 +83,7 @@ class ClockDrivenSystems(SystemsModel):
     def _jitter(self, round_idx: int, device_id: int) -> float:
         if self.jitter_sigma <= 0:
             return 1.0
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, round_idx, device_id])
-        )
+        rng = entropy_rng(self.seed, round_idx, device_id)
         return float(rng.lognormal(0.0, self.jitter_sigma))
 
     def _communication_cycles(self, profile: DeviceProfile) -> float:

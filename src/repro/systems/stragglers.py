@@ -28,19 +28,31 @@ import numpy as np
 from ..spec import register
 
 
+#: One past the largest component :func:`entropy_rng` passes as a word.
+_WORD = 1 << 32
+
+
 def entropy_rng(*components: int) -> np.random.Generator:
     """Generator derived from an integer entropy tuple.
 
-    The single seed-entropy pipeline shared by every environment draw in
-    the simulation: straggler budgets (:class:`FractionStragglers`), fault
-    draws (:mod:`repro.faults`), and mini-batch orders all derive their
-    randomness as ``default_rng(SeedSequence([...integers...]))``, so any
-    draw is a pure function of its ``(seed, round, client, ...)`` identity
-    — independent of executor, process, and iteration order.
+    The single seed-entropy pipeline shared by every seeded draw in the
+    simulation: straggler budgets (:class:`FractionStragglers`), fault and
+    clock draws, device selection, mini-batch orders, codec and corruption
+    noise, and on-demand device data all derive their randomness as
+    ``default_rng(SeedSequence([...integers...]))``, so any draw is a pure
+    function of its ``(seed, round, client, ...)`` identity — independent
+    of executor, process, and iteration order.
+
+    Components that all fit one 32-bit word are handed over as a
+    ``uint32`` array: the same entropy words as the list (so the same
+    stream), read in a third of the time.  Anything else keeps the list,
+    which splits a component of ``2**32`` or more into words of its own.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence([int(c) for c in components])
-    )
+    if components and min(components) >= 0 and max(components) < _WORD:
+        entropy = np.array(components, dtype=np.uint32)
+    else:
+        entropy = [int(c) for c in components]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 @dataclass(frozen=True)

@@ -11,23 +11,44 @@ from repro.core.client import ClientPool
 from repro.datasets import ClientData, FederatedDataset, make_synthetic
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
+from repro.runtime import parallel
 
 
-class InProcessPool:
-    """Stands in for the process pool: every message still crosses a
-    pickle boundary both ways, but the worker function runs here."""
+class InProcessWorkers(list):
+    """Stands in for a ``ParallelExecutor``'s worker processes, installed as
+    its ``_workers``: one fake duplex connection per worker.  Every message
+    and reply still crosses a pickle boundary, but the worker's answer
+    (``parallel._reply``, over ``parallel._WORKER``) is computed here.
+    ``messages`` holds the pickled messages of the last call that sent any."""
 
-    def __init__(self):
+    def __init__(self, n_workers):
+        super().__init__(_InProcessConnection(self) for _ in range(n_workers))
         self.messages = []
+        self.replied = True
 
-    def map(self, fn, messages):
-        self.messages = [pickle.dumps(message) for message in messages]
-        return [
-            pickle.loads(pickle.dumps(fn(pickle.loads(blob))))
-            for blob in self.messages
-        ]
+    @classmethod
+    def install(cls, executor):
+        executor._workers = cls(executor.n_workers - 1)
+        return executor
 
-    def shutdown(self, wait=True):
+
+class _InProcessConnection:
+    def __init__(self, workers):
+        self.workers = workers
+        self.reply = None
+
+    def send(self, message):
+        if self.workers.replied:  # the first message of a new call
+            self.workers.messages, self.workers.replied = [], False
+        blob = pickle.dumps(message)
+        self.workers.messages.append(blob)
+        self.reply = pickle.dumps(parallel._reply(pickle.loads(blob)))
+
+    def recv(self):
+        self.workers.replied = True
+        return pickle.loads(self.reply)
+
+    def stop(self, kill):
         pass
 
 

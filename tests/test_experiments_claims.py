@@ -3,6 +3,7 @@ cells built, one run per ``(experiment, seed)``, and a failing claim's exit."""
 
 import pytest
 
+from repro.core.history import RoundRecord, TrainingHistory
 from repro.experiments import CLAIMS, Claim, FigureResult, PanelResult, claim_cells, run_claims
 from repro.experiments import claims as claims_module
 from repro.experiments.__main__ import main
@@ -72,3 +73,48 @@ def test_holding_claims_exit_0(monkeypatch, capsys):
     monkeypatch.setattr(claims_module, "CLAIMS", {"table1": CLAIMS["table1"]})
     assert main(["claims", "--seed", "2"]) == 0
     assert "table1  table1  2     yes" in capsys.readouterr().out
+
+
+def _history(*losses):
+    history = TrainingHistory()
+    for round_idx, loss in enumerate(losses):
+        history.append(RoundRecord(round_idx=round_idx, train_loss=loss))
+    return history
+
+
+def test_a_claim_over_panels_that_did_not_learn_is_marked(monkeypatch, capsys):
+    """Every compared panel moved < 1 %: held, marked, exit code unchanged."""
+    flat = FigureResult("figure1", "", [
+        PanelResult("FEMNIST-like", "0% stragglers", {
+            "FedAvg": _history(2.30, None, 2.29), "FedProx": _history(2.30, 2.285),
+        }),
+        PanelResult("Sent140-like", "", {"FedAvg": _history(0.70, 0.697)}),
+    ])
+    learning = FigureResult("figure2", "", [
+        PanelResult("MNIST-like", "", {"FedAvg": _history(2.0, 1.5)}),
+        PanelResult("Sent140-like", "", {"FedAvg": _history(0.70, 0.697)}),
+    ])
+    monkeypatch.setattr(
+        claims_module, "run_cells",
+        lambda cells, out=None: flat if cells[0]["figure"] == "figure1" else learning,
+    )
+    monkeypatch.setattr(claims_module, "CLAIMS", {
+        "flat": Claim("figure1", lambda result, scale: (True, {})),
+        "learning": Claim("figure2", lambda result, scale: (True, {})),
+        "flat-failing": Claim("figure1", lambda result, scale: (False, {}), seed=1),
+    })
+    rows = run_claims()
+    assert rows[0]["loss_drops"] == pytest.approx(
+        {"FEMNIST-like 0% stragglers": 0.015 / 2.30, "Sent140-like": 0.003 / 0.70}
+    )
+    assert main(["claims"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    flat_row, learning_row, failing_row = (
+        next(line for line in lines if line.startswith(name + " "))
+        for name in ("flat", "learning", "flat-failing")
+    )
+    assert "yes (no learning)" in flat_row
+    assert "FEMNIST-like 0% stragglers=0.7%, Sent140-like=0.4%" in flat_row
+    assert "yes " in learning_row and "no learning" not in learning_row
+    assert "MNIST-like=25.0%" in learning_row
+    assert " NO " in failing_row and "no learning" not in failing_row

@@ -16,9 +16,10 @@ import pytest
 from repro.core import EvalConfig, FederatedTrainer
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
-from repro.runtime import ParallelExecutor, SerialExecutor
+from repro.runtime import ParallelExecutor, SerialExecutor, parallel
 from repro.systems import FractionStragglers
 from repro.systems.stragglers import PowerLawStragglers
+from repro.telemetry import history_digest
 
 pytestmark = pytest.mark.slow
 
@@ -93,14 +94,15 @@ class TestSerialParallelBitIdentical:
         )
         _assert_bit_identical(h_serial, h_parallel)
 
+    @pytest.mark.filterwarnings("ignore:ParallelExecutor:RuntimeWarning")
     def test_worker_count_does_not_matter(self, synthetic_small):
         h1 = _run(
             synthetic_small, mu=0.5, drop=False,
-            executor=ParallelExecutor(n_workers=1),
+            executor=ParallelExecutor(n_workers=2),
         )
         h_many = _run(
             synthetic_small, mu=0.5, drop=False,
-            executor=ParallelExecutor(n_workers=MAX_WORKERS),
+            executor=ParallelExecutor(n_workers=MAX_WORKERS + 1),
         )
         _assert_bit_identical(h1, h_many)
 
@@ -151,3 +153,38 @@ class TestUnevenWorkerShares:
         assert serial_stats == parallel_stats
         assert serial_stats["retries"] > 0, "no retry wave was exercised"
         _assert_bit_identical(h_serial, h_parallel)
+
+
+@pytest.mark.filterwarnings("ignore:ParallelExecutor:RuntimeWarning")
+class TestLaneParity:
+    """``parallel:N`` counts lanes, the server among them: at every N and
+    under both start methods its history digest is serial's, for the solves
+    and for a census cut into one share per lane."""
+
+    @staticmethod
+    def _digest(dataset, engine):
+        trainer = FederatedTrainer(
+            dataset=dataset,
+            model=MultinomialLogisticRegression(dim=60, num_classes=10),
+            solver=SGDSolver(0.01, batch_size=10), mu=0.5, seed=1,
+            clients_per_round=5, systems=PowerLawStragglers(1.0, seed=3),
+            engine=engine, evaluation=EvalConfig(mode="stacked"),
+        )
+        # Small blocks, so the census has units enough for three shares.
+        trainer.executor.evaluator.block_size = 48
+        with trainer:
+            return history_digest(trainer.run(ROUNDS).records)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_digest_equals_serial(
+        self, synthetic_small, monkeypatch, n_workers, start_method
+    ):
+        # Read on the server: every census is sharded, one share per lane.
+        monkeypatch.setattr(parallel, "MIN_ELEMENTS_SAVED", 0)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 64)
+        executor = ParallelExecutor(n_workers, start_method=start_method)
+        assert executor._census_shares == n_workers
+        assert self._digest(synthetic_small, executor) == self._digest(
+            synthetic_small, "serial"
+        )

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from repro.runtime import (
     resolve_eval_mode,
     task_rng,
 )
-from tests.conftest import InProcessPool, make_pool
+from tests.conftest import InProcessWorkers, make_pool
 
 
 def _bound_serial(dataset, eval_mode="auto"):
@@ -252,9 +255,113 @@ class TestParallelExecutorEndToEnd:
         trainer.close()  # second close is a no-op
 
 
+class _WorkerHostileSolver(SGDSolver):
+    """Solves on the server; in any other process raises, or is killed
+    outright when the budget is :attr:`KILL_EPOCHS`."""
+
+    KILL_EPOCHS = 0.75
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.home = os.getpid()
+
+    def solve(self, objective, w_global, epochs, rng):
+        if os.getpid() != self.home:
+            if epochs == self.KILL_EPOCHS:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise LookupError(f"no solves outside pid {self.home}")
+        return super().solve(objective, w_global, epochs, rng)
+
+
+@pytest.mark.slow
+class TestLaneFailures:
+    """The pipes' failure paths, on real worker processes."""
+
+    @staticmethod
+    def _executor(toy_dataset, n_workers=2, solver=None):
+        executor = ParallelExecutor(n_workers=n_workers)
+        executor.bind(
+            toy_dataset, MultinomialLogisticRegression(dim=6, num_classes=3),
+            solver or _WorkerHostileSolver(0.1, batch_size=8),
+        )
+        return executor
+
+    @staticmethod
+    def _tasks(n, epochs=1.0):
+        return [
+            LocalTask(client_id=cid, w_global=np.zeros(21), mu=0.5,
+                      epochs=epochs, rng_entropy=(3, 0, cid, 0))
+            for cid in range(n)
+        ]
+
+    def test_a_worker_exception_reaches_the_server(self, toy_dataset):
+        with self._executor(toy_dataset) as executor:
+            with pytest.raises(LookupError, match="no solves outside pid") as info:
+                executor.run_local_solves(self._tasks(4))
+            assert "in solve\n    raise LookupError" in str(info.value.__cause__)
+            workers = executor._workers
+            # The worker outlives its exception; the server alone solves.
+            assert executor.run_local_solves(self._tasks(1))[0].w is not None
+            assert executor._workers is workers
+            assert all(w.process.is_alive() for w in workers)
+
+    def test_a_worker_killed_mid_round_raises(self, toy_dataset):
+        executor = self._executor(toy_dataset)
+        executor.ensure_started()
+        processes = [worker.process for worker in executor._workers]
+        with executor:
+            with pytest.raises(RuntimeError, match=r"exited \(code -9\)"):
+                executor.run_local_solves(
+                    self._tasks(2, epochs=_WorkerHostileSolver.KILL_EPOCHS)
+                )
+            # Every lane is stopped; the next call that needs one starts
+            # fresh ones.
+            assert executor._workers is None
+            assert not any(process.is_alive() for process in processes)
+            executor.ensure_started()
+            assert all(w.process.is_alive() for w in executor._workers)
+
+    def test_close_twice_is_a_no_op(self, toy_dataset):
+        executor = self._executor(toy_dataset, solver=SGDSolver(0.1, batch_size=8))
+        executor.run_local_solves(self._tasks(4))
+        (worker,) = executor._workers
+        executor.close()
+        executor.close()
+        assert executor._workers is None
+        assert worker.process.exitcode == 0
+
+    def test_a_rebind_after_close_starts_fresh_lanes(self, toy_dataset):
+        solver = SGDSolver(0.1, batch_size=8)
+        executor = self._executor(toy_dataset, solver=solver)
+        first = executor.run_local_solves(self._tasks(4))
+        (old,) = executor._workers
+        executor.close()
+        executor.bind(toy_dataset, executor.model, solver)
+        with executor:
+            again = executor.run_local_solves(self._tasks(4))
+            (new,) = executor._workers
+            assert new.process.pid != old.process.pid
+            assert not old.process.is_alive()
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.w, b.w)
+
+    def test_one_lane_starts_no_process(self, toy_dataset):
+        before = multiprocessing.active_children()
+        with FederatedTrainer(
+            dataset=toy_dataset,
+            model=MultinomialLogisticRegression(dim=6, num_classes=3),
+            solver=_WorkerHostileSolver(0.1, batch_size=8),
+            clients_per_round=4, engine="parallel:1",
+        ) as trainer:
+            trainer.run(2)  # any solve off the server would raise
+            assert multiprocessing.active_children() == before
+            assert not trainer.executor._workers
+
+
 @pytest.mark.filterwarnings("ignore:ParallelExecutor:RuntimeWarning")
 class TestPerWorkerMessages:
-    """One message per worker per round (DESIGN.md §8)."""
+    """One message per worker per round (DESIGN.md §8): ``parallel:N`` sends
+    N − 1, the server solving one share itself."""
 
     @pytest.fixture
     def bound(self, synthetic_small, monkeypatch):
@@ -267,8 +374,7 @@ class TestPerWorkerMessages:
         def make(n_workers):
             executor = ParallelExecutor(n_workers=n_workers)
             executor.bind(synthetic_small, model, solver)
-            executor._pool = InProcessPool()
-            return executor
+            return InProcessWorkers.install(executor)
 
         monkeypatch.setitem(
             parallel._WORKER, "clients",
@@ -308,7 +414,7 @@ class TestPerWorkerMessages:
         )
         executor = make(n_workers)
         updates = executor.run_local_solves(tasks)
-        assert len(executor._pool.messages) == min(n_workers, len(tasks))
+        assert len(executor._workers.messages) == min(n_workers, len(tasks)) - 1
         assert [u.client_id for u in updates] == [t.client_id for t in tasks]
         for got, want in zip(updates, serial.run_local_solves(tasks)):
             np.testing.assert_array_equal(got.w, want.w)
@@ -316,11 +422,12 @@ class TestPerWorkerMessages:
     def test_model_crosses_once_per_message(self, bound):
         make, _, d = bound
         dense = 8 * d
-        executor = make(1)
+        executor = make(2)
         executor.run_local_solves(
             self._tasks(np.ones(d), range(5), [1.0] * 5)
         )
-        (message,) = executor._pool.messages
+        (message,) = executor._workers.messages
+        assert len(pickle.loads(message)[1]) == 2
         assert dense < len(message) < 2 * dense
 
     def test_mixed_batch_ships_each_model_once(self, bound):
@@ -332,9 +439,11 @@ class TestPerWorkerMessages:
         tasks = self._tasks(old, [0, 1, 2], [1.0] * 3) + self._tasks(
             new, [3, 4, 5], [1.0] * 3
         )
-        executor = make(1)
+        executor = make(2)
+        # Equal budgets: LPT deals the six tasks out alternately, so the
+        # worker's share holds tasks of both rounds.
         updates = executor.run_local_solves(tasks)
-        (message,) = executor._pool.messages
+        (message,) = executor._workers.messages
         assert 2 * 8 * d < len(message) < 3 * 8 * d
         for got, want in zip(updates, serial.run_local_solves(tasks)):
             np.testing.assert_array_equal(got.w, want.w)
@@ -352,7 +461,8 @@ class TestPerWorkerMessages:
         crash = FaultDecision("crash", fraction=0.5)
         crashed = [replace(task, fault=crash) for task in healthy]
         replies = [
-            pickle.dumps(parallel._solve_batch(tasks)) for tasks in (healthy, crashed)
+            pickle.dumps(parallel._solve_batch(parallel._WORKER["clients"], tasks))
+            for tasks in (healthy, crashed)
         ]
         assert all(update.task is None for update in pickle.loads(replies[1]))
         assert len(replies[1]) == len(replies[0]) < 5 * (8 * d + 200)

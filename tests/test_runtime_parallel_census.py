@@ -1,8 +1,9 @@
-"""The parallel engine's census: computed on the workers, equal to serial's.
+"""The parallel engine's census: computed on the lanes, equal to serial's.
 
 ``ParallelExecutor`` computes a census's per-unit values (one per block of
-the stacked split, or one per client) on its pool and reduces them on the
-server in unit order (DESIGN.md §8, "The census runs where the data
+the stacked split, or one per client) across its lanes — the server's own
+share and one message per worker — and reduces them on the server in unit
+order (DESIGN.md §8, "The census runs where the data
 already is").  Every value it returns must ``==`` the serial engine's —
 same bounds, same bytes, same per-block code, same additions in the same
 order — and nothing but ``w`` and the bounds may cross the boundary.
@@ -10,6 +11,7 @@ order — and nothing but ``w`` and the bounds may cross the boundary.
 
 from __future__ import annotations
 
+import os
 import pickle
 import tracemalloc
 
@@ -34,7 +36,7 @@ from repro.models import (
 from repro.optim import SGDSolver
 from repro.runtime import ParallelExecutor, SerialExecutor, parallel
 from repro.telemetry import history_digest
-from tests.conftest import InProcessPool
+from tests.conftest import InProcessWorkers
 
 pytestmark = [
     pytest.mark.oracle,  # runs on the oldest supported NumPy too (ci.yml)
@@ -105,7 +107,7 @@ def _serial(dataset, model, eval_mode="auto"):
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """A bound ``ParallelExecutor`` whose pool is the in-process double.
+    """A bound ``ParallelExecutor`` whose workers are the in-process double.
 
     The worker side is built the way a spawned worker builds it: from a
     pickled copy of the federation (its own bytes) and the replica, by
@@ -122,7 +124,7 @@ def in_process(monkeypatch):
     def make(dataset, model, n_workers, eval_mode="auto"):
         executor = ParallelExecutor(n_workers=n_workers)
         executor.bind(dataset, model, SOLVER, eval_mode=eval_mode)
-        executor._pool = InProcessPool()
+        InProcessWorkers.install(executor)
         parallel._init_worker(
             *pickle.loads(pickle.dumps(
                 (dataset, executor._replica, SOLVER, executor.eval_mode)
@@ -146,10 +148,13 @@ class TestCensusParity:
         if block_size is not None:
             serial.evaluator.block_size = executor.evaluator.block_size = block_size
         assert executor.eval_mode == "stacked"
+        # One share per lane, at most one per unit; the server keeps one.
+        sent = min(n_workers, len(executor.evaluator.units("train"))) - 1
         for seed in range(3):
             w = _weights(model, seed)
+            executor._workers.messages.clear()
             assert executor.train_loss(w) == serial.train_loss(w)
-            assert executor._pool.messages, "the census never reached the pool"
+            assert len(executor._workers.messages) == sent
             assert executor.test_accuracy(w) == serial.test_accuracy(w)
 
     def test_sequence_models_use_their_block_hint(self, in_process):
@@ -166,7 +171,7 @@ class TestCensusParity:
         for seed in range(2):
             w = _weights(model, seed)
             assert executor.train_loss(w) == serial.train_loss(w)
-            assert len(executor._pool.messages) == n_workers
+            assert len(executor._workers.messages) == n_workers - 1
             assert executor.test_accuracy(w) == serial.test_accuracy(w)
 
     @pytest.mark.parametrize("eval_mode", ["stacked", "per_client"])
@@ -179,7 +184,7 @@ class TestCensusParity:
         w = _weights(model, 0)
         with pytest.raises(ValueError, match="no test samples anywhere.*trainonly"):
             executor.test_accuracy(w)
-        assert executor._pool.messages == []
+        assert executor._workers.messages == []
         assert executor.train_loss(w) == _serial(dataset, model, eval_mode).train_loss(w)
 
 
@@ -193,8 +198,8 @@ class TestWhatCrossesTheBoundary:
         w = _weights(model, 0)
         for census in (executor.train_loss, executor.test_accuracy):
             census(w)
-            messages = executor._pool.messages
-            assert len(messages) == n_workers
+            messages = executor._workers.messages
+            assert len(messages) == n_workers - 1
             for message in messages:
                 assert dense < len(message) < 2 * dense
 
@@ -203,15 +208,20 @@ class TestWhatCrossesTheBoundary:
         executor = in_process(dataset, model, 3)
         executor.evaluator.block_size = 100
         executor.train_loss(_weights(model, 0))
-        shares = [pickle.loads(blob)[2] for blob in executor._pool.messages]
+        messages = [pickle.loads(blob) for blob in executor._workers.messages]
+        assert {kind for kind, _ in messages} == {"census"}
+        # The server computes the first share, of 8 blocks, itself.
+        units = executor.evaluator.units("train")
+        shares = [units[:8]] + [payload[2] for _, payload in messages]
         assert [len(share) for share in shares] == [8, 9, 9]
         joined = [bounds for share in shares for bounds in share]
-        assert joined == executor.evaluator.units("train")
-        assert all(pickle.loads(blob)[1] == "train" for blob in executor._pool.messages)
+        assert joined == units
+        assert all(payload[1] == "train" for _, payload in messages)
 
     @pytest.mark.parametrize("eval_mode", ["stacked", "per_client"])
     def test_shares_are_capped_at_the_cores(self, in_process, monkeypatch, eval_mode):
-        """``parallel:2`` on one core cuts one share; the values stay ``==``."""
+        """``parallel:2`` on one core cuts one share, the server's; the values
+        stay ``==``."""
         dataset, model = _case("synthetic-logistic")
         serial = _serial(dataset, model, eval_mode)
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
@@ -220,7 +230,7 @@ class TestWhatCrossesTheBoundary:
         for seed in range(2):
             w = _weights(model, seed)
             assert executor.train_loss(w) == serial.train_loss(w)
-            assert len(executor._pool.messages) == 1
+            assert executor._workers.messages == []
             assert executor.test_accuracy(w) == serial.test_accuracy(w)
 
     def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
@@ -242,17 +252,20 @@ class TestWhatCrossesTheBoundary:
             parallel._init_worker(dataset, model.spawn_replica(), SOLVER, mode)
             evaluator = parallel._WORKER["evaluator"]
             evaluator.block_size = 50
-            losses = parallel._census_share((w, "train", evaluator.units("train")))
-            counts = parallel._census_share((w, "test", evaluator.units("test")))
+            losses = evaluator.values(w, "train", evaluator.units("train"))
+            counts = evaluator.values(w, "test", evaluator.units("test"))
             assert losses and {type(v) for v in losses} == {float}
             assert counts and {type(v) for v in counts} == {int}
 
 
 class _PoisonedLogistic(MultinomialLogisticRegression):
-    """Raises from ``loss`` once the bias of class 0 is exactly 13."""
+    """Raises from ``loss`` once the bias of class 0 is exactly 13 — in a
+    forked worker only, so the server's own share of a census computes."""
+
+    HOME = os.getpid()
 
     def loss(self, X, y):
-        if self.b[0] == 13.0:
+        if self.b[0] == 13.0 and os.getpid() != self.HOME:
             raise ArithmeticError("poisoned census block")
         return super().loss(X, y)
 
@@ -315,9 +328,10 @@ class TestRealWorkers:
         poisoned[60 * 10] = 13.0
         with executor:
             assert executor.train_loss(healthy) == serial.train_loss(healthy)
-            with pytest.raises(ArithmeticError, match="poisoned census block"):
+            with pytest.raises(ArithmeticError, match="poisoned census block") as info:
                 executor.train_loss(poisoned)
-            # The pool outlives the failure.
+            assert "in loss" in str(info.value.__cause__)  # the worker's traceback
+            # The workers outlive the failure.
             assert executor.train_loss(healthy) == serial.train_loss(healthy)
 
 
@@ -349,7 +363,7 @@ class TestMemoryAndFallbacks:
         w = _weights(model, 0)
         tracemalloc.start()
         try:
-            parallel._census_share((w, "train", units))
+            parallel._WORKER["evaluator"].values(w, "train", units)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -380,7 +394,7 @@ class TestMemoryAndFallbacks:
             w = _weights(model, 1)
             assert executor.train_loss(w) == serial.train_loss(w)
             assert executor.test_accuracy(w) == serial.test_accuracy(w)
-            assert executor._pool.messages == []
+            assert executor._workers.messages == []
 
     def test_a_split_below_the_minimum_work_stays_on_the_server(
         self, in_process, monkeypatch
@@ -395,31 +409,32 @@ class TestMemoryAndFallbacks:
         saved = (2522 - 1300) * 60
         monkeypatch.setattr(parallel, "MIN_ELEMENTS_SAVED", saved + 1)
         assert executor.train_loss(w) == serial.train_loss(w)
-        assert executor._pool.messages == []
+        assert executor._workers.messages == []
         monkeypatch.setattr(parallel, "MIN_ELEMENTS_SAVED", saved)
         assert executor.train_loss(w) == serial.train_loss(w)
-        assert len(executor._pool.messages) == 2
+        assert len(executor._workers.messages) == 1
 
     def test_the_shipped_constant_keeps_small_federations_on_the_server(self):
         assert parallel.MIN_ELEMENTS_SAVED > 2522 * 60
         dataset, model = _case("synthetic-logistic")
         executor = ParallelExecutor(n_workers=2)
         executor.bind(dataset, model, SOLVER)
-        executor._pool = InProcessPool()
+        InProcessWorkers.install(executor)
         w = _weights(model, 0)
         assert executor.train_loss(w) == _serial(dataset, model).train_loss(w)
-        assert executor._pool.messages == []
+        assert executor._workers.messages == []
 
-    def test_one_worker_never_pays_a_hand_off_for_a_stacked_census(self, monkeypatch):
-        """Nothing is taken off the server by sending it all to one worker."""
+    def test_a_census_on_one_core_never_pays_a_hand_off(self, monkeypatch):
+        """One share is the server's: nothing is taken off it by a worker."""
         monkeypatch.setattr(parallel, "MIN_ELEMENTS_SAVED", 1)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
         dataset, model = _case("synthetic-logistic")
-        executor = ParallelExecutor(n_workers=1)
+        executor = ParallelExecutor(n_workers=2)
         executor.bind(dataset, model, SOLVER)
-        executor._pool = InProcessPool()
+        InProcessWorkers.install(executor)
         executor.evaluator.block_size = 100
         executor.train_loss(_weights(model, 0))
-        assert executor._pool.messages == []
+        assert executor._workers.messages == []
 
 
 class TestLazyChunkStreams:
@@ -438,7 +453,7 @@ class TestLazyChunkStreams:
     def _peak(message):
         tracemalloc.start()
         try:
-            parallel._census_share(message)
+            parallel._WORKER["evaluator"].values(*message)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -465,5 +480,5 @@ class TestLazyChunkStreams:
         assert executor.eval_mode == serial.eval_mode == "per_client"
         w = _weights(model, 2)
         assert executor.train_loss(w) == serial.train_loss(w)
-        assert len(executor._pool.messages) == 3
+        assert len(executor._workers.messages) == 2
         assert executor.test_accuracy(w) == serial.test_accuracy(w)

@@ -187,7 +187,7 @@ class TestSampledTrainerHistories:
         serial = run("serial")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            parallel = run("parallel:1")
+            parallel = run("parallel:2")
         for a, b in zip(serial.records, parallel.records):
             assert a.train_loss == b.train_loss
             assert a.train_loss_ci == b.train_loss_ci

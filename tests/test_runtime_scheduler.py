@@ -21,7 +21,7 @@ from repro.optim import SGDSolver
 from repro.runtime import ASYNC_GRAMMAR, make_executor, parallel
 from repro.systems import FractionStragglers
 from repro.telemetry import InMemorySink, Telemetry, history_digest
-from tests.conftest import InProcessPool
+from tests.conftest import InProcessWorkers
 
 STALE = "async:window=2,arrivals=seeded,latency=1.2,jitter=0.6"
 
@@ -53,7 +53,7 @@ def _run(dataset, engine, rounds, **kwargs):
     return history, sink
 
 
-@pytest.mark.parametrize("spec", ["serial", "cohort", "parallel:1"])
+@pytest.mark.parametrize("spec", ["serial", "cohort", "parallel:2"])
 def test_a_barrier_engine_is_the_scheduler_at_the_async_defaults(spec):
     """What the manifest's ``engine`` section states for a barrier spec."""
     executor = make_executor(spec)
@@ -108,14 +108,14 @@ class TestOneDownlinkBooking:
             ) as trainer:
                 executor = trainer.executor
                 if spec.startswith("parallel"):
-                    # The pool's workers, run here: every message still
-                    # crosses a pickle boundary, no process starts.
+                    # The workers, run here: every message still crosses a
+                    # pickle boundary, no process starts.
                     monkeypatch.setattr(parallel, "_WORKER", {})
                     parallel._init_worker(
                         federation, executor._replica, trainer.solver,
                         executor.eval_mode,
                     )
-                    executor._pool = InProcessPool()
+                    InProcessWorkers.install(executor)
                 admitted = []
                 dispatch = executor.run_local_solves
 

@@ -3,7 +3,41 @@
 import numpy as np
 import pytest
 
-from repro.systems import FractionStragglers, NoHeterogeneity, WorkAssignment
+from repro.systems import (
+    FractionStragglers,
+    NoHeterogeneity,
+    WorkAssignment,
+    entropy_rng,
+)
+
+
+class TestEntropyRng:
+    """The word-array fast path draws the list form's stream, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            (0,),
+            (7, 3, 12, 0),
+            (2**32 - 1, 0xC0DE, 5),
+            (np.int64(11), np.uint32(4), 9),
+            (2**32, 1, 2),  # a component of two words keeps the list
+            (3, 2**40 + 17, 0xC0FF),
+        ],
+    )
+    def test_streams_equal_the_list_form(self, components):
+        want = np.random.default_rng(
+            np.random.SeedSequence([int(c) for c in components])
+        )
+        got = entropy_rng(*components)
+        np.testing.assert_array_equal(got.random(64), want.random(64))
+        np.testing.assert_array_equal(
+            got.integers(0, 2**63, size=8), want.integers(0, 2**63, size=8)
+        )
+
+    def test_negative_entropy_is_still_rejected(self):
+        with pytest.raises(ValueError):
+            entropy_rng(1, -2)
 
 
 class TestNoHeterogeneity:
