@@ -267,13 +267,16 @@ class QSGDCodec(Codec):
             # to zeros or all-NaN respectively.
             q = np.zeros(d, dtype=wire)
         else:
+            # |delta / scale| <= 1 under correct rounding, so every floor
+            # lies in [0, levels], and one at the top has no fraction left
+            # to round up: no level needs clipping.
             u = delta / scale
             u += 1.0
             u *= 0.5 * levels
             base = np.floor(u)
             u -= base  # fractional position: the round-up probability
-            base += codec_rng(entropy).random(d) < u
-            q = np.clip(base, 0, levels, out=base).astype(wire)
+            q = base.astype(wire)
+            q += codec_rng(entropy).random(d) < u
         buffer = struct.pack("<d", scale) + _pack_levels(q, self.bits)
         return WirePayload(
             self.spec(), buffer, len(buffer),
@@ -287,8 +290,8 @@ class QSGDCodec(Codec):
         if scale == 0.0:
             return np.zeros(n_params)
         packed = np.frombuffer(payload.buffer, dtype=np.uint8, offset=8)
-        out = _unpack_levels(packed, n_params, self.bits).astype(np.float64)
-        out *= 2.0 / self.levels
+        levels = _unpack_levels(packed, n_params, self.bits)
+        out = np.multiply(levels, 2.0 / self.levels, dtype=np.float64)
         out -= 1.0
         out *= scale
         return out
@@ -387,14 +390,15 @@ def _pack_levels(q: np.ndarray, bits: int) -> bytes:
     if bits == 8 or bits == 16:
         # Whole bytes, low byte first: only the in-byte bit order differs
         # from the levels' little-endian memory image.
-        return _BIT_REVERSE[q.astype(f"<u{bits // 8}").view(np.uint8)].tobytes()
+        whole = q.astype(f"<u{bits // 8}", copy=False).view(np.uint8)
+        return np.take(_BIT_REVERSE, whole).tobytes()
     if 8 % bits == 0:
         # 1/2/4 bits: 8 // bits levels share one byte.
         levels = _grouped(q, 8 // bits, np.uint8)
         out = levels[:, 0].copy()
         for i in range(1, levels.shape[1]):
             out |= levels[:, i] << (i * bits)
-        return _BIT_REVERSE[out].tobytes()
+        return np.take(_BIT_REVERSE, out).tobytes()
     # Any other width: 8 levels fill ``bits`` whole bytes; a level that
     # straddles a byte boundary spills into the next one or two.
     levels = _grouped(q, 8, np.uint32)
@@ -404,7 +408,7 @@ def _pack_levels(q: np.ndarray, bits: int) -> bytes:
         window = levels[:, i] << shift
         for spill in range((shift + bits + 7) // 8):
             out[:, byte + spill] |= (window >> (8 * spill)).astype(np.uint8)
-    return _BIT_REVERSE[out].tobytes()[: (q.shape[0] * bits + 7) // 8]
+    return np.take(_BIT_REVERSE, out).tobytes()[: (q.shape[0] * bits + 7) // 8]
 
 
 def _unpack_levels(packed, count: int, bits: int) -> np.ndarray:
@@ -414,9 +418,10 @@ def _unpack_levels(packed, count: int, bits: int) -> np.ndarray:
     ``ceil(count * bits / 8)`` bytes (``bytes``, or a uint8 view into a
     payload); the table lookup is its only copy.
     """
-    raw = _BIT_REVERSE[
-        np.frombuffer(packed, dtype=np.uint8, count=(count * bits + 7) // 8)
-    ]
+    raw = np.take(
+        _BIT_REVERSE,
+        np.frombuffer(packed, dtype=np.uint8, count=(count * bits + 7) // 8),
+    )
     if bits == 8 or bits == 16:
         return raw.view(f"<u{bits // 8}")
     mask = (1 << bits) - 1

@@ -71,17 +71,31 @@ def _accuracies_valid(result: FigureResult) -> bool:
     return all(a is not None and 0.0 <= a <= 1.0 for a in finals)
 
 
+def _loss_drop(panel: PanelResult) -> float:
+    return max(
+        1.0 - h.final_train_loss() / h.train_losses[0]
+        for h in panel.histories.values()
+    )
+
+
 def loss_drops(result: FigureResult) -> Dict[str, float]:
     """Each panel's train-loss drop from its first evaluated round: the
     largest relative drop among its lines."""
     return {
-        f"{panel.dataset} {panel.environment}".strip(): max(
-            1.0 - h.final_train_loss() / h.train_losses[0]
-            for h in panel.histories.values()
-        )
+        f"{panel.dataset} {panel.environment}".strip(): _loss_drop(panel)
         for panel in result.panels
         if panel.histories
     }
+
+
+def no_learning(result: FigureResult) -> List[str]:
+    """The datasets whose every compared panel's loss drop is under
+    :data:`NO_LEARNING`, in panel order."""
+    drops: Dict[str, List[float]] = {}
+    for panel in result.panels:
+        if panel.histories:
+            drops.setdefault(panel.dataset, []).append(_loss_drop(panel))
+    return [name for name, ds in drops.items() if max(ds) < NO_LEARNING]
 
 
 def _rises(losses: List[float]) -> int:
@@ -424,8 +438,9 @@ def run_claims(
 ) -> List[Dict[str, object]]:
     """Judge the named claims (default: all), one row per claim in
     :data:`CLAIMS` order: ``claim``, ``figure``, ``seed``, ``held``, the
-    compared ``quantities`` and the compared panels' ``loss_drops``
-    (:func:`loss_drops`; none for Table 1).
+    compared ``quantities``, the compared panels' ``loss_drops``
+    (:func:`loss_drops`) and the datasets among them that did not learn
+    (:func:`no_learning`; neither for Table 1).
 
     The cells of each ``(experiment, seed)`` run once, for the union of
     the panels its claims read; each claim sees only its own panels.
@@ -447,22 +462,24 @@ def run_claims(
                 own = claims[name].panels
                 compared = evidence if own is None else evidence.only(own)
                 held, quantities = claims[name].judge(compared, get_scale(scale))
+                table = figure == "table1"
                 verdicts[name] = {"claim": name, "figure": figure, "seed": claim_seed,
                                   "held": bool(held), "quantities": quantities,
-                                  "loss_drops": {} if figure == "table1" else loss_drops(compared)}
+                                  "loss_drops": {} if table else loss_drops(compared),
+                                  "no_learning": [] if table else no_learning(compared)}
     return [verdicts[name] for name in claims]
 
 
 def _held(row: Dict[str, object]) -> str:
     if not row["held"]:
         return "NO"
-    drops = row["loss_drops"].values()
-    return "yes (no learning)" if drops and max(drops) < NO_LEARNING else "yes"
+    flat = row["no_learning"]
+    return f"yes (no learning: {', '.join(flat)})" if flat else "yes"
 
 
 def render_claims(rows: List[Dict[str, object]]) -> str:
-    """One line per claim: its figure, seed, whether it held (marked ``no
-    learning`` when every compared panel's loss moved under
+    """One line per claim: its figure, seed, whether it held (naming each
+    dataset whose compared panels' losses all moved under
     :data:`NO_LEARNING`), what it compared, and each compared panel's
     train-loss drop."""
     return format_table([

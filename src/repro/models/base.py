@@ -21,7 +21,7 @@ and cohort solves agree by construction.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -205,23 +205,24 @@ class FederatedModel(abc.ABC):
             "cohort round execution needs batched per-client gradients"
         )
 
-    def stacked_rows(self, shards: Sequence[np.ndarray]) -> np.ndarray:
-        """A cohort's training rows, laid out once for its solve.
+    def stacked_buffer(
+        self, rows: int, x: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A buffer of ``rows`` gathered rows in the stacked stream's layout.
 
-        ``shards`` are the cohort's feature arrays in task order; the
-        result is their concatenation followed by one zero pad row, in the
-        layout :meth:`stacked_minibatch_gradients` reads, so the cohort
-        loop gathers each chunk of steps from it with one ``take``.  The
-        default keeps integer features (token sequences) and stores any
-        other dtype as float64.
+        Returns ``(buf, features)``: ``buf`` is ``(rows, ...)`` in the
+        layout :meth:`stacked_minibatch_gradients` reads, and ``features``
+        the view of it that holds rows of ``x`` (a device's feature
+        array).  The cohort loop copies each gathered row into
+        ``features`` (``casting="unsafe"``) and zeros for a padded slot;
+        whatever else a row holds is set here once, so a padded slot reads
+        as the pad row.  The default keeps integer features (token
+        sequences) and stores any other dtype as float64, so ``features``
+        is ``buf`` itself.
         """
-        n = sum(len(x) for x in shards)
-        dtype = shards[0].dtype
-        if not np.issubdtype(dtype, np.integer):
-            dtype = np.float64
-        rows = np.zeros((n + 1,) + shards[0].shape[1:], dtype=dtype)
-        np.concatenate(shards, out=rows[:n])
-        return rows
+        dtype = x.dtype if np.issubdtype(x.dtype, np.integer) else np.float64
+        buf = np.zeros((rows,) + x.shape[1:], dtype=dtype)
+        return buf, buf
 
     def stacked_minibatch_gradients(
         self,
@@ -250,7 +251,7 @@ class FederatedModel(abc.ABC):
             value when that step is requested.  Never written here.
         X, y:
             ``(S, A, B, ...)`` and ``(S, A, B)`` — ``S`` consecutive steps
-            of mini-batches gathered from :meth:`stacked_rows`' layout,
+            of mini-batches gathered into :meth:`stacked_buffer`'s layout,
             one :meth:`stacked_gradient` ``X`` / ``y`` per leading index
             (never written).
         mask:

@@ -21,7 +21,7 @@ solver's step size over the batch size — where ``gradient`` divides it by
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -385,18 +385,18 @@ class MultinomialLogisticRegression(FederatedModel):
         """Closed-form gradients batch exactly over a leading client axis."""
         return True
 
-    def stacked_rows(self, shards: Sequence[np.ndarray]) -> np.ndarray:
-        """The cohort's rows as ``[x, 1]`` float64, the pad row ``[0, 1]``.
+    def stacked_buffer(
+        self, rows: int, x: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``[x, 1]`` float64 rows: features in the first ``dim`` columns.
 
-        Laid out once per cohort solve, so each gathered chunk is the one
-        copy the stacked stream multiplies (never a second one beside a
-        ones column).
+        The ones column is set once, so a padded slot (zero features)
+        reads as the pad row ``[0, 1]``, and each gathered chunk is the
+        one copy the stacked stream multiplies (never a second one beside
+        a ones column).
         """
-        n = sum(len(x) for x in shards)
-        rows = _with_ones_column(n + 1, self.dim)
-        rows[n, : self.dim] = 0.0
-        np.concatenate(shards, out=rows[:n, : self.dim], casting="unsafe")
-        return rows
+        buf = _with_ones_column(rows, self.dim)
+        return buf, buf[:, : self.dim]
 
     def stacked_minibatch_gradients(
         self,
@@ -409,7 +409,7 @@ class MultinomialLogisticRegression(FederatedModel):
     ) -> Iterator[np.ndarray]:
         """The cohort step loop's gradient stream: :class:`_Kernel` on a chunk.
 
-        ``X`` holds :meth:`stacked_rows`' ``[x, 1]`` rows; everything
+        ``X`` holds :meth:`stacked_buffer`'s ``[x, 1]`` rows; everything
         that does not depend on the step is built once per chunk: the
         kernel's buffers, the one-hot labels, each row's ``scale / m``
         and the step views.  Nothing outlives the stream, so the model
@@ -437,14 +437,15 @@ class MultinomialLogisticRegression(FederatedModel):
         the only stacked kernel body — so a direct call and the cohort
         loop cannot drift apart.  The result is a fresh array.
         """
-        y = np.asarray(y)
+        X, y = np.asarray(X), np.asarray(y)
         K, B = y.shape
         if mask is None:
             mask = np.ones(y.shape)
-        rows = self.stacked_rows([np.asarray(X).reshape(K * B, self.dim)])
+        rows, features = self.stacked_buffer(K * B, X)
+        np.copyto(features, X.reshape(K * B, self.dim), casting="unsafe")
         stream = self.stacked_minibatch_gradients(
             W,
-            rows[:-1].reshape(1, K, B, self.dim + 1),
+            rows.reshape(1, K, B, self.dim + 1),
             y[None],
             mask[None],
             np.asarray(counts).reshape(1, K, 1, 1),

@@ -25,14 +25,15 @@ Mechanics
   minimum ``ceil(sum T_k / t_max)``; balanced cohorts degenerate to the
   legacy one-client-per-row prefix schedule exactly.  The achieved/ideal
   width ratio is emitted as the ``cohort.pack_efficiency`` gauge.
-* **Ragged data.**  The model lays the cohort's training shards out once
-  per round (``stacked_rows``: concatenated, plus one zero pad row —
-  ``[x, 1]`` float64 rows for the logistic model, tokens kept for the
-  LSTMs); a run of steps is ``take``-n as an ``(S, A, B, ...)`` chunk into
-  one reused buffer through a precomputed ``(t_max, L, b_max)`` index
-  tensor whose padding entries point at the pad row.  A float mask zeroes
-  padding contributions before the backward GEMMs, so padded rows add
-  exact ``±0.0`` terms.
+* **Ragged data.**  Nothing is copied per round: each ``(S, A, B, ...)``
+  chunk of steps is gathered straight from the active lanes' own device
+  arrays into one reused buffer in the model's layout
+  (``stacked_buffer``: ``[x, 1]`` float64 rows for the logistic model,
+  tokens kept for the LSTMs), its index, mask and batch sizes sliced from
+  the chains' flat plans (:class:`_ChunkGather`).  A short batch's extra
+  slots hold the pad row (zero features, label 0), and a float mask
+  zeroes their contributions before the backward GEMMs, so padded rows
+  add exact ``±0.0`` terms.
 * **Stragglers.**  Lanes are ordered by descending total load, making the
   busy set at any step a *prefix* of the stack: when a lane's last chain
   ends it simply drops out of the stacked loop.  Time decomposes into
@@ -86,10 +87,89 @@ if TYPE_CHECKING:  # avoid a circular import with repro.core
     from ..models.base import FederatedModel
     from ..optim.base import LocalSolver
 
-# Upper bound on the per-chunk batch staging buffer (gathered X blocks).
-# Big enough to amortize the fancy-index gather over hundreds of steps,
-# small enough to stay cache/memory friendly at any federation scale.
-_GATHER_CHUNK_BYTES = 8 << 20
+# Upper bound on one gathered chunk of steps in the model's layout.  Big
+# enough to amortize each lane's gather over tens of steps, small enough
+# that a round's transient memory is this chunk and the weight stacks,
+# whatever the size of the largest selected device.
+_GATHER_CHUNK_BYTES = 1 << 20
+
+
+class _ChunkGather:
+    """Gathers each chunk of steps from the active lanes' own device arrays.
+
+    Inside a segment a lane advances one chain, and a chain's consecutive
+    steps read consecutive runs of its flat plan, so a lane's share of a
+    chunk is one slice of it.  Its rows are ``take``-n into a contiguous
+    staging buffer of the device's dtype (``take(out=)`` into the lane's
+    strided slots would stage through a temporary of its own), then
+    ``copyto``-d into the chunk, laid out by the model's
+    ``stacked_buffer``, as the serial stream gathers.  A short step's
+    slots past its batch take rows of the device that follow it in the
+    plan; once every lane is in, the chunk's mask is built from the batch
+    sizes and those slots are zeroed, labels included: the model's pad
+    row.
+    """
+
+    def __init__(self, model, sample: np.ndarray, b_max: int, steps: int, rows: int):
+        """Buffers for ``rows`` slots of chunk, and for ``steps`` steps of
+        one lane's share of it."""
+        self.x, self.features = model.stacked_buffer(rows, sample)
+        self.y = np.empty(rows, dtype=np.int64)
+        self.mask = np.empty(rows, dtype=np.float64)
+        self.valid = np.empty(rows, dtype=bool)
+        self.counts = np.empty(rows // b_max, dtype=np.float64)
+        self.b_max = b_max
+        self.cols = np.arange(b_max)
+        self.steps = steps
+        self.pos = np.empty((steps, b_max), dtype=np.int64)
+        self.idx = np.empty((steps, b_max), dtype=np.int64)
+        self.stages = {}  # (role, dtype) -> contiguous staging buffer
+
+    def __call__(self, lanes, S: int):
+        """The chunk of steps ``[l0, l0 + S)`` of each ``(chain, l0)`` in
+        ``lanes``: views ``X (S, A, B, ...)``, ``y`` and ``mask``
+        ``(S, A, B)`` and ``counts (S, A, 1, 1)`` of the reused buffers."""
+        shape = (S, len(lanes), self.b_max)
+        n = S * len(lanes) * self.b_max
+        X = self.x[:n].reshape(shape + self.x.shape[1:])
+        F = self.features[:n].reshape(shape + self.features.shape[1:])
+        y = self.y[:n].reshape(shape)
+        counts = self.counts[: n // self.b_max].reshape(shape[:2] + (1, 1))
+        for lane, (chain, l0) in enumerate(lanes):
+            self._lane(chain, l0, l0 + S, F[:, lane], y[:, lane], counts[:, lane, 0, 0])
+        valid = np.less(self.cols, counts[..., 0], out=self.valid[:n].reshape(shape))
+        mask = self.mask[:n].reshape(shape)
+        np.copyto(mask, valid)
+        if not valid.all():
+            pad = np.logical_not(valid, out=valid)
+            F[pad] = 0
+            y[pad] = 0
+        return X, y, mask, counts
+
+    def _lane(self, chain, l0, l1, F, y, counts) -> None:
+        """Steps ``[l0, l1)`` of ``chain`` into one lane's views of a chunk."""
+        x_dev, y_dev, flat, lens, bounds = chain
+        S, B = l1 - l0, self.b_max
+        lo, hi = bounds[l0], bounds[l1]
+        np.copyto(counts, lens[l0:l1])
+        if hi - lo == S * B:  # every step a full batch
+            idx = flat[lo:hi].reshape(S, B)
+        else:
+            pos = np.add(bounds[l0:l1, None], self.cols, out=self.pos[:S])
+            idx = flat.take(pos, out=self.idx[:S], mode="clip")
+        xs = self._stage("x", x_dev.dtype, (S, B) + x_dev.shape[1:])
+        ys = self._stage("y", y_dev.dtype, (S, B))
+        x_dev.take(idx, axis=0, out=xs, mode="clip")
+        y_dev.take(idx, out=ys, mode="clip")
+        np.copyto(F, xs, casting="unsafe")
+        np.copyto(y, ys, casting="unsafe")
+
+    def _stage(self, role, dtype, shape):
+        buf = self.stages.get((role, dtype))
+        if buf is None:
+            rows = self.steps * self.b_max
+            buf = self.stages[role, dtype] = np.empty((rows,) + shape[2:], dtype)
+        return buf[: shape[0] * shape[1]].reshape(shape)
 
 
 def solve_cohort(
@@ -103,7 +183,7 @@ def solve_cohort(
 
     When ``telemetry`` is enabled, the solve's internal phase splits are
     emitted as ``cohort:plan`` (batch schedules + lane packing),
-    ``cohort:pack`` (shard concatenation + gather-plan build),
+    ``cohort:pack`` (chain bounds + gather buffers),
     ``cohort:kernel`` (the stacked step loop), and ``cohort:finalize``
     (task-order restore + γ measurement) spans — plus the
     ``cohort.pack_efficiency`` gauge (achieved width / ideal width of the
@@ -127,14 +207,15 @@ def solve_cohort(
     # them (one permutation per started epoch from the task's entropy).
     # Crash faults truncate the executed budget here, exactly as the
     # scalar path truncates it — a crashed client is scheduled like a
-    # straggler whose budget ends at the crash point.
+    # straggler whose budget ends at the crash point.  Each device's
+    # arrays are read in place for the whole solve: nothing is copied
+    # beyond the chunk being stepped.
+    shards = [clients[task.client_id] for task in tasks]
     plans = [
         solver.stacked_plan(
-            clients[task.client_id].num_train,
-            task_effective_epochs(task),
-            task_rng(task),
+            data.num_train, task_effective_epochs(task), task_rng(task)
         )
-        for task in tasks
+        for task, data in zip(tasks, shards)
     ]
 
     budgets = [len(lens) for _, lens in plans]  # steps per task
@@ -157,33 +238,16 @@ def solve_cohort(
         )
         t_phase = now
 
-    # Lay the cohort's shards out once (task order) in the model's stacked
-    # layout; the final row is a zero pad target for out-of-batch gather
-    # indices (for token sequences token 0, whose gradient contribution
-    # the mask zeroes exactly).
-    shards = [clients[task.client_id] for task in tasks]
-    offsets = np.cumsum([0] + [data.num_train for data in shards])
-    base = int(offsets[-1])  # the pad row's index
-    x_cat = model.stacked_rows([data.train_x for data in shards])
-    y_cat = np.zeros(base + 1, dtype=np.int64)
-    np.concatenate([data.train_y for data in shards], out=y_cat[:base])
-    del shards
-
-    # Precomputed gather plan over (step, lane, batch-slot): indices,
-    # masks and batch sizes, scattered once per chain placement — a Python
-    # loop over every (step, sample) would cost more than the solve.
-    idx = np.full((t_max, L, b_max), base, dtype=np.int64)
-    mask = np.zeros((t_max, L, b_max), dtype=np.float64)
-    counts = np.ones((t_max, L), dtype=np.float64)
-    for p in plan.placements:
-        flat, lens = plans[p.task]
-        flat = flat + offsets[p.task]
-        step_of = np.repeat(np.arange(p.start, p.stop), lens)
-        col_of = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
-        idx[step_of, p.lane, col_of] = flat
-        mask[step_of, p.lane, col_of] = 1.0
-        counts[p.start : p.stop, p.lane] = lens
-    counts3 = counts[:, :, None, None]  # kernel-shaped (t, L, 1, 1) view
+    # Each chain's step boundaries in its flat plan: step t reads
+    # ``flat[bounds[t]:bounds[t + 1]]``.
+    chains = []
+    for data, (flat, lens) in zip(shards, plans):
+        bounds = np.zeros(len(lens) + 1, dtype=np.int64)
+        np.cumsum(lens, out=bounds[1:])
+        chains.append(
+            (np.asarray(data.train_x), np.asarray(data.train_y), flat, lens, bounds)
+        )
+    del plans
 
     # Stacked per-lane weights and subproblem terms, loaded at each chain's
     # start segment (float64 copies exactly as the scalar solvers take
@@ -197,38 +261,40 @@ def solve_cohort(
     state = solver.stacked_state((L, d))
     scale = solver.gradient_scale
 
-    # Every chunk of steps is gathered into one reused buffer, sized for
-    # the largest chunk of any segment.
-    row_shape, row_bytes = x_cat.shape[1:], x_cat[0].nbytes
+    # Every chunk of steps is gathered into one set of reused buffers,
+    # sized for the largest chunk of any segment.
+    sample = chains[0][0]
+    row_bytes = model.stacked_buffer(1, sample)[0].nbytes
     chunks = [
         max(1, _GATHER_CHUNK_BYTES // (seg.width * b_max * row_bytes))
         for seg in plan.segments
     ]
-    most = b_max * max(
-        min(c, seg.hi - seg.lo) * seg.width for c, seg in zip(chunks, plan.segments)
-    )
-    x_buf = np.empty((most,) + row_shape, dtype=x_cat.dtype)
-    y_buf = np.empty(most, dtype=np.int64)
+    spans = [min(c, seg.hi - seg.lo) for c, seg in zip(chunks, plan.segments)]
+    most = b_max * max(n * seg.width for n, seg in zip(spans, plan.segments))
+    gather = _ChunkGather(model, sample, b_max, max(spans), most)
 
     if telemetry.enabled:
         now = time.perf_counter()
         telemetry.record_span(
             "cohort:pack", now - t_phase, round_idx=round_idx,
-            rows=int(base), clients=K, lanes=L,
+            rows=sum(data.num_train for data in shards), clients=K, lanes=L,
         )
         t_phase = now
 
     # The step loop decomposes into the planner's segments of constant
     # busy width ``a``; within a segment each active lane advances one
-    # fixed chain, so batches for many steps are gathered in one ``take``
-    # (chunked to bound the staging buffer) and handed to the model's
-    # gradient stream, which reads ``W[:a]`` in place and yields one reused
-    # buffer of ``gradient_scale * ∇F_k`` per step.
+    # fixed chain, so each lane's batches for many steps are one slice of
+    # its chain's plan, gathered in one ``take`` (chunked to bound the
+    # buffers) and handed to the model's gradient stream, which reads
+    # ``W[:a]`` in place and yields one reused buffer of
+    # ``gradient_scale * ∇F_k`` per step.
     stacked_step = solver.stacked_step
+    running = [None] * L  # the placement each lane is advancing
     t_kernel = time.perf_counter()
     for seg, chunk in zip(plan.segments, chunks):
         for p in seg.starts:
             lane = p.lane
+            running[lane] = p
             task = tasks[p.task]
             W[lane] = np.asarray(task.w_global, dtype=np.float64)
             mus[lane] = task.mu
@@ -246,14 +312,9 @@ def solve_cohort(
         first_step = int(seg.base_steps[0]) if seg.uniform else seg.base_steps
         for lo in range(seg.lo, seg.hi, chunk):
             hi = min(lo + chunk, seg.hi)
-            rows = idx[lo:hi, :a]
-            Xc = x_buf[: rows.size].reshape(rows.shape + row_shape)
-            yc = y_buf[: rows.size].reshape(rows.shape)
-            np.take(x_cat, rows, axis=0, out=Xc, mode="clip")
-            np.take(y_cat, rows, out=yc, mode="clip")
-            stream = model.stacked_minibatch_gradients(
-                Wa, Xc, yc, mask[lo:hi, :a], counts3[lo:hi, :a], scale
-            )
+            lanes = [(chains[p.task], lo - p.start) for p in running[:a]]
+            X, y, mask, counts = gather(lanes, hi - lo)
+            stream = model.stacked_minibatch_gradients(Wa, X, y, mask, counts, scale)
             for step, G in enumerate(stream, lo - seg.lo):
                 stacked_step(Wa, G, state, first_step + step)
         for p in seg.ends:
@@ -272,8 +333,7 @@ def solve_cohort(
 
     # Emit updates in task order with the scalar path's metadata.
     updates: List["ClientUpdate"] = [None] * K  # type: ignore[list-item]
-    for i, task in enumerate(tasks):
-        data = clients[task.client_id]
+    for i, (task, data) in enumerate(zip(tasks, shards)):
         w_local = results[i]
         gamma = None
         if task.measure_gamma:

@@ -12,10 +12,9 @@ forward, shows up as megabytes against bounds of a few hundred KB:
 (b) the traced peak inside a round is at most the accuracy sample's
     held-out rows twice (the per-device arrays and their stack) plus a
     few clients' bytes;
-(c) the cohort engine's per-round pack holds the cohort's shards, their
-    concatenation ``x_cat``, the gather plan and one gathered chunk with
-    its ones-column copy — the logistic kernel's folded bias adds no
-    per-round copy of ``x_cat``.
+(c) the cohort engine's solve holds the cohort's shards, read in place,
+    and one gathered chunk with its ones column — no per-round copy of
+    the cohort's rows and no whole-round gather plan.
 """
 
 from __future__ import annotations
@@ -102,14 +101,16 @@ def test_a_round_peaks_at_its_sampled_held_out_rows(engine):
         assert peak <= bound, f"round {round_idx}: {peak} B > {bound} B"
 
 
-def test_a_cohort_pack_holds_its_shards_one_concatenation_and_one_chunk(monkeypatch):
+@pytest.mark.oracle  # the bound rests on take(out=) / copyto staging no temporary
+def test_a_cohort_solve_holds_its_shards_and_one_chunk(monkeypatch):
     """(c) on ``solve_cohort`` itself, with the gather cap below one step so
-    a chunk is one step's rows.  The bound is what the pack holds — the
-    shards, the model's laid-out rows ``x_cat`` = ``(Σn_k + 1)·(d + 1)·8``
-    (``[x, 1]``) and ``y_cat`` — plus the kernel's working set: the gather
-    plan ``idx`` / ``mask`` / ``counts``, the weight stacks, the results,
-    and one gathered chunk of ``[x, 1]`` rows with its labels and one-hot
-    block.  A second copy of the chunk, or of ``x_cat``, would exceed it."""
+    a chunk is one step's rows.  The bound is the cohort's shards (read in
+    place, never concatenated) and their batch schedules plus the kernel's
+    working set: the weight stacks, the results, one gathered chunk of
+    ``[x, 1]`` rows with its labels, mask and one-hot block, and one
+    lane's staged rows and indices.  A copy of the cohort's rows, a
+    whole-round gather plan or a second copy of the chunk would exceed
+    it."""
     monkeypatch.setattr(cohort, "_GATHER_CHUNK_BYTES", 32 << 10)
     dataset = make_synthetic_ondemand(1.0, 1.0, num_devices=DEVICES, size_cap=200)
     model = MultinomialLogisticRegression(dim=60, num_classes=10)
@@ -133,13 +134,19 @@ def test_a_cohort_pack_holds_its_shards_one_concatenation_and_one_chunk(monkeypa
         tracemalloc.stop()
 
     d, B, C, P = 60, 10, 10, model.n_params
-    rows = sum(c.num_train for c in clients)
-    x_cat, y_cat = (rows + 1) * (d + 1) * 8, (rows + 1) * 8
     steps = [BatchSchedule(c.num_train, B, 1).total for c in clients]
-    lanes, t_max = plan_cohort(steps).n_lanes, max(steps)
-    gather_plan = 2 * t_max * lanes * B * 8 + t_max * lanes * 8
+    plan = plan_cohort(steps)
+    lanes = plan.n_lanes
+    # The chains' flat plans (one index a row), batch lengths and bounds.
+    schedules = sum(c.num_train for c in clients) * 8 + 2 * (sum(steps) + K) * 8
     stacks = 3 * lanes * P * 8 + K * P * 8  # W, b rows, gradient; results
-    chunk = lanes * B * ((d + 1) + 1 + C) * 8  # [x, 1] rows, labels, one-hot
-    held = sum(_nbytes(c) for c in clients) + x_cat + y_cat
-    bound = held + gather_plan + stacks + chunk + (64 << 10)
+    chunk = lanes * B * ((d + 1) + 1 + 1 + C) * 8  # [x, 1] rows, labels, mask, one-hot
+    # One lane's staged rows, labels, positions and indices: its most
+    # steps in a chunk.
+    staged = B * (d + 3) * 8 * max(
+        min(seg.hi - seg.lo, max(1, (32 << 10) // (seg.width * B * (d + 1) * 8)))
+        for seg in plan.segments
+    )
+    held = sum(_nbytes(c) for c in clients)
+    bound = held + schedules + stacks + chunk + staged + (64 << 10)
     assert peak <= bound, f"{peak} B > {bound} B"

@@ -83,7 +83,9 @@ def _history(*losses):
 
 
 def test_a_claim_over_panels_that_did_not_learn_is_marked(monkeypatch, capsys):
-    """Every compared panel moved < 1 %: held, marked, exit code unchanged."""
+    """Each dataset whose compared panels all moved < 1 % is named beside
+    a held claim, even when another dataset learned; the exit code is
+    unchanged."""
     flat = FigureResult("figure1", "", [
         PanelResult("FEMNIST-like", "0% stragglers", {
             "FedAvg": _history(2.30, None, 2.29), "FedProx": _history(2.30, 2.285),
@@ -113,8 +115,28 @@ def test_a_claim_over_panels_that_did_not_learn_is_marked(monkeypatch, capsys):
         next(line for line in lines if line.startswith(name + " "))
         for name in ("flat", "learning", "flat-failing")
     )
-    assert "yes (no learning)" in flat_row
+    assert "yes (no learning: FEMNIST-like, Sent140-like) " in flat_row
     assert "FEMNIST-like 0% stragglers=0.7%, Sent140-like=0.4%" in flat_row
-    assert "yes " in learning_row and "no learning" not in learning_row
+    assert "yes (no learning: Sent140-like) " in learning_row
     assert "MNIST-like=25.0%" in learning_row
     assert " NO " in failing_row and "no learning" not in failing_row
+
+
+def test_a_dataset_with_one_learning_panel_is_not_named(monkeypatch):
+    """A dataset is named only when all of its panels stayed flat; a claim
+    whose datasets all learned reads a bare ``yes``."""
+    result = FigureResult("figure1", "", [
+        PanelResult("MNIST-like", "0% stragglers", {"FedAvg": _history(2.0, 2.05)}),
+        PanelResult("MNIST-like", "90% stragglers", {"FedAvg": _history(2.0, 1.9)}),
+        PanelResult("FEMNIST-like", "0% stragglers", {"FedAvg": _history(2.3, 2.0)}),
+    ])
+    monkeypatch.setattr(claims_module, "run_cells", lambda cells, out=None: result)
+    monkeypatch.setattr(claims_module, "CLAIMS", {
+        "mixed": Claim("figure1", lambda result, scale: (True, {})),
+    })
+    (row,) = run_claims()
+    assert row["no_learning"] == []
+    assert claims_module._held(row) == "yes"
+    assert claims_module.no_learning(FigureResult("figure1", "", result.panels[:1])) == [
+        "MNIST-like"
+    ]

@@ -206,7 +206,9 @@ class OracleStackedLogisticEpoch3:
 
 def _rows(model, X):
     """Raw ``(..., B, dim)`` rows in the layout the library's stream reads."""
-    laid = model.stacked_rows([np.asarray(X).reshape(-1, X.shape[-1])])[:-1]
+    X = np.asarray(X)
+    laid, features = model.stacked_buffer(X.size // X.shape[-1], X)
+    np.copyto(features, X.reshape(-1, X.shape[-1]), casting="unsafe")
     return laid.reshape(X.shape[:-1] + (laid.shape[-1],))
 
 
