@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -408,7 +408,3 @@ def as_tensor(value: ArrayLike) -> Tensor:
     """Coerce ``value`` to a :class:`Tensor` (no-op if already one)."""
     return value if isinstance(value, Tensor) else Tensor(value)
 
-
-def parameters_of(tensors: Iterable[Tensor]) -> list:
-    """Filter an iterable down to tensors with ``requires_grad=True``."""
-    return [t for t in tensors if isinstance(t, Tensor) and t.requires_grad]

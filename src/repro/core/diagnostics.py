@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..runtime.executor import task_round
-from ..systems.clock import ClockDrivenSystems, SystemsClock
+from ..systems.clock import ClockDrivenSystems
 from ..systems.stragglers import SystemsModel
 from ..telemetry import peak_rss_bytes
 from .client import ClientUpdate
@@ -39,9 +39,10 @@ def emit_round_diagnostics(
     the solve's mini-batch ``steps``.  When ``systems`` is clock-driven,
     each ``solve:client`` span carries ``download_cycles``,
     ``compute_cycles``, ``upload_cycles`` and ``bottleneck`` from the
-    clock's timing of that solve, at its task's round and the epochs it ran.
+    model's :meth:`~repro.systems.clock.ClockDrivenSystems.timing` of that
+    solve, at its task's round and the epochs it ran.
     """
-    clock = SystemsClock(systems) if isinstance(systems, ClockDrivenSystems) else None
+    clock = systems if isinstance(systems, ClockDrivenSystems) else None
     for update in updates:
         if update.timings is not None:
             attrs = {k: v for k, v in update.timings.items() if k != "solve"}

@@ -113,13 +113,6 @@ class TrainingHistory:
         return [r.train_loss for r in self.records if r.train_loss is not None]
 
     @property
-    def train_loss_cis(self) -> List[float]:
-        """Sampled-evaluation loss CI half-widths (full rounds omitted)."""
-        return [
-            r.train_loss_ci for r in self.records if r.train_loss_ci is not None
-        ]
-
-    @property
     def test_accuracies(self) -> List[float]:
         """Test-accuracy series (skipped rounds omitted)."""
         return [r.test_accuracy for r in self.records if r.test_accuracy is not None]

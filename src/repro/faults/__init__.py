@@ -7,8 +7,9 @@ This subsystem simulates the failure patterns production federations
 actually see and the server policies that absorb them:
 
 * **Fault models** (:mod:`repro.faults.models`): composable, per-client
-  seeded :class:`FaultSchedule` s — crash-mid-solve, round dropout, update
-  corruption, stale delivery, and a chaos mode sampling from all of them.
+  seeded :class:`FaultSchedule` s — one rate-driven schedule
+  (:class:`ChaosFaults`) over crash-mid-solve, round dropout, update
+  corruption and stale delivery, with a single-kind preset for each.
   Draws ride the same ``(seed, round, client)`` entropy pipeline as
   straggler draws, so fault environments are identical across executors
   and run-to-run.

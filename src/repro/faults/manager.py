@@ -108,9 +108,8 @@ class FaultManager:
         self.stats = FaultStats()
         self.suspicion: Dict[int, int] = {}
         self.quarantined_clients: Set[int] = set()
-        # Stale deliveries: (arrival_round, insertion_order, update).
-        self._stale_buffer: List[Tuple[int, int, object]] = []
-        self._stale_counter = 0
+        # Stale deliveries in insertion order: (arrival_round, update).
+        self._stale_buffer: List[Tuple[int, object]] = []
 
     # Event helpers -------------------------------------------------------- #
     def _count(self, key: str, round_idx: int, **attrs) -> None:
@@ -236,9 +235,8 @@ class FaultManager:
                     client_id=booked(update), delay=update.task.fault.delay,
                 )
                 self._stale_buffer.append(
-                    (round_idx + update.task.fault.delay, self._stale_counter, update)
+                    (round_idx + update.task.fault.delay, update)
                 )
-                self._stale_counter += 1
                 continue
             timely.append(update)
         matured = [
@@ -248,7 +246,8 @@ class FaultManager:
             self._stale_buffer = [
                 item for item in self._stale_buffer if item[0] > round_idx
             ]
-            for _, _, update in sorted(matured, key=lambda item: item[:2]):
+            # A stable sort: equal arrival rounds keep insertion order.
+            for _, update in sorted(matured, key=lambda item: item[0]):
                 self._count(
                     "stale_delivered", round_idx, client_id=update.client_id
                 )

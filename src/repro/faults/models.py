@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,11 @@ from ..systems.stragglers import entropy_rng
 # Salt separating fault draws from straggler/batch draws in the shared
 # seed-entropy pipeline (arbitrary constant, spells "FA17" for faults).
 FAULT_SALT = 0xFA17
+
+# Salt deriving a corruption's noise stream from its task's entropy tuple,
+# disjoint from the mini-batch stream so injecting a corruption never
+# perturbs the batch order of the solve it corrupts.
+_CORRUPTION_SALT = 0xC0FF
 
 #: The fault kinds a schedule may draw.
 FAULT_KINDS = ("crash", "dropout", "corrupt", "stale")
@@ -97,6 +102,35 @@ class FaultDecision:
                 f"corrupt mode must be one of {CORRUPT_MODES}, got {self.mode!r}"
             )
 
+    def executed_epochs(self, epochs: float) -> float:
+        """The part of an ``epochs`` budget the struck solve executes.
+
+        A crash truncates the *executed* budget to the drawn fraction —
+        the device checkpointed that much work before failing — so a
+        crashed solve does identical work (and consumes identical batch
+        entropy) on every executor.  Other kinds run the whole budget.
+        """
+        return epochs * self.fraction if self.kind == "crash" else epochs
+
+    def damage(self, w: np.ndarray, entropy: Tuple[int, ...]) -> None:
+        """Corrupt a delivered iterate in place; only ``corrupt`` damages.
+
+        The noise derives from the solve's ``entropy`` tuple plus a
+        dedicated salt, so the damage is bit-identical on every executor
+        and across process boundaries.
+        """
+        if self.kind != "corrupt":
+            return
+        rng = entropy_rng(*entropy, _CORRUPTION_SALT)
+        if self.mode == "nan":
+            # Poison ~10% of coordinates (at least one) with NaNs: loud,
+            # detectable damage the quarantine guard is meant to catch.
+            k = max(1, w.size // 10)
+            w[rng.choice(w.size, size=k, replace=False)] = np.nan
+        else:  # "noise": silent damage at `scale` times the update's RMS
+            rms = float(np.sqrt(np.mean(w * w)))
+            w += self.scale * (rms or 1.0) * rng.standard_normal(w.size)
+
 
 class FaultSchedule(abc.ABC):
     """Per-(round, device) fault draws.
@@ -119,14 +153,6 @@ class FaultSchedule(abc.ABC):
         self, round_idx: int, client_id: int, attempt: int = 0
     ) -> Optional[FaultDecision]:
         """The fault (if any) striking this solve; ``None`` means healthy."""
-
-    def _rng(
-        self, round_idx: int, client_id: int, attempt: int
-    ) -> np.random.Generator:
-        """Per-draw generator on the shared seed-entropy pipeline."""
-        return entropy_rng(
-            getattr(self, "seed", 0), FAULT_SALT, round_idx, client_id, attempt
-        )
 
     # Schedules are pure functions of their constructor arguments, so
     # value equality is description equality — this is what makes a
@@ -161,111 +187,15 @@ class NoFaults(FaultSchedule):
 NO_FAULTS = NoFaults()
 
 
-class _RateFaults(FaultSchedule):
-    """Common base for schedules striking independently at a fixed rate."""
-
-    def __init__(self, rate: float, seed: int = 0) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        self.rate = float(rate)
-        self.seed = int(seed)
-
-    def draw(
-        self, round_idx: int, client_id: int, attempt: int = 0
-    ) -> Optional[FaultDecision]:
-        rng = self._rng(round_idx, client_id, attempt)
-        if rng.uniform() >= self.rate:
-            return None
-        return self._decision(rng)
-
-    @abc.abstractmethod
-    def _decision(self, rng: np.random.Generator) -> FaultDecision:
-        """The fault a strike inflicts."""
-
-
 @register
-class CrashFaults(_RateFaults):
-    """Devices crash mid-solve with probability ``rate``.
+class ChaosFaults(FaultSchedule):
+    """The rate-driven schedule: faults strike at ``rate``, sampling
+    uniformly over ``kinds``.
 
-    The completed fraction of the step budget is drawn uniformly from
-    ``[min_fraction, max_fraction]`` — the paper's partial-work regime,
-    triggered by a failure instead of a known budget.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        seed: int = 0,
-        min_fraction: float = 0.1,
-        max_fraction: float = 0.9,
-    ) -> None:
-        super().__init__(rate, seed)
-        if not 0.0 < min_fraction <= max_fraction <= 1.0:
-            raise ValueError("need 0 < min_fraction <= max_fraction <= 1")
-        self.min_fraction = float(min_fraction)
-        self.max_fraction = float(max_fraction)
-
-    def _decision(self, rng: np.random.Generator) -> FaultDecision:
-        return FaultDecision(
-            kind="crash",
-            fraction=float(rng.uniform(self.min_fraction, self.max_fraction)),
-        )
-
-
-@register
-class DropoutFaults(_RateFaults):
-    """Devices go offline for whole rounds with probability ``rate``."""
-
-    def _decision(self, rng: np.random.Generator) -> FaultDecision:
-        return FaultDecision(kind="dropout")
-
-
-@register
-class CorruptionFaults(_RateFaults):
-    """Delivered updates are corrupted with probability ``rate``.
-
-    ``mode="nan"`` poisons a subset of coordinates with NaNs (detectable —
-    the policy's quarantine guard catches it); ``mode="noise"`` adds
-    Gaussian noise at ``scale`` times the update's RMS magnitude (silent).
-    """
-
-    def __init__(
-        self, rate: float, seed: int = 0, mode: str = "nan", scale: float = 1.0
-    ) -> None:
-        super().__init__(rate, seed)
-        if mode not in CORRUPT_MODES:
-            raise ValueError(f"mode must be one of {CORRUPT_MODES}")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.mode = mode
-        self.scale = float(scale)
-
-    def _decision(self, rng: np.random.Generator) -> FaultDecision:
-        return FaultDecision(kind="corrupt", mode=self.mode, scale=self.scale)
-
-
-@register
-class StaleFaults(_RateFaults):
-    """Updates are delivered late with probability ``rate``.
-
-    The delay is drawn uniformly from ``{1, ..., max_delay}`` rounds.
-    """
-
-    def __init__(self, rate: float, seed: int = 0, max_delay: int = 3) -> None:
-        super().__init__(rate, seed)
-        if max_delay < 1:
-            raise ValueError("max_delay must be at least 1")
-        self.max_delay = int(max_delay)
-
-    def _decision(self, rng: np.random.Generator) -> FaultDecision:
-        return FaultDecision(
-            kind="stale", delay=int(rng.integers(1, self.max_delay + 1))
-        )
-
-
-@register
-class ChaosFaults(_RateFaults):
-    """Chaos mode: faults strike at ``rate``, sampling uniformly over kinds.
+    A draw is uniform → kind → that kind's parameters, from the
+    ``(seed, round, client, attempt)`` generator.  The single-kind
+    schedules below pin ``kinds`` to one kind; picking from one
+    (``integers(1)``) consumes no entropy.
 
     Parameters
     ----------
@@ -276,8 +206,16 @@ class ChaosFaults(_RateFaults):
     kinds:
         The fault kinds to sample from (default: all of
         :data:`FAULT_KINDS`).
-    min_fraction, max_fraction, mode, scale, max_delay:
-        Kind-specific parameters, as on the dedicated schedules.
+    min_fraction, max_fraction:
+        ``crash``: the completed fraction of the step budget is drawn
+        uniformly from ``[min_fraction, max_fraction]``.
+    mode, scale:
+        ``corrupt``: ``"nan"`` poisons a subset of coordinates (detectable —
+        the policy's quarantine guard catches it); ``"noise"`` adds Gaussian
+        noise at ``scale`` times the update's RMS (silent).
+    max_delay:
+        ``stale``: the delay is drawn uniformly from ``{1, ..., max_delay}``
+        rounds.
     """
 
     def __init__(
@@ -291,16 +229,21 @@ class ChaosFaults(_RateFaults):
         scale: float = 1.0,
         max_delay: int = 3,
     ) -> None:
-        super().__init__(rate, seed)
         kinds = tuple(kinds)
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError("rate must be in [0, 1]")
         if not kinds or any(k not in FAULT_KINDS for k in kinds):
             raise ValueError(f"kinds must be a non-empty subset of {FAULT_KINDS}")
         if not 0.0 < min_fraction <= max_fraction <= 1.0:
             raise ValueError("need 0 < min_fraction <= max_fraction <= 1")
         if mode not in CORRUPT_MODES:
             raise ValueError(f"mode must be one of {CORRUPT_MODES}")
+        if scale <= 0:
+            raise ValueError(f"scale must be positive, got {scale}")
         if max_delay < 1:
             raise ValueError("max_delay must be at least 1")
+        self.rate = float(rate)
+        self.seed = int(seed)
         self.kinds = kinds
         self.min_fraction = float(min_fraction)
         self.max_fraction = float(max_fraction)
@@ -308,24 +251,66 @@ class ChaosFaults(_RateFaults):
         self.scale = float(scale)
         self.max_delay = int(max_delay)
 
-    def _decision(self, rng: np.random.Generator) -> FaultDecision:
+    def draw(
+        self, round_idx: int, client_id: int, attempt: int = 0
+    ) -> Optional[FaultDecision]:
+        rng = entropy_rng(self.seed, FAULT_SALT, round_idx, client_id, attempt)
+        if rng.uniform() >= self.rate:
+            return None
         kind = self.kinds[int(rng.integers(len(self.kinds)))]
         if kind == "crash":
-            return FaultDecision(
-                kind="crash",
-                fraction=float(
-                    rng.uniform(self.min_fraction, self.max_fraction)
-                ),
-            )
-        if kind == "dropout":
-            return FaultDecision(kind="dropout")
+            fraction = float(rng.uniform(self.min_fraction, self.max_fraction))
+            return FaultDecision(kind, fraction=fraction)
         if kind == "corrupt":
-            return FaultDecision(
-                kind="corrupt", mode=self.mode, scale=self.scale
-            )
-        return FaultDecision(
-            kind="stale", delay=int(rng.integers(1, self.max_delay + 1))
+            return FaultDecision(kind, mode=self.mode, scale=self.scale)
+        if kind == "stale":
+            delay = int(rng.integers(1, self.max_delay + 1))
+            return FaultDecision(kind, delay=delay)
+        return FaultDecision(kind)
+
+
+@register
+class CrashFaults(ChaosFaults):
+    """Devices crash mid-solve with probability ``rate`` — the paper's
+    partial-work regime, triggered by a failure instead of a known budget."""
+
+    def __init__(
+        self,
+        rate: float,
+        seed: int = 0,
+        min_fraction: float = 0.1,
+        max_fraction: float = 0.9,
+    ) -> None:
+        super().__init__(
+            rate, seed, ("crash",),
+            min_fraction=min_fraction, max_fraction=max_fraction,
         )
+
+
+@register
+class DropoutFaults(ChaosFaults):
+    """Devices go offline for whole rounds with probability ``rate``."""
+
+    def __init__(self, rate: float, seed: int = 0) -> None:
+        super().__init__(rate, seed, ("dropout",))
+
+
+@register
+class CorruptionFaults(ChaosFaults):
+    """Delivered updates are corrupted with probability ``rate``."""
+
+    def __init__(
+        self, rate: float, seed: int = 0, mode: str = "nan", scale: float = 1.0
+    ) -> None:
+        super().__init__(rate, seed, ("corrupt",), mode=mode, scale=scale)
+
+
+@register
+class StaleFaults(ChaosFaults):
+    """Updates are delivered late with probability ``rate``."""
+
+    def __init__(self, rate: float, seed: int = 0, max_delay: int = 3) -> None:
+        super().__init__(rate, seed, ("stale",), max_delay=max_delay)
 
 
 @register

@@ -93,8 +93,13 @@ class FaultPolicy:
             raise ValueError("backoff_base must be >= 0, backoff_factor > 0")
         if self.quarantine_threshold < 1:
             raise ValueError("quarantine_threshold must be at least 1")
-        if self.min_quorum < 0:
+        if not self.min_quorum >= 0:
             raise ValueError("min_quorum must be non-negative")
+        if self.min_quorum >= 1 and not float(self.min_quorum).is_integer():
+            raise ValueError(
+                f"min_quorum >= 1 is an update count and must be integral, "
+                f"got {self.min_quorum}"
+            )
 
     # Derived quantities -------------------------------------------------- #
     def backoff(self, attempt: int) -> float:

@@ -117,20 +117,6 @@ class FederatedModel(abc.ABC):
         """
         return None
 
-    def fast_path_capabilities(self) -> dict:
-        """Which runtime fast paths this model unlocks, as one flat dict.
-
-        The runtime gates each fast path on the individual properties; this
-        summary exists for benchmarks and diagnostics, so a perf
-        regression can be correlated with a capability change.
-        """
-        return {
-            "stacked_eval": bool(self.supports_stacked_eval),
-            "stacked_local_solve": bool(self.supports_stacked_local_solve),
-            "stacked_local_solve_reason": self.stacked_local_solve_reason,
-            "eval_block_rows": self.stacked_eval_block_rows,
-        }
-
     @property
     def supports_stacked_local_solve(self) -> bool:
         """Whether the model implements :meth:`stacked_gradient`.
@@ -149,8 +135,7 @@ class FederatedModel(abc.ABC):
         """Why :attr:`supports_stacked_local_solve` is off (``None`` if on).
 
         Surfaced by :class:`~repro.runtime.cohort.CohortExecutor`'s
-        bind-time error and by :meth:`fast_path_capabilities`, so
-        "stacked_local_solve: false" is always accompanied by the *why*
+        bind-time error, so a refused cohort engine always names the *why*
         (e.g. the graph backend being the gradcheck oracle rather than a
         missing kernel).
         """

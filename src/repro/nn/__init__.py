@@ -8,7 +8,7 @@ from .losses import (
     softmax_cross_entropy,
 )
 from .module import Module, ModuleList, Sequential
-from .recurrent import LSTM, LSTMCell, RNNCell
+from .recurrent import LSTM, LSTMCell
 
 __all__ = [
     "init",
@@ -17,7 +17,6 @@ __all__ = [
     "Sequential",
     "Dense",
     "Embedding",
-    "RNNCell",
     "LSTMCell",
     "LSTM",
     "softmax_cross_entropy",

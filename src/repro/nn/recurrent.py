@@ -1,4 +1,4 @@
-"""Recurrent layers: vanilla RNN and LSTM cells plus sequence wrappers.
+"""Recurrent layers: the LSTM cell and its sequence wrapper.
 
 The paper's non-convex workloads are LSTM classifiers (Shakespeare next-char
 prediction, Sent140 sentiment).  These are implemented here on top of the
@@ -23,22 +23,6 @@ import numpy as np
 from ..autograd import Tensor, ops
 from . import init
 from .module import Module, ModuleList
-
-
-class RNNCell(Module):
-    """Elman RNN cell: ``h' = tanh(x @ W_x + h @ W_h + b)``."""
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.w_x = Tensor(init.glorot_uniform(rng, (input_size, hidden_size)), requires_grad=True)
-        self.w_h = Tensor(init.orthogonal(rng, (hidden_size, hidden_size)), requires_grad=True)
-        self.bias = Tensor(init.zeros((hidden_size,)), requires_grad=True)
-
-    def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        pre = ops.add(ops.add(ops.matmul(x, self.w_x), ops.matmul(h, self.w_h)), self.bias)
-        return ops.tanh(pre)
 
 
 class LSTMCell(Module):

@@ -73,7 +73,8 @@ class AsyncExecutor(SerialExecutor):
         Staleness-discount family: ``"poly"`` (``(1+s)^(-power)``) or
         ``"const"`` (``factor`` for any stale update).
     discount_power, discount_factor:
-        Parameters of the two families.
+        Parameters of the two families: ``power >= 0`` with
+        ``(1 + window)^-power > 0``, and ``0 < factor <= 1``.
     capacity:
         Bounded in-flight queue size; admission rejects check-ins beyond
         it (``0`` = unbounded, the default).
@@ -112,6 +113,19 @@ class AsyncExecutor(SerialExecutor):
                 f"unknown staleness discount {discount!r}; expected one of "
                 f"{DISCOUNTS} — e.g. \"async:window=2,discount=poly\" or "
                 '"async:window=2,discount=const,factor=0.5"'
+            )
+        if not discount_power >= 0 or (1.0 + window) ** -discount_power == 0:
+            raise ValueError(
+                f"staleness discount power must be >= 0 and keep the weight "
+                f"(1 + window)^-power above 0, got {discount_power} (async key "
+                "'power'): a negative power weighs stale updates above fresh "
+                "ones, and a zero weight aggregates an all-stale round at 0/0"
+            )
+        if not 0 < discount_factor <= 1:
+            raise ValueError(
+                f"staleness discount factor must be in (0, 1], got "
+                f"{discount_factor} (async key 'factor'): a round whose "
+                "deliveries are all stale would aggregate zero total weight"
             )
         if capacity < 0:
             raise ValueError(

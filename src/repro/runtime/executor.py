@@ -108,11 +108,6 @@ if TYPE_CHECKING:  # avoid a circular import with repro.core
     from ..models.base import FederatedModel
     from ..optim.base import LocalSolver
 
-# Entropy salt deriving a corruption noise stream from a task's entropy
-# tuple — disjoint from the mini-batch stream so injecting a corruption
-# fault never perturbs the batch order of the solve it corrupts.
-_CORRUPTION_SALT = 0xC0FF
-
 
 @dataclass(frozen=True)
 class LocalTask:
@@ -181,40 +176,16 @@ def task_round(task: LocalTask) -> Optional[int]:
 
 
 def task_effective_epochs(task: LocalTask) -> float:
-    """The work budget actually executed, after any injected crash.
-
-    A crash fault truncates the *executed* budget to the drawn fraction of
-    the intended epochs — the device checkpointed that much work before
-    failing.  All executors derive the budget through this helper, so a
-    crashed solve performs identical work (and consumes identical batch
-    entropy) everywhere.
-    """
-    if task.fault is not None and task.fault.kind == "crash":
-        return task.epochs * task.fault.fraction
-    return task.epochs
+    """The work budget the task's solve executes, after any injected fault
+    (:meth:`~repro.faults.models.FaultDecision.executed_epochs`)."""
+    return task.epochs if task.fault is None else task.fault.executed_epochs(task.epochs)
 
 
 def apply_update_fault(update: "ClientUpdate") -> None:
-    """Apply the corruption fault of the update's task, if it carries one.
-
-    Runs where the solve ran (serial in-process, inside a parallel worker,
-    or in the cohort finalize loop).  Corruption noise derives from the
-    task's entropy tuple plus a dedicated salt, so the damage is
-    bit-identical on every executor and across process boundaries.
-    """
-    task = update.task
-    fault = task.fault
-    if fault is not None and fault.kind == "corrupt":
-        rng = entropy_rng(*task.rng_entropy, _CORRUPTION_SALT)
-        w = update.w
-        if fault.mode == "nan":
-            # Poison ~10% of coordinates (at least one) with NaNs: loud,
-            # detectable damage the quarantine guard is meant to catch.
-            k = max(1, w.size // 10)
-            w[rng.choice(w.size, size=k, replace=False)] = np.nan
-        else:  # "noise": silent damage at `scale` times the update's RMS
-            rms = float(np.sqrt(np.mean(w * w)))
-            w += fault.scale * (rms or 1.0) * rng.standard_normal(w.size)
+    """Apply the update's task's fault to its iterate, where the solve ran
+    (:meth:`~repro.faults.models.FaultDecision.damage`)."""
+    if update.task.fault is not None:
+        update.task.fault.damage(update.w, update.task.rng_entropy)
 
 
 def solve_with_timings(clients: "ClientPool", task: LocalTask) -> "ClientUpdate":

@@ -6,7 +6,6 @@ from .clock import (
     DeviceTiming,
     SeededLatencyClock,
     SynchronizedClock,
-    SystemsClock,
     resolve_clock,
 )
 from .profiles import NETWORK_TIERS, DeviceProfile, sample_fleet
@@ -31,7 +30,6 @@ __all__ = [
     "DeviceTiming",
     "SynchronizedClock",
     "SeededLatencyClock",
-    "SystemsClock",
     "resolve_clock",
     "DeviceProfile",
     "sample_fleet",

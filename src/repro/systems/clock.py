@@ -37,8 +37,47 @@ from .stragglers import SystemsModel, WorkAssignment, entropy_rng
 _CLOCK_SALT = 0xC10C
 
 
+# --------------------------------------------------------------------- #
+# The Clock protocol
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class DeviceTiming:
+    """Simulated durations of one device round-trip, in clock cycles."""
+
+    download: float
+    compute: float
+    upload: float
+
+    @property
+    def total(self) -> float:
+        """End-to-end check-in latency: download + compute + upload."""
+        return self.download + self.compute + self.upload
+
+
+class Clock(abc.ABC):
+    """Simulated-time source shared by the solve stamp and the async engine.
+
+    Implementations answer :meth:`timing` as a pure function of
+    ``(round, device, epochs)`` — no hidden state — so any schedule built
+    on a clock is deterministic and executor-independent.  ``period`` is
+    the duration of one aggregation round in the clock's cycle units; a
+    device whose timing's ``total`` exceeds ``period`` checks in late (the
+    async engine's staleness source).
+    """
+
+    #: Length of one aggregation round in cycles (the unit durations are
+    #: compared against).
+    period: float = 1.0
+
+    @abc.abstractmethod
+    def timing(
+        self, round_idx: int, device_id: int, epochs: float
+    ) -> DeviceTiming:
+        """Download/compute/upload durations for one device round-trip."""
+
+
 @register
-class ClockDrivenSystems(SystemsModel):
+class ClockDrivenSystems(SystemsModel, Clock):
     """Derive per-round epoch budgets from device profiles and a deadline.
 
     Parameters
@@ -59,6 +98,12 @@ class ClockDrivenSystems(SystemsModel):
     seed:
         Base seed; jitter is a pure function of ``(seed, round, device)``
         so that compared algorithms face the same environment.
+
+    The model is also its own :class:`Clock` (``arrivals="systems"``, and
+    the cycle stamp of each ``solve:client`` span): ``period`` is the
+    deadline, communication splits evenly into download/upload halves and
+    compute time is ``epochs / effective_speed`` under the same jitter
+    that :meth:`assign` applies.
     """
 
     def __init__(
@@ -87,10 +132,8 @@ class ClockDrivenSystems(SystemsModel):
         return float(rng.lognormal(0.0, self.jitter_sigma))
 
     def _communication_cycles(self, profile: DeviceProfile) -> float:
-        """Clock cycles spent on download + upload of the model."""
-        seconds_per_cycle = 1.0  # cycles are the unit of time
-        transfer_seconds = 2.0 * self.model_megabits / profile.bandwidth_mbps
-        return transfer_seconds / seconds_per_cycle
+        """Clock cycles (the unit of time) spent on download + upload."""
+        return 2.0 * self.model_megabits / profile.bandwidth_mbps
 
     def epochs_within_deadline(self, round_idx: int, device_id: int) -> float:
         """Epochs device ``device_id`` completes inside one clock cycle."""
@@ -121,48 +164,24 @@ class ClockDrivenSystems(SystemsModel):
             )
         return assignments
 
-
-# --------------------------------------------------------------------- #
-# The Clock protocol
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class DeviceTiming:
-    """Simulated durations of one device round-trip, in clock cycles."""
-
-    download: float
-    compute: float
-    upload: float
-
     @property
-    def total(self) -> float:
-        """End-to-end check-in latency: download + compute + upload."""
-        return self.download + self.compute + self.upload
+    def period(self) -> float:  # type: ignore[override]
+        """One aggregation round: the deadline."""
+        return self.deadline
 
-
-class Clock(abc.ABC):
-    """Simulated-time source shared by the solve stamp and the async engine.
-
-    Implementations answer :meth:`timing` as a pure function of
-    ``(round, device, epochs)`` — no hidden state — so any schedule built
-    on a clock is deterministic and executor-independent.  ``period`` is
-    the duration of one aggregation round in the clock's cycle units; a
-    device whose :meth:`duration` exceeds ``period`` checks in late (the
-    async engine's staleness source).
-    """
-
-    #: Length of one aggregation round in cycles (the unit durations are
-    #: compared against).
-    period: float = 1.0
-
-    @abc.abstractmethod
     def timing(
         self, round_idx: int, device_id: int, epochs: float
     ) -> DeviceTiming:
-        """Download/compute/upload durations for one device round-trip."""
+        profile = self._by_device[device_id]
+        comm = self._communication_cycles(profile)
+        speed = profile.effective_speed() * self._jitter(round_idx, device_id)
+        compute = epochs / speed if speed > 0 else self.deadline
+        return DeviceTiming(comm / 2.0, compute, comm / 2.0)
 
-    def duration(self, round_idx: int, device_id: int, epochs: float) -> float:
-        """Total simulated check-in latency (``timing(...).total``)."""
-        return self.timing(round_idx, device_id, epochs).total
+    def bottleneck(self, timing: DeviceTiming) -> str:
+        """``"network"`` when download + upload take over half the deadline."""
+        comm = timing.download + timing.upload
+        return "network" if comm > 0.5 * self.deadline else "compute"
 
 
 class SynchronizedClock(Clock):
@@ -211,41 +230,6 @@ class SeededLatencyClock(Clock):
         return DeviceTiming(0.1 * total, 0.8 * total, 0.1 * total)
 
 
-class SystemsClock(Clock):
-    """The :class:`ClockDrivenSystems` cost model exposed as a clock.
-
-    Communication splits evenly into download/upload halves and compute
-    time is ``epochs / effective_speed`` with the same deterministic jitter
-    as :meth:`ClockDrivenSystems.assign`; a device that cannot compute at
-    all (``speed <= 0``) is charged the full deadline.  ``period`` is the
-    systems model's aggregation deadline.
-    """
-
-    def __init__(self, systems: ClockDrivenSystems) -> None:
-        if not isinstance(systems, ClockDrivenSystems):
-            raise TypeError(
-                f"SystemsClock wraps a ClockDrivenSystems, got "
-                f"{type(systems).__name__}"
-            )
-        self.systems = systems
-        self.period = float(systems.deadline)
-
-    def timing(
-        self, round_idx: int, device_id: int, epochs: float
-    ) -> DeviceTiming:
-        systems = self.systems
-        profile = systems._by_device[device_id]
-        comm = systems._communication_cycles(profile)
-        speed = profile.effective_speed() * systems._jitter(round_idx, device_id)
-        compute = epochs / speed if speed > 0 else systems.deadline
-        return DeviceTiming(comm / 2.0, compute, comm / 2.0)
-
-    def bottleneck(self, timing: DeviceTiming) -> str:
-        """``"network"`` when download + upload take over half the deadline."""
-        comm = timing.download + timing.upload
-        return "network" if comm > 0.5 * self.period else "compute"
-
-
 def resolve_clock(
     arrivals: str,
     systems: Optional[SystemsModel] = None,
@@ -256,10 +240,9 @@ def resolve_clock(
     """Build the clock an arrival-model name describes.
 
     ``"synchronized"`` (alias ``"sync"``) → :class:`SynchronizedClock`;
-    ``"seeded"`` → :class:`SeededLatencyClock`; ``"systems"`` →
-    :class:`SystemsClock` over the given :class:`ClockDrivenSystems`
-    (anything else is a labeled error, since only that model carries
-    device cost profiles).
+    ``"seeded"`` → :class:`SeededLatencyClock`; ``"systems"`` → the given
+    :class:`ClockDrivenSystems` itself (anything else is a labeled error,
+    since only that model carries device cost profiles).
     """
     name = str(arrivals).lower()
     if name in ("synchronized", "sync"):
@@ -274,7 +257,7 @@ def resolve_clock(
                 f"clock); got {type(systems).__name__ if systems is not None else None!r}. "
                 'Use arrivals="seeded" for profile-free simulated latency.'
             )
-        return SystemsClock(systems)
+        return systems
     raise ValueError(
         f"unknown arrival model {arrivals!r}; expected one of "
         "'synchronized' (instant check-ins, the window=0 parity oracle), "

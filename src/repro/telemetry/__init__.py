@@ -92,7 +92,7 @@ from .replay import (
     rebuild_trainer,
     replay_run,
 )
-from .resources import current_rss_bytes, peak_rss_bytes
+from .resources import peak_rss_bytes
 from .sinks import ConsoleSink, InMemorySink, JSONLSink, Sink, read_jsonl
 
 __all__ = [
@@ -135,6 +135,5 @@ __all__ = [
     "CLOCK_SIMULATED",
     "UNIT_SECONDS",
     "UNIT_ROUNDS",
-    "current_rss_bytes",
     "peak_rss_bytes",
 ]

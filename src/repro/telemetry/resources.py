@@ -1,8 +1,8 @@
-"""Process memory probes backing the scale benchmarks' RSS gauges.
+"""Process memory probe backing the RSS gauges.
 
-Both probes are dependency-free (``/proc`` + the stdlib ``resource``
-module) and return ``None`` where the underlying source is unavailable,
-so callers can gate their gauges instead of crashing on exotic platforms.
+Dependency-free (the stdlib ``resource`` module); returns ``None`` where
+the underlying source is unavailable, so callers can gate their gauges
+instead of crashing on exotic platforms.
 """
 
 from __future__ import annotations
@@ -14,22 +14,6 @@ try:  # pragma: no cover - always present on the supported platforms
     import resource as _resource
 except ImportError:  # pragma: no cover - non-POSIX fallback
     _resource = None
-
-
-def current_rss_bytes() -> Optional[int]:
-    """The process's current resident set size, in bytes.
-
-    Read from ``/proc/self/status`` (``VmRSS``); returns ``None`` when the
-    procfs entry is unavailable (macOS, containers without /proc).
-    """
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    return None
 
 
 def peak_rss_bytes() -> Optional[int]:

@@ -9,6 +9,7 @@ the trainer-level integration (events, manifest, record.degraded).
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.faults import (
 )
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
+from repro.runtime.executor import LocalTask
 from repro.spec import build, describe
 from repro.telemetry import InMemorySink, Telemetry
 
@@ -119,6 +121,12 @@ class TestFaultModels:
         assert CrashFaults(0.4, seed=7) != CrashFaults(0.4, seed=8)
         assert CrashFaults(0.4) != DropoutFaults(0.4)
 
+    @pytest.mark.parametrize("schedule", [ChaosFaults, CorruptionFaults])
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_a_non_positive_corruption_scale_is_refused(self, schedule, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            schedule(0.1, scale=scale)
+
     def test_resolve_faults(self):
         assert resolve_faults(None) is NO_FAULTS
         sched = CrashFaults(0.5)
@@ -154,11 +162,50 @@ class TestFaultPolicy:
         with pytest.raises(ValueError):
             FaultPolicy(quarantine_threshold=0)
 
+    @pytest.mark.parametrize("quorum", [1.5, 2.25, float("inf"), float("nan")])
+    def test_a_quorum_count_must_be_integral(self, quorum):
+        with pytest.raises(ValueError, match="min_quorum"):
+            FaultPolicy(min_quorum=quorum)
+        assert FaultPolicy(min_quorum=2.0).quorum_for(10) == 2
+
     def test_dict_round_trip(self):
         policy = FaultPolicy(on_crash="retry", max_retries=5, min_quorum=0.4)
         spec = describe(policy)
         assert spec["type"] == "FaultPolicy" and spec["min_quorum"] == 0.4
         assert build(spec, "fault_policy") == policy
+
+
+class _FixedStale(FaultSchedule):
+    """Delays each listed client by its own number of rounds."""
+
+    def __init__(self, delays):
+        self.delays = delays
+
+    def draw(self, round_idx, client_id, attempt=0):
+        delay = self.delays.get(client_id)
+        return None if delay is None else FaultDecision("stale", delay=delay)
+
+
+def _echo(tasks):
+    return [
+        SimpleNamespace(client_id=t.client_id, task=t, w=np.zeros(2)) for t in tasks
+    ]
+
+
+class TestStaleBuffer:
+    def test_same_round_arrivals_deliver_in_the_order_they_were_held(self):
+        manager = FaultManager(_FixedStale({0: 2, 1: 1, 2: 2, 3: 1}), FaultPolicy())
+        delivered = []
+        for round_idx, clients in enumerate([(2, 0, 1), (3,), ()]):
+            tasks = [
+                LocalTask(c, np.zeros(2), 0.0, 1.0, (0, round_idx, c, 0))
+                for c in clients
+            ]
+            updates, _ = manager.execute_round(round_idx, tasks, _echo, len(clients))
+            delivered.append([u.client_id for u in updates])
+        # Round 2 releases clients 2 and 0 (held at round 0) and 3 (held at
+        # round 1), each in the order it was held, not by client id.
+        assert delivered == [[], [1], [2, 0, 3]]
 
 
 class TestTrainerIntegration:

@@ -101,18 +101,16 @@ class TestCapabilityGating:
         np.testing.assert_array_equal(replica.get_params(), _char_model().get_params())
 
     def test_capability_summary(self):
-        caps = _char_model().fast_path_capabilities()
-        assert caps == {
-            "stacked_eval": True,
-            "stacked_local_solve": True,
-            "stacked_local_solve_reason": None,
-            "eval_block_rows": SEQ_EVAL_BLOCK_ROWS,
-        }
+        model = _char_model()
+        assert model.supports_stacked_eval is True
+        assert model.supports_stacked_local_solve is True
+        assert model.stacked_local_solve_reason is None
+        assert model.stacked_eval_block_rows == SEQ_EVAL_BLOCK_ROWS
 
     def test_capability_summary_graph_backend(self):
-        caps = _char_model(backend="graph").fast_path_capabilities()
-        assert caps["stacked_local_solve"] is False
-        assert "gradcheck oracle" in caps["stacked_local_solve_reason"]
+        model = _char_model(backend="graph")
+        assert model.supports_stacked_local_solve is False
+        assert "gradcheck oracle" in model.stacked_local_solve_reason
 
 
 def _stacked_vs_per_client(dataset, model, w):

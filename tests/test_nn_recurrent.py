@@ -1,35 +1,10 @@
-"""Tests for recurrent cells and the unrolled LSTM."""
+"""Tests for the LSTM cell and the unrolled LSTM."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, check_gradients, ops
-from repro.nn import LSTM, LSTMCell, RNNCell
-
-
-class TestRNNCell:
-    def test_step_shape(self, rng):
-        cell = RNNCell(4, 6, rng)
-        h = cell(Tensor(rng.normal(size=(3, 4))), Tensor(np.zeros((3, 6))))
-        assert h.shape == (3, 6)
-
-    def test_output_bounded_by_tanh(self, rng):
-        cell = RNNCell(4, 6, rng)
-        h = cell(Tensor(rng.normal(size=(3, 4)) * 10), Tensor(np.zeros((3, 6))))
-        assert np.all(np.abs(h.data) <= 1.0)
-
-    def test_gradcheck(self, rng):
-        cell = RNNCell(3, 2, rng)
-        x = rng.normal(size=(2, 3))
-        h0 = rng.normal(size=(2, 2))
-
-        def fn(ts):
-            cell.w_x, cell.w_h, cell.bias = ts
-            return ops.sum_(cell(Tensor(x), Tensor(h0)))
-
-        check_gradients(
-            fn, [cell.w_x.data.copy(), cell.w_h.data.copy(), cell.bias.data.copy()]
-        )
+from repro.nn import LSTM, LSTMCell
 
 
 class TestLSTMCell:

@@ -481,6 +481,24 @@ class TestEngineSpecs:
         with pytest.raises(ValueError, match="staleness discount"):
             AsyncExecutor(discount="banana")
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("async:window=1,discount=const,factor=0", "'factor'"),
+            ("async:window=1,discount=const,factor=1.5", "'factor'"),
+            ("async:window=1,factor=-0.5", "'factor'"),
+            ("async:window=2,power=-2", "'power'"),
+            ("async:window=2,power=nan", "'power'"),
+            ("async:window=3,power=2000", "'power'"),
+        ],
+    )
+    def test_a_discount_that_breaks_aggregation_is_refused(self, dataset, spec, key):
+        """A zero factor, or a power whose weight underflows to 0 within the
+        window, aggregates an all-stale round at 0/0 (a NaN model); a
+        negative power weighs a stale update above a fresh one."""
+        with pytest.raises(ValueError, match=key):
+            make_trainer(dataset, engine=spec)
+
     def test_systems_arrivals_require_clock_driven_model(self, dataset):
         with pytest.raises(ValueError, match="ClockDrivenSystems"):
             make_trainer(dataset, engine="async:arrivals=systems")

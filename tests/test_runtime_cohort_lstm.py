@@ -199,15 +199,13 @@ class TestStackedGradientRowwise:
 class TestLSTMCapabilityGating:
     def test_fused_backend_advertises_support(self):
         for model in (_char_model(), _sent_model()):
-            caps = model.fast_path_capabilities()
-            assert caps["stacked_local_solve"] is True
-            assert caps["stacked_local_solve_reason"] is None
+            assert model.supports_stacked_local_solve is True
+            assert model.stacked_local_solve_reason is None
 
     def test_graph_backend_reports_reason(self):
         model = _char_model(backend="graph")
-        caps = model.fast_path_capabilities()
-        assert caps["stacked_local_solve"] is False
-        assert "gradcheck oracle" in caps["stacked_local_solve_reason"]
+        assert model.supports_stacked_local_solve is False
+        assert "gradcheck oracle" in model.stacked_local_solve_reason
 
     def test_graph_backend_rejected_at_bind_with_reason(self, shakespeare):
         with pytest.raises(TypeError, match="gradcheck oracle"):
