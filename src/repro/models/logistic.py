@@ -65,24 +65,6 @@ def _with_ones_column(rows: int, dim: int) -> np.ndarray:
     return buf
 
 
-def _softmax_minus_onehot(scores, red, onehot):
-    """``scores`` becomes ``softmax(scores) - onehot``, in place.
-
-    Six array calls over the last axis, each writing ``out=``: the
-    stable shift, one ``exp``, and one division by the row sums
-    normalises.  ``-= onehot`` is the label scatter (``x - 0.0 == x`` off
-    the label).  ``red`` is ``scores``' shape with a last axis of one.
-    The caller scales the residual by its batch size.
-    """
-    np.maximum.reduce(scores, axis=-1, keepdims=True, out=red)
-    scores -= red
-    np.exp(scores, out=scores)
-    np.add.reduce(scores, axis=-1, keepdims=True, out=red)
-    scores /= red
-    scores -= onehot
-    return scores
-
-
 def _one_hot(labels: np.ndarray, hot: np.ndarray, rows=None) -> np.ndarray:
     """``hot``, ``(len(labels), classes)``, becomes the one-hot ``labels``;
     ``rows`` is ``np.arange(len(labels))`` when the caller keeps one."""
@@ -100,19 +82,26 @@ class _Kernel:
     flat ``(n_params,)`` vector — the one-row case without its unit
     client axis, which NumPy's batched calls would charge ≈ 4 % of a
     Synthetic-sized step for.  A step is the forward product of
-    ``[x, 1]`` rows by each row's ``[W; b]`` view,
-    :func:`_softmax_minus_onehot`, the residual scaled by the step's
-    factor — multiplied by ``scale / m`` in a solve, divided by ``n``
+    ``[x, 1]`` rows by each row's ``[W; b]`` view, six calls that make
+    the scores ``softmax - onehot`` in place, the residual scaled by the
+    step's factor — multiplied by ``scale / m`` in a solve, divided by ``n``
     (``divide``) in a full gradient — and masked when a cohort batch is
     padded, then the backward product straight into the gradient view:
-    every call writes ``out=`` into buffers built here, once per batch
+    every call writes its output into buffers built here, once per batch
     height ``B``, and ``W`` is read in place at every step.
+
+    At the flat vector the products go through ``np.dot`` when ``B`` is
+    at least 2: the GEMM ``np.matmul`` would call, without its
+    generalised-ufunc dispatch (the same bits, ≈ 0.8 µs a call sooner).
+    A one-row product keeps ``np.matmul``, whose gemv route ``np.dot``
+    need not share, and so does the cohort's batched stack.
     """
 
     def __init__(self, model, W, B, l2, divide=False):
         lead = W.shape[:-1]
         dim, C = model.dim, model.num_classes
         self.W = W.reshape(lead + (dim + 1, C))
+        self.product = np.dot if not lead and B >= 2 else np.matmul
         self.out = np.empty(lead + (model.n_params,))
         self.grad = self.out.reshape(lead + (dim + 1, C))
         self.scores = np.empty(lead + (B, C))
@@ -125,26 +114,39 @@ class _Kernel:
     def operands(X, hot, factors, masks) -> list:
         """Each step's ``(rows, rows.T, one-hot, factor, mask)`` from
         ``(S, ..., B, ·)`` chunks; ``masks`` holds ``None`` for a step
-        with no padding (multiplying by ones is bitwise neutral)."""
+        with no padding (multiplying by ones is bitwise neutral).  A solve
+        step's factor is an array (0-d in a serial solve), so no step
+        converts a Python scalar."""
         return list(zip(X, X.swapaxes(-1, -2), hot, factors, masks))
 
     def run(self, steps) -> Iterator[np.ndarray]:
         """Yield the gradient of each step in turn (one buffer, valid
         until the next)."""
         W, scores, red, grad, out = self.W, self.scores, self.red, self.grad, self.out
-        l2, l2_buf, divide = self.l2, self.l2_buf, self.divide
+        l2, l2_buf, product = self.l2, self.l2_buf, self.product
+        rescale = np.divide if self.divide else np.multiply
+        # A step is nothing but these calls, each writing its output
+        # argument: bound once, and ``out`` passed positionally (the
+        # in-place operators dispatch the same loops more slowly).
+        amax, asum = np.maximum.reduce, np.add.reduce
+        subtract, exp, divide, multiply = np.subtract, np.exp, np.divide, np.multiply
         for X, X_t, hot, factor, mask in steps:
-            np.matmul(X, W, out=scores)
-            delta = _softmax_minus_onehot(scores, red, hot)
-            if divide:
-                delta /= factor
-            else:
-                delta *= factor
+            product(X, W, scores)
+            # softmax - onehot in place: the stable shift, one exp, one
+            # division by the row sums, then the label scatter
+            # (x - 0.0 == x off the label).
+            amax(scores, axis=-1, keepdims=True, out=red)
+            subtract(scores, red, scores)
+            exp(scores, scores)
+            asum(scores, axis=-1, keepdims=True, out=red)
+            divide(scores, red, scores)
+            subtract(scores, hot, scores)
+            rescale(scores, factor, scores)
             if mask is not None:
-                delta *= mask
-            np.matmul(X_t, delta, out=grad)
+                multiply(scores, mask, scores)
+            product(X_t, scores, grad)
             if l2 > 0:
-                grad += np.multiply(W, l2, out=l2_buf)
+                np.add(grad, multiply(W, l2, l2_buf), grad)
             yield out
 
 
@@ -350,7 +352,8 @@ class MultinomialLogisticRegression(FederatedModel):
         def operands(k):
             """The step operands of a gather of ``k`` rows."""
             factors = [
-                scale / min(batch_size, k - lo) for lo in range(0, k, batch_size)
+                np.array(scale / min(batch_size, k - lo))
+                for lo in range(0, k, batch_size)
             ]
             steps = len(factors)
             return kernel.operands(X3[:steps], hot3[:steps], factors, [None] * steps)

@@ -32,16 +32,3 @@ def glorot_uniform(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarr
     fan_in, fan_out = shape[0], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def orthogonal(rng: np.random.Generator, shape: Tuple[int, int]) -> np.ndarray:
-    """Orthogonal initialization (common for recurrent weights)."""
-    if len(shape) != 2:
-        raise ValueError("orthogonal init requires a 2-D shape")
-    rows, cols = shape
-    a = rng.normal(0.0, 1.0, size=(rows, cols))
-    if rows < cols:
-        q, _ = np.linalg.qr(a.T)
-        return np.ascontiguousarray(q.T)
-    q, _ = np.linalg.qr(a)
-    return np.ascontiguousarray(q)

@@ -349,13 +349,18 @@ class MiniBatchSolver(LocalSolver):
         schedule = BatchSchedule(objective.n_samples, self.batch_size, epochs)
         W = w[None, :]
         state = self._scalar_state(objective, W)
+        rule = self.stacked_step
         # The stream reads ``w`` in place at every step and yields one
-        # reused buffer (see LocalObjective.minibatch_gradients).
+        # reused buffer (see LocalObjective.minibatch_gradients), so its
+        # one-row view is taken once, not at every step.
+        buf = G = None
         for step, grad in enumerate(
             objective.minibatch_gradients(w, schedule, rng, self.gradient_scale),
             start=1,
         ):
-            self.stacked_step(W, grad[None, :], state, step)
+            if grad is not buf:
+                buf, G = grad, grad[None, :]
+            rule(W, G, state, step)
         return w
 
     @property

@@ -62,20 +62,21 @@ class SGDSolver(MiniBatchSolver):
 
     def stacked_anchor(self, state: dict, mu, b) -> None:
         mu = common_mu(mu)
-        decay = None if mu is None else 1.0 - self.learning_rate * mu
+        decay = None if mu is None else np.array(1.0 - self.learning_rate * mu)
         state["anchor"] = (decay, b)
 
     def stacked_step(
         self, W: np.ndarray, G: np.ndarray, state: dict, step: int
     ) -> None:
-        # ``w - lr (grad F + mu (w - w_t) + c)`` as three in-place calls
-        # (one at mu = 0 with no correction); G is ``lr * grad F`` already.
+        # ``w - lr (grad F + mu (w - w_t) + c)`` as three in-place ufunc
+        # calls (one at mu = 0 with no correction), ``out`` positional and
+        # the decay a 0-d array; G is ``lr * grad F`` already.
         decay, b = state["anchor"]
         if decay is not None:
-            W *= decay
+            np.multiply(W, decay, W)
         if b is not None:
-            W += b
-        W -= G
+            np.add(W, b, W)
+        np.subtract(W, G, W)
 
 
 @register

@@ -87,19 +87,3 @@ class TestInit:
         limit = np.sqrt(6.0 / 150)
         assert np.all(np.abs(w) <= limit)
         assert w.shape == (100, 50)
-
-    def test_orthogonal_square(self, rng):
-        q = init.orthogonal(rng, (6, 6))
-        np.testing.assert_allclose(q @ q.T, np.eye(6), atol=1e-10)
-
-    def test_orthogonal_tall(self, rng):
-        q = init.orthogonal(rng, (8, 3))
-        np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
-
-    def test_orthogonal_wide(self, rng):
-        q = init.orthogonal(rng, (3, 8))
-        np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-10)
-
-    def test_orthogonal_rejects_non_2d(self, rng):
-        with pytest.raises(ValueError):
-            init.orthogonal(rng, (2, 2, 2))
