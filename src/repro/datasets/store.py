@@ -57,6 +57,7 @@ from .partition import lognormal_sizes
 from .synthetic import (
     NUM_CLASSES,
     NUM_FEATURES,
+    _draw_inputs,
     _input_covariance_diag,
     _softmax_labels,
 )
@@ -242,15 +243,9 @@ class OnDemandSyntheticStore(ClientStore):
             W = rng.normal(u_k, 1.0, size=(NUM_FEATURES, NUM_CLASSES))
             b = rng.normal(u_k, 1.0, size=NUM_CLASSES)
             v_k = rng.normal(B_k, 1.0, size=NUM_FEATURES)
-        # ``rng.normal(v_k, scale, size=(n, d))`` bit for bit (same stream,
-        # row-major fill, ``v + s*z`` per element) without NumPy's
-        # per-element broadcast loop or a fresh block per get (DESIGN §13).
         if self._scratch is None or len(self._scratch) < n:
             self._scratch = np.empty((n, NUM_FEATURES))
-        X = self._scratch[:n]
-        rng.standard_normal(out=X)
-        X *= self._input_scale
-        X += v_k
+        X = _draw_inputs(rng, self._scratch[:n], self._input_scale, v_k)
         y = _softmax_labels(X, W, b)
         # The split gathers (copies) rows, so nothing returned aliases X.
         return train_test_split_client(

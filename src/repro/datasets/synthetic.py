@@ -20,7 +20,7 @@ The three heterogeneous settings studied in the paper are
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,6 +35,25 @@ NUM_CLASSES = 10
 def _input_covariance_diag(dim: int = NUM_FEATURES) -> np.ndarray:
     """The paper's diagonal input covariance ``Sigma_jj = j^{-1.2}``."""
     return np.arange(1, dim + 1, dtype=np.float64) ** (-1.2)
+
+
+def _draw_inputs(
+    rng: np.random.Generator,
+    X: np.ndarray,
+    scale: np.ndarray,
+    loc: Union[float, np.ndarray],
+) -> np.ndarray:
+    """``X`` becomes ``rng.normal(loc, scale, size=X.shape)``, in place.
+
+    Bit for bit (same stream, row-major fill, ``loc + scale*z`` per
+    element) without NumPy's per-element broadcast loop or a fresh block
+    per device (DESIGN §13).  A scalar ``loc`` of 0.0 is still added, as
+    ``normal`` adds it, so a ``-0.0`` comes out ``+0.0``.
+    """
+    rng.standard_normal(out=X)
+    X *= scale
+    X += loc
+    return X
 
 
 def _softmax_labels(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,18 +114,19 @@ def make_synthetic(
     sizes = lognormal_sizes(
         rng, num_devices, minimum=min_samples, cap=size_cap
     )
-    cov_diag = _input_covariance_diag()
+    scale = np.sqrt(_input_covariance_diag())
 
     store = _allocate(sizes, test_fraction)
+    # Every device is drawn into the leading rows of one block sized by the
+    # largest, which ``place`` copies out of.
+    scratch = np.empty((sizes.max(), NUM_FEATURES))
     for k in range(num_devices):
         u_k = rng.normal(0.0, np.sqrt(alpha)) if alpha > 0 else 0.0
         B_k = rng.normal(0.0, np.sqrt(beta)) if beta > 0 else 0.0
         W_k = rng.normal(u_k, 1.0, size=(NUM_FEATURES, NUM_CLASSES))
         b_k = rng.normal(u_k, 1.0, size=NUM_CLASSES)
         v_k = rng.normal(B_k, 1.0, size=NUM_FEATURES)
-        X = rng.normal(
-            loc=v_k, scale=np.sqrt(cov_diag), size=(sizes[k], NUM_FEATURES)
-        )
+        X = _draw_inputs(rng, scratch[: sizes[k]], scale, v_k)
         store.place(k, X, _softmax_labels(X, W_k, b_k), rng)
 
     return FederatedDataset(
@@ -129,15 +149,14 @@ def make_synthetic_iid(
     """Generate ``Synthetic-IID``: one shared model, one shared input law."""
     rng = rng if rng is not None else np.random.default_rng(seed)
     sizes = lognormal_sizes(rng, num_devices, minimum=min_samples, cap=size_cap)
-    cov_diag = _input_covariance_diag()
+    scale = np.sqrt(_input_covariance_diag())
     W = rng.normal(0.0, 1.0, size=(NUM_FEATURES, NUM_CLASSES))
     b = rng.normal(0.0, 1.0, size=NUM_CLASSES)
 
     store = _allocate(sizes, test_fraction)
+    scratch = np.empty((sizes.max(), NUM_FEATURES))
     for k in range(num_devices):
-        X = rng.normal(
-            loc=0.0, scale=np.sqrt(cov_diag), size=(sizes[k], NUM_FEATURES)
-        )
+        X = _draw_inputs(rng, scratch[: sizes[k]], scale, 0.0)
         store.place(k, X, _softmax_labels(X, W, b), rng)
 
     return FederatedDataset(

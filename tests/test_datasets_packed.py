@@ -589,6 +589,22 @@ class TestOneCopy:
         assert (dataset.train_sizes + dataset.test_sizes).max() > 16_000
         assert peak <= data_bytes(dataset) + 16 * 2**20
 
+    def test_synthetic_build_holds_one_device_block(self):
+        """The Synthetic builders draw every device into one scratch block
+        sized by the largest device (17 086 rows here, 8.2 MB of float64
+        inputs), which lives for the whole build: it must be the only
+        per-device buffer, with room beside it for the labels' scores."""
+        tracemalloc.start()
+        try:
+            dataset = make_synthetic(1.0, 1.0, num_devices=200, size_cap=None, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = (dataset.train_sizes + dataset.test_sizes).max()
+        assert largest >= 10_000
+        inputs = largest * dataset.input_dim * 8
+        assert peak <= data_bytes(dataset) + 2 * inputs + 2**20
+
     def test_first_census_allocates_blocks_not_a_stack(self):
         dataset = make_mnist_like(num_devices=40, total_samples=20_000, dim=64)
         model = MultinomialLogisticRegression(dim=64, num_classes=10)

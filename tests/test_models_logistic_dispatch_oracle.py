@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.models import MultinomialLogisticRegression
-from repro.models.logistic import _GATHER_BYTES, _SCORE_BYTES
+from repro.models.logistic import _GATHER_BYTES, _SCORE_BYTES, _Kernel
 from repro.optim import BatchSchedule, LocalObjective, SGDSolver
 
 pytestmark = pytest.mark.oracle  # runs on the oldest supported NumPy too (ci.yml)
@@ -278,3 +278,26 @@ class TestTheNumPyFact:
             np.dot(a, b, got)
             np.matmul(a, b, out=want)
             assert np.array_equal(got, want)
+
+
+class TestTheProductRoute:
+    """Which entry point each product takes: ``np.dot`` only at the flat
+    vector with a batch of at least 2 rows.  A one-row product keeps
+    ``np.matmul`` because its gemv route is where NumPy/OpenBLAS releases
+    may differ, and ``TestTheNumPyFact`` certifies ``np.dot`` only from
+    height 2.  On NumPy 2.4 ``np.dot`` is bit-equal at height 1 as well,
+    but the guard may go only in a change that has also run this file on
+    the oldest supported NumPy (ci.yml's ``-m oracle`` job)."""
+
+    def test_dot_at_the_flat_vector_from_two_rows(self):
+        model = MultinomialLogisticRegression(60, CLASSES)
+        w = np.zeros(model.n_params)
+        assert _Kernel(model, w, 1, 0.0).product is np.matmul
+        for batch in (2, 10):
+            assert _Kernel(model, w, batch, 0.0).product is np.dot
+
+    @pytest.mark.parametrize("batch", [1, 2, 10])
+    def test_matmul_on_a_stack_of_lanes(self, batch):
+        model = MultinomialLogisticRegression(60, CLASSES)
+        W = np.zeros((3, model.n_params))
+        assert _Kernel(model, W, batch, 0.0).product is np.matmul
