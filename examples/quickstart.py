@@ -10,9 +10,10 @@ selected devices are stragglers each round, and compares:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import make_fedavg, make_fedprox
+from repro.core import FederatedTrainer
 from repro.datasets import make_synthetic
 from repro.models import MultinomialLogisticRegression
+from repro.optim import SGDSolver
 from repro.reporting import ascii_chart, format_table
 from repro.systems import FractionStragglers
 
@@ -28,31 +29,17 @@ def main() -> None:
     )
 
     histories = {}
-    for label, factory in [
-        (
-            "FedAvg",
-            lambda m: make_fedavg(
-                dataset, m, learning_rate=0.01,
-                systems=FractionStragglers(0.9, seed=SEED), seed=SEED,
-            ),
-        ),
-        (
-            "FedProx mu=0",
-            lambda m: make_fedprox(
-                dataset, m, learning_rate=0.01, mu=0.0,
-                systems=FractionStragglers(0.9, seed=SEED), seed=SEED,
-            ),
-        ),
-        (
-            "FedProx mu=1",
-            lambda m: make_fedprox(
-                dataset, m, learning_rate=0.01, mu=1.0,
-                systems=FractionStragglers(0.9, seed=SEED), seed=SEED,
-            ),
-        ),
+    for label, mu, drop_stragglers in [
+        ("FedAvg", 0.0, True),
+        ("FedProx mu=0", 0.0, False),
+        ("FedProx mu=1", 1.0, False),
     ]:
         model = MultinomialLogisticRegression(dim=60, num_classes=10)
-        trainer = factory(model)
+        trainer = FederatedTrainer(
+            dataset, model, SGDSolver(0.01, batch_size=10),
+            mu=mu, drop_stragglers=drop_stragglers,
+            systems=FractionStragglers(0.9, seed=SEED), seed=SEED,
+        )
         histories[label] = trainer.run(ROUNDS)
 
     print()

@@ -9,9 +9,10 @@ mu from an adversarial start.
 Run:  python examples/statistical_heterogeneity.py
 """
 
-from repro.core import AdaptiveMuController, make_fedprox
+from repro.core import AdaptiveMuController, FederatedTrainer
 from repro.datasets import synthetic_suite
 from repro.models import MultinomialLogisticRegression
+from repro.optim import SGDSolver
 from repro.reporting import format_table, sparkline
 
 ROUNDS = 60
@@ -20,10 +21,10 @@ SEED = 2
 
 def run(dataset, mu=0.0, controller=None):
     model = MultinomialLogisticRegression(dim=60, num_classes=10)
-    trainer = make_fedprox(
+    trainer = FederatedTrainer(
         dataset,
         model,
-        learning_rate=0.01,
+        SGDSolver(0.01, batch_size=10),
         mu=mu,
         mu_controller=controller,
         seed=SEED,

@@ -11,9 +11,10 @@ Run:  python examples/systems_heterogeneity.py
 
 import numpy as np
 
-from repro.core import make_fedavg, make_fedprox
+from repro.core import FederatedTrainer
 from repro.datasets import make_mnist_like
 from repro.models import MultinomialLogisticRegression
+from repro.optim import SGDSolver
 from repro.reporting import format_table, sparkline
 from repro.systems import (
     ClockDrivenSystems,
@@ -36,14 +37,11 @@ def straggler_sweep(dataset) -> None:
             ("FedProx mu=1", False, 1.0),
         ]:
             model = MultinomialLogisticRegression(dim=DIM, num_classes=10)
-            maker = make_fedavg if drop else make_fedprox
-            kwargs = dict(
-                systems=FractionStragglers(level, seed=SEED),
-                seed=SEED,
+            trainer = FederatedTrainer(
+                dataset, model, SGDSolver(0.03, batch_size=10),
+                mu=mu, drop_stragglers=drop,
+                systems=FractionStragglers(level, seed=SEED), seed=SEED,
             )
-            if not drop:
-                kwargs["mu"] = mu
-            trainer = maker(dataset, model, learning_rate=0.03, **kwargs)
             history = trainer.run(ROUNDS)
             uploads = [len(r.selected) - len(r.dropped) for r in history.records]
             rows.append(
@@ -65,13 +63,12 @@ def clock_driven(dataset) -> None:
     systems = ClockDrivenSystems(fleet, deadline=10.0, seed=SEED)
 
     rows = []
-    for label, drop in [("FedAvg", True), ("FedProx mu=1", False)]:
+    for label, drop, mu in [("FedAvg", True, 0.0), ("FedProx mu=1", False, 1.0)]:
         model = MultinomialLogisticRegression(dim=DIM, num_classes=10)
-        maker = make_fedavg if drop else make_fedprox
-        kwargs = dict(systems=systems, seed=SEED)
-        if not drop:
-            kwargs["mu"] = 1.0
-        trainer = maker(dataset, model, learning_rate=0.03, **kwargs)
+        trainer = FederatedTrainer(
+            dataset, model, SGDSolver(0.03, batch_size=10),
+            mu=mu, drop_stragglers=drop, systems=systems, seed=SEED,
+        )
         history = trainer.run(ROUNDS)
         stragglers_per_round = np.mean([len(r.stragglers) for r in history.records])
         rows.append(

@@ -9,9 +9,10 @@ about a minute on one CPU; the architectures match the paper's
 Run:  python examples/text_workloads.py
 """
 
-from repro.core import make_fedavg, make_fedprox
+from repro.core import FederatedTrainer
 from repro.datasets import make_sent140_like, make_shakespeare_like
 from repro.models import CharLSTM, SentimentLSTM
+from repro.optim import SGDSolver
 from repro.reporting import format_table, sparkline
 from repro.systems import FractionStragglers
 
@@ -21,20 +22,21 @@ ROUNDS = 6
 
 def compare(dataset, model_factory, learning_rate, mu):
     rows = []
-    for label, maker, kwargs in [
-        ("FedAvg", make_fedavg, {}),
-        ("FedProx", make_fedprox, {"mu": mu}),
+    for label, drop_stragglers, method_mu in [
+        ("FedAvg", True, 0.0),
+        ("FedProx", False, mu),
     ]:
         model = model_factory()
-        trainer = maker(
+        trainer = FederatedTrainer(
             dataset,
             model,
-            learning_rate=learning_rate,
+            SGDSolver(learning_rate, batch_size=10),
+            mu=method_mu,
+            drop_stragglers=drop_stragglers,
             clients_per_round=4,
             epochs=4,
             systems=FractionStragglers(0.5, seed=SEED),
             seed=SEED,
-            **kwargs,
         )
         history = trainer.run(ROUNDS)
         rows.append(

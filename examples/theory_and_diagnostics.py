@@ -18,9 +18,10 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core import EvalConfig, make_fedprox
+from repro.core import EvalConfig, FederatedTrainer
 from repro.datasets import make_synthetic
 from repro.models import MultinomialLogisticRegression
+from repro.optim import SGDSolver
 from repro.reporting import format_table
 from repro.systems import ClockDrivenSystems, sample_fleet
 from repro.telemetry import (
@@ -43,7 +44,10 @@ SEED = 5
 def theory_guided_mu(dataset) -> None:
     rng = np.random.default_rng(SEED)
     model = MultinomialLogisticRegression(dim=60, num_classes=10)
-    trainer = make_fedprox(dataset, model, 0.01, mu=0.0, seed=SEED, evaluation=EvalConfig(every=100))
+    trainer = FederatedTrainer(
+        dataset, model, SGDSolver(0.01, batch_size=10), seed=SEED,
+        evaluation=EvalConfig(every=100),
+    )
     trainer.run(5)  # measure at a non-trivial point
 
     constants = estimate_constants(trainer.clients, trainer.w, rng, num_pairs=5)
@@ -80,8 +84,8 @@ def round_diagnostics(dataset) -> None:
     # device's download / compute / upload cycles and its bottleneck.
     sink = InMemorySink()
     model = MultinomialLogisticRegression(dim=60, num_classes=10)
-    with make_fedprox(
-        dataset, model, 0.01, mu=1.0, systems=systems, seed=SEED,
+    with FederatedTrainer(
+        dataset, model, SGDSolver(0.01, batch_size=10), mu=1.0, systems=systems, seed=SEED,
         evaluation=EvalConfig(every=100), telemetry=Telemetry([sink]),
     ) as trainer:
         record = trainer.run_round()
@@ -109,8 +113,8 @@ def ledger_roundtrip(dataset) -> None:
     model = MultinomialLogisticRegression(dim=60, num_classes=10)
     with tempfile.TemporaryDirectory() as tmp_dir:
         path = os.path.join(tmp_dir, "run.jsonl")
-        with make_fedprox(
-            dataset, model, 0.01, mu=1.0, seed=SEED,
+        with FederatedTrainer(
+            dataset, model, SGDSolver(0.01, batch_size=10), mu=1.0, seed=SEED,
             evaluation=EvalConfig(every=100),
             telemetry=Telemetry([JSONLSink(path)]),
         ) as trainer:

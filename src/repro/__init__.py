@@ -11,10 +11,11 @@ Quickstart
 ----------
 >>> from repro.datasets import make_synthetic
 >>> from repro.models import MultinomialLogisticRegression
->>> from repro.core import make_fedprox
+>>> from repro.optim import SGDSolver
+>>> from repro.core import FederatedTrainer
 >>> data = make_synthetic(1.0, 1.0, seed=0)
 >>> model = MultinomialLogisticRegression(dim=60, num_classes=10)
->>> trainer = make_fedprox(data, model, learning_rate=0.01, mu=1.0)
+>>> trainer = FederatedTrainer(data, model, SGDSolver(0.01, batch_size=10), mu=1.0)
 >>> history = trainer.run(num_rounds=10)
 >>> history.final_train_loss()  # doctest: +SKIP
 """

@@ -1,7 +1,6 @@
 """Federated optimization algorithms — the paper's core contribution."""
 
 from .adaptive_mu import AdaptiveMuController
-from .baselines import make_distributed_sgd
 from .callbacks import Callback, EarlyStopping, LambdaCallback
 from ..comms import CommsConfig
 from .client import ClientPool, ClientUpdate
@@ -11,9 +10,7 @@ from .dissimilarity import (
     bounded_variance_b_upper_bound,
     measure_dissimilarity,
 )
-from .fedavg import make_fedavg
-from .feddane import FedDaneTrainer, make_feddane
-from .fedprox import MU_GRID, make_fedprox
+from .feddane import FedDaneTrainer
 from .history import RoundRecord, TrainingHistory
 from .sampling import (
     SamplingScheme,
@@ -26,12 +23,7 @@ __all__ = [
     "FederatedTrainer",
     "CommsConfig",
     "EvalConfig",
-    "make_fedavg",
-    "make_fedprox",
-    "make_feddane",
-    "make_distributed_sgd",
     "FedDaneTrainer",
-    "MU_GRID",
     "AdaptiveMuController",
     "Callback",
     "EarlyStopping",

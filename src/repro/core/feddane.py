@@ -20,15 +20,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..datasets.federated import FederatedDataset
-from ..models.base import FederatedModel
-from ..optim.base import LocalSolver
-from ..optim.sgd import SGDSolver
 from ..runtime.evaluation import device_values
 from ..spec import register
-from .sampling import SamplingScheme
 from .server import FederatedTrainer
-from ..systems.stragglers import SystemsModel, entropy_rng
+from ..systems.stragglers import entropy_rng
 
 
 @register(tag="trainer")
@@ -85,36 +80,3 @@ class FedDaneTrainer(FederatedTrainer):
         return lambda cid: (
             g_estimate - device_values(self.clients, w, "gradient", [cid])[0]
         )
-
-
-def make_feddane(
-    dataset: FederatedDataset,
-    model: FederatedModel,
-    learning_rate: float,
-    mu: float,
-    *,
-    clients_per_round: int = 10,
-    gradient_clients: Optional[int] = None,
-    epochs: float = 20,
-    batch_size: int = 10,
-    solver: Optional[LocalSolver] = None,
-    sampling: Optional[SamplingScheme] = None,
-    systems: Optional[SystemsModel] = None,
-    seed: int = 0,
-    **options,
-) -> FedDaneTrainer:
-    """Construct a FedDane trainer (see :class:`FedDaneTrainer`)."""
-    return FedDaneTrainer(
-        dataset=dataset,
-        model=model,
-        solver=solver or SGDSolver(learning_rate, batch_size=batch_size),
-        mu=mu,
-        drop_stragglers=False,
-        clients_per_round=clients_per_round,
-        epochs=epochs,
-        sampling=sampling,
-        systems=systems,
-        seed=seed,
-        gradient_clients=gradient_clients,
-        **options,
-    )

@@ -8,6 +8,10 @@ paper's concrete methods are configurations of it:
   the round are discarded.
 * **FedProx** (Algorithm 2): any ``mu >= 0``, any local solver, and
   stragglers' *partial* solutions are aggregated.
+* **Distributed SGD** (Remark 8): one full-batch
+  :class:`~repro.optim.sgd.GDSolver` step, ``epochs=1``,
+  ``label="DistributedSGD"``.
+* **FedDane** (Appendix B): :class:`~repro.core.feddane.FedDaneTrainer`.
 
 Randomness protocol: the paper fixes "the randomly selected devices, the
 stragglers, and mini-batch orders across all runs".  All three draws here

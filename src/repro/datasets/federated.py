@@ -121,7 +121,7 @@ class ClientStore(abc.ABC):
       paths and should touch clients through a bounded working set.
     * ``stacked(split)`` is the whole federation's ``"train"`` or
       ``"test"`` rows as one ``(X, y)`` pair in client order — the one
-      source of a stacked split (the census, ``global_train``).
+      source of a stacked split (the census reads it).
     """
 
     #: Whether accessing a client may materialize data on demand.
@@ -438,7 +438,7 @@ class FederatedDataset:
     from a ``clients`` sequence (the historical signature) wraps it in the
     eager in-memory store — bit-identical to the pre-store behavior; the
     seeded builders pass the :class:`PackedClientStore` they filled;
-    :meth:`from_store` attaches a lazily-materializing store
+    ``store=`` also attaches a lazily-materializing store
     (memory-mapped shards, on-demand synthetic regeneration) so
     million-device federations cost O(active cohort) memory.
 
@@ -491,19 +491,6 @@ class FederatedDataset:
         self.num_classes = num_classes
         self.input_dim = input_dim
         self.recipe: Optional[Dict[str, object]] = None
-
-    @classmethod
-    def from_store(
-        cls,
-        name: str,
-        store,
-        num_classes: int,
-        input_dim: Optional[int] = None,
-    ) -> "FederatedDataset":
-        """Build a dataset over a prebuilt :class:`ClientStore`."""
-        return cls(
-            name, num_classes=num_classes, input_dim=input_dim, store=store
-        )
 
     @property
     def is_lazy(self) -> bool:
@@ -574,21 +561,6 @@ class FederatedDataset:
             mean_samples_per_device=float(counts.mean()),
             stdev_samples_per_device=float(counts.std(ddof=1)) if len(counts) > 1 else 0.0,
         )
-
-    def global_train(self) -> tuple:
-        """All devices' training data as one ``(X, y)`` (centralized baselines).
-
-        The store's stacked split (:meth:`ClientStore.stacked`): a packed
-        store's own arrays, otherwise a kept concatenation that
-        materializes every client — intended for eager-scale datasets.
-        """
-        return self.store.stacked("train")
-
-    def global_test(self) -> tuple:
-        """All devices' test data as one ``(X, y)`` (see :meth:`global_train`)."""
-        if not self.test_sizes.sum():
-            raise ValueError("no test data in this federated dataset")
-        return self.store.stacked("test")
 
 
 def train_test_split_client(

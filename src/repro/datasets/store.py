@@ -538,9 +538,6 @@ def make_synthetic_ondemand(
     label = name or (
         "Synthetic-OD-IID" if iid else f"Synthetic-OD({alpha:g},{beta:g})"
     )
-    return FederatedDataset.from_store(
-        name=label,
-        store=store,
-        num_classes=NUM_CLASSES,
-        input_dim=NUM_FEATURES,
+    return FederatedDataset(
+        label, num_classes=NUM_CLASSES, input_dim=NUM_FEATURES, store=store
     )

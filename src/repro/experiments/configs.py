@@ -306,6 +306,9 @@ def synthetic_suite_workloads(
     return {w.name: w for w in workloads}
 
 
+#: The paper's µ candidate set (Section 5.3.2).
+MU_GRID = (0.001, 0.01, 0.1, 1.0)
+
 #: Best µ per Figure 1 dataset as reported in Section 5.3.2.
 FIGURE1_BEST_MU = {
     "Synthetic(1,1)": 1.0,

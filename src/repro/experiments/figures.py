@@ -49,12 +49,12 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
 
-from ..core.fedprox import MU_GRID
 from ..metrics.convergence import accuracy_at_outcome
 from ..telemetry import JSONLSink, RunArtifact, Telemetry
 from ..telemetry.replay import rebuild_trainer
 from .configs import (
     FIGURE1_BEST_MU,
+    MU_GRID,
     ExperimentScale,
     Workload,
     _logistic,

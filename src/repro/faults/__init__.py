@@ -28,7 +28,7 @@ Quickstart::
     trainer = FederatedTrainer(
         dataset, model, solver, mu=1.0,
         faults=CrashFaults(rate=0.9, seed=0),
-        fault_policy=FaultPolicy.fedprox(min_quorum=2),
+        fault_policy=FaultPolicy(min_quorum=2),
     )
 
 The default (:data:`NO_FAULTS`) injects nothing and keeps trainer behavior

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 from ..spec import register
 
@@ -108,11 +107,6 @@ class FaultPolicy:
             raise ValueError("attempt is 1-based")
         return self.backoff_base * self.backoff_factor ** (attempt - 1)
 
-    def backoff_sequence(self, n: int = None) -> List[float]:
-        """The full simulated backoff schedule (``max_retries`` delays)."""
-        count = self.max_retries if n is None else n
-        return [self.backoff(a) for a in range(1, count + 1)]
-
     def quorum_for(self, num_selected: int) -> int:
         """The minimum surviving-update count for ``num_selected`` devices."""
         if self.min_quorum == 0:
@@ -120,16 +114,3 @@ class FaultPolicy:
         if self.min_quorum < 1:
             return max(1, math.ceil(num_selected * self.min_quorum))
         return int(self.min_quorum)
-
-    # Presets -------------------------------------------------------------- #
-    @classmethod
-    def fedprox(cls, **overrides) -> "FaultPolicy":
-        """Accept-partial semantics (tolerate partial work, Algorithm 2)."""
-        overrides.setdefault("on_crash", "accept_partial")
-        return cls(**overrides)
-
-    @classmethod
-    def fedavg(cls, **overrides) -> "FaultPolicy":
-        """Drop semantics (discard failed devices, Algorithm 1)."""
-        overrides.setdefault("on_crash", "drop")
-        return cls(**overrides)

@@ -52,12 +52,6 @@ class AdamSolver(MiniBatchSolver):
         self.eps = float(eps)
         self.batch_size = int(batch_size)
 
-    def describe(self) -> str:
-        return (
-            f"Adam(lr={self.learning_rate}, B={self.batch_size}, "
-            "stacked=yes, stateless=per-solve)"
-        )
-
     # The update rule ---------------------------------------------------- #
     def stacked_state(self, shape: tuple) -> dict:
         # Fresh zeroed moments per solve, scalar or cohort: the

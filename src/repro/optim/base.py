@@ -233,10 +233,6 @@ class LocalSolver(abc.ABC):
             Source of mini-batch shuffling randomness.
         """
 
-    def describe(self) -> str:
-        """Short human-readable description, used in experiment logs."""
-        return type(self).__name__
-
     # Stacked (cohort) solve protocol ------------------------------------ #
     @property
     def supports_stacked_solve(self) -> bool:

@@ -49,9 +49,6 @@ class SGDSolver(MiniBatchSolver):
         self.learning_rate = float(learning_rate)
         self.batch_size = int(batch_size)
 
-    def describe(self) -> str:
-        return f"SGD(lr={self.learning_rate}, B={self.batch_size})"
-
     # The update rule: w <- (1 - lr mu) w + lr b - lr grad F ------------ #
     @property
     def gradient_scale(self) -> float:
@@ -99,12 +96,6 @@ class MomentumSGDSolver(MiniBatchSolver):
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
         self.batch_size = int(batch_size)
-
-    def describe(self) -> str:
-        return (
-            f"MomentumSGD(lr={self.learning_rate}, beta={self.momentum}, "
-            f"B={self.batch_size})"
-        )
 
     # The update rule: u <- beta u + lr g, w <- w - u ------------------- #
     @property
@@ -173,9 +164,6 @@ class GDSolver(LocalSolver):
             G = self.learning_rate * model.gradient(X, y)
             self.stacked_step(W, G[None, :], state, step)
         return w
-
-    def describe(self) -> str:
-        return f"GD(lr={self.learning_rate})"
 
     # Stacked cohort protocol -------------------------------------------- #
     @property

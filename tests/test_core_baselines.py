@@ -1,29 +1,38 @@
-"""Tests for the DistributedSGD baseline (Remark 8)."""
+"""Tests for distributed SGD without local updating (Remark 8).
+
+Distributed SGD is a configuration of the one trainer: a one-step
+full-batch :class:`~repro.optim.sgd.GDSolver` at ``E = 1``.
+"""
 
 import numpy as np
-import pytest
 
-from repro.core import EvalConfig, make_distributed_sgd, make_fedprox
+from repro.core import EvalConfig, FederatedTrainer
 from repro.models import MultinomialLogisticRegression
-from repro.optim import GDSolver
+from repro.optim import GDSolver, SGDSolver
 
 
 def _model():
     return MultinomialLogisticRegression(dim=6, num_classes=3)
 
 
+def _distributed_sgd(dataset, model, learning_rate, **kwargs):
+    return FederatedTrainer(
+        dataset, model, GDSolver(learning_rate), epochs=1,
+        label="DistributedSGD", **kwargs,
+    )
+
+
 class TestDistributedSGD:
     def test_configuration(self, toy_dataset):
-        trainer = make_distributed_sgd(
-            toy_dataset, _model(), 0.3, clients_per_round=3
-        )
+        trainer = _distributed_sgd(toy_dataset, _model(), 0.3, clients_per_round=3)
         assert trainer.mu == 0.0
+        assert not trainer.drop_stragglers
         assert trainer.epochs == 1
         assert isinstance(trainer.solver, GDSolver)
         assert trainer.label == "DistributedSGD"
 
     def test_trains(self, toy_dataset):
-        trainer = make_distributed_sgd(
+        trainer = _distributed_sgd(
             toy_dataset, _model(), 0.3, clients_per_round=3, seed=0
         )
         history = trainer.run(15)
@@ -32,7 +41,7 @@ class TestDistributedSGD:
     def test_one_round_is_one_averaged_gradient_step(self, toy_dataset):
         """With full participation, one round = w - lr * weighted-avg grad."""
         model = _model()
-        trainer = make_distributed_sgd(
+        trainer = _distributed_sgd(
             toy_dataset, model, 0.3,
             clients_per_round=toy_dataset.num_devices, seed=0,
         )
@@ -54,15 +63,15 @@ class TestDistributedSGD:
         """FedProx with E=10 makes more progress per round than one-step
         distributed SGD — the communication-efficiency motivation."""
         rounds = 15
-        dsgd = make_distributed_sgd(
+        dsgd = _distributed_sgd(
             synthetic_small,
             MultinomialLogisticRegression(dim=60, num_classes=10),
             0.1, clients_per_round=5, seed=1, evaluation=EvalConfig(every=rounds),
         ).run(rounds)
-        fedprox = make_fedprox(
+        fedprox = FederatedTrainer(
             synthetic_small,
             MultinomialLogisticRegression(dim=60, num_classes=10),
-            0.01, mu=0.0, clients_per_round=5, epochs=10, seed=1,
-            evaluation=EvalConfig(every=rounds),
+            SGDSolver(0.01, batch_size=10), mu=0.0, clients_per_round=5,
+            epochs=10, seed=1, evaluation=EvalConfig(every=rounds),
         ).run(rounds)
         assert fedprox.final_train_loss() < dsgd.final_train_loss()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FedDaneTrainer, make_feddane
+from repro.core import FedDaneTrainer
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 
@@ -89,14 +89,10 @@ class TestFedDane:
         ).run(3)
         assert dane.train_losses != prox.train_losses
 
-    def test_factory(self, toy_dataset):
-        model = MultinomialLogisticRegression(dim=6, num_classes=3)
-        trainer = make_feddane(
-            toy_dataset, model, learning_rate=0.1, mu=1.0,
-            clients_per_round=3, gradient_clients=4,
-        )
-        assert isinstance(trainer, FedDaneTrainer)
-        assert trainer.mu == 1.0
+    def test_label_names_the_method(self, toy_dataset):
+        trainer = _trainer(toy_dataset, mu=1.0, gradient_clients=4)
+        assert trainer.label == "FedDane (mu=1)"
+        assert not trainer.drop_stragglers
         assert trainer.gradient_clients == 4
 
 

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    EvalConfig,
-    FederatedTrainer,
-    make_fedavg,
-    make_fedprox,
-)
+from repro.core import EvalConfig, FederatedTrainer
 from repro.core.adaptive_mu import AdaptiveMuController
 from repro.metrics import federated_test_accuracy, federated_train_loss
 from repro.models import MultinomialLogisticRegression
@@ -165,22 +160,26 @@ class TestAdaptiveMuIntegration:
         assert len(set(history.mus)) > 1  # mu moved at least once
 
 
-class TestFactories:
-    def test_make_fedavg_configuration(self, toy_dataset, toy_model):
-        trainer = make_fedavg(toy_dataset, toy_model, learning_rate=0.1, clients_per_round=3)
+class TestMethodLabels:
+    def test_fedavg_configuration(self, toy_dataset, toy_model):
+        trainer = FederatedTrainer(
+            toy_dataset, toy_model, SGDSolver(0.1, batch_size=10),
+            drop_stragglers=True, clients_per_round=3,
+        )
         assert trainer.mu == 0.0
-        assert trainer.drop_stragglers
         assert trainer.label == "FedAvg"
 
-    def test_make_fedprox_configuration(self, toy_dataset, toy_model):
-        trainer = make_fedprox(toy_dataset, toy_model, learning_rate=0.1, mu=0.5, clients_per_round=3)
-        assert trainer.mu == 0.5
+    def test_fedprox_configuration(self, toy_dataset, toy_model):
+        trainer = FederatedTrainer(
+            toy_dataset, toy_model, SGDSolver(0.1, batch_size=10),
+            mu=0.5, clients_per_round=3,
+        )
         assert not trainer.drop_stragglers
-        assert "0.5" in trainer.label
+        assert trainer.label == "FedProx (mu=0.5)"
 
     def test_describe_variants(self, toy_dataset, toy_model):
-        t = make_fedprox(
-            toy_dataset, toy_model, 0.1, mu=0.0, clients_per_round=3,
+        t = FederatedTrainer(
+            toy_dataset, toy_model, SGDSolver(0.1, batch_size=10), clients_per_round=3,
             mu_controller=AdaptiveMuController(initial_mu=0.0),
         )
         assert "adaptive" in t.describe()

@@ -80,24 +80,24 @@ class TestFederatedDataset:
         row = ds.stats().as_row()
         assert isinstance(row["Samples/device mean"], int)
 
-    def test_global_train_concatenates(self):
+    def test_stacked_train_concatenates(self):
         clients = [_client(0, n_train=3), _client(1, n_train=5)]
         ds = FederatedDataset("d", clients, num_classes=2)
-        X, y = ds.global_train()
+        X, y = ds.store.stacked("train")
         assert X.shape == (8, 3)
         assert y.shape == (8,)
 
-    def test_global_test(self):
+    def test_stacked_test(self):
         clients = [_client(0, n_test=2), _client(1, n_test=3)]
         ds = FederatedDataset("d", clients, num_classes=2)
-        X, y = ds.global_test()
+        X, y = ds.store.stacked("test")
         assert len(y) == 5
 
-    def test_global_test_empty_raises(self):
+    def test_stacked_test_empty_raises(self):
         clients = [_client(0, n_test=0)]
         ds = FederatedDataset("d", clients, num_classes=2)
         with pytest.raises(ValueError, match="no test data"):
-            ds.global_test()
+            ds.store.stacked("test")
 
 
 class TestTrainTestSplit:

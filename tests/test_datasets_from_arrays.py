@@ -115,8 +115,9 @@ class TestValidation:
 
     def test_trains_end_to_end(self):
         """Federated arrays plug straight into the trainer."""
-        from repro.core import make_fedprox
+        from repro.core import FederatedTrainer
         from repro.models import MultinomialLogisticRegression
+        from repro.optim import SGDSolver
 
         rng = np.random.default_rng(0)
         X = rng.normal(size=(400, 6))
@@ -126,7 +127,8 @@ class TestValidation:
             classes_per_device=2, seed=0,
         )
         model = MultinomialLogisticRegression(dim=6, num_classes=3)
-        history = make_fedprox(
-            ds, model, 0.1, mu=1.0, clients_per_round=5, epochs=3, seed=0,
+        history = FederatedTrainer(
+            ds, model, SGDSolver(0.1, batch_size=10), mu=1.0,
+            clients_per_round=5, epochs=3, seed=0,
         ).run(10)
         assert history.final_train_loss() < history.train_losses[0]

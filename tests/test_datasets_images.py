@@ -43,7 +43,7 @@ class TestPrototypeImages:
 
     def test_ten_classes_globally(self):
         ds = make_mnist_like(num_devices=30, total_samples=1200, dim=64, seed=2)
-        _, y = ds.global_train()
+        _, y = ds.store.stacked("train")
         assert set(np.unique(y)) == set(range(10))
 
     def test_power_law_size_skew(self):
@@ -63,7 +63,7 @@ class TestPrototypeImages:
                 "x", num_devices=6, num_classes=4, classes_per_device=4,
                 total_samples=600, dim=64, noise=noise, seed=3,
             )
-            X, y = ds.global_train()
+            X, y = ds.store.stacked("train")
             # class means as prototypes
             protos = np.stack([X[y == c].mean(axis=0) for c in range(4)])
             pred = np.argmin(

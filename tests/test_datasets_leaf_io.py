@@ -120,16 +120,18 @@ class TestSaveLeaf:
         load_leaf(tmp_path / "train.json", tmp_path / "test.json")  # no raise
 
     def test_trains_after_import(self, tmp_path):
-        from repro.core import make_fedprox
+        from repro.core import FederatedTrainer
         from repro.models import MultinomialLogisticRegression
+        from repro.optim import SGDSolver
 
         ds = make_synthetic(1.0, 1.0, num_devices=6, seed=2, size_cap=60)
         save_leaf(ds, tmp_path / "train.json", tmp_path / "test.json")
         loaded = load_leaf(tmp_path / "train.json", tmp_path / "test.json")
 
         model = MultinomialLogisticRegression(dim=60, num_classes=10)
-        history = make_fedprox(
-            loaded, model, 0.01, mu=1.0, clients_per_round=3, epochs=3, seed=0,
+        history = FederatedTrainer(
+            loaded, model, SGDSolver(0.01, batch_size=10), mu=1.0,
+            clients_per_round=3, epochs=3, seed=0,
         ).run(5)
         assert history.final_train_loss() < history.train_losses[0]
 

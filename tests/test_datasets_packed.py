@@ -568,13 +568,12 @@ class TestOneCopy:
 
     def test_global_splits_are_the_stacks_themselves(self):
         dataset = make_synthetic(1.0, 1.0, num_devices=8, seed=7, size_cap=80)
-        X, y = dataset.global_train()
+        X, y = dataset.store.stacked("train")
         assert X is dataset.store.train_x and y is dataset.store.train_y
-        X, y = dataset.global_test()
+        X, y = dataset.store.stacked("test")
         assert X is dataset.store.test_x and y is dataset.store.test_y
         no_test = make_synthetic(1.0, 1.0, num_devices=3, test_fraction=0.0)
-        with pytest.raises(ValueError, match="no test data"):
-            no_test.global_test()
+        assert [len(a) for a in no_test.store.stacked("test")] == [0, 0]
 
     def test_building_never_holds_a_second_copy(self):
         """Nor a whole large device: the largest here is 16 254 rows, 51 MB
@@ -628,8 +627,8 @@ class TestOneCopy:
         dataset = FederatedDataset("mine", clients, num_classes=3, input_dim=6)
         assert not isinstance(dataset.store, PackedClientStore)
         assert all(a is b for a, b in zip(dataset.clients, clients))
-        X, _ = dataset.global_train()
-        assert X is dataset.global_train()[0]  # concatenated once
+        X, _ = dataset.store.stacked("train")
+        assert X is dataset.store.stacked("train")[0]  # concatenated once
         assert not np.shares_memory(X, clients[0].train_x)
 
     def test_constructor_checks_the_offsets(self):
@@ -666,7 +665,7 @@ class TestTravelsAsItsStacks:
 
     def test_concatenated_splits_stay_home(self, toy_dataset):
         """A store that had to concatenate ships its clients, not the copy."""
-        toy_dataset.global_train()
+        toy_dataset.store.stacked("train")
         lazy = OnDemandSyntheticStore(1.0, 1.0, num_devices=5, seed=0)
         lazy.stacked("train")
         for store, limit in ((toy_dataset.store, 1.3 * data_bytes(toy_dataset)),
@@ -778,7 +777,7 @@ class TestCensusEquivalence:
     def test_lazy_store_under_explicit_stacked(self, tmp_path):
         source = make_synthetic(1.0, 1.0, num_devices=8, seed=7, size_cap=80)
         store = MmapShardStore.pack(source, str(tmp_path / "shards"), clients_per_shard=3)
-        lazy = FederatedDataset.from_store("lazy", store, 10, 60)
+        lazy = FederatedDataset("lazy", num_classes=10, input_dim=60, store=store)
         model = _logistic(lazy)
         pool = ClientPool(lazy, model, SOLVER)
         evaluator = FederationEvaluator(pool, model, "stacked", block_size=100)
@@ -851,4 +850,4 @@ class TestUnpackableInputs:
         loss, accuracy = _frozen_census(list(pool), model, w, STACKED_EVAL_BLOCK)
         assert stacked.train_loss(w) == loss
         assert stacked.test_accuracy(w) == accuracy
-        assert dataset.global_train()[0].dtype == np.float64
+        assert dataset.store.stacked("train")[0].dtype == np.float64

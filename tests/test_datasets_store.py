@@ -382,8 +382,9 @@ class TestMmapShardStore:
         # automatically, and the comparison must isolate the store from
         # the stacked-vs-looped reduction-order difference (~1e-15).
         source, store = packed
-        lazy_dataset = FederatedDataset.from_store(
-            source.name, store, source.num_classes, source.input_dim
+        lazy_dataset = FederatedDataset(
+            source.name, num_classes=source.num_classes,
+            input_dim=source.input_dim, store=store,
         )
         histories = []
         for dataset in (source, lazy_dataset):

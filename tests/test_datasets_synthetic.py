@@ -49,12 +49,12 @@ class TestGeneration:
 
     def test_all_classes_present_globally(self):
         ds = make_synthetic(1.0, 1.0, num_devices=30, seed=0, size_cap=200)
-        _, y = ds.global_train()
+        _, y = ds.store.stacked("train")
         assert len(np.unique(y)) >= 8  # nearly all of the 10 classes
 
     def test_iid_labels_not_degenerate(self):
         ds = make_synthetic_iid(num_devices=10, seed=0, size_cap=200)
-        _, y = ds.global_train()
+        _, y = ds.store.stacked("train")
         assert len(np.unique(y)) >= 5
 
 
@@ -67,7 +67,7 @@ class TestHeterogeneityKnob:
         clients = ClientPool(ds, model, SGDSolver(0.01))
         # Measure at a non-trivial point: a few global GD steps from zero.
         w = np.zeros(model.n_params)
-        X, y = ds.global_train()
+        X, y = ds.store.stacked("train")
         for _ in range(5):
             model.set_params(w)
             w = w - 0.5 * model.gradient(X, y)

@@ -116,7 +116,7 @@ class TestSent140Like:
             num_devices=10, vocab_size=80, seq_len=20,
             sentiment_strength=0.8, seed=1,
         )
-        X, y = ds.global_train()
+        X, y = ds.store.stacked("train")
         pos_lexicon = set(range(10))  # first eighth of 80
         pos_counts = np.array([
             sum(1 for t in row if t in pos_lexicon) for row in X

@@ -18,7 +18,6 @@ from typing import Optional
 
 import pytest
 
-from repro.core import make_distributed_sgd, make_fedprox
 from repro.core.adaptive_mu import AdaptiveMuController
 from repro.core.config import EvalConfig
 from repro.core.feddane import FedDaneTrainer
@@ -176,18 +175,22 @@ def _logistic(dim=60):
 
 
 ABLATIONS = {
-    ("ablation-mu-grid", 0, "90% stragglers", "mu=0.1"): lambda: make_fedprox(
-        _synthetic11(20, 3, 300), _logistic(), 0.01, mu=0.1,
-        systems=FractionStragglers(0.9, seed=0), seed=0, evaluation=EvalConfig(every=40),
-    ),
-    ("ablation-local-epochs", 0, "E=5", "mu=1"): lambda: make_fedprox(
-        _synthetic11(30, 3, 400), _logistic(), 0.01, mu=1.0, epochs=5, seed=0,
+    ("ablation-mu-grid", 0, "90% stragglers", "mu=0.1"): lambda: FederatedTrainer(
+        dataset=_synthetic11(20, 3, 300), model=_logistic(),
+        solver=SGDSolver(0.01, batch_size=10), mu=0.1, drop_stragglers=False,
+        clients_per_round=10, epochs=20, systems=FractionStragglers(0.9, seed=0), seed=0,
         evaluation=EvalConfig(every=40),
     ),
-    ("ablation-gamma", 0, "90% stragglers", "E=20"): lambda: make_fedprox(
-        _synthetic11(20, 3, 300), _logistic(), 0.01, mu=1.0, epochs=20,
-        systems=FractionStragglers(0.9, seed=0), seed=0, evaluation=EvalConfig(every=20),
-        track_gamma=True,
+    ("ablation-local-epochs", 0, "E=5", "mu=1"): lambda: FederatedTrainer(
+        dataset=_synthetic11(30, 3, 400), model=_logistic(),
+        solver=SGDSolver(0.01, batch_size=10), mu=1.0, drop_stragglers=False,
+        clients_per_round=10, epochs=5, seed=0, evaluation=EvalConfig(every=40),
+    ),
+    ("ablation-gamma", 0, "90% stragglers", "E=20"): lambda: FederatedTrainer(
+        dataset=_synthetic11(20, 3, 300), model=_logistic(),
+        solver=SGDSolver(0.01, batch_size=10), mu=1.0, drop_stragglers=False,
+        clients_per_round=10, epochs=20, systems=FractionStragglers(0.9, seed=0), seed=0,
+        evaluation=EvalConfig(every=20), track_gamma=True,
     ),
     ("ablation-partial-work", 1, "90% stragglers", "mu=1, drop"): lambda: FederatedTrainer(
         dataset=_synthetic11(20, 3, 300), model=_logistic(),
@@ -203,9 +206,10 @@ ABLATIONS = {
         model=_logistic(64), solver=GDSolver(0.1), mu=1.0, clients_per_round=10,
         epochs=5, seed=2, evaluation=EvalConfig(every=5),
     ),
-    ("ablation-remark8", 0, "", "DistributedSGD"): lambda: make_distributed_sgd(
-        _synthetic11(20, 2, 300), _logistic(), 0.1, clients_per_round=10, seed=0,
-        evaluation=EvalConfig(every=60), comms="identity",
+    ("ablation-remark8", 0, "", "DistributedSGD"): lambda: FederatedTrainer(
+        dataset=_synthetic11(20, 2, 300), model=_logistic(), solver=GDSolver(0.1),
+        mu=0.0, drop_stragglers=False, clients_per_round=10, epochs=1, seed=0,
+        label="DistributedSGD", evaluation=EvalConfig(every=60), comms="identity",
     ),
 }
 

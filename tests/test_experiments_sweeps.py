@@ -4,8 +4,8 @@ final training loss."""
 import numpy as np
 import pytest
 
-from repro.core.fedprox import MU_GRID
 from repro.experiments import figure_cells, run_cells, sweep_cells
+from repro.experiments.configs import MU_GRID
 
 LR = "recipe.solver.learning_rate"
 MU = "trainer_config.optimization.mu"

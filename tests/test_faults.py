@@ -136,11 +136,13 @@ class TestFaultModels:
 
 
 class TestFaultPolicy:
-    def test_backoff_sequence_is_geometric(self):
+    def test_backoff_is_geometric(self):
         policy = FaultPolicy(
             on_crash="retry", max_retries=3, backoff_base=1.5, backoff_factor=2.0
         )
-        assert policy.backoff_sequence() == [1.5, 3.0, 6.0]
+        assert [policy.backoff(a) for a in (1, 2, 3)] == [1.5, 3.0, 6.0]
+        with pytest.raises(ValueError, match="1-based"):
+            policy.backoff(0)
 
     def test_quorum_semantics(self):
         assert FaultPolicy(min_quorum=0).quorum_for(10) == 0
@@ -149,10 +151,8 @@ class TestFaultPolicy:
         assert FaultPolicy(min_quorum=0.01).quorum_for(10) == 1  # floor of 1
         assert FaultPolicy(min_quorum=3).quorum_for(10) == 3
 
-    def test_presets(self):
-        assert FaultPolicy.fedprox().on_crash == "accept_partial"
-        assert FaultPolicy.fedavg().on_crash == "drop"
-        assert FaultPolicy.fedavg(min_quorum=2).min_quorum == 2
+    def test_default_accepts_partial_work(self):
+        assert FaultPolicy().on_crash == "accept_partial"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -220,7 +220,7 @@ class TestTrainerIntegration:
         trainer = _trainer(
             synthetic_small,
             faults=CrashFaults(rate=1.0, seed=2, min_fraction=0.5, max_fraction=0.5),
-            fault_policy=FaultPolicy.fedprox(),
+            fault_policy=FaultPolicy(),
         )
         try:
             record = trainer.run_round()
@@ -233,7 +233,7 @@ class TestTrainerIntegration:
         trainer = _trainer(
             synthetic_small,
             faults=CrashFaults(rate=1.0, seed=2),
-            fault_policy=FaultPolicy.fedavg(),
+            fault_policy=FaultPolicy(on_crash="drop"),
         )
         try:
             w_before = trainer.w.copy()

@@ -10,12 +10,12 @@ import pytest
 from repro.core import (
     AdaptiveMuController,
     EvalConfig,
-    make_fedavg,
-    make_fedprox,
+    FederatedTrainer,
     measure_dissimilarity,
 )
 from repro.datasets import make_mnist_like, make_synthetic, make_synthetic_iid
 from repro.models import CharLSTM, MultinomialLogisticRegression
+from repro.optim import SGDSolver
 from repro.systems import FractionStragglers
 
 
@@ -43,18 +43,19 @@ class TestHeadlineClaims:
     def test_fedprox_beats_fedavg_under_90pct_stragglers(self, het_dataset):
         """Figure 1's core claim on non-IID data with heavy stragglers."""
         rounds = 40
-        fedavg = make_fedavg(
-            het_dataset, _logistic(), 0.01,
+        fedavg = FederatedTrainer(
+            het_dataset, _logistic(), SGDSolver(0.01, batch_size=10),
+            drop_stragglers=True,
             systems=FractionStragglers(0.9, seed=5), seed=1,
             evaluation=EvalConfig(every=rounds),
         ).run(rounds)
-        fedprox0 = make_fedprox(
-            het_dataset, _logistic(), 0.01, mu=0.0,
+        fedprox0 = FederatedTrainer(
+            het_dataset, _logistic(), SGDSolver(0.01, batch_size=10), mu=0.0,
             systems=FractionStragglers(0.9, seed=5), seed=1,
             evaluation=EvalConfig(every=rounds),
         ).run(rounds)
-        fedprox1 = make_fedprox(
-            het_dataset, _logistic(), 0.01, mu=1.0,
+        fedprox1 = FederatedTrainer(
+            het_dataset, _logistic(), SGDSolver(0.01, batch_size=10), mu=1.0,
             systems=FractionStragglers(0.9, seed=5), seed=1,
             evaluation=EvalConfig(every=rounds),
         ).run(rounds)
@@ -65,11 +66,13 @@ class TestHeadlineClaims:
     def test_iid_data_robust_to_stragglers(self, iid_dataset):
         """Figure 5: on IID data, FedAvg barely suffers from stragglers."""
         rounds = 30
-        clean = make_fedavg(
-            iid_dataset, _logistic(), 0.01, seed=2, evaluation=EvalConfig(every=rounds),
+        clean = FederatedTrainer(
+            iid_dataset, _logistic(), SGDSolver(0.01, batch_size=10),
+            drop_stragglers=True, seed=2, evaluation=EvalConfig(every=rounds),
         ).run(rounds)
-        stressed = make_fedavg(
-            iid_dataset, _logistic(), 0.01,
+        stressed = FederatedTrainer(
+            iid_dataset, _logistic(), SGDSolver(0.01, batch_size=10),
+            drop_stragglers=True,
             systems=FractionStragglers(0.9, seed=3), seed=2,
             evaluation=EvalConfig(every=rounds),
         ).run(rounds)
@@ -83,8 +86,8 @@ class TestHeadlineClaims:
         rounds = 40
 
         def loss_increases(ds):
-            h = make_fedprox(
-                ds, _logistic(), 0.01, mu=0.0, seed=3,
+            h = FederatedTrainer(
+                ds, _logistic(), SGDSolver(0.01, batch_size=10), mu=0.0, seed=3,
                 evaluation=EvalConfig(every=rounds)
             ).run(rounds)
             diffs = np.diff(h.train_losses)
@@ -99,8 +102,8 @@ class TestHeadlineClaims:
         rounds = 100
         runs = {}
         for mu in (0.0, 1.0):
-            trainer = make_fedprox(
-                het_dataset_fig2, _logistic(), 0.01, mu=mu, seed=0,
+            trainer = FederatedTrainer(
+                het_dataset_fig2, _logistic(), SGDSolver(0.01, batch_size=10), mu=mu, seed=0,
                 track_dissimilarity=True, evaluation=EvalConfig(every=4),
             )
             runs[mu] = trainer.run(rounds)
@@ -114,12 +117,12 @@ class TestHeadlineClaims:
     def test_adaptive_mu_competitive_with_best_fixed(self, het_dataset):
         """Figure 3: dynamic mu from an adversarial start ~ matches fixed."""
         rounds = 40
-        fixed = make_fedprox(
-            het_dataset, _logistic(), 0.01, mu=1.0, seed=5,
+        fixed = FederatedTrainer(
+            het_dataset, _logistic(), SGDSolver(0.01, batch_size=10), mu=1.0, seed=5,
             evaluation=EvalConfig(every=rounds),
         ).run(rounds)
-        adaptive = make_fedprox(
-            het_dataset, _logistic(), 0.01, mu=0.0, seed=5,
+        adaptive = FederatedTrainer(
+            het_dataset, _logistic(), SGDSolver(0.01, batch_size=10), mu=0.0, seed=5,
             mu_controller=AdaptiveMuController(initial_mu=0.0),
             evaluation=EvalConfig(every=rounds),
         ).run(rounds)
@@ -130,8 +133,8 @@ class TestConvergenceQuality:
     def test_reaches_good_accuracy_on_mnist_like(self):
         dataset = make_mnist_like(num_devices=30, total_samples=1500, dim=64, seed=0)
         model = MultinomialLogisticRegression(dim=64, num_classes=10)
-        trainer = make_fedprox(
-            dataset, model, 0.03, mu=1.0, seed=0,
+        trainer = FederatedTrainer(
+            dataset, model, SGDSolver(0.03, batch_size=10), mu=1.0, seed=0,
             evaluation=EvalConfig(every=5),
         )
         history = trainer.run(30)
@@ -142,8 +145,8 @@ class TestConvergenceQuality:
 
     def test_loss_monotone_in_aggregate(self, iid_dataset):
         """On IID data the loss trend should be clearly downward."""
-        history = make_fedprox(
-            iid_dataset, _logistic(), 0.01, mu=0.0, seed=6,
+        history = FederatedTrainer(
+            iid_dataset, _logistic(), SGDSolver(0.01, batch_size=10), mu=0.0, seed=6,
             evaluation=EvalConfig(every=100),
         ).run(30)
         losses = history.train_losses
@@ -157,8 +160,9 @@ class TestConvergenceQuality:
             num_devices=4, seq_len=6, samples_per_device_mean=15, seed=0
         )
         model = CharLSTM(vocab_size=80, embed_dim=4, hidden=8, num_layers=2, seed=0)
-        trainer = make_fedprox(
-            dataset, model, 0.5, mu=0.001, clients_per_round=2, epochs=2, seed=0,
+        trainer = FederatedTrainer(
+            dataset, model, SGDSolver(0.5, batch_size=10), mu=0.001,
+            clients_per_round=2, epochs=2, seed=0,
         )
         history = trainer.run(2)
         assert all(np.isfinite(l) for l in history.train_losses)
@@ -166,8 +170,8 @@ class TestConvergenceQuality:
     def test_dissimilarity_measured_on_trained_model(self, het_dataset):
         """B(w) stays finite and >= 1 along a real training trajectory."""
         model = _logistic()
-        trainer = make_fedprox(
-            het_dataset, model, 0.01, mu=1.0, seed=7,
+        trainer = FederatedTrainer(
+            het_dataset, model, SGDSolver(0.01, batch_size=10), mu=1.0, seed=7,
             evaluation=EvalConfig(every=100),
         )
         trainer.run(10)

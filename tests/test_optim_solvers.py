@@ -12,6 +12,7 @@ from repro.optim import (
     MomentumSGDSolver,
     SGDSolver,
 )
+from repro.spec import build, describe
 
 
 def _objective(mu=0.0, w_ref=None, n=30, dim=4, classes=3, seed=0):
@@ -162,7 +163,9 @@ class TestSGDSolver:
             SGDSolver(lr, batch_size=bs)
 
     def test_describe(self):
-        assert "SGD" in SGDSolver(0.1).describe()
+        assert describe(SGDSolver(0.1)) == {
+            "type": "SGDSolver", "learning_rate": 0.1, "batch_size": 10,
+        }
 
 
 class TestOtherSolvers:
@@ -212,7 +215,7 @@ class TestOtherSolvers:
         ]:
             w = solver.solve(obj, w0, 2, np.random.default_rng(0))
             assert w.shape == w0.shape
-            assert solver.describe()
+            assert describe(build(describe(solver))) == describe(solver)
 
 
 class TestAdamStatelessness:
@@ -285,7 +288,7 @@ class TestAdamStatelessness:
             solver.stacked_step(w, G[k : k + 1].copy(), one, step)
             np.testing.assert_array_equal(W[k], w[0])
 
-    def test_describe_reports_stacked_and_stateless(self):
-        text = AdamSolver(0.001).describe()
-        assert "stacked=yes" in text
-        assert "stateless" in text
+    def test_stacked_and_described_by_its_spec(self):
+        solver = AdamSolver(0.001)
+        assert solver.supports_stacked_solve
+        assert build(describe(solver)).learning_rate == 0.001

@@ -76,7 +76,7 @@ def _hand_built_dataset(tmp_path):
 
 def _mmap_dataset(tmp_path):
     store = MmapShardStore.pack(_hand_built(), str(tmp_path / "shards"), clients_per_shard=4)
-    return FederatedDataset.from_store("hand-mmap", store, num_classes=CLASSES, input_dim=DIM)
+    return FederatedDataset("hand-mmap", num_classes=CLASSES, input_dim=DIM, store=store)
 
 
 def _packed_dataset(tmp_path):
@@ -85,7 +85,7 @@ def _packed_dataset(tmp_path):
 
 def _ondemand_dataset(tmp_path):
     store = OnDemandSyntheticStore(1.0, 1.0, num_devices=6, seed=3, size_cap=600)
-    return FederatedDataset.from_store("od", store, num_classes=10, input_dim=60)
+    return FederatedDataset("od", num_classes=10, input_dim=60, store=store)
 
 
 STORES = {

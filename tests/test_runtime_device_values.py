@@ -137,8 +137,9 @@ def federations(tmp_path_factory):
         "ondemand": make_synthetic_ondemand(
             1.0, 1.0, num_devices=N, seed=5, size_cap=60, min_samples=10
         ),
-        "mmap": FederatedDataset.from_store(
-            "mmap", MmapShardStore(mmap_dir, max_open_shards=1), 10, 60
+        "mmap": FederatedDataset(
+            "mmap", num_classes=10, input_dim=60,
+            store=MmapShardStore(mmap_dir, max_open_shards=1),
         ),
     }
     out = {}

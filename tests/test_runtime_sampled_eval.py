@@ -443,11 +443,11 @@ class TestStackedSampledAccuracy:
             )
         directory = tmp_path_factory.mktemp("shards")
         MmapShardStore.pack(eager, directory, clients_per_shard=16)
-        return FederatedDataset.from_store(
+        return FederatedDataset(
             eager.name,
-            MmapShardStore(directory, max_open_shards=1),
-            eager.num_classes,
-            eager.input_dim,
+            num_classes=eager.num_classes,
+            input_dim=eager.input_dim,
+            store=MmapShardStore(directory, max_open_shards=1),
         )
 
     @pytest.fixture(scope="class")

@@ -10,9 +10,10 @@ suggested mu is positive and finite.
 
 import numpy as np
 
-from repro.core import EvalConfig, make_fedprox
+from repro.core import EvalConfig, FederatedTrainer
 from repro.datasets import make_synthetic, make_synthetic_iid
 from repro.models import MultinomialLogisticRegression
+from repro.optim import SGDSolver
 from repro.reporting import format_table
 from repro.theory import (
     estimate_constants,
@@ -33,8 +34,9 @@ def _measure():
     rows = []
     for name, dataset in [("Synthetic-IID", iid), ("Synthetic(1,1)", het)]:
         model = MultinomialLogisticRegression(dim=60, num_classes=10)
-        trainer = make_fedprox(
-            dataset, model, 0.01, mu=1.0, clients_per_round=10, seed=SEED,
+        trainer = FederatedTrainer(
+            dataset, model, SGDSolver(0.01, batch_size=10), mu=1.0,
+            clients_per_round=10, seed=SEED,
             evaluation=EvalConfig(every=100),
         )
         trainer.run(10)  # measure at a non-trivial point

@@ -70,7 +70,7 @@ def test_describe_rebuild_describe_is_a_fixed_point(dataset):
         epochs=5,
         seed=9,
         faults=ChaosFaults(rate=0.2, seed=4),
-        fault_policy=FaultPolicy.fedavg(min_quorum=0.5),
+        fault_policy=FaultPolicy(on_crash="drop", min_quorum=0.5),
         engine="parallel:2",
         comms="comms:codec=qsgd,bits=6,ef=true",
         evaluation=EvalConfig(
