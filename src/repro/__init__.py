@@ -21,23 +21,13 @@ Quickstart
 """
 
 __version__ = "1.0.0"
+__all__ = ["__version__"]
 
-from . import (
-    autograd,
-    comms,
-    core,
-    datasets,
-    faults,
-    metrics,
-    models,
-    nn,
-    optim,
-    systems,
-    telemetry,
-    theory,
-)
+from . import _lazy
 
-__all__ = [
+# Each subpackage loads on first use (``repro.core``, ``from repro.core
+# import ...``), so a run imports only the packages it touches.
+_lazy.attach(globals(), {}, submodules=(
     "autograd",
     "nn",
     "models",
@@ -50,5 +40,4 @@ __all__ = [
     "metrics",
     "telemetry",
     "theory",
-    "__version__",
-]
+))

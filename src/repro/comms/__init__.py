@@ -22,32 +22,20 @@ Enable compression by passing ``comms=`` to the trainer::
                      comms="comms:codec=qsgd,bits=8,ef=true")
 """
 
-from .codecs import (
-    COMMS_SALT,
-    DENSE_ITEMSIZE,
-    CastCodec,
-    Codec,
-    IdentityCodec,
-    QSGDCodec,
-    TopKCodec,
-    WirePayload,
-    codec_rng,
-)
-from .config import CODEC_NAMES, CommsConfig, parse_comms_spec
-from .manager import CommsManager
+from .. import _lazy
 
-__all__ = [
-    "CODEC_NAMES",
-    "COMMS_SALT",
-    "DENSE_ITEMSIZE",
-    "CastCodec",
-    "Codec",
-    "CommsConfig",
-    "CommsManager",
-    "IdentityCodec",
-    "QSGDCodec",
-    "TopKCodec",
-    "WirePayload",
-    "codec_rng",
-    "parse_comms_spec",
-]
+_lazy.attach(globals(), {
+    ".codecs": (
+        "COMMS_SALT",
+        "DENSE_ITEMSIZE",
+        "CastCodec",
+        "Codec",
+        "IdentityCodec",
+        "QSGDCodec",
+        "TopKCodec",
+        "WirePayload",
+        "codec_rng",
+    ),
+    ".config": ("CODEC_NAMES", "CommsConfig", "parse_comms_spec"),
+    ".manager": ("CommsManager",),
+})

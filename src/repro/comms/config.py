@@ -12,10 +12,12 @@ parses to a config whose :meth:`~CommsConfig.spec` emits the same string
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..spec import SpecGrammar, boolean
-from .codecs import CastCodec, Codec, IdentityCodec, QSGDCodec, TopKCodec
+
+if TYPE_CHECKING:  # the codecs load with the first config that builds one
+    from .codecs import Codec
 
 #: Accepted codec names.  ``"dense"`` means compression is disabled — the
 #: historical uncompressed path, with no comms accounting at all.
@@ -145,6 +147,8 @@ class CommsConfig:
         """The codec instance this config describes; ``None`` when dense."""
         if self.codec == "dense":
             return None
+        from .codecs import CastCodec, IdentityCodec, QSGDCodec, TopKCodec
+
         if self.codec == "identity":
             return IdentityCodec()
         if self.codec in ("fp16", "fp32"):

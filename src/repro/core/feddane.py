@@ -55,6 +55,8 @@ class FedDaneTrainer(FederatedTrainer):
             raise ValueError("gradient_clients out of range")
 
     def describe(self) -> str:
+        if self.mu_controller is not None:
+            return "FedDane (adaptive mu)"
         return f"FedDane (mu={self.mu:g})"
 
     def _estimate_global_gradient(self, round_idx: int) -> np.ndarray:

@@ -38,32 +38,34 @@ from __future__ import annotations
 
 import inspect
 import time
-from typing import Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..comms import CommsConfig, CommsManager
+from ..comms.config import CommsConfig
 from ..datasets.federated import FederatedDataset
-from ..faults.manager import FaultManager, FaultStats, RoundFaultReport
 from ..faults.models import FaultSchedule, resolve_faults
 from ..faults.policy import FaultPolicy
 from ..models.base import FederatedModel
 from ..optim.base import LocalSolver
 from ..runtime import make_executor, parse_executor_spec
 from ..runtime.executor import LocalTask, RoundExecutor
-from ..runtime.sampled import SampledEvaluator
 from ..spec import register
 from ..systems.stragglers import NoHeterogeneity, SystemsModel
-from ..telemetry import RunLedger, resolve_telemetry
-from ..telemetry.replay import describe_trainer
-from .adaptive_mu import AdaptiveMuController
-from .callbacks import Callback
+from ..telemetry.core import resolve_telemetry
+from ..telemetry.ledger import RunLedger
 from .client import ClientPool, ClientUpdate
 from .config import EvalConfig
-from .diagnostics import emit_round_diagnostics
-from .dissimilarity import DissimilarityReport, measure_dissimilarity
 from .history import RoundRecord, TrainingHistory
 from .sampling import SamplingScheme, UniformSamplingWeightedAverage
+
+if TYPE_CHECKING:
+    from ..comms.manager import CommsManager
+    from ..faults.manager import FaultManager, RoundFaultReport
+    from ..runtime.sampled import SampledEvaluator
+    from .adaptive_mu import AdaptiveMuController
+    from .callbacks import Callback
+    from .dissimilarity import DissimilarityReport
 
 
 class FederatedTrainer:
@@ -236,15 +238,19 @@ class FederatedTrainer:
         self.callbacks: List[Callback] = list(callbacks or [])
         self.label = label or self.describe()
 
+        # A feature's modules are imported below, where its configuration
+        # is resolved, and only when it is on: a round imports nothing.
         self.telemetry = resolve_telemetry(telemetry)
         # The manager only exists when faults are enabled: the NoFaults
         # default keeps _local_updates on its original code path, so
         # fault-free histories stay bit-identical to earlier versions.
-        self._fault_manager: Optional[FaultManager] = (
-            FaultManager(self.faults, self.fault_policy, telemetry=self.telemetry)
-            if self.faults.enabled
-            else None
-        )
+        self._fault_manager: Optional[FaultManager] = None
+        if self.faults.enabled:
+            from ..faults.manager import FaultManager
+
+            self._fault_manager = FaultManager(
+                self.faults, self.fault_policy, telemetry=self.telemetry
+            )
         self._last_fault_report: Optional[RoundFaultReport] = None
 
         if engine is None or isinstance(engine, str):
@@ -265,11 +271,11 @@ class FederatedTrainer:
         # engine decodes payloads before the fault policy or aggregation
         # reads an update.
         self.comms_config = CommsConfig.resolve(comms)
-        self._comms_manager: Optional[CommsManager] = (
-            CommsManager(self.comms_config)
-            if self.comms_config.enabled
-            else None
-        )
+        self._comms_manager: Optional[CommsManager] = None
+        if self.comms_config.enabled:
+            from ..comms.manager import CommsManager
+
+            self._comms_manager = CommsManager(self.comms_config)
         # The simulated environment resolves the engine's arrival clock
         # (systems device profiles can drive check-in times; the trainer
         # seed keeps seeded latency reproducible and replayable).
@@ -294,6 +300,8 @@ class FederatedTrainer:
         # evaluation parity guarantees on those rounds.
         self.sampled_evaluator: Optional[SampledEvaluator] = None
         if self.eval_config.strategy == "sampled":
+            from ..runtime.sampled import SampledEvaluator
+
             self.sampled_evaluator = SampledEvaluator(
                 self.clients,
                 dataset.train_sizes,
@@ -305,6 +313,18 @@ class FederatedTrainer:
                 full_oracle=self.executor,
                 telemetry=self.telemetry,
             )
+        self._measure_dissimilarity = None
+        if self.track_dissimilarity:
+            from .dissimilarity import measure_dissimilarity
+
+            self._measure_dissimilarity = measure_dissimilarity
+        self._describe_run = self._emit_diagnostics = None
+        if self.telemetry.enabled:
+            from ..telemetry.replay import describe_trainer
+            from .diagnostics import emit_round_diagnostics
+
+            self._describe_run = describe_trainer
+            self._emit_diagnostics = emit_round_diagnostics
         self.w = model.get_params()
         self._round = 0
         self._closed = False
@@ -431,7 +451,7 @@ class FederatedTrainer:
         report = None
         for name in due:
             if name == "dissimilarity":
-                report = measure_dissimilarity(
+                report = self._measure_dissimilarity(
                     self.clients, self.w, max_clients=self.dissimilarity_max_clients
                 )
                 record.dissimilarity = report.gradient_variance
@@ -448,7 +468,7 @@ class FederatedTrainer:
 
     def run_round(self) -> RoundRecord:
         """Execute one communication round and return its metrics."""
-        self._ledger.open(describe_trainer, self)
+        self._ledger.open(self._describe_run, self)
         telemetry = self.telemetry
         round_idx = self._round
         # The round span is timed explicitly (not as an enclosing context
@@ -514,7 +534,7 @@ class FederatedTrainer:
                 stragglers=len(stragglers),
                 dropped=len(dropped),
             )
-            emit_round_diagnostics(
+            self._emit_diagnostics(
                 telemetry, round_idx, updates, self.epochs,
                 dissimilarity=dissimilarity, systems=self.systems,
             )
@@ -570,6 +590,8 @@ class FederatedTrainer:
 
         See :class:`~repro.faults.manager.FaultStats` for the keys.
         """
+        from ..faults.manager import FaultStats
+
         manager = self._fault_manager
         return (manager.stats if manager is not None else FaultStats()).as_dict()
 
@@ -579,6 +601,8 @@ class FederatedTrainer:
 
         See :meth:`~repro.comms.manager.CommsManager.stats` for the keys.
         """
+        from ..comms.manager import CommsManager
+
         manager = self._comms_manager or CommsManager(self.comms_config)
         return manager.stats()
 

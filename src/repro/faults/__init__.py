@@ -35,45 +35,25 @@ The default (:data:`NO_FAULTS`) injects nothing and keeps trainer behavior
 bit-identical to a fault-unaware build.
 """
 
-from .manager import RETRY_SALT, FaultManager, FaultStats, RoundFaultReport
-from .models import (
-    CORRUPT_MODES,
-    FAULT_KINDS,
-    FAULT_SALT,
-    NO_FAULTS,
-    ChaosFaults,
-    ComposeFaults,
-    CorruptionFaults,
-    CrashFaults,
-    DropoutFaults,
-    FaultDecision,
-    FaultSchedule,
-    NoFaults,
-    StaleFaults,
-    resolve_faults,
-)
-from .policy import CRASH_ACTIONS, RETRY_FALLBACKS, FaultPolicy
+from .. import _lazy
 
-__all__ = [
-    "FaultSchedule",
-    "FaultDecision",
-    "NoFaults",
-    "NO_FAULTS",
-    "CrashFaults",
-    "DropoutFaults",
-    "CorruptionFaults",
-    "StaleFaults",
-    "ChaosFaults",
-    "ComposeFaults",
-    "resolve_faults",
-    "FaultPolicy",
-    "FaultManager",
-    "FaultStats",
-    "RoundFaultReport",
-    "FAULT_KINDS",
-    "FAULT_SALT",
-    "CORRUPT_MODES",
-    "CRASH_ACTIONS",
-    "RETRY_FALLBACKS",
-    "RETRY_SALT",
-]
+_lazy.attach(globals(), {
+    ".models": (
+        "FaultSchedule",
+        "FaultDecision",
+        "NoFaults",
+        "NO_FAULTS",
+        "CrashFaults",
+        "DropoutFaults",
+        "CorruptionFaults",
+        "StaleFaults",
+        "ChaosFaults",
+        "ComposeFaults",
+        "resolve_faults",
+        "FAULT_KINDS",
+        "FAULT_SALT",
+        "CORRUPT_MODES",
+    ),
+    ".policy": ("FaultPolicy", "CRASH_ACTIONS", "RETRY_FALLBACKS"),
+    ".manager": ("FaultManager", "FaultStats", "RoundFaultReport", "RETRY_SALT"),
+})

@@ -7,26 +7,13 @@
 * :class:`SentimentLSTM` — Sent140-style binary sentiment classification.
 """
 
-from .base import (
-    LSTM_BACKENDS,
-    SEQ_EVAL_BLOCK_ROWS,
-    FederatedModel,
-    ModelFactory,
-    NeuralModel,
-)
-from .charlstm import CharLSTM
-from .logistic import MultinomialLogisticRegression
-from .mlp import MLPClassifier
-from .sentlstm import SentimentLSTM
+from .. import _lazy
 
-__all__ = [
-    "FederatedModel",
-    "NeuralModel",
-    "ModelFactory",
-    "LSTM_BACKENDS",
-    "SEQ_EVAL_BLOCK_ROWS",
-    "MultinomialLogisticRegression",
-    "MLPClassifier",
-    "CharLSTM",
-    "SentimentLSTM",
-]
+_lazy.attach(globals(), {
+    ".base": ("FederatedModel", "LSTM_BACKENDS", "SEQ_EVAL_BLOCK_ROWS"),
+    ".neural": ("NeuralModel",),
+    ".logistic": ("MultinomialLogisticRegression",),
+    ".mlp": ("MLPClassifier",),
+    ".charlstm": ("CharLSTM",),
+    ".sentlstm": ("SentimentLSTM",),
+})

@@ -6,7 +6,7 @@ flat parameter row, in one pass through the batched LSTM kernels
 (:mod:`repro.autograd.stacked_lstm`).  It is the only training path of a
 ``backend="fused"`` model: the cohort runs it on its lanes, and
 ``minibatch_gradients``, ``gradient`` and ``loss_and_gradient``
-(:class:`~repro.models.base.NeuralModel`) run it on the one-row view of
+(:class:`~repro.models.neural.NeuralModel`) run it on the one-row view of
 the iterate.
 
 The mixin owns the glue around those kernels — flat-vector views in the

@@ -16,7 +16,8 @@ from ..autograd import Tensor, no_grad, softmax_cross_entropy
 from ..nn import LSTM, Dense, Embedding
 from ..spec import register
 from ._stacked_seq import SeqModule, StackedSeqSolveMixin
-from .base import LSTM_BACKENDS, SEQ_EVAL_BLOCK_ROWS, NeuralModel
+from .base import LSTM_BACKENDS, SEQ_EVAL_BLOCK_ROWS
+from .neural import NeuralModel
 
 
 class _CharLSTMModule(SeqModule):

@@ -12,7 +12,7 @@ from ..autograd import Tensor, no_grad, softmax_cross_entropy
 from ..nn import Dense, Sequential
 from ..nn.module import Module
 from ..spec import register
-from .base import NeuralModel
+from .neural import NeuralModel
 
 
 @register

@@ -15,7 +15,8 @@ from ..autograd import Tensor, binary_cross_entropy_with_logits, no_grad
 from ..nn import LSTM, Dense, Embedding
 from ..spec import register
 from ._stacked_seq import SeqModule, StackedSeqSolveMixin
-from .base import LSTM_BACKENDS, SEQ_EVAL_BLOCK_ROWS, NeuralModel
+from .base import LSTM_BACKENDS, SEQ_EVAL_BLOCK_ROWS
+from .neural import NeuralModel
 
 
 class _SentLSTMModule(SeqModule):

@@ -1,25 +1,14 @@
 """Neural-network layers built on :mod:`repro.autograd`."""
 
-from . import init
-from .layers import Dense, Embedding
-from .losses import (
-    binary_cross_entropy_with_logits,
-    mse_loss,
-    softmax_cross_entropy,
-)
-from .module import Module, ModuleList, Sequential
-from .recurrent import LSTM, LSTMCell
+from .. import _lazy
 
-__all__ = [
-    "init",
-    "Module",
-    "ModuleList",
-    "Sequential",
-    "Dense",
-    "Embedding",
-    "LSTMCell",
-    "LSTM",
-    "softmax_cross_entropy",
-    "binary_cross_entropy_with_logits",
-    "mse_loss",
-]
+_lazy.attach(globals(), {
+    ".module": ("Module", "ModuleList", "Sequential"),
+    ".layers": ("Dense", "Embedding"),
+    ".recurrent": ("LSTMCell", "LSTM"),
+    ".losses": (
+        "softmax_cross_entropy",
+        "binary_cross_entropy_with_logits",
+        "mse_loss",
+    ),
+}, submodules=("init",))

@@ -1,20 +1,11 @@
 """Local solvers, local-subproblem objectives, and batch scheduling."""
 
-from .adam import AdamSolver
-from .base import BatchSchedule, LocalSolver, MiniBatchSolver
-from .inexactness import gamma_inexactness, is_gamma_inexact
-from .proximal import LocalObjective
-from .sgd import GDSolver, MomentumSGDSolver, SGDSolver
+from .. import _lazy
 
-__all__ = [
-    "LocalSolver",
-    "MiniBatchSolver",
-    "LocalObjective",
-    "BatchSchedule",
-    "SGDSolver",
-    "MomentumSGDSolver",
-    "GDSolver",
-    "AdamSolver",
-    "gamma_inexactness",
-    "is_gamma_inexact",
-]
+_lazy.attach(globals(), {
+    ".base": ("LocalSolver", "MiniBatchSolver", "BatchSchedule"),
+    ".proximal": ("LocalObjective",),
+    ".sgd": ("SGDSolver", "MomentumSGDSolver", "GDSolver"),
+    ".adam": ("AdamSolver",),
+    ".inexactness": ("gamma_inexactness", "is_gamma_inexact"),
+})

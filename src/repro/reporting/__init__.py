@@ -1,10 +1,8 @@
 """Plain-text reporting: ASCII charts and tables."""
 
-from .ascii_plot import ascii_chart, sparkline
-from .tables import format_table
+from .. import _lazy
 
-__all__ = [
-    "ascii_chart",
-    "sparkline",
-    "format_table",
-]
+_lazy.attach(globals(), {
+    ".ascii_plot": ("ascii_chart", "sparkline"),
+    ".tables": ("format_table",),
+})

@@ -23,28 +23,49 @@ stacked local-solve fast path, and :mod:`repro.runtime.evaluation` for the
 vectorized evaluation fast paths.
 """
 
-from types import SimpleNamespace
-from typing import Any, Dict
+from __future__ import annotations
 
-from .async_engine import ASYNC_GRAMMAR, AsyncExecutor
-from .cohort import CohortExecutor, solve_cohort
-from .evaluation import (
-    EVAL_MODES,
-    STACKED_EVAL_BLOCK,
-    FederationEvaluator,
-    no_test_samples_error,
-    resolve_eval_mode,
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Dict
+
+from .. import _lazy
+from ..spec import SpecGrammar
+
+if TYPE_CHECKING:
+    from .executor import RoundExecutor
+
+#: Accepted staleness-discount families.
+DISCOUNTS = ("poly", "const")
+
+#: The ``async:key=value,...`` grammar: spec key -> (:class:`AsyncExecutor`
+#: argument and manifest ``engine`` field, value parser, default), in
+#: canonical emission order.  The one table behind both directions:
+#: :func:`parse_executor_spec` reads specs with it;
+#: :meth:`AsyncExecutor.spec` and :func:`engine_spec` render them.  Its
+#: defaults are the barrier engines' scheduler fields
+#: (:class:`~repro.runtime.executor.RoundExecutor`).
+ASYNC_GRAMMAR = SpecGrammar(
+    prefix="async",
+    keys=(
+        ("window", "window", int, 0),
+        ("discount", "discount", str, "poly"),
+        ("power", "discount_power", float, 1.0),
+        ("factor", "discount_factor", float, 0.5),
+        ("capacity", "capacity", int, 0),
+        ("arrivals", "arrivals", str, "synchronized"),
+        ("latency", "latency", float, 1.0),
+        ("jitter", "jitter", float, 0.5),
+        ("seed", "clock_seed", int, None),
+    ),
+    where="executor spec",
+    example="async:window=2,discount=poly",
 )
-from .executor import LocalTask, RoundExecutor, SerialExecutor, task_rng
-from .parallel import ParallelExecutor
-from .sampled import EvalEstimate, SampledEvaluator, StratifiedClientSampler
 
 #: The executor spec grammar: mode name -> accepted spec strings.  A spec
 #: is ``mode`` or ``mode:argument``; ``parallel`` takes a worker count and
 #: ``async`` a comma-separated ``key=value`` list.  ``make_executor`` and
 #: the trainer's ``engine=`` option accept exactly these strings, and
-#: :func:`engine_spec` emits them; the async keys are
-#: :data:`~repro.runtime.async_engine.ASYNC_GRAMMAR`.
+#: :func:`engine_spec` emits them; the async keys are :data:`ASYNC_GRAMMAR`.
 EXECUTOR_MODES = {
     "serial": 'spec "serial" — in-process sequential execution (default)',
     "parallel": (
@@ -164,36 +185,38 @@ def make_executor(spec: str, **kwargs) -> RoundExecutor:
             "pass the worker count in the spec or as a keyword, not both"
         )
     kwargs = {**spec_kwargs, **kwargs}
+    # Only the chosen engine's module is imported.
     if mode == "serial":
-        return SerialExecutor(**kwargs)
-    if mode == "parallel":
-        return ParallelExecutor(**kwargs)
-    if mode == "async":
-        return AsyncExecutor(**kwargs)
-    return CohortExecutor(**kwargs)
+        from .executor import SerialExecutor as executor
+    elif mode == "parallel":
+        from .parallel import ParallelExecutor as executor
+    elif mode == "async":
+        from .async_engine import AsyncExecutor as executor
+    else:
+        from .cohort import CohortExecutor as executor
+    return executor(**kwargs)
 
 
 __all__ = [
-    "RoundExecutor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "CohortExecutor",
-    "AsyncExecutor",
-    "solve_cohort",
     "make_executor",
     "parse_executor_spec",
     "engine_section",
     "engine_spec",
     "ASYNC_GRAMMAR",
     "EXECUTOR_MODES",
-    "LocalTask",
-    "task_rng",
-    "FederationEvaluator",
-    "resolve_eval_mode",
-    "no_test_samples_error",
-    "EVAL_MODES",
-    "STACKED_EVAL_BLOCK",
-    "SampledEvaluator",
-    "StratifiedClientSampler",
-    "EvalEstimate",
 ]
+
+_lazy.attach(globals(), {
+    ".executor": ("RoundExecutor", "SerialExecutor", "LocalTask", "task_rng"),
+    ".parallel": ("ParallelExecutor",),
+    ".cohort": ("CohortExecutor", "solve_cohort"),
+    ".async_engine": ("AsyncExecutor",),
+    ".evaluation": (
+        "FederationEvaluator",
+        "resolve_eval_mode",
+        "no_test_samples_error",
+        "EVAL_MODES",
+        "STACKED_EVAL_BLOCK",
+    ),
+    ".sampled": ("SampledEvaluator", "StratifiedClientSampler", "EvalEstimate"),
+})

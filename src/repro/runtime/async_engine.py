@@ -26,36 +26,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..spec import SpecGrammar
 from ..systems.clock import resolve_clock
+from . import ASYNC_GRAMMAR, DISCOUNTS
 from .executor import SerialExecutor
-
-#: Accepted staleness-discount families.
-DISCOUNTS = ("poly", "const")
-
-#: The ``async:key=value,...`` grammar: spec key -> (:class:`AsyncExecutor`
-#: argument and manifest ``engine`` field, value parser, default), in
-#: canonical emission order.  The one table behind both directions:
-#: :func:`repro.runtime.parse_executor_spec` reads specs with it;
-#: :meth:`AsyncExecutor.spec` and :func:`repro.runtime.engine_spec` render
-#: them.  Its defaults are the barrier engines' scheduler fields
-#: (:class:`~repro.runtime.executor.RoundExecutor`).
-ASYNC_GRAMMAR = SpecGrammar(
-    prefix="async",
-    keys=(
-        ("window", "window", int, 0),
-        ("discount", "discount", str, "poly"),
-        ("power", "discount_power", float, 1.0),
-        ("factor", "discount_factor", float, 0.5),
-        ("capacity", "capacity", int, 0),
-        ("arrivals", "arrivals", str, "synchronized"),
-        ("latency", "latency", float, 1.0),
-        ("jitter", "jitter", float, 0.5),
-        ("seed", "clock_seed", int, None),
-    ),
-    where="executor spec",
-    example="async:window=2,discount=poly",
-)
 
 
 class AsyncExecutor(SerialExecutor):

@@ -255,7 +255,7 @@ class RoundExecutor(abc.ABC):
     #: Scheduler fields (module docstring), at the barrier engines' values;
     #: :class:`~repro.runtime.async_engine.AsyncExecutor` sets them from its
     #: spec.  Names and defaults are
-    #: :data:`~repro.runtime.async_engine.ASYNC_GRAMMAR`'s.
+    #: :data:`~repro.runtime.ASYNC_GRAMMAR`'s.
     window: int = 0
     discount: str = "poly"
     discount_power: float = 1.0

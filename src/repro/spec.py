@@ -8,7 +8,9 @@ format is written and read:
 
 * :func:`register` enters a class or a builder function in the one
   name → constructor table; built-in and user components register the
-  same way (``@register`` above the definition).
+  same way (``@register`` above the definition).  Built-in names are also
+  listed by module (:data:`_MODULES`), so that :func:`build` and
+  :func:`registered` import a component's module when they first need it.
 * :func:`describe` turns a live object into its dict.  A registered class
   stores every constructor argument under the argument's own name, so its
   description is read off the instance; a registered *function* (the
@@ -31,6 +33,7 @@ The second half is the ``prefix:key=value,...`` spec-string grammar
 from __future__ import annotations
 
 import functools
+import importlib
 import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -74,6 +77,52 @@ class _Entry:
 
 
 _REGISTRY: Dict[str, _Entry] = {}
+
+#: Where every built-in component registers: module → the names its
+#: ``@register`` lines enter.  A run imports only the modules of the
+#: components it builds; a user's own component registers when its module
+#: runs, as before.
+_MODULES = {
+    "repro.core.adaptive_mu": ("AdaptiveMuController",),
+    "repro.core.feddane": ("FedDaneTrainer",),
+    "repro.core.sampling": (
+        "UniformSamplingWeightedAverage",
+        "WeightedSamplingSimpleAverage",
+    ),
+    "repro.core.server": ("FederatedTrainer",),
+    "repro.datasets.images": (
+        "make_prototype_image_dataset",
+        "make_mnist_like",
+        "make_femnist_like",
+    ),
+    "repro.datasets.store": ("make_synthetic_ondemand",),
+    "repro.datasets.synthetic": ("make_synthetic", "make_synthetic_iid"),
+    "repro.datasets.text": ("make_shakespeare_like", "make_sent140_like"),
+    "repro.faults.models": (
+        "NoFaults",
+        "ChaosFaults",
+        "CrashFaults",
+        "DropoutFaults",
+        "CorruptionFaults",
+        "StaleFaults",
+        "ComposeFaults",
+    ),
+    "repro.faults.policy": ("FaultPolicy",),
+    "repro.models.charlstm": ("CharLSTM",),
+    "repro.models.logistic": ("MultinomialLogisticRegression",),
+    "repro.models.mlp": ("MLPClassifier",),
+    "repro.models.sentlstm": ("SentimentLSTM",),
+    "repro.optim.adam": ("AdamSolver",),
+    "repro.optim.sgd": ("SGDSolver", "MomentumSGDSolver", "GDSolver"),
+    "repro.systems.clock": ("ClockDrivenSystems",),
+    "repro.systems.profiles": ("DeviceProfile",),
+    "repro.systems.stragglers": (
+        "NoHeterogeneity",
+        "FractionStragglers",
+        "PowerLawStragglers",
+    ),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
 
 
 def register(target=None, *, tag: str = "type", live: Tuple[str, ...] = ()):
@@ -128,8 +177,20 @@ def _capturing(fn, signature, keyword_bag, tag, live):
     return builder
 
 
+def _entry(name: str) -> Optional[_Entry]:
+    """The registry entry for ``name``, importing its built-in module first."""
+    if name not in _REGISTRY and name in _HOME:
+        importlib.import_module(_HOME[name])
+    return _REGISTRY.get(name)
+
+
 def registered(tag: Optional[str] = None) -> Dict[str, Callable[..., Any]]:
-    """Name → constructor for every registered component (of one tag)."""
+    """Name → constructor for every registered component (of one tag).
+
+    Imports every built-in component's module.
+    """
+    for module in _MODULES:
+        importlib.import_module(module)
     return {
         name: entry.target
         for name, entry in _REGISTRY.items()
@@ -180,7 +241,7 @@ def build(spec: Any, what: str = "component", **live: Any) -> Any:
     if tag is None:
         raise ReplayError(f"malformed {what} spec: {spec!r}")
     name = spec[tag]
-    entry = _REGISTRY.get(name)
+    entry = _entry(name)
     if entry is None or entry.tag != tag:
         raise ReplayError(
             f"unknown {what} {tag} {name!r}; registered: {sorted(registered(tag))} "

@@ -1,37 +1,23 @@
 """Systems-heterogeneity simulation substrate."""
 
-from .clock import (
-    Clock,
-    ClockDrivenSystems,
-    DeviceTiming,
-    SeededLatencyClock,
-    SynchronizedClock,
-    resolve_clock,
-)
-from .profiles import NETWORK_TIERS, DeviceProfile, sample_fleet
-from .stragglers import (
-    FractionStragglers,
-    NoHeterogeneity,
-    PowerLawStragglers,
-    SystemsModel,
-    WorkAssignment,
-    entropy_rng,
-)
+from .. import _lazy
 
-__all__ = [
-    "SystemsModel",
-    "entropy_rng",
-    "WorkAssignment",
-    "NoHeterogeneity",
-    "FractionStragglers",
-    "PowerLawStragglers",
-    "ClockDrivenSystems",
-    "Clock",
-    "DeviceTiming",
-    "SynchronizedClock",
-    "SeededLatencyClock",
-    "resolve_clock",
-    "DeviceProfile",
-    "sample_fleet",
-    "NETWORK_TIERS",
-]
+_lazy.attach(globals(), {
+    ".stragglers": (
+        "SystemsModel",
+        "entropy_rng",
+        "WorkAssignment",
+        "NoHeterogeneity",
+        "FractionStragglers",
+        "PowerLawStragglers",
+    ),
+    ".clock": (
+        "ClockDrivenSystems",
+        "Clock",
+        "DeviceTiming",
+        "SynchronizedClock",
+        "SeededLatencyClock",
+        "resolve_clock",
+    ),
+    ".profiles": ("DeviceProfile", "sample_fleet", "NETWORK_TIERS"),
+})

@@ -51,89 +51,50 @@ replay and ``python -m repro.trace diff`` alike, and
 :mod:`repro.telemetry.analysis` and the CLI summarize and verify ledgers.
 """
 
-from .core import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Span,
-    Telemetry,
-    resolve_telemetry,
-)
-from .events import (
-    CLOCK_SIMULATED,
-    CLOCK_WALL,
-    SCHEMA_VERSION,
-    UNIT_ROUNDS,
-    UNIT_SECONDS,
-    manifest_event,
-    metric_event,
-    round_record_event,
-    run_footer_event,
-    span_event,
-    summarize,
-)
-from .ledger import (
-    DIGEST_ALGORITHM,
-    NUMERICS_EPOCH,
-    HistoryDigest,
-    RunArtifact,
-    RunLedger,
-    canonical_json,
-    canonical_record,
-    environment_info,
-    history_digest,
-    load_run,
-    verify_artifact,
-)
-from .analysis import summarize_run, timeline
-from .replay import (
-    ReplayError,
-    ReplayReport,
-    compare_histories,
-    rebuild_trainer,
-    replay_run,
-)
-from .resources import peak_rss_bytes
-from .sinks import ConsoleSink, InMemorySink, JSONLSink, Sink, read_jsonl
+from .. import _lazy
 
-__all__ = [
-    "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "resolve_telemetry",
-    "Span",
-    "Sink",
-    "InMemorySink",
-    "JSONLSink",
-    "ConsoleSink",
-    "read_jsonl",
-    "manifest_event",
-    "span_event",
-    "metric_event",
-    "round_record_event",
-    "run_footer_event",
-    "summarize",
-    "SCHEMA_VERSION",
-    "DIGEST_ALGORITHM",
-    "NUMERICS_EPOCH",
-    "HistoryDigest",
-    "history_digest",
-    "canonical_record",
-    "canonical_json",
-    "environment_info",
-    "RunArtifact",
-    "RunLedger",
-    "load_run",
-    "verify_artifact",
-    "ReplayError",
-    "ReplayReport",
-    "rebuild_trainer",
-    "replay_run",
-    "compare_histories",
-    "summarize_run",
-    "timeline",
-    "CLOCK_WALL",
-    "CLOCK_SIMULATED",
-    "UNIT_SECONDS",
-    "UNIT_ROUNDS",
-    "peak_rss_bytes",
-]
+_lazy.attach(globals(), {
+    ".core": (
+        "Telemetry",
+        "NullTelemetry",
+        "NULL_TELEMETRY",
+        "resolve_telemetry",
+        "Span",
+    ),
+    ".sinks": ("Sink", "InMemorySink", "JSONLSink", "ConsoleSink", "read_jsonl"),
+    ".events": (
+        "manifest_event",
+        "span_event",
+        "metric_event",
+        "round_record_event",
+        "run_footer_event",
+        "summarize",
+        "SCHEMA_VERSION",
+        "CLOCK_WALL",
+        "CLOCK_SIMULATED",
+        "UNIT_SECONDS",
+        "UNIT_ROUNDS",
+    ),
+    ".ledger": (
+        "DIGEST_ALGORITHM",
+        "NUMERICS_EPOCH",
+        "HistoryDigest",
+        "history_digest",
+        "canonical_record",
+        "canonical_json",
+        "environment_info",
+        "RunArtifact",
+        "RunLedger",
+        "load_run",
+        "verify_artifact",
+    ),
+    ".replay": (
+        "ReplayError",
+        "ReplayReport",
+        "rebuild_trainer",
+        "replay_run",
+        "compare_histories",
+    ),
+    ".analysis": ("summarize_run", "timeline"),
+    ".resources": ("peak_rss_bytes",),
+})

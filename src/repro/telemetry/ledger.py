@@ -43,8 +43,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import platform
-import subprocess
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -164,6 +162,8 @@ def history_digest(records: Sequence[Any]) -> str:
 
 def _git_sha() -> Optional[str]:
     """The producing checkout's commit, or ``None`` outside a git repo."""
+    import subprocess  # only a run that writes a manifest asks
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -187,6 +187,8 @@ def environment_info() -> Dict[str, Any]:
     platform, and commit produced it.  The epoch decides *how* replay
     compares: bit-for-bit within one, to a bound across two.
     """
+    import platform
+
     import numpy
 
     from .. import __version__
@@ -219,6 +221,8 @@ class RunLedger:
 
     def __init__(self, telemetry) -> None:
         self.telemetry = telemetry
+        # Read with the configuration, so that no round spawns ``git``.
+        self._environment = environment_info() if telemetry.enabled else None
         self._digest = HistoryDigest()
         self._pending: Optional[Any] = None
         self._wall = 0.0
@@ -231,7 +235,7 @@ class RunLedger:
         if self._opened or not self.telemetry.enabled:
             return
         self._opened = True
-        self.telemetry.manifest(**describe(*args), environment=environment_info())
+        self.telemetry.manifest(**describe(*args), environment=self._environment)
 
     def add_round(self, record: Any, wall_seconds: float) -> None:
         """Hold a finished round's record back; emit the one before it."""

@@ -1,31 +1,21 @@
 """Convergence-theory calculators and constant estimators (Section 4)."""
 
-from .convergence import (
-    Remark5Check,
-    corollary7_mu,
-    corollary7_rho,
-    minimum_mu_for_positive_rho,
-    remark5_conditions,
-    rho,
-    theorem6_iterations,
-)
-from .estimation import (
-    ConstantEstimates,
-    estimate_constants,
-    estimate_lipschitz,
-    logistic_lipschitz_bound,
-)
+from .. import _lazy
 
-__all__ = [
-    "rho",
-    "remark5_conditions",
-    "Remark5Check",
-    "corollary7_mu",
-    "corollary7_rho",
-    "theorem6_iterations",
-    "minimum_mu_for_positive_rho",
-    "estimate_lipschitz",
-    "logistic_lipschitz_bound",
-    "estimate_constants",
-    "ConstantEstimates",
-]
+_lazy.attach(globals(), {
+    ".convergence": (
+        "rho",
+        "remark5_conditions",
+        "Remark5Check",
+        "corollary7_mu",
+        "corollary7_rho",
+        "theorem6_iterations",
+        "minimum_mu_for_positive_rho",
+    ),
+    ".estimation": (
+        "estimate_lipschitz",
+        "logistic_lipschitz_bound",
+        "estimate_constants",
+        "ConstantEstimates",
+    ),
+})

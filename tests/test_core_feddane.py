@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FedDaneTrainer
+from repro.core import AdaptiveMuController, FedDaneTrainer
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 
@@ -46,7 +46,9 @@ class TestFedDane:
             _trainer(toy_dataset, gradient_clients=100)
 
     def test_describe(self, toy_dataset):
-        assert "FedDane" in _trainer(toy_dataset, mu=1.0).describe()
+        assert _trainer(toy_dataset, mu=1.0).describe() == "FedDane (mu=1)"
+        adaptive = _trainer(toy_dataset, mu_controller=AdaptiveMuController(initial_mu=0.0))
+        assert adaptive.describe() == adaptive.label == "FedDane (adaptive mu)"
 
     def test_gradient_estimate_full_participation_is_global_gradient(self, toy_dataset):
         """With c = N, the estimate equals the exact global gradient."""

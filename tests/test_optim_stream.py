@@ -27,7 +27,8 @@ import pytest
 
 from repro.datasets import ClientData
 from repro.models import MLPClassifier, MultinomialLogisticRegression
-from repro.models.base import FederatedModel, NeuralModel
+from repro.models.base import FederatedModel
+from repro.models.neural import NeuralModel
 from repro.optim import (
     AdamSolver,
     BatchSchedule,

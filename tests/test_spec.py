@@ -10,8 +10,12 @@ exercised here.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.datasets as datasets
+import repro.spec
 from repro.comms.config import COMMS_GRAMMAR, CODEC_NAMES, CommsConfig
 from repro.core import FedDaneTrainer, FederatedTrainer
 from repro.core.adaptive_mu import AdaptiveMuController
@@ -46,8 +51,13 @@ from repro.models import (
 from repro.models.base import FederatedModel
 from repro.optim import AdamSolver, GDSolver, MomentumSGDSolver, SGDSolver
 from repro.optim.base import LocalSolver
-from repro.runtime import ASYNC_GRAMMAR, AsyncExecutor, engine_section, engine_spec
-from repro.runtime.async_engine import DISCOUNTS
+from repro.runtime import (
+    ASYNC_GRAMMAR,
+    DISCOUNTS,
+    AsyncExecutor,
+    engine_section,
+    engine_spec,
+)
 from repro.spec import ReplayError, build, describe, register, registered
 from repro.systems import (
     ClockDrivenSystems,
@@ -285,6 +295,91 @@ class TestRefusals:
             import repro.spec
 
             del repro.spec._REGISTRY["Renamer"]
+
+
+# --------------------------------------------------------------------- #
+# The name → module table
+# --------------------------------------------------------------------- #
+def _fresh(code: str, *args: str):
+    """Run ``code`` in a new interpreter; its last stdout line, as JSON."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.spec.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+#: Imports the table's modules one by one and names each entry whose
+#: module is not where the name registers (``argv[1]`` replaces one
+#: entry's module); then compares ``registered()`` with what importing
+#: every module of the package registers.
+TABLE_CHECK = """
+import importlib, json, pkgutil, sys
+import repro, repro.spec as spec
+
+def state():
+    return {n: [e.target.__module__, e.target.__qualname__, e.tag]
+            for n, e in spec._REGISTRY.items()}
+
+name, module = json.loads(sys.argv[1]) or (None, None)
+table = {m: [n for n in names if n != name] for m, names in spec._MODULES.items()}
+if name is not None:
+    table.setdefault(module, []).append(name)
+misplaced = []
+for where, names in table.items():
+    importlib.import_module(where)
+    misplaced += [n for n in names if state().get(n, [None])[0] != where]
+lazy = {n: state()[n] for n in spec.registered()}
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not info.name.endswith("__main__"):
+        importlib.import_module(info.name)
+print(json.dumps({"misplaced": misplaced, "lazy": lazy, "eager": state()}))
+"""
+
+
+class TestModuleTable:
+    """``repro.spec`` imports a component's module when a name needs it."""
+
+    def test_the_table_is_what_the_decorators_register(self):
+        found = _fresh(TABLE_CHECK, "null")
+        assert found["misplaced"] == []
+        assert found["lazy"] == found["eager"]
+        assert len(found["eager"]) >= 30
+
+    def test_a_misplaced_entry_is_reported(self):
+        """Teeth: a table entry naming the wrong module fails the check."""
+        found = _fresh(TABLE_CHECK, json.dumps(["ChaosFaults", "repro.faults.policy"]))
+        assert found["misplaced"] == ["ChaosFaults"]
+
+    def test_build_imports_only_the_components_module(self):
+        loaded = _fresh(
+            "import json, sys\n"
+            "import repro.spec\n"
+            "assert 'repro.faults' not in sys.modules\n"
+            "built = repro.spec.build({'type': 'ChaosFaults', 'rate': 0.1, 'seed': 3}, 'faults')\n"
+            "assert repro.spec.describe(built)['rate'] == 0.1\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro.'))))"
+        )
+        assert "repro.faults.models" in loaded
+        assert not {"repro.faults.manager", "repro.core", "repro.models"} & set(loaded)
+
+    def test_an_unknown_name_lists_every_registered_name(self):
+        message = _fresh(
+            "import json\n"
+            "from repro.spec import ReplayError, build\n"
+            "try:\n"
+            "    build({'type': 'Gremlins'}, 'faults')\n"
+            "except ReplayError as error:\n"
+            "    print(json.dumps(str(error)))"
+        )
+        listed = ast.literal_eval(message[message.index("["):message.index("]") + 1])
+        assert listed == sorted(
+            name for name, target in registered("type").items()
+            if target.__module__.startswith("repro.")
+        )
 
 
 # --------------------------------------------------------------------- #
