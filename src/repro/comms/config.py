@@ -69,6 +69,21 @@ def parse_comms_spec(spec: str) -> Dict[str, Any]:
     return kwargs
 
 
+def wire_stats(
+    bytes_up: int = 0, bytes_down: int = 0, dense_up: int = 0, residual_clients: int = 0
+) -> Dict[str, float]:
+    """A run's cumulative wire accounting, as
+    :meth:`~repro.comms.manager.CommsManager.stats` reports it; the
+    defaults are an uncompressed run's (nothing counted, ratio 1)."""
+    return {
+        "bytes_up": float(bytes_up),
+        "bytes_down": float(bytes_down),
+        "dense_bytes_up": float(dense_up),
+        "compression_ratio": float(dense_up / bytes_up if bytes_up else 1.0),
+        "residual_clients": float(residual_clients),
+    }
+
+
 @dataclass(frozen=True)
 class CommsConfig:
     """Update-compression configuration for one training run.

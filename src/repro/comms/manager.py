@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .codecs import DENSE_ITEMSIZE, Codec
-from .config import CommsConfig
+from .config import CommsConfig, wire_stats
 
 if TYPE_CHECKING:  # avoid circular imports with repro.core / repro.runtime
     from ..core.client import ClientUpdate
@@ -201,19 +201,13 @@ class CommsManager:
         return None if residual is None else residual.copy()
 
     def stats(self) -> Dict[str, float]:
-        """Cumulative wire accounting for this run."""
-        ratio = (
-            self.dense_up_total / self.bytes_up_total
-            if self.bytes_up_total
-            else 1.0
+        """Cumulative wire accounting for this run (:func:`wire_stats`)."""
+        return wire_stats(
+            self.bytes_up_total,
+            self.bytes_down_total,
+            self.dense_up_total,
+            len(self._residuals),
         )
-        return {
-            "bytes_up": float(self.bytes_up_total),
-            "bytes_down": float(self.bytes_down_total),
-            "dense_bytes_up": float(self.dense_up_total),
-            "compression_ratio": float(ratio),
-            "residual_clients": float(len(self._residuals)),
-        }
 
     # Round-trip ----------------------------------------------------------- #
     def _roundtrip_server_side(self, update: "ClientUpdate") -> Tuple[int, float]:

@@ -42,10 +42,10 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..comms.config import CommsConfig
+from ..comms.config import CommsConfig, wire_stats
 from ..datasets.federated import FederatedDataset
 from ..faults.models import FaultSchedule, resolve_faults
-from ..faults.policy import FaultPolicy
+from ..faults.policy import FaultPolicy, FaultStats
 from ..models.base import FederatedModel
 from ..optim.base import LocalSolver
 from ..runtime import make_executor, parse_executor_spec
@@ -588,10 +588,8 @@ class FederatedTrainer:
     def fault_stats(self) -> dict:
         """Cumulative fault counters for this run (all zero when disabled).
 
-        See :class:`~repro.faults.manager.FaultStats` for the keys.
+        See :class:`~repro.faults.policy.FaultStats` for the keys.
         """
-        from ..faults.manager import FaultStats
-
         manager = self._fault_manager
         return (manager.stats if manager is not None else FaultStats()).as_dict()
 
@@ -599,12 +597,10 @@ class FederatedTrainer:
     def comms_stats(self) -> dict:
         """Cumulative wire-byte accounting (identity values when disabled).
 
-        See :meth:`~repro.comms.manager.CommsManager.stats` for the keys.
+        See :func:`~repro.comms.config.wire_stats` for the keys.
         """
-        from ..comms.manager import CommsManager
-
-        manager = self._comms_manager or CommsManager(self.comms_config)
-        return manager.stats()
+        manager = self._comms_manager
+        return manager.stats() if manager is not None else wire_stats()
 
     def close(self) -> None:
         """Release executor resources and flush telemetry; idempotent.

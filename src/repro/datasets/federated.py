@@ -153,17 +153,20 @@ class ClientStore(abc.ABC):
         edits of a client's arrays are not seen.  Clients without test
         rows are left out of the ``"test"`` stack (an empty ``(0,)``
         feature array need not match its neighbours' trailing shape);
-        with none at all there is nothing to stack and it raises.
+        with none at all it is zero rows shaped and typed like the train
+        split's, as a packed store's is.
         """
         stacks = self.__dict__.setdefault("_stacks", _StackedSplits())
         if split not in stacks:
             clients = [c for c in self if split == "train" or c.num_test]
-            if not clients:
-                raise ValueError(f"no {split} data in this client store")
-            stacks[split] = tuple(
-                np.concatenate([getattr(c, f"{split}_{part}") for c in clients])
-                for part in "xy"
-            )
+            if clients:
+                stacks[split] = tuple(
+                    np.concatenate([getattr(c, f"{split}_{part}") for c in clients])
+                    for part in "xy"
+                )
+            else:  # no test rows anywhere
+                first = self.get(0)
+                stacks[split] = (first.train_x[:0].copy(), first.train_y[:0].copy())
         return stacks[split]
 
     # Sequence protocol ------------------------------------------------- #

@@ -54,6 +54,6 @@ _lazy.attach(globals(), {
         "FAULT_SALT",
         "CORRUPT_MODES",
     ),
-    ".policy": ("FaultPolicy", "CRASH_ACTIONS", "RETRY_FALLBACKS"),
-    ".manager": ("FaultManager", "FaultStats", "RoundFaultReport", "RETRY_SALT"),
+    ".policy": ("FaultPolicy", "FaultStats", "CRASH_ACTIONS", "RETRY_FALLBACKS"),
+    ".manager": ("FaultManager", "RoundFaultReport", "RETRY_SALT"),
 })

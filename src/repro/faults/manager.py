@@ -19,8 +19,8 @@ manager per run; each round the manager
 
 Every decision is emitted as it happens, as the one ``counter`` event that
 states it (:data:`~repro.telemetry.events.FAULT_EVENTS`), and counted in
-the cumulative :class:`FaultStats` — so the counters are sums of the
-events, and a ledger reproduces them
+the cumulative :class:`~repro.faults.policy.FaultStats` — so the counters
+are sums of the events, and a ledger reproduces them
 (:func:`repro.telemetry.analysis.fault_totals`).
 """
 
@@ -34,30 +34,10 @@ import numpy as np
 from ..telemetry import resolve_telemetry
 from ..telemetry.events import FAULT_EVENTS
 from .models import FaultSchedule
-from .policy import FaultPolicy
+from .policy import FaultPolicy, FaultStats
 
 #: Entropy-tuple salt separating retry dispatches from first attempts.
 RETRY_SALT = 0x4E7F
-
-
-@dataclass
-class FaultStats:
-    """Cumulative fault counters for one training run."""
-
-    injected: int = 0
-    crashes: int = 0
-    offline: int = 0
-    retries: int = 0
-    crash_dropped: int = 0
-    quarantined_updates: int = 0
-    quarantined_clients: int = 0
-    quarantine_skips: int = 0
-    stale_held: int = 0
-    stale_delivered: int = 0
-    quorum_misses: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
 
 
 @dataclass

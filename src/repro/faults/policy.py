@@ -24,12 +24,16 @@ Independent of crash handling, the policy guards aggregation itself:
   round, aggregation is skipped entirely (the global model holds) and the
   round is marked degraded, rather than letting one or two surviving
   devices yank the model toward their local optima.
+
+:class:`FaultStats` holds a run's counts of those decisions; a run without
+faults reports it all zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict
 
 from ..spec import register
 
@@ -114,3 +118,24 @@ class FaultPolicy:
         if self.min_quorum < 1:
             return max(1, math.ceil(num_selected * self.min_quorum))
         return int(self.min_quorum)
+
+
+@dataclass
+class FaultStats:
+    """Cumulative fault counters for one training run (all zero when
+    faults are off)."""
+
+    injected: int = 0
+    crashes: int = 0
+    offline: int = 0
+    retries: int = 0
+    crash_dropped: int = 0
+    quarantined_updates: int = 0
+    quarantined_clients: int = 0
+    quarantine_skips: int = 0
+    stale_held: int = 0
+    stale_delivered: int = 0
+    quorum_misses: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return dict(self.__dict__)

@@ -20,7 +20,8 @@ synchronized arrivals it is the serial engine bit for bit.  See
 :mod:`repro.runtime.executor` for the determinism contract and the
 telemetry every engine writes, :mod:`repro.runtime.cohort` for the
 stacked local-solve fast path, and :mod:`repro.runtime.evaluation` for the
-vectorized evaluation fast paths.
+vectorized evaluation fast paths, whose census every engine cuts across
+its lanes by one rule (threads in process).
 """
 
 from __future__ import annotations

@@ -34,13 +34,18 @@ Either way a census is two things, and this module holds the one
 implementation of each: *per-unit values* — one mean loss or one correct
 count per block (stacked) or per client (``per_client``), each a pure
 function of ``w`` and that unit's rows
-(:meth:`FederationEvaluator.values`) — and *their reduction in unit order*
-(:meth:`FederationEvaluator.reduce`).  Every engine reduces on the server;
-the serial, cohort and async engines compute the values there too, the
-parallel engine computes them on its workers, over the workers' own view
-of the same bytes (:meth:`FederationEvaluator.census` takes the stand-in).
-Same units, same bytes, same per-unit code, the same additions in the
-same order: histories are bit-identical across engines by construction.
+(:meth:`FederationEvaluator.values`: the model set to ``w``, then
+:meth:`~FederationEvaluator.unit_values`, which writes nothing) — and
+*their reduction in unit order* (:meth:`FederationEvaluator.reduce`).
+Every engine reduces on the server.  Where the values are computed is the
+executor's one rule (:meth:`~repro.runtime.executor.RoundExecutor._census_cuts`):
+contiguous shares of the units, the first on the server, the others on
+threads in process (serial, cohort, async) or on the parallel engine's
+workers, over their own view of the same bytes
+(:meth:`FederationEvaluator.census` takes the stand-in).  Same units, same
+bytes, same per-unit code, the same additions in the same order:
+histories are bit-identical across engines and lane counts by
+construction.
 
 Every reader here takes the federation as its
 :class:`~repro.core.client.ClientPool`, the one view of it: masses come
@@ -136,8 +141,13 @@ def device_values(
         raise ValueError(f"unknown quantity {quantity!r}")
     if not len(devices):
         return []
+    clients.model.set_params(w)
+    return _read_devices(clients, quantity, devices)
+
+
+def _read_devices(clients: "ClientPool", quantity: str, devices: Sequence) -> list:
+    """:func:`device_values` at the pool model's current parameters."""
     model = clients.model
-    model.set_params(w)
     # ``map`` keeps no device it has handed on (a lazy store's rows go).
     datas = map(clients.__getitem__, devices)
     if quantity == "loss":
@@ -246,10 +256,10 @@ class FederationEvaluator:
     # A census is a list of per-unit values — one per block of the stacked
     # split, or one per client — reduced in unit order.  The values are the
     # only part that reads rows or the model, and each is a pure function
-    # of ``(w, its rows)``: whichever process computes them, over whichever
-    # copy of the same bytes, the reduction sees the same floats in the
-    # same order.  That is what lets :class:`ParallelExecutor` compute
-    # them on its workers and still equal the serial engine with ``==``.
+    # of ``(w, its rows)``: whichever thread or process computes them, over
+    # whichever copy of the same bytes, the reduction sees the same floats
+    # in the same order.  That is what lets the executors compute them on
+    # several lanes and still equal one lane with ``==``.
     def _rows(self, split: str) -> int:
         return self._train_rows if split == "train" else self._test_rows
 
@@ -282,16 +292,25 @@ class FederationEvaluator:
     def values(self, w: np.ndarray, split: str, units: Sequence) -> list:
         """One Python number per unit: a mean loss, or a correct count.
 
-        Plain ``float`` / ``int`` so a value computed in a worker crosses
-        the pickle boundary exactly.  Per-client values are
+        Sets the model to ``w``, then :meth:`unit_values`.  Plain
+        ``float`` / ``int`` so a value computed in a worker crosses the
+        pickle boundary exactly.  Per-client values are
         :func:`device_values`.
+        """
+        self.model.set_params(w)
+        return self.unit_values(split, units)
+
+    def unit_values(self, split: str, units: Sequence) -> list:
+        """:meth:`values` at the model's current parameters.
+
+        It reads the model and the rows and writes neither, so the shares
+        of one census may run on several threads at once.
         """
         if self.eval_mode != "stacked":
             quantity = "loss" if split == "train" else "correct"
-            return device_values(self.clients, w, quantity, units)
+            return _read_devices(self.clients, quantity, units)
         model = self.model
         X, y = self._store.stacked(split)
-        model.set_params(w)
         if split == "train":
             return [float(model.loss(X[lo:hi], y[lo:hi])) for lo, hi in units]
         return [

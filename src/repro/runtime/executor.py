@@ -11,10 +11,10 @@ solves run, in two layers:
   the delivered batch through the comms stage once and expires what the
   next round could no longer accept.
 * a **backend** — each subclass: how a batch of due tasks is solved
-  (``_solve(tasks) -> updates``) and where census values are computed
-  (``_census_values``).  In process, one after another
+  (``_solve(tasks) -> updates``).  In process, one after another
   (:class:`SerialExecutor`); stacked (:class:`~repro.runtime.cohort.CohortExecutor`);
-  on a worker pool (:class:`~repro.runtime.parallel.ParallelExecutor`).
+  on a worker pool (:class:`~repro.runtime.parallel.ParallelExecutor`,
+  which also hands census shares to its workers: ``_share_values``).
 
 The barrier engines (``serial``, ``cohort``, ``parallel``) are the
 scheduler at its defaults: window 0, synchronized arrivals, no capacity.
@@ -64,9 +64,11 @@ run-ledger manifest.
 backends solve on and the trainer reads as ``trainer.clients``.
 
 Evaluation is dispatched through the executor as well (``train_loss`` /
-``test_accuracy``): one census, whose per-unit values the backend computes
-and the bound :class:`FederationEvaluator` reduces in unit order, so
-evaluation is also bit-stable across backends.
+``test_accuracy``): one census, whose per-unit values are cut into shares
+by one rule (:meth:`RoundExecutor._census_cuts`) and computed on the
+lanes — threads in process, workers in the parallel engine — and which
+the bound :class:`FederationEvaluator` reduces in unit order, so
+evaluation is also bit-stable across backends and lane counts.
 
 Telemetry
 ---------
@@ -89,9 +91,12 @@ schedule, so histories stay bit-identical whether telemetry is on or off.
 from __future__ import annotations
 
 import abc
+import os
+import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,6 +112,54 @@ if TYPE_CHECKING:  # avoid a circular import with repro.core
     from ..datasets.federated import FederatedDataset
     from ..models.base import FederatedModel
     from ..optim.base import LocalSolver
+
+
+# A stacked census is cut into shares only when that takes at least this
+# many feature values (rows x row width) off what the caller would
+# otherwise compute alone: below it the hand-offs cost more than the
+# other cores give back (measured crossovers in DESIGN.md §8).
+MIN_ELEMENTS_SAVED = 1 << 21
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one (a container's cpuset), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_threads(calls: Sequence) -> list:
+    """Each of ``calls``' results, in order: the first on the calling
+    thread, every other on a thread of its own.
+
+    The threads start and are joined here, so none outlives the call.  An
+    exception a call raised is re-raised here, the first in call order,
+    once every thread has finished.
+    """
+    results: list = [None] * len(calls)
+    errors: list = [None] * len(calls)
+
+    def run(i: int) -> None:
+        try:
+            results[i] = calls[i]()
+        except BaseException as exc:
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(calls)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 @dataclass(frozen=True)
@@ -278,6 +331,8 @@ class RoundExecutor(abc.ABC):
         # Admitted check-ins in admission order (every filter keeps it).
         self._queue: List[_QueuedCheckin] = []
         self._round: Optional[int] = None
+        # A census cuts no more shares than there are cores to run them.
+        self._census_shares = _usable_cores()
 
     # Lifecycle ---------------------------------------------------------- #
     def bind(
@@ -554,9 +609,68 @@ class RoundExecutor(abc.ABC):
         """
 
     # Evaluation --------------------------------------------------------- #
+    #: Whether a per-client census is cut into shares too.  In process it
+    #: is not: a share would read devices through the store on its own
+    #: thread.
+    _census_cuts_devices = False
+
+    @property
+    def _census_minimum(self) -> int:
+        """The feature values a cut must save: :data:`MIN_ELEMENTS_SAVED`."""
+        return MIN_ELEMENTS_SAVED
+
+    def _census_cuts(self, split: str, units: Sequence) -> Optional[List[int]]:
+        """Where a census of ``units`` is cut into shares, or ``None``.
+
+        Contiguous near-equal shares, one per lane that has a core to run
+        on.  A stacked census is cut only where the store owns its stacked
+        split as arrays (:meth:`FederationEvaluator.stack_in_place`: every
+        lane reads it in place) and the cut takes at least
+        :attr:`_census_minimum` feature values off the longest share,
+        which the caller then waits for.
+        """
+        shares = min(self._census_shares, len(units))
+        if shares < 2:
+            return None
+        cuts = [len(units) * i // shares for i in range(shares + 1)]
+        if self.eval_mode != "stacked":
+            return cuts if self._census_cuts_devices else None
+        stack = self.evaluator.stack_in_place(split)
+        if stack is None:
+            return None
+        longest = max(
+            units[hi - 1][1] - units[lo][0] for lo, hi in zip(cuts, cuts[1:])
+        )
+        saved_rows = units[-1][1] - units[0][0] - longest
+        return cuts if saved_rows * stack[0][0].size >= self._census_minimum else None
+
     def _census_values(self, w: np.ndarray, split: str, units: Sequence) -> list:
-        """The backend's census values: :meth:`FederationEvaluator.values` here."""
-        return self.evaluator.values(w, split, units)
+        """The census values: the shares of :meth:`_census_cuts` through
+        :meth:`_share_values`, joined in unit order, or
+        :meth:`FederationEvaluator.values` on the calling thread."""
+        cuts = self._census_cuts(split, units)
+        if cuts is None:
+            return self.evaluator.values(w, split, units)
+        values: list = []
+        for share in self._share_values(
+            w, split, [units[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        ):
+            values.extend(share)
+        return values
+
+    def _share_values(self, w: np.ndarray, split: str, shares: list) -> list:
+        """Each share's census values, in share order.
+
+        In process: the model is set to ``w`` once, then the first share
+        runs on the calling thread and every other on a thread of its own
+        (:func:`_on_threads`), each through
+        :meth:`FederationEvaluator.unit_values`, which writes nothing.
+        """
+        evaluator = self.evaluator
+        evaluator.model.set_params(w)
+        return _on_threads(
+            [partial(evaluator.unit_values, split, share) for share in shares]
+        )
 
     def train_loss(self, w: np.ndarray) -> float:
         """Global objective ``f(w)`` over the bound federation."""

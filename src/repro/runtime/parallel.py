@@ -20,22 +20,18 @@ once and referenced by the other tasks (pickle memoizes by object
 identity), so the dense model crosses the boundary once per worker, not
 once per task.
 
-The census runs on the lanes too.  A ``train_loss`` / ``test_accuracy``
-call is per-unit values reduced in unit order
-(:mod:`repro.runtime.evaluation`); every lane holds the rows, so each
-computes the values of a contiguous share of the blocks of the stacked
-split, or of the clients — a worker with its own replica through a
-worker-side :class:`~repro.runtime.evaluation.FederationEvaluator` — and
-the server joins the values in unit order and runs the one reduction.
-One message per worker per call: ``w``, the split name and the share's
-bounds go down, plain Python numbers come back, no row ever crosses.  A
-stacked census is sharded only where that cannot cost memory or time: the
-store must own its stacked splits as arrays (a packed store — the workers
-read them in place; any other store would concatenate a copy of the
-federation in every worker) and the cut must take at least
-:data:`MIN_ELEMENTS_SAVED` feature values off what the server would
-otherwise wait for.  Everything else is evaluated on the server, exactly
-as the serial engine does it.
+The census runs on the lanes too, cut by the rule every engine shares
+(:meth:`~repro.runtime.executor.RoundExecutor._census_cuts`: contiguous
+shares of the blocks of a stacked split the store owns as arrays, where
+the cut saves at least :data:`MIN_ELEMENTS_SAVED` feature values).  Only
+the hand-off is this engine's: every lane holds the rows, so a worker
+computes its share's values with its own replica through a worker-side
+:class:`~repro.runtime.evaluation.FederationEvaluator`, and the server
+joins the values in unit order and runs the one reduction.  One message
+per worker per call: ``w``, the split name and the share's bounds go
+down, plain Python numbers come back, no row ever crosses.  Unlike the
+in-process engines' threads, the workers read devices themselves, so a
+per-client census is cut too.
 
 Determinism: a task is a pure function of its description (the mini-batch
 generator is rebuilt from the task's entropy tuple wherever it runs), task
@@ -68,8 +64,10 @@ import numpy as np
 from ..optim.base import BatchSchedule
 from .evaluation import FederationEvaluator
 from .executor import (
+    MIN_ELEMENTS_SAVED,
     LocalTask,
     RoundExecutor,
+    _usable_cores,
     solve_with_timings,
     task_effective_epochs,
 )
@@ -81,22 +79,8 @@ if TYPE_CHECKING:  # avoid a circular import with repro.core
 # Per-worker-process state, populated once by _init_worker.
 _WORKER: dict = {}
 
-# A stacked census is sharded only when that takes at least this many
-# feature values (rows x row width) off what the server would otherwise
-# wait for: below it the hand-offs cost more than the second core gives
-# back (measured crossovers in DESIGN.md §8).
-MIN_ELEMENTS_SAVED = 1 << 21
-
 # One-time oversubscription warning (per process); see _warn_oversubscribed.
 _OVERSUBSCRIPTION_WARNED = False
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on: its CPU affinity where the
-    platform reports one (a container's cpuset), else ``os.cpu_count()``."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _warn_oversubscribed(requested: int, available: int) -> None:
@@ -303,7 +287,7 @@ class ParallelExecutor(RoundExecutor):
 
     A census (:meth:`train_loss`, :meth:`test_accuracy`) sends every
     worker at most one message as well (module docstring): the lanes
-    compute its per-unit values (:meth:`_census_values`), the server
+    compute its per-unit values (:meth:`_share_values`), the server
     reduces them.
 
     Workers start lazily on first use (or via :meth:`ensure_started`) and
@@ -449,42 +433,21 @@ class ParallelExecutor(RoundExecutor):
         return updates
 
     # Evaluation --------------------------------------------------------- #
-    def _sharding_pays(self, split: str, units: Sequence, cuts: List[int]) -> bool:
-        """Whether a stacked census of ``units`` is cheaper cut at ``cuts``.
+    # Every lane holds the federation, so a per-client census is cut too.
+    _census_cuts_devices = True
 
-        Only where the workers read the split in place — anything else
-        would concatenate a copy of the federation in every worker — and
-        only when the cut takes enough work off the server, the longest
-        share being what the server then waits for.
-        """
-        stack = self.evaluator.stack_in_place(split)
-        if stack is None:
-            return False
-        longest = max(
-            units[hi - 1][1] - units[lo][0] for lo, hi in zip(cuts, cuts[1:])
-        )
-        saved_rows = units[-1][1] - units[0][0] - longest
-        return saved_rows * stack[0][0].size >= MIN_ELEMENTS_SAVED
+    @property
+    def _census_minimum(self) -> int:
+        # Read through this module, so lowering ``parallel.MIN_ELEMENTS_SAVED``
+        # reaches this engine (as it does in the parallel census tests).
+        return MIN_ELEMENTS_SAVED
 
-    def _census_values(self, w: np.ndarray, split: str, units: Sequence) -> list:
-        """The census values, across the lanes where that pays.
-
-        Contiguous near-equal shares of ``units``, one per lane that has a
-        core to run on — the first on the server, one message per worker
-        for the rest (``w`` crosses once each, no rows do) — joined in unit
-        order.  Per-client units are always cut.
-        """
-        shares = min(self._census_shares, len(units))
-        cuts = [len(units) * i // shares for i in range(shares + 1)]
-        if self.eval_mode == "stacked" and not self._sharding_pays(
-            split, units, cuts
-        ):
-            return self.evaluator.values(w, split, units)
-        values: list = []
-        for share in self._exchange(
+    def _share_values(self, w: np.ndarray, split: str, shares: list) -> list:
+        """Each share's census values, in share order: the first on the
+        server, one message per worker for the rest (``w`` crosses once
+        each, no rows do)."""
+        return self._exchange(
             "census",
-            [(w, split, units[lo:hi]) for lo, hi in zip(cuts, cuts[1:])],
+            [(w, split, share) for share in shares],
             lambda mine: self.evaluator.values(*mine),
-        ):
-            values.extend(share)
-        return values
+        )

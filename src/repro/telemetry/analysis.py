@@ -145,7 +145,7 @@ def comms_totals(artifact: RunArtifact) -> Optional[Dict[str, float]]:
 def fault_totals(artifact: RunArtifact) -> Dict[str, int]:
     """The run's fault counters, recounted from its events.
 
-    Keyed like :class:`~repro.faults.manager.FaultStats` and equal to the
+    Keyed like :class:`~repro.faults.policy.FaultStats` and equal to the
     trainer's ``fault_stats`` at the point the ledger was cut: each counter
     is the number of its :data:`~repro.telemetry.events.FAULT_EVENTS`
     events, ``offline`` the ``fault:injected`` events with

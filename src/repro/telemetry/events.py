@@ -83,7 +83,7 @@ Fault event taxonomy
 The fault layer (:mod:`repro.faults`) emits each decision as one
 ``counter`` metric with value 1 the moment it is taken, so fault timelines
 interleave with the spans above in the same artifact, and every
-:class:`~repro.faults.manager.FaultStats` counter is a count of these
+:class:`~repro.faults.policy.FaultStats` counter is a count of these
 events (:data:`FAULT_EVENTS`;
 :func:`repro.telemetry.analysis.fault_totals` recounts them):
 
@@ -138,7 +138,7 @@ UNIT_ROUNDS = "rounds"
 EVENT_TYPES = ("manifest", "span", "metric", "round_record", "run_footer")
 METRIC_KINDS = ("counter", "gauge", "histogram")
 
-#: The event each :class:`~repro.faults.manager.FaultStats` counter counts.
+#: The event each :class:`~repro.faults.policy.FaultStats` counter counts.
 #: ``offline`` and ``quarantined_clients`` have no event of their own: they
 #: count the ``fault:injected`` events with ``fault="dropout"`` and the
 #: ``fault:quarantine`` events with ``quarantined=True``.

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.datasets import ClientData, FederatedDataset, train_test_split_client
+from repro.datasets import (
+    ClientData,
+    FederatedDataset,
+    PackedClientStore,
+    make_synthetic_ondemand,
+    train_test_split_client,
+)
 
 
 def _client(cid=0, n_train=10, n_test=4, dim=3):
@@ -93,11 +99,39 @@ class TestFederatedDataset:
         X, y = ds.store.stacked("test")
         assert len(y) == 5
 
-    def test_stacked_test_empty_raises(self):
-        clients = [_client(0, n_test=0)]
+    def test_stacked_test_empty_is_zero_train_shaped_rows(self):
+        clients = [_client(0, n_test=0), _client(1, n_train=5, n_test=0)]
         ds = FederatedDataset("d", clients, num_classes=2)
-        with pytest.raises(ValueError, match="no test data"):
-            ds.store.stacked("test")
+        X, y = ds.store.stacked("test")
+        assert X.shape == (0, 3) and X.dtype == clients[0].train_x.dtype
+        assert y.shape == (0,) and y.dtype == clients[0].train_y.dtype
+
+    def test_stacked_test_empty_is_one_answer_across_stores(self):
+        """The same train-only federation, packed, eager and on demand."""
+        ondemand = make_synthetic_ondemand(
+            1.0, 1.0, num_devices=6, seed=3, test_fraction=0.0, size_cap=60
+        )
+        clients = list(ondemand)
+        offsets = np.cumsum([0] + [c.num_train for c in clients])
+        packed = PackedClientStore(
+            np.concatenate([c.train_x for c in clients]),
+            np.concatenate([c.train_y for c in clients]),
+            offsets,
+            np.zeros_like(offsets),
+        )
+        eager = FederatedDataset("eager", clients, num_classes=10).store
+        answers = [
+            store.stacked(split)
+            for split in ("test", "train")
+            for store in (packed, eager, ondemand.store)
+        ]
+        for split_answers in (answers[:3], answers[3:]):
+            for X, y in split_answers[1:]:
+                want_X, want_y = split_answers[0]
+                assert X.shape == want_X.shape and X.dtype == want_X.dtype
+                assert y.shape == want_y.shape and y.dtype == want_y.dtype
+                assert np.array_equal(X, want_X) and np.array_equal(y, want_y)
+        assert answers[0][0].shape == (0, 60)
 
 
 class TestTrainTestSplit:

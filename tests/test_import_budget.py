@@ -53,9 +53,13 @@ trainer = FederatedTrainer(
 )
 before = set(sys.modules)
 trainer.run_round()
+after_round = set(sys.modules)
+stats = {{"comms": trainer.comms_stats, "faults": trainer.fault_stats}}
 print(json.dumps({{
     "loaded": sorted(sys.modules),
-    "in_round": sorted(set(sys.modules) - before),
+    "in_round": sorted(after_round - before),
+    "by_stats": sorted(set(sys.modules) - after_round),
+    "stats": stats,
 }}))
 """
 
@@ -115,6 +119,31 @@ def test_a_plain_run_loads_none_of_the_optional_features(plain):
 
 def test_a_round_imports_nothing(plain):
     assert plain["in_round"] == []
+
+
+def test_stats_of_a_plain_run_load_nothing(plain):
+    """``comms_stats`` / ``fault_stats`` of a run with neither feature on
+    report their zeros without loading the comms or fault layer."""
+    assert [
+        name for name in plain["by_stats"]
+        if name.startswith(("repro.comms.", "repro.faults."))
+    ] == []
+    assert plain["by_stats"] == []
+    assert plain["stats"]["comms"] == {
+        "bytes_up": 0.0,
+        "bytes_down": 0.0,
+        "dense_bytes_up": 0.0,
+        "compression_ratio": 1.0,
+        "residual_clients": 0.0,
+    }
+    assert plain["stats"]["faults"] == dict.fromkeys(
+        (
+            "injected", "crashes", "offline", "retries", "crash_dropped",
+            "quarantined_updates", "quarantined_clients", "quarantine_skips",
+            "stale_held", "stale_delivered", "quorum_misses",
+        ),
+        0,
+    )
 
 
 def test_a_configured_feature_loads_with_its_configuration():
