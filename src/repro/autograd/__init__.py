@@ -27,13 +27,11 @@ _lazy.attach(globals(), {
         "matmul",
         "sum_",
         "mean",
-        "max_",
         "reshape",
         "transpose",
         "getitem",
         "concatenate",
         "stack",
-        "log_softmax",
         "softmax",
         "embedding",
     ),
@@ -41,7 +39,6 @@ _lazy.attach(globals(), {
         "softmax_cross_entropy",
         "binary_cross_entropy_with_logits",
         "mse_loss",
-        "l2_norm_squared",
         "fused_lstm",
     ),
     ".stacked_lstm": (

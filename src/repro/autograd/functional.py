@@ -157,12 +157,6 @@ def mse_loss(pred: Tensor, target: np.ndarray, reduction: str = "mean") -> Tenso
     raise ValueError(f"unknown reduction {reduction!r}")
 
 
-def l2_norm_squared(t: Tensor) -> Tensor:
-    """Squared Euclidean norm ``sum(t**2)`` of a tensor of any shape."""
-    t = as_tensor(t)
-    return ops.sum_(ops.mul(t, t))
-
-
 def _step_views(h_prev, g, c_prev, c_next, tc, h_next) -> tuple:
     """One forward step's views: state in, the gate block with its
     [i, f, o] / i / f / o / g columns, cell in and out, tanh(cell out),

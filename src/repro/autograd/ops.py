@@ -260,29 +260,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def max_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Maximum over ``axis``; gradient flows to the (first) argmax entries.
-
-    Ties split the gradient equally among tied maxima, which matches the
-    sub-gradient convention used by mainstream frameworks.
-    """
-    a = as_tensor(a)
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
-
-    def backward(grad: np.ndarray) -> None:
-        expanded = a.data.max(axis=axis, keepdims=True)
-        mask = (a.data == expanded).astype(np.float64)
-        mask /= mask.sum(axis=axis, keepdims=True)
-        g = grad
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            for ax in sorted(ax % a.ndim for ax in axes):
-                g = np.expand_dims(g, ax)
-        a._accumulate(mask * g)
-
-    return _make(out_data, (a,), backward)
-
-
 # --------------------------------------------------------------------- #
 # Shape manipulation
 # --------------------------------------------------------------------- #
@@ -360,20 +337,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # --------------------------------------------------------------------- #
 # Softmax family
 # --------------------------------------------------------------------- #
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable ``log(softmax(a))`` along ``axis``."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_z
-    softmax_vals = np.exp(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        a._accumulate(grad - softmax_vals * grad.sum(axis=axis, keepdims=True))
-
-    return _make(out_data, (a,), backward)
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     a = as_tensor(a)

@@ -8,7 +8,7 @@ _lazy.attach(globals(), {
     ".config": ("EvalConfig",),
     ".feddane": ("FedDaneTrainer",),
     ".adaptive_mu": ("AdaptiveMuController",),
-    ".callbacks": ("Callback", "EarlyStopping", "LambdaCallback"),
+    ".callbacks": ("Callback", "EarlyStopping"),
     ".client": ("ClientPool", "ClientUpdate"),
     ".sampling": (
         "SamplingScheme",

@@ -95,13 +95,3 @@ class EarlyStopping(Callback):
             return False
         self.stopped_reason = outcome.status
         return True
-
-
-class LambdaCallback(Callback):
-    """Wrap a plain function ``record -> bool | None`` as a callback."""
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-
-    def on_round_end(self, record: RoundRecord) -> bool:
-        return bool(self.fn(record))

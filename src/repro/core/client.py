@@ -87,8 +87,8 @@ class ClientPool(Sequence):
     """The one view of a federation: its devices' data and the local solve.
 
     Device ``k`` is ``pool[k]`` — its :class:`ClientData`, read through the
-    dataset's client view on each access: an eager store's own list, so
-    the object it holds, or a lazily-materializing store
+    store's ``clients`` view on each access: a packed store's list of
+    views, so the object it holds, or a lazily-materializing store
     (``dataset.is_lazy``) itself, so the client it materializes, which
     lives as long as the caller holds it: a 10^6-device federation never
     holds more than the active working set in memory.
@@ -113,7 +113,7 @@ class ClientPool(Sequence):
         self.dataset = dataset
         self.model = model
         self.solver = solver
-        # An eager store's own list (a read is a list index, not a
+        # A packed store's list (a read is a list index, not a
         # ``store.get`` call), or a lazy store itself.
         self._devices = dataset.clients
 

@@ -19,7 +19,6 @@ _lazy.attach(globals(), {
         "FederatedDataset",
         "train_test_split_client",
         "ClientStore",
-        "EagerClientStore",
         "PackedClientStore",
     ),
     ".from_arrays": ("federate_arrays",),

@@ -6,10 +6,10 @@ holds its own train/test split (the paper splits every device's local data
 paper reports in Table 1 (devices, samples, mean and stdev of samples per
 device).
 
-The per-device data sits behind a :class:`ClientStore`.  The two in-memory
-stores live here: :class:`EagerClientStore` wraps a caller's client list,
-:class:`PackedClientStore` owns the federation as four packed arrays whose
-clients are views (what the seeded builders produce).  The lazily
+The per-device data sits behind a :class:`ClientStore`.  The in-memory
+store lives here: :class:`PackedClientStore` owns the federation as four
+packed arrays whose clients are views (what the seeded builders write,
+and what a caller's client list is packed into).  The lazily
 materializing stores are in :mod:`repro.datasets.store`.
 """
 
@@ -183,48 +183,14 @@ class ClientStore(abc.ABC):
         for i in range(len(self)):
             yield self.get(i)
 
+    @property
+    def clients(self) -> Sequence[ClientData]:
+        """The clients as a sequence: the store itself, read per index."""
+        return self
+
     def cache_info(self) -> Dict[str, int]:
         """Cache statistics for lazily-materializing stores (else empty)."""
         return {}
-
-
-class EagerClientStore(ClientStore):
-    """A caller's client list, held as given: every client up front.
-
-    The store does not own the clients' bytes — they are whatever arrays
-    the caller built — so :meth:`stacked` has to concatenate a copy.
-    """
-
-    lazy = False
-
-    def __init__(self, clients: Sequence[ClientData]) -> None:
-        if not clients:
-            raise ValueError("an eager client store needs at least one client")
-        self.clients: List[ClientData] = list(clients)
-        self._train_sizes: Optional[np.ndarray] = None
-        self._test_sizes: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return len(self.clients)
-
-    def get(self, client_id: int) -> ClientData:
-        if client_id < 0:  # the list would wrap; too-large ids raise below
-            raise IndexError(f"client {client_id} out of range")
-        return self.clients[client_id]
-
-    @property
-    def train_sizes(self) -> np.ndarray:
-        if self._train_sizes is None:
-            self._train_sizes = np.array(
-                [c.num_train for c in self.clients]
-            )
-        return self._train_sizes
-
-    @property
-    def test_sizes(self) -> np.ndarray:
-        if self._test_sizes is None:
-            self._test_sizes = np.array([c.num_test for c in self.clients])
-        return self._test_sizes
 
 
 def _split_sizes(
@@ -272,8 +238,8 @@ def _permute_rows(x: np.ndarray, rows: np.ndarray, order: np.ndarray) -> None:
         x[at[-1]] = first
 
 
-class PackedClientStore(EagerClientStore):
-    """The eager store that owns the federation's bytes.
+class PackedClientStore(ClientStore):
+    """The in-memory store: the federation's bytes, packed.
 
     One ``x`` and one ``y`` array hold every sample: first all training
     rows, then all held-out rows, each in client order.  ``train_offsets``
@@ -288,9 +254,12 @@ class PackedClientStore(EagerClientStore):
 
     The seeded builders :meth:`allocate` a store from the device sizes
     they drew and :meth:`place` each device as they generate it, so no
-    second copy exists while building either.  A pickle or deep copy
+    second copy exists while building either; a caller's own client list
+    is packed once by :meth:`from_clients`.  A pickle or deep copy
     carries ``x``, ``y`` and the offsets, and re-makes the views on load.
     """
+
+    lazy = False
 
     def __init__(
         self,
@@ -319,7 +288,7 @@ class PackedClientStore(EagerClientStore):
         self._train_sizes = np.diff(train_offsets)
         self._test_sizes = np.diff(test_offsets)
         a, c = train_offsets.tolist(), test_offsets.tolist()
-        self.clients = [
+        self._clients = [
             ClientData(
                 client_id=k,
                 train_x=self.train_x[a[k] : a[k + 1]],
@@ -329,6 +298,48 @@ class PackedClientStore(EagerClientStore):
             )
             for k in range(len(a) - 1)
         ]
+
+    @property
+    def clients(self) -> List[ClientData]:
+        """The clients' views as a list: a read is a list index."""
+        return self._clients
+
+    def __len__(self) -> int:
+        return len(self._clients)
+
+    def get(self, client_id: int) -> ClientData:
+        if client_id < 0:  # the list would wrap; too-large ids raise below
+            raise IndexError(f"client {client_id} out of range")
+        return self._clients[client_id]
+
+    @property
+    def train_sizes(self) -> np.ndarray:
+        return self._train_sizes
+
+    @property
+    def test_sizes(self) -> np.ndarray:
+        return self._test_sizes
+
+    @classmethod
+    def from_clients(cls, clients: Sequence[ClientData]) -> "PackedClientStore":
+        """Pack a caller's client list once; client ``k`` is ``clients[k]``.
+
+        The rows are copied in the stacks' order — every client's train
+        rows, then every client's test rows, in list order — so the
+        caller's arrays are not read again, and each client's
+        ``client_id`` becomes its position.  A client without test rows
+        adds none, whatever the shape of its empty arrays.
+        """
+        if not clients:
+            raise ValueError("a federated dataset needs at least one client")
+        splits = [(c.train_x, c.train_y) for c in clients]
+        splits += [(c.test_x, c.test_y) for c in clients if c.num_test]
+        return cls(
+            np.concatenate([x for x, _ in splits]),
+            np.concatenate([y for _, y in splits]),
+            np.cumsum([0] + [c.num_train for c in clients]),
+            np.cumsum([0] + [c.num_test for c in clients]),
+        )
 
     @classmethod
     def allocate(
@@ -437,27 +448,28 @@ class PackedClientStore(EagerClientStore):
 class FederatedDataset:
     """A named collection of :class:`ClientData` backed by a client store.
 
-    Per-client data lives behind a :class:`ClientStore`.  Constructing
-    from a ``clients`` sequence (the historical signature) wraps it in the
-    eager in-memory store — bit-identical to the pre-store behavior; the
-    seeded builders pass the :class:`PackedClientStore` they filled;
-    ``store=`` also attaches a lazily-materializing store
-    (memory-mapped shards, on-demand synthetic regeneration) so
-    million-device federations cost O(active cohort) memory.
+    Per-client data lives behind a :class:`ClientStore`.  A ``clients``
+    sequence is packed once into a :class:`PackedClientStore` (see
+    :meth:`PackedClientStore.from_clients`); the seeded builders pass the
+    packed store they filled; ``store=`` also attaches a
+    lazily-materializing store (memory-mapped shards, on-demand synthetic
+    regeneration) so million-device federations cost O(active cohort)
+    memory.
 
     Parameters
     ----------
     name:
         Dataset name (used in experiment output).
     clients:
-        Per-device data (eager path; mutually exclusive with ``store``).
+        Per-device data, copied into a packed store; client ``k`` of the
+        federation is ``clients[k]`` (mutually exclusive with ``store``).
     num_classes:
         Number of label classes across the federation.
     input_dim:
         Feature width for vector inputs, or sequence length for integer
         token inputs (informational).
     store:
-        A prebuilt client store (lazy path; keyword-only).
+        A prebuilt client store (keyword-only).
 
     Attributes
     ----------
@@ -482,11 +494,7 @@ class FederatedDataset:
                 "pass exactly one of clients= or store= to FederatedDataset"
             )
         if store is None:
-            if not clients:
-                raise ValueError(
-                    "a federated dataset needs at least one client"
-                )
-            store = EagerClientStore(clients)
+            store = PackedClientStore.from_clients(clients)
         elif len(store) == 0:
             raise ValueError("a federated dataset needs at least one client")
         self.name = name
@@ -502,16 +510,13 @@ class FederatedDataset:
 
     @property
     def clients(self) -> Sequence[ClientData]:
-        """Sequence view of per-device data.
+        """Sequence view of per-device data: the store's :attr:`~ClientStore.clients`.
 
-        For the eager store this is the actual in-memory list (the
-        historical attribute); for lazy stores it is the store itself —
-        indexing materializes one client, and forcing it with ``list()``
-        materializes the whole federation (avoid on large stores).
+        For a lazy store, indexing materializes one client, and forcing
+        it with ``list()`` materializes the whole federation (avoid on
+        large stores).
         """
-        if isinstance(self.store, EagerClientStore):
-            return self.store.clients
-        return self.store
+        return self.store.clients
 
     def __len__(self) -> int:
         return len(self.store)

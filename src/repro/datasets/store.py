@@ -1,18 +1,17 @@
 """Sharded, lazily-materialized client state: the :class:`ClientStore` layer.
 
-The eager per-client :class:`~repro.datasets.federated.ClientData` list
-inside :class:`~repro.datasets.federated.FederatedDataset` costs O(total
-devices) memory — fine for the paper's 30–1,000 device federations, a wall
-at production scale.  A :class:`ClientStore` is the pluggable replacement:
+An in-memory :class:`~repro.datasets.federated.FederatedDataset` costs
+O(total devices) memory — fine for the paper's 30–1,000 device
+federations, a wall at production scale.  A :class:`ClientStore` is the pluggable replacement:
 a sequence-like object that answers two questions cheaply for *every*
 client (``train_sizes`` / ``test_sizes`` — the aggregation-mass metadata
 the server and evaluators need each round) and materializes any single
-client's arrays *on access*.  The contract and the two in-memory stores
-(:class:`~repro.datasets.federated.EagerClientStore` around a caller's
-client list, :class:`~repro.datasets.federated.PackedClientStore` that
-owns the bytes the seeded builders write) are defined beside the dataset
-container in :mod:`repro.datasets.federated`; this module holds the two
-that materialize on access:
+client's arrays *on access*.  The contract and the in-memory store
+(:class:`~repro.datasets.federated.PackedClientStore`, which owns the
+bytes the seeded builders write or a caller's client list packed once)
+are defined beside the dataset container in
+:mod:`repro.datasets.federated`; this module holds the two that
+materialize on access:
 
 :class:`MmapShardStore`
     Clients packed into ``.npy`` shard files with an on-disk index; a
@@ -295,7 +294,7 @@ class MmapShardStore(ClientStore):
     on disk never change), so cache evictions cannot affect histories.
 
     Build a store with :meth:`pack`, which streams clients from any
-    source (an eager dataset, another store — including an on-demand
+    source (an in-memory dataset, another store — including an on-demand
     synthetic store, which is how a 10^6-device federation reaches disk
     without ever being fully resident).
     """

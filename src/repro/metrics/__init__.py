@@ -1,4 +1,4 @@
-"""Evaluation metrics and the paper's convergence/divergence criteria."""
+"""The paper's convergence/divergence criteria (Appendix C.3.2)."""
 
 from .. import _lazy
 
@@ -11,5 +11,4 @@ _lazy.attach(globals(), {
         "DIVERGENCE_WINDOW",
         "DIVERGENCE_JUMP",
     ),
-    ".evaluation": ("federated_train_loss", "federated_test_accuracy"),
 })

@@ -7,5 +7,5 @@ _lazy.attach(globals(), {
     ".proximal": ("LocalObjective",),
     ".sgd": ("SGDSolver", "MomentumSGDSolver", "GDSolver"),
     ".adam": ("AdamSolver",),
-    ".inexactness": ("gamma_inexactness", "is_gamma_inexact"),
+    ".inexactness": ("gamma_inexactness",),
 })

@@ -4,9 +4,10 @@ A point ``w*`` is a γ-inexact solution of ``min_w h_k(w; w_t)`` when::
 
     ||∇h_k(w*; w_t)|| <= γ ||∇h_k(w_t; w_t)||
 
-Smaller γ means a more exact local solve.  These helpers let experiments
-and tests *measure* the inexactness a given solver actually achieved — the
-empirical counterpart of the γ_k^t quantities in Corollary 9.
+Smaller γ means a more exact local solve.  :func:`gamma_inexactness` lets
+experiments and tests *measure* the inexactness a given solver actually
+achieved — the empirical counterpart of the γ_k^t quantities in
+Corollary 9.
 """
 
 from __future__ import annotations
@@ -45,13 +46,3 @@ def gamma_inexactness(
     if norm_start == 0.0:
         return 0.0 if norm_star == 0.0 else float("inf")
     return norm_star / norm_start
-
-
-def is_gamma_inexact(
-    objective: LocalObjective,
-    w_star: np.ndarray,
-    w_start: np.ndarray,
-    gamma: float,
-) -> bool:
-    """Whether ``w_star`` satisfies Definition 1 for tolerance ``gamma``."""
-    return gamma_inexactness(objective, w_star, w_start) <= gamma

@@ -108,7 +108,7 @@ def _warn_oversubscribed(requested: int, available: int) -> None:
 def _init_worker(dataset, model, solver, eval_mode) -> None:
     """Build this worker's client pool (runs once per worker process).
 
-    The pool reads devices through the dataset's store: an eager store's
+    The pool reads devices through the dataset's store: a packed store's
     clients arrived with the dataset, while lazily-materializing stores
     (mmap shards reopen their files here, on-demand synthetic stores
     rebuild only their metadata) materialize clients per access — so

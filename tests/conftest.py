@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.callbacks import Callback
 from repro.core.client import ClientPool
 from repro.datasets import ClientData, FederatedDataset, make_synthetic
 from repro.models import MultinomialLogisticRegression
@@ -85,6 +86,16 @@ def make_toy_client(
         test_x=X_test,
         test_y=y_test,
     )
+
+
+class EachRound(Callback):
+    """Calls ``fn(record)`` after every round; a truthy result stops the run."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def on_round_end(self, record) -> bool:
+        return bool(self.fn(record))
 
 
 def make_pool(clients, model, solver=None, name="toy") -> ClientPool:

@@ -8,7 +8,6 @@ from repro.autograd import (
     Tensor,
     binary_cross_entropy_with_logits,
     check_gradients,
-    l2_norm_squared,
     mse_loss,
     softmax_cross_entropy,
 )
@@ -138,9 +137,3 @@ class TestMSEAndNorm:
     def test_mse_rejects_unknown_reduction(self):
         with pytest.raises(ValueError):
             mse_loss(Tensor(np.zeros(2)), np.zeros(2), reduction="bogus")
-
-    def test_l2_norm_squared(self):
-        assert l2_norm_squared(Tensor(np.array([3.0, 4.0]))).item() == pytest.approx(25.0)
-
-    def test_l2_norm_gradcheck(self):
-        check_gradients(lambda ts: l2_norm_squared(ts[0]), [_rng().normal(size=(3, 2))])

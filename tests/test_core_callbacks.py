@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import EarlyStopping, FederatedTrainer, LambdaCallback
+from repro.core import EarlyStopping, FederatedTrainer
 from repro.core.config import EvalConfig
 from repro.core.history import RoundRecord
 from repro.metrics.convergence import classify_run
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
+
+from tests.conftest import EachRound
 
 
 def _record(round_idx, loss):
@@ -63,19 +65,6 @@ class TestEarlyStopping:
             EarlyStopping(divergence_window=0)
 
 
-class TestLambdaCallback:
-    def test_wraps_function(self):
-        fired = []
-        cb = LambdaCallback(lambda r: fired.append(r.round_idx) or False)
-        assert not cb.on_round_end(_record(0, 1.0))
-        assert fired == [0]
-
-    def test_truthy_return_stops(self):
-        cb = LambdaCallback(lambda r: r.train_loss < 0.5)
-        assert not cb.on_round_end(_record(0, 1.0))
-        assert cb.on_round_end(_record(1, 0.4))
-
-
 class TestTrainerIntegration:
     def _trainer(self, dataset, callbacks, **kwargs):
         model = MultinomialLogisticRegression(dim=6, num_classes=3)
@@ -93,14 +82,14 @@ class TestTrainerIntegration:
     def test_callback_sees_every_round(self, toy_dataset):
         seen = []
         trainer = self._trainer(
-            toy_dataset, [LambdaCallback(lambda r: seen.append(r.round_idx) or False)]
+            toy_dataset, [EachRound(lambda r: seen.append(r.round_idx) or False)]
         )
         trainer.run(4)
         assert seen == [0, 1, 2, 3]
 
     def test_stop_request_truncates_run(self, toy_dataset):
         trainer = self._trainer(
-            toy_dataset, [LambdaCallback(lambda r: r.round_idx >= 2)]
+            toy_dataset, [EachRound(lambda r: r.round_idx >= 2)]
         )
         history = trainer.run(10)
         assert len(history) == 3  # rounds 0, 1, 2

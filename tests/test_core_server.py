@@ -5,10 +5,12 @@ import pytest
 
 from repro.core import EvalConfig, FederatedTrainer
 from repro.core.adaptive_mu import AdaptiveMuController
-from repro.metrics import federated_test_accuracy, federated_train_loss
+from repro.core.client import ClientPool
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
+from repro.runtime import FederationEvaluator
 from repro.systems import FractionStragglers
+from tests.test_runtime_device_values import federated_test_accuracy, federated_train_loss
 
 
 def _trainer(dataset, mu=0.0, drop=False, systems=None, seed=0, **kwargs):
@@ -186,16 +188,22 @@ class TestMethodLabels:
 
 
 class TestGlobalMetrics:
-    def test_global_train_loss_is_weighted_mean(self, toy_dataset, toy_model):
+    @pytest.mark.parametrize("eval_mode", ["per_client", "stacked"])
+    def test_global_train_loss_is_weighted_mean(self, toy_dataset, toy_model, eval_mode):
         w = np.zeros(toy_model.n_params)
+        pool = ClientPool(toy_dataset, toy_model, SGDSolver(0.1))
         # At w=0 every client's loss is log(3), so the weighted mean is too.
-        loss = federated_train_loss(toy_model, toy_dataset, w)
+        loss = FederationEvaluator(pool, toy_model, eval_mode).train_loss(w)
         assert loss == pytest.approx(np.log(3))
+        assert loss == pytest.approx(federated_train_loss(toy_model, toy_dataset, w))
 
-    def test_global_test_accuracy_range(self, toy_dataset, toy_model):
+    @pytest.mark.parametrize("eval_mode", ["per_client", "stacked"])
+    def test_global_test_accuracy_range(self, toy_dataset, toy_model, eval_mode):
         w = np.zeros(toy_model.n_params)
-        acc = federated_test_accuracy(toy_model, toy_dataset, w)
+        pool = ClientPool(toy_dataset, toy_model, SGDSolver(0.1))
+        acc = FederationEvaluator(pool, toy_model, eval_mode).test_accuracy(w)
         assert 0.0 <= acc <= 1.0
+        assert acc == pytest.approx(federated_test_accuracy(toy_model, toy_dataset, w))
 
 
 class TestFinalEvaluation:

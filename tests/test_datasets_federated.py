@@ -107,7 +107,8 @@ class TestFederatedDataset:
         assert y.shape == (0,) and y.dtype == clients[0].train_y.dtype
 
     def test_stacked_test_empty_is_one_answer_across_stores(self):
-        """The same train-only federation, packed, eager and on demand."""
+        """The same train-only federation, packed by hand, packed from its
+        client list and on demand."""
         ondemand = make_synthetic_ondemand(
             1.0, 1.0, num_devices=6, seed=3, test_fraction=0.0, size_cap=60
         )
@@ -119,11 +120,11 @@ class TestFederatedDataset:
             offsets,
             np.zeros_like(offsets),
         )
-        eager = FederatedDataset("eager", clients, num_classes=10).store
+        listed = FederatedDataset("listed", clients, num_classes=10).store
         answers = [
             store.stacked(split)
             for split in ("test", "train")
-            for store in (packed, eager, ondemand.store)
+            for store in (packed, listed, ondemand.store)
         ]
         for split_answers in (answers[:3], answers[3:]):
             for X, y in split_answers[1:]:

@@ -622,14 +622,62 @@ class TestOneCopy:
         assert dataset.store.train_x.nbytes > 30 * block_bytes
         assert peak < 4 * block_bytes
 
-    def test_user_built_lists_are_kept_as_given(self, toy_dataset):
-        clients = list(toy_dataset.clients)
+    def test_a_callers_list_is_packed_once(self, toy_dataset):
+        clients = [toy_dataset[k] for k in (4, 1, 3)]
         dataset = FederatedDataset("mine", clients, num_classes=3, input_dim=6)
-        assert not isinstance(dataset.store, PackedClientStore)
-        assert all(a is b for a, b in zip(dataset.clients, clients))
-        X, _ = dataset.store.stacked("train")
-        assert X is dataset.store.stacked("train")[0]  # concatenated once
-        assert not np.shares_memory(X, clients[0].train_x)
+        assert_clients_are_views(dataset)
+        assert [c.client_id for c in dataset] == [0, 1, 2]
+        for mine, given in zip(dataset, clients):
+            for part in PARTS:
+                array = getattr(mine, part)
+                assert np.array_equal(array, getattr(given, part))
+                assert array.dtype == getattr(given, part).dtype
+                assert not np.shares_memory(array, toy_dataset.store.x)
+
+    def test_a_reordered_federation_trains_as_its_rows_packed(self):
+        """The regression: a re-ordered list kept its clients' old ids, and
+        aggregation indexed the 3-device federation with id 9."""
+        source = make_synthetic(1.0, 1.0, num_devices=12, seed=3, size_cap=80)
+        picked = [source[5], source[9], source[2]]
+        splits = [(c.train_x, c.train_y) for c in picked]
+        splits += [(c.test_x, c.test_y) for c in picked]
+        by_hand = PackedClientStore(
+            np.concatenate([x for x, _ in splits]),
+            np.concatenate([y for _, y in splits]),
+            np.cumsum([0] + [c.num_train for c in picked]),
+            np.cumsum([0] + [c.num_test for c in picked]),
+        )
+        runs = []
+        for dataset in (
+            FederatedDataset("picked", picked, num_classes=10, input_dim=60),
+            FederatedDataset("packed", num_classes=10, input_dim=60, store=by_hand),
+        ):
+            model = MultinomialLogisticRegression(dim=60, num_classes=10)
+            with FederatedTrainer(dataset, model, SOLVER, clients_per_round=2, seed=1) as trainer:
+                history = trainer.run(2)
+            runs.append((history_digest(history.records), trainer.w.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_clients_without_test_rows_pack(self):
+        """Empty held-out arrays add no rows, whatever their shape and dtype."""
+        rows = np.arange(12.0).reshape(6, 2)
+        clients = [
+            ClientData(7, rows[:3], np.arange(3), np.zeros(0), np.zeros(0)),
+            ClientData(3, rows[3:5], np.arange(2), rows[5:], np.array([1])),
+            ClientData(0, rows[:1], np.arange(1), np.zeros((0,)), np.zeros((0,), dtype=int)),
+        ]
+        store = PackedClientStore.from_clients(clients)
+        assert [store.get(k).client_id for k in range(3)] == [0, 1, 2]
+        assert store.train_sizes.tolist() == [3, 2, 1]
+        assert store.test_sizes.tolist() == [0, 1, 0]
+        assert store.x.shape == (7, 2) and store.y.dtype == np.arange(1).dtype
+        assert np.array_equal(store.x, np.concatenate((rows[:5], rows[:1], rows[5:])))
+        assert store.get(0).test_x.shape == (0, 2)
+        X, y = store.stacked("test")
+        assert np.array_equal(X, rows[5:]) and y.tolist() == [1]
+        train_only = PackedClientStore.from_clients([clients[0], clients[2]])
+        X, y = train_only.stacked("test")
+        assert X.shape == (0, 2) and X.dtype == rows.dtype and y.dtype == store.y.dtype
 
     def test_constructor_checks_the_offsets(self):
         x, y = np.zeros((5, 2)), np.zeros(5, dtype=int)
@@ -663,17 +711,14 @@ class TestTravelsAsItsStacks:
         dataset = make_synthetic(1.0, 1.0, num_devices=30, seed=0)
         assert len(pickle.dumps(dataset)) < 1.02 * data_bytes(dataset)
 
-    def test_concatenated_splits_stay_home(self, toy_dataset):
+    def test_concatenated_splits_stay_home(self):
         """A store that had to concatenate ships its clients, not the copy."""
-        toy_dataset.store.stacked("train")
         lazy = OnDemandSyntheticStore(1.0, 1.0, num_devices=5, seed=0)
         lazy.stacked("train")
-        for store, limit in ((toy_dataset.store, 1.3 * data_bytes(toy_dataset)),
-                             (lazy, 20_000)):
-            assert store._stacks
-            assert len(pickle.dumps(store)) < limit
-            assert not pickle.loads(pickle.dumps(store))._stacks
-            assert not copy.deepcopy(store)._stacks
+        assert lazy._stacks
+        assert len(pickle.dumps(lazy)) < 20_000
+        assert not pickle.loads(pickle.dumps(lazy))._stacks
+        assert not copy.deepcopy(lazy)._stacks
 
     @pytest.mark.slow
     def test_spawned_workers_reproduce_the_forked_history(self):
@@ -805,21 +850,6 @@ class TestCensusEquivalence:
         assert after == _frozen_train_loss(list(pool), model, w, STACKED_EVAL_BLOCK)
 
 
-class _WidthBlindModel:
-    """Just what an evaluator calls, on inputs of any shape."""
-
-    supports_stacked_eval = True
-
-    def set_params(self, w):
-        self.w = w
-
-    def loss(self, X, y):
-        return float(np.mean(y))
-
-    def predict(self, X):
-        return np.zeros(len(X), dtype=np.int64)
-
-
 class TestUnpackableInputs:
     def _dataset(self, second_x):
         first = ClientData(0, np.zeros((4, 3)), np.arange(4), np.zeros((2, 3)), np.arange(2))
@@ -828,21 +858,13 @@ class TestUnpackableInputs:
         )
         return FederatedDataset("ragged", [first, second], num_classes=5)
 
-    def test_differing_feature_shapes(self):
-        dataset = self._dataset(np.ones((5, 2)))
-        model = _WidthBlindModel()
-        pool = ClientPool(dataset, model, SOLVER)
-        per_client = FederationEvaluator(pool, model, "per_client")
-        assert per_client.train_loss(None) == pytest.approx((4 * 1.5 + 5 * 2.0) / 9)
-        assert per_client.test_accuracy(None) == pytest.approx(2 / 3)
-        stacked = FederationEvaluator(pool, model, "stacked")
+    def test_differing_feature_shapes_do_not_pack(self):
         with pytest.raises(ValueError, match="dimension"):
-            stacked.train_loss(None)
-        with pytest.raises(ValueError, match="dimension"):
-            stacked.test_accuracy(None)
+            self._dataset(np.ones((5, 2)))
 
     def test_differing_dtypes_promote_as_concatenate_does(self):
         dataset = self._dataset(np.ones((5, 3), dtype=np.float32))
+        assert dataset[1].train_x.dtype == np.float64
         model = MultinomialLogisticRegression(dim=3, num_classes=5)
         pool = ClientPool(dataset, model, SOLVER)
         stacked = FederationEvaluator(pool, model, "stacked")

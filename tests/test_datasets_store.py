@@ -1,4 +1,4 @@
-"""Client store layer: eager/mmap/on-demand parity and cache behavior."""
+"""Client store layer: packed/mmap/on-demand parity and cache behavior."""
 
 from __future__ import annotations
 
@@ -11,10 +11,10 @@ import pytest
 from repro.core import EvalConfig, FederatedTrainer
 from repro.datasets import (
     DEFAULT_CACHE_CLIENTS,
-    EagerClientStore,
     FederatedDataset,
     MmapShardStore,
     OnDemandSyntheticStore,
+    PackedClientStore,
     make_synthetic,
     make_synthetic_ondemand,
 )
@@ -100,18 +100,6 @@ def reference_materialize(store: OnDemandSyntheticStore, client_id: int) -> Clie
     return train_test_split_client(
         client_id, X, y, rng, test_fraction=store.test_fraction
     )
-
-
-class TestEagerStore:
-    def test_wraps_existing_clients_bit_identically(self):
-        dataset = make_synthetic(1.0, 1.0, num_devices=20, seed=3)
-        store = EagerClientStore(list(dataset))
-        assert not store.lazy
-        assert len(store) == 20
-        for i in (0, 7, 19):
-            assert store.get(i) is dataset[i]
-        np.testing.assert_array_equal(store.train_sizes, dataset.train_sizes)
-        np.testing.assert_array_equal(store.test_sizes, dataset.test_sizes)
 
 
 class TestOnDemandStore:
@@ -405,6 +393,7 @@ class TestDatasetStoreIntegration:
         source = make_synthetic(1.0, 1.0, num_devices=6, seed=0, size_cap=80)
         stores = [
             source.store,
+            PackedClientStore.from_clients(list(source)[::-1]),
             OnDemandSyntheticStore(1.0, 1.0, num_devices=6, seed=0),
             MmapShardStore.pack(source, tmp_path / "s", clients_per_shard=4),
         ]
@@ -415,13 +404,13 @@ class TestDatasetStoreIntegration:
             assert store[-1].client_id == 5
             assert store.get(5).client_id == 5
 
-    def test_eager_dataset_requires_clients_or_store(self):
+    def test_dataset_requires_clients_or_store(self):
         with pytest.raises(ValueError):
             FederatedDataset("x", clients=None, num_classes=2)
 
     def test_clients_and_store_are_exclusive(self):
         clients = [make_toy_client(0)]
-        store = EagerClientStore(clients)
+        store = PackedClientStore.from_clients(clients)
         with pytest.raises(ValueError):
             FederatedDataset(
                 "x", clients=clients, num_classes=3, store=store

@@ -14,7 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: ``DESIGN.md``'s line count, as of the change that introduced this test.
-DESIGN_LINES = 1816
+DESIGN_LINES = 1814
 
 #: Bytes one ``CHANGES.md`` line may hold, newline excluded.
 CHANGES_LINE_BYTES = 2048

@@ -1,15 +1,12 @@
-"""Tests for convergence detection and standalone evaluation helpers."""
+"""Tests for convergence detection and the reference evaluation oracles."""
 
 import numpy as np
 import pytest
 
-from repro.metrics import (
-    RunOutcome,
-    accuracy_at_outcome,
-    classify_run,
-    federated_test_accuracy,
-    federated_train_loss,
-)
+from repro.datasets import FederatedDataset
+from repro.metrics import RunOutcome, accuracy_at_outcome, classify_run
+from tests.conftest import make_toy_client
+from tests.test_runtime_device_values import federated_test_accuracy, federated_train_loss
 
 
 class TestClassifyRun:
@@ -91,9 +88,6 @@ class TestEvaluationHelpers:
 
     def test_weighted_loss_uses_masses(self, toy_model):
         """A big client's loss dominates the weighted mean."""
-        from tests.conftest import make_toy_client
-        from repro.datasets import FederatedDataset
-
         big = make_toy_client(0, n_train=90, seed=0)
         small = make_toy_client(1, n_train=10, seed=99, shift=3.0)
         ds = FederatedDataset("w", [big, small], num_classes=3)

@@ -9,7 +9,6 @@ from repro.optim import (
     LocalObjective,
     SGDSolver,
     gamma_inexactness,
-    is_gamma_inexact,
 )
 
 
@@ -95,13 +94,6 @@ class TestGammaInexactness:
         w_anchor = np.ones(2)  # stationary
         w_candidate = np.zeros(2)  # not stationary
         assert gamma_inexactness(obj, w_candidate, w_anchor) == float("inf")
-
-    def test_is_gamma_inexact_threshold(self):
-        obj, w0 = _setup()
-        w = GDSolver(0.2).solve(obj, w0, 20, np.random.default_rng(0))
-        gamma = gamma_inexactness(obj, w, w0)
-        assert is_gamma_inexact(obj, w, w0, gamma + 0.01)
-        assert not is_gamma_inexact(obj, w, w0, gamma - 0.01)
 
     def test_larger_mu_strengthens_pull_to_anchor(self):
         """With huge µ, the subproblem optimum is near w0, so one GD step

@@ -9,8 +9,8 @@ device arrays, building the chunk's index, mask and batch sizes from the
 chains' flat plans.  Pinned here:
 
 * cohort updates equal the serial solve's with ``np.array_equal`` on
-  every store kind (eager-packed, a hand-built list, memory-mapped
-  shards, on-demand regeneration), with a device that spans several
+  every store kind (a builder's packed store, a hand-built list packed
+  once, memory-mapped shards, on-demand regeneration), with a device that spans several
   chunks and ends its epochs on short batches;
 * the chunks the model's stream receives equal, bit for bit, the chunks
   the frozen whole-round layout and plan produced, for the logistic
@@ -89,7 +89,7 @@ def _ondemand_dataset(tmp_path):
 
 
 STORES = {
-    "eager-packed": _packed_dataset,
+    "packed": _packed_dataset,
     "hand-built": _hand_built_dataset,
     "mmap": _mmap_dataset,
     "on-demand": _ondemand_dataset,

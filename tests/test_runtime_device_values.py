@@ -6,7 +6,8 @@ Every store a federation can sit on, every quantity, any list of devices
 1, 7 and the default: the values are ``==`` the frozen per-device bodies
 (``array_equal`` for gradients), each listed device is read once, and the
 stacked correct counts take exactly ``ceil(rows / block)`` forwards per run
-of same-shape held-out rows.
+of same-shape held-out rows.  The per-client census over them equals the
+reference global loss and accuracy (one forward per device) with ``==``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.datasets import (
     make_synthetic_ondemand,
 )
 from repro.datasets.federated import ClientData
-from repro.metrics import federated_test_accuracy
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
 from repro.runtime import STACKED_EVAL_BLOCK, FederationEvaluator
@@ -94,8 +94,7 @@ class CountingWidthBlind(Counting, WidthBlind):
 
 
 def _without_test_rows(dataset, every=3):
-    """Eager copies of ``dataset``'s clients; every ``every``-th holds no
-    held-out rows."""
+    """``dataset``'s clients, every ``every``-th without held-out rows."""
     return [
         ClientData(
             c.client_id, c.train_x, c.train_y,
@@ -104,6 +103,15 @@ def _without_test_rows(dataset, every=3):
         )
         for c in dataset
     ]
+
+
+class ListPool(list):
+    """Devices in a plain list, with the ``model`` that ``device_values``
+    reads beside them: a pool no store could pack (see :func:`_ragged`)."""
+
+    def __init__(self, clients, model):
+        super().__init__(clients)
+        self.model = model
 
 
 def _ragged():
@@ -120,7 +128,7 @@ def _ragged():
         x = rng.normal(size=(n + m,) + shape).astype(dtype)
         y = rng.integers(0, 2, size=n + m)
         clients.append(ClientData(k, x[:n], y[:n], x[n:], y[n:]))
-    return FederatedDataset("ragged", clients, num_classes=2)
+    return clients
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +139,8 @@ def federations(tmp_path_factory):
     MmapShardStore.pack(packed, mmap_dir, clients_per_shard=4)
     sources = {
         "packed": packed,
-        "eager": FederatedDataset(
-            "eager", _without_test_rows(packed), packed.num_classes
+        "hand-built": FederatedDataset(
+            "hand-built", _without_test_rows(packed), packed.num_classes
         ),
         "ondemand": make_synthetic_ondemand(
             1.0, 1.0, num_devices=N, seed=5, size_cap=60, min_samples=10
@@ -150,7 +158,7 @@ def federations(tmp_path_factory):
     pool = make_pool(_without_test_rows(packed, every=4), model, SOLVER)
     out["list"] = (pool, model, pool.dataset.store)
     model = CountingWidthBlind()
-    out["ragged"] = (ClientPool(_ragged(), model, SOLVER), model, None)
+    out["ragged"] = (ListPool(_ragged(), model), model, None)
     return out
 
 
@@ -184,6 +192,29 @@ def _expected_blocks(clients, devices, block):
     ]
 
 
+def federated_train_loss(model, dataset, w):
+    """The reference global objective ``f(w) = sum_k p_k F_k(w)``: one
+    ``set_params`` and one forward per device, in device order."""
+    model.set_params(w)
+    masses = dataset.sample_fractions()
+    losses = np.array(
+        [model.loss(c.train_x, c.train_y) for c in dataset], dtype=np.float64
+    )
+    return float(masses @ losses)
+
+
+def federated_test_accuracy(model, dataset, w):
+    """The reference held-out accuracy: correct over held-out rows, summed
+    device by device."""
+    model.set_params(w)
+    correct = total = 0
+    for client in dataset:
+        if client.num_test:
+            correct += int(np.sum(model.predict(client.test_x) == client.test_y))
+            total += client.num_test
+    return correct / total
+
+
 def _weights(model, seed):
     n = getattr(model, "n_params", 1)
     return 0.3 * np.random.default_rng(seed).standard_normal(n)
@@ -191,7 +222,7 @@ def _weights(model, seed):
 
 @pytest.mark.parametrize("quantity", ["loss", "gradient", "correct"])
 @pytest.mark.parametrize(
-    "name", ["packed", "eager", "ondemand", "mmap", "list", "ragged"]
+    "name", ["packed", "hand-built", "ondemand", "mmap", "list", "ragged"]
 )
 @settings(max_examples=25, deadline=None)
 @given(
@@ -280,6 +311,18 @@ def test_no_devices_read_nothing(federations):
     reads = Reads(clients)
     assert device_values(reads, _weights(model, 0), "loss", []) == []
     assert reads.log == []
+
+
+@pytest.mark.parametrize("name", ["packed", "hand-built", "ondemand", "mmap", "list"])
+def test_the_per_client_census_equals_the_reference(federations, name):
+    clients, model, _ = federations[name]
+    model.block_rows, model.stacked, model.predicted = None, True, []
+    evaluator = FederationEvaluator(clients, model, "per_client")
+    w = _weights(model, 2)
+    assert evaluator.train_loss(w) == federated_train_loss(model, clients.dataset, w)
+    assert evaluator.test_accuracy(w) == federated_test_accuracy(
+        model, clients.dataset, w
+    )
 
 
 def test_a_lazy_per_client_census_forwards_blocks_not_devices():

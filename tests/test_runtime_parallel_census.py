@@ -374,27 +374,31 @@ class TestMemoryAndFallbacks:
         assert peak < 2.5 * block_bytes < split_bytes / 5
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_unpacked_sliced_and_lazy_federations_stay_on_the_server(
+    def test_hand_built_federations_are_cut_and_lazy_ones_stay_on_the_server(
         self, in_process, n_workers
     ):
+        """A caller's client list is packed, so its census reads in place
+        and is cut like a builder's; a lazy store's is not cut."""
         packed = _synthetic()
         model = _logistic(packed)
-        unpacked = FederatedDataset(
+        hand_built = FederatedDataset(
             "hand-built", clients=list(packed.clients), num_classes=10, input_dim=60
         )
         lazy = make_synthetic_ondemand(1.0, 1.0, num_devices=12, seed=3, size_cap=80)
         sliced = FederatedDataset(
             "sliced", clients=list(packed)[:9], num_classes=10, input_dim=60
         )
-        for dataset in (unpacked, lazy, sliced):
+        for dataset in (hand_built, lazy, sliced):
             serial = _serial(dataset, model, "stacked")
             executor = in_process(dataset, model, n_workers, "stacked")
             executor.evaluator.block_size = serial.evaluator.block_size = 64
-            assert executor.evaluator.stack_in_place("train") is None
+            in_place = executor.evaluator.stack_in_place("train") is not None
+            assert in_place == (dataset is not lazy)
             w = _weights(model, 1)
             assert executor.train_loss(w) == serial.train_loss(w)
             assert executor.test_accuracy(w) == serial.test_accuracy(w)
-            assert executor._workers.messages == []
+            # MIN_ELEMENTS_SAVED is 0 here: every in-place split is cut.
+            assert bool(executor._workers.messages) == (in_place and n_workers > 1)
 
     def test_a_split_below_the_minimum_work_stays_on_the_server(
         self, in_process, monkeypatch

@@ -24,7 +24,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import EvalConfig, FederatedTrainer
-from repro.core.callbacks import Callback, LambdaCallback
+from repro.core.callbacks import Callback
 from repro.datasets import make_synthetic
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
@@ -38,6 +38,8 @@ from repro.telemetry import (
     canonical_record,
     read_jsonl,
 )
+
+from tests.conftest import EachRound
 
 ROUNDS = 5
 
@@ -337,7 +339,7 @@ class TestCallbacksInterleaving:
         trainer = make_trainer(
             dataset,
             telemetry=Telemetry([sink]),
-            callbacks=[LambdaCallback(check)],
+            callbacks=[EachRound(check)],
         )
         try:
             trainer.run(3)
@@ -352,7 +354,7 @@ class TestCallbacksInterleaving:
             dataset,
             telemetry=Telemetry([sink]),
             evaluation=EvalConfig(every=3),
-            callbacks=[LambdaCallback(lambda r: r.round_idx == stop_at)],
+            callbacks=[EachRound(lambda r: r.round_idx == stop_at)],
         )
         try:
             history = trainer.run(ROUNDS)
